@@ -28,7 +28,7 @@
 use crate::ycsb::{
     self, YcsbBackend, YcsbConfig, YcsbGet, YcsbPut, YcsbReport, YcsbScan, YcsbWorkload,
 };
-use ocssd::{CellType, DeviceConfig, Geometry, OcssdDevice, SharedDevice, SECTOR_BYTES};
+use ocssd::{CellType, DeviceConfig, Geometry, SharedDevice, SECTOR_BYTES};
 use ox_block::{BlockFtl, BlockFtlConfig};
 use ox_core::{Media, OcssdMedia};
 use ox_kvssd::{KvSsd, KvSsdConfig};
@@ -91,16 +91,14 @@ impl BlockAblation {
         media: Arc<dyn Media>,
         record_slots: u64,
         value_bytes: usize,
-        obs: &Obs,
     ) -> (BlockAblation, SimTime) {
         let capacity = record_slots * RECORD_SECTORS * SECTOR_BYTES as u64;
-        let (mut ftl, t) = BlockFtl::format(
+        let (ftl, t) = BlockFtl::format(
             media,
             BlockFtlConfig::with_capacity(capacity),
             SimTime::ZERO,
         )
         .expect("oxblock format");
-        ftl.set_obs(obs.clone());
         (
             BlockAblation {
                 ftl: Arc::new(Mutex::new(ftl)),
@@ -182,9 +180,8 @@ pub struct ZtlAblation {
 
 impl ZtlAblation {
     /// Formats `media` as a zone-translation layer.
-    pub fn format(media: Arc<dyn Media>, cfg: ZtlConfig, obs: &Obs) -> (ZtlAblation, SimTime) {
-        let (mut ftl, t) = ZtlFtl::format(media, cfg, SimTime::ZERO).expect("oxztl format");
-        ftl.set_obs(obs.clone());
+    pub fn format(media: Arc<dyn Media>, cfg: ZtlConfig) -> (ZtlAblation, SimTime) {
+        let (ftl, t) = ZtlFtl::format(media, cfg, SimTime::ZERO).expect("oxztl format");
         (
             ZtlAblation {
                 ftl: Arc::new(Mutex::new(ftl)),
@@ -268,9 +265,8 @@ pub struct KvAblation {
 }
 
 impl KvAblation {
-    /// Formats `media` as a KV-SSD (device-level obs only; the KV-SSD keeps
-    /// its own internal stats rather than a metrics registry).
-    pub fn format(media: Arc<dyn Media>, _obs: &Obs) -> (KvAblation, SimTime) {
+    /// Formats `media` as a KV-SSD.
+    pub fn format(media: Arc<dyn Media>) -> (KvAblation, SimTime) {
         let (kv, t) =
             KvSsd::format(media, KvSsdConfig::default(), SimTime::ZERO).expect("kvssd format");
         (
@@ -426,10 +422,7 @@ impl AblationResult {
 pub const WORKLOADS: [YcsbWorkload; 3] = [YcsbWorkload::A, YcsbWorkload::B, YcsbWorkload::C];
 
 fn fresh_device(obs: &Obs) -> (SharedDevice, Arc<dyn Media>) {
-    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(
-        ablation_geometry(),
-    )));
-    dev.set_obs(obs.clone());
+    let dev = crate::figure_device(DeviceConfig::with_geometry(ablation_geometry()), obs);
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     (dev, media)
 }
@@ -444,10 +437,10 @@ fn run_backend<B, F>(
 ) -> Vec<AblationCell>
 where
     B: YcsbBackend,
-    F: FnOnce(Arc<dyn Media>, &Obs) -> (B, SimTime),
+    F: FnOnce(Arc<dyn Media>) -> (B, SimTime),
 {
     let (dev, media) = fresh_device(obs);
-    let (mut backend, t0) = make(media, obs);
+    let (mut backend, t0) = make(media);
 
     // Load the population, then churn through an unmeasured workload-A
     // phase so every backend's GC/compaction reaches steady state.
@@ -486,11 +479,11 @@ where
 /// Runs the full three-interface ablation. `wall_enabled` gates the
 /// wall-clock sampling (tests disable it; the numbers would still stay out
 /// of `obs`, but zeroing them keeps test output stable).
-pub fn run_with_obs(cfg: &AblationConfig, obs: &Obs, wall_enabled: bool) -> AblationResult {
+pub fn run(cfg: &AblationConfig, obs: &Obs, wall_enabled: bool) -> AblationResult {
     run_filtered(cfg, obs, wall_enabled, None)
 }
 
-/// [`run_with_obs`] restricted to one interface when `only` names it —
+/// [`run`] restricted to one interface when `only` names it —
 /// the `OX_BACKEND` matrix leg; `None` runs all three.
 pub fn run_filtered(
     cfg: &AblationConfig,
@@ -505,29 +498,19 @@ pub fn run_filtered(
             cfg,
             obs,
             wall_enabled,
-            |m, o| {
+            |m| {
                 // Slot space sized to the population; the device provides the
                 // over-provisioning headroom.
-                BlockAblation::format(
-                    m,
-                    cfg.record_count,
-                    cfg.ycsb(YcsbWorkload::A).value_bytes,
-                    o,
-                )
+                BlockAblation::format(m, cfg.record_count, cfg.ycsb(YcsbWorkload::A).value_bytes)
             },
         ));
     }
     if wanted("oxztl") {
-        cells.extend(run_backend::<ZtlAblation, _>(
-            cfg,
-            obs,
-            wall_enabled,
-            |m, o| {
-                let value_bytes = cfg.ycsb(YcsbWorkload::A).value_bytes;
-                let (b, t) = ZtlAblation::format(m, ZtlConfig::default(), o);
-                (b.with_value_bytes(value_bytes), t)
-            },
-        ));
+        cells.extend(run_backend::<ZtlAblation, _>(cfg, obs, wall_enabled, |m| {
+            let value_bytes = cfg.ycsb(YcsbWorkload::A).value_bytes;
+            let (b, t) = ZtlAblation::format(m, ZtlConfig::default());
+            (b.with_value_bytes(value_bytes), t)
+        }));
     }
     if wanted("kvssd") {
         cells.extend(run_backend::<KvAblation, _>(
@@ -552,7 +535,7 @@ mod tests {
     #[test]
     fn all_three_interfaces_complete_the_point_op_subset() {
         let cfg = AblationConfig::quick();
-        let r = run_with_obs(&cfg, &Obs::default(), false);
+        let r = run(&cfg, &Obs::default(), false);
         assert_eq!(r.cells.len(), 9, "3 backends × 3 workloads");
         for cell in &r.cells {
             assert_eq!(

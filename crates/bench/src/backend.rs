@@ -19,7 +19,6 @@
 //! matrix run never clobbers the native results.
 
 use ox_core::Media;
-use ox_sim::trace::Obs;
 use ox_sim::SimTime;
 use oxztl::{ZtlConfig, ZtlMedia};
 use std::sync::Arc;
@@ -63,15 +62,14 @@ impl BenchBackend {
 
     /// Wraps raw device media in this backend's personality. The `oxztl`
     /// leg formats a fresh translation layer (the figures all start from a
-    /// formatted drive) and threads `obs` through it, so `ztl.*` spans and
-    /// counters land in the same snapshot as the stack above.
-    pub fn wrap_media(&self, raw: Arc<dyn Media>, obs: &Obs) -> Arc<dyn Media> {
+    /// formatted drive); it reports into the raw media's sinks, so `ztl.*`
+    /// spans and counters land in the same snapshot as the stack above.
+    pub fn wrap_media(&self, raw: Arc<dyn Media>) -> Arc<dyn Media> {
         match self {
             BenchBackend::OxBlock => raw,
             BenchBackend::Oxztl => {
                 let (media, _) = ZtlMedia::format(raw, ZtlConfig::default(), SimTime::ZERO)
                     .expect("ztl format on a fresh device");
-                media.with_ftl(|ftl| ftl.set_obs(obs.clone()));
                 Arc::new(media)
             }
         }

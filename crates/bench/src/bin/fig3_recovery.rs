@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run --release -p ox-bench --bin fig3_recovery [--quick]`
 
-use ox_bench::fig3::{interval_label, run_with_obs, Fig3Config};
+use ox_bench::fig3::{interval_label, run, Fig3Config};
 use ox_bench::{export_obs, figure_obs, print_row, print_sep, quick_mode};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         cfg.fail_points
     );
     let obs = figure_obs();
-    let result = run_with_obs(&cfg, &obs).expect("experiment");
+    let result = run(&cfg, &obs).expect("experiment");
 
     let widths = [10usize, 10, 14, 14, 12];
     print_row(

@@ -6,7 +6,7 @@
 
 use lightlsm::Placement;
 use ox_bench::backend::BenchBackend;
-use ox_bench::fig5::{run_with_obs, Fig5Config};
+use ox_bench::fig5::{run, Fig5Config};
 use ox_bench::{export_obs, figure_obs, print_row, print_sep, quick_mode};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         cfg.fill_bytes_per_client / (1024 * 1024)
     );
     let obs = figure_obs();
-    let result = run_with_obs(&cfg, &obs);
+    let result = run(&cfg, &obs);
 
     let widths = [22usize, 10, 10, 10, 10];
     print_row(

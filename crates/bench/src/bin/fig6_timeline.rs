@@ -5,7 +5,7 @@
 
 use lightlsm::Placement;
 use ox_bench::fig5::Fig5Config;
-use ox_bench::fig6::run_with_obs;
+use ox_bench::fig6::run;
 use ox_bench::{export_obs, figure_obs, quick_mode};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         cfg.window.as_millis()
     );
     let obs = figure_obs();
-    let result = run_with_obs(&cfg, &obs);
+    let result = run(&cfg, &obs);
 
     for placement in [Placement::Horizontal, Placement::Vertical] {
         println!("== fill-sequential with {} placement ==", placement.label());

@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run --release -p ox-bench --bin fig7_copies [--quick]`
 
-use ox_bench::fig7::{run_with_obs, Fig7Config, Fig7Point};
+use ox_bench::fig7::{run, Fig7Config, Fig7Point};
 use ox_bench::{export_obs, figure_obs, print_row, print_sep, quick_mode};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
         cfg.duration.as_secs_f64()
     );
     let obs = figure_obs();
-    let result = run_with_obs(&cfg, &obs);
+    let result = run(&cfg, &obs);
 
     let widths = [26usize, 12, 12, 12, 12];
     let mut header = vec!["configuration".to_string()];

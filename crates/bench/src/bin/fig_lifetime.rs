@@ -5,7 +5,7 @@
 //! Usage: `cargo run --release -p ox-bench --bin fig_lifetime [--quick]`
 //! Env: `OX_AGE_FILL=70|90` selects the fill leg of the aging matrix.
 
-use ox_bench::lifetime::{run_with_obs, LegResult, LifetimeConfig};
+use ox_bench::lifetime::{run, LegResult, LifetimeConfig};
 use ox_bench::{export_bench_json, export_obs, figure_obs, print_row, print_sep, quick_mode};
 
 fn leg_rows(leg: &LegResult, widths: &[usize]) {
@@ -64,7 +64,7 @@ fn main() {
         cfg.fill_pct
     );
     let obs = figure_obs();
-    let r = run_with_obs(&cfg, &obs);
+    let r = run(&cfg, &obs);
 
     let widths = [10usize, 6, 7, 8, 8, 10, 12, 11];
     print_row(

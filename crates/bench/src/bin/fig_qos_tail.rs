@@ -5,7 +5,7 @@
 //! Usage: `cargo run --release -p ox-bench --bin fig_qos_tail [--quick]`
 
 use ox_bench::backend::BenchBackend;
-use ox_bench::qos_tail::{run_with_obs, PhaseResult};
+use ox_bench::qos_tail::{run, PhaseResult};
 use ox_bench::{export_bench_json, export_obs, figure_obs, print_row, print_sep, quick_mode};
 use ox_sim::SimDuration;
 
@@ -48,7 +48,7 @@ fn main() {
     );
     let obs = figure_obs();
     let wall_start = std::time::Instant::now();
-    let result = run_with_obs(duration, &obs);
+    let result = run(duration, &obs);
     let wall_ns = wall_start.elapsed().as_nanos() as u64;
 
     let widths = [24usize, 14, 9, 10, 10, 10];

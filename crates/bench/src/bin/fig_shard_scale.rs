@@ -9,7 +9,7 @@
 //!
 //! Usage: `cargo run --release -p ox-bench --bin fig_shard_scale [--quick]`
 
-use ox_bench::shard_scale::run_with_obs;
+use ox_bench::shard_scale::run;
 use ox_bench::{export_obs, figure_obs, quick_mode};
 use std::fmt::Write as _;
 
@@ -20,7 +20,7 @@ fn main() {
         (&[1, 2, 4, 8, 16, 32], 64, 24)
     };
     let obs = figure_obs();
-    let result = run_with_obs(counts, clients_per_shard, ops_per_client, &obs);
+    let result = run(counts, clients_per_shard, ops_per_client, &obs);
 
     let mut out = String::new();
     let _ = writeln!(

@@ -13,7 +13,7 @@
 //! Usage: `cargo run --release -p ox-bench --bin fig_ycsb [--quick]`
 
 use lightlsm::Placement;
-use ox_bench::fig5::make_db_with_store_obs;
+use ox_bench::fig5::make_db;
 use ox_bench::ycsb::{
     load, matrix_workloads, run_ycsb, LsmBackend, ShardBackend, YcsbConfig, YcsbReport,
 };
@@ -106,7 +106,7 @@ fn main() {
 
         // Single-device stack: the paper's LSM over LightLSM, horizontal
         // placement (its best configuration).
-        let (db, dev, _store) = make_db_with_store_obs(Placement::Horizontal, &obs);
+        let (db, dev, _store) = make_db(Placement::Horizontal, &obs);
         let mut lsm = LsmBackend::new(db);
         eprintln!("[{}] lsmkv load...", wl.letter());
         let t0 = load(&mut lsm, &cfg, SimTime::ZERO);

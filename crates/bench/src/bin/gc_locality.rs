@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p ox-bench --bin gc_locality [--quick]`
 
-use ox_bench::gc_locality::run_with_obs;
+use ox_bench::gc_locality::run;
 use ox_bench::{export_obs, figure_obs, print_row, print_sep, quick_mode};
 use ox_sim::SimDuration;
 
@@ -18,7 +18,7 @@ fn main() {
         "§4.3 — GC interference locality (OX-Block, group-marked GC + uniform random reads)\n"
     );
     let obs = figure_obs();
-    let result = run_with_obs(duration, &obs).expect("experiment");
+    let result = run(duration, &obs).expect("experiment");
 
     let widths = [10usize, 16, 16, 14];
     print_row(

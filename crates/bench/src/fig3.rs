@@ -9,7 +9,7 @@
 //! the log written so far; with checkpoints it oscillates within a low,
 //! bounded band, and 10 s vs 30 s is not significantly different.
 
-use ocssd::{DeviceConfig, OcssdDevice, SharedDevice, SECTOR_BYTES};
+use ocssd::{DeviceConfig, SECTOR_BYTES};
 use ox_block::{BlockFtl, BlockFtlConfig};
 use ox_core::layout::LayoutConfig;
 use ox_core::{Media, OcssdMedia};
@@ -102,8 +102,7 @@ fn one_run(
     obs: &Obs,
 ) -> Result<Fig3Point, BlockFtlError> {
     // Fresh device per run: the failure point is the only variable.
-    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
-    dev.set_obs(obs.clone());
+    let dev = crate::figure_device(DeviceConfig::paper_tlc_scaled(22, 8), obs);
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let mut ftl_cfg = BlockFtlConfig::with_capacity(cfg.logical_bytes);
     ftl_cfg.checkpoint_interval = interval;
@@ -113,7 +112,6 @@ fn one_run(
         checkpoint_chunks_per_area: 2,
     };
     let (mut ftl, mut t) = BlockFtl::format(media, ftl_cfg, SimTime::ZERO)?;
-    ftl.set_obs(obs.clone());
 
     let pages = cfg.logical_bytes / SECTOR_BYTES as u64;
     let mut rng = Prng::seed_from_u64(cfg.seed ^ fail_at.as_nanos());
@@ -144,7 +142,7 @@ fn one_run(
         wal_chunks: 1024,
         checkpoint_chunks_per_area: 2,
     };
-    let (_, outcome) = BlockFtl::recover_with_obs(media2, ftl_cfg2, t, obs.clone())?;
+    let (_, outcome) = BlockFtl::recover(media2, ftl_cfg2, t)?;
     Ok(Fig3Point {
         fail_at_secs: fail_at.as_secs_f64(),
         recovery_secs: outcome.duration.as_secs_f64(),
@@ -153,14 +151,9 @@ fn one_run(
     })
 }
 
-/// Runs the Figure 3 experiment.
-pub fn run(cfg: &Fig3Config) -> Result<Fig3Result, BlockFtlError> {
-    run_with_obs(cfg, &Obs::default())
-}
-
-/// [`run`] with shared observability: every per-run stack (device, FTL,
+/// Runs the Figure 3 experiment. Every per-run stack (device, FTL,
 /// recovery) reports into `obs`, accumulating across the whole figure.
-pub fn run_with_obs(cfg: &Fig3Config, obs: &Obs) -> Result<Fig3Result, BlockFtlError> {
+pub fn run(cfg: &Fig3Config, obs: &Obs) -> Result<Fig3Result, BlockFtlError> {
     let mut curves = Vec::new();
     for &interval in &cfg.intervals {
         let mut points = Vec::new();
@@ -198,7 +191,7 @@ mod tests {
             Some(SimDuration::from_millis(800)),
         ];
         cfg.logical_bytes = 64 * 1024 * 1024;
-        let result = run(&cfg).unwrap();
+        let result = run(&cfg, &Obs::default()).unwrap();
 
         let no_ckpt = &result.curves[0].points;
         // Monotone growth, roughly linear: last ≫ first.

@@ -17,7 +17,7 @@ use crate::backend::BenchBackend;
 use lightlsm::{LightLsm, LightLsmConfig, Placement};
 use lsmkv::bench::{run_workload, BenchConfig, BenchReport, Workload};
 use lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
-use ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
+use ocssd::{DeviceConfig, SharedDevice};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::trace::Obs;
 use ox_sim::{SimDuration, SimTime};
@@ -97,36 +97,20 @@ impl Fig5Config {
 
 /// Builds the Figure 5/6 database stack: small-chunk paper geometry
 /// (768 KB chunks ⇒ 24 MB full-width SSTables) and paper-flavoured
-/// RocksDB options.
-pub fn make_db(placement: Placement) -> (SharedDb, SharedDevice) {
-    let (db, dev, _) = make_db_with_store(placement);
-    (db, dev)
-}
-
-/// [`make_db`] plus a handle on the LightLSM store (for FTL statistics).
-pub fn make_db_with_store(placement: Placement) -> (SharedDb, SharedDevice, Arc<LightLsmStore>) {
-    make_db_with_store_obs(placement, &Obs::default())
-}
-
-/// [`make_db_with_store`] with shared observability wired through every
-/// layer of the stack: device, LightLSM FTL, and the LSM database.
-pub fn make_db_with_store_obs(
-    placement: Placement,
-    obs: &Obs,
-) -> (SharedDb, SharedDevice, Arc<LightLsmStore>) {
+/// RocksDB options. Every layer — device, LightLSM FTL, LSM database —
+/// reports into `obs`. Also returns a handle on the LightLSM store (for FTL
+/// statistics).
+pub fn make_db(placement: Placement, obs: &Obs) -> (SharedDb, SharedDevice, Arc<LightLsmStore>) {
     // Chunk size ÷128 (192 KB chunks, 2 write units each) and chunk count
     // ÷2: a 4.5 GB device where a full-width SSTable is 32 chunks = 6 MB,
     // so fills reach compaction steady state within ~50 MB per client.
-    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(
-        Geometry::paper_tlc_scaled(2, 128),
-    )));
-    dev.set_obs(obs.clone());
+    let dev = crate::figure_device(DeviceConfig::paper_tlc_scaled(2, 128), obs);
     // `OX_BACKEND=oxztl` interposes the zone-translation layer: LightLSM's
     // chunk writes and resets become zone appends and durable trims, the
     // cross-interface leg of the ablation matrix.
     let raw: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-    let media = BenchBackend::from_env().wrap_media(raw, obs);
-    let (mut ftl, _) = LightLsm::format(
+    let media = BenchBackend::from_env().wrap_media(raw);
+    let (ftl, _) = LightLsm::format(
         media,
         LightLsmConfig {
             placement,
@@ -135,7 +119,6 @@ pub fn make_db_with_store_obs(
         SimTime::ZERO,
     )
     .expect("format");
-    ftl.set_obs(obs.clone());
     let store = Arc::new(LightLsmStore::new(ftl));
     let db_cfg = DbConfig {
         // Memtable = SSTable = one full-width stripe, as the paper sizes
@@ -151,25 +134,14 @@ pub fn make_db_with_store_obs(
         table_bytes: 6 * 1024 * 1024,
         ..DbConfig::default()
     };
-    let mut db = Db::new(store.clone() as Arc<dyn TableStore>, db_cfg);
-    db.set_obs(obs.clone());
+    let db = Db::new(store.clone() as Arc<dyn TableStore>, db_cfg);
     (SharedDb::new(db), dev, store)
 }
 
 /// Runs one (placement, clients) column: fill, then read-seq, then
 /// read-random over the same database.
-pub fn run_cell(cfg: &Fig5Config, placement: Placement, clients: usize) -> Fig5Cell {
-    run_cell_with_obs(cfg, placement, clients, &Obs::default())
-}
-
-/// [`run_cell`] with shared observability wired through the stack.
-pub fn run_cell_with_obs(
-    cfg: &Fig5Config,
-    placement: Placement,
-    clients: usize,
-    obs: &Obs,
-) -> Fig5Cell {
-    let (db, dev, _store) = make_db_with_store_obs(placement, obs);
+fn run_cell(cfg: &Fig5Config, placement: Placement, clients: usize, obs: &Obs) -> Fig5Cell {
+    let (db, dev, _store) = make_db(placement, obs);
     let ops_per_client = cfg.fill_bytes_per_client / 1024; // 1 KB values
     let mut fill_cfg = BenchConfig::paper(Workload::FillSequential, clients, ops_per_client);
     fill_cfg.window = cfg.window;
@@ -197,17 +169,12 @@ pub fn run_cell_with_obs(
     }
 }
 
-/// Runs the whole figure.
-pub fn run(cfg: &Fig5Config) -> Fig5Result {
-    run_with_obs(cfg, &Obs::default())
-}
-
-/// [`run`] with shared observability, accumulating across all cells.
-pub fn run_with_obs(cfg: &Fig5Config, obs: &Obs) -> Fig5Result {
+/// Runs the whole figure, reporting into `obs` across all cells.
+pub fn run(cfg: &Fig5Config, obs: &Obs) -> Fig5Result {
     let mut cells = Vec::new();
     for placement in [Placement::Horizontal, Placement::Vertical] {
         for &clients in &cfg.client_counts {
-            cells.push(run_cell_with_obs(cfg, placement, clients, obs));
+            cells.push(run_cell(cfg, placement, clients, obs));
         }
     }
     Fig5Result { cells }

@@ -7,7 +7,7 @@
 //! a lower single-client peak but its completion time stays stable (or
 //! shrinks) as clients are added.
 
-use crate::fig5::{make_db_with_store_obs, Fig5Config};
+use crate::fig5::{make_db, Fig5Config};
 use lightlsm::Placement;
 use lsmkv::bench::{run_workload, BenchConfig, BenchReport, Workload};
 use ox_sim::trace::Obs;
@@ -41,17 +41,13 @@ impl Fig6Result {
     }
 }
 
-/// Runs the figure (reuses the Figure 5 configuration).
-pub fn run(cfg: &Fig5Config) -> Fig6Result {
-    run_with_obs(cfg, &Obs::default())
-}
-
-/// [`run`] with shared observability, accumulating across all timelines.
-pub fn run_with_obs(cfg: &Fig5Config, obs: &Obs) -> Fig6Result {
+/// Runs the figure (reuses the Figure 5 configuration), reporting into
+/// `obs` across all timelines.
+pub fn run(cfg: &Fig5Config, obs: &Obs) -> Fig6Result {
     let mut lines = Vec::new();
     for placement in [Placement::Horizontal, Placement::Vertical] {
         for &clients in &cfg.client_counts {
-            let (db, dev, _store) = make_db_with_store_obs(placement, obs);
+            let (db, dev, _store) = make_db(placement, obs);
             let ops_per_client = cfg.fill_bytes_per_client / 1024;
             let mut fill_cfg =
                 BenchConfig::paper(Workload::FillSequential, clients, ops_per_client);

@@ -9,7 +9,7 @@
 //! zero-copy receive (one copy) or full hardware offload (no copies) the
 //! same thread counts leave CPU headroom.
 
-use ocssd::{CacheConfig, DeviceConfig, OcssdDevice, SharedDevice};
+use ocssd::{CacheConfig, DeviceConfig};
 use ox_core::{Media, OcssdMedia};
 use ox_eleos::{CpuModel, EleosConfig, EleosError, EleosFtl, LogAddr};
 use ox_sim::sync::Mutex;
@@ -126,8 +126,7 @@ fn run_point(cfg: &Fig7Config, threads: usize, copies: u32, obs: &Obs) -> Fig7Po
     dev_cfg.cache = CacheConfig {
         capacity_bytes: 256 * 1024 * 1024,
     };
-    let dev = SharedDevice::new(OcssdDevice::new(dev_cfg));
-    dev.set_obs(obs.clone());
+    let dev = crate::figure_device(dev_cfg, obs);
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let eleos_cfg = EleosConfig {
         cpu: CpuModel {
@@ -177,14 +176,8 @@ fn run_point(cfg: &Fig7Config, threads: usize, copies: u32, obs: &Obs) -> Fig7Po
     }
 }
 
-/// Runs the figure plus the copy-count ablation.
-pub fn run(cfg: &Fig7Config) -> Fig7Result {
-    run_with_obs(cfg, &Obs::default())
-}
-
-/// [`run`] with shared observability (device-level: OX-ELEOS sits directly
-/// on the device).
-pub fn run_with_obs(cfg: &Fig7Config, obs: &Obs) -> Fig7Result {
+/// Runs the figure plus the copy-count ablation, reporting into `obs`.
+pub fn run(cfg: &Fig7Config, obs: &Obs) -> Fig7Result {
     let sweep = |copies: u32| {
         cfg.thread_counts
             .iter()
@@ -205,7 +198,7 @@ mod tests {
     #[test]
     fn controller_saturates_at_two_threads() {
         let cfg = Fig7Config::quick();
-        let r = run(&cfg);
+        let r = run(&cfg, &Obs::default());
         let u: Vec<f64> = r.two_copies.iter().map(|p| p.cpu_utilization_pct).collect();
         assert!(u[0] < 85.0, "1 thread must not saturate: {u:?}");
         assert!(u[1] > 90.0, "2 threads saturate: {u:?}");

@@ -12,7 +12,7 @@
 //! actor issues uniformly random reads. Every user I/O issued while GC is
 //! active is classified by whether it targets the GC-marked group.
 
-use ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice, SECTOR_BYTES};
+use ocssd::{DeviceConfig, Geometry, SECTOR_BYTES};
 use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::sync::Mutex;
@@ -86,8 +86,7 @@ fn run_point(
     duration: SimDuration,
     obs: &Obs,
 ) -> Result<GcLocalityPoint, BlockFtlError> {
-    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geometry)));
-    dev.set_obs(obs.clone());
+    let dev = crate::figure_device(DeviceConfig::with_geometry(geometry), obs);
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let logical_bytes: u64 = 192 * 1024 * 1024;
     let (mut ftl, mut t) = BlockFtl::format(
@@ -95,7 +94,6 @@ fn run_point(
         BlockFtlConfig::with_capacity(logical_bytes),
         SimTime::ZERO,
     )?;
-    ftl.set_obs(obs.clone());
 
     // Fill the logical space twice: the second pass invalidates the first,
     // leaving plenty of GC victims everywhere.
@@ -146,13 +144,9 @@ fn run_point(
     })
 }
 
-/// Runs the measurement on the 8-group and 16-group paper drives.
-pub fn run(duration: SimDuration) -> Result<GcLocalityResult, BlockFtlError> {
-    run_with_obs(duration, &Obs::default())
-}
-
-/// [`run`] with shared observability across both device configurations.
-pub fn run_with_obs(duration: SimDuration, obs: &Obs) -> Result<GcLocalityResult, BlockFtlError> {
+/// Runs the measurement on the 8-group and 16-group paper drives,
+/// reporting into `obs` across both.
+pub fn run(duration: SimDuration, obs: &Obs) -> Result<GcLocalityResult, BlockFtlError> {
     let mut eight = Geometry::paper_tlc_scaled(22, 8);
     eight.num_groups = 8;
     let mut sixteen = Geometry::paper_tlc_16ch();
@@ -172,7 +166,7 @@ mod tests {
 
     #[test]
     fn locality_matches_group_arithmetic() {
-        let r = run(SimDuration::from_millis(300)).unwrap();
+        let r = run(SimDuration::from_millis(300), &Obs::default()).unwrap();
         assert_eq!(r.points.len(), 2);
         for p in &r.points {
             assert!(p.ios_classified > 500, "need samples: {p:?}");

@@ -38,7 +38,18 @@ pub mod qos_tail;
 pub mod shard_scale;
 pub mod ycsb;
 
+use ocssd::{DeviceConfig, OcssdDevice, SharedDevice};
 use ox_sim::trace::Obs;
+
+/// A device for a figure run: `config`, reporting into `obs`. Every layer
+/// built on its media reads the sinks from it, so this is the one place a
+/// figure hands its [`Obs`] to a stack.
+pub fn figure_device(config: DeviceConfig, obs: &Obs) -> SharedDevice {
+    SharedDevice::new(OcssdDevice::new(DeviceConfig {
+        obs: obs.clone(),
+        ..config
+    }))
+}
 
 /// Observability sinks for a figure run: metrics always collected, tracing
 /// enabled with a bounded drop-oldest buffer (the tail of the run is kept).

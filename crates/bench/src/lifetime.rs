@@ -20,12 +20,10 @@
 //! target: scrub-on holds the end-of-life read error rate well under
 //! scrub-off at equal workload, and both legs reach a steady WAF.
 
-use iosched::{
-    ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig, TenantId,
-};
+use iosched::{ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig};
 use ocssd::{
-    ChunkAddr, ChunkState, DeviceConfig, Geometry, Obs, OcssdDevice, ReliabilityConfig,
-    SharedDevice, SECTOR_BYTES,
+    ChunkAddr, ChunkState, DeviceConfig, Geometry, Obs, ReliabilityConfig, SharedDevice,
+    SECTOR_BYTES,
 };
 use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError, ScrubConfig};
 use ox_core::media::OcssdMedia;
@@ -220,10 +218,6 @@ impl Zipf {
 
 struct Leg {
     dev: SharedDevice,
-    #[allow(dead_code)]
-    sched: SharedScheduler,
-    #[allow(dead_code)]
-    user: TenantId,
     ftl: BlockFtl,
     scrub_on: bool,
 }
@@ -236,8 +230,7 @@ fn build_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs, now: SimTime) -> (
     let mut dc = DeviceConfig::with_geometry(geo);
     dc.seed = cfg.seed;
     dc.reliability = ReliabilityConfig::aged(cfg.seed ^ 0xA6ED);
-    let dev = SharedDevice::new(OcssdDevice::new(dc));
-    dev.set_obs(obs.clone());
+    let dev = crate::figure_device(dc, obs);
     let scope = if scrub_on { "scrub-on" } else { "scrub-off" };
     let base: Arc<dyn ox_core::Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let mut sched = IoScheduler::new(
@@ -246,10 +239,7 @@ fn build_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs, now: SimTime) -> (
     );
     let user = sched.add_tenant(TenantConfig::new("user").depth(4096));
     let gc = sched.add_tenant(TenantConfig::new("gc").depth(4096).gc_class());
-    sched.set_obs(obs.clone());
-    let sched = SharedScheduler::new(sched);
-    let user_media: Arc<dyn ox_core::Media> = Arc::new(SchedMedia::new(sched.clone(), user));
-    let gc_media: Arc<dyn ox_core::Media> = Arc::new(SchedMedia::new(sched.clone(), gc));
+    let media = Arc::new(SchedMedia::with_gc(SharedScheduler::new(sched), user, gc));
 
     let mut fc = BlockFtlConfig::with_capacity(LOGICAL_BYTES);
     if scrub_on {
@@ -261,19 +251,8 @@ fn build_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs, now: SimTime) -> (
         };
         fc.gc.wear_bias = 2;
     }
-    let (mut ftl, done) = BlockFtl::format(user_media, fc, now).expect("format lifetime leg");
-    ftl.set_obs(obs.clone());
-    ftl.set_gc_io_media(gc_media);
-    (
-        Leg {
-            dev,
-            sched,
-            user,
-            ftl,
-            scrub_on,
-        },
-        done,
-    )
+    let (ftl, done) = BlockFtl::format(media, fc, now).expect("format lifetime leg");
+    (Leg { dev, ftl, scrub_on }, done)
 }
 
 /// Total reliability-model read errors fired so far on the leg's device.
@@ -477,18 +456,13 @@ fn run_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs) -> LegResult {
     }
 }
 
-/// Runs both legs with shared observability.
-pub fn run_with_obs(cfg: &LifetimeConfig, obs: &Obs) -> LifetimeResult {
+/// Runs both legs, reporting into `obs`.
+pub fn run(cfg: &LifetimeConfig, obs: &Obs) -> LifetimeResult {
     LifetimeResult {
         fill_pct: cfg.fill_pct,
         off: run_leg(cfg, false, obs),
         on: run_leg(cfg, true, obs),
     }
-}
-
-/// Runs both legs with throwaway observability.
-pub fn run(cfg: &LifetimeConfig) -> LifetimeResult {
-    run_with_obs(cfg, &Obs::default())
 }
 
 #[cfg(test)]
@@ -497,7 +471,7 @@ mod tests {
 
     #[test]
     fn scrub_and_leveling_beat_the_unscrubbed_leg() {
-        let r = run(&LifetimeConfig::quick());
+        let r = run(&LifetimeConfig::quick(), &Obs::default());
         for leg in [&r.off, &r.on] {
             assert_eq!(leg.windows.len(), 6, "{}", leg.name);
             assert!(leg.total_ops > 0, "{} did no work", leg.name);

@@ -22,7 +22,7 @@ use crate::backend::BenchBackend;
 use iosched::{
     ArbiterKind, IoCmd, IoScheduler, SchedConfig, SharedScheduler, TenantConfig, TenantId,
 };
-use ocssd::{ChunkAddr, DeviceConfig, Geometry, OcssdDevice, SharedDevice, SECTOR_BYTES};
+use ocssd::{ChunkAddr, DeviceConfig, Geometry, SECTOR_BYTES};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::trace::Obs;
 use ox_sim::{Prng, SimDuration, SimTime};
@@ -188,15 +188,12 @@ fn run_phase(
     duration: SimDuration,
     obs: &Obs,
 ) -> PhaseResult {
-    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(
-        Geometry::paper_tlc_scaled(22, 8),
-    )));
-    dev.set_obs(obs.clone());
+    let dev = crate::figure_device(DeviceConfig::paper_tlc_scaled(22, 8), obs);
     // `OX_BACKEND=oxztl` runs the tenant mix over the zone-translation
     // layer's virtual device; chunk addressing below this point uses the
     // backend's (possibly smaller) exported geometry.
     let raw: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-    let media = BenchBackend::from_env().wrap_media(raw, obs);
+    let media = BenchBackend::from_env().wrap_media(raw);
     let geo = media.geometry();
 
     // Prefill chunk 0 of every PU in the GC-marked group (0) and the
@@ -210,7 +207,6 @@ fn run_phase(
     let start = media.flush(t).done + SimDuration::from_millis(1);
 
     let sched = SharedScheduler::new(IoScheduler::new(media, SchedConfig::with_arbiter(arbiter)));
-    sched.set_obs(obs.clone());
 
     let mut drivers = vec![
         Driver {
@@ -347,13 +343,8 @@ fn run_phase(
     }
 }
 
-/// Runs the three phases.
-pub fn run(duration: SimDuration) -> QosTailResult {
-    run_with_obs(duration, &Obs::default())
-}
-
-/// [`run`] with shared observability across all phases.
-pub fn run_with_obs(duration: SimDuration, obs: &Obs) -> QosTailResult {
+/// Runs the three phases, reporting into `obs` across all of them.
+pub fn run(duration: SimDuration, obs: &Obs) -> QosTailResult {
     QosTailResult {
         phases: vec![
             run_phase("baseline", ArbiterKind::Deadline, false, duration, obs),
@@ -375,7 +366,7 @@ mod tests {
 
     #[test]
     fn deadline_preserves_neighbor_tail_and_fifo_does_not() {
-        let r = run(SimDuration::from_millis(150));
+        let r = run(SimDuration::from_millis(150), &Obs::default());
         assert_eq!(r.phases.len(), 3);
         let baseline = &r.phases[0];
         let fifo = &r.phases[1];

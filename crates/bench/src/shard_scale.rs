@@ -64,25 +64,11 @@ impl ShardScaleResult {
     }
 }
 
-/// Runs the sweep without observability.
-pub fn run(
-    shard_counts: &[u32],
-    clients_per_shard: usize,
-    ops_per_client: usize,
-) -> ShardScaleResult {
-    run_with_obs(
-        shard_counts,
-        clients_per_shard,
-        ops_per_client,
-        &Obs::default(),
-    )
-}
-
 /// Runs the sweep, sharing `obs` across every cluster: scoped per-shard
 /// metrics (`iosched.shard<k>.*`, `device.shard<k>.pu.*`) accumulate into
 /// one dump, and each point publishes its measured per-shard p99 under
 /// `oxshard.scale<N>.shard<k>.p99_ns` for offline attribution.
-pub fn run_with_obs(
+pub fn run(
     shard_counts: &[u32],
     clients_per_shard: usize,
     ops_per_client: usize,
@@ -136,7 +122,7 @@ mod tests {
     fn throughput_scales_near_linearly_to_eight_shards() {
         // Enough ops per client that the makespan (last completion across
         // all shards) reflects steady-state throughput, not routing noise.
-        let r = run(&[1, 8], 32, 24);
+        let r = run(&[1, 8], 32, 24, &Obs::default());
         for p in &r.points {
             assert_eq!(
                 p.failed_ops, 0,
@@ -164,7 +150,7 @@ mod tests {
     #[test]
     fn per_shard_p99_lands_in_the_obs_dump() {
         let obs = Obs::new(4096);
-        let r = run_with_obs(&[2], 16, 4, &obs);
+        let r = run(&[2], 16, 4, &obs);
         assert_eq!(r.points.len(), 1);
         let snap = obs.metrics.snapshot();
         for s in 0..2 {

@@ -49,6 +49,7 @@ impl CheckpointStore {
     pub fn new(media: Arc<dyn Media>, area_a: Vec<ChunkAddr>, area_b: Vec<ChunkAddr>) -> Self {
         assert!(!area_a.is_empty() && !area_b.is_empty());
         CheckpointStore {
+            obs: media.obs(),
             media,
             areas: [area_a, area_b],
             dead: [false, false],
@@ -56,15 +57,7 @@ impl CheckpointStore {
             next_area: 0,
             checkpoints_taken: 0,
             area_failovers: 0,
-            obs: Obs::default(),
         }
-    }
-
-    /// Points the store's observability at shared sinks. Snapshot writes are
-    /// `checkpoint.write` spans/counters; recovery-side reads are
-    /// `checkpoint.read`.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// Capacity of one area in bytes.

@@ -98,39 +98,33 @@ pub struct GarbageCollector {
     next_txid: u64,
     stats: GcStats,
     obs: Obs,
-    /// Optional relocation-I/O override: when set, copies and resets issue
-    /// through this media (an `iosched` GC-class tenant) instead of the
-    /// FTL's direct media, so background relocation is arbitrated against —
-    /// and yields to — user traffic.
-    io_media: Option<Arc<dyn Media>>,
+    /// Where copies and resets issue: the media's GC route (an `iosched`
+    /// GC-class tenant, so background relocation is arbitrated against —
+    /// and yields to — user traffic) or, without one, the media itself.
+    io: Arc<dyn Media>,
 }
 
 impl GarbageCollector {
-    /// Creates a collector. `reserved` chunks (linear) are never victims.
-    pub fn new(config: GcConfig, reserved: &[u64]) -> Self {
+    /// Creates a collector for an FTL built on `media`, reporting into the
+    /// media's sinks (`gc.pass` / `gc.refresh` spans, `gc.*` counters) and
+    /// relocating through its GC route. `reserved` chunks (linear) are
+    /// never victims.
+    pub fn new(media: &Arc<dyn Media>, config: GcConfig, reserved: &[u64]) -> Self {
         GarbageCollector {
             config,
             marked_group: 0,
             reserved: reserved.iter().copied().collect(),
             next_txid: 1 << 48, // disjoint from user transaction ids
             stats: GcStats::default(),
-            obs: Obs::default(),
-            io_media: None,
+            obs: media.obs(),
+            io: media.gc_route().unwrap_or_else(|| media.clone()),
         }
     }
 
-    /// Routes the collector's relocation I/O (copy + reset) through `media`
-    /// — typically an [`crate::Media`] adapter bound to a scheduler's
-    /// GC-class tenant. Victim selection and WAL traffic are unaffected.
-    pub fn set_io_media(&mut self, media: Arc<dyn Media>) {
-        self.io_media = Some(media);
-    }
-
-    /// Points the collector's observability at shared sinks. Each pass is a
-    /// `gc.pass` span; victims and copy volume land in `gc.victims` /
-    /// `gc.moved` / `gc.padded` counters.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+    /// The media relocation I/O issues through; the FTL's other background
+    /// reads (scrub patrol) share it.
+    pub fn io_media(&self) -> &Arc<dyn Media> {
+        &self.io
     }
 
     /// The group currently marked for collection.
@@ -322,8 +316,7 @@ impl GarbageCollector {
         prov: &mut Provisioner,
         wal: &mut Wal,
     ) -> Result<GcPass, WalError> {
-        let io = self.io_media.clone();
-        let io: &Arc<dyn Media> = io.as_ref().unwrap_or(media);
+        let io = self.io.clone();
         let mut pass = GcPass {
             done: now,
             ..Default::default()
@@ -332,7 +325,7 @@ impl GarbageCollector {
             let Some((victim, _score)) = self.select_victim(media, map) else {
                 break;
             };
-            let sub = self.recycle_victim(pass.done, victim, io, map, prov, wal)?;
+            let sub = self.recycle_victim(pass.done, victim, &io, map, prov, wal)?;
             pass.absorb(sub);
         }
         self.stats.passes += 1;
@@ -386,9 +379,8 @@ impl GarbageCollector {
         {
             return Ok(pass);
         }
-        let io = self.io_media.clone();
-        let io: &Arc<dyn Media> = io.as_ref().unwrap_or(media);
-        let sub = self.recycle_victim(now, victim, io, map, prov, wal)?;
+        let io = self.io.clone();
+        let sub = self.recycle_victim(now, victim, &io, map, prov, wal)?;
         pass.absorb(sub);
         self.stats.victims += pass.victims as u64;
         self.stats.moved_sectors += pass.moved_sectors;
@@ -431,6 +423,7 @@ mod tests {
         let (wal, t) =
             Wal::format(media.clone(), layout.wal_chunks.clone(), SimTime::ZERO).unwrap();
         let gc = GarbageCollector::new(
+            &media,
             GcConfig {
                 chunks_per_pass: 1,
                 ..GcConfig::default()
@@ -605,6 +598,7 @@ mod tests {
     fn wear_bias_steers_victim_selection_to_low_wear_chunks() {
         let mut r = rig();
         r.gc = GarbageCollector::new(
+            &r.media,
             GcConfig {
                 chunks_per_pass: 1,
                 wear_bias: 1,

@@ -7,7 +7,9 @@
 //! fault-injecting wrappers.
 
 use ocssd::{ChunkAddr, ChunkHealth, ChunkInfo, Completion, Geometry, Ppa, Result, SharedDevice};
+use ox_sim::trace::Obs;
 use ox_sim::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// A physical address space with OCSSD-style chunk discipline.
 pub trait Media: Send + Sync {
@@ -63,6 +65,23 @@ pub trait Media: Send + Sync {
             error_ppm: 0,
             refresh_due: false,
         }
+    }
+
+    /// Observability sinks of the stack this media belongs to. Every layer
+    /// built on a media reads this once, at construction, so its format-,
+    /// mount- and recovery-time traffic is reported like the rest. Media
+    /// that carry no sinks answer with a private pair nobody reads.
+    fn obs(&self) -> Obs {
+        Obs::default()
+    }
+
+    /// Where a layer built on this media sends its background relocation
+    /// I/O (GC copies and resets, scrub patrol reads): a sibling media over
+    /// the same address space in a background class, or `None` when
+    /// background I/O shares the foreground path. Read once, at
+    /// construction.
+    fn gc_route(&self) -> Option<Arc<dyn Media>> {
+        None
     }
 }
 
@@ -159,6 +178,10 @@ impl Media for OcssdMedia {
 
     fn chunk_health(&self, now: SimTime, chunk: ChunkAddr) -> ChunkHealth {
         self.device.chunk_health(now, chunk)
+    }
+
+    fn obs(&self) -> Obs {
+        self.device.obs()
     }
 }
 

@@ -20,7 +20,6 @@ use crate::media::Media;
 use crate::provision::Provisioner;
 use crate::wal::{self, WalRecord};
 use ocssd::{Geometry, Ppa};
-use ox_sim::trace::Obs;
 use ox_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -52,7 +51,10 @@ pub struct RecoveryOutcome {
 }
 
 /// Runs recovery over a device using the FTL's layout. `logical_pages` sizes
-/// the mapping when no checkpoint exists.
+/// the mapping when no checkpoint exists. Each phase (checkpoint load, WAL
+/// scan, replay, provisioner rebuild) is reported into the media's sinks as
+/// a `recovery.*` span, and the outcome lands in `recovery.*`
+/// counters/histograms.
 pub fn recover(
     media: &Arc<dyn Media>,
     layout: &Layout,
@@ -60,27 +62,13 @@ pub fn recover(
     logical_pages: u64,
     now: SimTime,
 ) -> RecoveryOutcome {
-    recover_with_obs(media, layout, geo, logical_pages, now, &Obs::default())
-}
-
-/// [`recover`] with shared observability: each phase (checkpoint load, WAL
-/// scan, replay, provisioner rebuild) is reported as a `recovery.*` span,
-/// and the outcome lands in `recovery.*` counters/histograms.
-pub fn recover_with_obs(
-    media: &Arc<dyn Media>,
-    layout: &Layout,
-    geo: Geometry,
-    logical_pages: u64,
-    now: SimTime,
-    obs: &Obs,
-) -> RecoveryOutcome {
+    let obs = media.obs();
     // 1. Checkpoint.
-    let mut store = CheckpointStore::new(
+    let store = CheckpointStore::new(
         media.clone(),
         layout.checkpoint_a.clone(),
         layout.checkpoint_b.clone(),
     );
-    store.set_obs(obs.clone());
     let (ckpt, mut t) = store.read_latest(now);
     obs.tracer.span(
         now,

@@ -216,6 +216,7 @@ impl Wal {
         });
         Ok((
             Wal {
+                obs: media.obs(),
                 media,
                 chunks,
                 unit_sectors: geo.ws_min,
@@ -230,17 +231,9 @@ impl Wal {
                 bytes_written: 0,
                 failovers: 0,
                 dead_chunks: 0,
-                obs: Obs::default(),
             },
             done,
         ))
-    }
-
-    /// Points the log's observability at shared sinks. Group commits are
-    /// reported as `wal.commit` spans/counters, truncation as
-    /// `wal.truncate`.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// Buffers a record; returns its LSN. Not durable until

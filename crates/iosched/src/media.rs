@@ -15,6 +15,7 @@ use crate::config::TenantId;
 use crate::sched::{IoCmd, SchedError, SharedScheduler};
 use ocssd::{ChunkAddr, ChunkInfo, Completion, DeviceError, Geometry, Ppa, Result, SECTOR_BYTES};
 use ox_core::Media;
+use ox_sim::trace::Obs;
 use ox_sim::SimTime;
 use std::sync::Arc;
 
@@ -23,6 +24,9 @@ use std::sync::Arc;
 pub struct SchedMedia {
     sched: SharedScheduler,
     tenant: TenantId,
+    /// Tenant an FTL built on this media sends its background relocation
+    /// through ([`Media::gc_route`]).
+    gc_tenant: Option<TenantId>,
     inner: Arc<dyn Media>,
 }
 
@@ -33,7 +37,19 @@ impl SchedMedia {
         SchedMedia {
             sched,
             tenant,
+            gc_tenant: None,
             inner,
+        }
+    }
+
+    /// Binds `user`'s queue on `sched` and names `gc` — a tenant in the GC
+    /// class — as the route for background relocation: an FTL formatted or
+    /// recovered on this media issues foreground I/O as `user` and its GC
+    /// copies, resets and scrub reads as `gc`.
+    pub fn with_gc(sched: SharedScheduler, user: TenantId, gc: TenantId) -> Self {
+        SchedMedia {
+            gc_tenant: Some(gc),
+            ..SchedMedia::new(sched, user)
         }
     }
 
@@ -155,5 +171,14 @@ impl Media for SchedMedia {
 
     fn chunk_health(&self, now: SimTime, chunk: ChunkAddr) -> ocssd::ChunkHealth {
         self.inner.chunk_health(now, chunk)
+    }
+
+    fn obs(&self) -> Obs {
+        self.inner.obs()
+    }
+
+    fn gc_route(&self) -> Option<Arc<dyn Media>> {
+        let gc = self.gc_tenant?;
+        Some(Arc::new(SchedMedia::new(self.sched.clone(), gc)))
     }
 }

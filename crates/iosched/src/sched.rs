@@ -217,11 +217,13 @@ pub struct IoScheduler {
 }
 
 impl IoScheduler {
-    /// A scheduler over `media` with no tenants yet.
+    /// A scheduler over `media` with no tenants yet, reporting metrics and
+    /// trace spans into the media's sinks.
     pub fn new(media: Arc<dyn Media>, cfg: SchedConfig) -> Self {
         let geo = media.geometry();
         IoScheduler {
             cfg,
+            obs: media.obs(),
             media,
             geo,
             tenants: Vec::new(),
@@ -231,7 +233,6 @@ impl IoScheduler {
             next_id: 0,
             next_seq: 0,
             stats: SchedStats::default(),
-            obs: Obs::default(),
         }
     }
 
@@ -247,11 +248,6 @@ impl IoScheduler {
         });
         self.arb.register_tenant();
         TenantId(self.tenants.len() - 1)
-    }
-
-    /// Routes scheduler metrics and trace spans into shared sinks.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// The scheduler's configuration.
@@ -622,10 +618,5 @@ impl SharedScheduler {
     /// Copy of the cumulative statistics.
     pub fn stats(&self) -> SchedStats {
         self.0.lock().stats().clone()
-    }
-
-    /// See [`IoScheduler::set_obs`].
-    pub fn set_obs(&self, obs: Obs) {
-        self.0.lock().set_obs(obs)
     }
 }

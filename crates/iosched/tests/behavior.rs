@@ -283,6 +283,8 @@ fn fifo_baseline_serializes_at_queue_depth_one() {
 fn completion_timestamps_attribute_stages() {
     let geo = Geometry::small_slc();
     let dev = device(geo);
+    let obs = dev.obs(); // the scheduler reports into its media's sinks
+    obs.tracer.set_enabled(true);
     let addr = ChunkAddr::new(0, 0, 0);
     let start = prefill(&dev, &geo, addr);
     let cfg = SchedConfig {
@@ -290,9 +292,6 @@ fn completion_timestamps_attribute_stages() {
         ..SchedConfig::default()
     };
     let sched = scheduler(&dev, cfg);
-    let obs = ocssd::Obs::new(4096);
-    obs.tracer.set_enabled(true);
-    sched.set_obs(obs.clone());
     let tenant = sched.add_tenant(TenantConfig::new("t"));
     let c = sched
         .submit_wait(

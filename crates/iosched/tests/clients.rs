@@ -1,87 +1,154 @@
-//! Client-port integration tests: the OX-Block GC relocation path and the
-//! LightLSM/lsmkv read path actually issue through the scheduler when the
-//! hooks are wired, and carry the right scheduling class.
+//! Client-port integration tests: an FTL formatted — or recovered — on a
+//! user+GC [`SchedMedia`] issues its background relocation (OX-Block GC,
+//! scrub patrol reads, ZTL relocation) through the scheduler's GC-class
+//! tenant with no wiring call after construction, while its foreground and
+//! WAL traffic stays on the user tenant.
 
-use iosched::{ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig};
-use lightlsm::{LightLsm, LightLsmConfig, Placement};
-use lsmkv::{BlockStore, LightLsmStore, TableStore};
-use ocssd::{DeviceConfig, OcssdDevice, SharedDevice, SECTOR_BYTES};
-use ox_block::{BlockFtl, BlockFtlConfig};
+use iosched::{
+    ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SchedStats, SharedScheduler, TenantConfig,
+};
+use ocssd::{DeviceConfig, DeviceStats, OcssdDevice, SharedDevice, SECTOR_BYTES};
+use ox_block::{BlockFtl, BlockFtlConfig, ScrubConfig};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::{SimDuration, SimTime};
 use std::sync::Arc;
 
-fn media() -> Arc<dyn Media> {
+/// A paper drive fronted by a deadline scheduler, and the media an FTL is
+/// built on: the scheduler's user tenant, naming its GC-class tenant as the
+/// route for background relocation.
+fn stack() -> (SharedDevice, SharedScheduler, Arc<dyn Media>) {
     let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
-    Arc::new(OcssdMedia::new(dev))
-}
-
-fn scheduler(media: &Arc<dyn Media>, kind: ArbiterKind) -> SharedScheduler {
-    SharedScheduler::new(IoScheduler::new(
-        media.clone(),
-        SchedConfig::with_arbiter(kind),
-    ))
-}
-
-/// OX-Block GC relocation (chunk copies + the victim erase) issues through
-/// a GC-class scheduler tenant once `set_gc_io_media` is wired.
-#[test]
-fn block_ftl_gc_relocation_issues_through_scheduler() {
-    let media = media();
-    let (mut ftl, mut t) = BlockFtl::format(
-        media.clone(),
-        BlockFtlConfig::with_capacity(64 << 20),
-        SimTime::ZERO,
-    )
-    .expect("format");
-
-    let sched = scheduler(&media, ArbiterKind::Deadline);
+    let sched = SharedScheduler::new(IoScheduler::new(
+        Arc::new(OcssdMedia::new(dev.clone())),
+        SchedConfig::with_arbiter(ArbiterKind::Deadline),
+    ));
+    let user = sched.add_tenant(TenantConfig::new("user"));
     let gc = sched.add_tenant(TenantConfig::new("gc").gc_class());
-    ftl.set_gc_io_media(Arc::new(SchedMedia::new(sched.clone(), gc)));
+    let media = Arc::new(SchedMedia::with_gc(sched.clone(), user, gc));
+    (dev, sched, media)
+}
 
-    // Two full overwrite rounds leave every chunk half garbage.
+fn user_dispatched(s: &SchedStats) -> u64 {
+    s.dispatched - s.gc_dispatched
+}
+
+/// Asserts that between the two snapshots every copy and reset the device
+/// saw travelled in the GC class, and the user tenant carried nothing but
+/// writes (the relocation's WAL commit).
+fn assert_relocation_was_gc_class(
+    what: &str,
+    (s0, d0): &(SchedStats, DeviceStats),
+    (s1, d1): &(SchedStats, DeviceStats),
+) {
+    let relocation = (d1.copies.ops() - d0.copies.ops()) + (d1.resets.ops() - d0.resets.ops());
+    assert!(relocation > 0, "{what}: nothing was relocated");
+    assert_eq!(
+        s1.gc_dispatched - s0.gc_dispatched,
+        relocation,
+        "{what}: every copy and reset should carry the GC class"
+    );
+    assert_eq!(
+        user_dispatched(s1) - user_dispatched(s0),
+        d1.writes.ops() - d0.writes.ops(),
+        "{what}: the user tenant should carry only the WAL commit"
+    );
+}
+
+fn snapshot(dev: &SharedDevice, sched: &SharedScheduler) -> (SchedStats, DeviceStats) {
+    (sched.stats(), dev.with(|d| d.stats().clone()))
+}
+
+/// Two full overwrite rounds leave every chunk half garbage.
+fn churn(ftl: &mut BlockFtl, capacity: u64, mut t: SimTime) -> SimTime {
     let buf = vec![7u8; 96 * SECTOR_BYTES];
     for _round in 0..2 {
         let mut lpn = 0u64;
-        while lpn + 96 <= (64 << 20) / SECTOR_BYTES as u64 {
+        while lpn + 96 <= capacity / SECTOR_BYTES as u64 {
             t = ftl.write(t, lpn, &buf).expect("write").done;
             lpn += 96;
         }
     }
+    t
+}
+
+/// OX-Block GC relocation (chunk copies + the victim erase) issues through
+/// the GC-class tenant of the media the FTL was formatted on — and still
+/// does after `BlockFtl::recover` on the same media.
+#[test]
+fn block_ftl_gc_is_gc_class_after_format_and_after_recover() {
+    let (dev, sched, media) = stack();
+    let capacity = 64 << 20;
+    let cfg = BlockFtlConfig::with_capacity(capacity);
+    let (mut ftl, t) = BlockFtl::format(media.clone(), cfg, SimTime::ZERO).expect("format");
+    let t = churn(&mut ftl, capacity, t);
+    assert_eq!(sched.stats().gc_dispatched, 0, "user writes are user-class");
+
+    let before = snapshot(&dev, &sched);
     let pass = ftl.gc_once(t).expect("gc pass");
     assert!(pass.victims > 0, "GC should have found a victim");
+    assert_relocation_was_gc_class("after format", &before, &snapshot(&dev, &sched));
 
-    let stats = sched.stats();
-    assert!(
-        stats.gc_dispatched >= 1,
-        "relocation did not route through the scheduler: {stats:?}"
-    );
-    assert_eq!(
-        stats.dispatched, stats.gc_dispatched,
-        "every scheduled command should carry the GC class"
-    );
+    // Power cut, then recovery on the same media: no re-wiring call.
+    let t = media.flush(pass.done).done;
+    dev.crash(t);
+    let (mut ftl, outcome) = BlockFtl::recover(media, cfg, t).expect("recover");
+    let before = snapshot(&dev, &sched);
+    let pass = ftl.gc_once(outcome.done).expect("gc pass after recover");
+    assert!(pass.victims > 0, "GC should have found a victim");
+    assert_relocation_was_gc_class("after recover", &before, &snapshot(&dev, &sched));
 
-    // The FTL still serves reads correctly after a scheduled GC pass.
+    // The FTL still serves reads correctly after scheduled GC passes.
     let mut out = vec![0u8; SECTOR_BYTES];
     ftl.read(pass.done + SimDuration::from_millis(1), 0, &mut out)
         .expect("post-GC read");
     assert_eq!(out[0], 7);
 }
 
-/// The zone-translation layer routes relocation (victim reads, live-record
-/// appends and the zone reset) through a GC-class scheduler tenant once
-/// `set_gc_io_media` is wired; foreground appends keep the direct path.
+/// The scrubber's patrol reads issue through the GC-class tenant; a patrol
+/// step that refreshes nothing leaves the user tenant untouched.
 #[test]
-fn ztl_gc_relocation_issues_through_scheduler() {
+fn block_ftl_scrub_patrol_reads_are_gc_class() {
+    let (_dev, sched, media) = stack();
+    let capacity = 64 << 20;
+    let mut cfg = BlockFtlConfig::with_capacity(capacity);
+    cfg.scrub = ScrubConfig {
+        enabled: true,
+        chunks_per_step: u32::MAX, // one full patrol lap
+        refreshes_per_step: 0,
+        ..ScrubConfig::default()
+    };
+    let (mut ftl, t) = BlockFtl::format(media, cfg, SimTime::ZERO).expect("format");
+    let t = churn(&mut ftl, capacity, t);
+
+    let before = sched.stats();
+    let report = ftl.scrub_step(t).expect("scrub step");
+    let after = sched.stats();
+    assert!(
+        report.scanned > 0,
+        "the patrol should have found closed chunks"
+    );
+    assert_eq!(
+        after.gc_dispatched - before.gc_dispatched,
+        report.scanned,
+        "one GC-class patrol read per scanned chunk"
+    );
+    assert_eq!(
+        user_dispatched(&after),
+        user_dispatched(&before),
+        "patrol reads must not touch the user tenant"
+    );
+}
+
+/// The zone-translation layer routes relocation (victim reads, live-record
+/// appends and the zone reset) through the GC-class tenant of the media it
+/// was formatted on; foreground appends stay on the user tenant.
+#[test]
+fn ztl_gc_relocation_is_gc_class() {
     use oxztl::{ZtlConfig, ZtlFtl};
 
-    let media = media();
+    let (_dev, sched, media) = stack();
     let (mut ftl, mut t) =
-        ZtlFtl::format(media.clone(), ZtlConfig::default(), SimTime::ZERO).expect("format");
-
-    let sched = scheduler(&media, ArbiterKind::Deadline);
-    let gc = sched.add_tenant(TenantConfig::new("gc").gc_class());
-    ftl.set_gc_io_media(Arc::new(SchedMedia::new(sched.clone(), gc)));
+        ZtlFtl::format(media, ZtlConfig::default(), SimTime::ZERO).expect("format");
 
     // Overwrite one range until several zones close full of garbage.
     let span = 4 * ftl.unit_data_sectors() as usize;
@@ -93,17 +160,20 @@ fn ztl_gc_relocation_issues_through_scheduler() {
             lpn += span as u64;
         }
     }
+    let before = sched.stats();
+    assert_eq!(before.gc_dispatched, 0, "foreground appends are user-class");
+
     t = ftl.maybe_gc(t).expect("gc pass");
     assert!(ftl.stats().gc_passes > 0, "GC should have found a victim");
-
-    let stats = sched.stats();
+    let after = sched.stats();
     assert!(
-        stats.gc_dispatched >= 1,
-        "relocation did not route through the scheduler: {stats:?}"
+        after.gc_dispatched > 0,
+        "relocation did not route through the GC tenant: {after:?}"
     );
     assert_eq!(
-        stats.dispatched, stats.gc_dispatched,
-        "every scheduled command should carry the GC class"
+        user_dispatched(&after),
+        user_dispatched(&before),
+        "relocation must not touch the user tenant"
     );
 
     // The layer still serves reads correctly after a scheduled GC pass.
@@ -111,82 +181,4 @@ fn ztl_gc_relocation_issues_through_scheduler() {
     ftl.read_sectors(t + SimDuration::from_millis(1), 0, 1, &mut out)
         .expect("post-GC read");
     assert_eq!(out[0], 5);
-}
-
-/// The lsmkv LightLSM backend routes table-block reads through a scheduler
-/// tenant once `set_read_media` is wired; flushes stay on the direct path.
-#[test]
-fn lightlsm_store_read_path_issues_through_scheduler() {
-    let media = media();
-    let (ftl, _) = LightLsm::format(
-        media.clone(),
-        LightLsmConfig {
-            placement: Placement::Horizontal,
-            ..LightLsmConfig::default()
-        },
-        SimTime::ZERO,
-    )
-    .expect("format");
-    let store = LightLsmStore::new(ftl);
-
-    let sched = scheduler(&media, ArbiterKind::RoundRobin);
-    let reader = sched.add_tenant(TenantConfig::new("reader"));
-    store.set_read_media(Arc::new(SchedMedia::new(sched.clone(), reader)));
-
-    let unit = store.block_bytes();
-    let data: Vec<u8> = (0..3 * unit).map(|i| (i / unit) as u8 + 1).collect();
-    let (id, t1) = store.flush_table(SimTime::ZERO, &data).expect("flush");
-    assert_eq!(
-        sched.stats().submitted,
-        0,
-        "flushing must not touch the read tenant"
-    );
-
-    let mut out = vec![0u8; unit];
-    for b in 0..3u32 {
-        store
-            .read_block(t1 + SimDuration::from_secs(1), id, b, &mut out)
-            .expect("read block");
-        assert_eq!(out[0], b as u8 + 1, "block {b}");
-    }
-    let stats = sched.stats();
-    assert_eq!(stats.submitted, 3, "one scheduled command per block read");
-    assert_eq!(stats.dispatched, 3);
-    assert_eq!(stats.gc_dispatched, 0);
-}
-
-/// The lsmkv OX-Block backend forwards the GC hook, so store-level cleanup
-/// relocates through the scheduler too.
-#[test]
-fn block_store_forwards_gc_hook_to_scheduler() {
-    let media = media();
-    let (ftl, _) = BlockFtl::format(
-        media.clone(),
-        BlockFtlConfig::with_capacity(64 << 20),
-        SimTime::ZERO,
-    )
-    .expect("format");
-    let unit = 24 * SECTOR_BYTES;
-    let store = BlockStore::new(ftl, unit, 96 << 20);
-
-    let sched = scheduler(&media, ArbiterKind::Deadline);
-    let gc = sched.add_tenant(TenantConfig::new("gc").gc_class());
-    store.set_gc_io_media(Arc::new(SchedMedia::new(sched.clone(), gc)));
-
-    // Churn multi-chunk tables: the FTL stripes each 8 MB flush across all
-    // 32 PUs, so it takes many rounds before 3 MB chunks close and trims
-    // leave closed chunks full of garbage for the pass to reclaim.
-    let data = vec![3u8; 8 << 20];
-    let mut t = SimTime::ZERO;
-    for _ in 0..14 {
-        let (id, t1) = store.flush_table(t, &data).expect("flush");
-        t = store.delete_table(t1, id).expect("delete");
-    }
-    let (_, t2) = store.flush_table(t, &data).expect("final flush");
-    let pass = store.with_ftl(|f| f.gc_once(t2)).expect("gc pass");
-    assert!(pass.victims > 0);
-    assert!(
-        sched.stats().gc_dispatched >= 1,
-        "store-level GC did not route through the scheduler"
-    );
 }

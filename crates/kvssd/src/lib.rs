@@ -19,7 +19,8 @@
 //!   flush/erase-only reclamation never copies a page, and sorted scans are
 //!   natural.
 //!
-//! The `ablation_kv_interface` bench in `ox-bench` measures both.
+//! The `fig_ablation` bench in `ox-bench` measures this FTL against the
+//! block and zone interfaces on one device.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -397,6 +398,7 @@ impl KvSsd {
         // nothing is half-staged while chunks move.
         let now = self.sync(now)?;
         let mut gc = ox_core::gc::GarbageCollector::new(
+            &self.media,
             ox_core::gc::GcConfig {
                 low_watermark: self.config.gc_watermark,
                 chunks_per_pass: 4,

@@ -145,13 +145,6 @@ pub struct LightLsmStats {
 /// The LightLSM FTL.
 pub struct LightLsm {
     media: Arc<dyn Media>,
-    /// Optional scheduled path for block reads ([`set_read_media`]): when an
-    /// I/O scheduler fronts the device, reads issue through it so they are
-    /// arbitrated against other tenants; metadata and writes stay on the
-    /// direct path.
-    ///
-    /// [`set_read_media`]: LightLsm::set_read_media
-    read_media: Option<Arc<dyn Media>>,
     geo: Geometry,
     config: LightLsmConfig,
     layout: Layout,
@@ -200,31 +193,20 @@ impl LightLsm {
                 next_pu: 0,
                 next_group: 0,
                 stats: LightLsmStats::default(),
-                obs: Obs::default(),
+                obs: media.obs(),
                 layout,
                 media,
-                read_media: None,
                 config,
             },
             done,
         ))
     }
 
-    /// Threads shared observability through the FTL and its WAL/checkpoint
-    /// components. Dispatch-level operations report under the `lightlsm`
-    /// subsystem.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.wal.set_obs(obs.clone());
-        self.ckpt.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    /// Routes block reads through `media` — typically an
-    /// `iosched::SchedMedia` wrapping the same device — so table reads are
-    /// arbitrated against competing tenants. Writes, WAL and checkpoint
-    /// traffic keep the direct path.
-    pub fn set_read_media(&mut self, media: Arc<dyn Media>) {
-        self.read_media = Some(media);
+    /// The sinks this FTL reports into (its media's, read at construction):
+    /// dispatch-level operations under the `lightlsm` subsystem, next to
+    /// its WAL and checkpoint components.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Reopens LightLSM after a crash: loads the directory checkpoint,
@@ -340,10 +322,9 @@ impl LightLsm {
                 next_pu: 0,
                 next_group: 0,
                 stats: LightLsmStats::default(),
-                obs: Obs::default(),
+                obs: media.obs(),
                 layout,
                 media,
-                read_media: None,
                 config,
             },
             t,
@@ -620,9 +601,8 @@ impl LightLsm {
             .acquire(now, self.config.dispatch_per_block)
             .end;
         // Bounded read-retry: uncorrectable reads are often transient.
-        let media = self.read_media.as_ref().unwrap_or(&self.media);
         let comp = match ox_core::retry::read_with_policy(
-            media.as_ref(),
+            self.media.as_ref(),
             submit,
             chunk.ppa(sector),
             self.geo.ws_min,

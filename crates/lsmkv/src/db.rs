@@ -239,7 +239,10 @@ struct ActiveCompaction {
 }
 
 impl Db {
-    /// Opens an empty database over a table store.
+    /// Opens an empty database over a table store, reporting into the
+    /// store's sinks: flushes as `lsm.flush` spans, completed compactions as
+    /// `lsm.compaction`, write-pressure events as `lsm.stall` /
+    /// `lsm.slowdown`.
     pub fn new(store: Arc<dyn TableStore>, mut config: DbConfig) -> Self {
         config.table_bytes = config.table_bytes.min(store.table_capacity_bytes());
         let block = store.block_bytes();
@@ -263,16 +266,9 @@ impl Db {
             actives: Vec::new(),
             active_cursor: 0,
             compacting: std::collections::HashSet::new(),
-            obs: Obs::default(),
+            obs: store.obs(),
             store,
         }
-    }
-
-    /// Points the database's observability at shared sinks. Flushes report
-    /// as `lsm.flush` spans, completed compactions as `lsm.compaction`, and
-    /// write-pressure events as `lsm.stall` / `lsm.slowdown`.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// Reopens a database from tables surviving in the backend after a
@@ -1273,11 +1269,6 @@ impl SharedDb {
     /// Runs `f` with exclusive access.
     pub fn with<R>(&self, f: impl FnOnce(&mut Db) -> R) -> R {
         f(&mut self.0.lock())
-    }
-
-    /// See [`Db::set_obs`].
-    pub fn set_obs(&self, obs: Obs) {
-        self.0.lock().set_obs(obs)
     }
 
     /// See [`Db::put`].

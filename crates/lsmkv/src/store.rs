@@ -12,8 +12,8 @@
 use lightlsm::{LightLsm, LightLsmError};
 use ocssd::SECTOR_BYTES;
 use ox_block::{BlockFtl, BlockFtlError};
-use ox_core::Media;
 use ox_sim::sync::Mutex;
+use ox_sim::trace::Obs;
 use ox_sim::SimTime;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -78,6 +78,13 @@ pub trait TableStore: Send + Sync {
 
     /// Deletes a table; returns the completion time.
     fn delete_table(&self, now: SimTime, id: u64) -> Result<SimTime, StoreError>;
+
+    /// Observability sinks of the stack underneath; a [`crate::Db`] opened
+    /// over this store reads them once, at construction. Stores that carry
+    /// none answer with a private pair nobody reads.
+    fn obs(&self) -> Obs {
+        Obs::default()
+    }
 }
 
 /// [`TableStore`] over the LightLSM FTL.
@@ -97,13 +104,6 @@ impl LightLsmStore {
     /// Access the FTL (stats, experiment control).
     pub fn with_ftl<R>(&self, f: impl FnOnce(&mut LightLsm) -> R) -> R {
         f(&mut self.ftl.lock())
-    }
-
-    /// Routes table-block reads through an I/O scheduler tenant (see
-    /// [`lightlsm::LightLsm::set_read_media`]); flushes and metadata keep
-    /// the direct path.
-    pub fn set_read_media(&self, media: Arc<dyn Media>) {
-        self.ftl.lock().set_read_media(media);
     }
 
     /// Tables surviving in the FTL's directory (after
@@ -143,6 +143,10 @@ impl TableStore for LightLsmStore {
 
     fn delete_table(&self, now: SimTime, id: u64) -> Result<SimTime, StoreError> {
         Ok(self.ftl.lock().delete_table(now, id)?)
+    }
+
+    fn obs(&self) -> Obs {
+        self.ftl.lock().obs().clone()
     }
 }
 
@@ -188,13 +192,6 @@ impl BlockStore {
     /// Access the FTL (stats, experiment control).
     pub fn with_ftl<R>(&self, f: impl FnOnce(&mut BlockFtl) -> R) -> R {
         f(&mut self.inner.lock().ftl)
-    }
-
-    /// Routes GC relocation copies/erases through an I/O scheduler tenant
-    /// (see [`ox_block::BlockFtl::set_gc_io_media`]) so background cleaning
-    /// is subject to the scheduler's GC class.
-    pub fn set_gc_io_media(&self, media: Arc<dyn Media>) {
-        self.inner.lock().ftl.set_gc_io_media(media);
     }
 }
 
@@ -286,6 +283,10 @@ impl TableStore for BlockStore {
             .map_err(StoreError::Block)?;
         inner.free.push((ext.first_lpn, ext.pages));
         Ok(done)
+    }
+
+    fn obs(&self) -> Obs {
+        self.inner.lock().ftl.obs().clone()
     }
 }
 

@@ -118,6 +118,11 @@ pub struct DeviceConfig {
     /// draws, byte-identical behaviour to a model-less device). See
     /// [`crate::health`].
     pub reliability: ReliabilityConfig,
+    /// Observability sinks the device reports into. Every layer built on
+    /// this device's media reads them at construction, so handing one
+    /// shared [`Obs`] in here observes the whole stack from its first
+    /// command. Defaults to a private pair with tracing off.
+    pub obs: Obs,
 }
 
 impl DeviceConfig {
@@ -135,6 +140,7 @@ impl DeviceConfig {
             erase_fail_prob: 0.0,
             fault: FaultPlan::default(),
             reliability: ReliabilityConfig::default(),
+            obs: Obs::new(4096),
         }
     }
 
@@ -199,6 +205,7 @@ impl OcssdDevice {
         Ok(OcssdDevice {
             geo,
             profile: config.profile,
+            obs: config.obs.clone(),
             config,
             chunks,
             media: MediaStore::new(),
@@ -212,7 +219,6 @@ impl OcssdDevice {
             stats: DeviceStats::default(),
             events: Vec::new(),
             grown_bad_blocks: 0,
-            obs: Obs::new(4096),
         })
     }
 
@@ -377,13 +383,6 @@ impl OcssdDevice {
             .get(pu as usize)
             .map(|t| t.busy_until())
             .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Replaces the device's observability sinks with shared ones so the
-    /// device reports into the same [`Obs`] as the layers above it. The
-    /// tracer's enabled state carries over from the handed-in pair.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// The device's observability sinks (tracer + metrics).
@@ -1113,11 +1112,6 @@ impl SharedDevice {
     /// See [`OcssdDevice::crash`].
     pub fn crash(&self, now: SimTime) {
         self.0.lock().crash(now)
-    }
-
-    /// See [`OcssdDevice::set_obs`].
-    pub fn set_obs(&self, obs: Obs) {
-        self.0.lock().set_obs(obs)
     }
 
     /// See [`OcssdDevice::set_fault_plan`].

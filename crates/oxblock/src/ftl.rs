@@ -182,9 +182,6 @@ pub struct BlockFtl {
     /// Chunks awaiting refresh relocation: advisory media flags, patrol-read
     /// failures and error-rate threshold crossings all land here.
     refresh_queue: VecDeque<ChunkAddr>,
-    /// Media the patrol reads issue through (the GC-class tenant when the
-    /// scheduler is wired; the FTL's own media otherwise).
-    scrub_io: Option<Arc<dyn Media>>,
     /// Sticky spare-exhaustion flag: once allocation fails outright, the
     /// store serves reads only.
     degraded: bool,
@@ -224,7 +221,7 @@ impl BlockFtl {
             geo,
             map: PageMap::new(geo, logical_pages),
             prov: Provisioner::fresh(geo, &reserved),
-            gc: GarbageCollector::new(config.gc, &reserved),
+            gc: GarbageCollector::new(&media, config.gc, &reserved),
             bbt: BadBlockTable::new(),
             stats: FtlStats::default(),
             next_txid: 1,
@@ -232,9 +229,8 @@ impl BlockFtl {
             gc_busy_until: vec![SimTime::ZERO; geo.num_groups as usize],
             scrub_cursor: 0,
             refresh_queue: VecDeque::new(),
-            scrub_io: None,
             degraded: false,
-            obs: Obs::default(),
+            obs: media.obs(),
             layout,
             wal,
             ckpt,
@@ -242,16 +238,6 @@ impl BlockFtl {
             config,
         };
         Ok((ftl, done))
-    }
-
-    /// Threads shared observability through the FTL and its framework
-    /// components (WAL, GC, checkpoint store). Dispatch-level operations are
-    /// reported under the `oxblock` subsystem.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.wal.set_obs(obs.clone());
-        self.gc.set_obs(obs.clone());
-        self.ckpt.set_obs(obs.clone());
-        self.obs = obs;
     }
 
     /// Recovers OX-Block after a crash: loads the newest checkpoint, replays
@@ -262,21 +248,10 @@ impl BlockFtl {
         config: BlockFtlConfig,
         now: SimTime,
     ) -> Result<(BlockFtl, RecoveryOutcome), BlockFtlError> {
-        Self::recover_with_obs(media, config, now, Obs::default())
-    }
-
-    /// [`BlockFtl::recover`] with shared observability threaded through the
-    /// recovery phases and the rebuilt WAL/GC/checkpoint components.
-    pub fn recover_with_obs(
-        media: Arc<dyn Media>,
-        config: BlockFtlConfig,
-        now: SimTime,
-        obs: Obs,
-    ) -> Result<(BlockFtl, RecoveryOutcome), BlockFtlError> {
         let geo = media.geometry();
         let layout = Layout::plan(&geo, config.layout);
         let logical_pages = config.logical_capacity_bytes / SECTOR_BYTES as u64;
-        let outcome = recovery::recover_with_obs(&media, &layout, geo, logical_pages, now, &obs);
+        let outcome = recovery::recover(&media, &layout, geo, logical_pages, now);
         let mut t = outcome.done;
 
         // Persist the recovered state so the old log can be retired, then
@@ -286,7 +261,6 @@ impl BlockFtl {
             layout.checkpoint_a.clone(),
             layout.checkpoint_b.clone(),
         );
-        ckpt.set_obs(obs.clone());
         let snapshot = outcome.map.snapshot();
         let covered = outcome
             .frames_scanned
@@ -305,11 +279,11 @@ impl BlockFtl {
         let prov = Provisioner::from_report(geo, &reserved, &media.report_all());
         let mut stats = FtlStats::default();
         stats.checkpoints += 1;
-        let mut ftl = BlockFtl {
+        let ftl = BlockFtl {
             geo,
             map,
             prov,
-            gc: GarbageCollector::new(config.gc, &reserved),
+            gc: GarbageCollector::new(&media, config.gc, &reserved),
             bbt: BadBlockTable::new(),
             stats,
             next_txid: 1,
@@ -317,20 +291,25 @@ impl BlockFtl {
             gc_busy_until: vec![SimTime::ZERO; geo.num_groups as usize],
             scrub_cursor: 0,
             refresh_queue: VecDeque::new(),
-            scrub_io: None,
             degraded: false,
-            obs: Obs::default(),
+            obs: media.obs(),
             layout,
             wal,
             ckpt,
             media,
             config,
         };
-        ftl.set_obs(obs);
         let mut outcome = outcome;
         outcome.done = t;
         outcome.duration = t.saturating_since(now);
         Ok((ftl, outcome))
+    }
+
+    /// The sinks this FTL reports into (its media's, read at construction):
+    /// dispatch-level operations under the `oxblock` subsystem, next to its
+    /// WAL, GC and checkpoint components.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     fn check_lpn(&self, lpn: u64) -> Result<(), BlockFtlError> {
@@ -624,15 +603,6 @@ impl BlockFtl {
         Ok(pass)
     }
 
-    /// Routes GC relocation I/O (copy + reset) — and the scrubber's patrol
-    /// reads — through `media`, an I/O-scheduler tenant in the GC class, so
-    /// background traffic is arbitrated against user traffic instead of
-    /// racing it to the device.
-    pub fn set_gc_io_media(&mut self, media: Arc<dyn Media>) {
-        self.scrub_io = Some(media.clone());
-        self.gc.set_io_media(media);
-    }
-
     /// Runs one GC pass if the free-chunk watermark demands it.
     pub fn maybe_gc(&mut self, now: SimTime) -> Result<Option<GcPass>, BlockFtlError> {
         if !self.gc.needs_gc(&self.prov) {
@@ -819,7 +789,9 @@ impl BlockFtl {
         if !self.config.scrub.enabled {
             return Ok(report);
         }
-        let scrub_media = self.scrub_io.clone().unwrap_or_else(|| self.media.clone());
+        // Patrol reads travel with GC relocation (the GC-class tenant when a
+        // scheduler fronts the device).
+        let scrub_media = self.gc.io_media().clone();
         let reserved: HashSet<u64> = self.layout.reserved_linear(&self.geo).into_iter().collect();
         let total = self.geo.total_chunks();
         let mut t = now;

@@ -16,6 +16,10 @@
 //!   annotated `// oxcheck:allow(panic_path): <why>`.
 //! * **L4 `external_dep`** — every `Cargo.toml` dependency must resolve
 //!   in-repo; the build container has no crates registry.
+//! * **L8 `post_construction_wiring`** — a layer learns its observability
+//!   sinks and media routes from the media it is constructed on; a public
+//!   `set_obs` / `set_*_media` / `*_with_obs` hook in a crate's sources
+//!   brings back stacks that are built half-wired and mutated afterwards.
 //!
 //! See `docs/static-analysis.md` for the full catalog and pragma syntax.
 
@@ -53,6 +57,8 @@ pub enum Lint {
     /// L7: trace spans opened without an RAII guard or a provable `end` on
     /// every path.
     SpanDiscipline,
+    /// L8: public hooks that wire a layer after it was constructed.
+    PostConstructionWiring,
 }
 
 impl Lint {
@@ -66,10 +72,11 @@ impl Lint {
             Lint::UnorderedIter => "unordered_iter",
             Lint::LockOrder => "lock_order",
             Lint::SpanDiscipline => "span_discipline",
+            Lint::PostConstructionWiring => "post_construction_wiring",
         }
     }
 
-    /// Catalog code (L1–L4).
+    /// Catalog code (L1–L8).
     pub fn code(self) -> &'static str {
         match self {
             Lint::StdSyncLock => "L1",
@@ -79,6 +86,7 @@ impl Lint {
             Lint::UnorderedIter => "L5",
             Lint::LockOrder => "L6",
             Lint::SpanDiscipline => "L7",
+            Lint::PostConstructionWiring => "L8",
         }
     }
 }

@@ -1,6 +1,7 @@
-//! Token-level lint passes (L1–L3) plus pragma and `#[cfg(test)]` scoping.
+//! Token-level lint passes (L1–L3, L8) plus pragma and `#[cfg(test)]`
+//! scoping.
 //!
-//! All three passes run over the comment-free token stream produced by
+//! All four passes run over the comment-free token stream produced by
 //! [`crate::lexer::lex`]; comments are consulted separately for
 //! `// oxcheck:allow(<lint>)` pragmas. Test code — `#[cfg(test)]` items and
 //! `mod tests { .. }` blocks — is exempt from L3 (tests may unwrap freely)
@@ -11,7 +12,7 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::{Config, Finding, Lint};
 use std::collections::{HashMap, HashSet};
 
-/// Runs L1–L3 over one Rust source file. `rel_path` uses forward slashes
+/// Runs L1–L3 and L8 over one Rust source file. `rel_path` uses forward slashes
 /// relative to the workspace root.
 pub fn check_rust_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let tokens = lex(src);
@@ -31,6 +32,9 @@ pub fn check_rust_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding
     }
     if cfg.l3_in_scope(rel_path) {
         lint_panic_path(rel_path, &code, &test_lines, &mut findings);
+    }
+    if rel_path.starts_with("crates/") && rel_path.contains("/src/") {
+        lint_post_construction_wiring(rel_path, &code, &test_lines, &mut findings);
     }
     findings.retain(|f| !allowed_by_pragma(&allows, f));
     findings
@@ -355,6 +359,40 @@ fn lint_panic_path(
             _ => continue,
         };
         out.push(Finding::new(rel_path, t.line, Lint::PanicPath, msg));
+    }
+}
+
+/// L8: public functions named `set_obs`, `set_*_media` or `*_with_obs` in a
+/// crate's non-test sources.
+fn lint_post_construction_wiring(
+    rel_path: &str,
+    code: &[&Token],
+    test_lines: &HashSet<u32>,
+    out: &mut Vec<Finding>,
+) {
+    for i in 0..code.len() {
+        if !ident_at(code, i, "pub") || !ident_at(code, i + 1, "fn") {
+            continue;
+        }
+        let Some(name) = code.get(i + 2).filter(|t| t.kind == TokenKind::Ident) else {
+            continue;
+        };
+        let n = name.text.as_str();
+        let is_hook = n == "set_obs"
+            || (n.starts_with("set_") && n.ends_with("_media"))
+            || n.ends_with("_with_obs");
+        if is_hook && !in_test(test_lines, name.line) {
+            out.push(Finding::new(
+                rel_path,
+                name.line,
+                Lint::PostConstructionWiring,
+                format!(
+                    "`pub fn {n}` wires a layer after construction; read \
+                     `Media::obs()` / `Media::gc_route()` (or `TableStore::obs()`) \
+                     in the constructor instead"
+                ),
+            ));
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7).
+//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7) and L8.
 //!
 //! Each fixture under `tests/fixtures/` is a self-contained source file of
 //! true-positive and false-positive shapes, annotated inline with
@@ -141,6 +141,19 @@ fn removing_the_pragma_reintroduces_the_finding() {
         .join("\n");
     let a = analyze("crates/core/src/macros_and_pragmas.rs", &src);
     assert_eq!(lines_of(&a, "unordered_iter").len(), 1, "{:#?}", a.findings);
+}
+
+/// L8 flags the public wiring hooks — and only those — in crate sources;
+/// integration tests and non-crate paths are not held to it.
+#[test]
+fn l8_wiring_hooks_are_flagged_in_crate_sources_only() {
+    let src = include_str!("fixtures/l8_wiring.rs");
+    let lint = "post_construction_wiring";
+    let a = analyze("crates/x/src/l8_wiring.rs", src);
+    assert_eq!(lines_of(&a, lint), [7, 8, 9], "{:#?}", a.findings);
+    for path in ["crates/x/tests/l8_wiring.rs", "examples/l8_wiring.rs"] {
+        assert!(lines_of(&analyze(path, src), lint).is_empty(), "{path}");
+    }
 }
 
 /// Fixtures placed outside the storage-path scope produce no L5/L7 noise:

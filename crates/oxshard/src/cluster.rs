@@ -133,20 +133,15 @@ impl ShardCluster {
         for i in 0..cfg.shards {
             let mut dc = DeviceConfig::with_geometry(cfg.geometry);
             dc.seed = shard_seed(cfg.seed, i);
+            dc.obs = obs.clone();
             let dev = OcssdDevice::try_new(dc).map_err(|e| ShardError::Ftl {
                 shard: i,
                 error: BlockFtlError::Device(e),
             })?;
             let mut ftl_cfg = BlockFtlConfig::with_capacity(cfg.shard_capacity_bytes);
             ftl_cfg.scrub = cfg.scrub;
-            let (store, done) = ShardStore::format(
-                i,
-                SharedDevice::new(dev),
-                cfg.arbiter,
-                ftl_cfg,
-                obs.clone(),
-                now,
-            )?;
+            let (store, done) =
+                ShardStore::format(i, SharedDevice::new(dev), cfg.arbiter, ftl_cfg, now)?;
             end = end.max(done);
             shards.push(store);
         }

@@ -9,10 +9,8 @@
 //! the FTL's WAL.
 
 use crate::error::ShardError;
-use iosched::{
-    ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig, TenantId,
-};
-use ocssd::{Geometry, Obs, SharedDevice, SECTOR_BYTES};
+use iosched::{ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig};
+use ocssd::{Geometry, SharedDevice, SECTOR_BYTES};
 use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError};
 use ox_core::media::OcssdMedia;
 use ox_sim::SimTime;
@@ -76,11 +74,11 @@ pub struct ShardStore {
     id: u32,
     dev: SharedDevice,
     sched: SharedScheduler,
-    user: TenantId,
-    gc: TenantId,
+    /// The scheduler's user tenant, naming its GC tenant as the route for
+    /// background relocation: what the FTL is formatted and recovered on.
+    media: Arc<dyn ox_core::Media>,
     ftl: BlockFtl,
     ftl_cfg: BlockFtlConfig,
-    obs: Obs,
     /// Sorted directory: key → logical page holding its record.
     index: BTreeMap<Vec<u8>, u64>,
     /// Reusable logical pages, ascending; popped from the back.
@@ -90,40 +88,33 @@ pub struct ShardStore {
 impl ShardStore {
     /// Formats a shard over `dev`: its own iosched (user + GC tenants,
     /// dispatch metrics scoped `shard<id>`), an OX-Block FTL whose user and
-    /// GC I/O both flow through the scheduler, and an empty directory.
+    /// GC I/O both flow through the scheduler, and an empty directory. The
+    /// whole stack reports into the device's sinks.
     pub fn format(
         id: u32,
         dev: SharedDevice,
         arbiter: ArbiterKind,
         ftl_cfg: BlockFtlConfig,
-        obs: Obs,
         now: SimTime,
     ) -> Result<(ShardStore, SimTime), ShardError> {
         let scope = format!("shard{id}");
-        dev.set_obs(obs.clone());
         let base: Arc<dyn ox_core::Media> = Arc::new(OcssdMedia::new(dev.clone()));
         let mut sched = IoScheduler::new(base, SchedConfig::with_arbiter(arbiter).scoped(&scope));
         let user = sched.add_tenant(TenantConfig::new("user").depth(4096));
         let gc = sched.add_tenant(TenantConfig::new("gc").depth(4096).gc_class());
-        sched.set_obs(obs.clone());
         let sched = SharedScheduler::new(sched);
-        let user_media: Arc<dyn ox_core::Media> = Arc::new(SchedMedia::new(sched.clone(), user));
-        let gc_media: Arc<dyn ox_core::Media> = Arc::new(SchedMedia::new(sched.clone(), gc));
-        let (mut ftl, done) = BlockFtl::format(user_media, ftl_cfg, now)
+        let media: Arc<dyn ox_core::Media> = Arc::new(SchedMedia::with_gc(sched.clone(), user, gc));
+        let (ftl, done) = BlockFtl::format(media.clone(), ftl_cfg, now)
             .map_err(|error| ShardError::Ftl { shard: id, error })?;
-        ftl.set_obs(obs.clone());
-        ftl.set_gc_io_media(gc_media);
         let logical = ftl.logical_pages();
         Ok((
             ShardStore {
                 id,
                 dev,
                 sched,
-                user,
-                gc,
+                media,
                 ftl,
                 ftl_cfg,
-                obs,
                 index: BTreeMap::new(),
                 free: (0..logical).rev().collect(),
             },
@@ -326,16 +317,13 @@ impl ShardStore {
     /// record. The scheduler is reused — all traffic is synchronous, so its
     /// queues are empty across the crash.
     pub fn recover(&mut self, now: SimTime) -> Result<SimTime, ShardError> {
-        let user_media: Arc<dyn ox_core::Media> =
-            Arc::new(SchedMedia::new(self.sched.clone(), self.user));
         let (mut ftl, outcome) =
-            BlockFtl::recover_with_obs(user_media, self.ftl_cfg, now, self.obs.clone()).map_err(
-                |error| ShardError::Ftl {
+            BlockFtl::recover(self.media.clone(), self.ftl_cfg, now).map_err(|error| {
+                ShardError::Ftl {
                     shard: self.id,
                     error,
-                },
-            )?;
-        ftl.set_gc_io_media(Arc::new(SchedMedia::new(self.sched.clone(), self.gc)));
+                }
+            })?;
         let mut t = outcome.done;
         let mut index = BTreeMap::new();
         let mut page = vec![0u8; SECTOR_BYTES];
@@ -371,7 +359,7 @@ impl ShardStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocssd::{DeviceConfig, Geometry, OcssdDevice};
+    use ocssd::{DeviceConfig, OcssdDevice};
 
     fn store() -> (ShardStore, SimTime) {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(
@@ -382,7 +370,6 @@ mod tests {
             dev,
             ArbiterKind::Deadline,
             BlockFtlConfig::with_capacity(8 << 20),
-            Obs::new(4096),
             SimTime::ZERO,
         )
         .unwrap()

@@ -57,11 +57,16 @@ pub struct ZoneInfo {
 pub struct ZnsConfig {
     /// Chunks per zone (zone capacity = this × chunk size).
     pub chunks_per_zone: u32,
+    /// Bounded-retry policy for transient uncorrectable reads.
+    pub retry: RetryPolicy,
 }
 
 impl Default for ZnsConfig {
     fn default() -> Self {
-        ZnsConfig { chunks_per_zone: 4 }
+        ZnsConfig {
+            chunks_per_zone: 4,
+            retry: RetryPolicy::default(),
+        }
     }
 }
 
@@ -185,12 +190,12 @@ impl ZnsFtl {
         let zone_sectors = config.chunks_per_zone as u64 * geo.sectors_per_chunk as u64;
         Ok((
             ZnsFtl {
+                obs: media.obs(),
                 media,
                 geo,
                 zones,
                 zone_sectors,
-                retry: RetryPolicy::default(),
-                obs: Obs::default(),
+                retry: config.retry,
             },
             done,
         ))
@@ -226,12 +231,12 @@ impl ZnsFtl {
             }
             (
                 ZnsFtl {
+                    obs: media.obs(),
                     media,
                     geo,
                     zones,
                     zone_sectors: config.chunks_per_zone as u64 * geo.sectors_per_chunk as u64,
-                    retry: RetryPolicy::default(),
-                    obs: Obs::default(),
+                    retry: config.retry,
                 },
                 now,
             )
@@ -266,17 +271,6 @@ impl ZnsFtl {
             };
         }
         Ok((ftl, t))
-    }
-
-    /// Installs shared observability sinks (`zns.*` spans and counters,
-    /// `retry.*` read-retry counters).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// Sets the bounded-retry policy for transient uncorrectable reads.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// The media this FTL writes through (for barriers and event drains at
@@ -527,8 +521,15 @@ mod tests {
     fn setup() -> (ZnsFtl, SharedDevice, SimTime) {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-        let (ftl, t) =
-            ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 2 }, SimTime::ZERO).unwrap();
+        let (ftl, t) = ZnsFtl::format(
+            media,
+            ZnsConfig {
+                chunks_per_zone: 2,
+                ..ZnsConfig::default()
+            },
+            SimTime::ZERO,
+        )
+        .unwrap();
         (ftl, dev, t)
     }
 
@@ -631,7 +632,15 @@ mod tests {
         let f = dev.flush(t2);
         dev.crash(f.done);
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-        let (mut re, t3) = ZnsFtl::open(media, ZnsConfig { chunks_per_zone: 2 }, f.done).unwrap();
+        let (mut re, t3) = ZnsFtl::open(
+            media,
+            ZnsConfig {
+                chunks_per_zone: 2,
+                ..ZnsConfig::default()
+            },
+            f.done,
+        )
+        .unwrap();
         assert_eq!(re.zone_info(0).unwrap().write_pointer, 24);
         assert_eq!(re.zone_info(0).unwrap().state, ZoneState::Open);
         assert_eq!(re.zone_info(2).unwrap().state, ZoneState::Empty);

@@ -20,8 +20,9 @@
 //!   optional `wear_bias` (the PR-9 knob), live records copied out to a
 //!   dedicated GC destination zone, trims carried forward so reclaimed
 //!   zones never resurrect dead data, and the victim recycled with
-//!   `reset_zone`. GC traffic can be routed through a separate media — an
-//!   `iosched` tenant in `IoClass::Gc` — via [`ZtlFtl::set_gc_io_media`].
+//!   `reset_zone`. GC traffic travels the GC route of the media the layer
+//!   is built on ([`ox_core::Media::gc_route`] — an `iosched` tenant in
+//!   `IoClass::Gc`), when it names one.
 //! * **Degradation** — free-zone exhaustion flips the layer into a sticky
 //!   read-only mode ([`ZtlError::ReadOnly`]), mirroring
 //!   `BlockFtlError::ReadOnly`: reads keep working, every mutation is
@@ -281,7 +282,6 @@ impl ZtlFtl {
         let zones = zns.zone_count() as usize;
         ZtlFtl {
             zns,
-            routed,
             geo,
             cfg,
             unit_data,
@@ -298,7 +298,8 @@ impl ZtlFtl {
             next_seq: 1,
             degraded: false,
             stats: ZtlStats::default(),
-            obs: Obs::default(),
+            obs: routed.obs(),
+            routed,
         }
     }
 
@@ -311,14 +312,14 @@ impl ZtlFtl {
         let geo = media.geometry();
         let routed = Arc::new(RoutedMedia::new(media));
         let zns_media: Arc<dyn Media> = routed.clone();
-        let (mut zns, t) = ZnsFtl::format(
+        let (zns, t) = ZnsFtl::format(
             zns_media,
             ZnsConfig {
                 chunks_per_zone: cfg.chunks_per_zone,
+                retry: cfg.retry,
             },
             now,
         )?;
-        zns.set_retry_policy(cfg.retry);
         let mut ftl = Self::build(zns, routed, cfg, geo);
         ftl.rebuild_pools();
         Ok((ftl, t))
@@ -337,14 +338,14 @@ impl ZtlFtl {
         let geo = media.geometry();
         let routed = Arc::new(RoutedMedia::new(media));
         let zns_media: Arc<dyn Media> = routed.clone();
-        let (mut zns, t) = ZnsFtl::open(
+        let (zns, t) = ZnsFtl::open(
             zns_media,
             ZnsConfig {
                 chunks_per_zone: cfg.chunks_per_zone,
+                retry: cfg.retry,
             },
             now,
         )?;
-        zns.set_retry_policy(cfg.retry);
         let mut ftl = Self::build(zns, routed, cfg, geo);
         let t = ftl.replay(t)?;
         ftl.rebuild_pools();
@@ -458,20 +459,6 @@ impl ZtlFtl {
     /// Running counters.
     pub fn stats(&self) -> &ZtlStats {
         &self.stats
-    }
-
-    /// Installs shared observability sinks (`ztl.*` and `zns.*` spans and
-    /// counters, `retry.*` read-retry counters).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.zns.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    /// Routes GC relocation and reset traffic through `media` — typically
-    /// an `iosched` tenant adapter carrying `IoClass::Gc` — while
-    /// foreground I/O keeps its own path.
-    pub fn set_gc_io_media(&self, media: Arc<dyn Media>) {
-        self.routed.set_gc_media(media);
     }
 
     /// True if `lpn` currently maps to live data.
@@ -678,9 +665,9 @@ impl ZtlFtl {
             return Ok(None);
         };
         let ws_min = self.geo.ws_min as u64;
-        self.routed.set_gc_mode(true);
+        let was = self.routed.set_gc_mode(true);
         let result = self.gc_relocate(now, victim);
-        self.routed.set_gc_mode(false);
+        self.routed.set_gc_mode(was);
         let t = result?;
         self.stats.gc_passes += 1;
         self.obs.metrics.record("ztl.gc.pass", 0);

@@ -23,7 +23,8 @@ use ocssd::{
     SECTOR_BYTES,
 };
 use ox_core::Media;
-use ox_sim::sync::Mutex;
+use ox_sim::sync::{Mutex, MutexGuard};
+use ox_sim::trace::Obs;
 use ox_sim::SimTime;
 use std::sync::Arc;
 
@@ -40,7 +41,10 @@ struct Inner {
 /// A virtual Open-Channel device served by the zone-translation layer.
 pub struct ZtlMedia {
     vgeo: Geometry,
-    inner: Mutex<Inner>,
+    inner: Arc<Mutex<Inner>>,
+    /// Set on the [`Media::gc_route`] view of the device: its commands
+    /// reach the physical media in the background class.
+    gc_class: bool,
 }
 
 fn virtual_geometry(physical: Geometry, capacity_sectors: u64) -> Result<Geometry> {
@@ -64,8 +68,17 @@ impl ZtlMedia {
             .collect();
         Ok(ZtlMedia {
             vgeo,
-            inner: Mutex::new(Inner { ftl, vchunks }),
+            inner: Arc::new(Mutex::new(Inner { ftl, vchunks })),
+            gc_class: false,
         })
+    }
+
+    /// Locks the translation layer for one call of this view. Every call of
+    /// either view sets its own class first, and the lock serializes them.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        let inner = self.inner.lock();
+        inner.ftl.routed.set_gc_mode(self.gc_class);
+        inner
     }
 
     /// Formats the zoned device and exports an empty virtual device.
@@ -90,7 +103,7 @@ impl ZtlMedia {
         let (ftl, t) = ZtlFtl::open(media, cfg, now).map_err(map_plain)?;
         let m = Self::build(ftl)?;
         {
-            let mut inner = m.inner.lock();
+            let mut inner = m.lock();
             let spc = m.vgeo.sectors_per_chunk as u64;
             for idx in 0..inner.vchunks.len() {
                 let base = idx as u64 * spc;
@@ -107,7 +120,7 @@ impl ZtlMedia {
 
     /// Runs `f` against the translation layer (stats, obs, GC hooks).
     pub fn with_ftl<R>(&self, f: impl FnOnce(&mut ZtlFtl) -> R) -> R {
-        f(&mut self.inner.lock().ftl)
+        f(&mut self.lock().ftl)
     }
 
     fn vindex(&self, chunk: ChunkAddr) -> Result<usize> {
@@ -153,7 +166,7 @@ impl Media for ZtlMedia {
             return Err(DeviceError::InvalidWriteSize { chunk, sectors });
         }
         let idx = self.vindex(chunk)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let wp = inner.vchunks[idx].wp;
         if ppa.sector != wp {
             return Err(DeviceError::WritePointerMismatch {
@@ -185,7 +198,7 @@ impl Media for ZtlMedia {
             });
         }
         let idx = self.vindex(ppa.chunk_addr())?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if ppa.sector + sectors > inner.vchunks[idx].wp {
             return Err(DeviceError::ReadUnwritten(ppa));
         }
@@ -202,7 +215,7 @@ impl Media for ZtlMedia {
 
     fn reset(&self, now: SimTime, chunk: ChunkAddr) -> Result<Completion> {
         let idx = self.vindex(chunk)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.vchunks[idx].wp == 0 {
             return Err(DeviceError::InvalidChunkState {
                 chunk,
@@ -224,7 +237,7 @@ impl Media for ZtlMedia {
 
     fn copy(&self, now: SimTime, srcs: &[Ppa], dst: ChunkAddr) -> Result<Completion> {
         let dst_idx = self.vindex(dst)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let dst_wp = inner.vchunks[dst_idx].wp;
         if srcs.is_empty() || dst_wp as u64 + srcs.len() as u64 > self.vgeo.sectors_per_chunk as u64
         {
@@ -263,11 +276,11 @@ impl Media for ZtlMedia {
     }
 
     fn flush(&self, now: SimTime) -> Completion {
-        self.inner.lock().ftl.sync(now)
+        self.lock().ftl.sync(now)
     }
 
     fn flush_chunk(&self, now: SimTime, _chunk: ChunkAddr) -> Completion {
-        self.inner.lock().ftl.sync(now)
+        self.lock().ftl.sync(now)
     }
 
     fn chunk_info(&self, chunk: ChunkAddr) -> ChunkInfo {
@@ -278,7 +291,7 @@ impl Media for ZtlMedia {
                 wear: 0,
             };
         };
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let v = &inner.vchunks[idx];
         ChunkInfo {
             state: if v.wp == 0 {
@@ -294,7 +307,7 @@ impl Media for ZtlMedia {
     }
 
     fn report_all(&self) -> Vec<(ChunkAddr, ChunkInfo)> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         (0..self.vgeo.total_chunks())
             .map(|i| {
                 let addr = ChunkAddr::from_linear(&self.vgeo, i);
@@ -321,8 +334,24 @@ impl Media for ZtlMedia {
         // Physical media events stay at the translation layer (their chunk
         // addresses mean nothing in the virtual geometry): ingest them so
         // affected zones are sealed, and report a quiet virtual device.
-        self.inner.lock().ftl.ingest_media_events();
+        self.lock().ftl.ingest_media_events();
         Vec::new()
+    }
+
+    fn obs(&self) -> Obs {
+        self.lock().ftl.obs.clone()
+    }
+
+    /// A view of this virtual device whose commands — a stacked FTL's GC
+    /// copies and resets — travel the physical media's GC route, when the
+    /// media underneath names one.
+    fn gc_route(&self) -> Option<Arc<dyn Media>> {
+        self.lock().ftl.routed.gc_route()?;
+        Some(Arc::new(ZtlMedia {
+            vgeo: self.vgeo,
+            inner: self.inner.clone(),
+            gc_class: true,
+        }))
     }
 }
 

@@ -2,63 +2,53 @@
 //! I/O travel a different [`Media`] than foreground I/O.
 //!
 //! The translation layer is built once over a user media (typically the raw
-//! device, or an `iosched` tenant adapter). When the host also installs a
-//! GC media — an `iosched` tenant carrying `IoClass::Gc` — the ZTL flips the
-//! route around each relocation pass, so victim scans, copy-out appends and
-//! zone resets arbitrate in the background class while foreground reads keep
-//! their latency target (paper §4.3's interference isolation, applied to the
-//! zoned backend).
+//! device, or an `iosched` tenant adapter). When that media names a GC route
+//! ([`Media::gc_route`] — an `iosched` tenant carrying `IoClass::Gc`), the
+//! ZTL flips the route around each relocation pass, so victim scans,
+//! copy-out appends and zone resets arbitrate in the background class while
+//! foreground reads keep their latency target (paper §4.3's interference
+//! isolation, applied to the zoned backend).
 
 use ocssd::{ChunkAddr, ChunkHealth, ChunkInfo, Completion, Geometry, MediaEvent, Ppa, Result};
-use ox_sim::sync::Mutex;
+use ox_core::Media;
+use ox_sim::trace::Obs;
 use ox_sim::SimTime;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-struct RouteState {
-    gc: Option<Arc<dyn Media>>,
-    gc_mode: bool,
-}
-
-use ox_core::Media;
-
-/// Routes each media command to the user path or, inside a GC pass with a
-/// GC media installed, to the background path.
+/// Routes each media command to the user path or, inside a GC pass over a
+/// user media that names a GC route, to the background path.
 pub struct RoutedMedia {
     user: Arc<dyn Media>,
-    state: Mutex<RouteState>,
+    gc: Option<Arc<dyn Media>>,
+    /// Whether a relocation pass is in flight. Only routes commands and
+    /// publishes no other data, and the ZTL that flips it is exclusively
+    /// borrowed while it does: relaxed ordering suffices.
+    gc_mode: AtomicBool,
 }
 
 impl RoutedMedia {
-    /// Wraps `user`; all traffic takes the user path until a GC media is
-    /// installed and a GC pass is in flight.
+    /// Wraps `user`; all traffic takes the user path except while a GC pass
+    /// is in flight and `user` names a GC route.
     pub fn new(user: Arc<dyn Media>) -> Self {
         RoutedMedia {
+            gc: user.gc_route(),
             user,
-            state: Mutex::new(RouteState {
-                gc: None,
-                gc_mode: false,
-            }),
+            gc_mode: AtomicBool::new(false),
         }
     }
 
-    /// Installs the background-class media for GC traffic.
-    pub fn set_gc_media(&self, gc: Arc<dyn Media>) {
-        self.state.lock().gc = Some(gc);
+    /// Turns GC routing on or off (the ZTL brackets each relocation pass)
+    /// and returns the previous setting, for the bracket to restore.
+    pub(crate) fn set_gc_mode(&self, on: bool) -> bool {
+        self.gc_mode.swap(on, Ordering::Relaxed)
     }
 
-    /// Turns GC routing on or off (the ZTL brackets each relocation pass).
-    pub fn set_gc_mode(&self, on: bool) {
-        self.state.lock().gc_mode = on;
-    }
-
-    fn pick(&self) -> Arc<dyn Media> {
-        let st = self.state.lock();
-        if st.gc_mode {
-            if let Some(gc) = &st.gc {
-                return gc.clone();
-            }
+    fn pick(&self) -> &dyn Media {
+        match &self.gc {
+            Some(gc) if self.gc_mode.load(Ordering::Relaxed) => gc.as_ref(),
+            _ => self.user.as_ref(),
         }
-        self.user.clone()
     }
 }
 
@@ -109,5 +99,13 @@ impl Media for RoutedMedia {
 
     fn chunk_health(&self, now: SimTime, chunk: ChunkAddr) -> ChunkHealth {
         self.user.chunk_health(now, chunk)
+    }
+
+    fn obs(&self) -> Obs {
+        self.user.obs()
+    }
+
+    fn gc_route(&self) -> Option<Arc<dyn Media>> {
+        self.gc.clone()
     }
 }

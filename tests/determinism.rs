@@ -24,7 +24,7 @@ fn ablation_same_seed_runs_are_byte_identical() {
     // snapshot or the figure rows compared here.
     let run = || {
         let obs = ox_bench::figure_obs();
-        let result = ox_bench::ablation::run_with_obs(&cfg, &obs, false);
+        let result = ox_bench::ablation::run(&cfg, &obs, false);
         let cells: Vec<String> = result
             .cells
             .iter()
@@ -65,7 +65,7 @@ fn ablation_same_seed_runs_are_byte_identical() {
 fn gc_locality_same_seed_runs_are_byte_identical() {
     let run = || {
         let obs = ox_bench::figure_obs();
-        let result = ox_bench::gc_locality::run_with_obs(SimDuration::from_millis(20), &obs)
+        let result = ox_bench::gc_locality::run(SimDuration::from_millis(20), &obs)
             .expect("gc_locality workload");
         let points: Vec<String> = result
             .points

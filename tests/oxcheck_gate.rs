@@ -62,8 +62,7 @@ fn static_lock_graph_covers_runtime_observations() {
     // metrics, with actor-held FTL locks) with tracing enabled so the
     // tracer/metrics mutexes are exercised too.
     let obs = ox_bench::figure_obs();
-    ox_bench::gc_locality::run_with_obs(SimDuration::from_millis(20), &obs)
-        .expect("gc_locality workload");
+    ox_bench::gc_locality::run(SimDuration::from_millis(20), &obs).expect("gc_locality workload");
 
     let runtime = ox_sim::observed_edges();
     assert!(
