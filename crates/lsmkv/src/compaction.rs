@@ -41,88 +41,147 @@ pub struct CompactionStats {
     pub compaction_nanos: u64,
 }
 
-/// How many block reads a stream keeps in flight. RocksDB-style readahead:
-/// consecutive blocks of a striped table sit on different parallel units,
-/// so prefetch depth is what converts device parallelism into sequential
-/// read bandwidth — and what makes compaction placement-sensitive
-/// (the Figure 5/6 dynamics).
-const PREFETCH_DEPTH: usize = 4;
+/// How many block reads a stream keeps in flight beyond the block being
+/// consumed. RocksDB-style readahead: consecutive blocks of a striped table
+/// sit on different parallel units, so prefetch depth is what converts
+/// device parallelism into sequential read bandwidth — and what makes
+/// compaction placement-sensitive (the Figure 5/6 dynamics).
+pub(crate) const PREFETCH_DEPTH: usize = 4;
 
-/// A buffered, prefetching reader over one table's versions, in
-/// `(key asc, seq desc)` order.
+/// A buffered, prefetching reader over one sorted run — a single table, or
+/// the tables of a sorted level one after the other — yielding versions in
+/// `(key asc, seq desc)` order. Only the table being read is ever open: the
+/// next one is touched when the readahead window crosses into it.
 pub(crate) struct TableStream {
-    pub(crate) handle: TableHandle,
+    /// The run, in point-key order; point keys of its tables are disjoint.
+    tables: Vec<Arc<TableHandle>>,
     rank: usize,
+    /// Table of the run that `next_block` belongs to.
+    cur: usize,
     /// Next block to submit a read for.
     next_block: u32,
-    /// Decoded blocks in flight: `(entries, ready_at)` in block order.
-    inflight: VecDeque<(VecDeque<Entry>, SimTime)>,
+    /// Decoded blocks in flight, in block order.
+    inflight: VecDeque<InflightBlock>,
     /// Entries of the block currently being consumed.
     buf: VecDeque<Entry>,
-    scratch: Vec<u8>,
+    /// Blocks to keep in flight while one is being consumed. A reader that
+    /// works through a whole block is taken to be sequential: each such
+    /// block adds one, up to [`PREFETCH_DEPTH`]. A short scan therefore
+    /// reads the block it starts in and, at most, the ones it runs over
+    /// into — on LightLSM every needless read is a full 96 KB unit — while
+    /// a long one is at full bandwidth half a dozen blocks in.
+    readahead: usize,
+    /// Where `seek` positioned the stream; entries before it are dropped.
+    start: Vec<u8>,
+    /// The next block handed to the consumer is the one `seek` landed in.
+    seeked: bool,
+}
+
+struct InflightBlock {
+    entries: VecDeque<Entry>,
+    ready_at: SimTime,
+    /// Last block of its table: whatever was left when the builder cut the
+    /// table, often a single entry.
+    tail: bool,
 }
 
 impl TableStream {
+    /// A stream over `tables` starting with `readahead` blocks of window:
+    /// 0 for a user scan (it ramps), [`PREFETCH_DEPTH`] for compaction
+    /// inputs, which are always read to the end.
+    ///
     /// `rank` breaks ties on identical `(key, seq)` pairs, which can only
     /// arise when crash recovery resurrects both a compaction's inputs and
     /// its committed outputs: smaller rank wins, the duplicate is dropped.
-    pub(crate) fn new(handle: TableHandle, rank: usize, block_bytes: usize) -> Self {
+    pub(crate) fn new(tables: Vec<Arc<TableHandle>>, rank: usize, readahead: usize) -> Self {
         TableStream {
-            handle,
+            tables,
             rank,
+            cur: 0,
             next_block: 0,
             inflight: VecDeque::new(),
             buf: VecDeque::new(),
-            scratch: vec![0u8; block_bytes],
+            readahead,
+            start: Vec::new(),
+            seeked: false,
         }
     }
 
     /// Positions the stream at the first key ≥ `start` without reading
-    /// blocks before it.
+    /// the blocks before it. The run is expected to begin with the table
+    /// that key falls in (see `Version::scan_runs`).
     pub(crate) fn seek(&mut self, start: &[u8]) {
         debug_assert!(self.inflight.is_empty() && self.buf.is_empty());
-        let i = self
-            .handle
-            .index
-            .partition_point(|(last, _)| last.as_slice() < start);
         self.next_block = self
-            .handle
-            .index
-            .get(i)
-            .map_or(self.handle.data_blocks, |&(_, b)| b);
+            .tables
+            .first()
+            .and_then(|t| t.block_for(start))
+            .unwrap_or(0);
+        self.start = start.to_vec();
+        self.seeked = true;
     }
 
-    /// Submits prefetch reads at time `t` until the window is full.
-    fn pump(&mut self, store: &Arc<dyn TableStore>, t: SimTime) -> Result<u64, StoreError> {
+    /// Submits reads at time `t` until `window` blocks are in flight,
+    /// moving on to the run's next table when one is exhausted.
+    fn pump(
+        &mut self,
+        store: &Arc<dyn TableStore>,
+        scratch: &mut [u8],
+        t: SimTime,
+        window: usize,
+    ) -> Result<u64, StoreError> {
         let mut submitted = 0;
-        while self.inflight.len() < PREFETCH_DEPTH && self.next_block < self.handle.data_blocks {
-            let done = store.read_block(t, self.handle.id, self.next_block, &mut self.scratch)?;
-            let entries: VecDeque<Entry> = BlockIter::new(&self.scratch)
+        while self.inflight.len() < window {
+            let Some(table) = self.tables.get(self.cur) else {
+                break;
+            };
+            if self.next_block >= table.data_blocks {
+                self.cur += 1;
+                self.next_block = 0;
+                continue;
+            }
+            let done = store.read_block(t, table.id, self.next_block, scratch)?;
+            let entries: VecDeque<Entry> = BlockIter::new(scratch)
+                .skip_while(|(k, ..)| *k < self.start.as_slice())
                 .map(|(k, s, v)| (k.to_vec(), s, v.map(<[u8]>::to_vec)))
                 .collect();
-            self.inflight.push_back((entries, done));
             self.next_block += 1;
+            self.inflight.push_back(InflightBlock {
+                entries,
+                ready_at: done,
+                tail: self.next_block == table.data_blocks,
+            });
             submitted += 1;
         }
         Ok(submitted)
     }
 
-    /// Makes entries available (if any remain), waiting on the prefetched
-    /// block's arrival and topping the window back up. Returns blocks
-    /// submitted; advances `t` when the merge has to wait for media.
-    pub(crate) fn refill(
+    /// Makes entries available (if any remain), waiting on the next block's
+    /// arrival and topping the window back up. Returns blocks submitted;
+    /// advances `t` when the merge has to wait for media.
+    fn refill(
         &mut self,
         store: &Arc<dyn TableStore>,
+        scratch: &mut [u8],
         t: &mut SimTime,
     ) -> Result<u64, StoreError> {
-        let mut submitted = self.pump(store, *t)?;
+        if !self.buf.is_empty() {
+            return Ok(0);
+        }
+        let mut submitted = self.pump(store, scratch, *t, self.readahead.max(1))?;
         while self.buf.is_empty() {
-            let Some((entries, ready_at)) = self.inflight.pop_front() else {
+            let Some(block) = self.inflight.pop_front() else {
                 break;
             };
-            *t = (*t).max(ready_at);
-            self.buf = entries;
-            submitted += self.pump(store, *t)?;
+            *t = (*t).max(block.ready_at);
+            self.buf = block.entries;
+            submitted += self.pump(store, scratch, *t, self.readahead)?;
+            // The window grows once this block is used up — unless it says
+            // nothing about the reader: the block a seek landed in is
+            // entered mid-way, a table's last block may be over at once.
+            if !std::mem::take(&mut self.seeked) && !block.tail {
+                self.readahead = (self.readahead + 1).min(PREFETCH_DEPTH);
+            }
         }
         Ok(submitted)
     }
@@ -139,6 +198,8 @@ impl TableStream {
 pub(crate) struct MergeIter {
     streams: Vec<TableStream>,
     store: Arc<dyn TableStore>,
+    /// One block of read buffer, shared by the streams.
+    scratch: Vec<u8>,
     blocks_read: u64,
 }
 
@@ -146,13 +207,15 @@ impl MergeIter {
     pub(crate) fn new(streams: Vec<TableStream>, store: Arc<dyn TableStore>) -> Self {
         MergeIter {
             streams,
+            scratch: vec![0u8; store.block_bytes()],
             store,
             blocks_read: 0,
         }
     }
 
-    pub(crate) fn blocks_read(&self) -> u64 {
-        self.blocks_read
+    /// Blocks read since the last call.
+    pub(crate) fn take_blocks_read(&mut self) -> u64 {
+        std::mem::take(&mut self.blocks_read)
     }
 
     /// Next version in `(key asc, seq desc)` order. Advances `t` for every
@@ -160,7 +223,7 @@ impl MergeIter {
     pub(crate) fn next(&mut self, t: &mut SimTime) -> Result<Option<Entry>, StoreError> {
         // Ensure every stream is either buffered or exhausted.
         for s in &mut self.streams {
-            self.blocks_read += s.refill(&self.store, t)?;
+            self.blocks_read += s.refill(&self.store, &mut self.scratch, t)?;
         }
         // Smallest key; ties to the highest seq, then the lowest rank.
         let mut winner: Option<(usize, &[u8], u64, usize)> = None; // (idx, key, seq, rank)
@@ -266,8 +329,8 @@ pub(crate) struct CompactionJob {
     pub from_level: usize,
     /// Destination level.
     pub to_level: usize,
-    /// Input tables (handles cloned from the version), newest first.
-    pub inputs: Vec<TableHandle>,
+    /// Input tables (handles shared with the version), newest first.
+    pub inputs: Vec<Arc<TableHandle>>,
     /// Whether tombstones can be dropped (no deeper data).
     pub drop_tombstones: bool,
 }
@@ -275,8 +338,113 @@ pub(crate) struct CompactionJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sstable::TableBuilder;
+    use crate::store::lightlsm_test_store;
+    use lightlsm::Placement;
 
     const MAX: u64 = u64::MAX;
+
+    fn store(placement: Placement) -> Arc<dyn TableStore> {
+        Arc::new(lightlsm_test_store(placement))
+    }
+
+    fn key(i: u64) -> Vec<u8> {
+        format!("{i:016}").into_bytes()
+    }
+
+    /// Flushes a table of 1 KB values under keys `first..first + entries`.
+    fn table(store: &Arc<dyn TableStore>, first: u64, entries: u64) -> Arc<TableHandle> {
+        let mut b = TableBuilder::new(store.block_bytes(), 10);
+        for i in first..first + entries {
+            b.add(&key(i), i + 1, Some(&[7u8; 1024]));
+        }
+        let (bytes, mut handle) = b.finish();
+        handle.id = store.flush_table(SimTime::ZERO, &bytes).unwrap().0;
+        Arc::new(handle)
+    }
+
+    /// Reads `stream` to the end on an idle device; returns the keys, how
+    /// many blocks had been read when each block's first entry came out,
+    /// and the time it took.
+    fn read_out(
+        stream: TableStream,
+        store: &Arc<dyn TableStore>,
+    ) -> (Vec<String>, Vec<u64>, ox_sim::SimDuration) {
+        let idle = SimTime::from_secs(1);
+        let mut merge = MergeIter::new(vec![stream], store.clone());
+        let (mut keys, mut fetched, mut blocks, mut t) = (Vec::new(), Vec::new(), 0, idle);
+        while let Some((k, _, _)) = merge.next(&mut t).unwrap() {
+            let read = merge.take_blocks_read();
+            if read > 0 {
+                blocks += read;
+                fetched.push(blocks);
+            }
+            keys.push(String::from_utf8(k).unwrap());
+        }
+        (keys, fetched, t.saturating_since(idle))
+    }
+
+    #[test]
+    fn a_scan_stream_reads_what_it_is_asked_for_then_ramps_up() {
+        let store = store(Placement::Horizontal);
+        let h = table(&store, 0, 2000);
+        // Start in the middle of the second block.
+        let start = h.index[1].0.clone();
+        let mut stream = TableStream::new(vec![h.clone()], 0, 0);
+        stream.seek(&start);
+        let (keys, fetched, _) = read_out(stream, &store);
+        assert_eq!(keys.first().map(String::as_bytes), Some(&start[..]));
+        assert_eq!(keys.last().map(String::as_bytes), h.last_point_key());
+        // The block the seek landed in, the next one on its own, and from
+        // then on one more block of window per block used up, to four.
+        assert_eq!(fetched[..7], [1, 2, 4, 6, 8, 10, 11]);
+        assert_eq!(*fetched.last().unwrap(), u64::from(h.data_blocks) - 1);
+    }
+
+    #[test]
+    fn a_run_is_read_table_after_table_from_the_first_in_range() {
+        let store = store(Placement::Horizontal);
+        let run = vec![
+            table(&store, 0, 150),
+            table(&store, 150, 150),
+            table(&store, 300, 150),
+        ];
+        // The last key of the first table is the one entry of its last
+        // block the scan wants; everything else comes from the other two.
+        let mut stream = TableStream::new(run.clone(), 0, 0);
+        stream.seek(&key(149));
+        let (keys, fetched, _) = read_out(stream, &store);
+        let want: Vec<String> = (149..450).map(|i| format!("{i:016}")).collect();
+        assert_eq!(keys, want);
+        assert_eq!(
+            fetched[..3],
+            [1, 2, 4],
+            "readahead runs on into the next table"
+        );
+        assert_eq!(
+            *fetched.last().unwrap(),
+            1 + u64::from(run[1].data_blocks + run[2].data_blocks)
+        );
+    }
+
+    #[test]
+    fn ramping_up_costs_a_long_read_two_block_latencies_at_most() {
+        for placement in [Placement::Horizontal, Placement::Vertical] {
+            // A fresh device per reading: they all start at the same time.
+            let read = |readahead, entries| {
+                let store = store(placement);
+                let h = table(&store, 0, entries);
+                read_out(TableStream::new(vec![h], 0, readahead), &store).2
+            };
+            let one_block = read(0, 1);
+            let (ramped, eager) = (read(0, 5000), read(PREFETCH_DEPTH, 5000));
+            assert!(ramped >= eager);
+            assert!(
+                ramped - eager <= one_block * 2,
+                "{placement:?}: ramped {ramped:?}, eager {eager:?}, one block {one_block:?}"
+            );
+        }
+    }
 
     #[test]
     fn latest_reader_keeps_newest_only() {

@@ -8,8 +8,11 @@
 //! stamped with the deleting write's sequence number — and flow into the
 //! SSTables at flush.
 
+use crate::compaction::Entry;
+use ox_sim::sync::Mutex;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// A range delete: hides every version of every key in `[start, end)` whose
 /// sequence number is below `seq`.
@@ -35,6 +38,9 @@ impl RangeTombstone {
         self.start.as_slice() <= max && min < self.end.as_slice()
     }
 }
+
+/// A borrowed version: key, sequence number, `Some(value)` or a tombstone.
+pub type VersionRef<'a> = (&'a [u8], u64, Option<&'a [u8]>);
 
 /// A key's version chain, newest-first: `(seq, value)` entries where `None`
 /// values are point tombstones.
@@ -136,19 +142,80 @@ impl Memtable {
         })
     }
 
-    /// Iterates all versions with keys ≥ `start`, in `(key asc, seq desc)`
-    /// order.
-    pub fn versions_from<'a>(
-        &'a self,
-        start: &[u8],
-    ) -> impl Iterator<Item = (&'a [u8], u64, Option<&'a [u8]>)> {
+    /// The first key in `from..` holding a version with sequence number
+    /// ≤ `snap`, with the newest such version.
+    pub fn first_visible(&self, from: Bound<&[u8]>, snap: u64) -> Option<VersionRef<'_>> {
         self.map
-            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
-            .flat_map(|(k, versions)| {
+            .range::<[u8], _>((from, Bound::Unbounded))
+            .find_map(|(k, versions)| {
                 versions
                     .iter()
-                    .map(move |(seq, v)| (k.as_slice(), *seq, v.as_deref()))
+                    .find(|(seq, _)| *seq <= snap)
+                    .map(|(seq, v)| (k.as_slice(), *seq, v.as_deref()))
             })
+    }
+}
+
+/// A memtable shared between the database, which keeps writing to the
+/// active one, and the iterators walking it.
+pub(crate) type SharedMemtable = Arc<Mutex<Memtable>>;
+
+/// An empty shared memtable.
+pub(crate) fn shared_memtable() -> SharedMemtable {
+    Arc::new(Mutex::new(Memtable::new()))
+}
+
+/// A lazy snapshot cursor over the memtables that existed when an iterator
+/// was created: per memtable, the newest version ≤ `snap` of every key, the
+/// memtables merged in `(key asc, seq desc)` order. Nothing is copied until
+/// it is about to be yielded. Memtables are multi-version and sequence
+/// numbers only grow, so writes landing after the cursor was created — the
+/// active memtable stays shared with the writer — are filtered, not seen.
+pub(crate) struct MemCursor {
+    snap: u64,
+    /// Each memtable with the entry it yields next (`None` = exhausted).
+    heads: Vec<(SharedMemtable, Option<Entry>)>,
+}
+
+impl MemCursor {
+    pub(crate) fn new(mems: Vec<SharedMemtable>, start: &[u8], snap: u64) -> Self {
+        let heads = mems
+            .into_iter()
+            .map(|mem| {
+                let head = Self::fetch(&mem, Bound::Included(start), snap);
+                (mem, head)
+            })
+            .collect();
+        MemCursor { snap, heads }
+    }
+
+    fn fetch(mem: &SharedMemtable, from: Bound<&[u8]>, snap: u64) -> Option<Entry> {
+        mem.lock()
+            .first_visible(from, snap)
+            .map(|(k, s, v)| (k.to_vec(), s, v.map(<[u8]>::to_vec)))
+    }
+
+    fn front_index(&self) -> Option<usize> {
+        self.heads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (_, head))| head.as_ref().map(|e| (i, e)))
+            .min_by(|(_, a), (_, b)| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
+            .map(|(i, _)| i)
+    }
+
+    /// The entry [`MemCursor::pop_front`] would return.
+    pub(crate) fn front(&self) -> Option<&Entry> {
+        self.front_index().and_then(|i| self.heads[i].1.as_ref())
+    }
+
+    /// Removes and returns the smallest entry, `(key asc, seq desc)`.
+    pub(crate) fn pop_front(&mut self) -> Option<Entry> {
+        let i = self.front_index()?;
+        let (mem, head) = &mut self.heads[i];
+        let entry = head.take()?;
+        *head = Self::fetch(mem, Bound::Excluded(entry.0.as_slice()), self.snap);
+        Some(entry)
     }
 }
 
@@ -222,8 +289,49 @@ mod tests {
                 (&b"c"[..], 1)
             ]
         );
-        let from_b: Vec<&[u8]> = m.versions_from(b"b").map(|(k, _, _)| k).collect();
-        assert_eq!(from_b, vec![&b"b"[..], b"c"]);
+    }
+
+    #[test]
+    fn first_visible_skips_keys_without_a_version_at_the_snapshot() {
+        let mut m = Memtable::new();
+        m.put(b"a", 1, b"old");
+        m.put(b"a", 5, b"new");
+        m.put(b"b", 6, b"late");
+        m.delete(b"c", 2);
+        let at = |from, snap| m.first_visible(from, snap).map(|(k, s, _)| (k, s));
+        assert_eq!(at(Bound::Included(&b"a"[..]), 9), Some((&b"a"[..], 5)));
+        assert_eq!(at(Bound::Included(&b"a"[..]), 4), Some((&b"a"[..], 1)));
+        // `b` only exists above the snapshot: the cursor moves on to `c`,
+        // whose tombstone is a version like any other.
+        assert_eq!(at(Bound::Excluded(&b"a"[..]), 4), Some((&b"c"[..], 2)));
+        assert_eq!(at(Bound::Excluded(&b"c"[..]), 9), None);
+    }
+
+    #[test]
+    fn cursor_merges_memtables_and_ignores_later_writes() {
+        let shared = |m: Memtable| Arc::new(Mutex::new(m));
+        let mut sealed = Memtable::new();
+        sealed.put(b"a", 1, b"a1");
+        sealed.put(b"c", 2, b"c2");
+        let mut active = Memtable::new();
+        active.put(b"b", 3, b"b3");
+        active.put(b"c", 4, b"c4");
+        let active = shared(active);
+        let mut cur = MemCursor::new(vec![active.clone(), shared(sealed)], b"a", 4);
+        // Writes after the cursor's snapshot share the memtable but not
+        // the view — even on the key the cursor is parked on.
+        active.lock().put(b"a", 5, b"a5");
+        active.lock().put(b"bb", 6, b"bb6");
+        let mut got = Vec::new();
+        while let Some((k, s, _)) = cur.pop_front() {
+            got.push((k, s));
+        }
+        let want: Vec<(Vec<u8>, u64)> = [(&b"a"[..], 1), (b"b", 3), (b"c", 4), (b"c", 2)]
+            .iter()
+            .map(|&(k, s)| (k.to_vec(), s))
+            .collect();
+        assert_eq!(got, want);
+        assert!(cur.front().is_none());
     }
 
     #[test]

@@ -66,6 +66,13 @@ impl TableHandle {
         self.index.get(i).map(|&(_, b)| b)
     }
 
+    /// Largest point key, or `None` for a table of range tombstones only.
+    /// Unlike `max_key`, range tombstones never widen it, so it orders the
+    /// tables of a sorted level by the point data they hold.
+    pub fn last_point_key(&self) -> Option<&[u8]> {
+        self.index.last().map(|(last, _)| last.as_slice())
+    }
+
     /// Whether `key` overlaps this table's key range (point span plus
     /// range-tombstone span).
     pub fn overlaps(&self, min: &[u8], max: &[u8]) -> bool {

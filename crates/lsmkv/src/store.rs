@@ -290,27 +290,31 @@ impl TableStore for BlockStore {
     }
 }
 
+/// A LightLSM store on a fresh scaled paper drive, for this crate's unit
+/// tests.
+#[cfg(test)]
+pub(crate) fn lightlsm_test_store(placement: lightlsm::Placement) -> LightLsmStore {
+    use ocssd::{DeviceConfig, OcssdDevice, SharedDevice};
+    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
+    let media: Arc<dyn ox_core::Media> = Arc::new(ox_core::OcssdMedia::new(dev));
+    let config = lightlsm::LightLsmConfig {
+        placement,
+        ..lightlsm::LightLsmConfig::default()
+    };
+    let (ftl, _) = LightLsm::format(media, config, SimTime::ZERO).unwrap();
+    LightLsmStore::new(ftl)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightlsm::{LightLsmConfig, Placement};
+    use lightlsm::Placement;
     use ocssd::{DeviceConfig, OcssdDevice, SharedDevice};
     use ox_block::BlockFtlConfig;
     use ox_core::{Media, OcssdMedia};
 
     fn lightlsm_store() -> LightLsmStore {
-        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
-        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-        let (ftl, _) = LightLsm::format(
-            media,
-            LightLsmConfig {
-                placement: Placement::Horizontal,
-                ..LightLsmConfig::default()
-            },
-            SimTime::ZERO,
-        )
-        .unwrap();
-        LightLsmStore::new(ftl)
+        lightlsm_test_store(Placement::Horizontal)
     }
 
     fn block_store() -> BlockStore {

@@ -5,6 +5,7 @@
 //! LightLSM's journaled directory owns table durability (no MANIFEST).
 
 use crate::sstable::TableHandle;
+use std::sync::Arc;
 
 /// Summary of one level (reporting).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -19,10 +20,12 @@ pub struct LevelMeta {
     pub entries: u64,
 }
 
-/// The table layout across levels.
+/// The table layout across levels. Handles are shared, not copied: a scan
+/// or a compaction that streams a table clones the `Arc`, never the index,
+/// bloom filter and range tombstones behind it.
 pub struct Version {
     /// `levels[0]` newest-first; deeper levels sorted by `min_key`.
-    levels: Vec<Vec<TableHandle>>,
+    levels: Vec<Vec<Arc<TableHandle>>>,
 }
 
 impl Version {
@@ -40,7 +43,7 @@ impl Version {
 
     /// Installs a memtable flush into L0, kept newest-first by flush
     /// sequence (concurrent background flushes may complete out of order).
-    pub fn add_l0(&mut self, table: TableHandle) {
+    pub fn add_l0(&mut self, table: Arc<TableHandle>) {
         let pos = self.levels[0]
             .iter()
             .position(|t| t.seq < table.seq)
@@ -54,7 +57,7 @@ impl Version {
     }
 
     /// Tables at a level.
-    pub fn level(&self, level: usize) -> &[TableHandle] {
+    pub fn level(&self, level: usize) -> &[Arc<TableHandle>] {
         &self.levels[level]
     }
 
@@ -91,30 +94,48 @@ impl Version {
     /// the point-data non-overlap invariant — so the caller resolves the
     /// winner by sequence number, not probe order.
     pub fn tables_for_get(&self, key: &[u8]) -> Vec<&TableHandle> {
-        let mut out = Vec::new();
-        for level in &self.levels {
-            for t in level {
-                if t.overlaps(key, key) {
-                    out.push(t);
-                }
+        self.all_tables()
+            .filter(|t| t.overlaps(key, key))
+            .map(Arc::as_ref)
+            .collect()
+    }
+
+    /// The sorted runs a scan of `[start, end)` merges, each in point-key
+    /// order: every L0 table on its own (they overlap), then *one run per
+    /// deeper level* — its tables hold disjoint point keys, so the scan
+    /// walks them one after the other and only ever has one of them open.
+    /// A run starts at the first table whose last point key is ≥ `start`;
+    /// tables are ordered by that key rather than by `min_key`/`max_key`,
+    /// which range tombstones widen past the point data. Tables without
+    /// point data are left out.
+    pub fn scan_runs(&self, start: &[u8], end: Option<&[u8]>) -> Vec<Vec<Arc<TableHandle>>> {
+        let in_window = |t: &&Arc<TableHandle>| {
+            t.last_point_key().is_some_and(|last| last >= start)
+                && end.is_none_or(|e| t.min_key.as_slice() < e)
+        };
+        let mut runs: Vec<Vec<Arc<TableHandle>>> = self.levels[0]
+            .iter()
+            .filter(in_window)
+            .map(|t| vec![t.clone()])
+            .collect();
+        for level in &self.levels[1..] {
+            let mut run: Vec<Arc<TableHandle>> = level.iter().filter(in_window).cloned().collect();
+            if !run.is_empty() {
+                run.sort_by(|a, b| a.last_point_key().cmp(&b.last_point_key()));
+                runs.push(run);
             }
         }
-        out
+        runs
     }
 
     /// Largest sequence number recorded by any table (0 when empty). Used
     /// at recovery to re-seed the write sequence above all durable data.
     pub fn max_seq(&self) -> u64 {
-        self.levels
-            .iter()
-            .flatten()
-            .map(|t| t.max_seq)
-            .max()
-            .unwrap_or(0)
+        self.all_tables().map(|t| t.max_seq).max().unwrap_or(0)
     }
 
     /// Tables at `level` overlapping `[min, max]` (indices + handles).
-    pub fn overlapping(&self, level: usize, min: &[u8], max: &[u8]) -> Vec<&TableHandle> {
+    pub fn overlapping(&self, level: usize, min: &[u8], max: &[u8]) -> Vec<&Arc<TableHandle>> {
         self.levels[level]
             .iter()
             .filter(|t| t.overlaps(min, max))
@@ -128,7 +149,7 @@ impl Version {
         from_level: usize,
         to_level: usize,
         removed: &[u64],
-        outputs: Vec<TableHandle>,
+        outputs: Vec<Arc<TableHandle>>,
     ) {
         for lvl in [from_level, to_level] {
             self.levels[lvl].retain(|t| !removed.contains(&t.id));
@@ -139,10 +160,9 @@ impl Version {
         }
     }
 
-    /// All table handles (for iterators), L0 newest-first then deeper
-    /// levels in key order.
-    pub fn all_tables(&self) -> Vec<&TableHandle> {
-        self.levels.iter().flatten().collect()
+    /// All table handles, L0 newest-first then deeper levels in key order.
+    pub fn all_tables(&self) -> impl Iterator<Item = &Arc<TableHandle>> {
+        self.levels.iter().flatten()
     }
 
     /// Total live tables.
@@ -156,8 +176,8 @@ mod tests {
     use super::*;
     use crate::bloom::BloomFilter;
 
-    fn handle(id: u64, min: &str, max: &str) -> TableHandle {
-        TableHandle {
+    fn handle(id: u64, min: &str, max: &str) -> Arc<TableHandle> {
+        Arc::new(TableHandle {
             id,
             seq: id,
             data_blocks: 1,
@@ -169,7 +189,7 @@ mod tests {
             range_dels: Vec::new(),
             min_seq: id,
             max_seq: id,
-        }
+        })
     }
 
     #[test]

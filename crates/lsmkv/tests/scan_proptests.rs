@@ -10,7 +10,7 @@
 
 use lightlsm::{LightLsm, LightLsmConfig};
 use lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, Snapshot, TableStore};
-use ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
+use ocssd::{matrix_seeds, DeviceConfig, Geometry, OcssdDevice, SharedDevice};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::{Prng, SimTime};
 use std::collections::BTreeMap;
@@ -84,23 +84,33 @@ fn drain(db: &mut Db, mut t: SimTime) -> SimTime {
     t
 }
 
-fn fresh_db() -> Db {
+fn db_with(config: DbConfig) -> Db {
     let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(
         Geometry::paper_tlc_scaled(22, 32),
     )));
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
     let (ftl, _) = LightLsm::format(media, LightLsmConfig::default(), SimTime::ZERO).unwrap();
     let store: Arc<dyn TableStore> = Arc::new(LightLsmStore::new(ftl));
-    Db::new(
-        store,
-        DbConfig {
-            memtable_bytes: 8 * 1024, // tiny: rotations happen constantly
-            level_base_blocks: 4,
-            level_multiplier: 4,
-            max_levels: 3,
-            ..DbConfig::default()
-        },
-    )
+    Db::new(store, config)
+}
+
+fn fresh_db() -> Db {
+    db_with(DbConfig {
+        memtable_bytes: 8 * 1024, // tiny: rotations happen constantly
+        level_base_blocks: 4,
+        level_multiplier: 4,
+        max_levels: 3,
+        ..DbConfig::default()
+    })
+}
+
+fn put_retry(db: &mut Db, mut t: SimTime, k: u16, v: &[u8]) -> SimTime {
+    loop {
+        match db.put(t, &key(k), v).unwrap() {
+            PutOutcome::Done(done) => return done,
+            PutOutcome::Stalled(r) => t = drain(db, r),
+        }
+    }
 }
 
 /// Scans `[start, start+span)` (or to the end) under `snap` and compares
@@ -295,6 +305,92 @@ fn scans_and_snapshots_match_btreemap_model() {
             t = done;
             let got = got.unwrap_or_else(|| panic!("seed {seed}: key {k} lost at end"));
             assert_eq!(got[16], v, "seed {seed}");
+        }
+    }
+}
+
+/// The paper's interface fallacy, as a bound: on LightLSM a block read is
+/// a 96 KB media read whatever the scan wanted from it, so a short scan
+/// may touch one block per sorted run — each L0 table, each deeper level —
+/// plus two for runs that step over a block boundary, and no more. Every
+/// scan is also checked against the model, so frugality cannot be bought
+/// with a missed key.
+#[test]
+fn short_scans_read_one_block_per_sorted_run() {
+    const SPACE: u16 = 60_000;
+    for seed in matrix_seeds(2) {
+        let mut rng = Prng::seed_from_u64(seed);
+        // 96 KB blocks of ~300 entries, tables of ~7: L1 settles above 8
+        // tables, the rest of ~17 MB lands in L2.
+        let mut db = db_with(DbConfig {
+            memtable_bytes: 512 * 1024,
+            table_bytes: 8 * 96 * 1024,
+            level_base_blocks: 110,
+            level_multiplier: 8,
+            max_levels: 3,
+            ..DbConfig::default()
+        });
+        let wide = |k: u16, v: u8| {
+            let mut out = value(k, v);
+            out.resize(300, 0);
+            out
+        };
+        let mut model: BTreeMap<u16, u8> = BTreeMap::new();
+        let mut t = SimTime::ZERO;
+        // Keys arrive in random order, so every run spans the key space.
+        let mut write = |db: &mut Db, t: SimTime, model: &mut BTreeMap<u16, u8>| {
+            let (k, v) = (rng.gen_range(SPACE as u64) as u16, rng.gen_range(256) as u8);
+            model.insert(k, v);
+            put_retry(db, t, k, &wide(k, v))
+        };
+        for _ in 0..120_000 {
+            t = write(&mut db, t, &mut model);
+        }
+        db.seal_memtable();
+        t = drain(&mut db, t);
+        // Two more L0 tables, left uncompacted, and a live memtable on top
+        // of the levels.
+        for _ in 0..2 {
+            for _ in 0..500 {
+                t = write(&mut db, t, &mut model);
+            }
+            db.seal_memtable();
+            t = db.flush_once(t).unwrap().expect("a sealed memtable");
+        }
+        for _ in 0..50 {
+            t = write(&mut db, t, &mut model);
+        }
+        let levels = db.level_metas();
+        assert!(levels[0].tables >= 2, "seed {seed}: {levels:?}");
+        assert!(levels[1].tables >= 8, "seed {seed}: {levels:?}");
+        assert!(levels[2].tables >= 8, "seed {seed}: {levels:?}");
+        let runs = (levels[0].tables + 2) as u64;
+
+        let mut scan_rng = Prng::seed_from_u64(seed ^ 0x5CA9);
+        for _ in 0..200 {
+            let start = scan_rng.gen_range(SPACE as u64) as u16;
+            let limit = scan_rng.gen_range_in(1, 17) as usize;
+            let before = db.stats().scan_blocks_read;
+            let mut iter = db.scan_from(&key(start));
+            let mut got = Vec::new();
+            while got.len() < limit {
+                match iter.next(&mut t).unwrap() {
+                    Some((k, v)) => got.push((k, v[16])),
+                    None => break,
+                }
+            }
+            db.release_iter(&mut iter);
+            let want: Vec<(Vec<u8>, u8)> = model
+                .range(start..)
+                .take(limit)
+                .map(|(&k, &v)| (key(k).to_vec(), v))
+                .collect();
+            assert_eq!(got, want, "seed {seed}: scan of {limit} from {start}");
+            let blocks = db.stats().scan_blocks_read - before;
+            assert!(
+                blocks <= runs + 2,
+                "seed {seed}: {limit} keys from {start} read {blocks} blocks over {runs} runs"
+            );
         }
     }
 }
