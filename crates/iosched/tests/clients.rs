@@ -150,24 +150,37 @@ fn ztl_gc_relocation_is_gc_class() {
     let (mut ftl, mut t) =
         ZtlFtl::format(media, ZtlConfig::default(), SimTime::ZERO).expect("format");
 
-    // Overwrite one range until several zones close full of garbage.
+    // Overwrite one range until several zones close full of garbage, then
+    // every other span once more: the newest zones end up half dead, which
+    // is over the collector's garbage budget but leaves it records to move.
     let span = 4 * ftl.unit_data_sectors() as usize;
     let buf = vec![5u8; span * SECTOR_BYTES];
-    for _round in 0..3 {
+    for round in 0..4 {
         let mut lpn = 0u64;
         while lpn + (span as u64) < 4800 {
             t = ftl.write_sectors(t, lpn, &buf).expect("write");
-            lpn += span as u64;
+            lpn += span as u64 * if round == 3 { 2 } else { 1 };
         }
     }
     let before = sched.stats();
     assert_eq!(before.gc_dispatched, 0, "foreground appends are user-class");
 
-    t = ftl.maybe_gc(t).expect("gc pass");
-    assert!(ftl.stats().gc_passes > 0, "GC should have found a victim");
-    let after = sched.stats();
+    // Dead zones are reset first; keep stepping until a pass has had to
+    // relocate live records and the victim it drained has been reset.
+    for _ in 0..32 {
+        t = ftl.maybe_gc(t).expect("gc pass") + SimDuration::from_millis(1);
+    }
+    let stats = *ftl.stats();
+    assert!(stats.gc_passes > 0, "GC should have found a victim");
     assert!(
-        after.gc_dispatched > 0,
+        stats.gc_relocated_sectors > 0 && stats.zone_resets > 0,
+        "GC should have relocated live records and reset zones: {stats:?}"
+    );
+    let after = sched.stats();
+    // A zone reset is one erase per chunk (two); the rest are the victims'
+    // reads and the survivors' appends.
+    assert!(
+        after.gc_dispatched > 2 * stats.zone_resets,
         "relocation did not route through the GC tenant: {after:?}"
     );
     assert_eq!(

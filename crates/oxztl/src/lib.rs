@@ -13,13 +13,19 @@
 //!   order and needs **no mapping table on media, no WAL and no
 //!   checkpoints**.
 //! * **Write path** — strict per-zone write-pointer discipline: units are
-//!   appended to a small ring of open zones (one per parallel unit run, so
-//!   device parallelism survives the translation), never updated in place;
-//!   a zone that fills is replaced from the free pool.
-//! * **Zone-aware GC** — victims picked by invalid-sector count with an
-//!   optional `wear_bias` (the PR-9 knob), live records copied out to a
-//!   dedicated GC destination zone, trims carried forward so reclaimed
-//!   zones never resurrect dead data, and the victim recycled with
+//!   appended, never updated in place, to the open zone of a *stream*. A
+//!   volatile per-LPN write clock sorts user units into hot, warm and cold
+//!   streams by update interval, and GC survivors into two more by age
+//!   ([`placement`]), so records that die together share a zone; every
+//!   open zone sits on its own parallel unit, and the hot stream — most of
+//!   the appends, and the records read most — alternates between two.
+//! * **Zone-aware GC** — a closed zone scores units freed × √age ÷ units to
+//!   move (`wear_bias`, the PR-9 knob, adds to the cost); a zone with nothing
+//!   live is reset at once, and otherwise the background collector runs only
+//!   while reclaimable garbage exceeds a fixed fraction of live data. An
+//!   in-RAM reverse map says what is live without reading a header; live
+//!   records are copied to the survivor streams, trims carried forward so
+//!   reclaimed zones never resurrect dead data, and the victim recycled with
 //!   `reset_zone`. GC traffic travels the GC route of the media the layer
 //!   is built on ([`ox_core::Media::gc_route`] — an `iosched` tenant in
 //!   `IoClass::Gc`), when it names one.
@@ -37,9 +43,11 @@
 #![warn(clippy::all)]
 
 pub mod media;
+mod placement;
 mod route;
 
 pub use media::ZtlMedia;
+pub use placement::{Stream, STREAMS};
 pub use route::RoutedMedia;
 
 use ocssd::{ChunkAddr, DeviceError, Geometry, SECTOR_BYTES};
@@ -48,6 +56,8 @@ use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
 use ox_zns::{ZnsConfig, ZnsError, ZnsFtl, ZoneState};
+use placement::Placement;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Magic stamped on every append-unit header sector.
@@ -75,17 +85,20 @@ const fn max_trims_per_unit() -> usize {
 pub struct ZtlConfig {
     /// Chunks per zone (forwarded to [`ZnsConfig`]).
     pub chunks_per_zone: u32,
-    /// Open zones user writes stripe across (zone-level parallelism).
+    /// Open zones budgeted to user writes, split over the hot, warm and
+    /// cold streams: fewer than three merge the colder classes, a fourth
+    /// goes to the hot stream (zone-level parallelism where the traffic is).
     pub open_zones: u32,
     /// Free zones held back as GC destinations, never handed to user
-    /// writes; guarantees a relocation pass can always make progress.
+    /// writes; guarantees a relocation pass can always make progress. Also
+    /// the open zones budgeted to GC survivors: one per stream, at most two.
     pub gc_reserve_zones: u32,
     /// Free-zone count (beyond the reserve) below which the write path
     /// runs GC passes before allocating.
     pub low_watermark_zones: u32,
-    /// Victim score = valid sectors + `wear_bias` × zone wear: `0` is pure
-    /// greedy (most invalid wins), larger values steer GC away from worn
-    /// zones (the PR-9 wear-leveling knob, on zones).
+    /// Added to a victim's relocation cost as `wear_bias` × zone wear: `0`
+    /// scores zones on garbage and age alone, larger values steer GC away
+    /// from worn zones (the PR-9 wear-leveling knob, on zones).
     pub wear_bias: u32,
     /// Bounded-retry policy for transient uncorrectable reads.
     pub retry: RetryPolicy,
@@ -156,6 +169,17 @@ impl From<DeviceError> for ZtlError {
     }
 }
 
+/// Per-stream counters, in append units.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StreamStats {
+    /// Units appended to the stream.
+    pub units: u64,
+    /// Units written in zones this stream opened, when GC collected them.
+    pub victim_units: u64,
+    /// Units relocation re-appended out of those zones.
+    pub victim_live_units: u64,
+}
+
 /// Running counters (sector units; WAF = physical ÷ user).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ZtlStats {
@@ -175,6 +199,13 @@ pub struct ZtlStats {
     pub trim_records: u64,
     /// Append units replayed at the last mount.
     pub replayed_units: u64,
+    /// Units written in the zones GC collected, summed over passes.
+    pub gc_victim_units: u64,
+    /// Units relocation re-appended out of them. The ratio of the two —
+    /// mean victim liveness — is the number that explains WAF.
+    pub gc_victim_live_units: u64,
+    /// Counters per append stream, by [`Stream::index`].
+    pub streams: [StreamStats; STREAMS],
 }
 
 impl ZtlStats {
@@ -231,12 +262,36 @@ fn parse_header(h: &[u8]) -> Option<(u64, Vec<u64>, Vec<u64>)> {
     Some((seq, data, trims))
 }
 
+/// Host-side state of one zone. All of it is volatile and rebuilt by replay.
+#[derive(Clone, Debug, Default)]
+struct ZoneMeta {
+    /// Live data sectors.
+    valid: u32,
+    /// Governing (live) trim records — relocation payload that is not data
+    /// but must still be re-appended when the zone is recycled.
+    trim_live: u32,
+    /// Append units written since the last reset.
+    units: u32,
+    /// Sequence number of the newest unit: the zone's age counts from it.
+    last_seq: u64,
+    /// The stream that opened the zone (victim accounting only).
+    stream: Stream,
+    /// The open zone of a stream: appended to, never collected.
+    open: bool,
+    /// Frozen for writes (media failure underneath) but still holding
+    /// readable records; GC drains and retires it.
+    sealed: bool,
+    /// Units carrying trim records: (unit start sector, trimmed LPNs).
+    trim_units: Vec<(u64, Vec<u64>)>,
+}
+
 /// The zone-translation FTL: random 4 KB-sector writes over zone appends.
 pub struct ZtlFtl {
     zns: ZnsFtl,
     routed: Arc<RoutedMedia>,
     geo: Geometry,
     cfg: ZtlConfig,
+    placement: Placement,
     /// Data sectors carried per append unit (`ws_min` − 1 header sector).
     unit_data: u64,
     zone_sectors: u64,
@@ -245,21 +300,28 @@ pub struct ZtlFtl {
     /// [`TRIM_TAG`]`| loc` when unmapped under a durable trim record whose
     /// unit header sits at `loc`.
     l2p: Vec<u64>,
-    /// Live data sectors per zone.
-    valid: Vec<u32>,
-    /// Governing (live) trim records per zone — relocation payload that is
-    /// not data but must still be re-appended when the zone is recycled.
-    trim_live: Vec<u32>,
-    /// Zones frozen for writes (media failure underneath) but still
-    /// holding readable records; GC drains and retires them.
-    sealed: Vec<bool>,
-    /// Empty zones, ascending; lowest id is allocated first.
-    free: Vec<u32>,
-    /// Open zones user writes stripe across.
-    open_user: Vec<u32>,
-    next_stripe: usize,
-    /// Current GC destination zone.
-    open_gc: Option<u32>,
+    /// Reverse map: physical sector → the LPN its unit header names there
+    /// ([`UNMAPPED`] for headers, padding and unwritten space). A record is
+    /// live iff `l2p[p2l[loc]] == loc`, so relocation reads no header.
+    p2l: Vec<u64>,
+    /// Write clock: sequence number of the unit that last *user*-wrote each
+    /// LPN (0 = never). Relocation keeps it, so it is the record's true age.
+    written_at: Vec<u64>,
+    zones: Vec<ZoneMeta>,
+    /// Live data sectors on the whole device.
+    live_sectors: u64,
+    /// Empty zones, least recently freed first.
+    free: VecDeque<u32>,
+    /// The open zones of each stream, by [`Stream::index`]: as many as the
+    /// placement policy gives it, appended to in turn.
+    streams: [Vec<u32>; STREAMS],
+    /// Zones appended to since the last relocation barrier.
+    unflushed: Vec<u32>,
+    /// A relocated victim waiting for its copies to become durable, and
+    /// when they will be: the next collector step resets it.
+    draining: Option<(u32, SimTime)>,
+    /// Multi-unit writes so far: where the next one's stripe starts.
+    bulk_writes: u64,
     next_seq: u64,
     degraded: bool,
     stats: ZtlStats,
@@ -284,17 +346,23 @@ impl ZtlFtl {
             zns,
             geo,
             cfg,
+            // The streams share the budget the striped ring and the GC
+            // destination used to hold open, so exported capacity is what
+            // it was.
+            placement: Placement::new(cfg.open_zones, cfg.gc_reserve_zones),
             unit_data,
             zone_sectors,
             capacity,
             l2p: vec![UNMAPPED; capacity as usize],
-            valid: vec![0; zones],
-            trim_live: vec![0; zones],
-            sealed: vec![false; zones],
-            free: Vec::new(),
-            open_user: Vec::new(),
-            next_stripe: 0,
-            open_gc: None,
+            p2l: vec![UNMAPPED; zones * zone_sectors as usize],
+            written_at: vec![0; capacity as usize],
+            zones: vec![ZoneMeta::default(); zones],
+            live_sectors: 0,
+            free: VecDeque::new(),
+            streams: Default::default(),
+            unflushed: Vec::new(),
+            draining: None,
+            bulk_writes: 0,
             next_seq: 1,
             degraded: false,
             stats: ZtlStats::default(),
@@ -321,15 +389,15 @@ impl ZtlFtl {
             now,
         )?;
         let mut ftl = Self::build(zns, routed, cfg, geo);
-        ftl.rebuild_pools();
+        ftl.adopt_zones()?;
         Ok((ftl, t))
     }
 
     /// Remounts after a crash: zone write pointers come from the device's
     /// *report chunk* (via [`ZnsFtl::open`]), then every written append
-    /// unit is replayed in sequence order to rebuild the mapping. Zones
-    /// reset before the crash hold no records, so nothing they once held
-    /// can resurrect.
+    /// unit is replayed in sequence order to rebuild the mapping, the
+    /// reverse map and the write clock. Zones reset before the crash hold
+    /// no records, so nothing they once held can resurrect.
     pub fn open(
         media: Arc<dyn Media>,
         cfg: ZtlConfig,
@@ -348,7 +416,7 @@ impl ZtlFtl {
         )?;
         let mut ftl = Self::build(zns, routed, cfg, geo);
         let t = ftl.replay(t)?;
-        ftl.rebuild_pools();
+        ftl.adopt_zones()?;
         Ok((ftl, t))
     }
 
@@ -356,69 +424,113 @@ impl ZtlFtl {
         // (seq, zone, unit start sector, data lpns, trim lpns)
         type ReplayRecord = (u64, u32, u64, Vec<u64>, Vec<u64>);
         let ws_min = self.geo.ws_min as u64;
-        let mut records: Vec<ReplayRecord> = Vec::new();
-        let mut header = vec![0u8; SECTOR_BYTES];
-        let mut t = now;
+        // (zone, units written, completion of its scan so far)
+        let mut scans: Vec<(u32, u64, SimTime)> = Vec::new();
         for zone in 0..self.zns.zone_count() {
             let info = self.zns.zone_info(zone)?;
-            if matches!(info.state, ZoneState::Offline | ZoneState::Empty) {
+            let units = info.write_pointer / ws_min;
+            if units == 0 || info.state == ZoneState::Empty {
                 continue;
             }
-            let units = info.write_pointer / ws_min;
-            for u in 0..units {
-                t = self.zns.read(t, zone, u * ws_min, 1, &mut header)?;
+            // A zone that lost a chunk after others were written is offline
+            // for writes but its written units still hold acknowledged data:
+            // replay what is readable and leave the zone sealed for GC to
+            // drain and retire.
+            let meta = &mut self.zones[zone as usize];
+            meta.sealed = info.state == ZoneState::Offline;
+            meta.units = units as u32;
+            scans.push((zone, units, now));
+        }
+        // Zones sit on independent parallel units, so every zone's scan
+        // starts at `now` and the mount waits for the slowest. The walk is
+        // unit-major because the device serves each timeline in call order:
+        // one zone scanned to its end first would push the shared channel
+        // past every other zone's first read.
+        let mut records: Vec<ReplayRecord> = Vec::new();
+        let mut header = vec![0u8; SECTOR_BYTES];
+        let deepest = scans.iter().map(|s| s.1).max().unwrap_or(0);
+        for u in 0..deepest {
+            for (zone, units, t) in &mut scans {
+                if u >= *units {
+                    continue;
+                }
+                let meta = &mut self.zones[*zone as usize];
+                match self.zns.read(*t, *zone, u * ws_min, 1, &mut header) {
+                    Ok(done) => *t = done,
+                    Err(_) if meta.sealed => {
+                        // The rest of an offline zone went with its media.
+                        (*units, meta.units) = (u, u as u32);
+                        continue;
+                    }
+                    Err(e) => return Err(e.into()),
+                }
                 let Some((seq, data, trims)) = parse_header(&header) else {
-                    return Err(ZtlError::ReplayCorrupt { zone, unit: u });
+                    return Err(ZtlError::ReplayCorrupt {
+                        zone: *zone,
+                        unit: u,
+                    });
                 };
-                records.push((seq, zone, u * ws_min, data, trims));
+                records.push((seq, *zone, u * ws_min, data, trims));
             }
         }
+        let done = scans.iter().map(|s| s.2).max().unwrap_or(now);
         records.sort_by_key(|r| r.0);
         self.stats.replayed_units = records.len() as u64;
         self.obs
             .metrics
             .add("ztl.replay.units", records.len() as u64, 0);
         for (seq, zone, unit_start, data, trims) in records {
-            for (j, lpn) in data.into_iter().enumerate() {
-                if lpn >= self.capacity {
-                    return Err(ZtlError::ReplayCorrupt {
-                        zone,
-                        unit: unit_start / ws_min,
-                    });
-                }
+            let corrupt = ZtlError::ReplayCorrupt {
+                zone,
+                unit: unit_start / ws_min,
+            };
+            if data.iter().chain(&trims).any(|&lpn| lpn >= self.capacity) {
+                return Err(corrupt);
+            }
+            for (j, &lpn) in data.iter().enumerate() {
                 self.map_lpn(lpn, zone, unit_start + 1 + j as u64);
+                // Advisory: a relocated record replays with its copy's
+                // sequence number and looks younger than it is until it is
+                // next rewritten.
+                self.written_at[lpn as usize] = seq;
             }
-            for lpn in trims {
-                if lpn >= self.capacity {
-                    return Err(ZtlError::ReplayCorrupt {
-                        zone,
-                        unit: unit_start / ws_min,
-                    });
-                }
-                self.set_trim_loc(lpn, zone as u64 * self.zone_sectors + unit_start);
-            }
+            self.record_trims(zone, unit_start, &trims);
+            let meta = &mut self.zones[zone as usize];
+            meta.last_seq = seq;
             self.next_seq = self.next_seq.max(seq + 1);
         }
-        self.obs.tracer.span(now, t, "ztl", "replay", 0);
-        Ok(t)
+        self.obs.tracer.span(now, done, "ztl", "replay", 0);
+        Ok(done)
     }
 
-    /// Rebuilds the free list and open-zone ring from zone states.
-    fn rebuild_pools(&mut self) {
+    /// Rebuilds the free list and the streams from zone states. Nothing on
+    /// media says which stream an open zone served, so open zones rejoin
+    /// the streams this configuration uses most recently appended first
+    /// (the hotter a stream, the more often it appends); any beyond that
+    /// — a mount under a smaller configuration — are finished, which closes
+    /// them for GC to collect.
+    fn adopt_zones(&mut self) -> Result<(), ZtlError> {
         self.free.clear();
-        self.open_user.clear();
-        self.open_gc = None;
+        self.streams = Default::default();
+        let mut open: Vec<u32> = Vec::new();
         for zone in 0..self.zns.zone_count() {
-            let Ok(info) = self.zns.zone_info(zone) else {
-                continue;
-            };
-            match info.state {
-                ZoneState::Empty => self.free.push(zone),
-                ZoneState::Open if !self.sealed[zone as usize] => self.open_user.push(zone),
+            match self.zns.zone_info(zone)?.state {
+                ZoneState::Empty => self.free.push_back(zone),
+                ZoneState::Open if !self.zones[zone as usize].sealed => open.push(zone),
                 _ => {}
             }
         }
-        self.next_stripe = 0;
+        open.sort_by_key(|&z| std::cmp::Reverse(self.zones[z as usize].last_seq));
+        let mut open = open.into_iter();
+        for stream in Stream::ALL {
+            for zone in open.by_ref().take(self.placement.zones(stream)) {
+                self.open_zone(zone, stream);
+            }
+        }
+        for zone in open {
+            self.zns.finish_zone(zone)?;
+        }
+        Ok(())
     }
 
     /// Exported capacity in logical sectors.
@@ -499,56 +611,80 @@ impl ZtlFtl {
         }
     }
 
+    fn open_zone(&mut self, zone: u32, stream: Stream) {
+        self.streams[stream.index()].push(zone);
+        let meta = &mut self.zones[zone as usize];
+        meta.open = true;
+        meta.stream = stream;
+    }
+
+    /// Takes `zone` out of whichever stream is appending to it; from here on
+    /// it is a GC candidate.
+    fn close_zone(&mut self, zone: u32) {
+        self.zones[zone as usize].open = false;
+        for lanes in &mut self.streams {
+            lanes.retain(|&z| z != zone);
+        }
+    }
+
     fn seal_zone(&mut self, zone: u32) {
-        if let Some(s) = self.sealed.get_mut(zone as usize) {
-            *s = true;
+        if let Some(meta) = self.zones.get_mut(zone as usize) {
+            meta.sealed = true;
+            self.close_zone(zone);
+            self.free.retain(|&z| z != zone);
         }
-        self.open_user.retain(|&z| z != zone);
-        if self.open_gc == Some(zone) {
-            self.open_gc = None;
-        }
-        self.free.retain(|&z| z != zone);
     }
 
     /// Drops whatever record currently governs `lpn` — a live data mapping
     /// or a governing trim record — adjusting the per-zone live counters.
     fn drop_governing(&mut self, lpn: u64) {
-        let slot = &mut self.l2p[lpn as usize];
-        if *slot == UNMAPPED {
+        let slot = self.l2p[lpn as usize];
+        if slot == UNMAPPED {
             return;
         }
-        let old_zone = ((*slot & !TRIM_TAG) / self.zone_sectors) as usize;
-        if *slot & TRIM_TAG == 0 {
-            self.valid[old_zone] = self.valid[old_zone].saturating_sub(1);
+        let old = &mut self.zones[((slot & !TRIM_TAG) / self.zone_sectors) as usize];
+        if slot & TRIM_TAG == 0 {
+            old.valid = old.valid.saturating_sub(1);
+            self.live_sectors = self.live_sectors.saturating_sub(1);
         } else {
-            self.trim_live[old_zone] = self.trim_live[old_zone].saturating_sub(1);
+            old.trim_live = old.trim_live.saturating_sub(1);
         }
     }
 
     fn map_lpn(&mut self, lpn: u64, zone: u32, sector: u64) {
         self.drop_governing(lpn);
-        self.l2p[lpn as usize] = zone as u64 * self.zone_sectors + sector;
-        self.valid[zone as usize] += 1;
+        let loc = zone as u64 * self.zone_sectors + sector;
+        self.l2p[lpn as usize] = loc;
+        self.p2l[loc as usize] = lpn;
+        self.zones[zone as usize].valid += 1;
+        self.live_sectors += 1;
     }
 
     /// Drops a live data mapping; entries governed by a trim record are
     /// left alone (they are already unmapped, and the governing location
     /// must survive so GC can tell the live trim from stale duplicates).
     fn unmap_lpn(&mut self, lpn: u64) {
-        let slot = &mut self.l2p[lpn as usize];
-        if *slot != UNMAPPED && *slot & TRIM_TAG == 0 {
-            let old_zone = (*slot / self.zone_sectors) as usize;
-            self.valid[old_zone] = self.valid[old_zone].saturating_sub(1);
-            *slot = UNMAPPED;
+        if self.is_mapped(lpn) {
+            self.drop_governing(lpn);
+            self.l2p[lpn as usize] = UNMAPPED;
         }
     }
 
-    /// Records `loc` (a trim unit's header sector) as the governing trim
-    /// record for `lpn`, dropping whatever record it supersedes.
-    fn set_trim_loc(&mut self, lpn: u64, loc: u64) {
-        self.drop_governing(lpn);
-        self.l2p[lpn as usize] = TRIM_TAG | loc;
-        self.trim_live[(loc / self.zone_sectors) as usize] += 1;
+    /// Records the unit at `unit_start` of `zone` as the governing trim
+    /// record of each of `trims`, dropping whatever records it supersedes,
+    /// and lists it among the zone's trim-carrying units.
+    fn record_trims(&mut self, zone: u32, unit_start: u64, trims: &[u64]) {
+        if trims.is_empty() {
+            return;
+        }
+        let loc = zone as u64 * self.zone_sectors + unit_start;
+        for &lpn in trims {
+            self.drop_governing(lpn);
+            self.l2p[lpn as usize] = TRIM_TAG | loc;
+        }
+        let meta = &mut self.zones[zone as usize];
+        meta.trim_live += trims.len() as u32;
+        meta.trim_units.push((unit_start, trims.to_vec()));
     }
 
     /// Drops mappings without a durable trim record — for discarding torn
@@ -569,6 +705,13 @@ impl ZtlFtl {
         }
     }
 
+    /// Free zones the write path wants on hand: below this, user
+    /// allocations collect inline and the background collector ignores its
+    /// garbage budget.
+    fn headroom_zones(&self) -> usize {
+        (self.cfg.low_watermark_zones + self.cfg.gc_reserve_zones) as usize
+    }
+
     /// Allocates a fresh zone. User allocations keep `gc_reserve_zones`
     /// untouched and run relocation passes below the watermark; GC
     /// allocations may dip into the reserve.
@@ -582,28 +725,44 @@ impl ZtlFtl {
         } else {
             self.cfg.gc_reserve_zones as usize
         };
-        if self.free.len() > reserve {
-            let zone = self.free.remove(0);
-            Ok((zone, t))
-        } else {
-            if !for_gc {
-                self.enter_degraded();
-            }
-            Err(ZtlError::ReadOnly)
+        if self.free.len() <= reserve {
+            return Err(ZtlError::ReadOnly);
+        }
+        // Streams append — and their records are read back — in parallel
+        // only from different channels and parallel units: take the zone
+        // that shares its group, then its unit, with the fewest open zones,
+        // the longest-free among equals.
+        let (pus, per_group) = (self.geo.total_pus(), self.geo.pus_per_group);
+        let crowding = |zone: u32| {
+            let pu = zone % pus;
+            let open = self.streams.iter().flatten().map(|z| z % pus);
+            open.fold((0, 0), |(group, unit), o| {
+                (
+                    group + u32::from(o / per_group == pu / per_group),
+                    unit + u32::from(o == pu),
+                )
+            })
+        };
+        let pos = (0..self.free.len())
+            .min_by_key(|&i| crowding(self.free[i]))
+            .unwrap_or(0);
+        match self.free.remove(pos) {
+            Some(zone) => Ok((zone, t)),
+            None => Err(ZtlError::ReadOnly),
         }
     }
 
     /// Runs relocation passes while free zones sit below the watermark.
     /// Bounded: stops when a pass finds no profitable victim.
     fn ensure_headroom(&mut self, now: SimTime) -> Result<SimTime, ZtlError> {
-        let target = (self.cfg.low_watermark_zones + self.cfg.gc_reserve_zones) as usize;
+        let target = self.headroom_zones();
         let mut t = now;
         let max_passes = 2 * target.max(1);
         for _ in 0..max_passes {
             if self.free.len() >= target {
                 break;
             }
-            match self.gc_pass(t)? {
+            match self.gc_pass(t, true)? {
                 Some(done) => t = done,
                 None => break,
             }
@@ -611,199 +770,302 @@ impl ZtlFtl {
         Ok(t)
     }
 
-    /// Public GC entry point: one relocation pass if a profitable victim
-    /// exists. Returns the completion time, or `now` if nothing to do.
+    /// Public GC entry point: one step of the collector. A zone holding
+    /// nothing live (or sealed over failing media) is always recycled;
+    /// otherwise a victim is relocated only while the garbage closed zones
+    /// hold exceeds the placement policy's budget, or free zones are below
+    /// the watermark. Returns when the step's work completes and the next is
+    /// worth calling — for a relocation, the instant its copies are durable
+    /// and the victim can be reset — or `now`, having issued no media
+    /// command, when there is nothing to do.
     pub fn maybe_gc(&mut self, now: SimTime) -> Result<SimTime, ZtlError> {
-        Ok(self.gc_pass(now)?.unwrap_or(now))
+        let force = self.free.len() < self.headroom_zones();
+        Ok(self.gc_pass(now, force)?.unwrap_or(now))
+    }
+
+    /// Live data in append units.
+    fn live_units(&self) -> u64 {
+        self.live_sectors.div_ceil(self.unit_data)
     }
 
     /// Append units relocation would have to re-write to recycle `zone`:
     /// live data packed `unit_data` sectors per unit, governing trim
     /// records packed [`max_trims_per_unit`] per unit.
     fn relocation_units(&self, zone: u32) -> u64 {
-        let valid = self.valid[zone as usize] as u64;
-        let trims = self.trim_live[zone as usize] as u64;
-        valid.div_ceil(self.unit_data) + trims.div_ceil(max_trims_per_unit() as u64)
+        let meta = &self.zones[zone as usize];
+        (meta.valid as u64).div_ceil(self.unit_data)
+            + (meta.trim_live as u64).div_ceil(max_trims_per_unit() as u64)
     }
 
-    fn pick_victim(&self) -> Option<u32> {
-        let ws_min = self.geo.ws_min as u64;
-        let mut best: Option<(u64, u32)> = None;
-        for zone in 0..self.zns.zone_count() {
-            if self.open_user.contains(&zone) || self.open_gc == Some(zone) {
+    /// The closed zone to collect next. A zone with nothing to move, or
+    /// sealed over failing media, is taken at once; otherwise the best
+    /// [`placement::victim_score`] wins — if `force` is set or the garbage
+    /// in closed zones is over budget.
+    fn pick_victim(&self, force: bool) -> Option<u32> {
+        let zone_units = self.zone_sectors / self.geo.ws_min as u64;
+        let mut reclaimable = 0u64;
+        let mut best: Option<(f64, u32)> = None;
+        for (zone, meta) in (0u32..).zip(&self.zones) {
+            if meta.open || meta.units == 0 || self.draining.is_some_and(|(z, _)| z == zone) {
                 continue;
             }
-            let Ok(info) = self.zns.zone_info(zone) else {
-                continue;
-            };
-            if info.state == ZoneState::Offline || info.write_pointer == 0 {
-                continue;
-            }
-            // Score by relocation cost: units GC must re-append versus the
-            // units a reset gives back. A zone packed entirely with live
-            // payload (data or governing trims) nets nothing — skip it, or
-            // GC treadmills moving live records between zones forever.
-            // Sealed zones are always drained: their media is failing.
             let cost = self.relocation_units(zone);
-            if cost >= info.write_pointer / ws_min && !self.sealed[zone as usize] {
-                continue; // nothing to reclaim
+            if cost == 0 || meta.sealed {
+                return Some(zone);
             }
-            let wear = self.zns.zone_wear(zone).unwrap_or(0) as u64;
-            let score = cost + self.cfg.wear_bias as u64 * wear;
-            if best.is_none_or(|(s, _)| score < s) {
+            // A zone packed entirely with live payload (data or governing
+            // trims) nets nothing — skip it, or GC treadmills moving live
+            // records between zones forever.
+            if cost >= zone_units {
+                continue;
+            }
+            let freed = zone_units - cost;
+            reclaimable += freed;
+            // The wear lookup is two device round trips per zone: only
+            // when the knob asks for it.
+            let wear_cost = match self.cfg.wear_bias {
+                0 => 0,
+                bias => bias as u64 * self.zns.zone_wear(zone).unwrap_or(0) as u64,
+            };
+            let age = self.next_seq - meta.last_seq;
+            let score = placement::victim_score(freed, cost + wear_cost, age);
+            if best.is_none_or(|(s, _)| score > s) {
                 best = Some((score, zone));
             }
         }
-        best.map(|(_, z)| z)
+        let (_, zone) = best?;
+        (force || placement::over_budget(reclaimable, self.live_units())).then_some(zone)
     }
 
-    /// One zone-aware relocation pass: scan the victim's self-identifying
-    /// units, copy live sectors out (GC-class I/O when routed), carry live
-    /// trims forward, make the copies durable, then recycle the victim.
-    fn gc_pass(&mut self, now: SimTime) -> Result<Option<SimTime>, ZtlError> {
-        let Some(victim) = self.pick_victim() else {
-            return Ok(None);
-        };
-        let ws_min = self.geo.ws_min as u64;
+    /// One step of the collector: recycle the victim the last step moved
+    /// out, now that its copies are durable, and relocate the next victim if
+    /// one is due (see [`ZtlFtl::pick_victim`]). GC-class I/O when routed.
+    fn gc_pass(&mut self, now: SimTime, force: bool) -> Result<Option<SimTime>, ZtlError> {
+        if let Some((_, ready)) = self.draining {
+            // Copies still on their way to NAND: nothing to do until then.
+            // (The inline path cannot come back later; it waits.)
+            if ready > now && !force {
+                return Ok(Some(ready));
+            }
+        }
         let was = self.routed.set_gc_mode(true);
-        let result = self.gc_relocate(now, victim);
+        let result = self.collect(now, force);
         self.routed.set_gc_mode(was);
-        let t = result?;
+        result
+    }
+
+    fn collect(&mut self, now: SimTime, force: bool) -> Result<Option<SimTime>, ZtlError> {
+        // The next victim's reads go out before the drained one's erase:
+        // the two may share a parallel unit, and an erase queued first would
+        // hold the whole pass back.
+        let relocated = match self.pick_victim(force) {
+            Some(victim) => Some((victim, self.relocate(now, victim)?)),
+            None => None,
+        };
+        // A reset takes effect on the device when it is issued, so the step
+        // must not complete before the instant it was issued for: the inline
+        // path, which cannot come back at `ready`, waits it out here.
+        let mut floor = now;
+        let mut reset_done = None;
+        if let Some((zone, ready)) = self.draining.take() {
+            floor = now.max(ready);
+            reset_done = Some(self.recycle(floor, zone)?);
+        }
+        let Some((victim, (ready, moved))) = relocated else {
+            return Ok(reset_done);
+        };
+        // The new victim's reset has to wait for its copies. Issued from
+        // here it would book the victim's parallel unit at a future instant,
+        // and the device serves a unit's commands in call order: every read
+        // that arrives in between would queue behind an erase that has not
+        // started. So the victim drains and the next step — the caller is
+        // told to come back at `ready` — resets it. A zone whose successors
+        // are durable already (typically one that held nothing live) is
+        // reset at once.
+        let t = if ready > now {
+            self.draining = Some((victim, ready));
+            ready.max(floor)
+        } else {
+            self.recycle(now, victim)?.max(floor)
+        };
         self.stats.gc_passes += 1;
         self.obs.metrics.record("ztl.gc.pass", 0);
         self.obs
             .tracer
-            .span(now, t, "ztl", "gc_pass", self.zone_sectors * ws_min);
+            .span(now, t, "ztl", "gc_pass", moved * SECTOR_BYTES as u64);
         Ok(Some(t))
     }
 
-    fn gc_relocate(&mut self, now: SimTime, victim: u32) -> Result<SimTime, ZtlError> {
+    /// Moves everything live out of `victim`. What is live comes from the
+    /// reverse map and the zone's trim-unit list — no header is read; the
+    /// live sectors are read one run per unit, all issued at `now`; and
+    /// survivors are packed oldest first into the survivor streams. Returns
+    /// the time from which the victim may be reset — when every record
+    /// superseding one of its own is durable — and the data sectors moved.
+    fn relocate(&mut self, now: SimTime, victim: u32) -> Result<(SimTime, u64), ZtlError> {
         let ws_min = self.geo.ws_min as u64;
-        let info = self.zns.zone_info(victim)?;
-        let units = info.write_pointer / ws_min;
-        let mut header = vec![0u8; SECTOR_BYTES];
-        let mut live: Vec<(u64, Vec<u8>)> = Vec::new();
+        let base = victim as u64 * self.zone_sectors;
+        let victim_units = self.zones[victim as usize].units as u64;
+        // (write clock, lpn, sector within the victim)
+        let mut live: Vec<(u64, u64, u64)> = Vec::new();
+        for sector in 0..victim_units * ws_min {
+            let lpn = self.p2l[(base + sector) as usize];
+            if lpn != UNMAPPED && self.l2p[lpn as usize] == base + sector {
+                live.push((self.written_at[lpn as usize], lpn, sector));
+            }
+        }
+        // Only the governing (newest) trim record for an LPN is live: it is
+        // what prevents an older data record elsewhere from resurrecting at
+        // replay. Stale duplicates from earlier trim/rewrite cycles — and
+        // trims whose target has since been rewritten — die with the zone.
         let mut carried_trims: Vec<u64> = Vec::new();
+        for (start, lpns) in &self.zones[victim as usize].trim_units {
+            let governing = TRIM_TAG | (base + start);
+            carried_trims.extend(lpns.iter().filter(|&&l| self.l2p[l as usize] == governing));
+        }
+        // Oldest first (stable, so a unit written whole stays contiguous):
+        // neighbours in a survivor zone then have similar life expectancy.
+        live.sort_by_key(|&(written, ..)| written);
+
+        let mut payload = vec![0u8; live.len() * SECTOR_BYTES];
         let mut t = now;
-        for u in 0..units {
-            let unit_start = u * ws_min;
-            t = self.zns.read(t, victim, unit_start, 1, &mut header)?;
-            let Some((_seq, data, trims)) = parse_header(&header) else {
-                return Err(ZtlError::ReplayCorrupt {
-                    zone: victim,
-                    unit: u,
-                });
-            };
-            for (j, lpn) in data.into_iter().enumerate() {
-                let loc = victim as u64 * self.zone_sectors + unit_start + 1 + j as u64;
-                if self.l2p.get(lpn as usize) == Some(&loc) {
-                    let mut buf = vec![0u8; SECTOR_BYTES];
-                    t = self
-                        .zns
-                        .read(t, victim, unit_start + 1 + j as u64, 1, &mut buf)?;
-                    live.push((lpn, buf));
-                }
+        let mut i = 0;
+        while i < live.len() {
+            let mut run = 1;
+            while i + run < live.len() && live[i + run].2 == live[i].2 + run as u64 {
+                run += 1;
             }
-            for lpn in trims {
-                // Only the governing (newest) trim record for an LPN is
-                // live: it is what prevents an older data record elsewhere
-                // from resurrecting at replay. Stale duplicates from
-                // earlier trim/rewrite cycles — and trims whose target has
-                // since been rewritten — die with the zone.
-                let unit_loc = victim as u64 * self.zone_sectors + unit_start;
-                if self.l2p.get(lpn as usize) == Some(&(TRIM_TAG | unit_loc)) {
-                    carried_trims.push(lpn);
-                }
-            }
+            let bytes = &mut payload[i * SECTOR_BYTES..(i + run) * SECTOR_BYTES];
+            let done = self.zns.read(now, victim, live[i].2, run as u32, bytes)?;
+            t = t.max(done);
+            i += run;
         }
-        let relocated = live.len() as u64;
-        for batch in live.chunks(self.unit_data as usize) {
-            let lpns: Vec<u64> = batch.iter().map(|(l, _)| *l).collect();
-            let mut payload = Vec::with_capacity(batch.len() * SECTOR_BYTES);
-            for (_, bytes) in batch {
-                payload.extend_from_slice(bytes);
-            }
-            t = self.append_unit(t, &lpns, &payload, &[], true)?;
+
+        let clock = self.next_seq;
+        let live_units = self.live_units();
+        let mut moved_units = 0u64;
+        for (k, unit) in live.chunks(self.unit_data as usize).enumerate() {
+            let stream = self
+                .placement
+                .survivor_stream(clock.saturating_sub(unit[0].0), live_units);
+            let lpns: Vec<u64> = unit.iter().map(|&(_, lpn, _)| lpn).collect();
+            let lo = k * self.unit_data as usize * SECTOR_BYTES;
+            let bytes = &payload[lo..lo + unit.len() * SECTOR_BYTES];
+            t = self.append_unit(t, &lpns, bytes, &[], stream)?;
+            moved_units += 1;
         }
-        let max_trims = max_trims_per_unit();
-        for batch in carried_trims.chunks(max_trims) {
-            t = self.append_unit(t, &[], &[], batch, true)?;
+        for batch in carried_trims.chunks(max_trims_per_unit()) {
+            t = self.append_unit(t, &[], &[], batch, Stream::GcOld)?;
+            moved_units += 1;
         }
-        // Copies must be durable before the victim's records disappear: a
-        // power cut after the reset would otherwise lose relocated data.
-        t = t.max(self.routed.flush(t).done);
-        match self.zns.reset_zone(t, victim) {
+
+        // Before the victim's records disappear, every record that
+        // supersedes one of them must be durable: the copies just made — or
+        // a power cut after the reset loses relocated data — and equally a
+        // cache-acknowledged user overwrite, whose loss would otherwise
+        // surface an older version still. That is every zone appended to
+        // since the last barrier, not the whole device.
+        let mut ready = t;
+        for zone in std::mem::take(&mut self.unflushed) {
+            ready = ready.max(self.zns.flush_zone(t, zone)?.done);
+        }
+        let opened_by = self.zones[victim as usize].stream;
+        let moved = live.len() as u64;
+        self.stats.gc_relocated_sectors += moved;
+        self.stats.gc_victim_units += victim_units;
+        self.stats.gc_victim_live_units += moved_units;
+        let by_stream = &mut self.stats.streams[opened_by.index()];
+        by_stream.victim_units += victim_units;
+        by_stream.victim_live_units += moved_units;
+        self.obs.metrics.add("ztl.gc.relocated", moved, 0);
+        self.obs.metrics.observe(
+            "ztl.gc.victim_live_pct",
+            100 * moved_units / victim_units.max(1),
+        );
+        Ok((ready, moved))
+    }
+
+    /// Resets a victim that holds nothing live any more and returns it to
+    /// the free pool.
+    fn recycle(&mut self, now: SimTime, victim: u32) -> Result<SimTime, ZtlError> {
+        let mut t = now;
+        match self.zns.reset_zone(now, victim) {
             Ok(done) => {
                 t = done;
-                self.sealed[victim as usize] = false;
-                let pos = self.free.partition_point(|&z| z < victim);
-                self.free.insert(pos, victim);
+                self.free.push_back(victim);
                 self.stats.zone_resets += 1;
                 self.obs.metrics.record("ztl.zone.reset", 0);
             }
-            Err(ZnsError::Device(DeviceError::MediaFailure(_) | DeviceError::ChunkOffline(_))) => {
-                // Erase failure: the zone is now offline (and the device has
-                // emitted the grown-bad event); its live data was already
-                // copied out, so retire it and move on.
+            Err(
+                ZnsError::Device(DeviceError::MediaFailure(_) | DeviceError::ChunkOffline(_))
+                | ZnsError::ZoneNotWritable { .. },
+            ) => {
+                // Erase failure — or a zone that lost a chunk earlier: the
+                // zone is now offline (and the device has emitted the
+                // grown-bad event); its live data was already copied out,
+                // so retire it and move on.
                 self.stats.zones_retired += 1;
                 self.obs.metrics.record("ztl.zone.retired", 0);
             }
             Err(e) => return Err(e.into()),
         }
-        self.stats.gc_relocated_sectors += relocated;
-        self.obs.metrics.add("ztl.gc.relocated", relocated, 0);
+        let base = victim as u64 * self.zone_sectors;
+        self.zones[victim as usize] = ZoneMeta::default();
+        self.p2l[base as usize..(base + self.zone_sectors) as usize].fill(UNMAPPED);
         Ok(t)
     }
 
-    /// Picks the append destination: the striped user ring, or the GC
-    /// destination zone.
-    fn pick_dest(&mut self, now: SimTime, for_gc: bool) -> Result<(u32, SimTime), ZtlError> {
-        if for_gc {
-            if let Some(zone) = self.open_gc {
-                return Ok((zone, now));
-            }
-            let (zone, t) = self.alloc_zone(now, true)?;
-            self.open_gc = Some(zone);
-            return Ok((zone, t));
-        }
-        if self.open_user.is_empty() {
-            let want = self.cfg.open_zones.max(1) as usize;
-            let mut t = now;
-            while self.open_user.len() < want {
-                match self.alloc_zone(t, false) {
-                    Ok((zone, done)) => {
-                        self.open_user.push(zone);
-                        t = done;
-                    }
-                    Err(ZtlError::ReadOnly) if !self.open_user.is_empty() => break,
-                    Err(e) => return Err(e),
+    /// The zone `stream` appends its next unit to: its open zones take
+    /// turns, and a fresh one is opened while it has fewer than the policy
+    /// gives it. With no zone left to open it makes do with fewer, and with
+    /// none of its own shares the open zone of another stream of its kind
+    /// rather than give up while there is room.
+    fn dest_zone(&mut self, now: SimTime, stream: Stream) -> Result<(u32, SimTime), ZtlError> {
+        let mut t = now;
+        if self.streams[stream.index()].len() < self.placement.zones(stream) {
+            match self.alloc_zone(now, stream.is_gc()) {
+                Ok((zone, at)) => {
+                    self.open_zone(zone, stream);
+                    t = at;
                 }
+                Err(ZtlError::ReadOnly) => {}
+                Err(e) => return Err(e),
             }
-            return Ok((self.open_user[0], t));
         }
-        self.next_stripe %= self.open_user.len();
-        let zone = self.open_user[self.next_stripe];
-        self.next_stripe += 1;
-        Ok((zone, now))
+        let turn = self.stats.streams[stream.index()].units as usize;
+        let own = &self.streams[stream.index()];
+        let shared = || {
+            let kin = Stream::ALL.iter().filter(|s| s.is_gc() == stream.is_gc());
+            kin.flat_map(|s| &self.streams[s.index()]).next()
+        };
+        match own.get(turn % own.len().max(1)).or_else(shared) {
+            Some(&zone) => Ok((zone, t)),
+            None => {
+                if !stream.is_gc() {
+                    self.enter_degraded();
+                }
+                Err(ZtlError::ReadOnly)
+            }
+        }
     }
 
     /// Appends one self-identifying unit (`data_lpns` payload sectors and/or
-    /// `trim_lpns`), failing over to another zone when media underneath the
-    /// destination fails.
+    /// `trim_lpns`) to `stream`, failing over to another zone when media
+    /// underneath the destination fails.
     fn append_unit(
         &mut self,
         now: SimTime,
         data_lpns: &[u64],
         payload: &[u8],
         trim_lpns: &[u64],
-        for_gc: bool,
+        stream: Stream,
     ) -> Result<SimTime, ZtlError> {
         let unit_bytes = self.geo.ws_min_bytes();
         let mut t = now;
         // Failover bound: every zone could in principle fail underneath us.
         let max_attempts = self.zns.zone_count() as usize + 1;
         for _ in 0..max_attempts {
-            let (zone, alloc_t) = self.pick_dest(t, for_gc)?;
+            let (zone, alloc_t) = self.dest_zone(t, stream)?;
             t = alloc_t;
             let seq = self.next_seq;
             let mut unit = encode_header(seq, data_lpns, trim_lpns);
@@ -814,21 +1076,27 @@ impl ZtlFtl {
                     self.next_seq = seq + 1;
                     for (j, &lpn) in data_lpns.iter().enumerate() {
                         self.map_lpn(lpn, zone, start + 1 + j as u64);
+                        if !stream.is_gc() {
+                            self.written_at[lpn as usize] = seq;
+                        }
                     }
-                    for &lpn in trim_lpns {
-                        self.set_trim_loc(lpn, zone as u64 * self.zone_sectors + start);
+                    self.record_trims(zone, start, trim_lpns);
+                    let meta = &mut self.zones[zone as usize];
+                    meta.units += 1;
+                    meta.last_seq = seq;
+                    if !self.unflushed.contains(&zone) {
+                        self.unflushed.push(zone);
                     }
                     self.stats.phys_sectors += self.geo.ws_min as u64;
                     self.stats.trim_records += trim_lpns.len() as u64;
+                    self.stats.streams[stream.index()].units += 1;
+                    self.obs.metrics.record(stream.counter(), unit_bytes as u64);
                     if self
                         .zns
                         .zone_info(zone)
                         .is_ok_and(|i| i.state == ZoneState::Full)
                     {
-                        self.open_user.retain(|&z| z != zone);
-                        if self.open_gc == Some(zone) {
-                            self.open_gc = None;
-                        }
+                        self.close_zone(zone);
                     }
                     return Ok(done);
                 }
@@ -855,6 +1123,9 @@ impl ZtlFtl {
 
     /// Random write: `data` covers `[lpn, lpn + sectors)`; acknowledged at
     /// the device cache (use [`ZtlFtl::sync`] for a durability barrier).
+    /// A single unit joins the stream its update interval — the ticks since
+    /// its first sector was last written — calls for; the units of a larger
+    /// write are striped over the user zones.
     pub fn write_sectors(
         &mut self,
         now: SimTime,
@@ -869,6 +1140,10 @@ impl ZtlFtl {
         if lpn + sectors > self.capacity {
             return Err(ZtlError::OutOfRange(lpn + sectors - 1));
         }
+        // Each bulk write starts its stripe one zone on from the last, so
+        // writes whose units differ in size (a full unit and a short tail,
+        // say) still load every zone alike.
+        self.bulk_writes += u64::from(sectors > self.unit_data);
         let mut t = now;
         let mut off = 0u64;
         while off < sectors {
@@ -876,7 +1151,17 @@ impl ZtlFtl {
             let lpns: Vec<u64> = (lpn + off..lpn + off + take).collect();
             let lo = (off as usize) * SECTOR_BYTES;
             let hi = lo + take as usize * SECTOR_BYTES;
-            t = self.append_unit(t, &lpns, &data[lo..hi], &[], false)?;
+            let stream = if sectors > self.unit_data {
+                self.placement
+                    .bulk_stream(self.bulk_writes + off / self.unit_data)
+            } else {
+                let interval = match self.written_at[lpns[0] as usize] {
+                    0 => None,
+                    written => Some(self.next_seq - written),
+                };
+                self.placement.user_stream(interval, self.live_units())
+            };
+            t = self.append_unit(t, &lpns, &data[lo..hi], &[], stream)?;
             off += take;
         }
         self.stats.user_sectors += sectors;
@@ -953,7 +1238,7 @@ impl ZtlFtl {
         let mut t = now;
         let max_trims = max_trims_per_unit();
         for batch in trims.chunks(max_trims) {
-            t = self.append_unit(t, &[], &[], batch, false)?;
+            t = self.append_unit(t, &[], &[], batch, Stream::Cold)?;
         }
         self.obs.metrics.record("ztl.trim", trims.len() as u64);
         self.obs.tracer.span(now, t, "ztl", "trim", 0);
@@ -1111,7 +1396,7 @@ mod tests {
             }
             t = ftl.trim(t, 0, 24).unwrap();
         }
-        let live: u64 = ftl.trim_live.iter().map(|&n| n as u64).sum();
+        let live: u64 = ftl.zones.iter().map(|z| z.trim_live as u64).sum();
         assert!(live <= 24, "one governing trim per sector, got {live}");
         assert!(!ftl.is_degraded());
         assert!(ftl.stats().zone_resets > 0, "GC kept reclaiming");
@@ -1160,6 +1445,99 @@ mod tests {
                 Err(ZtlError::ReadOnly)
             ));
             assert!(matches!(ftl.trim(t, 0, 1), Err(ZtlError::ReadOnly)));
+        }
+    }
+
+    /// The reverse map and each zone's trim-unit list against what parsing
+    /// every on-media unit header yields.
+    fn assert_reverse_map_matches_headers(ftl: &mut ZtlFtl, t: SimTime, what: &str) {
+        let ws_min = ftl.geo.ws_min as u64;
+        let mut header = vec![0u8; SECTOR_BYTES];
+        for zone in 0..ftl.zns.zone_count() {
+            let info = ftl.zns.zone_info(zone).unwrap();
+            if info.state == ZoneState::Offline {
+                continue;
+            }
+            let units = ftl.zones[zone as usize].units as u64;
+            match info.state {
+                ZoneState::Empty => assert_eq!(units, 0, "{what}: zone {zone}"),
+                ZoneState::Open => assert_eq!(units, info.write_pointer / ws_min, "{what}"),
+                _ => {}
+            }
+            let mut named = vec![UNMAPPED; ftl.zone_sectors as usize];
+            let mut trim_units = Vec::new();
+            for u in 0..units {
+                ftl.zns.read(t, zone, u * ws_min, 1, &mut header).unwrap();
+                let (_, data, trims) = parse_header(&header).expect("unit header");
+                for (j, lpn) in data.into_iter().enumerate() {
+                    named[(u * ws_min) as usize + 1 + j] = lpn;
+                }
+                if !trims.is_empty() {
+                    trim_units.push((u * ws_min, trims));
+                }
+            }
+            let base = (zone as u64 * ftl.zone_sectors) as usize;
+            assert_eq!(
+                &ftl.p2l[base..base + named.len()],
+                &named[..],
+                "{what}: reverse map of zone {zone}"
+            );
+            assert_eq!(
+                ftl.zones[zone as usize].trim_units, trim_units,
+                "{what}: trim units of zone {zone}"
+            );
+        }
+    }
+
+    /// Seeded writes, trims, GC steps and power cuts: after every op the
+    /// in-RAM reverse map says exactly what the on-media headers say — it is
+    /// a cache of the recovery log, never a second source of truth.
+    #[test]
+    fn reverse_map_equals_the_headers_after_every_op() {
+        for seed in ocssd::matrix_seeds(4) {
+            let (mut ftl, dev, mut t) = setup();
+            let mut rng = ox_sim::Prng::seed_from_u64(seed ^ 0x9E3779B9);
+            let span = ftl.capacity_sectors() * 6 / 10;
+            let (mut gc_steps, mut cuts) = (0, 0);
+            for step in 0..400 {
+                let what = format!("seed {seed} step {step}");
+                match rng.gen_range(20) {
+                    0..=11 => {
+                        let sectors = 1 + rng.gen_range(7);
+                        let lpn = rng.gen_range(span - sectors);
+                        let data = page(step as u8).repeat(sectors as usize);
+                        t = ftl.write_sectors(t, lpn, &data).expect(&what);
+                    }
+                    12..=14 => {
+                        let sectors = 1 + rng.gen_range(6);
+                        t = ftl
+                            .trim(t, rng.gen_range(span - sectors), sectors)
+                            .expect(&what);
+                    }
+                    15..=18 => {
+                        let before = ftl.stats().gc_passes;
+                        t = ftl.maybe_gc(t).expect(&what).max(t);
+                        gc_steps += ftl.stats().gc_passes - before;
+                    }
+                    _ => {
+                        // Half the cuts lose whatever is still in the cache.
+                        if rng.gen_bool(0.5) {
+                            t = ftl.sync(t).done;
+                        }
+                        dev.crash(t);
+                        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+                        (ftl, t) = ZtlFtl::open(media, tiny_cfg(), t).expect(&what);
+                        cuts += 1;
+                    }
+                }
+                assert_reverse_map_matches_headers(&mut ftl, t, &what);
+                t += ox_sim::SimDuration::from_micros(20);
+            }
+            assert!(
+                gc_steps > 0 && cuts > 0,
+                "seed {seed}: {gc_steps} passes, {cuts} cuts"
+            );
+            assert!(!ftl.is_degraded(), "seed {seed}");
         }
     }
 

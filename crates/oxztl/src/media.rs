@@ -246,9 +246,7 @@ impl Media for ZtlMedia {
                 sectors: srcs.len() as u32,
             });
         }
-        let mut buf = vec![0u8; srcs.len() * SECTOR_BYTES];
-        let mut t = now;
-        for (i, src) in srcs.iter().enumerate() {
+        for src in srcs {
             if !src.is_valid(&self.vgeo) {
                 return Err(DeviceError::InvalidAddress(*src));
             }
@@ -256,12 +254,25 @@ impl Media for ZtlMedia {
             if src.sector >= inner.vchunks[sidx].wp {
                 return Err(DeviceError::ReadUnwritten(*src));
             }
-            let lpn = src.linear(&self.vgeo);
-            let lo = i * SECTOR_BYTES;
-            t = inner
+        }
+        // Sources that are logically contiguous are read as one run, and
+        // every run is issued at `now`: the write waits for the slowest.
+        let mut buf = vec![0u8; srcs.len() * SECTOR_BYTES];
+        let mut t = now;
+        let mut i = 0;
+        while i < srcs.len() {
+            let lpn = srcs[i].linear(&self.vgeo);
+            let mut run = 1;
+            while i + run < srcs.len() && srcs[i + run].linear(&self.vgeo) == lpn + run as u64 {
+                run += 1;
+            }
+            let bytes = &mut buf[i * SECTOR_BYTES..(i + run) * SECTOR_BYTES];
+            let done = inner
                 .ftl
-                .read_sectors(t, lpn, 1, &mut buf[lo..lo + SECTOR_BYTES])
-                .map_err(|e| map_err(e, *src))?;
+                .read_sectors(now, lpn, run as u32, bytes)
+                .map_err(|e| map_err(e, srcs[i]))?;
+            t = t.max(done);
+            i += run;
         }
         let dst_lpn = dst.linear(&self.vgeo) * self.vgeo.sectors_per_chunk as u64 + dst_wp as u64;
         let done = inner
