@@ -6,7 +6,10 @@
 //! implements it over the simulated Open-Channel SSD, and tests substitute
 //! fault-injecting wrappers.
 
-use ocssd::{ChunkAddr, ChunkHealth, ChunkInfo, Completion, Geometry, Ppa, Result, SharedDevice};
+use ocssd::{
+    ChunkAddr, ChunkHealth, ChunkInfo, Completion, Geometry, Payload, Ppa, Result, SharedDevice,
+    SECTOR_BYTES,
+};
 use ox_sim::trace::Obs;
 use ox_sim::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -22,6 +25,18 @@ pub trait Media: Send + Sync {
 
     /// Read of contiguous written sectors.
     fn read(&self, now: SimTime, ppa: Ppa, sectors: u32, out: &mut [u8]) -> Result<Completion>;
+
+    /// [`Media::read`] answered with a view of the bytes instead of a copy
+    /// into the caller's buffer — the same command in every other respect:
+    /// same validation, same timing, same accounting. The default reads
+    /// into a fresh buffer; media that can share the device's own buffer
+    /// (flash is written once until erased, so a view of it cannot change)
+    /// forward to whatever they wrap.
+    fn read_shared(&self, now: SimTime, ppa: Ppa, sectors: u32) -> Result<(Payload, Completion)> {
+        Payload::filled(sectors as usize * SECTOR_BYTES, |out| {
+            self.read(now, ppa, sectors, out)
+        })
+    }
 
     /// Chunk reset (erase).
     fn reset(&self, now: SimTime, chunk: ChunkAddr) -> Result<Completion>;
@@ -142,6 +157,10 @@ impl Media for OcssdMedia {
 
     fn read(&self, now: SimTime, ppa: Ppa, sectors: u32, out: &mut [u8]) -> Result<Completion> {
         self.device.read(now, ppa, sectors, out)
+    }
+
+    fn read_shared(&self, now: SimTime, ppa: Ppa, sectors: u32) -> Result<(Payload, Completion)> {
+        self.device.read_shared(now, ppa, sectors)
     }
 
     fn reset(&self, now: SimTime, chunk: ChunkAddr) -> Result<Completion> {

@@ -13,7 +13,7 @@
 //! submission and a retry re-arbitrates). Everything else propagates.
 
 use crate::media::Media;
-use ocssd::{Completion, DeviceError, Ppa, Result};
+use ocssd::{Completion, DeviceError, Payload, Ppa, Result};
 use ox_sim::trace::MetricsRegistry;
 use ox_sim::{SimDuration, SimTime};
 
@@ -71,23 +71,61 @@ pub fn read_with_policy(
     policy: RetryPolicy,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<RetryOutcome> {
-    let mut attempt = 0u32;
+    retry(now, policy, metrics, |at| media.read(at, ppa, sectors, out)).map(
+        |(completion, retries)| RetryOutcome {
+            completion,
+            retries,
+        },
+    )
+}
+
+/// [`read_with_policy`] over [`Media::read_shared`]: the same attempts at
+/// the same times under the same metrics, answered with a view.
+pub fn read_shared_with_policy(
+    media: &dyn Media,
+    now: SimTime,
+    ppa: Ppa,
+    sectors: u32,
+    policy: RetryPolicy,
+    metrics: Option<&MetricsRegistry>,
+) -> Result<(Payload, RetryOutcome)> {
+    retry(now, policy, metrics, |at| {
+        media.read_shared(at, ppa, sectors)
+    })
+    .map(|((view, completion), retries)| {
+        (
+            view,
+            RetryOutcome {
+                completion,
+                retries,
+            },
+        )
+    })
+}
+
+/// Runs `attempt` until it succeeds, fails with anything but an
+/// uncorrectable read, or the budget is spent. Returns what the successful
+/// attempt returned and the retries it took.
+fn retry<T>(
+    now: SimTime,
+    policy: RetryPolicy,
+    metrics: Option<&MetricsRegistry>,
+    mut attempt: impl FnMut(SimTime) -> Result<T>,
+) -> Result<(T, u32)> {
+    let mut retries = 0u32;
     let mut at = now;
     loop {
-        match media.read(at, ppa, sectors, out) {
-            Ok(completion) => {
-                if attempt > 0 {
+        match attempt(at) {
+            Ok(out) => {
+                if retries > 0 {
                     if let Some(m) = metrics {
                         m.record("retry.read.recovered", 0);
                     }
                 }
-                return Ok(RetryOutcome {
-                    completion,
-                    retries: attempt,
-                });
+                return Ok((out, retries));
             }
-            Err(DeviceError::UncorrectableRead(_)) if attempt < policy.max_retries => {
-                attempt += 1;
+            Err(DeviceError::UncorrectableRead(_)) if retries < policy.max_retries => {
+                retries += 1;
                 at += policy.backoff;
                 if let Some(m) = metrics {
                     m.record("retry.read.retries", 0);

@@ -373,9 +373,6 @@ impl Wal {
         self.obs
             .tracer
             .span(now, durable, "wal", "commit", padded as u64);
-        if self.wp >= self.chunk_sectors {
-            // Chunk exactly full: open the next one lazily on demand.
-        }
         Ok(durable)
     }
 

@@ -13,7 +13,9 @@
 
 use crate::config::TenantId;
 use crate::sched::{IoCmd, SchedError, SharedScheduler};
-use ocssd::{ChunkAddr, ChunkInfo, Completion, DeviceError, Geometry, Ppa, Result, SECTOR_BYTES};
+use ocssd::{
+    ChunkAddr, ChunkInfo, Completion, DeviceError, Geometry, Payload, Ppa, Result, SECTOR_BYTES,
+};
 use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
@@ -111,18 +113,25 @@ impl Media for SchedMedia {
                 got: out.len(),
             });
         }
+        let (data, done) = self.read_shared(now, ppa, sectors)?;
+        data.copy_to(out);
+        Ok(done)
+    }
+
+    fn read_shared(&self, now: SimTime, ppa: Ppa, sectors: u32) -> Result<(Payload, Completion)> {
+        let expected = sectors as usize * SECTOR_BYTES;
         let c = self
             .sched
             .submit_wait(now, self.tenant, IoCmd::Read { ppa, sectors })
             .map_err(Self::map_err)?;
         match (c.result, c.data) {
-            (Ok(()), Some(data)) if data.len() == expected => {
-                out.copy_from_slice(&data);
-                Ok(Completion {
+            (Ok(()), Some(data)) if data.len() == expected => Ok((
+                data,
+                Completion {
                     submitted: c.submitted,
                     done: c.completed,
-                })
-            }
+                },
+            )),
             (Ok(()), got) => Err(DeviceError::BufferSizeMismatch {
                 expected,
                 got: got.map_or(0, |d| d.len()),

@@ -18,7 +18,7 @@
 use crate::arbiter::{Arbiter, ArbiterKind, Candidate};
 use crate::bucket::TokenBucket;
 use crate::config::{IoClass, SchedConfig, TenantConfig, TenantId};
-use ocssd::{ChunkAddr, Completion, DeviceError, Geometry, Ppa, SECTOR_BYTES};
+use ocssd::{ChunkAddr, Completion, DeviceError, Geometry, Payload, Ppa, SECTOR_BYTES};
 use ox_core::Media;
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
@@ -113,8 +113,9 @@ pub struct IoCompletion {
     pub completed: SimTime,
     /// Device outcome.
     pub result: Result<(), DeviceError>,
-    /// Read payload (present for successful reads).
-    pub data: Option<Vec<u8>>,
+    /// Read payload (present for successful reads): a view of the media's
+    /// own buffer where the media can share it.
+    pub data: Option<Payload>,
 }
 
 impl IoCompletion {
@@ -492,19 +493,16 @@ impl IoScheduler {
         &self,
         issue: SimTime,
         cmd: &IoCmd,
-    ) -> (Result<(), DeviceError>, SimTime, Option<Vec<u8>>) {
+    ) -> (Result<(), DeviceError>, SimTime, Option<Payload>) {
         let done = |r: ocssd::Result<Completion>| match r {
             Ok(c) => (Ok(()), c.done),
             Err(e) => (Err(e), issue),
         };
         match cmd {
-            IoCmd::Read { ppa, sectors } => {
-                let mut buf = vec![0u8; *sectors as usize * SECTOR_BYTES];
-                match self.media.read(issue, *ppa, *sectors, &mut buf) {
-                    Ok(c) => (Ok(()), c.done, Some(buf)),
-                    Err(e) => (Err(e), issue, None),
-                }
-            }
+            IoCmd::Read { ppa, sectors } => match self.media.read_shared(issue, *ppa, *sectors) {
+                Ok((data, c)) => (Ok(()), c.done, Some(data)),
+                Err(e) => (Err(e), issue, None),
+            },
             IoCmd::Write { ppa, data } => {
                 let (r, t) = done(self.media.write(issue, *ppa, data));
                 (r, t, None)

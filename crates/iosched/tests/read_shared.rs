@@ -1,0 +1,189 @@
+//! `Media::read_shared` is `Media::read` without the copy, whatever the
+//! media: twin stacks fed the same commands — one read through `read`, the
+//! other through `read_shared` — must return the same bytes and completions
+//! (or the same errors) and leave identical device statistics and metrics.
+//! Checked on the raw device media, through a scheduler tenant, through the
+//! ZTL's routed media, and through a foreign `Media` that implements only
+//! the required methods (so it takes the provided `read_shared`); and once
+//! more under `ox_core::retry`, where the retries must match too.
+
+use iosched::{IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig};
+use ocssd::{
+    ChunkAddr, ChunkInfo, Completion, DeviceConfig, FaultPlan, Geometry, MediaEvent, OcssdDevice,
+    Ppa, ReadFault, SharedDevice, SECTOR_BYTES,
+};
+use ox_core::retry::{read_shared_with_policy, read_with_policy, RetryPolicy};
+use ox_core::{Media, OcssdMedia};
+use ox_sim::trace::Obs;
+use ox_sim::{Prng, SimTime};
+use oxztl::RoutedMedia;
+use std::sync::Arc;
+
+/// A media from outside the workspace's wrappers: forwards the required
+/// methods and nothing else.
+struct Foreign(Arc<dyn Media>);
+
+impl Media for Foreign {
+    fn geometry(&self) -> Geometry {
+        self.0.geometry()
+    }
+    fn write(&self, now: SimTime, ppa: Ppa, data: &[u8]) -> ocssd::Result<Completion> {
+        self.0.write(now, ppa, data)
+    }
+    fn read(
+        &self,
+        now: SimTime,
+        ppa: Ppa,
+        sectors: u32,
+        out: &mut [u8],
+    ) -> ocssd::Result<Completion> {
+        self.0.read(now, ppa, sectors, out)
+    }
+    fn reset(&self, now: SimTime, chunk: ChunkAddr) -> ocssd::Result<Completion> {
+        self.0.reset(now, chunk)
+    }
+    fn copy(&self, now: SimTime, srcs: &[Ppa], dst: ChunkAddr) -> ocssd::Result<Completion> {
+        self.0.copy(now, srcs, dst)
+    }
+    fn flush(&self, now: SimTime) -> Completion {
+        self.0.flush(now)
+    }
+    fn flush_chunk(&self, now: SimTime, chunk: ChunkAddr) -> Completion {
+        self.0.flush_chunk(now, chunk)
+    }
+    fn chunk_info(&self, chunk: ChunkAddr) -> ChunkInfo {
+        self.0.chunk_info(chunk)
+    }
+    fn report_all(&self) -> Vec<(ChunkAddr, ChunkInfo)> {
+        self.0.report_all()
+    }
+    fn drain_events(&self) -> Vec<MediaEvent> {
+        self.0.drain_events()
+    }
+    fn obs(&self) -> Obs {
+        self.0.obs()
+    }
+}
+
+const KINDS: [&str; 4] = ["ocssd", "sched", "routed", "foreign"];
+
+/// One stack of the given kind over a fresh device with read faults armed.
+fn stack(kind: &str, geo: Geometry) -> (Arc<dyn Media>, SharedDevice) {
+    let mut config = DeviceConfig::with_geometry(geo);
+    config.fault = FaultPlan {
+        read_fails: (0..6)
+            .map(|i| ReadFault {
+                ppa: ChunkAddr::new(0, 0, i % 3).ppa(i * 2),
+                attempts: 1 + i % 3,
+            })
+            .collect(),
+        ..FaultPlan::default()
+    };
+    let dev = SharedDevice::new(OcssdDevice::new(config));
+    let raw: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+    let media: Arc<dyn Media> = match kind {
+        "ocssd" => raw,
+        "sched" => {
+            let sched = SharedScheduler::new(IoScheduler::new(raw, SchedConfig::default()));
+            let tenant = sched.add_tenant(TenantConfig::new("reader"));
+            Arc::new(SchedMedia::new(sched, tenant))
+        }
+        "routed" => Arc::new(RoutedMedia::new(raw)),
+        "foreign" => Arc::new(Foreign(raw)),
+        other => panic!("unknown stack {other}"),
+    };
+    (media, dev)
+}
+
+/// What a read returned, comparable across the two paths.
+type Outcome = Result<(Vec<u8>, Completion, u32), String>;
+
+#[test]
+fn read_shared_is_read_without_the_copy_on_every_media() {
+    let geo = Geometry::small_slc();
+    for kind in KINDS {
+        for with_retry in [false, true] {
+            let (by_copy, copy_dev) = stack(kind, geo);
+            let (by_view, view_dev) = stack(kind, geo);
+            let mut rng = Prng::seed_from_u64(0x5EED ^ kind.len() as u64);
+            let mut t = SimTime::ZERO;
+            let policy = RetryPolicy::with_retries(1);
+            let copy_metrics = copy_dev.obs().metrics;
+            let view_metrics = view_dev.obs().metrics;
+            let mut failed = 0;
+
+            for step in 0..240u32 {
+                let c = ChunkAddr::new(0, 0, rng.gen_range(3) as u32);
+                let wp = by_copy.chunk_info(c).write_ptr;
+                if rng.gen_bool(0.3) && wp < geo.sectors_per_chunk {
+                    let mut data = vec![0u8; geo.ws_min_bytes()];
+                    // A zero tail of random length: views of it come short.
+                    let used = rng.gen_range(data.len() as u64 + 1) as usize;
+                    rng.fill_bytes(&mut data[..used]);
+                    let a = by_copy.write(t, c.ppa(wp), &data).unwrap();
+                    let b = by_view.write(t, c.ppa(wp), &data).unwrap();
+                    assert_eq!(a, b, "{kind} step {step}: write");
+                    t = a.done;
+                    continue;
+                }
+                // In one unit, across units, and past the write pointer.
+                let start = rng.gen_range(wp.max(1) as u64) as u32;
+                let n = 1 + rng.gen_range(3 * geo.ws_min as u64) as u32;
+                let n = n.min(geo.sectors_per_chunk - start);
+                let mut out = vec![0xEE; n as usize * SECTOR_BYTES];
+                let a: Outcome = if with_retry {
+                    read_with_policy(
+                        by_copy.as_ref(),
+                        t,
+                        c.ppa(start),
+                        n,
+                        &mut out,
+                        policy,
+                        Some(&copy_metrics),
+                    )
+                    .map(|o| (out, o.completion, o.retries))
+                } else {
+                    by_copy
+                        .read(t, c.ppa(start), n, &mut out)
+                        .map(|done| (out, done, 0))
+                }
+                .map_err(|e| e.to_string());
+                let b: Outcome = if with_retry {
+                    read_shared_with_policy(
+                        by_view.as_ref(),
+                        t,
+                        c.ppa(start),
+                        n,
+                        policy,
+                        Some(&view_metrics),
+                    )
+                    .map(|(view, o)| (view.to_vec(), o.completion, o.retries))
+                } else {
+                    by_view
+                        .read_shared(t, c.ppa(start), n)
+                        .map(|(view, done)| (view.to_vec(), done, 0))
+                }
+                .map_err(|e| e.to_string());
+                assert!(a == b, "{kind} step {step}: {n} sectors at {start}");
+                match a {
+                    Ok((_, done, _)) => t = done.done,
+                    Err(_) => failed += 1,
+                }
+            }
+            assert!(
+                failed > 0 && copy_dev.stats().injected_read_fails > 0,
+                "{kind}: no failing read was exercised"
+            );
+            assert_eq!(
+                format!("{:?}", copy_dev.stats()),
+                format!("{:?}", view_dev.stats()),
+                "{kind}: device statistics"
+            );
+            assert_eq!(
+                copy_metrics.to_json(),
+                view_metrics.to_json(),
+                "{kind}: metrics"
+            );
+        }
+    }
+}

@@ -26,6 +26,7 @@
 #![warn(clippy::all)]
 
 use ocssd::{DeviceError, Geometry, Ppa, SECTOR_BYTES};
+use ox_core::gc::{GarbageCollector, GcConfig};
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::mapping::PageMap;
 use ox_core::provision::Provisioner;
@@ -124,6 +125,10 @@ pub struct KvSsd {
     map: PageMap,
     prov: Provisioner,
     wal: Wal,
+    /// The value log's collector. One for the life of the FTL: its
+    /// transaction ids keep counting and its marked group stays where the
+    /// last pass left it.
+    gc: GarbageCollector,
     stats: FtlStats,
     next_lpn: u64,
     window_pages: u64,
@@ -132,8 +137,6 @@ pub struct KvSsd {
     staged: Vec<(u64, Vec<u8>)>,
     /// Operations since the last group commit.
     pending_ops: usize,
-    /// Metadata chunks excluded from the value log and from GC.
-    reserved: Vec<u64>,
 }
 
 impl KvSsd {
@@ -149,6 +152,16 @@ impl KvSsd {
         let prov = Provisioner::fresh(geo, &reserved);
         let window_pages = geo.total_sectors() / 2; // value-log logical window
         let (wal, done) = Wal::format(media.clone(), layout.wal_chunks.clone(), now)?;
+        // Metadata chunks are excluded from the value log and from GC.
+        let gc = GarbageCollector::new(
+            &media,
+            GcConfig {
+                low_watermark: config.gc_watermark,
+                chunks_per_pass: 4,
+                ..GcConfig::default()
+            },
+            &reserved,
+        );
         Ok((
             KvSsd {
                 geo,
@@ -156,13 +169,13 @@ impl KvSsd {
                 map: PageMap::new(geo, window_pages),
                 prov,
                 wal,
+                gc,
                 stats: FtlStats::default(),
                 next_lpn: 0,
                 window_pages,
                 next_txid: 1,
                 staged: Vec::new(),
                 pending_ops: 0,
-                reserved,
                 media,
                 config,
             },
@@ -397,16 +410,8 @@ impl KvSsd {
         // GC relocates mapped sectors; flush the coalescing tail first so
         // nothing is half-staged while chunks move.
         let now = self.sync(now)?;
-        let mut gc = ox_core::gc::GarbageCollector::new(
-            &self.media,
-            ox_core::gc::GcConfig {
-                low_watermark: self.config.gc_watermark,
-                chunks_per_pass: 4,
-                ..ox_core::gc::GcConfig::default()
-            },
-            &self.reserved,
-        );
-        let pass = gc
+        let pass = self
+            .gc
             .collect(
                 now,
                 &self.media,
@@ -553,6 +558,62 @@ mod tests {
             assert_eq!(got.unwrap(), value, "{key}");
             t = done;
         }
+    }
+
+    #[test]
+    fn one_collector_serves_every_gc_pass() {
+        // Four groups: the collector's marked group has somewhere to go.
+        let geo = Geometry {
+            chunks_per_pu: 16,
+            sectors_per_chunk: 96,
+            ..Geometry::small_slc()
+        };
+        assert_eq!(geo.num_groups, 4);
+        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
+        let config = KvSsdConfig {
+            gc_watermark: 60,
+            ..KvSsdConfig::default()
+        };
+        let (mut kv, mut t) = KvSsd::format(media.clone(), config, SimTime::ZERO).unwrap();
+        kv.gc.mark_group(2);
+        let value = vec![3u8; 8 * SECTOR_BYTES];
+        // Hot keys die young, cold ones are written once in between them,
+        // so victims hold live sectors for the passes to relocate.
+        let mut i = 0u64;
+        while kv.stats().gc_passes < 2 {
+            let key = if i.is_multiple_of(3) && i < 450 {
+                format!("cold{i}")
+            } else {
+                format!("hot{}", i % 10)
+            };
+            t = kv.put(t, key.as_bytes(), &value).unwrap();
+            i += 1;
+            assert!(i < 2_000, "GC never ran twice");
+        }
+        assert_ne!(
+            kv.gc.marked_group(),
+            0,
+            "a pass must leave the marked group where it found it, or rotate it on"
+        );
+
+        // Every relocation transaction of the two passes has its own id.
+        let t = kv.sync(t).unwrap();
+        let layout = Layout::plan(&geo, config.layout);
+        let (frames, _, _) = ox_core::wal::scan(&media, &layout.wal_chunks, t);
+        let mut gc_txids: Vec<u64> = frames
+            .iter()
+            .flat_map(|f| &f.records)
+            .filter_map(|rec| match rec {
+                WalRecord::TxBegin { txid } if *txid >= 1 << 48 => Some(*txid),
+                _ => None,
+            })
+            .collect();
+        assert!(gc_txids.len() >= 2, "two passes relocate at least twice");
+        let relocations = gc_txids.len();
+        gc_txids.sort_unstable();
+        gc_txids.dedup();
+        assert_eq!(gc_txids.len(), relocations, "GC transaction ids repeat");
     }
 
     #[test]

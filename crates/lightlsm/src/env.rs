@@ -2,11 +2,12 @@
 //! journaled, checkpointed table directory (no MANIFEST needed above).
 
 use crate::placement::{Placement, TableExtent};
-use ocssd::{ChunkState, DeviceError, Geometry};
+use ocssd::{ChunkState, DeviceError, Geometry, Payload, Ppa};
 use ox_core::checkpoint::CheckpointStore;
 use ox_core::codec::{Decoder, Encoder};
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::provision::Provisioner;
+use ox_core::retry::{self, RetryOutcome, RetryPolicy};
 use ox_core::wal::{self, Wal, WalError, WalRecord};
 use ox_core::Media;
 use ox_sim::trace::Obs;
@@ -584,6 +585,49 @@ impl LightLsm {
         out: &mut [u8],
     ) -> Result<SimTime, LightLsmError> {
         assert_eq!(out.len(), self.block_bytes(), "block-sized buffer required");
+        let (ppa, submit) = self.dispatch_block_read(now, id, block)?;
+        // Bounded read-retry: uncorrectable reads are often transient.
+        let outcome = retry::read_with_policy(
+            self.media.as_ref(),
+            submit,
+            ppa,
+            self.geo.ws_min,
+            out,
+            RetryPolicy::default(),
+            Some(&self.obs.metrics),
+        )?;
+        Ok(self.complete_block_read(now, outcome))
+    }
+
+    /// [`LightLsm::read_block`] answered with a view of the block instead of
+    /// a copy of it: the same dispatch slot, the same retry policy, the same
+    /// accounting.
+    pub fn read_block_shared(
+        &mut self,
+        now: SimTime,
+        id: TableId,
+        block: u32,
+    ) -> Result<(Payload, SimTime), LightLsmError> {
+        let (ppa, submit) = self.dispatch_block_read(now, id, block)?;
+        let (view, outcome) = retry::read_shared_with_policy(
+            self.media.as_ref(),
+            submit,
+            ppa,
+            self.geo.ws_min,
+            RetryPolicy::default(),
+            Some(&self.obs.metrics),
+        )?;
+        Ok((view, self.complete_block_read(now, outcome)))
+    }
+
+    /// Finds a block and takes its slot on the dispatch thread: where the
+    /// block is, and when its read reaches the media.
+    fn dispatch_block_read(
+        &mut self,
+        now: SimTime,
+        id: TableId,
+        block: u32,
+    ) -> Result<(Ppa, SimTime), LightLsmError> {
         let ext = self
             .tables
             .get(&id)
@@ -600,28 +644,18 @@ impl LightLsm {
             .dispatch
             .acquire(now, self.config.dispatch_per_block)
             .end;
-        // Bounded read-retry: uncorrectable reads are often transient.
-        let comp = match ox_core::retry::read_with_policy(
-            self.media.as_ref(),
-            submit,
-            chunk.ppa(sector),
-            self.geo.ws_min,
-            out,
-            ox_core::retry::RetryPolicy::default(),
-            Some(&self.obs.metrics),
-        ) {
-            Ok(o) => {
-                self.stats.read_retries += o.retries as u64;
-                o.completion
-            }
-            Err(e) => return Err(e.into()),
-        };
+        Ok((chunk.ppa(sector), submit))
+    }
+
+    /// Accounts for a block read submitted at `now`; returns when it is done.
+    fn complete_block_read(&mut self, now: SimTime, outcome: RetryOutcome) -> SimTime {
+        let done = outcome.completion.done;
+        let bytes = self.block_bytes() as u64;
+        self.stats.read_retries += outcome.retries as u64;
         self.stats.blocks_read += 1;
-        self.obs.metrics.record("lightlsm.read", out.len() as u64);
-        self.obs
-            .tracer
-            .span(now, comp.done, "lightlsm", "read", out.len() as u64);
-        Ok(comp.done)
+        self.obs.metrics.record("lightlsm.read", bytes);
+        self.obs.tracer.span(now, done, "lightlsm", "read", bytes);
+        done
     }
 
     /// Deletes a table: commits the directory removal, then resets the
@@ -768,6 +802,68 @@ mod tests {
             .unwrap();
         assert_eq!(&out[..100], &[7u8; 100][..]);
         assert!(out[100..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn shared_block_reads_are_block_reads_without_the_copy() {
+        // Twin FTLs over twin devices, one of whose table blocks fails its
+        // first two reads; the last block is mostly zero padding.
+        let twin = || {
+            let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
+            let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+            let (mut ftl, t) =
+                LightLsm::format(media, LightLsmConfig::default(), SimTime::ZERO).unwrap();
+            let unit = ftl.block_bytes();
+            let mut data = table_data(&ftl, 40, 9);
+            data.truncate(39 * unit + 100);
+            let (id, t) = ftl.flush_table(t, &data).unwrap();
+            let (chunk, sector) = ftl.table(id).unwrap().block_location(&ftl.geo, 5);
+            dev.set_fault_plan(ocssd::FaultPlan {
+                read_fails: vec![ocssd::ReadFault {
+                    ppa: chunk.ppa(sector + 3),
+                    attempts: 2,
+                }],
+                ..ocssd::FaultPlan::default()
+            });
+            (ftl, dev, id, t + SimDuration::from_secs(1))
+        };
+        let (mut by_copy, copy_dev, id, mut t) = twin();
+        let (mut by_view, view_dev, _, _) = twin();
+        let blocks = by_copy.table(id).unwrap().blocks;
+        assert_eq!(blocks, 40);
+        let mut out = vec![0u8; by_copy.block_bytes()];
+        for b in 0..blocks {
+            let done = by_copy.read_block(t, id, b, &mut out).unwrap();
+            let (view, done_view) = by_view.read_block_shared(t, id, b).unwrap();
+            assert!(view.to_vec() == out, "block {b}");
+            assert_eq!(done_view, done, "block {b}");
+            t = done;
+        }
+        assert!(
+            out[100..].iter().all(|&z| z == 0),
+            "the last block is padding"
+        );
+        assert_eq!(by_copy.stats().blocks_read, blocks as u64);
+        assert_eq!(by_view.stats().blocks_read, blocks as u64);
+        assert_eq!(by_copy.stats().read_retries, 2, "the armed fault fired");
+        assert_eq!(by_view.stats().read_retries, 2);
+        assert_eq!(
+            format!("{:?}", copy_dev.stats()),
+            format!("{:?}", view_dev.stats())
+        );
+        assert_eq!(
+            by_copy.obs().metrics.to_json(),
+            by_view.obs().metrics.to_json()
+        );
+        // Out-of-range and unknown tables are refused before any I/O.
+        assert!(matches!(
+            by_view.read_block_shared(t, id, blocks),
+            Err(LightLsmError::BlockOutOfRange { .. })
+        ));
+        assert!(matches!(
+            by_view.read_block_shared(t, id + 1, 0),
+            Err(LightLsmError::UnknownTable(_))
+        ));
     }
 
     #[test]

@@ -9,12 +9,32 @@
 //!          (vlen = u32::MAX ⇒ tombstone)
 //! ```
 //!
-//! A `klen` of zero terminates the block (the tail is zero padding). Lookups
-//! scan linearly — with ~90 1 KB entries per block this is cheaper than
-//! maintaining restart points, and it mirrors the paper's "block is the unit
-//! of transfer" framing.
+//! A `klen` of zero terminates the block (the tail is zero padding), and so
+//! does the end of the slice: a block read in place comes without its zero
+//! tail (see [`with_entries`]). Lookups scan linearly — with ~90 1 KB entries
+//! per block this is cheaper than maintaining restart points, and it mirrors
+//! the paper's "block is the unit of transfer" framing.
+
+use ocssd::Payload;
 
 const TOMBSTONE: u32 = u32::MAX;
+
+/// Walks the entries of a data block read in place.
+///
+/// A view holds a block up to its last non-zero byte, which is where the
+/// entries end — unless the last entry itself ends in zero bytes and the cut
+/// fell inside it. `walk` gets the block as the view holds it; only if it
+/// runs into that cut entry is the block copied out with its zero tail and
+/// walked again, so `walk` must depend on nothing but the entries it sees.
+pub fn with_entries<R>(block: &Payload, walk: impl Fn(&mut BlockIter<'_>) -> R) -> R {
+    let stored = block.bytes();
+    let mut entries = BlockIter::new(stored);
+    let out = walk(&mut entries);
+    if stored.len() < block.len() && entries.at_cut_entry() {
+        return walk(&mut BlockIter::new(&block.to_vec()));
+    }
+    out
+}
 
 /// Builds one data block up to a byte budget.
 pub struct BlockBuilder {
@@ -90,18 +110,30 @@ impl BlockBuilder {
     }
 }
 
-/// Outcome of a snapshot-aware point lookup within one data block.
+/// Outcome of a snapshot-aware point lookup within one data block; `V` is
+/// how the value is held (`&[u8]` into the block, or owned).
 #[derive(Debug, PartialEq, Eq)]
-pub enum FindVisible<'a> {
+pub enum FindVisible<V> {
     /// Newest version with `seq <= snap`: its seq plus `Some(value)` for a
     /// live entry, `None` for a point tombstone.
-    Found(u64, Option<&'a [u8]>),
+    Found(u64, Option<V>),
     /// The key has no visible version in this table's blocks from here on.
     Absent,
     /// Every version of the key in this block is newer than the snapshot and
     /// the key runs to the end of the block — older versions may continue in
     /// the next data block.
     Continue,
+}
+
+impl FindVisible<&[u8]> {
+    /// The same outcome with the value copied out of the block.
+    pub fn into_owned(self) -> FindVisible<Vec<u8>> {
+        match self {
+            FindVisible::Found(seq, v) => FindVisible::Found(seq, v.map(<[u8]>::to_vec)),
+            FindVisible::Absent => FindVisible::Absent,
+            FindVisible::Continue => FindVisible::Continue,
+        }
+    }
 }
 
 /// Iterates a data block's entries in `(key asc, seq desc)` order.
@@ -119,9 +151,14 @@ impl<'a> BlockIter<'a> {
     /// Finds the newest version of `key` visible at `snap` by scanning
     /// (blocks are small). Returns [`FindVisible::Continue`] when the key's
     /// versions run past the end of this block without a visible one.
-    pub fn find_visible(data: &'a [u8], key: &[u8], snap: u64) -> FindVisible<'a> {
+    pub fn find_visible(data: &'a [u8], key: &[u8], snap: u64) -> FindVisible<&'a [u8]> {
+        BlockIter::new(data).visible(key, snap)
+    }
+
+    /// [`BlockIter::find_visible`] among the entries not yet yielded.
+    pub fn visible(&mut self, key: &[u8], snap: u64) -> FindVisible<&'a [u8]> {
         let mut saw_key_last = false;
-        for (k, seq, v) in BlockIter::new(data) {
+        for (k, seq, v) in self {
             match k.cmp(key) {
                 std::cmp::Ordering::Less => continue,
                 std::cmp::Ordering::Equal => {
@@ -149,6 +186,17 @@ impl<'a> BlockIter<'a> {
             FindVisible::Found(_, v) => Some(v),
             _ => None,
         }
+    }
+
+    /// Whether the iterator stands at an entry — not the terminator, not the
+    /// end of the slice — that runs past the end of the slice.
+    fn at_cut_entry(&self) -> bool {
+        let mut rest = BlockIter {
+            data: self.data,
+            pos: self.pos,
+        };
+        let starts_entry = self.data[self.pos..].iter().take(2).any(|&b| b != 0);
+        starts_entry && rest.next().is_none()
     }
 }
 
@@ -297,6 +345,92 @@ mod tests {
         let mut bad = vec![0u8; 16];
         bad[0] = 200; // klen larger than remaining bytes
         assert_eq!(BlockIter::new(&bad).count(), 0);
+    }
+
+    /// A block whose last entry ends in `zeros` zero bytes, and the end of
+    /// that entry.
+    fn block_ending_in_zeros(zeros: usize) -> (Vec<u8>, usize) {
+        let mut b = BlockBuilder::new(4 * ocssd::SECTOR_BYTES);
+        b.add(b"a", 7, Some(b"first"));
+        b.add(b"k", 9, Some(b"newest"));
+        b.add(b"k", 5, None);
+        let mut tail = vec![0xAB; 20];
+        tail.resize(20 + zeros, 0);
+        b.add(b"z", 3, Some(&tail));
+        let end = b.len();
+        (b.finish(), end)
+    }
+
+    fn owned(data: &[u8]) -> Vec<(Vec<u8>, u64, Option<Vec<u8>>)> {
+        BlockIter::new(data)
+            .map(|(k, s, v)| (k.to_vec(), s, v.map(<[u8]>::to_vec)))
+            .collect()
+    }
+
+    #[test]
+    fn a_slice_cut_at_or_after_the_last_entry_reads_like_the_padded_block() {
+        let (padded, end) = block_ending_in_zeros(0);
+        for cut in (end..end + 40).chain([padded.len()]) {
+            let data = &padded[..cut];
+            assert_eq!(owned(data), owned(&padded), "cut at {cut}");
+            for (key, snap) in [
+                (&b"k"[..], u64::MAX),
+                (b"k", 6),
+                (b"k", 1),
+                (b"z", 0),
+                (b"q", 9),
+            ] {
+                assert_eq!(
+                    BlockIter::find_visible(data, key, snap),
+                    BlockIter::find_visible(&padded, key, snap),
+                    "cut at {cut}"
+                );
+            }
+        }
+    }
+
+    /// `padded` as the device hands it out in place: written as one command
+    /// and read back as a view, which leaves the zero tail out.
+    fn in_place(padded: &[u8]) -> Payload {
+        use ocssd::{ChunkAddr, DeviceConfig, Geometry, OcssdDevice};
+        use ox_sim::SimTime;
+        let geo = Geometry::small_slc();
+        assert_eq!(padded.len(), geo.ws_min_bytes());
+        let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+        let at = ChunkAddr::new(0, 0, 0).ppa(0);
+        let w = dev.write(SimTime::ZERO, at, padded).unwrap();
+        let (view, _) = dev.read_shared(w.done, at, geo.ws_min).unwrap();
+        assert_eq!(view.len(), padded.len());
+        assert_ne!(view.bytes().last(), Some(&0), "zero tail left out");
+        view
+    }
+
+    #[test]
+    fn with_entries_walks_in_place_or_over_a_padded_copy() {
+        for zeros in [0, 1, 13, 200] {
+            let (padded, _) = block_ending_in_zeros(zeros);
+            let block = in_place(&padded);
+            // The cut falls inside the last entry exactly when it ends in
+            // zeros: walked as stored, that entry is missing.
+            assert_eq!(
+                owned(block.bytes()).len() < owned(&padded).len(),
+                zeros > 0,
+                "{zeros} zeros"
+            );
+            let walked = with_entries(&block, |entries| {
+                entries
+                    .map(|(k, s, v)| (k.to_vec(), s, v.map(<[u8]>::to_vec)))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(walked, owned(&padded), "{zeros} zeros");
+            for (key, snap) in [(&b"z"[..], u64::MAX), (b"k", 6), (b"z", 0), (b"zz", 9)] {
+                assert_eq!(
+                    with_entries(&block, |entries| entries.visible(key, snap).into_owned()),
+                    BlockIter::find_visible(&padded, key, snap).into_owned(),
+                    "{zeros} zeros, key {key:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! can see, writes output tables, and deletes the inputs — which the FTL
 //! turns into chunk erases only.
 
-use crate::block::BlockIter;
+use crate::block::with_entries;
 use crate::sstable::TableHandle;
 use crate::store::{StoreError, TableStore};
 use ox_sim::SimTime;
@@ -126,7 +126,6 @@ impl TableStream {
     fn pump(
         &mut self,
         store: &Arc<dyn TableStore>,
-        scratch: &mut [u8],
         t: SimTime,
         window: usize,
     ) -> Result<u64, StoreError> {
@@ -140,11 +139,13 @@ impl TableStream {
                 self.next_block = 0;
                 continue;
             }
-            let done = store.read_block(t, table.id, self.next_block, scratch)?;
-            let entries: VecDeque<Entry> = BlockIter::new(scratch)
-                .skip_while(|(k, ..)| *k < self.start.as_slice())
-                .map(|(k, s, v)| (k.to_vec(), s, v.map(<[u8]>::to_vec)))
-                .collect();
+            let (block, done) = store.read_block_shared(t, table.id, self.next_block)?;
+            let entries: VecDeque<Entry> = with_entries(&block, |entries| {
+                entries
+                    .skip_while(|(k, ..)| *k < self.start.as_slice())
+                    .map(|(k, s, v)| (k.to_vec(), s, v.map(<[u8]>::to_vec)))
+                    .collect()
+            });
             self.next_block += 1;
             self.inflight.push_back(InflightBlock {
                 entries,
@@ -159,23 +160,18 @@ impl TableStream {
     /// Makes entries available (if any remain), waiting on the next block's
     /// arrival and topping the window back up. Returns blocks submitted;
     /// advances `t` when the merge has to wait for media.
-    fn refill(
-        &mut self,
-        store: &Arc<dyn TableStore>,
-        scratch: &mut [u8],
-        t: &mut SimTime,
-    ) -> Result<u64, StoreError> {
+    fn refill(&mut self, store: &Arc<dyn TableStore>, t: &mut SimTime) -> Result<u64, StoreError> {
         if !self.buf.is_empty() {
             return Ok(0);
         }
-        let mut submitted = self.pump(store, scratch, *t, self.readahead.max(1))?;
+        let mut submitted = self.pump(store, *t, self.readahead.max(1))?;
         while self.buf.is_empty() {
             let Some(block) = self.inflight.pop_front() else {
                 break;
             };
             *t = (*t).max(block.ready_at);
             self.buf = block.entries;
-            submitted += self.pump(store, scratch, *t, self.readahead)?;
+            submitted += self.pump(store, *t, self.readahead)?;
             // The window grows once this block is used up — unless it says
             // nothing about the reader: the block a seek landed in is
             // entered mid-way, a table's last block may be over at once.
@@ -198,8 +194,6 @@ impl TableStream {
 pub(crate) struct MergeIter {
     streams: Vec<TableStream>,
     store: Arc<dyn TableStore>,
-    /// One block of read buffer, shared by the streams.
-    scratch: Vec<u8>,
     blocks_read: u64,
 }
 
@@ -207,7 +201,6 @@ impl MergeIter {
     pub(crate) fn new(streams: Vec<TableStream>, store: Arc<dyn TableStore>) -> Self {
         MergeIter {
             streams,
-            scratch: vec![0u8; store.block_bytes()],
             store,
             blocks_read: 0,
         }
@@ -223,7 +216,7 @@ impl MergeIter {
     pub(crate) fn next(&mut self, t: &mut SimTime) -> Result<Option<Entry>, StoreError> {
         // Ensure every stream is either buffered or exhausted.
         for s in &mut self.streams {
-            self.blocks_read += s.refill(&self.store, &mut self.scratch, t)?;
+            self.blocks_read += s.refill(&self.store, t)?;
         }
         // Smallest key; ties to the highest seq, then the lowest rank.
         let mut winner: Option<(usize, &[u8], u64, usize)> = None; // (idx, key, seq, rank)

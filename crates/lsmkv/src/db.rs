@@ -16,7 +16,7 @@
 //! delay per put), then *stalls* them (the put must be retried later). The
 //! resulting sawtooth is the throughput oscillation of Figure 6.
 
-use crate::block::{BlockIter, FindVisible};
+use crate::block::{with_entries, FindVisible};
 use crate::compaction::{
     prune_group, CompactionJob, CompactionStats, Entry, MergeIter, TableStream, PREFETCH_DEPTH,
 };
@@ -201,7 +201,6 @@ pub struct Db {
     version: Version,
     stats: DbStats,
     cstats: CompactionStats,
-    scratch: Vec<u8>,
     compaction_cursor: Vec<usize>,
     /// In-flight incremental compactions (≤ `max_parallel_compactions`).
     actives: Vec<ActiveCompaction>,
@@ -249,7 +248,6 @@ impl Db {
     /// `lsm.slowdown`.
     pub fn new(store: Arc<dyn TableStore>, mut config: DbConfig) -> Self {
         config.table_bytes = config.table_bytes.min(store.table_capacity_bytes());
-        let block = store.block_bytes();
         Db {
             config,
             mem: shared_memtable(),
@@ -265,7 +263,6 @@ impl Db {
             version: Version::new(config.max_levels),
             stats: DbStats::default(),
             cstats: CompactionStats::default(),
-            scratch: vec![0u8; block],
             compaction_cursor: vec![0; config.max_levels],
             actives: Vec::new(),
             active_cursor: 0,
@@ -294,14 +291,14 @@ impl Db {
         // Newest (highest id) first, so L0 probe order favours fresh data.
         let mut sorted: Vec<(u64, u32)> = tables.to_vec();
         sorted.sort_by_key(|&(id, _)| std::cmp::Reverse(id));
-        let mut buf = vec![0u8; block_bytes];
         for &(id, blocks) in &sorted {
             // Gather the whole table to parse its embedded meta region.
             let mut bytes = Vec::with_capacity(blocks as usize * block_bytes);
             for b in 0..blocks {
-                let done = store.read_block(t, id, b, &mut buf)?;
+                let (block, done) = store.read_block_shared(t, id, b)?;
                 t = done;
-                bytes.extend_from_slice(&buf);
+                bytes.extend_from_slice(block.bytes());
+                bytes.resize((b as usize + 1) * block_bytes, 0);
             }
             match TableHandle::from_bytes(id, block_bytes, &bytes) {
                 Some(handle) => db.version.add_l0(Arc::new(handle)),
@@ -546,46 +543,36 @@ impl Db {
             // and bloom live in memory. Probe order is irrelevant for
             // correctness — the winner is the highest visible sequence — but
             // `max_seq` lets stale tables be skipped without device reads.
-            let candidates: Vec<(u64, Option<u32>, u32, u64, bool)> = self
-                .version
-                .tables_for_get(key)
-                .into_iter()
-                .map(|h| {
-                    (
-                        h.id,
-                        h.block_for(key),
-                        h.data_blocks,
-                        h.max_seq,
-                        h.bloom.maybe_contains(key),
-                    )
-                })
-                .collect();
-            for (id, block, data_blocks, max_seq, maybe) in candidates {
+            for h in self.version.tables_for_get(key) {
                 if let Some((bs, _)) = &best {
-                    if *bs >= max_seq {
+                    if *bs >= h.max_seq {
                         continue;
                     }
                 }
-                if rt_max.is_some_and(|r| r >= max_seq) {
+                if rt_max.is_some_and(|r| r >= h.max_seq) {
                     continue; // every version in the table is hidden
                 }
                 t += SimDuration::from_nanos(150); // bloom probe
-                if !maybe {
+                if !h.bloom.maybe_contains(key) {
                     self.stats.bloom_skips += 1;
                     continue;
                 }
-                let Some(mut b) = block else { continue };
+                let Some(mut b) = h.block_for(key) else {
+                    continue;
+                };
                 loop {
-                    let done = self
+                    let (block, done) = self
                         .store
-                        .read_block(t, id, b, &mut self.scratch)
+                        .read_block_shared(t, h.id, b)
                         .map_err(DbError::from)?;
                     t = done;
                     self.stats.get_blocks_read += 1;
-                    match BlockIter::find_visible(&self.scratch, key, snap) {
+                    let found =
+                        with_entries(&block, |entries| entries.visible(key, snap).into_owned());
+                    match found {
                         FindVisible::Found(s, v) => {
                             if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
-                                best = Some((s, v.map(<[u8]>::to_vec)));
+                                best = Some((s, v));
                             }
                             break;
                         }
@@ -594,7 +581,7 @@ impl Db {
                             // The key's version run spills into the next
                             // block.
                             b += 1;
-                            if b >= data_blocks {
+                            if b >= h.data_blocks {
                                 break;
                             }
                         }

@@ -10,7 +10,7 @@
 //!   ablation benchmarks to quantify what the app-specific FTL buys.
 
 use lightlsm::{LightLsm, LightLsmError};
-use ocssd::SECTOR_BYTES;
+use ocssd::{Payload, SECTOR_BYTES};
 use ox_block::{BlockFtl, BlockFtlError};
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
@@ -76,6 +76,21 @@ pub trait TableStore: Send + Sync {
         out: &mut [u8],
     ) -> Result<SimTime, StoreError>;
 
+    /// [`TableStore::read_block`] answered with a view of the block instead
+    /// of a copy into the caller's buffer; the same read in every other
+    /// respect. The default reads into a fresh buffer; a store whose media
+    /// can share the device's own buffer hands that on.
+    fn read_block_shared(
+        &self,
+        now: SimTime,
+        id: u64,
+        block: u32,
+    ) -> Result<(Payload, SimTime), StoreError> {
+        Payload::filled(self.block_bytes(), |out| {
+            self.read_block(now, id, block, out)
+        })
+    }
+
     /// Deletes a table; returns the completion time.
     fn delete_table(&self, now: SimTime, id: u64) -> Result<SimTime, StoreError>;
 
@@ -139,6 +154,15 @@ impl TableStore for LightLsmStore {
         out: &mut [u8],
     ) -> Result<SimTime, StoreError> {
         Ok(self.ftl.lock().read_block(now, id, block, out)?)
+    }
+
+    fn read_block_shared(
+        &self,
+        now: SimTime,
+        id: u64,
+        block: u32,
+    ) -> Result<(Payload, SimTime), StoreError> {
+        Ok(self.ftl.lock().read_block_shared(now, id, block)?)
     }
 
     fn delete_table(&self, now: SimTime, id: u64) -> Result<SimTime, StoreError> {
@@ -345,6 +369,41 @@ mod tests {
             .delete_table(t1 + ox_sim::SimDuration::from_secs(2), id)
             .unwrap();
         assert!(store.read_block(t2, id, 0, &mut out).is_err());
+    }
+
+    /// Every block of a flushed table — the zero-padded last one included —
+    /// read both ways on twin stores: same bytes, same completion time.
+    fn shared_reads_match(by_copy: &dyn TableStore, by_view: &dyn TableStore) {
+        let unit = by_copy.block_bytes();
+        let mut data: Vec<u8> = (0..5 * unit).map(|i| (i % 251) as u8 + 1).collect();
+        data.truncate(4 * unit + 77);
+        let (id, t1) = by_copy.flush_table(SimTime::ZERO, &data).unwrap();
+        assert_eq!(by_view.flush_table(SimTime::ZERO, &data).unwrap(), (id, t1));
+        data.resize(5 * unit, 0);
+        let mut t = t1 + ox_sim::SimDuration::from_secs(1);
+        let mut out = vec![0u8; unit];
+        for (b, want) in data.chunks_exact(unit).enumerate() {
+            // (The OX-Block backend leaves the buffer alone past the table's
+            // last page.)
+            out.fill(0);
+            let done = by_copy.read_block(t, id, b as u32, &mut out).unwrap();
+            let (view, done_view) = by_view.read_block_shared(t, id, b as u32).unwrap();
+            assert!(out == want, "block {b}: copy");
+            assert!(view.to_vec() == want, "block {b}: view");
+            assert_eq!(done_view, done, "block {b}");
+            t = done;
+        }
+        assert!(by_view.read_block_shared(t, id + 1, 0).is_err());
+    }
+
+    #[test]
+    fn shared_block_reads_match_copies_on_both_backends() {
+        let (a, b) = (lightlsm_store(), lightlsm_store());
+        shared_reads_match(&a, &b);
+        let reads = |s: &LightLsmStore| s.with_ftl(|f| f.stats().blocks_read);
+        assert_eq!((reads(&a), reads(&b)), (5, 5));
+        // The OX-Block backend has no buffer to share: the provided method.
+        shared_reads_match(&block_store(), &block_store());
     }
 
     #[test]

@@ -93,11 +93,13 @@ impl Version {
     /// candidates — range-tombstone spans widen a table's key range past
     /// the point-data non-overlap invariant — so the caller resolves the
     /// winner by sequence number, not probe order.
-    pub fn tables_for_get(&self, key: &[u8]) -> Vec<&TableHandle> {
+    pub fn tables_for_get<'a>(
+        &'a self,
+        key: &'a [u8],
+    ) -> impl Iterator<Item = &'a TableHandle> + 'a {
         self.all_tables()
-            .filter(|t| t.overlaps(key, key))
+            .filter(move |t| t.overlaps(key, key))
             .map(Arc::as_ref)
-            .collect()
     }
 
     /// The sorted runs a scan of `[start, end)` merges, each in point-key
@@ -197,8 +199,7 @@ mod tests {
         let mut v = Version::new(4);
         v.add_l0(handle(1, "a", "m"));
         v.add_l0(handle(2, "a", "m"));
-        let probes = v.tables_for_get(b"b");
-        let ids: Vec<u64> = probes.iter().map(|t| t.id).collect();
+        let ids: Vec<u64> = v.tables_for_get(b"b").map(|t| t.id).collect();
         assert_eq!(ids, vec![2, 1]);
     }
 
@@ -215,13 +216,12 @@ mod tests {
                 handle(12, "n", "z"),
             ],
         );
-        let probes = v.tables_for_get(b"h");
-        assert_eq!(probes.len(), 1);
-        assert_eq!(probes[0].id, 11);
+        let probes: Vec<u64> = v.tables_for_get(b"h").map(|t| t.id).collect();
+        assert_eq!(probes, vec![11]);
         // Key in a gap between tables probes nothing extra.
         let mut v2 = Version::new(4);
         v2.apply_edit(1, 1, &[], vec![handle(1, "a", "c"), handle(2, "x", "z")]);
-        assert!(v2.tables_for_get(b"k").is_empty());
+        assert_eq!(v2.tables_for_get(b"k").count(), 0);
     }
 
     #[test]

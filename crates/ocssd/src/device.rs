@@ -30,7 +30,7 @@ use crate::geometry::Geometry;
 use crate::health::{
     ChunkHealth, HealthLedger, ReadErrorKind, ReliabilityConfig, ReliabilityState,
 };
-use crate::media::MediaStore;
+use crate::media::{MediaStore, Payload};
 use crate::stats::DeviceStats;
 use crate::SECTOR_BYTES;
 use ox_sim::sync::Mutex;
@@ -208,7 +208,7 @@ impl OcssdDevice {
             obs: config.obs.clone(),
             config,
             chunks,
-            media: MediaStore::new(),
+            media: MediaStore::default(),
             cache,
             pus: vec![Timeline::new(); geo.total_pus() as usize],
             channels: vec![Timeline::new(); geo.num_groups as usize],
@@ -578,15 +578,10 @@ impl OcssdDevice {
         let idx = self.chunk_index(addr);
         self.chunks[idx].accept_write(ppa.sector, sectors, self.geo.sectors_per_chunk, durable_at);
         self.health.note_program(idx, durable_at);
-        let base = addr.linear(&self.geo) * self.geo.sectors_per_chunk as u64;
-        for (i, sector_data) in data.chunks_exact(SECTOR_BYTES).enumerate() {
-            self.media
-                .write_sector(base + ppa.sector as u64 + i as u64, sector_data);
-        }
+        self.media.write(idx, ppa.sector, data);
         if failed {
             self.chunks[idx].set_offline();
-            self.media
-                .discard_range(base, base + self.geo.sectors_per_chunk as u64);
+            self.media.truncate(idx, 0);
             self.stats.media_failures += 1;
             self.obs.metrics.record("device.media_failure", 0);
             self.obs
@@ -625,9 +620,7 @@ impl OcssdDevice {
         let idx = self.chunk_index(addr);
         self.chunks[idx].freeze();
         if self.chunks[idx].state() == ChunkState::Offline {
-            let base = addr.linear(&self.geo) * self.geo.sectors_per_chunk as u64;
-            self.media
-                .discard_range(base, base + self.geo.sectors_per_chunk as u64);
+            self.media.truncate(idx, 0);
         }
         self.stats.media_failures += 1;
         self.stats.injected_program_fails += 1;
@@ -691,6 +684,35 @@ impl OcssdDevice {
                 got: out.len(),
             });
         }
+        let done = self.read_command(now, ppa, sectors)?;
+        let found = self
+            .media
+            .read(self.chunk_index(ppa.chunk_addr()), ppa.sector, out);
+        debug_assert!(found, "validated sector missing from media store");
+        Ok(done)
+    }
+
+    /// [`OcssdDevice::read`] without the copy: the same command — same
+    /// validation, faults, timing and accounting — answered with a view that
+    /// shares the device's own buffer. Flash is written once until erased,
+    /// so the view stays valid, and unchanged, whatever happens to the chunk
+    /// afterwards.
+    pub fn read_shared(
+        &mut self,
+        now: SimTime,
+        ppa: Ppa,
+        sectors: u32,
+    ) -> Result<(Payload, Completion)> {
+        let done = self.read_command(now, ppa, sectors)?;
+        let view = self
+            .media
+            .view(self.chunk_index(ppa.chunk_addr()), ppa.sector, sectors);
+        debug_assert!(view.is_some(), "validated sector missing from media store");
+        Ok((view.ok_or(DeviceError::ReadUnwritten(ppa))?, done))
+    }
+
+    /// Everything a read command does except handing over the bytes.
+    fn read_command(&mut self, now: SimTime, ppa: Ppa, sectors: u32) -> Result<Completion> {
         self.validate_read(ppa, sectors)?;
         let addr = ppa.chunk_addr();
         let idx = self.chunk_index(addr);
@@ -784,15 +806,6 @@ impl OcssdDevice {
             done
         };
 
-        let base = addr.linear(&self.geo) * self.geo.sectors_per_chunk as u64;
-        for i in 0..sectors {
-            let off = i as usize * SECTOR_BYTES;
-            let found = self.media.read_sector(
-                base + ppa.sector as u64 + i as u64,
-                &mut out[off..off + SECTOR_BYTES],
-            );
-            debug_assert!(found, "validated sector missing from media store");
-        }
         self.stats
             .read_latency
             .record(done.saturating_since(now).as_nanos());
@@ -866,9 +879,7 @@ impl OcssdDevice {
         let pre_wear = self.chunks[idx].info().wear;
         let wear = self.chunks[idx].reset();
         self.health.note_erase(idx);
-        let base = addr.linear(&self.geo) * self.geo.sectors_per_chunk as u64;
-        self.media
-            .discard_range(base, base + self.geo.sectors_per_chunk as u64);
+        self.media.truncate(idx, 0);
         self.stats.resets.record(self.geo.chunk_bytes());
         self.obs
             .metrics
@@ -990,14 +1001,12 @@ impl OcssdDevice {
         let idx = self.chunk_index(dst);
         self.chunks[idx].accept_write(dst_wp, sectors, self.geo.sectors_per_chunk, done);
         self.health.note_program(idx, done);
-        let dst_base = dst.linear(&self.geo) * self.geo.sectors_per_chunk as u64;
-        for (i, &src) in srcs.iter().enumerate() {
-            let src_idx = src.linear(&self.geo);
-            let ok = self
-                .media
-                .copy_sector(src_idx, dst_base + dst_wp as u64 + i as u64);
-            debug_assert!(ok, "validated source sector missing");
-        }
+        let from: Vec<(usize, u32)> = srcs
+            .iter()
+            .map(|s| (self.chunk_index(s.chunk_addr()), s.sector))
+            .collect();
+        let ok = self.media.copy(&from, idx, dst_wp);
+        debug_assert!(ok, "validated source sector missing");
         let bytes = sectors as u64 * SECTOR_BYTES as u64;
         self.stats.copies.record(bytes);
         self.obs.metrics.record("device.copy", bytes);
@@ -1038,9 +1047,7 @@ impl OcssdDevice {
         for i in 0..self.chunks.len() {
             let lost = self.chunks[i].crash(now);
             if !lost.is_empty() {
-                let base = i as u64 * self.geo.sectors_per_chunk as u64;
-                self.media
-                    .discard_range(base + lost.start as u64, base + lost.end as u64);
+                self.media.truncate(i, lost.start);
             }
         }
         for pu in &mut self.pus {
@@ -1087,6 +1094,16 @@ impl SharedDevice {
     /// See [`OcssdDevice::read`].
     pub fn read(&self, now: SimTime, ppa: Ppa, sectors: u32, out: &mut [u8]) -> Result<Completion> {
         self.0.lock().read(now, ppa, sectors, out)
+    }
+
+    /// See [`OcssdDevice::read_shared`].
+    pub fn read_shared(
+        &self,
+        now: SimTime,
+        ppa: Ppa,
+        sectors: u32,
+    ) -> Result<(Payload, Completion)> {
+        self.0.lock().read_shared(now, ppa, sectors)
     }
 
     /// See [`OcssdDevice::reset_chunk`].

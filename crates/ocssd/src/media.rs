@@ -1,74 +1,271 @@
-//! Sparse backing store for sector payloads.
+//! Extent store for payloads, and the shared view reads hand out.
 //!
-//! Data is stored per-sector, keyed by dense sector index, so a mostly-empty
-//! multi-gigabyte device costs memory proportional to what was written.
-//! Payload storage is exact: reads return precisely the bytes written, which
-//! the KV-store correctness tests depend on.
+//! NAND is written once until it is erased, so the bytes of an accepted
+//! write command never change. The store therefore keeps them in immutable,
+//! reference-counted buffers — *extents*, one per command unless the command
+//! has holes — in a list per chunk, ordered by start sector (writes land on
+//! the write pointer), and a read hands out a [`Payload`]: a view that shares
+//! the extent's buffer instead of copying it. A reset or a crash rollback
+//! only drops the store's own references; a view taken earlier keeps its
+//! bytes alive and unchanged for as long as it is held, so nobody can observe
+//! a chunk's rewrite through an old view.
+//!
+//! Zero tails are not stored: log frames and other padded writes are common
+//! on a `ws_min`-constrained device, and leaving the padding out keeps
+//! simulated multi-gigabyte logs cheap in host memory. Payload storage is
+//! exact: reads return precisely the bytes written, which the KV-store
+//! correctness tests depend on.
 
 use crate::SECTOR_BYTES;
-use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Sparse sector-granularity payload store.
+/// Read-only view of payload bytes that shares the device's buffer.
+///
+/// The view is `len()` bytes long; `bytes()` is the prefix actually held in
+/// memory and everything after it is zero (the store trims zero tails).
+/// Cloning is a reference-count bump. The bytes never change while a view
+/// exists, whatever happens to the chunk they were read from.
+#[derive(Clone, Debug)]
+pub struct Payload {
+    data: Arc<[u8]>,
+    /// Where `bytes()` lies in `data`: what the buffer holds of the view.
+    stored: Range<usize>,
+    len: usize,
+}
+
+impl Payload {
+    /// A view of a fresh `len`-byte buffer that `fill` writes — how a read
+    /// path without a shared buffer to point into produces a `Payload`.
+    pub fn filled<T, E>(
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<T, E>,
+    ) -> Result<(Payload, T), E> {
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        // oxcheck:allow(panic_path): the buffer was allocated on the line above, so this is its only reference.
+        let out = fill(Arc::get_mut(&mut data).expect("sole owner of a fresh buffer"))?;
+        Ok((
+            Payload {
+                data,
+                stored: 0..len,
+                len,
+            },
+            out,
+        ))
+    }
+
+    /// Length of the view in bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the view is zero bytes long.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The view's bytes up to its zero tail: a prefix of the `len()` bytes,
+    /// all the rest being zero.
+    pub fn bytes(&self) -> &[u8] {
+        &self.data[self.stored.clone()]
+    }
+
+    /// Copies the view into `out`, which must be `len()` bytes long.
+    pub fn copy_to(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), self.len, "buffer must match the view");
+        let (head, tail) = out.split_at_mut(self.stored.len());
+        head.copy_from_slice(self.bytes());
+        tail.fill(0);
+    }
+
+    /// The view's bytes, zero tail included, as an owned buffer.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        out.extend_from_slice(self.bytes());
+        out.resize(self.len, 0);
+        out
+    }
+}
+
+/// The payload of one accepted write (or copy) command, or of one piece of
+/// it (see [`MediaStore::write`]).
+struct Extent {
+    /// First sector within the chunk.
+    start: u32,
+    sectors: u32,
+    /// The payload minus its trailing zeros: at most `sectors` sectors long.
+    data: Arc<[u8]>,
+}
+
+impl Extent {
+    fn end(&self) -> u32 {
+        self.start + self.sectors
+    }
+
+    /// Where in `data` the extent holds `sectors` sectors starting at chunk
+    /// sector `from` (which it contains): empty when they lie in its zero
+    /// tail.
+    fn stored_range(&self, from: u32, sectors: u32) -> Range<usize> {
+        let held = self.data.len();
+        let off = ((from - self.start) as usize * SECTOR_BYTES).min(held);
+        off..(off + sectors as usize * SECTOR_BYTES).min(held)
+    }
+
+    fn stored(&self, from: u32, sectors: u32) -> &[u8] {
+        &self.data[self.stored_range(from, sectors)]
+    }
+}
+
+/// Zero tail of a sector from which on it is worth leaving out of memory:
+/// a command is stored in one piece unless a sector inside it ends in at
+/// least this many zero bytes.
+const SPLIT_SLACK: usize = SECTOR_BYTES / 8;
+
+/// Length of `data` without its trailing zero bytes.
+fn used(data: &[u8]) -> usize {
+    data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1)
+}
+
+/// Per-chunk extent lists, indexed by the chunk's linear index and grown to
+/// the highest chunk written: a mostly-empty multi-gigabyte device costs
+/// memory proportional to what was written.
 #[derive(Default)]
 pub(crate) struct MediaStore {
-    sectors: HashMap<u64, Box<[u8]>>,
+    chunks: Vec<Vec<Extent>>,
+    sectors: usize,
 }
 
 impl MediaStore {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stores one sector's payload. `data` must be exactly one sector.
-    ///
-    /// Trailing zero bytes are trimmed before storing: log frames and other
-    /// padded writes are common on a `ws_min`-constrained device, and the
-    /// trim keeps simulated multi-gigabyte logs cheap in host memory.
-    pub(crate) fn write_sector(&mut self, index: u64, data: &[u8]) {
-        debug_assert_eq!(data.len(), SECTOR_BYTES);
-        let used = data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-        self.sectors.insert(index, data[..used].into());
-    }
-
-    /// Copies one sector's payload into `out` (zero-filling the trimmed
-    /// tail); returns false if unwritten.
-    pub(crate) fn read_sector(&self, index: u64, out: &mut [u8]) -> bool {
-        debug_assert_eq!(out.len(), SECTOR_BYTES);
-        match self.sectors.get(&index) {
-            Some(data) => {
-                out[..data.len()].copy_from_slice(data);
-                out[data.len()..].fill(0);
-                true
+    /// Stores the payload of a command accepted at `start`, the chunk's
+    /// write pointer; `data` must be whole sectors. Zero tails are left out:
+    /// the command's own, and that of any sector inside it that ends in
+    /// [`SPLIT_SLACK`] zero bytes or more (a header sector in front of its
+    /// data, a frame padded to the write unit) — the command is split into
+    /// one extent per such piece, so host memory stays proportional to what
+    /// was written while a payload without holes stays in one buffer.
+    pub(crate) fn write(&mut self, chunk: usize, start: u32, data: &[u8]) {
+        debug_assert!(data.len().is_multiple_of(SECTOR_BYTES));
+        if self.chunks.len() <= chunk {
+            self.chunks.resize_with(chunk + 1, Vec::new);
+        }
+        let list = &mut self.chunks[chunk];
+        debug_assert_eq!(list.last().map_or(0, Extent::end), start);
+        let total = (data.len() / SECTOR_BYTES) as u32;
+        let mut push = |first: u32, end: u32, data_end: usize| {
+            let from = first as usize * SECTOR_BYTES;
+            list.push(Extent {
+                start: start + first,
+                sectors: end - first,
+                data: data[from..data_end.max(from)].into(),
+            });
+        };
+        // The piece being gathered: its first sector, where its data ends,
+        // and whether a zero tail has closed it to further data.
+        let (mut first, mut data_end, mut closed) = (0, 0, false);
+        for (i, sector) in data.chunks_exact(SECTOR_BYTES).enumerate() {
+            let used = used(sector);
+            if used == 0 {
+                closed = true;
+                continue;
             }
-            None => false,
-        }
-    }
-
-    /// Moves a sector's payload to a new index (device-internal copy).
-    /// Returns false if the source is unwritten.
-    pub(crate) fn copy_sector(&mut self, src: u64, dst: u64) -> bool {
-        match self.sectors.get(&src) {
-            Some(data) => {
-                let cloned = data.clone();
-                self.sectors.insert(dst, cloned);
-                true
+            if closed {
+                push(first, i as u32, data_end);
+                first = i as u32;
             }
-            None => false,
+            data_end = i * SECTOR_BYTES + used;
+            closed = SECTOR_BYTES - used >= SPLIT_SLACK;
         }
+        push(first, total, data_end);
+        self.sectors += total as usize;
     }
 
-    /// Discards payloads in `[start, end)` (chunk reset or crash rollback).
-    pub(crate) fn discard_range(&mut self, start: u64, end: u64) {
-        // Ranges are chunk-sized (thousands of sectors); direct removal is
-        // cheaper than scanning the whole map.
-        for idx in start..end {
-            self.sectors.remove(&idx);
+    /// The extent of `chunk` holding `sector`, if it is written.
+    fn extent(&self, chunk: usize, sector: u32) -> Option<&Extent> {
+        let list = self.chunks.get(chunk)?;
+        let i = list.partition_point(|e| e.end() <= sector);
+        list.get(i).filter(|e| e.start <= sector)
+    }
+
+    /// Copies `out.len() / SECTOR_BYTES` sectors starting at `start` into
+    /// `out`; returns false if any of them is unwritten.
+    pub(crate) fn read(&self, chunk: usize, start: u32, out: &mut [u8]) -> bool {
+        debug_assert!(out.len().is_multiple_of(SECTOR_BYTES));
+        let end = start + (out.len() / SECTOR_BYTES) as u32;
+        let mut at = start;
+        let mut out = out;
+        while at < end {
+            let Some(ext) = self.extent(chunk, at) else {
+                return false;
+            };
+            let sectors = end.min(ext.end()) - at;
+            let (head, rest) = out.split_at_mut(sectors as usize * SECTOR_BYTES);
+            let stored = ext.stored(at, sectors);
+            head[..stored.len()].copy_from_slice(stored);
+            head[stored.len()..].fill(0);
+            out = rest;
+            at += sectors;
         }
+        true
+    }
+
+    /// A view of `sectors` sectors starting at `start`: the extent's own
+    /// buffer when one command wrote them all, a gathered copy otherwise.
+    /// `None` if any of them is unwritten.
+    pub(crate) fn view(&self, chunk: usize, start: u32, sectors: u32) -> Option<Payload> {
+        let len = sectors as usize * SECTOR_BYTES;
+        let ext = self.extent(chunk, start)?;
+        if start + sectors <= ext.end() {
+            return Some(Payload {
+                data: ext.data.clone(),
+                stored: ext.stored_range(start, sectors),
+                len,
+            });
+        }
+        Payload::filled(len, |out| {
+            self.read(chunk, start, out).then_some(()).ok_or(())
+        })
+        .ok()
+        .map(|(view, ())| view)
+    }
+
+    /// Device-internal copy: gathers the sectors `srcs` (chunk index, sector)
+    /// into one new extent at `start`, the destination's write pointer.
+    /// Returns false, storing nothing, if a source is unwritten.
+    pub(crate) fn copy(&mut self, srcs: &[(usize, u32)], chunk: usize, start: u32) -> bool {
+        let mut data = vec![0u8; srcs.len() * SECTOR_BYTES];
+        for (&(src_chunk, sector), out) in srcs.iter().zip(data.chunks_exact_mut(SECTOR_BYTES)) {
+            if !self.read(src_chunk, sector, out) {
+                return false;
+            }
+        }
+        self.write(chunk, start, &data);
+        true
+    }
+
+    /// Discards a chunk's payloads from sector `from` on: everything for a
+    /// reset (`from` = 0), the tail past the durable pointer for a crash
+    /// rollback.
+    pub(crate) fn truncate(&mut self, chunk: usize, from: u32) {
+        let Some(list) = self.chunks.get_mut(chunk) else {
+            return;
+        };
+        let keep = list.partition_point(|e| e.start < from);
+        let mut dropped: usize = list.drain(keep..).map(|e| e.sectors as usize).sum();
+        // Rollbacks land on command boundaries (durability is per command);
+        // an extent that straddles the cut is shortened all the same.
+        if let Some(last) = list.last_mut().filter(|e| e.end() > from) {
+            let sectors = from - last.start;
+            let data = last.stored(last.start, sectors).into();
+            dropped += (last.sectors - sectors) as usize;
+            last.sectors = sectors;
+            last.data = data;
+        }
+        self.sectors -= dropped;
     }
 
     /// Number of sectors currently stored.
     pub(crate) fn len(&self) -> usize {
-        self.sectors.len()
+        self.sectors
     }
 }
 
@@ -76,60 +273,161 @@ impl MediaStore {
 mod tests {
     use super::*;
 
-    fn sector(fill: u8) -> Vec<u8> {
-        vec![fill; SECTOR_BYTES]
+    fn sectors(fills: &[u8]) -> Vec<u8> {
+        fills
+            .iter()
+            .flat_map(|&f| std::iter::repeat_n(f, SECTOR_BYTES))
+            .collect()
+    }
+
+    fn read(m: &MediaStore, chunk: usize, start: u32, n: u32) -> Option<Vec<u8>> {
+        let mut out = vec![0xEE; n as usize * SECTOR_BYTES];
+        m.read(chunk, start, &mut out).then_some(out)
     }
 
     #[test]
     fn write_read_round_trip() {
-        let mut m = MediaStore::new();
-        m.write_sector(42, &sector(7));
-        let mut out = sector(0);
-        assert!(m.read_sector(42, &mut out));
-        assert_eq!(out, sector(7));
+        let mut m = MediaStore::default();
+        m.write(2, 0, &sectors(&[7, 8]));
+        assert_eq!(read(&m, 2, 0, 2), Some(sectors(&[7, 8])));
+        assert_eq!(read(&m, 2, 1, 1), Some(sectors(&[8])));
+        assert_eq!(m.len(), 2);
     }
 
     #[test]
-    fn unwritten_sector_reports_missing() {
-        let m = MediaStore::new();
-        let mut out = sector(0);
-        assert!(!m.read_sector(0, &mut out));
+    fn unwritten_sectors_report_missing() {
+        let mut m = MediaStore::default();
+        assert_eq!(read(&m, 0, 0, 1), None);
+        assert!(m.view(0, 0, 1).is_none());
+        m.write(0, 0, &sectors(&[1]));
+        assert_eq!(read(&m, 0, 0, 2), None, "second sector unwritten");
+        assert!(m.view(0, 0, 2).is_none());
+        assert_eq!(read(&m, 1, 0, 1), None, "other chunk untouched");
     }
 
     #[test]
-    fn overwrite_replaces_payload() {
-        let mut m = MediaStore::new();
-        m.write_sector(1, &sector(1));
-        m.write_sector(1, &sector(2));
-        let mut out = sector(0);
-        m.read_sector(1, &mut out);
-        assert_eq!(out[0], 2);
-        assert_eq!(m.len(), 1);
+    fn zero_tail_is_trimmed_and_read_back() {
+        let mut m = MediaStore::default();
+        let mut data = sectors(&[0, 0, 0]);
+        data[5] = 9;
+        m.write(0, 0, &data);
+        assert_eq!(m.chunks[0].len(), 1);
+        assert_eq!(m.chunks[0][0].data.len(), 6, "zero tail left out");
+        assert_eq!(m.len(), 3, "zero sectors still count as stored");
+        assert_eq!(read(&m, 0, 0, 3), Some(data.clone()));
+        // A view into the trimmed tail holds nothing and reads as zeros.
+        let tail = m.view(0, 1, 2).unwrap();
+        assert!(tail.bytes().is_empty());
+        assert_eq!(tail.to_vec(), sectors(&[0, 0]));
+        let head = m.view(0, 0, 3).unwrap();
+        assert_eq!(head.bytes(), &data[..6]);
+        assert_eq!(head.to_vec(), data);
     }
 
     #[test]
-    fn copy_duplicates_payload() {
-        let mut m = MediaStore::new();
-        m.write_sector(5, &sector(9));
-        assert!(m.copy_sector(5, 10));
-        let mut out = sector(0);
-        assert!(m.read_sector(10, &mut out));
-        assert_eq!(out[0], 9);
-        assert!(!m.copy_sector(99, 100));
-    }
-
-    #[test]
-    fn discard_range_removes_exactly_range() {
-        let mut m = MediaStore::new();
-        for i in 0..10 {
-            m.write_sector(i, &sector(i as u8));
-        }
-        m.discard_range(3, 7);
-        let mut out = sector(0);
-        assert!(m.read_sector(2, &mut out));
-        assert!(!m.read_sector(3, &mut out));
-        assert!(!m.read_sector(6, &mut out));
-        assert!(m.read_sector(7, &mut out));
+    fn a_command_splits_where_a_sector_ends_in_a_long_zero_tail() {
+        let mut m = MediaStore::default();
+        // Header sector (20 bytes), two data sectors, a zero sector, a
+        // sector that is all data but for a short zero tail, one more.
+        let mut data = sectors(&[0, 3, 4, 0, 5, 6]);
+        data[..20].fill(1);
+        data[5 * SECTOR_BYTES - SPLIT_SLACK + 1..5 * SECTOR_BYTES].fill(0);
+        m.write(0, 0, &data);
+        let pieces: Vec<(u32, u32, usize)> = m.chunks[0]
+            .iter()
+            .map(|e| (e.start, e.sectors, e.data.len()))
+            .collect();
+        assert_eq!(
+            pieces,
+            vec![
+                (0, 1, 20),
+                (1, 3, 2 * SECTOR_BYTES),
+                (4, 2, 2 * SECTOR_BYTES)
+            ],
+            "a short zero tail does not split"
+        );
         assert_eq!(m.len(), 6);
+        assert_eq!(read(&m, 0, 0, 6), Some(data.clone()));
+        assert_eq!(m.view(0, 0, 6).unwrap().to_vec(), data);
+        // An all-zero command is one extent that holds nothing.
+        m.write(0, 6, &sectors(&[0, 0]));
+        assert_eq!(m.chunks[0].len(), 4);
+        assert!(m.chunks[0][3].data.is_empty());
+        assert_eq!(read(&m, 0, 5, 3), Some(sectors(&[6, 0, 0])));
+    }
+
+    #[test]
+    fn view_shares_one_extent_and_gathers_across_two() {
+        let mut m = MediaStore::default();
+        m.write(0, 0, &sectors(&[1, 2]));
+        m.write(0, 2, &sectors(&[3, 4]));
+        let inside = m.view(0, 1, 1).unwrap();
+        assert!(Arc::ptr_eq(&inside.data, &m.chunks[0][0].data));
+        assert_eq!(inside.to_vec(), sectors(&[2]));
+        let across = m.view(0, 1, 2).unwrap();
+        assert!(!Arc::ptr_eq(&across.data, &m.chunks[0][0].data));
+        assert_eq!(across.to_vec(), sectors(&[2, 3]));
+        let mut out = sectors(&[0xEE, 0xEE]);
+        across.copy_to(&mut out);
+        assert_eq!(out, sectors(&[2, 3]));
+    }
+
+    #[test]
+    fn copy_gathers_into_a_new_extent() {
+        let mut m = MediaStore::default();
+        m.write(0, 0, &sectors(&[5, 6]));
+        m.write(1, 0, &sectors(&[7, 0]));
+        assert!(m.copy(&[(1, 0), (0, 1), (1, 1)], 2, 0));
+        assert_eq!(read(&m, 2, 0, 3), Some(sectors(&[7, 6, 0])));
+        assert_eq!(m.len(), 7);
+        assert!(!m.copy(&[(0, 2)], 2, 3), "unwritten source");
+        assert_eq!(m.len(), 7);
+    }
+
+    #[test]
+    fn truncate_drops_the_tail_or_everything() {
+        let mut m = MediaStore::default();
+        m.write(0, 0, &sectors(&[1, 2]));
+        m.write(0, 2, &sectors(&[3, 4]));
+        m.write(1, 0, &sectors(&[9]));
+        m.truncate(0, 2);
+        assert_eq!(read(&m, 0, 0, 2), Some(sectors(&[1, 2])));
+        assert_eq!(read(&m, 0, 2, 1), None);
+        assert_eq!(m.len(), 3);
+        // Mid-extent cut keeps the prefix.
+        m.truncate(0, 1);
+        assert_eq!(read(&m, 0, 0, 1), Some(sectors(&[1])));
+        assert_eq!(read(&m, 0, 1, 1), None);
+        assert_eq!(m.len(), 2);
+        // The cut chunk is writable again from there.
+        m.write(0, 1, &sectors(&[8]));
+        assert_eq!(read(&m, 0, 0, 2), Some(sectors(&[1, 8])));
+        m.truncate(0, 0);
+        assert_eq!(read(&m, 0, 0, 1), None);
+        assert_eq!(m.len(), 1, "chunk 1 untouched");
+    }
+
+    #[test]
+    fn a_view_outlives_reset_and_rewrite() {
+        let mut m = MediaStore::default();
+        m.write(0, 0, &sectors(&[4]));
+        let old = m.view(0, 0, 1).unwrap();
+        m.truncate(0, 0);
+        m.write(0, 0, &sectors(&[5]));
+        assert_eq!(old.to_vec(), sectors(&[4]));
+        assert_eq!(m.view(0, 0, 1).unwrap().to_vec(), sectors(&[5]));
+        assert_eq!(Arc::strong_count(&old.data), 1, "the store let go of it");
+    }
+
+    #[test]
+    fn filled_wraps_a_fresh_buffer() {
+        let (p, n) = Payload::filled(8, |b| {
+            b[1] = 3;
+            Ok::<_, ()>(b.len())
+        })
+        .unwrap();
+        assert_eq!((p.len(), n), (8, 8));
+        assert_eq!(p.bytes(), &[0, 3, 0, 0, 0, 0, 0, 0]);
+        assert!(Payload::filled(8, |_| Err::<(), _>(7)).is_err());
     }
 }

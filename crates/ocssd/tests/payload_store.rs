@@ -1,0 +1,408 @@
+//! The extent payload store against what it replaced, and views against
+//! copies.
+//!
+//! (a) A seeded model test: random write / read / `read_vector` / `copy` /
+//! reset / crash sequences on the reduced SLC and the scaled TLC geometry,
+//! checked against the per-sector map the store used to be — kept here as
+//! the reference: every byte read, every `ReadUnwritten` and
+//! `stored_sectors()` must agree.
+//! (b) View ≡ copy: twin devices fed the same commands, one through `read`
+//! and one through `read_shared`, must return the same bytes and
+//! completions — or the same errors — and end with identical statistics and
+//! metrics.
+//! (c) A view is a snapshot: it survives the reset and rewrite of its chunk
+//! unchanged (that the store lets go of the bytes, so dropping the view
+//! frees them, is checked by reference count in the store's unit tests).
+//!
+//! Seeds come from `OX_FAULT_SEED_BASE` like the fault property tests; a
+//! failure names the seed and geometry to replay.
+
+use ocssd::{
+    matrix_seeds, ChunkAddr, DeviceConfig, DeviceError, FaultPlan, Geometry, OcssdDevice, Ppa,
+    ReadFault, ReliabilityConfig, SECTOR_BYTES,
+};
+use ox_sim::{Prng, SimDuration, SimTime};
+use std::collections::HashMap;
+
+/// Chunks the workloads touch: two parallel units' worth of a few chunks.
+const CHUNKS: u64 = 6;
+
+fn geometries() -> [Geometry; 2] {
+    [Geometry::small_slc(), Geometry::paper_tlc_scaled(22, 8)]
+}
+
+/// Spread over two PUs so copies cross parallel units.
+fn chunk(geo: &Geometry, i: u64) -> ChunkAddr {
+    let c = ChunkAddr::new(0, (i % 2) as u32, (i / 2) as u32);
+    assert!(c.is_valid(geo));
+    c
+}
+
+/// The per-sector store the device used before extents, verbatim: a map
+/// from dense sector index to the sector's bytes minus its trailing zeros.
+#[derive(Default)]
+struct SectorMap {
+    sectors: HashMap<u64, Box<[u8]>>,
+}
+
+impl SectorMap {
+    fn write_sector(&mut self, index: u64, data: &[u8]) {
+        let used = data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
+        self.sectors.insert(index, data[..used].into());
+    }
+
+    fn read_sector(&self, index: u64, out: &mut [u8]) -> bool {
+        match self.sectors.get(&index) {
+            Some(data) => {
+                out[..data.len()].copy_from_slice(data);
+                out[data.len()..].fill(0);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn copy_sector(&mut self, src: u64, dst: u64) -> bool {
+        match self.sectors.get(&src) {
+            Some(data) => {
+                let cloned = data.clone();
+                self.sectors.insert(dst, cloned);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn discard_range(&mut self, start: u64, end: u64) {
+        for idx in start..end {
+            self.sectors.remove(&idx);
+        }
+    }
+
+    /// Reads `n` sectors from `first`; `None` if any is unwritten.
+    fn read(&self, first: u64, n: u32) -> Option<Vec<u8>> {
+        let mut out = vec![0xEE; n as usize * SECTOR_BYTES];
+        for (i, sector) in out.chunks_exact_mut(SECTOR_BYTES).enumerate() {
+            if !self.read_sector(first + i as u64, sector) {
+                return None;
+            }
+        }
+        Some(out)
+    }
+}
+
+/// Payloads with everything the store treats specially: full sectors, zero
+/// sectors, short and long zero tails, a header-sized sector before data.
+fn payload(rng: &mut Prng, sectors: u32) -> Vec<u8> {
+    let mut data = vec![0u8; sectors as usize * SECTOR_BYTES];
+    for sector in data.chunks_exact_mut(SECTOR_BYTES) {
+        let used = match rng.gen_range(6) {
+            0 => 0,
+            1 => 1 + rng.gen_range(64) as usize,
+            2 => SECTOR_BYTES - 1 - rng.gen_range(600) as usize,
+            _ => SECTOR_BYTES,
+        };
+        rng.fill_bytes(&mut sector[..used]);
+        if let Some(last) = sector[..used].last_mut() {
+            *last |= 1;
+        }
+    }
+    data
+}
+
+#[test]
+fn extent_store_matches_the_per_sector_map() {
+    for geo in geometries() {
+        // What the seeds of this window exercised between them.
+        let (mut copies, mut rollbacks, mut refused) = (0, 0, 0);
+        for seed in matrix_seeds(12) {
+            let ctx = format!("seed {seed} on {:?}", geo.cell);
+            let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+            let mut model = SectorMap::default();
+            let mut rng = Prng::seed_from_u64(seed ^ 0x5107E);
+            let spc = geo.sectors_per_chunk;
+            let base = |c: ChunkAddr| c.linear(&geo) * spc as u64;
+            let mut t = SimTime::ZERO;
+
+            for step in 0..400u32 {
+                let c = chunk(&geo, rng.gen_range(CHUNKS));
+                let wp = dev.chunk_info(c).write_ptr;
+                match rng.gen_range(10) {
+                    // Write one to three units at the write pointer.
+                    0..=3 => {
+                        let room = (spc - wp) / geo.ws_min;
+                        if room == 0 {
+                            continue;
+                        }
+                        let units = 1 + rng.gen_range(room.min(3) as u64) as u32;
+                        let data = payload(&mut rng, units * geo.ws_min);
+                        t = dev.write(t, c.ppa(wp), &data).expect(&ctx).done;
+                        for (i, s) in data.chunks_exact(SECTOR_BYTES).enumerate() {
+                            model.write_sector(base(c) + wp as u64 + i as u64, s);
+                        }
+                    }
+                    // Read a random range, often past the write pointer.
+                    4..=5 => {
+                        let start = rng.gen_range(spc as u64) as u32;
+                        let n = 1 + rng.gen_range((spc - start).min(40) as u64) as u32;
+                        let mut out = vec![0xEE; n as usize * SECTOR_BYTES];
+                        let got = dev.read(t, c.ppa(start), n, &mut out);
+                        let shared = dev.read_shared(t, c.ppa(start), n);
+                        match model.read(base(c) + start as u64, n) {
+                            Some(want) => {
+                                t = got.expect(&ctx).done;
+                                assert!(out == want, "{ctx} step {step}: read");
+                                let (view, _) = shared.expect(&ctx);
+                                assert!(view.to_vec() == want, "{ctx} step {step}: view");
+                            }
+                            None => {
+                                refused += 1;
+                                assert!(
+                                    matches!(got, Err(DeviceError::ReadUnwritten(_))),
+                                    "{ctx} step {step}: {got:?}"
+                                );
+                                assert!(
+                                    matches!(shared, Err(DeviceError::ReadUnwritten(_))),
+                                    "{ctx} step {step}: view"
+                                );
+                            }
+                        }
+                    }
+                    // Scatter read.
+                    6 => {
+                        let ppas: Vec<Ppa> = (0..1 + rng.gen_range(8))
+                            .map(|_| {
+                                chunk(&geo, rng.gen_range(CHUNKS))
+                                    .ppa(rng.gen_range(spc as u64) as u32)
+                            })
+                            .collect();
+                        let mut out = vec![0xEE; ppas.len() * SECTOR_BYTES];
+                        let got = dev.read_vector(t, &ppas, &mut out);
+                        let want: Option<Vec<u8>> = ppas
+                            .iter()
+                            .map(|p| model.read(p.linear(&geo), 1))
+                            .collect::<Option<Vec<_>>>()
+                            .map(|v| v.concat());
+                        match want {
+                            Some(want) => {
+                                t = got.expect(&ctx).done;
+                                assert!(out == want, "{ctx} step {step}: read_vector");
+                            }
+                            None => assert!(
+                                matches!(got, Err(DeviceError::ReadUnwritten(_))),
+                                "{ctx} step {step}: {got:?}"
+                            ),
+                        }
+                    }
+                    // Device-internal copy of scattered written sectors.
+                    7 => {
+                        let written: Vec<Ppa> = (0..CHUNKS)
+                            .map(|i| chunk(&geo, i))
+                            .filter(|s| *s != c)
+                            .flat_map(|s| (0..dev.chunk_info(s).write_ptr).map(move |x| s.ppa(x)))
+                            .collect();
+                        if written.is_empty() || spc - wp < geo.ws_min {
+                            continue;
+                        }
+                        let srcs: Vec<Ppa> = (0..geo.ws_min)
+                            .map(|_| written[rng.gen_range(written.len() as u64) as usize])
+                            .collect();
+                        t = dev.copy(t, &srcs, c).expect(&ctx).done;
+                        copies += 1;
+                        for (i, src) in srcs.iter().enumerate() {
+                            let ok =
+                                model.copy_sector(src.linear(&geo), base(c) + wp as u64 + i as u64);
+                            assert!(ok, "{ctx} step {step}: model lost a copy source");
+                        }
+                    }
+                    // Reset.
+                    8 => {
+                        if wp == 0 {
+                            assert!(
+                                dev.reset_chunk(t, c).is_err(),
+                                "{ctx}: reset of a free chunk"
+                            );
+                            continue;
+                        }
+                        t = dev.reset_chunk(t, c).expect(&ctx).done;
+                        model.discard_range(base(c), base(c) + spc as u64);
+                    }
+                    // Power cut, sometimes before the cache has drained:
+                    // every chunk rolls back to its durable prefix.
+                    _ => {
+                        if rng.gen_bool(0.5) {
+                            t += SimDuration::from_millis(rng.gen_range(20));
+                        }
+                        dev.crash(t);
+                        let before = model.sectors.len();
+                        for i in 0..CHUNKS {
+                            let c = chunk(&geo, i);
+                            let wp = dev.chunk_info(c).write_ptr as u64;
+                            model.discard_range(base(c) + wp, base(c) + spc as u64);
+                        }
+                        rollbacks += usize::from(model.sectors.len() < before);
+                    }
+                }
+                assert_eq!(
+                    dev.stored_sectors(),
+                    model.sectors.len(),
+                    "{ctx} step {step}: stored_sectors"
+                );
+            }
+        }
+        assert!(
+            copies > 0 && rollbacks > 0 && refused > 0,
+            "{:?}: {copies} copies, {rollbacks} rollbacks, {refused} refused reads",
+            geo.cell
+        );
+    }
+}
+
+/// What a read returned, comparable across the two read paths.
+type Outcome = Result<(Vec<u8>, SimTime, SimTime), String>;
+
+fn by_copy(dev: &mut OcssdDevice, t: SimTime, ppa: Ppa, n: u32) -> Outcome {
+    let mut out = vec![0xEE; n as usize * SECTOR_BYTES];
+    dev.read(t, ppa, n, &mut out)
+        .map(|c| (out, c.submitted, c.done))
+        .map_err(|e| e.to_string())
+}
+
+fn by_view(dev: &mut OcssdDevice, t: SimTime, ppa: Ppa, n: u32) -> Outcome {
+    dev.read_shared(t, ppa, n)
+        .map(|(view, c)| {
+            assert_eq!(view.len(), n as usize * SECTOR_BYTES);
+            let mut out = vec![0xEE; view.len()];
+            view.copy_to(&mut out);
+            assert_eq!(out, view.to_vec());
+            assert!(out.starts_with(view.bytes()));
+            (out, c.submitted, c.done)
+        })
+        .map_err(|e| e.to_string())
+}
+
+#[test]
+fn views_and_copies_are_the_same_read() {
+    for geo in geometries() {
+        for seed in matrix_seeds(8) {
+            let ctx = format!("seed {seed} on {:?}", geo.cell);
+            let mut config = DeviceConfig::with_geometry(geo);
+            // Injected ECC failures on sectors the workload reads, and a
+            // reliability model stressed enough to fail reads by itself.
+            config.fault = FaultPlan {
+                read_fails: (0..4)
+                    .map(|i| ReadFault {
+                        ppa: chunk(&geo, i).ppa(i as u32 * 3),
+                        attempts: 1 + i as u32 % 3,
+                    })
+                    .collect(),
+                ..FaultPlan::default()
+            };
+            config.reliability = ReliabilityConfig {
+                enabled: true,
+                seed,
+                base_error_ppm: 150_000,
+                ..ReliabilityConfig::default()
+            };
+            let mut copy_dev = OcssdDevice::new(config.clone());
+            let mut view_dev = OcssdDevice::new(config);
+            let mut rng = Prng::seed_from_u64(seed ^ 0xB1E55);
+            let spc = geo.sectors_per_chunk;
+            let mut t = SimTime::ZERO;
+            let mut failures = 0;
+
+            for step in 0..300u32 {
+                let c = chunk(&geo, rng.gen_range(CHUNKS));
+                let wp = copy_dev.chunk_info(c).write_ptr;
+                if rng.gen_bool(0.3) && spc - wp >= geo.ws_min {
+                    let units = 1 + rng.gen_range(((spc - wp) / geo.ws_min).min(2) as u64);
+                    let data = payload(&mut rng, units as u32 * geo.ws_min);
+                    let a = copy_dev.write(t, c.ppa(wp), &data).expect(&ctx);
+                    let b = view_dev.write(t, c.ppa(wp), &data).expect(&ctx);
+                    assert_eq!(a, b, "{ctx} step {step}: write");
+                    // Half the time read the unit back at the ack, while it
+                    // is still cache-resident.
+                    t = a.done;
+                    if rng.gen_bool(0.5) {
+                        let n = data.len() as u32 / SECTOR_BYTES as u32;
+                        let a = by_copy(&mut copy_dev, t, c.ppa(wp), n);
+                        let b = by_view(&mut view_dev, t, c.ppa(wp), n);
+                        assert!(a == b, "{ctx} step {step}: cached read");
+                    } else {
+                        t += SimDuration::from_millis(50);
+                    }
+                    continue;
+                }
+                // Sub-extent, whole-extent and cross-extent ranges, mostly
+                // of written sectors, sometimes running past them.
+                let start = if wp > 0 && rng.gen_bool(0.8) {
+                    rng.gen_range(wp as u64) as u32
+                } else {
+                    rng.gen_range(spc as u64) as u32
+                };
+                let n = match rng.gen_range(3) {
+                    0 => 1,
+                    1 => geo.ws_min,
+                    _ => 1 + rng.gen_range(3 * geo.ws_min as u64) as u32,
+                }
+                .min(spc - start);
+                let a = by_copy(&mut copy_dev, t, c.ppa(start), n);
+                let b = by_view(&mut view_dev, t, c.ppa(start), n);
+                assert!(a == b, "{ctx} step {step}: read of {n} at {start}");
+                match a {
+                    Ok((_, _, done)) => t = done,
+                    Err(e) => failures += u32::from(e.contains("uncorrectable")),
+                }
+            }
+            assert!(failures > 0, "{ctx}: no read failure was exercised");
+            assert!(
+                copy_dev.stats().cache_reads.ops() > 0 && copy_dev.stats().media_reads.ops() > 0,
+                "{ctx}: both cache and media reads must be exercised"
+            );
+            assert_eq!(
+                format!("{:?}", copy_dev.stats()),
+                format!("{:?}", view_dev.stats()),
+                "{ctx}: device statistics"
+            );
+            assert_eq!(
+                copy_dev.obs().metrics.to_json(),
+                view_dev.obs().metrics.to_json(),
+                "{ctx}: metrics"
+            );
+            assert_eq!(
+                format!("{:?}", copy_dev.fault_ledger()),
+                format!("{:?}", view_dev.fault_ledger())
+            );
+            assert_eq!(
+                format!("{:?}", copy_dev.health_ledger()),
+                format!("{:?}", view_dev.health_ledger())
+            );
+        }
+    }
+}
+
+#[test]
+fn a_view_survives_reset_and_rewrite_of_its_chunk() {
+    for geo in geometries() {
+        let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+        let c = chunk(&geo, 0);
+        let old = vec![0xA1; geo.ws_min_bytes()];
+        let new = vec![0xB2; geo.ws_min_bytes()];
+        let w = dev.write(SimTime::ZERO, c.ppa(0), &old).unwrap();
+        let (view, r) = dev.read_shared(w.done, c.ppa(0), geo.ws_min).unwrap();
+        let (alias, _) = dev.read_shared(r.done, c.ppa(1), 1).unwrap();
+        let stored = dev.stored_sectors();
+
+        let erased = dev.reset_chunk(r.done, c).unwrap();
+        assert_eq!(dev.stored_sectors(), stored - geo.ws_min as usize);
+        let w2 = dev.write(erased.done, c.ppa(0), &new).unwrap();
+
+        // The old views still read the old bytes; the chunk reads the new.
+        assert_eq!(view.to_vec(), old);
+        assert_eq!(alias.to_vec(), old[..SECTOR_BYTES]);
+        let (fresh, _) = dev.read_shared(w2.done, c.ppa(0), geo.ws_min).unwrap();
+        assert_eq!(fresh.to_vec(), new);
+
+        assert_eq!(dev.stored_sectors(), stored);
+    }
+}

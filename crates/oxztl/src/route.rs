@@ -9,7 +9,9 @@
 //! foreground reads keep their latency target (paper §4.3's interference
 //! isolation, applied to the zoned backend).
 
-use ocssd::{ChunkAddr, ChunkHealth, ChunkInfo, Completion, Geometry, MediaEvent, Ppa, Result};
+use ocssd::{
+    ChunkAddr, ChunkHealth, ChunkInfo, Completion, Geometry, MediaEvent, Payload, Ppa, Result,
+};
 use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
@@ -63,6 +65,10 @@ impl Media for RoutedMedia {
 
     fn read(&self, now: SimTime, ppa: Ppa, sectors: u32, out: &mut [u8]) -> Result<Completion> {
         self.pick().read(now, ppa, sectors, out)
+    }
+
+    fn read_shared(&self, now: SimTime, ppa: Ppa, sectors: u32) -> Result<(Payload, Completion)> {
+        self.pick().read_shared(now, ppa, sectors)
     }
 
     fn reset(&self, now: SimTime, chunk: ChunkAddr) -> Result<Completion> {
