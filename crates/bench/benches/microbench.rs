@@ -43,13 +43,19 @@ impl Harness {
         Harness { filter }
     }
 
+    /// Whether the filter lets `name` run (for set-up too costly to do for
+    /// nothing).
+    fn selected(&self, name: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|filter| name.to_lowercase().contains(filter.as_str()))
+    }
+
     /// Runs `f` repeatedly and reports the mean wall-clock cost per call.
     /// `bytes_per_op` (when nonzero) additionally reports throughput.
     fn bench(&self, name: &str, bytes_per_op: u64, mut f: impl FnMut()) {
-        if let Some(filter) = &self.filter {
-            if !name.to_lowercase().contains(filter.as_str()) {
-                return;
-            }
+        if !self.selected(name) {
+            return;
         }
         // Calibrate: estimate the per-op cost, then size the measured run.
         let start = Instant::now();
@@ -234,6 +240,43 @@ fn bench_lsm_components(h: &Harness) {
             probe = (probe + 1) % i;
             black_box(lsmkv::BlockIter::find(&data, &probe.to_be_bytes()));
         });
+        // The same lookup the way a get does it: from the block's anchor
+        // below the key instead of from its first entry.
+        let find_indexed = |data: &[u8], anchors: &lsmkv::BlockAnchors, probe: u64| {
+            let key = probe.to_be_bytes();
+            let from = anchors.seek(data, &key);
+            black_box(lsmkv::BlockIter::at(data, from).visible(&key, u64::MAX));
+        };
+        let anchors = lsmkv::BlockAnchors::build(&data);
+        h.bench("lsm/block_find_indexed", 0, || {
+            probe = (probe + 1) % i;
+            find_indexed(&data, &anchors, probe);
+        });
+        // One block is cache-resident after a few lookups; a database is
+        // not. 256 MB of blocks visited in a scattered order: every entry
+        // header the walk touches, and every anchor, comes from memory.
+        if h.selected("lsm/block_find_cold") || h.selected("lsm/block_find_indexed_cold") {
+            let blocks: Vec<Vec<u8>> = (0..(256 << 20) / data.len())
+                .map(|_| data.clone())
+                .collect();
+            let anchors: Vec<lsmkv::BlockAnchors> = blocks
+                .iter()
+                .map(|b| lsmkv::BlockAnchors::build(b))
+                .collect();
+            let mut rng = Prng::seed_from_u64(16);
+            let mut next = || {
+                let block = rng.gen_range(blocks.len() as u64) as usize;
+                (block, rng.gen_range(i))
+            };
+            h.bench("lsm/block_find_cold", 0, || {
+                let (block, probe) = next();
+                black_box(lsmkv::BlockIter::find(&blocks[block], &probe.to_be_bytes()));
+            });
+            h.bench("lsm/block_find_indexed_cold", 0, || {
+                let (block, probe) = next();
+                find_indexed(&blocks[block], &anchors[block], probe);
+            });
+        }
     }
 }
 

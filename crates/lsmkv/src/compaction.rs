@@ -6,14 +6,16 @@
 //! can see, writes output tables, and deletes the inputs — which the FTL
 //! turns into chunk erases only.
 
-use crate::block::with_entries;
+use crate::block::{BlockCursor, EntryView};
 use crate::sstable::TableHandle;
 use crate::store::{StoreError, TableStore};
+use ocssd::Payload;
 use ox_sim::SimTime;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One decoded version: key, sequence number, `Some(value)` or a tombstone.
+/// One version copied out: key, sequence number, `Some(value)` or a
+/// tombstone. What memtable cursors yield; tables yield [`EntryView`]s.
 pub(crate) type Entry = (Vec<u8>, u64, Option<Vec<u8>>);
 
 /// Cumulative compaction statistics.
@@ -60,10 +62,11 @@ pub(crate) struct TableStream {
     cur: usize,
     /// Next block to submit a read for.
     next_block: u32,
-    /// Decoded blocks in flight, in block order.
+    /// Blocks in flight, in block order, as the device handed them out.
     inflight: VecDeque<InflightBlock>,
-    /// Entries of the block currently being consumed.
-    buf: VecDeque<Entry>,
+    /// The block currently being consumed, read where it lies: nothing is
+    /// decoded ahead of the consumer, nothing copied until it asks.
+    cursor: Option<BlockCursor>,
     /// Blocks to keep in flight while one is being consumed. A reader that
     /// works through a whole block is taken to be sequential: each such
     /// block adds one, up to [`PREFETCH_DEPTH`]. A short scan therefore
@@ -71,14 +74,18 @@ pub(crate) struct TableStream {
     /// into — on LightLSM every needless read is a full 96 KB unit — while
     /// a long one is at full bandwidth half a dozen blocks in.
     readahead: usize,
-    /// Where `seek` positioned the stream; entries before it are dropped.
+    /// Where `seek` positioned the stream: the block it landed in is entered
+    /// at the first key ≥ this.
     start: Vec<u8>,
     /// The next block handed to the consumer is the one `seek` landed in.
     seeked: bool,
 }
 
 struct InflightBlock {
-    entries: VecDeque<Entry>,
+    block: Payload,
+    /// Which table of the run, and which of its blocks, this is.
+    table: usize,
+    index: u32,
     ready_at: SimTime,
     /// Last block of its table: whatever was left when the builder cut the
     /// table, often a single entry.
@@ -100,7 +107,7 @@ impl TableStream {
             cur: 0,
             next_block: 0,
             inflight: VecDeque::new(),
-            buf: VecDeque::new(),
+            cursor: None,
             readahead,
             start: Vec::new(),
             seeked: false,
@@ -111,7 +118,7 @@ impl TableStream {
     /// the blocks before it. The run is expected to begin with the table
     /// that key falls in (see `Version::scan_runs`).
     pub(crate) fn seek(&mut self, start: &[u8]) {
-        debug_assert!(self.inflight.is_empty() && self.buf.is_empty());
+        debug_assert!(self.inflight.is_empty() && self.cursor.is_none());
         self.next_block = self
             .tables
             .first()
@@ -140,18 +147,14 @@ impl TableStream {
                 continue;
             }
             let (block, done) = store.read_block_shared(t, table.id, self.next_block)?;
-            let entries: VecDeque<Entry> = with_entries(&block, |entries| {
-                entries
-                    .skip_while(|(k, ..)| *k < self.start.as_slice())
-                    .map(|(k, s, v)| (k.to_vec(), s, v.map(<[u8]>::to_vec)))
-                    .collect()
+            self.inflight.push_back(InflightBlock {
+                block,
+                table: self.cur,
+                index: self.next_block,
+                ready_at: done,
+                tail: self.next_block + 1 == table.data_blocks,
             });
             self.next_block += 1;
-            self.inflight.push_back(InflightBlock {
-                entries,
-                ready_at: done,
-                tail: self.next_block == table.data_blocks,
-            });
             submitted += 1;
         }
         Ok(submitted)
@@ -161,21 +164,34 @@ impl TableStream {
     /// arrival and topping the window back up. Returns blocks submitted;
     /// advances `t` when the merge has to wait for media.
     fn refill(&mut self, store: &Arc<dyn TableStore>, t: &mut SimTime) -> Result<u64, StoreError> {
-        if !self.buf.is_empty() {
+        if self.peek().is_some() {
             return Ok(0);
         }
         let mut submitted = self.pump(store, *t, self.readahead.max(1))?;
-        while self.buf.is_empty() {
+        while self.peek().is_none() {
             let Some(block) = self.inflight.pop_front() else {
                 break;
             };
             *t = (*t).max(block.ready_at);
-            self.buf = block.entries;
+            let seeked = std::mem::take(&mut self.seeked);
+            let mut cursor = if seeked {
+                // Enter at the first key ≥ `start`: from the anchor below
+                // it, over the few entries in between.
+                let table = &self.tables[block.table];
+                let from = table.seek_in_block(block.index, &block.block, &self.start);
+                BlockCursor::new(block.block, from)
+            } else {
+                BlockCursor::new(block.block, 0)
+            };
+            while seeked && cursor.peek().is_some_and(|(k, _)| k < &self.start[..]) {
+                cursor.skip();
+            }
+            self.cursor = Some(cursor);
             submitted += self.pump(store, *t, self.readahead)?;
             // The window grows once this block is used up — unless it says
             // nothing about the reader: the block a seek landed in is
             // entered mid-way, a table's last block may be over at once.
-            if !std::mem::take(&mut self.seeked) && !block.tail {
+            if !seeked && !block.tail {
                 self.readahead = (self.readahead + 1).min(PREFETCH_DEPTH);
             }
         }
@@ -183,7 +199,17 @@ impl TableStream {
     }
 
     fn peek(&self) -> Option<(&[u8], u64)> {
-        self.buf.front().map(|(k, s, _)| (k.as_slice(), *s))
+        self.cursor.as_ref()?.peek()
+    }
+
+    fn pop(&mut self) -> Option<EntryView> {
+        self.cursor.as_mut()?.pop()
+    }
+
+    fn skip(&mut self) {
+        if let Some(cursor) = &mut self.cursor {
+            cursor.skip();
+        }
     }
 }
 
@@ -213,7 +239,7 @@ impl MergeIter {
 
     /// Next version in `(key asc, seq desc)` order. Advances `t` for every
     /// block fetched.
-    pub(crate) fn next(&mut self, t: &mut SimTime) -> Result<Option<Entry>, StoreError> {
+    pub(crate) fn next(&mut self, t: &mut SimTime) -> Result<Option<EntryView>, StoreError> {
         // Ensure every stream is either buffered or exhausted.
         for s in &mut self.streams {
             self.blocks_read += s.refill(&self.store, t)?;
@@ -237,7 +263,7 @@ impl MergeIter {
         let Some((wi, ..)) = winner else {
             return Ok(None);
         };
-        let Some((key, seq, value)) = self.streams[wi].buf.pop_front() else {
+        let Some(entry) = self.streams[wi].pop() else {
             return Ok(None); // unreachable: the winner was chosen via peek
         };
         // Collapse the exact same (key, seq) from every other stream — only
@@ -247,11 +273,11 @@ impl MergeIter {
             if i == wi {
                 continue;
             }
-            while s.peek() == Some((key.as_slice(), seq)) {
-                s.buf.pop_front();
+            while s.peek() == Some((entry.key(), entry.seq())) {
+                s.skip();
             }
         }
-        Ok(Some((key, seq, value)))
+        Ok(Some(entry))
     }
 }
 
@@ -366,13 +392,13 @@ mod tests {
         let idle = SimTime::from_secs(1);
         let mut merge = MergeIter::new(vec![stream], store.clone());
         let (mut keys, mut fetched, mut blocks, mut t) = (Vec::new(), Vec::new(), 0, idle);
-        while let Some((k, _, _)) = merge.next(&mut t).unwrap() {
+        while let Some(e) = merge.next(&mut t).unwrap() {
             let read = merge.take_blocks_read();
             if read > 0 {
                 blocks += read;
                 fetched.push(blocks);
             }
-            keys.push(String::from_utf8(k).unwrap());
+            keys.push(String::from_utf8(e.key().to_vec()).unwrap());
         }
         (keys, fetched, t.saturating_since(idle))
     }
@@ -382,7 +408,7 @@ mod tests {
         let store = store(Placement::Horizontal);
         let h = table(&store, 0, 2000);
         // Start in the middle of the second block.
-        let start = h.index[1].0.clone();
+        let start = h.index.last_key(1).to_vec();
         let mut stream = TableStream::new(vec![h.clone()], 0, 0);
         stream.seek(&start);
         let (keys, fetched, _) = read_out(stream, &store);

@@ -16,7 +16,7 @@
 //! delay per put), then *stalls* them (the put must be retried later). The
 //! resulting sawtooth is the throughput oscillation of Figure 6.
 
-use crate::block::{with_entries, FindVisible};
+use crate::block::{with_entries, EntryView, FindVisible};
 use crate::compaction::{
     prune_group, CompactionJob, CompactionStats, Entry, MergeIter, TableStream, PREFETCH_DEPTH,
 };
@@ -231,9 +231,9 @@ struct ActiveCompaction {
     /// released later only allow *more* pruning; snapshots taken later sit
     /// above every sequence and always see the newest kept version.
     boundaries: Vec<u64>,
-    /// Version group of the key currently being merged (seq desc).
-    group_key: Option<Vec<u8>>,
-    group: Vec<(u64, Option<Vec<u8>>)>,
+    /// Version group of the key currently being merged (seq desc), each
+    /// version still where its input block holds it.
+    group: Vec<EntryView>,
     entries_out: u64,
     tombstones_dropped: u64,
     rts_dropped: u64,
@@ -533,7 +533,7 @@ impl Db {
                     .map(|(s, v)| (s, v.map(<[u8]>::to_vec)));
             }
         }
-        for h in self.version.all_tables() {
+        for h in self.version.tables_with_range_dels() {
             rt_max = rt_max.max(h.covering_tombstone(key, snap));
         }
 
@@ -567,8 +567,13 @@ impl Db {
                         .map_err(DbError::from)?;
                     t = done;
                     self.stats.get_blocks_read += 1;
-                    let found =
-                        with_entries(&block, |entries| entries.visible(key, snap).into_owned());
+                    // The walk starts at the block's anchor below the key,
+                    // not at its first entry (a run spilling over from the
+                    // block before starts at offset 0 either way).
+                    let from = h.seek_in_block(b, &block, key);
+                    let found = with_entries(&block, from, |entries| {
+                        entries.visible(key, snap).into_owned()
+                    });
                     match found {
                         FindVisible::Found(s, v) => {
                             if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
@@ -788,26 +793,28 @@ impl Db {
         block_bytes: usize,
         t: &mut SimTime,
     ) -> Result<(), DbError> {
-        let Some(key) = ac.group_key.take() else {
+        let Some(first) = ac.group.first() else {
             return Ok(());
         };
-        let group = std::mem::take(&mut ac.group);
-        let versions: Vec<(u64, bool)> = group.iter().map(|(s, v)| (*s, v.is_none())).collect();
+        let key = first.key();
+        let versions: Vec<(u64, bool)> = ac
+            .group
+            .iter()
+            .map(|e| (e.seq(), e.value().is_none()))
+            .collect();
         let covering: Vec<u64> = ac
             .input_rts
             .iter()
-            .filter(|rt| rt.covers(&key))
+            .filter(|rt| rt.covers(key))
             .map(|rt| rt.seq)
             .collect();
         let out = prune_group(&versions, &covering, &ac.boundaries, ac.drop_tombstones);
         ac.shadowed += out.shadowed;
         ac.tombstones_dropped += out.tombstones_dropped;
-        if out.keep.is_empty() {
-            return Ok(());
-        }
         // Cut between groups only, so a key's version run never splits
         // across output tables.
-        if ac.builder.projected_total_bytes() + block_bytes > config.table_bytes
+        if !out.keep.is_empty()
+            && ac.builder.projected_total_bytes() + block_bytes > config.table_bytes
             && !ac.builder.is_empty()
         {
             let b = std::mem::replace(
@@ -819,15 +826,18 @@ impl Db {
             ac.outputs.push(h);
         }
         for &i in &out.keep {
-            let (seq, v) = &group[i];
-            ac.builder.add(&key, *seq, v.as_deref());
+            // The one copy a surviving version gets: input block to output
+            // block.
+            let e = &ac.group[i];
+            ac.builder.add(key, e.seq(), e.value());
             ac.entries_out += 1;
             for (ri, rt) in ac.input_rts.iter().enumerate() {
-                if *seq < rt.seq && rt.covers(&key) {
+                if e.seq() < rt.seq && rt.covers(key) {
                     ac.rt_covered[ri] = true;
                 }
             }
         }
+        ac.group.clear();
         Ok(())
     }
 
@@ -883,7 +893,6 @@ impl Db {
                     input_rts,
                     rt_covered,
                     boundaries: self.boundaries(),
-                    group_key: None,
                     group: Vec::new(),
                     entries_out: 0,
                     tombstones_dropped: 0,
@@ -911,16 +920,13 @@ impl Db {
                 break;
             }
             match ac.merge.next(&mut t).map_err(DbError::from)? {
-                Some((key, seq, value)) => {
+                Some(entry) => {
                     processed += 1;
                     t += self.config.build_cpu_per_entry;
-                    if ac.group_key.as_deref() == Some(key.as_slice()) {
-                        ac.group.push((seq, value));
-                    } else {
+                    if ac.group.first().is_some_and(|e| e.key() != entry.key()) {
                         Self::emit_group(&mut ac, &self.store, &self.config, block_bytes, &mut t)?;
-                        ac.group_key = Some(key);
-                        ac.group.push((seq, value));
                     }
+                    ac.group.push(entry);
                 }
                 None => {
                     Self::emit_group(&mut ac, &self.store, &self.config, block_bytes, &mut t)?;
@@ -1035,7 +1041,7 @@ impl Db {
         for mem in &mems {
             rts.extend(visible_range_dels(mem.lock().range_dels(), snap_seq));
         }
-        for h in self.version.all_tables() {
+        for h in self.version.tables_with_range_dels() {
             rts.extend(visible_range_dels(&h.range_dels, snap_seq));
         }
         let runs = self.version.scan_runs(start, end);
@@ -1062,7 +1068,7 @@ impl Db {
             owns_snapshot: false,
             pinned,
             end: end.map(<[u8]>::to_vec),
-            last_key: None,
+            last_key: Vec::new(),
             table_pending: None,
             done: false,
             lifetime: None,
@@ -1146,8 +1152,10 @@ pub struct DbIter {
     owns_snapshot: bool,
     pinned: Vec<u64>,
     end: Option<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
-    table_pending: Option<Entry>,
+    /// Key of the last version looked at; empty before the first (no key
+    /// is).
+    last_key: Vec<u8>,
+    table_pending: Option<EntryView>,
     done: bool,
     /// Virtual time entering the first `next()` and leaving the last one.
     lifetime: Option<(SimTime, SimTime)>,
@@ -1160,19 +1168,14 @@ impl DbIter {
         self.snap
     }
 
-    fn next_table(&mut self, t: &mut SimTime) -> Result<Option<Entry>, DbError> {
+    fn next_table(&mut self, t: &mut SimTime) -> Result<Option<EntryView>, DbError> {
         if let Some(e) = self.table_pending.take() {
             return Ok(Some(e));
         }
         loop {
             match self.merge.next(t)? {
-                Some((k, s, v)) => {
-                    if s > self.snap {
-                        continue;
-                    }
-                    return Ok(Some((k, s, v)));
-                }
-                None => return Ok(None),
+                Some(e) if e.seq() > self.snap => continue,
+                next => return Ok(next),
             }
         }
     }
@@ -1207,10 +1210,10 @@ impl DbIter {
             // Merge memory and tables in (key asc, seq desc) order; equal
             // sequence numbers cannot collide across the two sides.
             let use_mem = match (self.mem.front(), &table_next) {
-                (Some((mk, ms, _)), Some((tk, ts, _))) => match mk.as_slice().cmp(tk.as_slice()) {
+                (Some((mk, ms, _)), Some(te)) => match mk.as_slice().cmp(te.key()) {
                     std::cmp::Ordering::Less => true,
                     std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => ms >= ts,
+                    std::cmp::Ordering::Equal => *ms >= te.seq(),
                 },
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
@@ -1219,45 +1222,73 @@ impl DbIter {
                     return Ok(None);
                 }
             };
-            let (key, seq, value) = if use_mem {
-                if let Some(e) = table_next {
-                    self.table_pending = Some(e);
-                }
-                let Some(e) = self.mem.pop_front() else {
-                    self.done = true;
-                    return Ok(None); // unreachable: use_mem requires a front
-                };
-                e
+            let version = if use_mem {
+                self.table_pending = table_next;
+                self.mem.pop_front().map(ScanVersion::Mem)
             } else {
-                let Some(e) = table_next else {
-                    self.done = true;
-                    return Ok(None); // unreachable: covered by (None, None)
-                };
-                e
+                table_next.map(ScanVersion::Table)
             };
-            if self.end.as_deref().is_some_and(|e| key.as_slice() >= e) {
+            let Some(version) = version else {
+                self.done = true;
+                return Ok(None); // unreachable: the side chosen has an entry
+            };
+            let (key, seq) = (version.key(), version.seq());
+            if self.end.as_deref().is_some_and(|e| key >= e) {
                 self.done = true;
                 return Ok(None);
             }
             // Only the newest visible version of a key counts; older ones
             // arrive right after it and are skipped here.
-            if self.last_key.as_deref() == Some(key.as_slice()) {
+            if self.last_key == key {
                 continue;
             }
-            self.last_key = Some(key.clone());
+            self.last_key.clear();
+            self.last_key.extend_from_slice(key);
             let rt_max = self
                 .rts
                 .iter()
-                .filter(|rt| rt.covers(&key))
+                .filter(|rt| rt.covers(key))
                 .map(|rt| rt.seq)
                 .max();
             if rt_max.is_some_and(|r| seq < r) {
                 continue; // range-deleted under this snapshot
             }
-            match value {
-                Some(v) => return Ok(Some((key, v))),
-                None => continue, // point tombstone
+            // A point tombstone yields nothing; a live version is the first
+            // thing a table entry is copied for.
+            if let Some(pair) = version.into_pair() {
+                return Ok(Some(pair));
             }
+        }
+    }
+}
+
+/// The version a scan looks at next: owned if it comes from a memtable,
+/// still in its block if it comes from a table.
+enum ScanVersion {
+    Mem(Entry),
+    Table(EntryView),
+}
+
+impl ScanVersion {
+    fn key(&self) -> &[u8] {
+        match self {
+            ScanVersion::Mem((key, ..)) => key,
+            ScanVersion::Table(e) => e.key(),
+        }
+    }
+
+    fn seq(&self) -> u64 {
+        match self {
+            ScanVersion::Mem((_, seq, _)) => *seq,
+            ScanVersion::Table(e) => e.seq(),
+        }
+    }
+
+    /// Key and value, or `None` for a tombstone.
+    fn into_pair(self) -> Option<KvPair> {
+        match self {
+            ScanVersion::Mem((key, _, value)) => Some((key, value?)),
+            ScanVersion::Table(e) => Some((e.key().to_vec(), e.value()?.to_vec())),
         }
     }
 }
@@ -1390,6 +1421,8 @@ mod tests {
     use crate::store::lightlsm_test_store;
     use lightlsm::Placement;
     use ox_sim::Prng;
+
+    mod view_proptests;
 
     type Model = BTreeMap<Vec<u8>, Vec<u8>>;
 

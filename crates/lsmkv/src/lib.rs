@@ -34,7 +34,7 @@ mod sstable;
 mod store;
 mod version;
 
-pub use block::{BlockBuilder, BlockIter, FindVisible};
+pub use block::{BlockAnchors, BlockBuilder, BlockIter, FindVisible};
 pub use bloom::BloomFilter;
 pub use compaction::CompactionStats;
 pub use db::{Db, DbConfig, DbError, DbIter, DbStats, KvPair, PutOutcome, SharedDb, Snapshot};

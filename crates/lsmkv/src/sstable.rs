@@ -17,13 +17,66 @@
 //! table is reopened after recovery. A table may hold *only* range
 //! tombstones (zero point entries) — then its key span is the tombstones'
 //! span and it has no data blocks.
+//!
+//! A handle also caches what only the host needs: a search index per data
+//! block (see [`crate::block`]), built the first time the block is searched.
+//! It is not part of the table — a handle reparsed from media starts without.
 
-use crate::block::BlockBuilder;
+use crate::block::{BlockAnchors, BlockBuilder};
 use crate::bloom::BloomFilter;
 use crate::memtable::RangeTombstone;
+use ocssd::Payload;
 use ox_core::codec::{crc32c, Decoder, Encoder};
+use std::sync::OnceLock;
 
 const TRAILER_BYTES: usize = 20;
+
+/// The last key of every data block, in block order, in one buffer: the
+/// table-level index. Block `i`'s key is the `i`th.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BlockIndex {
+    keys: Vec<u8>,
+    /// Where each block's key ends in `keys` (it starts where the one
+    /// before ends).
+    ends: Vec<u32>,
+}
+
+impl BlockIndex {
+    fn push(&mut self, last_key: &[u8]) {
+        self.keys.extend_from_slice(last_key);
+        self.ends.push(self.keys.len() as u32);
+    }
+
+    /// Number of data blocks indexed.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True for a table without data blocks.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Last key of data block `block`.
+    pub fn last_key(&self, block: usize) -> &[u8] {
+        let start = block.checked_sub(1).map_or(0, |b| self.ends[b] as usize);
+        &self.keys[start..self.ends[block] as usize]
+    }
+
+    /// First block whose last key is ≥ `key`: the one that may contain it.
+    fn block_for(&self, key: &[u8]) -> Option<u32> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.last_key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < self.len()).then_some(lo as u32)
+    }
+}
 
 /// In-memory metadata of one SSTable.
 #[derive(Clone, Debug)]
@@ -36,8 +89,8 @@ pub struct TableHandle {
     pub seq: u64,
     /// Number of data blocks.
     pub data_blocks: u32,
-    /// `(last key of block, block index)` in key order.
-    pub index: Vec<(Vec<u8>, u32)>,
+    /// Last key of each data block.
+    pub index: BlockIndex,
     /// Bloom filter over all keys.
     pub bloom: BloomFilter,
     /// Point-version count (tombstones included).
@@ -52,25 +105,33 @@ pub struct TableHandle {
     pub min_seq: u64,
     /// Largest sequence number of any point version or range tombstone.
     pub max_seq: u64,
+    /// Search index of each data block, empty until the block is searched.
+    anchors: Vec<OnceLock<BlockAnchors>>,
 }
 
 impl TableHandle {
     /// Data block that may contain `key`, or `None` if out of range.
     pub fn block_for(&self, key: &[u8]) -> Option<u32> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let i = self
-            .index
-            .partition_point(|(last, _)| last.as_slice() < key);
-        self.index.get(i).map(|&(_, b)| b)
+        self.index.block_for(key)
+    }
+
+    /// Where in data block `index`, read as `block`, a walk towards `key`
+    /// may start: every entry before that offset has a smaller key (see
+    /// [`BlockAnchors::seek`]). The first call for a block builds its
+    /// anchors from `block`.
+    pub(crate) fn seek_in_block(&self, index: u32, block: &Payload, key: &[u8]) -> usize {
+        let data = block.bytes();
+        self.anchors[index as usize]
+            .get_or_init(|| BlockAnchors::build(data))
+            .seek(data, key)
     }
 
     /// Largest point key, or `None` for a table of range tombstones only.
     /// Unlike `max_key`, range tombstones never widen it, so it orders the
     /// tables of a sorted level by the point data they hold.
     pub fn last_point_key(&self) -> Option<&[u8]> {
-        self.index.last().map(|(last, _)| last.as_slice())
+        let last = self.index.len().checked_sub(1)?;
+        Some(self.index.last_key(last))
     }
 
     /// Whether `key` overlaps this table's key range (point span plus
@@ -111,12 +172,18 @@ impl TableHandle {
             return None;
         }
         let mut d = Decoder::new(meta);
-        let count = d.u32().ok()? as usize;
-        let mut index = Vec::with_capacity(count);
-        for _ in 0..count {
-            let key = d.var_bytes().ok()?.to_vec();
-            let block = d.u32().ok()?;
-            index.push((key, block));
+        let count = d.u32().ok()?;
+        let mut index = BlockIndex::default();
+        for i in 0..count {
+            let key = d.var_bytes().ok()?;
+            // Blocks are indexed in order: the number repeats the position.
+            if d.u32().ok()? != i {
+                return None;
+            }
+            index.push(key);
+        }
+        if index.len() != meta_first {
+            return None;
         }
         let bloom = BloomFilter::decode(&mut d)?;
         let min_key = d.var_bytes().ok()?.to_vec();
@@ -143,6 +210,7 @@ impl TableHandle {
             range_dels,
             min_seq,
             max_seq,
+            anchors: vec![OnceLock::new(); meta_first],
         })
     }
 }
@@ -153,7 +221,7 @@ pub struct TableBuilder {
     bits_per_key: u32,
     blocks: Vec<Vec<u8>>,
     current: BlockBuilder,
-    index: Vec<(Vec<u8>, u32)>,
+    index: BlockIndex,
     keys: Vec<Vec<u8>>,
     min_key: Vec<u8>,
     last_key: Vec<u8>,
@@ -172,7 +240,7 @@ impl TableBuilder {
             bits_per_key,
             blocks: Vec::new(),
             current: BlockBuilder::new(block_bytes),
-            index: Vec::new(),
+            index: BlockIndex::default(),
             keys: Vec::new(),
             min_key: Vec::new(),
             last_key: Vec::new(),
@@ -200,7 +268,8 @@ impl TableBuilder {
             self.min_key = key.to_vec();
         }
         self.current.add(key, seq, value);
-        self.last_key = key.to_vec();
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         self.last_seq = seq;
         // Bloom keys are deduplicated across versions.
         if self.keys.last().map(Vec::as_slice) != Some(key) {
@@ -220,8 +289,7 @@ impl TableBuilder {
     fn cut_block(&mut self) {
         let finished = std::mem::replace(&mut self.current, BlockBuilder::new(self.block_bytes));
         debug_assert!(!finished.is_empty(), "cutting an empty block");
-        self.index
-            .push((self.last_key.clone(), self.blocks.len() as u32));
+        self.index.push(&self.last_key);
         self.blocks.push(finished.finish());
     }
 
@@ -312,8 +380,8 @@ impl TableBuilder {
 
         let mut meta = Encoder::new();
         meta.u32(self.index.len() as u32);
-        for (key, block) in &self.index {
-            meta.var_bytes(key).u32(*block);
+        for block in 0..self.index.len() {
+            meta.var_bytes(self.index.last_key(block)).u32(block as u32);
         }
         bloom.encode(&mut meta);
         meta.var_bytes(&min_key);
@@ -356,6 +424,7 @@ impl TableBuilder {
             range_dels: self.range_dels,
             min_seq: self.min_seq,
             max_seq: self.max_seq,
+            anchors: vec![OnceLock::new(); data_blocks as usize],
         };
         (out, handle)
     }
@@ -408,6 +477,36 @@ mod tests {
                 "key {i}"
             );
         }
+    }
+
+    #[test]
+    fn anchors_are_built_by_the_first_search_and_stay_off_the_media() {
+        let (bytes, h) = build(500, 100);
+        let cells = |h: &TableHandle| -> Vec<bool> {
+            h.anchors.iter().map(|c| c.get().is_some()).collect()
+        };
+        assert_eq!(cells(&h), vec![false; h.data_blocks as usize]);
+        let k = key(499);
+        let b = h.block_for(&k).unwrap();
+        let (block, ()) = Payload::filled(BLOCK, |out| {
+            out.copy_from_slice(&bytes[b as usize * BLOCK..][..BLOCK]);
+            Ok::<(), std::convert::Infallible>(())
+        })
+        .unwrap();
+        let from = h.seek_in_block(b, &block, &k);
+        assert!(from > 0, "the last key of a block is past its first anchor");
+        let found = crate::block::with_entries(&block, from, |e| e.visible(&k, 500).into_owned());
+        assert_eq!(
+            found,
+            FindVisible::Found(500, Some(vec![(499 % 251) as u8; 100]))
+        );
+        let searched: Vec<bool> = (0..h.data_blocks).map(|i| i == b).collect();
+        assert_eq!(cells(&h), searched);
+        // A clone shares nothing but starts with what was built; a handle
+        // parsed back from the table's bytes starts with nothing.
+        assert_eq!(cells(&h.clone()), searched);
+        let reopened = TableHandle::from_bytes(7, BLOCK, &bytes).unwrap();
+        assert_eq!(cells(&reopened), vec![false; h.data_blocks as usize]);
     }
 
     #[test]

@@ -26,6 +26,9 @@ pub struct LevelMeta {
 pub struct Version {
     /// `levels[0]` newest-first; deeper levels sorted by `min_key`.
     levels: Vec<Vec<Arc<TableHandle>>>,
+    /// The live tables that carry range tombstones, in no particular order:
+    /// few at any time, and every get and scan asks each of them.
+    with_range_dels: Vec<Arc<TableHandle>>,
 }
 
 impl Version {
@@ -33,6 +36,7 @@ impl Version {
     pub fn new(max_levels: usize) -> Self {
         Version {
             levels: vec![Vec::new(); max_levels.max(2)],
+            with_range_dels: Vec::new(),
         }
     }
 
@@ -48,7 +52,14 @@ impl Version {
             .iter()
             .position(|t| t.seq < table.seq)
             .unwrap_or(self.levels[0].len());
+        self.note_range_dels(&table);
         self.levels[0].insert(pos, table);
+    }
+
+    fn note_range_dels(&mut self, table: &Arc<TableHandle>) {
+        if !table.range_dels.is_empty() {
+            self.with_range_dels.push(table.clone());
+        }
     }
 
     /// Tables in L0.
@@ -156,6 +167,10 @@ impl Version {
         for lvl in [from_level, to_level] {
             self.levels[lvl].retain(|t| !removed.contains(&t.id));
         }
+        self.with_range_dels.retain(|t| !removed.contains(&t.id));
+        for table in &outputs {
+            self.note_range_dels(table);
+        }
         self.levels[to_level].extend(outputs);
         if to_level > 0 {
             self.levels[to_level].sort_by(|a, b| a.min_key.cmp(&b.min_key));
@@ -167,6 +182,11 @@ impl Version {
         self.levels.iter().flatten()
     }
 
+    /// The live tables whose `range_dels` is not empty.
+    pub fn tables_with_range_dels(&self) -> impl Iterator<Item = &Arc<TableHandle>> {
+        self.with_range_dels.iter()
+    }
+
     /// Total live tables.
     pub fn table_count(&self) -> usize {
         self.levels.iter().map(Vec::len).sum()
@@ -176,22 +196,29 @@ impl Version {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bloom::BloomFilter;
+    use crate::memtable::RangeTombstone;
+    use crate::sstable::TableBuilder;
 
+    /// A one-block table of the keys `min` and `max`.
     fn handle(id: u64, min: &str, max: &str) -> Arc<TableHandle> {
-        Arc::new(TableHandle {
-            id,
-            seq: id,
-            data_blocks: 1,
-            index: vec![(max.as_bytes().to_vec(), 0)],
-            bloom: BloomFilter::new(1, 10),
-            entries: 1,
-            min_key: min.as_bytes().to_vec(),
-            max_key: max.as_bytes().to_vec(),
-            range_dels: Vec::new(),
-            min_seq: id,
-            max_seq: id,
-        })
+        Arc::new(build(id, min, max, None))
+    }
+
+    fn build(id: u64, min: &str, max: &str, range_del: Option<(&str, &str)>) -> TableHandle {
+        let mut b = TableBuilder::new(4096, 10);
+        b.add(min.as_bytes(), id, Some(b"v"));
+        b.add(max.as_bytes(), id, Some(b"v"));
+        if let Some((start, end)) = range_del {
+            b.add_range_del(RangeTombstone {
+                start: start.as_bytes().to_vec(),
+                end: end.as_bytes().to_vec(),
+                seq: id,
+            });
+        }
+        let (_, mut handle) = b.finish();
+        handle.id = id;
+        handle.seq = id;
+        handle
     }
 
     #[test]
@@ -253,6 +280,29 @@ mod tests {
         assert_eq!(v.level(1)[0].id, 3);
         assert_eq!(v.depth(), 1);
         assert_eq!(v.table_count(), 1);
+    }
+
+    #[test]
+    fn tables_with_range_dels_follow_the_live_set() {
+        let ids = |v: &Version| -> Vec<u64> {
+            let mut ids: Vec<u64> = v.tables_with_range_dels().map(|t| t.id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let with_rt = |id| Arc::new(build(id, "c", "k", Some(("d", "f"))));
+        let mut v = Version::new(4);
+        v.add_l0(handle(1, "a", "m"));
+        v.add_l0(with_rt(2));
+        v.add_l0(with_rt(3));
+        assert_eq!(ids(&v), vec![2, 3]);
+        // A compaction takes its inputs' tombstones along or drops them.
+        v.apply_edit(0, 1, &[1, 2], vec![handle(4, "a", "b"), with_rt(5)]);
+        assert_eq!(ids(&v), vec![3, 5]);
+        v.apply_edit(0, 1, &[3, 5], vec![handle(6, "c", "k")]);
+        assert_eq!(ids(&v), Vec::<u64>::new());
+        for t in v.all_tables() {
+            assert!(t.range_dels.is_empty());
+        }
     }
 
     #[test]
