@@ -186,8 +186,10 @@ impl CheckpointStore {
     }
 
     /// Reads the newest valid checkpoint, if any, together with the read
-    /// completion time. Invalid / torn areas are skipped.
-    pub fn read_latest(&self, now: SimTime) -> (Option<CheckpointData>, SimTime) {
+    /// completion time. Invalid / torn areas are skipped. The store's
+    /// sequence resumes after what it found, so its next write outranks
+    /// every checkpoint already on the device.
+    pub fn read_latest(&mut self, now: SimTime) -> (Option<CheckpointData>, SimTime) {
         let geo = self.media.geometry();
         let mut best: Option<CheckpointData> = None;
         let mut t = now;
@@ -199,6 +201,9 @@ impl CheckpointStore {
                     best = Some(d);
                 }
             }
+        }
+        if let Some(b) = &best {
+            self.next_seq = b.seq + 1;
         }
         let bytes = best.as_ref().map_or(0, |d| d.payload.len() as u64);
         self.obs.metrics.record("checkpoint.read", bytes);
@@ -228,7 +233,6 @@ impl CheckpointStore {
             first.ppa(0),
             geo.ws_min,
             &mut head,
-            crate::retry::RetryPolicy::default(),
             Some(&self.obs.metrics),
         ) {
             Ok(o) => t = o.completion.done,
@@ -264,7 +268,6 @@ impl CheckpointStore {
                 chunk.ppa(0),
                 sectors,
                 &mut blob[off..off + want],
-                crate::retry::RetryPolicy::default(),
                 Some(&self.obs.metrics),
             ) {
                 Ok(o) => t = o.completion.done,
@@ -306,7 +309,7 @@ mod tests {
 
     #[test]
     fn no_checkpoint_on_fresh_device() {
-        let (_, store, _) = setup();
+        let (_, mut store, _) = setup();
         let (data, _) = store.read_latest(SimTime::ZERO);
         assert!(data.is_none());
     }
@@ -339,6 +342,22 @@ mod tests {
         assert_eq!(d.payload, b"third");
         assert_eq!(d.durable_lsn, 30);
         assert_eq!(store.checkpoints_taken(), 3);
+    }
+
+    #[test]
+    fn a_reopened_store_outranks_the_checkpoints_it_finds() {
+        let (media, mut store, _) = setup();
+        let (t1, _) = store.write(SimTime::ZERO, 10, b"first").unwrap();
+        let (t2, _) = store.write(t1, 20, b"second").unwrap();
+        // A store built over the same areas, as after a restart.
+        let [a, b] = store.areas.clone();
+        let mut reopened = CheckpointStore::new(media, a, b);
+        let (data, t3) = reopened.read_latest(t2);
+        assert_eq!(data.unwrap().payload, b"second");
+        // Numbered from 1 again, its next write would lose to "second".
+        let (t4, seq) = reopened.write(t3, 30, b"third").unwrap();
+        assert_eq!(seq, 3);
+        assert_eq!(reopened.read_latest(t4).0.unwrap().payload, b"third");
     }
 
     #[test]

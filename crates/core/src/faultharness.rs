@@ -6,8 +6,9 @@
 //! interleave maintenance (media-event ingestion, orphan repair), crash the
 //! device at the simulation frontier — either at a seeded op index or when
 //! an injected power cut fires — recover, and verify that every committed
-//! version survives and no torn write ever surfaces. Every case derives
-//! entirely from one seed, so a failure message names the seed to replay.
+//! version survives and no torn write ever surfaces; then run on, crash
+//! and verify a second time. Every case derives entirely from one seed, so
+//! a failure message names the seed to replay.
 //!
 //! Crashes happen at the frontier only: chunk resets (WAL truncation,
 //! checkpoint recycling) mutate device state when issued and cannot be
@@ -120,21 +121,26 @@ impl FaultCase {
 /// What a completed case observed, for reconciliation by the caller.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CaseReport {
-    /// Ops committed (write returned `Ok`) before the crash.
+    /// Ops committed (write returned `Ok`) over both legs.
     pub committed: usize,
     /// Writes that returned a typed error (fault pressure exceeded the
     /// host's failover supply — legal, as long as nothing panics and
     /// committed data survives).
     pub failed_writes: usize,
-    /// Whether the crash came from an injected power cut rather than the
+    /// Whether a crash came from an injected power cut rather than the
     /// seeded op index.
     pub power_cut: bool,
     /// The device's fault ledger at the end of the case.
     pub ledger: FaultLedger,
 }
 
-/// Runs one case end to end: workload → frontier crash → recovery →
-/// verification. `Err` carries a message naming `case.seed`.
+/// Runs one case end to end, in two legs: workload → frontier crash →
+/// recovery → verification, then the rest of the schedule *without*
+/// maintenance — so nothing checkpoints on the host's initiative between
+/// the crashes — → second frontier crash → recovery → verification. The
+/// second leg is what catches a recovery that only works once: state the
+/// first recovery left behind (a restarted log, a recovery-time checkpoint)
+/// is what the second one reads. `Err` carries a message naming `case.seed`.
 ///
 /// The caller formats the host against `dev` (already armed with
 /// `case.plan`) and hands both over; the harness owns the clock from
@@ -153,64 +159,73 @@ pub fn run_case<H: FaultHost>(
     let mut maybe: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
     let mut report = CaseReport::default();
     let mut t = start;
+    let mut issued = 0;
 
-    for (i, &(slot, version)) in case.ops.iter().enumerate().take(crash_idx + 1) {
-        match host.write(t, slot, version) {
-            Ok(done) => {
-                t = done;
-                committed.insert(slot, version);
-                report.committed += 1;
+    for (leg, end) in [(1, crash_idx + 1), (2, case.ops.len())] {
+        let first = issued;
+        for &(slot, version) in &case.ops[first..end] {
+            issued += 1;
+            match host.write(t, slot, version) {
+                Ok(done) => {
+                    t = done;
+                    committed.insert(slot, version);
+                    report.committed += 1;
+                }
+                Err(_) => {
+                    report.failed_writes += 1;
+                    maybe.entry(slot).or_default().push(version);
+                }
             }
-            Err(_) => {
-                report.failed_writes += 1;
-                maybe.entry(slot).or_default().push(version);
+            if leg == 1 && (issued - first) % case.maintain_every == 0 {
+                t = host
+                    .maintain(t)
+                    .map_err(|e| format!("seed {seed}: maintenance failed: {e}"))?;
+            }
+            if dev.take_power_cut(t) {
+                report.power_cut = true;
+                break;
             }
         }
-        if (i + 1) % case.maintain_every == 0 {
-            t = host
-                .maintain(t)
-                .map_err(|e| format!("seed {seed}: maintenance failed: {e}"))?;
-        }
-        if dev.take_power_cut(t) {
-            report.power_cut = true;
-            break;
-        }
-    }
 
-    if case.torn_tail && !report.power_cut {
-        if let Some(&(slot, _)) = case.ops.get(crash_idx + 1) {
-            // Acknowledged after the crash instant, so the device rolls it
-            // back: the torn-tail version must never surface.
-            let _ = host.write(t, slot, TORN_VERSION);
+        if leg == 1 && case.torn_tail && !report.power_cut {
+            if let Some(&(slot, _)) = case.ops.get(crash_idx + 1) {
+                // Acknowledged after the crash instant, so the device rolls
+                // it back: the torn-tail version must never surface.
+                let _ = host.write(t, slot, TORN_VERSION);
+            }
         }
-    }
 
-    t = host
-        .crash_and_recover(t)
-        .map_err(|e| format!("seed {seed}: recovery failed: {e}"))?;
+        t = host
+            .crash_and_recover(t)
+            .map_err(|e| format!("seed {seed}: crash {leg}: recovery failed: {e}"))?;
 
-    for (&slot, &v) in &committed {
-        match host.read(t, slot) {
-            Ok(Some(got)) => {
-                let maybe_ok = maybe
-                    .get(&slot)
-                    .is_some_and(|vs| vs.contains(&got) && got > v);
-                if got != v && !maybe_ok {
+        for (&slot, &v) in &committed {
+            match host.read(t, slot) {
+                Ok(Some(got)) => {
+                    let maybe_ok = maybe
+                        .get(&slot)
+                        .is_some_and(|vs| vs.contains(&got) && got > v);
+                    if got != v && !maybe_ok {
+                        return Err(format!(
+                            "seed {seed}: crash {leg}: slot {slot}: recovered v{got} != committed v{v}"
+                        ));
+                    }
+                    if got == TORN_VERSION {
+                        return Err(format!(
+                            "seed {seed}: crash {leg}: slot {slot}: torn write surfaced"
+                        ));
+                    }
+                }
+                Ok(None) => {
                     return Err(format!(
-                        "seed {seed}: slot {slot}: recovered v{got} != committed v{v}"
+                        "seed {seed}: crash {leg}: slot {slot}: committed v{v} lost"
                     ));
                 }
-                if got == TORN_VERSION {
-                    return Err(format!("seed {seed}: slot {slot}: torn write surfaced"));
+                Err(e) => {
+                    return Err(format!(
+                        "seed {seed}: crash {leg}: slot {slot}: read failed after recovery: {e}"
+                    ));
                 }
-            }
-            Ok(None) => {
-                return Err(format!("seed {seed}: slot {slot}: committed v{v} lost"));
-            }
-            Err(e) => {
-                return Err(format!(
-                    "seed {seed}: slot {slot}: read failed after recovery: {e}"
-                ));
             }
         }
     }

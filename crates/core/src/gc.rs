@@ -95,7 +95,6 @@ pub struct GarbageCollector {
     /// Group currently marked for collection (GC activity is confined here).
     marked_group: u32,
     reserved: HashSet<u64>,
-    next_txid: u64,
     stats: GcStats,
     obs: Obs,
     /// Where copies and resets issue: the media's GC route (an `iosched`
@@ -114,7 +113,6 @@ impl GarbageCollector {
             config,
             marked_group: 0,
             reserved: reserved.iter().copied().collect(),
-            next_txid: 1 << 48, // disjoint from user transaction ids
             stats: GcStats::default(),
             obs: media.obs(),
             io: media.gc_route().unwrap_or_else(|| media.clone()),
@@ -209,12 +207,10 @@ impl GarbageCollector {
         let group = victim.group;
         let victim_lin = victim.linear(&geo);
         let live = map.valid_sectors(victim_lin);
-        let txid = self.next_txid;
-        self.next_txid += 1;
 
         let mut t = now;
         if !live.is_empty() {
-            wal.append(WalRecord::TxBegin { txid });
+            let txid = wal.begin();
             let mut cursor = 0usize;
             while cursor < live.len() {
                 // One ws_min batch: pad with repeats of the last live
@@ -280,7 +276,7 @@ impl GarbageCollector {
                     }
                 }
             }
-            wal.append(WalRecord::TxCommit { txid });
+            wal.end(txid);
             t = wal.commit(t)?;
         }
 
@@ -536,13 +532,24 @@ mod tests {
             r.wal.frames_written() > frames_before,
             "GC must commit a WAL transaction for its moves"
         );
-        // The journaled moves replay correctly.
+        // The journaled moves are one committed transaction, under an id no
+        // other transaction in the log has.
+        let user = r.wal.begin();
+        r.wal.end(user);
+        r.t = r.wal.commit(r.t).unwrap();
         let (frames, _, _) = crate::wal::scan(&r.media, &r.layout.wal_chunks, r.t);
-        let has_gc_commit = frames
-            .iter()
-            .flat_map(|f| &f.records)
-            .any(|rec| matches!(rec, WalRecord::TxCommit { txid } if *txid >= (1 << 48)));
-        assert!(has_gc_commit);
+        let records = || frames.iter().flat_map(|f| &f.records);
+        let begun: Vec<u64> = records()
+            .filter_map(|rec| match rec {
+                WalRecord::TxBegin { txid } => Some(*txid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(begun.len(), 2);
+        assert_ne!(begun[0], begun[1], "every `TxBegin` id is distinct");
+        assert!(records().any(|rec| *rec == WalRecord::TxCommit { txid: begun[0] }));
+        assert!(records()
+            .any(|rec| matches!(rec, WalRecord::MapUpdate { txid, .. } if *txid == begun[0])));
     }
 
     #[test]

@@ -100,34 +100,6 @@ pub trait Media: Send + Sync {
     }
 }
 
-/// Reads with bounded retry on transient uncorrectable-read errors.
-///
-/// The recovery paths (WAL scan, checkpoint load) must not discard durable
-/// state over an ECC-exhaustion fluke that a second attempt would clear —
-/// the data-path read retries already do this, recovery gets the same
-/// defense. Other errors (and a read that stays uncorrectable past the
-/// retry budget) propagate. Thin wrapper over [`crate::retry`], for call
-/// sites with no metrics registry in scope.
-pub fn read_with_retry(
-    media: &dyn Media,
-    now: SimTime,
-    ppa: Ppa,
-    sectors: u32,
-    out: &mut [u8],
-    max_retries: u32,
-) -> Result<Completion> {
-    crate::retry::read_with_policy(
-        media,
-        now,
-        ppa,
-        sectors,
-        out,
-        crate::retry::RetryPolicy::with_retries(max_retries),
-        None,
-    )
-    .map(|o| o.completion)
-}
-
 /// [`Media`] over the simulated Open-Channel SSD.
 #[derive(Clone)]
 pub struct OcssdMedia {

@@ -3,10 +3,10 @@
 //! Several layers defend against ECC-exhaustion flukes the same way — retry
 //! the read a bounded number of times before declaring the data lost: the
 //! WAL recovery scan, checkpoint loading, orphan salvage, and the data-path
-//! reads of OX-Block and LightLSM. This module is the single definition of
-//! that policy, with knobs for the attempt budget and an optional virtual-
-//! time backoff, and `retry.*` metrics so retry traffic is observable
-//! wherever a registry is in scope.
+//! reads of OX-Block, OX-ELEOS, LightLSM and OX-ZNS. This module is the
+//! single definition of that policy — [`MAX_RETRIES`] re-submissions per
+//! failing sector, at the same instant — with `retry.*` metrics so retry
+//! traffic is observable wherever a registry is in scope.
 //!
 //! Only [`ocssd::DeviceError::UncorrectableRead`] is retried: it is the one
 //! error the device contract documents as transient (the command fails at
@@ -15,38 +15,13 @@
 use crate::media::Media;
 use ocssd::{Completion, DeviceError, Payload, Ppa, Result};
 use ox_sim::trace::MetricsRegistry;
-use ox_sim::{SimDuration, SimTime};
+use ox_sim::SimTime;
 
-/// Retry knobs. The default (3 retries, no backoff) matches the bounded
-/// loops this module replaced, so converting a call site changes nothing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries allowed after the first attempt.
-    pub max_retries: u32,
-    /// Virtual time added before each retry. Zero re-submits at the same
-    /// instant (the device re-arbitrates); non-zero models a host-side
-    /// read-retry ramp.
-    pub backoff: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff: SimDuration::ZERO,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with a custom retry budget and no backoff.
-    pub fn with_retries(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        }
-    }
-}
+/// Retries allowed per failing sector after the first attempt. The error
+/// names the sector that exhausted ECC, and sectors fail independently, so
+/// the budget is per sector: a multi-sector read that meets two transient
+/// faults spends one budget on each instead of losing to their sum.
+pub const MAX_RETRIES: u32 = 3;
 
 /// A read that eventually succeeded, and how hard it had to try.
 #[derive(Clone, Copy, Debug)]
@@ -68,15 +43,14 @@ pub fn read_with_policy(
     ppa: Ppa,
     sectors: u32,
     out: &mut [u8],
-    policy: RetryPolicy,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<RetryOutcome> {
-    retry(now, policy, metrics, |at| media.read(at, ppa, sectors, out)).map(
-        |(completion, retries)| RetryOutcome {
+    retry(metrics, || media.read(now, ppa, sectors, out)).map(|(completion, retries)| {
+        RetryOutcome {
             completion,
             retries,
-        },
-    )
+        }
+    })
 }
 
 /// [`read_with_policy`] over [`Media::read_shared`]: the same attempts at
@@ -86,13 +60,9 @@ pub fn read_shared_with_policy(
     now: SimTime,
     ppa: Ppa,
     sectors: u32,
-    policy: RetryPolicy,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<(Payload, RetryOutcome)> {
-    retry(now, policy, metrics, |at| {
-        media.read_shared(at, ppa, sectors)
-    })
-    .map(|((view, completion), retries)| {
+    retry(metrics, || media.read_shared(now, ppa, sectors)).map(|((view, completion), retries)| {
         (
             view,
             RetryOutcome {
@@ -104,41 +74,36 @@ pub fn read_shared_with_policy(
 }
 
 /// Runs `attempt` until it succeeds, fails with anything but an
-/// uncorrectable read, or the budget is spent. Returns what the successful
-/// attempt returned and the retries it took.
+/// uncorrectable read, or one sector has failed [`MAX_RETRIES`] + 1 times.
+/// Returns what the successful attempt returned and the retries it took.
 fn retry<T>(
-    now: SimTime,
-    policy: RetryPolicy,
     metrics: Option<&MetricsRegistry>,
-    mut attempt: impl FnMut(SimTime) -> Result<T>,
+    mut attempt: impl FnMut() -> Result<T>,
 ) -> Result<(T, u32)> {
-    let mut retries = 0u32;
-    let mut at = now;
+    let record = |name| {
+        if let Some(m) = metrics {
+            m.record(name, 0);
+        }
+    };
+    // The sector each failed attempt named.
+    let mut failed: Vec<Ppa> = Vec::new();
     loop {
-        match attempt(at) {
+        match attempt() {
             Ok(out) => {
-                if retries > 0 {
-                    if let Some(m) = metrics {
-                        m.record("retry.read.recovered", 0);
-                    }
+                if !failed.is_empty() {
+                    record("retry.read.recovered");
                 }
-                return Ok((out, retries));
+                return Ok((out, failed.len() as u32));
             }
-            Err(DeviceError::UncorrectableRead(_)) if retries < policy.max_retries => {
-                retries += 1;
-                at += policy.backoff;
-                if let Some(m) = metrics {
-                    m.record("retry.read.retries", 0);
+            Err(e @ DeviceError::UncorrectableRead(bad)) => {
+                if failed.iter().filter(|&&s| s == bad).count() as u32 == MAX_RETRIES {
+                    record("retry.read.exhausted");
+                    return Err(e);
                 }
+                failed.push(bad);
+                record("retry.read.retries");
             }
-            Err(e) => {
-                if let Some(m) = metrics {
-                    if matches!(e, DeviceError::UncorrectableRead(_)) {
-                        m.record("retry.read.exhausted", 0);
-                    }
-                }
-                return Err(e);
-            }
+            Err(e) => return Err(e),
         }
     }
 }
@@ -151,15 +116,20 @@ mod tests {
         ChunkAddr, DeviceConfig, FaultPlan, Geometry, OcssdDevice, ReadFault, SharedDevice,
     };
 
-    fn media_with_fault(attempts: u32) -> (OcssdMedia, Geometry, ChunkAddr) {
+    /// A device with one written unit whose sectors `faults` each fail the
+    /// given number of reads.
+    fn media_with_faults(faults: &[(u32, u32)]) -> (OcssdMedia, Geometry, ChunkAddr) {
         let geo = Geometry::small_slc();
         let mut config = DeviceConfig::with_geometry(geo);
         let addr = ChunkAddr::new(0, 0, 0);
         config.fault = FaultPlan {
-            read_fails: vec![ReadFault {
-                ppa: addr.ppa(0),
-                attempts,
-            }],
+            read_fails: faults
+                .iter()
+                .map(|&(sector, attempts)| ReadFault {
+                    ppa: addr.ppa(sector),
+                    attempts,
+                })
+                .collect(),
             ..FaultPlan::default()
         };
         let m = OcssdMedia::new(SharedDevice::new(OcssdDevice::new(config)));
@@ -168,23 +138,31 @@ mod tests {
         (m, geo, addr)
     }
 
-    #[test]
-    fn transient_fault_recovers_within_budget() {
-        let (m, geo, addr) = media_with_fault(2);
-        let reg = MetricsRegistry::new();
+    fn read_unit(
+        m: &OcssdMedia,
+        geo: &Geometry,
+        addr: ChunkAddr,
+        reg: &MetricsRegistry,
+    ) -> Result<RetryOutcome> {
         let mut out = vec![0u8; geo.ws_min_bytes()];
         let o = read_with_policy(
-            &m,
+            m,
             SimTime::from_secs(1),
             addr.ppa(0),
             geo.ws_min,
             &mut out,
-            RetryPolicy::default(),
-            Some(&reg),
-        )
-        .unwrap();
+            Some(reg),
+        )?;
+        assert!(out.iter().all(|&b| b == 7));
+        Ok(o)
+    }
+
+    #[test]
+    fn transient_fault_recovers_within_budget() {
+        let (m, geo, addr) = media_with_faults(&[(0, 2)]);
+        let reg = MetricsRegistry::new();
+        let o = read_unit(&m, &geo, addr, &reg).unwrap();
         assert_eq!(o.retries, 2);
-        assert_eq!(out[0], 7);
         assert_eq!(reg.counter("retry.read.retries").ops(), 2);
         assert_eq!(reg.counter("retry.read.recovered").ops(), 1);
         assert_eq!(reg.counter("retry.read.exhausted").ops(), 0);
@@ -192,60 +170,27 @@ mod tests {
 
     #[test]
     fn permanent_fault_exhausts_budget() {
-        let (m, geo, addr) = media_with_fault(u32::MAX);
+        let (m, geo, addr) = media_with_faults(&[(0, u32::MAX)]);
         let reg = MetricsRegistry::new();
-        let mut out = vec![0u8; geo.ws_min_bytes()];
-        let err = read_with_policy(
-            &m,
-            SimTime::from_secs(1),
-            addr.ppa(0),
-            geo.ws_min,
-            &mut out,
-            RetryPolicy::with_retries(2),
-            Some(&reg),
-        )
-        .unwrap_err();
-        assert!(matches!(err, DeviceError::UncorrectableRead(_)));
-        assert_eq!(reg.counter("retry.read.retries").ops(), 2);
+        let err = read_unit(&m, &geo, addr, &reg).unwrap_err();
+        assert_eq!(err, DeviceError::UncorrectableRead(addr.ppa(0)));
+        assert_eq!(reg.counter("retry.read.retries").ops(), MAX_RETRIES as u64);
         assert_eq!(reg.counter("retry.read.exhausted").ops(), 1);
     }
 
     #[test]
-    fn backoff_advances_virtual_time() {
-        let (m, geo, addr) = media_with_fault(1);
-        let mut out = vec![0u8; geo.ws_min_bytes()];
-        let start = SimTime::from_secs(1);
-        let o = read_with_policy(
-            &m,
-            start,
-            addr.ppa(0),
-            geo.ws_min,
-            &mut out,
-            RetryPolicy {
-                max_retries: 3,
-                backoff: SimDuration::from_micros(100),
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(o.retries, 1);
-        assert!(o.completion.submitted >= start + SimDuration::from_micros(100));
-    }
-
-    #[test]
-    fn zero_retry_policy_fails_fast() {
-        let (m, geo, addr) = media_with_fault(1);
-        let mut out = vec![0u8; geo.ws_min_bytes()];
-        let err = read_with_policy(
-            &m,
-            SimTime::from_secs(1),
-            addr.ppa(0),
-            geo.ws_min,
-            &mut out,
-            RetryPolicy::with_retries(0),
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, DeviceError::UncorrectableRead(_)));
+    fn budget_is_counted_per_failing_sector() {
+        // Two independently faulted sectors in one unit: five failed
+        // attempts in all, no sector over its own budget.
+        let (m, geo, addr) = media_with_faults(&[(1, 3), (2, 2)]);
+        let reg = MetricsRegistry::new();
+        let o = read_unit(&m, &geo, addr, &reg).unwrap();
+        assert_eq!(o.retries, 5);
+        assert_eq!(reg.counter("retry.read.recovered").ops(), 1);
+        // One failure more on either sector is one too many.
+        let (m, geo, addr) = media_with_faults(&[(1, 3), (2, 4)]);
+        let err = read_unit(&m, &geo, addr, &reg).unwrap_err();
+        assert_eq!(err, DeviceError::UncorrectableRead(addr.ppa(2)));
+        assert_eq!(reg.counter("retry.read.exhausted").ops(), 1);
     }
 }

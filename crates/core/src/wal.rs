@@ -162,6 +162,8 @@ pub struct Wal {
     wp: u32,
     pending: Vec<WalRecord>,
     next_lsn: u64,
+    /// Transaction ids are unique within one log because the log issues them.
+    next_txid: u64,
     durable_lsn: u64,
     frames_written: u64,
     bytes_written: u64,
@@ -226,6 +228,7 @@ impl Wal {
                 wp: 0,
                 pending: Vec::new(),
                 next_lsn: 1,
+                next_txid: 1,
                 durable_lsn: 0,
                 frames_written: 0,
                 bytes_written: 0,
@@ -234,6 +237,29 @@ impl Wal {
             },
             done,
         ))
+    }
+
+    /// Continues numbering above `lsn`, the last LSN of the log this one
+    /// replaces, so a checkpoint stamped with an LSN of either log orders
+    /// against the records of both.
+    pub(crate) fn number_after(&mut self, lsn: u64) {
+        assert!(self.next_lsn == 1, "only a fresh log can be renumbered");
+        self.next_lsn = lsn + 1;
+        self.durable_lsn = lsn;
+    }
+
+    /// Opens a transaction: buffers its `TxBegin` and returns its id.
+    pub fn begin(&mut self) -> u64 {
+        let txid = self.next_txid;
+        self.next_txid += 1;
+        self.append(WalRecord::TxBegin { txid });
+        txid
+    }
+
+    /// Closes transaction `txid`: buffers the `TxCommit` that makes its redo
+    /// records effective once [`Wal::commit`] has made them durable.
+    pub fn end(&mut self, txid: u64) {
+        self.append(WalRecord::TxCommit { txid });
     }
 
     /// Buffers a record; returns its LSN. Not durable until
@@ -497,6 +523,7 @@ pub fn scan(
     now: SimTime,
 ) -> (Vec<ScannedFrame>, SimTime, ScanStats) {
     let geo = media.geometry();
+    let metrics = media.obs().metrics;
     let unit_bytes = geo.ws_min_bytes();
     let mut frames = Vec::new();
     let mut stats = ScanStats::default();
@@ -508,23 +535,20 @@ pub fn scan(
         if info.state == ocssd::ChunkState::Offline {
             continue;
         }
+        let read = |at, sector, sectors, out: &mut [u8]| {
+            let ppa = chunk.ppa(sector);
+            crate::retry::read_with_policy(media.as_ref(), at, ppa, sectors, out, Some(&metrics))
+                .map(|read| read.completion.done)
+        };
         let mut sector = 0u32;
         while sector + geo.ws_min <= info.write_ptr {
             // Read the first unit to learn the frame length. Bounded retry:
             // a transient uncorrectable read must not silently truncate the
             // replay — that would drop durable frames.
-            let comp = match crate::media::read_with_retry(
-                media.as_ref(),
-                t,
-                chunk.ppa(sector),
-                geo.ws_min,
-                &mut buf,
-                3,
-            ) {
-                Ok(c) => c,
-                Err(_) => break,
+            let Ok(done) = read(t, sector, geo.ws_min, &mut buf) else {
+                break;
             };
-            t = comp.done;
+            t = done;
             stats.bytes_read += unit_bytes as u64;
             let mut d = Decoder::new(&buf);
             let header_ok = d.u32().map(|m| m == FRAME_MAGIC).unwrap_or(false);
@@ -544,18 +568,10 @@ pub fn scan(
             }
             // Gather the full frame.
             let mut frame_bytes = vec![0u8; frame_sectors as usize * SECTOR_BYTES];
-            let comp = match crate::media::read_with_retry(
-                media.as_ref(),
-                t,
-                chunk.ppa(sector),
-                frame_sectors,
-                &mut frame_bytes,
-                3,
-            ) {
-                Ok(c) => c,
-                Err(_) => break,
+            let Ok(done) = read(t, sector, frame_sectors, &mut frame_bytes) else {
+                break;
             };
-            t = comp.done;
+            t = done;
             if frame_sectors > geo.ws_min {
                 stats.bytes_read += (frame_sectors - geo.ws_min) as u64 * SECTOR_BYTES as u64;
             }

@@ -12,7 +12,7 @@ use ocssd::{
     ChunkAddr, ChunkInfo, Completion, DeviceConfig, FaultPlan, Geometry, MediaEvent, OcssdDevice,
     Ppa, ReadFault, SharedDevice, SECTOR_BYTES,
 };
-use ox_core::retry::{read_shared_with_policy, read_with_policy, RetryPolicy};
+use ox_core::retry::{read_shared_with_policy, read_with_policy};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::trace::Obs;
 use ox_sim::{Prng, SimTime};
@@ -74,7 +74,8 @@ fn stack(kind: &str, geo: Geometry) -> (Arc<dyn Media>, SharedDevice) {
         read_fails: (0..6)
             .map(|i| ReadFault {
                 ppa: ChunkAddr::new(0, 0, i % 3).ppa(i * 2),
-                attempts: 1 + i % 3,
+                // Some within the shared retry budget, some beyond it.
+                attempts: 1 + i,
             })
             .collect(),
         ..FaultPlan::default()
@@ -107,7 +108,6 @@ fn read_shared_is_read_without_the_copy_on_every_media() {
             let (by_view, view_dev) = stack(kind, geo);
             let mut rng = Prng::seed_from_u64(0x5EED ^ kind.len() as u64);
             let mut t = SimTime::ZERO;
-            let policy = RetryPolicy::with_retries(1);
             let copy_metrics = copy_dev.obs().metrics;
             let view_metrics = view_dev.obs().metrics;
             let mut failed = 0;
@@ -138,7 +138,6 @@ fn read_shared_is_read_without_the_copy_on_every_media() {
                         c.ppa(start),
                         n,
                         &mut out,
-                        policy,
                         Some(&copy_metrics),
                     )
                     .map(|o| (out, o.completion, o.retries))
@@ -154,7 +153,6 @@ fn read_shared_is_read_without_the_copy_on_every_media() {
                         t,
                         c.ppa(start),
                         n,
-                        policy,
                         Some(&view_metrics),
                     )
                     .map(|(view, o)| (view.to_vec(), o.completion, o.retries))

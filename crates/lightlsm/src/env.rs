@@ -3,12 +3,12 @@
 
 use crate::placement::{Placement, TableExtent};
 use ocssd::{ChunkState, DeviceError, Geometry, Payload, Ppa};
-use ox_core::checkpoint::CheckpointStore;
 use ox_core::codec::{Decoder, Encoder};
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::provision::Provisioner;
-use ox_core::retry::{self, RetryOutcome, RetryPolicy};
-use ox_core::wal::{self, Wal, WalError, WalRecord};
+use ox_core::recovery::Journal;
+use ox_core::retry::{self, RetryOutcome};
+use ox_core::wal::{WalError, WalRecord};
 use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::{SimDuration, SimTime, Timeline};
@@ -150,13 +150,11 @@ pub struct LightLsm {
     config: LightLsmConfig,
     layout: Layout,
     prov: Provisioner,
-    wal: Wal,
-    ckpt: CheckpointStore,
+    journal: Journal,
     /// The single dispatch thread: every block submission serializes here.
     dispatch: Timeline,
     tables: BTreeMap<TableId, TableExtent>,
     next_id: TableId,
-    next_txid: u64,
     /// Horizontal placement: rotating PU cursor for sub-full-width tables.
     next_pu: u32,
     /// Vertical placement: groups are assigned round-robin per table.
@@ -175,22 +173,15 @@ impl LightLsm {
         let geo = media.geometry();
         let layout = Layout::plan(&geo, config.layout);
         let reserved = layout.reserved_linear(&geo);
-        let (wal, done) = Wal::format(media.clone(), layout.wal_chunks.clone(), now)?;
-        let ckpt = CheckpointStore::new(
-            media.clone(),
-            layout.checkpoint_a.clone(),
-            layout.checkpoint_b.clone(),
-        );
+        let (journal, done) = Journal::format(&media, &layout, now)?;
         Ok((
             LightLsm {
                 geo,
                 prov: Provisioner::fresh(geo, &reserved),
-                wal,
-                ckpt,
+                journal,
                 dispatch: Timeline::new(),
                 tables: BTreeMap::new(),
                 next_id: 1,
-                next_txid: 1,
                 next_pu: 0,
                 next_group: 0,
                 stats: LightLsmStats::default(),
@@ -223,61 +214,26 @@ impl LightLsm {
         let geo = media.geometry();
         let layout = Layout::plan(&geo, config.layout);
 
-        // Directory checkpoint.
-        let ckpt = CheckpointStore::new(
-            media.clone(),
-            layout.checkpoint_a.clone(),
-            layout.checkpoint_b.clone(),
-        );
-        let (snapshot, mut t) = ckpt.read_latest(now);
-        let mut tables: BTreeMap<TableId, TableExtent> = BTreeMap::new();
-        let mut ckpt_lsn = 0;
-        if let Some(s) = &snapshot {
-            ckpt_lsn = s.durable_lsn;
-            if let Some(decoded) = decode_directory(&s.payload) {
-                tables = decoded;
-            }
-        }
-
-        // Replay committed directory updates.
-        let (frames, scan_done, _) = wal::scan(&media, &layout.wal_chunks, t);
-        t = scan_done;
-        let mut pending: BTreeMap<u64, Vec<(u8, Vec<u8>)>> = BTreeMap::new();
-        for frame in &frames {
-            for (i, rec) in frame.records.iter().enumerate() {
-                if frame.first_lsn + i as u64 <= ckpt_lsn {
-                    continue;
+        // The checkpointed directory, then the committed updates after it.
+        let replay = Journal::replay(&media, &layout, now);
+        let mut tables = replay
+            .snapshot
+            .as_deref()
+            .and_then(decode_directory)
+            .unwrap_or_default();
+        for rec in replay.txns.iter().flatten() {
+            match rec {
+                WalRecord::Blob { tag, data, .. } if *tag == TAG_TABLE_ADD => {
+                    if let Some(ext) = TableExtent::decode(&mut Decoder::new(data)) {
+                        tables.insert(ext.id, ext);
+                    }
                 }
-                match rec {
-                    WalRecord::TxBegin { txid } => {
-                        pending.insert(*txid, Vec::new());
+                WalRecord::Blob { tag, data, .. } if *tag == TAG_TABLE_DELETE => {
+                    if let Ok(id) = Decoder::new(data).u64() {
+                        tables.remove(&id);
                     }
-                    WalRecord::Blob { txid, tag, data } => {
-                        pending.entry(*txid).or_default().push((*tag, data.clone()));
-                    }
-                    WalRecord::TxCommit { txid } => {
-                        if let Some(ops) = pending.remove(txid) {
-                            for (tag, data) in ops {
-                                match tag {
-                                    TAG_TABLE_ADD => {
-                                        if let Some(ext) =
-                                            TableExtent::decode(&mut Decoder::new(&data))
-                                        {
-                                            tables.insert(ext.id, ext);
-                                        }
-                                    }
-                                    TAG_TABLE_DELETE => {
-                                        if let Ok(id) = Decoder::new(&data).u64() {
-                                            tables.remove(&id);
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
                 }
+                _ => {}
             }
         }
 
@@ -300,11 +256,7 @@ impl LightLsm {
         });
 
         // Persist the recovered directory and restart the log.
-        let mut store = ckpt;
-        let payload = encode_directory(&tables);
-        let (ck_done, _) = store.write(t, u64::MAX / 2, &payload)?;
-        let (wal, wal_done) = Wal::format(media.clone(), layout.wal_chunks.clone(), ck_done)?;
-        t = wal_done;
+        let (journal, t) = replay.restart(&encode_directory(&tables))?;
 
         let reserved = layout.reserved_linear(&geo);
         let prov = Provisioner::from_report(geo, &reserved, &media.report_all());
@@ -314,12 +266,10 @@ impl LightLsm {
             LightLsm {
                 geo,
                 prov,
-                wal,
-                ckpt: store,
+                journal,
                 dispatch: Timeline::new(),
                 tables,
                 next_id: max_id + 1,
-                next_txid: 1,
                 next_pu: 0,
                 next_group: 0,
                 stats: LightLsmStats::default(),
@@ -374,15 +324,29 @@ impl LightLsm {
         &self.layout
     }
 
-    fn ensure_log_space(&mut self, now: SimTime) -> Result<SimTime, LightLsmError> {
-        if self.wal.live_chunks() + 2 < self.wal.capacity_chunks() {
-            return Ok(now);
-        }
-        let payload = encode_directory(&self.tables);
-        let (done, _) = self.ckpt.write(now, self.wal.durable_lsn(), &payload)?;
-        let done = self.wal.truncate(done, self.wal.durable_lsn())?;
-        self.stats.dir_checkpoints += 1;
-        Ok(done)
+    /// Checkpoints the directory if the log is nearly full.
+    fn checkpoint_under_log_pressure(&mut self, now: SimTime) -> Result<SimTime, LightLsmError> {
+        let tables = &self.tables;
+        let taken = self
+            .journal
+            .ensure_log_space(now, || encode_directory(tables))?;
+        self.stats.dir_checkpoints += u64::from(taken.is_some());
+        Ok(taken.unwrap_or(now))
+    }
+
+    /// Journals one directory update as a transaction of its own; returns
+    /// when it is durable.
+    fn commit_directory_update(
+        &mut self,
+        now: SimTime,
+        tag: u8,
+        data: Vec<u8>,
+    ) -> Result<SimTime, LightLsmError> {
+        let wal = &mut self.journal.wal;
+        let txid = wal.begin();
+        wal.append(WalRecord::Blob { txid, tag, data });
+        wal.end(txid);
+        Ok(wal.commit(now)?)
     }
 
     /// Allocates the chunk stripe for `blocks` blocks under the placement
@@ -484,7 +448,7 @@ impl LightLsm {
                 capacity: self.table_capacity_bytes(),
             });
         }
-        let t = self.ensure_log_space(now)?;
+        let t = self.checkpoint_under_log_pressure(now)?;
         self.stats.flush_ensure_nanos += t.saturating_since(now).as_nanos();
         let unit = self.geo.ws_min_bytes();
         let blocks = data.len().div_ceil(unit) as u32;
@@ -548,18 +512,9 @@ impl LightLsm {
             durable = durable.max(self.media.flush_chunk(ack, c).done);
         }
         self.stats.flush_barrier_nanos += durable.saturating_since(ack).as_nanos();
-        let txid = self.next_txid;
-        self.next_txid += 1;
         let mut enc = Encoder::new();
         ext.encode(&mut enc);
-        self.wal.append(WalRecord::TxBegin { txid });
-        self.wal.append(WalRecord::Blob {
-            txid,
-            tag: TAG_TABLE_ADD,
-            data: enc.finish(),
-        });
-        self.wal.append(WalRecord::TxCommit { txid });
-        let done = self.wal.commit(durable)?;
+        let done = self.commit_directory_update(durable, TAG_TABLE_ADD, enc.finish())?;
         self.stats.flush_commit_nanos += done.saturating_since(durable).as_nanos();
 
         self.stats.flushes += 1;
@@ -593,7 +548,6 @@ impl LightLsm {
             ppa,
             self.geo.ws_min,
             out,
-            RetryPolicy::default(),
             Some(&self.obs.metrics),
         )?;
         Ok(self.complete_block_read(now, outcome))
@@ -614,7 +568,6 @@ impl LightLsm {
             submit,
             ppa,
             self.geo.ws_min,
-            RetryPolicy::default(),
             Some(&self.obs.metrics),
         )?;
         Ok((view, self.complete_block_read(now, outcome)))
@@ -665,19 +618,10 @@ impl LightLsm {
             .tables
             .remove(&id)
             .ok_or(LightLsmError::UnknownTable(id))?;
-        let t = self.ensure_log_space(now)?;
-        let txid = self.next_txid;
-        self.next_txid += 1;
+        let t = self.checkpoint_under_log_pressure(now)?;
         let mut enc = Encoder::new();
         enc.u64(id);
-        self.wal.append(WalRecord::TxBegin { txid });
-        self.wal.append(WalRecord::Blob {
-            txid,
-            tag: TAG_TABLE_DELETE,
-            data: enc.finish(),
-        });
-        self.wal.append(WalRecord::TxCommit { txid });
-        let commit_done = self.wal.commit(t)?;
+        let commit_done = self.commit_directory_update(t, TAG_TABLE_DELETE, enc.finish())?;
 
         // Erases are submitted together: chunks on different parallel units
         // erase concurrently (chunks sharing a PU serialize on its timeline).
@@ -1001,6 +945,32 @@ mod tests {
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
         let (_, _, count) = LightLsm::open(media, LightLsmConfig::default(), t1).unwrap();
         assert_eq!(count, 1, "only the durable table survives");
+    }
+
+    #[test]
+    fn flushes_and_deletes_between_two_crashes_survive_the_second() {
+        let (mut ftl, dev, t0) = setup(Placement::Horizontal);
+        let data = table_data(&ftl, 8, 3);
+        let (id1, t) = ftl.flush_table(t0, &data).unwrap();
+        let (id2, t) = ftl.flush_table(t, &data).unwrap();
+        dev.crash(t);
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+        let (mut ftl, t, count) = LightLsm::open(media, LightLsmConfig::default(), t).unwrap();
+        assert_eq!(count, 2);
+
+        // Acked durable between the crashes, with no directory checkpoint
+        // of the FTL's own in between.
+        let (id3, t) = ftl.flush_table(t, &data).unwrap();
+        let t = ftl.delete_table(t, id1).unwrap();
+        assert_eq!(ftl.stats().dir_checkpoints, 0);
+        dev.crash(t);
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+        let (mut ftl, t, _) = LightLsm::open(media, LightLsmConfig::default(), t).unwrap();
+        assert_eq!(ftl.table_ids(), [id2, id3], "flush kept, delete not undone");
+        let unit = ftl.block_bytes();
+        let mut out = vec![0u8; unit];
+        ftl.read_block(t, id3, 7, &mut out).unwrap();
+        assert_eq!(&out[..], &data[7 * unit..]);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The OX-Block FTL proper.
 
 use ocssd::{ChunkAddr, ChunkState, Completion, DeviceError, Geometry, MediaEvent, SECTOR_BYTES};
-use ox_core::checkpoint::CheckpointStore;
 use ox_core::gc::{GarbageCollector, GcConfig, GcPass};
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::mapping::PageMap;
 use ox_core::provision::Provisioner;
-use ox_core::recovery::{self, RecoveryOutcome};
+use ox_core::recovery::{self, Journal, RecoveryOutcome};
 use ox_core::stats::FtlStats;
-use ox_core::wal::{Wal, WalError, WalRecord};
+use ox_core::wal::{WalError, WalRecord};
 use ox_core::{
     badblock::{BadBlockTable, Orphan},
     Media,
@@ -167,12 +166,10 @@ pub struct BlockFtl {
     layout: Layout,
     map: PageMap,
     prov: Provisioner,
-    wal: Wal,
-    ckpt: CheckpointStore,
+    journal: Journal,
     gc: GarbageCollector,
     bbt: BadBlockTable,
     stats: FtlStats,
-    next_txid: u64,
     last_checkpoint: SimTime,
     /// Per-group instant until which GC activity occupies the group
     /// (interference accounting for the §4.3 locality numbers).
@@ -187,21 +184,6 @@ pub struct BlockFtl {
     degraded: bool,
     obs: Obs,
 }
-
-/// The LSN the checkpoint taken at the end of [`BlockFtl::recover`] records
-/// as covered. Its snapshot reflects every record recovery replayed, and the
-/// log those records sit in is erased right after it (`Wal::format`), so
-/// "covered" has to mean *the whole old log, whatever its LSNs were*: a
-/// crash before the erase completes must not replay any of it onto the
-/// snapshot again. Recovery does not report the old log's last LSN, hence
-/// half the LSN space rather than that number.
-///
-/// The re-formatted log numbers its records from 1 again, so until the next
-/// regular checkpoint — which records the new log's own durable LSN —
-/// replaces this one, the new log's frames count as covered too: a second
-/// crash in that window recovers the map as of this checkpoint. (ROADMAP,
-/// open items.)
-const COVERS_WHOLE_OLD_LOG: u64 = u64::MAX / 2;
 
 impl BlockFtl {
     /// Logical pages exposed.
@@ -226,12 +208,7 @@ impl BlockFtl {
             logical_pages < phys_pages * 9 / 10,
             "need ≥10% over-provisioning: {logical_pages} logical vs {phys_pages} physical"
         );
-        let (wal, done) = Wal::format(media.clone(), layout.wal_chunks.clone(), now)?;
-        let ckpt = CheckpointStore::new(
-            media.clone(),
-            layout.checkpoint_a.clone(),
-            layout.checkpoint_b.clone(),
-        );
+        let (journal, done) = Journal::format(&media, &layout, now)?;
         let ftl = BlockFtl {
             geo,
             map: PageMap::new(geo, logical_pages),
@@ -239,7 +216,6 @@ impl BlockFtl {
             gc: GarbageCollector::new(&media, config.gc, &reserved),
             bbt: BadBlockTable::new(),
             stats: FtlStats::default(),
-            next_txid: 1,
             last_checkpoint: now,
             gc_busy_until: vec![SimTime::ZERO; geo.num_groups as usize],
             scrub_cursor: 0,
@@ -247,8 +223,7 @@ impl BlockFtl {
             degraded: false,
             obs: media.obs(),
             layout,
-            wal,
-            ckpt,
+            journal,
             media,
             config,
         };
@@ -256,8 +231,8 @@ impl BlockFtl {
     }
 
     /// Recovers OX-Block after a crash: loads the newest checkpoint, replays
-    /// the log, rebuilds provisioning, and re-formats the WAL for new
-    /// traffic (a fresh checkpoint is taken first so nothing is lost).
+    /// the log, rebuilds provisioning, and restarts the journal on the
+    /// recovered map ([`recovery::Replay::restart`]).
     pub fn recover(
         media: Arc<dyn Media>,
         config: BlockFtlConfig,
@@ -266,25 +241,15 @@ impl BlockFtl {
         let geo = media.geometry();
         let layout = Layout::plan(&geo, config.layout);
         let logical_pages = config.logical_capacity_bytes / SECTOR_BYTES as u64;
-        let outcome = recovery::recover(&media, &layout, geo, logical_pages, now);
-        let mut t = outcome.done;
-
-        // Persist the recovered state so the old log can be retired, then
-        // restart the WAL.
-        let mut ckpt = CheckpointStore::new(
-            media.clone(),
-            layout.checkpoint_a.clone(),
-            layout.checkpoint_b.clone(),
-        );
+        let (mut outcome, replay) = recovery::recover(&media, &layout, geo, logical_pages, now);
         let snapshot = outcome.map.snapshot();
-        let (ck_done, _) = ckpt.write(t, COVERS_WHOLE_OLD_LOG, &snapshot)?;
-        t = ck_done;
-        let (wal, wal_done) = Wal::format(media.clone(), layout.wal_chunks.clone(), t)?;
-        t = wal_done;
+        let (journal, t) = replay.restart(&snapshot)?;
+        outcome.done = t;
+        outcome.duration = t.saturating_since(now);
 
         let reserved = layout.reserved_linear(&geo);
         let map = PageMap::from_snapshot(geo, &snapshot)
-            // oxcheck:allow(panic_path): the snapshot was produced two lines up by map.snapshot(); failing to re-decode our own encoding is a codec bug, not a media state.
+            // oxcheck:allow(panic_path): the snapshot was produced a few lines up by map.snapshot(); failing to re-decode our own encoding is a codec bug, not a media state.
             .expect("snapshot we just produced must decode");
         let prov = Provisioner::from_report(geo, &reserved, &media.report_all());
         let mut stats = FtlStats::default();
@@ -296,7 +261,6 @@ impl BlockFtl {
             gc: GarbageCollector::new(&media, config.gc, &reserved),
             bbt: BadBlockTable::new(),
             stats,
-            next_txid: 1,
             last_checkpoint: t,
             gc_busy_until: vec![SimTime::ZERO; geo.num_groups as usize],
             scrub_cursor: 0,
@@ -304,14 +268,10 @@ impl BlockFtl {
             degraded: false,
             obs: media.obs(),
             layout,
-            wal,
-            ckpt,
+            journal,
             media,
             config,
         };
-        let mut outcome = outcome;
-        outcome.done = t;
-        outcome.duration = t.saturating_since(now);
         Ok((ftl, outcome))
     }
 
@@ -361,19 +321,21 @@ impl BlockFtl {
 
         // Make room first so GC time is not billed inside the transaction.
         let mut gc_ran = false;
-        let mut t = self.ensure_log_space(now)?;
+        let mut t = self.checkpoint_under_log_pressure(now)?;
         while self.gc.needs_gc(&self.prov) {
-            let pass =
-                match self
-                    .gc
-                    .collect(t, &self.media, &mut self.map, &mut self.prov, &mut self.wal)
-                {
-                    Ok(p) => p,
-                    // GC ran out of destination chunks mid-relocation: the
-                    // spare pool is gone. Degrade instead of wedging.
-                    Err(WalError::LogFull) => return Err(self.enter_degraded()),
-                    Err(e) => return Err(e.into()),
-                };
+            let pass = match self.gc.collect(
+                t,
+                &self.media,
+                &mut self.map,
+                &mut self.prov,
+                &mut self.journal.wal,
+            ) {
+                Ok(p) => p,
+                // GC ran out of destination chunks mid-relocation: the
+                // spare pool is gone. Degrade instead of wedging.
+                Err(WalError::LogFull) => return Err(self.enter_degraded()),
+                Err(e) => return Err(e.into()),
+            };
             gc_ran = true;
             self.stats.gc_passes += 1;
             self.stats
@@ -387,9 +349,7 @@ impl BlockFtl {
             t = pass.done;
         }
 
-        let txid = self.next_txid;
-        self.next_txid += 1;
-        self.wal.append(WalRecord::TxBegin { txid });
+        let txid = self.journal.wal.begin();
 
         // Place the data, ws_min sectors at a time (zero-padding the tail
         // unit: the "unit of write" tax of §4.3).
@@ -442,7 +402,7 @@ impl BlockFtl {
                 let l = lpn + (sector_idx + k) as u64;
                 let ppa = slot.chunk.ppa(slot.sector + k as u32);
                 self.map.map(l, ppa);
-                self.wal.append(WalRecord::MapUpdate {
+                self.journal.wal.append(WalRecord::MapUpdate {
                     txid,
                     lpn: l,
                     ppa_linear: ppa.linear(&self.geo),
@@ -457,8 +417,8 @@ impl BlockFtl {
         for c in &written_chunks {
             durable = durable.max(self.media.flush_chunk(last_ack, *c).done);
         }
-        self.wal.append(WalRecord::TxCommit { txid });
-        let done = self.wal.commit(durable)?;
+        self.journal.wal.end(txid);
+        let done = self.journal.wal.commit(durable)?;
         self.stats.user_writes.record(data.len() as u64);
         self.stats.metadata_writes.record(0); // tracked via wal bytes below
         self.obs.metrics.record("oxblock.write", data.len() as u64);
@@ -490,7 +450,6 @@ impl BlockFtl {
                     ppa,
                     1,
                     out,
-                    ox_core::retry::RetryPolicy::default(),
                     Some(&self.obs.metrics),
                 ) {
                     Ok(o) => {
@@ -531,29 +490,25 @@ impl BlockFtl {
         if self.degraded {
             return Err(BlockFtlError::ReadOnly);
         }
-        let txid = self.next_txid;
-        self.next_txid += 1;
-        self.wal.append(WalRecord::TxBegin { txid });
+        let txid = self.journal.wal.begin();
         for l in lpn..lpn + pages {
             if self.map.unmap(l).is_some() {
-                self.wal.append(WalRecord::Trim { txid, lpn: l });
+                self.journal.wal.append(WalRecord::Trim { txid, lpn: l });
             }
         }
-        self.wal.append(WalRecord::TxCommit { txid });
-        let done = self.wal.commit(now)?;
+        self.journal.wal.end(txid);
+        let done = self.journal.wal.commit(now)?;
         self.obs.metrics.add("oxblock.trim", pages, 0);
         self.obs.tracer.span(now, done, "oxblock", "trim", 0);
         Ok(done)
     }
 
-    /// Checkpoints under log pressure: when the WAL ring is nearly full and
-    /// checkpointing is enabled, take one now so commits never hit
-    /// `LogFull`. With checkpointing disabled (Figure 3's blue line), the
-    /// ring must be provisioned for the whole run and `LogFull` propagates.
-    fn ensure_log_space(&mut self, now: SimTime) -> Result<SimTime, BlockFtlError> {
-        if self.config.checkpoint_interval.is_some()
-            && self.wal.live_chunks() + 2 >= self.wal.capacity_chunks()
-        {
+    /// Takes a checkpoint now if the journal says the log is nearly full
+    /// and checkpointing is enabled, so commits never hit `LogFull`. With
+    /// checkpointing disabled (Figure 3's blue line), the ring must be
+    /// provisioned for the whole run and `LogFull` propagates.
+    fn checkpoint_under_log_pressure(&mut self, now: SimTime) -> Result<SimTime, BlockFtlError> {
+        if self.config.checkpoint_interval.is_some() && self.journal.log_nearly_full() {
             return self.checkpoint(now);
         }
         Ok(now)
@@ -562,7 +517,6 @@ impl BlockFtl {
     /// Takes a checkpoint now: snapshot the map, persist it, truncate the
     /// log. Returns the completion time.
     pub fn checkpoint(&mut self, now: SimTime) -> Result<SimTime, BlockFtlError> {
-        let covered = self.wal.durable_lsn();
         let snapshot = self.map.snapshot();
         // RAII span: the fallible steps below may early-return, and a
         // failed checkpoint attempt must still close its span (the guard's
@@ -571,8 +525,7 @@ impl BlockFtl {
             .obs
             .tracer
             .guard(now, "oxblock", "checkpoint", snapshot.len() as u64);
-        let (done, _seq) = self.ckpt.write(now, covered, &snapshot)?;
-        let done = self.wal.truncate(done, covered)?;
+        let done = self.journal.checkpoint(now, &snapshot)?;
         self.stats.checkpoints += 1;
         self.stats.metadata_writes.record(snapshot.len() as u64);
         self.last_checkpoint = done;
@@ -602,7 +555,7 @@ impl BlockFtl {
             &self.media,
             &mut self.map,
             &mut self.prov,
-            &mut self.wal,
+            &mut self.journal.wal,
         )?;
         self.stats.gc_passes += 1;
         self.stats
@@ -623,7 +576,7 @@ impl BlockFtl {
             &self.media,
             &mut self.map,
             &mut self.prov,
-            &mut self.wal,
+            &mut self.journal.wal,
         ) {
             Ok(pass) => pass,
             // GC finding no destination chunk is spare exhaustion, same as
@@ -709,7 +662,6 @@ impl BlockFtl {
                 o.ppa,
                 1,
                 &mut buf,
-                ox_core::retry::RetryPolicy::default(),
                 Some(&self.obs.metrics),
             ) {
                 Ok(o2) => {
@@ -852,14 +804,14 @@ impl BlockFtl {
                 let Some(victim) = self.refresh_queue.pop_front() else {
                     break;
                 };
-                t = self.ensure_log_space(t)?;
+                t = self.checkpoint_under_log_pressure(t)?;
                 let pass = match self.gc.relocate_chunk(
                     t,
                     victim,
                     &self.media,
                     &mut self.map,
                     &mut self.prov,
-                    &mut self.wal,
+                    &mut self.journal.wal,
                 ) {
                     Ok(p) => p,
                     // No destination chunks for the refresh copies: spare
@@ -911,7 +863,7 @@ impl BlockFtl {
 
     /// WAL frame/byte counters (metadata write amplification).
     pub fn wal_bytes_written(&self) -> u64 {
-        self.wal.bytes_written()
+        self.journal.wal.bytes_written()
     }
 
     /// The collector's currently marked group.
@@ -1075,6 +1027,30 @@ mod tests {
             let mut out = page(0);
             ftl2.read(outcome.done, i, &mut out).unwrap();
             assert_eq!(out[0], i as u8 + 1, "lpn {i}");
+        }
+    }
+
+    #[test]
+    fn overwrites_survive_a_second_crash_with_no_checkpoint_in_between() {
+        let config = BlockFtlConfig::with_capacity(64 * 1024 * 1024);
+        let mut r = rig();
+        let mut t = r.t;
+        for round in 0..3u8 {
+            for i in 0..20u64 {
+                let fill = 100 * round + i as u8 + 1;
+                t = r.ftl.write(t, i, &page(fill)).unwrap().done;
+            }
+            r.dev.crash(t);
+            let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(r.dev.clone()));
+            let (ftl, outcome) = BlockFtl::recover(media, config, t).unwrap();
+            assert_eq!(outcome.txns_committed, 20, "round {round}");
+            r.ftl = ftl;
+            t = outcome.done;
+            for i in 0..20u64 {
+                let mut out = page(0);
+                r.ftl.read(t, i, &mut out).unwrap();
+                assert_eq!(out[0], 100 * round + i as u8 + 1, "round {round} lpn {i}");
+            }
         }
     }
 

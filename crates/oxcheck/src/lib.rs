@@ -20,6 +20,10 @@
 //!   sinks and media routes from the media it is constructed on; a public
 //!   `set_obs` / `set_*_media` / `*_with_obs` hook in a crate's sources
 //!   brings back stacks that are built half-wired and mutated afterwards.
+//! * **L9 `private_replay`** — which transactions a crash left committed,
+//!   and how the old log is retired, is decided once, in
+//!   `ox_core::recovery`; a `wal::scan` or `read_latest` call anywhere else
+//!   in a crate's sources is a private replay loop growing back.
 //!
 //! See `docs/static-analysis.md` for the full catalog and pragma syntax.
 
@@ -59,6 +63,8 @@ pub enum Lint {
     SpanDiscipline,
     /// L8: public hooks that wire a layer after it was constructed.
     PostConstructionWiring,
+    /// L9: log scans and checkpoint loads outside `ox_core::recovery`.
+    PrivateReplay,
 }
 
 impl Lint {
@@ -73,10 +79,11 @@ impl Lint {
             Lint::LockOrder => "lock_order",
             Lint::SpanDiscipline => "span_discipline",
             Lint::PostConstructionWiring => "post_construction_wiring",
+            Lint::PrivateReplay => "private_replay",
         }
     }
 
-    /// Catalog code (L1–L8).
+    /// Catalog code (L1–L9).
     pub fn code(self) -> &'static str {
         match self {
             Lint::StdSyncLock => "L1",
@@ -87,6 +94,7 @@ impl Lint {
             Lint::LockOrder => "L6",
             Lint::SpanDiscipline => "L7",
             Lint::PostConstructionWiring => "L8",
+            Lint::PrivateReplay => "L9",
         }
     }
 }

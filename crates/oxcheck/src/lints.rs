@@ -1,7 +1,7 @@
-//! Token-level lint passes (L1–L3, L8) plus pragma and `#[cfg(test)]`
+//! Token-level lint passes (L1–L3, L8, L9) plus pragma and `#[cfg(test)]`
 //! scoping.
 //!
-//! All four passes run over the comment-free token stream produced by
+//! All five passes run over the comment-free token stream produced by
 //! [`crate::lexer::lex`]; comments are consulted separately for
 //! `// oxcheck:allow(<lint>)` pragmas. Test code — `#[cfg(test)]` items and
 //! `mod tests { .. }` blocks — is exempt from L3 (tests may unwrap freely)
@@ -12,7 +12,7 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::{Config, Finding, Lint};
 use std::collections::{HashMap, HashSet};
 
-/// Runs L1–L3 and L8 over one Rust source file. `rel_path` uses forward slashes
+/// Runs L1–L3, L8 and L9 over one Rust source file. `rel_path` uses forward slashes
 /// relative to the workspace root.
 pub fn check_rust_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let tokens = lex(src);
@@ -35,6 +35,9 @@ pub fn check_rust_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding
     }
     if rel_path.starts_with("crates/") && rel_path.contains("/src/") {
         lint_post_construction_wiring(rel_path, &code, &test_lines, &mut findings);
+        if !REPLAY_OWNERS.contains(&rel_path) {
+            lint_private_replay(rel_path, &code, &test_lines, &mut findings);
+        }
     }
     findings.retain(|f| !allowed_by_pragma(&allows, f));
     findings
@@ -390,6 +393,45 @@ fn lint_post_construction_wiring(
                     "`pub fn {n}` wires a layer after construction; read \
                      `Media::obs()` / `Media::gc_route()` (or `TableStore::obs()`) \
                      in the constructor instead"
+                ),
+            ));
+        }
+    }
+}
+
+/// The files that own log replay: the scan, the checkpoint load, and the
+/// one recovery built on both.
+const REPLAY_OWNERS: [&str; 3] = [
+    "crates/core/src/recovery.rs",
+    "crates/core/src/wal.rs",
+    "crates/core/src/checkpoint.rs",
+];
+
+/// L9: `wal::scan` (called or imported) and calls of `read_latest` in a
+/// crate's non-test sources, outside [`REPLAY_OWNERS`].
+fn lint_private_replay(
+    rel_path: &str,
+    code: &[&Token],
+    test_lines: &HashSet<u32>,
+    out: &mut Vec<Finding>,
+) {
+    for i in 0..code.len() {
+        let hit = if ident_at(code, i, "scan") {
+            i >= 3 && is_path_sep(code, i - 2) && ident_at(code, i - 3, "wal")
+        } else {
+            ident_at(code, i, "read_latest")
+                && code.get(i + 1).is_some_and(|t| t.text == "(")
+                && !ident_at(code, i.wrapping_sub(1), "fn")
+        };
+        if hit && !in_test(test_lines, code[i].line) {
+            out.push(Finding::new(
+                rel_path,
+                code[i].line,
+                Lint::PrivateReplay,
+                format!(
+                    "`{}` outside `ox_core::recovery` is a private replay loop; \
+                     build on `Journal::replay` / `Replay::restart` instead",
+                    code[i].text
                 ),
             ));
         }

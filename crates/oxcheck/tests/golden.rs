@@ -1,4 +1,4 @@
-//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7) and L8.
+//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7), L8 and L9.
 //!
 //! Each fixture under `tests/fixtures/` is a self-contained source file of
 //! true-positive and false-positive shapes, annotated inline with
@@ -152,6 +152,25 @@ fn l8_wiring_hooks_are_flagged_in_crate_sources_only() {
     let a = analyze("crates/x/src/l8_wiring.rs", src);
     assert_eq!(lines_of(&a, lint), [7, 8, 9], "{:#?}", a.findings);
     for path in ["crates/x/tests/l8_wiring.rs", "examples/l8_wiring.rs"] {
+        assert!(lines_of(&analyze(path, src), lint).is_empty(), "{path}");
+    }
+}
+
+/// L9 flags log scans and checkpoint loads in crate sources — except in the
+/// three files that own replay — and leaves tests and examples alone.
+#[test]
+fn l9_private_replay_is_flagged_outside_the_files_that_own_it() {
+    let src = include_str!("fixtures/l9_private_replay.rs");
+    let lint = "private_replay";
+    let a = analyze("crates/x/src/l9_private_replay.rs", src);
+    assert_eq!(lines_of(&a, lint), [5, 8, 9, 10], "{:#?}", a.findings);
+    for path in [
+        "crates/core/src/recovery.rs",
+        "crates/core/src/wal.rs",
+        "crates/core/src/checkpoint.rs",
+        "crates/x/tests/l9_private_replay.rs",
+        "examples/l9_private_replay.rs",
+    ] {
         assert!(lines_of(&analyze(path, src), lint).is_empty(), "{path}");
     }
 }

@@ -15,9 +15,10 @@ use ocssd::{ChunkAddr, ChunkState, DeviceError, Geometry, SECTOR_BYTES};
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::mapping::PageMap;
 use ox_core::provision::Provisioner;
+use ox_core::recovery::{apply_map_record, Journal};
 use ox_core::stats::FtlStats;
-use ox_core::wal::{self, Wal, WalError, WalRecord};
-use ox_core::Media;
+use ox_core::wal::{WalError, WalRecord};
+use ox_core::{retry, Media};
 use ox_sim::SimTime;
 use std::sync::Arc;
 
@@ -26,6 +27,20 @@ use std::sync::Arc;
 /// so a short record can never panic the recovery path.
 fn le64(b: &[u8]) -> Option<u64> {
     b.first_chunk::<8>().map(|a| u64::from_le_bytes(*a))
+}
+
+/// Checkpoint payload: the absolute log head and tail (map slots alone are
+/// modulo the window), then the window's page map.
+fn encode_snapshot(head_lpn: u64, tail_lpn: u64, map: &PageMap) -> Vec<u8> {
+    let mut out = head_lpn.to_le_bytes().to_vec();
+    out.extend_from_slice(&tail_lpn.to_le_bytes());
+    out.extend_from_slice(&map.snapshot());
+    out
+}
+
+fn decode_snapshot(geo: Geometry, data: &[u8]) -> Option<(u64, u64, PageMap)> {
+    let map = PageMap::from_snapshot(geo, data.get(16..)?)?;
+    Some((le64(data)?, le64(&data[8..])?, map))
 }
 
 const TAG_BUFFER: u8 = 1;
@@ -123,7 +138,7 @@ pub struct EleosFtl {
     config: EleosConfig,
     map: PageMap,
     prov: Provisioner,
-    wal: Wal,
+    journal: Journal,
     cpu: ControllerCpu,
     stats: FtlStats,
     window_pages: u64,
@@ -131,7 +146,6 @@ pub struct EleosFtl {
     tail_lpn: u64,
     /// First live page (absolute).
     head_lpn: u64,
-    next_txid: u64,
     /// Bytes the host asked for vs. bytes read from media (read
     /// amplification of sub-sector reads).
     bytes_requested: u64,
@@ -154,19 +168,18 @@ impl EleosFtl {
         let layout = Layout::plan(&geo, config.layout);
         let reserved = layout.reserved_linear(&geo);
         let window_pages = config.window_bytes / SECTOR_BYTES as u64;
-        let (wal, done) = Wal::format(media.clone(), layout.wal_chunks.clone(), now)?;
+        let (journal, done) = Journal::format(&media, &layout, now)?;
         Ok((
             EleosFtl {
                 geo,
                 map: PageMap::new(geo, window_pages),
                 prov: Provisioner::fresh(geo, &reserved),
-                wal,
+                journal,
                 cpu: ControllerCpu::new(config.cpu),
                 stats: FtlStats::default(),
                 window_pages,
                 tail_lpn: 0,
                 head_lpn: 0,
-                next_txid: 1,
                 bytes_requested: 0,
                 bytes_read_media: 0,
                 media,
@@ -178,8 +191,9 @@ impl EleosFtl {
 
     /// Reopens OX-ELEOS after a crash: replays the journal to rebuild the
     /// page map and the absolute log head/tail, drops map entries outside
-    /// the live window, and resumes provisioning from *report chunk*.
-    /// Returns the FTL, completion time, and buffers recovered.
+    /// the live window, resumes provisioning from *report chunk* and
+    /// restarts the journal on the recovered state. Returns the FTL,
+    /// completion time, and the buffers replayed from the log.
     pub fn open(
         media: Arc<dyn Media>,
         config: EleosConfig,
@@ -190,61 +204,29 @@ impl EleosFtl {
         let layout = Layout::plan(&geo, config.layout);
         let reserved = layout.reserved_linear(&geo);
         let window_pages = config.window_bytes / SECTOR_BYTES as u64;
-        let mut map = PageMap::new(geo, window_pages);
 
-        let (frames, mut t, _) = wal::scan(&media, &layout.wal_chunks, now);
-        let mut head_lpn = 0u64;
-        let mut tail_lpn = 0u64;
+        let replay = Journal::replay(&media, &layout, now);
+        let (mut head_lpn, mut tail_lpn, mut map) = replay
+            .snapshot
+            .as_deref()
+            .and_then(|s| decode_snapshot(geo, s))
+            .unwrap_or_else(|| (0, 0, PageMap::new(geo, window_pages)));
         let mut buffers = 0u64;
-        // Single-threaded append path ⇒ each transaction sits whole within
-        // one frame sequence; replay committed ones in order.
-        let mut pending: std::collections::HashMap<u64, Vec<WalRecord>> =
-            std::collections::HashMap::new();
-        for frame in &frames {
-            for rec in &frame.records {
-                match rec {
-                    WalRecord::TxBegin { txid } => {
-                        pending.insert(*txid, Vec::new());
+        for rec in replay.txns.iter().flatten() {
+            match rec {
+                WalRecord::Blob { tag, data, .. } if *tag == TAG_BUFFER && data.len() == 16 => {
+                    if let (Some(first), Some(pages)) = (le64(data), le64(&data[8..])) {
+                        tail_lpn = tail_lpn.max(first + pages);
+                        buffers += 1;
                     }
-                    WalRecord::MapUpdate { txid, .. } | WalRecord::Blob { txid, .. } => {
-                        if let Some(v) = pending.get_mut(txid) {
-                            v.push(rec.clone());
-                        }
+                }
+                WalRecord::Blob { tag, data, .. } if *tag == TAG_TRIM => {
+                    if let Some(h) = le64(data) {
+                        head_lpn = head_lpn.max(h);
                     }
-                    WalRecord::TxCommit { txid } => {
-                        let Some(ops) = pending.remove(txid) else {
-                            continue;
-                        };
-                        for op in ops {
-                            match op {
-                                WalRecord::MapUpdate {
-                                    lpn, ppa_linear, ..
-                                } if lpn < window_pages && ppa_linear < geo.total_sectors() => {
-                                    map.map(lpn, ocssd::Ppa::from_linear(&geo, ppa_linear));
-                                }
-                                WalRecord::Blob { tag, data, .. }
-                                    if tag == TAG_BUFFER && data.len() == 16 =>
-                                {
-                                    let (Some(first), Some(pages)) =
-                                        (le64(&data[..8]), le64(&data[8..]))
-                                    else {
-                                        continue;
-                                    };
-                                    tail_lpn = tail_lpn.max(first + pages);
-                                    buffers += 1;
-                                }
-                                WalRecord::Blob { tag, data, .. }
-                                    if tag == TAG_TRIM && data.len() == 8 =>
-                                {
-                                    if let Some(h) = le64(&data) {
-                                        head_lpn = head_lpn.max(h);
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    _ => {}
+                }
+                _ => {
+                    apply_map_record(&mut map, &geo, rec);
                 }
             }
         }
@@ -274,52 +256,40 @@ impl EleosFtl {
             }
         }
         let prov = Provisioner::from_report(geo, &reserved, &media.report_all());
-        let (wal_new, wal_done) = Wal::format(media.clone(), layout.wal_chunks.clone(), t)?;
-        t = wal_done;
-        // Re-journal the surviving window so the fresh log is self-contained.
-        let mut ftl = EleosFtl {
+        let (journal, t) = replay.restart(&encode_snapshot(head_lpn, tail_lpn, &map))?;
+        let ftl = EleosFtl {
             geo,
             map,
             prov,
-            wal: wal_new,
+            journal,
             cpu: ControllerCpu::new(config.cpu),
             stats: FtlStats::default(),
             window_pages,
             tail_lpn,
             head_lpn,
-            next_txid: 1,
             bytes_requested: 0,
             bytes_read_media: 0,
             media,
             config,
         };
-        let txid = ftl.next_txid;
-        ftl.next_txid += 1;
-        ftl.wal.append(WalRecord::TxBegin { txid });
-        let mut blob = Vec::with_capacity(16);
-        blob.extend_from_slice(&ftl.head_lpn.to_le_bytes());
-        blob.extend_from_slice(&(ftl.tail_lpn - ftl.head_lpn).to_le_bytes());
-        ftl.wal.append(WalRecord::Blob {
-            txid,
-            tag: TAG_BUFFER,
-            data: blob,
-        });
-        for lpn in 0..window_pages {
-            if let Some(ppa) = ftl.map.lookup(lpn) {
-                ftl.wal.append(WalRecord::MapUpdate {
-                    txid,
-                    lpn,
-                    ppa_linear: ppa.linear(&geo),
-                });
-            }
-        }
-        ftl.wal.append(WalRecord::TxCommit { txid });
-        t = ftl.wal.commit(t)?;
         Ok((ftl, t, buffers))
     }
 
     fn slot_of(&self, lpn: u64) -> u64 {
         lpn % self.window_pages
+    }
+
+    /// Checkpoints map, head and tail if the journal is in use and nearly
+    /// full; returns when the next transaction can start.
+    fn checkpoint_under_log_pressure(&mut self, now: SimTime) -> Result<SimTime, EleosError> {
+        if !self.config.journal {
+            return Ok(now);
+        }
+        let (head, tail, map) = (self.head_lpn, self.tail_lpn, &self.map);
+        let taken = self
+            .journal
+            .ensure_log_space(now, || encode_snapshot(head, tail, map))?;
+        Ok(taken.unwrap_or(now))
     }
 
     /// Appends one LSS I/O buffer. Returns the log address of its first byte
@@ -340,20 +310,20 @@ impl EleosFtl {
             return Err(EleosError::WindowFull);
         }
 
+        let now = self.checkpoint_under_log_pressure(now)?;
+
         // The two data copies on the controller (Figure 7's bottleneck).
         let t = self.cpu.charge_write(now, data.len() as u64);
 
-        let txid = self.next_txid;
-        self.next_txid += 1;
         let first_lpn = self.tail_lpn;
-        if self.config.journal {
-            self.wal.append(WalRecord::TxBegin { txid });
+        let txid = self.config.journal.then(|| self.journal.wal.begin());
+        if let Some(txid) = txid {
             // Buffer-boundary record: lets recovery rebuild the absolute
             // log tail (map slots alone are modulo the window).
             let mut blob = Vec::with_capacity(16);
             blob.extend_from_slice(&first_lpn.to_le_bytes());
             blob.extend_from_slice(&pages.to_le_bytes());
-            self.wal.append(WalRecord::Blob {
+            self.journal.wal.append(WalRecord::Blob {
                 txid,
                 tag: TAG_BUFFER,
                 data: blob,
@@ -395,8 +365,8 @@ impl EleosFtl {
                 let lpn = first_lpn + u as u64 * self.geo.ws_min as u64 + k;
                 let ppa = slot.chunk.ppa(slot.sector + k as u32);
                 self.map.map(self.slot_of(lpn), ppa);
-                if self.config.journal {
-                    self.wal.append(WalRecord::MapUpdate {
+                if let Some(txid) = txid {
+                    self.journal.wal.append(WalRecord::MapUpdate {
                         txid,
                         lpn: self.slot_of(lpn),
                         ppa_linear: ppa.linear(&self.geo),
@@ -408,7 +378,7 @@ impl EleosFtl {
         self.tail_lpn += pages;
         self.stats.user_writes.record(data.len() as u64);
 
-        let done = if self.config.journal {
+        let done = if let Some(txid) = txid {
             // Force-at-commit: the buffer's data must be durable before the
             // commit record, or a crash could replay a mapping whose sectors
             // the write cache rolled back. (The journal-less data path keeps
@@ -417,8 +387,8 @@ impl EleosFtl {
             for c in &written_chunks {
                 durable = durable.max(self.media.flush_chunk(ack, *c).done);
             }
-            self.wal.append(WalRecord::TxCommit { txid });
-            self.wal.commit(durable)?
+            self.journal.wal.end(txid);
+            self.journal.wal.commit(durable)?
         } else {
             ack
         };
@@ -453,21 +423,12 @@ impl EleosFtl {
                 .map
                 .lookup(self.slot_of(lpn))
                 .ok_or(EleosError::OutOfLog(addr))?;
-            // Uncorrectable reads are often transient (ECC retry succeeds on
-            // a later attempt); retry a bounded number of times before
+            // Uncorrectable reads are often transient: bounded retry before
             // surfacing the error.
-            let mut attempts = 0u32;
-            let comp = loop {
-                match self.media.read(now, ppa, 1, &mut sector) {
-                    Ok(comp) => break comp,
-                    Err(DeviceError::UncorrectableRead(_)) if attempts < 3 => {
-                        attempts += 1;
-                        self.stats.read_retries += 1;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            t = t.max(comp.done);
+            let read =
+                retry::read_with_policy(self.media.as_ref(), now, ppa, 1, &mut sector, None)?;
+            self.stats.read_retries += read.retries as u64;
+            t = t.max(read.completion.done);
             self.bytes_read_media += SECTOR_BYTES as u64;
             // Copy the overlapping byte range.
             let page_start = lpn * SECTOR_BYTES as u64;
@@ -495,16 +456,16 @@ impl EleosFtl {
             // Log-before-action: the trim record must be durable before any
             // chunk is erased, or recovery would resurrect trimmed buffers
             // whose media is already gone.
-            let txid = self.next_txid;
-            self.next_txid += 1;
-            self.wal.append(WalRecord::TxBegin { txid });
-            self.wal.append(WalRecord::Blob {
+            let now = self.checkpoint_under_log_pressure(now)?;
+            let wal = &mut self.journal.wal;
+            let txid = wal.begin();
+            wal.append(WalRecord::Blob {
                 txid,
                 tag: TAG_TRIM,
                 data: new_head.to_le_bytes().to_vec(),
             });
-            self.wal.append(WalRecord::TxCommit { txid });
-            self.wal.commit(now)?
+            wal.end(txid);
+            wal.commit(now)?
         } else {
             now
         };
@@ -851,6 +812,48 @@ mod recovery_tests {
         // And appending continues from the recovered tail.
         let (addr, _) = re.append_buffer(t2, &buf).unwrap();
         assert_eq!(addr.0, 4 * 768 * 1024);
+    }
+
+    #[test]
+    fn a_thousand_journaled_buffers_checkpoint_truncate_and_reopen() {
+        const LIVE: u64 = 8; // buffers kept behind the tail
+        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+        let (mut ftl, mut t) = EleosFtl::format(media, cfg(), SimTime::ZERO).unwrap();
+        let bytes = cfg().buffer_bytes as u64;
+        let mk = |n: u64| vec![n as u8; bytes as usize];
+        // Twice the journal ring's worth of transactions: without a
+        // checkpoint to truncate behind, the ring fills around buffer 260.
+        for n in 0..1000u64 {
+            t = ftl.append_buffer(t, &mk(n)).unwrap().1;
+            t = ftl
+                .trim_until(t, LogAddr((n + 1).saturating_sub(LIVE) * bytes))
+                .unwrap();
+        }
+        assert_eq!(ftl.live_bytes(), LIVE * bytes);
+
+        // The journal was checkpointed and truncated on the way; what
+        // reopens is the checkpoint plus the log behind it.
+        dev.crash(t);
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
+        let (mut re, t, replayed) = EleosFtl::open(media, cfg(), t).unwrap();
+        assert!(
+            replayed < 300,
+            "{replayed} buffers replayed: never truncated"
+        );
+        assert_eq!(re.head_addr(), LogAddr((1000 - LIVE) * bytes));
+        assert_eq!(re.tail_addr(), LogAddr(1000 * bytes));
+        let mut out = vec![0u8; bytes as usize];
+        for n in 1000 - LIVE..1000 {
+            re.read(t, LogAddr(n * bytes), &mut out).unwrap();
+            assert_eq!(out, mk(n), "buffer {n}");
+        }
+        assert!(matches!(
+            re.read(t, LogAddr((1000 - LIVE) * bytes - 1), &mut out[..1]),
+            Err(EleosError::OutOfLog(_))
+        ));
+        let (addr, _) = re.append_buffer(t, &mk(0)).unwrap();
+        assert_eq!(addr, LogAddr(1000 * bytes));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 #![warn(clippy::all)]
 
 use ocssd::{ChunkAddr, ChunkState, Completion, DeviceError, Geometry, SECTOR_BYTES};
-use ox_core::retry::{read_with_policy, RetryPolicy};
+use ox_core::retry::read_with_policy;
 use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
@@ -57,16 +57,11 @@ pub struct ZoneInfo {
 pub struct ZnsConfig {
     /// Chunks per zone (zone capacity = this × chunk size).
     pub chunks_per_zone: u32,
-    /// Bounded-retry policy for transient uncorrectable reads.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ZnsConfig {
     fn default() -> Self {
-        ZnsConfig {
-            chunks_per_zone: 4,
-            retry: RetryPolicy::default(),
-        }
+        ZnsConfig { chunks_per_zone: 4 }
     }
 }
 
@@ -135,8 +130,6 @@ pub struct ZnsFtl {
     geo: Geometry,
     zones: Vec<Zone>,
     zone_sectors: u64,
-    /// Bounded-retry policy for transient uncorrectable reads.
-    retry: RetryPolicy,
     obs: Obs,
 }
 
@@ -195,7 +188,6 @@ impl ZnsFtl {
                 geo,
                 zones,
                 zone_sectors,
-                retry: config.retry,
             },
             done,
         ))
@@ -236,7 +228,6 @@ impl ZnsFtl {
                     geo,
                     zones,
                     zone_sectors: config.chunks_per_zone as u64 * geo.sectors_per_chunk as u64,
-                    retry: config.retry,
                 },
                 now,
             )
@@ -429,7 +420,6 @@ impl ZnsFtl {
                 chunk.ppa(within),
                 in_chunk as u32,
                 &mut out[off..off + bytes],
-                self.retry,
                 Some(&self.obs.metrics),
             )?;
             done = done.max(outcome.completion.done);
@@ -521,15 +511,8 @@ mod tests {
     fn setup() -> (ZnsFtl, SharedDevice, SimTime) {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-        let (ftl, t) = ZnsFtl::format(
-            media,
-            ZnsConfig {
-                chunks_per_zone: 2,
-                ..ZnsConfig::default()
-            },
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let (ftl, t) =
+            ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 2 }, SimTime::ZERO).unwrap();
         (ftl, dev, t)
     }
 
@@ -632,15 +615,7 @@ mod tests {
         let f = dev.flush(t2);
         dev.crash(f.done);
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-        let (mut re, t3) = ZnsFtl::open(
-            media,
-            ZnsConfig {
-                chunks_per_zone: 2,
-                ..ZnsConfig::default()
-            },
-            f.done,
-        )
-        .unwrap();
+        let (mut re, t3) = ZnsFtl::open(media, ZnsConfig { chunks_per_zone: 2 }, f.done).unwrap();
         assert_eq!(re.zone_info(0).unwrap().write_pointer, 24);
         assert_eq!(re.zone_info(0).unwrap().state, ZoneState::Open);
         assert_eq!(re.zone_info(2).unwrap().state, ZoneState::Empty);

@@ -90,15 +90,8 @@ impl Case {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
         dev.set_fault_plan(plan);
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-        let (ftl, t) = ZnsFtl::format(
-            media,
-            ZnsConfig {
-                chunks_per_zone: 2,
-                ..ZnsConfig::default()
-            },
-            SimTime::ZERO,
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: format failed: {e}"));
+        let (ftl, t) = ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 2 }, SimTime::ZERO)
+            .unwrap_or_else(|e| panic!("seed {seed}: format failed: {e}"));
         let append_bytes = ftl.append_bytes();
         let zone_sectors = ftl.zone_sectors();
         let zones = ftl.zone_count().min(ZONES_IN_PLAY);
@@ -430,15 +423,8 @@ fn boundary_rejections_leave_zone_untouched() {
     let geo = matrix_geometry();
     let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-    let (mut ftl, t0) = ZnsFtl::format(
-        media,
-        ZnsConfig {
-            chunks_per_zone: 1,
-            ..ZnsConfig::default()
-        },
-        SimTime::ZERO,
-    )
-    .unwrap();
+    let (mut ftl, t0) =
+        ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 1 }, SimTime::ZERO).unwrap();
     let unit = ftl.append_bytes();
     let unit_sectors = (unit / SECTOR_BYTES) as u64;
     let cap_units = ftl.zone_sectors() / unit_sectors;

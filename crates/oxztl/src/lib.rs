@@ -51,7 +51,6 @@ pub use placement::{Stream, STREAMS};
 pub use route::RoutedMedia;
 
 use ocssd::{ChunkAddr, DeviceError, Geometry, SECTOR_BYTES};
-use ox_core::retry::RetryPolicy;
 use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
@@ -100,8 +99,6 @@ pub struct ZtlConfig {
     /// scores zones on garbage and age alone, larger values steer GC away
     /// from worn zones (the PR-9 wear-leveling knob, on zones).
     pub wear_bias: u32,
-    /// Bounded-retry policy for transient uncorrectable reads.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ZtlConfig {
@@ -112,7 +109,6 @@ impl Default for ZtlConfig {
             gc_reserve_zones: 2,
             low_watermark_zones: 4,
             wear_bias: 0,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -384,7 +380,6 @@ impl ZtlFtl {
             zns_media,
             ZnsConfig {
                 chunks_per_zone: cfg.chunks_per_zone,
-                retry: cfg.retry,
             },
             now,
         )?;
@@ -410,7 +405,6 @@ impl ZtlFtl {
             zns_media,
             ZnsConfig {
                 chunks_per_zone: cfg.chunks_per_zone,
-                retry: cfg.retry,
             },
             now,
         )?;
@@ -1274,7 +1268,6 @@ mod tests {
             gc_reserve_zones: 1,
             low_watermark_zones: 2,
             wear_bias: 0,
-            retry: RetryPolicy::default(),
         }
     }
 

@@ -17,7 +17,7 @@ mod common;
 
 use common::{tiny_cfg, tiny_geometry};
 use ocssd::{
-    matrix_seeds, ChunkInfo, DeviceConfig, DeviceError, FaultMix, FaultPlan, Geometry, OcssdDevice,
+    matrix_seeds, ChunkInfo, DeviceConfig, FaultMix, FaultPlan, Geometry, OcssdDevice,
     SharedDevice, SECTOR_BYTES,
 };
 use ox_core::faultharness::{
@@ -25,7 +25,6 @@ use ox_core::faultharness::{
 };
 use ox_core::{Media, OcssdMedia};
 use ox_sim::SimTime;
-use ox_zns::ZnsError;
 use oxztl::{Stream, ZtlConfig, ZtlError, ZtlFtl, STREAMS};
 use std::sync::Arc;
 
@@ -101,21 +100,13 @@ impl FaultHost for ZtlHost {
 
     fn read(&mut self, now: SimTime, slot: u64) -> Result<Option<u32>, String> {
         let mut out = vec![0u8; self.slot_sectors as usize * SECTOR_BYTES];
-        // Two seeded transient read faults can land inside one unit and
-        // together outlast the layer's retry budget; the host asks again.
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match self
-                .ftl
-                .read_sectors(now, self.lpn(slot), self.slot_sectors as u32, &mut out)
-            {
-                Ok(_) => break,
-                Err(ZtlError::Unmapped(_)) => return Ok(None),
-                Err(ZtlError::Zns(ZnsError::Device(DeviceError::UncorrectableRead(_))))
-                    if attempts < 3 => {}
-                Err(e) => return Err(format!("{e:?}")),
-            }
+        match self
+            .ftl
+            .read_sectors(now, self.lpn(slot), self.slot_sectors as u32, &mut out)
+        {
+            Ok(_) => {}
+            Err(ZtlError::Unmapped(_)) => return Ok(None),
+            Err(e) => return Err(format!("{e:?}")),
         }
         match parse_fingerprint(&out) {
             Some((s, v)) if s == slot => Ok(Some(v)),
