@@ -1,5 +1,6 @@
 //! Wall-clock microbenchmarks for the hot paths of the stack: device command
-//! processing, FTL mapping, WAL framing, bloom filters and SSTable blocks.
+//! processing, the payload store's zero-tail scan, FTL mapping, checkpoints,
+//! WAL framing, CRC32C, bloom filters and SSTable blocks.
 //!
 //! These measure *host CPU cost* of the simulation/FTL code (real time),
 //! complementing the virtual-time experiment binaries. The harness is
@@ -10,7 +11,8 @@
 //! Usage: `cargo bench -p ox-bench` (add `-- <filter>` to run a subset).
 
 use lsmkv::{BlockBuilder, BloomFilter};
-use ocssd::{ChunkAddr, DeviceConfig, OcssdDevice, Ppa, SECTOR_BYTES};
+use ocssd::{ChunkAddr, DeviceConfig, Geometry, OcssdDevice, Ppa, SECTOR_BYTES};
+use ox_core::checkpoint::CheckpointStore;
 use ox_core::codec::crc32c;
 use ox_core::mapping::PageMap;
 use ox_core::wal::{Wal, WalRecord};
@@ -81,33 +83,62 @@ impl Harness {
     }
 }
 
-fn bench_device(h: &Harness) {
-    let geo = ocssd::Geometry::paper_tlc_scaled(22, 8);
-    let unit = geo.ws_min_bytes();
-
-    {
-        let mut dev = OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8));
-        let data = vec![7u8; unit];
-        let mut t = SimTime::ZERO;
-        let mut chunk_lin = 0u64;
-        let mut sector = 0u32;
-        h.bench("device/write_96k_unit", unit as u64, || {
-            let addr = ChunkAddr::from_linear(&geo, chunk_lin);
-            let c = dev.write(t, addr.ppa(sector), &data).unwrap();
-            t = c.done;
-            sector += geo.ws_min;
-            if sector >= geo.sectors_per_chunk {
-                sector = 0;
-                chunk_lin += 1;
-                if chunk_lin == geo.total_chunks() {
-                    chunk_lin = 0;
-                    dev = OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8));
-                    t = SimTime::ZERO;
-                }
-            }
-            black_box(c.done);
-        });
+/// Writes `data` (whole write units) at one write pointer after the other,
+/// chunk after chunk, starting over on a fresh device when this one is full.
+fn bench_writes(h: &Harness, name: &str, geo: Geometry, data: &[u8]) {
+    if !h.selected(name) {
+        return;
     }
+    let sectors = (data.len() / SECTOR_BYTES) as u32;
+    let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+    let mut t = SimTime::ZERO;
+    let mut chunk_lin = 0u64;
+    let mut sector = 0u32;
+    h.bench(name, data.len() as u64, || {
+        let addr = ChunkAddr::from_linear(&geo, chunk_lin);
+        let c = dev.write(t, addr.ppa(sector), data).unwrap();
+        t = c.done;
+        sector += sectors;
+        if sector >= geo.sectors_per_chunk {
+            sector = 0;
+            chunk_lin += 1;
+            if chunk_lin == geo.total_chunks() {
+                chunk_lin = 0;
+                dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+                t = SimTime::ZERO;
+            }
+        }
+        black_box(c.done);
+    });
+}
+
+fn bench_device(h: &Harness) {
+    let geo = Geometry::paper_tlc_scaled(22, 8);
+    let unit = geo.ws_min_bytes();
+    bench_writes(h, "device/write_96k_unit", geo, &vec![7u8; unit]);
+
+    // What the payload store's zero-tail scan (`ocssd::media::used`, once
+    // per sector) sees on a 4-sector write unit: nothing but padding, a
+    // 20-byte header per sector, and no padding at all; then the unit a WAL
+    // commit hands the device — one put's 117-byte frame padded to 16 KB.
+    // A few chunks per PU keep a device full of whole sectors under 100 MB.
+    let slc = Geometry {
+        chunks_per_pu: 4,
+        ..Geometry::small_slc()
+    };
+    let sectors_of = |live: usize| -> Vec<u8> {
+        let mut data = vec![0u8; slc.ws_min_bytes()];
+        for sector in data.chunks_exact_mut(SECTOR_BYTES) {
+            sector[..live].fill(0xA5);
+        }
+        data
+    };
+    bench_writes(h, "media/zero_tail_zero_4k", slc, &sectors_of(0));
+    bench_writes(h, "media/zero_tail_header20_4k", slc, &sectors_of(20));
+    bench_writes(h, "media/zero_tail_full_4k", slc, &sectors_of(SECTOR_BYTES));
+    let mut frame = vec![0u8; slc.ws_min_bytes()];
+    frame[..117].fill(0xA5);
+    bench_writes(h, "device/write_16k_wal_frame", slc, &frame);
 
     {
         let mut dev = OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8));
@@ -123,8 +154,34 @@ fn bench_device(h: &Harness) {
     }
 }
 
+/// One log-pressure checkpoint of an OX-Block map the size `blk-update`
+/// carries (314 KB): snapshot it, frame it, write it to an area.
+fn bench_checkpoint(h: &Harness) {
+    let geo = Geometry::small_slc();
+    let dev = ocssd::SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
+    let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
+    let mut store = CheckpointStore::new(
+        media,
+        vec![ChunkAddr::new(0, 0, 0)],
+        vec![ChunkAddr::new(1, 0, 0)],
+    );
+    let mut map = PageMap::new(geo, 1 << 16);
+    for i in 0..20_000 {
+        map.map(i * 3, Ppa::from_linear(&geo, i * 7 % geo.total_sectors()));
+    }
+    let mut t = SimTime::ZERO;
+    h.bench(
+        "checkpoint/write_20k_entries",
+        map.snapshot_size() as u64,
+        || {
+            t = store.write(t, 1, &map.snapshot()).unwrap().0;
+            black_box(t);
+        },
+    );
+}
+
 fn bench_mapping(h: &Harness) {
-    let geo = ocssd::Geometry::paper_tlc_scaled(22, 8);
+    let geo = Geometry::paper_tlc_scaled(22, 8);
 
     {
         let mut map = PageMap::new(geo, 1 << 20);
@@ -311,6 +368,7 @@ fn main() {
     let h = Harness::new();
     bench_device(&h);
     bench_mapping(&h);
+    bench_checkpoint(&h);
     bench_wal(&h);
     bench_codec(&h);
     bench_lsm_components(&h);

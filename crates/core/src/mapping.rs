@@ -149,23 +149,20 @@ impl PageMap {
 
     /// Serializes the forward map as `(lpn, ppa)` pairs with a CRC.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mapped: Vec<(u64, u64)> = self
-            .l2p
-            .iter()
-            .enumerate()
-            .filter(|(_, &e)| e != UNMAPPED)
-            .map(|(lpn, &e)| (lpn as u64, e - 1))
-            .collect();
-        let mut body = Encoder::with_capacity(16 + mapped.len() * 16);
-        body.u64(self.l2p.len() as u64);
-        body.u64(mapped.len() as u64);
-        for (lpn, lin) in mapped {
-            body.u64(lpn).u64(lin);
+        let mapped = self.mapped_count();
+        let mut out = Encoder::with_capacity(24 + mapped as usize * 16);
+        // CRC and length of the body behind them: filled in below.
+        out.u32(0).u32(0).u64(self.l2p.len() as u64).u64(mapped);
+        for (lpn, &e) in self.l2p.iter().enumerate() {
+            if e != UNMAPPED {
+                out.u64(lpn as u64).u64(e - 1);
+            }
         }
-        let body = body.finish();
-        let mut out = Encoder::with_capacity(body.len() + 8);
-        out.u32(crc32c(&body)).u32(body.len() as u32).bytes(&body);
-        out.finish()
+        let mut out = out.finish();
+        let (head, body) = out.split_at_mut(8);
+        head[..4].copy_from_slice(&crc32c(body).to_le_bytes());
+        head[4..].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        out
     }
 
     /// Rebuilds a map from [`PageMap::snapshot`] bytes. Returns `None` on a

@@ -1063,6 +1063,13 @@ impl OcssdDevice {
     pub fn stored_sectors(&self) -> usize {
         self.media.len()
     }
+
+    /// Payload bytes held in host memory for `chunk` — what the store kept
+    /// of the commands written there once zero tails were trimmed (testing).
+    #[doc(hidden)]
+    pub fn resident_bytes(&self, chunk: ChunkAddr) -> usize {
+        self.media.resident_bytes(self.chunk_index(chunk))
+    }
 }
 
 /// A device shared between actors: `Arc<Mutex<OcssdDevice>>` with ergonomic

@@ -121,9 +121,21 @@ impl Extent {
 /// least this many zero bytes.
 const SPLIT_SLACK: usize = SECTOR_BYTES / 8;
 
-/// Length of `data` without its trailing zero bytes.
+/// Length of `data` without its trailing zero bytes. Every sector the device
+/// accepts comes through here and padding is most of many of them, so the
+/// tail is dropped 16 bytes at a time and only the last word bytewise.
 fn used(data: &[u8]) -> usize {
-    data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1)
+    let mut live = data;
+    while let Some((head, word)) = live.split_last_chunk::<16>() {
+        if u128::from_ne_bytes(*word) != 0 {
+            break;
+        }
+        live = head;
+    }
+    while let [head @ .., 0] = live {
+        live = head;
+    }
+    live.len()
 }
 
 /// Per-chunk extent lists, indexed by the chunk's linear index and grown to
@@ -267,6 +279,12 @@ impl MediaStore {
     pub(crate) fn len(&self) -> usize {
         self.sectors
     }
+
+    /// Payload bytes `chunk`'s extents hold in memory.
+    pub(crate) fn resident_bytes(&self, chunk: usize) -> usize {
+        let extents = self.chunks.get(chunk).into_iter().flatten();
+        extents.map(|e| e.data.len()).sum()
+    }
 }
 
 #[cfg(test)]
@@ -283,6 +301,36 @@ mod tests {
     fn read(m: &MediaStore, chunk: usize, start: u32, n: u32) -> Option<Vec<u8>> {
         let mut out = vec![0xEE; n as usize * SECTOR_BYTES];
         m.read(chunk, start, &mut out).then_some(out)
+    }
+
+    /// What `used` computes, one byte at a time: its oracle.
+    fn used_bytewise(data: &[u8]) -> usize {
+        data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1)
+    }
+
+    #[test]
+    fn used_matches_the_bytewise_scan() {
+        let check = |data: &[u8], what: &str, n: usize| {
+            assert_eq!(used(data), used_bytewise(data), "{what} {n}");
+        };
+        // Every zero-tail length of a sector behind data; one live byte and
+        // nothing else, and nothing at all, in buffers of every length.
+        let zeros = vec![0u8; SECTOR_BYTES];
+        for tail in 0..=SECTOR_BYTES {
+            let mut data = vec![0xA5u8; SECTOR_BYTES];
+            data[SECTOR_BYTES - tail..].fill(0);
+            check(&data, "zero tail of", tail);
+            data[1..].fill(0);
+            check(&data[..SECTOR_BYTES - tail], "lone head byte, cut by", tail);
+            check(&zeros[tail..], "all zeros, cut by", tail);
+        }
+        // A lone non-zero byte at every offset of the last three words.
+        for back in 1..=48 {
+            let mut data = vec![0u8; SECTOR_BYTES];
+            data[SECTOR_BYTES - back] = 0x80;
+            check(&data, "lone byte, from the end", back);
+            check(&data[5..], "lone byte, unaligned, from the end", back);
+        }
     }
 
     #[test]

@@ -38,6 +38,12 @@ fn chunk(geo: &Geometry, i: u64) -> ChunkAddr {
     c
 }
 
+/// Length of `data` without its trailing zeros, one byte at a time: the rule
+/// both references below are stated in.
+fn used_bytewise(data: &[u8]) -> usize {
+    data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1)
+}
+
 /// The per-sector store the device used before extents, verbatim: a map
 /// from dense sector index to the sector's bytes minus its trailing zeros.
 #[derive(Default)]
@@ -47,8 +53,8 @@ struct SectorMap {
 
 impl SectorMap {
     fn write_sector(&mut self, index: u64, data: &[u8]) {
-        let used = data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-        self.sectors.insert(index, data[..used].into());
+        self.sectors
+            .insert(index, data[..used_bytewise(data)].into());
     }
 
     fn read_sector(&self, index: u64, out: &mut [u8]) -> bool {
@@ -404,5 +410,72 @@ fn a_view_survives_reset_and_rewrite_of_its_chunk() {
         assert_eq!(fresh.to_vec(), new);
 
         assert_eq!(dev.stored_sectors(), stored);
+    }
+}
+
+/// What the store keeps in memory of one command, by the bytewise rule: a
+/// sector up to its last non-zero byte, or whole when data follows it
+/// directly and its zero tail is too short to be worth a split
+/// (`SPLIT_SLACK` in `media.rs`).
+fn resident_bytewise(data: &[u8]) -> usize {
+    let used: Vec<usize> = data.chunks_exact(SECTOR_BYTES).map(used_bytewise).collect();
+    (0..used.len())
+        .map(|i| {
+            let data_follows = used.get(i + 1).is_some_and(|&next| next > 0);
+            let short_tail = SECTOR_BYTES - used[i] < SECTOR_BYTES / 8;
+            if data_follows && short_tail {
+                SECTOR_BYTES
+            } else {
+                used[i]
+            }
+        })
+        .sum()
+}
+
+#[test]
+fn resident_bytes_are_what_the_bytewise_rule_keeps() {
+    for geo in geometries() {
+        for seed in matrix_seeds(8) {
+            let ctx = format!("seed {seed} on {:?}", geo.cell);
+            let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+            let mut rng = Prng::seed_from_u64(seed ^ 0x7A11);
+            let mut want = [0usize; CHUNKS as usize];
+            let mut t = SimTime::ZERO;
+            for step in 0..200u32 {
+                let i = rng.gen_range(CHUNKS);
+                let c = chunk(&geo, i);
+                let wp = dev.chunk_info(c).write_ptr;
+                if geo.sectors_per_chunk - wp < geo.ws_min {
+                    t = dev.reset_chunk(t, c).expect(&ctx).done;
+                    want[i as usize] = 0;
+                    continue;
+                }
+                let mut data = payload(&mut rng, geo.ws_min);
+                let cut = rng.gen_range(data.len() as u64) as usize;
+                match rng.gen_range(4) {
+                    // A journal frame: a few bytes, then padding to the unit.
+                    0 => data[1 + cut % 200..].fill(0),
+                    // Padding cut at any byte, word-aligned or not.
+                    1 => data[cut..].fill(0),
+                    _ => {}
+                }
+                t = dev.write(t, c.ppa(wp), &data).expect(&ctx).done;
+                want[i as usize] += resident_bytewise(&data);
+                // Every third command is followed by a device copy of it,
+                // sectors reversed: what is gathered goes through the same
+                // trim.
+                let room = geo.sectors_per_chunk - wp - geo.ws_min;
+                if step % 3 == 0 && room >= geo.ws_min {
+                    let srcs: Vec<Ppa> = (0..geo.ws_min).rev().map(|s| c.ppa(wp + s)).collect();
+                    t = dev.copy(t, &srcs, c).expect(&ctx).done;
+                    let gathered = data
+                        .rchunks_exact(SECTOR_BYTES)
+                        .collect::<Vec<_>>()
+                        .concat();
+                    want[i as usize] += resident_bytewise(&gathered);
+                }
+                assert_eq!(dev.resident_bytes(c), want[i as usize], "{ctx} step {step}");
+            }
+        }
     }
 }
