@@ -14,11 +14,10 @@
 
 use lightlsm::{LightLsm, LightLsmConfig};
 use lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
-use ocssd::{
-    matrix_seeds, ChunkAddr, DeviceConfig, FaultMix, Geometry, OcssdDevice, ReadFault, SharedDevice,
-};
+use ocssd::{matrix_seeds, DeviceConfig, FaultMix, Geometry, OcssdDevice, ReadFault, SharedDevice};
 use ox_bench::ycsb::{load, run_ycsb, LsmBackend, YcsbConfig, YcsbWorkload};
 use ox_core::faultharness::FaultCase;
+use ox_core::layout::Layout;
 use ox_core::{Media, OcssdMedia};
 use ox_sim::trace::Obs;
 use ox_sim::{Prng, SimTime};
@@ -50,41 +49,52 @@ fn test_config(wl: YcsbWorkload) -> YcsbConfig {
     cfg
 }
 
-fn fresh_stack(plan_seed: Option<u64>) -> (SharedDb, SharedDevice) {
-    let geo = geometry();
-    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
+fn fresh_stack() -> (SharedDb, SharedDevice) {
+    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geometry())));
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let (ftl, _) = LightLsm::format(media, LightLsmConfig::default(), SimTime::ZERO).unwrap();
     let store: Arc<dyn TableStore> = Arc::new(LightLsmStore::new(ftl));
-    let db = SharedDb::new(Db::new(store, db_config()));
-    if let Some(seed) = plan_seed {
-        // Absorbed faults only: no program/erase failures, no power cuts —
-        // the crash leg is scripted by the test so both runs see one.
-        let mix = FaultMix {
-            program_fails: 0,
-            transient_read_fails: 6,
-            permanent_read_fails: 0,
-            erase_fails: 0,
-            latency_spikes: 4,
-            power_cuts: 0,
-        };
-        let case = FaultCase::from_seed(seed, &geo, &mix, 256, 64);
-        let mut plan = case.plan.clone();
-        // Aim extra transient read failures at the low chunks the LSM fills
-        // first so the measured phase reliably absorbs retries.
-        let mut rng = Prng::seed_from_u64(seed ^ 0xFACE);
-        for pu in 0..4u32 {
-            let chunk = ChunkAddr::new(pu % geo.num_groups, pu / geo.num_groups, {
-                rng.gen_range(4) as u32
-            });
-            plan.read_fails.push(ReadFault {
-                ppa: chunk.ppa(rng.gen_range(16) as u32),
-                attempts: 1 + rng.gen_range(2) as u32,
-            });
+    (SharedDb::new(Db::new(store, db_config())), dev)
+}
+
+/// Arms a loaded device with the seeded plan of absorbed faults — transient
+/// read failures and latency spikes; no program/erase failures and no power
+/// cuts, the crash leg is scripted by the test so both runs see one. Armed
+/// after `load`, so the plan can be aimed at what the store holds.
+fn arm(dev: &SharedDevice, seed: u64) {
+    let geo = geometry();
+    let mix = FaultMix {
+        program_fails: 0,
+        transient_read_fails: 6,
+        permanent_read_fails: 0,
+        erase_fails: 0,
+        latency_spikes: 4,
+        power_cuts: 0,
+    };
+    let mut plan = FaultCase::from_seed(seed, &geo, &mix, 256, 64).plan;
+    // Random sites are uniform over a device the store has barely touched:
+    // aim extra transient read failures at sectors of the tables `load`
+    // wrote, so the measured phase reliably absorbs retries.
+    let reserved = Layout::plan(&geo, LightLsmConfig::default().layout).reserved_linear(&geo);
+    let written: Vec<_> = OcssdMedia::new(dev.clone())
+        .report_all()
+        .into_iter()
+        .filter(|(chunk, info)| info.write_ptr > 0 && !reserved.contains(&chunk.linear(&geo)))
+        .collect();
+    assert!(!written.is_empty(), "load flushed no table");
+    let mut rng = Prng::seed_from_u64(seed ^ 0xFACE);
+    let aimed_from = plan.read_fails.len();
+    while plan.read_fails.len() < aimed_from + 4 {
+        let (chunk, info) = written[rng.gen_range(written.len() as u64) as usize];
+        let ppa = chunk.ppa(rng.gen_range(info.write_ptr as u64) as u32);
+        // One fault a sector: the retry budget that absorbs them is per
+        // sector, and two plans' worth of failing attempts would exceed it.
+        if plan.read_fails.iter().all(|f| f.ppa != ppa) {
+            let attempts = 1 + rng.gen_range(2) as u32;
+            plan.read_fails.push(ReadFault { ppa, attempts });
         }
-        dev.set_fault_plan(plan); // armed after format: setup is fault-free
     }
-    (db, dev)
+    dev.set_fault_plan(plan);
 }
 
 /// Seal + flush + compact until the store is quiescent: everything
@@ -137,16 +147,17 @@ fn ycsb_faulty_vs_clean_states_match_after_recovery() {
         let cfg = test_config(wl);
         let obs = Obs::new(1024);
 
-        let (clean_db, clean_dev) = fresh_stack(None);
+        let (clean_db, clean_dev) = fresh_stack();
         let mut clean = LsmBackend::new(clean_db);
         let t0 = load(&mut clean, &cfg, SimTime::ZERO);
         let (clean_report, t_clean) = run_ycsb(&clean, &cfg, &obs, t0);
 
         // One matrix seed per workload: `OX_FAULT_SEED_BASE` (the CI
         // sweep's knob) varies the whole plan family.
-        let (faulty_db, faulty_dev) = fresh_stack(Some(matrix_seeds(1).start ^ ((i as u64) << 8)));
+        let (faulty_db, faulty_dev) = fresh_stack();
         let mut faulty = LsmBackend::new(faulty_db);
         let t0 = load(&mut faulty, &cfg, SimTime::ZERO);
+        arm(&faulty_dev, matrix_seeds(1).start ^ ((i as u64) << 8));
         let (faulty_report, t_faulty) = run_ycsb(&faulty, &cfg, &obs, t0);
 
         // Same seed, same closed loop: both runs completed the same ops and

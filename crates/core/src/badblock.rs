@@ -6,9 +6,8 @@
 //! which logical pages were orphaned so the data path can re-place them
 //! ("bad block information may be updated at any time", paper §4.1).
 
-use crate::mapping::PageMap;
-use crate::provision::Provisioner;
-use ocssd::{ChunkAddr, Geometry, MediaEvent, Ppa};
+use crate::logspace::LogSpace;
+use ocssd::{ChunkAddr, MediaEvent, Ppa};
 use std::collections::HashSet;
 
 /// A logical page stranded by a retired chunk, awaiting re-placement.
@@ -88,17 +87,12 @@ impl BadBlockTable {
         was
     }
 
-    /// Ingests device events: retires the chunks in the provisioner, unmaps
-    /// any logical pages that lived there, and returns the orphaned pages so
-    /// the caller can re-place them. Each orphan stays in the pending set
-    /// until [`BadBlockTable::mark_replaced`] confirms its rewrite.
-    pub fn ingest(
-        &mut self,
-        geo: &Geometry,
-        events: &[MediaEvent],
-        prov: &mut Provisioner,
-        map: &mut PageMap,
-    ) -> Vec<Orphan> {
+    /// Ingests device events: retires the chunks from `space`'s
+    /// provisioning, unmaps any logical pages that lived there, and returns
+    /// the orphaned pages so the caller can re-place them. Each orphan stays
+    /// in the pending set until [`BadBlockTable::mark_replaced`] confirms
+    /// its rewrite.
+    pub fn ingest(&mut self, events: &[MediaEvent], space: &mut LogSpace) -> Vec<Orphan> {
         let mut orphans = Vec::new();
         for ev in events {
             if !ev.kind.retires_chunk() {
@@ -111,9 +105,10 @@ impl BadBlockTable {
             if !self.retired.insert((addr.group, addr.pu, addr.chunk)) {
                 continue;
             }
-            prov.mark_offline(addr);
-            for (ppa, lpn) in map.valid_sectors(addr.linear(geo)) {
-                map.unmap(lpn);
+            space.prov.mark_offline(addr);
+            let lin = addr.linear(space.prov.geometry());
+            for (ppa, lpn) in space.map.valid_sectors(lin) {
+                space.map.unmap(lpn);
                 self.orphans.insert(lpn);
                 orphans.push(Orphan { lpn, ppa });
             }
@@ -125,11 +120,17 @@ impl BadBlockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocssd::{MediaEventKind, Ppa};
+    use crate::mapping::PageMap;
+    use crate::provision::Provisioner;
+    use ocssd::{Geometry, MediaEventKind, Ppa};
     use ox_sim::SimTime;
 
     fn geo() -> Geometry {
         Geometry::paper_tlc_scaled(22, 8)
+    }
+
+    fn space(g: Geometry, pages: u64) -> LogSpace {
+        LogSpace::new(PageMap::new(g, pages), Provisioner::fresh(g, &[]))
     }
 
     fn event(addr: ChunkAddr) -> MediaEvent {
@@ -144,13 +145,12 @@ mod tests {
     fn ingest_retires_and_orphans() {
         let g = geo();
         let mut table = BadBlockTable::new();
-        let mut prov = Provisioner::fresh(g, &[]);
-        let mut map = PageMap::new(g, 1000);
+        let mut space = space(g, 1000);
         let bad = ChunkAddr::new(1, 2, 3);
-        map.map(10, bad.ppa(0));
-        map.map(11, bad.ppa(1));
-        map.map(12, Ppa::new(0, 0, 0, 0));
-        let orphans = table.ingest(&g, &[event(bad)], &mut prov, &mut map);
+        space.map.map(10, bad.ppa(0));
+        space.map.map(11, bad.ppa(1));
+        space.map.map(12, Ppa::new(0, 0, 0, 0));
+        let orphans = table.ingest(&[event(bad)], &mut space);
         assert_eq!(
             orphans,
             vec![
@@ -166,21 +166,20 @@ mod tests {
         );
         assert!(table.contains(bad));
         assert_eq!(table.len(), 1);
-        assert_eq!(map.lookup(10), None);
-        assert_eq!(map.lookup(12), Some(Ppa::new(0, 0, 0, 0)));
-        assert_eq!(prov.offline_chunks(), 1);
+        assert_eq!(space.map.lookup(10), None);
+        assert_eq!(space.map.lookup(12), Some(Ppa::new(0, 0, 0, 0)));
+        assert_eq!(space.prov.offline_chunks(), 1);
     }
 
     #[test]
     fn orphan_lifecycle_tracks_replacement() {
         let g = geo();
         let mut table = BadBlockTable::new();
-        let mut prov = Provisioner::fresh(g, &[]);
-        let mut map = PageMap::new(g, 1000);
+        let mut space = space(g, 1000);
         let bad = ChunkAddr::new(1, 2, 3);
-        map.map(10, bad.ppa(0));
-        map.map(11, bad.ppa(1));
-        let orphans = table.ingest(&g, &[event(bad)], &mut prov, &mut map);
+        space.map.map(10, bad.ppa(0));
+        space.map.map(11, bad.ppa(1));
+        let orphans = table.ingest(&[event(bad)], &mut space);
         assert_eq!(orphans.len(), 2);
         assert_eq!(table.orphans_pending(), 2);
         assert!(table.is_orphaned(10) && table.is_orphaned(11));
@@ -208,13 +207,12 @@ mod tests {
     fn duplicate_events_ingested_once() {
         let g = geo();
         let mut table = BadBlockTable::new();
-        let mut prov = Provisioner::fresh(g, &[]);
-        let mut map = PageMap::new(g, 10);
+        let mut space = space(g, 10);
         let bad = ChunkAddr::new(0, 0, 0);
-        table.ingest(&g, &[event(bad), event(bad)], &mut prov, &mut map);
+        table.ingest(&[event(bad), event(bad)], &mut space);
         assert_eq!(table.len(), 1);
         assert_eq!(table.events_seen(), 2);
-        assert_eq!(prov.offline_chunks(), 1);
+        assert_eq!(space.prov.offline_chunks(), 1);
     }
 
     #[test]

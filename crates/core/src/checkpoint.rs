@@ -141,13 +141,7 @@ impl CheckpointStore {
                         .span(now, t, "checkpoint", "write", bytes.len() as u64);
                     return Ok((t, seq));
                 }
-                Err(
-                    e @ WalError::Device(
-                        DeviceError::MediaFailure(_)
-                        | DeviceError::ChunkOffline(_)
-                        | DeviceError::InvalidChunkState { .. },
-                    ),
-                ) => {
+                Err(e) if matches!(&e, WalError::Device(d) if d.retires_chunk()) => {
                     self.dead[area_idx] = true;
                     self.area_failovers += 1;
                     self.obs.metrics.record("checkpoint.area_failover", 0);

@@ -12,14 +12,13 @@
 //! relocation and checkpoint cannot resurrect stale mappings), and returns
 //! reclaimed chunks to the provisioner.
 
-use crate::mapping::PageMap;
+use crate::logspace::{reset_or_retire, LogSpace, SpaceError};
 use crate::media::Media;
-use crate::provision::Provisioner;
-use crate::wal::{Wal, WalError, WalRecord};
+use crate::provision::WriteSlot;
+use crate::wal::Wal;
 use ocssd::{ChunkAddr, ChunkState, Ppa};
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// GC policy knobs.
@@ -94,9 +93,10 @@ pub struct GarbageCollector {
     config: GcConfig,
     /// Group currently marked for collection (GC activity is confined here).
     marked_group: u32,
-    reserved: HashSet<u64>,
     stats: GcStats,
     obs: Obs,
+    /// The media the FTL is built on (*report chunk* for victim selection).
+    media: Arc<dyn Media>,
     /// Where copies and resets issue: the media's GC route (an `iosched`
     /// GC-class tenant, so background relocation is arbitrated against —
     /// and yields to — user traffic) or, without one, the media itself.
@@ -106,16 +106,16 @@ pub struct GarbageCollector {
 impl GarbageCollector {
     /// Creates a collector for an FTL built on `media`, reporting into the
     /// media's sinks (`gc.pass` / `gc.refresh` spans, `gc.*` counters) and
-    /// relocating through its GC route. `reserved` chunks (linear) are
-    /// never victims.
-    pub fn new(media: &Arc<dyn Media>, config: GcConfig, reserved: &[u64]) -> Self {
+    /// relocating through its GC route. Chunks the log space it is run on
+    /// reserves are never victims.
+    pub fn new(media: &Arc<dyn Media>, config: GcConfig) -> Self {
         GarbageCollector {
             config,
             marked_group: 0,
-            reserved: reserved.iter().copied().collect(),
             stats: GcStats::default(),
             obs: media.obs(),
             io: media.gc_route().unwrap_or_else(|| media.clone()),
+            media: media.clone(),
         }
     }
 
@@ -140,17 +140,17 @@ impl GarbageCollector {
         self.stats
     }
 
-    /// Whether a pass is warranted given the provisioner's pools.
-    pub fn needs_gc(&self, prov: &Provisioner) -> bool {
-        prov.free_chunks() < self.config.low_watermark
+    /// Whether a pass is warranted given the space's free pools.
+    pub fn needs_gc(&self, space: &LogSpace) -> bool {
+        space.prov.free_chunks() < self.config.low_watermark
     }
 
     /// Picks the lowest-scoring closed data chunk in the marked group
     /// (score = valid sectors, plus `wear_bias × wear` when wear leveling is
     /// on). Marks the next group if the current one has no victims (rotating
     /// the GC focus, as OX does between passes).
-    fn select_victim(&mut self, media: &Arc<dyn Media>, map: &PageMap) -> Option<(ChunkAddr, u64)> {
-        let geo = media.geometry();
+    fn select_victim(&mut self, space: &LogSpace) -> Option<ChunkAddr> {
+        let geo = self.media.geometry();
         for _ in 0..geo.num_groups {
             let group = self.marked_group;
             let mut best: Option<(ChunkAddr, u64)> = None;
@@ -158,14 +158,14 @@ impl GarbageCollector {
                 for chunk in 0..geo.chunks_per_pu {
                     let addr = ChunkAddr::new(group, pu, chunk);
                     let lin = addr.linear(&geo);
-                    if self.reserved.contains(&lin) {
+                    if space.prov.is_reserved(lin) {
                         continue;
                     }
-                    let info = media.chunk_info(addr);
+                    let info = self.media.chunk_info(addr);
                     if info.state != ChunkState::Closed {
                         continue;
                     }
-                    let valid = map.valid_count(lin);
+                    let valid = space.map.valid_count(lin);
                     if valid == geo.sectors_per_chunk {
                         continue; // nothing to reclaim
                     }
@@ -175,8 +175,8 @@ impl GarbageCollector {
                     }
                 }
             }
-            if best.is_some() {
-                return best;
+            if let Some((victim, _)) = best {
+                return Some(victim);
             }
             // Nothing collectible here: rotate the marked group.
             self.marked_group = (self.marked_group + 1) % geo.num_groups;
@@ -194,87 +194,32 @@ impl GarbageCollector {
         &mut self,
         now: SimTime,
         victim: ChunkAddr,
-        io: &Arc<dyn Media>,
-        map: &mut PageMap,
-        prov: &mut Provisioner,
+        space: &mut LogSpace,
         wal: &mut Wal,
-    ) -> Result<GcPass, WalError> {
-        let mut pass = GcPass {
-            done: now,
-            ..Default::default()
-        };
-        let geo = io.geometry();
-        let group = victim.group;
-        let victim_lin = victim.linear(&geo);
-        let live = map.valid_sectors(victim_lin);
+    ) -> Result<GcPass, SpaceError> {
+        let mut pass = GcPass::default();
+        let geo = self.io.geometry();
+        let unit = geo.ws_min as usize;
+        let live = space.map.valid_sectors(victim.linear(&geo));
 
         let mut t = now;
-        if !live.is_empty() {
+        if let Some(&(pad, _)) = live.last() {
             let txid = wal.begin();
-            let mut cursor = 0usize;
-            while cursor < live.len() {
+            for batch in live.chunks(unit) {
                 // One ws_min batch: pad with repeats of the last live
                 // sector if the tail is short.
-                let mut batch: Vec<Ppa> = Vec::with_capacity(geo.ws_min as usize);
-                let mut lpns: Vec<Option<u64>> = Vec::with_capacity(geo.ws_min as usize);
-                for k in 0..geo.ws_min as usize {
-                    if let Some(&(ppa, lpn)) = live.get(cursor + k) {
-                        batch.push(ppa);
-                        lpns.push(Some(lpn));
-                    } else {
-                        batch.push(live[live.len() - 1].0);
-                        lpns.push(None);
-                        pass.padded_sectors += 1;
-                    }
-                }
-                cursor += geo.ws_min as usize;
-
-                // Destination in the same group, never the victim chunk.
-                // A program failure on the destination freezes it; the
-                // write point is retired and the batch retries on a
-                // fresh chunk. Every retry permanently consumes a chunk
-                // from provisioning, so the loop is bounded by the
-                // healthy-chunk supply.
-                let (slot, comp) = loop {
-                    let slot = loop {
-                        let Some(slot) = prov.allocate_in_group(group) else {
-                            // Group out of space: fall back to any group.
-                            match prov.allocate_horizontal() {
-                                Some(s) => break s,
-                                None => return Err(WalError::LogFull),
-                            }
-                        };
-                        if slot.chunk != victim {
-                            break slot;
-                        }
-                    };
-                    match io.copy(t, &batch, slot.chunk) {
-                        Ok(comp) => break (slot, comp),
-                        Err(
-                            ocssd::DeviceError::MediaFailure(_)
-                            | ocssd::DeviceError::ChunkOffline(_)
-                            | ocssd::DeviceError::InvalidChunkState { .. },
-                        ) => {
-                            prov.mark_offline(slot.chunk);
-                            self.stats.copy_failovers += 1;
-                            self.obs.metrics.record("gc.copy_failover", 0);
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                };
+                let mut srcs: Vec<Ppa> = batch.iter().map(|&(ppa, _)| ppa).collect();
+                srcs.resize(unit, pad);
+                let (stats, obs) = (&mut self.stats, &self.obs);
+                let copy = |slot: WriteSlot| self.io.copy(t, &srcs, slot.chunk);
+                let (slot, comp) = space.place(Some(victim), copy, || {
+                    stats.copy_failovers += 1;
+                    obs.metrics.record("gc.copy_failover", 0);
+                })?;
                 t = comp.done;
-                for (k, lpn) in lpns.iter().enumerate() {
-                    if let Some(lpn) = lpn {
-                        let dst = slot.chunk.ppa(slot.sector + k as u32);
-                        map.map(*lpn, dst);
-                        wal.append(WalRecord::MapUpdate {
-                            txid,
-                            lpn: *lpn,
-                            ppa_linear: dst.linear(&geo),
-                        });
-                        pass.moved_sectors += 1;
-                    }
-                }
+                space.record(slot, batch.iter().map(|&(_, lpn)| lpn), Some((wal, txid)));
+                pass.moved_sectors += batch.len() as u64;
+                pass.padded_sectors += (unit - batch.len()) as u64;
             }
             wal.end(txid);
             t = wal.commit(t)?;
@@ -285,49 +230,46 @@ impl GarbageCollector {
         // queued the media event). Its live data is relocated and
         // journaled, so the pass just forfeits the chunk rather than
         // failing the collection.
-        match io.reset(t, victim) {
-            Ok(comp) => {
+        match reset_or_retire(self.io.as_ref(), &mut space.prov, t, victim)? {
+            Some(comp) => {
                 t = comp.done;
-                prov.release_chunk(victim);
                 pass.victims += 1;
             }
-            Err(_) => {
-                prov.mark_offline(victim);
+            None => {
                 self.stats.reset_failures += 1;
                 self.obs.metrics.record("gc.reset_failure", 0);
             }
         }
         pass.done = t;
+        self.stats.victims += pass.victims as u64;
+        self.stats.moved_sectors += pass.moved_sectors;
+        self.stats.padded_sectors += pass.padded_sectors;
         Ok(pass)
     }
 
-    /// Runs one collection pass at `now`. Relocations stay inside the marked
-    /// group; map changes are journaled through `wal` before the victim is
-    /// reset. Returns what was reclaimed.
+    /// Runs one collection pass at `now` over `space`. Relocations stay
+    /// inside the marked group; map changes are journaled through `wal`
+    /// before the victim is reset. Returns what was reclaimed;
+    /// [`SpaceError::OutOfSpace`] when a relocation found no destination
+    /// chunk anywhere.
     pub fn collect(
         &mut self,
         now: SimTime,
-        media: &Arc<dyn Media>,
-        map: &mut PageMap,
-        prov: &mut Provisioner,
+        space: &mut LogSpace,
         wal: &mut Wal,
-    ) -> Result<GcPass, WalError> {
-        let io = self.io.clone();
+    ) -> Result<GcPass, SpaceError> {
         let mut pass = GcPass {
             done: now,
             ..Default::default()
         };
         for _ in 0..self.config.chunks_per_pass {
-            let Some((victim, _score)) = self.select_victim(media, map) else {
+            let Some(victim) = self.select_victim(space) else {
                 break;
             };
-            let sub = self.recycle_victim(pass.done, victim, &io, map, prov, wal)?;
+            let sub = self.recycle_victim(pass.done, victim, space, wal)?;
             pass.absorb(sub);
         }
         self.stats.passes += 1;
-        self.stats.victims += pass.victims as u64;
-        self.stats.moved_sectors += pass.moved_sectors;
-        self.stats.padded_sectors += pass.padded_sectors;
         let moved_bytes = pass.moved_sectors * ocssd::SECTOR_BYTES as u64;
         self.obs.metrics.record("gc.pass", moved_bytes);
         self.obs.metrics.add("gc.victims", pass.victims as u64, 0);
@@ -360,27 +302,20 @@ impl GarbageCollector {
         &mut self,
         now: SimTime,
         victim: ChunkAddr,
-        media: &Arc<dyn Media>,
-        map: &mut PageMap,
-        prov: &mut Provisioner,
+        space: &mut LogSpace,
         wal: &mut Wal,
-    ) -> Result<GcPass, WalError> {
-        let geo = media.geometry();
-        let mut pass = GcPass {
-            done: now,
-            ..Default::default()
-        };
-        if self.reserved.contains(&victim.linear(&geo))
-            || media.chunk_info(victim).state != ChunkState::Closed
+    ) -> Result<GcPass, SpaceError> {
+        if space
+            .prov
+            .is_reserved(victim.linear(&self.media.geometry()))
+            || self.media.chunk_info(victim).state != ChunkState::Closed
         {
-            return Ok(pass);
+            return Ok(GcPass {
+                done: now,
+                ..Default::default()
+            });
         }
-        let io = self.io.clone();
-        let sub = self.recycle_victim(now, victim, &io, map, prov, wal)?;
-        pass.absorb(sub);
-        self.stats.victims += pass.victims as u64;
-        self.stats.moved_sectors += pass.moved_sectors;
-        self.stats.padded_sectors += pass.padded_sectors;
+        let pass = self.recycle_victim(now, victim, space, wal)?;
         let moved_bytes = pass.moved_sectors * ocssd::SECTOR_BYTES as u64;
         self.obs.metrics.record("gc.refresh", moved_bytes);
         self.obs
@@ -394,14 +329,16 @@ impl GarbageCollector {
 mod tests {
     use super::*;
     use crate::layout::{Layout, LayoutConfig};
+    use crate::mapping::PageMap;
     use crate::media::OcssdMedia;
+    use crate::provision::Provisioner;
+    use crate::wal::WalRecord;
     use ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
 
     struct Rig {
         media: Arc<dyn Media>,
         geo: Geometry,
-        map: PageMap,
-        prov: Provisioner,
+        space: LogSpace,
         wal: Wal,
         layout: Layout,
         gc: GarbageCollector,
@@ -414,8 +351,10 @@ mod tests {
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
         let layout = Layout::plan(&geo, LayoutConfig::default());
         let reserved = layout.reserved_linear(&geo);
-        let prov = Provisioner::fresh(geo, &reserved);
-        let map = PageMap::new(geo, 100_000);
+        let space = LogSpace::new(
+            PageMap::new(geo, 100_000),
+            Provisioner::fresh(geo, &reserved),
+        );
         let (wal, t) =
             Wal::format(media.clone(), layout.wal_chunks.clone(), SimTime::ZERO).unwrap();
         let gc = GarbageCollector::new(
@@ -424,13 +363,11 @@ mod tests {
                 chunks_per_pass: 1,
                 ..GcConfig::default()
             },
-            &reserved,
         );
         Rig {
             media,
             geo,
-            map,
-            prov,
+            space,
             wal,
             layout,
             gc,
@@ -445,7 +382,7 @@ mod tests {
         let pu = group * r.geo.pus_per_group;
         let mut lpn_iter = lpns.into_iter();
         'outer: loop {
-            let Some(slot) = r.prov.allocate_on_pu(pu) else {
+            let Some(slot) = r.space.prov.allocate_on_pu(pu) else {
                 panic!("out of space during fill");
             };
             let comp = r
@@ -457,7 +394,7 @@ mod tests {
                 let Some(lpn) = lpn_iter.next() else {
                     break 'outer;
                 };
-                r.map.map(lpn, slot.chunk.ppa(slot.sector + k));
+                r.space.map.map(lpn, slot.chunk.ppa(slot.sector + k));
             }
         }
         let f = r.media.flush(r.t);
@@ -473,17 +410,15 @@ mod tests {
         // (all sectors of the first chunk become invalid).
         fill(&mut r, 0..chunk_lpns, 0);
         fill(&mut r, 0..chunk_lpns, 0);
-        let free_before = r.prov.free_chunks();
+        let free_before = r.space.prov.free_chunks();
         r.gc.mark_group(0);
-        let pass =
-            r.gc.collect(r.t, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
-                .unwrap();
+        let pass = r.gc.collect(r.t, &mut r.space, &mut r.wal).unwrap();
         assert!(pass.victims >= 1);
         assert_eq!(
             pass.moved_sectors, 0,
             "fully-invalid victim needs no copies"
         );
-        assert!(r.prov.free_chunks() > free_before);
+        assert!(r.space.prov.free_chunks() > free_before);
         let _ = units;
     }
 
@@ -498,15 +433,13 @@ mod tests {
         fill(&mut r, ws..chunk_lpns, 0);
         r.gc.mark_group(0);
         let before: Vec<_> = (0..r.geo.ws_min as u64)
-            .map(|l| r.map.lookup(l).unwrap())
+            .map(|l| r.space.map.lookup(l).unwrap())
             .collect();
-        let pass =
-            r.gc.collect(r.t, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
-                .unwrap();
+        let pass = r.gc.collect(r.t, &mut r.space, &mut r.wal).unwrap();
         assert!(pass.victims >= 1);
         assert_eq!(pass.moved_sectors, r.geo.ws_min as u64);
         for (l, old) in (0..r.geo.ws_min as u64).zip(before) {
-            let new = r.map.lookup(l).expect("still mapped");
+            let new = r.space.map.lookup(l).expect("still mapped");
             assert_ne!(new, old, "lpn {l} relocated");
             // Relocation stays in the marked group.
             assert_eq!(new.group, 0);
@@ -526,8 +459,7 @@ mod tests {
         fill(&mut r, ws..chunk_lpns, 0);
         r.gc.mark_group(0);
         let frames_before = r.wal.frames_written();
-        r.gc.collect(r.t, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
-            .unwrap();
+        r.gc.collect(r.t, &mut r.space, &mut r.wal).unwrap();
         assert!(
             r.wal.frames_written() > frames_before,
             "GC must commit a WAL transaction for its moves"
@@ -555,15 +487,19 @@ mod tests {
     #[test]
     fn needs_gc_tracks_watermark() {
         let mut r = rig();
-        assert!(!r.gc.needs_gc(&r.prov));
+        assert!(!r.gc.needs_gc(&r.space));
         // Exhaust nearly all free chunks.
-        let total = r.prov.free_chunks();
+        let total = r.space.prov.free_chunks();
         for _ in 0..total.saturating_sub(4) {
             let pu = 0;
-            let _ = r.prov.take_free_chunk(pu % r.geo.total_pus()).is_some()
-                || (1..r.geo.total_pus()).any(|p| r.prov.take_free_chunk(p).is_some());
+            let _ = r
+                .space
+                .prov
+                .take_free_chunk(pu % r.geo.total_pus())
+                .is_some()
+                || (1..r.geo.total_pus()).any(|p| r.space.prov.take_free_chunk(p).is_some());
         }
-        assert!(r.gc.needs_gc(&r.prov));
+        assert!(r.gc.needs_gc(&r.space));
     }
 
     #[test]
@@ -574,9 +510,7 @@ mod tests {
         fill(&mut r, 0..chunk_lpns, 2);
         fill(&mut r, 0..chunk_lpns, 2);
         r.gc.mark_group(0);
-        let pass =
-            r.gc.collect(r.t, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
-                .unwrap();
+        let pass = r.gc.collect(r.t, &mut r.space, &mut r.wal).unwrap();
         assert!(pass.victims >= 1, "collector rotated to the busy group");
         assert_eq!(r.gc.marked_group(), 2);
     }
@@ -588,7 +522,7 @@ mod tests {
         let data = vec![0xA5u8; r.geo.ws_min_bytes()];
         let mut addr = None;
         for _ in 0..(r.geo.sectors_per_chunk / r.geo.ws_min) {
-            let slot = r.prov.allocate_on_pu(pu).expect("out of space");
+            let slot = r.space.prov.allocate_on_pu(pu).expect("out of space");
             let comp = r
                 .media
                 .write(r.t, slot.chunk.ppa(slot.sector), &data)
@@ -611,7 +545,6 @@ mod tests {
                 wear_bias: 1,
                 ..GcConfig::default()
             },
-            &r.layout.reserved_linear(&r.geo),
         );
         let data = vec![0xA5u8; r.geo.ws_min_bytes()];
         // Chunk `a`: one extra erase cycle, then refilled (still fully
@@ -628,9 +561,7 @@ mod tests {
         assert_eq!(r.media.chunk_info(a).wear, 1);
         assert_eq!(r.media.chunk_info(b).wear, 0);
         r.gc.mark_group(0);
-        let pass =
-            r.gc.collect(r.t, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
-                .unwrap();
+        let pass = r.gc.collect(r.t, &mut r.space, &mut r.wal).unwrap();
         assert_eq!(pass.victims, 1);
         assert_eq!(
             r.media.chunk_info(b).state,
@@ -649,23 +580,21 @@ mod tests {
         let mut r = rig();
         let chunk_lpns = r.geo.sectors_per_chunk as u64;
         fill(&mut r, 0..chunk_lpns, 0);
-        let victim = r.map.lookup(0).unwrap().chunk_addr();
+        let victim = r.space.map.lookup(0).unwrap().chunk_addr();
         assert_eq!(r.media.chunk_info(victim).state, ChunkState::Closed);
         // Fully valid, so normal GC refuses it...
         r.gc.mark_group(0);
-        let gc_pass =
-            r.gc.collect(r.t, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
-                .unwrap();
+        let gc_pass = r.gc.collect(r.t, &mut r.space, &mut r.wal).unwrap();
         assert_eq!(gc_pass.victims, 0, "fully-valid chunk is not a GC victim");
         // ...but a refresh relocates everything and erases it.
         let pass =
-            r.gc.relocate_chunk(r.t, victim, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
+            r.gc.relocate_chunk(r.t, victim, &mut r.space, &mut r.wal)
                 .unwrap();
         assert_eq!(pass.victims, 1);
         assert_eq!(pass.moved_sectors, r.geo.sectors_per_chunk as u64);
         assert_eq!(r.media.chunk_info(victim).state, ChunkState::Free);
         for l in 0..chunk_lpns {
-            let new = r.map.lookup(l).expect("still mapped");
+            let new = r.space.map.lookup(l).expect("still mapped");
             assert_ne!(new.chunk_addr(), victim, "lpn {l} moved off the victim");
             let mut out = vec![0u8; ocssd::SECTOR_BYTES];
             r.media.read(pass.done, new, 1, &mut out).unwrap();
@@ -678,31 +607,45 @@ mod tests {
         let mut r = rig();
         let reserved = r.layout.wal_chunks[0];
         let pass =
-            r.gc.relocate_chunk(r.t, reserved, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
+            r.gc.relocate_chunk(r.t, reserved, &mut r.space, &mut r.wal)
                 .unwrap();
         assert_eq!(pass.victims, 0);
         assert_eq!(pass.moved_sectors, 0);
         // A never-written data chunk is not refreshable either.
-        let slot = r.prov.allocate_on_pu(0).unwrap();
+        let slot = r.space.prov.allocate_on_pu(0).unwrap();
         let pass =
-            r.gc.relocate_chunk(
-                r.t,
-                slot.chunk,
-                &r.media,
-                &mut r.map,
-                &mut r.prov,
-                &mut r.wal,
-            )
-            .unwrap();
+            r.gc.relocate_chunk(r.t, slot.chunk, &mut r.space, &mut r.wal)
+                .unwrap();
         assert_eq!(pass.victims, 0);
+    }
+
+    #[test]
+    fn no_destination_chunk_is_out_of_space_not_log_full() {
+        let mut r = rig();
+        let chunk_lpns = r.geo.sectors_per_chunk as u64;
+        let ws = r.geo.ws_min as u64;
+        fill(&mut r, 0..chunk_lpns, 0);
+        fill(&mut r, ws..chunk_lpns, 0);
+        // The victim holds one live unit and nothing is left to move it to.
+        for pu in 0..r.geo.total_pus() {
+            while r.space.prov.allocate_on_pu(pu).is_some() {}
+        }
+        r.gc.mark_group(0);
+        let frames = r.wal.frames_written();
+        let pass = r.gc.collect(r.t, &mut r.space, &mut r.wal);
+        assert_eq!(pass.unwrap_err(), SpaceError::OutOfSpace);
+        assert_eq!(
+            r.wal.frames_written(),
+            frames,
+            "the log is nowhere near full"
+        );
+        assert!(r.wal.live_chunks() < r.wal.capacity_chunks());
     }
 
     #[test]
     fn nothing_to_collect_is_a_clean_noop() {
         let mut r = rig();
-        let pass =
-            r.gc.collect(r.t, &r.media, &mut r.map, &mut r.prov, &mut r.wal)
-                .unwrap();
+        let pass = r.gc.collect(r.t, &mut r.space, &mut r.wal).unwrap();
         assert_eq!(pass.victims, 0);
         assert_eq!(pass.moved_sectors, 0);
         assert_eq!(pass.done, r.t);

@@ -14,6 +14,10 @@
 //! * [`provision::Provisioner`] — chunk provisioning: free pools and open
 //!   write points per parallel unit, with horizontal (device-wide striping)
 //!   and vertical (single-group) allocation policies (paper Figure 4).
+//! * [`logspace::LogSpace`] — the data-log write path the page-mapped FTLs
+//!   and the collector share: placement with failover, map-and-journal, the
+//!   force-at-commit barrier and reset-or-retire, over one `PageMap` and one
+//!   `Provisioner`.
 //! * [`wal::Wal`] — the recovery log: CRC-framed record batches appended to
 //!   reserved chunks with group commit.
 //! * [`checkpoint`] / [`recovery`] — alternating-area mapping snapshots and
@@ -21,7 +25,8 @@
 //!   committed transactions, rebuild write pointers from *report chunk*).
 //!   These reproduce the Figure 3 experiment.
 //! * [`gc::GarbageCollector`] — group-marked greedy GC using device-internal
-//!   copies, giving the §4.3 interference-locality property.
+//!   copies (placed through the log space), giving the §4.3
+//!   interference-locality property.
 //! * [`badblock::BadBlockTable`] — bad-media bookkeeping fed by the device's
 //!   asynchronous error reports.
 //! * [`landscape`] — the Figure 1 SSD-landscape taxonomy as a typed model.
@@ -40,6 +45,7 @@ pub mod faultharness;
 pub mod gc;
 pub mod landscape;
 pub mod layout;
+pub mod logspace;
 pub mod mapping;
 pub mod media;
 pub mod provision;

@@ -201,6 +201,12 @@ impl Provisioner {
             .sum()
     }
 
+    /// Whether a chunk (linear index) is reserved for metadata: never
+    /// allocated, collected or patrolled.
+    pub fn is_reserved(&self, chunk_linear: u64) -> bool {
+        self.reserved.contains(&chunk_linear)
+    }
+
     /// Number of chunks marked offline.
     pub fn offline_chunks(&self) -> u32 {
         self.offline.len() as u32

@@ -26,6 +26,7 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::layout::Layout;
+use crate::logspace::LogSpace;
 use crate::mapping::PageMap;
 use crate::media::Media;
 use crate::provision::Provisioner;
@@ -227,12 +228,8 @@ pub fn apply_map_record(map: &mut PageMap, geo: &Geometry, rec: &WalRecord) -> b
     }
 }
 
-/// Result of a recovery run.
+/// Statistics of a recovery run.
 pub struct RecoveryOutcome {
-    /// The reconstructed mapping table.
-    pub map: PageMap,
-    /// The reconstructed provisioner (pools + resumed write points).
-    pub provisioner: Provisioner,
     /// Sequence of the checkpoint used (0 = none found).
     pub checkpoint_seq: u64,
     /// LSN covered by the checkpoint (0 = none).
@@ -255,15 +252,16 @@ pub struct RecoveryOutcome {
 
 /// Recovers a page-mapped FTL: replays the journal into a [`PageMap`]
 /// (`logical_pages` sizes it when no checkpoint exists) and rebuilds
-/// provisioning from the device's *report chunk* scan. Returns the outcome
-/// and the replay to [`Replay::restart`] the journal from.
+/// provisioning from the device's *report chunk* scan. Returns the rebuilt
+/// log space, the run's statistics and the replay to [`Replay::restart`]
+/// the journal from.
 pub fn recover(
     media: &Arc<dyn Media>,
     layout: &Layout,
     geo: Geometry,
     logical_pages: u64,
     now: SimTime,
-) -> (RecoveryOutcome, Replay) {
+) -> (LogSpace, RecoveryOutcome, Replay) {
     let obs = media.obs();
     let mut replay = Journal::replay(media, layout, now);
     let mut map = replay
@@ -294,8 +292,6 @@ pub fn recover(
 
     replay.done = done;
     let outcome = RecoveryOutcome {
-        map,
-        provisioner,
         checkpoint_seq: replay.checkpoint_seq,
         checkpoint_lsn: replay.checkpoint_lsn,
         frames_scanned: replay.frames_scanned,
@@ -306,7 +302,7 @@ pub fn recover(
         duration: done.saturating_since(now),
         done,
     };
-    (outcome, replay)
+    (LogSpace::new(map, provisioner), outcome, replay)
 }
 
 #[cfg(test)]
@@ -353,10 +349,10 @@ mod tests {
     #[test]
     fn recovery_on_fresh_device_is_empty_and_fast() {
         let r = rig();
-        let (out, _) = recover(&r.media, &r.layout, r.geo, 1024, SimTime::ZERO);
+        let (space, out, _) = recover(&r.media, &r.layout, r.geo, 1024, SimTime::ZERO);
         assert_eq!(out.checkpoint_seq, 0);
         assert_eq!(out.frames_scanned, 0);
-        assert_eq!(out.map.mapped_count(), 0);
+        assert_eq!(space.map.mapped_count(), 0);
         assert!(out.duration < SimDuration::from_millis(10));
     }
 
@@ -368,16 +364,16 @@ mod tests {
         t = commit_txn(&mut wal, 1, &[(5, 100), (6, 200)], t);
         t = commit_txn(&mut wal, 2, &[(5, 300)], t);
         r.dev.crash(t);
-        let (out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
+        let (space, out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
         assert_eq!(out.txns_committed, 2);
         assert_eq!(out.txns_discarded, 0);
         assert_eq!(
-            out.map.lookup(5),
+            space.map.lookup(5),
             Some(Ppa::from_linear(&r.geo, 300)),
             "later txn wins"
         );
-        assert_eq!(out.map.lookup(6), Some(Ppa::from_linear(&r.geo, 200)));
-        assert_eq!(out.map.mapped_count(), 2);
+        assert_eq!(space.map.lookup(6), Some(Ppa::from_linear(&r.geo, 200)));
+        assert_eq!(space.map.mapped_count(), 2);
     }
 
     #[test]
@@ -396,10 +392,10 @@ mod tests {
             attempts: 2,
         });
         r.dev.set_fault_plan(plan);
-        let (out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
+        let (space, out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
         assert_eq!(out.txns_committed, 2);
-        assert_eq!(out.map.lookup(5), Some(Ppa::from_linear(&r.geo, 300)));
-        assert_eq!(out.map.lookup(6), Some(Ppa::from_linear(&r.geo, 200)));
+        assert_eq!(space.map.lookup(5), Some(Ppa::from_linear(&r.geo, 300)));
+        assert_eq!(space.map.lookup(6), Some(Ppa::from_linear(&r.geo, 200)));
         assert_eq!(r.dev.fault_ledger().read_fails, 2, "both attempts fired");
     }
 
@@ -417,10 +413,10 @@ mod tests {
             ppa_linear: 20,
         });
         r.dev.crash(t);
-        let (out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
+        let (space, out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
         assert_eq!(out.txns_committed, 1);
-        assert_eq!(out.map.lookup(1), Some(Ppa::from_linear(&r.geo, 10)));
-        assert_eq!(out.map.lookup(2), None);
+        assert_eq!(space.map.lookup(1), Some(Ppa::from_linear(&r.geo, 10)));
+        assert_eq!(space.map.lookup(2), None);
     }
 
     #[test]
@@ -438,9 +434,9 @@ mod tests {
         });
         t = wal.commit(t).unwrap();
         r.dev.crash(t);
-        let (out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
+        let (space, out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
         assert_eq!(out.txns_discarded, 1);
-        assert_eq!(out.map.lookup(3), None);
+        assert_eq!(space.map.lookup(3), None);
     }
 
     #[test]
@@ -458,12 +454,12 @@ mod tests {
             t = commit_txn(&mut journal.wal, i, &[(i, i * 7 + 1)], t);
         }
         r.dev.crash(t);
-        let (out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
+        let (space, out, _) = recover(&r.media, &r.layout, r.geo, 1024, t);
         assert_eq!(out.checkpoint_seq, 1);
         assert_eq!(out.txns_committed, 10, "only post-checkpoint txns replay");
         for i in 0..20u64 {
             assert_eq!(
-                out.map.lookup(i),
+                space.map.lookup(i),
                 Some(Ppa::from_linear(&r.geo, i * 7 + 1)),
                 "lpn {i}"
             );
@@ -476,11 +472,11 @@ mod tests {
         let (mut wal, mut t) =
             Wal::format(r.media.clone(), r.layout.wal_chunks.clone(), SimTime::ZERO).unwrap();
         t = commit_txn(&mut wal, 0, &[(0, 1)], t);
-        let small = recover(&r.media, &r.layout, r.geo, 1024, t).0.duration;
+        let small = recover(&r.media, &r.layout, r.geo, 1024, t).1.duration;
         for i in 1..200u64 {
             t = commit_txn(&mut wal, i, &[(i % 1024, i)], t);
         }
-        let big = recover(&r.media, &r.layout, r.geo, 1024, t).0.duration;
+        let big = recover(&r.media, &r.layout, r.geo, 1024, t).1.duration;
         assert!(
             big > small * 20,
             "200 frames should cost much more than 1: {small} vs {big}"
@@ -506,9 +502,9 @@ mod tests {
             .unwrap();
         let f = r.media.flush(w.done);
         r.dev.crash(f.done);
-        let (mut out, _) = recover(&r.media, &r.layout, r.geo, 1024, f.done);
+        let (mut space, _, _) = recover(&r.media, &r.layout, r.geo, 1024, f.done);
         // The open data chunk resumes at its write pointer.
-        let slot = out.provisioner.allocate_on_pu(data_chunk.pu_linear(&r.geo));
+        let slot = space.prov.allocate_on_pu(data_chunk.pu_linear(&r.geo));
         let slot = slot.unwrap();
         assert_eq!(slot.chunk, data_chunk);
         assert_eq!(slot.sector, r.geo.ws_min);
@@ -536,19 +532,19 @@ mod tests {
         wal.append(WalRecord::Trim { txid: 8, lpn: 3 });
         t = wal.commit(t).unwrap();
         r.dev.crash(t);
-        let (out, replay) = recover(&r.media, &r.layout, r.geo, 1024, t);
+        let (space, out, replay) = recover(&r.media, &r.layout, r.geo, 1024, t);
         assert_eq!((out.txns_committed, out.txns_discarded), (1, 1));
         assert_eq!(out.records_replayed, 1, "the blob is not a map record");
-        assert_eq!(out.map.lookup(3), Some(Ppa::from_linear(&r.geo, 30)));
+        assert_eq!(space.map.lookup(3), Some(Ppa::from_linear(&r.geo, 30)));
         assert_eq!(replay.txns[0].len(), 2, "every record kind is handed back");
         assert!(matches!(replay.txns[0][1], WalRecord::Blob { tag: 9, .. }));
     }
 
     /// Recovers, restarts the journal on the recovered map, and returns it.
-    fn recover_and_restart(r: &Rig, t: SimTime) -> (RecoveryOutcome, Journal, SimTime) {
-        let (out, replay) = recover(&r.media, &r.layout, r.geo, 1024, t);
-        let (journal, t) = replay.restart(&out.map.snapshot()).unwrap();
-        (out, journal, t)
+    fn recover_and_restart(r: &Rig, t: SimTime) -> (LogSpace, RecoveryOutcome, Journal, SimTime) {
+        let (space, out, replay) = recover(&r.media, &r.layout, r.geo, 1024, t);
+        let (journal, t) = replay.restart(&space.map.snapshot()).unwrap();
+        (space, out, journal, t)
     }
 
     #[test]
@@ -558,7 +554,7 @@ mod tests {
         t = commit_txn(&mut journal.wal, 1, &[(1, 10), (2, 20)], t);
         let old_last = journal.wal.durable_lsn();
         r.dev.crash(t);
-        let (_, mut journal, mut t) = recover_and_restart(&r, t);
+        let (_, _, mut journal, mut t) = recover_and_restart(&r, t);
         assert_eq!(journal.wal.next_lsn(), old_last + 1);
         assert_eq!(journal.wal.durable_lsn(), old_last);
 
@@ -566,22 +562,22 @@ mod tests {
         // replay the new log on top of the restart's snapshot.
         t = commit_txn(&mut journal.wal, 1, &[(1, 11)], t);
         r.dev.crash(t);
-        let (out, journal, t) = recover_and_restart(&r, t);
+        let (space, out, journal, t) = recover_and_restart(&r, t);
         assert_eq!(out.checkpoint_lsn, old_last);
         assert_eq!(out.txns_committed, 1);
-        assert_eq!(out.map.lookup(1), Some(Ppa::from_linear(&r.geo, 11)));
-        assert_eq!(out.map.lookup(2), Some(Ppa::from_linear(&r.geo, 20)));
+        assert_eq!(space.map.lookup(1), Some(Ppa::from_linear(&r.geo, 11)));
+        assert_eq!(space.map.lookup(2), Some(Ppa::from_linear(&r.geo, 20)));
 
         // A crash straight after a restart: nothing to replay, nothing lost,
         // and the empty log still carries the numbering forward.
         let last = journal.wal.durable_lsn();
         assert!(last > old_last);
         r.dev.crash(t);
-        let (out, journal, _) = recover_and_restart(&r, t);
+        let (space, out, journal, _) = recover_and_restart(&r, t);
         assert_eq!((out.frames_scanned, out.txns_committed), (0, 0));
         assert_eq!(out.checkpoint_seq, 2, "each restart outranks the last");
         assert_eq!(out.checkpoint_lsn, last);
-        assert_eq!(out.map.lookup(1), Some(Ppa::from_linear(&r.geo, 11)));
+        assert_eq!(space.map.lookup(1), Some(Ppa::from_linear(&r.geo, 11)));
         assert_eq!(journal.wal.next_lsn(), last + 1);
     }
 

@@ -3,7 +3,7 @@
 //! Several layers defend against ECC-exhaustion flukes the same way — retry
 //! the read a bounded number of times before declaring the data lost: the
 //! WAL recovery scan, checkpoint loading, orphan salvage, and the data-path
-//! reads of OX-Block, OX-ELEOS, LightLSM and OX-ZNS. This module is the
+//! reads of OX-Block, OX-ELEOS, LightLSM, OX-ZNS and the KV-SSD. This module is the
 //! single definition of that policy — [`MAX_RETRIES`] re-submissions per
 //! failing sector, at the same instant — with `retry.*` metrics so retry
 //! traffic is observable wherever a registry is in scope.

@@ -196,11 +196,7 @@ impl Wal {
             if info.state != ocssd::ChunkState::Free {
                 match media.reset(now, c) {
                     Ok(comp) => done = done.max(comp.done),
-                    Err(
-                        DeviceError::MediaFailure(_)
-                        | DeviceError::ChunkOffline(_)
-                        | DeviceError::InvalidChunkState { .. },
-                    ) => continue, // erase failure retires the chunk
+                    Err(e) if e.retires_chunk() => continue,
                     Err(e) => return Err(e.into()),
                 }
             }
@@ -365,11 +361,7 @@ impl Wal {
             let addr = self.chunks[seg.ring_idx];
             match self.media.write(now, addr.ppa(self.wp), &bytes) {
                 Ok(w) => break (addr, w),
-                Err(
-                    DeviceError::MediaFailure(_)
-                    | DeviceError::ChunkOffline(_)
-                    | DeviceError::InvalidChunkState { .. },
-                ) => {
+                Err(e) if e.retires_chunk() => {
                     self.failovers += 1;
                     self.obs.metrics.record("wal.failover", 0);
                     self.retire_active_chunk(now)?;

@@ -25,41 +25,40 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use ocssd::{DeviceError, Geometry, Ppa, SECTOR_BYTES};
+use ocssd::{DeviceError, Geometry, SECTOR_BYTES};
 use ox_core::gc::{GarbageCollector, GcConfig};
 use ox_core::layout::{Layout, LayoutConfig};
+use ox_core::logspace::LogSpace;
 use ox_core::mapping::PageMap;
 use ox_core::provision::Provisioner;
 use ox_core::stats::FtlStats;
 use ox_core::wal::{Wal, WalError, WalRecord};
-use ox_core::Media;
+use ox_core::{retry, Media};
 use ox_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Largest value accepted (values span whole sectors in the value log).
+pub const MAX_VALUE_BYTES: usize = 1024 * 1024;
+/// CPU cost charged per command (device-side index work).
+const COMMAND_CPU: SimDuration = SimDuration::from_micros(2);
+/// Puts/deletes per WAL group commit (durability batch; `sync` forces).
+const GROUP_COMMIT: usize = 64;
 
 /// KV-SSD configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct KvSsdConfig {
     /// Metadata layout.
     pub layout: LayoutConfig,
-    /// Largest value accepted (values span whole sectors in the value log).
-    pub max_value_bytes: usize,
     /// Free-chunk watermark that triggers value-log garbage collection.
     pub gc_watermark: u32,
-    /// CPU cost charged per command (device-side index work).
-    pub command_cpu: SimDuration,
-    /// Puts/deletes per WAL group commit (durability batch; `sync` forces).
-    pub group_commit: usize,
 }
 
 impl Default for KvSsdConfig {
     fn default() -> Self {
         KvSsdConfig {
             layout: LayoutConfig::default(),
-            max_value_bytes: 1024 * 1024,
             gc_watermark: 16,
-            command_cpu: SimDuration::from_micros(2),
-            group_commit: 64,
         }
     }
 }
@@ -69,7 +68,7 @@ impl Default for KvSsdConfig {
 pub enum KvError {
     /// Key empty or oversized.
     BadKey(usize),
-    /// Value larger than [`KvSsdConfig::max_value_bytes`].
+    /// Value larger than [`MAX_VALUE_BYTES`].
     ValueTooLarge(usize),
     /// Device out of space even after GC.
     OutOfSpace,
@@ -117,13 +116,12 @@ struct ValueLoc {
 pub struct KvSsd {
     media: Arc<dyn Media>,
     geo: Geometry,
-    config: KvSsdConfig,
     /// Device-side hash index: key → value location.
     index: HashMap<Vec<u8>, ValueLoc>,
-    /// Value-log page map (log page → physical sector), shared machinery
-    /// with OX-Block so GC can relocate live values.
-    map: PageMap,
-    prov: Provisioner,
+    /// The value log: page map (log page → physical sector), provisioning
+    /// and the write path, shared machinery with OX-Block so GC can
+    /// relocate live values.
+    space: LogSpace,
     wal: Wal,
     /// The value log's collector. One for the life of the FTL: its marked
     /// group stays where the last pass left it.
@@ -147,7 +145,6 @@ impl KvSsd {
         let geo = media.geometry();
         let layout = Layout::plan(&geo, config.layout);
         let reserved = layout.reserved_linear(&geo);
-        let prov = Provisioner::fresh(geo, &reserved);
         let window_pages = geo.total_sectors() / 2; // value-log logical window
         let (wal, done) = Wal::format(media.clone(), layout.wal_chunks.clone(), now)?;
         // Metadata chunks are excluded from the value log and from GC.
@@ -158,14 +155,15 @@ impl KvSsd {
                 chunks_per_pass: 4,
                 ..GcConfig::default()
             },
-            &reserved,
         );
         Ok((
             KvSsd {
                 geo,
                 index: HashMap::new(),
-                map: PageMap::new(geo, window_pages),
-                prov,
+                space: LogSpace::new(
+                    PageMap::new(geo, window_pages),
+                    Provisioner::fresh(geo, &reserved),
+                ),
                 wal,
                 gc,
                 stats: FtlStats::default(),
@@ -174,7 +172,6 @@ impl KvSsd {
                 staged: Vec::new(),
                 pending_ops: 0,
                 media,
-                config,
             },
             done,
         ))
@@ -209,7 +206,7 @@ impl KvSsd {
         'candidate: while first < limit {
             for p in 0..pages {
                 let slot = self.slot(first + p);
-                let live = self.map.lookup(slot).is_some()
+                let live = self.space.map.lookup(slot).is_some()
                     || self.staged.iter().any(|(l, _)| self.slot(*l) == slot);
                 if live {
                     first += p + 1;
@@ -223,7 +220,9 @@ impl KvSsd {
 
     /// Flushes staged sectors as `ws_min` units. With `pad_tail`, a partial
     /// final unit is zero-padded out (sync path); otherwise only full units
-    /// are written (write coalescing across puts).
+    /// are written (write coalescing across puts). A unit leaves the
+    /// coalescing buffer only once it is placed: when placement fails, the
+    /// staged sectors of earlier, acknowledged puts are all still there.
     fn flush_staged(
         &mut self,
         now: SimTime,
@@ -232,28 +231,31 @@ impl KvSsd {
     ) -> Result<SimTime, KvError> {
         let unit_sectors = self.geo.ws_min as usize;
         let unit_bytes = self.geo.ws_min_bytes();
+        let window = self.window_pages;
         let mut t = now;
         while self.staged.len() >= unit_sectors || (pad_tail && !self.staged.is_empty()) {
-            let batch: Vec<(u64, Vec<u8>)> = self
-                .staged
-                .drain(..unit_sectors.min(self.staged.len()))
-                .collect();
-            let slot = self.prov.allocate_horizontal().ok_or(KvError::OutOfSpace)?;
+            let batch = &self.staged[..unit_sectors.min(self.staged.len())];
             let mut buf = vec![0u8; unit_bytes];
             for (i, (_, sector)) in batch.iter().enumerate() {
                 buf[i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES].copy_from_slice(sector);
             }
-            let comp = self.media.write(t, slot.chunk.ppa(slot.sector), &buf)?;
+            let (media, stats) = (&self.media, &mut self.stats);
+            let (slot, comp) = self
+                .space
+                .place(
+                    None,
+                    |slot| media.write(t, slot.chunk.ppa(slot.sector), &buf),
+                    || stats.write_failovers += 1,
+                )
+                .map_err(|e| e.into_ftl(|| KvError::OutOfSpace))?;
             t = comp.done;
-            for (i, (lpn, _)) in batch.iter().enumerate() {
-                let ppa = slot.chunk.ppa(slot.sector + i as u32);
-                self.map.map(self.slot(*lpn), ppa);
-                self.wal.append(WalRecord::MapUpdate {
-                    txid,
-                    lpn: self.slot(*lpn),
-                    ppa_linear: ppa.linear(&self.geo),
-                });
-            }
+            self.space.record(
+                slot,
+                batch.iter().map(|(lpn, _)| lpn % window),
+                Some((&mut self.wal, txid)),
+            );
+            let placed = batch.len();
+            self.staged.drain(..placed);
             self.stats.physical_user_writes.record(unit_bytes as u64);
         }
         Ok(t)
@@ -265,10 +267,10 @@ impl KvSsd {
         if key.is_empty() || key.len() > 255 {
             return Err(KvError::BadKey(key.len()));
         }
-        if value.len() > self.config.max_value_bytes {
+        if value.len() > MAX_VALUE_BYTES {
             return Err(KvError::ValueTooLarge(value.len()));
         }
-        let mut t = now + self.config.command_cpu;
+        let mut t = now + COMMAND_CPU;
         let pages = value.len().div_ceil(SECTOR_BYTES).max(1) as u64;
         let first_lpn = self.claim_lpns(pages)?;
         self.next_lpn = first_lpn + pages;
@@ -297,7 +299,7 @@ impl KvSsd {
         });
         self.wal.end(txid);
         self.pending_ops += 1;
-        let done = if self.pending_ops >= self.config.group_commit {
+        let done = if self.pending_ops >= GROUP_COMMIT {
             self.sync(t)?
         } else {
             t
@@ -313,7 +315,7 @@ impl KvSsd {
         ) {
             let old_pages = (old.len as usize).div_ceil(SECTOR_BYTES).max(1) as u64;
             for p in 0..old_pages {
-                self.map.unmap(self.slot(old.lpn + p));
+                self.space.map.unmap(self.slot(old.lpn + p));
             }
         }
         self.stats.user_writes.record(value.len() as u64);
@@ -328,6 +330,10 @@ impl KvSsd {
         // ended, so its map updates ride outside any transaction (id 0, which
         // the log never issues) — the first thing `KvSsd::recover` must fix.
         let t = self.flush_staged(now, 0, true)?;
+        // No force-at-commit barrier yet: nothing replays this log (there
+        // is no `KvSsd::recover`), and waiting for the chunks would move
+        // every group commit's modeled latency.
+        self.space.skip_barrier();
         let done = self.wal.commit(t)?;
         self.pending_ops = 0;
         Ok(done)
@@ -336,7 +342,7 @@ impl KvSsd {
     /// Retrieves a value. Reads exactly the sectors the value occupies — the
     /// KV interface's advantage over block-granular stores.
     pub fn get(&mut self, now: SimTime, key: &[u8]) -> Result<(Option<Vec<u8>>, SimTime), KvError> {
-        let mut t = now + self.config.command_cpu;
+        let mut t = now + COMMAND_CPU;
         let Some(&loc) = self.index.get(key) else {
             return Ok((None, t));
         };
@@ -352,15 +358,17 @@ impl KvSsd {
                 value[off..off + SECTOR_BYTES].copy_from_slice(data);
                 continue;
             }
-            let ppa: Ppa = self
+            let ppa = self
+                .space
                 .map
                 .lookup(self.slot(lpn))
-                // oxcheck:allow(panic_path): put() maps every page before indexing the value, and GC remaps before dropping; an indexed-but-unmapped page is a logic bug.
-                .expect("indexed value must be mapped");
-            let comp = self
-                .media
-                .read(t, ppa, 1, &mut value[off..off + SECTOR_BYTES])?;
-            done = done.max(comp.done);
+                // oxcheck:allow(panic_path): indexed ⇒ staged or mapped — a sector leaves `staged` (checked just above) only in `flush_staged`, after `record` mapped it, and GC remaps before it resets; neither is a media state.
+                .expect("indexed value must be staged or mapped");
+            // Transient ECC exhaustion recovers under read-retry.
+            let sector = &mut value[off..off + SECTOR_BYTES];
+            let read = retry::read_with_policy(self.media.as_ref(), t, ppa, 1, sector, None)?;
+            self.stats.read_retries += read.retries as u64;
+            done = done.max(read.completion.done);
         }
         t = done;
         value.truncate(loc.len as usize);
@@ -370,7 +378,7 @@ impl KvSsd {
 
     /// Deletes a key. Returns the completion time.
     pub fn delete(&mut self, now: SimTime, key: &[u8]) -> Result<SimTime, KvError> {
-        let mut t = now + self.config.command_cpu;
+        let mut t = now + COMMAND_CPU;
         let Some(loc) = self.index.remove(key) else {
             return Ok(t);
         };
@@ -385,12 +393,12 @@ impl KvSsd {
         });
         self.wal.end(txid);
         self.pending_ops += 1;
-        if self.pending_ops >= self.config.group_commit {
+        if self.pending_ops >= GROUP_COMMIT {
             t = self.sync(t)?;
         }
         let pages = (loc.len as usize).div_ceil(SECTOR_BYTES).max(1) as u64;
         for p in 0..pages {
-            self.map.unmap(self.slot(loc.lpn + p));
+            self.space.map.unmap(self.slot(loc.lpn + p));
         }
         Ok(t)
     }
@@ -398,7 +406,7 @@ impl KvSsd {
     /// Runs value-log GC when free chunks run low: relocates live sectors of
     /// the emptiest closed chunks (device-internal copies) and resets them.
     fn maybe_gc(&mut self, now: SimTime) -> Result<SimTime, KvError> {
-        if self.prov.free_chunks() >= self.config.gc_watermark {
+        if !self.gc.needs_gc(&self.space) {
             return Ok(now);
         }
         // GC relocates mapped sectors; flush the coalescing tail first so
@@ -406,14 +414,8 @@ impl KvSsd {
         let now = self.sync(now)?;
         let pass = self
             .gc
-            .collect(
-                now,
-                &self.media,
-                &mut self.map,
-                &mut self.prov,
-                &mut self.wal,
-            )
-            .map_err(KvError::Wal)?;
+            .collect(now, &mut self.space, &mut self.wal)
+            .map_err(|e| e.into_ftl(|| KvError::OutOfSpace))?;
         self.stats.gc_passes += 1;
         self.stats
             .gc_writes
@@ -612,6 +614,41 @@ mod tests {
         txids.sort_unstable();
         txids.dedup();
         assert_eq!(txids.len(), begun, "transaction ids repeat");
+    }
+
+    #[test]
+    fn a_program_failure_loses_no_acknowledged_value() {
+        // Every data chunk fails to program its second write unit, so every
+        // chunk the value log opens freezes after one unit.
+        let geo = Geometry::small_slc();
+        let reserved = Layout::plan(&geo, LayoutConfig::default()).reserved_linear(&geo);
+        let mut config = DeviceConfig::with_geometry(geo);
+        config.fault.program_fails = (0..geo.total_chunks())
+            .filter(|lin| !reserved.contains(lin))
+            .map(|lin| ocssd::ProgramFault {
+                chunk: ocssd::ChunkAddr::from_linear(&geo, lin),
+                wp: geo.ws_min,
+            })
+            .collect();
+        let dev = SharedDevice::new(OcssdDevice::new(config));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+        let (mut kv, mut t) = KvSsd::format(media, KvSsdConfig::default(), SimTime::ZERO).unwrap();
+
+        // One to three sectors a value: units coalesce across puts, so a
+        // failing unit carries sectors of puts acknowledged before it.
+        let value = |i: u64| vec![i as u8; 1 + (i as usize % 3) * SECTOR_BYTES];
+        for i in 0..200u64 {
+            t = kv
+                .put(t, format!("key{i}").as_bytes(), &value(i))
+                .unwrap_or_else(|e| panic!("put #{i}: {e}"));
+        }
+        assert!(kv.stats().write_failovers > 0);
+        assert_eq!(kv.stats().write_failovers, dev.fault_ledger().program_fails);
+        for i in 0..200u64 {
+            let (got, done) = kv.get(t, format!("key{i}").as_bytes()).unwrap();
+            assert_eq!(got, Some(value(i)), "key{i}");
+            t = done;
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::placement::{Placement, TableExtent};
 use ocssd::{ChunkState, DeviceError, Geometry, Payload, Ppa};
 use ox_core::codec::{Decoder, Encoder};
 use ox_core::layout::{Layout, LayoutConfig};
+use ox_core::logspace::reset_or_retire;
 use ox_core::provision::Provisioner;
 use ox_core::recovery::Journal;
 use ox_core::retry::{self, RetryOutcome};
@@ -412,21 +413,11 @@ impl LightLsm {
                 self.prov.mark_offline(c);
                 continue;
             }
-            if self.media.chunk_info(c).state != ChunkState::Free {
-                match self.media.reset(now, c) {
-                    Ok(_) => {}
-                    Err(
-                        DeviceError::MediaFailure(_)
-                        | DeviceError::ChunkOffline(_)
-                        | DeviceError::InvalidChunkState { .. },
-                    ) => {
-                        self.prov.mark_offline(c);
-                        continue;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+            if self.media.chunk_info(c).state == ChunkState::Free {
+                self.prov.release_chunk(c);
+            } else {
+                reset_or_retire(self.media.as_ref(), &mut self.prov, now, c)?;
             }
-            self.prov.release_chunk(c);
         }
         Ok(())
     }
@@ -486,11 +477,7 @@ impl LightLsm {
                 let submit = self.dispatch.acquire(t, self.config.dispatch_per_block).end;
                 match self.media.write(submit, chunk.ppa(sector), payload) {
                     Ok(comp) => ack = ack.max(comp.done),
-                    Err(
-                        DeviceError::MediaFailure(_)
-                        | DeviceError::ChunkOffline(_)
-                        | DeviceError::InvalidChunkState { .. },
-                    ) => {
+                    Err(e) if e.retires_chunk() => {
                         failed = Some(chunk);
                         break;
                     }
@@ -631,24 +618,14 @@ impl LightLsm {
             // tail row); both reset fine. Never-written chunks are just
             // released. A failed erase retires the chunk — its data is
             // already deleted, so nothing is lost.
-            if self.media.chunk_info(c).state != ChunkState::Free {
-                match self.media.reset(commit_done, c) {
-                    Ok(comp) => {
-                        done = done.max(comp.done);
-                        self.stats.chunks_erased += 1;
-                    }
-                    Err(
-                        DeviceError::MediaFailure(_)
-                        | DeviceError::ChunkOffline(_)
-                        | DeviceError::InvalidChunkState { .. },
-                    ) => {
-                        self.prov.mark_offline(c);
-                        continue;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+            if self.media.chunk_info(c).state == ChunkState::Free {
+                self.prov.release_chunk(c);
+            } else if let Some(comp) =
+                reset_or_retire(self.media.as_ref(), &mut self.prov, commit_done, c)?
+            {
+                done = done.max(comp.done);
+                self.stats.chunks_erased += 1;
             }
-            self.prov.release_chunk(c);
         }
         self.stats.tables_deleted += 1;
         self.obs.metrics.record("lightlsm.delete", 0);

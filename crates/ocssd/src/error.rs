@@ -59,6 +59,23 @@ pub enum DeviceError {
     },
 }
 
+impl DeviceError {
+    /// Whether this error takes the addressed chunk out of circulation: the
+    /// program or erase failed, the chunk is offline, or it sits in a state
+    /// the command is illegal in (a program failure freezes a written chunk
+    /// `Closed`). The host retires the chunk and re-places the data; every
+    /// other error says something about the command, not the chunk. The
+    /// command-side twin of [`crate::MediaEventKind::retires_chunk`].
+    pub fn retires_chunk(&self) -> bool {
+        matches!(
+            self,
+            DeviceError::MediaFailure(_)
+                | DeviceError::ChunkOffline(_)
+                | DeviceError::InvalidChunkState { .. }
+        )
+    }
+}
+
 impl fmt::Display for DeviceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -113,6 +130,21 @@ mod tests {
         assert!(s.contains("48"));
         let e2 = DeviceError::ReadUnwritten(Ppa::new(0, 0, 0, 9));
         assert!(format!("{e2}").contains("g0p0c0s9"));
+    }
+
+    #[test]
+    fn only_chunk_failures_retire_the_chunk() {
+        let c = ChunkAddr::new(0, 1, 2);
+        let state = ChunkState::Closed;
+        assert!(DeviceError::MediaFailure(c).retires_chunk());
+        assert!(DeviceError::ChunkOffline(c).retires_chunk());
+        assert!(DeviceError::InvalidChunkState { chunk: c, state }.retires_chunk());
+        assert!(!DeviceError::UncorrectableRead(c.ppa(0)).retires_chunk());
+        assert!(!DeviceError::InvalidWriteSize {
+            chunk: c,
+            sectors: 3
+        }
+        .retires_chunk());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use ocssd::{ChunkAddr, ChunkState, Completion, DeviceError, Geometry, MediaEvent, SECTOR_BYTES};
 use ox_core::gc::{GarbageCollector, GcConfig, GcPass};
 use ox_core::layout::{Layout, LayoutConfig};
+use ox_core::logspace::LogSpace;
 use ox_core::mapping::PageMap;
 use ox_core::provision::Provisioner;
 use ox_core::recovery::{self, Journal, RecoveryOutcome};
@@ -14,7 +15,7 @@ use ox_core::{
 };
 use ox_sim::trace::Obs;
 use ox_sim::{SimDuration, SimTime};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// OX-Block configuration.
@@ -164,8 +165,8 @@ pub struct BlockFtl {
     geo: Geometry,
     config: BlockFtlConfig,
     layout: Layout,
-    map: PageMap,
-    prov: Provisioner,
+    /// The data log: page map, provisioning and the write path.
+    space: LogSpace,
     journal: Journal,
     gc: GarbageCollector,
     bbt: BadBlockTable,
@@ -201,7 +202,6 @@ impl BlockFtl {
     ) -> Result<(BlockFtl, SimTime), BlockFtlError> {
         let geo = media.geometry();
         let layout = Layout::plan(&geo, config.layout);
-        let reserved = layout.reserved_linear(&geo);
         let logical_pages = config.logical_capacity_bytes / SECTOR_BYTES as u64;
         let phys_pages = geo.total_sectors();
         assert!(
@@ -209,24 +209,11 @@ impl BlockFtl {
             "need ≥10% over-provisioning: {logical_pages} logical vs {phys_pages} physical"
         );
         let (journal, done) = Journal::format(&media, &layout, now)?;
-        let ftl = BlockFtl {
-            geo,
-            map: PageMap::new(geo, logical_pages),
-            prov: Provisioner::fresh(geo, &reserved),
-            gc: GarbageCollector::new(&media, config.gc, &reserved),
-            bbt: BadBlockTable::new(),
-            stats: FtlStats::default(),
-            last_checkpoint: now,
-            gc_busy_until: vec![SimTime::ZERO; geo.num_groups as usize],
-            scrub_cursor: 0,
-            refresh_queue: VecDeque::new(),
-            degraded: false,
-            obs: media.obs(),
-            layout,
-            journal,
-            media,
-            config,
-        };
+        let space = LogSpace::new(
+            PageMap::new(geo, logical_pages),
+            Provisioner::fresh(geo, &layout.reserved_linear(&geo)),
+        );
+        let ftl = BlockFtl::assemble(media, config, layout, space, journal, now);
         Ok((ftl, done))
     }
 
@@ -241,27 +228,33 @@ impl BlockFtl {
         let geo = media.geometry();
         let layout = Layout::plan(&geo, config.layout);
         let logical_pages = config.logical_capacity_bytes / SECTOR_BYTES as u64;
-        let (mut outcome, replay) = recovery::recover(&media, &layout, geo, logical_pages, now);
-        let snapshot = outcome.map.snapshot();
-        let (journal, t) = replay.restart(&snapshot)?;
+        let (space, mut outcome, replay) =
+            recovery::recover(&media, &layout, geo, logical_pages, now);
+        let (journal, t) = replay.restart(&space.map.snapshot())?;
         outcome.done = t;
         outcome.duration = t.saturating_since(now);
+        let mut ftl = BlockFtl::assemble(media, config, layout, space, journal, t);
+        ftl.stats.checkpoints += 1;
+        Ok((ftl, outcome))
+    }
 
-        let reserved = layout.reserved_linear(&geo);
-        let map = PageMap::from_snapshot(geo, &snapshot)
-            // oxcheck:allow(panic_path): the snapshot was produced a few lines up by map.snapshot(); failing to re-decode our own encoding is a codec bug, not a media state.
-            .expect("snapshot we just produced must decode");
-        let prov = Provisioner::from_report(geo, &reserved, &media.report_all());
-        let mut stats = FtlStats::default();
-        stats.checkpoints += 1;
-        let ftl = BlockFtl {
+    /// An FTL over `space` and `journal`, its last checkpoint taken `at`.
+    fn assemble(
+        media: Arc<dyn Media>,
+        config: BlockFtlConfig,
+        layout: Layout,
+        space: LogSpace,
+        journal: Journal,
+        at: SimTime,
+    ) -> BlockFtl {
+        let geo = media.geometry();
+        BlockFtl {
             geo,
-            map,
-            prov,
-            gc: GarbageCollector::new(&media, config.gc, &reserved),
+            space,
+            gc: GarbageCollector::new(&media, config.gc),
             bbt: BadBlockTable::new(),
-            stats,
-            last_checkpoint: t,
+            stats: FtlStats::default(),
+            last_checkpoint: at,
             gc_busy_until: vec![SimTime::ZERO; geo.num_groups as usize],
             scrub_cursor: 0,
             refresh_queue: VecDeque::new(),
@@ -271,8 +264,7 @@ impl BlockFtl {
             journal,
             media,
             config,
-        };
-        Ok((ftl, outcome))
+        }
     }
 
     /// The sinks this FTL reports into (its media's, read at construction):
@@ -322,27 +314,9 @@ impl BlockFtl {
         // Make room first so GC time is not billed inside the transaction.
         let mut gc_ran = false;
         let mut t = self.checkpoint_under_log_pressure(now)?;
-        while self.gc.needs_gc(&self.prov) {
-            let pass = match self.gc.collect(
-                t,
-                &self.media,
-                &mut self.map,
-                &mut self.prov,
-                &mut self.journal.wal,
-            ) {
-                Ok(p) => p,
-                // GC ran out of destination chunks mid-relocation: the
-                // spare pool is gone. Degrade instead of wedging.
-                Err(WalError::LogFull) => return Err(self.enter_degraded()),
-                Err(e) => return Err(e.into()),
-            };
+        while self.gc.needs_gc(&self.space) {
+            let pass = self.run_gc(t, None)?;
             gc_ran = true;
-            self.stats.gc_passes += 1;
-            self.stats
-                .gc_writes
-                .record((pass.moved_sectors + pass.padded_sectors) * SECTOR_BYTES as u64);
-            let group = self.gc.marked_group() as usize;
-            self.gc_busy_until[group] = self.gc_busy_until[group].max(pass.done);
             if pass.victims == 0 {
                 break; // nothing reclaimable; fall through to allocation
             }
@@ -356,7 +330,6 @@ impl BlockFtl {
         let unit_sectors = self.geo.ws_min as usize;
         let unit_bytes = self.geo.ws_min_bytes();
         let mut unit_buf = vec![0u8; unit_bytes];
-        let mut written_chunks: Vec<ChunkAddr> = Vec::new();
         let mut sector_idx = 0usize;
         let total_sectors = pages as usize;
         let mut last_ack = t;
@@ -367,56 +340,33 @@ impl BlockFtl {
                 .copy_from_slice(&data[byte_off..byte_off + in_unit * SECTOR_BYTES]);
             unit_buf[in_unit * SECTOR_BYTES..].fill(0);
 
-            // A program failure freezes the destination chunk (its earlier
-            // pages stay readable); retire it from provisioning and retry
-            // on a fresh chunk. Each retry consumes a chunk, so the loop is
-            // bounded by the healthy-chunk supply.
-            let (slot, comp) = loop {
-                let slot = match self.prov.allocate_horizontal() {
-                    Some(s) => s,
-                    // No free chunk anywhere, even after the GC attempt
-                    // above: end of life. The store turns read-only rather
-                    // than failing unpredictably on every later operation.
-                    None => return Err(self.enter_degraded()),
-                };
-                match self.media.write(t, slot.chunk.ppa(slot.sector), &unit_buf) {
-                    Ok(c) => break (slot, c),
-                    Err(
-                        DeviceError::MediaFailure(_)
-                        | DeviceError::ChunkOffline(_)
-                        | DeviceError::InvalidChunkState { .. },
-                    ) => {
-                        self.prov.mark_offline(slot.chunk);
-                        self.stats.write_failovers += 1;
-                        self.obs.metrics.record("oxblock.write_failover", 0);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            };
+            let (media, stats, obs) = (&self.media, &mut self.stats, &self.obs);
+            let placed = self.space.place(
+                None,
+                |slot| media.write(t, slot.chunk.ppa(slot.sector), &unit_buf),
+                || {
+                    stats.write_failovers += 1;
+                    obs.metrics.record("oxblock.write_failover", 0);
+                },
+            );
+            // No chunk left anywhere, even after the GC attempt above: end
+            // of life. The store turns read-only rather than failing
+            // unpredictably on every later operation.
+            let (slot, comp) = placed.map_err(|e| e.into_ftl(|| self.enter_degraded()))?;
             self.note_user_io(t, slot.chunk.group);
             last_ack = last_ack.max(comp.done);
-            if !written_chunks.contains(&slot.chunk) {
-                written_chunks.push(slot.chunk);
-            }
-            for k in 0..in_unit {
-                let l = lpn + (sector_idx + k) as u64;
-                let ppa = slot.chunk.ppa(slot.sector + k as u32);
-                self.map.map(l, ppa);
-                self.journal.wal.append(WalRecord::MapUpdate {
-                    txid,
-                    lpn: l,
-                    ppa_linear: ppa.linear(&self.geo),
-                });
-            }
+            let first = lpn + sector_idx as u64;
+            self.space.record(
+                slot,
+                first..first + in_unit as u64,
+                Some((&mut self.journal.wal, txid)),
+            );
             self.stats.physical_user_writes.record(unit_bytes as u64);
             sector_idx += in_unit;
         }
 
         // Force-at-commit: data durable before the commit record.
-        let mut durable = last_ack;
-        for c in &written_chunks {
-            durable = durable.max(self.media.flush_chunk(last_ack, *c).done);
-        }
+        let durable = self.space.barrier(self.media.as_ref(), last_ack);
         self.journal.wal.end(txid);
         let done = self.journal.wal.commit(durable)?;
         self.stats.user_writes.record(data.len() as u64);
@@ -439,7 +389,7 @@ impl BlockFtl {
         assert_eq!(out.len(), SECTOR_BYTES, "read buffer must be one page");
         self.check_lpn(lpn)?;
         self.stats.user_reads.record(SECTOR_BYTES as u64);
-        let comp = match self.map.lookup(lpn) {
+        let comp = match self.space.map.lookup(lpn) {
             Some(ppa) => {
                 self.note_user_io(now, ppa.group);
                 // Transient ECC exhaustion recovers under read-retry; a
@@ -492,7 +442,7 @@ impl BlockFtl {
         }
         let txid = self.journal.wal.begin();
         for l in lpn..lpn + pages {
-            if self.map.unmap(l).is_some() {
+            if self.space.map.unmap(l).is_some() {
                 self.journal.wal.append(WalRecord::Trim { txid, lpn: l });
             }
         }
@@ -517,7 +467,7 @@ impl BlockFtl {
     /// Takes a checkpoint now: snapshot the map, persist it, truncate the
     /// log. Returns the completion time.
     pub fn checkpoint(&mut self, now: SimTime) -> Result<SimTime, BlockFtlError> {
-        let snapshot = self.map.snapshot();
+        let snapshot = self.space.map.snapshot();
         // RAII span: the fallible steps below may early-return, and a
         // failed checkpoint attempt must still close its span (the guard's
         // drop ends it at the open time) so span accounting stays balanced.
@@ -550,47 +500,41 @@ impl BlockFtl {
     /// Runs one GC pass unconditionally (experiment control: the §4.3
     /// locality measurement keeps the collector busy in its marked group).
     pub fn gc_once(&mut self, now: SimTime) -> Result<GcPass, BlockFtlError> {
-        let pass = self.gc.collect(
-            now,
-            &self.media,
-            &mut self.map,
-            &mut self.prov,
-            &mut self.journal.wal,
-        )?;
-        self.stats.gc_passes += 1;
-        self.stats
-            .gc_writes
-            .record((pass.moved_sectors + pass.padded_sectors) * SECTOR_BYTES as u64);
-        let group = self.gc.marked_group() as usize;
-        self.gc_busy_until[group] = self.gc_busy_until[group].max(pass.done);
-        Ok(pass)
+        self.run_gc(now, None)
     }
 
     /// Runs one GC pass if the free-chunk watermark demands it.
     pub fn maybe_gc(&mut self, now: SimTime) -> Result<Option<GcPass>, BlockFtlError> {
-        if !self.gc.needs_gc(&self.prov) {
+        if !self.gc.needs_gc(&self.space) {
             return Ok(None);
         }
-        let pass = match self.gc.collect(
-            now,
-            &self.media,
-            &mut self.map,
-            &mut self.prov,
-            &mut self.journal.wal,
-        ) {
-            Ok(pass) => pass,
-            // GC finding no destination chunk is spare exhaustion, same as
-            // on the write path: degrade instead of surfacing a log error.
-            Err(WalError::LogFull) => return Err(self.enter_degraded()),
-            Err(e) => return Err(e.into()),
-        };
-        self.stats.gc_passes += 1;
+        self.run_gc(now, None).map(Some)
+    }
+
+    /// Runs the collector — one pass, or the refresh relocation of `refresh`
+    /// — and books the result. The collector finding no destination chunk is
+    /// spare exhaustion, as on the write path: the store degrades instead of
+    /// wedging. Every other failure, a full log included, surfaces as it is.
+    fn run_gc(
+        &mut self,
+        now: SimTime,
+        refresh: Option<ChunkAddr>,
+    ) -> Result<GcPass, BlockFtlError> {
+        let wal = &mut self.journal.wal;
+        let pass = match refresh {
+            Some(victim) => self.gc.relocate_chunk(now, victim, &mut self.space, wal),
+            None => self.gc.collect(now, &mut self.space, wal),
+        }
+        .map_err(|e| e.into_ftl(|| self.enter_degraded()))?;
         self.stats
             .gc_writes
             .record((pass.moved_sectors + pass.padded_sectors) * SECTOR_BYTES as u64);
-        let group = self.gc.marked_group() as usize;
-        self.gc_busy_until[group] = self.gc_busy_until[group].max(pass.done);
-        Ok(Some(pass))
+        if refresh.is_none() {
+            self.stats.gc_passes += 1;
+            let group = self.gc.marked_group() as usize;
+            self.gc_busy_until[group] = self.gc_busy_until[group].max(pass.done);
+        }
+        Ok(pass)
     }
 
     /// Drains device media events, diverting advisory `RefreshDue` flags
@@ -620,8 +564,7 @@ impl BlockFtl {
         if events.is_empty() {
             return Vec::new();
         }
-        self.bbt
-            .ingest(&self.geo, &events, &mut self.prov, &mut self.map)
+        self.bbt.ingest(&events, &mut self.space)
     }
 
     /// Drains media events and re-places every orphaned page that is still
@@ -648,9 +591,7 @@ impl BlockFtl {
         if events.is_empty() {
             return Ok((now, 0, 0));
         }
-        let orphans = self
-            .bbt
-            .ingest(&self.geo, events, &mut self.prov, &mut self.map);
+        let orphans = self.bbt.ingest(events, &mut self.space);
         let mut t = now;
         let mut salvaged = 0usize;
         let mut lost = 0usize;
@@ -754,14 +695,13 @@ impl BlockFtl {
         // Patrol reads travel with GC relocation (the GC-class tenant when a
         // scheduler fronts the device).
         let scrub_media = self.gc.io_media().clone();
-        let reserved: HashSet<u64> = self.layout.reserved_linear(&self.geo).into_iter().collect();
         let total = self.geo.total_chunks();
         let mut t = now;
         let mut buf = vec![0u8; self.geo.ws_min_bytes()];
         for _ in 0..u64::from(self.config.scrub.chunks_per_step).min(total) {
             let lin = self.scrub_cursor % total;
             self.scrub_cursor = (self.scrub_cursor + 1) % total;
-            if reserved.contains(&lin) {
+            if self.space.prov.is_reserved(lin) {
                 continue;
             }
             let addr = ChunkAddr::from_linear(&self.geo, lin);
@@ -805,28 +745,14 @@ impl BlockFtl {
                     break;
                 };
                 t = self.checkpoint_under_log_pressure(t)?;
-                let pass = match self.gc.relocate_chunk(
-                    t,
-                    victim,
-                    &self.media,
-                    &mut self.map,
-                    &mut self.prov,
-                    &mut self.journal.wal,
-                ) {
-                    Ok(p) => p,
-                    // No destination chunks for the refresh copies: spare
-                    // pool exhausted. Degrade; the data stays readable in
-                    // place (refresh is preventive, not corrective).
-                    Err(WalError::LogFull) => return Err(self.enter_degraded()),
-                    Err(e) => return Err(e.into()),
-                };
+                // Out of destination chunks the store degrades and the data
+                // stays readable in place (refresh is preventive, not
+                // corrective).
+                let pass = self.run_gc(t, Some(victim))?;
                 t = pass.done;
                 if pass.victims > 0 {
                     report.refreshed += 1;
                     self.stats.scrub_refreshes += 1;
-                    self.stats
-                        .gc_writes
-                        .record((pass.moved_sectors + pass.padded_sectors) * SECTOR_BYTES as u64);
                     self.obs.metrics.record(
                         "oxblock.scrub.refresh",
                         pass.moved_sectors * SECTOR_BYTES as u64,
@@ -878,7 +804,7 @@ impl BlockFtl {
 
     /// Free chunks remaining in the provisioner.
     pub fn free_chunks(&self) -> u32 {
-        self.prov.free_chunks()
+        self.space.prov.free_chunks()
     }
 
     /// The planned metadata layout (for experiment harnesses).
@@ -891,13 +817,13 @@ impl BlockFtl {
     /// its in-memory directory by reading only the pages that exist.
     pub fn mapped_lpns(&self) -> Vec<u64> {
         (0..self.logical_pages())
-            .filter(|&l| self.map.lookup(l).is_some())
+            .filter(|&l| self.space.map.lookup(l).is_some())
             .collect()
     }
 
     /// Number of mapped logical pages.
     pub fn mapped_pages(&self) -> u64 {
-        self.map.mapped_count()
+        self.space.map.mapped_count()
     }
 
     /// The bad-block table.
@@ -1298,6 +1224,52 @@ mod tests {
         // A scrub step in degraded mode must not attempt refresh copies.
         let rep = ftl.scrub_step(t).unwrap();
         assert_eq!(rep.refreshed, 0);
+    }
+
+    #[test]
+    fn a_full_log_inside_a_gc_pass_is_a_log_error_not_read_only() {
+        // Four write units a chunk, a two-chunk WAL ring (eight frames) and
+        // no checkpointing — Figure 3's blue line on a ring too small for
+        // the run.
+        let geo = Geometry {
+            chunks_per_pu: 16,
+            sectors_per_chunk: 16,
+            ..Geometry::small_slc()
+        };
+        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
+        let mut cfg = BlockFtlConfig::with_capacity(1024 * 1024);
+        cfg.layout.wal_chunks = 2;
+        cfg.checkpoint_interval = None;
+        cfg.gc.low_watermark = 110; // of 122 data chunks: due after two writes
+        let (mut ftl, mut t) = BlockFtl::format(media, cfg, SimTime::ZERO).unwrap();
+
+        // Close one chunk on every PU, then overwrite the first half: every
+        // closed chunk keeps two live units for the collector to move.
+        t = ftl
+            .write(t, 0, &vec![0xA1; 128 * SECTOR_BYTES])
+            .unwrap()
+            .done;
+        t = ftl
+            .write(t, 0, &vec![0xB2; 64 * SECTOR_BYTES])
+            .unwrap()
+            .done;
+        // Six more one-frame transactions fill the ring to the brim.
+        for _ in 0..6 {
+            t = ftl.trim(t, 200, 1).unwrap();
+        }
+        assert_eq!(ftl.wal_bytes_written(), 8 * geo.ws_min_bytes() as u64);
+
+        // The pass relocates, then cannot commit: that is the log's error.
+        // Plenty of spare chunks are left, so the store must stay writable
+        // (a checkpoint or a bigger ring cures it; read-only never lifts).
+        assert!(ftl.free_chunks() > 100);
+        let full = ftl.maybe_gc(t).unwrap_err();
+        assert_eq!(full, BlockFtlError::Wal(WalError::LogFull));
+        assert!(!ftl.is_degraded());
+        let mut out = page(0);
+        ftl.read(t, 100, &mut out).unwrap();
+        assert_eq!(out[0], 0xA1);
     }
 
     #[test]

@@ -24,6 +24,11 @@
 //!   and how the old log is retired, is decided once, in
 //!   `ox_core::recovery`; a `wal::scan` or `read_latest` call anywhere else
 //!   in a crate's sources is a private replay loop growing back.
+//! * **L10 `private_placement`** — where a write unit lands, which device
+//!   errors retire its chunk and what happens then is decided once, in
+//!   `ox_core::logspace`; an `allocate_horizontal` / `allocate_in_group`
+//!   call or an `InvalidChunkState { .. }` pattern anywhere else is a
+//!   private copy of the data-log write path growing back.
 //!
 //! See `docs/static-analysis.md` for the full catalog and pragma syntax.
 
@@ -65,6 +70,9 @@ pub enum Lint {
     PostConstructionWiring,
     /// L9: log scans and checkpoint loads outside `ox_core::recovery`.
     PrivateReplay,
+    /// L10: slot allocation and chunk-retiring error patterns outside
+    /// `ox_core::logspace`.
+    PrivatePlacement,
 }
 
 impl Lint {
@@ -80,10 +88,11 @@ impl Lint {
             Lint::SpanDiscipline => "span_discipline",
             Lint::PostConstructionWiring => "post_construction_wiring",
             Lint::PrivateReplay => "private_replay",
+            Lint::PrivatePlacement => "private_placement",
         }
     }
 
-    /// Catalog code (L1–L9).
+    /// Catalog code (L1–L10).
     pub fn code(self) -> &'static str {
         match self {
             Lint::StdSyncLock => "L1",
@@ -95,6 +104,7 @@ impl Lint {
             Lint::SpanDiscipline => "L7",
             Lint::PostConstructionWiring => "L8",
             Lint::PrivateReplay => "L9",
+            Lint::PrivatePlacement => "L10",
         }
     }
 }

@@ -1,7 +1,7 @@
-//! Token-level lint passes (L1–L3, L8, L9) plus pragma and `#[cfg(test)]`
+//! Token-level lint passes (L1–L3, L8–L10) plus pragma and `#[cfg(test)]`
 //! scoping.
 //!
-//! All five passes run over the comment-free token stream produced by
+//! All six passes run over the comment-free token stream produced by
 //! [`crate::lexer::lex`]; comments are consulted separately for
 //! `// oxcheck:allow(<lint>)` pragmas. Test code — `#[cfg(test)]` items and
 //! `mod tests { .. }` blocks — is exempt from L3 (tests may unwrap freely)
@@ -12,7 +12,7 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::{Config, Finding, Lint};
 use std::collections::{HashMap, HashSet};
 
-/// Runs L1–L3, L8 and L9 over one Rust source file. `rel_path` uses forward slashes
+/// Runs L1–L3 and L8–L10 over one Rust source file. `rel_path` uses forward slashes
 /// relative to the workspace root.
 pub fn check_rust_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let tokens = lex(src);
@@ -37,6 +37,9 @@ pub fn check_rust_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding
         lint_post_construction_wiring(rel_path, &code, &test_lines, &mut findings);
         if !REPLAY_OWNERS.contains(&rel_path) {
             lint_private_replay(rel_path, &code, &test_lines, &mut findings);
+        }
+        if !PLACEMENT_OWNERS.contains(&rel_path) && !rel_path.starts_with("crates/ocssd/") {
+            lint_private_placement(rel_path, &code, &test_lines, &mut findings);
         }
     }
     findings.retain(|f| !allowed_by_pragma(&allows, f));
@@ -431,6 +434,53 @@ fn lint_private_replay(
                 format!(
                     "`{}` outside `ox_core::recovery` is a private replay loop; \
                      build on `Journal::replay` / `Replay::restart` instead",
+                    code[i].text
+                ),
+            ));
+        }
+    }
+}
+
+/// The files that own data-log placement: the provisioner's allocators and
+/// the one write path built on them. (The device crate, which defines the
+/// errors, is exempt as a whole.)
+const PLACEMENT_OWNERS: [&str; 2] = [
+    "crates/core/src/logspace.rs",
+    "crates/core/src/provision.rs",
+];
+
+/// L10: calls of `allocate_horizontal` / `allocate_in_group`, and
+/// `InvalidChunkState { .. }` patterns, in a crate's non-test sources
+/// outside [`PLACEMENT_OWNERS`].
+fn lint_private_placement(
+    rel_path: &str,
+    code: &[&Token],
+    test_lines: &HashSet<u32>,
+    out: &mut Vec<Finding>,
+) {
+    for i in 0..code.len() {
+        let next_is = |sym: &str| code.get(i + 1).is_some_and(|t| t.text == sym);
+        let (hit, instead) = match code[i].text.as_str() {
+            "allocate_horizontal" | "allocate_in_group" => (
+                next_is("(") && !ident_at(code, i.wrapping_sub(1), "fn"),
+                "place through `ox_core::logspace::LogSpace`",
+            ),
+            "InvalidChunkState" => (
+                next_is("{")
+                    && (i + 2..match_bracket(code, i + 1, "{", "}"))
+                        .any(|k| code[k].text == "." && code[k + 1].text == "."),
+                "ask `DeviceError::retires_chunk()`",
+            ),
+            _ => continue,
+        };
+        if hit && code[i].kind == TokenKind::Ident && !in_test(test_lines, code[i].line) {
+            out.push(Finding::new(
+                rel_path,
+                code[i].line,
+                Lint::PrivatePlacement,
+                format!(
+                    "`{}` outside `ox_core::logspace` is a private copy of the \
+                     data-log write path; {instead} instead",
                     code[i].text
                 ),
             ));

@@ -1,4 +1,4 @@
-//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7), L8 and L9.
+//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7) and L8–L10.
 //!
 //! Each fixture under `tests/fixtures/` is a self-contained source file of
 //! true-positive and false-positive shapes, annotated inline with
@@ -170,6 +170,26 @@ fn l9_private_replay_is_flagged_outside_the_files_that_own_it() {
         "crates/core/src/checkpoint.rs",
         "crates/x/tests/l9_private_replay.rs",
         "examples/l9_private_replay.rs",
+    ] {
+        assert!(lines_of(&analyze(path, src), lint).is_empty(), "{path}");
+    }
+}
+
+/// L10 flags slot allocation and chunk-retiring error patterns in crate
+/// sources — except in the two files that own placement and in the device
+/// crate — and leaves tests and examples alone.
+#[test]
+fn l10_private_placement_is_flagged_outside_the_files_that_own_it() {
+    let src = include_str!("fixtures/l10_private_placement.rs");
+    let lint = "private_placement";
+    let a = analyze("crates/x/src/l10_private_placement.rs", src);
+    assert_eq!(lines_of(&a, lint), [6, 9, 15, 18], "{:#?}", a.findings);
+    for path in [
+        "crates/core/src/logspace.rs",
+        "crates/core/src/provision.rs",
+        "crates/ocssd/src/device.rs",
+        "crates/x/tests/l10_private_placement.rs",
+        "examples/l10_private_placement.rs",
     ] {
         assert!(lines_of(&analyze(path, src), lint).is_empty(), "{path}");
     }

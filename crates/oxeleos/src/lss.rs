@@ -13,6 +13,7 @@
 use crate::cpu::{ControllerCpu, CpuModel};
 use ocssd::{ChunkAddr, ChunkState, DeviceError, Geometry, SECTOR_BYTES};
 use ox_core::layout::{Layout, LayoutConfig};
+use ox_core::logspace::{reset_or_retire, LogSpace};
 use ox_core::mapping::PageMap;
 use ox_core::provision::Provisioner;
 use ox_core::recovery::{apply_map_record, Journal};
@@ -136,8 +137,9 @@ pub struct EleosFtl {
     media: Arc<dyn Media>,
     geo: Geometry,
     config: EleosConfig,
-    map: PageMap,
-    prov: Provisioner,
+    /// The data log: page map of the live window, provisioning and the
+    /// write path.
+    space: LogSpace,
     journal: Journal,
     cpu: ControllerCpu,
     stats: FtlStats,
@@ -172,8 +174,10 @@ impl EleosFtl {
         Ok((
             EleosFtl {
                 geo,
-                map: PageMap::new(geo, window_pages),
-                prov: Provisioner::fresh(geo, &reserved),
+                space: LogSpace::new(
+                    PageMap::new(geo, window_pages),
+                    Provisioner::fresh(geo, &reserved),
+                ),
                 journal,
                 cpu: ControllerCpu::new(config.cpu),
                 stats: FtlStats::default(),
@@ -259,8 +263,7 @@ impl EleosFtl {
         let (journal, t) = replay.restart(&encode_snapshot(head_lpn, tail_lpn, &map))?;
         let ftl = EleosFtl {
             geo,
-            map,
-            prov,
+            space: LogSpace::new(map, prov),
             journal,
             cpu: ControllerCpu::new(config.cpu),
             stats: FtlStats::default(),
@@ -285,7 +288,7 @@ impl EleosFtl {
         if !self.config.journal {
             return Ok(now);
         }
-        let (head, tail, map) = (self.head_lpn, self.tail_lpn, &self.map);
+        let (head, tail, map) = (self.head_lpn, self.tail_lpn, &self.space.map);
         let taken = self
             .journal
             .ensure_log_space(now, || encode_snapshot(head, tail, map))?;
@@ -331,65 +334,42 @@ impl EleosFtl {
         }
 
         let unit_bytes = self.geo.ws_min_bytes();
+        let unit_pages = self.geo.ws_min as u64;
+        let window = self.window_pages;
         let mut ack = t;
-        let mut written_chunks: Vec<ChunkAddr> = Vec::new();
         for (u, unit) in data.chunks(unit_bytes).enumerate() {
-            // Program failures retire the slot's chunk and re-place the unit
-            // on a fresh one. Bounded: every retry permanently consumes a
-            // chunk from provisioning, so the loop ends in success or
-            // `OutOfSpace`. Already-mapped pages on a frozen chunk stay
+            // Already-mapped pages on a chunk a program failure froze stay
             // readable (the written prefix survives the freeze).
-            let (slot, comp) = loop {
-                let slot = self
-                    .prov
-                    .allocate_horizontal()
-                    .ok_or(EleosError::OutOfSpace)?;
-                match self.media.write(t, slot.chunk.ppa(slot.sector), unit) {
-                    Ok(comp) => break (slot, comp),
-                    Err(
-                        DeviceError::MediaFailure(_)
-                        | DeviceError::ChunkOffline(_)
-                        | DeviceError::InvalidChunkState { .. },
-                    ) => {
-                        self.prov.mark_offline(slot.chunk);
-                        self.stats.write_failovers += 1;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            };
+            let (media, stats) = (&self.media, &mut self.stats);
+            let (slot, comp) = self
+                .space
+                .place(
+                    None,
+                    |slot| media.write(t, slot.chunk.ppa(slot.sector), unit),
+                    || stats.write_failovers += 1,
+                )
+                .map_err(|e| e.into_ftl(|| EleosError::OutOfSpace))?;
             ack = ack.max(comp.done);
-            if !written_chunks.contains(&slot.chunk) {
-                written_chunks.push(slot.chunk);
-            }
-            for k in 0..self.geo.ws_min as u64 {
-                let lpn = first_lpn + u as u64 * self.geo.ws_min as u64 + k;
-                let ppa = slot.chunk.ppa(slot.sector + k as u32);
-                self.map.map(self.slot_of(lpn), ppa);
-                if let Some(txid) = txid {
-                    self.journal.wal.append(WalRecord::MapUpdate {
-                        txid,
-                        lpn: self.slot_of(lpn),
-                        ppa_linear: ppa.linear(&self.geo),
-                    });
-                }
-            }
+            let first = first_lpn + u as u64 * unit_pages;
+            self.space.record(
+                slot,
+                (first..first + unit_pages).map(|lpn| lpn % window),
+                txid.map(|txid| (&mut self.journal.wal, txid)),
+            );
             self.stats.physical_user_writes.record(unit_bytes as u64);
         }
         self.tail_lpn += pages;
         self.stats.user_writes.record(data.len() as u64);
 
         let done = if let Some(txid) = txid {
-            // Force-at-commit: the buffer's data must be durable before the
-            // commit record, or a crash could replay a mapping whose sectors
-            // the write cache rolled back. (The journal-less data path keeps
-            // cache-acknowledge semantics for pure-throughput experiments.)
-            let mut durable = ack;
-            for c in &written_chunks {
-                durable = durable.max(self.media.flush_chunk(ack, *c).done);
-            }
+            // Force-at-commit: data durable before the commit record.
+            let durable = self.space.barrier(self.media.as_ref(), ack);
             self.journal.wal.end(txid);
             self.journal.wal.commit(durable)?
         } else {
+            // The journal-less data path keeps cache-acknowledge semantics
+            // for pure-throughput experiments.
+            self.space.skip_barrier();
             ack
         };
         Ok((LogAddr(first_lpn * SECTOR_BYTES as u64), done))
@@ -420,6 +400,7 @@ impl EleosFtl {
         let mut sector = vec![0u8; SECTOR_BYTES];
         for lpn in first_lpn..=last_lpn {
             let ppa = self
+                .space
                 .map
                 .lookup(self.slot_of(lpn))
                 .ok_or(EleosError::OutOfLog(addr))?;
@@ -471,7 +452,7 @@ impl EleosFtl {
         };
         let mut touched: Vec<u64> = Vec::new();
         for lpn in self.head_lpn..new_head {
-            if let Some(ppa) = self.map.unmap(self.slot_of(lpn)) {
+            if let Some(ppa) = self.space.map.unmap(self.slot_of(lpn)) {
                 let lin = ppa.chunk_addr().linear(&self.geo);
                 if !touched.contains(&lin) {
                     touched.push(lin);
@@ -483,25 +464,15 @@ impl EleosFtl {
         let mut t = now;
         for lin in touched {
             let chunk = ChunkAddr::from_linear(&self.geo, lin);
-            if self.map.valid_count(lin) == 0
+            if self.space.map.valid_count(lin) == 0
                 && self.media.chunk_info(chunk).state == ChunkState::Closed
             {
                 // A failed erase retires the chunk instead of recycling it:
                 // its data is already dead, so nothing is lost — the chunk
                 // just leaves circulation.
-                match self.media.reset(now, chunk) {
-                    Ok(comp) => {
-                        t = t.max(comp.done);
-                        self.prov.release_chunk(chunk);
-                    }
-                    Err(
-                        DeviceError::MediaFailure(_)
-                        | DeviceError::ChunkOffline(_)
-                        | DeviceError::InvalidChunkState { .. },
-                    ) => {
-                        self.prov.mark_offline(chunk);
-                    }
-                    Err(e) => return Err(e.into()),
+                let media = self.media.as_ref();
+                if let Some(comp) = reset_or_retire(media, &mut self.space.prov, now, chunk)? {
+                    t = t.max(comp.done);
                 }
             }
         }
@@ -516,7 +487,7 @@ impl EleosFtl {
     pub fn ingest_media_events(&mut self) -> usize {
         let events = self.media.drain_events();
         for ev in &events {
-            self.prov.mark_offline(ev.chunk);
+            self.space.prov.mark_offline(ev.chunk);
         }
         events.len()
     }
@@ -699,11 +670,11 @@ mod tests {
             let (_, done) = r.ftl.append_buffer(t, &buf).unwrap();
             t = done;
         }
-        let free_before = r.ftl.prov.free_chunks();
+        let free_before = r.ftl.space.prov.free_chunks();
         let t2 = r.ftl.trim_until(t, LogAddr(r.ftl.live_bytes())).unwrap();
         assert!(t2 > t, "resets take device time");
         assert!(
-            r.ftl.prov.free_chunks() > free_before,
+            r.ftl.space.prov.free_chunks() > free_before,
             "dead chunks recycled without copies"
         );
         assert_eq!(r.ftl.live_bytes(), 0);

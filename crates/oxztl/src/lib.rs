@@ -1094,12 +1094,10 @@ impl ZtlFtl {
                     }
                     return Ok(done);
                 }
-                Err(ZnsError::Device(
-                    DeviceError::MediaFailure(_)
-                    | DeviceError::ChunkOffline(_)
-                    | DeviceError::InvalidChunkState { .. },
-                ))
-                | Err(ZnsError::ZoneNotWritable { .. }) => {
+                Err(e)
+                    if matches!(&e, ZnsError::ZoneNotWritable { .. })
+                        || matches!(&e, ZnsError::Device(d) if d.retires_chunk()) =>
+                {
                     // The destination froze underneath us (program failure
                     // closes a written chunk early; an empty one goes
                     // offline). Already-acked records stay readable; seal
