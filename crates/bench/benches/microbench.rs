@@ -1,6 +1,7 @@
 //! Wall-clock microbenchmarks for the hot paths of the stack: device command
 //! processing, the payload store's zero-tail scan, FTL mapping, checkpoints,
-//! WAL framing, CRC32C, bloom filters and SSTable blocks.
+//! WAL framing, CRC32C, bloom filters, SSTable blocks and tables, and the
+//! merge under compactions and scans.
 //!
 //! These measure *host CPU cost* of the simulation/FTL code (real time),
 //! complementing the virtual-time experiment binaries. The harness is
@@ -291,7 +292,7 @@ fn bench_lsm_components(h: &Harness) {
             builder.add(&i.to_be_bytes(), i + 1, Some(&value));
             i += 1;
         }
-        let data = builder.finish();
+        let data = builder.finish().to_vec();
         let mut probe = 0u64;
         h.bench("lsm/block_find", 0, || {
             probe = (probe + 1) % i;
@@ -337,6 +338,68 @@ fn bench_lsm_components(h: &Harness) {
     }
 }
 
+fn bench_lsm_tables(h: &Harness) {
+    use lightlsm::{LightLsm, LightLsmConfig};
+    use lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, TableBuilder, TableStore};
+
+    // What a compaction pays per output table, the merge aside: 6 MB of
+    // 1 KB versions into 96 KB blocks, index, bloom filter and meta region.
+    {
+        let value = vec![0xA5u8; 1024];
+        h.bench("sstable/build_6mb_table", 6 << 20, || {
+            let mut b = TableBuilder::new(96 * 1024, 10);
+            let mut i = 0u64;
+            while b.estimated_bytes() <= 6 << 20 {
+                b.add(&i.to_be_bytes(), i + 1, Some(&value));
+                i += 1;
+            }
+            black_box(b.finish().0.len());
+        });
+    }
+
+    // The k-way merge that compactions and scans share, one merged entry per
+    // op: a scan over twelve level-0 tables that each span the whole key
+    // space (what a deep level-0 compaction merges), block reads on the
+    // simulated device and the copy of each pair handed out included.
+    if h.selected("compaction/merge_12_streams") {
+        let dev = ocssd::SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
+        let (ftl, mut t) =
+            LightLsm::format(media, LightLsmConfig::default(), SimTime::ZERO).unwrap();
+        let store: Arc<dyn TableStore> = Arc::new(LightLsmStore::new(ftl));
+        let config = DbConfig {
+            memtable_bytes: 1 << 20,
+            max_immutables: 4,
+            l0_compaction_trigger: 64,
+            l0_slowdown: 64,
+            l0_stall: 64,
+            ..DbConfig::default()
+        };
+        let mut db = Db::new(store, config);
+        let value = vec![0x5Au8; 1024];
+        let mut i = 0u64;
+        while db.level_metas()[0].tables < 12 {
+            i += 1;
+            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes();
+            match db.put(t, &key, &value).unwrap() {
+                PutOutcome::Done(done) => t = done,
+                PutOutcome::Stalled(retry) => t = retry,
+            }
+            while let Some(done) = db.flush_once(t).unwrap() {
+                t = done;
+            }
+        }
+        let mut iter = db.scan_from(b"");
+        h.bench("compaction/merge_12_streams", 0, || {
+            if iter.next(&mut t).unwrap().is_none() {
+                db.release_iter(&mut iter);
+                iter = db.scan_from(b"");
+            }
+        });
+        db.release_iter(&mut iter);
+    }
+}
+
 fn bench_gc(h: &Harness) {
     // Pre-build an FTL with garbage, then measure collection passes.
     use ox_block::{BlockFtl, BlockFtlConfig};
@@ -372,5 +435,6 @@ fn main() {
     bench_wal(&h);
     bench_codec(&h);
     bench_lsm_components(&h);
+    bench_lsm_tables(&h);
     bench_gc(&h);
 }

@@ -96,13 +96,12 @@ impl Media for SchedMedia {
     }
 
     fn write(&self, now: SimTime, ppa: Ppa, data: &[u8]) -> Result<Completion> {
-        self.wait(
-            now,
-            IoCmd::Write {
-                ppa,
-                data: data.to_vec(),
-            },
-        )
+        self.write_shared(now, ppa, &Payload::from(data))
+    }
+
+    fn write_shared(&self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
+        let data = data.clone();
+        self.wait(now, IoCmd::Write { ppa, data })
     }
 
     fn read(&self, now: SimTime, ppa: Ppa, sectors: u32, out: &mut [u8]) -> Result<Completion> {

@@ -32,7 +32,8 @@ use std::sync::Arc;
 pub struct CmdId(pub u64);
 
 /// A queued I/O command. Commands own their payloads because dispatch is
-/// deferred past the submitting call.
+/// deferred past the submitting call; a write's is a shared buffer, so
+/// queueing it costs a reference, not a copy.
 #[derive(Clone, Debug)]
 pub enum IoCmd {
     /// Read `sectors` logical blocks starting at `ppa`.
@@ -47,7 +48,7 @@ pub enum IoCmd {
         /// Start address (must equal the chunk's write pointer).
         ppa: Ppa,
         /// Payload (multiple of `ws_min` sectors).
-        data: Vec<u8>,
+        data: Payload,
     },
     /// Device-internal scatter copy into `dst`.
     Copy {
@@ -504,7 +505,7 @@ impl IoScheduler {
                 Err(e) => (Err(e), issue, None),
             },
             IoCmd::Write { ppa, data } => {
-                let (r, t) = done(self.media.write(issue, *ppa, data));
+                let (r, t) = done(self.media.write_shared(issue, *ppa, data));
                 (r, t, None)
             }
             IoCmd::Copy { srcs, dst } => {

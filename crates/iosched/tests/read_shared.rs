@@ -6,11 +6,16 @@
 //! ZTL's routed media, and through a foreign `Media` that implements only
 //! the required methods (so it takes the provided `read_shared`); and once
 //! more under `ox_core::retry`, where the retries must match too.
+//!
+//! `Media::write_shared` is its mirror image — `Media::write` of a payload
+//! the media may keep instead of copying — and is held to the same on the
+//! same four stacks: same completions or errors, same bytes read back, same
+//! device statistics and metrics.
 
 use iosched::{IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig};
 use ocssd::{
     ChunkAddr, ChunkInfo, Completion, DeviceConfig, FaultPlan, Geometry, MediaEvent, OcssdDevice,
-    Ppa, ReadFault, SharedDevice, SECTOR_BYTES,
+    Payload, PayloadBuf, Ppa, ProgramFault, ReadFault, SharedDevice, SECTOR_BYTES,
 };
 use ox_core::retry::{read_shared_with_policy, read_with_policy};
 use ox_core::{Media, OcssdMedia};
@@ -183,5 +188,130 @@ fn read_shared_is_read_without_the_copy_on_every_media() {
                 "{kind}: metrics"
             );
         }
+    }
+}
+
+/// `data` (whole write units, or the view is just a copy) as a device hands
+/// it back: a view that holds the bytes up to the zero tail only.
+fn trimmed_view(data: &[u8]) -> Payload {
+    let geo = Geometry::small_slc();
+    let mut scratch = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+    let at = ChunkAddr::new(0, 0, 0).ppa(0);
+    let Ok(w) = scratch.write(SimTime::ZERO, at, data) else {
+        return Payload::from(data);
+    };
+    let sectors = (data.len() / SECTOR_BYTES) as u32;
+    let (view, _) = scratch.read_shared(w.done, at, sectors).unwrap();
+    view
+}
+
+#[test]
+fn write_shared_is_write_of_a_buffer_the_media_may_keep_on_every_media() {
+    let geo = Geometry::small_slc();
+    for kind in KINDS {
+        let (by_bytes, bytes_dev) = stack(kind, geo);
+        let (by_handle, handle_dev) = stack(kind, geo);
+        // A program failure on the way, on both: errors must match too.
+        for dev in [&bytes_dev, &handle_dev] {
+            dev.set_fault_plan(FaultPlan {
+                program_fails: vec![ProgramFault {
+                    chunk: ChunkAddr::new(0, 0, 1),
+                    wp: 2 * geo.ws_min,
+                }],
+                ..FaultPlan::default()
+            });
+        }
+        let mut rng = Prng::seed_from_u64(0xD0 ^ kind.len() as u64);
+        let mut t = SimTime::ZERO;
+        let (mut refused, mut failed) = (0, 0);
+
+        for step in 0..200u32 {
+            let c = ChunkAddr::new(0, 0, rng.gen_range(3) as u32);
+            let wp = by_bytes.chunk_info(c).write_ptr;
+            // Full units, zero tails of every length, a header-style hole;
+            // now and then not at the write pointer, or not a whole unit.
+            let mut data = vec![0u8; geo.ws_min_bytes() * (1 + rng.gen_range(2) as usize)];
+            let used = rng.gen_range(data.len() as u64 + 1) as usize;
+            rng.fill_bytes(&mut data[..used]);
+            if rng.gen_bool(0.2) {
+                data[20..SECTOR_BYTES].fill(0);
+            }
+            if rng.gen_bool(0.05) {
+                data.truncate(data.len() - SECTOR_BYTES);
+            }
+            let at = if rng.gen_bool(0.05) {
+                wp + geo.ws_min
+            } else {
+                wp
+            };
+            // Built in place, copied from a slice, or a view with its zero
+            // tail left out (what a read of a device hands back).
+            let handle = match rng.gen_range(3) {
+                0 => {
+                    let mut buf = PayloadBuf::zeroed(data.len());
+                    buf.bytes_mut().copy_from_slice(&data);
+                    buf.freeze()
+                }
+                1 => Payload::from(&data[..]),
+                _ => trimmed_view(&data),
+            };
+            let a = by_bytes
+                .write(t, c.ppa(at), &data)
+                .map_err(|e| e.to_string());
+            let b = by_handle
+                .write_shared(t, c.ppa(at), &handle)
+                .map_err(|e| e.to_string());
+            assert_eq!(a, b, "{kind} step {step}: write of {} at {at}", data.len());
+            drop(handle);
+            match a {
+                Ok(done) => t = done.done,
+                Err(e) if e.contains("media failure") => failed += 1,
+                Err(_) => refused += 1,
+            }
+            // Read back what the chunk holds so far, both ways, on both.
+            let wp = by_bytes.chunk_info(c).write_ptr;
+            assert_eq!(wp, by_handle.chunk_info(c).write_ptr, "{kind} step {step}");
+            if wp > 0 {
+                let start = rng.gen_range(wp as u64) as u32;
+                let n = (1 + rng.gen_range(2 * geo.ws_min as u64) as u32).min(wp - start);
+                let mut out = vec![0xEE; n as usize * SECTOR_BYTES];
+                let a = by_bytes
+                    .read(t, c.ppa(start), n, &mut out)
+                    .map(|done| (out, done))
+                    .map_err(|e| e.to_string());
+                let b = by_handle
+                    .read_shared(t, c.ppa(start), n)
+                    .map(|(view, done)| (view.to_vec(), done))
+                    .map_err(|e| e.to_string());
+                assert!(a == b, "{kind} step {step}: {n} sectors at {start}");
+                if let Ok((_, done)) = a {
+                    t = done.done;
+                }
+            }
+            if wp == geo.sectors_per_chunk {
+                let a = by_bytes.reset(t, c).unwrap();
+                assert_eq!(a, by_handle.reset(t, c).unwrap(), "{kind} step {step}");
+                t = a.done;
+            }
+        }
+        assert!(
+            refused > 0 && failed > 0,
+            "{kind}: {refused} refused, {failed} failed"
+        );
+        assert_eq!(
+            format!("{:?}", bytes_dev.stats()),
+            format!("{:?}", handle_dev.stats()),
+            "{kind}: device statistics"
+        );
+        assert_eq!(
+            bytes_dev.obs().metrics.to_json(),
+            handle_dev.obs().metrics.to_json(),
+            "{kind}: metrics"
+        );
+        assert_eq!(
+            bytes_dev.with(|d| d.stored_sectors()),
+            handle_dev.with(|d| d.stored_sectors()),
+            "{kind}"
+        );
     }
 }

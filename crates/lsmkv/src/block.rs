@@ -23,7 +23,7 @@
 //! handle. It costs the write path nothing, changes no stored byte and no
 //! virtual charge, and dies with the handle.
 
-use ocssd::Payload;
+use ocssd::{Payload, PayloadBuf};
 use std::convert::Infallible;
 use std::ops::Range;
 
@@ -235,10 +235,13 @@ impl BlockCursor {
     }
 }
 
-/// Builds one data block up to a byte budget.
+/// Builds one data block up to a byte budget, in a buffer the device can
+/// keep: the block is written once, where flash will hold it.
 pub struct BlockBuilder {
-    buf: Vec<u8>,
-    capacity: usize,
+    /// The whole block, zeroed: what the entries do not fill is its padding.
+    buf: PayloadBuf,
+    /// Bytes used.
+    len: usize,
     entries: u32,
 }
 
@@ -246,8 +249,8 @@ impl BlockBuilder {
     /// A builder for blocks of `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
         BlockBuilder {
-            buf: Vec::with_capacity(capacity),
-            capacity,
+            buf: PayloadBuf::zeroed(capacity),
+            len: 0,
             entries: 0,
         }
     }
@@ -258,7 +261,7 @@ impl BlockBuilder {
 
     /// Whether `key`/`value` fits in the remaining space.
     pub fn fits(&self, key: &[u8], value: Option<&[u8]>) -> bool {
-        self.buf.len() + Self::entry_size(key, value) <= self.capacity
+        self.len + Self::entry_size(key, value) <= self.buf.len()
     }
 
     /// Appends a version (`None` value = tombstone). Caller keeps entries in
@@ -268,22 +271,22 @@ impl BlockBuilder {
     pub fn add(&mut self, key: &[u8], seq: u64, value: Option<&[u8]>) {
         assert!(!key.is_empty() && key.len() <= u16::MAX as usize, "bad key");
         assert!(self.fits(key, value), "entry does not fit");
-        self.buf
-            .extend_from_slice(&(key.len() as u16).to_le_bytes());
-        match value {
+        let vlen = match value {
             Some(v) => {
                 assert!((v.len() as u64) < TOMBSTONE as u64, "value too large");
-                self.buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                self.buf.extend_from_slice(&seq.to_le_bytes());
-                self.buf.extend_from_slice(key);
-                self.buf.extend_from_slice(v);
+                v.len() as u32
             }
-            None => {
-                self.buf.extend_from_slice(&TOMBSTONE.to_le_bytes());
-                self.buf.extend_from_slice(&seq.to_le_bytes());
-                self.buf.extend_from_slice(key);
-            }
-        }
+            None => TOMBSTONE,
+        };
+        let end = self.len + Self::entry_size(key, value);
+        let (head, body) = self.buf.bytes_mut()[self.len..end].split_at_mut(ENTRY_HEADER);
+        head[..2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+        head[2..6].copy_from_slice(&vlen.to_le_bytes());
+        head[6..].copy_from_slice(&seq.to_le_bytes());
+        let (k, v) = body.split_at_mut(key.len());
+        k.copy_from_slice(key);
+        v.copy_from_slice(value.unwrap_or_default());
+        self.len = end;
         self.entries += 1;
     }
 
@@ -294,7 +297,7 @@ impl BlockBuilder {
 
     /// Bytes used.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// True if no entries were added.
@@ -302,10 +305,10 @@ impl BlockBuilder {
         self.entries == 0
     }
 
-    /// Finishes the block, zero-padded to `capacity`.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.buf.resize(self.capacity, 0);
-        self.buf
+    /// Finishes the block, zero-padded to `capacity`: the buffer it was
+    /// built in, uncopied.
+    pub fn finish(self) -> Payload {
+        self.buf.freeze()
     }
 }
 
@@ -416,7 +419,7 @@ mod tests {
         b.add(b"bbb", 2, None);
         b.add(b"ccc", 1, Some(b"3"));
         assert_eq!(b.entries(), 3);
-        let data = b.finish();
+        let data = b.finish().to_vec();
         assert_eq!(data.len(), 4096);
         let items: Vec<_> = BlockIter::new(&data).collect();
         assert_eq!(
@@ -434,7 +437,7 @@ mod tests {
         let mut b = BlockBuilder::new(4096);
         b.add(b"b", 1, Some(b"vb"));
         b.add(b"d", 2, None);
-        let data = b.finish();
+        let data = b.finish().to_vec();
         assert_eq!(BlockIter::find(&data, b"b"), Some(Some(&b"vb"[..])));
         assert_eq!(BlockIter::find(&data, b"d"), Some(None));
         assert_eq!(BlockIter::find(&data, b"a"), None);
@@ -449,7 +452,7 @@ mod tests {
         b.add(b"k", 5, None);
         b.add(b"k", 2, Some(b"v2"));
         b.add(b"z", 1, Some(b"vz"));
-        let data = b.finish();
+        let data = b.finish().to_vec();
         assert_eq!(
             BlockIter::find_visible(&data, b"k", u64::MAX),
             FindVisible::Found(9, Some(&b"v9"[..]))
@@ -494,7 +497,7 @@ mod tests {
         b.add(b"k1", 1, Some(&[7u8; 8]));
         b.add(b"k2", 2, Some(&[8u8; 8]));
         assert!(!b.fits(b"k3", Some(&[9u8; 8])));
-        let data = b.finish();
+        let data = b.finish().to_vec();
         assert_eq!(BlockIter::new(&data).count(), 2);
     }
 
@@ -520,7 +523,7 @@ mod tests {
         tail.resize(20 + zeros, 0);
         b.add(b"z", 3, Some(&tail));
         let end = b.len();
-        (b.finish(), end)
+        (b.finish().to_vec(), end)
     }
 
     fn owned(data: &[u8]) -> Vec<(Vec<u8>, u64, Option<Vec<u8>>)> {
@@ -648,7 +651,7 @@ mod tests {
                 b.add(key, seq, value);
             }
         }
-        b.finish()
+        b.finish().to_vec()
     }
 
     /// The keys of `data`, each with its neighbours in key order, and the

@@ -16,6 +16,10 @@ fn hash64(data: &[u8], seed: u64) -> u64 {
     h ^ (h >> 33)
 }
 
+/// The two hashes a key's probe positions are derived from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeyHash(u64, u64);
+
 /// A bloom filter sized at build time for an expected key count.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -37,10 +41,19 @@ impl BloomFilter {
         }
     }
 
+    /// What a key comes to in any filter, whatever its size.
+    pub(crate) fn hash(key: &[u8]) -> KeyHash {
+        KeyHash(hash64(key, 0x5155), hash64(key, 0xABCD) | 1)
+    }
+
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let h1 = hash64(key, 0x5155);
-        let h2 = hash64(key, 0xABCD) | 1;
+        self.insert_hash(Self::hash(key));
+    }
+
+    /// Inserts a key hashed earlier: a table builder learns how many keys
+    /// the filter is for only after it has seen the last of them.
+    pub(crate) fn insert_hash(&mut self, KeyHash(h1, h2): KeyHash) {
         for i in 0..self.k as u64 {
             let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.num_bits;
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
@@ -49,8 +62,7 @@ impl BloomFilter {
 
     /// Whether the key may be present (no false negatives).
     pub fn maybe_contains(&self, key: &[u8]) -> bool {
-        let h1 = hash64(key, 0x5155);
-        let h2 = hash64(key, 0xABCD) | 1;
+        let KeyHash(h1, h2) = Self::hash(key);
         for i in 0..self.k as u64 {
             let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.num_bits;
             if self.bits[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {

@@ -217,15 +217,40 @@ impl TableStream {
 /// charging block-read time. All versions are yielded — pruning is the
 /// caller's job — except exact `(key, seq)` duplicates across streams,
 /// which are collapsed to one.
+///
+/// The streams that have an entry buffered sit in a binary min-heap ordered
+/// by what they would yield next — key ascending, then sequence number
+/// descending, then rank ascending — so an entry costs O(log streams) key
+/// comparisons, not a pass over every stream: the tables of a sorted level
+/// are disjoint, and all but one of them wait at the bottom of the heap.
 pub(crate) struct MergeIter {
     streams: Vec<TableStream>,
     store: Arc<dyn TableStore>,
     blocks_read: u64,
+    /// Indices of the streams with an entry buffered, as a min-heap.
+    heap: Vec<usize>,
+    /// Indices of the streams whose cursor has run out since they were last
+    /// refilled: all of them, before the first call.
+    dry: Vec<usize>,
+}
+
+/// Whether `a` yields before `b`; a stream with nothing buffered yields last.
+fn yields_before(a: &TableStream, b: &TableStream) -> bool {
+    match (a.peek(), b.peek()) {
+        (Some((ka, sa)), Some((kb, sb))) => ka
+            .cmp(kb)
+            .then(sb.cmp(&sa))
+            .then(a.rank.cmp(&b.rank))
+            .is_lt(),
+        (a, _) => a.is_some(),
+    }
 }
 
 impl MergeIter {
     pub(crate) fn new(streams: Vec<TableStream>, store: Arc<dyn TableStore>) -> Self {
         MergeIter {
+            heap: Vec::with_capacity(streams.len()),
+            dry: (0..streams.len()).collect(),
             streams,
             store,
             blocks_read: 0,
@@ -237,14 +262,114 @@ impl MergeIter {
         std::mem::take(&mut self.blocks_read)
     }
 
+    /// Moves the stream at heap position `pos` up to where it belongs.
+    fn sift_up(&mut self, mut pos: usize) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !yields_before(
+                &self.streams[self.heap[pos]],
+                &self.streams[self.heap[parent]],
+            ) {
+                break;
+            }
+            self.heap.swap(pos, parent);
+            pos = parent;
+        }
+    }
+
+    /// Moves the stream at heap position `pos` down to where it belongs.
+    fn sift_down(&mut self, mut pos: usize) {
+        loop {
+            let mut first = pos;
+            for child in [2 * pos + 1, 2 * pos + 2] {
+                if child < self.heap.len()
+                    && yields_before(
+                        &self.streams[self.heap[child]],
+                        &self.streams[self.heap[first]],
+                    )
+                {
+                    first = child;
+                }
+            }
+            if first == pos {
+                return;
+            }
+            self.heap.swap(pos, first);
+            pos = first;
+        }
+    }
+
+    /// Puts the heap right after its top stream was advanced: the stream
+    /// sinks to where its next entry belongs, or leaves the heap for the dry
+    /// list if its cursor has run out.
+    fn settle_top(&mut self) {
+        let Some(&top) = self.heap.first() else {
+            return;
+        };
+        if self.streams[top].peek().is_none() {
+            self.heap.swap_remove(0);
+            self.dry.push(top);
+        }
+        self.sift_down(0);
+    }
+
     /// Next version in `(key asc, seq desc)` order. Advances `t` for every
     /// block fetched.
     pub(crate) fn next(&mut self, t: &mut SimTime) -> Result<Option<EntryView>, StoreError> {
-        // Ensure every stream is either buffered or exhausted.
+        // Ensure every stream is either buffered or exhausted. Block reads
+        // are issued — and `t` moves — stream by stream in index order, as
+        // if every stream were looked at.
+        self.dry.sort_unstable();
+        for n in 0..self.dry.len() {
+            let i = self.dry[n];
+            match self.streams[i].refill(&self.store, t) {
+                Ok(read) => self.blocks_read += read,
+                Err(e) => {
+                    self.dry.drain(..n);
+                    return Err(e);
+                }
+            }
+            if self.streams[i].peek().is_some() {
+                self.heap.push(i);
+                self.sift_up(self.heap.len() - 1);
+            }
+        }
+        self.dry.clear();
+        // Smallest key; ties to the highest seq, then the lowest rank.
+        let Some(&winner) = self.heap.first() else {
+            return Ok(None);
+        };
+        let Some(entry) = self.streams[winner].pop() else {
+            return Ok(None); // unreachable: streams in the heap have an entry
+        };
+        self.settle_top();
+        // Collapse the exact same (key, seq) from every other stream — only
+        // possible after a crash resurrected a compaction's inputs alongside
+        // its committed outputs. Equal pairs are neighbours in the heap's
+        // order, so they come to the top one after the other. (A stream's own
+        // pairs are distinct: its order is strict.)
+        while let Some(&top) = self.heap.first() {
+            if self.streams[top].peek() != Some((entry.key(), entry.seq())) {
+                break;
+            }
+            self.streams[top].skip();
+            self.settle_top();
+        }
+        Ok(Some(entry))
+    }
+
+    /// [`MergeIter::next`] as it was before the heap: three passes over all
+    /// streams per entry. The reference the heap is held to — same entries,
+    /// same block reads at the same times. Not to be mixed with `next` on
+    /// one merge.
+    #[cfg(test)]
+    pub(crate) fn next_by_scan(
+        &mut self,
+        t: &mut SimTime,
+    ) -> Result<Option<EntryView>, StoreError> {
         for s in &mut self.streams {
             self.blocks_read += s.refill(&self.store, t)?;
         }
-        // Smallest key; ties to the highest seq, then the lowest rank.
         let mut winner: Option<(usize, &[u8], u64, usize)> = None; // (idx, key, seq, rank)
         for (i, s) in self.streams.iter().enumerate() {
             let Some((k, seq)) = s.peek() else { continue };
@@ -264,11 +389,8 @@ impl MergeIter {
             return Ok(None);
         };
         let Some(entry) = self.streams[wi].pop() else {
-            return Ok(None); // unreachable: the winner was chosen via peek
+            return Ok(None);
         };
-        // Collapse the exact same (key, seq) from every other stream — only
-        // possible after a crash resurrected a compaction's inputs alongside
-        // its committed outputs.
         for (i, s) in self.streams.iter_mut().enumerate() {
             if i == wi {
                 continue;
@@ -281,10 +403,22 @@ impl MergeIter {
     }
 }
 
-/// Outcome of pruning one key's version group against the open snapshots.
+/// Prunes one key's version group after the other, in buffers it keeps from
+/// group to group: a compaction prunes a group per key, and nearly every key
+/// has one version.
+#[derive(Default)]
+pub(crate) struct GroupPruner {
+    /// The group in seq-desc order: sequence number, and whether the version
+    /// is a tombstone.
+    versions: Vec<(u64, bool)>,
+    /// Sequence numbers of the range tombstones covering the key.
+    covering: Vec<u64>,
+    keep: Vec<usize>,
+}
+
+/// Outcome of pruning one key's version group against the open snapshots,
+/// beside the versions kept ([`GroupPruner::kept`]).
 pub(crate) struct PruneOutcome {
-    /// Indices (into the seq-desc group) of versions to keep, ascending.
-    pub keep: Vec<usize>,
     /// Versions dropped because no snapshot boundary can see them (or a
     /// range tombstone hides them at every boundary that could).
     pub shadowed: u64,
@@ -292,53 +426,66 @@ pub(crate) struct PruneOutcome {
     pub tombstones_dropped: u64,
 }
 
-/// Decides which versions of one key survive a compaction.
-///
-/// `versions` is the key's version group in seq-desc order (`true` =
-/// tombstone). `covering` holds the sequence numbers of input range
-/// tombstones covering the key. `boundaries` are the open snapshot sequence
-/// numbers plus `u64::MAX` (the "latest" reader), ascending. A version is
-/// kept iff some boundary `b` sees it — it is the newest version with
-/// `seq <= b` and no covering range tombstone `r` satisfies
-/// `seq < r <= b`. At the bottom level (`drop_tombstones`), trailing point
-/// tombstones with nothing older below them are dropped.
-pub(crate) fn prune_group(
-    versions: &[(u64, bool)],
-    covering: &[u64],
-    boundaries: &[u64],
-    drop_tombstones: bool,
-) -> PruneOutcome {
-    let mut needed = vec![false; versions.len()];
-    for &b in boundaries {
-        // First index with seq <= b (versions are seq-desc).
-        let i = versions.partition_point(|&(seq, _)| seq > b);
-        let Some(&(seq, _)) = versions.get(i) else {
-            continue;
-        };
-        let hidden = covering.iter().any(|&r| seq < r && r <= b);
-        if !hidden {
-            needed[i] = true;
-        }
-    }
-    let mut keep: Vec<usize> = (0..versions.len()).filter(|&i| needed[i]).collect();
-    let mut tombstones_dropped = 0;
-    if drop_tombstones {
-        // Nothing lives below the bottom level, so a trailing tombstone
-        // resolves to "absent" either way.
-        while let Some(&last) = keep.last() {
-            if versions[last].1 {
-                keep.pop();
-                tombstones_dropped += 1;
-            } else {
-                break;
+impl GroupPruner {
+    /// Decides which versions of one key survive a compaction.
+    ///
+    /// `versions` is the key's version group in seq-desc order (`true` =
+    /// tombstone). `covering` holds the sequence numbers of input range
+    /// tombstones covering the key. `boundaries` are the open snapshot
+    /// sequence numbers plus `u64::MAX` (the "latest" reader), ascending. A
+    /// version is kept iff some boundary `b` sees it — it is the newest
+    /// version with `seq <= b` and no covering range tombstone `r` satisfies
+    /// `seq < r <= b`. At the bottom level (`drop_tombstones`), trailing
+    /// point tombstones with nothing older below them are dropped.
+    pub(crate) fn prune(
+        &mut self,
+        versions: impl Iterator<Item = (u64, bool)>,
+        covering: impl Iterator<Item = u64>,
+        boundaries: &[u64],
+        drop_tombstones: bool,
+    ) -> PruneOutcome {
+        let GroupPruner {
+            versions: group,
+            covering: hiding,
+            keep,
+        } = self;
+        group.clear();
+        group.extend(versions);
+        hiding.clear();
+        hiding.extend(covering);
+        keep.clear();
+        // From the newest boundary down, what each sees moves from the
+        // newest version towards the oldest: `keep` comes out ascending.
+        for &b in boundaries.iter().rev() {
+            // First index with seq <= b (versions are seq-desc).
+            let i = group.partition_point(|&(seq, _)| seq > b);
+            let Some(&(seq, _)) = group.get(i) else {
+                continue;
+            };
+            let hidden = hiding.iter().any(|&r| seq < r && r <= b);
+            if !hidden && keep.last() != Some(&i) {
+                keep.push(i);
             }
         }
+        let mut tombstones_dropped = 0;
+        if drop_tombstones {
+            // Nothing lives below the bottom level, so a trailing tombstone
+            // resolves to "absent" either way.
+            while keep.last().is_some_and(|&last| group[last].1) {
+                keep.pop();
+                tombstones_dropped += 1;
+            }
+        }
+        PruneOutcome {
+            shadowed: (group.len() - keep.len()) as u64 - tombstones_dropped,
+            tombstones_dropped,
+        }
     }
-    let shadowed = (versions.len() - keep.len()) as u64 - tombstones_dropped;
-    PruneOutcome {
-        keep,
-        shadowed,
-        tombstones_dropped,
+
+    /// Indices (into the seq-desc group last pruned) of the versions to
+    /// keep, ascending.
+    pub(crate) fn kept(&self) -> &[usize] {
+        &self.keep
     }
 }
 
@@ -363,6 +510,41 @@ mod tests {
 
     const MAX: u64 = u64::MAX;
 
+    /// What pruning a group keeps, drops as shadowed, and drops as trailing
+    /// tombstones.
+    struct Pruned {
+        keep: Vec<usize>,
+        shadowed: u64,
+        tombstones_dropped: u64,
+    }
+
+    fn prune_group(
+        versions: &[(u64, bool)],
+        covering: &[u64],
+        boundaries: &[u64],
+        drop_tombstones: bool,
+    ) -> Pruned {
+        // A pruner that has been used: nothing of the last group may stay.
+        let mut pruner = GroupPruner::default();
+        pruner.prune(
+            [(77, true), (5, false)].into_iter(),
+            [99].into_iter(),
+            &[6, MAX],
+            false,
+        );
+        let out = pruner.prune(
+            versions.iter().copied(),
+            covering.iter().copied(),
+            boundaries,
+            drop_tombstones,
+        );
+        Pruned {
+            keep: pruner.kept().to_vec(),
+            shadowed: out.shadowed,
+            tombstones_dropped: out.tombstones_dropped,
+        }
+    }
+
     fn store(placement: Placement) -> Arc<dyn TableStore> {
         Arc::new(lightlsm_test_store(placement))
     }
@@ -377,8 +559,8 @@ mod tests {
         for i in first..first + entries {
             b.add(&key(i), i + 1, Some(&[7u8; 1024]));
         }
-        let (bytes, mut handle) = b.finish();
-        handle.id = store.flush_table(SimTime::ZERO, &bytes).unwrap().0;
+        let (blocks, mut handle) = b.finish();
+        handle.id = store.flush_table_blocks(SimTime::ZERO, &blocks).unwrap().0;
         Arc::new(handle)
     }
 

@@ -18,12 +18,13 @@
 
 use crate::block::{with_entries, EntryView, FindVisible};
 use crate::compaction::{
-    prune_group, CompactionJob, CompactionStats, Entry, MergeIter, TableStream, PREFETCH_DEPTH,
+    CompactionJob, CompactionStats, Entry, GroupPruner, MergeIter, TableStream, PREFETCH_DEPTH,
 };
 use crate::memtable::{shared_memtable, MemCursor, RangeTombstone, SharedMemtable};
 use crate::sstable::{TableBuilder, TableHandle};
 use crate::store::{StoreError, TableStore};
 use crate::version::{LevelMeta, Version};
+use ocssd::Payload;
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
 use ox_sim::{SimDuration, SimTime};
@@ -234,6 +235,7 @@ struct ActiveCompaction {
     /// Version group of the key currently being merged (seq desc), each
     /// version still where its input block holds it.
     group: Vec<EntryView>,
+    pruner: GroupPruner,
     entries_out: u64,
     tombstones_dropped: u64,
     rts_dropped: u64,
@@ -657,37 +659,36 @@ impl Db {
         let boundaries = self.boundaries();
         let mut builder = TableBuilder::new(self.store.block_bytes(), self.config.bits_per_key);
         let rts = imm.range_dels();
-        let flush_group = |key: &[u8],
-                           group: &[(u64, Option<&[u8]>)],
-                           builder: &mut TableBuilder| {
-            let versions: Vec<(u64, bool)> = group.iter().map(|(s, v)| (*s, v.is_none())).collect();
-            let covering: Vec<u64> = rts
-                .iter()
-                .filter(|rt| rt.covers(key))
-                .map(|rt| rt.seq)
-                .collect();
-            let out = prune_group(&versions, &covering, &boundaries, false);
-            for &i in &out.keep {
-                let (s, v) = group[i];
-                builder.add(key, s, v);
-            }
-        };
-        let mut pending_key: Option<Vec<u8>> = None;
+        let mut pruner = GroupPruner::default();
+        let mut flush_group =
+            |key: &[u8], group: &[(u64, Option<&[u8]>)], builder: &mut TableBuilder| {
+                pruner.prune(
+                    group.iter().map(|(s, v)| (*s, v.is_none())),
+                    rts.iter().filter(|rt| rt.covers(key)).map(|rt| rt.seq),
+                    &boundaries,
+                    false,
+                );
+                for &i in pruner.kept() {
+                    let (s, v) = group[i];
+                    builder.add(key, s, v);
+                }
+            };
+        let mut pending_key: Option<&[u8]> = None;
         let mut pending: Vec<(u64, Option<&[u8]>)> = Vec::new();
         for (k, s, v) in imm.iter_versions() {
-            if pending_key.as_deref() == Some(k) {
+            if pending_key == Some(k) {
                 pending.push((s, v));
             } else {
-                if let Some(pk) = pending_key.take() {
-                    flush_group(&pk, &pending, &mut builder);
+                if let Some(pk) = pending_key {
+                    flush_group(pk, &pending, &mut builder);
                 }
-                pending_key = Some(k.to_vec());
+                pending_key = Some(k);
                 pending.clear();
                 pending.push((s, v));
             }
         }
-        if let Some(pk) = pending_key.take() {
-            flush_group(&pk, &pending, &mut builder);
+        if let Some(pk) = pending_key {
+            flush_group(pk, &pending, &mut builder);
         }
         for rt in rts {
             builder.add_range_del(rt.clone());
@@ -697,8 +698,9 @@ impl Db {
             // cheap to guard: nothing survived pruning, nothing to write.
             return Ok(Some(t));
         }
-        let (bytes, mut handle) = builder.finish();
-        let (id, done) = self.store.flush_table(t, &bytes)?;
+        let (blocks, mut handle) = builder.finish();
+        let bytes: usize = blocks.iter().map(Payload::len).sum();
+        let (id, done) = self.store.flush_table_blocks(t, &blocks)?;
         t = done;
         handle.id = id;
         handle.seq = gen;
@@ -707,13 +709,11 @@ impl Db {
         self.cstats.blocks_written += handle.data_blocks as u64;
         self.version.add_l0(Arc::new(handle));
         self.inflight_flushes.push(t);
-        self.obs.metrics.record("lsm.flush", bytes.len() as u64);
+        self.obs.metrics.record("lsm.flush", bytes as u64);
         self.obs
             .metrics
             .observe("lsm.flush_latency_ns", t.saturating_since(now).as_nanos());
-        self.obs
-            .tracer
-            .span(now, t, "lsm", "flush", bytes.len() as u64);
+        self.obs.tracer.span(now, t, "lsm", "flush", bytes as u64);
         Ok(Some(t))
     }
 
@@ -797,23 +797,20 @@ impl Db {
             return Ok(());
         };
         let key = first.key();
-        let versions: Vec<(u64, bool)> = ac
-            .group
-            .iter()
-            .map(|e| (e.seq(), e.value().is_none()))
-            .collect();
-        let covering: Vec<u64> = ac
-            .input_rts
-            .iter()
-            .filter(|rt| rt.covers(key))
-            .map(|rt| rt.seq)
-            .collect();
-        let out = prune_group(&versions, &covering, &ac.boundaries, ac.drop_tombstones);
+        let out = ac.pruner.prune(
+            ac.group.iter().map(|e| (e.seq(), e.value().is_none())),
+            ac.input_rts
+                .iter()
+                .filter(|rt| rt.covers(key))
+                .map(|rt| rt.seq),
+            &ac.boundaries,
+            ac.drop_tombstones,
+        );
         ac.shadowed += out.shadowed;
         ac.tombstones_dropped += out.tombstones_dropped;
         // Cut between groups only, so a key's version run never splits
         // across output tables.
-        if !out.keep.is_empty()
+        if !ac.pruner.kept().is_empty()
             && ac.builder.projected_total_bytes() + block_bytes > config.table_bytes
             && !ac.builder.is_empty()
         {
@@ -825,7 +822,7 @@ impl Db {
             ac.blocks_written += h.data_blocks as u64;
             ac.outputs.push(h);
         }
-        for &i in &out.keep {
+        for &i in ac.pruner.kept() {
             // The one copy a surviving version gets: input block to output
             // block.
             let e = &ac.group[i];
@@ -894,6 +891,7 @@ impl Db {
                     rt_covered,
                     boundaries: self.boundaries(),
                     group: Vec::new(),
+                    pruner: GroupPruner::default(),
                     entries_out: 0,
                     tombstones_dropped: 0,
                     rts_dropped: 0,
@@ -1014,8 +1012,8 @@ impl Db {
         builder: TableBuilder,
         t: &mut SimTime,
     ) -> Result<Arc<TableHandle>, DbError> {
-        let (bytes, mut handle) = builder.finish();
-        let (id, done) = store.flush_table(*t, &bytes)?;
+        let (blocks, mut handle) = builder.finish();
+        let (id, done) = store.flush_table_blocks(*t, &blocks)?;
         *t = done;
         handle.id = id;
         Ok(Arc::new(handle))

@@ -40,5 +40,5 @@ pub use compaction::CompactionStats;
 pub use db::{Db, DbConfig, DbError, DbIter, DbStats, KvPair, PutOutcome, SharedDb, Snapshot};
 pub use memtable::{Memtable, RangeTombstone};
 pub use sstable::{TableBuilder, TableHandle};
-pub use store::{BlockStore, LightLsmStore, StoreError, TableStore};
+pub use store::{concat_blocks, BlockStore, LightLsmStore, StoreError, TableStore};
 pub use version::{LevelMeta, Version};

@@ -23,9 +23,9 @@
 //! It is not part of the table — a handle reparsed from media starts without.
 
 use crate::block::{BlockAnchors, BlockBuilder};
-use crate::bloom::BloomFilter;
+use crate::bloom::{BloomFilter, KeyHash};
 use crate::memtable::RangeTombstone;
-use ocssd::Payload;
+use ocssd::{Payload, PayloadBuf};
 use ox_core::codec::{crc32c, Decoder, Encoder};
 use std::sync::OnceLock;
 
@@ -215,14 +215,17 @@ impl TableHandle {
     }
 }
 
-/// Streams sorted versions into SSTable bytes.
+/// Streams sorted versions into an SSTable: a run of blocks, each built
+/// where flash will keep it (see [`BlockBuilder`]).
 pub struct TableBuilder {
     block_bytes: usize,
     bits_per_key: u32,
-    blocks: Vec<Vec<u8>>,
-    current: BlockBuilder,
+    blocks: Vec<Payload>,
+    /// The block being filled; allocated by the entry that opens it.
+    current: Option<BlockBuilder>,
     index: BlockIndex,
-    keys: Vec<Vec<u8>>,
+    /// Bloom hash of every distinct key, in key order.
+    key_hashes: Vec<KeyHash>,
     min_key: Vec<u8>,
     last_key: Vec<u8>,
     last_seq: u64,
@@ -239,9 +242,9 @@ impl TableBuilder {
             block_bytes,
             bits_per_key,
             blocks: Vec::new(),
-            current: BlockBuilder::new(block_bytes),
+            current: None,
             index: BlockIndex::default(),
-            keys: Vec::new(),
+            key_hashes: Vec::new(),
             min_key: Vec::new(),
             last_key: Vec::new(),
             last_seq: 0,
@@ -255,26 +258,30 @@ impl TableBuilder {
     /// Appends a version; entries must arrive in `(key asc, seq desc)`
     /// order.
     pub fn add(&mut self, key: &[u8], seq: u64, value: Option<&[u8]>) {
+        let new_key = self.entries == 0 || key != self.last_key.as_slice();
         debug_assert!(
             self.entries == 0
                 || key > self.last_key.as_slice()
-                || (key == self.last_key.as_slice() && seq < self.last_seq),
+                || (!new_key && seq < self.last_seq),
             "entries must be (key asc, seq desc)"
         );
-        if !self.current.fits(key, value) {
+        if self.current.as_ref().is_some_and(|b| !b.fits(key, value)) {
             self.cut_block();
         }
+        let block_bytes = self.block_bytes;
+        self.current
+            .get_or_insert_with(|| BlockBuilder::new(block_bytes))
+            .add(key, seq, value);
         if self.entries == 0 {
             self.min_key = key.to_vec();
         }
-        self.current.add(key, seq, value);
-        self.last_key.clear();
-        self.last_key.extend_from_slice(key);
-        self.last_seq = seq;
-        // Bloom keys are deduplicated across versions.
-        if self.keys.last().map(Vec::as_slice) != Some(key) {
-            self.keys.push(key.to_vec());
+        if new_key {
+            // Bloom keys are deduplicated across versions.
+            self.key_hashes.push(BloomFilter::hash(key));
+            self.last_key.clear();
+            self.last_key.extend_from_slice(key);
         }
+        self.last_seq = seq;
         self.entries += 1;
         self.min_seq = self.min_seq.min(seq);
         self.max_seq = self.max_seq.max(seq);
@@ -286,11 +293,12 @@ impl TableBuilder {
         self.range_dels.push(rt);
     }
 
+    /// Closes the block being filled, if there is one.
     fn cut_block(&mut self) {
-        let finished = std::mem::replace(&mut self.current, BlockBuilder::new(self.block_bytes));
-        debug_assert!(!finished.is_empty(), "cutting an empty block");
-        self.index.push(&self.last_key);
-        self.blocks.push(finished.finish());
+        if let Some(finished) = self.current.take() {
+            self.index.push(&self.last_key);
+            self.blocks.push(finished.finish());
+        }
     }
 
     /// Point versions added so far.
@@ -310,7 +318,7 @@ impl TableBuilder {
         let key_len = self.last_key.len().max(16);
         let meta_bytes = 4
             + (self.index.len() + 2) * (12 + key_len) // index entries (+ the open block's)
-            + self.keys.len() * (self.bits_per_key as usize) / 8
+            + self.key_hashes.len() * (self.bits_per_key as usize) / 8
             + 64 // bloom header + slack
             + 2 * (4 + key_len) // min/max keys
             + 4
@@ -330,13 +338,14 @@ impl TableBuilder {
         self.entries == 0 && self.range_dels.is_empty()
     }
 
-    /// Finishes the table: returns the full table bytes and the in-memory
-    /// handle (with `id` = 0, to be set after the flush).
-    pub fn finish(mut self) -> (Vec<u8>, TableHandle) {
+    /// Finishes the table: returns it as its blocks — the data blocks as
+    /// they were built, then the meta region cut into blocks — and the
+    /// in-memory handle (with `id` = 0, to be set after the flush). The
+    /// table's bytes are the blocks' one after the other
+    /// ([`crate::store::concat_blocks`]).
+    pub fn finish(mut self) -> (Vec<Payload>, TableHandle) {
         assert!(!self.is_empty(), "empty table");
-        if !self.current.is_empty() {
-            self.cut_block();
-        }
+        self.cut_block();
         let data_blocks = self.blocks.len() as u32;
 
         // Deterministic tombstone order in the meta region.
@@ -373,9 +382,9 @@ impl TableBuilder {
             (min_key, max_key)
         };
 
-        let mut bloom = BloomFilter::new(self.keys.len(), self.bits_per_key);
-        for k in &self.keys {
-            bloom.insert(k);
+        let mut bloom = BloomFilter::new(self.key_hashes.len(), self.bits_per_key);
+        for &hash in &self.key_hashes {
+            bloom.insert_hash(hash);
         }
 
         let mut meta = Encoder::new();
@@ -392,25 +401,29 @@ impl TableBuilder {
         }
         meta.u64(self.min_seq).u64(self.max_seq);
         let meta = meta.finish();
-        let crc = crc32c(&meta);
-
-        // Pack meta into trailing blocks, reserving the trailer in the last.
-        let total_meta = meta.len() + TRAILER_BYTES;
-        let meta_blocks = total_meta.div_ceil(self.block_bytes).max(1);
-        let mut out = Vec::with_capacity((data_blocks as usize + meta_blocks) * self.block_bytes);
-        for b in &self.blocks {
-            out.extend_from_slice(b);
-        }
-        let meta_region_start = out.len();
-        out.extend_from_slice(&meta);
-        out.resize(meta_region_start + meta_blocks * self.block_bytes, 0);
-        let trailer_at = out.len() - TRAILER_BYTES;
-        let mut tr = Encoder::new();
-        tr.u32(data_blocks)
+        let mut trailer = Encoder::new();
+        trailer
+            .u32(data_blocks)
             .u32(meta.len() as u32)
             .u64(self.entries)
-            .u32(crc);
-        out[trailer_at..].copy_from_slice(tr.as_slice());
+            .u32(crc32c(&meta));
+
+        // Pack meta into trailing blocks, the trailer at the very end of the
+        // last one.
+        let meta_blocks = (meta.len() + TRAILER_BYTES)
+            .div_ceil(self.block_bytes)
+            .max(1);
+        let mut pieces = meta.chunks(self.block_bytes);
+        for i in 0..meta_blocks {
+            let mut block = PayloadBuf::zeroed(self.block_bytes);
+            let out = block.bytes_mut();
+            let piece = pieces.next().unwrap_or_default();
+            out[..piece.len()].copy_from_slice(piece);
+            if i + 1 == meta_blocks {
+                out[self.block_bytes - TRAILER_BYTES..].copy_from_slice(trailer.as_slice());
+            }
+            self.blocks.push(block.freeze());
+        }
 
         let handle = TableHandle {
             id: 0,
@@ -426,7 +439,7 @@ impl TableBuilder {
             max_seq: self.max_seq,
             anchors: vec![OnceLock::new(); data_blocks as usize],
         };
-        (out, handle)
+        (self.blocks, handle)
     }
 }
 
@@ -441,13 +454,19 @@ mod tests {
         format!("{i:016}").into_bytes()
     }
 
+    /// The finished table as its bytes.
+    fn finish(b: TableBuilder) -> (Vec<u8>, TableHandle) {
+        let (blocks, handle) = b.finish();
+        (crate::store::concat_blocks(&blocks), handle)
+    }
+
     fn build(n: u64, vlen: usize) -> (Vec<u8>, TableHandle) {
         let mut b = TableBuilder::new(BLOCK, 10);
         for i in 0..n {
             let v = vec![(i % 251) as u8; vlen];
             b.add(&key(i), i + 1, Some(&v));
         }
-        b.finish()
+        finish(b)
     }
 
     #[test]
@@ -518,7 +537,7 @@ mod tests {
             b.add(b"hot-key", seq, Some(&payload));
         }
         b.add(b"zz", 21, Some(b"z"));
-        let (bytes, h) = b.finish();
+        let (bytes, h) = finish(b);
         assert!(h.data_blocks > 1);
         // A snapshot older than every version in block 0 must Continue.
         let first = h.block_for(b"hot-key").unwrap() as usize;
@@ -560,7 +579,7 @@ mod tests {
             end: key(200),
             seq: 777,
         });
-        let (bytes, h) = b.finish();
+        let (bytes, h) = finish(b);
         let back = TableHandle::from_bytes(7, BLOCK, &bytes).expect("parse");
         assert_eq!(back.id, 7);
         assert_eq!(back.data_blocks, h.data_blocks);
@@ -584,7 +603,7 @@ mod tests {
             seq: 5,
         });
         assert!(!b.is_empty());
-        let (bytes, h) = b.finish();
+        let (bytes, h) = finish(b);
         assert_eq!(h.entries, 0);
         assert_eq!(h.data_blocks, 0);
         assert_eq!(h.min_key, key(10));
@@ -629,7 +648,7 @@ mod tests {
         let mut b = TableBuilder::new(BLOCK, 10);
         b.add(b"alive", 2, Some(b"v"));
         b.add(b"dead", 1, None);
-        let (bytes, h) = b.finish();
+        let (bytes, h) = finish(b);
         let block = &bytes[..BLOCK];
         assert_eq!(BlockIter::find(block, b"dead"), Some(None));
         assert_eq!(h.entries, 2);
@@ -658,7 +677,7 @@ mod tests {
                 seq: n + 1,
             });
             let projected = b.projected_total_bytes();
-            let (bytes, _) = b.finish();
+            let (bytes, _) = finish(b);
             assert!(
                 projected >= bytes.len(),
                 "block={block} n={n}: projected {projected} < actual {}",
@@ -674,7 +693,7 @@ mod tests {
         for i in 0..2000u64 {
             b.add(&key(i), i + 1, Some(&[1u8; 100]));
         }
-        let (bytes, h) = b.finish();
+        let (bytes, h) = finish(b);
         let back = TableHandle::from_bytes(3, 512, &bytes).unwrap();
         assert_eq!(back.index, h.index);
         assert!(

@@ -67,6 +67,19 @@ pub trait TableStore: Send + Sync {
     /// Atomically persists a table; returns its id and completion time.
     fn flush_table(&self, now: SimTime, data: &[u8]) -> Result<(u64, SimTime), StoreError>;
 
+    /// [`TableStore::flush_table`] of a table handed over as its blocks
+    /// (each `block_bytes` long, as [`crate::TableBuilder::finish`] returns
+    /// them); the same flush in every other respect. The default
+    /// concatenates them and calls `flush_table`; a store whose media can
+    /// keep the blocks' own buffers hands them on uncopied.
+    fn flush_table_blocks(
+        &self,
+        now: SimTime,
+        blocks: &[Payload],
+    ) -> Result<(u64, SimTime), StoreError> {
+        self.flush_table(now, &concat_blocks(blocks))
+    }
+
     /// Reads block `block` of table `id` into `out` (`block_bytes` long).
     fn read_block(
         &self,
@@ -100,6 +113,17 @@ pub trait TableStore: Send + Sync {
     fn obs(&self) -> Obs {
         Obs::default()
     }
+}
+
+/// The bytes of a table given as its blocks: one after the other, zero tails
+/// included.
+pub fn concat_blocks(blocks: &[Payload]) -> Vec<u8> {
+    let mut data = Vec::with_capacity(blocks.iter().map(Payload::len).sum());
+    for block in blocks {
+        data.extend_from_slice(block.bytes());
+        data.resize(data.len() + block.len() - block.bytes().len(), 0);
+    }
+    data
 }
 
 /// [`TableStore`] over the LightLSM FTL.
@@ -144,6 +168,14 @@ impl TableStore for LightLsmStore {
 
     fn flush_table(&self, now: SimTime, data: &[u8]) -> Result<(u64, SimTime), StoreError> {
         Ok(self.ftl.lock().flush_table(now, data)?)
+    }
+
+    fn flush_table_blocks(
+        &self,
+        now: SimTime,
+        blocks: &[Payload],
+    ) -> Result<(u64, SimTime), StoreError> {
+        Ok(self.ftl.lock().flush_table_blocks(now, blocks)?)
     }
 
     fn read_block(

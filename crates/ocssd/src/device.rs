@@ -528,16 +528,42 @@ impl OcssdDevice {
     /// multiple of `ws_min` sectors. Completes (returns) when the data is in
     /// the controller cache; durability follows asynchronously.
     pub fn write(&mut self, now: SimTime, ppa: Ppa, data: &[u8]) -> Result<Completion> {
-        if data.is_empty() || !data.len().is_multiple_of(SECTOR_BYTES) {
+        self.write_command(now, ppa, data.len(), |media, chunk| {
+            media.write(chunk, ppa.sector, data)
+        })
+    }
+
+    /// [`OcssdDevice::write`] of a payload built in a buffer the device can
+    /// keep: the same command — same validation, faults, timing and
+    /// accounting, same bytes read back — whose payload the store adopts
+    /// instead of copying when it can (see `MediaStore::write_shared`). The
+    /// device holds its own reference from then on: whatever the writer does
+    /// with its handle afterwards, the stored bytes stay.
+    pub fn write_shared(&mut self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
+        self.write_command(now, ppa, data.len(), |media, chunk| {
+            media.write_shared(chunk, ppa.sector, data)
+        })
+    }
+
+    /// A write command of `len` payload bytes; `store` files the payload
+    /// under the chunk's index once the command is accepted.
+    fn write_command(
+        &mut self,
+        now: SimTime,
+        ppa: Ppa,
+        len: usize,
+        store: impl FnOnce(&mut MediaStore, usize),
+    ) -> Result<Completion> {
+        if len == 0 || !len.is_multiple_of(SECTOR_BYTES) {
             return Err(DeviceError::BufferSizeMismatch {
-                expected: data.len().next_multiple_of(SECTOR_BYTES).max(SECTOR_BYTES),
-                got: data.len(),
+                expected: len.next_multiple_of(SECTOR_BYTES).max(SECTOR_BYTES),
+                got: len,
             });
         }
-        let sectors = (data.len() / SECTOR_BYTES) as u32;
+        let sectors = (len / SECTOR_BYTES) as u32;
         self.validate_write(ppa, sectors)?;
         let addr = ppa.chunk_addr();
-        let bytes = data.len() as u64;
+        let bytes = len as u64;
 
         // Injected program failure: fails synchronously, before the write is
         // accepted — the write pointer never advances past a failed program.
@@ -578,7 +604,7 @@ impl OcssdDevice {
         let idx = self.chunk_index(addr);
         self.chunks[idx].accept_write(ppa.sector, sectors, self.geo.sectors_per_chunk, durable_at);
         self.health.note_program(idx, durable_at);
-        self.media.write(idx, ppa.sector, data);
+        store(&mut self.media, idx);
         if failed {
             self.chunks[idx].set_offline();
             self.media.truncate(idx, 0);
@@ -1096,6 +1122,11 @@ impl SharedDevice {
     /// See [`OcssdDevice::write`].
     pub fn write(&self, now: SimTime, ppa: Ppa, data: &[u8]) -> Result<Completion> {
         self.0.lock().write(now, ppa, data)
+    }
+
+    /// See [`OcssdDevice::write_shared`].
+    pub fn write_shared(&self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
+        self.0.lock().write_shared(now, ppa, data)
     }
 
     /// See [`OcssdDevice::read`].

@@ -56,7 +56,7 @@ pub use geometry::Geometry;
 pub use health::{
     matrix_age_fill, ChunkHealth, HealthLedger, ReadErrorKind, ReliabilityConfig, ReliabilityState,
 };
-pub use media::Payload;
+pub use media::{Payload, PayloadBuf};
 pub use ox_sim::trace::{Obs, TraceEvent, TracePhase};
 pub use stats::DeviceStats;
 

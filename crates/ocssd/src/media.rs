@@ -17,6 +17,7 @@
 //! correctness tests depend on.
 
 use crate::SECTOR_BYTES;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -41,17 +42,9 @@ impl Payload {
         len: usize,
         fill: impl FnOnce(&mut [u8]) -> Result<T, E>,
     ) -> Result<(Payload, T), E> {
-        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
-        // oxcheck:allow(panic_path): the buffer was allocated on the line above, so this is its only reference.
-        let out = fill(Arc::get_mut(&mut data).expect("sole owner of a fresh buffer"))?;
-        Ok((
-            Payload {
-                data,
-                stored: 0..len,
-                len,
-            },
-            out,
-        ))
+        let mut buf = PayloadBuf::zeroed(len);
+        let out = fill(buf.bytes_mut())?;
+        Ok((buf.freeze(), out))
     }
 
     /// Length of the view in bytes.
@@ -85,6 +78,79 @@ impl Payload {
         out.resize(self.len, 0);
         out
     }
+
+    /// The view's bytes, zero tail included: borrowed when the buffer holds
+    /// them all, copied out otherwise.
+    pub fn padded(&self) -> Cow<'_, [u8]> {
+        if self.stored.len() == self.len {
+            Cow::Borrowed(self.bytes())
+        } else {
+            Cow::Owned(self.to_vec())
+        }
+    }
+}
+
+/// A copy of `bytes` in a buffer of its own.
+impl From<&[u8]> for Payload {
+    fn from(bytes: &[u8]) -> Self {
+        Payload {
+            data: bytes.into(),
+            stored: 0..bytes.len(),
+            len: bytes.len(),
+        }
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Payload::from(&bytes[..])
+    }
+}
+
+/// A zeroed buffer with one owner, who fills it in and hands it on as a
+/// [`Payload`] — to a reader, or to the device, which keeps a payload written
+/// through `write_shared` as it is instead of copying it. The write-side
+/// counterpart of a view: the bytes are written once, where flash will hold
+/// them.
+#[derive(Debug)]
+pub struct PayloadBuf {
+    data: Arc<[u8]>,
+}
+
+impl PayloadBuf {
+    /// A buffer of `len` zero bytes.
+    pub fn zeroed(len: usize) -> Self {
+        PayloadBuf {
+            data: std::iter::repeat_n(0u8, len).collect(),
+        }
+    }
+
+    /// Length of the buffer in bytes.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether the buffer is zero bytes long.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// The buffer, to write into. (`data` never leaves this type before
+    /// [`PayloadBuf::freeze`], so it is always the only reference and
+    /// `make_mut` never copies.)
+    pub fn bytes_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.data)
+    }
+
+    /// The finished buffer as a view of all of it; nothing is copied.
+    pub fn freeze(self) -> Payload {
+        let len = self.data.len();
+        Payload {
+            data: self.data,
+            stored: 0..len,
+            len,
+        }
+    }
 }
 
 /// The payload of one accepted write (or copy) command, or of one piece of
@@ -93,8 +159,15 @@ struct Extent {
     /// First sector within the chunk.
     start: u32,
     sectors: u32,
-    /// The payload minus its trailing zeros: at most `sectors` sectors long.
+    /// The buffer holding the payload minus its trailing zeros, at most
+    /// `sectors` sectors of it: a copy, or the writer's own buffer, adopted
+    /// (see [`MediaStore::write_shared`]).
     data: Arc<[u8]>,
+    /// How many bytes at the end of `data` do not count: none of a copy; an
+    /// adopted buffer may run on, in zeros, for less than a sector. (Two
+    /// bytes, not a length: update workloads keep an extent per journal
+    /// frame, and this way an extent is no larger than it was.)
+    spare: u16,
 }
 
 impl Extent {
@@ -102,11 +175,16 @@ impl Extent {
         self.start + self.sectors
     }
 
+    /// How many bytes of `data` count.
+    fn held(&self) -> usize {
+        self.data.len() - self.spare as usize
+    }
+
     /// Where in `data` the extent holds `sectors` sectors starting at chunk
     /// sector `from` (which it contains): empty when they lie in its zero
     /// tail.
     fn stored_range(&self, from: u32, sectors: u32) -> Range<usize> {
-        let held = self.data.len();
+        let held = self.held();
         let off = ((from - self.start) as usize * SECTOR_BYTES).min(held);
         off..(off + sectors as usize * SECTOR_BYTES).min(held)
     }
@@ -157,37 +235,86 @@ impl MediaStore {
     /// was written while a payload without holes stays in one buffer.
     pub(crate) fn write(&mut self, chunk: usize, start: u32, data: &[u8]) {
         debug_assert!(data.len().is_multiple_of(SECTOR_BYTES));
+        self.store(chunk, start, data, data.len() / SECTOR_BYTES, None);
+    }
+
+    /// [`MediaStore::write`] of a payload the writer built in a buffer the
+    /// store can keep. A payload that `write` would store in one piece is
+    /// *adopted* — the extent is the writer's buffer, nothing is copied —
+    /// provided that leaves less than a sector of the buffer unused (the
+    /// trimmed zero tail, or whatever else of the buffer the payload is not a
+    /// view of). Anything else — holes, a long zero tail — is copied exactly
+    /// as `write` would copy it, so what is resident stays what was written,
+    /// to within that sector.
+    pub(crate) fn write_shared(&mut self, chunk: usize, start: u32, payload: &Payload) {
+        debug_assert!(payload.len.is_multiple_of(SECTOR_BYTES));
+        let whole = (payload.stored.start == 0).then_some(&payload.data);
+        self.store(
+            chunk,
+            start,
+            payload.bytes(),
+            payload.len / SECTOR_BYTES,
+            whole,
+        );
+    }
+
+    /// Stores a command of `total` sectors whose bytes are `data` followed
+    /// by zeros. `whole` is the buffer `data` is the head of, if the store
+    /// may keep it.
+    fn store(
+        &mut self,
+        chunk: usize,
+        start: u32,
+        data: &[u8],
+        total: usize,
+        whole: Option<&Arc<[u8]>>,
+    ) {
         if self.chunks.len() <= chunk {
             self.chunks.resize_with(chunk + 1, Vec::new);
         }
         let list = &mut self.chunks[chunk];
         debug_assert_eq!(list.last().map_or(0, Extent::end), start);
-        let total = (data.len() / SECTOR_BYTES) as u32;
-        let mut push = |first: u32, end: u32, data_end: usize| {
+        let total = total as u32;
+        let mut push = |first: u32, end: u32, data_end: usize, keep: Option<&Arc<[u8]>>| {
             let from = first as usize * SECTOR_BYTES;
+            let data: Arc<[u8]> = match keep {
+                Some(buf) => buf.clone(),
+                None => data[from..data_end.max(from)].into(),
+            };
             list.push(Extent {
                 start: start + first,
                 sectors: end - first,
-                data: data[from..data_end.max(from)].into(),
+                // Less than a sector, or the buffer is not kept.
+                spare: (data.len() - data_end.saturating_sub(from)) as u16,
+                data,
             });
         };
         // The piece being gathered: its first sector, where its data ends,
         // and whether a zero tail has closed it to further data.
         let (mut first, mut data_end, mut closed) = (0, 0, false);
-        for (i, sector) in data.chunks_exact(SECTOR_BYTES).enumerate() {
-            let used = used(sector);
+        // (Whole sectors apart from what is left over: `used` is at its best
+        // on a slice of known length.)
+        let whole_sectors = data.chunks_exact(SECTOR_BYTES);
+        let rest = whole_sectors.remainder();
+        let used_per_sector = whole_sectors
+            .map(used)
+            .chain((!rest.is_empty()).then(|| used(rest)));
+        for (i, used) in used_per_sector.enumerate() {
             if used == 0 {
                 closed = true;
                 continue;
             }
             if closed {
-                push(first, i as u32, data_end);
+                push(first, i as u32, data_end, None);
                 first = i as u32;
             }
             data_end = i * SECTOR_BYTES + used;
             closed = SECTOR_BYTES - used >= SPLIT_SLACK;
         }
-        push(first, total, data_end);
+        // The only piece of its command, in a buffer that holds little else,
+        // is kept as it is.
+        let keep = whole.filter(|buf| first == 0 && buf.len() - data_end < SECTOR_BYTES);
+        push(first, total, data_end, keep);
         self.sectors += total as usize;
     }
 
@@ -267,9 +394,10 @@ impl MediaStore {
         // an extent that straddles the cut is shortened all the same.
         if let Some(last) = list.last_mut().filter(|e| e.end() > from) {
             let sectors = from - last.start;
-            let data = last.stored(last.start, sectors).into();
+            let data: Arc<[u8]> = last.stored(last.start, sectors).into();
             dropped += (last.sectors - sectors) as usize;
             last.sectors = sectors;
+            last.spare = 0;
             last.data = data;
         }
         self.sectors -= dropped;
@@ -465,6 +593,161 @@ mod tests {
         assert_eq!(old.to_vec(), sectors(&[4]));
         assert_eq!(m.view(0, 0, 1).unwrap().to_vec(), sectors(&[5]));
         assert_eq!(Arc::strong_count(&old.data), 1, "the store let go of it");
+    }
+
+    /// `data` in a buffer of its own that the store may keep.
+    fn owned(data: &[u8]) -> Payload {
+        let mut buf = PayloadBuf::zeroed(data.len());
+        buf.bytes_mut().copy_from_slice(data);
+        buf.freeze()
+    }
+
+    /// What the store holds of `chunk`: per extent its start, its sectors,
+    /// the bytes that count and the bytes of its buffer.
+    fn pieces(m: &MediaStore, chunk: usize) -> Vec<(u32, u32, usize, usize)> {
+        m.chunks[chunk]
+            .iter()
+            .map(|e| (e.start, e.sectors, e.held(), e.data.len()))
+            .collect()
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_extent_is_as_small_as_before_it_could_be_adopted() {
+        assert_eq!(std::mem::size_of::<Extent>(), 32);
+    }
+
+    #[test]
+    fn a_payload_in_one_piece_is_adopted_not_copied() {
+        let mut m = MediaStore::default();
+        // Full sectors; a zero tail short of a sector; a short zero tail
+        // inside (no split) — all one piece, all kept as they are.
+        let full = owned(&sectors(&[1, 2, 3]));
+        let mut tailed = sectors(&[4, 5]);
+        tailed[2 * SECTOR_BYTES - 900..].fill(0);
+        let tailed = owned(&tailed);
+        let mut dented = sectors(&[6, 7]);
+        dented[SECTOR_BYTES - SPLIT_SLACK + 1..SECTOR_BYTES].fill(0);
+        let dented = owned(&dented);
+        m.write_shared(0, 0, &full);
+        m.write_shared(0, 3, &tailed);
+        m.write_shared(0, 5, &dented);
+        assert_eq!(
+            pieces(&m, 0),
+            vec![
+                (0, 3, 3 * SECTOR_BYTES, 3 * SECTOR_BYTES),
+                (3, 2, 2 * SECTOR_BYTES - 900, 2 * SECTOR_BYTES),
+                (5, 2, 2 * SECTOR_BYTES, 2 * SECTOR_BYTES),
+            ]
+        );
+        for (i, payload) in [&full, &tailed, &dented].into_iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(&m.chunks[0][i].data, &payload.data),
+                "extent {i}"
+            );
+        }
+        assert_eq!(m.len(), 7);
+        // Reads and views leave the zero tail out as if it had been trimmed.
+        assert_eq!(read(&m, 0, 3, 2), Some(tailed.to_vec()));
+        let view = m.view(0, 3, 2).unwrap();
+        assert!(Arc::ptr_eq(&view.data, &tailed.data));
+        assert_eq!(view.bytes().len(), 2 * SECTOR_BYTES - 900);
+        assert_eq!(view.to_vec(), tailed.to_vec());
+        assert!(m.view(0, 4, 1).unwrap().bytes().len() == SECTOR_BYTES - 900);
+        // The store holds a reference of its own.
+        let want = full.to_vec();
+        drop(full);
+        assert_eq!(read(&m, 0, 0, 3), Some(want));
+    }
+
+    #[test]
+    fn a_payload_with_holes_or_a_long_tail_is_copied_as_write_copies_it() {
+        let cases: Vec<Vec<u8>> = vec![
+            // A header sector in front of its data: two pieces.
+            {
+                let mut d = sectors(&[0, 3, 4]);
+                d[..20].fill(1);
+                d
+            },
+            // A zero tail of a sector and more: one piece, trimmed.
+            sectors(&[5, 0]),
+            {
+                let mut d = sectors(&[5, 6, 7]);
+                d[SECTOR_BYTES + 10..].fill(0);
+                d
+            },
+            // Nothing but zeros.
+            sectors(&[0, 0]),
+        ];
+        for data in cases {
+            let (mut copied, mut shared) = (MediaStore::default(), MediaStore::default());
+            copied.write(0, 0, &data);
+            let payload = owned(&data);
+            shared.write_shared(0, 0, &payload);
+            assert_eq!(pieces(&shared, 0), pieces(&copied, 0));
+            assert!(shared.chunks[0]
+                .iter()
+                .all(|e| !Arc::ptr_eq(&e.data, &payload.data)));
+            let n = (data.len() / SECTOR_BYTES) as u32;
+            assert_eq!(read(&shared, 0, 0, n), Some(data));
+            assert_eq!(shared.len(), copied.len());
+            assert_eq!(shared.resident_bytes(0), copied.resident_bytes(0));
+        }
+    }
+
+    #[test]
+    fn a_view_is_adopted_only_if_it_is_most_of_its_buffer() {
+        let mut m = MediaStore::default();
+        m.write(0, 0, &sectors(&[1, 2, 3, 0]));
+        // The head of a buffer that holds two sectors more: copied. All of
+        // a three-sector buffer, read as four sectors: kept.
+        let head = m.view(0, 0, 1).unwrap();
+        let all = m.view(0, 0, 4).unwrap();
+        let inner = m.view(0, 1, 2).unwrap();
+        m.write_shared(1, 0, &head);
+        m.write_shared(1, 1, &all);
+        m.write_shared(1, 5, &inner);
+        assert_eq!(
+            pieces(&m, 1),
+            vec![
+                (0, 1, SECTOR_BYTES, SECTOR_BYTES),
+                (1, 4, 3 * SECTOR_BYTES, 3 * SECTOR_BYTES),
+                (5, 2, 2 * SECTOR_BYTES, 2 * SECTOR_BYTES),
+            ]
+        );
+        let kept: Vec<bool> = m.chunks[1]
+            .iter()
+            .map(|e| Arc::ptr_eq(&e.data, &m.chunks[0][0].data))
+            .collect();
+        assert_eq!(kept, [false, true, false]);
+        assert_eq!(read(&m, 1, 0, 7), Some(sectors(&[1, 1, 2, 3, 0, 2, 3])));
+    }
+
+    #[test]
+    fn an_adopted_extent_is_cut_and_dropped_like_a_copied_one() {
+        let mut m = MediaStore::default();
+        let payload = owned(&sectors(&[1, 2, 3]));
+        m.write_shared(0, 0, &payload);
+        let before = m.view(0, 0, 3).unwrap();
+        // A cut inside it keeps the prefix, in a buffer of the store's own.
+        m.truncate(0, 2);
+        assert_eq!(
+            pieces(&m, 0),
+            vec![(0, 2, 2 * SECTOR_BYTES, 2 * SECTOR_BYTES)]
+        );
+        assert!(!Arc::ptr_eq(&m.chunks[0][0].data, &payload.data));
+        assert_eq!(read(&m, 0, 0, 2), Some(sectors(&[1, 2])));
+        assert_eq!(read(&m, 0, 2, 1), None);
+        assert_eq!(m.len(), 2);
+        m.truncate(0, 0);
+        assert_eq!(m.len(), 0);
+        // Views taken before either keep what they saw.
+        assert_eq!(before.to_vec(), sectors(&[1, 2, 3]));
+        assert_eq!(
+            Arc::strong_count(&payload.data),
+            2,
+            "the writer and the view"
+        );
     }
 
     #[test]

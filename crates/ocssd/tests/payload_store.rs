@@ -14,12 +14,22 @@
 //! unchanged (that the store lets go of the bytes, so dropping the view
 //! frees them, is checked by reference count in the store's unit tests).
 //!
+//! (d) Adopted ≡ copied: twin devices fed the same commands, one through
+//! `write` and one through `write_shared` — payloads in buffers the store
+//! can keep, full, holed, short-tailed and all zero — must acknowledge at
+//! the same times, read back the same bytes both ways, count the same
+//! sectors, survive the same resets and power cuts and end with identical
+//! statistics and metrics; what is resident may exceed the bytewise rule by
+//! less than a sector per command. And the device shares what it adopted:
+//! the writer's buffer is the one views point into, whatever becomes of the
+//! writer's handle.
+//!
 //! Seeds come from `OX_FAULT_SEED_BASE` like the fault property tests; a
 //! failure names the seed and geometry to replay.
 
 use ocssd::{
-    matrix_seeds, ChunkAddr, DeviceConfig, DeviceError, FaultPlan, Geometry, OcssdDevice, Ppa,
-    ReadFault, ReliabilityConfig, SECTOR_BYTES,
+    matrix_seeds, ChunkAddr, DeviceConfig, DeviceError, FaultPlan, Geometry, OcssdDevice, Payload,
+    PayloadBuf, Ppa, ReadFault, ReliabilityConfig, SECTOR_BYTES,
 };
 use ox_sim::{Prng, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -477,5 +487,229 @@ fn resident_bytes_are_what_the_bytewise_rule_keeps() {
                 assert_eq!(dev.resident_bytes(c), want[i as usize], "{ctx} step {step}");
             }
         }
+    }
+}
+
+/// `data` in a buffer of its own, the way a block builder makes one.
+fn built(data: &[u8]) -> Payload {
+    let mut buf = PayloadBuf::zeroed(data.len());
+    buf.bytes_mut().copy_from_slice(data);
+    buf.freeze()
+}
+
+/// One write unit or two of a given make: 0 full, 1 a 20-byte header sector
+/// in front of full ones, 2 full but for a zero tail shorter than a sector,
+/// 3 all zero, anything else [`payload`]'s mix. Returns whether the store
+/// may adopt it: one piece, less than a sector of zero tail.
+fn shaped_payload(rng: &mut Prng, geo: &Geometry, shape: u64) -> (Vec<u8>, bool) {
+    let sectors = geo.ws_min * (1 + rng.gen_range(2) as u32);
+    let mut data = vec![0u8; sectors as usize * SECTOR_BYTES];
+    if shape < 3 {
+        rng.fill_bytes(&mut data);
+        data.iter_mut().for_each(|b| *b |= 1);
+    }
+    match shape {
+        0 => (data, true),
+        1 => {
+            data[20..SECTOR_BYTES].fill(0);
+            (data, false)
+        }
+        2 => {
+            let tail = 1 + rng.gen_range(SECTOR_BYTES as u64 - 1) as usize;
+            let end = data.len();
+            data[end - tail..].fill(0);
+            (data, true)
+        }
+        3 => (data, false),
+        _ => {
+            let data = payload(rng, sectors);
+            let one_piece = resident_bytewise(&data) == used_bytewise(&data);
+            let adoptable = one_piece && data.len() - used_bytewise(&data) < SECTOR_BYTES;
+            (data, adoptable)
+        }
+    }
+}
+
+#[test]
+fn adopted_and_copied_payloads_are_the_same_write() {
+    for geo in geometries() {
+        let (mut adopted_cmds, mut copied_cmds, mut rollbacks) = (0, 0, 0);
+        for seed in matrix_seeds(8) {
+            let ctx = format!("seed {seed} on {:?}", geo.cell);
+            let config = DeviceConfig::with_geometry(geo);
+            let mut copy_dev = OcssdDevice::new(config.clone());
+            let mut share_dev = OcssdDevice::new(config);
+            let mut rng = Prng::seed_from_u64(seed ^ 0xAD0B7);
+            let spc = geo.sectors_per_chunk;
+            let mut t = SimTime::ZERO;
+            // Per chunk, how far `share_dev` may be above the bytewise rule.
+            let mut slack = [0usize; CHUNKS as usize];
+
+            for step in 0..300u32 {
+                let i = rng.gen_range(CHUNKS);
+                let c = chunk(&geo, i);
+                let wp = copy_dev.chunk_info(c).write_ptr;
+                match rng.gen_range(10) {
+                    0..=4 if spc - wp >= 2 * geo.ws_min => {
+                        let shape = rng.gen_range(6);
+                        let (data, adoptable) = shaped_payload(&mut rng, &geo, shape);
+                        let handle = if rng.gen_bool(0.5) {
+                            built(&data)
+                        } else {
+                            Payload::from(&data[..])
+                        };
+                        let a = copy_dev.write(t, c.ppa(wp), &data).expect(&ctx);
+                        let b = share_dev.write_shared(t, c.ppa(wp), &handle).expect(&ctx);
+                        assert_eq!(a, b, "{ctx} step {step}: write");
+                        t = a.done;
+                        // The writer is done with its handle, sooner or later.
+                        if rng.gen_bool(0.5) {
+                            drop(handle);
+                        }
+                        if adoptable {
+                            adopted_cmds += 1;
+                            slack[i as usize] += SECTOR_BYTES - 1;
+                        } else {
+                            copied_cmds += 1;
+                        }
+                    }
+                    0..=7 => {
+                        let start = rng.gen_range(spc as u64) as u32;
+                        let n = (1 + rng.gen_range(3 * geo.ws_min as u64) as u32).min(spc - start);
+                        for (copy, share) in [
+                            (
+                                by_copy(&mut copy_dev, t, c.ppa(start), n),
+                                by_copy(&mut share_dev, t, c.ppa(start), n),
+                            ),
+                            (
+                                by_view(&mut copy_dev, t, c.ppa(start), n),
+                                by_view(&mut share_dev, t, c.ppa(start), n),
+                            ),
+                        ] {
+                            assert!(copy == share, "{ctx} step {step}: read of {n} at {start}");
+                            if let Ok((_, _, done)) = copy {
+                                t = done;
+                            }
+                        }
+                    }
+                    8 if wp > 0 => {
+                        let a = copy_dev.reset_chunk(t, c).expect(&ctx);
+                        let b = share_dev.reset_chunk(t, c).expect(&ctx);
+                        assert_eq!(a, b, "{ctx} step {step}: reset");
+                        t = a.done;
+                        slack[i as usize] = 0;
+                    }
+                    _ => {
+                        if rng.gen_bool(0.5) {
+                            t += SimDuration::from_millis(rng.gen_range(20));
+                        }
+                        let before = copy_dev.stored_sectors();
+                        copy_dev.crash(t);
+                        share_dev.crash(t);
+                        rollbacks += usize::from(copy_dev.stored_sectors() < before);
+                    }
+                }
+                assert_eq!(
+                    share_dev.stored_sectors(),
+                    copy_dev.stored_sectors(),
+                    "{ctx} step {step}: stored_sectors"
+                );
+                for i in 0..CHUNKS {
+                    let c = chunk(&geo, i);
+                    assert_eq!(
+                        share_dev.chunk_info(c),
+                        copy_dev.chunk_info(c),
+                        "{ctx} step {step}"
+                    );
+                    let (copied, shared) =
+                        (copy_dev.resident_bytes(c), share_dev.resident_bytes(c));
+                    assert!(
+                        (copied..=copied + slack[i as usize]).contains(&shared),
+                        "{ctx} step {step}: {shared} resident against {copied}, slack {}",
+                        slack[i as usize]
+                    );
+                }
+            }
+            assert_eq!(
+                format!("{:?}", copy_dev.stats()),
+                format!("{:?}", share_dev.stats()),
+                "{ctx}: device statistics"
+            );
+            assert_eq!(
+                copy_dev.obs().metrics.to_json(),
+                share_dev.obs().metrics.to_json(),
+                "{ctx}: metrics"
+            );
+        }
+        assert!(
+            adopted_cmds > 0 && copied_cmds > 0 && rollbacks > 0,
+            "{:?}: {adopted_cmds} adoptable, {copied_cmds} not, {rollbacks} rollbacks",
+            geo.cell
+        );
+    }
+}
+
+/// Whether `view` points into the buffer `handle` is a view of.
+fn shares_buffer(view: &Payload, handle: &Payload) -> bool {
+    std::ptr::eq(view.bytes().as_ptr(), handle.bytes().as_ptr())
+}
+
+#[test]
+fn the_device_keeps_the_writers_buffer_and_a_reference_of_its_own() {
+    for geo in geometries() {
+        let unit = geo.ws_min_bytes();
+        let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+        let c = chunk(&geo, 0);
+        let mut rng = Prng::seed_from_u64(21);
+
+        // A full block is adopted: what a reader is shown is the very buffer
+        // the writer built, nothing more resident than its bytes.
+        let (full, _) = shaped_payload(&mut rng, &geo, 0);
+        let full = &full[..unit];
+        let handle = built(full);
+        let w = dev.write_shared(SimTime::ZERO, c.ppa(0), &handle).unwrap();
+        let (view, r) = dev.read_shared(w.done, c.ppa(0), geo.ws_min).unwrap();
+        assert!(shares_buffer(&view, &handle));
+        assert_eq!(dev.resident_bytes(c), unit);
+        // The writer lets go; the device and the view do not.
+        drop(handle);
+        let mut out = vec![0u8; unit];
+        let r = dev.read(r.done, c.ppa(0), geo.ws_min, &mut out).unwrap();
+        assert!(out == full && view.to_vec() == full);
+
+        // A block with a header-style hole is copied, in two pieces, exactly
+        // as `write` copies it.
+        let mut holed = full.to_vec();
+        holed[20..SECTOR_BYTES].fill(0);
+        let handle = built(&holed);
+        let w = dev
+            .write_shared(r.done, c.ppa(geo.ws_min), &handle)
+            .unwrap();
+        let (holed_view, r) = dev.read_shared(w.done, c.ppa(geo.ws_min), 1).unwrap();
+        assert!(!shares_buffer(&holed_view, &handle));
+        assert_eq!(holed_view.bytes(), &holed[..20]);
+        assert_eq!(dev.resident_bytes(c), unit + resident_bytewise(&holed));
+        assert_eq!(resident_bytewise(&holed), unit - SECTOR_BYTES + 20);
+
+        // A view outlives the reset of its chunk; so does one taken of an
+        // adopted block that a power cut then rolls back.
+        let erased = dev.reset_chunk(r.done, c).unwrap();
+        assert_eq!(dev.stored_sectors(), 0);
+        assert!(view.to_vec() == full);
+        let handle = built(full);
+        let w = dev.write_shared(erased.done, c.ppa(0), &handle).unwrap();
+        let (cached, _) = dev.read_shared(w.done, c.ppa(0), geo.ws_min).unwrap();
+        dev.crash(w.done);
+        assert_eq!(
+            dev.chunk_info(c).write_ptr,
+            0,
+            "acknowledged, not yet durable"
+        );
+        assert_eq!(dev.stored_sectors(), 0);
+        assert!(matches!(
+            dev.read_shared(w.done, c.ppa(0), 1),
+            Err(DeviceError::ReadUnwritten(_))
+        ));
+        assert!(shares_buffer(&cached, &handle) && cached.to_vec() == full);
     }
 }

@@ -63,6 +63,10 @@ impl Media for RoutedMedia {
         self.pick().write(now, ppa, data)
     }
 
+    fn write_shared(&self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
+        self.pick().write_shared(now, ppa, data)
+    }
+
     fn read(&self, now: SimTime, ppa: Ppa, sectors: u32, out: &mut [u8]) -> Result<Completion> {
         self.pick().read(now, ppa, sectors, out)
     }
