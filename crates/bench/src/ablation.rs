@@ -196,11 +196,6 @@ impl ZtlAblation {
         self.value_bytes = value_bytes;
         self
     }
-
-    /// Runs `f` against the translation layer (stats snapshots).
-    pub fn with_ftl<R>(&self, f: impl FnOnce(&mut ZtlFtl) -> R) -> R {
-        f(&mut self.ftl.lock())
-    }
 }
 
 impl YcsbBackend for ZtlAblation {

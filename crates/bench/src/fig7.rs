@@ -14,7 +14,7 @@ use ox_core::{Media, OcssdMedia};
 use ox_eleos::{CpuModel, EleosConfig, EleosError, EleosFtl, LogAddr};
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
-use ox_sim::{Actor, Ctx, Executor, SimDuration, SimTime, Step};
+use ox_sim::{Actor, Executor, SimDuration, SimTime, Step};
 use std::sync::Arc;
 
 /// One measured point.
@@ -86,7 +86,7 @@ struct HostWriter {
 }
 
 impl Actor for HostWriter {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
+    fn step(&mut self, now: SimTime) -> Step {
         if now >= self.deadline {
             return Step::Done;
         }

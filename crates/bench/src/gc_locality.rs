@@ -17,7 +17,7 @@ use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
-use ox_sim::{Actor, Ctx, Executor, Prng, SimDuration, SimTime, Step};
+use ox_sim::{Actor, Executor, Prng, SimDuration, SimTime, Step};
 use std::sync::Arc;
 
 /// One device configuration's measurement.
@@ -46,7 +46,7 @@ struct GcActor {
 }
 
 impl Actor for GcActor {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
+    fn step(&mut self, now: SimTime) -> Step {
         if now >= self.deadline {
             return Step::Done;
         }
@@ -68,7 +68,7 @@ struct ReadClient {
 }
 
 impl Actor for ReadClient {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
+    fn step(&mut self, now: SimTime) -> Step {
         if now >= self.deadline {
             return Step::Done;
         }

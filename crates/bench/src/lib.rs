@@ -85,10 +85,10 @@ pub fn export_bench_json(name: &str, json: &str) {
     }
 }
 
-/// True when quick mode is requested (`--quick` argument or
-/// `OX_BENCH_QUICK=1`): smaller workloads, same shapes.
+/// True when quick mode is requested (`--quick` argument): smaller
+/// workloads, same shapes.
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("OX_BENCH_QUICK").is_some()
+    std::env::args().any(|a| a == "--quick")
 }
 
 /// Prints a Markdown-ish table row.

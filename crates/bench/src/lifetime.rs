@@ -50,8 +50,8 @@ pub struct LifetimeConfig {
     /// Maintenance (events + checkpoint + GC + scrub step) cadence, in
     /// overwrite units.
     pub maintain_every: usize,
-    /// Base seed: device fault/timing stream, reliability model and the
-    /// zipfian trace all derive from it.
+    /// Base seed: the reliability model and the zipfian trace derive from
+    /// it.
     pub seed: u64,
 }
 
@@ -228,7 +228,6 @@ struct Leg {
 fn build_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs, now: SimTime) -> (Leg, SimTime) {
     let geo = lifetime_geometry();
     let mut dc = DeviceConfig::with_geometry(geo);
-    dc.seed = cfg.seed;
     dc.reliability = ReliabilityConfig::aged(cfg.seed ^ 0xA6ED);
     let dev = crate::figure_device(dc, obs);
     let scope = if scrub_on { "scrub-on" } else { "scrub-off" };

@@ -24,6 +24,7 @@ use iosched::{
 };
 use ocssd::{ChunkAddr, DeviceConfig, Geometry, SECTOR_BYTES};
 use ox_core::{Media, OcssdMedia};
+use ox_sim::stats::nearest_rank;
 use ox_sim::trace::Obs;
 use ox_sim::{Prng, SimDuration, SimTime};
 use std::sync::Arc;
@@ -168,14 +169,6 @@ fn group_chunks(geo: &Geometry, group: u32, chunk: u32) -> Vec<ChunkAddr> {
     (0..geo.pus_per_group)
         .map(|pu| ChunkAddr::new(group, pu, chunk))
         .collect()
-}
-
-fn quantile(sorted_ns: &[u64], q: f64) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)]
 }
 
 /// Runs one phase on a fresh device: prefills the two read groups, spawns
@@ -326,9 +319,9 @@ fn run_phase(
             TenantRow {
                 name: d.name,
                 samples: d.latencies_ns.len(),
-                p50_ns: quantile(&d.latencies_ns, 0.50),
-                p99_ns: quantile(&d.latencies_ns, 0.99),
-                p999_ns: quantile(&d.latencies_ns, 0.999),
+                p50_ns: nearest_rank(&d.latencies_ns, 0.50),
+                p99_ns: nearest_rank(&d.latencies_ns, 0.99),
+                p999_ns: nearest_rank(&d.latencies_ns, 0.999),
             }
         })
         .collect();

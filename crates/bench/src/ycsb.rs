@@ -29,9 +29,10 @@
 //! path is what is being measured, not locality of adjacent user ids.
 
 use lsmkv::{DbError, PutOutcome, SharedDb};
+use ox_sim::stats::nearest_rank;
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
-use ox_sim::{Actor, Ctx, Executor, Prng, SimDuration, SimTime, Step};
+use ox_sim::{Actor, Executor, Prng, SimDuration, SimTime, Step};
 use oxshard::{workload_key, SharedCluster};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -441,11 +442,7 @@ impl LatencyStats {
 
     /// The `q`-quantile (0..=1) in nanoseconds; 0 with no samples.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let idx = ((self.samples.len() - 1) as f64 * q).round() as usize;
-        self.samples[idx.min(self.samples.len() - 1)]
+        nearest_rank(&self.samples, q)
     }
 }
 
@@ -491,12 +488,8 @@ impl YcsbReport {
         all.extend_from_slice(&self.reads.samples);
         all.extend_from_slice(&self.writes.samples);
         all.extend_from_slice(&self.scans.samples);
-        if all.is_empty() {
-            return 0;
-        }
         all.sort_unstable();
-        let idx = ((all.len() - 1) as f64 * q).round() as usize;
-        all[idx.min(all.len() - 1)]
+        nearest_rank(&all, q)
     }
 }
 
@@ -621,7 +614,7 @@ enum OpKind {
 }
 
 impl<B: YcsbBackend> Actor for ClientActor<B> {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
+    fn step(&mut self, now: SimTime) -> Step {
         if self.remaining == 0 {
             self.sink.lock().clients_done += 1;
             return Step::Done;
@@ -730,7 +723,7 @@ struct MaintainActor<B: YcsbBackend> {
 }
 
 impl<B: YcsbBackend> Actor for MaintainActor<B> {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
+    fn step(&mut self, now: SimTime) -> Step {
         if self.sink.lock().clients_done >= self.clients {
             return Step::Done;
         }

@@ -1,14 +1,31 @@
 //! Bad-media bookkeeping.
 //!
-//! The device retires chunks (factory-bad, program/erase failures, wear-out)
-//! and reports grown failures asynchronously. The FTL's bad-block table
-//! ingests these events, removes the chunks from provisioning, and records
-//! which logical pages were orphaned so the data path can re-place them
-//! ("bad block information may be updated at any time", paper §4.1).
+//! The device retires chunks (program/erase failures, wear-out) and reports
+//! grown failures asynchronously. [`retire_chunks`] is the one place a media
+//! event takes a chunk out of provisioning — and the one place that knows an
+//! advisory event (`RefreshDue`) must not. The FTL's bad-block table builds
+//! on it and reports which logical pages were orphaned so the data path can
+//! re-place them ("bad block information may be updated at any time", paper
+//! §4.1).
 
 use crate::logspace::LogSpace;
+use crate::provision::Provisioner;
 use ocssd::{ChunkAddr, MediaEvent, Ppa};
 use std::collections::HashSet;
+
+/// Takes the chunk of every event that retires one
+/// ([`ocssd::MediaEventKind::retires_chunk`]) out of `prov`'s circulation
+/// and returns those chunks in event order. Advisory events leave their
+/// chunk in service: what to do about them (refresh early, or nothing) is
+/// the caller's policy.
+pub fn retire_chunks(events: &[MediaEvent], prov: &mut Provisioner) -> Vec<ChunkAddr> {
+    let retiring = events.iter().filter(|ev| ev.kind.retires_chunk());
+    let retired: Vec<ChunkAddr> = retiring.map(|ev| ev.chunk).collect();
+    for &chunk in &retired {
+        prov.mark_offline(chunk);
+    }
+    retired
+}
 
 /// A logical page stranded by a retired chunk, awaiting re-placement.
 ///
@@ -28,10 +45,7 @@ pub struct Orphan {
 #[derive(Default)]
 pub struct BadBlockTable {
     retired: HashSet<(u32, u32, u32)>,
-    /// Logical pages orphaned by retirements and not yet re-placed.
-    orphans: HashSet<u64>,
     events_seen: u64,
-    replaced: u64,
 }
 
 impl BadBlockTable {
@@ -60,56 +74,20 @@ impl BadBlockTable {
         self.events_seen
     }
 
-    /// Logical pages orphaned by retirements and still awaiting
-    /// re-placement.
-    pub fn orphans_pending(&self) -> usize {
-        self.orphans.len()
-    }
-
-    /// Whether `lpn` is currently orphaned.
-    pub fn is_orphaned(&self, lpn: u64) -> bool {
-        self.orphans.contains(&lpn)
-    }
-
-    /// Orphans re-placed since construction.
-    pub fn orphans_replaced(&self) -> u64 {
-        self.replaced
-    }
-
-    /// Records that an orphaned page was rewritten to a healthy chunk (or
-    /// its loss was resolved some other way, e.g. the host overwrote or
-    /// trimmed it). Returns whether the page was in the orphan set.
-    pub fn mark_replaced(&mut self, lpn: u64) -> bool {
-        let was = self.orphans.remove(&lpn);
-        if was {
-            self.replaced += 1;
-        }
-        was
-    }
-
     /// Ingests device events: retires the chunks from `space`'s
-    /// provisioning, unmaps any logical pages that lived there, and returns
-    /// the orphaned pages so the caller can re-place them. Each orphan stays
-    /// in the pending set until [`BadBlockTable::mark_replaced`] confirms
-    /// its rewrite.
+    /// provisioning ([`retire_chunks`]), unmaps any logical pages that
+    /// lived there, and returns the orphaned pages so the caller can
+    /// re-place them.
     pub fn ingest(&mut self, events: &[MediaEvent], space: &mut LogSpace) -> Vec<Orphan> {
         let mut orphans = Vec::new();
-        for ev in events {
-            if !ev.kind.retires_chunk() {
-                // Advisory events (refresh-due) do not retire the chunk;
-                // scrub-aware FTLs consume them before ingest.
-                continue;
-            }
+        for addr in retire_chunks(events, &mut space.prov) {
             self.events_seen += 1;
-            let addr = ev.chunk;
             if !self.retired.insert((addr.group, addr.pu, addr.chunk)) {
                 continue;
             }
-            space.prov.mark_offline(addr);
             let lin = addr.linear(space.prov.geometry());
             for (ppa, lpn) in space.map.valid_sectors(lin) {
                 space.map.unmap(lpn);
-                self.orphans.insert(lpn);
                 orphans.push(Orphan { lpn, ppa });
             }
         }
@@ -172,35 +150,22 @@ mod tests {
     }
 
     #[test]
-    fn orphan_lifecycle_tracks_replacement() {
+    fn an_advisory_event_retires_nothing() {
         let g = geo();
+        let mut space = space(g, 10);
+        let free = space.prov.free_chunks();
+        let (flagged, bad) = (ChunkAddr::new(0, 1, 2), ChunkAddr::new(1, 0, 0));
+        let advisory = MediaEvent {
+            kind: MediaEventKind::RefreshDue,
+            ..event(flagged)
+        };
+        let retired = retire_chunks(&[advisory, event(bad)], &mut space.prov);
+        assert_eq!(retired, vec![bad]);
+        assert_eq!(space.prov.offline_chunks(), 1);
+        assert_eq!(space.prov.free_chunks(), free - 1);
         let mut table = BadBlockTable::new();
-        let mut space = space(g, 1000);
-        let bad = ChunkAddr::new(1, 2, 3);
-        space.map.map(10, bad.ppa(0));
-        space.map.map(11, bad.ppa(1));
-        let orphans = table.ingest(&[event(bad)], &mut space);
-        assert_eq!(orphans.len(), 2);
-        assert_eq!(table.orphans_pending(), 2);
-        assert!(table.is_orphaned(10) && table.is_orphaned(11));
-
-        // Re-placing one page removes exactly it from the pending set.
-        assert!(table.mark_replaced(10));
-        assert_eq!(table.orphans_pending(), 1);
-        assert!(!table.is_orphaned(10));
-        assert!(table.is_orphaned(11));
-        assert_eq!(table.orphans_replaced(), 1);
-
-        // Replacement is idempotent; unknown pages are a no-op.
-        assert!(!table.mark_replaced(10));
-        assert!(!table.mark_replaced(999));
-        assert_eq!(table.orphans_replaced(), 1);
-
-        // A second retirement of pages already in the set does not double
-        // count, and the remaining orphan drains normally.
-        assert!(table.mark_replaced(11));
-        assert_eq!(table.orphans_pending(), 0);
-        assert_eq!(table.orphans_replaced(), 2);
+        assert!(table.ingest(&[advisory], &mut space).is_empty());
+        assert_eq!((table.len(), table.events_seen()), (0, 0));
     }
 
     #[test]

@@ -76,13 +76,6 @@ impl CheckpointStore {
         self.area_failovers
     }
 
-    /// Areas retired after a media failure (0, 1 or 2). With both areas
-    /// dead, checkpointing is impossible and [`CheckpointStore::write`]
-    /// errors.
-    pub fn dead_areas(&self) -> usize {
-        self.dead.iter().filter(|&&d| d).count()
-    }
-
     /// Writes a checkpoint covering `durable_lsn` with `payload` and waits
     /// for durability. Returns the completion time and assigned sequence.
     pub fn write(
@@ -397,7 +390,7 @@ mod tests {
         let (t1, s1) = store.write(SimTime::ZERO, 11, b"survives").unwrap();
         assert_eq!(s1, 1);
         assert_eq!(store.area_failovers(), 1);
-        assert_eq!(store.dead_areas(), 1);
+        assert_eq!(store.dead, [true, false]);
         let (data, _) = store.read_latest(t1);
         let d = data.expect("checkpoint landed on the surviving area");
         assert_eq!(d.payload, b"survives");

@@ -111,16 +111,6 @@ impl PageMap {
         self.valid_per_chunk[c] -= 1;
     }
 
-    /// LPN currently stored at a physical sector (None if invalid/free).
-    pub fn reverse_lookup(&self, ppa: Ppa) -> Option<u64> {
-        let e = self.p2l[ppa.linear(&self.geo) as usize];
-        if e == UNMAPPED {
-            None
-        } else {
-            Some(e - 1)
-        }
-    }
-
     /// Valid (live) sectors in a chunk, by linear chunk index.
     pub fn valid_count(&self, chunk_linear: u64) -> u32 {
         self.valid_per_chunk[chunk_linear as usize]
@@ -224,7 +214,8 @@ mod tests {
         let u = m.map(42, p);
         assert_eq!(u.old, None);
         assert_eq!(m.lookup(42), Some(p));
-        assert_eq!(m.reverse_lookup(p), Some(42));
+        let lin = p.chunk_addr().linear(&geo());
+        assert_eq!(m.valid_sectors(lin), vec![(p, 42)]);
         assert_eq!(m.mapped_count(), 1);
     }
 
@@ -238,7 +229,6 @@ mod tests {
         let u = m.map(7, p2);
         assert_eq!(u.old, Some(p1));
         assert_eq!(m.lookup(7), Some(p2));
-        assert_eq!(m.reverse_lookup(p1), None);
         assert_eq!(m.valid_count(ChunkAddr::new(0, 0, 0).linear(&g)), 0);
         assert_eq!(m.valid_count(ChunkAddr::new(1, 0, 0).linear(&g)), 1);
     }
@@ -251,7 +241,6 @@ mod tests {
         m.map(9, p);
         assert_eq!(m.unmap(9), Some(p));
         assert_eq!(m.lookup(9), None);
-        assert_eq!(m.reverse_lookup(p), None);
         assert_eq!(m.valid_count(ChunkAddr::new(2, 1, 3).linear(&g)), 0);
         assert_eq!(m.unmap(9), None);
     }
@@ -299,7 +288,8 @@ mod tests {
         m.map(2, p);
         assert_eq!(m.lookup(1), None);
         assert_eq!(m.lookup(2), Some(p));
-        assert_eq!(m.reverse_lookup(p), Some(2));
+        let lin = p.chunk_addr().linear(&geo());
+        assert_eq!(m.valid_sectors(lin), vec![(p, 2)]);
     }
 
     #[test]

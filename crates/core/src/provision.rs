@@ -193,14 +193,6 @@ impl Provisioner {
         self.free.iter().map(|v| v.len() as u32).sum()
     }
 
-    /// Free chunks within one group.
-    pub fn free_chunks_in_group(&self, group: u32) -> u32 {
-        let per = self.geo.pus_per_group;
-        (group * per..(group + 1) * per)
-            .map(|pu| self.free[pu as usize].len() as u32)
-            .sum()
-    }
-
     /// Whether a chunk (linear index) is reserved for metadata: never
     /// allocated, collected or patrolled.
     pub fn is_reserved(&self, chunk_linear: u64) -> bool {
@@ -367,9 +359,14 @@ mod tests {
         let g = geo();
         let mut p = Provisioner::fresh(g, &[]);
         let per_group = g.pus_per_group * g.chunks_per_pu;
-        assert_eq!(p.free_chunks_in_group(0), per_group);
+        let free_in = |p: &Provisioner, group: u32| -> u32 {
+            let pus =
+                (group * g.pus_per_group..(group + 1) * g.pus_per_group).map(|pu| pu as usize);
+            pus.map(|pu| p.free[pu].len() as u32).sum()
+        };
+        assert_eq!(free_in(&p, 0), per_group);
         p.take_free_chunk(0).unwrap();
-        assert_eq!(p.free_chunks_in_group(0), per_group - 1);
-        assert_eq!(p.free_chunks_in_group(1), per_group);
+        assert_eq!(free_in(&p, 0), per_group - 1);
+        assert_eq!(free_in(&p, 1), per_group);
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::placement::{Placement, TableExtent};
 use ocssd::{ChunkState, Completion, DeviceError, Geometry, Payload, Ppa};
+use ox_core::badblock::retire_chunks;
 use ox_core::codec::{Decoder, Encoder};
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::logspace::reset_or_retire;
@@ -29,16 +30,16 @@ pub struct LightLsmConfig {
     pub placement: Placement,
     /// Metadata region sizing.
     pub layout: LayoutConfig,
-    /// Submission cost charged per block on the single dispatch thread.
-    pub dispatch_per_block: SimDuration,
 }
+
+/// Submission cost charged per block on the single dispatch thread.
+const DISPATCH_PER_BLOCK: SimDuration = SimDuration::from_micros(2);
 
 impl Default for LightLsmConfig {
     fn default() -> Self {
         LightLsmConfig {
             placement: Placement::Horizontal,
             layout: LayoutConfig::default(),
-            dispatch_per_block: SimDuration::from_micros(2),
         }
     }
 }
@@ -507,7 +508,7 @@ impl LightLsm {
             let mut failed = None;
             for b in 0..blocks {
                 let (chunk, sector) = ext.block_location(&self.geo, b);
-                let submit = self.dispatch.acquire(t, self.config.dispatch_per_block).end;
+                let submit = self.dispatch.acquire(t, DISPATCH_PER_BLOCK).end;
                 match write_block(self.media.as_ref(), submit, chunk.ppa(sector), b) {
                     Ok(comp) => ack = ack.max(comp.done),
                     Err(e) if e.retires_chunk() => {
@@ -613,10 +614,7 @@ impl LightLsm {
             });
         }
         let (chunk, sector) = ext.block_location(&self.geo, block);
-        let submit = self
-            .dispatch
-            .acquire(now, self.config.dispatch_per_block)
-            .end;
+        let submit = self.dispatch.acquire(now, DISPATCH_PER_BLOCK).end;
         Ok((chunk.ppa(sector), submit))
     }
 
@@ -669,13 +667,13 @@ impl LightLsm {
     /// Drains grown-bad-block events from the device and routes future
     /// extent allocations around the retired chunks. Live tables touching a
     /// frozen chunk remain readable (a program-failure freeze keeps the
-    /// written prefix); the directory is untouched.
+    /// written prefix); the directory is untouched. Advisory refresh flags
+    /// are counted and otherwise ignored (LightLSM has no scrubber): the
+    /// chunk stays in service.
     pub fn ingest_media_events(&mut self) -> usize {
         let events = self.media.drain_events();
-        for ev in &events {
-            self.prov.mark_offline(ev.chunk);
-            self.stats.media_events += 1;
-        }
+        retire_chunks(&events, &mut self.prov);
+        self.stats.media_events += events.len() as u64;
         events.len()
     }
 }
@@ -1073,6 +1071,46 @@ mod tests {
         assert_eq!(count, 1);
         assert!(re.table(id1).is_none());
         assert!(re.table(id2).is_some());
+    }
+
+    /// An advisory `RefreshDue` says "relocate this data soon", not "this
+    /// chunk is bad": ingesting one must leave the chunk in circulation.
+    #[test]
+    fn a_refresh_flag_does_not_retire_the_chunk() {
+        let geo = ocssd::Geometry::small_slc();
+        let mut config = DeviceConfig::with_geometry(geo);
+        config.reliability = ocssd::ReliabilityConfig {
+            base_error_ppm: 2_000,
+            refresh_threshold_ppm: 2_500,
+            ..ocssd::ReliabilityConfig::aged(13)
+        };
+        let dev = SharedDevice::new(OcssdDevice::new(config));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+        let (mut ftl, t0) =
+            LightLsm::format(media, LightLsmConfig::default(), SimTime::ZERO).unwrap();
+        let free = ftl.free_chunks();
+        let (id, mut t) = ftl.flush_table(t0, &table_data(&ftl, 1, 5)).unwrap();
+        let flagged = ftl.table(id).unwrap().chunks[0];
+
+        // Read the table's chunk until the device flags it, exactly once.
+        let mut out = vec![0u8; ftl.block_bytes()];
+        while dev.health_ledger().refresh_flags == 0 {
+            t += SimDuration::from_millis(100);
+            let _ = dev.read(t, flagged.ppa(0), geo.ws_min, &mut out);
+        }
+        assert_eq!(dev.health_ledger().refresh_flags, 1);
+        assert_eq!(ftl.ingest_media_events(), 1);
+        assert_eq!(ftl.stats().media_events, 1);
+
+        // The chunk comes back when its table goes, and takes a table again.
+        t = ftl.delete_table(t, id).unwrap();
+        assert_eq!(ftl.free_chunks(), free, "a healthy chunk was retired");
+        let reused = (0..geo.total_pus()).any(|_| {
+            let (id, done) = ftl.flush_table(t, &table_data(&ftl, 1, 6)).unwrap();
+            t = done;
+            ftl.table(id).unwrap().chunks[0] == flagged
+        });
+        assert!(reused, "no later table was placed on {flagged:?}");
     }
 
     use ox_sim::SimDuration;

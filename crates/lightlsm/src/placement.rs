@@ -49,16 +49,6 @@ impl TableExtent {
         (chunk, sector)
     }
 
-    /// Capacity of the extent in blocks.
-    pub fn capacity_blocks(&self, geo: &Geometry) -> u32 {
-        self.chunks.len() as u32 * geo.write_units_per_chunk()
-    }
-
-    /// Bytes written.
-    pub fn len_bytes(&self, geo: &Geometry) -> u64 {
-        self.blocks as u64 * geo.ws_min_bytes() as u64
-    }
-
     /// Serializes the extent (for directory journaling/checkpointing).
     pub fn encode(&self, e: &mut Encoder) {
         e.u64(self.id);
@@ -159,14 +149,6 @@ mod tests {
             let (c, _) = ext.block_location(&g, i);
             assert_eq!(c.group, 3);
         }
-    }
-
-    #[test]
-    fn capacity_and_len() {
-        let g = geo();
-        let ext = horizontal_extent(&g, 100);
-        assert_eq!(ext.capacity_blocks(&g), 32 * g.write_units_per_chunk());
-        assert_eq!(ext.len_bytes(&g), 100 * g.ws_min_bytes() as u64);
     }
 
     #[test]

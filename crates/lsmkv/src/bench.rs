@@ -9,7 +9,7 @@
 use crate::db::{DbIter, PutOutcome, SharedDb};
 use ox_sim::stats::TimeSeries;
 use ox_sim::sync::Mutex;
-use ox_sim::{Actor, Ctx, Executor, Prng, SimDuration, SimTime, Step};
+use ox_sim::{Actor, Executor, Prng, SimDuration, SimTime, Step};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -141,7 +141,7 @@ impl Client {
 }
 
 impl Actor for Client {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
+    fn step(&mut self, now: SimTime) -> Step {
         if self.completed >= self.cfg.ops_per_client {
             return self.finish(now);
         }
@@ -203,7 +203,7 @@ struct Flusher {
 }
 
 impl Actor for Flusher {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
+    fn step(&mut self, now: SimTime) -> Step {
         match self.db.flush_once(now) {
             Ok(Some(done)) => Step::RunAt(done),
             Ok(None) => Step::RunAt(now + self.poll),
@@ -218,7 +218,7 @@ struct Compactor {
 }
 
 impl Actor for Compactor {
-    fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
+    fn step(&mut self, now: SimTime) -> Step {
         match self.db.compact_once(now) {
             Ok(Some(done)) => Step::RunAt(done),
             Ok(None) => Step::RunAt(now + self.poll),

@@ -96,11 +96,6 @@ impl BloomFilter {
         }
         Some(BloomFilter { bits, num_bits, k })
     }
-
-    /// Size of the filter in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.bits.len() * 8 + 16
-    }
 }
 
 #[cfg(test)]

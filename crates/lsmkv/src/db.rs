@@ -44,12 +44,6 @@ pub struct DbConfig {
     pub l0_slowdown: usize,
     /// L0 table count stalling writes entirely.
     pub l0_stall: usize,
-    /// Initial delayed-write rate while slowed down (bytes per virtual
-    /// second); adapts to measured compaction throughput, as RocksDB's
-    /// `delayed_write_rate` controller does.
-    pub delayed_write_rate: f64,
-    /// How long a stalled put waits before retrying.
-    pub stall_retry: SimDuration,
     /// Target size of L1 in blocks; deeper levels multiply.
     pub level_base_blocks: u64,
     /// Per-level size multiplier.
@@ -58,17 +52,24 @@ pub struct DbConfig {
     pub max_levels: usize,
     /// Bloom bits per key.
     pub bits_per_key: u32,
-    /// CPU cost charged per put.
-    pub put_cpu: SimDuration,
-    /// CPU cost charged per get (before device reads).
-    pub get_cpu: SimDuration,
-    /// CPU cost per entry when building/merging tables.
-    pub build_cpu_per_entry: SimDuration,
     /// Output table size budget (bytes); clamped to the store's capacity.
     pub table_bytes: usize,
-    /// Concurrent compactions allowed (RocksDB background workers).
-    pub max_parallel_compactions: usize,
 }
+
+/// Initial delayed-write rate while slowed down (bytes per virtual second);
+/// adapts to measured compaction throughput, as RocksDB's
+/// `delayed_write_rate` controller does.
+const DELAYED_WRITE_RATE: f64 = 256.0 * 1024.0 * 1024.0;
+/// How long a stalled put waits before retrying.
+const STALL_RETRY: SimDuration = SimDuration::from_millis(2);
+/// CPU cost charged per put.
+const PUT_CPU: SimDuration = SimDuration::from_nanos(1_200);
+/// CPU cost charged per get (before device reads).
+const GET_CPU: SimDuration = SimDuration::from_nanos(1_000);
+/// CPU cost per entry when building/merging tables.
+const BUILD_CPU_PER_ENTRY: SimDuration = SimDuration::from_nanos(250);
+/// Concurrent compactions allowed (RocksDB background workers).
+const MAX_PARALLEL_COMPACTIONS: usize = 4;
 
 impl Default for DbConfig {
     fn default() -> Self {
@@ -78,17 +79,11 @@ impl Default for DbConfig {
             l0_compaction_trigger: 4,
             l0_slowdown: 8,
             l0_stall: 12,
-            delayed_write_rate: 256.0 * 1024.0 * 1024.0,
-            stall_retry: SimDuration::from_millis(2),
             level_base_blocks: 512,
             level_multiplier: 8,
             max_levels: 4,
             bits_per_key: 10,
-            put_cpu: SimDuration::from_nanos(1_200),
-            get_cpu: SimDuration::from_nanos(1_000),
-            build_cpu_per_entry: SimDuration::from_nanos(250),
             table_bytes: 24 * 1024 * 1024,
-            max_parallel_compactions: 4,
         }
     }
 }
@@ -203,7 +198,7 @@ pub struct Db {
     stats: DbStats,
     cstats: CompactionStats,
     compaction_cursor: Vec<usize>,
-    /// In-flight incremental compactions (≤ `max_parallel_compactions`).
+    /// In-flight incremental compactions (≤ `MAX_PARALLEL_COMPACTIONS`).
     actives: Vec<ActiveCompaction>,
     active_cursor: usize,
     /// Table ids owned by an in-flight compaction.
@@ -261,7 +256,7 @@ impl Db {
             deferred: BTreeSet::new(),
             inflight_flushes: Vec::new(),
             throttle: ox_sim::Timeline::new(),
-            drain_rate: config.delayed_write_rate,
+            drain_rate: DELAYED_WRITE_RATE,
             version: Version::new(config.max_levels),
             stats: DbStats::default(),
             cstats: CompactionStats::default(),
@@ -380,7 +375,7 @@ impl Db {
         self.inflight_flushes.retain(|&done| done > now);
         let sealed = self.immutables.len() + self.inflight_flushes.len();
         if sealed >= self.config.max_immutables || self.version.l0_count() >= self.config.l0_stall {
-            return Some(PutOutcome::Stalled(now + self.config.stall_retry));
+            return Some(PutOutcome::Stalled(now + STALL_RETRY));
         }
         None
     }
@@ -432,7 +427,7 @@ impl Db {
             self.obs.tracer.instant(now, "lsm", "stall", 0);
             return Ok(stall);
         }
-        let t = now + self.config.put_cpu;
+        let t = now + PUT_CPU;
         let t = self.admit(t, key.len() + value.map_or(0, <[u8]>::len));
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -470,7 +465,7 @@ impl Db {
             self.obs.tracer.instant(now, "lsm", "stall", 0);
             return Ok(stall);
         }
-        let t = now + self.config.put_cpu;
+        let t = now + PUT_CPU;
         let t = self.admit(t, start.len() + end.len());
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -515,7 +510,7 @@ impl Db {
             return Err(DbError::EmptyKey);
         }
         self.stats.gets += 1;
-        let mut t = now + self.config.get_cpu;
+        let mut t = now + GET_CPU;
 
         // `rt_max`: highest covering range-tombstone sequence ≤ snap, across
         // every source. All tombstones live in memory (memtables and table
@@ -655,7 +650,7 @@ impl Db {
             return Ok(if reaped { Some(now) } else { None });
         };
         let imm = imm.lock();
-        let mut t = now + self.config.build_cpu_per_entry * imm.len() as u64;
+        let mut t = now + BUILD_CPU_PER_ENTRY * imm.len() as u64;
         let boundaries = self.boundaries();
         let mut builder = TableBuilder::new(self.store.block_bytes(), self.config.bits_per_key);
         let rts = imm.range_dels();
@@ -851,7 +846,7 @@ impl Db {
     pub fn compact_once(&mut self, now: SimTime) -> Result<Option<SimTime>, DbError> {
         let (now, reaped) = self.reap_deferred(now)?;
         // Start a new compaction if a trigger fires on conflict-free inputs.
-        if self.actives.len() < self.config.max_parallel_compactions {
+        if self.actives.len() < MAX_PARALLEL_COMPACTIONS {
             if let Some(job) = self.pick_compaction() {
                 if job.from_level > 0 {
                     self.compaction_cursor[job.from_level] =
@@ -920,7 +915,7 @@ impl Db {
             match ac.merge.next(&mut t).map_err(DbError::from)? {
                 Some(entry) => {
                     processed += 1;
-                    t += self.config.build_cpu_per_entry;
+                    t += BUILD_CPU_PER_ENTRY;
                     if ac.group.first().is_some_and(|e| e.key() != entry.key()) {
                         Self::emit_group(&mut ac, &self.store, &self.config, block_bytes, &mut t)?;
                     }
@@ -1161,11 +1156,6 @@ pub struct DbIter {
 }
 
 impl DbIter {
-    /// The sequence number this iterator reads at.
-    pub fn snapshot_seq(&self) -> u64 {
-        self.snap
-    }
-
     fn next_table(&mut self, t: &mut SimTime) -> Result<Option<EntryView>, DbError> {
         if let Some(e) = self.table_pending.take() {
             return Ok(Some(e));

@@ -186,11 +186,6 @@ impl Version {
     pub fn tables_with_range_dels(&self) -> impl Iterator<Item = &Arc<TableHandle>> {
         self.with_range_dels.iter()
     }
-
-    /// Total live tables.
-    pub fn table_count(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -279,7 +274,7 @@ mod tests {
         assert_eq!(v.level(1).len(), 1);
         assert_eq!(v.level(1)[0].id, 3);
         assert_eq!(v.depth(), 1);
-        assert_eq!(v.table_count(), 1);
+        assert!(v.level(0).is_empty());
     }
 
     #[test]

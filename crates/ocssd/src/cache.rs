@@ -113,12 +113,6 @@ impl WriteCache {
         self.last_drain_done.max(now)
     }
 
-    /// Current occupancy in bytes (after releasing completed drains).
-    pub(crate) fn occupancy_at(&mut self, now: SimTime) -> u64 {
-        self.release_until(now);
-        self.occupancy
-    }
-
     /// Number of writes that stalled on a full cache.
     pub(crate) fn stalls(&self) -> u64 {
         self.stalls
@@ -138,6 +132,14 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    impl WriteCache {
+        /// Occupancy in bytes once drains completed by `now` are released.
+        fn occupancy_at(&mut self, now: SimTime) -> u64 {
+            self.release_until(now);
+            self.occupancy
+        }
     }
 
     fn cache(bytes: u64) -> WriteCache {

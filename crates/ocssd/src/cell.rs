@@ -72,6 +72,9 @@ impl CellType {
     }
 }
 
+/// Host link (PCIe) transfer time per 4 KB sector, whatever the media.
+pub(crate) const HOST_LINK_PER_SECTOR: SimDuration = SimDuration::from_nanos(700);
+
 /// Timing constants for one device's media.
 ///
 /// `prog_unit` is the time to program one minimum write unit (`ws_min`

@@ -2,7 +2,9 @@
 //!
 //! [`OcssdDevice`] ties together geometry, the chunk state machine, the NAND
 //! timing model, per-PU and per-channel resource timelines, the write-back
-//! cache, the media payload store and the error model. All commands take the
+//! cache, the media payload store and the two fault sources (the injected
+//! [`FaultPlan`] and the wear-coupled [`ReliabilityConfig`] model; hard
+//! endurance wear-out aside, nothing else fails). All commands take the
 //! submission time and return a [`Completion`] carrying the virtual
 //! completion time; contention is captured by the timelines.
 //!
@@ -22,7 +24,7 @@
 
 use crate::addr::{ChunkAddr, Ppa};
 use crate::cache::{CacheConfig, WriteCache};
-use crate::cell::NandProfile;
+use crate::cell::{NandProfile, HOST_LINK_PER_SECTOR};
 use crate::chunk::{Chunk, ChunkInfo, ChunkState};
 use crate::error::{DeviceError, Result};
 use crate::fault::{FaultInjector, FaultLedger, FaultPlan};
@@ -34,8 +36,8 @@ use crate::media::{MediaStore, Payload};
 use crate::stats::DeviceStats;
 use crate::SECTOR_BYTES;
 use ox_sim::sync::Mutex;
-use ox_sim::trace::{Obs, TraceEvent};
-use ox_sim::{Prng, SimDuration, SimTime, Timeline};
+use ox_sim::trace::Obs;
+use ox_sim::{SimDuration, SimTime, Timeline};
 use std::sync::Arc;
 
 /// Completion record of a device command.
@@ -100,17 +102,6 @@ pub struct DeviceConfig {
     pub profile: NandProfile,
     /// Write-back cache sizing.
     pub cache: CacheConfig,
-    /// Host link (PCIe) transfer time per sector.
-    pub host_link_per_sector: SimDuration,
-    /// RNG seed for the error model.
-    pub seed: u64,
-    /// Fraction of chunks that are factory bad (offline from the start).
-    pub factory_bad_fraction: f64,
-    /// Probability that a program unit fails (chunk goes offline, reported
-    /// asynchronously). Zero by default for deterministic benchmarks.
-    pub program_fail_prob: f64,
-    /// Base probability that an erase fails; grows with wear.
-    pub erase_fail_prob: f64,
     /// Deterministic fault schedule (empty by default: no injected faults,
     /// byte-identical behaviour to a plan-less device). See [`crate::fault`].
     pub fault: FaultPlan,
@@ -127,17 +118,12 @@ pub struct DeviceConfig {
 
 impl DeviceConfig {
     /// Configuration for a given geometry with that cell type's default
-    /// timing and no random failures.
+    /// timing, no injected faults and the reliability model off.
     pub fn with_geometry(geometry: Geometry) -> Self {
         DeviceConfig {
             geometry,
             profile: geometry.cell.profile(),
             cache: CacheConfig::default(),
-            host_link_per_sector: SimDuration::from_nanos(700),
-            seed: 0x0C55D,
-            factory_bad_fraction: 0.0,
-            program_fail_prob: 0.0,
-            erase_fail_prob: 0.0,
             fault: FaultPlan::default(),
             reliability: ReliabilityConfig::default(),
             obs: Obs::new(4096),
@@ -159,14 +145,12 @@ impl DeviceConfig {
 pub struct OcssdDevice {
     geo: Geometry,
     profile: NandProfile,
-    config: DeviceConfig,
     chunks: Vec<Chunk>,
     media: MediaStore,
     cache: WriteCache,
     pus: Vec<Timeline>,
     channels: Vec<Timeline>,
     host_link: Timeline,
-    rng: Prng,
     fault: FaultInjector,
     health: ReliabilityState,
     stats: DeviceStats,
@@ -190,30 +174,20 @@ impl OcssdDevice {
             .validate()
             .map_err(DeviceError::InvalidGeometry)?;
         let geo = config.geometry;
-        let mut rng = Prng::seed_from_u64(config.seed);
-        let mut chunks: Vec<Chunk> = (0..geo.total_chunks()).map(|_| Chunk::new()).collect();
-        if config.factory_bad_fraction > 0.0 {
-            for c in chunks.iter_mut() {
-                if rng.gen_bool(config.factory_bad_fraction) {
-                    c.set_offline();
-                }
-            }
-        }
+        let chunks = (0..geo.total_chunks()).map(|_| Chunk::new()).collect();
         let fault = FaultInjector::new(config.fault.clone(), geo.total_pus());
         let health = ReliabilityState::new(config.reliability.clone(), geo.total_chunks());
         let cache = WriteCache::new(config.cache);
         Ok(OcssdDevice {
             geo,
             profile: config.profile,
-            obs: config.obs.clone(),
-            config,
+            obs: config.obs,
             chunks,
             media: MediaStore::default(),
             cache,
             pus: vec![Timeline::new(); geo.total_pus() as usize],
             channels: vec![Timeline::new(); geo.num_groups as usize],
             host_link: Timeline::new(),
-            rng,
             fault,
             health,
             stats: DeviceStats::default(),
@@ -357,24 +331,6 @@ impl OcssdDevice {
         true
     }
 
-    /// Enables or disables I/O tracing.
-    pub fn set_trace(&mut self, on: bool) {
-        self.obs.tracer.set_enabled(on);
-    }
-
-    /// Snapshot of the trace buffer (oldest first; bounded drop-oldest).
-    pub fn trace_snapshot(&self) -> Vec<TraceEvent> {
-        self.obs.tracer.snapshot()
-    }
-
-    /// Moves the trace buffer out, truncating it — the tracing mirror of
-    /// [`OcssdDevice::drain_events`]. Long benchmark runs that keep tracing
-    /// on should drain periodically instead of snapshotting so the bounded
-    /// buffer is not permanently full and dropping history.
-    pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        self.obs.tracer.drain()
-    }
-
     /// When parallel unit `pu` (device-linear index) finishes its currently
     /// queued work. Schedulers use this to steer background relocation at
     /// idle PUs. Out-of-range indices report [`SimTime::ZERO`] (always idle).
@@ -480,11 +436,6 @@ impl OcssdDevice {
     /// Total queueing delay imposed by each parallel unit so far.
     pub fn pu_queue_delays(&self) -> Vec<SimDuration> {
         self.pus.iter().map(|t| t.total_queue_delay()).collect()
-    }
-
-    /// Current write-cache occupancy in bytes.
-    pub fn cache_occupancy(&mut self, now: SimTime) -> u64 {
-        self.cache.occupancy_at(now)
     }
 
     fn validate_write(&self, ppa: Ppa, sectors: u32) -> Result<()> {
@@ -596,29 +547,10 @@ impl OcssdDevice {
             self.note_latency_spike(durable_at);
         }
 
-        // Error model: a failed program retires the chunk *after* the ack —
-        // reported through the asynchronous event log.
-        let failed =
-            self.config.program_fail_prob > 0.0 && self.rng.gen_bool(self.config.program_fail_prob);
-
         let idx = self.chunk_index(addr);
         self.chunks[idx].accept_write(ppa.sector, sectors, self.geo.sectors_per_chunk, durable_at);
         self.health.note_program(idx, durable_at);
         store(&mut self.media, idx);
-        if failed {
-            self.chunks[idx].set_offline();
-            self.media.truncate(idx, 0);
-            self.stats.media_failures += 1;
-            self.obs.metrics.record("device.media_failure", 0);
-            self.obs
-                .tracer
-                .instant(durable_at, "device", "program_fail", 0);
-            self.note_media_event(MediaEvent {
-                at: durable_at,
-                chunk: addr,
-                kind: MediaEventKind::ProgramFail,
-            });
-        }
 
         self.stats.writes.record(bytes);
         self.stats.cache_stalls = self.cache.stalls();
@@ -671,7 +603,7 @@ impl OcssdDevice {
     }
 
     fn host_link_time(&self, sectors: u32) -> SimDuration {
-        self.config.host_link_per_sector * sectors as u64
+        HOST_LINK_PER_SECTOR * sectors as u64
     }
 
     fn validate_read(&self, ppa: Ppa, sectors: u32) -> Result<()> {
@@ -931,7 +863,7 @@ impl OcssdDevice {
             return Err(DeviceError::MediaFailure(addr));
         }
 
-        // Wear-out / erase-failure model.
+        // Hard endurance limit.
         if wear >= self.geo.endurance {
             self.chunks[idx].set_offline();
             self.stats.media_failures += 1;
@@ -960,21 +892,6 @@ impl OcssdDevice {
                 kind: MediaEventKind::EraseFail,
             });
             return Err(DeviceError::MediaFailure(addr));
-        }
-        if self.config.erase_fail_prob > 0.0 {
-            let wear_factor = 1.0 + 4.0 * (wear as f64 / self.geo.endurance as f64);
-            if self.rng.gen_bool(self.config.erase_fail_prob * wear_factor) {
-                self.chunks[idx].set_offline();
-                self.stats.media_failures += 1;
-                self.obs.metrics.record("device.media_failure", 0);
-                self.obs.tracer.instant(done, "device", "erase_fail", 0);
-                self.note_media_event(MediaEvent {
-                    at: done,
-                    chunk: addr,
-                    kind: MediaEventKind::EraseFail,
-                });
-                return Err(DeviceError::MediaFailure(addr));
-            }
         }
         self.fault.note_cmd();
         Ok(Completion {
@@ -1194,11 +1111,6 @@ impl SharedDevice {
         self.0.lock().obs().clone()
     }
 
-    /// See [`OcssdDevice::drain_trace`].
-    pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        self.0.lock().drain_trace()
-    }
-
     /// See [`OcssdDevice::pu_busy_until`].
     pub fn pu_busy_until(&self, pu: u32) -> SimTime {
         self.0.lock().pu_busy_until(pu)
@@ -1265,14 +1177,12 @@ mod tests {
     fn drain_trace_truncates_and_pu_busy_advances() {
         let mut dev = small_device();
         let geo = *dev.geometry();
-        dev.set_trace(true);
+        let tracer = dev.obs().tracer.clone();
+        tracer.set_enabled(true);
         let addr = ChunkAddr::new(0, 0, 0);
         let w = dev.write(t(0), addr.ppa(0), &unit_data(&geo, 1)).unwrap();
-        assert!(!dev.drain_trace().is_empty());
-        assert!(
-            dev.drain_trace().is_empty(),
-            "drain_trace must truncate the buffer"
-        );
+        assert!(!tracer.drain().is_empty());
+        assert!(tracer.drain().is_empty(), "drain must truncate the buffer");
         assert!(dev.pu_busy_until(addr.pu_linear(&geo)) > w.submitted);
         assert_eq!(dev.pu_busy_until(u32::MAX), SimTime::ZERO);
     }
@@ -1559,24 +1469,6 @@ mod tests {
     }
 
     #[test]
-    fn factory_bad_chunks_are_offline() {
-        let mut cfg = DeviceConfig::paper_tlc_scaled(22, 8);
-        cfg.factory_bad_fraction = 0.05;
-        let dev = OcssdDevice::new(cfg);
-        let offline = dev
-            .report_all_chunks()
-            .iter()
-            .filter(|(_, i)| i.state == ChunkState::Offline)
-            .count();
-        let total = dev.geometry().total_chunks() as f64;
-        let frac = offline as f64 / total;
-        assert!(
-            (0.02..=0.10).contains(&frac),
-            "expected ~5% factory-bad, got {frac}"
-        );
-    }
-
-    #[test]
     fn report_all_chunks_reflects_write_pointers() {
         let mut dev = small_device();
         let geo = *dev.geometry();
@@ -1662,15 +1554,20 @@ mod tests {
 
     #[test]
     fn program_failure_reported_asynchronously() {
+        use crate::fault::ProgramFault;
         let mut cfg = DeviceConfig::paper_tlc_scaled(22, 8);
-        cfg.program_fail_prob = 1.0; // force it
+        let addr = ChunkAddr::new(0, 0, 0);
+        cfg.fault
+            .program_fails
+            .push(ProgramFault { chunk: addr, wp: 0 });
         let mut dev = OcssdDevice::new(cfg);
         let geo = *dev.geometry();
-        let addr = ChunkAddr::new(0, 0, 0);
-        // The write itself succeeds (write-back ack)...
-        dev.write(t(0), addr.ppa(0), &unit_data(&geo, 1)).unwrap();
-        // ...but the chunk is now offline and the event queue reports it.
+        // The command fails, and whoever did not issue it learns of the
+        // retired chunk from the event queue, once.
+        dev.write(t(0), addr.ppa(0), &unit_data(&geo, 1))
+            .unwrap_err();
         assert_eq!(dev.chunk_info(addr).state, ChunkState::Offline);
+        assert_eq!(dev.grown_bad_blocks(), 1);
         let events = dev.drain_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, MediaEventKind::ProgramFail);
@@ -1844,12 +1741,12 @@ mod tests {
         use ox_sim::trace::TracePhase;
         let mut dev = small_device();
         let geo = *dev.geometry();
-        dev.set_trace(true);
+        dev.obs().tracer.set_enabled(true);
         let addr = ChunkAddr::new(0, 0, 0);
         dev.write(t(0), addr.ppa(0), &unit_data(&geo, 1)).unwrap();
         let mut out = vec![0u8; SECTOR_BYTES];
         dev.read(t(1_000_000), addr.ppa(0), 1, &mut out).unwrap();
-        let snap = dev.trace_snapshot();
+        let snap = dev.obs().tracer.snapshot();
         // One begin/end pair per operation.
         assert_eq!(snap.len(), 4);
         assert_eq!(snap[0].op, "write");

@@ -249,11 +249,6 @@ impl FaultInjector {
         }
     }
 
-    /// Whether the plan schedules (or scheduled) anything at all.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Faults fired so far.
     pub fn ledger(&self) -> &FaultLedger {
         &self.ledger
@@ -390,7 +385,7 @@ mod tests {
     #[test]
     fn empty_plan_is_inert() {
         let mut inj = FaultInjector::new(FaultPlan::default(), geo().total_pus());
-        assert!(!inj.is_active());
+        assert!(!inj.active);
         assert!(!inj.take_program_fail(ChunkAddr::new(0, 0, 0), 0));
         assert!(inj
             .take_read_fail(ChunkAddr::new(0, 0, 0), 0, 768)

@@ -113,25 +113,6 @@ impl Geometry {
         }
     }
 
-    /// A QLC device (high density, coarse 256 KB write unit, slow media).
-    pub fn dense_qlc() -> Self {
-        let cell = CellType::Qlc;
-        let planes = 4;
-        let sectors_per_page = 4;
-        Geometry {
-            num_groups: 8,
-            pus_per_group: 4,
-            chunks_per_pu: 256,
-            sectors_per_chunk: 6144,
-            ws_min: sectors_per_page * cell.paired_pages() * planes,
-            mw_cunits: sectors_per_page * cell.paired_pages() * planes * 2,
-            cell,
-            planes,
-            sectors_per_page,
-            endurance: 800,
-        }
-    }
-
     /// Validates internal consistency; returns a description of the first
     /// problem found, if any.
     pub fn validate(&self) -> std::result::Result<(), String> {
@@ -245,7 +226,19 @@ mod tests {
     #[test]
     fn qlc_write_unit_is_256kb() {
         // Paper §2.1: QLC with 4 planes ⇒ unit of write 16 pages = 256 KB.
-        let g = Geometry::dense_qlc();
+        let (cell, planes, sectors_per_page) = (CellType::Qlc, 4, 4);
+        let g = Geometry {
+            num_groups: 8,
+            pus_per_group: 4,
+            chunks_per_pu: 256,
+            sectors_per_chunk: 6144,
+            ws_min: sectors_per_page * cell.paired_pages() * planes,
+            mw_cunits: sectors_per_page * cell.paired_pages() * planes * 2,
+            cell,
+            planes,
+            sectors_per_page,
+            endurance: 800,
+        };
         g.validate().unwrap();
         assert_eq!(g.ws_min_bytes(), 256 * 1024);
     }

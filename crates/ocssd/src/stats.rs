@@ -21,7 +21,8 @@ pub struct DeviceStats {
     pub write_latency: Histogram,
     /// Writes that stalled on a full write cache.
     pub cache_stalls: u64,
-    /// Program/erase failures injected by the media error model.
+    /// Chunks retired by a media failure, whatever its source (fault plan,
+    /// reliability model, hard endurance limit).
     pub media_failures: u64,
     /// Program failures fired by the deterministic fault plan.
     pub injected_program_fails: u64,
@@ -43,43 +44,4 @@ pub struct DeviceStats {
     pub refresh_flags: u64,
     /// End-of-life erase failures drawn by the model (grown bad blocks).
     pub eol_erase_fails: u64,
-}
-
-impl DeviceStats {
-    /// Total host read operations (cache + media).
-    pub fn total_reads(&self) -> u64 {
-        self.media_reads.ops() + self.cache_reads.ops()
-    }
-
-    /// Fraction of reads served by the cache, in `[0, 1]`; 0 if no reads.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.total_reads();
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_reads.ops() as f64 / total as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ratios_handle_empty() {
-        let s = DeviceStats::default();
-        assert_eq!(s.total_reads(), 0);
-        assert_eq!(s.cache_hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn cache_hit_ratio_computed() {
-        let mut s = DeviceStats::default();
-        s.media_reads.record(4096);
-        s.cache_reads.record(4096);
-        s.cache_reads.record(4096);
-        assert_eq!(s.total_reads(), 3);
-        assert!((s.cache_hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
 }

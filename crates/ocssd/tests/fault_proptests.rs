@@ -4,7 +4,9 @@
 //! the write pointer never advances past a failed program, retired chunks
 //! reject I/O with the right [`DeviceError`], the [`FaultLedger`] reconciles
 //! with [`DeviceStats`] and with the asynchronous `MediaEvent` stream, and
-//! an *empty* plan leaves the device byte-identical to a plan-less one.
+//! an *empty* plan leaves the device byte-identical to a plan-less one —
+//! and, the plan and the reliability model being the device's only fault
+//! sources, a device with neither armed never fails a legal command.
 //!
 //! Workloads come from the in-repo seeded [`Prng`]; every seed is an
 //! independent case, so an assertion failure names the seed to replay. The
@@ -13,8 +15,8 @@
 
 use ocssd::{
     matrix_geometry, matrix_seeds, ChunkAddr, ChunkState, DeviceConfig, DeviceError, EraseFault,
-    FaultMix, FaultPlan, Geometry, MediaEventKind, OcssdDevice, ProgramFault, ReadFault,
-    SECTOR_BYTES,
+    FaultMix, FaultPlan, Geometry, MediaEventKind, OcssdDevice, Ppa, ProgramFault, ReadFault,
+    ReliabilityConfig, SECTOR_BYTES,
 };
 use ox_sim::{Prng, SimTime};
 
@@ -284,4 +286,57 @@ fn empty_plan_is_byte_identical_to_no_plan() {
     assert_eq!(t_a, t_b, "virtual time must match to the nanosecond");
     assert_eq!(data_a, data_b, "read-back bytes must be identical");
     assert_eq!((w_a, r_a), (w_b, r_b));
+}
+
+/// The fault plan and the reliability model are the only things that make a
+/// young device fail: with an empty plan and the model switched off (every
+/// other knob hot), a seeded stream of legal writes, reads, resets and
+/// copies sees no error and no media event.
+#[test]
+fn a_device_with_no_fault_source_armed_never_fails() {
+    for seed in matrix_seeds(20) {
+        let geo = matrix_geometry();
+        let mut config = DeviceConfig::with_geometry(geo);
+        config.fault = FaultPlan::default();
+        config.reliability = ReliabilityConfig {
+            enabled: false,
+            ..ReliabilityConfig::aged(seed)
+        };
+        let mut dev = OcssdDevice::new(config);
+        let mut rng = Prng::seed_from_u64(seed ^ 0x1DE7);
+        let mut t = SimTime::ZERO;
+        let mut out = vec![0u8; geo.ws_min_bytes()];
+        for step in 0..400u32 {
+            let what = format!("seed {seed} step {step}");
+            let c = ChunkAddr::new(0, 0, rng.gen_range(CHUNKS as u64) as u32);
+            let info = dev.chunk_info(c);
+            let full = info.write_ptr == geo.sectors_per_chunk;
+            let done = match rng.gen_range(4) {
+                0 if !full => dev.write(t, c.ppa(info.write_ptr), &unit(&geo, step as u8)),
+                1 if info.write_ptr > 0 && rng.gen_bool(0.2) => dev.reset_chunk(t, c),
+                2 if info.write_ptr > 0 => {
+                    let sector = rng.gen_range((info.write_ptr / geo.ws_min) as u64) as u32;
+                    dev.read(t, c.ppa(sector * geo.ws_min), geo.ws_min, &mut out)
+                }
+                3 if info.write_ptr > 0 => {
+                    let dst = ChunkAddr::new(0, 1, c.chunk);
+                    if dev.chunk_info(dst).write_ptr == geo.sectors_per_chunk {
+                        dev.reset_chunk(t, dst).expect(&what);
+                    }
+                    let srcs: Vec<Ppa> = (0..geo.ws_min).map(|s| c.ppa(s)).collect();
+                    dev.copy(t, &srcs, dst)
+                }
+                _ => continue,
+            };
+            t = done.unwrap_or_else(|e| panic!("{what}: {e}")).done;
+        }
+        assert!(dev.drain_events().is_empty(), "seed {seed}: media events");
+        assert_eq!(dev.stats().media_failures, 0, "seed {seed}");
+        assert_eq!(dev.grown_bad_blocks(), 0, "seed {seed}");
+        assert_eq!(dev.fault_ledger().total(), 0, "seed {seed}");
+        assert!(
+            dev.stats().resets.ops() > 0 && dev.stats().copies.ops() > 0,
+            "seed {seed}: the stream must exercise resets and copies"
+        );
+    }
 }

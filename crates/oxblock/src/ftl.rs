@@ -9,10 +9,7 @@ use ox_core::provision::Provisioner;
 use ox_core::recovery::{self, Journal, RecoveryOutcome};
 use ox_core::stats::FtlStats;
 use ox_core::wal::{WalError, WalRecord};
-use ox_core::{
-    badblock::{BadBlockTable, Orphan},
-    Media,
-};
+use ox_core::{badblock::BadBlockTable, Media};
 use ox_sim::trace::Obs;
 use ox_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -554,24 +551,11 @@ impl BlockFtl {
         retiring
     }
 
-    /// Ingests the device's asynchronous media events into the bad-block
-    /// table. Returns the orphaned pages the caller should re-place (see
-    /// [`BlockFtl::repair_media_events`] for the full salvage loop).
-    /// Advisory refresh flags are absorbed into the scrub queue, not the
-    /// bad-block table.
-    pub fn poll_media_events(&mut self) -> Vec<Orphan> {
-        let events = self.drain_and_queue_refreshes();
-        if events.is_empty() {
-            return Vec::new();
-        }
-        self.bbt.ingest(&events, &mut self.space)
-    }
-
     /// Drains media events and re-places every orphaned page that is still
     /// readable on its retired chunk (a program failure freezes the chunk
     /// with its written prefix intact). Pages whose media is gone (wear-out
     /// took the whole chunk offline) cannot be salvaged by a single-copy
-    /// FTL and stay in the orphan set; their reads return zeros, like
+    /// FTL and stay unmapped; their reads return zeros, like
     /// trimmed pages. Returns `(done, salvaged, lost)`.
     pub fn repair_media_events(
         &mut self,
@@ -610,12 +594,11 @@ impl BlockFtl {
                     match self.write(t, o.lpn, &buf) {
                         Ok(w) => {
                             t = w.done;
-                            self.bbt.mark_replaced(o.lpn);
                             self.stats.orphans_salvaged += 1;
                             salvaged += 1;
                         }
-                        // Nowhere left to re-place the page: it stays in the
-                        // orphan set, the salvage sweep keeps going.
+                        // Nowhere left to re-place the page: it stays
+                        // unmapped, the salvage sweep keeps going.
                         Err(BlockFtlError::ReadOnly) => {
                             self.stats.orphans_lost += 1;
                             lost += 1;
@@ -792,16 +775,6 @@ impl BlockFtl {
         self.journal.wal.bytes_written()
     }
 
-    /// The collector's currently marked group.
-    pub fn gc_marked_group(&self) -> u32 {
-        self.gc.marked_group()
-    }
-
-    /// Marks a group for collection (experiment control).
-    pub fn gc_mark_group(&mut self, group: u32) {
-        self.gc.mark_group(group);
-    }
-
     /// Free chunks remaining in the provisioner.
     pub fn free_chunks(&self) -> u32 {
         self.space.prov.free_chunks()
@@ -827,6 +800,7 @@ impl BlockFtl {
     }
 
     /// The bad-block table.
+    // oxcheck:allow(unreferenced_pub): operator's read-only view of which chunks the FTL retired; the scrub and event tests assert on it.
     pub fn bad_blocks(&self) -> &BadBlockTable {
         &self.bbt
     }
@@ -1163,7 +1137,7 @@ mod tests {
 
         // The device's advisory refresh flag is queued, never retired as a
         // bad block.
-        assert!(ftl.poll_media_events().is_empty());
+        assert_eq!(ftl.repair_media_events(t).unwrap(), (t, 0, 0));
         assert!(ftl.bad_blocks().is_empty());
         assert!(ftl.refresh_backlog() >= 1, "advisory flag queued");
 
@@ -1276,8 +1250,7 @@ mod tests {
     fn media_event_polling_retires_chunks() {
         let mut r = rig();
         let w = r.ftl.write(r.t, 0, &page(1)).unwrap();
-        assert!(r.ftl.poll_media_events().is_empty());
-        let _ = w;
+        assert_eq!(r.ftl.repair_media_events(w.done).unwrap(), (w.done, 0, 0));
         assert!(r.ftl.bad_blocks().is_empty());
     }
 }

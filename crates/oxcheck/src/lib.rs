@@ -29,6 +29,9 @@
 //!   `ox_core::logspace`; an `allocate_horizontal` / `allocate_in_group`
 //!   call or an `InvalidChunkState { .. }` pattern anywhere else is a
 //!   private copy of the data-log write path growing back.
+//! * **L11 `unreferenced_pub`** — a `pub fn` in a crate's sources that
+//!   nothing in the workspace names outside its own file's tests is surface
+//!   every refactor has to carry for nobody.
 //!
 //! See `docs/static-analysis.md` for the full catalog and pragma syntax.
 
@@ -73,6 +76,8 @@ pub enum Lint {
     /// L10: slot allocation and chunk-retiring error patterns outside
     /// `ox_core::logspace`.
     PrivatePlacement,
+    /// L11: public functions nothing in the workspace refers to.
+    UnreferencedPub,
 }
 
 impl Lint {
@@ -89,10 +94,11 @@ impl Lint {
             Lint::PostConstructionWiring => "post_construction_wiring",
             Lint::PrivateReplay => "private_replay",
             Lint::PrivatePlacement => "private_placement",
+            Lint::UnreferencedPub => "unreferenced_pub",
         }
     }
 
-    /// Catalog code (L1–L10).
+    /// Catalog code (L1–L11).
     pub fn code(self) -> &'static str {
         match self {
             Lint::StdSyncLock => "L1",
@@ -105,6 +111,7 @@ impl Lint {
             Lint::PostConstructionWiring => "L8",
             Lint::PrivateReplay => "L9",
             Lint::PrivatePlacement => "L10",
+            Lint::UnreferencedPub => "L11",
         }
     }
 }
@@ -245,18 +252,8 @@ pub struct Analysis {
     pub lock_graph: lockgraph::LockGraph,
 }
 
-/// Walks the workspace at `root` and runs every lint. Findings come back
-/// sorted by path, then line.
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    analyze_workspace_with(root, &Config::default())
-}
-
-/// [`analyze_workspace`] with an explicit scope configuration.
-pub fn analyze_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
-    analyze_workspace_full(root, cfg).map(|a| a.findings)
-}
-
-/// Full analysis: findings plus the static lock graph.
+/// Walks the workspace at `root` and runs every lint: findings (sorted by
+/// path, then line) plus the static lock graph.
 pub fn analyze_workspace_full(root: &Path, cfg: &Config) -> std::io::Result<Analysis> {
     let mut files = Vec::new();
     collect_files(root, root, cfg, &mut files)?;
@@ -299,6 +296,7 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
     let model_refs: Vec<&parser::FileModel> = models.iter().collect();
     let (lock_graph, l6) = lockgraph::build(&model_refs, cfg);
     late.extend(l6);
+    lints::lint_unreferenced_pub(&model_refs, &mut late);
 
     // Pragmas suppress the symbol-aware passes too.
     late.retain(|f| {

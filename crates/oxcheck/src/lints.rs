@@ -1,4 +1,4 @@
-//! Token-level lint passes (L1–L3, L8–L10) plus pragma and `#[cfg(test)]`
+//! Token-level lint passes (L1–L3, L8–L11) plus pragma and `#[cfg(test)]`
 //! scoping.
 //!
 //! All six passes run over the comment-free token stream produced by
@@ -9,6 +9,7 @@
 //! the wall clock undermines determinism just as much as library code.
 
 use crate::lexer::{lex, Token, TokenKind};
+use crate::parser::FileModel;
 use crate::{Config, Finding, Lint};
 use std::collections::{HashMap, HashSet};
 
@@ -484,6 +485,53 @@ fn lint_private_placement(
                     code[i].text
                 ),
             ));
+        }
+    }
+}
+
+/// L11: a `pub fn` in non-test code under `crates/*/src/` whose name no
+/// token in the workspace repeats, apart from `fn` definitions in its own
+/// file and that file's test code. Matching is by name, so a same-named
+/// function elsewhere hides a dead one — the lint only ever under-reports.
+pub(crate) fn lint_unreferenced_pub(models: &[&FileModel], out: &mut Vec<Finding>) {
+    let is_ident = |t: &&Token| t.kind == TokenKind::Ident;
+    let mut uses: HashMap<&str, usize> = HashMap::new();
+    for t in models.iter().flat_map(|m| &m.tokens).filter(is_ident) {
+        *uses.entry(t.text.as_str()).or_default() += 1;
+    }
+    for m in models {
+        if !m.path.starts_with("crates/") || !m.path.contains("/src/") || m.in_test(0) {
+            continue;
+        }
+        // Occurrences that are not references: definitions and own tests.
+        let mut own: HashMap<&str, usize> = HashMap::new();
+        let mut public = Vec::new();
+        for (i, t) in m.tokens.iter().enumerate().filter(|(_, t)| is_ident(t)) {
+            let before = |k: usize| i.checked_sub(k).map(|j| m.tokens[j].text.as_str());
+            let defines = before(1) == Some("fn");
+            if defines || m.in_test(t.line) {
+                *own.entry(t.text.as_str()).or_default() += 1;
+            }
+            let is_pub = before(2) == Some("pub")
+                || (before(2) == Some("const") && before(3) == Some("pub"));
+            if defines && is_pub && !m.in_test(t.line) && !m.in_macro(t.line) {
+                public.push(t);
+            }
+        }
+        for t in public {
+            if uses[t.text.as_str()] == own[t.text.as_str()] {
+                out.push(Finding::new(
+                    &m.path,
+                    t.line,
+                    Lint::UnreferencedPub,
+                    format!(
+                        "`pub fn {}` is referenced nowhere in the workspace outside \
+                         its own file's tests; delete it, or pragma-justify who \
+                         outside the workspace calls it",
+                        t.text
+                    ),
+                ));
+            }
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7) and L8–L10.
+//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7) and L8–L11.
 //!
 //! Each fixture under `tests/fixtures/` is a self-contained source file of
 //! true-positive and false-positive shapes, annotated inline with
@@ -9,8 +9,13 @@
 
 use oxcheck::{analyze_sources, Analysis, Config};
 
+/// Analyzes `src` as a one-file workspace. Such a workspace has no callers,
+/// so nearly every `pub fn` of a fixture is unreferenced: L11 findings are
+/// dropped here and asserted in the L11 test alone, which brings callers.
 fn analyze(path: &str, src: &str) -> Analysis {
-    analyze_sources(&[(path.to_string(), src.to_string())], &Config::default())
+    let mut a = analyze_sources(&[(path.to_string(), src.to_string())], &Config::default());
+    a.findings.retain(|f| f.lint.name() != "unreferenced_pub");
+    a
 }
 
 fn lines_of(analysis: &Analysis, lint: &str) -> Vec<u32> {
@@ -192,6 +197,40 @@ fn l10_private_placement_is_flagged_outside_the_files_that_own_it() {
         "examples/l10_private_placement.rs",
     ] {
         assert!(lines_of(&analyze(path, src), lint).is_empty(), "{path}");
+    }
+}
+
+/// L11 flags a `pub fn` of a crate's sources that no other token in the
+/// workspace names — its own file's test module does not count, another
+/// file's does — and leaves non-crate trees alone.
+#[test]
+fn l11_unreferenced_pub_is_flagged_until_another_file_names_it() {
+    let fixture = include_str!("fixtures/l11_unreferenced_pub.rs").to_string();
+    let callers = [
+        ("examples/walk.rs", "fn main() { let _ = t.free_chunks(); }"),
+        (
+            "crates/y/tests/harness.rs",
+            "#[test] fn t() { d.read_vector(); }",
+        ),
+    ];
+    let run = |path: &str| {
+        let mut sources = vec![(path.to_string(), fixture.clone())];
+        sources.extend(callers.map(|(p, s)| (p.to_string(), s.to_string())));
+        analyze_sources(&sources, &Config::default())
+    };
+    let a = run("crates/x/src/l11_unreferenced_pub.rs");
+    assert_eq!(
+        lines_of(&a, "unreferenced_pub"),
+        [7, 8, 9],
+        "{:#?}",
+        a.findings
+    );
+    assert!(a.findings[0].message.contains("dead_areas"));
+    for path in ["crates/x/tests/l11.rs", "examples/l11.rs", "src/l11.rs"] {
+        assert!(
+            lines_of(&run(path), "unreferenced_pub").is_empty(),
+            "{path}"
+        );
     }
 }
 

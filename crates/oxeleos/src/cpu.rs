@@ -49,11 +49,6 @@ impl CpuModel {
             / self.copy_bandwidth as u128) as u64;
         self.per_command + SimDuration::from_nanos(copy_ns)
     }
-
-    /// Aggregate copy bandwidth of the pool, bytes per second.
-    pub fn total_bandwidth(&self) -> u64 {
-        self.copy_bandwidth * self.cores as u64
-    }
 }
 
 /// The controller CPU: a pool of FIFO cores.

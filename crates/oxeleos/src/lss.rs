@@ -12,6 +12,7 @@
 
 use crate::cpu::{ControllerCpu, CpuModel};
 use ocssd::{ChunkAddr, ChunkState, DeviceError, Geometry, SECTOR_BYTES};
+use ox_core::badblock::retire_chunks;
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::logspace::{reset_or_retire, LogSpace};
 use ox_core::mapping::PageMap;
@@ -483,12 +484,12 @@ impl EleosFtl {
     /// allocations around the retired chunks. Pages of the live window that
     /// sit on a frozen chunk remain readable (the written prefix survives a
     /// program-failure freeze); the log-structured window reclaims the space
-    /// naturally as the head advances. Returns the number of events ingested.
+    /// naturally as the head advances. Advisory refresh flags are ignored
+    /// (OX-ELEOS has no scrubber): the chunk stays in service. Returns the
+    /// number of events ingested.
     pub fn ingest_media_events(&mut self) -> usize {
         let events = self.media.drain_events();
-        for ev in &events {
-            self.space.prov.mark_offline(ev.chunk);
-        }
+        retire_chunks(&events, &mut self.space.prov);
         events.len()
     }
 
@@ -500,11 +501,6 @@ impl EleosFtl {
     /// Absolute byte address of the log tail (next append position).
     pub fn tail_addr(&self) -> LogAddr {
         LogAddr(self.tail_lpn * SECTOR_BYTES as u64)
-    }
-
-    /// Absolute byte address of the log head (oldest live byte).
-    pub fn head_addr(&self) -> LogAddr {
-        LogAddr(self.head_lpn * SECTOR_BYTES as u64)
     }
 
     /// The controller CPU (Figure 7 utilization readout).
@@ -711,6 +707,51 @@ mod tests {
             "zero-copy completes faster"
         );
     }
+
+    /// An advisory `RefreshDue` says "relocate this data soon", not "this
+    /// chunk is bad": ingesting one must leave the chunk in circulation.
+    #[test]
+    fn a_refresh_flag_does_not_retire_the_chunk() {
+        let geo = ocssd::Geometry::small_slc();
+        let mut config = DeviceConfig::with_geometry(geo);
+        config.reliability = ocssd::ReliabilityConfig {
+            base_error_ppm: 2_000,
+            refresh_threshold_ppm: 2_500,
+            ..ocssd::ReliabilityConfig::aged(13)
+        };
+        let dev = SharedDevice::new(OcssdDevice::new(config));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+        let (mut ftl, t0) = EleosFtl::format(media, small_config(), SimTime::ZERO).unwrap();
+        let buf = buffer(3, 768 * 1024);
+        let (_, mut t) = ftl.append_buffer(t0, &buf).unwrap();
+        let free = ftl.space.prov.free_chunks();
+        let flagged = ftl.space.map.lookup(0).unwrap().chunk_addr();
+
+        // Read the buffer's first chunk until the device flags it, once.
+        let mut out = vec![0u8; geo.ws_min_bytes()];
+        while dev.health_ledger().refresh_flags == 0 {
+            t += SimDuration::from_millis(100);
+            let _ = dev.read(t, flagged.ppa(0), geo.ws_min, &mut out);
+        }
+        assert_eq!(dev.health_ledger().refresh_flags, 1);
+        assert_eq!(ftl.ingest_media_events(), 1);
+
+        // The chunk is still the open one on its PU: the next buffer
+        // continues on it instead of costing a fresh chunk.
+        let (addr, _) = ftl.append_buffer(t, &buf).unwrap();
+        assert_eq!(
+            ftl.space.prov.free_chunks(),
+            free,
+            "a healthy chunk was retired"
+        );
+        let first = addr.0 / SECTOR_BYTES as u64;
+        let on_flagged = (first..first + (buf.len() / SECTOR_BYTES) as u64)
+            .filter(|&lpn| ftl.space.map.lookup(lpn).unwrap().chunk_addr() == flagged);
+        assert!(
+            on_flagged.count() > 0,
+            "no later unit landed on {flagged:?}"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -812,8 +853,8 @@ mod recovery_tests {
             replayed < 300,
             "{replayed} buffers replayed: never truncated"
         );
-        assert_eq!(re.head_addr(), LogAddr((1000 - LIVE) * bytes));
         assert_eq!(re.tail_addr(), LogAddr(1000 * bytes));
+        assert_eq!(re.live_bytes(), LIVE * bytes);
         let mut out = vec![0u8; bytes as usize];
         for n in 1000 - LIVE..1000 {
             re.read(t, LogAddr(n * bytes), &mut out).unwrap();

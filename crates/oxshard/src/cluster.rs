@@ -33,8 +33,6 @@ pub struct ClusterConfig {
     pub geometry: Geometry,
     /// Logical capacity exposed per shard, in bytes.
     pub shard_capacity_bytes: u64,
-    /// Base seed; each shard device derives its own stream from it.
-    pub seed: u64,
     /// Arbitration policy of every per-shard scheduler.
     pub arbiter: ArbiterKind,
     /// Grown-bad-block delta on one shard that triggers a rebalance away
@@ -62,7 +60,6 @@ impl ClusterConfig {
             mode: Sharding::Hash,
             geometry: Geometry::small_slc(),
             shard_capacity_bytes: 16 << 20,
-            seed: 0x0C55D,
             arbiter: ArbiterKind::Deadline,
             rebalance_bad_blocks: 4,
             rebalance_slots: SLOTS / 16,
@@ -88,15 +85,6 @@ pub struct ClusterStats {
     pub migrated_keys: u64,
     /// Rebalances started (bad-block-driven or explicit).
     pub rebalances: u64,
-}
-
-/// SplitMix64 finalizer: every shard device gets its own decorrelated
-/// fault/timing stream from the cluster seed.
-fn shard_seed(base: u64, shard: u32) -> u64 {
-    let mut z = base ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The serving layer proper. Callers serialize access (through
@@ -132,7 +120,6 @@ impl ShardCluster {
         let mut end = now;
         for i in 0..cfg.shards {
             let mut dc = DeviceConfig::with_geometry(cfg.geometry);
-            dc.seed = shard_seed(cfg.seed, i);
             dc.obs = obs.clone();
             let dev = OcssdDevice::try_new(dc).map_err(|e| ShardError::Ftl {
                 shard: i,
@@ -211,14 +198,6 @@ impl ShardCluster {
     fn store(&self, shard: u32) -> Result<&ShardStore, ShardError> {
         self.shards
             .get(shard as usize)
-            .ok_or(ShardError::UnknownShard(shard))
-    }
-
-    /// Mutable access to one shard store — fault-injection harnesses drive
-    /// per-shard aging and fencing through this.
-    pub fn store_mut(&mut self, shard: u32) -> Result<&mut ShardStore, ShardError> {
-        self.shards
-            .get_mut(shard as usize)
             .ok_or(ShardError::UnknownShard(shard))
     }
 
@@ -387,6 +366,7 @@ impl ShardCluster {
     /// [`ShardCluster::maintain`] pass drains it (when
     /// [`ClusterConfig::drain_degraded`] is on). Reads keep working
     /// throughout.
+    // oxcheck:allow(unreferenced_pub): operator control documented in docs/lifetime.md; callers sit outside the workspace, the drain tests drive it.
     pub fn fence_shard(&mut self, shard: u32) -> Result<(), ShardError> {
         self.shards
             .get_mut(shard as usize)

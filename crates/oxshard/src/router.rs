@@ -114,11 +114,6 @@ impl Router {
         Ok(self.assign[self.slot_of(key)])
     }
 
-    /// The shard owning `slot`.
-    pub fn owner_of_slot(&self, slot: usize) -> u32 {
-        self.assign[slot % SLOTS]
-    }
-
     /// Number of slots owned by `shard`.
     pub fn slots_owned(&self, shard: u32) -> usize {
         self.assign.iter().filter(|&&s| s == shard).count()
@@ -354,11 +349,11 @@ mod tests {
         assert_eq!(id, 4);
         assert_eq!(moved.len(), SLOTS / 5);
         for &slot in &moved {
-            assert_eq!(r.owner_of_slot(slot), id);
+            assert_eq!(r.assign[slot], id);
         }
         for slot in 0..SLOTS {
             if !moved.contains(&slot) {
-                assert_eq!(r.owner_of_slot(slot), before.owner_of_slot(slot));
+                assert_eq!(r.assign[slot], before.assign[slot]);
             }
         }
     }
@@ -371,10 +366,10 @@ mod tests {
         assert_eq!(moved.len(), SLOTS / 6);
         for slot in 0..SLOTS {
             if moved.contains(&slot) {
-                assert_eq!(before.owner_of_slot(slot), 2);
-                assert_ne!(r.owner_of_slot(slot), 2);
+                assert_eq!(before.assign[slot], 2);
+                assert_ne!(r.assign[slot], 2);
             } else {
-                assert_eq!(r.owner_of_slot(slot), before.owner_of_slot(slot));
+                assert_eq!(r.assign[slot], before.assign[slot]);
             }
         }
         assert_eq!(r.remove_shard(2), Err(ShardError::UnknownShard(2)));

@@ -199,11 +199,6 @@ impl ShardStore {
         self.ftl.refresh_backlog()
     }
 
-    /// The FTL's lifetime statistics (WAF, GC, scrub counters).
-    pub fn ftl_stats(&self) -> &ox_core::stats::FtlStats {
-        self.ftl.stats()
-    }
-
     /// Upserts `key` → `value`. Transactional under crashes (the record page
     /// and its mapping commit atomically through the FTL's WAL).
     pub fn put(&mut self, now: SimTime, key: &[u8], value: &[u8]) -> Result<SimTime, ShardError> {

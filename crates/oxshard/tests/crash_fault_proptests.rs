@@ -39,9 +39,7 @@ fn cluster_config(shards: u32) -> ClusterConfig {
 }
 
 fn build_cluster(shards: u32, seed: u64) -> (ShardCluster, SimTime) {
-    let mut cfg = cluster_config(shards);
-    cfg.seed = seed;
-    ShardCluster::new(cfg, ocssd::Obs::new(4096), SimTime::ZERO)
+    ShardCluster::new(cluster_config(shards), ocssd::Obs::new(4096), SimTime::ZERO)
         .unwrap_or_else(|e| panic!("seed {seed}: cluster build failed: {e}"))
 }
 

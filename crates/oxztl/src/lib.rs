@@ -557,11 +557,6 @@ impl ZtlFtl {
         self.degraded
     }
 
-    /// Test hook mirroring `BlockFtl::degrade_to_read_only`.
-    pub fn degrade_to_read_only(&mut self) {
-        self.enter_degraded();
-    }
-
     /// Running counters.
     pub fn stats(&self) -> &ZtlStats {
         &self.stats
@@ -581,7 +576,10 @@ impl ZtlFtl {
 
     /// Drains device media events; zones whose chunks grew bad are sealed
     /// so no further append lands on failing media (GC drains and retires
-    /// them). Returns the number of events ingested.
+    /// them). An advisory `RefreshDue` seals its zone the same way, which
+    /// here is an early refresh and costs no capacity: the collector moves
+    /// the live data out, the reset succeeds and the zone returns to the
+    /// free pool. Returns the number of events ingested.
     pub fn ingest_media_events(&mut self) -> usize {
         let events = self.routed.drain_events();
         let n = events.len();
@@ -1540,5 +1538,43 @@ mod tests {
         assert_eq!(data, vec![1, 2, 3]);
         assert_eq!(trims, vec![9, 10]);
         assert!(parse_header(&vec![0u8; SECTOR_BYTES]).is_none());
+    }
+
+    /// oxztl's answer to an advisory `RefreshDue` is an early refresh, not
+    /// a retirement: the zone is sealed, the collector moves its live data
+    /// out, resets it and hands it back to the free pool — no capacity lost.
+    #[test]
+    fn a_refresh_flag_recycles_the_zone_instead_of_retiring_it() {
+        let mut config = DeviceConfig::with_geometry(tiny_geometry());
+        config.reliability = ocssd::ReliabilityConfig {
+            base_error_ppm: 2_000,
+            refresh_threshold_ppm: 2_500,
+            ..ocssd::ReliabilityConfig::aged(13)
+        };
+        let dev = SharedDevice::new(OcssdDevice::new(config));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+        let (mut ftl, t0) = ZtlFtl::format(media, tiny_cfg(), SimTime::ZERO).unwrap();
+        let mut t = ftl.write_sectors(t0, 5, &page(0xAA)).unwrap();
+        let zone = (ftl.l2p[5] / ftl.zone_sectors) as u32;
+
+        // Read the sector until the device flags its chunk, exactly once.
+        let mut out = page(0);
+        while dev.health_ledger().refresh_flags == 0 {
+            t += ox_sim::SimDuration::from_millis(100);
+            let _ = ftl.read_sectors(t, 5, 1, &mut out);
+        }
+        assert_eq!(dev.health_ledger().refresh_flags, 1);
+        assert_eq!(ftl.ingest_media_events(), 1);
+        assert!(ftl.zones[zone as usize].sealed && !ftl.free.contains(&zone));
+
+        // One step relocates, the next resets: the zone is free again.
+        for _ in 0..4 {
+            t = ftl.maybe_gc(t).unwrap().max(t);
+        }
+        assert!(ftl.free.contains(&zone), "zone {zone} never came back");
+        assert_eq!((ftl.stats().zone_resets, ftl.stats().zones_retired), (1, 0));
+        assert_ne!((ftl.l2p[5] / ftl.zone_sectors) as u32, zone);
+        let read = (0..8).find_map(|_| ftl.read_sectors(t, 5, 1, &mut out).ok());
+        assert!(read.is_some() && out[0] == 0xAA);
     }
 }

@@ -118,11 +118,6 @@ impl ZtlMedia {
         Ok((m, t))
     }
 
-    /// Runs `f` against the translation layer (stats, obs, GC hooks).
-    pub fn with_ftl<R>(&self, f: impl FnOnce(&mut ZtlFtl) -> R) -> R {
-        f(&mut self.lock().ftl)
-    }
-
     fn vindex(&self, chunk: ChunkAddr) -> Result<usize> {
         if !chunk.is_valid(&self.vgeo) {
             return Err(DeviceError::InvalidAddress(chunk.ppa(0)));

@@ -9,9 +9,8 @@
 //!
 //! An actor's [`Actor::step`] performs one logical unit of work *synchronously
 //! in virtual time* (e.g. "issue one KV operation", "flush one memtable") and
-//! tells the executor when it next wants to run. Actors may also park
-//! ([`Step::Idle`]) until another actor wakes them via [`Ctx::wake`], or
-//! retire ([`Step::Done`]).
+//! tells the executor when it next wants to run, or retires ([`Step::Done`]).
+//! There is no parking: a live actor always has exactly one entry in the heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -27,8 +26,6 @@ pub struct ActorId(usize);
 pub enum Step {
     /// Run again at the given virtual time (clamped to be ≥ now).
     RunAt(SimTime),
-    /// Park until some other actor calls [`Ctx::wake`].
-    Idle,
     /// The actor has finished and will never run again.
     Done,
 }
@@ -36,44 +33,16 @@ pub enum Step {
 /// A cooperative simulation participant.
 pub trait Actor {
     /// Performs one unit of work at virtual time `now`.
-    fn step(&mut self, now: SimTime, ctx: &mut Ctx<'_>) -> Step;
-}
-
-/// Executor services available to an actor during a step.
-pub struct Ctx<'a> {
-    self_id: ActorId,
-    wakes: &'a mut Vec<(ActorId, SimTime)>,
-}
-
-impl Ctx<'_> {
-    /// The id of the actor currently stepping.
-    pub fn self_id(&self) -> ActorId {
-        self.self_id
-    }
-
-    /// Requests that `target` runs no later than `at`. Wakes idle actors and
-    /// pulls scheduled ones earlier; never delays an actor.
-    pub fn wake(&mut self, target: ActorId, at: SimTime) {
-        self.wakes.push((target, at));
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    Scheduled(SimTime),
-    Idle,
-    Done,
-}
-
-struct Slot {
-    actor: Box<dyn Actor>,
-    state: SlotState,
+    fn step(&mut self, now: SimTime) -> Step;
 }
 
 /// Deterministic min-time actor scheduler.
 #[derive(Default)]
 pub struct Executor {
-    slots: Vec<Option<Slot>>,
+    // Each actor with its "has returned `Step::Done`" flag. A retired actor
+    // lives as long as the executor: what its `Drop` reports (a scan
+    // iterator closes its span there) keeps its place in the trace.
+    actors: Vec<(Box<dyn Actor>, bool)>,
     // Reverse((time, seq, idx)): earliest time first, FIFO within a time.
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     seq: u64,
@@ -99,28 +68,10 @@ impl Executor {
 
     /// Spawns an actor whose first step runs at `at`.
     pub fn spawn(&mut self, actor: Box<dyn Actor>, at: SimTime) -> ActorId {
-        let idx = self.slots.len();
-        self.slots.push(Some(Slot {
-            actor,
-            state: SlotState::Scheduled(at),
-        }));
+        let idx = self.actors.len();
+        self.actors.push((actor, false));
         self.push(idx, at);
         ActorId(idx)
-    }
-
-    /// Spawns an actor in the parked state; it runs only once woken.
-    pub fn spawn_idle(&mut self, actor: Box<dyn Actor>) -> ActorId {
-        let idx = self.slots.len();
-        self.slots.push(Some(Slot {
-            actor,
-            state: SlotState::Idle,
-        }));
-        ActorId(idx)
-    }
-
-    /// Wakes `target` to run no later than `at` (from outside a step).
-    pub fn wake(&mut self, target: ActorId, at: SimTime) {
-        self.apply_wake(target, at);
     }
 
     fn push(&mut self, idx: usize, at: SimTime) {
@@ -128,122 +79,30 @@ impl Executor {
         self.seq += 1;
     }
 
-    fn apply_wake(&mut self, target: ActorId, at: SimTime) {
-        let at = at.max(self.now);
-        let Some(slot) = self.slots.get_mut(target.0).and_then(Option::as_mut) else {
-            return;
-        };
-        match slot.state {
-            SlotState::Done => {}
-            SlotState::Idle => {
-                slot.state = SlotState::Scheduled(at);
-                self.push(target.0, at);
-            }
-            SlotState::Scheduled(cur) if at < cur => {
-                slot.state = SlotState::Scheduled(at);
-                self.push(target.0, at);
-            }
-            SlotState::Scheduled(_) => {}
-        }
-    }
-
     /// Runs the earliest pending actor step, if any. Returns `false` when no
-    /// actor is scheduled (all idle, done, or none spawned).
+    /// actor is scheduled (all done, or none spawned).
     pub fn step_one(&mut self) -> bool {
-        loop {
-            let Some(&Reverse((at, _, idx))) = self.heap.peek() else {
-                return false;
-            };
-            // Validate against slot state: stale heap entries are skipped.
-            let valid = matches!(
-                self.slots.get(idx).and_then(Option::as_ref),
-                Some(Slot { state: SlotState::Scheduled(t), .. }) if *t == at
-            );
-            self.heap.pop();
-            if !valid {
-                continue;
-            }
-            self.now = self.now.max(at);
-            self.steps += 1;
-
-            let mut slot = self.slots[idx].take().expect("validated above");
-            let mut wakes = Vec::new();
-            let mut ctx = Ctx {
-                self_id: ActorId(idx),
-                wakes: &mut wakes,
-            };
-            let step = slot.actor.step(self.now, &mut ctx);
-            match step {
-                Step::RunAt(t) => {
-                    let t = t.max(self.now);
-                    slot.state = SlotState::Scheduled(t);
-                    self.slots[idx] = Some(slot);
-                    self.push(idx, t);
-                }
-                Step::Idle => {
-                    slot.state = SlotState::Idle;
-                    self.slots[idx] = Some(slot);
-                }
-                Step::Done => {
-                    slot.state = SlotState::Done;
-                    self.slots[idx] = Some(slot);
-                }
-            }
-            for (target, t) in wakes {
-                self.apply_wake(target, t);
-            }
-            return true;
+        let Some(Reverse((at, _, idx))) = self.heap.pop() else {
+            return false;
+        };
+        self.now = self.now.max(at);
+        self.steps += 1;
+        match self.actors[idx].0.step(self.now) {
+            Step::RunAt(t) => self.push(idx, t.max(self.now)),
+            Step::Done => self.actors[idx].1 = true,
         }
+        true
     }
 
     /// Runs until no actor is scheduled. Returns the final virtual time.
-    ///
-    /// Panics if more than `u64::MAX` steps execute (practically never); use
-    /// [`Executor::run_until`] to bound long simulations.
     pub fn run(&mut self) -> SimTime {
         while self.step_one() {}
         self.now
     }
 
-    /// Runs steps whose deadline is ≤ `deadline`; later work stays queued.
-    /// Returns the virtual time reached.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        loop {
-            match self.heap.peek() {
-                Some(&Reverse((at, _, _))) if at <= deadline => {
-                    self.step_one();
-                }
-                _ => break,
-            }
-        }
-        self.now = self
-            .now
-            .max(deadline.min(self.next_deadline().unwrap_or(deadline)));
-        self.now
-    }
-
-    /// Deadline of the next scheduled step, if any.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        // Peek may be stale; scan slots instead (cheap: slot count is small).
-        self.slots
-            .iter()
-            .flatten()
-            .filter_map(|s| match s.state {
-                SlotState::Scheduled(t) => Some(t),
-                _ => None,
-            })
-            .min()
-    }
-
     /// True if the actor has retired.
     pub fn is_done(&self, id: ActorId) -> bool {
-        matches!(
-            self.slots.get(id.0).and_then(Option::as_ref),
-            Some(Slot {
-                state: SlotState::Done,
-                ..
-            })
-        )
+        self.actors.get(id.0).is_some_and(|&(_, done)| done)
     }
 }
 
@@ -251,7 +110,6 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::SimDuration;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     struct Ticker {
@@ -262,7 +120,7 @@ mod tests {
     }
 
     impl Actor for Ticker {
-        fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
+        fn step(&mut self, now: SimTime) -> Step {
             self.log.lock().push((now.as_nanos(), self.name));
             if self.remaining == 0 {
                 return Step::Done;
@@ -332,79 +190,39 @@ mod tests {
         assert_eq!(names, vec!["x", "y", "z"]);
     }
 
-    struct Waker {
-        target: ActorId,
+    /// Asks to run in the past on its first step, then retires.
+    struct Backdater {
+        seen: Arc<crate::sync::Mutex<Vec<u64>>>,
     }
-    impl Actor for Waker {
-        fn step(&mut self, now: SimTime, ctx: &mut Ctx<'_>) -> Step {
-            ctx.wake(self.target, now + SimDuration::from_nanos(3));
-            Step::Done
-        }
-    }
-
-    struct Sleeper {
-        hits: Arc<AtomicU64>,
-    }
-    impl Actor for Sleeper {
-        fn step(&mut self, now: SimTime, _ctx: &mut Ctx<'_>) -> Step {
-            self.hits.fetch_add(now.as_nanos(), Ordering::Relaxed);
-            Step::Idle
+    impl Actor for Backdater {
+        fn step(&mut self, now: SimTime) -> Step {
+            let mut seen = self.seen.lock();
+            seen.push(now.as_nanos());
+            if seen.len() == 1 {
+                Step::RunAt(SimTime::from_nanos(3))
+            } else {
+                Step::Done
+            }
         }
     }
 
     #[test]
-    fn wake_rouses_idle_actor() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let mut ex = Executor::new();
-        let sleeper = ex.spawn_idle(Box::new(Sleeper { hits: hits.clone() }));
-        ex.spawn(Box::new(Waker { target: sleeper }), SimTime::from_nanos(10));
-        ex.run();
-        assert_eq!(hits.load(Ordering::Relaxed), 13);
-    }
-
-    #[test]
-    fn wake_pulls_scheduled_actor_earlier_but_never_later() {
-        let log = Arc::new(crate::sync::Mutex::new(Vec::new()));
-        let mut ex = Executor::new();
-        let t = ex.spawn(
-            Box::new(Ticker {
-                period: SimDuration::ZERO,
-                remaining: 0,
-                log: log.clone(),
-                name: "t",
-            }),
-            SimTime::from_nanos(100),
-        );
-        ex.wake(t, SimTime::from_nanos(40));
-        ex.wake(t, SimTime::from_nanos(60)); // later wake: no effect
-        ex.run();
-        assert_eq!(log.lock().clone(), vec![(40, "t")]);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let log = Arc::new(crate::sync::Mutex::new(Vec::new()));
+    fn run_at_in_the_past_clamps_to_now() {
+        let seen = Arc::new(crate::sync::Mutex::new(Vec::new()));
         let mut ex = Executor::new();
         ex.spawn(
-            Box::new(Ticker {
-                period: SimDuration::from_nanos(10),
-                remaining: 9,
-                log: log.clone(),
-                name: "a",
-            }),
-            SimTime::ZERO,
+            Box::new(Backdater { seen: seen.clone() }),
+            SimTime::from_nanos(50),
         );
-        ex.run_until(SimTime::from_nanos(35));
-        assert_eq!(log.lock().len(), 4); // t=0,10,20,30
-        ex.run();
-        assert_eq!(log.lock().len(), 10);
+        assert_eq!(ex.run(), SimTime::from_nanos(50));
+        assert_eq!(seen.lock().clone(), vec![50, 50]);
     }
 
     #[test]
-    fn done_actor_ignores_wakes() {
+    fn a_done_actor_never_runs_again() {
         let log = Arc::new(crate::sync::Mutex::new(Vec::new()));
         let mut ex = Executor::new();
-        let id = ex.spawn(
+        let once = ex.spawn(
             Box::new(Ticker {
                 period: SimDuration::ZERO,
                 remaining: 0,
@@ -413,11 +231,23 @@ mod tests {
             }),
             SimTime::ZERO,
         );
+        let ticker = ex.spawn(
+            Box::new(Ticker {
+                period: SimDuration::from_nanos(10),
+                remaining: 2,
+                log: log.clone(),
+                name: "t",
+            }),
+            SimTime::ZERO,
+        );
+        assert!(ex.step_one());
+        assert!(ex.is_done(once) && !ex.is_done(ticker));
         ex.run();
-        assert!(ex.is_done(id));
-        ex.wake(id, SimTime::from_nanos(50));
-        ex.run();
-        assert_eq!(log.lock().len(), 1);
+        assert!(ex.is_done(ticker));
+        assert_eq!(ex.steps(), 4);
+        assert!(!ex.step_one());
+        let names: Vec<_> = log.lock().iter().map(|&(_, n)| n).collect();
+        assert_eq!(names, vec!["once", "t", "t", "t"]);
     }
 
     #[test]

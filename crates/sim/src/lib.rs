@@ -41,7 +41,7 @@ pub mod sync;
 pub mod time;
 pub mod trace;
 
-pub use executor::{Actor, ActorId, Ctx, Executor, Step};
+pub use executor::{Actor, ActorId, Executor, Step};
 #[cfg(debug_assertions)]
 pub use lockdep::{observed_edges, ObservedEdge};
 pub use resource::Timeline;

@@ -56,20 +56,9 @@ impl Timeline {
         Grant { start, end }
     }
 
-    /// Reserves the resource until at least `until` without counting service
-    /// time (used to model exclusive holds such as cache-full stalls).
-    pub fn block_until(&mut self, until: SimTime) {
-        self.busy_until = self.busy_until.max(until);
-    }
-
     /// The instant the resource next becomes free.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Whether the resource would make a request arriving `now` wait.
-    pub fn is_busy_at(&self, now: SimTime) -> bool {
-        self.busy_until > now
     }
 
     /// Total service time accumulated.
@@ -161,20 +150,6 @@ mod tests {
         tl.acquire(t(0), d(100));
         assert_eq!(tl.utilization(SimTime::ZERO), 0.0);
         assert_eq!(tl.utilization(t(10)), 1.0);
-    }
-
-    #[test]
-    fn block_until_extends_busy_window() {
-        let mut tl = Timeline::new();
-        tl.block_until(t(50));
-        assert!(tl.is_busy_at(t(10)));
-        let g = tl.acquire(t(10), d(5));
-        assert_eq!(g.start, t(50));
-        // block_until does not count as service time.
-        assert_eq!(tl.busy_time(), d(5));
-        // block_until never shrinks the window.
-        tl.block_until(t(1));
-        assert_eq!(tl.busy_until(), t(55));
     }
 
     #[test]

@@ -132,16 +132,6 @@ impl Prng {
             rem.copy_from_slice(&bytes[..rem.len()]);
         }
     }
-
-    /// Exponentially distributed draw with the given mean (for Poisson
-    /// arrival processes). Returns 0 if `mean == 0`.
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        // Inverse CDF; 1 - u avoids ln(0).
-        -mean * (1.0 - self.gen_f64()).ln()
-    }
 }
 
 #[cfg(test)]
@@ -256,16 +246,5 @@ mod tests {
                 assert!(buf.iter().any(|&b| b != 0), "len {len} left all zero");
             }
         }
-    }
-
-    #[test]
-    fn gen_exp_has_roughly_right_mean() {
-        let mut r = Prng::seed_from_u64(11);
-        let n = 20_000;
-        let mean_target = 3.0;
-        let sum: f64 = (0..n).map(|_| r.gen_exp(mean_target)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - mean_target).abs() < 0.15, "mean {mean}");
-        assert_eq!(r.gen_exp(0.0), 0.0);
     }
 }

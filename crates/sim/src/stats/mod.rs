@@ -54,9 +54,32 @@ impl Counter {
     }
 }
 
+/// The nearest-rank `q`-quantile (0..=1) of samples sorted ascending: the
+/// sample at index `round((len - 1) * q)`; 0 with no samples. Exact, unlike
+/// [`Histogram::quantile`], which answers from buckets.
+pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_rounds_to_the_closest_sample() {
+        assert_eq!(nearest_rank(&[], 0.5), 0);
+        assert_eq!(nearest_rank(&[7], 0.99), 7);
+        let s = [10, 20, 30, 40];
+        assert_eq!(nearest_rank(&s, 0.0), 10);
+        assert_eq!(nearest_rank(&s, 0.5), 30); // 1.5 rounds away from zero
+        assert_eq!(nearest_rank(&s, 0.49), 20);
+        assert_eq!(nearest_rank(&s, 1.0), 40);
+        assert_eq!(nearest_rank(&s, 2.0), 40);
+    }
 
     #[test]
     fn counter_accumulates() {

@@ -70,15 +70,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Mean rate over all windows up to the last event (0.0 if empty).
-    pub fn mean_rate(&self) -> f64 {
-        if self.counts.is_empty() {
-            return 0.0;
-        }
-        let span = self.window.as_secs_f64() * self.counts.len() as f64;
-        self.total as f64 / span
-    }
-
     /// Peak single-window rate (0.0 if empty).
     pub fn peak_rate(&self) -> f64 {
         self.counts
@@ -135,9 +126,7 @@ mod tests {
         let mut s = ts();
         s.record_at(SimTime::from_millis(500), 10);
         s.record_at(SimTime::from_millis(1500), 30);
-        assert!((s.mean_rate() - 20.0).abs() < 1e-9);
         assert!((s.peak_rate() - 30.0).abs() < 1e-9);
-        assert_eq!(ts().mean_rate(), 0.0);
         assert_eq!(ts().peak_rate(), 0.0);
     }
 

@@ -109,25 +109,10 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Constructs a span from fractional seconds, rounding to nanoseconds.
-    ///
-    /// Panics if `s` is negative or not finite.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole microseconds (truncated).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Whole milliseconds (truncated).
@@ -342,15 +327,8 @@ mod tests {
 
     #[test]
     fn secs_f64_round_trip() {
-        let d = SimDuration::from_secs_f64(1.5);
-        assert_eq!(d, SimDuration::from_millis(1500));
+        let d = SimDuration::from_millis(1500);
         assert!((d.as_secs_f64() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]

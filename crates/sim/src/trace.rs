@@ -129,11 +129,6 @@ impl Tracer {
         }
     }
 
-    /// Whether events are currently being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.lock().enabled
-    }
-
     fn push(g: &mut TracerInner, mut ev: TraceEvent) {
         ev.seq = g.next_seq;
         g.next_seq += 1;
@@ -479,17 +474,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Adds `delta` (may be negative) to gauge `name`.
-    pub fn gauge_add(&self, name: &str, delta: i64) {
-        let mut g = self.inner.lock();
-        match g.gauges.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                g.gauges.insert(name.to_string(), delta);
-            }
-        }
-    }
-
     /// Records `sample` into histogram `name`.
     pub fn observe(&self, name: &str, sample: u64) {
         let mut g = self.inner.lock();
@@ -508,16 +492,6 @@ impl MetricsRegistry {
         self.inner
             .lock()
             .counters
-            .get(name)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Current value of gauge `name` (0 if absent).
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.inner
-            .lock()
-            .gauges
             .get(name)
             .copied()
             .unwrap_or_default()
@@ -718,13 +692,12 @@ mod tests {
         m.record("device.write", 4096);
         m.add("device.write", 2, 8192);
         m.gauge_set("device.pu.depth", 3);
-        m.gauge_add("device.pu.depth", -1);
         m.observe("lat", 100);
         m.observe("lat", 300);
         assert_eq!(m.counter("device.write").ops(), 3);
         assert_eq!(m.counter("device.write").bytes(), 12288);
-        assert_eq!(m.gauge("device.pu.depth"), 2);
         let snap = m.snapshot();
+        assert_eq!(snap.gauges["device.pu.depth"], 3);
         assert_eq!(snap.histograms["lat"].count(), 2);
         assert_eq!(m.counter("absent").ops(), 0);
     }
