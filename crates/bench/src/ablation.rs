@@ -20,14 +20,14 @@
 //! the KV-SSD coalesces across puts).
 //!
 //! Per backend and workload the report carries throughput in operations
-//! per *virtual* second, wall nanoseconds per operation (simulator cost;
-//! excluded from the observability snapshot so double runs stay
-//! byte-identical), steady-state write amplification measured over the
-//! run phase from device counters, and p50/p99 latency.
+//! per *virtual* second, steady-state write amplification measured over
+//! the run phase from device counters, and p50/p99 latency.
 
+use crate::backend::BenchBackend;
 use crate::ycsb::{
     self, YcsbBackend, YcsbConfig, YcsbGet, YcsbPut, YcsbReport, YcsbScan, YcsbWorkload,
 };
+use crate::Report;
 use ocssd::{CellType, DeviceConfig, Geometry, SharedDevice, SECTOR_BYTES};
 use ox_block::{BlockFtl, BlockFtlConfig};
 use ox_core::{Media, OcssdMedia};
@@ -377,9 +377,6 @@ pub struct AblationCell {
     pub phys_write_bytes: u64,
     /// Logical bytes the workload's write legs submitted.
     pub user_write_bytes: u64,
-    /// Wall nanoseconds the simulator spent per operation (not part of
-    /// the observability snapshot).
-    pub wall_ns_per_op: u64,
 }
 
 impl AblationCell {
@@ -424,12 +421,7 @@ fn fresh_device(obs: &Obs) -> (SharedDevice, Arc<dyn Media>) {
 
 /// Loads, warms and measures every workload on one backend, snapshotting
 /// device write counters around each measured phase.
-fn run_backend<B, F>(
-    cfg: &AblationConfig,
-    obs: &Obs,
-    wall_enabled: bool,
-    make: F,
-) -> Vec<AblationCell>
+fn run_backend<B, F>(cfg: &AblationConfig, obs: &Obs, make: F) -> Vec<AblationCell>
 where
     B: YcsbBackend,
     F: FnOnce(Arc<dyn Media>) -> (B, SimTime),
@@ -449,9 +441,7 @@ where
     for workload in WORKLOADS {
         let ycsb_cfg = cfg.ycsb(workload);
         let before = dev.with(|d| d.stats().clone());
-        let wall_start = wall_enabled.then(std::time::Instant::now);
         let (report, done) = ycsb::run_ycsb(&backend, &ycsb_cfg, obs, t);
-        let wall_ns = wall_start.map_or(0, |s| s.elapsed().as_nanos() as u64);
         t = done;
         let after = dev.with(|d| d.stats().clone());
         let phys_write_bytes = (after.writes.bytes() - before.writes.bytes())
@@ -460,7 +450,6 @@ where
         cells.push(AblationCell {
             backend: backend.label(),
             workload,
-            wall_ns_per_op: wall_ns / report.total_ops.max(1),
             report,
             phys_write_bytes,
             user_write_bytes,
@@ -471,56 +460,94 @@ where
     cells
 }
 
-/// Runs the full three-interface ablation. `wall_enabled` gates the
-/// wall-clock sampling (tests disable it; the numbers would still stay out
-/// of `obs`, but zeroing them keeps test output stable).
-pub fn run(cfg: &AblationConfig, obs: &Obs, wall_enabled: bool) -> AblationResult {
-    run_filtered(cfg, obs, wall_enabled, None)
-}
-
-/// [`run`] restricted to one interface when `only` names it —
-/// the `OX_BACKEND` matrix leg; `None` runs all three.
-pub fn run_filtered(
-    cfg: &AblationConfig,
-    obs: &Obs,
-    wall_enabled: bool,
-    only: Option<&str>,
-) -> AblationResult {
-    let wanted = |name: &str| only.is_none_or(|b| b == name);
+/// Runs the three-interface ablation, or the one interface `only` names
+/// (the `OX_BACKEND` matrix leg).
+pub fn run(cfg: &AblationConfig, only: Option<BenchBackend>, obs: &Obs) -> AblationResult {
+    let wanted = |b: BenchBackend| only.is_none_or(|o| o == b);
     let mut cells = Vec::new();
-    if wanted("oxblock") {
-        cells.extend(run_backend::<BlockAblation, _>(
-            cfg,
-            obs,
-            wall_enabled,
-            |m| {
-                // Slot space sized to the population; the device provides the
-                // over-provisioning headroom.
-                BlockAblation::format(m, cfg.record_count, cfg.ycsb(YcsbWorkload::A).value_bytes)
-            },
-        ));
+    if wanted(BenchBackend::OxBlock) {
+        cells.extend(run_backend::<BlockAblation, _>(cfg, obs, |m| {
+            // Slot space sized to the population; the device provides the
+            // over-provisioning headroom.
+            BlockAblation::format(m, cfg.record_count, cfg.ycsb(YcsbWorkload::A).value_bytes)
+        }));
     }
-    if wanted("oxztl") {
-        cells.extend(run_backend::<ZtlAblation, _>(cfg, obs, wall_enabled, |m| {
+    if wanted(BenchBackend::Oxztl) {
+        cells.extend(run_backend::<ZtlAblation, _>(cfg, obs, |m| {
             let value_bytes = cfg.ycsb(YcsbWorkload::A).value_bytes;
             let (b, t) = ZtlAblation::format(m, ZtlConfig::default());
             (b.with_value_bytes(value_bytes), t)
         }));
     }
-    if wanted("kvssd") {
-        cells.extend(run_backend::<KvAblation, _>(
-            cfg,
-            obs,
-            wall_enabled,
-            KvAblation::format,
-        ));
+    if wanted(BenchBackend::Kvssd) {
+        cells.extend(run_backend::<KvAblation, _>(cfg, obs, KvAblation::format));
     }
-    assert!(
-        !cells.is_empty(),
-        "OX_BACKEND={:?}: expected \"oxblock\", \"oxztl\" or \"kvssd\"",
-        only
-    );
     AblationResult { cells }
+}
+
+/// The `fig_ablation` figure: [`run`], with the backend × workload
+/// table (and, for the full matrix, the per-workload comparison) written to
+/// `out`.
+pub fn report(cfg: &AblationConfig, only: Option<BenchBackend>, obs: &Obs, out: &mut Report) {
+    out.line("§5 — cross-interface ablation: YCSB A/B/C over oxblock, oxztl and kvssd");
+    out.line(format!(
+        "identical devices, {} records × {} KB, {} ops/workload after a {}-op warm-up{}\n",
+        cfg.record_count,
+        RECORD_SECTORS as usize * SECTOR_BYTES / 1024,
+        cfg.operations,
+        cfg.warmup_operations,
+        only.map(|b| format!("; restricted to {}", b.label()))
+            .unwrap_or_default(),
+    ));
+    let result = run(cfg, only, obs);
+
+    let widths = [9usize, 8, 12, 10, 10, 10];
+    out.row(
+        &[
+            "backend",
+            "workload",
+            "kops/vsec",
+            "WAF",
+            "p50 (µs)",
+            "p99 (µs)",
+        ],
+        &widths,
+    );
+    out.sep(&widths);
+    for cell in &result.cells {
+        out.row(
+            &[
+                cell.backend.into(),
+                format!("{:?}", cell.workload),
+                format!("{:.1}", cell.report.kops_per_sec()),
+                if cell.user_write_bytes == 0 {
+                    "-".into()
+                } else {
+                    format!("{:.2}", cell.waf())
+                },
+                format!("{:.1}", cell.report.quantile_ns(0.50) as f64 / 1000.0),
+                format!("{:.1}", cell.report.quantile_ns(0.99) as f64 / 1000.0),
+            ],
+            &widths,
+        );
+    }
+    out.sep(&widths);
+
+    out.line(
+        "\n(WAF = device program + copy bytes over the measured phase ÷ submitted write bytes;",
+    );
+    out.line(" C is read-only, so no WAF.)");
+    if only.is_none() {
+        for w in WORKLOADS {
+            out.line(format!(
+                "  {:?}: kops/vsec oxblock {:.1} | oxztl {:.1} | kvssd {:.1}",
+                w,
+                result.cell("oxblock", w).report.kops_per_sec(),
+                result.cell("oxztl", w).report.kops_per_sec(),
+                result.cell("kvssd", w).report.kops_per_sec(),
+            ));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -530,7 +557,7 @@ mod tests {
     #[test]
     fn all_three_interfaces_complete_the_point_op_subset() {
         let cfg = AblationConfig::quick();
-        let r = run(&cfg, &Obs::default(), false);
+        let r = run(&cfg, None, &Obs::default());
         assert_eq!(r.cells.len(), 9, "3 backends × 3 workloads");
         for cell in &r.cells {
             assert_eq!(

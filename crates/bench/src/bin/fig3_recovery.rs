@@ -3,7 +3,7 @@
 //! Usage: `cargo run --release -p ox-bench --bin fig3_recovery [--quick]`
 
 use ox_bench::fig3::{interval_label, run, Fig3Config};
-use ox_bench::{export_obs, figure_obs, print_row, print_sep, quick_mode};
+use ox_bench::{figure_obs, quick_mode, Report};
 
 fn main() {
     let cfg = if quick_mode() {
@@ -11,31 +11,32 @@ fn main() {
     } else {
         Fig3Config::full()
     };
-    println!(
-        "Figure 3 — recovery time vs. failure point (OX-Block, random ≤1 MB transactional writes)"
+    let mut report = Report::new("fig3_recovery", None);
+    report.line(
+        "Figure 3 — recovery time vs. failure point (OX-Block, random ≤1 MB transactional writes)",
     );
-    println!(
+    report.line(format!(
         "device: paper TLC geometry scaled (22, 8); failure points T1..T6 = {:?} s\n",
         cfg.fail_points
-    );
+    ));
     let obs = figure_obs();
     let result = run(&cfg, &obs).expect("experiment");
 
     let widths = [10usize, 10, 14, 14, 12];
-    print_row(
+    report.row(
         &[
-            "config".into(),
-            "fail@ (s)".into(),
-            "recovery (s)".into(),
-            "frames read".into(),
-            "txns replay".into(),
+            "config",
+            "fail@ (s)",
+            "recovery (s)",
+            "frames read",
+            "txns replay",
         ],
         &widths,
     );
-    print_sep(&widths);
+    report.sep(&widths);
     for curve in &result.curves {
         for p in &curve.points {
-            print_row(
+            report.row(
                 &[
                     interval_label(curve.interval),
                     format!("{:.1}", p.fail_at_secs),
@@ -46,28 +47,28 @@ fn main() {
                 &widths,
             );
         }
-        print_sep(&widths);
+        report.sep(&widths);
     }
 
     let no = &result.curves[0].points;
-    println!("\nshape check (paper: linear growth without checkpoints; flat bounded with):");
-    println!(
+    report.line("\nshape check (paper: linear growth without checkpoints; flat bounded with):");
+    report.line(format!(
         "  no-checkpoint growth T6/T1: {:.1}x (paper: ~linear in log volume)",
         no[5].recovery_secs / no[0].recovery_secs.max(1e-9)
-    );
+    ));
     for curve in &result.curves[1..] {
         let max = curve
             .points
             .iter()
             .map(|p| p.recovery_secs)
             .fold(0.0f64, f64::max);
-        println!(
+        report.line(format!(
             "  {}: max recovery {:.3}s = {:.0}% of no-checkpoint T6 ({:.3}s)",
             interval_label(curve.interval),
             max,
             max / no[5].recovery_secs * 100.0,
             no[5].recovery_secs
-        );
+        ));
     }
-    export_obs("fig3_recovery", &obs);
+    report.finish(&obs);
 }

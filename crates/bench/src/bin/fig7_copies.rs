@@ -4,7 +4,7 @@
 //! Usage: `cargo run --release -p ox-bench --bin fig7_copies [--quick]`
 
 use ox_bench::fig7::{run, Fig7Config, Fig7Point};
-use ox_bench::{export_obs, figure_obs, print_row, print_sep, quick_mode};
+use ox_bench::{figure_obs, quick_mode, Report};
 
 fn main() {
     let cfg = if quick_mode() {
@@ -12,11 +12,12 @@ fn main() {
     } else {
         Fig7Config::full()
     };
-    println!("Figure 7 — controller CPU utilization vs. host write threads (OX-ELEOS, ~8 MB LSS buffers)");
-    println!(
+    let mut report = Report::new("fig7_copies", None);
+    report.line("Figure 7 — controller CPU utilization vs. host write threads (OX-ELEOS, ~8 MB LSS buffers)");
+    report.line(format!(
         "controller model: 2 ARMv8 data-path cores, memcpy 1.75 GB/s/core; {}s virtual run\n",
         cfg.duration.as_secs_f64()
-    );
+    ));
     let obs = figure_obs();
     let result = run(&cfg, &obs);
 
@@ -25,8 +26,8 @@ fn main() {
     for n in cfg.thread_counts {
         header.push(format!("{n} thread(s)"));
     }
-    print_row(&header, &widths);
-    print_sep(&widths);
+    report.row(&header, &widths);
+    report.sep(&widths);
     let rows: [(&str, &Vec<Fig7Point>); 3] = [
         ("2 copies (OX as published)", &result.two_copies),
         ("1 copy (zero-copy rx)", &result.one_copy),
@@ -37,27 +38,27 @@ fn main() {
         for p in points {
             cells.push(format!("{:.0}%", p.cpu_utilization_pct));
         }
-        print_row(&cells, &widths);
+        report.row(&cells, &widths);
         let mut cells = vec!["  ingest (MB/s)".to_string()];
         for p in points {
             cells.push(format!("{:.0}", p.ingest_mb_per_sec));
         }
-        print_row(&cells, &widths);
-        print_sep(&widths);
+        report.row(&cells, &widths);
+        report.sep(&widths);
     }
 
     let u = &result.two_copies;
-    println!("\nshape check vs. the paper:");
-    println!(
+    report.line("\nshape check vs. the paper:");
+    report.line(format!(
         "  'the storage controller is saturated with 2 host threads': 1t {:.0}%, 2t {:.0}%, 4t {:.0}%, 8t {:.0}%",
         u[0].cpu_utilization_pct,
         u[1].cpu_utilization_pct,
         u[2].cpu_utilization_pct,
         u[3].cpu_utilization_pct
-    );
-    println!(
+    ));
+    report.line(format!(
         "  ingest plateau past saturation: 2t {:.0} MB/s vs 8t {:.0} MB/s",
         u[1].ingest_mb_per_sec, u[3].ingest_mb_per_sec
-    );
-    export_obs("fig7_copies", &obs);
+    ));
+    report.finish(&obs);
 }

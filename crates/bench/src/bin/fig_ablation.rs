@@ -4,139 +4,24 @@
 //! the interface cost?" measured as throughput, steady-state write
 //! amplification and tail latency from a single run.
 //!
-//! By default all three interfaces run and `results/BENCH_ablation.json`
-//! carries the full matrix; `OX_BACKEND=oxztl` (or `oxblock`, `kvssd`)
-//! restricts the run to one interface and tags its artifacts so a CI
-//! matrix leg never clobbers the three-way result.
+//! By default all three interfaces run; `OX_BACKEND=oxblock|oxztl|kvssd`
+//! restricts the run to one interface (a CI matrix leg).
 //!
 //! Usage: `cargo run --release -p ox-bench --bin fig_ablation [--quick]`
 
-use ocssd::SECTOR_BYTES;
-use ox_bench::ablation::{
-    run_filtered, AblationCell, AblationConfig, AblationResult, RECORD_SECTORS, WORKLOADS,
-};
-use ox_bench::{export_bench_json, export_obs, figure_obs, print_row, print_sep, quick_mode};
-
-fn cell_json(cell: &AblationCell) -> String {
-    format!(
-        concat!(
-            "{{\"backend\": \"{}\", \"workload\": \"{:?}\", \"ops\": {}, ",
-            "\"kops_per_virtual_sec\": {:.3}, \"wall_ns_per_op\": {}, ",
-            "\"steady_state_waf\": {:.4}, \"p50_ns\": {}, \"p99_ns\": {}, ",
-            "\"phys_write_bytes\": {}, \"user_write_bytes\": {}}}"
-        ),
-        cell.backend,
-        cell.workload,
-        cell.report.total_ops,
-        cell.report.kops_per_sec(),
-        cell.wall_ns_per_op,
-        cell.waf(),
-        cell.report.quantile_ns(0.50),
-        cell.report.quantile_ns(0.99),
-        cell.phys_write_bytes,
-        cell.user_write_bytes,
-    )
-}
-
-fn print_result(result: &AblationResult) {
-    let widths = [9usize, 8, 12, 12, 10, 10, 10];
-    print_row(
-        &[
-            "backend".into(),
-            "workload".into(),
-            "kops/vsec".into(),
-            "wall ns/op".into(),
-            "WAF".into(),
-            "p50 (µs)".into(),
-            "p99 (µs)".into(),
-        ],
-        &widths,
-    );
-    print_sep(&widths);
-    for cell in &result.cells {
-        print_row(
-            &[
-                cell.backend.into(),
-                format!("{:?}", cell.workload),
-                format!("{:.1}", cell.report.kops_per_sec()),
-                cell.wall_ns_per_op.to_string(),
-                if cell.user_write_bytes == 0 {
-                    "-".into()
-                } else {
-                    format!("{:.2}", cell.waf())
-                },
-                format!("{:.1}", cell.report.quantile_ns(0.50) as f64 / 1000.0),
-                format!("{:.1}", cell.report.quantile_ns(0.99) as f64 / 1000.0),
-            ],
-            &widths,
-        );
-    }
-    print_sep(&widths);
-}
+use ox_bench::ablation::{self, AblationConfig};
+use ox_bench::backend::{BenchBackend, ALL_BACKENDS};
+use ox_bench::{figure_obs, quick_mode, Report};
 
 fn main() {
+    let only = BenchBackend::from_env(&ALL_BACKENDS);
     let cfg = if quick_mode() {
         AblationConfig::quick()
     } else {
         AblationConfig::full()
     };
-    let only = std::env::var("OX_BACKEND").ok().filter(|v| !v.is_empty());
-    println!("§5 — cross-interface ablation: YCSB A/B/C over oxblock, oxztl and kvssd");
-    println!(
-        "identical devices, {} records × {} KB, {} ops/workload after a {}-op warm-up{}\n",
-        cfg.record_count,
-        RECORD_SECTORS as usize * SECTOR_BYTES / 1024,
-        cfg.operations,
-        cfg.warmup_operations,
-        only.as_deref()
-            .map(|b| format!("; restricted to {b}"))
-            .unwrap_or_default(),
-    );
     let obs = figure_obs();
-    let result = run_filtered(&cfg, &obs, true, only.as_deref());
-    print_result(&result);
-
-    println!(
-        "\n(WAF = device program + copy bytes over the measured phase ÷ submitted write bytes;"
-    );
-    println!(
-        " C is read-only, so no WAF. wall ns/op is simulator cost, kept out of the obs snapshot.)"
-    );
-    if only.is_none() {
-        for w in WORKLOADS {
-            let block = result.cell("oxblock", w);
-            let ztl = result.cell("oxztl", w);
-            let kv = result.cell("kvssd", w);
-            println!(
-                "  {:?}: kops/vsec oxblock {:.1} | oxztl {:.1} | kvssd {:.1}",
-                w,
-                block.report.kops_per_sec(),
-                ztl.report.kops_per_sec(),
-                kv.report.kops_per_sec(),
-            );
-        }
-    }
-
-    // A restricted matrix leg tags its artifacts so the canonical
-    // three-way BENCH_ablation.json survives CI runs.
-    let tag = |base: &str| match only.as_deref() {
-        None => base.to_string(),
-        Some(b) => format!("{base}.{b}"),
-    };
-    let cells: Vec<String> = result.cells.iter().map(cell_json).collect();
-    export_bench_json(
-        &tag("ablation"),
-        &format!(
-            concat!(
-                "{{\"record_count\": {}, \"operations\": {}, \"warmup_operations\": {}, ",
-                "\"record_bytes\": {}, \"cells\": [{}]}}\n"
-            ),
-            cfg.record_count,
-            cfg.operations,
-            cfg.warmup_operations,
-            RECORD_SECTORS as usize * SECTOR_BYTES,
-            cells.join(", ")
-        ),
-    );
-    export_obs(&tag("fig_ablation"), &obs);
+    let mut report = Report::new("fig_ablation", only);
+    ablation::report(&cfg, only, &obs, &mut report);
+    report.finish(&obs);
 }

@@ -2,10 +2,8 @@
 //! (lsmkv over LightLSM) and the 4-shard serving layer (oxshard).
 //!
 //! Each workload runs against a freshly loaded store, so rows are
-//! independent and deterministic. Writes the table to stdout **and**
-//! `results/fig_ycsb.txt`, and the shared observability dump (per-op
-//! `ycsb.{read,write,scan}_ns` histograms plus device/FTL metrics) to
-//! `results/fig_ycsb.obs.json`.
+//! independent and deterministic. The shared observability dump carries
+//! per-op `ycsb.{read,write,scan}_ns` histograms plus device/FTL metrics.
 //!
 //! `OX_YCSB_WORKLOAD=<A..F>` restricts the sweep to one mix (the CI
 //! matrix's knob); unset or `all` runs all six.
@@ -13,33 +11,18 @@
 //! Usage: `cargo run --release -p ox-bench --bin fig_ycsb [--quick]`
 
 use lightlsm::Placement;
+use ox_bench::backend::BenchBackend;
 use ox_bench::fig5::make_db;
 use ox_bench::ycsb::{
     load, matrix_workloads, run_ycsb, LsmBackend, ShardBackend, YcsbConfig, YcsbReport,
 };
-use ox_bench::{export_obs, figure_obs, quick_mode};
+use ox_bench::{figure_obs, quick_mode, Report};
 use ox_sim::sync::Mutex;
 use ox_sim::SimTime;
 use oxshard::{ClusterConfig, ShardCluster, SharedCluster};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 const SHARDS: u32 = 4;
-
-fn env_size(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn row(out: &mut String, cells: &[String], widths: &[usize]) {
-    let mut line = String::from("|");
-    for (c, w) in cells.iter().zip(widths) {
-        let _ = write!(line, " {c:<w$} |");
-    }
-    let _ = writeln!(out, "{line}");
-}
 
 fn report_cells(r: &YcsbReport) -> Vec<String> {
     vec![
@@ -61,35 +44,28 @@ fn main() {
     let obs = figure_obs();
     let workloads = matrix_workloads();
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
+    let mut report = Report::new("fig_ycsb", None);
+    report.line(format!(
         "YCSB A–F — lsmkv single device vs. oxshard {SHARDS}-shard cluster (virtual time{})\n",
         if quick { ", quick" } else { "" }
-    );
+    ));
     let widths = [2usize, 7, 8, 8, 10, 10, 10, 9, 7, 6];
-    let header = [
-        "wl",
-        "backend",
-        "ops",
-        "kops/s",
-        "p50 (µs)",
-        "p95 (µs)",
-        "p99 (µs)",
-        "scanned",
-        "stalls",
-        "failed",
-    ];
-    row(
-        &mut out,
-        &header.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+    report.row(
+        &[
+            "wl",
+            "backend",
+            "ops",
+            "kops/s",
+            "p50 (µs)",
+            "p95 (µs)",
+            "p99 (µs)",
+            "scanned",
+            "stalls",
+            "failed",
+        ],
         &widths,
     );
-    let mut sep = String::from("|");
-    for w in &widths {
-        let _ = write!(sep, "{}|", "-".repeat(w + 2));
-    }
-    let _ = writeln!(out, "{sep}");
+    report.sep(&widths);
 
     for wl in workloads {
         let mut cfg = YcsbConfig::new(wl);
@@ -100,21 +76,21 @@ fn main() {
         } else {
             // Large enough that the single-device store spills past its
             // memtable: point reads exercise the on-media read path.
-            cfg.record_count = env_size("OX_YCSB_RECORDS", 32_768);
-            cfg.operations = env_size("OX_YCSB_OPS", 16_384);
+            cfg.record_count = 32_768;
+            cfg.operations = 16_384;
         }
 
         // Single-device stack: the paper's LSM over LightLSM, horizontal
         // placement (its best configuration).
-        let (db, dev, _store) = make_db(Placement::Horizontal, &obs);
+        let (db, dev, _store) = make_db(Placement::Horizontal, BenchBackend::OxBlock, &obs);
         let mut lsm = LsmBackend::new(db);
         eprintln!("[{}] lsmkv load...", wl.letter());
         let t0 = load(&mut lsm, &cfg, SimTime::ZERO);
         eprintln!("[{}] lsmkv run...", wl.letter());
-        let (report, t_done) = run_ycsb(&lsm, &cfg, &obs, t0);
+        let (ycsb, t_done) = run_ycsb(&lsm, &cfg, &obs, t0);
         dev.publish_pu_metrics(t_done);
         dev.publish_health_metrics(t_done);
-        row(&mut out, &report_cells(&report), &widths);
+        report.row(&report_cells(&ycsb), &widths);
 
         // Sharded stack: same workload fanned over SHARDS devices. The
         // test-scale default of 16 MiB per shard is one 4 KiB slot per
@@ -128,25 +104,13 @@ fn main() {
         eprintln!("[{}] oxshard load...", wl.letter());
         let t0 = load(&mut shard, &cfg, tc);
         eprintln!("[{}] oxshard run...", wl.letter());
-        let (report, _) = run_ycsb(&shard, &cfg, &obs, t0);
-        row(&mut out, &report_cells(&report), &widths);
+        let (ycsb, _) = run_ycsb(&shard, &cfg, &obs, t0);
+        report.row(&report_cells(&ycsb), &widths);
     }
 
-    let _ = writeln!(
-        out,
-        "\n(zipfian θ=0.99 scrambled ranks; D reads the latest distribution; E scans ≤16 keys;"
+    report.line(
+        "\n(zipfian θ=0.99 scrambled ranks; D reads the latest distribution; E scans ≤16 keys;",
     );
-    let _ = writeln!(
-        out,
-        " A/B replace records after a read, F's RMW carries the read value forward.)"
-    );
-
-    print!("{out}");
-    let dir = std::path::Path::new("results");
-    let path = dir.join("fig_ycsb.txt");
-    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &out)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    export_obs("fig_ycsb", &obs);
+    report.line(" A/B replace records after a read, F's RMW carries the read value forward.)");
+    report.finish(&obs);
 }

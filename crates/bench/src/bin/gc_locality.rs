@@ -5,7 +5,7 @@
 //! Usage: `cargo run --release -p ox-bench --bin gc_locality [--quick]`
 
 use ox_bench::gc_locality::run;
-use ox_bench::{export_obs, figure_obs, print_row, print_sep, quick_mode};
+use ox_bench::{figure_obs, quick_mode, Report};
 use ox_sim::SimDuration;
 
 fn main() {
@@ -14,25 +14,26 @@ fn main() {
     } else {
         SimDuration::from_secs(2)
     };
-    println!(
-        "§4.3 — GC interference locality (OX-Block, group-marked GC + uniform random reads)\n"
+    let mut report = Report::new("gc_locality", None);
+    report.line(
+        "§4.3 — GC interference locality (OX-Block, group-marked GC + uniform random reads)\n",
     );
     let obs = figure_obs();
     let result = run(duration, &obs).expect("experiment");
 
     let widths = [10usize, 16, 16, 14];
-    print_row(
+    report.row(
         &[
-            "channels".into(),
-            "unaffected (%)".into(),
-            "paper/expected".into(),
-            "I/Os sampled".into(),
+            "channels",
+            "unaffected (%)",
+            "paper/expected",
+            "I/Os sampled",
         ],
         &widths,
     );
-    print_sep(&widths);
+    report.sep(&widths);
     for p in &result.points {
-        print_row(
+        report.row(
             &[
                 p.groups.to_string(),
                 format!("{:.2}", p.unaffected_pct),
@@ -42,6 +43,6 @@ fn main() {
             &widths,
         );
     }
-    println!("\n(paper §4.3: 'On an SSD with 16 channels, this percentage is 93,7%. On an SSD with 8 channels, this percentage is 87,5%.')");
-    export_obs("gc_locality", &obs);
+    report.line("\n(paper §4.3: 'On an SSD with 16 channels, this percentage is 93,7%. On an SSD with 8 channels, this percentage is 87,5%.')");
+    report.finish(&obs);
 }

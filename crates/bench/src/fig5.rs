@@ -100,16 +100,20 @@ impl Fig5Config {
 /// RocksDB options. Every layer — device, LightLSM FTL, LSM database —
 /// reports into `obs`. Also returns a handle on the LightLSM store (for FTL
 /// statistics).
-pub fn make_db(placement: Placement, obs: &Obs) -> (SharedDb, SharedDevice, Arc<LightLsmStore>) {
+pub fn make_db(
+    placement: Placement,
+    backend: BenchBackend,
+    obs: &Obs,
+) -> (SharedDb, SharedDevice, Arc<LightLsmStore>) {
     // Chunk size ÷128 (192 KB chunks, 2 write units each) and chunk count
     // ÷2: a 4.5 GB device where a full-width SSTable is 32 chunks = 6 MB,
     // so fills reach compaction steady state within ~50 MB per client.
     let dev = crate::figure_device(DeviceConfig::paper_tlc_scaled(2, 128), obs);
-    // `OX_BACKEND=oxztl` interposes the zone-translation layer: LightLSM's
-    // chunk writes and resets become zone appends and durable trims, the
+    // `Oxztl` interposes the zone-translation layer: LightLSM's chunk
+    // writes and resets become zone appends and durable trims, the
     // cross-interface leg of the ablation matrix.
     let raw: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-    let media = BenchBackend::from_env().wrap_media(raw);
+    let media = backend.wrap_media(raw);
     let (ftl, _) = LightLsm::format(
         media,
         LightLsmConfig {
@@ -132,7 +136,6 @@ pub fn make_db(placement: Placement, obs: &Obs) -> (SharedDb, SharedDevice, Arc<
         level_multiplier: 8,
         max_levels: 3, // L0, L1, L2 — "3 levels of SSTables on disk"
         table_bytes: 6 * 1024 * 1024,
-        ..DbConfig::default()
     };
     let db = Db::new(store.clone() as Arc<dyn TableStore>, db_cfg);
     (SharedDb::new(db), dev, store)
@@ -140,8 +143,14 @@ pub fn make_db(placement: Placement, obs: &Obs) -> (SharedDb, SharedDevice, Arc<
 
 /// Runs one (placement, clients) column: fill, then read-seq, then
 /// read-random over the same database.
-fn run_cell(cfg: &Fig5Config, placement: Placement, clients: usize, obs: &Obs) -> Fig5Cell {
-    let (db, dev, _store) = make_db(placement, obs);
+fn run_cell(
+    cfg: &Fig5Config,
+    placement: Placement,
+    clients: usize,
+    backend: BenchBackend,
+    obs: &Obs,
+) -> Fig5Cell {
+    let (db, dev, _store) = make_db(placement, backend, obs);
     let ops_per_client = cfg.fill_bytes_per_client / 1024; // 1 KB values
     let mut fill_cfg = BenchConfig::paper(Workload::FillSequential, clients, ops_per_client);
     fill_cfg.window = cfg.window;
@@ -169,12 +178,13 @@ fn run_cell(cfg: &Fig5Config, placement: Placement, clients: usize, obs: &Obs) -
     }
 }
 
-/// Runs the whole figure, reporting into `obs` across all cells.
-pub fn run(cfg: &Fig5Config, obs: &Obs) -> Fig5Result {
+/// Runs the whole figure over `backend`'s media, reporting into `obs`
+/// across all cells.
+pub fn run(cfg: &Fig5Config, backend: BenchBackend, obs: &Obs) -> Fig5Result {
     let mut cells = Vec::new();
     for placement in [Placement::Horizontal, Placement::Vertical] {
         for &clients in &cfg.client_counts {
-            cells.push(run_cell(cfg, placement, clients, obs));
+            cells.push(run_cell(cfg, placement, clients, backend, obs));
         }
     }
     Fig5Result { cells }

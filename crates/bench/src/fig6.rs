@@ -7,6 +7,7 @@
 //! a lower single-client peak but its completion time stays stable (or
 //! shrinks) as clients are added.
 
+use crate::backend::BenchBackend;
 use crate::fig5::{make_db, Fig5Config};
 use lightlsm::Placement;
 use lsmkv::bench::{run_workload, BenchConfig, BenchReport, Workload};
@@ -47,7 +48,7 @@ pub fn run(cfg: &Fig5Config, obs: &Obs) -> Fig6Result {
     let mut lines = Vec::new();
     for placement in [Placement::Horizontal, Placement::Vertical] {
         for &clients in &cfg.client_counts {
-            let (db, dev, _store) = make_db(placement, obs);
+            let (db, dev, _store) = make_db(placement, BenchBackend::OxBlock, obs);
             let ops_per_client = cfg.fill_bytes_per_client / 1024;
             let mut fill_cfg =
                 BenchConfig::paper(Workload::FillSequential, clients, ops_per_client);

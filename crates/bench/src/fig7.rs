@@ -48,10 +48,11 @@ pub struct Fig7Config {
     pub thread_counts: [usize; 4],
     /// Virtual run length.
     pub duration: SimDuration,
-    /// Per-thread network ingest bandwidth (bytes/s). 40GbE shared by a
-    /// handful of TCP streams ≈ 1.1 GB/s per stream.
-    pub net_bytes_per_sec: u64,
 }
+
+/// Per-thread network ingest bandwidth (bytes/s). 40GbE shared by a
+/// handful of TCP streams ≈ 1.1 GB/s per stream.
+const NET_BYTES_PER_SEC: u64 = 1_100_000_000;
 
 impl Fig7Config {
     /// Full-scale run.
@@ -59,7 +60,6 @@ impl Fig7Config {
         Fig7Config {
             thread_counts: [1, 2, 4, 8],
             duration: SimDuration::from_secs(3),
-            net_bytes_per_sec: 1_100_000_000,
         }
     }
 
@@ -144,7 +144,7 @@ fn run_point(cfg: &Fig7Config, threads: usize, copies: u32, obs: &Obs) -> Fig7Po
     let mut ex = Executor::new();
     let deadline = t0 + cfg.duration;
     let net_time = SimDuration::from_nanos(
-        (buffer_bytes as u128 * 1_000_000_000 / cfg.net_bytes_per_sec as u128) as u64,
+        (buffer_bytes as u128 * 1_000_000_000 / NET_BYTES_PER_SEC as u128) as u64,
     );
     for _ in 0..threads {
         ex.spawn(

@@ -1,12 +1,13 @@
 //! # ox-bench — experiment harness for the paper's tables and figures
 //!
-//! One module per reproduced artifact; the `src/bin/` binaries print the
-//! paper-style rows, and the smoke tests assert the qualitative shapes.
+//! One module per reproduced artifact; the `src/bin/` binaries report the
+//! paper-style rows through one [`Report`], and the smoke tests assert the
+//! qualitative shapes.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
 //! | [`ablation`] | §5 — cross-interface YCSB ablation (block / ZTL / KV) |
-//! | [`backend`] | `OX_BACKEND` knob — native media vs. the `oxztl` layer |
+//! | [`backend`] | `OX_BACKEND` knob — which storage interface a figure runs over |
 //! | [`fig3`] | Figure 3 — checkpoint interval vs. recovery time |
 //! | [`fig5`] | Figure 5 — db_bench throughput, horizontal vs. vertical |
 //! | [`fig6`] | Figure 6 — fill-sequential throughput over time |
@@ -35,8 +36,11 @@ pub mod fig7;
 pub mod gc_locality;
 pub mod lifetime;
 pub mod qos_tail;
+mod report;
 pub mod shard_scale;
 pub mod ycsb;
+
+pub use report::Report;
 
 use ocssd::{DeviceConfig, OcssdDevice, SharedDevice};
 use ox_sim::trace::Obs;
@@ -59,52 +63,8 @@ pub fn figure_obs() -> Obs {
     obs
 }
 
-/// Writes the run's observability snapshot (metrics + trace JSON) to
-/// `results/<name>.obs.json`, next to the figure's stdout rows. Failures
-/// are reported but not fatal: the printed rows are the primary artifact.
-pub fn export_obs(name: &str, obs: &Obs) {
-    let dir = std::path::Path::new("results");
-    let path = dir.join(format!("{name}.obs.json"));
-    let outcome = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, obs.to_json()));
-    match outcome {
-        Ok(()) => println!("\nobservability: wrote {}", path.display()),
-        Err(e) => eprintln!("\nobservability: could not write {}: {e}", path.display()),
-    }
-}
-
-/// Writes a compact machine-readable summary to `results/BENCH_<name>.json`
-/// (hand-built JSON — the workspace carries no serde). Failures are
-/// reported but not fatal, like [`export_obs`].
-pub fn export_bench_json(name: &str, json: &str) {
-    let dir = std::path::Path::new("results");
-    let path = dir.join(format!("BENCH_{name}.json"));
-    let outcome = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json));
-    match outcome {
-        Ok(()) => println!("bench summary: wrote {}", path.display()),
-        Err(e) => eprintln!("bench summary: could not write {}: {e}", path.display()),
-    }
-}
-
 /// True when quick mode is requested (`--quick` argument): smaller
 /// workloads, same shapes.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-}
-
-/// Prints a Markdown-ish table row.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let mut line = String::from("|");
-    for (c, w) in cells.iter().zip(widths) {
-        line.push_str(&format!(" {c:<w$} |"));
-    }
-    println!("{line}");
-}
-
-/// Prints a table separator.
-pub fn print_sep(widths: &[usize]) {
-    let mut line = String::from("|");
-    for w in widths {
-        line.push_str(&format!("{}|", "-".repeat(w + 2)));
-    }
-    println!("{line}");
 }

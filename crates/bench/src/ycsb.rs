@@ -383,6 +383,9 @@ impl YcsbBackend for ShardBackend {
     }
 }
 
+/// Zipfian skew of every request distribution (the YCSB default).
+const THETA: f64 = 0.99;
+
 /// One YCSB run's parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct YcsbConfig {
@@ -398,8 +401,6 @@ pub struct YcsbConfig {
     pub value_bytes: usize,
     /// Maximum short-scan length (workload E; uniform in `1..=max`).
     pub max_scan_len: usize,
-    /// Zipfian skew (YCSB default 0.99).
-    pub theta: f64,
     /// Seed for every generator in the run.
     pub seed: u64,
 }
@@ -414,7 +415,6 @@ impl YcsbConfig {
             operations: 8192,
             value_bytes: 256,
             max_scan_len: 16,
-            theta: 0.99,
             seed: 0x5C5B,
         }
     }
@@ -757,7 +757,7 @@ pub fn run_ycsb<B: YcsbBackend>(
         end: start,
         clients_done: 0,
     }));
-    let zipf = Arc::new(Zipfian::new(cfg.record_count, cfg.theta));
+    let zipf = Arc::new(Zipfian::new(cfg.record_count, THETA));
     let inserted = Arc::new(AtomicU64::new(cfg.record_count));
     let mut ex = Executor::new();
     let rng = Prng::seed_from_u64(cfg.seed ^ (cfg.workload.letter().as_bytes()[0] as u64));

@@ -44,15 +44,12 @@ pub struct ClassTargets {
     pub gc: SimDuration,
 }
 
-impl Default for ClassTargets {
-    fn default() -> Self {
-        ClassTargets {
-            read: SimDuration::from_micros(200),
-            write: SimDuration::from_millis(1),
-            gc: SimDuration::from_millis(20),
-        }
-    }
-}
+/// The targets every scheduler arbitrates by.
+pub const CLASS_TARGETS: ClassTargets = ClassTargets {
+    read: SimDuration::from_micros(200),
+    write: SimDuration::from_millis(1),
+    gc: SimDuration::from_millis(20),
+};
 
 impl ClassTargets {
     /// The deadline offset for `class`.
@@ -79,8 +76,6 @@ pub struct SchedConfig {
     /// CPU cost of one dispatch decision, serialized on the dispatch
     /// timeline (models the submission-thread bottleneck). Zero by default.
     pub dispatch_overhead: SimDuration,
-    /// Per-class deadline targets (deadline arbiter + GC anti-starvation).
-    pub targets: ClassTargets,
     /// Optional attribution scope. When set, dispatch metrics are *also*
     /// recorded under `iosched.<scope>.…`, so N schedulers sharing one
     /// metrics registry (one per shard of a sharded serving layer) keep
@@ -94,7 +89,6 @@ impl Default for SchedConfig {
         SchedConfig {
             arbiter: ArbiterKind::RoundRobin,
             dispatch_overhead: SimDuration::ZERO,
-            targets: ClassTargets::default(),
             scope: None,
         }
     }
@@ -210,7 +204,7 @@ mod tests {
 
     #[test]
     fn targets_by_class() {
-        let t = ClassTargets::default();
+        let t = CLASS_TARGETS;
         assert!(t.target(IoClass::Read) < t.target(IoClass::Write));
         assert!(t.target(IoClass::Write) < t.target(IoClass::Gc));
     }

@@ -45,7 +45,7 @@ pub use arbiter::ArbiterKind;
 pub use bucket::TokenBucket;
 pub use config::{
     matrix_arbiter, matrix_tenants, ClassTargets, IoClass, RateLimit, SchedConfig, TenantConfig,
-    TenantId,
+    TenantId, CLASS_TARGETS,
 };
 pub use media::SchedMedia;
 pub use sched::{CmdId, IoCmd, IoCompletion, IoScheduler, SchedError, SchedStats, SharedScheduler};

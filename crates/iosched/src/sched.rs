@@ -17,7 +17,7 @@
 
 use crate::arbiter::{Arbiter, ArbiterKind, Candidate};
 use crate::bucket::TokenBucket;
-use crate::config::{IoClass, SchedConfig, TenantConfig, TenantId};
+use crate::config::{IoClass, SchedConfig, TenantConfig, TenantId, CLASS_TARGETS};
 use ocssd::{ChunkAddr, Completion, DeviceError, Geometry, Payload, Ppa, SECTOR_BYTES};
 use ox_core::Media;
 use ox_sim::sync::Mutex;
@@ -334,7 +334,7 @@ impl IoScheduler {
             ready = ready.max(self.qd1_free);
         } else if h.class == IoClass::Gc {
             let pu_free = self.media.pu_busy_until(h.cmd.target_pu(&self.geo));
-            let deadline = h.submitted + self.cfg.targets.gc;
+            let deadline = h.submitted + CLASS_TARGETS.gc;
             ready = ready.max(pu_free.min(deadline));
         }
         Some(ready)
@@ -374,7 +374,7 @@ impl IoScheduler {
                     tenant: i,
                     seq: front.seq,
                     submitted: front.submitted,
-                    deadline: front.submitted + self.cfg.targets.target(front.class),
+                    deadline: front.submitted + CLASS_TARGETS.target(front.class),
                     class: front.class,
                 });
                 readys.push(ready);

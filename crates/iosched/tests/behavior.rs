@@ -4,7 +4,7 @@
 
 use iosched::{
     ArbiterKind, IoCmd, IoScheduler, RateLimit, SchedConfig, SchedError, SharedScheduler,
-    TenantConfig, TenantId,
+    TenantConfig, TenantId, CLASS_TARGETS,
 };
 use ocssd::{ChunkAddr, DeviceConfig, Geometry, OcssdDevice, SharedDevice, SECTOR_BYTES};
 use ox_core::OcssdMedia;
@@ -115,9 +115,8 @@ fn gc_class_dispatches_at_deadline_under_sustained_load() {
     let addr = ChunkAddr::new(0, 0, 0);
     let start = prefill(&dev, &geo, addr);
 
-    let cfg = SchedConfig::with_arbiter(ArbiterKind::Deadline);
-    let gc_deadline = cfg.targets.gc;
-    let sched = scheduler(&dev, cfg);
+    let gc_deadline = CLASS_TARGETS.gc;
+    let sched = scheduler(&dev, SchedConfig::with_arbiter(ArbiterKind::Deadline));
     let user = sched.add_tenant(TenantConfig::new("user").depth(20_000));
     let gc = sched.add_tenant(TenantConfig::new("gc").gc_class());
 

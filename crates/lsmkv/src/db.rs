@@ -50,8 +50,6 @@ pub struct DbConfig {
     pub level_multiplier: u64,
     /// Number of levels (L0 included).
     pub max_levels: usize,
-    /// Bloom bits per key.
-    pub bits_per_key: u32,
     /// Output table size budget (bytes); clamped to the store's capacity.
     pub table_bytes: usize,
 }
@@ -68,6 +66,8 @@ const PUT_CPU: SimDuration = SimDuration::from_nanos(1_200);
 const GET_CPU: SimDuration = SimDuration::from_nanos(1_000);
 /// CPU cost per entry when building/merging tables.
 const BUILD_CPU_PER_ENTRY: SimDuration = SimDuration::from_nanos(250);
+/// Bloom bits per key of every table built.
+const BITS_PER_KEY: u32 = 10;
 /// Concurrent compactions allowed (RocksDB background workers).
 const MAX_PARALLEL_COMPACTIONS: usize = 4;
 
@@ -82,7 +82,6 @@ impl Default for DbConfig {
             level_base_blocks: 512,
             level_multiplier: 8,
             max_levels: 4,
-            bits_per_key: 10,
             table_bytes: 24 * 1024 * 1024,
         }
     }
@@ -652,7 +651,7 @@ impl Db {
         let imm = imm.lock();
         let mut t = now + BUILD_CPU_PER_ENTRY * imm.len() as u64;
         let boundaries = self.boundaries();
-        let mut builder = TableBuilder::new(self.store.block_bytes(), self.config.bits_per_key);
+        let mut builder = TableBuilder::new(self.store.block_bytes(), BITS_PER_KEY);
         let rts = imm.range_dels();
         let mut pruner = GroupPruner::default();
         let mut flush_group =
@@ -811,7 +810,7 @@ impl Db {
         {
             let b = std::mem::replace(
                 &mut ac.builder,
-                TableBuilder::new(block_bytes, config.bits_per_key),
+                TableBuilder::new(block_bytes, BITS_PER_KEY),
             );
             let h = Self::flush_output(store, b, t)?;
             ac.blocks_written += h.data_blocks as u64;
@@ -878,7 +877,7 @@ impl Db {
                     removed: job.inputs.iter().map(|h| h.id).collect(),
                     drop_tombstones: job.drop_tombstones,
                     merge: MergeIter::new(streams, self.store.clone()),
-                    builder: TableBuilder::new(block_bytes, self.config.bits_per_key),
+                    builder: TableBuilder::new(block_bytes, BITS_PER_KEY),
                     outputs: Vec::new(),
                     frontier: now,
                     started: now,
@@ -954,7 +953,7 @@ impl Db {
             if !ac.builder.is_empty() {
                 let b = std::mem::replace(
                     &mut ac.builder,
-                    TableBuilder::new(block_bytes, self.config.bits_per_key),
+                    TableBuilder::new(block_bytes, BITS_PER_KEY),
                 );
                 let h = Self::flush_output(&self.store, b, &mut t)?;
                 ac.blocks_written += h.data_blocks as u64;

@@ -10,7 +10,9 @@
 //!   detector.
 //! * **L2 `wall_clock`** — simulations are exact functions of
 //!   `(configuration, seed)`; `Instant::now`/`SystemTime` outside
-//!   `ox_sim::time` and the bench harness silently destroys that.
+//!   `ox_sim::time` and the wall-clock microbenchmarks
+//!   (`crates/bench/benches/`) silently destroys that — the figure harness
+//!   under `crates/bench/src/` is simulation code like any other.
 //! * **L3 `panic_path`** — media/durability paths (device, WAL, GC, KV)
 //!   must propagate errors, not `.unwrap()`. Genuinely unreachable cases are
 //!   annotated `// oxcheck:allow(panic_path): <why>`.
@@ -163,7 +165,7 @@ pub struct Config {
     /// the lockdep machinery it is built on).
     pub l1_allow: Vec<String>,
     /// Files where wall-clock reads are allowed (the virtual-clock module
-    /// and the self-calibrating bench harness).
+    /// and the self-calibrating microbenchmarks — not the figure harness).
     pub l2_allow: Vec<String>,
     /// Path prefixes whose non-test code is held to L3.
     pub l3_scope: Vec<String>,
@@ -183,7 +185,7 @@ impl Default for Config {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
         Config {
             l1_allow: s(&["crates/sim/src/sync.rs", "crates/sim/src/lockdep.rs"]),
-            l2_allow: s(&["crates/sim/src/time.rs", "crates/bench/"]),
+            l2_allow: s(&["crates/sim/src/time.rs", "crates/bench/benches/"]),
             l3_scope: s(&[
                 "crates/ocssd/src/",
                 "crates/core/src/",

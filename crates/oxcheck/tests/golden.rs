@@ -1,4 +1,5 @@
-//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7) and L8–L11.
+//! Golden-fixture suite for the symbol-aware lints (L5/L6/L7), L8–L11 and
+//! the scope of L2.
 //!
 //! Each fixture under `tests/fixtures/` is a self-contained source file of
 //! true-positive and false-positive shapes, annotated inline with
@@ -146,6 +147,28 @@ fn removing_the_pragma_reintroduces_the_finding() {
         .join("\n");
     let a = analyze("crates/core/src/macros_and_pragmas.rs", &src);
     assert_eq!(lines_of(&a, "unordered_iter").len(), 1, "{:#?}", a.findings);
+}
+
+/// L2 holds the figure harness to virtual time like any simulation code;
+/// only the wall-clock microbenchmarks (and `ox_sim::time`) may read the
+/// host clock.
+#[test]
+fn l2_wall_clock_is_flagged_in_the_figure_harness_but_not_in_the_microbenchmarks() {
+    let src = include_str!("fixtures/l2_wall_clock.rs");
+    let lint = "wall_clock";
+    for path in [
+        "crates/bench/src/lifetime.rs",
+        "crates/bench/src/bin/fig_qos_tail.rs",
+    ] {
+        let a = analyze(path, src);
+        assert_eq!(lines_of(&a, lint), [5, 8, 9], "{path}: {:#?}", a.findings);
+    }
+    for path in [
+        "crates/bench/benches/microbench.rs",
+        "crates/sim/src/time.rs",
+    ] {
+        assert!(lines_of(&analyze(path, src), lint).is_empty(), "{path}");
+    }
 }
 
 /// L8 flags the public wiring hooks — and only those — in crate sources;

@@ -38,18 +38,15 @@ pub struct ClusterConfig {
     /// Grown-bad-block delta on one shard that triggers a rebalance away
     /// from it.
     pub rebalance_bad_blocks: u64,
-    /// Slots donated per triggered rebalance.
-    pub rebalance_slots: usize,
-    /// Keys migrated per [`ShardCluster::maintain`] call.
-    pub migrate_batch: usize,
     /// Background scrub/refresh configuration of every shard FTL
     /// (disabled by default, matching a bare [`BlockFtlConfig`]).
     pub scrub: ScrubConfig,
-    /// Whether [`ShardCluster::maintain`] automatically drains a shard
-    /// whose store degraded to read-only (spare exhaustion or an
-    /// administrative fence) onto the healthy survivors.
-    pub drain_degraded: bool,
 }
+
+/// Slots donated per triggered rebalance.
+const REBALANCE_SLOTS: usize = SLOTS / 16;
+/// Keys migrated per [`ShardCluster::maintain`] call.
+const MIGRATE_BATCH: usize = 64;
 
 impl ClusterConfig {
     /// Defaults sized for tests: small SLC devices, 16 MiB per shard,
@@ -62,10 +59,7 @@ impl ClusterConfig {
             shard_capacity_bytes: 16 << 20,
             arbiter: ArbiterKind::Deadline,
             rebalance_bad_blocks: 4,
-            rebalance_slots: SLOTS / 16,
-            migrate_batch: 64,
             scrub: ScrubConfig::default(),
-            drain_degraded: true,
         }
     }
 }
@@ -313,11 +307,12 @@ impl ShardCluster {
     /// Background pass over the whole cluster: per-shard maintenance
     /// (media-event repair, checkpointing, GC, scrub) in parallel across
     /// shards, then health inspection — a shard whose store degraded to
-    /// read-only is drained outright (its whole slot share spread over the
-    /// healthy survivors), a shard whose grown-bad-block count advanced by
+    /// read-only (spare exhaustion or an administrative fence) is drained
+    /// outright (its whole slot share spread over the healthy survivors),
+    /// a shard whose grown-bad-block count advanced by
     /// [`ClusterConfig::rebalance_bad_blocks`] since the last trigger
-    /// donates [`ClusterConfig::rebalance_slots`] slots to the healthiest
-    /// shard — and one bounded migration batch.
+    /// donates `SLOTS / 16` slots to the healthiest shard — and one bounded
+    /// migration batch.
     pub fn maintain(&mut self, now: SimTime) -> Result<SimTime, ShardError> {
         let mut end = now;
         for s in &mut self.shards {
@@ -327,16 +322,14 @@ impl ShardCluster {
         // outranks the incremental bad-block rebalance. Reads keep hitting
         // the dying shard through the pending map until each key lands on
         // its new owner.
-        if self.cfg.drain_degraded {
-            let dying =
-                (0..self.shards.len()).find(|&i| self.shards[i].is_degraded() && !self.drained[i]);
-            if let Some(src) = dying {
-                match self.drain_shard(src as u32) {
-                    // No healthy peer left to absorb the keys: nothing to
-                    // drain to — keep serving reads, retry next pass.
-                    Ok(_) | Err(ShardError::LastShard) => {}
-                    Err(e) => return Err(e),
-                }
+        let dying =
+            (0..self.shards.len()).find(|&i| self.shards[i].is_degraded() && !self.drained[i]);
+        if let Some(src) = dying {
+            match self.drain_shard(src as u32) {
+                // No healthy peer left to absorb the keys: nothing to
+                // drain to — keep serving reads, retry next pass.
+                Ok(_) | Err(ShardError::LastShard) => {}
+                Err(e) => return Err(e),
             }
         }
         if self.active.is_none() {
@@ -354,17 +347,16 @@ impl ShardCluster {
                     .filter(|&j| j != src && !self.shards[j].is_degraded())
                     .min_by_key(|&j| (grown[j], j));
                 if let Some(dst) = dst {
-                    self.start_rebalance(src as u32, dst as u32, self.cfg.rebalance_slots)?;
+                    self.start_rebalance(src as u32, dst as u32, REBALANCE_SLOTS)?;
                 }
             }
         }
-        let t = self.step_migration(end, self.cfg.migrate_batch)?;
+        let t = self.step_migration(end, MIGRATE_BATCH)?;
         Ok(end.max(t))
     }
 
     /// Administratively fences `shard` to read-only — the next
-    /// [`ShardCluster::maintain`] pass drains it (when
-    /// [`ClusterConfig::drain_degraded`] is on). Reads keep working
+    /// [`ShardCluster::maintain`] pass drains it. Reads keep working
     /// throughout.
     // oxcheck:allow(unreferenced_pub): operator control documented in docs/lifetime.md; callers sit outside the workspace, the drain tests drive it.
     pub fn fence_shard(&mut self, shard: u32) -> Result<(), ShardError> {

@@ -1,97 +1,84 @@
 //! Double-run determinism: the same seeded workload must produce a
-//! byte-identical observability snapshot both times.
+//! byte-identical report and observability snapshot both times.
 //!
 //! The whole stack is virtual-time simulation with seeded PRNGs; the only
 //! way two same-seed runs can diverge is real nondeterminism leaking in —
 //! hash-ordered iteration on a storage path (exactly what the L5
-//! `unordered_iter` lint exists to catch), wall-clock reads, or address
-//! reuse. Comparing the full metrics + trace JSON catches divergence
-//! anywhere in the stack, not just in the figure's summary numbers.
+//! `unordered_iter` lint exists to catch), wall-clock reads (L2, which now
+//! covers the figure harness too), or address reuse. Comparing the report
+//! text as `results/<name>.txt` would carry it plus the full metrics +
+//! trace JSON catches divergence anywhere in the stack, not just in a
+//! figure's summary numbers — and is what lets `results/` be regenerated
+//! byte for byte (`scripts/regen-results.sh`).
 
+use ox_bench::backend::BenchBackend;
+use ox_bench::Report;
+use ox_sim::trace::Obs;
 use ox_sim::SimDuration;
 
-#[test]
-fn ablation_same_seed_runs_are_byte_identical() {
-    let cfg = ox_bench::ablation::AblationConfig {
-        record_count: 384,
-        operations: 768,
-        warmup_operations: 768,
-        clients: 4,
-        seed: 0xD7,
-    };
-    // Wall-clock sampling stays off: `wall_ns_per_op` is the one number
-    // allowed to differ between runs, and it must never leak into the obs
-    // snapshot or the figure rows compared here.
+/// Runs `figure` twice, each into a fresh report and fresh sinks, and
+/// requires both outputs to agree to the byte.
+fn assert_twice_identical(name: &str, figure: impl Fn(&Obs, &mut Report)) {
     let run = || {
         let obs = ox_bench::figure_obs();
-        let result = ox_bench::ablation::run(&cfg, &obs, false);
-        let cells: Vec<String> = result
-            .cells
-            .iter()
-            .map(|c| {
-                format!(
-                    "{}:{:?}:{}:{}:{}:{}:{}:{}",
-                    c.backend,
-                    c.workload,
-                    c.report.total_ops,
-                    c.report.quantile_ns(0.50),
-                    c.report.quantile_ns(0.99),
-                    c.phys_write_bytes,
-                    c.user_write_bytes,
-                    c.wall_ns_per_op,
-                )
-            })
-            .collect();
-        (cells, obs.to_json())
+        let mut report = Report::new(name, None);
+        figure(&obs, &mut report);
+        (report.text().to_string(), obs.to_json())
     };
-
-    let (cells_a, json_a) = run();
-    let (cells_b, json_b) = run();
-
+    let (text_a, json_a) = run();
+    let (text_b, json_b) = run();
+    assert!(!text_a.is_empty(), "{name} reported nothing");
     assert_eq!(
-        cells_a, cells_b,
-        "ablation cells diverged between same-seed runs"
+        text_a, text_b,
+        "{name}: report text diverged between same-seed runs"
     );
     assert_eq!(
         json_a,
         json_b,
-        "observability JSON diverged between same-seed runs (lengths {} vs {})",
+        "{name}: observability JSON diverged between same-seed runs (lengths {} vs {})",
         json_a.len(),
         json_b.len()
     );
 }
 
 #[test]
+fn ablation_same_seed_runs_are_byte_identical() {
+    let cfg = ox_bench::ablation::AblationConfig::quick();
+    assert_twice_identical("fig_ablation", |obs, out| {
+        ox_bench::ablation::report(&cfg, None, obs, out);
+    });
+}
+
+#[test]
+fn lifetime_same_seed_runs_are_byte_identical() {
+    let cfg = ox_bench::lifetime::LifetimeConfig::quick();
+    assert_twice_identical("fig_lifetime", |obs, out| {
+        ox_bench::lifetime::report(&cfg, obs, out);
+    });
+}
+
+#[test]
+fn qos_tail_same_seed_runs_are_byte_identical() {
+    assert_twice_identical("fig_qos_tail", |obs, out| {
+        ox_bench::qos_tail::report(
+            SimDuration::from_millis(150),
+            BenchBackend::OxBlock,
+            obs,
+            out,
+        );
+    });
+}
+
+#[test]
 fn gc_locality_same_seed_runs_are_byte_identical() {
-    let run = || {
-        let obs = ox_bench::figure_obs();
-        let result = ox_bench::gc_locality::run(SimDuration::from_millis(20), &obs)
+    assert_twice_identical("gc_locality", |obs, out| {
+        let result = ox_bench::gc_locality::run(SimDuration::from_millis(20), obs)
             .expect("gc_locality workload");
-        let points: Vec<String> = result
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{}:{:.6}:{:.6}:{}",
-                    p.groups, p.unaffected_pct, p.expected_pct, p.ios_classified
-                )
-            })
-            .collect();
-        (points, obs.to_json())
-    };
-
-    let (points_a, json_a) = run();
-    let (points_b, json_b) = run();
-
-    assert_eq!(
-        points_a, points_b,
-        "figure rows diverged between same-seed runs"
-    );
-    assert_eq!(
-        json_a,
-        json_b,
-        "observability JSON diverged between same-seed runs (lengths {} vs {})",
-        json_a.len(),
-        json_b.len()
-    );
+        for p in &result.points {
+            out.line(format!(
+                "{}:{:.6}:{:.6}:{}",
+                p.groups, p.unaffected_pct, p.expected_pct, p.ios_classified
+            ));
+        }
+    });
 }
