@@ -123,7 +123,7 @@ impl Driver {
                 *unit += 1;
                 Some(IoCmd::Write {
                     ppa,
-                    data: vec![0xA5; geo.ws_min as usize * SECTOR_BYTES].into(),
+                    parts: vec![vec![0xA5; geo.ws_min as usize * SECTOR_BYTES].into()],
                 })
             }
             Work::Relocate {

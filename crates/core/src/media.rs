@@ -23,16 +23,18 @@ pub trait Media: Send + Sync {
     /// (completes at cache acknowledge).
     fn write(&self, now: SimTime, ppa: Ppa, data: &[u8]) -> Result<Completion>;
 
-    /// [`Media::write`] of a payload built in a buffer the media may keep
-    /// instead of copying — the same command in every other respect: same
-    /// validation, same timing, same accounting, same bytes read back. The
-    /// mirror image of [`Media::read_shared`]. The default writes the
-    /// payload's bytes through `write`, so media that know nothing of shared
+    /// One gathered write: [`Media::write`] of the concatenation of `parts`,
+    /// payloads built in buffers the media may keep instead of copying — the
+    /// same command in every other respect: same validation, same faults,
+    /// same timing, same accounting, same bytes read back. The mirror image
+    /// of [`Media::read_shared`]. The default concatenates the parts and
+    /// writes them through `write`, so media that know nothing of shared
     /// buffers stay correct; media over the device forward to whatever they
-    /// wrap, and the device adopts the buffer when it can. The media takes a
-    /// reference of its own: the caller's handle is the caller's to drop.
-    fn write_shared(&self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
-        self.write(now, ppa, &data.padded())
+    /// wrap, and the device adopts the parts' buffers when it can. The media
+    /// takes references of its own: the caller's handles are the caller's to
+    /// drop.
+    fn write_parts(&self, now: SimTime, ppa: Ppa, parts: &[Payload]) -> Result<Completion> {
+        self.write(now, ppa, &Payload::concat(parts))
     }
 
     /// Read of contiguous written sectors.
@@ -139,8 +141,8 @@ impl Media for OcssdMedia {
         self.device.write(now, ppa, data)
     }
 
-    fn write_shared(&self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
-        self.device.write_shared(now, ppa, data)
+    fn write_parts(&self, now: SimTime, ppa: Ppa, parts: &[Payload]) -> Result<Completion> {
+        self.device.write_parts(now, ppa, parts)
     }
 
     fn read(&self, now: SimTime, ppa: Ppa, sectors: u32, out: &mut [u8]) -> Result<Completion> {

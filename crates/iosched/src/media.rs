@@ -96,12 +96,12 @@ impl Media for SchedMedia {
     }
 
     fn write(&self, now: SimTime, ppa: Ppa, data: &[u8]) -> Result<Completion> {
-        self.write_shared(now, ppa, &Payload::from(data))
+        self.write_parts(now, ppa, &[Payload::from(data)])
     }
 
-    fn write_shared(&self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
-        let data = data.clone();
-        self.wait(now, IoCmd::Write { ppa, data })
+    fn write_parts(&self, now: SimTime, ppa: Ppa, parts: &[Payload]) -> Result<Completion> {
+        let parts = parts.to_vec();
+        self.wait(now, IoCmd::Write { ppa, parts })
     }
 
     fn read(&self, now: SimTime, ppa: Ppa, sectors: u32, out: &mut [u8]) -> Result<Completion> {

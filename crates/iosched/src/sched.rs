@@ -32,8 +32,8 @@ use std::sync::Arc;
 pub struct CmdId(pub u64);
 
 /// A queued I/O command. Commands own their payloads because dispatch is
-/// deferred past the submitting call; a write's is a shared buffer, so
-/// queueing it costs a reference, not a copy.
+/// deferred past the submitting call; a write's are shared buffers, so
+/// queueing them costs references, not a copy.
 #[derive(Clone, Debug)]
 pub enum IoCmd {
     /// Read `sectors` logical blocks starting at `ppa`.
@@ -43,12 +43,13 @@ pub enum IoCmd {
         /// Sector count.
         sectors: u32,
     },
-    /// Write `data` at the chunk write pointer `ppa`.
+    /// Write the concatenation of `parts` at the chunk write pointer `ppa`
+    /// (one gathered write, [`ox_core::Media::write_parts`]).
     Write {
         /// Start address (must equal the chunk's write pointer).
         ppa: Ppa,
-        /// Payload (multiple of `ws_min` sectors).
-        data: Payload,
+        /// Payload, in parts (a multiple of `ws_min` sectors in all).
+        parts: Vec<Payload>,
     },
     /// Device-internal scatter copy into `dst`.
     Copy {
@@ -68,7 +69,7 @@ impl IoCmd {
     fn cost_bytes(&self) -> u64 {
         match self {
             IoCmd::Read { sectors, .. } => *sectors as u64 * SECTOR_BYTES as u64,
-            IoCmd::Write { data, .. } => data.len() as u64,
+            IoCmd::Write { parts, .. } => parts.iter().map(Payload::len).sum::<usize>() as u64,
             IoCmd::Copy { srcs, .. } => srcs.len() as u64 * SECTOR_BYTES as u64,
             IoCmd::Reset { .. } => 0,
         }
@@ -504,8 +505,8 @@ impl IoScheduler {
                 Ok((data, c)) => (Ok(()), c.done, Some(data)),
                 Err(e) => (Err(e), issue, None),
             },
-            IoCmd::Write { ppa, data } => {
-                let (r, t) = done(self.media.write_shared(issue, *ppa, data));
+            IoCmd::Write { ppa, parts } => {
+                let (r, t) = done(self.media.write_parts(issue, *ppa, parts));
                 (r, t, None)
             }
             IoCmd::Copy { srcs, dst } => {

@@ -180,7 +180,7 @@ fn token_bucket_paces_dispatches() {
                 tenant,
                 IoCmd::Write {
                     ppa: addr.ppa(u * geo.ws_min),
-                    data: unit(&geo, u as u8).into(),
+                    parts: vec![unit(&geo, u as u8).into()],
                 },
             )
             .expect("submit");
@@ -205,7 +205,7 @@ fn bounded_queue_rejects_when_full() {
     let addr = ChunkAddr::new(0, 0, 0);
     let mk = |u: u32| IoCmd::Write {
         ppa: addr.ppa(u * geo.ws_min),
-        data: unit(&geo, u as u8).into(),
+        parts: vec![unit(&geo, u as u8).into()],
     };
     assert!(sched.submit(SimTime::ZERO, tenant, mk(0)).is_ok());
     assert!(sched.submit(SimTime::ZERO, tenant, mk(1)).is_ok());

@@ -98,7 +98,7 @@ fn no_arbiter_reorders_writes_within_a_chunk() {
                         ids[pick],
                         IoCmd::Write {
                             ppa: addr.ppa(unit * geo.ws_min),
-                            data: data.into(),
+                            parts: vec![data.into()],
                         },
                     )
                     .expect("queue deep enough for the whole workload");
@@ -314,7 +314,7 @@ fn matrix_point_completes_in_order() {
             let cmd = if unit < units / 2 {
                 IoCmd::Write {
                     ppa: addr.ppa(unit * geo.ws_min),
-                    data: vec![i as u8; geo.ws_min as usize * SECTOR_BYTES].into(),
+                    parts: vec![vec![i as u8; geo.ws_min as usize * SECTOR_BYTES].into()],
                 }
             } else {
                 IoCmd::Read {

@@ -7,10 +7,13 @@
 //! the required methods (so it takes the provided `read_shared`); and once
 //! more under `ox_core::retry`, where the retries must match too.
 //!
-//! `Media::write_shared` is its mirror image — `Media::write` of a payload
-//! the media may keep instead of copying — and is held to the same on the
-//! same four stacks: same completions or errors, same bytes read back, same
-//! device statistics and metrics.
+//! `Media::write_parts` is its mirror image — `Media::write` of the
+//! concatenation of payloads the media may keep instead of copying — and is
+//! held to the same on the same four stacks: same completions or errors,
+//! same bytes read back, same device statistics and metrics. Every media
+//! that forwards it hands the device the writer's buffer: a view read back
+//! is that buffer, on every stack but the foreign one, which takes the
+//! concatenating default.
 
 use iosched::{IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig};
 use ocssd::{
@@ -206,7 +209,7 @@ fn trimmed_view(data: &[u8]) -> Payload {
 }
 
 #[test]
-fn write_shared_is_write_of_a_buffer_the_media_may_keep_on_every_media() {
+fn write_parts_is_write_of_the_concatenation_on_every_media() {
     let geo = Geometry::small_slc();
     for kind in KINDS {
         let (by_bytes, bytes_dev) = stack(kind, geo);
@@ -245,7 +248,8 @@ fn write_shared_is_write_of_a_buffer_the_media_may_keep_on_every_media() {
                 wp
             };
             // Built in place, copied from a slice, or a view with its zero
-            // tail left out (what a read of a device hands back).
+            // tail left out (what a read of a device hands back); whole, or
+            // in two parts cut at any sector.
             let handle = match rng.gen_range(3) {
                 0 => {
                     let mut buf = PayloadBuf::zeroed(data.len());
@@ -258,11 +262,17 @@ fn write_shared_is_write_of_a_buffer_the_media_may_keep_on_every_media() {
             let a = by_bytes
                 .write(t, c.ppa(at), &data)
                 .map_err(|e| e.to_string());
+            let cut = rng.gen_range((data.len() / SECTOR_BYTES) as u64 + 1) as usize * SECTOR_BYTES;
+            let parts = if rng.gen_bool(0.5) {
+                vec![handle.clone()]
+            } else {
+                vec![handle.slice(0..cut), handle.slice(cut..data.len())]
+            };
             let b = by_handle
-                .write_shared(t, c.ppa(at), &handle)
+                .write_parts(t, c.ppa(at), &parts)
                 .map_err(|e| e.to_string());
             assert_eq!(a, b, "{kind} step {step}: write of {} at {at}", data.len());
-            drop(handle);
+            drop((handle, parts));
             match a {
                 Ok(done) => t = done.done,
                 Err(e) if e.contains("media failure") => failed += 1,
@@ -313,5 +323,31 @@ fn write_shared_is_write_of_a_buffer_the_media_may_keep_on_every_media() {
             handle_dev.with(|d| d.stored_sectors()),
             "{kind}"
         );
+    }
+}
+
+#[test]
+fn every_media_that_forwards_write_parts_hands_the_device_the_writers_buffer() {
+    let geo = Geometry::small_slc();
+    for kind in KINDS {
+        let (media, _) = stack(kind, geo);
+        let c = ChunkAddr::new(0, 0, 2);
+        let mut rng = Prng::seed_from_u64(0xAD0);
+        // A header at its exact length, a full block, padding that holds
+        // nothing: only the block is worth keeping, and it is kept.
+        let mut block = PayloadBuf::zeroed(geo.ws_min_bytes() - 2 * SECTOR_BYTES);
+        rng.fill_bytes(block.bytes_mut());
+        block.bytes_mut().iter_mut().for_each(|b| *b |= 1);
+        let block = block.freeze();
+        let header = Payload::from(&[7u8; 44][..]).zero_extended(SECTOR_BYTES);
+        let parts = [header, block.clone(), Payload::zeros(SECTOR_BYTES)];
+        let w = media.write_parts(SimTime::ZERO, c.ppa(0), &parts).unwrap();
+        let sectors = (block.len() / SECTOR_BYTES) as u32;
+        let (view, _) = media.read_shared(w.done, c.ppa(1), sectors).unwrap();
+        assert_eq!(view.to_vec(), block.to_vec(), "{kind}");
+        let kept = std::ptr::eq(view.bytes().as_ptr(), block.bytes().as_ptr());
+        assert_eq!(kept, kind != "foreign", "{kind}: the block was adopted");
+        let (whole, _) = media.read_shared(w.done, c.ppa(0), geo.ws_min).unwrap();
+        assert_eq!(whole.to_vec(), Payload::concat(&parts).to_vec(), "{kind}");
     }
 }

@@ -448,7 +448,7 @@ impl LightLsm {
 
     /// [`LightLsm::flush_table`] of a table handed over as its blocks, each
     /// [`LightLsm::block_bytes`] long, in buffers the media may keep instead
-    /// of copying ([`Media::write_shared`]); the same flush in every other
+    /// of copying (one-part [`Media::write_parts`]); the same flush in every other
     /// respect — placement, failover, barrier, directory commit.
     pub fn flush_table_blocks(
         &mut self,
@@ -463,7 +463,7 @@ impl LightLsm {
             }));
         }
         self.flush_blocks(now, blocks.len() * unit, |media, submit, ppa, block| {
-            media.write_shared(submit, ppa, &blocks[block as usize])
+            media.write_parts(submit, ppa, std::slice::from_ref(&blocks[block as usize]))
         })
     }
 

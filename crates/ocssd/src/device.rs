@@ -484,15 +484,17 @@ impl OcssdDevice {
         })
     }
 
-    /// [`OcssdDevice::write`] of a payload built in a buffer the device can
-    /// keep: the same command — same validation, faults, timing and
-    /// accounting, same bytes read back — whose payload the store adopts
-    /// instead of copying when it can (see `MediaStore::write_shared`). The
-    /// device holds its own reference from then on: whatever the writer does
-    /// with its handle afterwards, the stored bytes stay.
-    pub fn write_shared(&mut self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
-        self.write_command(now, ppa, data.len(), |media, chunk| {
-            media.write_shared(chunk, ppa.sector, data)
+    /// One gathered write: [`OcssdDevice::write`] of the concatenation of
+    /// `parts`, payloads built in buffers the device can keep — the same
+    /// command, with the same validation, faults, timing and accounting and
+    /// the same bytes read back — whose parts the store adopts instead of
+    /// copying when it can (see `MediaStore::write_parts`). The device holds
+    /// its own references from then on: whatever the writer does with its
+    /// handles afterwards, the stored bytes stay.
+    pub fn write_parts(&mut self, now: SimTime, ppa: Ppa, parts: &[Payload]) -> Result<Completion> {
+        let len = parts.iter().map(Payload::len).sum();
+        self.write_command(now, ppa, len, |media, chunk| {
+            media.write_parts(chunk, ppa.sector, parts)
         })
     }
 
@@ -1041,9 +1043,9 @@ impl SharedDevice {
         self.0.lock().write(now, ppa, data)
     }
 
-    /// See [`OcssdDevice::write_shared`].
-    pub fn write_shared(&self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
-        self.0.lock().write_shared(now, ppa, data)
+    /// See [`OcssdDevice::write_parts`].
+    pub fn write_parts(&self, now: SimTime, ppa: Ppa, parts: &[Payload]) -> Result<Completion> {
+        self.0.lock().write_parts(now, ppa, parts)
     }
 
     /// See [`OcssdDevice::read`].

@@ -47,6 +47,54 @@ impl Payload {
         Ok((buf.freeze(), out))
     }
 
+    /// A view of `len` zero bytes that holds none of them: padding, sent as
+    /// one part of a gathered write, costs no buffer.
+    pub fn zeros(len: usize) -> Payload {
+        Payload {
+            data: Arc::from(&[][..]),
+            stored: 0..0,
+            len,
+        }
+    }
+
+    /// This view followed by zeros up to `len` bytes. The buffer is not
+    /// touched, so a header encoded at its exact length and sent as a whole
+    /// sector pins only its own bytes.
+    pub fn zero_extended(mut self, len: usize) -> Payload {
+        assert!(len >= self.len, "a view is extended, not cut");
+        self.len = len;
+        self
+    }
+
+    /// Bytes `range` of the view, as a view of the same buffer.
+    pub fn slice(&self, range: Range<usize>) -> Payload {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "range outside the view"
+        );
+        let held = self.stored.len();
+        let at = |off: usize| self.stored.start + off.min(held);
+        Payload {
+            data: self.data.clone(),
+            stored: at(range.start)..at(range.end),
+            len: range.len(),
+        }
+    }
+
+    /// The bytes of `parts` one after another, zero tails included: borrowed
+    /// when there is one part and its buffer holds all of it.
+    pub fn concat(parts: &[Payload]) -> Cow<'_, [u8]> {
+        if let [one] = parts {
+            return one.padded();
+        }
+        let mut out = Vec::with_capacity(parts.iter().map(Payload::len).sum());
+        for part in parts {
+            out.extend_from_slice(part.bytes());
+            out.resize(out.len() + part.len - part.stored.len(), 0);
+        }
+        Cow::Owned(out)
+    }
+
     /// Length of the view in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -109,7 +157,7 @@ impl From<Vec<u8>> for Payload {
 
 /// A zeroed buffer with one owner, who fills it in and hands it on as a
 /// [`Payload`] — to a reader, or to the device, which keeps a payload written
-/// through `write_shared` as it is instead of copying it. The write-side
+/// through `write_parts` as it is instead of copying it. The write-side
 /// counterpart of a view: the bytes are written once, where flash will hold
 /// them.
 #[derive(Debug)]
@@ -161,7 +209,7 @@ struct Extent {
     sectors: u32,
     /// The buffer holding the payload minus its trailing zeros, at most
     /// `sectors` sectors of it: a copy, or the writer's own buffer, adopted
-    /// (see [`MediaStore::write_shared`]).
+    /// (see [`MediaStore::write_parts`]).
     data: Arc<[u8]>,
     /// How many bytes at the end of `data` do not count: none of a copy; an
     /// adopted buffer may run on, in zeros, for less than a sector. (Two
@@ -238,24 +286,39 @@ impl MediaStore {
         self.store(chunk, start, data, data.len() / SECTOR_BYTES, None);
     }
 
-    /// [`MediaStore::write`] of a payload the writer built in a buffer the
-    /// store can keep. A payload that `write` would store in one piece is
+    /// [`MediaStore::write`] of the concatenation of `parts`, payloads the
+    /// writer built in buffers the store can keep, each filed at its own
+    /// sector offset. A part that `write` would store in one piece is
     /// *adopted* — the extent is the writer's buffer, nothing is copied —
     /// provided that leaves less than a sector of the buffer unused (the
-    /// trimmed zero tail, or whatever else of the buffer the payload is not a
+    /// trimmed zero tail, or whatever else of the buffer the part is not a
     /// view of). Anything else — holes, a long zero tail — is copied exactly
     /// as `write` would copy it, so what is resident stays what was written,
-    /// to within that sector.
-    pub(crate) fn write_shared(&mut self, chunk: usize, start: u32, payload: &Payload) {
-        debug_assert!(payload.len.is_multiple_of(SECTOR_BYTES));
-        let whole = (payload.stored.start == 0).then_some(&payload.data);
-        self.store(
-            chunk,
-            start,
-            payload.bytes(),
-            payload.len / SECTOR_BYTES,
-            whole,
-        );
+    /// to within that sector per part. A part that holds nothing behind
+    /// another (padding) joins that piece as zero tail, as it would in
+    /// `write`; a part that ends inside a sector has the whole command
+    /// copied.
+    pub(crate) fn write_parts(&mut self, chunk: usize, start: u32, parts: &[Payload]) {
+        if parts.iter().any(|p| !p.len.is_multiple_of(SECTOR_BYTES)) {
+            self.write(chunk, start, &Payload::concat(parts));
+            return;
+        }
+        let mut at = start;
+        for part in parts.iter().filter(|p| !p.is_empty()) {
+            let sectors = part.len / SECTOR_BYTES;
+            let tail_of = self.chunks.get_mut(chunk).and_then(|list| list.last_mut());
+            match tail_of {
+                Some(piece) if at > start && part.stored.is_empty() => {
+                    piece.sectors += sectors as u32;
+                    self.sectors += sectors;
+                }
+                _ => {
+                    let whole = (part.stored.start == 0).then_some(&part.data);
+                    self.store(chunk, at, part.bytes(), sectors, whole);
+                }
+            }
+            at += sectors as u32;
+        }
     }
 
     /// Stores a command of `total` sectors whose bytes are `data` followed
@@ -418,6 +481,7 @@ impl MediaStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ox_sim::Prng;
 
     fn sectors(fills: &[u8]) -> Vec<u8> {
         fills
@@ -629,9 +693,9 @@ mod tests {
         let mut dented = sectors(&[6, 7]);
         dented[SECTOR_BYTES - SPLIT_SLACK + 1..SECTOR_BYTES].fill(0);
         let dented = owned(&dented);
-        m.write_shared(0, 0, &full);
-        m.write_shared(0, 3, &tailed);
-        m.write_shared(0, 5, &dented);
+        m.write_parts(0, 0, std::slice::from_ref(&full));
+        m.write_parts(0, 3, std::slice::from_ref(&tailed));
+        m.write_parts(0, 5, std::slice::from_ref(&dented));
         assert_eq!(
             pieces(&m, 0),
             vec![
@@ -683,7 +747,7 @@ mod tests {
             let (mut copied, mut shared) = (MediaStore::default(), MediaStore::default());
             copied.write(0, 0, &data);
             let payload = owned(&data);
-            shared.write_shared(0, 0, &payload);
+            shared.write_parts(0, 0, std::slice::from_ref(&payload));
             assert_eq!(pieces(&shared, 0), pieces(&copied, 0));
             assert!(shared.chunks[0]
                 .iter()
@@ -704,9 +768,9 @@ mod tests {
         let head = m.view(0, 0, 1).unwrap();
         let all = m.view(0, 0, 4).unwrap();
         let inner = m.view(0, 1, 2).unwrap();
-        m.write_shared(1, 0, &head);
-        m.write_shared(1, 1, &all);
-        m.write_shared(1, 5, &inner);
+        m.write_parts(1, 0, std::slice::from_ref(&head));
+        m.write_parts(1, 1, std::slice::from_ref(&all));
+        m.write_parts(1, 5, std::slice::from_ref(&inner));
         assert_eq!(
             pieces(&m, 1),
             vec![
@@ -727,7 +791,7 @@ mod tests {
     fn an_adopted_extent_is_cut_and_dropped_like_a_copied_one() {
         let mut m = MediaStore::default();
         let payload = owned(&sectors(&[1, 2, 3]));
-        m.write_shared(0, 0, &payload);
+        m.write_parts(0, 0, std::slice::from_ref(&payload));
         let before = m.view(0, 0, 3).unwrap();
         // A cut inside it keeps the prefix, in a buffer of the store's own.
         m.truncate(0, 2);
@@ -747,6 +811,149 @@ mod tests {
             Arc::strong_count(&payload.data),
             2,
             "the writer and the view"
+        );
+    }
+
+    /// One command of `n` sectors as `write` gets it and as parts cut at
+    /// random sector boundaries: buffers of their own, views of `src`'s
+    /// extents, header sectors at their exact length, padding that holds
+    /// nothing. Also returns how many parts the store may keep as they are.
+    fn cut_into_parts(
+        rng: &mut Prng,
+        src: &mut MediaStore,
+        n: usize,
+    ) -> (Vec<u8>, Vec<Payload>, usize) {
+        let (mut data, mut parts, mut keepable) = (Vec::new(), Vec::new(), 0);
+        let mut left = n;
+        while left > 0 {
+            let n = 1 + rng.gen_range(left as u64) as usize;
+            let mut bytes = vec![0u8; n * SECTOR_BYTES];
+            let make = rng.gen_range(4);
+            keepable += usize::from(make < 2);
+            let part = match make {
+                0 => {
+                    rng.fill_bytes(&mut bytes);
+                    owned(&bytes)
+                }
+                1 => {
+                    let tail = rng.gen_range(600) as usize;
+                    rng.fill_bytes(&mut bytes[..n * SECTOR_BYTES - tail]);
+                    let at = src
+                        .chunks
+                        .first()
+                        .and_then(|l| l.last())
+                        .map_or(0, Extent::end);
+                    src.write(0, at, &bytes);
+                    src.view(0, at, n as u32).unwrap()
+                }
+                2 => {
+                    let used = 1 + rng.gen_range(64) as usize;
+                    rng.fill_bytes(&mut bytes[..used]);
+                    bytes[used - 1] |= 1;
+                    Payload::from(&bytes[..used]).zero_extended(bytes.len())
+                }
+                _ => Payload::zeros(bytes.len()),
+            };
+            data.extend_from_slice(&bytes);
+            parts.push(part);
+            left -= n;
+        }
+        (data, parts, keepable)
+    }
+
+    #[test]
+    fn a_gathered_command_cut_anywhere_keeps_the_prefix_write_keeps() {
+        let mut rng = Prng::seed_from_u64(0x9A7);
+        let mut src = MediaStore::default();
+        for round in 0..400 {
+            let (mut copied, mut gathered) = (MediaStore::default(), MediaStore::default());
+            // A command in front, so a cut may fall behind other extents.
+            copied.write(0, 0, &sectors(&[1, 2]));
+            gathered.write(0, 0, &sectors(&[1, 2]));
+            let n = 1 + rng.gen_range(12) as u32;
+            let (data, parts, keepable) = cut_into_parts(&mut rng, &mut src, n as usize);
+            copied.write(0, 2, &data);
+            gathered.write_parts(0, 2, &parts);
+            let what = format!("round {round}");
+            assert_eq!(
+                read(&gathered, 0, 0, 2 + n),
+                read(&copied, 0, 0, 2 + n),
+                "{what}"
+            );
+            assert_eq!(gathered.len(), copied.len(), "{what}");
+            let slack = keepable * (SECTOR_BYTES - 1);
+            assert!(gathered.resident_bytes(0) <= copied.resident_bytes(0) + slack);
+            let before = gathered.view(0, 2, n).unwrap();
+            // A rollback through the middle of the command, or at its ends.
+            let cut = 2 + rng.gen_range(n as u64 + 1) as u32;
+            copied.truncate(0, cut);
+            gathered.truncate(0, cut);
+            assert_eq!(
+                read(&gathered, 0, 0, cut),
+                read(&copied, 0, 0, cut),
+                "{what}"
+            );
+            assert_eq!(read(&gathered, 0, cut, 1), None, "{what}");
+            assert_eq!(gathered.len(), copied.len(), "{what}");
+            assert!(gathered.resident_bytes(0) <= copied.resident_bytes(0) + slack);
+            assert_eq!(before.to_vec(), data, "{what}: a view outlives the cut");
+        }
+    }
+
+    #[test]
+    fn a_header_and_its_padding_hold_only_the_header() {
+        let mut m = MediaStore::default();
+        let header = Payload::from(&[9u8; 44][..]).zero_extended(SECTOR_BYTES);
+        let data = owned(&sectors(&[5, 6]));
+        let parts = [header, data.clone(), Payload::zeros(SECTOR_BYTES)];
+        m.write_parts(0, 0, &parts);
+        assert_eq!(
+            pieces(&m, 0),
+            vec![(0, 1, 44, 44), (1, 3, 2 * SECTOR_BYTES, 2 * SECTOR_BYTES)],
+            "the padding is the data's zero tail, as `write` stores it"
+        );
+        assert!(Arc::ptr_eq(&m.chunks[0][1].data, &data.data));
+        let mut want = sectors(&[0, 5, 6, 0]);
+        want[..44].fill(9);
+        assert_eq!(read(&m, 0, 0, 4), Some(want));
+        assert_eq!(m.len(), 4);
+        // A gathered command that is nothing but padding holds nothing.
+        m.write_parts(
+            0,
+            4,
+            &[Payload::zeros(SECTOR_BYTES), Payload::zeros(SECTOR_BYTES)],
+        );
+        assert_eq!(pieces(&m, 0)[2], (4, 2, 0, 0));
+        assert_eq!(read(&m, 0, 4, 2), Some(sectors(&[0, 0])));
+    }
+
+    #[test]
+    fn parts_that_end_inside_a_sector_are_written_as_their_bytes() {
+        let (mut copied, mut gathered) = (MediaStore::default(), MediaStore::default());
+        let data = sectors(&[3, 4]);
+        copied.write(0, 0, &data);
+        let (head, tail) = data.split_at(100);
+        gathered.write_parts(0, 0, &[owned(head), owned(tail)]);
+        assert_eq!(pieces(&gathered, 0), pieces(&copied, 0));
+        assert_eq!(read(&gathered, 0, 0, 2), Some(data));
+    }
+
+    #[test]
+    fn a_slice_is_a_view_of_the_same_buffer() {
+        let mut m = MediaStore::default();
+        let mut data = sectors(&[1, 2, 0]);
+        data[2 * SECTOR_BYTES - 10..].fill(0);
+        m.write(0, 0, &data);
+        let view = m.view(0, 0, 3).unwrap();
+        for (from, to) in [(0, 3), (1, 2), (2, 3), (0, 0), (1, 3)] {
+            let range = from * SECTOR_BYTES..to * SECTOR_BYTES;
+            let slice = view.slice(range.clone());
+            assert!(Arc::ptr_eq(&slice.data, &view.data));
+            assert_eq!(slice.to_vec(), data[range], "{from}..{to}");
+        }
+        assert_eq!(
+            Payload::concat(&[view.slice(0..10), view.clone()]).len(),
+            10 + data.len()
         );
     }
 

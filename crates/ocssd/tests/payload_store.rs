@@ -15,7 +15,7 @@
 //! frees them, is checked by reference count in the store's unit tests).
 //!
 //! (d) Adopted ≡ copied: twin devices fed the same commands, one through
-//! `write` and one through `write_shared` — payloads in buffers the store
+//! `write` and one through `write_parts` — payloads in buffers the store
 //! can keep, full, holed, short-tailed and all zero — must acknowledge at
 //! the same times, read back the same bytes both ways, count the same
 //! sectors, survive the same resets and power cuts and end with identical
@@ -23,6 +23,13 @@
 //! less than a sector per command. And the device shares what it adopted:
 //! the writer's buffer is the one views point into, whatever becomes of the
 //! writer's handle.
+//! (e) Gathered ≡ concatenated: the same, for commands cut into parts at any
+//! sector boundary — buffers of their own, views of other extents, header
+//! sectors at their exact length, padding that holds nothing — and with a
+//! view taken before each reset still reading the old bytes. (That a
+//! rollback cut through the middle of a gathered command leaves the prefix
+//! the concatenation leaves is checked on the store itself, in its unit
+//! tests: the device only ever rolls back whole commands.)
 //!
 //! Seeds come from `OX_FAULT_SEED_BASE` like the fault property tests; a
 //! failure names the seed and geometry to replay.
@@ -559,7 +566,9 @@ fn adopted_and_copied_payloads_are_the_same_write() {
                             Payload::from(&data[..])
                         };
                         let a = copy_dev.write(t, c.ppa(wp), &data).expect(&ctx);
-                        let b = share_dev.write_shared(t, c.ppa(wp), &handle).expect(&ctx);
+                        let b = share_dev
+                            .write_parts(t, c.ppa(wp), std::slice::from_ref(&handle))
+                            .expect(&ctx);
                         assert_eq!(a, b, "{ctx} step {step}: write");
                         t = a.done;
                         // The writer is done with its handle, sooner or later.
@@ -667,7 +676,9 @@ fn the_device_keeps_the_writers_buffer_and_a_reference_of_its_own() {
         let (full, _) = shaped_payload(&mut rng, &geo, 0);
         let full = &full[..unit];
         let handle = built(full);
-        let w = dev.write_shared(SimTime::ZERO, c.ppa(0), &handle).unwrap();
+        let w = dev
+            .write_parts(SimTime::ZERO, c.ppa(0), std::slice::from_ref(&handle))
+            .unwrap();
         let (view, r) = dev.read_shared(w.done, c.ppa(0), geo.ws_min).unwrap();
         assert!(shares_buffer(&view, &handle));
         assert_eq!(dev.resident_bytes(c), unit);
@@ -683,7 +694,7 @@ fn the_device_keeps_the_writers_buffer_and_a_reference_of_its_own() {
         holed[20..SECTOR_BYTES].fill(0);
         let handle = built(&holed);
         let w = dev
-            .write_shared(r.done, c.ppa(geo.ws_min), &handle)
+            .write_parts(r.done, c.ppa(geo.ws_min), std::slice::from_ref(&handle))
             .unwrap();
         let (holed_view, r) = dev.read_shared(w.done, c.ppa(geo.ws_min), 1).unwrap();
         assert!(!shares_buffer(&holed_view, &handle));
@@ -697,7 +708,9 @@ fn the_device_keeps_the_writers_buffer_and_a_reference_of_its_own() {
         assert_eq!(dev.stored_sectors(), 0);
         assert!(view.to_vec() == full);
         let handle = built(full);
-        let w = dev.write_shared(erased.done, c.ppa(0), &handle).unwrap();
+        let w = dev
+            .write_parts(erased.done, c.ppa(0), std::slice::from_ref(&handle))
+            .unwrap();
         let (cached, _) = dev.read_shared(w.done, c.ppa(0), geo.ws_min).unwrap();
         dev.crash(w.done);
         assert_eq!(
@@ -711,5 +724,222 @@ fn the_device_keeps_the_writers_buffer_and_a_reference_of_its_own() {
             Err(DeviceError::ReadUnwritten(_))
         ));
         assert!(shares_buffer(&cached, &handle) && cached.to_vec() == full);
+    }
+}
+
+/// Where views of other extents come from: a device of its own, written
+/// through `write` (so its extents are the store's trimmed copies).
+struct Sources {
+    dev: OcssdDevice,
+    geo: Geometry,
+    chunk: u32,
+    t: SimTime,
+}
+
+impl Sources {
+    fn new(geo: Geometry) -> Sources {
+        Sources {
+            dev: OcssdDevice::new(DeviceConfig::with_geometry(geo)),
+            geo,
+            chunk: 0,
+            t: SimTime::ZERO,
+        }
+    }
+
+    /// `data` (at most a few units) written somewhere in a command of its
+    /// own, at any offset in it, and read back as a view.
+    fn view_of(&mut self, rng: &mut Prng, data: &[u8]) -> Payload {
+        let geo = self.geo;
+        let sectors = (data.len() / SECTOR_BYTES) as u32;
+        let units = (sectors + 1).div_ceil(geo.ws_min);
+        let at = rng.gen_range((units * geo.ws_min - sectors + 1) as u64) as u32;
+        let mut c = ChunkAddr::new(0, 0, self.chunk);
+        let mut wp = self.dev.chunk_info(c).write_ptr;
+        if geo.sectors_per_chunk - wp < units * geo.ws_min {
+            self.chunk = (self.chunk + 1) % 4;
+            c = ChunkAddr::new(0, 0, self.chunk);
+            if self.dev.chunk_info(c).write_ptr > 0 {
+                self.t = self.dev.reset_chunk(self.t, c).unwrap().done;
+            }
+            wp = 0;
+        }
+        let mut command = payload(rng, units * geo.ws_min);
+        let from = at as usize * SECTOR_BYTES;
+        command[from..from + data.len()].copy_from_slice(data);
+        self.t = self.dev.write(self.t, c.ppa(wp), &command).unwrap().done;
+        let (view, done) = self
+            .dev
+            .read_shared(self.t, c.ppa(wp + at), sectors)
+            .unwrap();
+        self.t = done.done;
+        view
+    }
+}
+
+/// A command of `sectors` sectors cut into parts at random sector
+/// boundaries, each of one make: 0 a buffer of its own, 1 a view of another
+/// extent, 2 a header sector at its exact length, 3 padding that holds
+/// nothing. Returns the parts, their concatenation, how many of them the
+/// store may keep as they are, and which makes were used.
+fn gathered(
+    rng: &mut Prng,
+    sources: &mut Sources,
+    sectors: u32,
+) -> (Vec<Payload>, Vec<u8>, usize, [bool; 4]) {
+    let (mut parts, mut data, mut keepable, mut made) = (Vec::new(), Vec::new(), 0, [false; 4]);
+    let mut left = sectors;
+    while left > 0 {
+        let n = 1 + rng.gen_range(left.min(2 * sources.geo.ws_min) as u64) as u32;
+        let make = if n == 1 {
+            rng.gen_range(4)
+        } else {
+            [0, 1, 3][rng.gen_range(3) as usize]
+        };
+        let bytes = match make {
+            2 => {
+                let mut sector = vec![0u8; SECTOR_BYTES];
+                let used = 1 + rng.gen_range(200) as usize;
+                rng.fill_bytes(&mut sector[..used]);
+                sector[used - 1] |= 1;
+                parts.push(Payload::from(&sector[..used]).zero_extended(SECTOR_BYTES));
+                sector
+            }
+            3 => {
+                parts.push(Payload::zeros(n as usize * SECTOR_BYTES));
+                vec![0u8; n as usize * SECTOR_BYTES]
+            }
+            _ => {
+                let bytes = payload(rng, n);
+                parts.push(if make == 0 {
+                    built(&bytes)
+                } else {
+                    sources.view_of(rng, &bytes)
+                });
+                keepable += 1;
+                bytes
+            }
+        };
+        made[make as usize] = true;
+        data.extend_from_slice(&bytes);
+        left -= n;
+    }
+    (parts, data, keepable, made)
+}
+
+#[test]
+fn gathered_writes_are_the_write_of_their_concatenation() {
+    for geo in geometries() {
+        let (mut made, mut rollbacks, mut resets) = ([false; 4], 0, 0);
+        for seed in matrix_seeds(8) {
+            let ctx = format!("seed {seed} on {:?}", geo.cell);
+            let config = DeviceConfig::with_geometry(geo);
+            let mut copy_dev = OcssdDevice::new(config.clone());
+            let mut parts_dev = OcssdDevice::new(config);
+            let mut sources = Sources::new(geo);
+            let mut rng = Prng::seed_from_u64(seed ^ 0x6A7E);
+            let spc = geo.sectors_per_chunk;
+            let mut t = SimTime::ZERO;
+            // Per chunk, how far `parts_dev` may be above `copy_dev`: less
+            // than a sector per part the store may keep as it is.
+            let mut slack = [0usize; CHUNKS as usize];
+
+            for step in 0..250u32 {
+                let i = rng.gen_range(CHUNKS);
+                let c = chunk(&geo, i);
+                let wp = copy_dev.chunk_info(c).write_ptr;
+                match rng.gen_range(10) {
+                    0..=4 if spc - wp >= 2 * geo.ws_min => {
+                        let units = 1 + rng.gen_range(2) as u32;
+                        let (parts, data, keepable, kinds) =
+                            gathered(&mut rng, &mut sources, units * geo.ws_min);
+                        let a = copy_dev.write(t, c.ppa(wp), &data).expect(&ctx);
+                        let b = parts_dev.write_parts(t, c.ppa(wp), &parts).expect(&ctx);
+                        assert_eq!(a, b, "{ctx} step {step}: write");
+                        t = a.done;
+                        drop(parts);
+                        slack[i as usize] += keepable * (SECTOR_BYTES - 1);
+                        made.iter_mut().zip(kinds).for_each(|(m, k)| *m |= k);
+                        let n = units * geo.ws_min;
+                        let a = by_view(&mut copy_dev, t, c.ppa(wp), n).expect(&ctx);
+                        let b = by_view(&mut parts_dev, t, c.ppa(wp), n).expect(&ctx);
+                        assert!(a == b && a.0 == data, "{ctx} step {step}: read back");
+                        t = a.2;
+                    }
+                    0..=6 => {
+                        let start = rng.gen_range(spc as u64) as u32;
+                        let n = (1 + rng.gen_range(3 * geo.ws_min as u64) as u32).min(spc - start);
+                        for (copy, parts) in [
+                            (
+                                by_copy(&mut copy_dev, t, c.ppa(start), n),
+                                by_copy(&mut parts_dev, t, c.ppa(start), n),
+                            ),
+                            (
+                                by_view(&mut copy_dev, t, c.ppa(start), n),
+                                by_view(&mut parts_dev, t, c.ppa(start), n),
+                            ),
+                        ] {
+                            assert!(copy == parts, "{ctx} step {step}: read of {n} at {start}");
+                            if let Ok((_, _, done)) = copy {
+                                t = done;
+                            }
+                        }
+                    }
+                    7 | 8 if wp > 0 => {
+                        // A view taken before the reset reads what it read.
+                        let start = rng.gen_range(wp as u64) as u32;
+                        let n = (1 + rng.gen_range(2 * geo.ws_min as u64) as u32).min(wp - start);
+                        let before = by_copy(&mut copy_dev, t, c.ppa(start), n).expect(&ctx);
+                        let (view, _) = parts_dev.read_shared(t, c.ppa(start), n).expect(&ctx);
+                        assert!(view.to_vec() == before.0, "{ctx} step {step}: view");
+                        let a = copy_dev.reset_chunk(t, c).expect(&ctx);
+                        assert_eq!(a, parts_dev.reset_chunk(t, c).expect(&ctx), "{ctx}");
+                        t = a.done;
+                        slack[i as usize] = 0;
+                        resets += 1;
+                        assert!(view.to_vec() == before.0, "{ctx} step {step}: after reset");
+                    }
+                    _ => {
+                        if rng.gen_bool(0.5) {
+                            t += SimDuration::from_millis(rng.gen_range(20));
+                        }
+                        let before = copy_dev.stored_sectors();
+                        copy_dev.crash(t);
+                        parts_dev.crash(t);
+                        rollbacks += usize::from(copy_dev.stored_sectors() < before);
+                    }
+                }
+                assert_eq!(
+                    parts_dev.stored_sectors(),
+                    copy_dev.stored_sectors(),
+                    "{ctx} step {step}: stored_sectors"
+                );
+                for i in 0..CHUNKS {
+                    let c = chunk(&geo, i);
+                    assert_eq!(parts_dev.chunk_info(c), copy_dev.chunk_info(c), "{ctx}");
+                    let (copied, gathered) =
+                        (copy_dev.resident_bytes(c), parts_dev.resident_bytes(c));
+                    assert!(
+                        gathered <= copied + slack[i as usize],
+                        "{ctx} step {step}: {gathered} resident against {copied}, slack {}",
+                        slack[i as usize]
+                    );
+                }
+            }
+            assert_eq!(
+                format!("{:?}", copy_dev.stats()),
+                format!("{:?}", parts_dev.stats()),
+                "{ctx}: device statistics"
+            );
+            assert_eq!(
+                copy_dev.obs().metrics.to_json(),
+                parts_dev.obs().metrics.to_json(),
+                "{ctx}: metrics"
+            );
+        }
+        assert!(
+            made == [true; 4] && rollbacks > 0 && resets > 0,
+            "{:?}: parts made {made:?}, {rollbacks} rollbacks, {resets} resets",
+            geo.cell
+        );
     }
 }

@@ -20,11 +20,13 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use ocssd::{ChunkAddr, ChunkState, Completion, DeviceError, Geometry, SECTOR_BYTES};
-use ox_core::retry::read_with_policy;
+use ocssd::{ChunkAddr, ChunkState, Completion, DeviceError, Geometry, Payload, SECTOR_BYTES};
+use ox_core::retry::{read_shared_with_policy, read_with_policy};
 use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Zone lifecycle state (the NVMe ZNS state machine, minus the transient
@@ -80,6 +82,9 @@ pub enum ZnsError {
     /// Append length must be a positive multiple of the zone append
     /// granularity (the device write unit).
     BadAppendSize(usize),
+    /// A read must ask for at least one sector, and a read buffer must hold
+    /// exactly the sectors asked for; carries the buffer length.
+    BadReadSize(usize),
     /// Read beyond the write pointer.
     ReadBeyondWp {
         /// Offending zone.
@@ -99,6 +104,7 @@ impl std::fmt::Display for ZnsError {
                 write!(f, "zone {zone} not writable in state {state:?}")
             }
             ZnsError::BadAppendSize(n) => write!(f, "bad append size {n}"),
+            ZnsError::BadReadSize(n) => write!(f, "bad read size {n}"),
             ZnsError::ReadBeyondWp { zone, sector } => {
                 write!(f, "read beyond write pointer: zone {zone} sector {sector}")
             }
@@ -113,6 +119,20 @@ impl From<DeviceError> for ZnsError {
     fn from(e: DeviceError) -> Self {
         ZnsError::Device(e)
     }
+}
+
+/// The pieces of `parts` that cover bytes `range` of their concatenation.
+fn cut(parts: &[Payload], range: Range<usize>) -> Vec<Payload> {
+    let mut pieces = Vec::new();
+    let mut at = 0;
+    for part in parts {
+        let (from, to) = (range.start.max(at), range.end.min(at + part.len()));
+        if from < to {
+            pieces.push(part.slice(from - at..to - at));
+        }
+        at += part.len();
+    }
+    pieces
 }
 
 struct Zone {
@@ -334,24 +354,29 @@ impl ZnsFtl {
         (chunk, (sector % per) as u32)
     }
 
-    /// Zone append: writes `data` at the zone's write pointer and returns
-    /// the starting sector plus the completion time. `data` must be a
-    /// positive multiple of [`ZnsFtl::append_bytes`].
+    /// Zone append: writes `parts`, one after another, at the zone's write
+    /// pointer and returns the starting sector plus the completion time.
+    /// Together they must be a positive multiple of
+    /// [`ZnsFtl::append_bytes`]. Each device write unit goes down as one
+    /// gathered write of the parts that cover it ([`Media::write_parts`]), so
+    /// the device may keep their buffers instead of copying them.
     pub fn append(
         &mut self,
         now: SimTime,
         zone: u32,
-        data: &[u8],
+        parts: &[Payload],
     ) -> Result<(u64, SimTime), ZnsError> {
-        if data.is_empty() || !data.len().is_multiple_of(self.geo.ws_min_bytes()) {
-            return Err(ZnsError::BadAppendSize(data.len()));
+        let len: usize = parts.iter().map(Payload::len).sum();
+        let unit = self.geo.ws_min_bytes();
+        if len == 0 || !len.is_multiple_of(unit) {
+            return Err(ZnsError::BadAppendSize(len));
         }
         let zone_sectors = self.zone_sectors;
         let z = self
             .zones
             .get_mut(zone as usize)
             .ok_or(ZnsError::NoSuchZone(zone))?;
-        let sectors = (data.len() / SECTOR_BYTES) as u64;
+        let sectors = (len / SECTOR_BYTES) as u64;
         if !matches!(z.state, ZoneState::Empty | ZoneState::Open) || z.wp + sectors > zone_sectors {
             return Err(ZnsError::ZoneNotWritable {
                 zone,
@@ -361,13 +386,16 @@ impl ZnsFtl {
         let start = z.wp;
         let mut t = now;
         let per_chunk = self.geo.sectors_per_chunk as u64;
-        let unit = self.geo.ws_min_bytes();
-        for (i, piece) in data.chunks(unit).enumerate() {
+        for i in 0..len / unit {
             let sector = start + (i as u64) * self.geo.ws_min as u64;
             let chunk = z.chunks[(sector / per_chunk) as usize];
             let within = (sector % per_chunk) as u32;
-            let comp = self.media.write(t, chunk.ppa(within), piece)?;
-            t = comp.done;
+            let piece = if len == unit {
+                Cow::Borrowed(parts)
+            } else {
+                Cow::Owned(cut(parts, i * unit..(i + 1) * unit))
+            };
+            t = self.media.write_parts(t, chunk.ppa(within), &piece)?.done;
         }
         z.wp += sectors;
         z.readable = z.wp;
@@ -376,14 +404,43 @@ impl ZnsFtl {
         } else {
             ZoneState::Open
         };
-        self.obs.metrics.record("zns.append", data.len() as u64);
-        self.obs
-            .tracer
-            .span(now, t, "zns", "append", data.len() as u64);
+        self.obs.metrics.record("zns.append", len as u64);
+        self.obs.tracer.span(now, t, "zns", "append", len as u64);
         Ok((start, t))
     }
 
-    /// Reads `sectors` sectors at `sector` within a zone.
+    /// The zone a read of `sectors` sectors at `sector` into a buffer of
+    /// `len` bytes may be served from: at least one sector, a buffer of
+    /// exactly that many, all of them below the readable mark.
+    fn readable(
+        &self,
+        zone: u32,
+        sector: u64,
+        sectors: u32,
+        len: usize,
+    ) -> Result<&Zone, ZnsError> {
+        if sectors == 0 || len != sectors as usize * SECTOR_BYTES {
+            return Err(ZnsError::BadReadSize(len));
+        }
+        let z = self
+            .zones
+            .get(zone as usize)
+            .ok_or(ZnsError::NoSuchZone(zone))?;
+        if sector + sectors as u64 > z.readable {
+            return Err(ZnsError::ReadBeyondWp { zone, sector });
+        }
+        Ok(z)
+    }
+
+    /// Counts a zone read of `sectors` sectors issued at `now`.
+    fn note_read(&self, now: SimTime, done: SimTime, sectors: u32) {
+        let bytes = sectors as u64 * SECTOR_BYTES as u64;
+        self.obs.metrics.record("zns.read", bytes);
+        self.obs.tracer.span(now, done, "zns", "read", bytes);
+    }
+
+    /// Reads `sectors` sectors at `sector` within a zone into `out`, which
+    /// must hold exactly that many.
     pub fn read(
         &mut self,
         now: SimTime,
@@ -392,17 +449,10 @@ impl ZnsFtl {
         sectors: u32,
         out: &mut [u8],
     ) -> Result<SimTime, ZnsError> {
-        assert_eq!(out.len(), sectors as usize * SECTOR_BYTES);
-        let z = self
-            .zones
-            .get(zone as usize)
-            .ok_or(ZnsError::NoSuchZone(zone))?;
-        if sector + sectors as u64 > z.readable {
-            return Err(ZnsError::ReadBeyondWp { zone, sector });
-        }
-        // Split at chunk boundaries.
+        let z = self.readable(zone, sector, sectors, out.len())?;
+        // Split at chunk boundaries; reads of different chunks proceed in
+        // parallel, so every piece is issued at `now`.
         let per_chunk = self.geo.sectors_per_chunk as u64;
-        let mut t = now;
         let mut done = now;
         let mut remaining = sectors as u64;
         let mut cur = sector;
@@ -416,29 +466,48 @@ impl ZnsFtl {
             // make the retry traffic observable.
             let outcome = read_with_policy(
                 self.media.as_ref(),
-                t,
+                now,
                 chunk.ppa(within),
                 in_chunk as u32,
                 &mut out[off..off + bytes],
                 Some(&self.obs.metrics),
             )?;
             done = done.max(outcome.completion.done);
-            t = now; // reads of different chunks proceed in parallel
             cur += in_chunk;
             off += bytes;
             remaining -= in_chunk;
         }
-        self.obs
-            .metrics
-            .record("zns.read", sectors as u64 * SECTOR_BYTES as u64);
-        self.obs.tracer.span(
-            now,
-            done,
-            "zns",
-            "read",
-            sectors as u64 * SECTOR_BYTES as u64,
-        );
+        self.note_read(now, done, sectors);
         Ok(done)
+    }
+
+    /// [`ZnsFtl::read`] answered with a view of the device's bytes instead
+    /// of a copy: the same reads under the same retry policy, metrics and
+    /// span. Sectors of one chunk come back in the device's own buffer;
+    /// a read across chunks is gathered into a buffer of its own.
+    pub fn read_shared(
+        &mut self,
+        now: SimTime,
+        zone: u32,
+        sector: u64,
+        sectors: u32,
+    ) -> Result<(Payload, SimTime), ZnsError> {
+        let len = sectors as usize * SECTOR_BYTES;
+        let z = self.readable(zone, sector, sectors, len)?;
+        let (chunk, within) = self.location(z, sector);
+        if within as u64 + sectors as u64 > self.geo.sectors_per_chunk as u64 {
+            return Payload::filled(len, |out| self.read(now, zone, sector, sectors, out));
+        }
+        let (view, outcome) = read_shared_with_policy(
+            self.media.as_ref(),
+            now,
+            chunk.ppa(within),
+            sectors,
+            Some(&self.obs.metrics),
+        )?;
+        let done = outcome.completion.done;
+        self.note_read(now, done, sectors);
+        Ok((view, done))
     }
 
     /// Finishes a zone: the write pointer jumps to capacity and the zone
@@ -516,8 +585,8 @@ mod tests {
         (ftl, dev, t)
     }
 
-    fn unit(ftl: &ZnsFtl, fill: u8) -> Vec<u8> {
-        vec![fill; ftl.append_bytes()]
+    fn unit(ftl: &ZnsFtl, fill: u8) -> [Payload; 1] {
+        [vec![fill; ftl.append_bytes()].into()]
     }
 
     #[test]
@@ -556,7 +625,7 @@ mod tests {
     fn appends_are_strictly_sequential_and_bounded() {
         let (mut ftl, _, t0) = setup();
         assert!(matches!(
-            ftl.append(t0, 0, &[0u8; 100]),
+            ftl.append(t0, 0, &[Payload::from(&[0u8; 100][..])]),
             Err(ZnsError::BadAppendSize(100))
         ));
         let capacity_units = (ftl.zone_sectors() / 24) as usize;
@@ -586,6 +655,82 @@ mod tests {
             ftl.read(t1, 0, 24, 1, &mut out),
             Err(ZnsError::ReadBeyondWp { .. })
         ));
+    }
+
+    #[test]
+    fn mis_sized_reads_are_typed_errors_that_touch_nothing() {
+        let (mut ftl, dev, t0) = setup();
+        let (_, t1) = ftl.append(t0, 0, &unit(&ftl, 3)).unwrap();
+        let reads = dev.stats().media_reads.ops() + dev.stats().cache_reads.ops();
+        for (sectors, len) in [(2, SECTOR_BYTES), (1, SECTOR_BYTES + 1), (0, 0)] {
+            let mut out = vec![0u8; len];
+            assert_eq!(
+                ftl.read(t1, 0, 0, sectors, &mut out),
+                Err(ZnsError::BadReadSize(len))
+            );
+        }
+        assert_eq!(
+            ftl.read_shared(t1, 0, 0, 0).unwrap_err(),
+            ZnsError::BadReadSize(0)
+        );
+        let now = dev.stats().media_reads.ops() + dev.stats().cache_reads.ops();
+        assert_eq!(now, reads, "no command reached the device");
+        // The zone still reads.
+        let mut out = vec![0u8; SECTOR_BYTES];
+        ftl.read(t1, 0, 0, 1, &mut out).unwrap();
+        assert_eq!(out[0], 3);
+    }
+
+    /// A unit's parts the way a log writes them: a header encoded at its
+    /// exact length, data, and padding that holds nothing.
+    fn parts(ftl: &ZnsFtl, units: usize, fill: u8) -> Vec<Payload> {
+        let unit = ftl.append_bytes();
+        let data = units * unit - 2 * SECTOR_BYTES;
+        vec![
+            Payload::from(&[fill; 40][..]).zero_extended(SECTOR_BYTES),
+            vec![fill ^ 0x5A; data].into(),
+            Payload::zeros(SECTOR_BYTES),
+        ]
+    }
+
+    #[test]
+    fn appended_parts_read_back_as_their_concatenation_by_copy_and_by_view() {
+        let (mut by_copy, copy_dev, t0) = setup();
+        let (mut by_view, view_dev, _) = setup();
+        let per_chunk = by_copy.zone_sectors() / 2;
+        let mut t = t0;
+        let mut want = Vec::new();
+        // Units of one part each, and of parts that straddle units, until
+        // the zone's first chunk is full and its second begun.
+        let mut i = 0u8;
+        while (want.len() / SECTOR_BYTES) as u64 <= per_chunk {
+            let units = 1 + i as usize % 3;
+            let parts = parts(&by_copy, units, i);
+            let a = by_copy.append(t, 0, &parts).unwrap();
+            assert_eq!(by_view.append(t, 0, &parts).unwrap(), a);
+            want.extend_from_slice(&Payload::concat(&parts));
+            t = a.1;
+            i += 1;
+        }
+        let sectors = (want.len() / SECTOR_BYTES) as u64;
+        for (start, n) in [(0, 1), (1, 7), (per_chunk - 3, 6), (0, sectors)] {
+            let mut out = vec![0u8; n as usize * SECTOR_BYTES];
+            let a = by_copy.read(t, 0, start, n as u32, &mut out).unwrap();
+            let (view, b) = by_view.read_shared(t, 0, start, n as u32).unwrap();
+            let at = start as usize * SECTOR_BYTES;
+            assert_eq!(a, b, "{n} sectors at {start}");
+            assert!(out == want[at..at + out.len()] && view.to_vec() == out);
+        }
+        assert_eq!(
+            format!("{:?}", copy_dev.stats()),
+            format!("{:?}", view_dev.stats())
+        );
+        // A view of data the device kept is the appender's own buffer.
+        let unit = parts(&by_view, 1, 0xEE);
+        let (start, t) = by_view.append(t, 1, &unit).unwrap();
+        let data_sectors = (unit[1].len() / SECTOR_BYTES) as u32;
+        let (view, _) = by_view.read_shared(t, 1, start + 1, data_sectors).unwrap();
+        assert_eq!(view.bytes().as_ptr(), unit[1].bytes().as_ptr());
     }
 
     #[test]
@@ -632,7 +777,7 @@ mod tests {
         let data_units = 4;
         let drain_time = |same_zone: bool| {
             let (mut ftl, dev, t0) = setup();
-            let data: Vec<u8> = vec![1u8; ftl.append_bytes() * data_units];
+            let data = [Payload::from(vec![1u8; ftl.append_bytes() * data_units])];
             let mut t = t0;
             t = ftl.append(t, 0, &data).unwrap().1;
             t = ftl

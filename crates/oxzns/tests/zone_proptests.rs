@@ -154,7 +154,10 @@ impl Case {
             && m.wp + sectors <= self.zone_sectors;
         let prev_wp = m.wp;
         let prev_state = m.state;
-        match self.ftl.append(self.t, zone, &data) {
+        // In two parts split at any sector: a unit may take its bytes from both.
+        let split = rng.gen_range(sectors + 1) as usize * SECTOR_BYTES;
+        let parts = [data[..split].into(), data[split..].into()];
+        match self.ftl.append(self.t, zone, &parts) {
             Ok((start, t)) => {
                 assert!(
                     fits || m.broken,
@@ -206,7 +209,7 @@ impl Case {
         let units = remaining_units + rng.gen_range_in(1, 3);
         let data = vec![0xEE; units as usize * self.append_bytes];
         let prev_wp = m.wp;
-        match self.ftl.append(self.t, zone, &data) {
+        match self.ftl.append(self.t, zone, &[data.into()]) {
             Err(ZnsError::ZoneNotWritable { .. }) => {}
             Ok(_) => panic!("seed {seed}: zone {zone} accepted append past capacity"),
             Err(e) => panic!("seed {seed}: zone {zone} oversized append: wrong error {e}"),
@@ -228,7 +231,7 @@ impl Case {
         } else {
             self.append_bytes - SECTOR_BYTES
         };
-        match self.ftl.append(self.t, zone, &vec![0u8; len]) {
+        match self.ftl.append(self.t, zone, &[vec![0u8; len].into()]) {
             Err(ZnsError::BadAppendSize(n)) => assert_eq!(n, len),
             other => panic!("seed {seed}: zone {zone} bad-size append: {other:?}"),
         }
@@ -432,13 +435,13 @@ fn boundary_rejections_leave_zone_untouched() {
     // Fill to one unit short of capacity.
     let mut t = t0;
     let big = vec![0xAB; (cap_units - 1) as usize * unit];
-    let (start, t1) = ftl.append(t, 0, &big).unwrap();
+    let (start, t1) = ftl.append(t, 0, &[big.into()]).unwrap();
     assert_eq!(start, 0);
     t = t1;
 
     // A two-unit append would run past capacity: rejected, wp unchanged.
     assert!(matches!(
-        ftl.append(t, 0, &vec![0u8; 2 * unit]),
+        ftl.append(t, 0, &[vec![0u8; 2 * unit].into()]),
         Err(ZnsError::ZoneNotWritable { zone: 0, .. })
     ));
     assert_eq!(
@@ -455,13 +458,13 @@ fn boundary_rejections_leave_zone_untouched() {
     ));
 
     // The exactly-fitting unit is accepted and the zone becomes Full...
-    let (_, t2) = ftl.append(t, 0, &vec![0xCD; unit]).unwrap();
+    let (_, t2) = ftl.append(t, 0, &[vec![0xCD; unit].into()]).unwrap();
     t = t2;
     assert_eq!(ftl.zone_info(0).unwrap().state, ZoneState::Full);
 
     // ...after which any append is rejected.
     assert!(matches!(
-        ftl.append(t, 0, &vec![0u8; unit]),
+        ftl.append(t, 0, &[vec![0u8; unit].into()]),
         Err(ZnsError::ZoneNotWritable {
             zone: 0,
             state: ZoneState::Full

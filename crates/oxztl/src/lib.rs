@@ -50,7 +50,7 @@ pub use media::ZtlMedia;
 pub use placement::{Stream, STREAMS};
 pub use route::RoutedMedia;
 
-use ocssd::{ChunkAddr, DeviceError, Geometry, SECTOR_BYTES};
+use ocssd::{ChunkAddr, DeviceError, Geometry, Payload, PayloadBuf, SECTOR_BYTES};
 use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
@@ -215,18 +215,20 @@ impl ZtlStats {
     }
 }
 
-fn encode_header(seq: u64, data_lpns: &[u64], trim_lpns: &[u64]) -> Vec<u8> {
-    let mut h = vec![0u8; SECTOR_BYTES];
+/// A unit's header sector: the header at its exact length, the rest of the
+/// sector zeros the buffer does not hold.
+fn encode_header(seq: u64, data_lpns: &[u64], trim_lpns: &[u64]) -> Payload {
+    let mut buf = PayloadBuf::zeroed(HEADER_BYTES + 8 * (data_lpns.len() + trim_lpns.len()));
+    let h = buf.bytes_mut();
     h[..8].copy_from_slice(&RECORD_MAGIC.to_le_bytes());
     h[8..16].copy_from_slice(&seq.to_le_bytes());
     h[16..18].copy_from_slice(&(data_lpns.len() as u16).to_le_bytes());
     h[18..20].copy_from_slice(&(trim_lpns.len() as u16).to_le_bytes());
-    let mut off = HEADER_BYTES;
-    for lpn in data_lpns.iter().chain(trim_lpns) {
-        h[off..off + 8].copy_from_slice(&lpn.to_le_bytes());
-        off += 8;
+    let lpns = data_lpns.iter().chain(trim_lpns);
+    for (field, lpn) in h[HEADER_BYTES..].chunks_exact_mut(8).zip(lpns) {
+        field.copy_from_slice(&lpn.to_le_bytes());
     }
-    h
+    buf.freeze().zero_extended(SECTOR_BYTES)
 }
 
 fn parse_header(h: &[u8]) -> Option<(u64, Vec<u64>, Vec<u64>)> {
@@ -256,6 +258,26 @@ fn parse_header(h: &[u8]) -> Option<(u64, Vec<u64>, Vec<u64>)> {
     let data = take(data_count);
     let trims = take(trim_count);
     Some((seq, data, trims))
+}
+
+/// `n` of the live sectors relocation moves, from the `first`-th on, read as
+/// `runs` (index of a run's first sector, its view): the run itself when they
+/// are exactly one — the device keeps the victim's buffer again and nothing
+/// is copied — or else gathered into one fresh buffer.
+fn survivors(runs: &[(usize, Payload)], first: usize, n: usize) -> Payload {
+    let run_of = |sector: usize| &runs[runs.partition_point(|&(at, _)| at <= sector) - 1];
+    match run_of(first) {
+        (at, view) if *at == first && view.len() == n * SECTOR_BYTES => view.clone(),
+        _ => {
+            let mut buf = PayloadBuf::zeroed(n * SECTOR_BYTES);
+            for (i, out) in buf.bytes_mut().chunks_exact_mut(SECTOR_BYTES).enumerate() {
+                let (at, view) = run_of(first + i);
+                let off = (first + i - at) * SECTOR_BYTES;
+                view.slice(off..off + SECTOR_BYTES).copy_to(out);
+            }
+            buf.freeze()
+        }
+    }
 }
 
 /// Host-side state of one zone. All of it is volatile and rebuilt by replay.
@@ -919,7 +941,10 @@ impl ZtlFtl {
         // neighbours in a survivor zone then have similar life expectancy.
         live.sort_by_key(|&(written, ..)| written);
 
-        let mut payload = vec![0u8; live.len() * SECTOR_BYTES];
+        // Each run of live sectors contiguous in the victim is read as one
+        // view of the device's buffer: (index in `live` of its first sector,
+        // the view).
+        let mut runs: Vec<(usize, Payload)> = Vec::new();
         let mut t = now;
         let mut i = 0;
         while i < live.len() {
@@ -927,27 +952,27 @@ impl ZtlFtl {
             while i + run < live.len() && live[i + run].2 == live[i].2 + run as u64 {
                 run += 1;
             }
-            let bytes = &mut payload[i * SECTOR_BYTES..(i + run) * SECTOR_BYTES];
-            let done = self.zns.read(now, victim, live[i].2, run as u32, bytes)?;
+            let (view, done) = self.zns.read_shared(now, victim, live[i].2, run as u32)?;
             t = t.max(done);
+            runs.push((i, view));
             i += run;
         }
 
         let clock = self.next_seq;
         let live_units = self.live_units();
         let mut moved_units = 0u64;
-        for (k, unit) in live.chunks(self.unit_data as usize).enumerate() {
+        let unit_data = self.unit_data as usize;
+        for (k, unit) in live.chunks(unit_data).enumerate() {
             let stream = self
                 .placement
                 .survivor_stream(clock.saturating_sub(unit[0].0), live_units);
             let lpns: Vec<u64> = unit.iter().map(|&(_, lpn, _)| lpn).collect();
-            let lo = k * self.unit_data as usize * SECTOR_BYTES;
-            let bytes = &payload[lo..lo + unit.len() * SECTOR_BYTES];
-            t = self.append_unit(t, &lpns, bytes, &[], stream)?;
+            let data = survivors(&runs, k * unit_data, unit.len());
+            t = self.append_unit(t, &lpns, Some(&data), &[], stream)?;
             moved_units += 1;
         }
         for batch in carried_trims.chunks(max_trims_per_unit()) {
-            t = self.append_unit(t, &[], &[], batch, Stream::GcOld)?;
+            t = self.append_unit(t, &[], None, batch, Stream::GcOld)?;
             moved_units += 1;
         }
 
@@ -1041,18 +1066,21 @@ impl ZtlFtl {
         }
     }
 
-    /// Appends one self-identifying unit (`data_lpns` payload sectors and/or
-    /// `trim_lpns`) to `stream`, failing over to another zone when media
-    /// underneath the destination fails.
+    /// Appends one self-identifying unit (`data_lpns` payload sectors in
+    /// `data`, and/or `trim_lpns`) to `stream`, failing over to another zone
+    /// when media underneath the destination fails. The unit goes down in
+    /// parts — header, data, padding — so the device keeps `data`'s buffer
+    /// instead of copying it where it can.
     fn append_unit(
         &mut self,
         now: SimTime,
         data_lpns: &[u64],
-        payload: &[u8],
+        data: Option<&Payload>,
         trim_lpns: &[u64],
         stream: Stream,
     ) -> Result<SimTime, ZtlError> {
         let unit_bytes = self.geo.ws_min_bytes();
+        let padding = unit_bytes - SECTOR_BYTES - data.map_or(0, Payload::len);
         let mut t = now;
         // Failover bound: every zone could in principle fail underneath us.
         let max_attempts = self.zns.zone_count() as usize + 1;
@@ -1060,10 +1088,13 @@ impl ZtlFtl {
             let (zone, alloc_t) = self.dest_zone(t, stream)?;
             t = alloc_t;
             let seq = self.next_seq;
-            let mut unit = encode_header(seq, data_lpns, trim_lpns);
-            unit.extend_from_slice(payload);
-            unit.resize(unit_bytes, 0);
-            match self.zns.append(t, zone, &unit) {
+            let mut parts = Vec::with_capacity(3);
+            parts.push(encode_header(seq, data_lpns, trim_lpns));
+            parts.extend(data.cloned());
+            if padding > 0 {
+                parts.push(Payload::zeros(padding));
+            }
+            match self.zns.append(t, zone, &parts) {
                 Ok((start, done)) => {
                     self.next_seq = seq + 1;
                     for (j, &lpn) in data_lpns.iter().enumerate() {
@@ -1151,7 +1182,10 @@ impl ZtlFtl {
                 };
                 self.placement.user_stream(interval, self.live_units())
             };
-            t = self.append_unit(t, &lpns, &data[lo..hi], &[], stream)?;
+            // The one copy of the caller's bytes, into the buffer the device
+            // keeps.
+            let unit = Payload::from(&data[lo..hi]);
+            t = self.append_unit(t, &lpns, Some(&unit), &[], stream)?;
             off += take;
         }
         self.stats.user_sectors += sectors;
@@ -1228,7 +1262,7 @@ impl ZtlFtl {
         let mut t = now;
         let max_trims = max_trims_per_unit();
         for batch in trims.chunks(max_trims) {
-            t = self.append_unit(t, &[], &[], batch, Stream::Cold)?;
+            t = self.append_unit(t, &[], None, batch, Stream::Cold)?;
         }
         self.obs.metrics.record("ztl.trim", trims.len() as u64);
         self.obs.tracer.span(now, t, "ztl", "trim", 0);
@@ -1533,7 +1567,13 @@ mod tests {
     #[test]
     fn header_codec_round_trips() {
         let h = encode_header(42, &[1, 2, 3], &[9, 10]);
-        let (seq, data, trims) = parse_header(&h).unwrap();
+        assert_eq!(h.len(), SECTOR_BYTES);
+        assert_eq!(
+            h.bytes().len(),
+            HEADER_BYTES + 5 * 8,
+            "the sector is not held"
+        );
+        let (seq, data, trims) = parse_header(&h.to_vec()).unwrap();
         assert_eq!(seq, 42);
         assert_eq!(data, vec![1, 2, 3]);
         assert_eq!(trims, vec![9, 10]);

@@ -63,8 +63,8 @@ impl Media for RoutedMedia {
         self.pick().write(now, ppa, data)
     }
 
-    fn write_shared(&self, now: SimTime, ppa: Ppa, data: &Payload) -> Result<Completion> {
-        self.pick().write_shared(now, ppa, data)
+    fn write_parts(&self, now: SimTime, ppa: Ppa, parts: &[Payload]) -> Result<Completion> {
+        self.pick().write_parts(now, ppa, parts)
     }
 
     fn read(&self, now: SimTime, ppa: Ppa, sectors: u32, out: &mut [u8]) -> Result<Completion> {

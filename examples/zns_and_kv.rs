@@ -25,7 +25,7 @@ fn main() {
     );
 
     let record = vec![0xCDu8; zns.append_bytes()];
-    let (start, t1) = zns.append(t0, 0, &record).expect("zone append");
+    let (start, t1) = zns.append(t0, 0, &[record.into()]).expect("zone append");
     println!(
         "appended one record to zone 0 at sector {start}; state {:?}",
         zns.zone_info(0).unwrap().state
