@@ -25,7 +25,6 @@
 //! reproduction targets. Each experiment reports its scaling.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod ablation;
 pub mod backend;

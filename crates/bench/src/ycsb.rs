@@ -214,7 +214,7 @@ pub struct YcsbScan {
 
 /// What the YCSB driver needs from a key-value stack. Handles are cheap
 /// clones sharing one underlying store, so every client actor gets its own.
-pub trait YcsbBackend: Clone + Send + 'static {
+pub trait YcsbBackend: Clone + 'static {
     /// Stack name for reports.
     fn label(&self) -> &'static str;
 

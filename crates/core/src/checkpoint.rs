@@ -175,8 +175,9 @@ impl CheckpointStore {
     /// Reads the newest valid checkpoint, if any, together with the read
     /// completion time. Invalid / torn areas are skipped. The store's
     /// sequence resumes after what it found, so its next write outranks
-    /// every checkpoint already on the device.
-    pub fn read_latest(&mut self, now: SimTime) -> (Option<CheckpointData>, SimTime) {
+    /// every checkpoint already on the device. Everything outside this crate
+    /// recovers through [`crate::recovery::Journal::replay`].
+    pub(crate) fn read_latest(&mut self, now: SimTime) -> (Option<CheckpointData>, SimTime) {
         let geo = self.media.geometry();
         let mut best: Option<CheckpointData> = None;
         let mut t = now;

@@ -36,7 +36,6 @@
 //! device's vectored writes are not atomic.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod badblock;
 pub mod checkpoint;

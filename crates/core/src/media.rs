@@ -15,7 +15,7 @@ use ox_sim::{SimDuration, SimTime};
 use std::sync::Arc;
 
 /// A physical address space with OCSSD-style chunk discipline.
-pub trait Media: Send + Sync {
+pub trait Media {
     /// Device geometry.
     fn geometry(&self) -> Geometry;
 

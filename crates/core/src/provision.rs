@@ -128,8 +128,9 @@ impl Provisioner {
 
     /// Horizontal policy: next slot round-robin across all PUs. Skips PUs
     /// that are exhausted; returns `None` only when the whole device is out
-    /// of space.
-    pub fn allocate_horizontal(&mut self) -> Option<WriteSlot> {
+    /// of space. Everything outside this crate places through
+    /// [`crate::logspace::LogSpace`].
+    pub(crate) fn allocate_horizontal(&mut self) -> Option<WriteSlot> {
         let total = self.geo.total_pus();
         for _ in 0..total {
             let pu = self.next_pu;
@@ -142,7 +143,7 @@ impl Provisioner {
     }
 
     /// Vertical policy: next slot round-robin across the PUs of one group.
-    pub fn allocate_in_group(&mut self, group: u32) -> Option<WriteSlot> {
+    pub(crate) fn allocate_in_group(&mut self, group: u32) -> Option<WriteSlot> {
         let per = self.geo.pus_per_group;
         for _ in 0..per {
             let local = self.group_cursor[group as usize];

@@ -508,8 +508,9 @@ pub struct ScanStats {
 /// Scans the WAL chunks after a crash, decoding every valid frame. Returns
 /// frames sorted by LSN, the scan completion time, and scan statistics.
 /// Scanning stops within a chunk at the first invalid frame (end of that
-/// chunk's log).
-pub fn scan(
+/// chunk's log). Everything outside this crate recovers through
+/// [`crate::recovery::Journal::replay`].
+pub(crate) fn scan(
     media: &Arc<dyn Media>,
     chunks: &[ChunkAddr],
     now: SimTime,
@@ -603,6 +604,8 @@ mod tests {
     use super::*;
     use crate::media::OcssdMedia;
     use ocssd::{DeviceConfig, OcssdDevice, SharedDevice};
+
+    mod proptests;
 
     fn setup(wal_chunks: usize) -> (Arc<dyn Media>, Vec<ChunkAddr>) {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));

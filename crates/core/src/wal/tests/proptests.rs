@@ -5,9 +5,9 @@
 //! Record batches come from the in-repo seeded [`Prng`]; every seed is an
 //! independent case, so a failure names the seed to replay.
 
+use crate::wal::{self, Wal, WalRecord};
+use crate::{Media, OcssdMedia};
 use ocssd::{ChunkAddr, DeviceConfig, OcssdDevice, SharedDevice};
-use ox_core::wal::{self, Wal, WalRecord};
-use ox_core::{Media, OcssdMedia};
 use ox_sim::{Prng, SimTime};
 use std::sync::Arc;
 

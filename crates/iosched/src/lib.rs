@@ -33,7 +33,6 @@
 //! (verified by the `empty_config_identity` test).
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 mod arbiter;
 mod bucket;

@@ -23,7 +23,6 @@
 //! block and zone interfaces on one device.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 use ocssd::{DeviceError, Geometry, SECTOR_BYTES};
 use ox_core::gc::{GarbageCollector, GcConfig};
@@ -593,27 +592,31 @@ mod tests {
             "a pass must leave the marked group where it found it, or rotate it on"
         );
 
-        // Puts and the relocations of both passes share one log: every
-        // `TxBegin` id in it is distinct.
+        // Puts and the relocations of both passes share one log, and it
+        // replays as one committed transaction each, under distinct ids.
+        // Transactions that shared an id would merge in the replay, or
+        // show up twice below.
         let t = kv.sync(t).unwrap();
         let layout = Layout::plan(&geo, config.layout);
-        let (frames, _, _) = ox_core::wal::scan(&media, &layout.wal_chunks, t);
-        let mut txids: Vec<u64> = frames
+        let replay = ox_core::recovery::Journal::replay(&media, &layout, t);
+        let mut txids: Vec<u64> = replay
+            .txns
             .iter()
-            .flat_map(|f| &f.records)
-            .filter_map(|rec| match rec {
-                WalRecord::TxBegin { txid } => Some(*txid),
-                _ => None,
+            .map(|txn| match txn[0] {
+                WalRecord::MapUpdate { txid, .. }
+                | WalRecord::Trim { txid, .. }
+                | WalRecord::Blob { txid, .. } => txid,
+                ref other => panic!("replay handed back {other:?}"),
             })
             .collect();
         assert!(
             txids.len() as u64 >= i + 2,
             "two passes relocate at least twice, on top of {i} puts"
         );
-        let begun = txids.len();
+        let committed = txids.len();
         txids.sort_unstable();
         txids.dedup();
-        assert_eq!(txids.len(), begun, "transaction ids repeat");
+        assert_eq!(txids.len(), committed, "transaction ids repeat");
     }
 
     #[test]

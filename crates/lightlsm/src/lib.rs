@@ -24,7 +24,6 @@
 //!   becomes unnecessary (the §5 atomicity-fallacy hint).
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 mod env;
 mod placement;

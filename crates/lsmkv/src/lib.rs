@@ -22,7 +22,6 @@
 //! a baseline for the ablation benchmarks).
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod bench;
 mod block;

@@ -27,7 +27,7 @@ use crate::bloom::{BloomFilter, KeyHash};
 use crate::memtable::RangeTombstone;
 use ocssd::{Payload, PayloadBuf};
 use ox_core::codec::{crc32c, Decoder, Encoder};
-use std::sync::OnceLock;
+use std::cell::OnceCell;
 
 const TRAILER_BYTES: usize = 20;
 
@@ -106,7 +106,7 @@ pub struct TableHandle {
     /// Largest sequence number of any point version or range tombstone.
     pub max_seq: u64,
     /// Search index of each data block, empty until the block is searched.
-    anchors: Vec<OnceLock<BlockAnchors>>,
+    anchors: Vec<OnceCell<BlockAnchors>>,
 }
 
 impl TableHandle {
@@ -210,7 +210,7 @@ impl TableHandle {
             range_dels,
             min_seq,
             max_seq,
-            anchors: vec![OnceLock::new(); meta_first],
+            anchors: vec![OnceCell::new(); meta_first],
         })
     }
 }
@@ -437,7 +437,7 @@ impl TableBuilder {
             range_dels: self.range_dels,
             min_seq: self.min_seq,
             max_seq: self.max_seq,
-            anchors: vec![OnceLock::new(); data_blocks as usize],
+            anchors: vec![OnceCell::new(); data_blocks as usize],
         };
         (self.blocks, handle)
     }

@@ -57,7 +57,7 @@ impl From<BlockFtlError> for StoreError {
 }
 
 /// What the LSM needs from table storage.
-pub trait TableStore: Send + Sync {
+pub trait TableStore {
     /// Block size in bytes (the unit of read and write).
     fn block_bytes(&self) -> usize;
 

@@ -28,7 +28,6 @@
 //! ([`ox_sim::SimTime`]), making every experiment deterministic.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 mod addr;
 mod cache;

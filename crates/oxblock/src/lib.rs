@@ -17,7 +17,6 @@
 //! interval vs. recovery time) and the §4.3 GC-locality measurement.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 mod ftl;
 

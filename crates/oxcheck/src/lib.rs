@@ -1,13 +1,13 @@
 //! # oxcheck — in-repo static analysis for the OX workbench
 //!
-//! The workbench's correctness story rests on three host-side invariants the
+//! The workbench's correctness story rests on host-side invariants the
 //! compiler cannot check for us (and, since the workspace is
 //! dependency-free, clippy cannot be extended to check either):
 //!
-//! * **L1 `std_sync_lock`** — all locking goes through `ox_sim::sync`, which
-//!   layers lockdep-style order verification on top of `std::sync`. A raw
-//!   `std::sync::Mutex`/`RwLock` anywhere else is invisible to the deadlock
-//!   detector.
+//! * **L1 `std_sync_lock`** — all locking goes through `ox_sim::sync`. The
+//!   workbench runs on one host thread, where a lock its holder takes again
+//!   can never be released: the `RefCell`-backed wrapper panics at that call,
+//!   a raw `std::sync::Mutex`/`RwLock` hangs.
 //! * **L2 `wall_clock`** — simulations are exact functions of
 //!   `(configuration, seed)`; `Instant::now`/`SystemTime` outside
 //!   `ox_sim::time` and the wall-clock microbenchmarks
@@ -18,30 +18,22 @@
 //!   annotated `// oxcheck:allow(panic_path): <why>`.
 //! * **L4 `external_dep`** — every `Cargo.toml` dependency must resolve
 //!   in-repo; the build container has no crates registry.
-//! * **L8 `post_construction_wiring`** — a layer learns its observability
-//!   sinks and media routes from the media it is constructed on; a public
-//!   `set_obs` / `set_*_media` / `*_with_obs` hook in a crate's sources
-//!   brings back stacks that are built half-wired and mutated afterwards.
-//! * **L9 `private_replay`** — which transactions a crash left committed,
-//!   and how the old log is retired, is decided once, in
-//!   `ox_core::recovery`; a `wal::scan` or `read_latest` call anywhere else
-//!   in a crate's sources is a private replay loop growing back.
-//! * **L10 `private_placement`** — where a write unit lands, which device
-//!   errors retire its chunk and what happens then is decided once, in
-//!   `ox_core::logspace`; an `allocate_horizontal` / `allocate_in_group`
-//!   call or an `InvalidChunkState { .. }` pattern anywhere else is a
-//!   private copy of the data-log write path growing back.
+//! * **L5 `unordered_iter`** — no hash-ordered iteration on storage paths.
+//! * **L7 `span_discipline`** — every trace span opened is closed on every
+//!   path.
 //! * **L11 `unreferenced_pub`** — a `pub fn` in a crate's sources that
 //!   nothing in the workspace names outside its own file's tests is surface
 //!   every refactor has to carry for nobody.
 //!
-//! See `docs/static-analysis.md` for the full catalog and pragma syntax.
+//! L6 and L8–L10 are retired codes: one host thread cannot deadlock on lock
+//! order, and `pub(crate)` in `ox_core` keeps log replay and slot allocation
+//! where the name matching used to. See `docs/static-analysis.md` for the
+//! full catalog and pragma syntax.
 
 pub mod deps;
 pub mod det;
 pub mod lexer;
 pub mod lints;
-pub mod lockgraph;
 pub mod parser;
 pub mod report;
 pub mod spans;
@@ -65,19 +57,9 @@ pub enum Lint {
     ExternalDep,
     /// L5: iteration over `HashMap`/`HashSet` on storage paths.
     UnorderedIter,
-    /// L6: lock acquisitions that form an ABBA cycle in the static lock
-    /// graph, or that the analyzer cannot resolve to a construction site.
-    LockOrder,
     /// L7: trace spans opened without an RAII guard or a provable `end` on
     /// every path.
     SpanDiscipline,
-    /// L8: public hooks that wire a layer after it was constructed.
-    PostConstructionWiring,
-    /// L9: log scans and checkpoint loads outside `ox_core::recovery`.
-    PrivateReplay,
-    /// L10: slot allocation and chunk-retiring error patterns outside
-    /// `ox_core::logspace`.
-    PrivatePlacement,
     /// L11: public functions nothing in the workspace refers to.
     UnreferencedPub,
 }
@@ -91,16 +73,12 @@ impl Lint {
             Lint::PanicPath => "panic_path",
             Lint::ExternalDep => "external_dep",
             Lint::UnorderedIter => "unordered_iter",
-            Lint::LockOrder => "lock_order",
             Lint::SpanDiscipline => "span_discipline",
-            Lint::PostConstructionWiring => "post_construction_wiring",
-            Lint::PrivateReplay => "private_replay",
-            Lint::PrivatePlacement => "private_placement",
             Lint::UnreferencedPub => "unreferenced_pub",
         }
     }
 
-    /// Catalog code (L1–L11).
+    /// Catalog code (L1–L5, L7, L11).
     pub fn code(self) -> &'static str {
         match self {
             Lint::StdSyncLock => "L1",
@@ -108,11 +86,7 @@ impl Lint {
             Lint::PanicPath => "L3",
             Lint::ExternalDep => "L4",
             Lint::UnorderedIter => "L5",
-            Lint::LockOrder => "L6",
             Lint::SpanDiscipline => "L7",
-            Lint::PostConstructionWiring => "L8",
-            Lint::PrivateReplay => "L9",
-            Lint::PrivatePlacement => "L10",
             Lint::UnreferencedPub => "L11",
         }
     }
@@ -161,8 +135,7 @@ impl fmt::Display for Finding {
 /// workspace-root-relative with forward slashes; prefix matching.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Files where raw `std::sync` locks are allowed (the wrapper itself and
-    /// the lockdep machinery it is built on).
+    /// Files where raw `std::sync` locks are allowed (the wrapper itself).
     pub l1_allow: Vec<String>,
     /// Files where wall-clock reads are allowed (the virtual-clock module
     /// and the self-calibrating microbenchmarks — not the figure harness).
@@ -184,7 +157,7 @@ impl Default for Config {
     fn default() -> Config {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
         Config {
-            l1_allow: s(&["crates/sim/src/sync.rs", "crates/sim/src/lockdep.rs"]),
+            l1_allow: s(&["crates/sim/src/sync.rs"]),
             l2_allow: s(&["crates/sim/src/time.rs", "crates/bench/benches/"]),
             l3_scope: s(&[
                 "crates/ocssd/src/",
@@ -243,20 +216,9 @@ impl Config {
     }
 }
 
-/// Result of a full workspace analysis: the findings plus the static lock
-/// graph (exported so the CI gate can diff it against the runtime lockdep
-/// edge set).
-#[derive(Clone, Debug)]
-pub struct Analysis {
-    /// All findings, sorted by path, line, lint.
-    pub findings: Vec<Finding>,
-    /// The L6 static lock-acquisition graph.
-    pub lock_graph: lockgraph::LockGraph,
-}
-
-/// Walks the workspace at `root` and runs every lint: findings (sorted by
-/// path, then line) plus the static lock graph.
-pub fn analyze_workspace_full(root: &Path, cfg: &Config) -> std::io::Result<Analysis> {
+/// Walks the workspace at `root` and runs every lint: findings sorted by
+/// path, line and lint.
+pub fn analyze_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_files(root, root, cfg, &mut files)?;
     files.sort();
@@ -271,7 +233,7 @@ pub fn analyze_workspace_full(root: &Path, cfg: &Config) -> std::io::Result<Anal
 /// Runs every lint over an in-memory set of `(relative path, source)`
 /// pairs. This is the whole pipeline — the golden-fixture tests feed it
 /// synthetic workspaces without touching the filesystem.
-pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
+pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut models = Vec::new();
     let mut allows = Vec::new();
@@ -285,7 +247,7 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
         }
     }
 
-    // Symbol-aware passes: L5/L7 are per-file, L6 is workspace-wide.
+    // Symbol-aware passes: L5/L7 are per-file, L11 is workspace-wide.
     let mut late = Vec::new();
     for model in &models {
         if cfg.l5_in_scope(&model.path) {
@@ -295,10 +257,7 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
             spans::lint_span_discipline(model, &mut late);
         }
     }
-    let model_refs: Vec<&parser::FileModel> = models.iter().collect();
-    let (lock_graph, l6) = lockgraph::build(&model_refs, cfg);
-    late.extend(l6);
-    lints::lint_unreferenced_pub(&model_refs, &mut late);
+    lints::lint_unreferenced_pub(&models, &mut late);
 
     // Pragmas suppress the symbol-aware passes too.
     late.retain(|f| {
@@ -309,10 +268,7 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
     });
     findings.extend(late);
     findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-    Analysis {
-        findings,
-        lock_graph,
-    }
+    findings
 }
 
 fn collect_files(

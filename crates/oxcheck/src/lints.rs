@@ -1,7 +1,7 @@
-//! Token-level lint passes (L1–L3, L8–L11) plus pragma and `#[cfg(test)]`
+//! Token-level lint passes (L1–L3, L11) plus pragma and `#[cfg(test)]`
 //! scoping.
 //!
-//! All six passes run over the comment-free token stream produced by
+//! All four passes run over the comment-free token stream produced by
 //! [`crate::lexer::lex`]; comments are consulted separately for
 //! `// oxcheck:allow(<lint>)` pragmas. Test code — `#[cfg(test)]` items and
 //! `mod tests { .. }` blocks — is exempt from L3 (tests may unwrap freely)
@@ -13,7 +13,7 @@ use crate::parser::FileModel;
 use crate::{Config, Finding, Lint};
 use std::collections::{HashMap, HashSet};
 
-/// Runs L1–L3 and L8–L10 over one Rust source file. `rel_path` uses forward slashes
+/// Runs L1–L3 over one Rust source file. `rel_path` uses forward slashes
 /// relative to the workspace root.
 pub fn check_rust_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let tokens = lex(src);
@@ -33,15 +33,6 @@ pub fn check_rust_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding
     }
     if cfg.l3_in_scope(rel_path) {
         lint_panic_path(rel_path, &code, &test_lines, &mut findings);
-    }
-    if rel_path.starts_with("crates/") && rel_path.contains("/src/") {
-        lint_post_construction_wiring(rel_path, &code, &test_lines, &mut findings);
-        if !REPLAY_OWNERS.contains(&rel_path) {
-            lint_private_replay(rel_path, &code, &test_lines, &mut findings);
-        }
-        if !PLACEMENT_OWNERS.contains(&rel_path) && !rel_path.starts_with("crates/ocssd/") {
-            lint_private_placement(rel_path, &code, &test_lines, &mut findings);
-        }
     }
     findings.retain(|f| !allowed_by_pragma(&allows, f));
     findings
@@ -369,131 +360,11 @@ fn lint_panic_path(
     }
 }
 
-/// L8: public functions named `set_obs`, `set_*_media` or `*_with_obs` in a
-/// crate's non-test sources.
-fn lint_post_construction_wiring(
-    rel_path: &str,
-    code: &[&Token],
-    test_lines: &HashSet<u32>,
-    out: &mut Vec<Finding>,
-) {
-    for i in 0..code.len() {
-        if !ident_at(code, i, "pub") || !ident_at(code, i + 1, "fn") {
-            continue;
-        }
-        let Some(name) = code.get(i + 2).filter(|t| t.kind == TokenKind::Ident) else {
-            continue;
-        };
-        let n = name.text.as_str();
-        let is_hook = n == "set_obs"
-            || (n.starts_with("set_") && n.ends_with("_media"))
-            || n.ends_with("_with_obs");
-        if is_hook && !in_test(test_lines, name.line) {
-            out.push(Finding::new(
-                rel_path,
-                name.line,
-                Lint::PostConstructionWiring,
-                format!(
-                    "`pub fn {n}` wires a layer after construction; read \
-                     `Media::obs()` / `Media::gc_route()` (or `TableStore::obs()`) \
-                     in the constructor instead"
-                ),
-            ));
-        }
-    }
-}
-
-/// The files that own log replay: the scan, the checkpoint load, and the
-/// one recovery built on both.
-const REPLAY_OWNERS: [&str; 3] = [
-    "crates/core/src/recovery.rs",
-    "crates/core/src/wal.rs",
-    "crates/core/src/checkpoint.rs",
-];
-
-/// L9: `wal::scan` (called or imported) and calls of `read_latest` in a
-/// crate's non-test sources, outside [`REPLAY_OWNERS`].
-fn lint_private_replay(
-    rel_path: &str,
-    code: &[&Token],
-    test_lines: &HashSet<u32>,
-    out: &mut Vec<Finding>,
-) {
-    for i in 0..code.len() {
-        let hit = if ident_at(code, i, "scan") {
-            i >= 3 && is_path_sep(code, i - 2) && ident_at(code, i - 3, "wal")
-        } else {
-            ident_at(code, i, "read_latest")
-                && code.get(i + 1).is_some_and(|t| t.text == "(")
-                && !ident_at(code, i.wrapping_sub(1), "fn")
-        };
-        if hit && !in_test(test_lines, code[i].line) {
-            out.push(Finding::new(
-                rel_path,
-                code[i].line,
-                Lint::PrivateReplay,
-                format!(
-                    "`{}` outside `ox_core::recovery` is a private replay loop; \
-                     build on `Journal::replay` / `Replay::restart` instead",
-                    code[i].text
-                ),
-            ));
-        }
-    }
-}
-
-/// The files that own data-log placement: the provisioner's allocators and
-/// the one write path built on them. (The device crate, which defines the
-/// errors, is exempt as a whole.)
-const PLACEMENT_OWNERS: [&str; 2] = [
-    "crates/core/src/logspace.rs",
-    "crates/core/src/provision.rs",
-];
-
-/// L10: calls of `allocate_horizontal` / `allocate_in_group`, and
-/// `InvalidChunkState { .. }` patterns, in a crate's non-test sources
-/// outside [`PLACEMENT_OWNERS`].
-fn lint_private_placement(
-    rel_path: &str,
-    code: &[&Token],
-    test_lines: &HashSet<u32>,
-    out: &mut Vec<Finding>,
-) {
-    for i in 0..code.len() {
-        let next_is = |sym: &str| code.get(i + 1).is_some_and(|t| t.text == sym);
-        let (hit, instead) = match code[i].text.as_str() {
-            "allocate_horizontal" | "allocate_in_group" => (
-                next_is("(") && !ident_at(code, i.wrapping_sub(1), "fn"),
-                "place through `ox_core::logspace::LogSpace`",
-            ),
-            "InvalidChunkState" => (
-                next_is("{")
-                    && (i + 2..match_bracket(code, i + 1, "{", "}"))
-                        .any(|k| code[k].text == "." && code[k + 1].text == "."),
-                "ask `DeviceError::retires_chunk()`",
-            ),
-            _ => continue,
-        };
-        if hit && code[i].kind == TokenKind::Ident && !in_test(test_lines, code[i].line) {
-            out.push(Finding::new(
-                rel_path,
-                code[i].line,
-                Lint::PrivatePlacement,
-                format!(
-                    "`{}` outside `ox_core::logspace` is a private copy of the \
-                     data-log write path; {instead} instead",
-                    code[i].text
-                ),
-            ));
-        }
-    }
-}
-
 /// L11: a `pub fn` in non-test code under `crates/*/src/` whose name no
 /// token in the workspace repeats, apart from `fn` definitions in its own
 /// file and that file's test code. Matching is by name, so a same-named
 /// function elsewhere hides a dead one — the lint only ever under-reports.
-pub(crate) fn lint_unreferenced_pub(models: &[&FileModel], out: &mut Vec<Finding>) {
+pub(crate) fn lint_unreferenced_pub(models: &[FileModel], out: &mut Vec<Finding>) {
     let is_ident = |t: &&Token| t.kind == TokenKind::Ident;
     let mut uses: HashMap<&str, usize> = HashMap::new();
     for t in models.iter().flat_map(|m| &m.tokens).filter(is_ident) {

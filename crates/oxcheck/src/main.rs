@@ -6,15 +6,14 @@
 //!
 //! Flags:
 //!
-//! * `--report json` — emit the machine-readable report (findings plus the
-//!   static lock graph) to stdout instead of the human format.
+//! * `--report json` — emit the machine-readable report (the findings) to
+//!   stdout instead of the human format.
 //! * `--baseline <file>` — ratchet mode: findings are checked against the
 //!   baseline instead of failing outright. New findings (above the
 //!   baseline count) fail; so does a stale baseline (counts above what
 //!   remains — debt may only shrink). Defaults to `oxcheck.baseline` at
 //!   the root when that file exists.
 //! * `--write-baseline` — rewrite the baseline file from current findings.
-//! * `--lock-graph` — print only the lock-order graph as JSON.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,16 +21,12 @@ use std::process::ExitCode;
 struct Opts {
     root: PathBuf,
     report_json: bool,
-    lock_graph: bool,
     baseline: Option<PathBuf>,
     write_baseline: bool,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: oxcheck [--report json] [--baseline FILE] [--write-baseline] \
-         [--lock-graph] [ROOT]"
-    );
+    eprintln!("usage: oxcheck [--report json] [--baseline FILE] [--write-baseline] [ROOT]");
     std::process::exit(2);
 }
 
@@ -39,7 +34,6 @@ fn parse_opts() -> Opts {
     let mut opts = Opts {
         root: default_root(),
         report_json: false,
-        lock_graph: false,
         baseline: None,
         write_baseline: false,
     };
@@ -56,7 +50,6 @@ fn parse_opts() -> Opts {
                 None => usage(),
             },
             "--write-baseline" => opts.write_baseline = true,
-            "--lock-graph" => opts.lock_graph = true,
             "--help" | "-h" => usage(),
             _ if a.starts_with('-') => usage(),
             _ if !root_set => {
@@ -82,8 +75,8 @@ fn default_root() -> PathBuf {
 
 fn main() -> ExitCode {
     let opts = parse_opts();
-    let analysis = match oxcheck::analyze_workspace_full(&opts.root, &oxcheck::Config::default()) {
-        Ok(a) => a,
+    let findings = match oxcheck::analyze_workspace(&opts.root, &oxcheck::Config::default()) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("oxcheck: failed to walk {}: {e}", opts.root.display());
             return ExitCode::from(2);
@@ -98,31 +91,27 @@ fn main() -> ExitCode {
 
     if opts.write_baseline {
         let path = baseline_path.unwrap_or_else(|| opts.root.join("oxcheck.baseline"));
-        let text = oxcheck::report::baseline_text(&analysis.findings);
+        let text = oxcheck::report::baseline_text(&findings);
         if let Err(e) = std::fs::write(&path, text) {
             eprintln!("oxcheck: failed to write {}: {e}", path.display());
             return ExitCode::from(2);
         }
         println!(
             "oxcheck: wrote baseline ({} finding(s)) to {}",
-            analysis.findings.len(),
+            findings.len(),
             path.display()
         );
         return ExitCode::SUCCESS;
     }
 
-    if opts.lock_graph {
-        print!("{}", analysis.lock_graph.to_json());
-        return ExitCode::SUCCESS;
-    }
     if opts.report_json {
-        print!("{}", oxcheck::report::to_json(&analysis));
+        print!("{}", oxcheck::report::to_json(&findings));
         // The JSON report is an artifact, not a gate: always succeed so CI
         // can upload it from a separate step.
         return ExitCode::SUCCESS;
     }
 
-    for f in &analysis.findings {
+    for f in &findings {
         println!("{f}");
     }
     if let Some(path) = &baseline_path {
@@ -133,11 +122,11 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let errors = oxcheck::report::check_baseline(&analysis.findings, &text);
+        let errors = oxcheck::report::check_baseline(&findings, &text);
         return if errors.is_empty() {
             println!(
                 "oxcheck: ratchet holds ({} finding(s) within baseline {})",
-                analysis.findings.len(),
+                findings.len(),
                 path.display()
             );
             ExitCode::SUCCESS
@@ -148,14 +137,14 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         };
     }
-    if analysis.findings.is_empty() {
+    if findings.is_empty() {
         println!("oxcheck: clean ({} ok)", opts.root.display());
         ExitCode::SUCCESS
     } else {
         println!(
             "oxcheck: {} finding(s); fix them or annotate with \
              `// oxcheck:allow(<lint>): <why>` (docs/static-analysis.md)",
-            analysis.findings.len()
+            findings.len()
         );
         ExitCode::FAILURE
     }

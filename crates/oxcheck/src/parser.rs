@@ -1,19 +1,17 @@
 //! A lightweight item/scope parser on top of [`crate::lexer`].
 //!
-//! The token-level lints (L1–L4) only need boundaries; the workspace-wide
-//! lints (L5 deterministic collections, L6 static lock order, L7 span
-//! discipline) need *symbols*: which names are bound to which types, where
-//! function bodies start and end, which `impl` block a method belongs to,
-//! and what a `use` declaration brings into scope. This module extracts
+//! The token-level lints (L1–L4) only need boundaries; the symbol-aware
+//! lints (L5 deterministic collections, L7 span discipline) need *symbols*:
+//! which names are bound to which types, where function bodies start and
+//! end, and what a `use` declaration brings into scope. This module extracts
 //! exactly that — no expressions, no generics unification, no borrow
 //! anything — as a [`FileModel`] per source file:
 //!
 //! * `use` resolution: local name → full path (groups and `as` renames),
 //! * `struct` definitions with field names and type token lists (tuple
 //!   fields are named `"0"`, `"1"`, …),
-//! * `type` aliases,
-//! * every `fn` with its owner (`impl` type / trait), parameter types and
-//!   body token span,
+//! * every `fn` (free, in an `impl` or in a `trait`) with its parameter
+//!   types and body token span,
 //! * `macro_rules!` body lines (skipped by the lints: macro bodies are
 //!   token soup until expanded),
 //! * test-scoped lines (shared with the L3 machinery).
@@ -41,40 +39,18 @@ pub struct StructDef {
     pub name: String,
     /// Fields in declaration order.
     pub fields: Vec<FieldDef>,
-    /// 1-based line of the `struct` keyword.
-    pub line: u32,
-}
-
-/// One `type Name = …;` alias.
-#[derive(Clone, Debug)]
-pub struct AliasDef {
-    /// Alias name.
-    pub name: String,
-    /// Right-hand side as a token-text list.
-    pub ty: Vec<String>,
 }
 
 /// One function or method.
 #[derive(Clone, Debug)]
 pub struct FnDef {
-    /// `impl`/`trait` type this fn belongs to (`None` for free functions).
-    pub owner: Option<String>,
-    /// Trait name for `impl Trait for Type` methods.
-    pub trait_name: Option<String>,
     /// Function name.
     pub name: String,
-    /// Whether the signature has a `self` receiver.
-    pub has_self: bool,
     /// Named parameters (receiver excluded): (name, type token list).
     pub params: Vec<(String, Vec<String>)>,
-    /// Return type token list (empty for `()`), up to the body `{`, `;` or
-    /// a `where` clause.
-    pub ret: Vec<String>,
     /// Token indices of the body's `{` and matching `}` in
     /// [`FileModel::tokens`]; `None` for bodyless trait signatures.
     pub body: Option<(usize, usize)>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
 }
 
 /// Everything the symbol-aware lints need to know about one file.
@@ -94,8 +70,6 @@ pub struct FileModel {
     pub uses: BTreeMap<String, String>,
     /// Struct definitions.
     pub structs: Vec<StructDef>,
-    /// Type aliases.
-    pub aliases: Vec<AliasDef>,
     /// All functions, including methods and trait defaults.
     pub fns: Vec<FnDef>,
 }
@@ -135,12 +109,11 @@ pub fn parse_file(path: &str, tokens: Vec<Token>, src_is_test_tree: bool) -> Fil
         macro_lines: HashSet::new(),
         uses: BTreeMap::new(),
         structs: Vec::new(),
-        aliases: Vec::new(),
         fns: Vec::new(),
     };
     let end = model.tokens.len();
     let mut p = Parser { model: &mut model };
-    p.scan_items(0, end, None, None);
+    p.scan_items(0, end);
     model
 }
 
@@ -244,9 +217,8 @@ impl Parser<'_> {
         (out, i.min(end))
     }
 
-    /// Item scanner over `[i, end)`. `owner`/`trait_name` identify the
-    /// enclosing `impl`/`trait` block, if any.
-    fn scan_items(&mut self, mut i: usize, end: usize, owner: Option<&str>, tr: Option<&str>) {
+    /// Item scanner over `[i, end)`.
+    fn scan_items(&mut self, mut i: usize, end: usize) {
         while i < end {
             if self.is_punct(i, "#") && self.is_punct(i + 1, "[") {
                 i = self.match_delim(i + 1, end, "[", "]") + 1;
@@ -257,32 +229,25 @@ impl Parser<'_> {
                 }
             } else if self.is_kw(i, "use") {
                 i = self.scan_use(i + 1, end);
-            } else if self.is_kw(i, "type") && owner.is_none() {
-                i = self.scan_alias(i + 1, end);
             } else if self.is_kw(i, "struct") {
                 i = self.scan_struct(i + 1, end);
             } else if self.is_kw(i, "enum") || self.is_kw(i, "union") {
                 i = self.skip_to_body_or_semi(i + 1, end);
-            } else if self.is_kw(i, "trait") {
-                let name = self.ident(i + 1).map(str::to_string);
-                let mut j = i + 2;
-                if self.is_punct(j, "<") {
-                    j = self.skip_generics(j, end);
-                }
+            } else if self.is_kw(i, "impl") || self.is_kw(i, "trait") {
+                // Header up to the body, whose items are scanned in place.
+                let mut j = i + 1;
                 while j < end && !self.is_punct(j, "{") && !self.is_punct(j, ";") {
                     j += 1;
                 }
                 if self.is_punct(j, "{") {
                     let close = self.match_delim(j, end, "{", "}");
-                    self.scan_items(j + 1, close, name.as_deref(), None);
+                    self.scan_items(j + 1, close);
                     i = close + 1;
                 } else {
                     i = j + 1;
                 }
-            } else if self.is_kw(i, "impl") {
-                i = self.scan_impl(i + 1, end);
             } else if self.is_kw(i, "fn") {
-                i = self.scan_fn(i + 1, end, owner, tr);
+                i = self.scan_fn(i + 1, end);
             } else if self.is_kw(i, "mod") {
                 // `mod name { items }` or `mod name;`
                 let mut j = i + 2;
@@ -316,7 +281,7 @@ impl Parser<'_> {
                     }
                 }
                 i = close + 1;
-            } else if self.is_kw(i, "static") || self.is_kw(i, "const") {
+            } else if self.is_kw(i, "static") || self.is_kw(i, "const") || self.is_kw(i, "type") {
                 i = self.skip_statement(i + 1, end);
             } else {
                 i += 1;
@@ -383,27 +348,10 @@ impl Parser<'_> {
         }
     }
 
-    fn scan_alias(&mut self, i: usize, end: usize) -> usize {
-        let Some(name) = self.ident(i).map(str::to_string) else {
-            return i + 1;
-        };
-        let mut j = i + 1;
-        if self.is_punct(j, "<") {
-            j = self.skip_generics(j, end);
-        }
-        if !self.is_punct(j, "=") {
-            return self.skip_statement(j, end);
-        }
-        let (ty, stop) = self.type_tokens_until(j + 1, end, &[";"]);
-        self.model.aliases.push(AliasDef { name, ty });
-        stop + 1
-    }
-
     fn scan_struct(&mut self, i: usize, end: usize) -> usize {
         let Some(name) = self.ident(i).map(str::to_string) else {
             return i + 1;
         };
-        let line = self.tok(i).map(|t| t.line).unwrap_or(0);
         let mut j = i + 1;
         if self.is_punct(j, "<") {
             j = self.skip_generics(j, end);
@@ -475,77 +423,14 @@ impl Parser<'_> {
         } else {
             j + 1 // unit struct `;`
         };
-        self.model.structs.push(StructDef { name, fields, line });
+        self.model.structs.push(StructDef { name, fields });
         after
     }
 
-    fn scan_impl(&mut self, i: usize, end: usize) -> usize {
-        let mut j = i;
-        if self.is_punct(j, "<") {
-            j = self.skip_generics(j, end);
-        }
-        // First path: either the type, or the trait when `for` follows.
-        let (first, mut j2) = self.scan_type_path(j, end);
-        let (trait_name, type_name) = if self.is_kw(j2, "for") {
-            let (ty, j3) = self.scan_type_path(j2 + 1, end);
-            j2 = j3;
-            (first, ty)
-        } else {
-            (None, first)
-        };
-        while j2 < end && !self.is_punct(j2, "{") && !self.is_punct(j2, ";") {
-            j2 += 1;
-        }
-        if self.is_punct(j2, "{") {
-            let close = self.match_delim(j2, end, "{", "}");
-            self.scan_items(j2 + 1, close, type_name.as_deref(), trait_name.as_deref());
-            close + 1
-        } else {
-            j2 + 1
-        }
-    }
-
-    /// Reads a type path (`a::b::Name<…>`, `&mut Name`, `dyn Name`),
-    /// returning the final type name and the index after it (generics
-    /// skipped).
-    fn scan_type_path(&self, mut i: usize, end: usize) -> (Option<String>, usize) {
-        let mut name = None;
-        while i < end {
-            if self.is_punct(i, "&")
-                || self.is_punct(i, "*")
-                || self.is_kw(i, "mut")
-                || self.is_kw(i, "dyn")
-                || self.is_kw(i, "const")
-            {
-                i += 1;
-            } else if let Some(id) = self.ident(i) {
-                if id == "for" || id == "where" {
-                    break;
-                }
-                name = Some(id.to_string());
-                i += 1;
-                if self.is_punct(i, ":") && self.is_punct(i + 1, ":") {
-                    i += 2;
-                    continue;
-                }
-                if self.is_punct(i, "<") {
-                    i = self.skip_generics(i, end);
-                }
-                break;
-            } else if self.tok(i).is_some_and(|t| t.kind == TokenKind::Lifetime) {
-                i += 1;
-            } else {
-                break;
-            }
-        }
-        (name, i)
-    }
-
-    fn scan_fn(&mut self, i: usize, end: usize, owner: Option<&str>, tr: Option<&str>) -> usize {
+    fn scan_fn(&mut self, i: usize, end: usize) -> usize {
         let Some(name) = self.ident(i).map(str::to_string) else {
             return i + 1;
         };
-        let line = self.tok(i).map(|t| t.line).unwrap_or(0);
         let mut j = i + 1;
         if self.is_punct(j, "<") {
             j = self.skip_generics(j, end);
@@ -555,7 +440,6 @@ impl Parser<'_> {
         }
         let close_paren = self.match_delim(j, end, "(", ")");
         let mut params = Vec::new();
-        let mut has_self = false;
         let mut k = j + 1;
         while k < close_paren {
             if self.is_punct(k, "#") && self.is_punct(k + 1, "[") {
@@ -575,12 +459,9 @@ impl Parser<'_> {
                 if self.is_punct(m, ",") {
                     break;
                 }
-                if let Some(id) = self.ident(m) {
-                    if id == "self" {
-                        has_self = true;
-                    } else if id != "mut" && id != "ref" {
-                        pname = Some(id.to_string());
-                    }
+                match self.ident(m) {
+                    Some("self" | "mut" | "ref") | None => {}
+                    Some(id) => pname = Some(id.to_string()),
                 }
                 m += 1;
             }
@@ -594,29 +475,16 @@ impl Parser<'_> {
                 k = m + 1;
             }
         }
-        // Return type / where clause, then body or `;`.
+        // Skip the return type / where clause to the body or `;`.
         let mut b = close_paren + 1;
         let mut angle = 0i64;
-        let mut ret = Vec::new();
-        let mut in_ret = false;
         while b < end {
             if self.is_punct(b, "<") {
                 angle += 1;
             } else if self.is_punct(b, ">") && angle > 0 {
                 angle -= 1;
-            } else if self.is_punct(b, ">") && self.is_punct(b.wrapping_sub(1), "-") {
-                in_ret = true;
-                b += 1;
-                continue;
             } else if (self.is_punct(b, "{") && angle <= 0) || self.is_punct(b, ";") {
                 break;
-            } else if self.is_kw(b, "where") {
-                in_ret = false;
-            }
-            if in_ret {
-                if let Some(t) = self.tok(b) {
-                    ret.push(t.text.clone());
-                }
             }
             b += 1;
         }
@@ -625,16 +493,7 @@ impl Parser<'_> {
         } else {
             None
         };
-        self.model.fns.push(FnDef {
-            owner: owner.map(str::to_string),
-            trait_name: tr.map(str::to_string),
-            name,
-            has_self,
-            params,
-            ret,
-            body,
-            line,
-        });
+        self.model.fns.push(FnDef { name, params, body });
         match body {
             Some((_, close)) => close + 1,
             None => b + 1,
@@ -750,37 +609,25 @@ mod tests {
     }
 
     #[test]
-    fn impl_methods_get_owner_and_trait() {
+    fn impl_and_trait_methods_are_scanned() {
         let m = parse_source(
             "x/lib.rs",
             "impl Dev {\n  pub fn new(cap: usize) -> Self { Self { cap } }\n  \
              fn tick(&mut self, now: SimTime) {}\n}\n\
              impl Media for Dev {\n  fn write(&mut self, t: SimTime, buf: &[u8]) -> R { todo!() }\n}\n\
+             trait Store {\n  type Key;\n  fn get(&self, k: u64);\n}\n\
              fn free(x: u64) {}\n",
         );
-        let names: Vec<(Option<&str>, &str, Option<&str>)> = m
-            .fns
-            .iter()
-            .map(|f| (f.owner.as_deref(), f.name.as_str(), f.trait_name.as_deref()))
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                (Some("Dev"), "new", None),
-                (Some("Dev"), "tick", None),
-                (Some("Dev"), "write", Some("Media")),
-                (None, "free", None),
-            ]
-        );
-        assert!(!m.fns[0].has_self);
-        assert!(m.fns[1].has_self);
+        let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["new", "tick", "write", "get", "free"]);
         assert_eq!(
             m.fns[0].params,
             vec![("cap".to_string(), vec!["usize".to_string()])]
         );
         assert_eq!(m.fns[1].params[0].0, "now");
         assert_eq!(m.fns[2].params[1].0, "buf");
-        assert!(m.fns.iter().all(|f| f.body.is_some()));
+        assert!(m.fns[3].body.is_none(), "trait signature");
+        assert_eq!(m.fns.iter().filter(|f| f.body.is_some()).count(), 4);
     }
 
     #[test]
@@ -791,8 +638,8 @@ mod tests {
              fn commit(&mut self, t: SimTime) -> Result<SimTime, E> { Ok(t) }\n}\n",
         );
         assert_eq!(m.fns.len(), 1);
-        assert_eq!(m.fns[0].owner.as_deref(), Some("Wal"));
         assert_eq!(m.fns[0].name, "commit");
+        assert_eq!(m.fns[0].params[0].0, "t");
     }
 
     #[test]
@@ -803,11 +650,9 @@ mod tests {
              macro_rules! mk {\n  ($n:ident) => {\n    let m = HashMap::new();\n    for k in m.keys() {}\n  };\n}\n\
              fn after() {}\n",
         );
-        assert_eq!(m.aliases.len(), 1);
-        assert_eq!(m.aliases[0].name, "SharedCluster");
         assert!(m.in_macro(4), "macro body lines recorded");
         assert!(!m.in_macro(8));
-        assert_eq!(m.fns.len(), 1, "macro body fns are not items");
+        assert_eq!(m.fns.len(), 1, "the alias and the macro body hold no fn");
     }
 
     #[test]
@@ -827,6 +672,6 @@ mod tests {
         );
         assert_eq!(m.structs.len(), 1);
         assert_eq!(m.fns.len(), 1);
-        assert_eq!(m.fns[0].owner.as_deref(), Some("S"));
+        assert_eq!(m.fns[0].name, "g");
     }
 }

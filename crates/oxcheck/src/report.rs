@@ -1,13 +1,12 @@
 //! Machine-readable reporting: `--report json` and the ratcheting baseline.
 //!
-//! The JSON report is the CI artifact (findings plus the static lock
-//! graph). The baseline file (`oxcheck.baseline`) is the ratchet: it
+//! The JSON report is the CI artifact (the findings). The baseline file (`oxcheck.baseline`) is the ratchet: it
 //! records, per `(path, lint)`, how many findings are tolerated. CI fails
 //! when the current count *exceeds* the baseline (new debt) and also when
 //! it is *below* it (the baseline is stale and must shrink — debt can only
 //! go down). An empty baseline therefore means: any finding fails CI.
 
-use crate::{Analysis, Finding};
+use crate::Finding;
 use std::collections::BTreeMap;
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -27,10 +26,10 @@ pub fn esc(s: &str) -> String {
     out
 }
 
-/// Renders the full analysis as a JSON document with stable ordering.
-pub fn to_json(analysis: &Analysis) -> String {
+/// Renders the findings as a JSON document with stable ordering.
+pub fn to_json(findings: &[Finding]) -> String {
     let mut s = String::from("{\n  \"findings\": [\n");
-    for (i, f) in analysis.findings.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"path\": \"{}\", \"line\": {}, \"code\": \"{}\", \
              \"lint\": \"{}\", \"message\": \"{}\"}}{}\n",
@@ -39,19 +38,10 @@ pub fn to_json(analysis: &Analysis) -> String {
             f.lint.code(),
             f.lint.name(),
             esc(&f.message),
-            if i + 1 < analysis.findings.len() {
-                ","
-            } else {
-                ""
-            }
+            if i + 1 < findings.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n  \"lock_graph\": ");
-    // Indent the nested document to keep the output readable.
-    let lg = analysis.lock_graph.to_json();
-    let lg = lg.trim_end().replace('\n', "\n  ");
-    s.push_str(&lg);
-    s.push_str("\n}\n");
+    s.push_str("  ]\n}\n");
     s
 }
 
@@ -170,13 +160,9 @@ mod tests {
 
     #[test]
     fn json_escapes_and_structure() {
-        let analysis = Analysis {
-            findings: vec![f("a \"b\".rs", 3, Lint::LockOrder)],
-            lock_graph: Default::default(),
-        };
-        let j = to_json(&analysis);
+        let j = to_json(&[f("a \"b\".rs", 3, Lint::SpanDiscipline)]);
         assert!(j.contains("a \\\"b\\\".rs"));
-        assert!(j.contains("\"code\": \"L6\""));
-        assert!(j.contains("\"lock_graph\""));
+        assert!(j.contains("\"code\": \"L7\""));
+        assert!(j.ends_with("}\n  ]\n}\n"), "{j}");
     }
 }

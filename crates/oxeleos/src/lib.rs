@@ -22,7 +22,6 @@
 //!   ablation.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 mod cpu;
 mod lss;

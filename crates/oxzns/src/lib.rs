@@ -18,7 +18,6 @@
 //! checkpoints** — the simplification ZNS buys over a block FTL.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 use ocssd::{ChunkAddr, ChunkState, Completion, DeviceError, Geometry, Payload, SECTOR_BYTES};
 use ox_core::retry::{read_shared_with_policy, read_with_policy};

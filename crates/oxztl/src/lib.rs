@@ -40,7 +40,6 @@
 //! zoned one — the cross-interface ablation the ROADMAP asks for.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod media;
 mod placement;

@@ -15,7 +15,7 @@ use ocssd::{
 use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Routes each media command to the user path or, inside a GC pass over a
@@ -23,10 +23,8 @@ use std::sync::Arc;
 pub struct RoutedMedia {
     user: Arc<dyn Media>,
     gc: Option<Arc<dyn Media>>,
-    /// Whether a relocation pass is in flight. Only routes commands and
-    /// publishes no other data, and the ZTL that flips it is exclusively
-    /// borrowed while it does: relaxed ordering suffices.
-    gc_mode: AtomicBool,
+    /// Whether a relocation pass is in flight.
+    gc_mode: Cell<bool>,
 }
 
 impl RoutedMedia {
@@ -36,19 +34,19 @@ impl RoutedMedia {
         RoutedMedia {
             gc: user.gc_route(),
             user,
-            gc_mode: AtomicBool::new(false),
+            gc_mode: Cell::new(false),
         }
     }
 
     /// Turns GC routing on or off (the ZTL brackets each relocation pass)
     /// and returns the previous setting, for the bracket to restore.
     pub(crate) fn set_gc_mode(&self, on: bool) -> bool {
-        self.gc_mode.swap(on, Ordering::Relaxed)
+        self.gc_mode.replace(on)
     }
 
     fn pick(&self) -> &dyn Media {
         match &self.gc {
-            Some(gc) if self.gc_mode.load(Ordering::Relaxed) => gc.as_ref(),
+            Some(gc) if self.gc_mode.get() => gc.as_ref(),
             _ => self.user.as_ref(),
         }
     }

@@ -18,22 +18,17 @@
 //! * [`trace`] — the cross-crate observability layer: a span-style [`Tracer`]
 //!   plus a named-metric [`MetricsRegistry`], bundled as an [`Obs`] handle
 //!   threaded through the device, FTL and KV layers and exportable as JSON.
-//! * [`sync`] — non-poisoning wrappers over `std::sync` locks so the
-//!   workspace builds with zero external dependencies. In debug builds the
-//!   [`sync::Mutex`] additionally runs lockdep-style lock-order verification:
-//!   an acquisition that inverts the globally observed order panics with both
-//!   lock construction sites instead of deadlocking a soak run.
+//! * [`sync`] — the workspace's `Mutex` / `RwLock`: `RefCell`s, because
+//!   everything runs on one host thread. Neither is `Sync`; taking a lock the
+//!   caller already holds panics at that call in every build.
 //!
 //! The design deliberately avoids real threads and wall-clock time: all
 //! experiments in the paper reproduction are exact functions of
 //! `(configuration, seed)`.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 mod executor;
-#[cfg(debug_assertions)]
-mod lockdep;
 mod resource;
 mod rng;
 pub mod stats;
@@ -42,8 +37,6 @@ pub mod time;
 pub mod trace;
 
 pub use executor::{Actor, ActorId, Executor, Step};
-#[cfg(debug_assertions)]
-pub use lockdep::{observed_edges, ObservedEdge};
 pub use resource::Timeline;
 pub use rng::Prng;
 pub use time::{SimDuration, SimTime};

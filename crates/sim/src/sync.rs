@@ -1,210 +1,110 @@
-//! Thin wrappers over [`std::sync`] locks with ergonomic, non-poisoning
-//! semantics — plus runtime lock-order verification in debug builds.
+//! The workspace's locks: [`Mutex`] and [`RwLock`], each a [`RefCell`].
 //!
-//! The workbench is single-process and panics abort the experiment anyway, so
-//! lock poisoning carries no information here — a poisoned lock is simply
-//! re-entered. `lock()` / `read()` / `write()` return guards directly instead
-//! of `Result`s, which keeps call sites identical to the `parking_lot` API the
-//! workspace used before it went dependency-free (the container building this
-//! repo has no access to a crates registry).
+//! The workbench runs on one host thread — the executor, the figure harness
+//! and oxperf drive every actor from it — so a lock here never waits for
+//! another thread. What it can still meet is *re-entrance*: a caller taking a
+//! lock that a frame further up its own stack holds. A `std::sync` lock would
+//! hang there; these panic at the offending `lock()` / `write()`, in every
+//! build. Neither type is `Sync`, so the compiler keeps them on the one
+//! thread:
 //!
-//! Under `cfg(debug_assertions)`, every [`Mutex`] participates in
-//! lockdep-style deadlock detection (see [`crate::lockdep`]): mutexes are
-//! grouped into classes by construction site, blocking acquisitions record
-//! the global acquisition order, and an acquisition that would close an
-//! ABBA-style cycle panics with both construction sites named. The `oxcheck`
-//! L1 lint (`std_sync_lock`) funnels all workspace locking through this
-//! module so no lock escapes the checker.
+//! ```compile_fail,E0277
+//! fn shared_across_threads<T: Sync>() {}
+//! shared_across_threads::<ox_sim::sync::Mutex<u32>>();
+//! ```
+//!
+//! `lock()` / `read()` / `write()` return guards directly, which keeps call
+//! sites identical to the `parking_lot` API the workspace used before it went
+//! dependency-free. A panic that unwinds through a held guard releases it;
+//! nothing is poisoned. The `oxcheck` L1 lint (`std_sync_lock`) keeps raw
+//! `std::sync` locks out of the rest of the workspace.
 
-use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
-
-#[cfg(debug_assertions)]
-use crate::lockdep;
+use std::cell::{Ref, RefCell, RefMut};
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
-pub struct Mutex<T: ?Sized> {
-    #[cfg(debug_assertions)]
-    class: lockdep::ClassCell,
-    inner: std::sync::Mutex<T>,
-}
+#[derive(Debug, Default)]
+pub struct Mutex<T: ?Sized>(RefCell<T>);
 
-/// Guard returned by [`Mutex::lock`] / [`Mutex::try_lock`]. Dereferences to
-/// the protected value; in debug builds it also keeps the lockdep hold
-/// record alive until release.
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: std::sync::MutexGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    _held: lockdep::HeldToken,
-}
+/// Guard returned by [`Mutex::lock`]; dereferences to the protected value.
+pub type MutexGuard<'a, T> = RefMut<'a, T>;
 
 impl<T> Mutex<T> {
-    /// Creates a new mutex protecting `value`. The *call site* of this
-    /// constructor is the mutex's lockdep class.
-    #[track_caller]
+    /// Creates a new mutex protecting `value`.
     pub const fn new(value: T) -> Self {
-        Mutex {
-            #[cfg(debug_assertions)]
-            class: lockdep::ClassCell::new(std::panic::Location::caller()),
-            inner: std::sync::Mutex::new(value),
-        }
+        Mutex(RefCell::new(value))
     }
 
     /// Consumes the mutex, returning the protected value.
     pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.0.into_inner()
     }
 }
 
 impl<T: ?Sized> Mutex<T> {
-    /// Acquires the lock, blocking until it is available. Poison is ignored.
+    /// Acquires the lock.
     ///
     /// # Panics
     ///
-    /// In debug builds, panics if this acquisition inverts the lock order
-    /// already observed between this mutex's class and a currently held one
-    /// (a latent ABBA deadlock).
+    /// If the lock is already held: on one thread its holder is a caller of
+    /// this one and can never release it first.
     #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        let _held = lockdep::acquire(&self.class, std::panic::Location::caller(), true);
-        MutexGuard {
-            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
-            #[cfg(debug_assertions)]
-            _held,
-        }
-    }
-
-    /// Attempts to acquire the lock without blocking; returns `None` if it
-    /// is currently held elsewhere. Poison is ignored. A successful
-    /// `try_lock` is recorded as held for lockdep but never adds ordering
-    /// constraints — a non-blocking acquisition cannot deadlock.
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        use std::sync::TryLockError;
-        let inner = match self.inner.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        Some(MutexGuard {
-            inner,
-            #[cfg(debug_assertions)]
-            _held: lockdep::acquire(&self.class, std::panic::Location::caller(), false),
-        })
+        self.0.borrow_mut()
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    #[track_caller]
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.inner, f)
-    }
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T: ?Sized + fmt::Display> fmt::Display for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&**self, f)
+        self.0.get_mut()
     }
 }
 
 /// A reader-writer lock whose `read()`/`write()` return guards directly.
-/// `RwLock` does not participate in lockdep (the workbench holds reader
-/// guards only in leaf code); use [`Mutex`] for anything acquired nested.
 #[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// Shared guard type returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Exclusive guard type returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
+pub struct RwLock<T: ?Sized>(RefCell<T>);
 
 impl<T> RwLock<T> {
     /// Creates a new lock protecting `value`.
     pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
+        RwLock(RefCell::new(value))
     }
 
     /// Consumes the lock, returning the protected value.
     pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+        self.0.into_inner()
     }
 }
 
 impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard. Poison is ignored.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    /// Acquires a shared read guard; readers share.
+    ///
+    /// # Panics
+    ///
+    /// If a write guard is alive.
+    #[track_caller]
+    pub fn read(&self) -> Ref<'_, T> {
+        self.0.borrow()
     }
 
-    /// Attempts to acquire a shared read guard without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        use std::sync::TryLockError;
-        match self.0.try_read() {
-            Ok(guard) => Some(guard),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Acquires an exclusive write guard. Poison is ignored.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Attempts to acquire an exclusive write guard without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        use std::sync::TryLockError;
-        match self.0.try_write() {
-            Ok(guard) => Some(guard),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
+    /// Acquires the exclusive write guard.
+    ///
+    /// # Panics
+    ///
+    /// If any guard is alive.
+    #[track_caller]
+    pub fn write(&self) -> RefMut<'_, T> {
+        self.0.borrow_mut()
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+        self.0.get_mut()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn mutex_basics() {
@@ -217,63 +117,46 @@ mod tests {
     #[test]
     fn rwlock_basics() {
         let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
+        {
+            let (a, b) = (l.read(), l.read());
+            assert_eq!(a.len() + b.len(), 4, "readers share");
+        }
         l.write().push(3);
         assert_eq!(l.into_inner(), vec![1, 2, 3]);
     }
 
+    /// A panic unwound while a guard is held releases the lock, and the value
+    /// keeps whatever the panicking holder wrote before it panicked.
     #[test]
     fn mutex_survives_poison() {
-        let m = Arc::new(Mutex::new(7));
-        let m2 = m.clone();
-        let _ = std::thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("poison the lock");
-        })
-        .join();
-        assert_eq!(*m.lock(), 7);
+        let m = Mutex::new(7);
+        let l = RwLock::new(7);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            *m.lock() += 1;
+            let (_m, mut w) = (m.lock(), l.write());
+            *w += 1;
+            panic!("unwind through both guards");
+        }));
+        assert!(caught.is_err());
+        assert_eq!(*m.lock(), 8);
+        assert_eq!(*l.read(), 8);
+        *l.write() += 1;
+        assert_eq!(l.into_inner(), 9);
     }
 
     #[test]
-    fn try_lock_contended_and_free() {
-        let m = Mutex::new(5);
-        {
-            let held = m.lock();
-            assert!(m.try_lock().is_none(), "held elsewhere");
-            drop(held);
-        }
-        {
-            let mut g = m.try_lock().expect("free");
-            *g += 1;
-        }
-        assert_eq!(m.into_inner(), 6);
+    #[should_panic(expected = "borrowed")]
+    fn relocking_a_held_mutex_panics() {
+        let m = Mutex::new(0);
+        let _held = m.lock();
+        let _again = m.lock();
     }
 
     #[test]
-    fn try_lock_recovers_from_poison() {
-        let m = Arc::new(Mutex::new(3));
-        let m2 = m.clone();
-        let _ = std::thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("poison");
-        })
-        .join();
-        assert_eq!(*m.try_lock().expect("poisoned but free"), 3);
-    }
-
-    #[test]
-    fn rwlock_try_variants() {
-        let l = RwLock::new(1);
-        {
-            let _r = l.read();
-            assert!(l.try_read().is_some(), "readers share");
-            assert!(l.try_write().is_none(), "writer excluded by reader");
-        }
-        {
-            let _w = l.write();
-            assert!(l.try_read().is_none());
-            assert!(l.try_write().is_none());
-        }
-        assert!(l.try_write().is_some());
+    #[should_panic(expected = "borrowed")]
+    fn writing_while_a_read_guard_lives_panics() {
+        let l = RwLock::new(0);
+        let _reader = l.read();
+        let _writer = l.write();
     }
 }

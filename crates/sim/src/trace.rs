@@ -408,15 +408,9 @@ struct RegistryInner {
 ///
 /// Keys are dotted lower-case paths (`"device.write"`, `"wal.commit"`).
 /// Cloning shares the underlying maps; entries are created on first use.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Mutex<RegistryInner>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new()
-    }
 }
 
 /// Point-in-time copy of a [`MetricsRegistry`]'s contents.
@@ -431,18 +425,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsRegistry {
-    /// An empty registry. All registries are constructed through this one
-    /// `Mutex::new` call so they share a single lockdep class whose site the
-    /// static lock-order analysis (`oxcheck` L6) can see; a derived `Default`
-    /// would hide the construction site inside `Mutex::default`.
+    /// An empty registry.
     pub fn new() -> Self {
-        MetricsRegistry {
-            inner: Arc::new(Mutex::new(RegistryInner {
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-            })),
-        }
+        Self::default()
     }
 
     /// Records one event moving `bytes` bytes on counter `name`.
