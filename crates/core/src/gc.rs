@@ -11,6 +11,14 @@
 //! as a WAL transaction *before* resetting the victim (so a crash between
 //! relocation and checkpoint cannot resurrect stale mappings), and returns
 //! reclaimed chunks to the provisioner.
+//!
+//! A pass runs at the queue depth of its copies. Every victim of a pass, and
+//! every `ws_min` copy of a victim, is issued at the pass start; the
+//! destinations round-robin over the group's PUs, so the copies overlap and
+//! the victim's own PU — which reads each source page once — is the
+//! bottleneck. Only the order durability needs is kept: a victim's remap
+//! commits once its latest copy has completed, and the victim is reset once
+//! that commit is durable. The pass is done when its slowest victim is.
 
 use crate::logspace::{reset_or_retire, LogSpace, SpaceError};
 use crate::media::Media;
@@ -65,7 +73,7 @@ impl GcPass {
         self.victims += sub.victims;
         self.moved_sectors += sub.moved_sectors;
         self.padded_sectors += sub.padded_sectors;
-        self.done = sub.done;
+        self.done = self.done.max(sub.done);
     }
 }
 
@@ -186,10 +194,12 @@ impl GarbageCollector {
 
     /// Relocates `victim`'s live sectors, journals the remap, and erases the
     /// chunk: the shared machinery behind both collection passes and
-    /// scrub-driven refresh. Map changes commit to the WAL *before* the
-    /// reset, so a crash in between cannot resurrect stale mappings. Returns
-    /// the victim's sub-pass (reclaim/copy volume + completion time) for the
-    /// caller to absorb.
+    /// scrub-driven refresh. Every `ws_min` copy is issued at `now` — the
+    /// destinations spread over the group's PUs, so they proceed in parallel
+    /// — and the remap commits to the WAL once the last copy is durable,
+    /// *before* the reset, so a crash in between cannot resurrect stale
+    /// mappings. Returns the victim's sub-pass (reclaim/copy volume +
+    /// completion time) for the caller to absorb.
     fn recycle_victim(
         &mut self,
         now: SimTime,
@@ -211,12 +221,14 @@ impl GarbageCollector {
                 let mut srcs: Vec<Ppa> = batch.iter().map(|&(ppa, _)| ppa).collect();
                 srcs.resize(unit, pad);
                 let (stats, obs) = (&mut self.stats, &self.obs);
-                let copy = |slot: WriteSlot| self.io.copy(t, &srcs, slot.chunk);
+                let copy = |slot: WriteSlot| self.io.copy(now, &srcs, slot.chunk);
                 let (slot, comp) = space.place(Some(victim), copy, || {
                     stats.copy_failovers += 1;
                     obs.metrics.record("gc.copy_failover", 0);
                 })?;
-                t = comp.done;
+                // A copy is durable at completion: the commit waits for the
+                // latest one.
+                t = t.max(comp.done);
                 space.record(slot, batch.iter().map(|&(_, lpn)| lpn), Some((wal, txid)));
                 pass.moved_sectors += batch.len() as u64;
                 pass.padded_sectors += (unit - batch.len()) as u64;
@@ -247,8 +259,9 @@ impl GarbageCollector {
         Ok(pass)
     }
 
-    /// Runs one collection pass at `now` over `space`. Relocations stay
-    /// inside the marked group; map changes are journaled through `wal`
+    /// Runs one collection pass at `now` over `space`. Every victim starts
+    /// at `now`, so the pass is done when its slowest victim is. Relocations
+    /// stay inside the marked group; map changes are journaled through `wal`
     /// before the victim is reset. Returns what was reclaimed;
     /// [`SpaceError::OutOfSpace`] when a relocation found no destination
     /// chunk anywhere.
@@ -266,7 +279,7 @@ impl GarbageCollector {
             let Some(victim) = self.select_victim(space) else {
                 break;
             };
-            let sub = self.recycle_victim(pass.done, victim, space, wal)?;
+            let sub = self.recycle_victim(now, victim, space, wal)?;
             pass.absorb(sub);
         }
         self.stats.passes += 1;
@@ -333,10 +346,96 @@ mod tests {
     use crate::media::OcssdMedia;
     use crate::provision::Provisioner;
     use crate::wal::WalRecord;
-    use ocssd::{DeviceConfig, Geometry, OcssdDevice, SharedDevice};
+    use ocssd::{
+        ChunkInfo, Completion, DeviceConfig, FaultPlan, Geometry, MediaEvent, OcssdDevice,
+        ProgramFault, SharedDevice, SECTOR_BYTES,
+    };
+    use ox_sim::sync::Mutex;
+    use ox_sim::Prng;
+
+    /// A command sent to the media, by the chunk it addresses (a copy's
+    /// destination).
+    #[derive(Clone, Copy, Debug)]
+    enum Cmd {
+        Copy(ChunkAddr),
+        Write(ChunkAddr),
+        FlushChunk(ChunkAddr),
+        Reset(ChunkAddr),
+    }
+
+    /// A logged command: what, when it was issued, and when it completed
+    /// (`None` when it failed).
+    type Logged = (Cmd, SimTime, Option<SimTime>);
+
+    /// The device, with every copy, write, chunk flush and reset sent to it
+    /// written down in call order. Reads are not logged.
+    struct Recorder {
+        inner: OcssdMedia,
+        log: Mutex<Vec<Logged>>,
+    }
+
+    impl Recorder {
+        fn note(
+            &self,
+            cmd: Cmd,
+            now: SimTime,
+            result: ocssd::Result<Completion>,
+        ) -> ocssd::Result<Completion> {
+            let done = result.as_ref().ok().map(|c| c.done);
+            self.log.lock().push((cmd, now, done));
+            result
+        }
+    }
+
+    impl Media for Recorder {
+        fn geometry(&self) -> Geometry {
+            self.inner.geometry()
+        }
+        fn write(&self, now: SimTime, ppa: Ppa, data: &[u8]) -> ocssd::Result<Completion> {
+            let result = self.inner.write(now, ppa, data);
+            self.note(Cmd::Write(ppa.chunk_addr()), now, result)
+        }
+        fn read(
+            &self,
+            now: SimTime,
+            ppa: Ppa,
+            n: u32,
+            out: &mut [u8],
+        ) -> ocssd::Result<Completion> {
+            self.inner.read(now, ppa, n, out)
+        }
+        fn reset(&self, now: SimTime, chunk: ChunkAddr) -> ocssd::Result<Completion> {
+            let result = self.inner.reset(now, chunk);
+            self.note(Cmd::Reset(chunk), now, result)
+        }
+        fn copy(&self, now: SimTime, srcs: &[Ppa], dst: ChunkAddr) -> ocssd::Result<Completion> {
+            let result = self.inner.copy(now, srcs, dst);
+            self.note(Cmd::Copy(dst), now, result)
+        }
+        fn flush(&self, now: SimTime) -> Completion {
+            self.inner.flush(now)
+        }
+        fn flush_chunk(&self, now: SimTime, chunk: ChunkAddr) -> Completion {
+            let comp = self.inner.flush_chunk(now, chunk);
+            self.log
+                .lock()
+                .push((Cmd::FlushChunk(chunk), now, Some(comp.done)));
+            comp
+        }
+        fn chunk_info(&self, chunk: ChunkAddr) -> ChunkInfo {
+            self.inner.chunk_info(chunk)
+        }
+        fn report_all(&self) -> Vec<(ChunkAddr, ChunkInfo)> {
+            self.inner.report_all()
+        }
+        fn drain_events(&self) -> Vec<MediaEvent> {
+            self.inner.drain_events()
+        }
+    }
 
     struct Rig {
         media: Arc<dyn Media>,
+        rec: Arc<Recorder>,
         geo: Geometry,
         space: LogSpace,
         wal: Wal,
@@ -346,9 +445,16 @@ mod tests {
     }
 
     fn rig() -> Rig {
-        let geo = Geometry::paper_tlc_scaled(22, 8);
+        rig_on(Geometry::paper_tlc_scaled(22, 8))
+    }
+
+    fn rig_on(geo: Geometry) -> Rig {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
-        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
+        let rec = Arc::new(Recorder {
+            inner: OcssdMedia::new(dev),
+            log: Mutex::new(Vec::new()),
+        });
+        let media: Arc<dyn Media> = rec.clone();
         let layout = Layout::plan(&geo, LayoutConfig::default());
         let reserved = layout.reserved_linear(&geo);
         let space = LogSpace::new(
@@ -366,6 +472,7 @@ mod tests {
         );
         Rig {
             media,
+            rec,
             geo,
             space,
             wal,
@@ -375,30 +482,70 @@ mod tests {
         }
     }
 
-    /// Writes `lpns` sequentially onto the first PU of `group`, so chunks
-    /// fill (and close) one at a time.
-    fn fill(r: &mut Rig, lpns: std::ops::Range<u64>, group: u32) {
-        let data = vec![0x5Au8; r.geo.ws_min_bytes()];
-        let pu = group * r.geo.pus_per_group;
-        let mut lpn_iter = lpns.into_iter();
-        'outer: loop {
-            let Some(slot) = r.space.prov.allocate_on_pu(pu) else {
-                panic!("out of space during fill");
-            };
-            let comp = r
-                .media
-                .write(r.t, slot.chunk.ppa(slot.sector), &data)
-                .unwrap();
-            r.t = comp.done;
-            for k in 0..r.geo.ws_min {
-                let Some(lpn) = lpn_iter.next() else {
-                    break 'outer;
-                };
-                r.space.map.map(lpn, slot.chunk.ppa(slot.sector + k));
+    /// Writes `lpns` sequentially onto PU `pu` (device-linear), so chunks
+    /// fill (and close) one at a time. Every sector starts with its lpn.
+    fn fill(r: &mut Rig, lpns: std::ops::Range<u64>, pu: u32) {
+        let mut lpns = lpns.peekable();
+        while lpns.peek().is_some() {
+            let slot = r.space.prov.allocate_on_pu(pu).expect("room to fill");
+            let unit: Vec<u64> = lpns.by_ref().take(r.geo.ws_min as usize).collect();
+            let mut data = vec![0x5Au8; r.geo.ws_min_bytes()];
+            for (sector, lpn) in data.chunks_exact_mut(SECTOR_BYTES).zip(&unit) {
+                sector[..8].copy_from_slice(&lpn.to_le_bytes());
+            }
+            let ppa = slot.chunk.ppa(slot.sector);
+            r.t = r.media.write(r.t, ppa, &data).unwrap().done;
+            r.space.record(slot, unit, None);
+        }
+        r.t = r.media.flush(r.t).done;
+    }
+
+    /// Reads `lpn` where the map points at `at` and checks it is that lpn's
+    /// data.
+    fn assert_reads_back(r: &Rig, lpn: u64, at: SimTime) {
+        let ppa = r.space.map.lookup(lpn).expect("still mapped");
+        let mut out = vec![0u8; SECTOR_BYTES];
+        r.media.read(at, ppa, 1, &mut out).unwrap();
+        assert_eq!(out[..8], lpn.to_le_bytes(), "lpn {lpn} at {ppa:?}");
+    }
+
+    /// Empties the recorder: the commands issued since the last call.
+    fn take_log(r: &Rig) -> Vec<Logged> {
+        std::mem::take(&mut *r.rec.log.lock())
+    }
+
+    /// Checks the order the collector keeps in `log`, victim by victim
+    /// (each with live data): every copy is issued at the pass `start`, the
+    /// remap commit (the WAL write) only once every copy before it has
+    /// completed, and the victim's reset only once that commit is durable.
+    /// Returns the number of victims reset.
+    fn assert_journal_order(r: &Rig, log: &[Logged], start: SimTime) -> usize {
+        let wal = |chunk: &ChunkAddr| r.layout.wal_chunks.contains(chunk);
+        let (mut copied, mut durable, mut resets) = (None, None, 0);
+        for &(cmd, issued, done) in log {
+            match cmd {
+                Cmd::Copy(dst) => {
+                    assert_eq!(issued, start, "copy to {dst:?} issued at the pass start");
+                    copied = copied.max(done);
+                }
+                Cmd::Write(chunk) if wal(&chunk) => {
+                    let copied = copied.expect("a commit follows its victim's copies");
+                    assert!(
+                        issued >= copied,
+                        "commit at {issued:?}, a copy done {copied:?}"
+                    );
+                }
+                Cmd::FlushChunk(chunk) if wal(&chunk) => durable = done,
+                Cmd::Reset(victim) if !wal(&victim) => {
+                    let durable = durable.take().expect("a reset follows its commit");
+                    assert!(issued >= durable, "{victim:?} reset before its commit");
+                    copied = None;
+                    resets += 1;
+                }
+                _ => {}
             }
         }
-        let f = r.media.flush(r.t);
-        r.t = f.done;
+        resets
     }
 
     #[test]
@@ -444,9 +591,7 @@ mod tests {
             // Relocation stays in the marked group.
             assert_eq!(new.group, 0);
             // And the data is readable there.
-            let mut out = vec![0u8; ocssd::SECTOR_BYTES];
-            r.media.read(pass.done, new, 1, &mut out).unwrap();
-            assert_eq!(out[0], 0x5A);
+            assert_reads_back(&r, l, pass.done);
         }
     }
 
@@ -507,8 +652,9 @@ mod tests {
         let mut r = rig();
         let chunk_lpns = r.geo.sectors_per_chunk as u64;
         // Only group 2 has a collectible chunk.
-        fill(&mut r, 0..chunk_lpns, 2);
-        fill(&mut r, 0..chunk_lpns, 2);
+        let pu = 2 * r.geo.pus_per_group;
+        fill(&mut r, 0..chunk_lpns, pu);
+        fill(&mut r, 0..chunk_lpns, pu);
         r.gc.mark_group(0);
         let pass = r.gc.collect(r.t, &mut r.space, &mut r.wal).unwrap();
         assert!(pass.victims >= 1, "collector rotated to the busy group");
@@ -596,9 +742,7 @@ mod tests {
         for l in 0..chunk_lpns {
             let new = r.space.map.lookup(l).expect("still mapped");
             assert_ne!(new.chunk_addr(), victim, "lpn {l} moved off the victim");
-            let mut out = vec![0u8; ocssd::SECTOR_BYTES];
-            r.media.read(pass.done, new, 1, &mut out).unwrap();
-            assert_eq!(out[0], 0x5A, "lpn {l} readable after refresh");
+            assert_reads_back(&r, l, pass.done);
         }
     }
 
@@ -649,5 +793,156 @@ mod tests {
         assert_eq!(pass.victims, 0);
         assert_eq!(pass.moved_sectors, 0);
         assert_eq!(pass.done, r.t);
+    }
+
+    #[test]
+    fn absorbing_an_earlier_sub_pass_keeps_the_later_completion() {
+        let at = SimTime::from_micros;
+        let mut pass = GcPass {
+            done: at(5),
+            ..Default::default()
+        };
+        for (done, moved) in [(at(9), 4), (at(7), 2)] {
+            pass.absorb(GcPass {
+                victims: 1,
+                moved_sectors: moved,
+                padded_sectors: 4 - moved,
+                done,
+            });
+        }
+        assert_eq!(
+            (pass.victims, pass.moved_sectors, pass.padded_sectors),
+            (2, 6, 2)
+        );
+        assert_eq!(pass.done, at(9), "the first victim is still erasing");
+    }
+
+    #[test]
+    fn copies_to_k_distinct_pus_relocate_within_the_reads_and_one_program() {
+        let mut r = rig();
+        let (ws, per) = (r.geo.ws_min as u64, r.geo.pus_per_group);
+        let chunk_lpns = r.geo.sectors_per_chunk as u64;
+        // The victim sits on group 0's last PU and keeps k live units; the
+        // group's write cursor sends them to the other k PUs, one each.
+        let (victim_pu, k) = (per - 1, per as u64 - 1);
+        fill(&mut r, 0..chunk_lpns, victim_pu);
+        fill(&mut r, k * ws..chunk_lpns, victim_pu);
+        r.gc.mark_group(0);
+        take_log(&r);
+        let start = r.t;
+        let pass = r.gc.collect(start, &mut r.space, &mut r.wal).unwrap();
+        assert_eq!((pass.victims, pass.moved_sectors), (1, k * ws));
+
+        let copies: Vec<(ChunkAddr, SimTime)> = take_log(&r)
+            .into_iter()
+            .filter_map(|(cmd, _, done)| match cmd {
+                Cmd::Copy(dst) => Some((dst, done.expect("no fault planned"))),
+                _ => None,
+            })
+            .collect();
+        let mut pus: Vec<u32> = copies
+            .iter()
+            .map(|(dst, _)| dst.pu_linear(&r.geo))
+            .collect();
+        pus.sort_unstable();
+        pus.dedup();
+        assert_eq!(pus.len() as u64, k, "one destination PU per unit");
+        assert!(!pus.contains(&victim_pu));
+        // The victim's PU reads every page once, back to back; the last
+        // unit's program follows its reads. Chained copies take k programs.
+        let nand = r.geo.cell.profile();
+        let pages = k * ws / r.geo.sectors_per_page as u64;
+        let bound = start + nand.read_page * pages + nand.program_time(1);
+        let relocated = copies.iter().map(|&(_, done)| done).max().unwrap();
+        assert!(
+            relocated <= bound,
+            "relocated at {relocated:?}, bound {bound:?}"
+        );
+    }
+
+    #[test]
+    fn each_commit_waits_for_its_copies_and_each_reset_for_its_commit() {
+        let mut r = rig();
+        r.gc = GarbageCollector::new(
+            &r.media,
+            GcConfig {
+                chunks_per_pass: 2,
+                ..GcConfig::default()
+            },
+        );
+        let (ws, c) = (r.geo.ws_min as u64, r.geo.sectors_per_chunk as u64);
+        // Two closed chunks keep two and three live units; the overwrites
+        // close a third, fully valid one.
+        fill(&mut r, 0..2 * c, 0);
+        fill(&mut r, 2 * ws..c, 0);
+        fill(&mut r, c + 3 * ws..2 * c, 0);
+        r.gc.mark_group(0);
+        take_log(&r);
+        let start = r.t;
+        let pass = r.gc.collect(start, &mut r.space, &mut r.wal).unwrap();
+        assert_eq!((pass.victims, pass.moved_sectors), (2, 5 * ws));
+        let log = take_log(&r);
+        assert_eq!(assert_journal_order(&r, &log, start), 2);
+        let last = log.iter().filter_map(|&(_, _, done)| done).max();
+        assert_eq!(
+            Some(pass.done),
+            last,
+            "the pass ends with its latest command"
+        );
+        for lpn in (0..2 * ws).chain(c..c + 3 * ws) {
+            assert_reads_back(&r, lpn, pass.done);
+        }
+    }
+
+    #[test]
+    fn a_failed_relocation_copy_is_reissued_and_its_commit_waits_for_it() {
+        let geo = ocssd::matrix_geometry();
+        let (ws, c) = (geo.ws_min as u64, geo.sectors_per_chunk as u64);
+        for seed in ocssd::matrix_seeds(8) {
+            let mut rng = Prng::seed_from_u64(seed);
+            let victim_pu = rng.gen_range(geo.total_pus() as u64) as u32;
+            let k = rng.gen_range_in(2, 6);
+            let failing = rng.gen_range(k);
+            let setup = || {
+                let mut r = rig_on(geo);
+                fill(&mut r, 0..c, victim_pu);
+                fill(&mut r, k * ws..c, victim_pu);
+                r.gc.mark_group(victim_pu / geo.pus_per_group);
+                r
+            };
+            // A dry run shows where unit `failing` lands; the second run
+            // fails that program.
+            let mut dry = setup();
+            dry.gc.collect(dry.t, &mut dry.space, &mut dry.wal).unwrap();
+            let slot = dry.space.map.lookup(failing * ws).unwrap();
+            let mut r = setup();
+            r.rec.inner.device().set_fault_plan(FaultPlan {
+                program_fails: vec![ProgramFault {
+                    chunk: slot.chunk_addr(),
+                    wp: slot.sector,
+                }],
+                ..FaultPlan::default()
+            });
+            take_log(&r);
+            let start = r.t;
+            let pass = r.gc.collect(start, &mut r.space, &mut r.wal).unwrap();
+            let log = take_log(&r);
+
+            assert_eq!(r.gc.stats().copy_failovers, 1, "seed {seed}");
+            let failed = log
+                .iter()
+                .position(|&(cmd, _, done)| matches!(cmd, Cmd::Copy(_)) && done.is_none())
+                .expect("the planned fault fired");
+            assert!(
+                matches!(log[failed + 1], (Cmd::Copy(dst), at, Some(_))
+                    if at == start && dst != slot.chunk_addr()),
+                "seed {seed}: the copy is re-placed and re-issued at the pass start"
+            );
+            assert_eq!(assert_journal_order(&r, &log, start), 1, "seed {seed}");
+            assert_ne!(r.space.map.lookup(failing * ws), Some(slot));
+            for lpn in 0..k * ws {
+                assert_reads_back(&r, lpn, pass.done);
+            }
+        }
     }
 }

@@ -924,13 +924,19 @@ impl OcssdDevice {
             return Err(self.injected_program_fail(now, dst));
         }
 
-        // Reads proceed in parallel across source PUs; the program on the
-        // destination PU starts once the last source page arrives.
+        // Reads proceed in parallel across source PUs, one page read per
+        // distinct source page however many of its sectors move; the
+        // program on the destination PU starts once the last page arrives.
+        let mut pages: Vec<(ChunkAddr, u32)> = Vec::with_capacity(srcs.len());
         let mut last_read = now;
         for &src in srcs {
+            let page = (src.chunk_addr(), src.sector / self.geo.sectors_per_page);
+            if pages.contains(&page) {
+                continue;
+            }
+            pages.push(page);
             let pu = &mut self.pus[src.chunk_addr().pu_linear(&self.geo) as usize];
-            let t = self.profile.read_media_time(1, self.geo.sectors_per_page);
-            last_read = last_read.max(pu.acquire(now, t).end);
+            last_read = last_read.max(pu.acquire(now, self.profile.read_page).end);
         }
         let units = sectors / self.geo.ws_min;
         let pu_idx = dst.pu_linear(&self.geo);
@@ -1419,6 +1425,39 @@ mod tests {
         dev.read(c.done, dst.ppa(0), geo.ws_min, &mut out).unwrap();
         assert_eq!(out, payload);
         assert_eq!(dev.stats().copies.ops(), 1);
+    }
+
+    #[test]
+    fn copy_reads_each_distinct_source_page_once() {
+        let mut dev = small_device();
+        let geo = *dev.geometry();
+        let src = ChunkAddr::new(5, 0, 0);
+        let dst = ChunkAddr::new(5, 1, 0);
+        let w = dev.write(t(0), src.ppa(0), &unit_data(&geo, 1)).unwrap();
+        let read_page = dev.profile().read_page;
+        let spp = geo.sectors_per_page;
+        // (source sectors, distinct pages): one whole page, four whole
+        // pages, one sector. Each is padded to `ws_min` with repeats of its
+        // last sector, as the collector pads a short tail.
+        let cases: [(Vec<u32>, u64); 3] = [
+            ((0..spp).collect(), 1),
+            ((0..4 * spp).collect(), 4),
+            (vec![spp + 1], 1),
+        ];
+        let mut now = w.done + SimDuration::from_secs(1);
+        for (sectors, pages) in cases {
+            let mut srcs: Vec<Ppa> = sectors.iter().map(|&s| src.ppa(s)).collect();
+            let pad = srcs[srcs.len() - 1];
+            srcs.resize(geo.ws_min as usize, pad);
+            let c = dev.copy(now, &srcs, dst).unwrap();
+            assert_eq!(
+                dev.pu_busy_until(src.pu_linear(&geo)),
+                now + read_page * pages,
+                "{} sources on {pages} page(s)",
+                sectors.len()
+            );
+            now = c.done + SimDuration::from_secs(1);
+        }
     }
 
     #[test]
