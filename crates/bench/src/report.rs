@@ -2,14 +2,15 @@
 //!
 //! A figure binary hands every line and table row it produces to a
 //! [`Report`], which echoes it to stdout and keeps it; [`Report::finish`]
-//! then writes exactly that text to `results/<name>[.<backend>].txt` and the
-//! run's observability snapshot beside it. The text is a function of
+//! then writes exactly that text to `results/<name>[.<backend>][.quick].txt`
+//! and the run's observability snapshot beside it. The text is a function of
 //! `(mode, seed)` alone — nothing under `crates/bench/src/` reads the host
 //! clock (oxcheck L2) — so `scripts/regen-results.sh` reproduces the
 //! committed tables byte for byte. Status messages go to stderr and are not
 //! part of the report.
 
 use crate::backend::BenchBackend;
+use crate::quick_mode;
 use ox_sim::trace::Obs;
 
 /// The text of one figure run.
@@ -20,15 +21,12 @@ pub struct Report {
 
 impl Report {
     /// A report for the binary `name`. A run `OX_BACKEND` pointed at one
-    /// personality (`selected`) is tagged with it, so it lands beside the
-    /// default run's artifacts instead of on top of them.
+    /// personality (`selected`) is tagged with it, and a `--quick` run with
+    /// `.quick`, so each lands beside the committed full-mode artifacts
+    /// instead of on top of them.
     pub fn new(name: &str, selected: Option<BenchBackend>) -> Report {
-        let artifact = match selected {
-            None => name.to_string(),
-            Some(b) => format!("{name}.{}", b.label()),
-        };
         Report {
-            artifact,
+            artifact: artifact(name, selected, quick_mode()),
             text: String::new(),
         }
     }
@@ -72,6 +70,14 @@ impl Report {
     }
 }
 
+/// `<name>[.<backend>][.quick]`: the file stem a run's outputs are written
+/// under.
+fn artifact(name: &str, selected: Option<BenchBackend>, quick: bool) -> String {
+    let backend = selected.map(|b| format!(".{}", b.label()));
+    let quick = if quick { ".quick" } else { "" };
+    format!("{name}{}{quick}", backend.unwrap_or_default())
+}
+
 /// Failures are reported but not fatal: stdout already carries the rows.
 fn write_artifact(file: &str, contents: &str) {
     let dir = std::path::Path::new("results");
@@ -79,5 +85,28 @@ fn write_artifact(file: &str, contents: &str) {
     match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents)) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quick_and_backend_runs_are_tagged_beside_the_committed_artifact() {
+        let ztl = Some(BenchBackend::Oxztl);
+        assert_eq!(artifact("fig5_throughput", None, false), "fig5_throughput");
+        assert_eq!(
+            artifact("fig5_throughput", ztl, false),
+            "fig5_throughput.oxztl"
+        );
+        assert_eq!(
+            artifact("fig5_throughput", None, true),
+            "fig5_throughput.quick"
+        );
+        assert_eq!(
+            artifact("fig5_throughput", ztl, true),
+            "fig5_throughput.oxztl.quick"
+        );
     }
 }

@@ -11,7 +11,7 @@
 use crate::logspace::LogSpace;
 use crate::provision::Provisioner;
 use ocssd::{ChunkAddr, MediaEvent, Ppa};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Takes the chunk of every event that retires one
 /// ([`ocssd::MediaEventKind::retires_chunk`]) out of `prov`'s circulation
@@ -44,7 +44,7 @@ pub struct Orphan {
 /// FTL-side table of retired chunks.
 #[derive(Default)]
 pub struct BadBlockTable {
-    retired: HashSet<(u32, u32, u32)>,
+    retired: BTreeSet<(u32, u32, u32)>,
     events_seen: u64,
 }
 

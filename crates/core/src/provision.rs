@@ -12,7 +12,7 @@
 //! [`Provisioner::take_free_chunk`] to claim entire chunks from a PU's pool.
 
 use ocssd::{ChunkAddr, ChunkInfo, ChunkState, Geometry};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// A write slot: chunk plus starting sector for one `ws_min` unit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,8 +37,8 @@ pub struct Provisioner {
     open: Vec<Option<OpenChunk>>,
     next_pu: u32,
     group_cursor: Vec<u32>,
-    reserved: HashSet<u64>,
-    offline: HashSet<u64>,
+    reserved: BTreeSet<u64>,
+    offline: BTreeSet<u64>,
 }
 
 impl Provisioner {
@@ -47,7 +47,7 @@ impl Provisioner {
     /// chunks resume as their PU's write point; `Closed` chunks are in use;
     /// `Offline` chunks are excluded.
     pub fn from_report(geo: Geometry, reserved: &[u64], report: &[(ChunkAddr, ChunkInfo)]) -> Self {
-        let reserved: HashSet<u64> = reserved.iter().copied().collect();
+        let reserved: BTreeSet<u64> = reserved.iter().copied().collect();
         let mut p = Provisioner {
             geo,
             free: vec![Vec::new(); geo.total_pus() as usize],
@@ -55,7 +55,7 @@ impl Provisioner {
             next_pu: 0,
             group_cursor: vec![0; geo.num_groups as usize],
             reserved,
-            offline: HashSet::new(),
+            offline: BTreeSet::new(),
         };
         for &(addr, info) in report {
             let lin = addr.linear(&geo);
@@ -214,6 +214,7 @@ impl Provisioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn geo() -> Geometry {
         Geometry::paper_tlc_scaled(22, 8)

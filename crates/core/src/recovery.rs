@@ -33,7 +33,7 @@ use crate::provision::Provisioner;
 use crate::wal::{self, Wal, WalError, WalRecord};
 use ocssd::{ChunkAddr, Geometry, Ppa};
 use ox_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An FTL's write-ahead log together with the checkpoint areas its layout
@@ -95,7 +95,7 @@ impl Journal {
         // its `TxCommit`. Its `TxBegin` may be missing — covered by the
         // checkpoint, or on a chunk truncation already recycled — and the
         // records that are there still count.
-        let mut open: HashMap<u64, Vec<WalRecord>> = HashMap::new();
+        let mut open: BTreeMap<u64, Vec<WalRecord>> = BTreeMap::new();
         let mut txns = Vec::new();
         let mut last_lsn = checkpoint_lsn;
         for frame in frames {

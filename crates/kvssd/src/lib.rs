@@ -7,7 +7,9 @@
 //! al., SYSTOR'19] running directly on the Open-Channel device —
 //! `put`/`get`/`delete` over an append-only value log with an in-memory
 //! hash index, journaled through the OX WAL and compacted by the
-//! group-marked garbage collector.
+//! group-marked garbage collector. The modeled index is still that hash
+//! index, charged a constant CPU cost per command whatever container the
+//! simulator keeps it in (an ordered map, as on every storage path).
 //!
 //! Contrast with LightLSM (the other side of the comparison):
 //!
@@ -34,7 +36,7 @@ use ox_core::stats::FtlStats;
 use ox_core::wal::{Wal, WalError, WalRecord};
 use ox_core::{retry, Media};
 use ox_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Largest value accepted (values span whole sectors in the value log).
@@ -115,8 +117,8 @@ struct ValueLoc {
 pub struct KvSsd {
     media: Arc<dyn Media>,
     geo: Geometry,
-    /// Device-side hash index: key → value location.
-    index: HashMap<Vec<u8>, ValueLoc>,
+    /// Device-side index: key → value location.
+    index: BTreeMap<Vec<u8>, ValueLoc>,
     /// The value log: page map (log page → physical sector), provisioning
     /// and the write path, shared machinery with OX-Block so GC can
     /// relocate live values.
@@ -158,7 +160,7 @@ impl KvSsd {
         Ok((
             KvSsd {
                 geo,
-                index: HashMap::new(),
+                index: BTreeMap::new(),
                 space: LogSpace::new(
                     PageMap::new(geo, window_pages),
                     Provisioner::fresh(geo, &reserved),

@@ -201,7 +201,7 @@ pub struct Db {
     actives: Vec<ActiveCompaction>,
     active_cursor: usize,
     /// Table ids owned by an in-flight compaction.
-    compacting: std::collections::HashSet<u64>,
+    compacting: std::collections::BTreeSet<u64>,
     obs: Obs,
 }
 
@@ -262,7 +262,7 @@ impl Db {
             compaction_cursor: vec![0; config.max_levels],
             actives: Vec::new(),
             active_cursor: 0,
-            compacting: std::collections::HashSet::new(),
+            compacting: std::collections::BTreeSet::new(),
             obs: store.obs(),
             store,
         }

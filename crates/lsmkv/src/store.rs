@@ -15,7 +15,7 @@ use ox_block::{BlockFtl, BlockFtlError};
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Storage backend failure.
@@ -213,7 +213,7 @@ struct BlockExtent {
 
 struct BlockStoreInner {
     ftl: BlockFtl,
-    tables: HashMap<u64, BlockExtent>,
+    tables: BTreeMap<u64, BlockExtent>,
     next_id: u64,
     next_lpn: u64,
     free: Vec<(u64, u64)>, // (first_lpn, pages) of deleted extents
@@ -235,7 +235,7 @@ impl BlockStore {
         BlockStore {
             inner: Arc::new(Mutex::new(BlockStoreInner {
                 ftl,
-                tables: HashMap::new(),
+                tables: BTreeMap::new(),
                 next_id: 1,
                 next_lpn: 0,
                 free: Vec::new(),

@@ -18,31 +18,31 @@
 //!   annotated `// oxcheck:allow(panic_path): <why>`.
 //! * **L4 `external_dep`** — every `Cargo.toml` dependency must resolve
 //!   in-repo; the build container has no crates registry.
-//! * **L5 `unordered_iter`** — no hash-ordered iteration on storage paths.
-//! * **L7 `span_discipline`** — every trace span opened is closed on every
-//!   path.
 //! * **L11 `unreferenced_pub`** — a `pub fn` in a crate's sources that
 //!   nothing in the workspace names outside its own file's tests is surface
 //!   every refactor has to carry for nobody.
+//! * **L12 `hash_container`** — no `HashMap`/`HashSet` in storage code or
+//!   the figure harness, so no per-process hash order can reach an output.
 //!
-//! L6 and L8–L10 are retired codes: one host thread cannot deadlock on lock
-//! order, and `pub(crate)` in `ox_core` keeps log replay and slot allocation
-//! where the name matching used to. See `docs/static-analysis.md` for the
-//! full catalog and pragma syntax.
+//! Every lint is a rule over one lexed token stream; there is no symbol
+//! layer. L5–L10 are retired codes, each replaced by a fact the compiler or
+//! a token rule checks: ordered containers, kept by L12 (L5), one host
+//! thread (L6), private `Tracer::begin`/`end` (L7) and `pub(crate)` in
+//! `ox_core` (L8–L10). See
+//! `docs/static-analysis.md` for the full catalog and pragma syntax.
+//!
+//! The gate is zero findings. A justified exception is a pragma at its line.
 
 pub mod deps;
-pub mod det;
 pub mod lexer;
-pub mod lints;
-pub mod parser;
-pub mod report;
-pub mod spans;
+mod lints;
+mod parser;
 
+use parser::FileModel;
 use std::fmt;
 use std::path::Path;
 
 pub use deps::check_cargo_toml;
-pub use lints::check_rust_source;
 
 /// The project lints, in catalog order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -55,13 +55,10 @@ pub enum Lint {
     PanicPath,
     /// L4: dependencies that do not resolve in-repo.
     ExternalDep,
-    /// L5: iteration over `HashMap`/`HashSet` on storage paths.
-    UnorderedIter,
-    /// L7: trace spans opened without an RAII guard or a provable `end` on
-    /// every path.
-    SpanDiscipline,
     /// L11: public functions nothing in the workspace refers to.
     UnreferencedPub,
+    /// L12: hash containers on storage paths and in the figure harness.
+    HashContainer,
 }
 
 impl Lint {
@@ -72,22 +69,20 @@ impl Lint {
             Lint::WallClock => "wall_clock",
             Lint::PanicPath => "panic_path",
             Lint::ExternalDep => "external_dep",
-            Lint::UnorderedIter => "unordered_iter",
-            Lint::SpanDiscipline => "span_discipline",
             Lint::UnreferencedPub => "unreferenced_pub",
+            Lint::HashContainer => "hash_container",
         }
     }
 
-    /// Catalog code (L1–L5, L7, L11).
+    /// Catalog code (L1–L4, L11, L12).
     pub fn code(self) -> &'static str {
         match self {
             Lint::StdSyncLock => "L1",
             Lint::WallClock => "L2",
             Lint::PanicPath => "L3",
             Lint::ExternalDep => "L4",
-            Lint::UnorderedIter => "L5",
-            Lint::SpanDiscipline => "L7",
             Lint::UnreferencedPub => "L11",
+            Lint::HashContainer => "L12",
         }
     }
 }
@@ -144,10 +139,10 @@ pub struct Config {
     pub l3_scope: Vec<String>,
     /// Exceptions within the L3 scope (in-crate bench harnesses).
     pub l3_exclude: Vec<String>,
-    /// Path prefixes whose non-test code is held to L5/L7 (the storage
-    /// crates plus the simulation substrate, whose hash iteration would
-    /// leak into every consumer).
-    pub l5_scope: Vec<String>,
+    /// Path prefixes whose non-test code is held to L12: the storage
+    /// crates, the simulation substrate every one of them runs on, and the
+    /// figure harness whose tables are committed byte for byte.
+    pub l12_scope: Vec<String>,
     /// Directory names skipped entirely during the walk.
     pub skip_dirs: Vec<String>,
 }
@@ -173,7 +168,7 @@ impl Default for Config {
                 "crates/oxshard/src/",
             ]),
             l3_exclude: s(&["crates/lsmkv/src/bench.rs"]),
-            l5_scope: s(&[
+            l12_scope: s(&[
                 "crates/ocssd/src/",
                 "crates/core/src/",
                 "crates/lsmkv/src/",
@@ -186,6 +181,7 @@ impl Default for Config {
                 "crates/iosched/src/",
                 "crates/oxshard/src/",
                 "crates/sim/src/",
+                "crates/bench/src/",
             ]),
             skip_dirs: s(&[
                 "target", ".git", ".github", ".claude", "results", "fixtures",
@@ -209,8 +205,8 @@ impl Config {
                 .any(|p| rel_path.starts_with(p.as_str()))
     }
 
-    pub(crate) fn l5_in_scope(&self, rel_path: &str) -> bool {
-        self.l5_scope
+    pub(crate) fn l12_in_scope(&self, rel_path: &str) -> bool {
+        self.l12_scope
             .iter()
             .any(|p| rel_path.starts_with(p.as_str()))
     }
@@ -236,37 +232,17 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Findi
 pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut models = Vec::new();
-    let mut allows = Vec::new();
     for (rel, src) in sources {
         if rel.ends_with(".rs") {
-            findings.extend(check_rust_source(rel, src, cfg));
-            models.push(parser::parse_source(rel, src));
-            allows.push(lints::pragma_allows(&lexer::lex(src)));
+            models.push(FileModel::parse(rel, src));
         } else {
             findings.extend(check_cargo_toml(rel, src));
         }
     }
-
-    // Symbol-aware passes: L5/L7 are per-file, L11 is workspace-wide.
-    let mut late = Vec::new();
-    for model in &models {
-        if cfg.l5_in_scope(&model.path) {
-            det::lint_unordered_iter(model, &mut late);
-        }
-        if cfg.l3_in_scope(&model.path) {
-            spans::lint_span_discipline(model, &mut late);
-        }
+    for m in &models {
+        findings.extend(lints::lint_file(m, cfg));
     }
-    lints::lint_unreferenced_pub(&models, &mut late);
-
-    // Pragmas suppress the symbol-aware passes too.
-    late.retain(|f| {
-        models
-            .iter()
-            .position(|m| m.path == f.path)
-            .is_none_or(|i| !lints::allowed_by_pragma(&allows[i], f))
-    });
-    findings.extend(late);
+    lints::lint_unreferenced_pub(&models, &mut findings);
     findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
     findings
 }

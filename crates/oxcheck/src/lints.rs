@@ -1,212 +1,43 @@
-//! Token-level lint passes (L1–L3, L11) plus pragma and `#[cfg(test)]`
-//! scoping.
+//! The rules: token-level passes L1–L3 and L12 over one file, and L11 over
+//! the whole workspace.
 //!
-//! All four passes run over the comment-free token stream produced by
-//! [`crate::lexer::lex`]; comments are consulted separately for
-//! `// oxcheck:allow(<lint>)` pragmas. Test code — `#[cfg(test)]` items and
-//! `mod tests { .. }` blocks — is exempt from L3 (tests may unwrap freely)
+//! Every pass reads a [`FileModel`]'s comment-free token stream. Test code
+//! — `#[cfg(test)]` items and `mod tests { .. }` blocks — is exempt from L3
+//! (tests may unwrap freely) and L12 (tests may keep hash-ordered models),
 //! but *not* from L1/L2: a test that grabs a raw `std::sync::Mutex` or reads
 //! the wall clock undermines determinism just as much as library code.
 
-use crate::lexer::{lex, Token, TokenKind};
-use crate::parser::FileModel;
+use crate::lexer::{Token, TokenKind};
+use crate::parser::{match_bracket, FileModel};
 use crate::{Config, Finding, Lint};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// Runs L1–L3 over one Rust source file. `rel_path` uses forward slashes
-/// relative to the workspace root.
-pub fn check_rust_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let tokens = lex(src);
-    let allows = pragma_allows(&tokens);
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        .collect();
-    let test_lines = test_region_lines(&code, whole_file_is_test(rel_path));
-
+/// Runs L1–L3 and L12 over one file, keeping what its pragmas do not allow.
+pub(crate) fn lint_file(m: &FileModel, cfg: &Config) -> Vec<Finding> {
+    let (path, code) = (m.path.as_str(), m.tokens.as_slice());
     let mut findings = Vec::new();
-    if !cfg.allowed(&cfg.l1_allow, rel_path) {
-        lint_std_sync_lock(rel_path, &code, &mut findings);
+    if !cfg.allowed(&cfg.l1_allow, path) {
+        lint_std_sync_lock(path, code, &mut findings);
     }
-    if !cfg.allowed(&cfg.l2_allow, rel_path) {
-        lint_wall_clock(rel_path, &code, &mut findings);
+    if !cfg.allowed(&cfg.l2_allow, path) {
+        lint_wall_clock(path, code, &mut findings);
     }
-    if cfg.l3_in_scope(rel_path) {
-        lint_panic_path(rel_path, &code, &test_lines, &mut findings);
+    if cfg.l3_in_scope(path) {
+        lint_panic_path(m, &mut findings);
     }
-    findings.retain(|f| !allowed_by_pragma(&allows, f));
+    if cfg.l12_in_scope(path) {
+        lint_hash_container(m, &mut findings);
+    }
+    findings.retain(|f| !m.allows(f));
     findings
 }
 
-/// Lines (1-based) whose findings each pragma suppresses: its own line and
-/// the following one, so both trailing and preceding pragma styles work.
-pub(crate) fn pragma_allows(tokens: &[Token]) -> HashMap<u32, HashSet<String>> {
-    let mut map: HashMap<u32, HashSet<String>> = HashMap::new();
-    for t in tokens {
-        if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
-            continue;
-        }
-        let Some(at) = t.text.find("oxcheck:allow(") else {
-            continue;
-        };
-        let rest = &t.text[at + "oxcheck:allow(".len()..];
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        for name in rest[..close].split(',') {
-            let name = name.trim().to_string();
-            if name.is_empty() {
-                continue;
-            }
-            map.entry(t.line).or_default().insert(name.clone());
-            map.entry(t.line + 1).or_default().insert(name);
-        }
-    }
-    map
-}
-
-pub(crate) fn allowed_by_pragma(allows: &HashMap<u32, HashSet<String>>, f: &Finding) -> bool {
-    allows
-        .get(&f.line)
-        .is_some_and(|set| set.contains(f.lint.name()) || set.contains("all"))
-}
-
-/// Whether a path is test-only by construction (integration test trees and
-/// out-of-line `tests.rs` modules).
-pub(crate) fn whole_file_is_test(rel_path: &str) -> bool {
-    rel_path.split('/').any(|seg| seg == "tests") || rel_path.ends_with("/tests.rs")
-}
-
-/// Returns the set of source lines that belong to test-scoped code:
-/// items annotated `#[cfg(test)]` and modules named `tests`.
-pub(crate) fn test_region_lines(code: &[&Token], whole_file: bool) -> HashSet<u32> {
-    let mut lines = HashSet::new();
-    if whole_file {
-        // Cheap sentinel: line 0 marks "everything is test code".
-        lines.insert(0);
-        return lines;
-    }
-    let mut i = 0usize;
-    let mut pending_test = false;
-    while i < code.len() {
-        let t = code[i];
-        match (t.kind, t.text.as_str()) {
-            (TokenKind::Punct, "#") if code.get(i + 1).is_some_and(|t| t.text == "[") => {
-                let end = match_bracket(code, i + 1, "[", "]");
-                if attr_is_cfg_test(&code[i + 2..end]) {
-                    pending_test = true;
-                }
-                i = end + 1;
-                continue;
-            }
-            (TokenKind::Ident, "mod")
-                if code.get(i + 1).is_some_and(|t| t.text == "tests")
-                    && code.get(i + 2).is_some_and(|t| t.text == "{") =>
-            {
-                pending_test = true;
-                i += 2; // fall through to the `{` below on next iteration
-                continue;
-            }
-            (TokenKind::Punct, "{") if pending_test => {
-                let end = match_bracket(code, i, "{", "}");
-                for l in code[i].line..=code[end].line {
-                    lines.insert(l);
-                }
-                pending_test = false;
-                i = end + 1;
-                continue;
-            }
-            (TokenKind::Punct, ";") if pending_test => {
-                // `#[cfg(test)] use x;` — no body to scope.
-                pending_test = false;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    lines
-}
-
-fn in_test(test_lines: &HashSet<u32>, line: u32) -> bool {
-    test_lines.contains(&0) || test_lines.contains(&line)
-}
-
-/// Index of the bracket matching `code[open]` (which must be `open_sym`),
-/// or the last token if unbalanced.
-pub(crate) fn match_bracket(
-    code: &[&Token],
-    open: usize,
-    open_sym: &str,
-    close_sym: &str,
-) -> usize {
-    let mut depth = 0i64;
-    for (j, t) in code.iter().enumerate().skip(open) {
-        if t.kind == TokenKind::Punct {
-            if t.text == open_sym {
-                depth += 1;
-            } else if t.text == close_sym {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-        }
-    }
-    code.len().saturating_sub(1)
-}
-
-/// True for `cfg(test)` and `cfg(any(test, ...))`; false for `cfg(not(test))`
-/// and for unrelated attributes. Also true for `#[cfg_attr(pred, test)]`
-/// (the *applied* attribute — after the first top-level comma — is `test`),
-/// but not for `#[cfg_attr(test, other_attr)]`, where `test` is only the
-/// predicate and the item compiles unconditionally.
-fn attr_is_cfg_test(attr: &[&Token]) -> bool {
-    let is_cfg_attr = attr
-        .first()
-        .is_some_and(|t| t.kind == TokenKind::Ident && t.text == "cfg_attr");
-    let scan_from = if is_cfg_attr {
-        // Skip past the predicate: find the first `,` at paren depth 1.
-        let mut depth = 0i64;
-        let mut at = attr.len();
-        for (i, t) in attr.iter().enumerate() {
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "(" => depth += 1,
-                    ")" => depth -= 1,
-                    "," if depth == 1 => {
-                        at = i + 1;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        at
-    } else {
-        0
-    };
-    let mut has_cfg = is_cfg_attr;
-    let mut has_test = false;
-    let mut has_not = false;
-    for t in &attr[scan_from.min(attr.len())..] {
-        if t.kind == TokenKind::Ident {
-            match t.text.as_str() {
-                "cfg" => has_cfg = true,
-                "test" => has_test = true,
-                "not" => has_not = true,
-                _ => {}
-            }
-        }
-    }
-    has_cfg && has_test && !has_not
-}
-
 /// Matches `a :: b` style path separators: token `i` is `:` and `i+1` is `:`.
-fn is_path_sep(code: &[&Token], i: usize) -> bool {
+fn is_path_sep(code: &[Token], i: usize) -> bool {
     code.get(i).is_some_and(|t| t.text == ":") && code.get(i + 1).is_some_and(|t| t.text == ":")
 }
 
-fn ident_at(code: &[&Token], i: usize, name: &str) -> bool {
+fn ident_at(code: &[Token], i: usize, name: &str) -> bool {
     code.get(i)
         .is_some_and(|t| t.kind == TokenKind::Ident && t.text == name)
 }
@@ -214,7 +45,7 @@ fn ident_at(code: &[&Token], i: usize, name: &str) -> bool {
 /// L1: `std::sync::Mutex` / `std::sync::RwLock` anywhere outside the
 /// `ox_sim::sync` wrappers. Handles direct paths, `use std::sync::{..}`
 /// groups and one level of `use std::{sync::{..}, ..}` nesting.
-fn lint_std_sync_lock(rel_path: &str, code: &[&Token], out: &mut Vec<Finding>) {
+fn lint_std_sync_lock(rel_path: &str, code: &[Token], out: &mut Vec<Finding>) {
     scan_std_paths(
         rel_path,
         code,
@@ -227,7 +58,7 @@ fn lint_std_sync_lock(rel_path: &str, code: &[&Token], out: &mut Vec<Finding>) {
 
 /// L2: wall-clock access. Flags `Instant::now`, any `SystemTime`, and
 /// `std::time::Instant` imports outside `ox_sim::time` and the bench harness.
-fn lint_wall_clock(rel_path: &str, code: &[&Token], out: &mut Vec<Finding>) {
+fn lint_wall_clock(rel_path: &str, code: &[Token], out: &mut Vec<Finding>) {
     scan_std_paths(
         rel_path,
         code,
@@ -268,7 +99,7 @@ fn lint_wall_clock(rel_path: &str, code: &[&Token], out: &mut Vec<Finding>) {
 /// `use std::sync::{Arc, Mutex}` and `use std::{sync::Mutex, io}`.
 fn scan_std_paths(
     rel_path: &str,
-    code: &[&Token],
+    code: &[Token],
     module: &str,
     banned: &[&str],
     lint: Lint,
@@ -286,7 +117,7 @@ fn scan_std_paths(
             ),
         ));
     };
-    let scan_module_suffix = |out: &mut Vec<Finding>, code: &[&Token], i: usize| {
+    let scan_module_suffix = |out: &mut Vec<Finding>, code: &[Token], i: usize| {
         // At token after `<module> ::` — either a banned ident or a group.
         if let Some(t) = code.get(i) {
             if t.kind == TokenKind::Ident && banned.contains(&t.text.as_str()) {
@@ -323,15 +154,10 @@ fn scan_std_paths(
 
 /// L3: `.unwrap()`, `.expect(..)`, `panic!`, `todo!`, `unimplemented!` in
 /// non-test code on the configured media/durability paths.
-fn lint_panic_path(
-    rel_path: &str,
-    code: &[&Token],
-    test_lines: &HashSet<u32>,
-    out: &mut Vec<Finding>,
-) {
-    for i in 0..code.len() {
-        let t = code[i];
-        if t.kind != TokenKind::Ident || in_test(test_lines, t.line) {
+fn lint_panic_path(m: &FileModel, out: &mut Vec<Finding>) {
+    let code = &m.tokens;
+    for (i, t) in code.iter().enumerate() {
+        if t.kind != TokenKind::Ident || m.in_test(t.line) {
             continue;
         }
         let msg = match t.text.as_str() {
@@ -356,7 +182,32 @@ fn lint_panic_path(
             }
             _ => continue,
         };
-        out.push(Finding::new(rel_path, t.line, Lint::PanicPath, msg));
+        out.push(Finding::new(&m.path, t.line, Lint::PanicPath, msg));
+    }
+}
+
+/// L12: the identifiers `HashMap` / `HashSet` in non-test code on the
+/// storage paths and in the figure harness. A container that is not there
+/// cannot be iterated, so no per-process hash order reaches a device
+/// command, a figure row or an obs dump, whatever the toolchain's hasher.
+fn lint_hash_container(m: &FileModel, out: &mut Vec<Finding>) {
+    for t in &m.tokens {
+        if t.kind == TokenKind::Ident
+            && matches!(t.text.as_str(), "HashMap" | "HashSet")
+            && !m.in_test(t.line)
+        {
+            out.push(Finding::new(
+                &m.path,
+                t.line,
+                Lint::HashContainer,
+                format!(
+                    "`{}` in storage or figure code; use `BTree{}`, whose order \
+                     is the same in every run",
+                    t.text,
+                    &t.text[4..]
+                ),
+            ));
+        }
     }
 }
 
@@ -390,18 +241,22 @@ pub(crate) fn lint_unreferenced_pub(models: &[FileModel], out: &mut Vec<Finding>
             }
         }
         for t in public {
-            if uses[t.text.as_str()] == own[t.text.as_str()] {
-                out.push(Finding::new(
-                    &m.path,
-                    t.line,
-                    Lint::UnreferencedPub,
-                    format!(
-                        "`pub fn {}` is referenced nowhere in the workspace outside \
-                         its own file's tests; delete it, or pragma-justify who \
-                         outside the workspace calls it",
-                        t.text
-                    ),
-                ));
+            if uses[t.text.as_str()] != own[t.text.as_str()] {
+                continue;
+            }
+            let finding = Finding::new(
+                &m.path,
+                t.line,
+                Lint::UnreferencedPub,
+                format!(
+                    "`pub fn {}` is referenced nowhere in the workspace outside \
+                     its own file's tests; delete it, or pragma-justify who \
+                     outside the workspace calls it",
+                    t.text
+                ),
+            );
+            if !m.allows(&finding) {
+                out.push(finding);
             }
         }
     }
@@ -418,8 +273,12 @@ mod tests {
         c
     }
 
+    fn run_at(path: &str, src: &str) -> Vec<Finding> {
+        lint_file(&FileModel::parse(path, src), &cfg())
+    }
+
     fn run(src: &str) -> Vec<Finding> {
-        check_rust_source("virt/lib.rs", src, &cfg())
+        run_at("virt/lib.rs", src)
     }
 
     #[test]
@@ -469,7 +328,7 @@ mod tests {
         assert!(run("fn f() { x.unwrap_or_else(|| 1); }\n").is_empty());
 
         // Out-of-scope path: no findings.
-        assert!(check_rust_source("other/lib.rs", "fn f() { x.unwrap(); }", &cfg()).is_empty());
+        assert!(run_at("other/lib.rs", "fn f() { x.unwrap(); }").is_empty());
 
         // Test module exempt.
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n  fn g() { x.unwrap(); panic!(); }\n}\n";
@@ -502,7 +361,7 @@ mod tests {
 
     #[test]
     fn l3_exempts_whole_test_files() {
-        let f = check_rust_source("virt/tests/gate.rs", "fn f() { x.unwrap(); }", &cfg());
+        let f = run_at("virt/tests/gate.rs", "fn f() { x.unwrap(); }");
         assert!(f.is_empty());
     }
 

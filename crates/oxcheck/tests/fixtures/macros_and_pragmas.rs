@@ -1,24 +1,20 @@
 //! Macro bodies are exempt (they expand at use sites, often into test
 //! code), and `oxcheck:allow` pragmas suppress with a recorded reason.
 
-use std::collections::HashMap;
-
-macro_rules! dump_table {
-    ($map:expr) => {
-        // Hash iteration inside a macro body: EXEMPT.
-        for (k, v) in $map.iter() {
-            println!("{k}: {v}");
+macro_rules! registry_debug {
+    () => {
+        // A `pub fn` nothing names, inside a macro body: EXEMPT.
+        pub fn dump_all(&self) -> usize {
+            0
         }
     };
 }
 
-pub struct Registry {
-    pub entries: HashMap<String, u64>,
-}
+pub struct Registry;
 
 impl Registry {
+    // oxcheck:allow(unreferenced_pub): fixture for the pragma
     pub fn debug_dump(&self) -> Vec<String> {
-        // oxcheck:allow(unordered_iter): debug output only, callers sort
-        self.entries.iter().map(|(k, v)| format!("{k}={v}")).collect()
+        Vec::new()
     }
 }

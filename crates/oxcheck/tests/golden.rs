@@ -1,22 +1,17 @@
-//! Golden-fixture suite for the symbol-aware lints (L5/L7), L11 and the
-//! scope of L2.
+//! Golden-fixture suite for L2, L11, L12 and the pragma and macro scopes.
 //!
 //! Each fixture under `tests/fixtures/` is a self-contained source file of
 //! true-positive and false-positive shapes, annotated inline with
 //! `FLAGGED` / `CLEAN` / `EXEMPT` comments. The fixtures are fed to
-//! [`oxcheck::analyze_sources`] under synthetic storage-crate paths (so
-//! they land in the L5/L7 scope) — the `fixtures` directory itself is on
+//! [`oxcheck::analyze_sources`] under synthetic workspace paths (so they
+//! land in or out of a lint's scope) — the `fixtures` directory itself is on
 //! the analyzer's skip list, so the workspace gate never sees them.
 
 use oxcheck::{analyze_sources, Config, Finding};
 
-/// Analyzes `src` as a one-file workspace. Such a workspace has no callers,
-/// so nearly every `pub fn` of a fixture is unreferenced: L11 findings are
-/// dropped here and asserted in the L11 test alone, which brings callers.
+/// Analyzes `src` as a one-file workspace.
 fn analyze(path: &str, src: &str) -> Vec<Finding> {
-    let mut a = analyze_sources(&[(path.to_string(), src.to_string())], &Config::default());
-    a.retain(|f| f.lint.name() != "unreferenced_pub");
-    a
+    analyze_sources(&[(path.to_string(), src.to_string())], &Config::default())
 }
 
 fn lines_of(findings: &[Finding], lint: &str) -> Vec<u32> {
@@ -27,43 +22,71 @@ fn lines_of(findings: &[Finding], lint: &str) -> Vec<u32> {
         .collect()
 }
 
+const L12: &str = include_str!("fixtures/l12_hash_container.rs");
+
+/// L12 flags every `HashMap`/`HashSet` identifier in non-test storage code
+/// — imported, grouped or spelled out — and nothing else; a pragma silences
+/// its line and the next, and removing it brings the finding back.
 #[test]
-fn l5_true_positives_are_flagged() {
-    let a = analyze(
-        "crates/core/src/l5_unordered.rs",
-        include_str!("fixtures/l5_unordered.rs"),
-    );
-    let l5 = lines_of(&a, "unordered_iter");
-    assert_eq!(l5.len(), 3, "expected 3 unordered_iter findings: {:#?}", a);
-    // The for-loop, the `.values()…next()` chain and the `.drain()`.
-    assert!(
-        a.iter().all(|f| f.lint.name() == "unordered_iter"),
-        "{:#?}",
-        a
-    );
+fn l12_hash_containers_are_flagged() {
+    let without_pragma = L12
+        .lines()
+        .filter(|l| !l.contains("oxcheck:allow"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    for path in [
+        "crates/kvssd/src/lib.rs",
+        "crates/core/src/recovery.rs",
+        "crates/sim/src/trace.rs",
+    ] {
+        let a = analyze(path, L12);
+        assert_eq!(
+            lines_of(&a, "hash_container"),
+            [6, 7, 10, 14],
+            "{path}: {a:#?}"
+        );
+        let a = analyze(path, &without_pragma);
+        assert_eq!(
+            lines_of(&a, "hash_container"),
+            [6, 7, 10, 14, 22],
+            "{path}: {a:#?}"
+        );
+    }
 }
 
+/// The figure harness, whose tables are committed byte for byte, is held to
+/// L12 like the storage crates; its wall-clock microbenchmarks are not.
 #[test]
-fn l5_false_positive_shapes_stay_clean() {
-    let a = analyze(
-        "crates/core/src/l5_clean.rs",
-        include_str!("fixtures/l5_clean.rs"),
-    );
-    assert!(a.is_empty(), "clean fixture produced findings: {:#?}", a);
+fn l12_covers_the_figure_harness() {
+    for path in [
+        "crates/bench/src/ycsb.rs",
+        "crates/bench/src/bin/fig_ycsb.rs",
+    ] {
+        let a = analyze(path, L12);
+        assert_eq!(
+            lines_of(&a, "hash_container"),
+            [6, 7, 10, 14],
+            "{path}: {a:#?}"
+        );
+    }
+    let a = analyze("crates/bench/benches/microbench.rs", L12);
+    assert!(lines_of(&a, "hash_container").is_empty(), "{a:#?}");
 }
 
+/// Fixtures placed outside the storage-path scope, or in test trees, produce
+/// no L12 noise: the lint is scoped on purpose.
 #[test]
-fn l7_span_shapes() {
-    let a = analyze(
-        "crates/ocssd/src/l7_spans.rs",
-        include_str!("fixtures/l7_spans.rs"),
-    );
-    let l7 = lines_of(&a, "span_discipline");
-    // Exactly the leaky `?` site and the never-closed site; the guard, the
-    // escaping id and the balanced pair stay clean.
-    assert_eq!(l7.len(), 2, "{:#?}", a);
-    let leak = a.iter().find(|f| f.line == l7[0]).expect("first finding");
-    assert!(leak.message.contains("guard"), "{}", leak.message);
+fn out_of_scope_paths_are_not_linted() {
+    for path in [
+        "tools/scratch/l12.rs",
+        "src/lib.rs",
+        "examples/l12.rs",
+        "crates/oxcheck/src/l12.rs",
+        "crates/kvssd/tests/l12.rs",
+    ] {
+        let a = analyze(path, L12);
+        assert!(lines_of(&a, "hash_container").is_empty(), "{path}: {a:#?}");
+    }
 }
 
 #[test]
@@ -89,7 +112,8 @@ fn removing_the_pragma_reintroduces_the_finding() {
         .collect::<Vec<_>>()
         .join("\n");
     let a = analyze("crates/core/src/macros_and_pragmas.rs", &src);
-    assert_eq!(lines_of(&a, "unordered_iter").len(), 1, "{:#?}", a);
+    assert_eq!(lines_of(&a, "unreferenced_pub"), [15], "{:#?}", a);
+    assert!(a[0].message.contains("debug_dump"));
 }
 
 /// L2 holds the figure harness to virtual time like any simulation code;
@@ -141,15 +165,4 @@ fn l11_unreferenced_pub_is_flagged_until_another_file_names_it() {
             "{path}"
         );
     }
-}
-
-/// Fixtures placed outside the storage-path scope produce no L5/L7 noise:
-/// the lints are scoped on purpose.
-#[test]
-fn out_of_scope_paths_are_not_linted() {
-    let a = analyze(
-        "tools/scratch/l5_unordered.rs",
-        include_str!("fixtures/l5_unordered.rs"),
-    );
-    assert!(lines_of(&a, "unordered_iter").is_empty(), "{:#?}", a);
 }

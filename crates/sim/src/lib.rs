@@ -40,6 +40,4 @@ pub use executor::{Actor, ActorId, Executor, Step};
 pub use resource::Timeline;
 pub use rng::Prng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{
-    MetricsRegistry, MetricsSnapshot, Obs, SpanGuard, SpanId, TraceEvent, TracePhase, Tracer,
-};
+pub use trace::{MetricsRegistry, MetricsSnapshot, Obs, SpanGuard, TraceEvent, TracePhase, Tracer};

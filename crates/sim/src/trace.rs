@@ -5,10 +5,12 @@
 //! same two sinks:
 //!
 //! * a [`Tracer`]: a bounded, drop-oldest buffer of span-style events
-//!   (`begin`/`end` pairs plus `instant` markers) carrying virtual time, a
+//!   (begin/end pairs plus `instant` markers) carrying virtual time, a
 //!   subsystem label, an operation kind and a byte count. Because the
 //!   simulator computes completion times synchronously, the common call is
-//!   [`Tracer::span`], which records a matched begin/end pair at once.
+//!   [`Tracer::span`], which records a matched begin/end pair at once;
+//!   [`Tracer::guard`] covers the rest. Those are the only two ways to open
+//!   a span, so every span opened is closed.
 //! * a [`MetricsRegistry`]: named counters (ops + bytes), gauges and
 //!   log-linear histograms that any crate can register into by name.
 //!
@@ -17,10 +19,10 @@
 //! exported at the end of a run as JSON ([`Tracer::to_json`],
 //! [`MetricsRegistry::to_json`]) next to an experiment's results.
 //!
-//! Tracing is *disabled by default* (a disabled tracer records nothing and
-//! returns [`SpanId::NONE`]); metrics are always live. Naming convention for
-//! metric keys and trace ops: dotted lower-case paths, `subsystem.verb`
-//! (e.g. `device.write`, `wal.commit`, `lsm.flush`).
+//! Tracing is *disabled by default* (a disabled tracer records nothing);
+//! metrics are always live. Naming convention for metric keys and trace
+//! ops: dotted lower-case paths, `subsystem.verb` (e.g. `device.write`,
+//! `wal.commit`, `lsm.flush`).
 
 use crate::stats::{Counter, Histogram};
 use crate::sync::Mutex;
@@ -29,20 +31,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Identifier of an in-flight span returned by [`Tracer::begin`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SpanId(u64);
-
-impl SpanId {
-    /// The null span: returned by a disabled tracer and ignored by
-    /// [`Tracer::end`].
-    pub const NONE: SpanId = SpanId(0);
-
-    /// Raw numeric id (0 for [`SpanId::NONE`]).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
+/// Span id of nothing: what a disabled tracer opens, and what closing
+/// ignores.
+const NO_SPAN: u64 = 0;
 
 /// Whether an event opens a span, closes one, or stands alone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,6 +90,14 @@ struct TracerInner {
 /// The buffer keeps the newest `cap` events, dropping the oldest (and
 /// counting drops) when full — the same semantics the old per-device
 /// `ocssd::TraceBuffer` had. Disabling the tracer clears the buffer.
+///
+/// A span is recorded through [`Tracer::span`] or [`Tracer::guard`]; the
+/// unpaired open and close beneath them are private to this module:
+///
+/// ```compile_fail,E0624
+/// let tracer = ox_sim::Tracer::new(8);
+/// tracer.begin(ox_sim::SimTime::ZERO, "device", "write", 0);
+/// ```
 #[derive(Clone, Debug)]
 pub struct Tracer {
     inner: Arc<Mutex<TracerInner>>,
@@ -139,17 +138,11 @@ impl Tracer {
         g.events.push_back(ev);
     }
 
-    /// Opens a span. Returns [`SpanId::NONE`] when disabled.
-    pub fn begin(
-        &self,
-        at: SimTime,
-        subsystem: &'static str,
-        op: &'static str,
-        bytes: u64,
-    ) -> SpanId {
+    /// Opens a span. Returns [`NO_SPAN`] when disabled.
+    fn begin(&self, at: SimTime, subsystem: &'static str, op: &'static str, bytes: u64) -> u64 {
         let mut g = self.inner.lock();
         if !g.enabled {
-            return SpanId::NONE;
+            return NO_SPAN;
         }
         let id = g.next_span;
         g.next_span += 1;
@@ -165,19 +158,12 @@ impl Tracer {
                 bytes,
             },
         );
-        SpanId(id)
+        id
     }
 
-    /// Closes a span opened by [`Tracer::begin`]. [`SpanId::NONE`] is ignored.
-    pub fn end(
-        &self,
-        at: SimTime,
-        span: SpanId,
-        subsystem: &'static str,
-        op: &'static str,
-        bytes: u64,
-    ) {
-        if span == SpanId::NONE {
+    /// Closes a span opened by [`Tracer::begin`]. [`NO_SPAN`] is ignored.
+    fn end(&self, at: SimTime, span: u64, subsystem: &'static str, op: &'static str, bytes: u64) {
+        if span == NO_SPAN {
             return;
         }
         let mut g = self.inner.lock();
@@ -190,7 +176,7 @@ impl Tracer {
                 seq: 0,
                 at,
                 phase: TracePhase::End,
-                span: span.0,
+                span,
                 subsystem,
                 op,
                 bytes,
@@ -336,15 +322,11 @@ impl Default for Tracer {
 /// produces a matched `end` event. Call [`SpanGuard::finish`] on the success
 /// path to stamp the real completion time; a guard dropped without `finish`
 /// closes at its begin time (a zero-length span marking the bail-out point).
-///
-/// This is the remedy the `oxcheck` L7 `span_discipline` lint points at:
-/// manual `begin`/`end` pairs on storage paths with early returns leak open
-/// spans, a guard cannot.
 #[derive(Debug)]
 #[must_use = "dropping the guard immediately closes the span"]
 pub struct SpanGuard {
     tracer: Tracer,
-    id: SpanId,
+    id: u64,
     begin_at: SimTime,
     subsystem: &'static str,
     op: &'static str,
@@ -375,11 +357,6 @@ impl Tracer {
 }
 
 impl SpanGuard {
-    /// The underlying span id ([`SpanId::NONE`] when the tracer is disabled).
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
     /// Closes the span at `at` (the success-path completion time).
     pub fn finish(mut self, at: SimTime) {
         self.finished = true;
@@ -600,7 +577,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let tr = Tracer::new(16);
-        assert_eq!(tr.begin(t(1), "x", "y", 0), SpanId::NONE);
+        assert_eq!(tr.begin(t(1), "x", "y", 0), NO_SPAN);
         tr.span(t(1), t(2), "x", "y", 0);
         tr.instant(t(3), "x", "y", 0);
         assert!(tr.is_empty());
@@ -733,7 +710,7 @@ mod tests {
     fn disabled_span_guard_is_inert() {
         let tr = Tracer::new(16);
         let g = tr.guard(t(1), "x", "y", 0);
-        assert_eq!(g.id(), SpanId::NONE);
+        assert_eq!(g.id, NO_SPAN);
         drop(g);
         assert!(tr.is_empty());
     }
