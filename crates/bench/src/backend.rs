@@ -72,11 +72,7 @@ impl BenchBackend {
     /// Reads `OX_BACKEND` for a binary with a leg for each of `supported`;
     /// a value outside that list exits with status 2 and the accepted list.
     pub fn from_env(supported: &[BenchBackend]) -> Option<BenchBackend> {
-        let value = std::env::var("OX_BACKEND").ok();
-        BenchBackend::parse(value.as_deref(), supported).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2)
-        })
+        ocssd::matrix_knob("OX_BACKEND", |value| BenchBackend::parse(value, supported))
     }
 
     /// Name in `OX_BACKEND`, printed reports and artifact tags.

@@ -275,7 +275,7 @@ fn run_phase(
             .filter(|(_, d)| !d.inflight && !d.exhausted && d.next_submit < deadline)
             .min_by_key(|(_, d)| d.next_submit)
             .map(|(i, d)| (d.next_submit, i));
-        let ready = sched.next_ready().filter(|&r| r != SimTime::MAX);
+        let ready = sched.next_ready();
         let submit_now = match (sub, ready) {
             (None, None) => break,
             (Some(_), None) => true,

@@ -115,14 +115,19 @@ impl YcsbWorkload {
 }
 
 /// Workload letters of the CI YCSB matrix: `OX_YCSB_WORKLOAD=B` runs one
-/// grid row, unset/`all` runs all six (mirroring `ocssd::matrix_seeds`).
+/// grid row, unset/`all` runs all six; any other value ends the run
+/// ([`ocssd::matrix_knob`]).
 pub fn matrix_workloads() -> Vec<YcsbWorkload> {
-    match std::env::var("OX_YCSB_WORKLOAD") {
-        Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("all") => match YcsbWorkload::parse(&v) {
-            Some(wl) => vec![wl],
-            None => YcsbWorkload::all().to_vec(),
-        },
-        _ => YcsbWorkload::all().to_vec(),
+    ocssd::matrix_knob("OX_YCSB_WORKLOAD", parse_workloads)
+}
+
+fn parse_workloads(value: Option<&str>) -> Result<Vec<YcsbWorkload>, String> {
+    match value {
+        None => Ok(YcsbWorkload::all().to_vec()),
+        Some(v) if v.eq_ignore_ascii_case("all") => Ok(YcsbWorkload::all().to_vec()),
+        Some(v) => YcsbWorkload::parse(v).map(|wl| vec![wl]).ok_or_else(|| {
+            format!("OX_YCSB_WORKLOAD={v}: accepted values are A, B, C, D, E, F, all")
+        }),
     }
 }
 
@@ -865,5 +870,21 @@ mod tests {
             assert_eq!(YcsbWorkload::parse(wl.letter()), Some(wl));
         }
         assert_eq!(YcsbWorkload::parse("g"), None);
+    }
+
+    #[test]
+    fn matrix_workload_is_unset_or_named_or_refused() {
+        let all = YcsbWorkload::all().to_vec();
+        assert_eq!(parse_workloads(None), Ok(all.clone()));
+        assert_eq!(parse_workloads(Some("ALL")), Ok(all));
+        assert_eq!(parse_workloads(Some("b")), Ok(vec![YcsbWorkload::B]));
+        for refused in ["G", "AB", "workload-a"] {
+            assert_eq!(
+                parse_workloads(Some(refused)),
+                Err(format!(
+                    "OX_YCSB_WORKLOAD={refused}: accepted values are A, B, C, D, E, F, all"
+                ))
+            );
+        }
     }
 }

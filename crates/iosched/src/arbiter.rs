@@ -8,7 +8,7 @@
 use crate::config::IoClass;
 use ox_sim::SimTime;
 
-/// The pluggable arbitration policy.
+/// The arbitration policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArbiterKind {
     /// Naive baseline: one shared queue in global submission order, queue
@@ -17,40 +17,12 @@ pub enum ArbiterKind {
     /// paper's host-controlled path is measured against; it also ignores
     /// the GC class, so relocation competes head-to-head with user reads.
     Fifo,
-    /// Equal-share round-robin over tenants with pending commands.
-    RoundRobin,
-    /// Deficit round-robin: each refill round grants every backlogged
-    /// tenant `weight` dispatches.
-    WeightedRoundRobin,
     /// Earliest-deadline-first over per-class latency targets
     /// ([`crate::ClassTargets`]); ties break by submission order.
     Deadline,
 }
 
-impl ArbiterKind {
-    /// Parses a policy name (used by the qos-matrix CI sweep).
-    pub fn parse(name: &str) -> Option<ArbiterKind> {
-        match name {
-            "fifo" => Some(ArbiterKind::Fifo),
-            "rr" | "round-robin" => Some(ArbiterKind::RoundRobin),
-            "wrr" | "weighted" => Some(ArbiterKind::WeightedRoundRobin),
-            "deadline" | "edf" => Some(ArbiterKind::Deadline),
-            _ => None,
-        }
-    }
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ArbiterKind::Fifo => "fifo",
-            ArbiterKind::RoundRobin => "rr",
-            ArbiterKind::WeightedRoundRobin => "wrr",
-            ArbiterKind::Deadline => "deadline",
-        }
-    }
-}
-
-/// One eligible queue head offered to the arbiter.
+/// One runnable queue head offered to the arbiter.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Candidate {
     /// Tenant index owning the head.
@@ -63,110 +35,22 @@ pub(crate) struct Candidate {
     pub deadline: SimTime,
     /// Scheduling class.
     pub class: IoClass,
+    /// Earliest instant the head can dispatch.
+    pub start: SimTime,
 }
 
-/// Mutable arbitration state (round-robin cursor, WRR deficit credits).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Arbiter {
-    cursor: usize,
-    credits: Vec<i64>,
-}
-
-impl Arbiter {
-    pub(crate) fn register_tenant(&mut self) {
-        self.credits.push(0);
-    }
-
-    /// Chooses one of `cands` (non-empty) under `kind`; `weights` is indexed
-    /// by tenant. Returns an index into `cands`.
-    pub(crate) fn pick(
-        &mut self,
-        kind: ArbiterKind,
-        cands: &[Candidate],
-        weights: &[u32],
-    ) -> usize {
-        match kind {
-            ArbiterKind::Fifo => Self::oldest(cands),
-            ArbiterKind::Deadline => Self::earliest_deadline(cands),
-            ArbiterKind::RoundRobin => self.round_robin(cands, weights.len()),
-            ArbiterKind::WeightedRoundRobin => self.deficit(cands, weights),
-        }
-    }
-
-    fn oldest(cands: &[Candidate]) -> usize {
-        let mut best = 0;
-        for (i, c) in cands.iter().enumerate().skip(1) {
-            let b = &cands[best];
-            if (c.submitted, c.seq) < (b.submitted, b.seq) {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn earliest_deadline(cands: &[Candidate]) -> usize {
-        let mut best = 0;
-        for (i, c) in cands.iter().enumerate().skip(1) {
-            let b = &cands[best];
-            if (c.deadline, c.submitted, c.seq) < (b.deadline, b.submitted, b.seq) {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// First backlogged tenant at or after the cursor; the cursor then moves
-    /// past it, so every backlogged tenant is visited once per ring pass.
-    fn round_robin(&mut self, cands: &[Candidate], num_tenants: usize) -> usize {
-        debug_assert!(num_tenants > 0);
-        for off in 0..num_tenants {
-            let tenant = (self.cursor + off) % num_tenants;
-            if let Some(i) = Self::head_of(cands, tenant) {
-                self.cursor = (tenant + 1) % num_tenants;
-                return i;
-            }
-        }
-        Self::oldest(cands)
-    }
-
-    /// Deficit round-robin: a tenant keeps dispatching while it has credit;
-    /// when no backlogged tenant has credit the round refills every
-    /// backlogged tenant to its weight (idle tenants refill to zero, so an
-    /// idle period cannot bank an unbounded burst).
-    fn deficit(&mut self, cands: &[Candidate], weights: &[u32]) -> usize {
-        let num_tenants = weights.len();
-        for _round in 0..2 {
-            for off in 0..num_tenants {
-                let tenant = (self.cursor + off) % num_tenants;
-                if self.credits[tenant] > 0 {
-                    if let Some(i) = Self::head_of(cands, tenant) {
-                        self.credits[tenant] -= 1;
-                        // Stay on this tenant until its quantum is spent
-                        // (classic DRR), then move to the next — otherwise a
-                        // refill would hand the same tenant two consecutive
-                        // quanta and break the one-round wait bound.
-                        self.cursor = if self.credits[tenant] == 0 {
-                            (tenant + 1) % num_tenants
-                        } else {
-                            tenant
-                        };
-                        return i;
-                    }
-                }
-            }
-            for (t, w) in weights.iter().enumerate().take(num_tenants) {
-                self.credits[t] = if Self::head_of(cands, t).is_some() {
-                    *w as i64
-                } else {
-                    0
-                };
-            }
-        }
-        Self::oldest(cands)
-    }
-
-    fn head_of(cands: &[Candidate], tenant: usize) -> Option<usize> {
-        cands.iter().position(|c| c.tenant == tenant)
+impl ArbiterKind {
+    /// The candidate that dispatches first: the least `(deadline, submitted,
+    /// seq)`, with the submission time standing in for the deadline under
+    /// `Fifo`. Sequence numbers are unique, so there are no ties.
+    pub(crate) fn pick(self, cands: &[Candidate]) -> Option<&Candidate> {
+        cands.iter().min_by_key(|c| {
+            let first = match self {
+                ArbiterKind::Fifo => c.submitted,
+                ArbiterKind::Deadline => c.deadline,
+            };
+            (first, c.submitted, c.seq)
+        })
     }
 }
 
@@ -181,63 +65,22 @@ mod tests {
             submitted: SimTime::from_micros(sub_us),
             deadline: SimTime::from_micros(dl_us),
             class: IoClass::Read,
+            start: SimTime::from_micros(sub_us),
         }
-    }
-
-    #[test]
-    fn parse_round_trips_names() {
-        for k in [
-            ArbiterKind::Fifo,
-            ArbiterKind::RoundRobin,
-            ArbiterKind::WeightedRoundRobin,
-            ArbiterKind::Deadline,
-        ] {
-            assert_eq!(ArbiterKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(ArbiterKind::parse("nope"), None);
     }
 
     #[test]
     fn fifo_picks_global_oldest() {
-        let mut a = Arbiter::default();
-        a.register_tenant();
-        a.register_tenant();
         let cands = [cand(1, 7, 5, 100), cand(0, 3, 2, 100)];
-        assert_eq!(a.pick(ArbiterKind::Fifo, &cands, &[1, 1]), 1);
+        let pick = ArbiterKind::Fifo.pick(&cands).map(|c| c.tenant);
+        assert_eq!(pick, Some(0));
     }
 
     #[test]
     fn deadline_prefers_tighter_deadline() {
-        let mut a = Arbiter::default();
-        a.register_tenant();
-        a.register_tenant();
         let cands = [cand(0, 1, 0, 500), cand(1, 2, 1, 90)];
-        assert_eq!(a.pick(ArbiterKind::Deadline, &cands, &[1, 1]), 1);
-    }
-
-    #[test]
-    fn round_robin_alternates() {
-        let mut a = Arbiter::default();
-        a.register_tenant();
-        a.register_tenant();
-        let cands = [cand(0, 1, 0, 100), cand(1, 2, 0, 100)];
-        let first = a.pick(ArbiterKind::RoundRobin, &cands, &[1, 1]);
-        let second = a.pick(ArbiterKind::RoundRobin, &cands, &[1, 1]);
-        assert_ne!(cands[first].tenant, cands[second].tenant);
-    }
-
-    #[test]
-    fn wrr_respects_weights_per_round() {
-        let mut a = Arbiter::default();
-        a.register_tenant();
-        a.register_tenant();
-        let weights = [3, 1];
-        let cands = [cand(0, 1, 0, 100), cand(1, 2, 0, 100)];
-        let mut picks = [0usize; 2];
-        for _ in 0..8 {
-            let i = a.pick(ArbiterKind::WeightedRoundRobin, &cands, &weights);
-            picks[cands[i].tenant] += 1;
-        }
-        assert_eq!(picks, [6, 2], "3:1 weights over two refill rounds");
+        let pick = ArbiterKind::Deadline.pick(&cands).map(|c| c.tenant);
+        assert_eq!(pick, Some(1));
+        assert!(ArbiterKind::Deadline.pick(&[]).is_none());
     }
 }

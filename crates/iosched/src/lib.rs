@@ -9,42 +9,38 @@
 //! entirely in virtual time on top of the [`ox_core::Media`] abstraction.
 //!
 //! * [`IoScheduler`] — per-tenant bounded submission queues with admission
-//!   control, a single dispatch resource ([`ox_sim::Timeline`]), pluggable
-//!   arbitration and per-tenant token-bucket rate limiting.
-//! * [`ArbiterKind`] — `Fifo` (a naive queue-depth-1 shared queue: the
-//!   baseline a legacy block stack presents), `RoundRobin`,
-//!   `WeightedRoundRobin` (deficit round-robin over tenant weights) and
-//!   `Deadline` (earliest-deadline-first over per-class latency targets).
+//!   control and one dispatch decision at a time, in non-decreasing virtual
+//!   time.
+//! * [`ArbiterKind`] — `Deadline` (earliest-deadline-first over per-class
+//!   latency targets, the default) and `Fifo` (a naive queue-depth-1 shared
+//!   queue: the baseline a legacy block stack presents). `fig_qos_tail`
+//!   measures one against the other.
 //! * [`IoClass::Gc`] — a dedicated low-priority relocation class: GC copies
 //!   dispatch only at idle parallel units or when no user command is
 //!   runnable, with an anti-starvation deadline so relocation still makes
 //!   progress under sustained load.
 //! * [`IoCompletion`] — completion records carrying the full
 //!   `submit → dispatch → media → complete` timestamp chain, exported
-//!   through [`ox_sim::trace`] as `iosched.queue` / `iosched.dispatch` /
-//!   `iosched.media` spans plus `iosched.*` counters and histograms.
+//!   through [`ox_sim::trace`] as `iosched.queue` / `iosched.media` spans
+//!   plus `iosched.*` counters and histograms.
 //! * [`SchedMedia`] — an [`ox_core::Media`] adapter that routes a client
 //!   (an FTL read path, the GC relocation path) through one tenant's queue,
 //!   so existing layers port onto the scheduler without interface changes.
 //!
 //! Everything is deterministic: dispatch order is a pure function of
-//! `(configuration, submission sequence)`; an empty [`SchedConfig`] is
+//! `(configuration, submission sequence)`; the default [`SchedConfig`] is
 //! latency-identical to calling the device directly, to the nanosecond
-//! (verified by the `empty_config_identity` test).
+//! (verified by the `empty_config_is_latency_identical_to_direct_device`
+//! test).
 
 #![warn(missing_docs)]
 
 mod arbiter;
-mod bucket;
 mod config;
 mod media;
 mod sched;
 
 pub use arbiter::ArbiterKind;
-pub use bucket::TokenBucket;
-pub use config::{
-    matrix_arbiter, matrix_tenants, ClassTargets, IoClass, RateLimit, SchedConfig, TenantConfig,
-    TenantId, CLASS_TARGETS,
-};
+pub use config::{ClassTargets, IoClass, SchedConfig, TenantConfig, TenantId, CLASS_TARGETS};
 pub use media::SchedMedia;
 pub use sched::{CmdId, IoCmd, IoCompletion, IoScheduler, SchedError, SchedStats, SharedScheduler};

@@ -2,8 +2,8 @@
 //! scheduler.
 //!
 //! Each adapter instance binds one tenant queue, so an FTL read path, a
-//! flush path and the GC relocation path can each carry their own class and
-//! rate limit while sharing one dispatch resource. Data commands
+//! flush path and the GC relocation path can each carry their own class
+//! while sharing one dispatch order. Data commands
 //! (read/write/copy/reset) go through `submit_wait` — the client blocks in
 //! virtual time until its completion is delivered, pumping the scheduler
 //! (and therefore every other tenant's eligible commands) forward. Barriers
@@ -65,8 +65,8 @@ impl SchedMedia {
         self.tenant
     }
 
-    /// Scheduler errors that are not device errors can only arise from
-    /// pathological configurations (zero-rate buckets); the [`Media`]
+    /// Scheduler errors that are not device errors (an unknown tenant, a
+    /// stalled wait) are bugs in the caller or the scheduler; the [`Media`]
     /// signature forces them into the string-carrying variant.
     fn map_err(e: SchedError) -> DeviceError {
         match e {

@@ -1,28 +1,26 @@
 //! The multi-queue scheduler core.
 //!
 //! [`IoScheduler`] owns one bounded submission queue and one completion
-//! queue per tenant, a single dispatch [`Timeline`] (the submission-thread
-//! resource), and an [`ox_core::Media`] it issues against. All decisions
-//! happen in virtual time: `pump(now)` dispatches every command whose
-//! arbitration-determined start time is at or before `now`, and
+//! queue per tenant and an [`ox_core::Media`] it issues against. All
+//! decisions happen in virtual time: `pump(now)` dispatches every command
+//! whose arbitration-determined start time is at or before `now`, and
 //! `next_ready()` tells a driver when the next dispatch could happen, so
 //! closed-loop actors can interleave submission and pumping without any
 //! wall-clock machinery.
 //!
 //! Determinism: dispatch order is a pure function of the configuration and
-//! the submission sequence. Within a tenant, commands always dispatch in
-//! submission order at non-decreasing issue times (NVMe SQ semantics), which
-//! is what keeps per-chunk write-pointer discipline intact under every
-//! arbiter.
+//! the submission sequence. Decisions are taken one at a time at
+//! non-decreasing issue times across all tenants, and within a tenant in
+//! submission order (NVMe SQ semantics), which is what keeps per-chunk
+//! write-pointer discipline intact under every arbiter.
 
-use crate::arbiter::{Arbiter, ArbiterKind, Candidate};
-use crate::bucket::TokenBucket;
+use crate::arbiter::{ArbiterKind, Candidate};
 use crate::config::{IoClass, SchedConfig, TenantConfig, TenantId, CLASS_TARGETS};
 use ocssd::{ChunkAddr, Completion, DeviceError, Geometry, Payload, Ppa, SECTOR_BYTES};
 use ox_core::Media;
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
-use ox_sim::{SimDuration, SimTime, Timeline};
+use ox_sim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -108,8 +106,8 @@ pub struct IoCompletion {
     pub submitted: SimTime,
     /// When it won arbitration and left the queue.
     pub dispatched: SimTime,
-    /// When the media finished it (device completion, or `dispatched` plus
-    /// dispatch overhead for a command the device rejected).
+    /// When the media finished it (device completion, or `dispatched` for a
+    /// command the device rejected).
     pub media_done: SimTime,
     /// When the completion was delivered to the completion queue.
     pub completed: SimTime,
@@ -144,8 +142,9 @@ pub enum SchedError {
     QueueFull(TenantId),
     /// No such tenant was registered.
     UnknownTenant(TenantId),
-    /// The scheduler cannot make progress for this tenant (only reachable
-    /// with a zero-rate token bucket, which never refills).
+    /// A synchronous wait ran out of dispatchable commands before its own
+    /// completed. Every queued head becomes ready in finite virtual time, so
+    /// this reports a scheduler bug instead of looping forever.
     Stalled(TenantId),
     /// The media rejected the command.
     Device(DeviceError),
@@ -186,8 +185,8 @@ pub struct SchedStats {
 }
 
 struct Queued {
+    /// Also the global submission sequence number.
     id: CmdId,
-    seq: u64,
     class: IoClass,
     submitted: SimTime,
     cmd: IoCmd,
@@ -197,10 +196,6 @@ struct TenantState {
     cfg: TenantConfig,
     sq: VecDeque<Queued>,
     cq: VecDeque<IoCompletion>,
-    bucket: Option<TokenBucket>,
-    /// Issue time of the last dispatched command; later commands of the
-    /// same tenant never issue earlier (SQ order ⇒ monotonic issue times).
-    next_free: SimTime,
 }
 
 /// The multi-queue I/O scheduler.
@@ -209,12 +204,12 @@ pub struct IoScheduler {
     media: Arc<dyn Media>,
     geo: Geometry,
     tenants: Vec<TenantState>,
-    arb: Arbiter,
-    dispatch: Timeline,
+    /// Issue time of the last dispatch: no later decision issues earlier,
+    /// whatever its tenant.
+    last_dispatch: SimTime,
     /// FIFO (queue-depth-1) baseline: completion time of the last command.
     qd1_free: SimTime,
     next_id: u64,
-    next_seq: u64,
     stats: SchedStats,
     obs: Obs,
 }
@@ -230,32 +225,21 @@ impl IoScheduler {
             media,
             geo,
             tenants: Vec::new(),
-            arb: Arbiter::default(),
-            dispatch: Timeline::new(),
+            last_dispatch: SimTime::ZERO,
             qd1_free: SimTime::ZERO,
             next_id: 0,
-            next_seq: 0,
             stats: SchedStats::default(),
         }
     }
 
     /// Registers a tenant (one SQ/CQ pair); returns its id.
     pub fn add_tenant(&mut self, cfg: TenantConfig) -> TenantId {
-        let bucket = cfg.rate.map(TokenBucket::new);
         self.tenants.push(TenantState {
             cfg,
             sq: VecDeque::new(),
             cq: VecDeque::new(),
-            bucket,
-            next_free: SimTime::ZERO,
         });
-        self.arb.register_tenant();
         TenantId(self.tenants.len() - 1)
-    }
-
-    /// The scheduler's configuration.
-    pub fn config(&self) -> &SchedConfig {
-        &self.cfg
     }
 
     /// The media the scheduler issues against (for pass-through paths).
@@ -294,12 +278,9 @@ impl IoScheduler {
         }
         let id = CmdId(self.next_id);
         self.next_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let class = cmd.class(t.cfg.gc);
         t.sq.push_back(Queued {
             id,
-            seq,
             class,
             submitted: now,
             cmd,
@@ -317,121 +298,79 @@ impl IoScheduler {
             .unwrap_or_default()
     }
 
-    /// Earliest time a queue head becomes runnable: `submit` time, gated by
-    /// the token bucket, the tenant's issue-order monotonicity, the QD-1
-    /// chain under the FIFO baseline, and — for the GC class — the target
-    /// PU falling idle or the anti-starvation deadline, whichever is first.
-    fn head_ready(&self, tenant: usize) -> Option<SimTime> {
-        let t = self.tenants.get(tenant)?;
-        let h = t.sq.front()?;
-        let mut ready = h.submitted.max(t.next_free);
-        if let Some(b) = &t.bucket {
-            ready = b.earliest(ready, h.cmd.cost_bytes());
-            if ready == SimTime::MAX {
-                return Some(SimTime::MAX);
-            }
-        }
+    /// The head of `tenant`'s queue as the arbiter sees it, with the
+    /// earliest instant it can dispatch: its `submit` time, gated by the
+    /// last dispatch (decisions never go back in time), the QD-1 chain under
+    /// the FIFO baseline, and — for the GC class — the target PU falling
+    /// idle or the anti-starvation deadline, whichever is first.
+    fn head(&self, tenant: usize) -> Option<Candidate> {
+        let h = self.tenants[tenant].sq.front()?;
+        let mut start = h.submitted.max(self.last_dispatch);
         if self.cfg.arbiter == ArbiterKind::Fifo {
-            ready = ready.max(self.qd1_free);
+            start = start.max(self.qd1_free);
         } else if h.class == IoClass::Gc {
             let pu_free = self.media.pu_busy_until(h.cmd.target_pu(&self.geo));
-            let deadline = h.submitted + CLASS_TARGETS.gc;
-            ready = ready.max(pu_free.min(deadline));
+            start = start.max(pu_free.min(h.submitted + CLASS_TARGETS.gc));
         }
-        Some(ready)
+        Some(Candidate {
+            tenant,
+            seq: h.id.0,
+            submitted: h.submitted,
+            deadline: h.submitted + CLASS_TARGETS.target(h.class),
+            class: h.class,
+            start,
+        })
     }
 
     /// Earliest virtual instant at which `pump` could dispatch anything,
     /// or `None` when every queue is empty.
     pub fn next_ready(&self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        for i in 0..self.tenants.len() {
-            let Some(ready) = self.head_ready(i) else {
-                continue;
-            };
-            let start = ready.max(self.dispatch.busy_until());
-            best = Some(best.map_or(start, |b| b.min(start)));
-        }
-        best
+        (0..self.tenants.len())
+            .filter_map(|i| self.head(i))
+            .map(|c| c.start)
+            .min()
     }
 
     /// Dispatches every command whose start time is at or before `now`,
     /// in arbitration order, delivering completions to the tenant CQs.
     pub fn pump(&mut self, now: SimTime) {
         loop {
-            let mut cands: Vec<Candidate> = Vec::new();
-            let mut readys: Vec<SimTime> = Vec::new();
-            for i in 0..self.tenants.len() {
-                let Some(ready) = self.head_ready(i) else {
-                    continue;
-                };
-                if ready.max(self.dispatch.busy_until()) > now {
-                    continue;
-                }
-                let Some(front) = self.tenants[i].sq.front() else {
-                    continue;
-                };
-                cands.push(Candidate {
-                    tenant: i,
-                    seq: front.seq,
-                    submitted: front.submitted,
-                    deadline: front.submitted + CLASS_TARGETS.target(front.class),
-                    class: front.class,
-                });
-                readys.push(ready);
-            }
-            if cands.is_empty() {
-                return;
-            }
+            let mut cands: Vec<Candidate> = (0..self.tenants.len())
+                .filter_map(|i| self.head(i))
+                .filter(|c| c.start <= now)
+                .collect();
             // The GC class yields to runnable user commands until its
             // anti-starvation deadline. The FIFO baseline deliberately has
             // no class awareness.
             if self.cfg.arbiter != ArbiterKind::Fifo && cands.iter().any(|c| c.class != IoClass::Gc)
             {
-                let mut kept_cands = Vec::with_capacity(cands.len());
-                let mut kept_readys = Vec::with_capacity(readys.len());
-                for (c, r) in cands.iter().zip(readys.iter()) {
-                    if c.class != IoClass::Gc || c.deadline <= now {
-                        kept_cands.push(*c);
-                        kept_readys.push(*r);
-                    }
-                }
-                cands = kept_cands;
-                readys = kept_readys;
+                cands.retain(|c| c.class != IoClass::Gc || c.deadline <= now);
             }
-            let weights: Vec<u32> = self.tenants.iter().map(|t| t.cfg.weight).collect();
-            let pick = self.arb.pick(self.cfg.arbiter, &cands, &weights);
-            let tenant = cands[pick].tenant;
-            self.dispatch_head(tenant, readys[pick]);
+            let Some(&pick) = self.cfg.arbiter.pick(&cands) else {
+                return;
+            };
+            self.dispatch_head(pick.tenant, pick.start);
         }
     }
 
-    /// Pops and executes the head of `tenant`'s queue at `ready`.
-    fn dispatch_head(&mut self, tenant: usize, ready: SimTime) {
+    /// Pops and executes the head of `tenant`'s queue at `issue`.
+    fn dispatch_head(&mut self, tenant: usize, issue: SimTime) {
         let Some(entry) = self.tenants[tenant].sq.pop_front() else {
             return;
         };
         let cost = entry.cmd.cost_bytes();
-        let t_d = ready.max(self.dispatch.busy_until());
-        let grant = self.dispatch.acquire(t_d, self.cfg.dispatch_overhead);
-        let issue = grant.end;
-        self.tenants[tenant].next_free = issue;
-        if let Some(b) = &mut self.tenants[tenant].bucket {
-            b.consume_at(issue, cost);
-        }
-
+        self.last_dispatch = issue;
         let (result, media_done, data) = self.run_on_media(issue, &entry.cmd);
-        let completed = media_done;
 
         self.stats.dispatched += 1;
         if entry.class == IoClass::Gc {
             self.stats.gc_dispatched += 1;
             self.obs.metrics.observe(
                 "iosched.gc.hold_ns",
-                t_d.saturating_since(entry.submitted).as_nanos(),
+                issue.saturating_since(entry.submitted).as_nanos(),
             );
         }
-        let qdelay = t_d.saturating_since(entry.submitted);
+        let qdelay = issue.saturating_since(entry.submitted);
         self.stats.max_queue_delay = self.stats.max_queue_delay.max(qdelay);
         self.obs.metrics.add("iosched.dispatched", 1, cost);
         self.obs
@@ -443,7 +382,7 @@ impl IoScheduler {
         );
         self.obs.metrics.observe(
             "iosched.latency_ns",
-            completed.saturating_since(entry.submitted).as_nanos(),
+            media_done.saturating_since(entry.submitted).as_nanos(),
         );
         if let Some(scope) = &self.cfg.scope {
             // Per-shard attribution: the same samples again under the scoped
@@ -457,35 +396,30 @@ impl IoScheduler {
             );
             self.obs.metrics.observe(
                 &format!("iosched.{scope}.latency_ns"),
-                completed.saturating_since(entry.submitted).as_nanos(),
+                media_done.saturating_since(entry.submitted).as_nanos(),
             );
         }
         self.obs
             .tracer
-            .span(entry.submitted, t_d, "iosched", "queue", cost);
-        if issue > t_d {
-            self.obs
-                .tracer
-                .span(t_d, issue, "iosched", "dispatch", cost);
-        }
+            .span(entry.submitted, issue, "iosched", "queue", cost);
         self.obs
             .tracer
             .span(issue, media_done, "iosched", "media", cost);
         self.obs
             .tracer
-            .instant(completed, "iosched", "complete", cost);
+            .instant(media_done, "iosched", "complete", cost);
 
         if self.cfg.arbiter == ArbiterKind::Fifo {
-            self.qd1_free = self.qd1_free.max(completed);
+            self.qd1_free = self.qd1_free.max(media_done);
         }
         self.tenants[tenant].cq.push_back(IoCompletion {
             id: entry.id,
             tenant: TenantId(tenant),
             class: entry.class,
             submitted: entry.submitted,
-            dispatched: t_d,
+            dispatched: issue,
             media_done,
-            completed,
+            completed: media_done,
             result,
             data,
         });
@@ -536,25 +470,17 @@ impl IoScheduler {
             let Some(t) = self.next_ready() else {
                 return Err(SchedError::QueueFull(tenant));
             };
-            if t == SimTime::MAX {
-                return Err(SchedError::Stalled(tenant));
-            }
             self.pump(t);
         }
         let id = self.submit(now, tenant, cmd)?;
         loop {
-            if let Some(pos) = self.tenants[tenant.0].cq.iter().position(|c| c.id == id) {
-                let Some(c) = self.tenants[tenant.0].cq.remove(pos) else {
-                    return Err(SchedError::Stalled(tenant));
-                };
-                return Ok(c);
+            let cq = &mut self.tenants[tenant.0].cq;
+            if let Some(pos) = cq.iter().position(|c| c.id == id) {
+                return cq.remove(pos).ok_or(SchedError::Stalled(tenant));
             }
             let Some(t) = self.next_ready() else {
                 return Err(SchedError::Stalled(tenant));
             };
-            if t == SimTime::MAX {
-                return Err(SchedError::Stalled(tenant));
-            }
             self.pump(t);
         }
     }

@@ -1,10 +1,10 @@
-//! Targeted behaviour tests: GC-class gating and anti-starvation, token
-//! buckets, admission control, the FIFO QD-1 baseline and completion
-//! timestamp attribution.
+//! Targeted behaviour tests: GC-class gating and anti-starvation, admission
+//! control, the FIFO QD-1 baseline, the order of dispatch instants and
+//! completion timestamp attribution.
 
 use iosched::{
-    ArbiterKind, IoCmd, IoScheduler, RateLimit, SchedConfig, SchedError, SharedScheduler,
-    TenantConfig, TenantId, CLASS_TARGETS,
+    ArbiterKind, IoCmd, IoScheduler, SchedConfig, SchedError, SharedScheduler, TenantConfig,
+    TenantId, CLASS_TARGETS,
 };
 use ocssd::{ChunkAddr, DeviceConfig, Geometry, OcssdDevice, SharedDevice, SECTOR_BYTES};
 use ox_core::OcssdMedia;
@@ -24,9 +24,6 @@ fn scheduler(dev: &SharedDevice, cfg: SchedConfig) -> SharedScheduler {
 
 fn drain(sched: &SharedScheduler) {
     while let Some(t) = sched.next_ready() {
-        if t == SimTime::MAX {
-            break;
-        }
         sched.pump(t);
     }
 }
@@ -160,39 +157,33 @@ fn gc_class_dispatches_at_deadline_under_sustained_load() {
     );
 }
 
-/// A token bucket paces dispatches at the configured byte rate even when
-/// everything is submitted at once.
+/// Dispatch decisions are taken in non-decreasing virtual time across
+/// tenants: once tenant A's read has dispatched at `start + 100 µs`, tenant
+/// B's read submitted "earlier", at `start`, dispatches no earlier than
+/// A's. This pins today's call-order semantics; ROADMAP item A
+/// (arrival-ordered resources) may change this order deliberately.
 #[test]
-fn token_bucket_paces_dispatches() {
+fn dispatch_instants_never_go_backwards_across_tenants() {
     let geo = Geometry::small_slc();
     let dev = device(geo);
-    let sched = scheduler(&dev, SchedConfig::default());
-    let unit_bytes = geo.ws_min as u64 * SECTOR_BYTES as u64; // 16 KiB
-    let tenant = sched.add_tenant(TenantConfig::new("paced").rate(RateLimit {
-        bytes_per_sec: 1_000_000,
-        burst_bytes: unit_bytes,
-    }));
     let addr = ChunkAddr::new(0, 0, 0);
-    for u in 0..3 {
-        sched
-            .submit(
-                SimTime::ZERO,
-                tenant,
-                IoCmd::Write {
-                    ppa: addr.ppa(u * geo.ws_min),
-                    parts: vec![unit(&geo, u as u8).into()],
-                },
-            )
-            .expect("submit");
-    }
+    let start = prefill(&dev, &geo, addr);
+    let sched = scheduler(&dev, SchedConfig::default());
+    let a = sched.add_tenant(TenantConfig::new("a"));
+    let b = sched.add_tenant(TenantConfig::new("b"));
+    let read = IoCmd::Read {
+        ppa: addr.ppa(0),
+        sectors: geo.ws_min,
+    };
+    let later = start + SimDuration::from_micros(100);
+    sched.submit(later, a, read.clone()).expect("submit a");
+    sched.pump(later);
+    sched.submit(start, b, read).expect("submit b");
     drain(&sched);
-    let comps = sched.take_completions(tenant);
-    assert_eq!(comps.len(), 3);
-    // 16384 B at 1 MB/s = 16.384 ms between dispatches.
-    let gap = SimDuration::from_nanos(16_384_000);
-    assert_eq!(comps[0].dispatched, SimTime::ZERO);
-    assert_eq!(comps[1].dispatched, SimTime::ZERO + gap);
-    assert_eq!(comps[2].dispatched, SimTime::ZERO + gap + gap);
+    assert_eq!(sched.take_completions(a)[0].dispatched, later);
+    let b_comps = sched.take_completions(b);
+    assert_eq!(b_comps[0].result, Ok(()));
+    assert_eq!(b_comps[0].dispatched, later, "B went back in time");
 }
 
 /// Admission control: the bounded queue rejects, the driver sees backpressure.
@@ -286,11 +277,7 @@ fn completion_timestamps_attribute_stages() {
     obs.tracer.set_enabled(true);
     let addr = ChunkAddr::new(0, 0, 0);
     let start = prefill(&dev, &geo, addr);
-    let cfg = SchedConfig {
-        dispatch_overhead: SimDuration::from_micros(2),
-        ..SchedConfig::default()
-    };
-    let sched = scheduler(&dev, cfg);
+    let sched = scheduler(&dev, SchedConfig::default());
     let tenant = sched.add_tenant(TenantConfig::new("t"));
     let c = sched
         .submit_wait(
@@ -304,18 +291,17 @@ fn completion_timestamps_attribute_stages() {
         .expect("read completes");
     assert_eq!(c.submitted, start);
     assert_eq!(c.dispatched, start, "idle queue dispatches immediately");
-    assert!(c.media_done >= c.dispatched + SimDuration::from_micros(2));
+    assert!(c.media_done > c.dispatched, "a page read takes media time");
     assert_eq!(c.completed, c.media_done);
     assert_eq!(c.queue_delay(), SimDuration::ZERO);
-    assert!(c.latency() >= c.media_time());
-    let ops: Vec<&str> = obs
+    assert_eq!(c.latency(), c.media_time());
+    let mut ops: Vec<&str> = obs
         .tracer
         .snapshot()
         .iter()
         .filter(|e| e.subsystem == "iosched")
         .map(|e| e.op)
         .collect();
-    for op in ["queue", "dispatch", "media", "complete"] {
-        assert!(ops.contains(&op), "missing iosched.{op} trace span");
-    }
+    ops.dedup(); // a span is a begin and an end event
+    assert_eq!(ops, ["queue", "media", "complete"]);
 }

@@ -17,6 +17,7 @@
 use crate::addr::{ChunkAddr, Ppa};
 use crate::geometry::Geometry;
 use ox_sim::{Prng, SimDuration, SimTime};
+use std::io::Write;
 
 /// A program failure at a chosen chunk/write-pointer position: the write (or
 /// device-internal copy) that starts at `wp` on `chunk` fails. The write
@@ -352,26 +353,54 @@ impl FaultInjector {
     }
 }
 
-/// Geometry leg of the CI fault matrix: `OX_FAULT_GEOMETRY=tlc` selects the
-/// scaled paper TLC drive, anything else (or unset) the small SLC geometry.
+/// Reads the CI matrix variable `name` through `parse`, which sees `None`
+/// when the variable is unset or empty. A value `parse` refuses ends the
+/// process with status 2 and `parse`'s message — naming the variable and
+/// what it accepts — so a mistyped leg fails instead of re-running the
+/// default.
+pub fn matrix_knob<T>(name: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
+    let value = std::env::var(name).ok();
+    parse(value.as_deref().filter(|v| !v.is_empty())).unwrap_or_else(|msg| {
+        // Not `eprintln!`: a test harness captures that, and the capture
+        // dies with the process before it is printed.
+        let _ = writeln!(std::io::stderr(), "{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// Geometry leg of the CI fault matrix: `OX_FAULT_GEOMETRY=slc` (the
+/// default) is the small SLC geometry, `tlc` the scaled paper TLC drive.
 /// Fault property tests build their device from this so one binary covers
 /// the whole grid.
 pub fn matrix_geometry() -> Geometry {
-    match std::env::var("OX_FAULT_GEOMETRY").as_deref() {
-        Ok("tlc") => Geometry::paper_tlc_scaled(22, 8),
-        _ => Geometry::small_slc(),
+    matrix_knob("OX_FAULT_GEOMETRY", parse_geometry)
+}
+
+fn parse_geometry(value: Option<&str>) -> Result<Geometry, String> {
+    match value {
+        None | Some("slc") => Ok(Geometry::small_slc()),
+        Some("tlc") => Ok(Geometry::paper_tlc_scaled(22, 8)),
+        Some(v) => Err(format!(
+            "OX_FAULT_GEOMETRY={v}: accepted values are slc, tlc"
+        )),
     }
 }
 
 /// Seed window of the CI fault matrix: `count` seeds starting at
-/// `OX_FAULT_SEED_BASE` (default 0), so grid rows explore disjoint plans and
-/// workloads with the same binaries.
+/// `OX_FAULT_SEED_BASE` (default 0, at most `u32::MAX`), so grid rows
+/// explore disjoint plans and workloads with the same binaries.
 pub fn matrix_seeds(count: u64) -> std::ops::Range<u64> {
-    let base = std::env::var("OX_FAULT_SEED_BASE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let base = matrix_knob("OX_FAULT_SEED_BASE", parse_seed_base);
     base..base + count
+}
+
+fn parse_seed_base(value: Option<&str>) -> Result<u64, String> {
+    match value {
+        None => Ok(0),
+        Some(v) => v.parse::<u32>().map(u64::from).map_err(|_| {
+            format!("OX_FAULT_SEED_BASE={v}: accepted values are integers 0 to 4294967295")
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -511,6 +540,36 @@ mod tests {
         );
         assert!(inj.take_power_cut(SimTime::from_secs(10)).is_none());
         assert_eq!(inj.ledger().power_cuts, 2);
+    }
+
+    #[test]
+    fn matrix_geometry_is_unset_or_named_or_refused() {
+        assert_eq!(parse_geometry(None), Ok(Geometry::small_slc()));
+        assert_eq!(parse_geometry(Some("slc")), Ok(Geometry::small_slc()));
+        assert_eq!(parse_geometry(Some("tlc")), Ok(geo()));
+        for refused in ["TLC", "mlc", " tlc"] {
+            assert_eq!(
+                parse_geometry(Some(refused)),
+                Err(format!(
+                    "OX_FAULT_GEOMETRY={refused}: accepted values are slc, tlc"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn matrix_seed_base_is_unset_or_in_range_or_refused() {
+        assert_eq!(parse_seed_base(None), Ok(0));
+        assert_eq!(parse_seed_base(Some("1000")), Ok(1000));
+        assert_eq!(parse_seed_base(Some("4294967295")), Ok(u32::MAX as u64));
+        for refused in ["4294967296", "-1", "1e3", "seed"] {
+            assert_eq!(
+                parse_seed_base(Some(refused)),
+                Err(format!(
+                    "OX_FAULT_SEED_BASE={refused}: accepted values are integers 0 to 4294967295"
+                ))
+            );
+        }
     }
 
     #[test]

@@ -359,14 +359,22 @@ impl ReliabilityState {
 }
 
 /// Fill leg of the CI aging matrix: `OX_AGE_FILL` is the percentage of the
-/// logical space the aging scenarios pre-fill (default 90, clamped to
-/// `[10, 95]`), so one binary covers the whole grid.
+/// logical space the aging scenarios pre-fill, 10 to 95 (default 90), so
+/// one binary covers the whole grid. Any other value ends the run
+/// ([`crate::matrix_knob`]).
 pub fn matrix_age_fill() -> u32 {
-    std::env::var("OX_AGE_FILL")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .map(|f| f.clamp(10, 95))
-        .unwrap_or(90)
+    crate::matrix_knob("OX_AGE_FILL", parse_age_fill)
+}
+
+fn parse_age_fill(value: Option<&str>) -> Result<u32, String> {
+    match value {
+        None => Ok(90),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|f| (10..=95).contains(f))
+            .ok_or_else(|| format!("OX_AGE_FILL={v}: accepted values are 10 to 95")),
+    }
 }
 
 #[cfg(test)]
@@ -468,8 +476,21 @@ mod tests {
 
     #[test]
     fn matrix_fill_defaults_to_ninety() {
-        if std::env::var("OX_AGE_FILL").is_err() {
-            assert_eq!(matrix_age_fill(), 90);
+        assert_eq!(parse_age_fill(None), Ok(90));
+    }
+
+    #[test]
+    fn matrix_fill_is_in_range_or_refused() {
+        for (value, fill) in [("10", 10), ("70", 70), ("95", 95)] {
+            assert_eq!(parse_age_fill(Some(value)), Ok(fill));
+        }
+        for refused in ["9", "96", "100", "-70", "70%"] {
+            assert_eq!(
+                parse_age_fill(Some(refused)),
+                Err(format!(
+                    "OX_AGE_FILL={refused}: accepted values are 10 to 95"
+                ))
+            );
         }
     }
 

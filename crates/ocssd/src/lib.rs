@@ -48,8 +48,8 @@ pub use chunk::{ChunkInfo, ChunkState};
 pub use device::{Completion, DeviceConfig, MediaEvent, MediaEventKind, OcssdDevice, SharedDevice};
 pub use error::{DeviceError, Result};
 pub use fault::{
-    matrix_geometry, matrix_seeds, EraseFault, FaultInjector, FaultLedger, FaultMix, FaultPlan,
-    LatencySpike, PowerCut, ProgramFault, ReadFault,
+    matrix_geometry, matrix_knob, matrix_seeds, EraseFault, FaultInjector, FaultLedger, FaultMix,
+    FaultPlan, LatencySpike, PowerCut, ProgramFault, ReadFault,
 };
 pub use geometry::Geometry;
 pub use health::{

@@ -13,7 +13,6 @@
 use crate::error::ShardError;
 use crate::router::{Router, Sharding, SLOTS};
 use crate::store::ShardStore;
-use iosched::ArbiterKind;
 use ocssd::{DeviceConfig, Geometry, Obs, OcssdDevice, SharedDevice};
 use ox_block::{BlockFtlConfig, BlockFtlError, ScrubConfig};
 use ox_sim::SimTime;
@@ -33,8 +32,6 @@ pub struct ClusterConfig {
     pub geometry: Geometry,
     /// Logical capacity exposed per shard, in bytes.
     pub shard_capacity_bytes: u64,
-    /// Arbitration policy of every per-shard scheduler.
-    pub arbiter: ArbiterKind,
     /// Grown-bad-block delta on one shard that triggers a rebalance away
     /// from it.
     pub rebalance_bad_blocks: u64,
@@ -50,14 +47,13 @@ const MIGRATE_BATCH: usize = 64;
 
 impl ClusterConfig {
     /// Defaults sized for tests: small SLC devices, 16 MiB per shard,
-    /// deadline arbitration, rebalance after 4 grown bad blocks.
+    /// rebalance after 4 grown bad blocks.
     pub fn new(shards: u32) -> ClusterConfig {
         ClusterConfig {
             shards,
             mode: Sharding::Hash,
             geometry: Geometry::small_slc(),
             shard_capacity_bytes: 16 << 20,
-            arbiter: ArbiterKind::Deadline,
             rebalance_bad_blocks: 4,
             scrub: ScrubConfig::default(),
         }
@@ -121,8 +117,7 @@ impl ShardCluster {
             })?;
             let mut ftl_cfg = BlockFtlConfig::with_capacity(cfg.shard_capacity_bytes);
             ftl_cfg.scrub = cfg.scrub;
-            let (store, done) =
-                ShardStore::format(i, SharedDevice::new(dev), cfg.arbiter, ftl_cfg, now)?;
+            let (store, done) = ShardStore::format(i, SharedDevice::new(dev), ftl_cfg, now)?;
             end = end.max(done);
             shards.push(store);
         }

@@ -33,14 +33,40 @@ pub use error::ShardError;
 pub use router::{Router, Sharding, SLOTS};
 pub use store::{decode_record, encode_record, ShardStore, MAX_KEY_BYTES, MAX_VALUE_BYTES};
 
-/// Shard-count leg of the CI shard matrix: `OX_SHARD_COUNT=n` (default 4,
-/// clamped to `[2, 8]` so routing and rebalancing properties stay
-/// meaningful), mirroring `iosched::matrix_tenants` and
-/// `ocssd::matrix_geometry`.
+/// Shard-count leg of the CI shard matrix: `OX_SHARD_COUNT=n`, 2 to 8 so
+/// routing and rebalancing properties stay meaningful (default 4). Any other
+/// value ends the run ([`ocssd::matrix_knob`]).
 pub fn matrix_shards() -> u32 {
-    std::env::var("OX_SHARD_COUNT")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(4)
-        .clamp(2, 8)
+    ocssd::matrix_knob("OX_SHARD_COUNT", parse_shards)
+}
+
+fn parse_shards(value: Option<&str>) -> Result<u32, String> {
+    match value {
+        None => Ok(4),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|n| (2..=8).contains(n))
+            .ok_or_else(|| format!("OX_SHARD_COUNT={v}: accepted values are 2 to 8")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_count_is_unset_or_in_range_or_refused() {
+        assert_eq!(parse_shards(None), Ok(4));
+        assert_eq!(parse_shards(Some("2")), Ok(2));
+        assert_eq!(parse_shards(Some("8")), Ok(8));
+        for refused in ["1", "9", "0", "-4", "four", "4 "] {
+            assert_eq!(
+                parse_shards(Some(refused)),
+                Err(format!(
+                    "OX_SHARD_COUNT={refused}: accepted values are 2 to 8"
+                ))
+            );
+        }
+    }
 }

@@ -9,7 +9,7 @@
 //! the FTL's WAL.
 
 use crate::error::ShardError;
-use iosched::{ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig};
+use iosched::{IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig};
 use ocssd::{Geometry, SharedDevice, SECTOR_BYTES};
 use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError};
 use ox_core::media::OcssdMedia;
@@ -86,20 +86,19 @@ pub struct ShardStore {
 }
 
 impl ShardStore {
-    /// Formats a shard over `dev`: its own iosched (user + GC tenants,
-    /// dispatch metrics scoped `shard<id>`), an OX-Block FTL whose user and
-    /// GC I/O both flow through the scheduler, and an empty directory. The
-    /// whole stack reports into the device's sinks.
+    /// Formats a shard over `dev`: its own deadline iosched (user + GC
+    /// tenants, dispatch metrics scoped `shard<id>`), an OX-Block FTL whose
+    /// user and GC I/O both flow through the scheduler, and an empty
+    /// directory. The whole stack reports into the device's sinks.
     pub fn format(
         id: u32,
         dev: SharedDevice,
-        arbiter: ArbiterKind,
         ftl_cfg: BlockFtlConfig,
         now: SimTime,
     ) -> Result<(ShardStore, SimTime), ShardError> {
         let scope = format!("shard{id}");
         let base: Arc<dyn ox_core::Media> = Arc::new(OcssdMedia::new(dev.clone()));
-        let mut sched = IoScheduler::new(base, SchedConfig::with_arbiter(arbiter).scoped(&scope));
+        let mut sched = IoScheduler::new(base, SchedConfig::default().scoped(&scope));
         let user = sched.add_tenant(TenantConfig::new("user").depth(4096));
         let gc = sched.add_tenant(TenantConfig::new("gc").depth(4096).gc_class());
         let sched = SharedScheduler::new(sched);
@@ -363,7 +362,6 @@ mod tests {
         ShardStore::format(
             0,
             dev,
-            ArbiterKind::Deadline,
             BlockFtlConfig::with_capacity(8 << 20),
             SimTime::ZERO,
         )
