@@ -54,6 +54,9 @@ pub(crate) struct Chunk {
     write_ptr: u32,
     wear: u32,
     pending: VecDeque<PendingWrite>,
+    /// When the latest program or erase completes (zero once the device
+    /// restarts). Kept apart from `pending`, which reads prune.
+    floor: SimTime,
 }
 
 impl Chunk {
@@ -63,6 +66,7 @@ impl Chunk {
             write_ptr: 0,
             wear: 0,
             pending: VecDeque::new(),
+            floor: SimTime::ZERO,
         }
     }
 
@@ -128,6 +132,7 @@ impl Chunk {
             sectors,
             durable_at,
         });
+        self.floor = self.floor.max(durable_at);
     }
 
     /// Drops pending entries that are durable as of `now`.
@@ -156,9 +161,17 @@ impl Chunk {
         self.pending.iter().map(|p| p.durable_at).max()
     }
 
-    /// Resets the chunk (erase). Caller validated the state. Returns the new
-    /// wear count.
-    pub(crate) fn reset(&mut self) -> u32 {
+    /// The earliest instant the chunk's next program or erase may start:
+    /// when its latest program or erase completes. A parallel unit that
+    /// back-fills would otherwise run a later-issued command first.
+    pub(crate) fn floor(&self) -> SimTime {
+        self.floor
+    }
+
+    /// Resets the chunk (erase), which completes at `erased_at`. Caller
+    /// validated the state. Returns the new wear count.
+    pub(crate) fn reset(&mut self, erased_at: SimTime) -> u32 {
+        self.floor = erased_at;
         debug_assert!(matches!(
             self.state,
             ChunkState::Open | ChunkState::Closed | ChunkState::Free
@@ -178,6 +191,7 @@ impl Chunk {
         let durable = self.durable_ptr(now);
         self.write_ptr = durable;
         self.pending.clear();
+        self.floor = SimTime::ZERO;
         if self.state != ChunkState::Offline {
             self.state = if durable == 0 {
                 ChunkState::Free
@@ -288,10 +302,26 @@ mod tests {
     fn reset_frees_and_wears() {
         let mut c = Chunk::new();
         c.accept_write(0, 24, CHUNK_SECTORS, t(10));
-        assert_eq!(c.reset(), 1);
+        assert_eq!(c.reset(t(20)), 1);
         assert_eq!(c.state(), ChunkState::Free);
         assert_eq!(c.write_ptr(), 0);
-        assert_eq!(c.reset(), 2);
+        assert_eq!(c.reset(t(30)), 2);
+    }
+
+    #[test]
+    fn floor_is_the_latest_program_or_erase_and_a_crash_clears_it() {
+        let mut c = Chunk::new();
+        assert_eq!(c.floor(), SimTime::ZERO);
+        c.accept_write(0, 24, CHUNK_SECTORS, t(100));
+        assert_eq!(c.floor(), t(100));
+        assert_eq!(c.durable_ptr(t(200)), 24, "a read prunes the drained unit");
+        assert_eq!(c.floor(), t(100), "but not the floor");
+        c.reset(t(500));
+        assert_eq!(c.floor(), t(500));
+        c.accept_write(0, 24, CHUNK_SECTORS, t(900));
+        assert_eq!(c.floor(), t(900));
+        c.crash(t(1_000));
+        assert_eq!(c.floor(), SimTime::ZERO, "the device restarts idle");
     }
 
     #[test]

@@ -8,6 +8,17 @@
 //! submission time and return a [`Completion`] carrying the virtual
 //! completion time; contention is captured by the timelines.
 //!
+//! The parallel units serve in arrival order ([`ArrivalTimeline`]): a
+//! command takes the earliest idle gap at or after its arrival, so a command
+//! that an earlier call booked into the virtual future does not make a later
+//! call that arrives sooner wait behind idle time. A chunk's programs and
+//! erases still run in the order they were issued: each starts no earlier
+//! than the chunk's latest program or erase completes (`Chunk::floor`).
+//! The group channels and the host link stay FIFO ([`Timeline`]):
+//! back-filling the channel moves the closed-loop WAL's wait from reads into
+//! writes, and back-filling the host link lets a writer overrun its
+//! neighbours' reads until reads get priority over queued programs.
+//!
 //! Timing model per command:
 //!
 //! * **write** — stall until the write cache has room, transfer over the host
@@ -37,7 +48,7 @@ use crate::stats::DeviceStats;
 use crate::SECTOR_BYTES;
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
-use ox_sim::{SimDuration, SimTime, Timeline};
+use ox_sim::{ArrivalTimeline, SimDuration, SimTime, Timeline};
 use std::sync::Arc;
 
 /// Completion record of a device command.
@@ -148,7 +159,7 @@ pub struct OcssdDevice {
     chunks: Vec<Chunk>,
     media: MediaStore,
     cache: WriteCache,
-    pus: Vec<Timeline>,
+    pus: Vec<ArrivalTimeline>,
     channels: Vec<Timeline>,
     host_link: Timeline,
     fault: FaultInjector,
@@ -185,7 +196,7 @@ impl OcssdDevice {
             chunks,
             media: MediaStore::default(),
             cache,
-            pus: vec![Timeline::new(); geo.total_pus() as usize],
+            pus: vec![ArrivalTimeline::new(); geo.total_pus() as usize],
             channels: vec![Timeline::new(); geo.num_groups as usize],
             host_link: Timeline::new(),
             fault,
@@ -531,14 +542,17 @@ impl OcssdDevice {
             .acquire(admitted, self.host_link_time(sectors))
             .end;
 
-        // Schedule the NAND drain: channel transfer, then program on the PU.
+        // Schedule the NAND drain: channel transfer, then program on the PU,
+        // in write-pointer order after the chunk's last erase.
         let chan = &mut self.channels[addr.group as usize];
         let chan_done = chan.acquire(ack, self.profile.transfer_time(sectors)).end;
         let units = sectors / self.geo.ws_min;
+        let idx = self.chunk_index(addr);
+        let floor = self.chunks[idx].floor();
         let pu_idx = addr.pu_linear(&self.geo);
         let spike = self.fault.pu_op_extra(pu_idx);
         let pu = &mut self.pus[pu_idx as usize];
-        let grant = pu.acquire(chan_done, self.profile.program_time(units) + spike);
+        let grant = pu.acquire_after(chan_done, floor, self.profile.program_time(units) + spike);
         let durable_at = grant.end;
         self.obs.metrics.observe(
             "device.pu.queue_delay_ns",
@@ -549,7 +563,6 @@ impl OcssdDevice {
             self.note_latency_spike(durable_at);
         }
 
-        let idx = self.chunk_index(addr);
         self.chunks[idx].accept_write(ppa.sector, sectors, self.geo.sectors_per_chunk, durable_at);
         self.health.note_program(idx, durable_at);
         store(&mut self.media, idx);
@@ -825,9 +838,7 @@ impl OcssdDevice {
             ChunkState::Open | ChunkState::Closed => {}
         }
         // Wait for any in-flight drain of this chunk before erasing.
-        let start = self.chunks[idx]
-            .drain_deadline()
-            .map_or(now, |d| d.max(now));
+        let start = self.chunks[idx].floor().max(now);
         let pu_idx = addr.pu_linear(&self.geo);
         let spike = self.fault.pu_op_extra(pu_idx);
         if spike > SimDuration::ZERO {
@@ -837,7 +848,7 @@ impl OcssdDevice {
         let done = pu.acquire(start, self.profile.erase_chunk + spike).end;
 
         let pre_wear = self.chunks[idx].info().wear;
-        let wear = self.chunks[idx].reset();
+        let wear = self.chunks[idx].reset(done);
         self.health.note_erase(idx);
         self.media.truncate(idx, 0);
         self.stats.resets.record(self.geo.chunk_bytes());
@@ -939,6 +950,8 @@ impl OcssdDevice {
             last_read = last_read.max(pu.acquire(now, self.profile.read_page).end);
         }
         let units = sectors / self.geo.ws_min;
+        let idx = self.chunk_index(dst);
+        let floor = self.chunks[idx].floor();
         let pu_idx = dst.pu_linear(&self.geo);
         let spike = self.fault.pu_op_extra(pu_idx);
         if spike > SimDuration::ZERO {
@@ -946,10 +959,9 @@ impl OcssdDevice {
         }
         let pu = &mut self.pus[pu_idx as usize];
         let done = pu
-            .acquire(last_read, self.profile.program_time(units) + spike)
+            .acquire_after(last_read, floor, self.profile.program_time(units) + spike)
             .end;
 
-        let idx = self.chunk_index(dst);
         self.chunks[idx].accept_write(dst_wp, sectors, self.geo.sectors_per_chunk, done);
         self.health.note_program(idx, done);
         let from: Vec<(usize, u32)> = srcs
@@ -1360,6 +1372,34 @@ mod tests {
         let rc = dev.read(settle, a.ppa(0), 1, &mut out).unwrap();
         let rd = dev.read(settle, a.ppa(0), 1, &mut out).unwrap();
         assert!(rd.latency() > rc.latency());
+    }
+
+    #[test]
+    fn a_read_on_an_idle_pu_does_not_queue_behind_a_later_burst_issued_first() {
+        let mut dev = small_device();
+        let geo = *dev.geometry();
+        let profile = *dev.profile();
+        let data = ChunkAddr::new(0, 0, 0); // on PU p
+        let dst = ChunkAddr::new(0, 0, 1); // on PU p: the burst's programs
+        let src = ChunkAddr::new(1, 0, 0); // another group: the burst's sources
+        dev.write(t(0), data.ppa(0), &unit_data(&geo, 1)).unwrap();
+        dev.write(t(0), src.ppa(0), &unit_data(&geo, 2)).unwrap();
+        // Everything has drained by t0. The burst is issued first:
+        // device-internal copies (no channel, no host link) whose programs
+        // arrive on p after t0 + 1 ms.
+        let t0 = t(1_000_000);
+        let burst = t0 + SimDuration::from_millis(1);
+        let srcs: Vec<Ppa> = (0..geo.ws_min).map(|s| src.ppa(s)).collect();
+        for _ in 0..2 {
+            dev.copy(burst, &srcs, dst).unwrap();
+        }
+        let p = data.pu_linear(&geo);
+        assert!(dev.pu_busy_until(p) > burst + profile.prog_unit);
+        // Then a read arriving at t0, while p is still idle.
+        let mut out = vec![0u8; SECTOR_BYTES];
+        let r = dev.read(t0, data.ppa(0), 1, &mut out).unwrap();
+        assert_eq!(r.done, t0 + profile.read_page + profile.transfer_time(1));
+        assert_eq!(out[0], 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use ocssd::{
     FaultMix, FaultPlan, Geometry, MediaEventKind, OcssdDevice, Ppa, ProgramFault, ReadFault,
     ReliabilityConfig, SECTOR_BYTES,
 };
-use ox_sim::{Prng, SimTime};
+use ox_sim::{Prng, SimDuration, SimTime};
 
 const CHUNKS: u32 = 8;
 
@@ -286,6 +286,122 @@ fn empty_plan_is_byte_identical_to_no_plan() {
     assert_eq!(t_a, t_b, "virtual time must match to the nanosecond");
     assert_eq!(data_a, data_b, "read-back bytes must be identical");
     assert_eq!((w_a, r_a), (w_b, r_b));
+}
+
+/// The parallel units back-fill idle gaps, so a command issued later may run
+/// before one issued earlier. Arrivals here jump up to 3 ms back and 1 ms
+/// ahead of a moving base, over writes, copies, resets (each followed by a
+/// write that arrives before it) and reads on two PUs.
+/// Each program must still complete after its chunk's previous program and
+/// last erase (at least one program time later), and a crash at a seeded
+/// instant past every arrival must leave each chunk at the prefix of units
+/// those completions make durable, with its bytes.
+#[test]
+fn chunk_order_holds_when_arrivals_go_backwards() {
+    let geo = matrix_geometry();
+    let chunks: Vec<ChunkAddr> = (0..2)
+        .flat_map(|pu| (0..CHUNKS / 2).map(move |c| ChunkAddr::new(0, pu, c)))
+        .collect();
+    let mut crashes = 0;
+    for seed in matrix_seeds(20) {
+        let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+        let prog = dev.profile().prog_unit;
+        let mut rng = Prng::seed_from_u64(seed ^ 0xB4CF);
+        // Per chunk: each unit's fill byte and program completion, and the
+        // instant its next program may not complete one program time before.
+        let mut units: Vec<Vec<(u8, SimTime)>> = vec![Vec::new(); chunks.len()];
+        let mut floor = vec![SimTime::ZERO; chunks.len()];
+        let mut base = SimTime::from_millis(5);
+        let mut latest = SimTime::ZERO;
+        let mut out = vec![0u8; geo.ws_min_bytes()];
+        for step in 0..400u32 {
+            let what = format!("seed {seed} step {step}");
+            base += SimDuration::from_micros(rng.gen_range(300));
+            let at =
+                base + SimDuration::from_micros(rng.gen_range(4_000)) - SimDuration::from_millis(3);
+            latest = latest.max(at);
+            let i = rng.gen_range(chunks.len() as u64) as usize;
+            let c = chunks[i];
+            let wp = dev.chunk_info(c).write_ptr;
+            let mut programmed = None;
+            match rng.gen_range(20) {
+                0..=8 if wp < geo.sectors_per_chunk => {
+                    let fill = (step % 250) as u8 + 1;
+                    dev.write(at, c.ppa(wp), &unit(&geo, fill)).expect(&what);
+                    programmed = Some((i, fill));
+                }
+                9..=10 if wp > 0 => {
+                    let j = rng.gen_range(chunks.len() as u64) as usize;
+                    let d = chunks[j];
+                    let dst_wp = dev.chunk_info(d).write_ptr;
+                    if j != i && dst_wp < geo.sectors_per_chunk {
+                        let k = rng.gen_range(units[i].len() as u64) as usize;
+                        let srcs: Vec<Ppa> = (0..geo.ws_min)
+                            .map(|s| c.ppa(k as u32 * geo.ws_min + s))
+                            .collect();
+                        dev.copy(at, &srcs, d).expect(&what);
+                        programmed = Some((j, units[i][k].0));
+                    }
+                }
+                11 if wp > 0 => {
+                    floor[i] = dev.reset_chunk(at, c).expect(&what).done;
+                    units[i].clear();
+                    // Re-open the freed chunk at once, arriving before the
+                    // erase was issued, as a collector's next step may.
+                    let early = at - SimDuration::from_micros(rng.gen_range(2_000));
+                    let fill = (step % 250) as u8 + 1;
+                    dev.write(early, c.ppa(0), &unit(&geo, fill)).expect(&what);
+                    programmed = Some((i, fill));
+                }
+                12 => {
+                    let cut = latest + SimDuration::from_micros(rng.gen_range(3_000));
+                    dev.crash(cut);
+                    crashes += 1;
+                    for (j, &c) in chunks.iter().enumerate() {
+                        let durable = units[j].iter().take_while(|u| u.1 <= cut).count();
+                        units[j].truncate(durable);
+                        floor[j] = SimTime::ZERO;
+                        assert_eq!(
+                            dev.chunk_info(c).write_ptr,
+                            durable as u32 * geo.ws_min,
+                            "{what}: {c} after a crash at {cut:?}"
+                        );
+                        for (k, &(fill, _)) in units[j].iter().enumerate() {
+                            dev.read(cut, c.ppa(k as u32 * geo.ws_min), geo.ws_min, &mut out)
+                                .expect(&what);
+                            assert!(out.iter().all(|&b| b == fill), "{what}: {c} unit {k}");
+                        }
+                    }
+                    base = cut + SimDuration::from_millis(5);
+                    latest = cut;
+                }
+                _ if wp > 0 => {
+                    let k = rng.gen_range(units[i].len() as u64) as usize;
+                    dev.read(at, c.ppa(k as u32 * geo.ws_min), geo.ws_min, &mut out)
+                        .expect(&what);
+                    assert!(
+                        out.iter().all(|&b| b == units[i][k].0),
+                        "{what}: {c} unit {k}"
+                    );
+                }
+                _ => {}
+            }
+            if let Some((j, fill)) = programmed {
+                // The unit just accepted is the chunk's latest pending drain.
+                let done = dev.flush_chunk(SimTime::ZERO, chunks[j]).done;
+                assert!(
+                    done >= floor[j] + prog,
+                    "{what}: a program on {} completed at {done:?}, less than one program \
+                     after its chunk's previous program or last erase ({:?})",
+                    chunks[j],
+                    floor[j]
+                );
+                floor[j] = done;
+                units[j].push((fill, done));
+            }
+        }
+    }
+    assert!(crashes > 0, "the stream must crash the device");
 }
 
 /// The fault plan and the reliability model are the only things that make a

@@ -9,8 +9,12 @@
 //!   the smallest local virtual time first, yielding deterministic, seedable
 //!   interleavings of workload clients and background jobs.
 //! * [`Timeline`] — a FIFO resource service curve used to model contended
-//!   hardware resources (parallel units, channel buses, CPU cores). A request
-//!   arriving at `t` on a busy resource starts at `max(t, busy_until)`.
+//!   resources (channel buses, the host link, CPU cores). A request arriving
+//!   at `t` on a busy resource starts at `max(t, busy_until)`.
+//! * [`ArrivalTimeline`] — the arrival-ordered service curve of the NAND
+//!   parallel units: a request takes the earliest idle gap at or after its
+//!   arrival, so a command booked into the virtual future by an earlier call
+//!   does not make a later call that arrives sooner queue behind idle time.
 //! * [`Prng`] — a small, fast, splittable PRNG (xoshiro256++) so simulations do
 //!   not depend on external RNG implementation details.
 //! * [`stats`] — counters, log-linear histograms and fixed-window time series
@@ -37,7 +41,7 @@ pub mod time;
 pub mod trace;
 
 pub use executor::{Actor, ActorId, Executor, Step};
-pub use resource::Timeline;
+pub use resource::{ArrivalTimeline, Timeline};
 pub use rng::Prng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{MetricsRegistry, MetricsSnapshot, Obs, SpanGuard, TraceEvent, TracePhase, Tracer};
