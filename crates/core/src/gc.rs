@@ -848,11 +848,13 @@ mod tests {
         pus.dedup();
         assert_eq!(pus.len() as u64, k, "one destination PU per unit");
         assert!(!pus.contains(&victim_pu));
-        // The victim's PU reads every page once, back to back; the last
-        // unit's program follows its reads. Chained copies take k programs.
+        // The victim's PU reads every page address once (both planes at
+        // once), back to back; the last unit's program follows its reads.
+        // Chained copies take k programs.
         let nand = r.geo.cell.profile();
-        let pages = k * ws / r.geo.sectors_per_page as u64;
-        let bound = start + nand.read_page * pages + nand.program_time(1);
+        assert!(r.geo.planes > 1, "a serial-plane read must break the bound");
+        let page_addresses = k * ws / r.geo.page_address_sectors() as u64;
+        let bound = start + nand.read_page * page_addresses + nand.program_time(1);
         let relocated = copies.iter().map(|&(_, done)| done).max().unwrap();
         assert!(
             relocated <= bound,

@@ -519,7 +519,7 @@ mod tests {
         assert_eq!(got.unwrap().len(), 1024);
         let latency = done.saturating_since(settle);
         // One page read ≈ tR (70 µs) + transfer + cpu, far below a 96 KB
-        // block read (~500 µs).
+        // block read (~290 µs: three page addresses of both planes).
         assert!(
             latency < SimDuration::from_micros(200),
             "1 KB get should be a single-sector read: {latency}"

@@ -80,10 +80,15 @@ pub(crate) const HOST_LINK_PER_SECTOR: SimDuration = SimDuration::from_nanos(700
 /// `prog_unit` is the time to program one minimum write unit (`ws_min`
 /// sectors): planes program in parallel and paired pages are programmed as
 /// one multi-level operation, so the unit cost does not scale with plane
-/// count — that is exactly why larger `ws_min` amortizes better.
+/// count — that is exactly why larger `ws_min` amortizes better. Reads get
+/// the same plane parallelism: `read_page` senses one page address, the
+/// same page on every plane ([`Geometry::page_addresses`]).
+///
+/// [`Geometry::page_addresses`]: crate::Geometry::page_addresses
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NandProfile {
-    /// Media read of one flash page (tR).
+    /// Media read of one page address (tR): one flash page, or the same
+    /// page on every plane in one multi-plane read.
     pub read_page: SimDuration,
     /// Program of one minimum write unit (tPROG for the full paired set).
     pub prog_unit: SimDuration,
@@ -96,11 +101,10 @@ pub struct NandProfile {
 }
 
 impl NandProfile {
-    /// Media time to read `sectors` contiguous sectors: one tR per touched
-    /// flash page (the PU is busy for this long).
-    pub fn read_media_time(&self, sectors: u32, sectors_per_page: u32) -> SimDuration {
-        let pages = sectors.div_ceil(sectors_per_page.max(1));
-        self.read_page * pages as u64
+    /// Media time to read `page_addresses` page addresses: one tR each, all
+    /// planes of an address sensed at once (the PU is busy for this long).
+    pub fn read_media_time(&self, page_addresses: u32) -> SimDuration {
+        self.read_page * page_addresses as u64
     }
 
     /// Channel time to move `sectors` sectors over the bus.
@@ -117,6 +121,7 @@ impl NandProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Geometry;
 
     #[test]
     fn density_orders_latency_and_pairing() {
@@ -134,10 +139,21 @@ mod tests {
     #[test]
     fn read_media_time_counts_pages() {
         let p = CellType::Tlc.profile();
-        assert_eq!(p.read_media_time(1, 4), p.read_page);
-        assert_eq!(p.read_media_time(4, 4), p.read_page);
-        assert_eq!(p.read_media_time(5, 4), p.read_page * 2);
-        assert_eq!(p.read_media_time(24, 4), p.read_page * 6);
+        let time =
+            |geo: &Geometry, start, sectors| p.read_media_time(geo.page_addresses(start, sectors));
+        // Dual-plane: a page address is 2 × 4 sectors.
+        let dual = Geometry::paper_tlc();
+        assert_eq!(dual.planes, 2);
+        assert_eq!(time(&dual, 0, 24), p.read_page * 3, "one 96 KB unit");
+        assert_eq!(time(&dual, 8, 8), p.read_page, "both planes of one address");
+        assert_eq!(time(&dual, 7, 2), p.read_page * 2, "straddles an address");
+        // Single-plane: a page address is one flash page.
+        let single = Geometry { planes: 1, ..dual };
+        assert_eq!(time(&single, 0, 1), p.read_page);
+        assert_eq!(time(&single, 0, 4), p.read_page);
+        assert_eq!(time(&single, 0, 5), p.read_page * 2);
+        assert_eq!(time(&single, 0, 24), p.read_page * 6);
+        assert_eq!(time(&single, 3, 2), p.read_page * 2);
     }
 
     #[test]

@@ -26,12 +26,14 @@
 //!   program on the PU) is scheduled immediately; its completion is the
 //!   write's durability point.
 //! * **read** — if every requested sector is still in the controller cache,
-//!   serve at cache latency; otherwise occupy the PU for the page reads, then
-//!   the group channel for the transfer.
+//!   serve at cache latency; otherwise occupy the PU for one tR per page
+//!   address the range touches (all planes of an address are sensed at
+//!   once), then the group channel for the transfer.
 //! * **reset** — occupy the PU for the erase; wears the chunk.
-//! * **copy** — device-internal: page reads on the source PUs and programs on
-//!   the destination PU, no host transfer (paper §2.2: "copy of logical
-//!   blocks (within the Open-Channel SSD, without host involvement)").
+//! * **copy** — device-internal: one read per source page address on the
+//!   source PUs and programs on the destination PU, no host transfer (paper
+//!   §2.2: "copy of logical blocks (within the Open-Channel SSD, without
+//!   host involvement)").
 
 use crate::addr::{ChunkAddr, Ppa};
 use crate::cache::{CacheConfig, WriteCache};
@@ -756,12 +758,8 @@ impl OcssdDevice {
                 self.note_latency_spike(now);
             }
             let pu = &mut self.pus[pu_idx as usize];
-            let grant = pu.acquire(
-                now,
-                self.profile
-                    .read_media_time(sectors, self.geo.sectors_per_page)
-                    + spike,
-            );
+            let page_addresses = self.geo.page_addresses(ppa.sector, sectors);
+            let grant = pu.acquire(now, self.profile.read_media_time(page_addresses) + spike);
             self.obs.metrics.observe(
                 "device.pu.queue_delay_ns",
                 grant.start.saturating_since(now).as_nanos(),
@@ -935,13 +933,17 @@ impl OcssdDevice {
             return Err(self.injected_program_fail(now, dst));
         }
 
-        // Reads proceed in parallel across source PUs, one page read per
-        // distinct source page however many of its sectors move; the
-        // program on the destination PU starts once the last page arrives.
+        // Reads proceed in parallel across source PUs, one tR per distinct
+        // source page address (every plane sensed at once) however many of
+        // its sectors move; the program on the destination PU starts once
+        // the last page address arrives.
         let mut pages: Vec<(ChunkAddr, u32)> = Vec::with_capacity(srcs.len());
         let mut last_read = now;
         for &src in srcs {
-            let page = (src.chunk_addr(), src.sector / self.geo.sectors_per_page);
+            let page = (
+                src.chunk_addr(),
+                src.sector / self.geo.page_address_sectors(),
+            );
             if pages.contains(&page) {
                 continue;
             }
@@ -1403,6 +1405,23 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_write_unit_read_senses_both_planes_of_each_page_address_at_once() {
+        let mut dev = small_device();
+        let geo = *dev.geometry();
+        let profile = *dev.profile();
+        let addr = ChunkAddr::new(2, 3, 0);
+        let w = dev.write(t(0), addr.ppa(0), &unit_data(&geo, 9)).unwrap();
+        let now = dev.flush(w.done).done + SimDuration::from_secs(1);
+        // 96 KB = 24 sectors = 3 page addresses of 2 planes × 4 sectors.
+        let mut out = vec![0u8; geo.ws_min_bytes()];
+        let r = dev.read(now, addr.ppa(0), geo.ws_min, &mut out).unwrap();
+        let expect = profile.read_page * 3 + profile.transfer_time(geo.ws_min);
+        assert_eq!(expect, SimDuration::from_nanos(289_200));
+        assert_eq!(r.latency(), expect);
+        assert!(out.iter().all(|&b| b == 9));
+    }
+
+    #[test]
     fn crash_rolls_back_unflushed_writes() {
         let mut dev = small_device();
         let geo = *dev.geometry();
@@ -1476,12 +1495,17 @@ mod tests {
         let w = dev.write(t(0), src.ppa(0), &unit_data(&geo, 1)).unwrap();
         let read_page = dev.profile().read_page;
         let spp = geo.sectors_per_page;
-        // (source sectors, distinct pages): one whole page, four whole
-        // pages, one sector. Each is padded to `ws_min` with repeats of its
-        // last sector, as the collector pads a short tail.
-        let cases: [(Vec<u32>, u64); 3] = [
+        assert_eq!(geo.planes, 2);
+        // (source sectors, distinct page addresses): one whole page, four
+        // whole pages on two addresses, both planes of one address, a
+        // plane of each of two addresses, one sector. Each is padded to
+        // `ws_min` with repeats of its last sector, as the collector pads a
+        // short tail.
+        let cases: [(Vec<u32>, u64); 5] = [
             ((0..spp).collect(), 1),
-            ((0..4 * spp).collect(), 4),
+            ((0..4 * spp).collect(), 2),
+            ((2 * spp..4 * spp).collect(), 1),
+            ((spp..3 * spp).collect(), 2),
             (vec![spp + 1], 1),
         ];
         let mut now = w.done + SimDuration::from_secs(1);
@@ -1491,9 +1515,9 @@ mod tests {
             srcs.resize(geo.ws_min as usize, pad);
             let c = dev.copy(now, &srcs, dst).unwrap();
             assert_eq!(
-                dev.pu_busy_until(src.pu_linear(&geo)),
-                now + read_page * pages,
-                "{} sources on {pages} page(s)",
+                dev.pu_busy_until(src.pu_linear(&geo)).saturating_since(now),
+                read_page * pages,
+                "{} sources on {pages} page address(es)",
                 sectors.len()
             );
             now = c.done + SimDuration::from_secs(1);

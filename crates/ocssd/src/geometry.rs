@@ -30,8 +30,8 @@ pub struct Geometry {
     pub mw_cunits: u32,
     /// NAND cell technology (drives latency and endurance).
     pub cell: CellType,
-    /// Planes per die (pages at the same address across planes are
-    /// programmed together).
+    /// Planes per die: pages at the same address across planes are
+    /// programmed together and sensed together (one page address).
     pub planes: u32,
     /// Sectors per flash page.
     pub sectors_per_page: u32,
@@ -132,6 +132,15 @@ impl Geometry {
         if self.sectors_per_page == 0 || !self.ws_min.is_multiple_of(self.sectors_per_page) {
             return Err("ws_min must be a multiple of the flash page".into());
         }
+        if self.planes == 0 {
+            return Err("planes must be non-zero".into());
+        }
+        if !self.ws_min.is_multiple_of(self.page_address_sectors()) {
+            return Err(format!(
+                "ws_min {} must be a multiple of the page address ({} planes × {} sectors)",
+                self.ws_min, self.planes, self.sectors_per_page
+            ));
+        }
         if !self.mw_cunits.is_multiple_of(self.ws_min) {
             return Err("mw_cunits must be a multiple of ws_min".into());
         }
@@ -171,6 +180,22 @@ impl Geometry {
     /// Minimum write units per chunk.
     pub fn write_units_per_chunk(&self) -> u32 {
         self.sectors_per_chunk / self.ws_min
+    }
+
+    /// Sectors of one page address: the same flash page on every plane,
+    /// which one multi-plane read senses together (8 on the paper drive).
+    pub fn page_address_sectors(&self) -> u32 {
+        self.planes * self.sectors_per_page
+    }
+
+    /// Page addresses that `sectors` sectors from `start` touch, counted
+    /// from the start sector: a media read costs one tR per page address.
+    pub fn page_addresses(&self, start: u32, sectors: u32) -> u32 {
+        if sectors == 0 {
+            return 0;
+        }
+        let size = self.page_address_sectors();
+        (start + sectors - 1) / size - start / size + 1
     }
 }
 
@@ -265,6 +290,38 @@ mod tests {
         let mut g = Geometry::paper_tlc();
         g.mw_cunits = g.ws_min + 1;
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn validate_catches_zero_planes() {
+        let mut g = Geometry::paper_tlc();
+        g.planes = 0;
+        assert_eq!(g.validate(), Err("planes must be non-zero".into()));
+    }
+
+    #[test]
+    fn validate_catches_ws_min_off_the_page_address() {
+        // 12 sectors is three flash pages but one and a half page addresses.
+        let mut g = Geometry::small_slc();
+        (g.planes, g.ws_min, g.mw_cunits, g.sectors_per_chunk) = (2, 12, 24, 768);
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("page address"), "{err}");
+        g.ws_min = 16;
+        g.mw_cunits = 32;
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn page_addresses_count_from_the_start_sector() {
+        let g = Geometry::paper_tlc();
+        assert_eq!(g.page_address_sectors(), 8);
+        assert_eq!(g.page_addresses(0, 0), 0);
+        assert_eq!(g.page_addresses(0, 1), 1);
+        assert_eq!(g.page_addresses(4, 8), 2, "a plane of each of two");
+        assert_eq!(g.page_addresses(48, 24), 3);
+        let slc = Geometry::small_slc();
+        assert_eq!(slc.page_address_sectors(), slc.sectors_per_page);
+        assert_eq!(slc.page_addresses(0, 24), 6);
     }
 
     #[test]
