@@ -63,7 +63,7 @@ pub const RECORD_SECTORS: u64 = 3;
 
 const FAIL_BACKOFF: SimDuration = SimDuration::from_micros(100);
 
-/// Recovers the key id [`oxshard::workload_key`] embeds in its low half.
+/// Recovers the key id [`workload_key`](crate::ycsb::workload_key) embeds in its low half.
 fn key_id(key: &[u8]) -> u64 {
     let mut raw = [0u8; 8];
     raw.copy_from_slice(&key[8..16]);

@@ -1,5 +1,6 @@
-//! YCSB A–F over both stacks: the single-device LSM key-value store
-//! (lsmkv over LightLSM) and the 4-shard serving layer (oxshard).
+//! YCSB A–F over the single-device LSM key-value store (lsmkv over
+//! LightLSM). The cross-interface comparison (OX-Block, oxztl, KV-SSD on
+//! the point-op subset A/B/C) is `fig_ablation`'s.
 //!
 //! Each workload runs against a freshly loaded store, so rows are
 //! independent and deterministic. The shared observability dump carries
@@ -13,16 +14,9 @@
 use lightlsm::Placement;
 use ox_bench::backend::BenchBackend;
 use ox_bench::fig5::make_db;
-use ox_bench::ycsb::{
-    load, matrix_workloads, run_ycsb, LsmBackend, ShardBackend, YcsbConfig, YcsbReport,
-};
+use ox_bench::ycsb::{load, matrix_workloads, run_ycsb, LsmBackend, YcsbConfig, YcsbReport};
 use ox_bench::{figure_obs, quick_mode, Report};
-use ox_sim::sync::Mutex;
 use ox_sim::SimTime;
-use oxshard::{ClusterConfig, ShardCluster, SharedCluster};
-use std::sync::Arc;
-
-const SHARDS: u32 = 4;
 
 fn report_cells(r: &YcsbReport) -> Vec<String> {
     vec![
@@ -46,7 +40,7 @@ fn main() {
 
     let mut report = Report::new("fig_ycsb", None);
     report.line(format!(
-        "YCSB A–F — lsmkv single device vs. oxshard {SHARDS}-shard cluster (virtual time{})\n",
+        "YCSB A–F — lsmkv over LightLSM, single device (virtual time{})\n",
         if quick { ", quick" } else { "" }
     ));
     let widths = [2usize, 7, 8, 8, 10, 10, 10, 9, 7, 6];
@@ -80,8 +74,8 @@ fn main() {
             cfg.operations = 16_384;
         }
 
-        // Single-device stack: the paper's LSM over LightLSM, horizontal
-        // placement (its best configuration).
+        // The paper's LSM over LightLSM, horizontal placement (its best
+        // configuration).
         let (db, dev, _store) = make_db(Placement::Horizontal, BenchBackend::OxBlock, &obs);
         let mut lsm = LsmBackend::new(db);
         eprintln!("[{}] lsmkv load...", wl.letter());
@@ -90,21 +84,6 @@ fn main() {
         let (ycsb, t_done) = run_ycsb(&lsm, &cfg, &obs, t0);
         dev.publish_pu_metrics(t_done);
         dev.publish_health_metrics(t_done);
-        report.row(&report_cells(&ycsb), &widths);
-
-        // Sharded stack: same workload fanned over SHARDS devices. The
-        // test-scale default of 16 MiB per shard is one 4 KiB slot per
-        // record × 4096; the full-size load would overflow the fullest
-        // hash bucket, so give each shard headroom.
-        let mut ccfg = ClusterConfig::new(SHARDS);
-        ccfg.shard_capacity_bytes = 64 << 20;
-        let (cluster, tc) = ShardCluster::new(ccfg, obs.clone(), SimTime::ZERO).expect("cluster");
-        let shared: SharedCluster = Arc::new(Mutex::new(cluster));
-        let mut shard = ShardBackend::new(shared);
-        eprintln!("[{}] oxshard load...", wl.letter());
-        let t0 = load(&mut shard, &cfg, tc);
-        eprintln!("[{}] oxshard run...", wl.letter());
-        let (ycsb, _) = run_ycsb(&shard, &cfg, &obs, t0);
         report.row(&report_cells(&ycsb), &widths);
     }
 

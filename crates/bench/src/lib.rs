@@ -15,8 +15,7 @@
 //! | [`gc_locality`] | §4.3 — GC interference locality (93.75 % / 87.5 %) |
 //! | [`lifetime`] | ROADMAP — wear-coupled aging, scrub vs. no scrub |
 //! | [`qos_tail`] | §4.3 — isolation as per-tenant read-latency percentiles |
-//! | [`shard_scale`] | ROADMAP — aggregate throughput, 1→32 sharded devices |
-//! | [`ycsb`] | ROADMAP — YCSB A–F over lsmkv and the oxshard layer |
+//! | [`ycsb`] | ROADMAP — YCSB A–F over lsmkv on LightLSM |
 //!
 //! Scale note: the simulated drive uses the paper geometry with chunk count
 //! and chunk size divided down (ratios preserved), and workload volumes are
@@ -36,7 +35,6 @@ pub mod gc_locality;
 pub mod lifetime;
 pub mod qos_tail;
 mod report;
-pub mod shard_scale;
 pub mod ycsb;
 
 pub use report::Report;

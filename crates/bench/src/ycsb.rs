@@ -1,12 +1,13 @@
 //! YCSB A–F closed-loop workload suite over the paper's stacks.
 //!
-//! The six core YCSB mixes run in virtual time against either the
-//! single-device LSM key-value store (`lsmkv` over LightLSM) or the sharded
-//! serving layer (`oxshard`), through one [`YcsbBackend`] trait. Clients
-//! are cooperative [`ox_sim::Executor`] actors: each issues one operation,
-//! reschedules at its virtual completion time, and a maintenance actor
-//! keeps flush/compaction (or cluster GC/checkpointing) running alongside,
-//! so background interference shows up in client latency.
+//! The six core YCSB mixes run in virtual time against a key-value stack
+//! through one [`YcsbBackend`] trait: the single-device LSM key-value store
+//! (`lsmkv` over LightLSM, [`LsmBackend`]) here, the three device
+//! interfaces in [`crate::ablation`]. Clients are cooperative
+//! [`ox_sim::Executor`] actors: each issues one operation, reschedules at
+//! its virtual completion time, and a maintenance actor keeps
+//! flush/compaction (or FTL GC) running alongside, so background
+//! interference shows up in client latency.
 //!
 //! Workload shapes (YCSB core defaults, RMW for the write legs of A/B/F):
 //!
@@ -23,17 +24,16 @@
 //! (the version byte read back is incremented), so F pays the full
 //! read-then-write round trip per op. Zipfian key choice is Gray's
 //! algorithm (θ = 0.99) over hash-scrambled ranks, as in the YCSB core
-//! generator; keys are [`oxshard::workload_key`] so the same byte keyspace
-//! drives both backends (and range-sharded clusters stay balanced). Range
-//! scans therefore walk the *scrambled* key order — the store's short-scan
-//! path is what is being measured, not locality of adjacent user ids.
+//! generator; keys are [`workload_key`]s, so the same byte keyspace drives
+//! every backend. Range scans therefore walk the *scrambled* key order —
+//! the store's short-scan path is what is being measured, not locality of
+//! adjacent user ids.
 
 use lsmkv::{DbError, PutOutcome, SharedDb};
 use ox_sim::stats::nearest_rank;
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
 use ox_sim::{Actor, Executor, Prng, SimDuration, SimTime, Step};
-use oxshard::{workload_key, SharedCluster};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -187,6 +187,19 @@ pub fn scramble(rank: u64, n: u64) -> u64 {
     z % n.max(1)
 }
 
+/// 16-byte key for workload id `k`: an order-scrambling prefix (so the
+/// keyspace is not loaded in id order) followed by the raw id.
+pub fn workload_key(k: u64) -> [u8; 16] {
+    let mut z = k.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    let mut key = [0u8; 16];
+    key[..8].copy_from_slice(&z.to_be_bytes());
+    key[8..].copy_from_slice(&k.to_be_bytes());
+    key
+}
+
 /// Outcome of a backend write.
 pub enum YcsbPut {
     /// Completed at the given virtual time.
@@ -232,7 +245,7 @@ pub trait YcsbBackend: Clone + 'static {
     /// Ordered scan of up to `limit` entries from `start`.
     fn scan(&mut self, now: SimTime, start: &[u8], limit: usize) -> YcsbScan;
 
-    /// One background maintenance step (flush/compaction or cluster GC);
+    /// One background maintenance step (flush/compaction or FTL GC);
     /// `Some(done)` when work was performed.
     fn maintain(&mut self, now: SimTime) -> Option<SimTime>;
 }
@@ -323,71 +336,6 @@ impl YcsbBackend for LsmBackend {
     }
 }
 
-/// [`YcsbBackend`] over the sharded serving layer.
-#[derive(Clone)]
-pub struct ShardBackend {
-    cluster: SharedCluster,
-}
-
-impl ShardBackend {
-    /// Wraps a shared cluster handle.
-    pub fn new(cluster: SharedCluster) -> ShardBackend {
-        ShardBackend { cluster }
-    }
-
-    /// The wrapped handle.
-    pub fn cluster(&self) -> &SharedCluster {
-        &self.cluster
-    }
-}
-
-impl YcsbBackend for ShardBackend {
-    fn label(&self) -> &'static str {
-        "oxshard"
-    }
-
-    fn put(&mut self, now: SimTime, key: &[u8], value: &[u8]) -> YcsbPut {
-        match self.cluster.lock().put(now, key, value) {
-            Ok((_, done)) => YcsbPut::Done(done),
-            Err(_) => YcsbPut::Failed(now + FAIL_BACKOFF),
-        }
-    }
-
-    fn get(&mut self, now: SimTime, key: &[u8]) -> YcsbGet {
-        match self.cluster.lock().get(now, key) {
-            Ok((value, _, done)) => YcsbGet {
-                value,
-                done,
-                failed: false,
-            },
-            Err(_) => YcsbGet {
-                value: None,
-                done: now + FAIL_BACKOFF,
-                failed: true,
-            },
-        }
-    }
-
-    fn scan(&mut self, now: SimTime, start: &[u8], limit: usize) -> YcsbScan {
-        match self.cluster.lock().scan(now, start, limit) {
-            Ok((entries, done)) => YcsbScan {
-                entries: entries.len(),
-                done,
-                failed: false,
-            },
-            Err(_) => YcsbScan {
-                entries: 0,
-                done: now + FAIL_BACKOFF,
-                failed: true,
-            },
-        }
-    }
-
-    fn maintain(&mut self, now: SimTime) -> Option<SimTime> {
-        self.cluster.lock().maintain(now).ok()
-    }
-}
-
 /// Zipfian skew of every request distribution (the YCSB default).
 const THETA: f64 = 0.99;
 
@@ -456,7 +404,7 @@ impl LatencyStats {
 pub struct YcsbReport {
     /// The mix.
     pub workload: YcsbWorkload,
-    /// Stack label ("lsmkv" or "oxshard").
+    /// Stack label: "lsmkv", or an [`crate::ablation`] backend's label.
     pub backend: &'static str,
     /// Operations completed.
     pub total_ops: u64,
@@ -862,6 +810,14 @@ mod tests {
             seen.insert(id);
         }
         assert!(seen.len() > 480, "scramble collides too much");
+    }
+
+    #[test]
+    fn workload_keys_are_unique() {
+        let mut keys: Vec<[u8; 16]> = (0..1000).map(workload_key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), 1000);
     }
 
     #[test]

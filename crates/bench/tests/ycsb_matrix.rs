@@ -1,8 +1,8 @@
-//! Determinism matrix for the YCSB suite: the same seeded run, executed
-//! twice from scratch — single-device stack with a seeded fault plan AND a
-//! sharded cluster — must produce byte-identical observability JSON and
-//! identical report numbers. This is what lets the `fig_ycsb` artifacts be
-//! diffed across CI runs.
+//! Determinism matrix for the YCSB suite: the same seeded run on the
+//! single-device stack with a seeded fault plan, executed twice from
+//! scratch, must produce byte-identical observability JSON and identical
+//! report numbers. This is what lets the `fig_ycsb` artifacts be diffed
+//! across CI runs.
 //!
 //! `OX_YCSB_WORKLOAD` narrows the sweep to one mix (the CI matrix runs one
 //! job per letter); `OX_FAULT_SEED_BASE` shifts the fault-plan family.
@@ -11,15 +11,12 @@ use lightlsm::{LightLsm, LightLsmConfig};
 use lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
 use ocssd::{matrix_seeds, DeviceConfig, FaultMix, Geometry, OcssdDevice, SharedDevice};
 use ox_bench::ycsb::{
-    load, matrix_workloads, run_ycsb, LsmBackend, ShardBackend, YcsbConfig, YcsbReport,
-    YcsbWorkload,
+    load, matrix_workloads, run_ycsb, LsmBackend, YcsbConfig, YcsbReport, YcsbWorkload,
 };
 use ox_core::faultharness::FaultCase;
 use ox_core::{Media, OcssdMedia};
-use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
-use oxshard::{ClusterConfig, ShardCluster, SharedCluster};
 use std::sync::Arc;
 
 fn test_config(wl: YcsbWorkload) -> YcsbConfig {
@@ -78,28 +75,15 @@ fn fingerprint(r: &YcsbReport) -> String {
     )
 }
 
-/// One full double-stack run; returns (report fingerprints, obs JSON).
+/// One full run; returns (report fingerprint, obs JSON).
 fn run_once(wl: YcsbWorkload, fault_seed: u64) -> (String, String) {
     let cfg = test_config(wl);
     let obs = Obs::new(4096);
 
     let mut lsm = LsmBackend::new(lsm_stack(fault_seed));
     let t0 = load(&mut lsm, &cfg, SimTime::ZERO);
-    let (lsm_report, _) = run_ycsb(&lsm, &cfg, &obs, t0);
-
-    let (cluster, tc) =
-        ShardCluster::new(ClusterConfig::new(2), obs.clone(), SimTime::ZERO).expect("cluster");
-    let shared: SharedCluster = Arc::new(Mutex::new(cluster));
-    let mut shard = ShardBackend::new(shared);
-    let t0 = load(&mut shard, &cfg, tc);
-    let (shard_report, _) = run_ycsb(&shard, &cfg, &obs, t0);
-
-    let prints = format!(
-        "{}\n{}",
-        fingerprint(&lsm_report),
-        fingerprint(&shard_report)
-    );
-    (prints, obs.to_json())
+    let (report, _) = run_ycsb(&lsm, &cfg, &obs, t0);
+    (fingerprint(&report), obs.to_json())
 }
 
 #[test]

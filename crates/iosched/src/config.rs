@@ -65,9 +65,9 @@ pub struct SchedConfig {
     pub arbiter: ArbiterKind,
     /// Optional attribution scope. When set, dispatch metrics are *also*
     /// recorded under `iosched.<scope>.…`, so N schedulers sharing one
-    /// metrics registry (one per shard of a sharded serving layer) keep
-    /// per-shard queue-delay/latency distributions apart while the unscoped
-    /// `iosched.*` names still aggregate the whole fleet.
+    /// metrics registry (one per device, as in the lifetime figure's two
+    /// legs) keep per-device queue-delay/latency distributions apart while
+    /// the unscoped `iosched.*` names still aggregate them all.
     pub scope: Option<String>,
 }
 

@@ -385,8 +385,8 @@ impl IoScheduler {
             media_done.saturating_since(entry.submitted).as_nanos(),
         );
         if let Some(scope) = &self.cfg.scope {
-            // Per-shard attribution: the same samples again under the scoped
-            // names, so shards sharing one registry stay distinguishable.
+            // Per-scope attribution: the same samples again under the scoped
+            // names, so schedulers sharing one registry stay distinguishable.
             self.obs
                 .metrics
                 .add(&format!("iosched.{scope}.dispatched"), 1, cost);

@@ -254,9 +254,9 @@ impl OcssdDevice {
 
     /// Monotone count of chunks retired by media failures since format: the
     /// bad-block growth notification hook. Unlike [`OcssdDevice::drain_events`]
-    /// this is not consumed by reading it, so a serving layer above the FTL
-    /// can watch growth (e.g. to trigger cross-shard rebalancing) without
-    /// stealing the FTL's event stream.
+    /// this is not consumed by reading it, so a reporter above the FTL (the
+    /// lifetime figure) can watch growth without stealing the FTL's event
+    /// stream.
     pub fn grown_bad_blocks(&self) -> u64 {
         self.grown_bad_blocks
     }
@@ -369,9 +369,9 @@ impl OcssdDevice {
 
     /// [`OcssdDevice::publish_pu_metrics`] with a device scope label: gauges
     /// are published as `device.<scope>.pu.<i>.…`. N devices sharing one
-    /// metrics registry (a sharded serving layer) would otherwise clobber
-    /// each other's per-PU gauges, since `gauge_set` overwrites by name. An
-    /// empty scope reproduces the unscoped single-device names.
+    /// metrics registry (the lifetime figure's two legs) would otherwise
+    /// clobber each other's per-PU gauges, since `gauge_set` overwrites by
+    /// name. An empty scope reproduces the unscoped single-device names.
     pub fn publish_pu_metrics_as(&self, scope: &str, horizon: SimTime) {
         let prefix = if scope.is_empty() {
             "device".to_string()
@@ -402,9 +402,9 @@ impl OcssdDevice {
     }
 
     /// [`OcssdDevice::publish_health_metrics`] with a device scope label
-    /// (`device.<scope>.health.…`), for sharded layers. Exporters should
-    /// call this once per run, before snapshotting: each call appends one
-    /// full wear-distribution snapshot to the histograms.
+    /// (`device.<scope>.health.…`), for devices sharing one registry.
+    /// Exporters should call this once per run, before snapshotting: each
+    /// call appends one full wear-distribution snapshot to the histograms.
     pub fn publish_health_metrics_as(&self, scope: &str, now: SimTime) {
         let prefix = if scope.is_empty() {
             "device".to_string()

@@ -631,24 +631,9 @@ impl BlockFtl {
         BlockFtlError::ReadOnly
     }
 
-    /// Administratively fences the store into the same sticky degraded
-    /// read-only state that spare exhaustion enters. Operators use this to
-    /// stop writing to a device whose health telemetry (error trend,
-    /// refresh backlog, wear spread) says it is dying, before it wedges a
-    /// write mid-transaction; reads — and migration off the device — keep
-    /// working.
-    pub fn degrade_to_read_only(&mut self) {
-        let _ = self.enter_degraded();
-    }
-
     /// Whether the store has degraded to read-only (spare exhaustion).
     pub fn is_degraded(&self) -> bool {
         self.degraded
-    }
-
-    /// Chunks currently queued for refresh relocation.
-    pub fn refresh_backlog(&self) -> usize {
-        self.refresh_queue.len()
     }
 
     /// Runs one background scrub step at `now`:
@@ -783,15 +768,6 @@ impl BlockFtl {
     /// The planned metadata layout (for experiment harnesses).
     pub fn layout(&self) -> &Layout {
         &self.layout
-    }
-
-    /// Logical pages currently mapped, ascending. A serving layer that
-    /// stores self-identifying records uses this after recovery to rebuild
-    /// its in-memory directory by reading only the pages that exist.
-    pub fn mapped_lpns(&self) -> Vec<u64> {
-        (0..self.logical_pages())
-            .filter(|&l| self.space.map.lookup(l).is_some())
-            .collect()
     }
 
     /// Number of mapped logical pages.
@@ -1139,12 +1115,12 @@ mod tests {
         // bad block.
         assert_eq!(ftl.repair_media_events(t).unwrap(), (t, 0, 0));
         assert!(ftl.bad_blocks().is_empty());
-        assert!(ftl.refresh_backlog() >= 1, "advisory flag queued");
+        assert!(!ftl.refresh_queue.is_empty(), "advisory flag queued");
 
         let rep = ftl.scrub_step(t).unwrap();
         assert!(rep.scanned >= 1);
         assert!(rep.refreshed >= 1, "disturbed chunk refresh-relocated");
-        assert_eq!(ftl.refresh_backlog(), 0);
+        assert!(ftl.refresh_queue.is_empty());
         assert!(ftl.stats().scrub_refreshes >= 1);
         t = rep.done;
 

@@ -165,7 +165,6 @@ impl Default for Config {
                 "crates/oxztl/src/",
                 "crates/kvssd/src/",
                 "crates/iosched/src/",
-                "crates/oxshard/src/",
             ]),
             l3_exclude: s(&["crates/lsmkv/src/bench.rs"]),
             l12_scope: s(&[
@@ -179,7 +178,6 @@ impl Default for Config {
                 "crates/oxztl/src/",
                 "crates/kvssd/src/",
                 "crates/iosched/src/",
-                "crates/oxshard/src/",
                 "crates/sim/src/",
                 "crates/bench/src/",
             ]),

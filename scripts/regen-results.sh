@@ -11,7 +11,7 @@ cargo build --release -p ox-bench --bins
 rm -f results/*.txt results/*.obs.json
 run() { cargo run --release -q -p ox-bench --bin "$1" > /dev/null; }
 for bin in fig3_recovery gc_locality fig5_throughput fig6_timeline fig7_copies \
-    fig_qos_tail fig_shard_scale fig_ycsb fig_lifetime fig_ablation; do
+    fig_qos_tail fig_ycsb fig_lifetime fig_ablation; do
     run "$bin"
 done
 for bin in fig5_throughput fig_qos_tail; do

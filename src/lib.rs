@@ -20,8 +20,6 @@
 //!   fully available" in Figure 1.
 //! * [`iosched`] — the multi-queue I/O scheduler with per-tenant QoS
 //!   (paper §4.3 isolation, made explicit).
-//! * [`oxshard`] — the sharded multi-device serving layer striping a
-//!   keyspace across N simulated devices (the ROADMAP's horizontal story).
 //! * [`ox_sim`] — the deterministic virtual-time simulation core underneath
 //!   everything.
 //!
@@ -40,4 +38,3 @@ pub use ox_eleos;
 pub use ox_kvssd;
 pub use ox_sim;
 pub use ox_zns;
-pub use oxshard;

@@ -152,181 +152,6 @@ fn kv_data_survives_power_failure_through_every_layer() {
 }
 
 #[test]
-fn multi_shard_serving_layer_survives_mid_rebalance_and_traces_reconcile() {
-    use ox_workbench::ox_sim::trace::{Obs, TracePhase};
-    use ox_workbench::oxshard::{ClusterConfig, ShardCluster, SLOTS};
-    use std::collections::HashMap;
-
-    let obs = Obs::new(1 << 20);
-    obs.tracer.set_enabled(true);
-    let (mut cluster, t0) =
-        ShardCluster::new(ClusterConfig::new(4), obs.clone(), SimTime::ZERO).unwrap();
-
-    // Fill a keyspace wide enough to land on every shard.
-    let n = 200u64;
-    let mut t = t0;
-    for i in 0..n {
-        let key = format!("user{i:05}");
-        let value = vec![(i % 251) as u8; 96];
-        let (_, done) = cluster.put(t, key.as_bytes(), &value).unwrap();
-        t = done;
-    }
-    for s in 0..4 {
-        assert!(cluster.shard_len(s).unwrap() > 0, "shard {s} got no keys");
-    }
-
-    // Freeze shard 0 mid-rebalance: donate half its slots to shard 3 and
-    // drain only part of the migration queue.
-    let queued = cluster.start_rebalance(0, 3, SLOTS / 2).unwrap();
-    assert!(queued > 0, "rebalance must queue resident keys");
-    t = cluster.step_migration(t, queued / 2).unwrap();
-    assert!(
-        cluster.pending_migrations() > 0,
-        "must still be mid-rebalance"
-    );
-    assert!(cluster.rebalance_active().is_some());
-
-    // Reads mid-rebalance: every key still served, straggler copies found
-    // through the pending map.
-    for i in 0..n {
-        let key = format!("user{i:05}");
-        let (v, _shard, done) = cluster.get(t, key.as_bytes()).unwrap();
-        t = done;
-        let v = v.unwrap_or_else(|| panic!("key {i} lost mid-rebalance"));
-        assert_eq!(v[0], (i % 251) as u8, "key {i} served a stale value");
-    }
-
-    // Writes mid-rebalance: newer versions must beat the migration copy.
-    for i in (0..n).step_by(7) {
-        let key = format!("user{i:05}");
-        let (_, done) = cluster.put(t, key.as_bytes(), &[0xAB; 64]).unwrap();
-        t = done;
-    }
-
-    // Scan mid-rebalance: the full sorted keyspace, no losses, no doubles.
-    let (rows, done) = cluster.scan(t, b"user", n as usize + 50).unwrap();
-    t = done;
-    assert_eq!(
-        rows.len(),
-        n as usize,
-        "scan mid-rebalance lost or duplicated keys"
-    );
-    for w in rows.windows(2) {
-        assert!(w[0].0 < w[1].0, "scan must be sorted and deduplicated");
-    }
-
-    // Drain the rebalance through the normal maintenance path.
-    while cluster.pending_migrations() > 0 {
-        t = cluster.maintain(t).unwrap();
-    }
-    assert!(cluster.rebalance_active().is_none());
-    for i in 0..n {
-        let key = format!("user{i:05}");
-        let owner = cluster.router().route(key.as_bytes()).unwrap();
-        let (v, served_by, done) = cluster.get(t, key.as_bytes()).unwrap();
-        t = done;
-        assert!(v.is_some(), "key {i} lost after drain");
-        assert_eq!(served_by, owner, "post-drain reads come from the owner");
-        let expected = if i % 7 == 0 { 0xAB } else { (i % 251) as u8 };
-        assert_eq!(v.unwrap()[0], expected, "key {i} value after drain");
-    }
-    cluster.publish_metrics(t);
-
-    // Span pairing across all four shards' interleaved events, exactly as
-    // `trace_observability` checks for one device.
-    let events = obs.tracer.snapshot();
-    assert_eq!(obs.tracer.dropped(), 0, "trace must be complete");
-    assert!(!events.is_empty());
-    for w in events.windows(2) {
-        assert!(w[1].seq > w[0].seq, "seq must be strictly monotone");
-    }
-    let mut open: HashMap<u64, &ox_workbench::ox_sim::trace::TraceEvent> = HashMap::new();
-    for ev in &events {
-        match ev.phase {
-            TracePhase::Begin => {
-                assert!(ev.span != 0, "begin events carry a span id");
-                let prev = open.insert(ev.span, ev);
-                assert!(prev.is_none(), "span {} opened twice", ev.span);
-            }
-            TracePhase::End => {
-                let begin = open
-                    .remove(&ev.span)
-                    .unwrap_or_else(|| panic!("end without begin for span {}", ev.span));
-                assert_eq!(begin.subsystem, ev.subsystem, "span {}", ev.span);
-                assert_eq!(begin.op, ev.op, "span {}", ev.span);
-                assert!(ev.at >= begin.at, "span {} ends before it begins", ev.span);
-            }
-            TracePhase::Instant => assert_eq!(ev.span, 0, "instants carry no span id"),
-        }
-    }
-    assert!(open.is_empty(), "unclosed spans: {:?}", open.keys());
-    for subsystem in ["device", "iosched"] {
-        assert!(
-            events.iter().any(|e| e.subsystem == subsystem),
-            "no events from subsystem {subsystem}"
-        );
-    }
-
-    // Counter reconciliation: the shared registry's fleet-wide counters
-    // equal the sum of every device's independent accounting, and the
-    // per-shard scoped iosched counters partition the unscoped aggregate.
-    let snap = obs.metrics.snapshot();
-    let mut write_ops = 0u64;
-    let mut write_bytes = 0u64;
-    for s in 0..4 {
-        let stats = cluster.device(s).unwrap().stats();
-        write_ops += stats.writes.ops();
-        write_bytes += stats.writes.bytes();
-    }
-    let writes = &snap.counters["device.write"];
-    assert_eq!(writes.ops(), write_ops, "device.write ops across shards");
-    assert_eq!(
-        writes.bytes(),
-        write_bytes,
-        "device.write bytes across shards"
-    );
-
-    let mut scoped_ops = 0u64;
-    let mut scoped_bytes = 0u64;
-    for s in 0..4 {
-        let c = &snap.counters[&format!("iosched.shard{s}.dispatched")];
-        assert!(c.ops() > 0, "shard {s} dispatched nothing");
-        scoped_ops += c.ops();
-        scoped_bytes += c.bytes();
-    }
-    let dispatched = &snap.counters["iosched.dispatched"];
-    assert_eq!(
-        scoped_ops,
-        dispatched.ops(),
-        "scoped dispatch ops partition"
-    );
-    assert_eq!(
-        scoped_bytes,
-        dispatched.bytes(),
-        "scoped dispatch bytes partition"
-    );
-
-    // Traced device-write spans account for exactly the bytes the fleet
-    // reports — byte-level reconciliation across four devices at once.
-    let span_bytes: u64 = events
-        .iter()
-        .filter(|e| e.subsystem == "device" && e.op == "write" && e.phase == TracePhase::Begin)
-        .map(|e| e.bytes)
-        .sum();
-    assert_eq!(span_bytes, write_bytes, "trace bytes == fleet device bytes");
-
-    let json = obs.to_json();
-    for key in [
-        "\"events\"",
-        "\"counters\"",
-        "\"device.write\"",
-        "\"iosched.dispatched\"",
-    ] {
-        assert!(json.contains(key), "JSON export missing {key}");
-    }
-}
-
-#[test]
 fn read_workloads_after_fill_have_paper_ordering() {
     // The Figure 5 headline orderings on a miniature run.
     let dev = device();

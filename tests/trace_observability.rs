@@ -15,7 +15,7 @@ use ox_workbench::ocssd::{
 };
 use ox_workbench::ox_block::{BlockFtl, BlockFtlConfig};
 use ox_workbench::ox_core::{Media, OcssdMedia};
-use ox_workbench::ox_sim::trace::{Obs, TracePhase};
+use ox_workbench::ox_sim::trace::{MetricsSnapshot, Obs, TracePhase};
 use ox_workbench::ox_sim::SimTime;
 use oxztl::{RoutedMedia, ZtlConfig, ZtlFtl, ZtlMedia};
 use std::collections::HashMap;
@@ -294,4 +294,100 @@ fn every_media_wrapper_forwards_obs_and_gc_route() {
         assert_eq!(out, data, "{name}: route reads the same address space");
         assert!(sched.stats().gc_dispatched > 0, "{name}: GC-class read");
     }
+}
+
+/// Two devices, each behind its own scoped scheduler, report into one
+/// [`Obs`] (as `fig_lifetime`'s scrub-on and scrub-off legs do): the scoped
+/// names keep the two apart, and the unscoped ones still add up.
+#[test]
+fn scoped_schedulers_and_devices_share_one_registry_without_clobbering() {
+    const SCOPES: [&str; 2] = ["scrub-on", "scrub-off"];
+    let obs = Obs::new(1 << 16);
+    let mut devs = Vec::new();
+    let mut horizon = SimTime::ZERO;
+    // Unequal work per device, so swapped or merged gauges would differ.
+    for (scope, writes) in SCOPES.into_iter().zip([48u64, 16]) {
+        let (dev, raw) = observed_device(&obs);
+        let sched =
+            SharedScheduler::new(IoScheduler::new(raw, SchedConfig::default().scoped(scope)));
+        let user = sched.add_tenant(TenantConfig::new("user"));
+        let gc = sched.add_tenant(TenantConfig::new("gc").gc_class());
+        let media = Arc::new(SchedMedia::with_gc(sched, user, gc));
+        let cfg = BlockFtlConfig::with_capacity(64 << 20);
+        let (mut ftl, mut t) = BlockFtl::format(media, cfg, SimTime::ZERO).unwrap();
+        for lba in 0..writes {
+            t = ftl.write(t, lba, &[lba as u8; SECTOR_BYTES]).unwrap().done;
+        }
+        horizon = horizon.max(t);
+        devs.push(dev);
+    }
+    let publish = || {
+        for (dev, scope) in devs.iter().zip(SCOPES) {
+            dev.publish_pu_metrics_as(scope, horizon);
+            dev.publish_health_metrics_as(scope, horizon);
+        }
+        obs.metrics.snapshot()
+    };
+    let first = publish();
+
+    // The scoped dispatch counters and queue-delay samples partition the
+    // unscoped aggregate: nothing dropped, nothing counted twice.
+    let (mut ops, mut bytes, mut delays) = (0, 0, 0);
+    for scope in SCOPES {
+        let c = &first.counters[&format!("iosched.{scope}.dispatched")];
+        assert!(c.ops() > 0, "{scope} dispatched nothing");
+        ops += c.ops();
+        bytes += c.bytes();
+        delays += first.histograms[&format!("iosched.{scope}.queue_delay_ns")].count();
+    }
+    let all = &first.counters["iosched.dispatched"];
+    assert_eq!((ops, bytes), (all.ops(), all.bytes()), "dispatch partition");
+    assert_eq!(delays, first.histograms["iosched.queue_delay_ns"].count());
+
+    // Every device's PU gauges live under its own scope only...
+    let pus = devs[0].geometry().total_pus() as usize;
+    let pu_gauges = |snap: &MetricsSnapshot, prefix: &str| {
+        (0..pus)
+            .flat_map(|pu| ["queue_delay_ns", "busy_ppm"].map(|leaf| format!("pu.{pu}.{leaf}")))
+            .map(|name| snap.gauges[&format!("{prefix}.{name}")])
+            .collect::<Vec<i64>>()
+    };
+    let [on, off] = SCOPES.map(|scope| format!("device.{scope}"));
+    assert!(
+        !first.gauges.keys().any(|k| k.starts_with("device.pu.")),
+        "a scoped publication wrote unscoped PU gauges"
+    );
+    assert_ne!(pu_gauges(&first, &on), pu_gauges(&first, &off));
+    for prefix in [&on, &off] {
+        assert!(first.gauges.contains_key(&format!("{prefix}.cache.stalls")));
+        assert!(first
+            .gauges
+            .contains_key(&format!("{prefix}.health.age_ppm")));
+    }
+
+    // ...and republishing is idempotent: gauges are point-in-time.
+    let second = publish();
+    assert_eq!(first.gauges, second.gauges, "republication moved a gauge");
+
+    // Each scope holds exactly its own device's values: the unscoped
+    // publication of that device alone is the reference.
+    for (dev, prefix) in devs.iter().zip([&on, &off]) {
+        dev.publish_pu_metrics(horizon);
+        let own = obs.metrics.snapshot();
+        assert_eq!(
+            pu_gauges(&second, prefix),
+            pu_gauges(&own, "device"),
+            "{prefix}"
+        );
+    }
+
+    // The shared device counters are the sum of the devices' own stats.
+    let (mut write_ops, mut write_bytes) = (0, 0);
+    for dev in &devs {
+        let stats = dev.stats();
+        write_ops += stats.writes.ops();
+        write_bytes += stats.writes.bytes();
+    }
+    let writes = &second.counters["device.write"];
+    assert_eq!((writes.ops(), writes.bytes()), (write_ops, write_bytes));
 }
