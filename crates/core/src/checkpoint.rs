@@ -173,26 +173,30 @@ impl CheckpointStore {
     }
 
     /// Reads the newest valid checkpoint, if any, together with the read
-    /// completion time. Invalid / torn areas are skipped. The store's
-    /// sequence resumes after what it found, so its next write outranks
-    /// every checkpoint already on the device. Everything outside this crate
-    /// recovers through [`crate::recovery::Journal::replay`].
+    /// completion time. Invalid / torn areas are skipped. The store resumes
+    /// after what it found: its next write outranks every checkpoint already
+    /// on the device and goes to the other area, so the snapshot returned
+    /// here stays intact until its replacement is durable. Everything
+    /// outside this crate recovers through
+    /// [`crate::recovery::Journal::replay`].
     pub(crate) fn read_latest(&mut self, now: SimTime) -> (Option<CheckpointData>, SimTime) {
         let geo = self.media.geometry();
-        let mut best: Option<CheckpointData> = None;
+        let mut best: Option<(usize, CheckpointData)> = None;
         let mut t = now;
-        for area in &self.areas {
+        for (idx, area) in self.areas.iter().enumerate() {
             let (data, done) = self.read_area(area, t, &geo);
             t = done;
             if let Some(d) = data {
-                if best.as_ref().is_none_or(|b| d.seq > b.seq) {
-                    best = Some(d);
+                if best.as_ref().is_none_or(|(_, b)| d.seq > b.seq) {
+                    best = Some((idx, d));
                 }
             }
         }
-        if let Some(b) = &best {
+        let best = best.map(|(idx, b)| {
             self.next_seq = b.seq + 1;
-        }
+            self.next_area = 1 - idx;
+            b
+        });
         let bytes = best.as_ref().map_or(0, |d| d.payload.len() as u64);
         self.obs.metrics.record("checkpoint.read", bytes);
         self.obs.tracer.span(now, t, "checkpoint", "read", bytes);
@@ -236,32 +240,35 @@ impl CheckpointStore {
         let crc = d.u32().unwrap_or(0);
         let total = HEADER_BYTES + len;
 
-        // Gather the full blob across area chunks.
-        let mut blob = vec![0u8; total.next_multiple_of(unit_bytes)];
+        // Gather the rest of the blob across area chunks, behind the unit
+        // already read.
+        let mut blob = head;
+        blob.resize(total.next_multiple_of(unit_bytes), 0);
         let chunk_bytes = geo.chunk_bytes() as usize;
-        let mut off = 0usize;
-        for &chunk in area {
-            if off >= blob.len() {
-                break;
+        let mut off = unit_bytes;
+        for (i, &chunk) in area.iter().enumerate() {
+            let (from, to) = (i * chunk_bytes, ((i + 1) * chunk_bytes).min(blob.len()));
+            if off >= to {
+                continue;
             }
             let info = self.media.chunk_info(chunk);
-            let want = (blob.len() - off).min(chunk_bytes);
-            let sectors = (want / SECTOR_BYTES) as u32;
-            if info.write_ptr < sectors {
+            if info.write_ptr < ((to - from) / SECTOR_BYTES) as u32 {
                 return (None, t); // torn
             }
+            let sectors = ((to - off) / SECTOR_BYTES) as u32;
+            let at = ((off - from) / SECTOR_BYTES) as u32;
             match crate::retry::read_with_policy(
                 self.media.as_ref(),
                 t,
-                chunk.ppa(0),
+                chunk.ppa(at),
                 sectors,
-                &mut blob[off..off + want],
+                &mut blob[off..to],
                 Some(&self.obs.metrics),
             ) {
                 Ok(o) => t = o.completion.done,
                 Err(_) => return (None, t),
             }
-            off += want;
+            off = to;
         }
         let payload = &blob[HEADER_BYTES..total];
         if crc32c(payload) != crc {
@@ -346,6 +353,45 @@ mod tests {
         let (t4, seq) = reopened.write(t3, 30, b"third").unwrap();
         assert_eq!(seq, 3);
         assert_eq!(reopened.read_latest(t4).0.unwrap().payload, b"third");
+    }
+
+    #[test]
+    fn a_reopened_store_keeps_the_newest_checkpoint_until_its_replacement_is_durable() {
+        let (media, mut store, dev) = setup();
+        // Three checkpoints: the newest is back in area A.
+        let mut t = SimTime::ZERO;
+        for (lsn, payload) in [(10, b"first"), (20, b"secnd"), (30, b"third")] {
+            t = store.write(t, lsn, payload).unwrap().0;
+        }
+        let [a, b] = store.areas.clone();
+        let mut reopened = CheckpointStore::new(media, a, b);
+        let (data, t) = reopened.read_latest(t);
+        assert_eq!(data.unwrap().payload, b"third");
+        // The next checkpoint goes to area B; power fails before it is
+        // durable, and area A still holds the newest snapshot.
+        reopened.write(t, 40, &[4u8; 50_000]).unwrap();
+        dev.crash(t);
+        let (data, _) = reopened.read_latest(t);
+        let d = data.expect("a checkpoint survives");
+        assert_eq!((d.payload.as_slice(), d.durable_lsn), (&b"third"[..], 30));
+    }
+
+    #[test]
+    fn reading_a_checkpoint_reads_its_header_unit_once() {
+        let (media, mut store, dev) = setup();
+        let geo = media.geometry();
+        // One unit in area A; then, in area B, a snapshot across both of its
+        // chunks: its header unit, the rest of the first chunk, the second
+        // chunk — A's snapshot is read again beside it.
+        for (len, reads) in [(100, 1), (geo.chunk_bytes() as usize + 50_000, 1 + 3)] {
+            let (t, _) = store.write(SimTime::ZERO, 1, &vec![3u8; len]).unwrap();
+            let before = dev.stats();
+            let (data, _) = store.read_latest(t);
+            let after = dev.stats();
+            assert_eq!(data.unwrap().payload.len(), len);
+            let ops = |s: &ocssd::DeviceStats| s.media_reads.ops() + s.cache_reads.ops();
+            assert_eq!(ops(&after) - ops(&before), reads, "{len} bytes");
+        }
     }
 
     #[test]

@@ -521,7 +521,6 @@ pub(crate) fn scan(
     let mut frames = Vec::new();
     let mut stats = ScanStats::default();
     let mut t = now;
-    let mut buf = vec![0u8; unit_bytes];
 
     for &chunk in chunks {
         let info = media.chunk_info(chunk);
@@ -538,12 +537,13 @@ pub(crate) fn scan(
             // Read the first unit to learn the frame length. Bounded retry:
             // a transient uncorrectable read must not silently truncate the
             // replay — that would drop durable frames.
-            let Ok(done) = read(t, sector, geo.ws_min, &mut buf) else {
+            let mut frame_bytes = vec![0u8; unit_bytes];
+            let Ok(done) = read(t, sector, geo.ws_min, &mut frame_bytes) else {
                 break;
             };
             t = done;
             stats.bytes_read += unit_bytes as u64;
-            let mut d = Decoder::new(&buf);
+            let mut d = Decoder::new(&frame_bytes);
             let header_ok = d.u32().map(|m| m == FRAME_MAGIC).unwrap_or(false);
             if !header_ok {
                 stats.torn_frames += 1;
@@ -559,14 +559,16 @@ pub(crate) fn scan(
                 stats.torn_frames += 1;
                 break;
             }
-            // Gather the full frame.
-            let mut frame_bytes = vec![0u8; frame_sectors as usize * SECTOR_BYTES];
-            let Ok(done) = read(t, sector, frame_sectors, &mut frame_bytes) else {
-                break;
-            };
-            t = done;
+            // Read the rest of the frame, behind the unit already read.
             if frame_sectors > geo.ws_min {
-                stats.bytes_read += (frame_sectors - geo.ws_min) as u64 * SECTOR_BYTES as u64;
+                let rest = frame_sectors - geo.ws_min;
+                frame_bytes.resize(frame_sectors as usize * SECTOR_BYTES, 0);
+                let Ok(done) = read(t, sector + geo.ws_min, rest, &mut frame_bytes[unit_bytes..])
+                else {
+                    break;
+                };
+                t = done;
+                stats.bytes_read += rest as u64 * SECTOR_BYTES as u64;
             }
             let payload = &frame_bytes[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + payload_len];
             if crc32c(payload) != crc {
@@ -647,6 +649,47 @@ mod tests {
         assert_eq!(stats.torn_frames, 0);
         assert_eq!(frames[0].first_lsn, 1);
         assert_eq!(frames[0].records, tx(1, 5));
+    }
+
+    #[test]
+    fn a_scan_reads_each_frame_once() {
+        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+        let chunks: Vec<ChunkAddr> = (0..2).map(|i| ChunkAddr::new(0, 0, i)).collect();
+        let (mut wal, mut t) = Wal::format(media.clone(), chunks.clone(), SimTime::ZERO).unwrap();
+        let frames = 5;
+        for txid in 0..frames {
+            for rec in tx(txid, 3) {
+                wal.append(rec);
+            }
+            t = wal.commit(t).unwrap();
+        }
+        // Then one frame of several units.
+        for rec in tx(frames, 8_000) {
+            wal.append(rec);
+        }
+        t = wal.commit(t).unwrap();
+        let reads = |dev: &SharedDevice| {
+            let s = dev.stats();
+            (
+                s.media_reads.ops() + s.cache_reads.ops(),
+                s.media_reads.bytes() + s.cache_reads.bytes(),
+            )
+        };
+        let before = reads(&dev);
+        let (scanned, _, stats) = scan(&media, &chunks, t);
+        let after = reads(&dev);
+        assert_eq!(scanned.len() as u64, frames + 1);
+        assert_eq!(
+            after.0 - before.0,
+            frames + 2,
+            "one read per unit frame, two for the long one"
+        );
+        assert_eq!(
+            stats.bytes_read,
+            after.1 - before.1,
+            "every byte read is counted once"
+        );
     }
 
     #[test]

@@ -208,8 +208,9 @@ struct Extent {
     start: u32,
     sectors: u32,
     /// The buffer holding the payload minus its trailing zeros, at most
-    /// `sectors` sectors of it: a copy, or the writer's own buffer, adopted
-    /// (see [`MediaStore::write_parts`]).
+    /// `sectors` sectors of it: a copy, the writer's own buffer, adopted (see
+    /// [`MediaStore::write_parts`]), or a source extent's, shared by a device
+    /// copy (see [`MediaStore::copy`]).
     data: Arc<[u8]>,
     /// How many bytes at the end of `data` do not count: none of a copy; an
     /// adopted buffer may run on, in zeros, for less than a sector. (Two
@@ -430,10 +431,21 @@ impl MediaStore {
         .map(|(view, ())| view)
     }
 
-    /// Device-internal copy: gathers the sectors `srcs` (chunk index, sector)
-    /// into one new extent at `start`, the destination's write pointer.
-    /// Returns false, storing nothing, if a source is unwritten.
+    /// Device-internal copy of the sectors `srcs` (chunk index, sector) to
+    /// `start`, the destination's write pointer. Sources that are whole
+    /// extents, each read front to back — a unit moved as it was written —
+    /// share their buffers: the copy holds what its sources hold. Any other
+    /// copy is gathered into one buffer and stored as [`MediaStore::write`]
+    /// stores it. Returns false, storing nothing, if a source is unwritten.
     pub(crate) fn copy(&mut self, srcs: &[(usize, u32)], chunk: usize, start: u32) -> bool {
+        if let Some(shared) = self.whole_extents(srcs, start) {
+            if self.chunks.len() <= chunk {
+                self.chunks.resize_with(chunk + 1, Vec::new);
+            }
+            self.chunks[chunk].extend(shared);
+            self.sectors += srcs.len();
+            return true;
+        }
         let mut data = vec![0u8; srcs.len() * SECTOR_BYTES];
         for (&(src_chunk, sector), out) in srcs.iter().zip(data.chunks_exact_mut(SECTOR_BYTES)) {
             if !self.read(src_chunk, sector, out) {
@@ -442,6 +454,31 @@ impl MediaStore {
         }
         self.write(chunk, start, &data);
         true
+    }
+
+    /// The extents `srcs` consists of, sharing their buffers and placed from
+    /// `start` on, when it is whole extents, each from its first sector to
+    /// its last in order.
+    fn whole_extents(&self, srcs: &[(usize, u32)], start: u32) -> Option<Vec<Extent>> {
+        let mut out = Vec::new();
+        let mut rest = srcs;
+        let mut at = start;
+        while let [(chunk, sector), ..] = *rest {
+            let ext = self.extent(chunk, sector).filter(|e| e.start == sector)?;
+            let run = rest.get(..ext.sectors as usize)?;
+            if !(sector..).zip(run).all(|(s, &src)| src == (chunk, s)) {
+                return None;
+            }
+            out.push(Extent {
+                start: at,
+                sectors: ext.sectors,
+                data: ext.data.clone(),
+                spare: ext.spare,
+            });
+            at += ext.sectors;
+            rest = &rest[run.len()..];
+        }
+        Some(out)
     }
 
     /// Discards a chunk's payloads from sector `from` on: everything for a
@@ -622,6 +659,31 @@ mod tests {
         assert_eq!(m.len(), 7);
         assert!(!m.copy(&[(0, 2)], 2, 3), "unwritten source");
         assert_eq!(m.len(), 7);
+    }
+
+    #[test]
+    fn a_copy_of_whole_extents_shares_their_buffers() {
+        let mut m = MediaStore::default();
+        // A header sector in front of its data and padding: two extents.
+        let mut unit = sectors(&[0, 5, 6, 0]);
+        unit[..20].fill(9);
+        m.write(0, 0, &unit);
+        assert!(m.copy(&[(0, 0), (0, 1), (0, 2), (0, 3)], 1, 0));
+        assert_eq!(pieces(&m, 1), pieces(&m, 0));
+        for (copy, source) in m.chunks[1].iter().zip(&m.chunks[0]) {
+            assert!(Arc::ptr_eq(&copy.data, &source.data));
+        }
+        assert_eq!(read(&m, 1, 0, 4), Some(unit.clone()));
+        // Part of an extent, or its sectors out of order, is gathered.
+        assert!(m.copy(&[(0, 1), (0, 2), (0, 2), (0, 1)], 1, 4));
+        assert!(m.chunks[1][2..]
+            .iter()
+            .all(|e| !Arc::ptr_eq(&e.data, &m.chunks[0][1].data)));
+        assert_eq!(read(&m, 1, 4, 4), Some(sectors(&[5, 6, 6, 5])));
+        assert_eq!(m.len(), 12);
+        // The source's reset leaves the copy its bytes.
+        m.truncate(0, 0);
+        assert_eq!(read(&m, 1, 0, 4), Some(unit));
     }
 
     #[test]

@@ -449,6 +449,16 @@ fn resident_bytewise(data: &[u8]) -> usize {
         .sum()
 }
 
+/// Whether the store keeps each sector of one command as a piece of its
+/// own: every sector after the first holds data and follows a zero tail long
+/// enough to split at. A device copy whose sources are whole pieces, in
+/// order, shares their buffers, so it holds what they hold.
+fn split_at_every_sector(data: &[u8]) -> bool {
+    let used: Vec<usize> = data.chunks_exact(SECTOR_BYTES).map(used_bytewise).collect();
+    used.windows(2)
+        .all(|w| w[1] > 0 && SECTOR_BYTES - w[0] >= SECTOR_BYTES / 8)
+}
+
 #[test]
 fn resident_bytes_are_what_the_bytewise_rule_keeps() {
     for geo in geometries() {
@@ -480,8 +490,10 @@ fn resident_bytes_are_what_the_bytewise_rule_keeps() {
                 want[i as usize] += resident_bytewise(&data);
                 // Every third command is followed by a device copy of it,
                 // sectors reversed: what is gathered goes through the same
-                // trim.
-                let room = geo.sectors_per_chunk - wp - geo.ws_min;
+                // trim — unless every sector is a piece of its own, when the
+                // copy is whole pieces and shares them. Where there is room,
+                // a copy in order follows, which always shares.
+                let mut room = geo.sectors_per_chunk - wp - geo.ws_min;
                 if step % 3 == 0 && room >= geo.ws_min {
                     let srcs: Vec<Ppa> = (0..geo.ws_min).rev().map(|s| c.ppa(wp + s)).collect();
                     t = dev.copy(t, &srcs, c).expect(&ctx).done;
@@ -489,7 +501,17 @@ fn resident_bytes_are_what_the_bytewise_rule_keeps() {
                         .rchunks_exact(SECTOR_BYTES)
                         .collect::<Vec<_>>()
                         .concat();
-                    want[i as usize] += resident_bytewise(&gathered);
+                    want[i as usize] += if split_at_every_sector(&data) {
+                        resident_bytewise(&data)
+                    } else {
+                        resident_bytewise(&gathered)
+                    };
+                    room -= geo.ws_min;
+                    if room >= geo.ws_min {
+                        let srcs: Vec<Ppa> = (0..geo.ws_min).map(|s| c.ppa(wp + s)).collect();
+                        t = dev.copy(t, &srcs, c).expect(&ctx).done;
+                        want[i as usize] += resident_bytewise(&data);
+                    }
                 }
                 assert_eq!(dev.resident_bytes(c), want[i as usize], "{ctx} step {step}");
             }

@@ -408,6 +408,76 @@ impl ZnsFtl {
         Ok((start, t))
     }
 
+    /// Zone copy, after NVMe's Simple Copy: appends the sectors of `srcs` —
+    /// ranges of readable sectors, `(zone, sectors)`, in order — at `zone`'s
+    /// write pointer inside the device, so nothing crosses the host link or
+    /// a channel. Together they must be a positive multiple of
+    /// [`ZnsFtl::append_bytes`]. The destination run splits at chunk
+    /// boundaries, one device copy per chunk, all issued at `now`. Returns
+    /// the starting sector and when the last copy is durable (a copy
+    /// bypasses the write cache).
+    pub fn copy(
+        &mut self,
+        now: SimTime,
+        srcs: &[(u32, Range<u64>)],
+        zone: u32,
+    ) -> Result<(u64, SimTime), ZnsError> {
+        let mut from = Vec::new();
+        for (src, range) in srcs {
+            let z = self
+                .zones
+                .get(*src as usize)
+                .ok_or(ZnsError::NoSuchZone(*src))?;
+            if range.end > z.readable {
+                let sector = range.start.max(z.readable);
+                return Err(ZnsError::ReadBeyondWp { zone: *src, sector });
+            }
+            for sector in range.clone() {
+                let (chunk, within) = self.location(z, sector);
+                from.push(chunk.ppa(within));
+            }
+        }
+        let len = from.len() * SECTOR_BYTES;
+        if len == 0 || !len.is_multiple_of(self.geo.ws_min_bytes()) {
+            return Err(ZnsError::BadAppendSize(len));
+        }
+        let zone_sectors = self.zone_sectors;
+        let per_chunk = self.geo.sectors_per_chunk as u64;
+        let z = self
+            .zones
+            .get_mut(zone as usize)
+            .ok_or(ZnsError::NoSuchZone(zone))?;
+        if !matches!(z.state, ZoneState::Empty | ZoneState::Open)
+            || z.wp + from.len() as u64 > zone_sectors
+        {
+            return Err(ZnsError::ZoneNotWritable {
+                zone,
+                state: z.state,
+            });
+        }
+        let start = z.wp;
+        let mut done = now;
+        let mut rest = &from[..];
+        while !rest.is_empty() {
+            let room = (per_chunk - z.wp % per_chunk) as usize;
+            let (piece, tail) = rest.split_at(room.min(rest.len()));
+            let chunk = z.chunks[(z.wp / per_chunk) as usize];
+            done = done.max(self.media.copy(now, piece, chunk)?.done);
+            // A piece that landed stays: the write pointer follows it.
+            rest = tail;
+            z.wp += piece.len() as u64;
+            z.readable = z.wp;
+            z.state = if z.wp == zone_sectors {
+                ZoneState::Full
+            } else {
+                ZoneState::Open
+            };
+        }
+        self.obs.metrics.record("zns.copy", len as u64);
+        self.obs.tracer.span(now, done, "zns", "copy", len as u64);
+        Ok((start, done))
+    }
+
     /// The zone a read of `sectors` sectors at `sector` into a buffer of
     /// `len` bytes may be served from: at least one sector, a buffer of
     /// exactly that many, all of them below the readable mark.
@@ -730,6 +800,115 @@ mod tests {
         let data_sectors = (unit[1].len() / SECTOR_BYTES) as u32;
         let (view, _) = by_view.read_shared(t, 1, start + 1, data_sectors).unwrap();
         assert_eq!(view.bytes().as_ptr(), unit[1].bytes().as_ptr());
+    }
+
+    /// Appends `units` units of `parts` to `zone` and returns their bytes.
+    fn fill(ftl: &mut ZnsFtl, t: &mut SimTime, zone: u32, units: usize, fill: u8) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for i in 0..units {
+            let unit = parts(ftl, 1, fill.wrapping_add(i as u8));
+            *t = ftl.append(*t, zone, &unit).unwrap().1;
+            bytes.extend_from_slice(&Payload::concat(&unit));
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_zone_copy_crosses_chunk_boundaries_and_reads_back_by_copy_and_by_view() {
+        let (mut ftl, dev, mut t) = setup();
+        let ws = ftl.media.geometry().ws_min as u64;
+        let per_chunk = ftl.zone_sectors() / 2;
+        // Zone 1 holds the first chunk and one unit of the second: a source
+        // range across its chunk boundary. Zone 0 stops a unit short of its
+        // boundary: the copy's destination crosses it.
+        let units_per_chunk = (per_chunk / ws) as usize;
+        let src = fill(&mut ftl, &mut t, 1, units_per_chunk + 1, 0x10);
+        fill(&mut ftl, &mut t, 0, units_per_chunk - 1, 0x80);
+        let srcs = [(1, per_chunk - ws..per_chunk + ws), (1, 0..ws)];
+        let (start, done) = ftl.copy(t, &srcs, 0).unwrap();
+        assert_eq!(start, per_chunk - ws);
+        assert_eq!(dev.stats().copies.ops(), 2, "one device copy per chunk");
+        let info = ftl.zone_info(0).unwrap();
+        assert_eq!(
+            (info.state, info.write_pointer),
+            (ZoneState::Open, per_chunk + 2 * ws)
+        );
+        let unit = ws as usize * SECTOR_BYTES;
+        let at = |sector: u64| sector as usize * SECTOR_BYTES;
+        let mut want = src[at(per_chunk - ws)..at(per_chunk + ws)].to_vec();
+        want.extend_from_slice(&src[..unit]);
+        let mut out = vec![0u8; want.len()];
+        ftl.read(done, 0, start, 3 * ws as u32, &mut out).unwrap();
+        assert!(out == want, "by copy");
+        for u in 0..3 {
+            let (view, _) = ftl.read_shared(done, 0, start + u * ws, ws as u32).unwrap();
+            assert!(
+                view.to_vec() == want[u as usize * unit..][..unit],
+                "unit {u} by view"
+            );
+        }
+    }
+
+    #[test]
+    fn a_zone_copy_refuses_partial_units_unreadable_sources_and_unwritable_zones() {
+        let (mut ftl, dev, mut t) = setup();
+        let ws = ftl.media.geometry().ws_min as u64;
+        fill(&mut ftl, &mut t, 1, 2, 1);
+        assert_eq!(
+            ftl.copy(t, &[(1, 0..ws - 1)], 0),
+            Err(ZnsError::BadAppendSize((ws as usize - 1) * SECTOR_BYTES))
+        );
+        assert_eq!(ftl.copy(t, &[], 0), Err(ZnsError::BadAppendSize(0)));
+        assert_eq!(
+            ftl.copy(t, &[(1, ws..3 * ws)], 0),
+            Err(ZnsError::ReadBeyondWp {
+                zone: 1,
+                sector: 2 * ws
+            })
+        );
+        // A finished zone, and one retired by a failed erase.
+        ftl.finish_zone(3).unwrap();
+        let retired = ftl.zones[4].chunks[0];
+        let mut plan = ocssd::FaultPlan::default();
+        plan.erase_fails.push(ocssd::EraseFault {
+            chunk: retired,
+            at_wear: 0,
+        });
+        dev.set_fault_plan(plan);
+        fill(&mut ftl, &mut t, 4, 1, 2);
+        assert!(ftl.reset_zone(t, 4).is_err());
+        for (zone, state) in [(3, ZoneState::Full), (4, ZoneState::Offline)] {
+            assert_eq!(
+                ftl.copy(t, &[(1, 0..ws)], zone),
+                Err(ZnsError::ZoneNotWritable { zone, state })
+            );
+        }
+        assert_eq!(dev.stats().copies.ops(), 0, "nothing reached the device");
+        assert_eq!(ftl.zone_info(0).unwrap().write_pointer, 0);
+    }
+
+    #[test]
+    fn a_zone_copy_spends_no_host_link_or_channel_time() {
+        // Twin devices with the same durable source unit on PU 0; one of
+        // them also has the host link and zone 1's channel booked far ahead
+        // by a burst to zone 2. A copy to zone 1 completes at the same
+        // instant on both, and a host append does not.
+        let run = |busy: bool| {
+            let (mut ftl, dev, mut t) = setup();
+            let ws = ftl.media.geometry().ws_min;
+            fill(&mut ftl, &mut t, 0, 1, 7);
+            t = dev.flush(t).done;
+            if busy {
+                let burst = [Payload::from(vec![3u8; 16 * ftl.append_bytes()])];
+                ftl.append(t, 2, &burst).unwrap();
+            }
+            let copied = ftl.copy(t, &[(0, 0..ws as u64)], 1).unwrap().1;
+            let appended = ftl.append(t, 1, &unit(&ftl, 9)).unwrap().1;
+            (copied, appended)
+        };
+        let (idle, busy) = (run(false), run(true));
+        assert_eq!(busy.0, idle.0, "copy");
+        assert!(busy.1 > idle.1, "the burst holds a host append back");
     }
 
     #[test]

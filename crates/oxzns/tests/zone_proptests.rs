@@ -21,6 +21,9 @@
 //! * **Readable prefix integrity** — every acknowledged append reads back
 //!   byte-identical from the readable prefix, including across injected
 //!   transient read faults (absorbed by the shared bounded-retry loop).
+//! * **Zone copy is an append of its sources' bytes** — accepted where an
+//!   append of the same length would be, refused with the same typed
+//!   errors, and read back as the concatenation of its source ranges.
 
 use ocssd::{
     matrix_geometry, matrix_seeds, DeviceConfig, FaultMix, FaultPlan, OcssdDevice, SharedDevice,
@@ -82,6 +85,8 @@ struct Case {
     seed: u64,
     append_bytes: usize,
     zone_sectors: u64,
+    /// Zone copies the FTL accepted.
+    copies: u64,
 }
 
 impl Case {
@@ -102,6 +107,7 @@ impl Case {
             seed,
             append_bytes,
             zone_sectors,
+            copies: 0,
         }
     }
 
@@ -262,6 +268,79 @@ impl Case {
         self.check(zone, false);
     }
 
+    /// Zone copy of one unit or two, gathered from random ranges of the
+    /// zones' readable prefixes (the destination's own included), to a
+    /// random zone: accepted exactly where an append of the same length
+    /// would be, and read back as the bytes of its sources.
+    fn copy(&mut self, rng: &mut Prng) {
+        let seed = self.seed;
+        let readable: Vec<u32> = (0u32..)
+            .zip(&self.model)
+            .filter(|(_, m)| m.readable > 0)
+            .map(|(z, _)| z)
+            .collect();
+        if readable.is_empty() {
+            return;
+        }
+        let unit = (self.append_bytes / SECTOR_BYTES) as u64;
+        let mut left = rng.gen_range_in(1, 3) * unit;
+        let (mut srcs, mut data) = (Vec::new(), Vec::new());
+        while left > 0 {
+            let from = readable[rng.gen_range(readable.len() as u64) as usize];
+            let m = &self.model[from as usize];
+            let n = rng.gen_range_in(1, left.min(m.readable) + 1);
+            let start = rng.gen_range(m.readable - n + 1);
+            let at = start as usize * SECTOR_BYTES;
+            data.extend_from_slice(&m.data[at..at + n as usize * SECTOR_BYTES]);
+            srcs.push((from, start..start + n));
+            left -= n;
+        }
+        let zone = rng.gen_range(self.model.len() as u64) as u32;
+        let sectors = (data.len() / SECTOR_BYTES) as u64;
+        let m = &self.model[zone as usize];
+        let fits = matches!(m.state, ZoneState::Empty | ZoneState::Open)
+            && m.wp + sectors <= self.zone_sectors;
+        let (prev_wp, prev_state) = (m.wp, m.state);
+        match self.ftl.copy(self.t, &srcs, zone) {
+            Ok((start, t)) => {
+                assert!(
+                    fits || m.broken,
+                    "seed {seed}: zone {zone} copy accepted in {prev_state:?} at wp {prev_wp}"
+                );
+                self.t = self.t.max(t);
+                self.copies += 1;
+                let m = &mut self.model[zone as usize];
+                if !m.broken {
+                    assert_eq!(start, prev_wp, "seed {seed}: copy start != write pointer");
+                    m.wp += sectors;
+                    m.readable = m.wp;
+                    m.data.extend_from_slice(&data);
+                    m.state = if m.wp == self.zone_sectors {
+                        ZoneState::Full
+                    } else {
+                        ZoneState::Open
+                    };
+                    let mut out = vec![0u8; data.len()];
+                    self.ftl
+                        .read(self.t, zone, start, sectors as u32, &mut out)
+                        .unwrap_or_else(|e| panic!("seed {seed}: zone {zone} copy read: {e}"));
+                    assert!(out == data, "seed {seed}: zone {zone} copied bytes differ");
+                }
+            }
+            Err(ZnsError::ZoneNotWritable { .. }) => {
+                assert!(
+                    !fits || m.broken,
+                    "seed {seed}: zone {zone} rejected a fitting copy in {prev_state:?}"
+                );
+            }
+            // An injected program failure under the destination: what landed
+            // before it stays, so only the zone is no longer trusted.
+            Err(ZnsError::Device(_)) => self.model[zone as usize].broken = true,
+            Err(e) => panic!("seed {seed}: zone {zone} copy {srcs:?}: unexpected error {e}"),
+        }
+        self.check(zone, false);
+    }
+
     fn read_beyond_wp(&mut self, rng: &mut Prng) {
         let seed = self.seed;
         let zone = rng.gen_range(self.model.len() as u64) as u32;
@@ -350,10 +429,11 @@ impl Case {
         self.check(zone, true);
     }
 
-    fn run(mut self) {
+    /// Runs the case; returns how many zone copies the FTL accepted.
+    fn run(mut self) -> u64 {
         let mut rng = Prng::seed_from_u64(self.seed ^ 0x5A4E_5321);
         for _ in 0..OPS_PER_CASE {
-            match rng.gen_range(16) {
+            match rng.gen_range(18) {
                 0..=5 => {
                     let units = rng.gen_range_in(1, 5);
                     self.append(&mut rng, units);
@@ -375,7 +455,8 @@ impl Case {
                 9..=11 => self.read_valid(&mut rng),
                 12 => self.read_beyond_wp(&mut rng),
                 13 => self.finish(&mut rng),
-                _ => self.reset(&mut rng),
+                14 | 15 => self.reset(&mut rng),
+                _ => self.copy(&mut rng),
             }
         }
         // Terminal sweep: every zone's final FTL state is self-consistent.
@@ -393,14 +474,16 @@ impl Case {
                 ZoneState::Offline => {}
             }
         }
+        self.copies
     }
 }
 
 #[test]
 fn zone_state_machine_matches_model_on_clean_device() {
-    for seed in matrix_seeds(8) {
-        Case::new(seed, FaultPlan::default()).run();
-    }
+    let copies: u64 = matrix_seeds(8)
+        .map(|seed| Case::new(seed, FaultPlan::default()).run())
+        .sum();
+    assert!(copies > 0, "no zone copy was accepted");
 }
 
 #[test]
@@ -414,10 +497,10 @@ fn zone_state_machine_matches_model_under_fault_matrix() {
         latency_spikes: 1,
         power_cuts: 0,
     };
-    for seed in matrix_seeds(8) {
-        let plan = FaultPlan::random(seed, &geo, &mix);
-        Case::new(seed, plan).run();
-    }
+    let copies: u64 = matrix_seeds(8)
+        .map(|seed| Case::new(seed, FaultPlan::random(seed, &geo, &mix)).run())
+        .sum();
+    assert!(copies > 0, "no zone copy was accepted");
 }
 
 /// The deterministic boundary cases, spelled out once without randomness.

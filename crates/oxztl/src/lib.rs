@@ -23,11 +23,12 @@
 //!   move (`wear_bias`, the PR-9 knob, adds to the cost); a zone with nothing
 //!   live is reset at once, and otherwise the background collector runs only
 //!   while reclaimable garbage exceeds a fixed fraction of live data. An
-//!   in-RAM reverse map says what is live without reading a header; live
-//!   records are copied to the survivor streams, trims carried forward so
-//!   reclaimed zones never resurrect dead data, and the victim recycled with
-//!   `reset_zone`. GC traffic travels the GC route of the media the layer
-//!   is built on ([`ox_core::Media::gc_route`] — an `iosched` tenant in
+//!   in-RAM reverse map says what is live without reading a header; a unit
+//!   that is all live moves to a survivor stream by a zone copy inside the
+//!   device, header included, the live records of any other are repacked on
+//!   the host, trims carried forward so reclaimed zones never resurrect dead
+//!   data, and the victim recycled with `reset_zone`. GC traffic travels the
+//!   GC route of the media the layer is built on ([`ox_core::Media::gc_route`] — an `iosched` tenant in
 //!   `IoClass::Gc`), when it names one.
 //! * **Degradation** — free-zone exhaustion flips the layer into a sticky
 //!   read-only mode ([`ZtlError::ReadOnly`]), mirroring
@@ -279,6 +280,21 @@ fn survivors(runs: &[(usize, Payload)], first: usize, n: usize) -> Payload {
     }
 }
 
+/// What an append unit carries down to its zone.
+#[derive(Clone, Copy)]
+enum Unit<'a> {
+    /// Built on the host: a header naming the unit's LPNs and `trims`, then
+    /// `data`, then padding — sent as parts, so the device keeps `data`'s
+    /// buffer instead of copying it where it can.
+    Parts {
+        data: Option<&'a Payload>,
+        trims: &'a [u64],
+    },
+    /// A whole unit already on media, header included, from `sector` of
+    /// `zone`: copied inside the device, so it keeps its sequence number.
+    Copy { zone: u32, sector: u64 },
+}
+
 /// Host-side state of one zone. All of it is volatile and rebuilt by replay.
 #[derive(Clone, Debug, Default)]
 struct ZoneMeta {
@@ -492,6 +508,11 @@ impl ZtlFtl {
             }
         }
         let done = scans.iter().map(|s| s.2).max().unwrap_or(now);
+        // Sequence order. A unit the collector copied keeps its sequence
+        // number, so until its victim is reset it and its original tie:
+        // the sort is stable and the one scanned last — the higher unit
+        // index, then the higher zone — wins. Both hold the same LPNs and
+        // bytes; the other counts as garbage in its zone.
         records.sort_by_key(|r| r.0);
         self.stats.replayed_units = records.len() as u64;
         self.obs
@@ -507,9 +528,10 @@ impl ZtlFtl {
             }
             for (j, &lpn) in data.iter().enumerate() {
                 self.map_lpn(lpn, zone, unit_start + 1 + j as u64);
-                // Advisory: a relocated record replays with its copy's
-                // sequence number and looks younger than it is until it is
-                // next rewritten.
+                // Advisory: a record the collector repacked on the host
+                // replays with its new unit's sequence number and looks
+                // younger than it is until it is next rewritten. A copied
+                // unit keeps its header, so its records replay true.
                 self.written_at[lpn as usize] = seq;
             }
             self.record_trims(zone, unit_start, &trims);
@@ -769,19 +791,30 @@ impl ZtlFtl {
     }
 
     /// Runs relocation passes while free zones sit below the watermark.
-    /// Bounded: stops when a pass finds no profitable victim.
+    /// Bounded: stops when a pass finds no profitable victim, and after a
+    /// pass that moved records out of a victim still draining, unless the
+    /// write could not allocate otherwise: the next pass would reset that
+    /// victim at an instant after the write arrived, before its records are
+    /// durable anywhere else.
     fn ensure_headroom(&mut self, now: SimTime) -> Result<SimTime, ZtlError> {
         let target = self.headroom_zones();
+        let reserve = self.cfg.gc_reserve_zones as usize;
         let mut t = now;
+        let mut moved_out = false;
         let max_passes = 2 * target.max(1);
         for _ in 0..max_passes {
-            if self.free.len() >= target {
+            let drained_later = self.draining.is_some_and(|(_, ready)| ready > now);
+            if self.free.len() >= target
+                || (moved_out && drained_later && self.free.len() > reserve)
+            {
                 break;
             }
+            let moved = self.stats.gc_relocated_sectors;
             match self.gc_pass(t, true)? {
                 Some(done) => t = done,
                 None => break,
             }
+            moved_out = self.stats.gc_relocated_sectors > moved;
         }
         Ok(t)
     }
@@ -910,21 +943,39 @@ impl ZtlFtl {
     }
 
     /// Moves everything live out of `victim`. What is live comes from the
-    /// reverse map and the zone's trim-unit list — no header is read; the
-    /// live sectors are read one run per unit, all issued at `now`; and
-    /// survivors are packed oldest first into the survivor streams. Returns
-    /// the time from which the victim may be reset — when every record
-    /// superseding one of its own is durable — and the data sectors moved.
+    /// reverse map and the zone's trim-unit list — no header is read. A unit
+    /// whose every data sector holds a live record and which carries no trim
+    /// moves whole, by a device copy; the live sectors of every other unit
+    /// (a short one packs denser on the host) are read one run per unit and
+    /// packed into new units on the host, which alone can write a header.
+    /// Copies and reads are all issued at `now`, and either
+    /// kind of survivor goes oldest first to the survivor stream its age
+    /// picks. Returns the time from which the victim may be reset — when
+    /// every record superseding one of its own is durable — and the data
+    /// sectors moved.
     fn relocate(&mut self, now: SimTime, victim: u32) -> Result<(SimTime, u64), ZtlError> {
         let ws_min = self.geo.ws_min as u64;
         let base = victim as u64 * self.zone_sectors;
-        let victim_units = self.zones[victim as usize].units as u64;
-        // (write clock, lpn, sector within the victim)
+        let meta = &self.zones[victim as usize];
+        let victim_units = meta.units as u64;
+        // Units moved whole: (oldest write clock, unit start, its LPNs).
+        let mut whole: Vec<(u64, u64, Vec<u64>)> = Vec::new();
+        // Live sectors of the others: (write clock, lpn, sector in the victim).
         let mut live: Vec<(u64, u64, u64)> = Vec::new();
-        for sector in 0..victim_units * ws_min {
-            let lpn = self.p2l[(base + sector) as usize];
-            if lpn != UNMAPPED && self.l2p[lpn as usize] == base + sector {
-                live.push((self.written_at[lpn as usize], lpn, sector));
+        for start in (0..victim_units).map(|u| u * ws_min) {
+            let named = (start + 1..start + ws_min)
+                .map(|sector| (self.p2l[(base + sector) as usize], sector))
+                .filter(|&(lpn, _)| lpn != UNMAPPED);
+            let (alive, dead): (Vec<_>, Vec<_>) =
+                named.partition(|&(lpn, sector)| self.l2p[lpn as usize] == base + sector);
+            let trims = meta.trim_units.iter().any(|&(at, _)| at == start);
+            if dead.is_empty() && alive.len() as u64 == self.unit_data && !trims {
+                let lpns: Vec<u64> = alive.iter().map(|&(lpn, _)| lpn).collect();
+                let written = lpns.iter().map(|&l| self.written_at[l as usize]).min();
+                whole.push((written.unwrap_or(0), start, lpns));
+            } else {
+                let clock = |lpn: u64| self.written_at[lpn as usize];
+                live.extend(alive.iter().map(|&(lpn, sector)| (clock(lpn), lpn, sector)));
             }
         }
         // Only the governing (newest) trim record for an LPN is live: it is
@@ -932,13 +983,29 @@ impl ZtlFtl {
         // replay. Stale duplicates from earlier trim/rewrite cycles — and
         // trims whose target has since been rewritten — die with the zone.
         let mut carried_trims: Vec<u64> = Vec::new();
-        for (start, lpns) in &self.zones[victim as usize].trim_units {
+        for (start, lpns) in &meta.trim_units {
             let governing = TRIM_TAG | (base + start);
             carried_trims.extend(lpns.iter().filter(|&&l| self.l2p[l as usize] == governing));
         }
-        // Oldest first (stable, so a unit written whole stays contiguous):
+        // Oldest first (stable, so a unit's live sectors stay contiguous):
         // neighbours in a survivor zone then have similar life expectancy.
+        whole.sort_by_key(|&(written, ..)| written);
         live.sort_by_key(|&(written, ..)| written);
+
+        let clock = self.next_seq;
+        let live_units = self.live_units();
+        let mut moved_units = 0u64;
+        let mut ready = now;
+        for (written, sector, lpns) in &whole {
+            let age = clock.saturating_sub(*written);
+            let stream = self.placement.survivor_stream(age, live_units);
+            let payload = Unit::Copy {
+                zone: victim,
+                sector: *sector,
+            };
+            ready = ready.max(self.append_unit(now, lpns, payload, stream)?);
+            moved_units += 1;
+        }
 
         // Each run of live sectors contiguous in the victim is read as one
         // view of the device's buffer: (index in `live` of its first sector,
@@ -956,10 +1023,6 @@ impl ZtlFtl {
             runs.push((i, view));
             i += run;
         }
-
-        let clock = self.next_seq;
-        let live_units = self.live_units();
-        let mut moved_units = 0u64;
         let unit_data = self.unit_data as usize;
         for (k, unit) in live.chunks(unit_data).enumerate() {
             let stream = self
@@ -967,11 +1030,19 @@ impl ZtlFtl {
                 .survivor_stream(clock.saturating_sub(unit[0].0), live_units);
             let lpns: Vec<u64> = unit.iter().map(|&(_, lpn, _)| lpn).collect();
             let data = survivors(&runs, k * unit_data, unit.len());
-            t = self.append_unit(t, &lpns, Some(&data), &[], stream)?;
+            let payload = Unit::Parts {
+                data: Some(&data),
+                trims: &[],
+            };
+            t = self.append_unit(t, &lpns, payload, stream)?;
             moved_units += 1;
         }
         for batch in carried_trims.chunks(max_trims_per_unit()) {
-            t = self.append_unit(t, &[], None, batch, Stream::GcOld)?;
+            let payload = Unit::Parts {
+                data: None,
+                trims: batch,
+            };
+            t = self.append_unit(t, &[], payload, Stream::GcOld)?;
             moved_units += 1;
         }
 
@@ -981,12 +1052,12 @@ impl ZtlFtl {
         // cache-acknowledged user overwrite, whose loss would otherwise
         // surface an older version still. That is every zone appended to
         // since the last barrier, not the whole device.
-        let mut ready = t;
+        let mut ready = ready.max(t);
         for zone in std::mem::take(&mut self.unflushed) {
             ready = ready.max(self.zns.flush_zone(t, zone)?.done);
         }
         let opened_by = self.zones[victim as usize].stream;
-        let moved = live.len() as u64;
+        let moved = live.len() as u64 + whole.iter().map(|w| w.2.len() as u64).sum::<u64>();
         self.stats.gc_relocated_sectors += moved;
         self.stats.gc_victim_units += victim_units;
         self.stats.gc_victim_live_units += moved_units;
@@ -1065,21 +1136,22 @@ impl ZtlFtl {
         }
     }
 
-    /// Appends one self-identifying unit (`data_lpns` payload sectors in
-    /// `data`, and/or `trim_lpns`) to `stream`, failing over to another zone
-    /// when media underneath the destination fails. The unit goes down in
-    /// parts — header, data, padding — so the device keeps `data`'s buffer
-    /// instead of copying it where it can.
+    /// Appends one self-identifying unit carrying `data_lpns` to `stream`,
+    /// failing over to another zone when media underneath the destination
+    /// fails. Whatever the payload, the unit takes the next tick of the write
+    /// clock, and the destination's turn, counters and closing follow it here.
     fn append_unit(
         &mut self,
         now: SimTime,
         data_lpns: &[u64],
-        data: Option<&Payload>,
-        trim_lpns: &[u64],
+        payload: Unit<'_>,
         stream: Stream,
     ) -> Result<SimTime, ZtlError> {
         let unit_bytes = self.geo.ws_min_bytes();
-        let padding = unit_bytes - SECTOR_BYTES - data.map_or(0, Payload::len);
+        let trim_lpns = match payload {
+            Unit::Parts { trims, .. } => trims,
+            Unit::Copy { .. } => &[],
+        };
         let mut t = now;
         // Failover bound: every zone could in principle fail underneath us.
         let max_attempts = self.zns.zone_count() as usize + 1;
@@ -1087,13 +1159,23 @@ impl ZtlFtl {
             let (zone, alloc_t) = self.dest_zone(t, stream)?;
             t = alloc_t;
             let seq = self.next_seq;
-            let mut parts = Vec::with_capacity(3);
-            parts.push(encode_header(seq, data_lpns, trim_lpns));
-            parts.extend(data.cloned());
-            if padding > 0 {
-                parts.push(Payload::zeros(padding));
-            }
-            match self.zns.append(t, zone, &parts) {
+            let appended = match payload {
+                Unit::Parts { data, trims } => {
+                    let padding = unit_bytes - SECTOR_BYTES - data.map_or(0, Payload::len);
+                    let mut parts = Vec::with_capacity(3);
+                    parts.push(encode_header(seq, data_lpns, trims));
+                    parts.extend(data.cloned());
+                    if padding > 0 {
+                        parts.push(Payload::zeros(padding));
+                    }
+                    self.zns.append(t, zone, &parts)
+                }
+                Unit::Copy { zone: from, sector } => {
+                    let unit = sector..sector + self.geo.ws_min as u64;
+                    self.zns.copy(t, &[(from, unit)], zone)
+                }
+            };
+            match appended {
                 Ok((start, done)) => {
                     self.next_seq = seq + 1;
                     for (j, &lpn) in data_lpns.iter().enumerate() {
@@ -1184,7 +1266,11 @@ impl ZtlFtl {
             // The one copy of the caller's bytes, into the buffer the device
             // keeps.
             let unit = Payload::from(&data[lo..hi]);
-            t = self.append_unit(t, &lpns, Some(&unit), &[], stream)?;
+            let payload = Unit::Parts {
+                data: Some(&unit),
+                trims: &[],
+            };
+            t = self.append_unit(t, &lpns, payload, stream)?;
             off += take;
         }
         self.stats.user_sectors += sectors;
@@ -1261,7 +1347,11 @@ impl ZtlFtl {
         let mut t = now;
         let max_trims = max_trims_per_unit();
         for batch in trims.chunks(max_trims) {
-            t = self.append_unit(t, &[], None, batch, Stream::Cold)?;
+            let payload = Unit::Parts {
+                data: None,
+                trims: batch,
+            };
+            t = self.append_unit(t, &[], payload, Stream::Cold)?;
         }
         self.obs.metrics.record("ztl.trim", trims.len() as u64);
         self.obs.tracer.span(now, t, "ztl", "trim", 0);
@@ -1560,6 +1650,77 @@ mod tests {
                 "seed {seed}: {gc_steps} passes, {cuts} cuts"
             );
             assert!(!ftl.is_degraded(), "seed {seed}");
+        }
+    }
+
+    /// A power cut after a relocation's copies are durable and before its
+    /// victim is reset: each copied unit and its original are both on media
+    /// with the same sequence number. The remount keeps every record, maps
+    /// each tie to the unit it scanned last, and replays the copied records
+    /// with the write clock they had.
+    #[test]
+    fn a_cut_between_durable_copies_and_the_victims_reset_keeps_every_record() {
+        let (mut ftl, dev, mut t) = setup();
+        let records = ftl.capacity_sectors() / 3 * 6 / 10;
+        let record = |id: u64, v: u64| page((id * 7 + v) as u8).repeat(3);
+        let mut version = vec![0u64; records as usize];
+        for id in 0..records {
+            t = ftl.write_sectors(t, id * 3, &record(id, 0)).unwrap();
+        }
+        let mut rng = ox_sim::Prng::seed_from_u64(35);
+        for _ in 0..records / 2 {
+            let id = rng.gen_range(records);
+            version[id as usize] += 1;
+            t = ftl
+                .write_sectors(t, id * 3, &record(id, version[id as usize]))
+                .unwrap();
+        }
+        t = ftl.sync(t).done;
+        // Collector steps until one relocates by copy and leaves its victim
+        // draining.
+        let mut steps = 0;
+        let (victim, ready, copied) = loop {
+            steps += 1;
+            assert!(steps < 64, "the collector never relocated by copy");
+            let (copies, l2p) = (dev.stats().copies.ops(), ftl.l2p.clone());
+            t = ftl.maybe_gc(t).unwrap().max(t) + ox_sim::SimDuration::from_micros(50);
+            match ftl.draining {
+                Some((victim, ready)) if dev.stats().copies.ops() > copies => {
+                    let base = victim as u64 * ftl.zone_sectors;
+                    let moved: Vec<(u64, u64)> = (0..ftl.capacity_sectors())
+                        .filter(|&l| (base..base + ftl.zone_sectors).contains(&l2p[l as usize]))
+                        .map(|l| (l, l2p[l as usize]))
+                        .collect();
+                    break (victim, ready, moved);
+                }
+                _ => {}
+            }
+        };
+        assert!(!copied.is_empty());
+        let written: Vec<u64> = copied
+            .iter()
+            .map(|&(l, _)| ftl.written_at[l as usize])
+            .collect();
+        let copies: Vec<u64> = copied.iter().map(|&(l, _)| ftl.l2p[l as usize]).collect();
+        dev.crash(ready);
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
+        let (mut re, t) = ZtlFtl::open(media, tiny_cfg(), ready).unwrap();
+        assert_ne!(re.zns.zone_info(victim).unwrap().state, ZoneState::Empty);
+        let mut out = vec![0u8; 3 * SECTOR_BYTES];
+        for id in 0..records {
+            re.read_sectors(t, id * 3, 3, &mut out).unwrap();
+            assert!(out == record(id, version[id as usize]), "record {id}");
+        }
+        assert_reverse_map_matches_headers(&mut re, t, "after the cut");
+        let ws_min = re.geo.ws_min as u64;
+        // Scan order: unit index within the zone, then zone.
+        let scanned = |loc: u64| (loc % re.zone_sectors / ws_min, loc / re.zone_sectors);
+        for (i, &(lpn, original)) in copied.iter().enumerate() {
+            let last = [original, copies[i]]
+                .into_iter()
+                .max_by_key(|&l| scanned(l));
+            assert_eq!(Some(re.l2p[lpn as usize]), last, "lpn {lpn}");
+            assert_eq!(re.written_at[lpn as usize], written[i], "lpn {lpn}");
         }
     }
 

@@ -6,7 +6,9 @@
 #   scripts/bench-trajectory.sh           rerun the quick runs and check each
 #                                         against the file's last line for its
 #                                         workload (exit 1 on any drift)
-#   scripts/bench-trajectory.sh --append  rerun them and append their lines
+#   scripts/bench-trajectory.sh --append  rerun them, print the same check
+#                                         without gating on it (the rows this
+#                                         change moved), and append their lines
 #
 # The check is `oxperf compare --identical` with the three host metrics
 # (wall_ns_per_op, peak_rss_mb, setup_s) dropped from both sides: every
@@ -26,11 +28,6 @@ for w in $workloads; do
     benchmark/run.sh --workload "$w" --seed 1 --seconds 1 --quick --trace 0 \
         --out "$work/run.jsonl" > /dev/null
 done
-
-if [ "${1:-}" = "--append" ]; then
-    cat "$work/run.jsonl" >> "$trajectory"
-    exit 0
-fi
 
 python3 - "$trajectory" "$work" <<'EOF'
 import json, sys
@@ -55,4 +52,9 @@ for name, recs in (("last", [last[r["workload"]] for r in runs]), ("run", runs))
             r["values"] = {k: v for k, v in r["values"].items() if k not in host}
             out.write(json.dumps(r) + "\n")
 EOF
+if [ "${1:-}" = "--append" ]; then
+    "$oxperf" compare "$work/last.virtual.jsonl" "$work/run.virtual.jsonl" --identical || true
+    cat "$work/run.jsonl" >> "$trajectory"
+    exit 0
+fi
 "$oxperf" compare "$work/last.virtual.jsonl" "$work/run.virtual.jsonl" --identical
