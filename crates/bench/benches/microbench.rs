@@ -10,6 +10,10 @@
 //! where a per-op byte count applies.
 //!
 //! Usage: `cargo bench -p ox-bench` (add `-- <filter>` to run a subset).
+#![expect(
+    clippy::disallowed_types,
+    reason = "wall-clock microbenchmarks: host time is what they measure"
+)]
 
 use lsmkv::{BlockBuilder, BloomFilter};
 use ocssd::{ChunkAddr, DeviceConfig, Geometry, OcssdDevice, Ppa, SECTOR_BYTES};

@@ -5,7 +5,7 @@
 //! then writes exactly that text to `results/<name>[.<backend>][.quick].txt`
 //! and the run's observability snapshot beside it. The text is a function of
 //! `(mode, seed)` alone — nothing under `crates/bench/src/` reads the host
-//! clock (oxcheck L2) — so `scripts/regen-results.sh` reproduces the
+//! clock (the root `clippy.toml` bans it) — so `scripts/regen-results.sh` reproduces the
 //! committed tables byte for byte. Status messages go to stderr and are not
 //! part of the report.
 

@@ -96,7 +96,7 @@ mod tests {
         assert_eq!(l.checkpoint_a.len(), 2);
         assert_eq!(l.checkpoint_b.len(), 2);
         // First 16 WAL chunks land on 16 distinct PUs (device has 32).
-        let pus: std::collections::HashSet<u32> =
+        let pus: std::collections::BTreeSet<u32> =
             l.wal_chunks.iter().map(|c| c.pu_linear(&geo)).collect();
         assert_eq!(pus.len(), 16);
     }
@@ -106,7 +106,7 @@ mod tests {
         let geo = Geometry::paper_tlc_scaled(22, 8);
         let l = Layout::plan(&geo, LayoutConfig::default());
         let reserved = l.reserved_linear(&geo);
-        let unique: std::collections::HashSet<u64> = reserved.iter().copied().collect();
+        let unique: std::collections::BTreeSet<u64> = reserved.iter().copied().collect();
         assert_eq!(unique.len(), reserved.len(), "no overlap between regions");
         assert_eq!(reserved.len(), 16 + 2 + 2);
     }

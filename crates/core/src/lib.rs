@@ -36,6 +36,16 @@
 //! device's vectored writes are not atomic.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod badblock;
 pub mod checkpoint;

@@ -214,7 +214,6 @@ impl Provisioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     fn geo() -> Geometry {
         Geometry::paper_tlc_scaled(22, 8)
@@ -260,7 +259,7 @@ mod tests {
         let g = geo();
         let mut p = Provisioner::fresh(g, &[]);
         let units = g.write_units_per_chunk();
-        let mut chunks_seen = HashSet::new();
+        let mut chunks_seen = BTreeSet::new();
         for i in 0..units + 1 {
             let s = p.allocate_on_pu(0).unwrap();
             chunks_seen.insert(s.chunk.chunk);
@@ -307,7 +306,7 @@ mod tests {
         p.release_chunk(c); // ignored
         assert_eq!(p.offline_chunks(), 1);
         // The chunk never comes back from allocation either.
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         while let Some(k) = p.take_free_chunk(0) {
             seen.insert(k.chunk);
         }

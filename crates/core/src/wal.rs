@@ -356,7 +356,10 @@ impl Wal {
         // ring slot, so the loop terminates in at most `capacity_chunks()`
         // iterations (then `advance_chunk` reports `LogFull`).
         let (addr, write) = loop {
-            // oxcheck:allow(panic_path): format() seeds one segment and every retire/advance below preserves it; an empty ring is a logic bug, not a recoverable device state.
+            #[expect(
+                clippy::expect_used,
+                reason = "format() seeds one segment and every retire/advance below preserves it; an empty ring is a logic bug, not a recoverable device state"
+            )]
             let seg = self.segments.back().expect("active segment");
             let addr = self.chunks[seg.ring_idx];
             match self.media.write(now, addr.ppa(self.wp), &bytes) {
@@ -371,7 +374,10 @@ impl Wal {
         };
         let durable = self.media.flush_chunk(write.done, addr).done;
         self.wp += sectors;
-        // oxcheck:allow(panic_path): same invariant as above — the ring always holds an active segment.
+        #[expect(
+            clippy::expect_used,
+            reason = "same invariant as above: the ring always holds an active segment"
+        )]
         let seg = self.segments.back_mut().expect("active segment");
         seg.last_lsn = last_lsn;
         self.durable_lsn = last_lsn;

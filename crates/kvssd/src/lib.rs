@@ -25,6 +25,16 @@
 //! block and zone interfaces on one device.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use ocssd::{DeviceError, Geometry, SECTOR_BYTES};
 use ox_core::gc::{GarbageCollector, GcConfig};
@@ -359,11 +369,14 @@ impl KvSsd {
                 value[off..off + SECTOR_BYTES].copy_from_slice(data);
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "indexed ⇒ staged or mapped: a sector leaves `staged` (checked just above) only in `flush_staged`, after `record` mapped it, and GC remaps before it resets; neither is a media state"
+            )]
             let ppa = self
                 .space
                 .map
                 .lookup(self.slot(lpn))
-                // oxcheck:allow(panic_path): indexed ⇒ staged or mapped — a sector leaves `staged` (checked just above) only in `flush_staged`, after `record` mapped it, and GC remaps before it resets; neither is a media state.
                 .expect("indexed value must be staged or mapped");
             // Transient ECC exhaustion recovers under read-retry.
             let sector = &mut value[off..off + SECTOR_BYTES];

@@ -4,7 +4,7 @@
 //! KV-SSD cannot remount yet (ROADMAP, "every interface recovers").
 //!
 //! A put/overwrite/delete/get mix of mixed value sizes runs against a
-//! `HashMap` model on a device small enough, and under a watermark high
+//! `BTreeMap` model on a device small enough, and under a watermark high
 //! enough, that the collector relocates throughout. Every operation must
 //! succeed or be refused with the typed `OutOfSpace`; every acknowledged
 //! value must read back. Seeds and geometry come from `OX_FAULT_SEED_BASE` /
@@ -18,7 +18,7 @@ use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::{Media, OcssdMedia};
 use ox_kvssd::{KvError, KvSsd, KvSsdConfig};
 use ox_sim::{Prng, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const KEYS: u64 = 48;
@@ -70,11 +70,11 @@ fn acknowledged_values_survive_seeded_media_faults() {
         dev.set_fault_plan(FaultPlan::random(seed, &geo, &mix));
 
         let mut rng = Prng::seed_from_u64(seed ^ 0x6B76_5353);
-        let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         // Keys whose last put or delete was refused: the refusal may have
         // come before or after the index changed, so either state is right
         // until the next acknowledged operation on the key settles it.
-        let mut unsettled: HashSet<Vec<u8>> = HashSet::new();
+        let mut unsettled: BTreeSet<Vec<u8>> = BTreeSet::new();
         for i in 0..OPS {
             let key = format!("key{}", rng.gen_range(KEYS)).into_bytes();
             match rng.gen_range(10) {

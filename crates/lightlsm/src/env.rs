@@ -826,7 +826,7 @@ mod tests {
         let data = table_data(&ftl, (32 * geo.write_units_per_chunk()) as usize, 1);
         let (id, _) = ftl.flush_table(t0, &data).unwrap();
         let ext = ftl.table(id).unwrap();
-        let pus: std::collections::HashSet<u32> =
+        let pus: std::collections::BTreeSet<u32> =
             ext.chunks.iter().map(|c| c.pu_linear(&geo)).collect();
         assert_eq!(pus.len(), 32, "one chunk per PU");
     }
@@ -837,14 +837,14 @@ mod tests {
         let data = table_data(&ftl, 64, 1);
         let (id1, t1) = ftl.flush_table(t0, &data).unwrap();
         let (id2, _) = ftl.flush_table(t1, &data).unwrap();
-        let g1: std::collections::HashSet<u32> = ftl
+        let g1: std::collections::BTreeSet<u32> = ftl
             .table(id1)
             .unwrap()
             .chunks
             .iter()
             .map(|c| c.group)
             .collect();
-        let g2: std::collections::HashSet<u32> = ftl
+        let g2: std::collections::BTreeSet<u32> = ftl
             .table(id2)
             .unwrap()
             .chunks

@@ -24,6 +24,16 @@
 //!   becomes unnecessary (the §5 atomicity-fallacy hint).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod env;
 mod placement;

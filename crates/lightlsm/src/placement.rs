@@ -115,7 +115,7 @@ mod tests {
         let g = geo();
         let ext = horizontal_extent(&g, 96);
         // First 32 blocks land on 32 distinct PUs, sector 0.
-        let mut pus = std::collections::HashSet::new();
+        let mut pus = std::collections::BTreeSet::new();
         for i in 0..32 {
             let (c, s) = ext.block_location(&g, i);
             assert_eq!(s, 0);

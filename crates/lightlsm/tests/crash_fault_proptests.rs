@@ -17,7 +17,7 @@ use ox_core::faultharness::{
 };
 use ox_core::{Media, OcssdMedia};
 use ox_sim::SimTime;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const SLOTS: u64 = 16;
@@ -28,7 +28,7 @@ struct LsmHost {
     ftl: LightLsm,
     config: LightLsmConfig,
     /// Table holding the latest *committed* version per slot.
-    latest: HashMap<u64, TableId>,
+    latest: BTreeMap<u64, TableId>,
 }
 
 impl LsmHost {
@@ -41,7 +41,7 @@ impl LsmHost {
                 dev,
                 ftl,
                 config,
-                latest: HashMap::new(),
+                latest: BTreeMap::new(),
             },
             t,
         )

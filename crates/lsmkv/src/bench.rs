@@ -5,6 +5,11 @@
 //! no compression and no block cache. Each client is a virtual-time actor;
 //! one background flusher and one background compactor run alongside, so
 //! flush/compaction interference on the device shows up in client latency.
+#![expect(
+    clippy::panic,
+    clippy::expect_used,
+    reason = "a figure driver, not a storage path: a failed op aborts the run it measures"
+)]
 
 use crate::db::{DbIter, PutOutcome, SharedDb};
 use ox_sim::stats::TimeSeries;

@@ -175,8 +175,11 @@ pub struct OcssdDevice {
 impl OcssdDevice {
     /// Builds a device; panics on invalid geometry. Prefer
     /// [`OcssdDevice::try_new`] when the geometry comes from user input.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: the compiled-in paper geometries always validate; fallible construction is try_new"
+    )]
     pub fn new(config: DeviceConfig) -> Self {
-        // oxcheck:allow(panic_path): documented contract — the compiled-in paper geometries always validate; fallible construction is try_new.
         Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -28,6 +28,16 @@
 //! ([`ox_sim::SimTime`]), making every experiment deterministic.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod addr;
 mod cache;

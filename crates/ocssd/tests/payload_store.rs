@@ -39,7 +39,7 @@ use ocssd::{
     PayloadBuf, Ppa, ReadFault, ReliabilityConfig, SECTOR_BYTES,
 };
 use ox_sim::{Prng, SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Chunks the workloads touch: two parallel units' worth of a few chunks.
 const CHUNKS: u64 = 6;
@@ -65,7 +65,7 @@ fn used_bytewise(data: &[u8]) -> usize {
 /// from dense sector index to the sector's bytes minus its trailing zeros.
 #[derive(Default)]
 struct SectorMap {
-    sectors: HashMap<u64, Box<[u8]>>,
+    sectors: BTreeMap<u64, Box<[u8]>>,
 }
 
 impl SectorMap {

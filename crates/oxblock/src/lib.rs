@@ -17,6 +17,16 @@
 //! interval vs. recovery time) and the §4.3 GC-locality measurement.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod ftl;
 

@@ -471,10 +471,10 @@ mod tests {
             ),
             // Line comment text is captured (pragmas need it).
             (
-                "x // oxcheck:allow(panic_path) why\ny",
+                "x // oxcheck:allow(unreferenced_pub) why\ny",
                 &[
                     (Ident, "x"),
-                    (LineComment, " oxcheck:allow(panic_path) why"),
+                    (LineComment, " oxcheck:allow(unreferenced_pub) why"),
                     (Ident, "y"),
                 ],
             ),

@@ -1,14 +1,13 @@
-//! One Rust source file as the lints read it, lexed once.
+//! One Rust source file as L11 reads it, lexed once.
 //!
 //! A [`FileModel`] holds the comment-free token stream plus the three
-//! scopes the lints consult: which lines are test code (`#[cfg(test)]`
-//! items, `mod tests` blocks, whole-file test trees), which lie inside
-//! `macro_rules!` bodies, and which an `// oxcheck:allow(<lint>)` pragma
-//! covers. There is no symbol layer: every lint is a rule over tokens.
+//! scopes L11 consults: which lines are test code (`#[cfg(test)]` items,
+//! `mod tests` blocks, whole-file test trees), which lie inside
+//! `macro_rules!` bodies, and which an `// oxcheck:allow(unreferenced_pub)`
+//! pragma covers. There is no symbol layer: the lint is a rule over tokens.
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::Finding;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// One lexed source file and its scopes.
 pub(crate) struct FileModel {
@@ -17,11 +16,11 @@ pub(crate) struct FileModel {
     /// Comment-free token stream.
     pub(crate) tokens: Vec<Token>,
     /// Test-scoped lines; line 0 is the "entire file is test code" sentinel.
-    test_lines: HashSet<u32>,
+    test_lines: BTreeSet<u32>,
     /// Lines inside `macro_rules!` bodies.
-    macro_lines: HashSet<u32>,
-    /// Lint names each line's pragmas allow.
-    allows: HashMap<u32, HashSet<String>>,
+    macro_lines: BTreeSet<u32>,
+    /// Lines an `oxcheck:allow(unreferenced_pub)` pragma covers.
+    allowed_lines: BTreeSet<u32>,
 }
 
 impl FileModel {
@@ -34,7 +33,7 @@ impl FileModel {
             path: path.to_string(),
             test_lines: test_region_lines(&tokens, whole_file_is_test(path)),
             macro_lines: macro_body_lines(&tokens),
-            allows: pragma_allows(&comments),
+            allowed_lines: pragma_lines(&comments),
             tokens,
         }
     }
@@ -49,36 +48,21 @@ impl FileModel {
         self.macro_lines.contains(&line)
     }
 
-    /// Whether a pragma on `f`'s line or the line above allows it.
-    pub(crate) fn allows(&self, f: &Finding) -> bool {
-        self.allows
-            .get(&f.line)
-            .is_some_and(|set| set.contains(f.lint.name()) || set.contains("all"))
+    /// Whether a pragma on `line` or the line above allows a finding there.
+    pub(crate) fn allows(&self, line: u32) -> bool {
+        self.allowed_lines.contains(&line)
     }
 }
 
-/// Lines (1-based) whose findings each pragma suppresses: its own line and
-/// the following one, so both trailing and preceding pragma styles work.
-fn pragma_allows(comments: &[Token]) -> HashMap<u32, HashSet<String>> {
-    let mut map: HashMap<u32, HashSet<String>> = HashMap::new();
-    for t in comments {
-        let Some(at) = t.text.find("oxcheck:allow(") else {
-            continue;
-        };
-        let rest = &t.text[at + "oxcheck:allow(".len()..];
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        for name in rest[..close].split(',') {
-            let name = name.trim().to_string();
-            if name.is_empty() {
-                continue;
-            }
-            map.entry(t.line).or_default().insert(name.clone());
-            map.entry(t.line + 1).or_default().insert(name);
-        }
-    }
-    map
+/// Lines (1-based) each `oxcheck:allow(unreferenced_pub)` pragma covers:
+/// its own line and the following one, so both trailing and preceding
+/// pragma styles work.
+fn pragma_lines(comments: &[Token]) -> BTreeSet<u32> {
+    comments
+        .iter()
+        .filter(|t| t.text.contains("oxcheck:allow(unreferenced_pub)"))
+        .flat_map(|t| [t.line, t.line + 1])
+        .collect()
 }
 
 /// Whether a path is test-only by construction (integration test trees and
@@ -89,8 +73,8 @@ fn whole_file_is_test(rel_path: &str) -> bool {
 
 /// Returns the set of source lines that belong to test-scoped code:
 /// items annotated `#[cfg(test)]` and modules named `tests`.
-fn test_region_lines(code: &[Token], whole_file: bool) -> HashSet<u32> {
-    let mut lines = HashSet::new();
+fn test_region_lines(code: &[Token], whole_file: bool) -> BTreeSet<u32> {
+    let mut lines = BTreeSet::new();
     if whole_file {
         // Cheap sentinel: line 0 marks "everything is test code".
         lines.insert(0);
@@ -136,8 +120,8 @@ fn test_region_lines(code: &[Token], whole_file: bool) -> HashSet<u32> {
 }
 
 /// Lines spanned by `macro_rules!` bodies: token soup until expanded.
-fn macro_body_lines(code: &[Token]) -> HashSet<u32> {
-    let mut lines = HashSet::new();
+fn macro_body_lines(code: &[Token]) -> BTreeSet<u32> {
+    let mut lines = BTreeSet::new();
     for (i, t) in code.iter().enumerate() {
         if t.kind != TokenKind::Ident || t.text != "macro_rules" {
             continue;
@@ -162,7 +146,7 @@ fn macro_body_lines(code: &[Token]) -> HashSet<u32> {
 
 /// Index of the bracket matching `code[open]` (which must be `open_sym`),
 /// or the last token if unbalanced.
-pub(crate) fn match_bracket(code: &[Token], open: usize, open_sym: &str, close_sym: &str) -> usize {
+fn match_bracket(code: &[Token], open: usize, open_sym: &str, close_sym: &str) -> usize {
     let mut depth = 0i64;
     for (j, t) in code.iter().enumerate().skip(open) {
         if t.kind == TokenKind::Punct {

@@ -80,11 +80,14 @@ impl ControllerCpu {
     /// Returns the completion time of the copies.
     pub fn charge_write(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let service = self.model.write_service_time(bytes);
+        #[expect(
+            clippy::expect_used,
+            reason = "new() asserts model.cores > 0, so the pool is never empty"
+        )]
         let core = self
             .cores
             .iter_mut()
             .min_by_key(|c| c.busy_until())
-            // oxcheck:allow(panic_path): new() asserts model.cores > 0, so the pool is never empty.
             .expect("non-empty pool");
         let grant = core.acquire(now, service);
         self.bytes_copied += bytes * self.model.copies_per_write as u64;

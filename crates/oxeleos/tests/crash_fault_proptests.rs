@@ -18,7 +18,7 @@ use ox_core::faultharness::{
 use ox_core::{Media, OcssdMedia};
 use ox_eleos::{EleosConfig, EleosFtl, LogAddr};
 use ox_sim::SimTime;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const SLOTS: u64 = 16;
@@ -29,7 +29,7 @@ struct EleosHost {
     ftl: EleosFtl,
     config: EleosConfig,
     /// Log address of the latest *committed* buffer per slot.
-    latest: HashMap<u64, LogAddr>,
+    latest: BTreeMap<u64, LogAddr>,
 }
 
 impl EleosHost {
@@ -46,7 +46,7 @@ impl EleosHost {
                 dev,
                 ftl,
                 config,
-                latest: HashMap::new(),
+                latest: BTreeMap::new(),
             },
             t,
         )

@@ -18,6 +18,16 @@
 //! checkpoints** — the simplification ZNS buys over a block FTL.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use ocssd::{ChunkAddr, ChunkState, Completion, DeviceError, Geometry, Payload, SECTOR_BYTES};
 use ox_core::retry::{read_shared_with_policy, read_with_policy};

@@ -41,6 +41,16 @@
 //! zoned one — the cross-interface ablation the ROADMAP asks for.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod media;
 mod placement;

@@ -17,7 +17,7 @@ use ox_core::codec::crc32c;
 use ox_core::{Media, OcssdMedia};
 use ox_sim::{Prng, SimDuration, SimTime};
 use oxztl::ZtlFtl;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn setup() -> (ZtlFtl, SharedDevice, SimTime) {
@@ -39,8 +39,8 @@ fn record(rng: &mut Prng, sectors: u64) -> Vec<u8> {
 }
 
 /// Every written sector of the device, as a view, by chunk and sector.
-fn views(dev: &SharedDevice, t: SimTime) -> HashMap<(ChunkAddr, u32), Payload> {
-    let mut all = HashMap::new();
+fn views(dev: &SharedDevice, t: SimTime) -> BTreeMap<(ChunkAddr, u32), Payload> {
+    let mut all = BTreeMap::new();
     for (chunk, info) in dev.with(|d| d.report_all_chunks()) {
         for s in 0..info.write_ptr {
             let (view, _) = dev.read_shared(t, chunk.ppa(s), 1).unwrap();
@@ -58,10 +58,10 @@ fn is_data(view: &Payload) -> bool {
 /// Fills the device with three-sector records — one append unit each — and
 /// rewrites some of them, whole or (`partly`) one sector at a time, until
 /// the collector has work to do. Returns the device's contents by record.
-fn churn(ftl: &mut ZtlFtl, t: &mut SimTime, partly: bool) -> HashMap<u64, Vec<u8>> {
+fn churn(ftl: &mut ZtlFtl, t: &mut SimTime, partly: bool) -> BTreeMap<u64, Vec<u8>> {
     let mut rng = Prng::seed_from_u64(25);
     let records = ftl.capacity_sectors() / 3 * 6 / 10;
-    let mut model = HashMap::new();
+    let mut model = BTreeMap::new();
     for id in 0..records {
         let data = record(&mut rng, 3);
         *t = ftl.write_sectors(*t, id * 3, &data).unwrap();
@@ -98,7 +98,7 @@ fn relocating_step(ftl: &mut ZtlFtl, t: &mut SimTime) -> u64 {
     panic!("the collector never relocated");
 }
 
-fn read_back(ftl: &mut ZtlFtl, t: SimTime, model: &HashMap<u64, Vec<u8>>) {
+fn read_back(ftl: &mut ZtlFtl, t: SimTime, model: &BTreeMap<u64, Vec<u8>>) {
     let mut out = vec![0u8; 3 * SECTOR_BYTES];
     for (&id, want) in model {
         ftl.read_sectors(t, id * 3, 3, &mut out).unwrap();
@@ -110,11 +110,11 @@ fn read_back(ftl: &mut ZtlFtl, t: SimTime, model: &HashMap<u64, Vec<u8>>) {
 /// that share a buffer (and offset) with a sector `before` held, and those
 /// that do not.
 fn relocated(
-    before: &HashMap<(ChunkAddr, u32), Payload>,
-    after: &HashMap<(ChunkAddr, u32), Payload>,
+    before: &BTreeMap<(ChunkAddr, u32), Payload>,
+    after: &BTreeMap<(ChunkAddr, u32), Payload>,
     counts: fn(&Payload) -> bool,
 ) -> (usize, usize) {
-    let held: std::collections::HashSet<*const u8> =
+    let held: std::collections::BTreeSet<*const u8> =
         before.values().map(|v| v.bytes().as_ptr()).collect();
     let fresh = after
         .iter()

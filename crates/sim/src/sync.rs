@@ -16,8 +16,8 @@
 //! `lock()` / `read()` / `write()` return guards directly, which keeps call
 //! sites identical to the `parking_lot` API the workspace used before it went
 //! dependency-free. A panic that unwinds through a held guard releases it;
-//! nothing is poisoned. The `oxcheck` L1 lint (`std_sync_lock`) keeps raw
-//! `std::sync` locks out of the rest of the workspace.
+//! nothing is poisoned. The root `clippy.toml` bans raw `std::sync` locks
+//! everywhere in the workspace.
 
 use std::cell::{Ref, RefCell, RefMut};
 

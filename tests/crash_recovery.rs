@@ -10,7 +10,7 @@ use ox_workbench::ox_block::{BlockFtl, BlockFtlConfig};
 use ox_workbench::ox_core::layout::LayoutConfig;
 use ox_workbench::ox_core::{Media, OcssdMedia};
 use ox_workbench::ox_sim::{Prng, SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const CAPACITY: u64 = 32 * 1024 * 1024;
@@ -46,7 +46,7 @@ fn crash_and_recover(checkpoint_interval: Option<SimDuration>, seed: u64) {
 
     let crash_at_target = SimTime::from_nanos(400_000_000); // 0.4 virtual seconds
     let mut rng = Prng::seed_from_u64(seed);
-    let mut version: HashMap<u64, u32> = HashMap::new();
+    let mut version: BTreeMap<u64, u32> = BTreeMap::new();
     let mut txn = 0u32;
     let mut checkpoints = 0u32;
 

@@ -3,9 +3,8 @@
 //!
 //! The whole stack is virtual-time simulation with seeded PRNGs; the only
 //! way two same-seed runs can diverge is real nondeterminism leaking in —
-//! hash-ordered iteration (why the L12 `hash_container` lint keeps hash
-//! containers out of storage code and the figure harness), wall-clock reads
-//! (L2, which covers the figure harness too), or address reuse. Comparing the report
+//! hash-ordered iteration or wall-clock reads (why the root `clippy.toml`
+//! bans hash containers and the host clock), or address reuse. Comparing the report
 //! text as `results/<name>.txt` would carry it plus the full metrics +
 //! trace JSON catches divergence anywhere in the stack, not just in a
 //! figure's summary numbers — and is what lets `results/` be regenerated

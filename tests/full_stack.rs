@@ -67,7 +67,7 @@ fn workload_through_all_layers_verifies() {
         store.with_ftl(|f| {
             for id in f.table_ids() {
                 let ext = f.table(id).unwrap().clone();
-                let groups: std::collections::HashSet<u32> =
+                let groups: std::collections::BTreeSet<u32> =
                     ext.chunks.iter().map(|c| c.group).collect();
                 match placement {
                     Placement::Vertical => assert_eq!(groups.len(), 1),

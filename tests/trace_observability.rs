@@ -18,7 +18,7 @@ use ox_workbench::ox_core::{Media, OcssdMedia};
 use ox_workbench::ox_sim::trace::{MetricsSnapshot, Obs, TracePhase};
 use ox_workbench::ox_sim::SimTime;
 use oxztl::{RoutedMedia, ZtlConfig, ZtlFtl, ZtlMedia};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A device reporting into `obs`, and the raw media over it.
@@ -74,7 +74,7 @@ fn spans_pair_and_counters_reconcile_across_the_stack() {
 
     // Every begin has exactly one end with the same span id, subsystem and
     // op, and the span does not close before it opens.
-    let mut open: HashMap<u64, &ox_workbench::ox_sim::trace::TraceEvent> = HashMap::new();
+    let mut open: BTreeMap<u64, &ox_workbench::ox_sim::trace::TraceEvent> = BTreeMap::new();
     for ev in &events {
         match ev.phase {
             TracePhase::Begin => {
