@@ -23,7 +23,6 @@
 //! per *virtual* second, steady-state write amplification measured over
 //! the run phase from device counters, and p50/p99 latency.
 
-use crate::backend::BenchBackend;
 use crate::ycsb::{
     self, YcsbBackend, YcsbConfig, YcsbGet, YcsbPut, YcsbReport, YcsbScan, YcsbWorkload,
 };
@@ -460,46 +459,35 @@ where
     cells
 }
 
-/// Runs the three-interface ablation, or the one interface `only` names
-/// (the `OX_BACKEND` matrix leg).
-pub fn run(cfg: &AblationConfig, only: Option<BenchBackend>, obs: &Obs) -> AblationResult {
-    let wanted = |b: BenchBackend| only.is_none_or(|o| o == b);
+/// Runs the three-interface ablation.
+pub fn run(cfg: &AblationConfig, obs: &Obs) -> AblationResult {
+    let value_bytes = cfg.ycsb(YcsbWorkload::A).value_bytes;
     let mut cells = Vec::new();
-    if wanted(BenchBackend::OxBlock) {
-        cells.extend(run_backend::<BlockAblation, _>(cfg, obs, |m| {
-            // Slot space sized to the population; the device provides the
-            // over-provisioning headroom.
-            BlockAblation::format(m, cfg.record_count, cfg.ycsb(YcsbWorkload::A).value_bytes)
-        }));
-    }
-    if wanted(BenchBackend::Oxztl) {
-        cells.extend(run_backend::<ZtlAblation, _>(cfg, obs, |m| {
-            let value_bytes = cfg.ycsb(YcsbWorkload::A).value_bytes;
-            let (b, t) = ZtlAblation::format(m, ZtlConfig::default());
-            (b.with_value_bytes(value_bytes), t)
-        }));
-    }
-    if wanted(BenchBackend::Kvssd) {
-        cells.extend(run_backend::<KvAblation, _>(cfg, obs, KvAblation::format));
-    }
+    cells.extend(run_backend::<BlockAblation, _>(cfg, obs, |m| {
+        // Slot space sized to the population; the device provides the
+        // over-provisioning headroom.
+        BlockAblation::format(m, cfg.record_count, value_bytes)
+    }));
+    cells.extend(run_backend::<ZtlAblation, _>(cfg, obs, |m| {
+        let (b, t) = ZtlAblation::format(m, ZtlConfig::default());
+        (b.with_value_bytes(value_bytes), t)
+    }));
+    cells.extend(run_backend::<KvAblation, _>(cfg, obs, KvAblation::format));
     AblationResult { cells }
 }
 
 /// The `fig_ablation` figure: [`run`], with the backend × workload
-/// table (and, for the full matrix, the per-workload comparison) written to
-/// `out`.
-pub fn report(cfg: &AblationConfig, only: Option<BenchBackend>, obs: &Obs, out: &mut Report) {
+/// table and the per-workload comparison written to `out`.
+pub fn report(cfg: &AblationConfig, obs: &Obs, out: &mut Report) {
     out.line("§5 — cross-interface ablation: YCSB A/B/C over oxblock, oxztl and kvssd");
     out.line(format!(
-        "identical devices, {} records × {} KB, {} ops/workload after a {}-op warm-up{}\n",
+        "identical devices, {} records × {} KB, {} ops/workload after a {}-op warm-up\n",
         cfg.record_count,
         RECORD_SECTORS as usize * SECTOR_BYTES / 1024,
         cfg.operations,
         cfg.warmup_operations,
-        only.map(|b| format!("; restricted to {}", b.label()))
-            .unwrap_or_default(),
     ));
-    let result = run(cfg, only, obs);
+    let result = run(cfg, obs);
 
     let widths = [9usize, 8, 12, 10, 10, 10];
     out.row(
@@ -537,16 +525,14 @@ pub fn report(cfg: &AblationConfig, only: Option<BenchBackend>, obs: &Obs, out: 
         "\n(WAF = device program + copy bytes over the measured phase ÷ submitted write bytes;",
     );
     out.line(" C is read-only, so no WAF.)");
-    if only.is_none() {
-        for w in WORKLOADS {
-            out.line(format!(
-                "  {:?}: kops/vsec oxblock {:.1} | oxztl {:.1} | kvssd {:.1}",
-                w,
-                result.cell("oxblock", w).report.kops_per_sec(),
-                result.cell("oxztl", w).report.kops_per_sec(),
-                result.cell("kvssd", w).report.kops_per_sec(),
-            ));
-        }
+    for w in WORKLOADS {
+        out.line(format!(
+            "  {:?}: kops/vsec oxblock {:.1} | oxztl {:.1} | kvssd {:.1}",
+            w,
+            result.cell("oxblock", w).report.kops_per_sec(),
+            result.cell("oxztl", w).report.kops_per_sec(),
+            result.cell("kvssd", w).report.kops_per_sec(),
+        ));
     }
 }
 
@@ -557,7 +543,7 @@ mod tests {
     #[test]
     fn all_three_interfaces_complete_the_point_op_subset() {
         let cfg = AblationConfig::quick();
-        let r = run(&cfg, None, &Obs::default());
+        let r = run(&cfg, &Obs::default());
         assert_eq!(r.cells.len(), 9, "3 backends × 3 workloads");
         for cell in &r.cells {
             assert_eq!(

@@ -11,7 +11,7 @@ fn main() {
     } else {
         Fig3Config::full()
     };
-    let mut report = Report::new("fig3_recovery", None);
+    let mut report = Report::new("fig3_recovery");
     report.line(
         "Figure 3 — recovery time vs. failure point (OX-Block, random ≤1 MB transactional writes)",
     );

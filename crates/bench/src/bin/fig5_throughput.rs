@@ -2,31 +2,39 @@
 //! fill-sequential, read-sequential and read-random under horizontal vs.
 //! vertical SSTable placement, with 1/2/4/8 clients.
 //!
+//! The figure runs once over native media and once over oxztl's virtual
+//! device; both sections go to one report, a blank line between them.
+//!
 //! Usage: `cargo run --release -p ox-bench --bin fig5_throughput [--quick]`
-//! Env: `OX_BACKEND=oxblock|oxztl` picks the media under LightLSM.
 
 use lightlsm::Placement;
-use ox_bench::backend::{BenchBackend, MEDIA_BACKENDS};
+use ox_bench::backend::{media_sections, BenchBackend};
 use ox_bench::fig5::{run, Fig5Config};
 use ox_bench::{figure_obs, quick_mode, Report};
+use ox_sim::trace::Obs;
 
 fn main() {
-    let selected = BenchBackend::from_env(&MEDIA_BACKENDS);
-    let backend = selected.unwrap_or(BenchBackend::OxBlock);
     let cfg = if quick_mode() {
         Fig5Config::quick()
     } else {
         Fig5Config::full()
     };
-    let mut report = Report::new("fig5_throughput", selected);
+    let obs = figure_obs();
+    let mut report = Report::new("fig5_throughput");
+    media_sections(&mut report, |backend, report| {
+        section(&cfg, backend, &obs, report)
+    });
+    report.finish(&obs);
+}
+
+fn section(cfg: &Fig5Config, backend: BenchBackend, obs: &Obs, report: &mut Report) {
     report.line("Figure 5 — db_bench throughput over LightLSM (16 B keys, 1 KB values, no compression/caching)");
     report.line(format!(
         "device: paper TLC scaled (192 KB chunks, 6 MB full-width SSTables); backend: {}; fill {} MB/client\n",
         backend.label(),
         cfg.fill_bytes_per_client / (1024 * 1024)
     ));
-    let obs = figure_obs();
-    let result = run(&cfg, backend, &obs);
+    let result = run(cfg, backend, obs);
 
     let widths = [22usize, 10, 10, 10, 10];
     report.row(
@@ -89,5 +97,4 @@ fn main() {
         "  writes >> reads: fill {:.1} kops vs read-seq {:.1} kops (1 client)",
         h1, rs1
     ));
-    report.finish(&obs);
 }

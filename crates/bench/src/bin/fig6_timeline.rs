@@ -14,7 +14,7 @@ fn main() {
     } else {
         Fig5Config::full()
     };
-    let mut report = Report::new("fig6_timeline", None);
+    let mut report = Report::new("fig6_timeline");
     report.line(format!(
         "Figure 6 — fill-sequential throughput over time (kops/s per {} ms window)\n",
         cfg.window.as_millis()

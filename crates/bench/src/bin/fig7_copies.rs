@@ -12,7 +12,7 @@ fn main() {
     } else {
         Fig7Config::full()
     };
-    let mut report = Report::new("fig7_copies", None);
+    let mut report = Report::new("fig7_copies");
     report.line("Figure 7 — controller CPU utilization vs. host write threads (OX-ELEOS, ~8 MB LSS buffers)");
     report.line(format!(
         "controller model: 2 ARMv8 data-path cores, memcpy 1.75 GB/s/core; {}s virtual run\n",

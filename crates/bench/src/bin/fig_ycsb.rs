@@ -6,15 +6,12 @@
 //! independent and deterministic. The shared observability dump carries
 //! per-op `ycsb.{read,write,scan}_ns` histograms plus device/FTL metrics.
 //!
-//! `OX_YCSB_WORKLOAD=<A..F>` restricts the sweep to one mix (the CI
-//! matrix's knob); unset or `all` runs all six.
-//!
 //! Usage: `cargo run --release -p ox-bench --bin fig_ycsb [--quick]`
 
 use lightlsm::Placement;
 use ox_bench::backend::BenchBackend;
 use ox_bench::fig5::make_db;
-use ox_bench::ycsb::{load, matrix_workloads, run_ycsb, LsmBackend, YcsbConfig, YcsbReport};
+use ox_bench::ycsb::{load, run_ycsb, LsmBackend, YcsbConfig, YcsbReport, YcsbWorkload};
 use ox_bench::{figure_obs, quick_mode, Report};
 use ox_sim::SimTime;
 
@@ -36,9 +33,8 @@ fn report_cells(r: &YcsbReport) -> Vec<String> {
 fn main() {
     let quick = quick_mode();
     let obs = figure_obs();
-    let workloads = matrix_workloads();
 
-    let mut report = Report::new("fig_ycsb", None);
+    let mut report = Report::new("fig_ycsb");
     report.line(format!(
         "YCSB A–F — lsmkv over LightLSM, single device (virtual time{})\n",
         if quick { ", quick" } else { "" }
@@ -61,7 +57,7 @@ fn main() {
     );
     report.sep(&widths);
 
-    for wl in workloads {
+    for wl in YcsbWorkload::all() {
         let mut cfg = YcsbConfig::new(wl);
         if quick {
             cfg.clients = 4;

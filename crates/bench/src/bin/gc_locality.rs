@@ -14,7 +14,7 @@ fn main() {
     } else {
         SimDuration::from_secs(2)
     };
-    let mut report = Report::new("gc_locality", None);
+    let mut report = Report::new("gc_locality");
     report.line(
         "§4.3 — GC interference locality (OX-Block, group-marked GC + uniform random reads)\n",
     );

@@ -7,7 +7,7 @@
 //! | Module | Paper artifact |
 //! |---|---|
 //! | [`ablation`] | §5 — cross-interface YCSB ablation (block / ZTL / KV) |
-//! | [`backend`] | `OX_BACKEND` knob — which storage interface a figure runs over |
+//! | [`backend`] | §5 — the two media a figure's stack runs over (native / oxztl) |
 //! | [`fig3`] | Figure 3 — checkpoint interval vs. recovery time |
 //! | [`fig5`] | Figure 5 — db_bench throughput, horizontal vs. vertical |
 //! | [`fig6`] | Figure 6 — fill-sequential throughput over time |

@@ -17,8 +17,11 @@
 //! reader *outside* the GC-marked group keeps its tail (p99 within 2× of
 //! baseline), while FIFO drags every tenant's tail through the writer's
 //! program times and the relocation copies.
+//!
+//! The figure runs the three phases over native media and then over
+//! oxztl's virtual device ([`media_sections`]).
 
-use crate::backend::BenchBackend;
+use crate::backend::{media_sections, BenchBackend};
 use crate::Report;
 use iosched::{
     ArbiterKind, IoCmd, IoScheduler, SchedConfig, SharedScheduler, TenantConfig, TenantId,
@@ -348,9 +351,14 @@ fn us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1000.0)
 }
 
-/// The `fig_qos_tail` figure: [`run`], with the per-tenant table and the
+/// The `fig_qos_tail` figure: [`run`] over each media backend in turn
+/// ([`media_sections`]), each section's per-tenant table and
 /// neighbor-reader slowdowns written to `out`.
-pub fn report(duration: SimDuration, backend: BenchBackend, obs: &Obs, out: &mut Report) {
+pub fn report(duration: SimDuration, obs: &Obs, out: &mut Report) {
+    media_sections(out, |backend, out| section(duration, backend, obs, out));
+}
+
+fn section(duration: SimDuration, backend: BenchBackend, obs: &Obs, out: &mut Report) {
     out.line(format!(
         "§4.3 — multi-tenant QoS tail (iosched over the paper drive, closed-loop tenants; backend: {})\n",
         backend.label()

@@ -2,14 +2,13 @@
 //!
 //! A figure binary hands every line and table row it produces to a
 //! [`Report`], which echoes it to stdout and keeps it; [`Report::finish`]
-//! then writes exactly that text to `results/<name>[.<backend>][.quick].txt`
+//! then writes exactly that text to `results/<name>[.quick].txt`
 //! and the run's observability snapshot beside it. The text is a function of
 //! `(mode, seed)` alone — nothing under `crates/bench/src/` reads the host
 //! clock (the root `clippy.toml` bans it) — so `scripts/regen-results.sh` reproduces the
 //! committed tables byte for byte. Status messages go to stderr and are not
 //! part of the report.
 
-use crate::backend::BenchBackend;
 use crate::quick_mode;
 use ox_sim::trace::Obs;
 
@@ -20,13 +19,12 @@ pub struct Report {
 }
 
 impl Report {
-    /// A report for the binary `name`. A run `OX_BACKEND` pointed at one
-    /// personality (`selected`) is tagged with it, and a `--quick` run with
-    /// `.quick`, so each lands beside the committed full-mode artifacts
-    /// instead of on top of them.
-    pub fn new(name: &str, selected: Option<BenchBackend>) -> Report {
+    /// A report for the binary `name`. A `--quick` run is tagged `.quick`,
+    /// so it lands beside the committed full-mode artifacts instead of on
+    /// top of them.
+    pub fn new(name: &str) -> Report {
         Report {
-            artifact: artifact(name, selected, quick_mode()),
+            artifact: artifact(name, quick_mode()),
             text: String::new(),
         }
     }
@@ -70,12 +68,13 @@ impl Report {
     }
 }
 
-/// `<name>[.<backend>][.quick]`: the file stem a run's outputs are written
-/// under.
-fn artifact(name: &str, selected: Option<BenchBackend>, quick: bool) -> String {
-    let backend = selected.map(|b| format!(".{}", b.label()));
-    let quick = if quick { ".quick" } else { "" };
-    format!("{name}{}{quick}", backend.unwrap_or_default())
+/// `<name>[.quick]`: the file stem a run's outputs are written under.
+fn artifact(name: &str, quick: bool) -> String {
+    if quick {
+        format!("{name}.quick")
+    } else {
+        name.to_string()
+    }
 }
 
 /// Failures are reported but not fatal: stdout already carries the rows.
@@ -93,20 +92,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_and_backend_runs_are_tagged_beside_the_committed_artifact() {
-        let ztl = Some(BenchBackend::Oxztl);
-        assert_eq!(artifact("fig5_throughput", None, false), "fig5_throughput");
-        assert_eq!(
-            artifact("fig5_throughput", ztl, false),
-            "fig5_throughput.oxztl"
-        );
-        assert_eq!(
-            artifact("fig5_throughput", None, true),
-            "fig5_throughput.quick"
-        );
-        assert_eq!(
-            artifact("fig5_throughput", ztl, true),
-            "fig5_throughput.oxztl.quick"
-        );
+    fn quick_runs_are_tagged_beside_the_committed_artifact() {
+        assert_eq!(artifact("fig5_throughput", false), "fig5_throughput");
+        assert_eq!(artifact("fig5_throughput", true), "fig5_throughput.quick");
     }
 }

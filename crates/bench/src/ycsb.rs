@@ -79,19 +79,6 @@ impl YcsbWorkload {
         }
     }
 
-    /// Parses a workload letter (either case).
-    pub fn parse(s: &str) -> Option<YcsbWorkload> {
-        match s.trim().to_ascii_uppercase().as_str() {
-            "A" => Some(YcsbWorkload::A),
-            "B" => Some(YcsbWorkload::B),
-            "C" => Some(YcsbWorkload::C),
-            "D" => Some(YcsbWorkload::D),
-            "E" => Some(YcsbWorkload::E),
-            "F" => Some(YcsbWorkload::F),
-            _ => None,
-        }
-    }
-
     /// (rmw, insert, scan) fractions; reads absorb the remainder.
     fn mix(&self) -> (f64, f64, f64) {
         match self {
@@ -111,23 +98,6 @@ impl YcsbWorkload {
     /// Whether the RMW leg carries a data dependency (workload F).
     fn dependent_rmw(&self) -> bool {
         matches!(self, YcsbWorkload::F)
-    }
-}
-
-/// Workload letters of the CI YCSB matrix: `OX_YCSB_WORKLOAD=B` runs one
-/// grid row, unset/`all` runs all six; any other value ends the run
-/// ([`ocssd::matrix_knob`]).
-pub fn matrix_workloads() -> Vec<YcsbWorkload> {
-    ocssd::matrix_knob("OX_YCSB_WORKLOAD", parse_workloads)
-}
-
-fn parse_workloads(value: Option<&str>) -> Result<Vec<YcsbWorkload>, String> {
-    match value {
-        None => Ok(YcsbWorkload::all().to_vec()),
-        Some(v) if v.eq_ignore_ascii_case("all") => Ok(YcsbWorkload::all().to_vec()),
-        Some(v) => YcsbWorkload::parse(v).map(|wl| vec![wl]).ok_or_else(|| {
-            format!("OX_YCSB_WORKLOAD={v}: accepted values are A, B, C, D, E, F, all")
-        }),
     }
 }
 
@@ -818,29 +788,5 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 1000);
-    }
-
-    #[test]
-    fn workload_letters_round_trip() {
-        for wl in YcsbWorkload::all() {
-            assert_eq!(YcsbWorkload::parse(wl.letter()), Some(wl));
-        }
-        assert_eq!(YcsbWorkload::parse("g"), None);
-    }
-
-    #[test]
-    fn matrix_workload_is_unset_or_named_or_refused() {
-        let all = YcsbWorkload::all().to_vec();
-        assert_eq!(parse_workloads(None), Ok(all.clone()));
-        assert_eq!(parse_workloads(Some("ALL")), Ok(all));
-        assert_eq!(parse_workloads(Some("b")), Ok(vec![YcsbWorkload::B]));
-        for refused in ["G", "AB", "workload-a"] {
-            assert_eq!(
-                parse_workloads(Some(refused)),
-                Err(format!(
-                    "OX_YCSB_WORKLOAD={refused}: accepted values are A, B, C, D, E, F, all"
-                ))
-            );
-        }
     }
 }

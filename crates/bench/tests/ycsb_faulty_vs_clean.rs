@@ -152,8 +152,8 @@ fn ycsb_faulty_vs_clean_states_match_after_recovery() {
         let t0 = load(&mut clean, &cfg, SimTime::ZERO);
         let (clean_report, t_clean) = run_ycsb(&clean, &cfg, &obs, t0);
 
-        // One matrix seed per workload: `OX_FAULT_SEED_BASE` (the CI
-        // sweep's knob) varies the whole plan family.
+        // One seed per workload: `OX_FAULT_SEED_BASE` varies the whole
+        // plan family.
         let (faulty_db, faulty_dev) = fresh_stack();
         let mut faulty = LsmBackend::new(faulty_db);
         let t0 = load(&mut faulty, &cfg, SimTime::ZERO);

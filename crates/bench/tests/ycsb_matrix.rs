@@ -4,15 +4,12 @@
 //! report numbers. This is what lets the `fig_ycsb` artifacts be diffed
 //! across CI runs.
 //!
-//! `OX_YCSB_WORKLOAD` narrows the sweep to one mix (the CI matrix runs one
-//! job per letter); `OX_FAULT_SEED_BASE` shifts the fault-plan family.
+//! Every mix A–F runs; `OX_FAULT_SEED_BASE` shifts the fault-plan family.
 
 use lightlsm::{LightLsm, LightLsmConfig};
 use lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
 use ocssd::{matrix_seeds, DeviceConfig, FaultMix, Geometry, OcssdDevice, SharedDevice};
-use ox_bench::ycsb::{
-    load, matrix_workloads, run_ycsb, LsmBackend, YcsbConfig, YcsbReport, YcsbWorkload,
-};
+use ox_bench::ycsb::{load, run_ycsb, LsmBackend, YcsbConfig, YcsbReport, YcsbWorkload};
 use ox_core::faultharness::FaultCase;
 use ox_core::{Media, OcssdMedia};
 use ox_sim::trace::Obs;
@@ -89,7 +86,7 @@ fn run_once(wl: YcsbWorkload, fault_seed: u64) -> (String, String) {
 #[test]
 fn ycsb_double_run_is_deterministic() {
     let fault_seed = matrix_seeds(1).start;
-    for wl in matrix_workloads() {
+    for wl in YcsbWorkload::all() {
         let (prints_a, obs_a) = run_once(wl, fault_seed);
         let (prints_b, obs_b) = run_once(wl, fault_seed);
         assert_eq!(

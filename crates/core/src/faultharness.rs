@@ -8,7 +8,7 @@
 //! an injected power cut fires — recover, and verify that every committed
 //! version survives and no torn write ever surfaces; then run on, crash
 //! and verify a second time. Every case derives entirely from one seed, so
-//! a failure message names the seed to replay.
+//! a failure message names the seed and the geometry to replay.
 //!
 //! Crashes happen at the frontier only: chunk resets (WAL truncation,
 //! checkpoint recycling) mutate device state when issued and cannot be
@@ -140,7 +140,8 @@ pub struct CaseReport {
 /// the crashes — → second frontier crash → recovery → verification. The
 /// second leg is what catches a recovery that only works once: state the
 /// first recovery left behind (a restarted log, a recovery-time checkpoint)
-/// is what the second one reads. `Err` carries a message naming `case.seed`.
+/// is what the second one reads. `Err` carries a message naming `case.seed`
+/// and the device's geometry.
 ///
 /// The caller formats the host against `dev` (already armed with
 /// `case.plan`) and hands both over; the harness owns the clock from
@@ -151,7 +152,8 @@ pub fn run_case<H: FaultHost>(
     host: &mut H,
     start: SimTime,
 ) -> Result<CaseReport, String> {
-    let seed = case.seed;
+    // "seed 7 on Tlc": what a replay needs, named by every message.
+    let seed = format!("{} on {:?}", case.seed, dev.geometry().cell);
     let crash_idx = ((case.ops.len() - 1) as f64 * case.crash_frac) as usize;
     let mut committed: BTreeMap<u64, u32> = BTreeMap::new();
     // Versions whose write errored: the op may have partially applied, so a

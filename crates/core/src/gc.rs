@@ -898,52 +898,56 @@ mod tests {
 
     #[test]
     fn a_failed_relocation_copy_is_reissued_and_its_commit_waits_for_it() {
-        let geo = ocssd::matrix_geometry();
-        let (ws, c) = (geo.ws_min as u64, geo.sectors_per_chunk as u64);
-        for seed in ocssd::matrix_seeds(8) {
-            let mut rng = Prng::seed_from_u64(seed);
-            let victim_pu = rng.gen_range(geo.total_pus() as u64) as u32;
-            let k = rng.gen_range_in(2, 6);
-            let failing = rng.gen_range(k);
-            let setup = || {
-                let mut r = rig_on(geo);
-                fill(&mut r, 0..c, victim_pu);
-                fill(&mut r, k * ws..c, victim_pu);
-                r.gc.mark_group(victim_pu / geo.pus_per_group);
-                r
-            };
-            // A dry run shows where unit `failing` lands; the second run
-            // fails that program.
-            let mut dry = setup();
-            dry.gc.collect(dry.t, &mut dry.space, &mut dry.wal).unwrap();
-            let slot = dry.space.map.lookup(failing * ws).unwrap();
-            let mut r = setup();
-            r.rec.inner.device().set_fault_plan(FaultPlan {
-                program_fails: vec![ProgramFault {
-                    chunk: slot.chunk_addr(),
-                    wp: slot.sector,
-                }],
-                ..FaultPlan::default()
-            });
-            take_log(&r);
-            let start = r.t;
-            let pass = r.gc.collect(start, &mut r.space, &mut r.wal).unwrap();
-            let log = take_log(&r);
+        for geo in ocssd::fault_geometries() {
+            let (ws, c) = (geo.ws_min as u64, geo.sectors_per_chunk as u64);
+            for seed in ocssd::matrix_seeds(8) {
+                let ctx = format!("seed {seed} on {:?}", geo.cell);
+                let mut rng = Prng::seed_from_u64(seed);
+                let victim_pu = rng.gen_range(geo.total_pus() as u64) as u32;
+                let k = rng.gen_range_in(2, 6);
+                let failing = rng.gen_range(k);
+                let setup = || {
+                    let mut r = rig_on(geo);
+                    fill(&mut r, 0..c, victim_pu);
+                    fill(&mut r, k * ws..c, victim_pu);
+                    r.gc.mark_group(victim_pu / geo.pus_per_group);
+                    r
+                };
+                // A dry run shows where unit `failing` lands; the second run
+                // fails that program.
+                let mut dry = setup();
+                dry.gc
+                    .collect(dry.t, &mut dry.space, &mut dry.wal)
+                    .expect(&ctx);
+                let slot = dry.space.map.lookup(failing * ws).expect(&ctx);
+                let mut r = setup();
+                r.rec.inner.device().set_fault_plan(FaultPlan {
+                    program_fails: vec![ProgramFault {
+                        chunk: slot.chunk_addr(),
+                        wp: slot.sector,
+                    }],
+                    ..FaultPlan::default()
+                });
+                take_log(&r);
+                let start = r.t;
+                let pass = r.gc.collect(start, &mut r.space, &mut r.wal).expect(&ctx);
+                let log = take_log(&r);
 
-            assert_eq!(r.gc.stats().copy_failovers, 1, "seed {seed}");
-            let failed = log
-                .iter()
-                .position(|&(cmd, _, done)| matches!(cmd, Cmd::Copy(_)) && done.is_none())
-                .expect("the planned fault fired");
-            assert!(
-                matches!(log[failed + 1], (Cmd::Copy(dst), at, Some(_))
+                assert_eq!(r.gc.stats().copy_failovers, 1, "{ctx}");
+                let failed = log
+                    .iter()
+                    .position(|&(cmd, _, done)| matches!(cmd, Cmd::Copy(_)) && done.is_none())
+                    .unwrap_or_else(|| panic!("{ctx}: the planned fault never fired"));
+                assert!(
+                    matches!(log[failed + 1], (Cmd::Copy(dst), at, Some(_))
                     if at == start && dst != slot.chunk_addr()),
-                "seed {seed}: the copy is re-placed and re-issued at the pass start"
-            );
-            assert_eq!(assert_journal_order(&r, &log, start), 1, "seed {seed}");
-            assert_ne!(r.space.map.lookup(failing * ws), Some(slot));
-            for lpn in 0..k * ws {
-                assert_reads_back(&r, lpn, pass.done);
+                    "{ctx}: the copy is re-placed and re-issued at the pass start"
+                );
+                assert_eq!(assert_journal_order(&r, &log, start), 1, "{ctx}");
+                assert_ne!(r.space.map.lookup(failing * ws), Some(slot), "{ctx}");
+                for lpn in 0..k * ws {
+                    assert_reads_back(&r, lpn, pass.done);
+                }
             }
         }
     }

@@ -353,44 +353,26 @@ impl FaultInjector {
     }
 }
 
-/// Reads the CI matrix variable `name` through `parse`, which sees `None`
-/// when the variable is unset or empty. A value `parse` refuses ends the
-/// process with status 2 and `parse`'s message — naming the variable and
-/// what it accepts — so a mistyped leg fails instead of re-running the
-/// default.
-pub fn matrix_knob<T>(name: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
-    let value = std::env::var(name).ok();
-    parse(value.as_deref().filter(|v| !v.is_empty())).unwrap_or_else(|msg| {
+/// The two geometries every fault suite runs on: the reduced SLC device and
+/// the scaled paper TLC drive. A suite loops over both and names the
+/// geometry (its `cell`) next to the seed in every failure message.
+pub fn fault_geometries() -> [Geometry; 2] {
+    [Geometry::small_slc(), Geometry::paper_tlc_scaled(22, 8)]
+}
+
+/// Seed window of the fault suites: `count` seeds starting at
+/// `OX_FAULT_SEED_BASE` (default 0, at most `u32::MAX`), so a second window
+/// explores disjoint plans and workloads with the same binaries. A value
+/// outside that range ends the process with status 2 and a message naming
+/// the variable, so a mistyped base fails instead of re-running the default.
+pub fn matrix_seeds(count: u64) -> std::ops::Range<u64> {
+    let value = std::env::var("OX_FAULT_SEED_BASE").ok();
+    let base = parse_seed_base(value.as_deref().filter(|v| !v.is_empty())).unwrap_or_else(|msg| {
         // Not `eprintln!`: a test harness captures that, and the capture
         // dies with the process before it is printed.
         let _ = writeln!(std::io::stderr(), "{msg}");
         std::process::exit(2)
-    })
-}
-
-/// Geometry leg of the CI fault matrix: `OX_FAULT_GEOMETRY=slc` (the
-/// default) is the small SLC geometry, `tlc` the scaled paper TLC drive.
-/// Fault property tests build their device from this so one binary covers
-/// the whole grid.
-pub fn matrix_geometry() -> Geometry {
-    matrix_knob("OX_FAULT_GEOMETRY", parse_geometry)
-}
-
-fn parse_geometry(value: Option<&str>) -> Result<Geometry, String> {
-    match value {
-        None | Some("slc") => Ok(Geometry::small_slc()),
-        Some("tlc") => Ok(Geometry::paper_tlc_scaled(22, 8)),
-        Some(v) => Err(format!(
-            "OX_FAULT_GEOMETRY={v}: accepted values are slc, tlc"
-        )),
-    }
-}
-
-/// Seed window of the CI fault matrix: `count` seeds starting at
-/// `OX_FAULT_SEED_BASE` (default 0, at most `u32::MAX`), so grid rows
-/// explore disjoint plans and workloads with the same binaries.
-pub fn matrix_seeds(count: u64) -> std::ops::Range<u64> {
-    let base = matrix_knob("OX_FAULT_SEED_BASE", parse_seed_base);
+    });
     base..base + count
 }
 
@@ -540,21 +522,6 @@ mod tests {
         );
         assert!(inj.take_power_cut(SimTime::from_secs(10)).is_none());
         assert_eq!(inj.ledger().power_cuts, 2);
-    }
-
-    #[test]
-    fn matrix_geometry_is_unset_or_named_or_refused() {
-        assert_eq!(parse_geometry(None), Ok(Geometry::small_slc()));
-        assert_eq!(parse_geometry(Some("slc")), Ok(Geometry::small_slc()));
-        assert_eq!(parse_geometry(Some("tlc")), Ok(geo()));
-        for refused in ["TLC", "mlc", " tlc"] {
-            assert_eq!(
-                parse_geometry(Some(refused)),
-                Err(format!(
-                    "OX_FAULT_GEOMETRY={refused}: accepted values are slc, tlc"
-                ))
-            );
-        }
     }
 
     #[test]

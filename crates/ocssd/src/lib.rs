@@ -58,13 +58,11 @@ pub use chunk::{ChunkInfo, ChunkState};
 pub use device::{Completion, DeviceConfig, MediaEvent, MediaEventKind, OcssdDevice, SharedDevice};
 pub use error::{DeviceError, Result};
 pub use fault::{
-    matrix_geometry, matrix_knob, matrix_seeds, EraseFault, FaultInjector, FaultLedger, FaultMix,
-    FaultPlan, LatencySpike, PowerCut, ProgramFault, ReadFault,
+    fault_geometries, matrix_seeds, EraseFault, FaultInjector, FaultLedger, FaultMix, FaultPlan,
+    LatencySpike, PowerCut, ProgramFault, ReadFault,
 };
 pub use geometry::Geometry;
-pub use health::{
-    matrix_age_fill, ChunkHealth, HealthLedger, ReadErrorKind, ReliabilityConfig, ReliabilityState,
-};
+pub use health::{ChunkHealth, HealthLedger, ReadErrorKind, ReliabilityConfig, ReliabilityState};
 pub use media::{Payload, PayloadBuf};
 pub use ox_sim::trace::{Obs, TraceEvent, TracePhase};
 pub use stats::DeviceStats;

@@ -35,18 +35,14 @@
 //! failure names the seed and geometry to replay.
 
 use ocssd::{
-    matrix_seeds, ChunkAddr, DeviceConfig, DeviceError, FaultPlan, Geometry, OcssdDevice, Payload,
-    PayloadBuf, Ppa, ReadFault, ReliabilityConfig, SECTOR_BYTES,
+    fault_geometries, matrix_seeds, ChunkAddr, DeviceConfig, DeviceError, FaultPlan, Geometry,
+    OcssdDevice, Payload, PayloadBuf, Ppa, ReadFault, ReliabilityConfig, SECTOR_BYTES,
 };
 use ox_sim::{Prng, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Chunks the workloads touch: two parallel units' worth of a few chunks.
 const CHUNKS: u64 = 6;
-
-fn geometries() -> [Geometry; 2] {
-    [Geometry::small_slc(), Geometry::paper_tlc_scaled(22, 8)]
-}
 
 /// Spread over two PUs so copies cross parallel units.
 fn chunk(geo: &Geometry, i: u64) -> ChunkAddr {
@@ -135,7 +131,7 @@ fn payload(rng: &mut Prng, sectors: u32) -> Vec<u8> {
 
 #[test]
 fn extent_store_matches_the_per_sector_map() {
-    for geo in geometries() {
+    for geo in fault_geometries() {
         // What the seeds of this window exercised between them.
         let (mut copies, mut rollbacks, mut refused) = (0, 0, 0);
         for seed in matrix_seeds(12) {
@@ -306,7 +302,7 @@ fn by_view(dev: &mut OcssdDevice, t: SimTime, ppa: Ppa, n: u32) -> Outcome {
 
 #[test]
 fn views_and_copies_are_the_same_read() {
-    for geo in geometries() {
+    for geo in fault_geometries() {
         for seed in matrix_seeds(8) {
             let ctx = format!("seed {seed} on {:?}", geo.cell);
             let mut config = DeviceConfig::with_geometry(geo);
@@ -406,7 +402,7 @@ fn views_and_copies_are_the_same_read() {
 
 #[test]
 fn a_view_survives_reset_and_rewrite_of_its_chunk() {
-    for geo in geometries() {
+    for geo in fault_geometries() {
         let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
         let c = chunk(&geo, 0);
         let old = vec![0xA1; geo.ws_min_bytes()];
@@ -461,7 +457,7 @@ fn split_at_every_sector(data: &[u8]) -> bool {
 
 #[test]
 fn resident_bytes_are_what_the_bytewise_rule_keeps() {
-    for geo in geometries() {
+    for geo in fault_geometries() {
         for seed in matrix_seeds(8) {
             let ctx = format!("seed {seed} on {:?}", geo.cell);
             let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
@@ -561,7 +557,7 @@ fn shaped_payload(rng: &mut Prng, geo: &Geometry, shape: u64) -> (Vec<u8>, bool)
 
 #[test]
 fn adopted_and_copied_payloads_are_the_same_write() {
-    for geo in geometries() {
+    for geo in fault_geometries() {
         let (mut adopted_cmds, mut copied_cmds, mut rollbacks) = (0, 0, 0);
         for seed in matrix_seeds(8) {
             let ctx = format!("seed {seed} on {:?}", geo.cell);
@@ -687,7 +683,7 @@ fn shares_buffer(view: &Payload, handle: &Payload) -> bool {
 
 #[test]
 fn the_device_keeps_the_writers_buffer_and_a_reference_of_its_own() {
-    for geo in geometries() {
+    for geo in fault_geometries() {
         let unit = geo.ws_min_bytes();
         let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
         let c = chunk(&geo, 0);
@@ -850,7 +846,7 @@ fn gathered(
 
 #[test]
 fn gathered_writes_are_the_write_of_their_concatenation() {
-    for geo in geometries() {
+    for geo in fault_geometries() {
         let (mut made, mut rollbacks, mut resets) = ([false; 4], 0, 0);
         for seed in matrix_seeds(8) {
             let ctx = format!("seed {seed} on {:?}", geo.cell);

@@ -13,10 +13,12 @@
 //!
 //! Workloads, crash points and fault plans come from the in-repo seeded
 //! [`ox_sim::Prng`] via the shared [`ox_core::faultharness`]; every seed is
-//! an independent case, so a failure names the seed to replay.
+//! an independent case (the seeded fault-plan test runs each on both
+//! `ocssd::fault_geometries()`), so a failure names the seed and the
+//! geometry to replay.
 
 use ocssd::{
-    matrix_geometry, matrix_seeds, ChunkAddr, DeviceConfig, FaultMix, FaultPlan, Geometry,
+    fault_geometries, matrix_seeds, ChunkAddr, DeviceConfig, FaultMix, FaultPlan, Geometry,
     OcssdDevice, ProgramFault, ReadFault, ReliabilityConfig, SharedDevice, SECTOR_BYTES,
 };
 use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError, ScrubConfig};
@@ -161,7 +163,6 @@ fn committed_writes_survive_crash_at_any_txn_boundary() {
 
 #[test]
 fn committed_writes_survive_crash_under_seeded_fault_plans() {
-    let geo = matrix_geometry();
     let mix = FaultMix {
         program_fails: 4,
         transient_read_fails: 4,
@@ -170,49 +171,53 @@ fn committed_writes_survive_crash_under_seeded_fault_plans() {
         latency_spikes: 1,
         power_cuts: 1,
     };
-    let mut fired = 0u64;
-    for seed in matrix_seeds(16) {
-        let mut case = FaultCase::from_seed(seed, &geo, &mix, SLOTS, 30);
-        // The seeded sites are uniform over the geometry; aim a few extra
-        // program and read faults at the low chunks (metadata + first data
-        // allocations) so plans reliably intersect the workload.
-        let mut rng = Prng::seed_from_u64(seed ^ 0xA13);
-        for pu in 0..4u32 {
-            let chunk = ChunkAddr::new(pu % geo.num_groups, pu / geo.num_groups, {
-                rng.gen_range(4) as u32
-            });
-            let wp = rng.gen_range(8) as u32 * geo.ws_min;
-            case.plan.program_fails.push(ProgramFault { chunk, wp });
-            case.plan.read_fails.push(ReadFault {
-                ppa: chunk.ppa(rng.gen_range(16) as u32),
-                attempts: 1 + rng.gen_range(2) as u32,
-            });
-        }
+    for geo in fault_geometries() {
+        let mut fired = 0u64;
+        for seed in matrix_seeds(16) {
+            let ctx = format!("seed {seed} on {:?}", geo.cell);
+            let mut case = FaultCase::from_seed(seed, &geo, &mix, SLOTS, 30);
+            // The seeded sites are uniform over the geometry; aim a few extra
+            // program and read faults at the low chunks (metadata + first data
+            // allocations) so plans reliably intersect the workload.
+            let mut rng = Prng::seed_from_u64(seed ^ 0xA13);
+            for pu in 0..4u32 {
+                let chunk = ChunkAddr::new(pu % geo.num_groups, pu / geo.num_groups, {
+                    rng.gen_range(4) as u32
+                });
+                let wp = rng.gen_range(8) as u32 * geo.ws_min;
+                case.plan.program_fails.push(ProgramFault { chunk, wp });
+                case.plan.read_fails.push(ReadFault {
+                    ppa: chunk.ppa(rng.gen_range(16) as u32),
+                    attempts: 1 + rng.gen_range(2) as u32,
+                });
+            }
 
-        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
-        let (mut host, t) = OxBlockHost::format(dev.clone(), Some(4));
-        // Arm after format so setup itself is fault-free; the workload and
-        // everything it triggers (WAL, GC, checkpoints, repair) runs under
-        // the plan.
-        dev.set_fault_plan(case.plan.clone());
-        let report = run_case(&case, &dev, &mut host, t)
-            .unwrap_or_else(|e| panic!("fault case failed: {e}"));
-        fired += report.ledger.total();
-        let stats = dev.stats();
-        assert_eq!(
-            stats.injected_program_fails
-                + stats.injected_read_fails
-                + stats.injected_erase_fails
-                + stats.injected_latency_spikes
-                + stats.injected_power_cuts,
-            report.ledger.total(),
-            "seed {seed}: DeviceStats reconcile with the injector ledger"
+            let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
+            let (mut host, t) = OxBlockHost::format(dev.clone(), Some(4));
+            // Arm after format so setup itself is fault-free; the workload and
+            // everything it triggers (WAL, GC, checkpoints, repair) runs under
+            // the plan.
+            dev.set_fault_plan(case.plan.clone());
+            let report = run_case(&case, &dev, &mut host, t)
+                .unwrap_or_else(|e| panic!("fault case failed: {e}"));
+            fired += report.ledger.total();
+            let stats = dev.stats();
+            assert_eq!(
+                stats.injected_program_fails
+                    + stats.injected_read_fails
+                    + stats.injected_erase_fails
+                    + stats.injected_latency_spikes
+                    + stats.injected_power_cuts,
+                report.ledger.total(),
+                "{ctx}: DeviceStats reconcile with the injector ledger"
+            );
+        }
+        assert!(
+            fired > 0,
+            "{:?}: across all seeds at least some injected faults must fire",
+            geo.cell
         );
     }
-    assert!(
-        fired > 0,
-        "across all seeds at least some injected faults must fire"
-    );
 }
 
 /// The lifetime-robustness property: with an aged reliability model and the

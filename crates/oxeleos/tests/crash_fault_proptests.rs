@@ -6,10 +6,10 @@
 //! fingerprinted I/O buffer per write; the host remembers the log address
 //! each committed version landed at (ELEOS's host-side index — the paper's
 //! LSS keeps its own directory above the FTL) and reads it back after
-//! recovery. Failure messages name the seed to replay.
+//! recovery. Failure messages name the seed and the geometry to replay.
 
 use ocssd::{
-    matrix_geometry, matrix_seeds, ChunkAddr, DeviceConfig, FaultMix, FaultPlan, Geometry,
+    fault_geometries, matrix_seeds, ChunkAddr, DeviceConfig, FaultMix, FaultPlan, Geometry,
     OcssdDevice, ProgramFault, ReadFault, SharedDevice,
 };
 use ox_core::faultharness::{
@@ -120,7 +120,6 @@ fn committed_buffers_survive_crash_at_any_append_boundary() {
 
 #[test]
 fn committed_buffers_survive_crash_under_seeded_fault_plans() {
-    let geo = matrix_geometry();
     let mix = FaultMix {
         program_fails: 4,
         transient_read_fails: 4,
@@ -129,45 +128,49 @@ fn committed_buffers_survive_crash_under_seeded_fault_plans() {
         latency_spikes: 1,
         power_cuts: 1,
     };
-    let mut fired = 0u64;
-    for seed in matrix_seeds(16) {
-        let mut case = FaultCase::from_seed(seed, &geo, &mix, SLOTS, 24);
-        // Aim extra program and read faults at the low chunks (WAL ring +
-        // first data allocations) so plans reliably intersect the workload.
-        let mut rng = ox_sim::Prng::seed_from_u64(seed ^ 0xE1E05);
-        for pu in 0..4u32 {
-            let chunk = ChunkAddr::new(pu % geo.num_groups, pu / geo.num_groups, {
-                rng.gen_range(5) as u32
-            });
-            let wp = rng.gen_range(8) as u32 * geo.ws_min;
-            case.plan.program_fails.push(ProgramFault { chunk, wp });
-            case.plan.read_fails.push(ReadFault {
-                ppa: chunk.ppa(rng.gen_range(16) as u32),
-                attempts: 1 + rng.gen_range(2) as u32,
-            });
-        }
+    for geo in fault_geometries() {
+        let mut fired = 0u64;
+        for seed in matrix_seeds(16) {
+            let ctx = format!("seed {seed} on {:?}", geo.cell);
+            let mut case = FaultCase::from_seed(seed, &geo, &mix, SLOTS, 24);
+            // Aim extra program and read faults at the low chunks (WAL ring +
+            // first data allocations) so plans reliably intersect the workload.
+            let mut rng = ox_sim::Prng::seed_from_u64(seed ^ 0xE1E05);
+            for pu in 0..4u32 {
+                let chunk = ChunkAddr::new(pu % geo.num_groups, pu / geo.num_groups, {
+                    rng.gen_range(5) as u32
+                });
+                let wp = rng.gen_range(8) as u32 * geo.ws_min;
+                case.plan.program_fails.push(ProgramFault { chunk, wp });
+                case.plan.read_fails.push(ReadFault {
+                    ppa: chunk.ppa(rng.gen_range(16) as u32),
+                    attempts: 1 + rng.gen_range(2) as u32,
+                });
+            }
 
-        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
-        // 4 write units, whatever the matrix geometry's unit is.
-        let (mut host, t) = EleosHost::format(dev.clone(), 4 * geo.ws_min_bytes());
-        // Arm after format so setup itself is fault-free.
-        dev.set_fault_plan(case.plan.clone());
-        let report = run_case(&case, &dev, &mut host, t)
-            .unwrap_or_else(|e| panic!("fault case failed: {e}"));
-        fired += report.ledger.total();
-        let stats = dev.stats();
-        assert_eq!(
-            stats.injected_program_fails
-                + stats.injected_read_fails
-                + stats.injected_erase_fails
-                + stats.injected_latency_spikes
-                + stats.injected_power_cuts,
-            report.ledger.total(),
-            "seed {seed}: DeviceStats reconcile with the injector ledger"
+            let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
+            // 4 write units, whatever the matrix geometry's unit is.
+            let (mut host, t) = EleosHost::format(dev.clone(), 4 * geo.ws_min_bytes());
+            // Arm after format so setup itself is fault-free.
+            dev.set_fault_plan(case.plan.clone());
+            let report = run_case(&case, &dev, &mut host, t)
+                .unwrap_or_else(|e| panic!("fault case failed: {e}"));
+            fired += report.ledger.total();
+            let stats = dev.stats();
+            assert_eq!(
+                stats.injected_program_fails
+                    + stats.injected_read_fails
+                    + stats.injected_erase_fails
+                    + stats.injected_latency_spikes
+                    + stats.injected_power_cuts,
+                report.ledger.total(),
+                "{ctx}: DeviceStats reconcile with the injector ledger"
+            );
+        }
+        assert!(
+            fired > 0,
+            "{:?}: across all seeds at least some injected faults must fire",
+            geo.cell
         );
     }
-    assert!(
-        fired > 0,
-        "across all seeds at least some injected faults must fire"
-    );
 }

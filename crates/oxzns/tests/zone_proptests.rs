@@ -1,10 +1,9 @@
 //! Zone-state-machine proptests for OX-ZNS (ISSUE 10 satellite 2).
 //!
 //! Seeded random operation sequences are driven against [`ZnsFtl`] and a
-//! pure in-memory model of the NVMe ZNS zone state machine, swept by the
-//! fault-matrix seeds (`OX_FAULT_SEED_BASE`) under the matrix geometry
-//! (`OX_FAULT_GEOMETRY`). Every assertion names the seed that reproduces a
-//! failure.
+//! pure in-memory model of the NVMe ZNS zone state machine, over the seed
+//! window (`OX_FAULT_SEED_BASE`) on both fault geometries. Every assertion
+//! names the seed and the geometry that reproduce a failure.
 //!
 //! Checked properties:
 //!
@@ -26,8 +25,8 @@
 //!   errors, and read back as the concatenation of its source ranges.
 
 use ocssd::{
-    matrix_geometry, matrix_seeds, DeviceConfig, FaultMix, FaultPlan, OcssdDevice, SharedDevice,
-    SECTOR_BYTES,
+    fault_geometries, matrix_seeds, DeviceConfig, FaultMix, FaultPlan, Geometry, OcssdDevice,
+    SharedDevice, SECTOR_BYTES,
 };
 use ox_core::{Media, OcssdMedia};
 use ox_sim::{Prng, SimTime};
@@ -83,6 +82,8 @@ struct Case {
     model: Vec<ZoneModel>,
     t: SimTime,
     seed: u64,
+    /// "seed 3 on Slc": what every assertion names.
+    ctx: String,
     append_bytes: usize,
     zone_sectors: u64,
     /// Zone copies the FTL accepted.
@@ -90,13 +91,13 @@ struct Case {
 }
 
 impl Case {
-    fn new(seed: u64, plan: FaultPlan) -> Case {
-        let geo = matrix_geometry();
+    fn new(geo: Geometry, seed: u64, plan: FaultPlan) -> Case {
+        let ctx = format!("seed {seed} on {:?}", geo.cell);
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
         dev.set_fault_plan(plan);
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
         let (ftl, t) = ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 2 }, SimTime::ZERO)
-            .unwrap_or_else(|e| panic!("seed {seed}: format failed: {e}"));
+            .unwrap_or_else(|e| panic!("{ctx}: format failed: {e}"));
         let append_bytes = ftl.append_bytes();
         let zone_sectors = ftl.zone_sectors();
         let zones = ftl.zone_count().min(ZONES_IN_PLAY);
@@ -105,6 +106,7 @@ impl Case {
             model: (0..zones).map(|_| ZoneModel::new()).collect(),
             t,
             seed,
+            ctx,
             append_bytes,
             zone_sectors,
             copies: 0,
@@ -114,26 +116,26 @@ impl Case {
     /// Asserts the FTL's view of `zone` matches the model, and that the
     /// transition from the model's previous state was legal.
     fn check(&self, zone: u32, was_reset: bool) {
-        let seed = self.seed;
+        let ctx = &self.ctx;
         let m = &self.model[zone as usize];
         let info = self
             .ftl
             .zone_info(zone)
-            .unwrap_or_else(|e| panic!("seed {seed}: zone_info({zone}): {e}"));
+            .unwrap_or_else(|e| panic!("{ctx}: zone_info({zone}): {e}"));
         assert!(
             legal_transition(m.state, info.state, was_reset),
-            "seed {seed}: zone {zone} illegal transition {:?} -> {:?}",
+            "{ctx}: zone {zone} illegal transition {:?} -> {:?}",
             m.state,
             info.state,
         );
         if !m.broken {
             assert_eq!(
                 info.state, m.state,
-                "seed {seed}: zone {zone} state diverged from model"
+                "{ctx}: zone {zone} state diverged from model"
             );
             assert_eq!(
                 info.write_pointer, m.wp,
-                "seed {seed}: zone {zone} write pointer diverged from model"
+                "{ctx}: zone {zone} write pointer diverged from model"
             );
         }
     }
@@ -150,7 +152,7 @@ impl Case {
     }
 
     fn append(&mut self, rng: &mut Prng, units: u64) {
-        let seed = self.seed;
+        let ctx = &self.ctx;
         let zone = rng.gen_range(self.model.len() as u64) as u32;
         let mut data = vec![0u8; units as usize * self.append_bytes];
         rng.fill_bytes(&mut data);
@@ -167,12 +169,12 @@ impl Case {
             Ok((start, t)) => {
                 assert!(
                     fits || m.broken,
-                    "seed {seed}: zone {zone} append accepted in {prev_state:?} at wp {prev_wp}"
+                    "{ctx}: zone {zone} append accepted in {prev_state:?} at wp {prev_wp}"
                 );
                 self.t = t;
                 let m = &mut self.model[zone as usize];
                 if !m.broken {
-                    assert_eq!(start, prev_wp, "seed {seed}: append start != write pointer");
+                    assert_eq!(start, prev_wp, "{ctx}: append start != write pointer");
                     m.wp += sectors;
                     m.readable = m.wp;
                     m.data.extend_from_slice(&data);
@@ -186,7 +188,7 @@ impl Case {
             Err(ZnsError::ZoneNotWritable { .. }) => {
                 assert!(
                     !fits || self.model[zone as usize].broken,
-                    "seed {seed}: zone {zone} rejected a fitting append in {prev_state:?}"
+                    "{ctx}: zone {zone} rejected a fitting append in {prev_state:?}"
                 );
             }
             Err(ZnsError::Device(_)) => {
@@ -196,18 +198,18 @@ impl Case {
                 let info = self.ftl.zone_info(zone).unwrap();
                 assert_eq!(
                     info.write_pointer, prev_wp,
-                    "seed {seed}: zone {zone} wp moved on failed append"
+                    "{ctx}: zone {zone} wp moved on failed append"
                 );
                 self.model[zone as usize].broken = true;
             }
-            Err(e) => panic!("seed {seed}: zone {zone} append: unexpected error {e}"),
+            Err(e) => panic!("{ctx}: zone {zone} append: unexpected error {e}"),
         }
         self.check(zone, false);
     }
 
     /// Append that must be rejected: it would run past the zone's capacity.
     fn append_past_capacity(&mut self, rng: &mut Prng) {
-        let seed = self.seed;
+        let ctx = &self.ctx;
         let zone = rng.gen_range(self.model.len() as u64) as u32;
         let m = &self.model[zone as usize];
         let remaining_units = (self.zone_sectors - m.wp.min(self.zone_sectors))
@@ -217,19 +219,19 @@ impl Case {
         let prev_wp = m.wp;
         match self.ftl.append(self.t, zone, &[data.into()]) {
             Err(ZnsError::ZoneNotWritable { .. }) => {}
-            Ok(_) => panic!("seed {seed}: zone {zone} accepted append past capacity"),
-            Err(e) => panic!("seed {seed}: zone {zone} oversized append: wrong error {e}"),
+            Ok(_) => panic!("{ctx}: zone {zone} accepted append past capacity"),
+            Err(e) => panic!("{ctx}: zone {zone} oversized append: wrong error {e}"),
         }
         let info = self.ftl.zone_info(zone).unwrap();
         assert_eq!(
             info.write_pointer, prev_wp,
-            "seed {seed}: zone {zone} wp moved on rejected append"
+            "{ctx}: zone {zone} wp moved on rejected append"
         );
         self.check(zone, false);
     }
 
     fn append_bad_size(&mut self, rng: &mut Prng) {
-        let seed = self.seed;
+        let ctx = &self.ctx;
         let zone = rng.gen_range(self.model.len() as u64) as u32;
         // Empty, or not a multiple of the append granularity.
         let len = if rng.gen_bool(0.5) || self.append_bytes == SECTOR_BYTES {
@@ -239,13 +241,13 @@ impl Case {
         };
         match self.ftl.append(self.t, zone, &[vec![0u8; len].into()]) {
             Err(ZnsError::BadAppendSize(n)) => assert_eq!(n, len),
-            other => panic!("seed {seed}: zone {zone} bad-size append: {other:?}"),
+            other => panic!("{ctx}: zone {zone} bad-size append: {other:?}"),
         }
         self.check(zone, false);
     }
 
     fn read_valid(&mut self, rng: &mut Prng) {
-        let seed = self.seed;
+        let ctx = &self.ctx;
         let zone = rng.gen_range(self.model.len() as u64) as u32;
         let m = &self.model[zone as usize];
         if m.readable == 0 {
@@ -257,13 +259,13 @@ impl Case {
         let t = self
             .ftl
             .read(self.t, zone, start, len, &mut out)
-            .unwrap_or_else(|e| panic!("seed {seed}: zone {zone} read [{start}, +{len}): {e}"));
+            .unwrap_or_else(|e| panic!("{ctx}: zone {zone} read [{start}, +{len}): {e}"));
         self.t = t;
         let off = start as usize * SECTOR_BYTES;
         assert_eq!(
             out,
             &self.model[zone as usize].data[off..off + out.len()],
-            "seed {seed}: zone {zone} readable prefix corrupted at sector {start}"
+            "{ctx}: zone {zone} readable prefix corrupted at sector {start}"
         );
         self.check(zone, false);
     }
@@ -273,7 +275,7 @@ impl Case {
     /// random zone: accepted exactly where an append of the same length
     /// would be, and read back as the bytes of its sources.
     fn copy(&mut self, rng: &mut Prng) {
-        let seed = self.seed;
+        let ctx = &self.ctx;
         let readable: Vec<u32> = (0u32..)
             .zip(&self.model)
             .filter(|(_, m)| m.readable > 0)
@@ -305,13 +307,13 @@ impl Case {
             Ok((start, t)) => {
                 assert!(
                     fits || m.broken,
-                    "seed {seed}: zone {zone} copy accepted in {prev_state:?} at wp {prev_wp}"
+                    "{ctx}: zone {zone} copy accepted in {prev_state:?} at wp {prev_wp}"
                 );
                 self.t = self.t.max(t);
                 self.copies += 1;
                 let m = &mut self.model[zone as usize];
                 if !m.broken {
-                    assert_eq!(start, prev_wp, "seed {seed}: copy start != write pointer");
+                    assert_eq!(start, prev_wp, "{ctx}: copy start != write pointer");
                     m.wp += sectors;
                     m.readable = m.wp;
                     m.data.extend_from_slice(&data);
@@ -323,26 +325,26 @@ impl Case {
                     let mut out = vec![0u8; data.len()];
                     self.ftl
                         .read(self.t, zone, start, sectors as u32, &mut out)
-                        .unwrap_or_else(|e| panic!("seed {seed}: zone {zone} copy read: {e}"));
-                    assert!(out == data, "seed {seed}: zone {zone} copied bytes differ");
+                        .unwrap_or_else(|e| panic!("{ctx}: zone {zone} copy read: {e}"));
+                    assert!(out == data, "{ctx}: zone {zone} copied bytes differ");
                 }
             }
             Err(ZnsError::ZoneNotWritable { .. }) => {
                 assert!(
                     !fits || m.broken,
-                    "seed {seed}: zone {zone} rejected a fitting copy in {prev_state:?}"
+                    "{ctx}: zone {zone} rejected a fitting copy in {prev_state:?}"
                 );
             }
             // An injected program failure under the destination: what landed
             // before it stays, so only the zone is no longer trusted.
             Err(ZnsError::Device(_)) => self.model[zone as usize].broken = true,
-            Err(e) => panic!("seed {seed}: zone {zone} copy {srcs:?}: unexpected error {e}"),
+            Err(e) => panic!("{ctx}: zone {zone} copy {srcs:?}: unexpected error {e}"),
         }
         self.check(zone, false);
     }
 
     fn read_beyond_wp(&mut self, rng: &mut Prng) {
-        let seed = self.seed;
+        let ctx = &self.ctx;
         let zone = rng.gen_range(self.model.len() as u64) as u32;
         let m = &self.model[zone as usize];
         let start = m.readable; // first unreadable sector
@@ -352,17 +354,17 @@ impl Case {
         let mut out = vec![0u8; SECTOR_BYTES];
         match self.ftl.read(self.t, zone, start, 1, &mut out) {
             Err(ZnsError::ReadBeyondWp { zone: z, sector }) => {
-                assert_eq!((z, sector), (zone, start), "seed {seed}: wrong rejection");
+                assert_eq!((z, sector), (zone, start), "{ctx}: wrong rejection");
             }
             other => {
-                panic!("seed {seed}: zone {zone} read beyond wp at {start} not rejected: {other:?}")
+                panic!("{ctx}: zone {zone} read beyond wp at {start} not rejected: {other:?}")
             }
         }
         self.check(zone, false);
     }
 
     fn finish(&mut self, rng: &mut Prng) {
-        let seed = self.seed;
+        let ctx = &self.ctx;
         let zone = rng.gen_range(self.model.len() as u64) as u32;
         let m = &self.model[zone as usize];
         let writable = matches!(m.state, ZoneState::Empty | ZoneState::Open);
@@ -370,7 +372,7 @@ impl Case {
             Ok(()) => {
                 assert!(
                     writable || m.broken,
-                    "seed {seed}: zone {zone} finished from {:?}",
+                    "{ctx}: zone {zone} finished from {:?}",
                     m.state
                 );
                 let m = &mut self.model[zone as usize];
@@ -382,22 +384,22 @@ impl Case {
             Err(ZnsError::ZoneNotWritable { .. }) => {
                 assert!(
                     !writable || m.broken,
-                    "seed {seed}: zone {zone} finish rejected from {:?}",
+                    "{ctx}: zone {zone} finish rejected from {:?}",
                     m.state
                 );
             }
-            Err(e) => panic!("seed {seed}: zone {zone} finish: {e}"),
+            Err(e) => panic!("{ctx}: zone {zone} finish: {e}"),
         }
         self.check(zone, false);
     }
 
     fn reset(&mut self, rng: &mut Prng) {
-        let seed = self.seed;
+        let ctx = self.ctx.clone();
         let zone = rng.gen_range(self.model.len() as u64) as u32;
         let offline = self.model[zone as usize].state == ZoneState::Offline;
         match self.ftl.reset_zone(self.t, zone) {
             Ok(t) => {
-                assert!(!offline, "seed {seed}: zone {zone} reset while Offline");
+                assert!(!offline, "{ctx}: zone {zone} reset while Offline");
                 self.t = t;
                 let m = &mut self.model[zone as usize];
                 m.state = ZoneState::Empty;
@@ -409,7 +411,7 @@ impl Case {
             Err(ZnsError::ZoneNotWritable { .. }) => {
                 assert!(
                     offline,
-                    "seed {seed}: zone {zone} reset rejected while not Offline"
+                    "{ctx}: zone {zone} reset rejected while not Offline"
                 );
             }
             Err(ZnsError::Device(_)) => {
@@ -420,11 +422,11 @@ impl Case {
                 assert_eq!(
                     m.state,
                     ZoneState::Offline,
-                    "seed {seed}: zone {zone} erase failure did not retire the zone"
+                    "{ctx}: zone {zone} erase failure did not retire the zone"
                 );
                 return;
             }
-            Err(e) => panic!("seed {seed}: zone {zone} reset: {e}"),
+            Err(e) => panic!("{ctx}: zone {zone} reset: {e}"),
         }
         self.check(zone, true);
     }
@@ -467,8 +469,8 @@ impl Case {
                 ZoneState::Full => assert_eq!(info.write_pointer, info.capacity),
                 ZoneState::Open => assert!(
                     info.write_pointer > 0 && info.write_pointer < info.capacity,
-                    "seed {}: zone {zone} Open with wp {}",
-                    self.seed,
+                    "{}: zone {zone} Open with wp {}",
+                    self.ctx,
                     info.write_pointer
                 ),
                 ZoneState::Offline => {}
@@ -480,15 +482,16 @@ impl Case {
 
 #[test]
 fn zone_state_machine_matches_model_on_clean_device() {
-    let copies: u64 = matrix_seeds(8)
-        .map(|seed| Case::new(seed, FaultPlan::default()).run())
-        .sum();
-    assert!(copies > 0, "no zone copy was accepted");
+    for geo in fault_geometries() {
+        let copies: u64 = matrix_seeds(8)
+            .map(|seed| Case::new(geo, seed, FaultPlan::default()).run())
+            .sum();
+        assert!(copies > 0, "{:?}: no zone copy was accepted", geo.cell);
+    }
 }
 
 #[test]
 fn zone_state_machine_matches_model_under_fault_matrix() {
-    let geo = matrix_geometry();
     let mix = FaultMix {
         program_fails: 3,
         transient_read_fails: 4,
@@ -497,74 +500,91 @@ fn zone_state_machine_matches_model_under_fault_matrix() {
         latency_spikes: 1,
         power_cuts: 0,
     };
-    let copies: u64 = matrix_seeds(8)
-        .map(|seed| Case::new(seed, FaultPlan::random(seed, &geo, &mix)).run())
-        .sum();
-    assert!(copies > 0, "no zone copy was accepted");
+    for geo in fault_geometries() {
+        let copies: u64 = matrix_seeds(8)
+            .map(|seed| Case::new(geo, seed, FaultPlan::random(seed, &geo, &mix)).run())
+            .sum();
+        assert!(copies > 0, "{:?}: no zone copy was accepted", geo.cell);
+    }
 }
 
 /// The deterministic boundary cases, spelled out once without randomness.
 #[test]
 fn boundary_rejections_leave_zone_untouched() {
-    let geo = matrix_geometry();
-    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
-    let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-    let (mut ftl, t0) =
-        ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 1 }, SimTime::ZERO).unwrap();
-    let unit = ftl.append_bytes();
-    let unit_sectors = (unit / SECTOR_BYTES) as u64;
-    let cap_units = ftl.zone_sectors() / unit_sectors;
+    for geo in fault_geometries() {
+        let on = format!("on {:?}", geo.cell);
+        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
+        let (mut ftl, t0) =
+            ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 1 }, SimTime::ZERO).expect(&on);
+        let unit = ftl.append_bytes();
+        let unit_sectors = (unit / SECTOR_BYTES) as u64;
+        let cap_units = ftl.zone_sectors() / unit_sectors;
 
-    // Fill to one unit short of capacity.
-    let mut t = t0;
-    let big = vec![0xAB; (cap_units - 1) as usize * unit];
-    let (start, t1) = ftl.append(t, 0, &[big.into()]).unwrap();
-    assert_eq!(start, 0);
-    t = t1;
+        // Fill to one unit short of capacity.
+        let mut t = t0;
+        let big = vec![0xAB; (cap_units - 1) as usize * unit];
+        let (start, t1) = ftl.append(t, 0, &[big.into()]).expect(&on);
+        assert_eq!(start, 0, "{on}");
+        t = t1;
 
-    // A two-unit append would run past capacity: rejected, wp unchanged.
-    assert!(matches!(
-        ftl.append(t, 0, &[vec![0u8; 2 * unit].into()]),
-        Err(ZnsError::ZoneNotWritable { zone: 0, .. })
-    ));
-    assert_eq!(
-        ftl.zone_info(0).unwrap().write_pointer,
-        (cap_units - 1) * unit_sectors
-    );
+        // A two-unit append would run past capacity: rejected, wp unchanged.
+        assert!(
+            matches!(
+                ftl.append(t, 0, &[vec![0u8; 2 * unit].into()]),
+                Err(ZnsError::ZoneNotWritable { zone: 0, .. })
+            ),
+            "{on}"
+        );
+        assert_eq!(
+            ftl.zone_info(0).expect(&on).write_pointer,
+            (cap_units - 1) * unit_sectors,
+            "{on}"
+        );
 
-    // Read beyond the write pointer: rejected.
-    let wp = ftl.zone_info(0).unwrap().write_pointer;
-    let mut out = vec![0u8; SECTOR_BYTES];
-    assert!(matches!(
-        ftl.read(t, 0, wp, 1, &mut out),
-        Err(ZnsError::ReadBeyondWp { zone: 0, .. })
-    ));
+        // Read beyond the write pointer: rejected.
+        let wp = ftl.zone_info(0).expect(&on).write_pointer;
+        let mut out = vec![0u8; SECTOR_BYTES];
+        assert!(
+            matches!(
+                ftl.read(t, 0, wp, 1, &mut out),
+                Err(ZnsError::ReadBeyondWp { zone: 0, .. })
+            ),
+            "{on}"
+        );
 
-    // The exactly-fitting unit is accepted and the zone becomes Full...
-    let (_, t2) = ftl.append(t, 0, &[vec![0xCD; unit].into()]).unwrap();
-    t = t2;
-    assert_eq!(ftl.zone_info(0).unwrap().state, ZoneState::Full);
+        // The exactly-fitting unit is accepted and the zone becomes Full...
+        let (_, t2) = ftl.append(t, 0, &[vec![0xCD; unit].into()]).expect(&on);
+        t = t2;
+        assert_eq!(ftl.zone_info(0).expect(&on).state, ZoneState::Full, "{on}");
 
-    // ...after which any append is rejected.
-    assert!(matches!(
-        ftl.append(t, 0, &[vec![0u8; unit].into()]),
-        Err(ZnsError::ZoneNotWritable {
-            zone: 0,
-            state: ZoneState::Full
-        })
-    ));
+        // ...after which any append is rejected.
+        assert!(
+            matches!(
+                ftl.append(t, 0, &[vec![0u8; unit].into()]),
+                Err(ZnsError::ZoneNotWritable {
+                    zone: 0,
+                    state: ZoneState::Full
+                })
+            ),
+            "{on}"
+        );
 
-    // Bad sizes are typed errors on any zone state.
-    assert!(matches!(
-        ftl.append(t, 1, &[]),
-        Err(ZnsError::BadAppendSize(0))
-    ));
+        // Bad sizes are typed errors on any zone state.
+        assert!(
+            matches!(ftl.append(t, 1, &[]), Err(ZnsError::BadAppendSize(0))),
+            "{on}"
+        );
 
-    // Out-of-range zone ids are typed errors.
-    let nz = ftl.zone_count();
-    assert!(matches!(ftl.zone_info(nz), Err(ZnsError::NoSuchZone(z)) if z == nz));
-    assert!(matches!(
-        ftl.reset_zone(t, nz),
-        Err(ZnsError::NoSuchZone(z)) if z == nz
-    ));
+        // Out-of-range zone ids are typed errors.
+        let nz = ftl.zone_count();
+        assert!(
+            matches!(ftl.zone_info(nz), Err(ZnsError::NoSuchZone(z)) if z == nz),
+            "{on}"
+        );
+        assert!(
+            matches!(ftl.reset_zone(t, nz), Err(ZnsError::NoSuchZone(z)) if z == nz),
+            "{on}"
+        );
+    }
 }

@@ -10,7 +10,6 @@
 //! figure's summary numbers — and is what lets `results/` be regenerated
 //! byte for byte (`scripts/regen-results.sh`).
 
-use ox_bench::backend::BenchBackend;
 use ox_bench::Report;
 use ox_sim::trace::Obs;
 use ox_sim::SimDuration;
@@ -20,7 +19,7 @@ use ox_sim::SimDuration;
 fn assert_twice_identical(name: &str, figure: impl Fn(&Obs, &mut Report)) {
     let run = || {
         let obs = ox_bench::figure_obs();
-        let mut report = Report::new(name, None);
+        let mut report = Report::new(name);
         figure(&obs, &mut report);
         (report.text().to_string(), obs.to_json())
     };
@@ -44,7 +43,7 @@ fn assert_twice_identical(name: &str, figure: impl Fn(&Obs, &mut Report)) {
 fn ablation_same_seed_runs_are_byte_identical() {
     let cfg = ox_bench::ablation::AblationConfig::quick();
     assert_twice_identical("fig_ablation", |obs, out| {
-        ox_bench::ablation::report(&cfg, None, obs, out);
+        ox_bench::ablation::report(&cfg, obs, out);
     });
 }
 
@@ -56,15 +55,11 @@ fn lifetime_same_seed_runs_are_byte_identical() {
     });
 }
 
+/// Both media backends: the report runs oxblock, then oxztl.
 #[test]
 fn qos_tail_same_seed_runs_are_byte_identical() {
     assert_twice_identical("fig_qos_tail", |obs, out| {
-        ox_bench::qos_tail::report(
-            SimDuration::from_millis(150),
-            BenchBackend::OxBlock,
-            obs,
-            out,
-        );
+        ox_bench::qos_tail::report(SimDuration::from_millis(150), obs, out);
     });
 }
 
