@@ -317,16 +317,16 @@ impl YcsbBackend for KvAblation {
 pub struct AblationConfig {
     /// Records loaded (and the key population of every workload).
     pub record_count: u64,
-    /// Measured operations per workload.
+    /// Measured operations per workload, and the warm-up operations
+    /// (workload A, unmeasured) before the first measured phase, so WAF is
+    /// sampled at steady state.
     pub operations: u64,
-    /// Warm-up operations (workload A, unmeasured) before the first
-    /// measured phase, so WAF is sampled at steady state.
-    pub warmup_operations: u64,
     /// Closed-loop clients.
     pub clients: usize,
-    /// Run seed.
-    pub seed: u64,
 }
+
+/// Seed of every workload's operation stream.
+const SEED: u64 = 0xAB1A;
 
 impl AblationConfig {
     /// Full-scale run.
@@ -334,9 +334,7 @@ impl AblationConfig {
         AblationConfig {
             record_count: 3072,
             operations: 8192,
-            warmup_operations: 8192,
             clients: 8,
-            seed: 0xAB1A,
         }
     }
 
@@ -345,9 +343,7 @@ impl AblationConfig {
         AblationConfig {
             record_count: 1024,
             operations: 2048,
-            warmup_operations: 2048,
             clients: 4,
-            seed: 0xAB1A,
         }
     }
 
@@ -357,7 +353,7 @@ impl AblationConfig {
         cfg.record_count = self.record_count;
         cfg.operations = self.operations;
         cfg.value_bytes = RECORD_SECTORS as usize * SECTOR_BYTES;
-        cfg.seed = self.seed;
+        cfg.seed = SEED;
         cfg
     }
 }
@@ -430,8 +426,7 @@ where
 
     // Load the population, then churn through an unmeasured workload-A
     // phase so every backend's GC/compaction reaches steady state.
-    let mut warm = cfg.ycsb(YcsbWorkload::A);
-    warm.operations = cfg.warmup_operations;
+    let warm = cfg.ycsb(YcsbWorkload::A);
     let t1 = ycsb::load(&mut backend, &warm, t0);
     let warm_obs = Obs::default(); // warm-up traffic stays out of the snapshot
     let (_, mut t) = ycsb::run_ycsb(&backend, &warm, &warm_obs, t1);
@@ -481,11 +476,10 @@ pub fn run(cfg: &AblationConfig, obs: &Obs) -> AblationResult {
 pub fn report(cfg: &AblationConfig, obs: &Obs, out: &mut Report) {
     out.line("§5 — cross-interface ablation: YCSB A/B/C over oxblock, oxztl and kvssd");
     out.line(format!(
-        "identical devices, {} records × {} KB, {} ops/workload after a {}-op warm-up\n",
+        "identical devices, {} records × {} KB, {ops} ops/workload after a {ops}-op warm-up\n",
         cfg.record_count,
         RECORD_SECTORS as usize * SECTOR_BYTES / 1024,
-        cfg.operations,
-        cfg.warmup_operations,
+        ops = cfg.operations,
     ));
     let result = run(cfg, obs);
 

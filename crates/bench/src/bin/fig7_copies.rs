@@ -4,7 +4,7 @@
 //! Usage: `cargo run --release -p ox-bench --bin fig7_copies [--quick]`
 
 use ox_bench::fig7::{run, Fig7Config, Fig7Point};
-use ox_bench::{figure_obs, quick_mode, Report};
+use ox_bench::{figure_obs, quick_mode, Report, CLIENT_COUNTS};
 
 fn main() {
     let cfg = if quick_mode() {
@@ -23,7 +23,7 @@ fn main() {
 
     let widths = [26usize, 12, 12, 12, 12];
     let mut header = vec!["configuration".to_string()];
-    for n in cfg.thread_counts {
+    for n in CLIENT_COUNTS {
         header.push(format!("{n} thread(s)"));
     }
     report.row(&header, &widths);

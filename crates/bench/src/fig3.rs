@@ -61,9 +61,10 @@ pub struct Fig3Config {
     pub intervals: [Option<SimDuration>; 3],
     /// Logical capacity of the block device.
     pub logical_bytes: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
+
+/// Seed of the write stream (salted with the failure point).
+const SEED: u64 = 0xF163;
 
 impl Fig3Config {
     /// Full-scale run: T1–T6 = 10..60 s, intervals {off, 10 s, 30 s}.
@@ -76,7 +77,6 @@ impl Fig3Config {
                 Some(SimDuration::from_secs(30)),
             ],
             logical_bytes: 256 * 1024 * 1024,
-            seed: 0xF163,
         }
     }
 
@@ -90,7 +90,6 @@ impl Fig3Config {
                 Some(SimDuration::from_secs(5)),
             ],
             logical_bytes: 128 * 1024 * 1024,
-            seed: 0xF163,
         }
     }
 }
@@ -114,7 +113,7 @@ fn one_run(
     let (mut ftl, mut t) = BlockFtl::format(media, ftl_cfg, SimTime::ZERO)?;
 
     let pages = cfg.logical_bytes / SECTOR_BYTES as u64;
-    let mut rng = Prng::seed_from_u64(cfg.seed ^ fail_at.as_nanos());
+    let mut rng = Prng::seed_from_u64(SEED ^ fail_at.as_nanos());
     // Zero payloads: the simulator stores them for free, and Figure 3 only
     // measures metadata recovery.
     let buf = vec![0u8; 256 * SECTOR_BYTES];

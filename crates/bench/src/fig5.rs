@@ -1,9 +1,11 @@
-//! Figure 5: RocksDB-style average throughput over LightLSM.
+//! Figures 5 and 6: RocksDB-style throughput over LightLSM.
 //!
 //! Setup (paper §4.3): db_bench fill-sequential, read-sequential and
 //! read-random with 1/2/4/8 clients, 16 B keys and 1 KB values, no
 //! compression or caching, horizontal vs. vertical SSTable placement.
-//! Read workloads run over the database left by fill-sequential.
+//! Read workloads run over the database left by fill-sequential. Figure 6
+//! is the per-window completion-rate series of the oxblock fills
+//! ([`BenchReport::series`]), printed from the same cells.
 //!
 //! Expected shapes:
 //! * write throughput ≫ read throughput (write-back device cache);
@@ -11,11 +13,15 @@
 //!   horizontal degrades with 4–8 clients while vertical scales, ending
 //!   ~2× ahead at 8 clients;
 //! * read-sequential ≫ read-random (block = unit of read *and* write);
-//! * horizontal ≥ vertical for reads.
+//! * horizontal ≥ vertical for reads;
+//! * Figure 6: horizontal sustains high throughput at 1–2 clients and takes
+//!   visibly longer with oscillating lower throughput at 4–8; vertical shows
+//!   a lower single-client peak but its completion time stays stable (or
+//!   shrinks) as clients are added.
 
 use crate::backend::BenchBackend;
 use lightlsm::{LightLsm, LightLsmConfig, Placement};
-use lsmkv::bench::{run_workload, BenchConfig, BenchReport, Workload};
+use lsmkv::bench::{run_workload, BenchConfig, BenchReport, Workload, VALUE_BYTES};
 use lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
 use ocssd::{DeviceConfig, SharedDevice};
 use ox_core::{Media, OcssdMedia};
@@ -58,8 +64,6 @@ impl Fig5Result {
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct Fig5Config {
-    /// Client counts to sweep.
-    pub client_counts: [usize; 4],
     /// Bytes each client writes during fill (the paper used 3 GB).
     pub fill_bytes_per_client: u64,
     /// read-sequential ops per client.
@@ -75,7 +79,6 @@ impl Fig5Config {
     /// to match the scaled device geometry).
     pub fn full() -> Self {
         Fig5Config {
-            client_counts: [1, 2, 4, 8],
             fill_bytes_per_client: 96 * 1024 * 1024,
             read_seq_ops: 24_000,
             read_random_ops: 3_000,
@@ -86,7 +89,6 @@ impl Fig5Config {
     /// Quick run.
     pub fn quick() -> Self {
         Fig5Config {
-            client_counts: [1, 2, 4, 8],
             fill_bytes_per_client: 48 * 1024 * 1024,
             read_seq_ops: 8_000,
             read_random_ops: 1_000,
@@ -114,15 +116,8 @@ pub fn make_db(
     // cross-interface leg of the ablation matrix.
     let raw: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let media = backend.wrap_media(raw);
-    let (ftl, _) = LightLsm::format(
-        media,
-        LightLsmConfig {
-            placement,
-            ..LightLsmConfig::default()
-        },
-        SimTime::ZERO,
-    )
-    .expect("format");
+    let (ftl, _) =
+        LightLsm::format(media, LightLsmConfig { placement }, SimTime::ZERO).expect("format");
     let store = Arc::new(LightLsmStore::new(ftl));
     let db_cfg = DbConfig {
         // Memtable = SSTable = one full-width stripe, as the paper sizes
@@ -151,7 +146,7 @@ fn run_cell(
     obs: &Obs,
 ) -> Fig5Cell {
     let (db, dev, _store) = make_db(placement, backend, obs);
-    let ops_per_client = cfg.fill_bytes_per_client / 1024; // 1 KB values
+    let ops_per_client = cfg.fill_bytes_per_client / VALUE_BYTES as u64;
     let mut fill_cfg = BenchConfig::paper(Workload::FillSequential, clients, ops_per_client);
     fill_cfg.window = cfg.window;
     let (fill, t1) = run_workload(&db, fill_cfg, SimTime::ZERO);
@@ -183,7 +178,7 @@ fn run_cell(
 pub fn run(cfg: &Fig5Config, backend: BenchBackend, obs: &Obs) -> Fig5Result {
     let mut cells = Vec::new();
     for placement in [Placement::Horizontal, Placement::Vertical] {
-        for &clients in &cfg.client_counts {
+        for clients in crate::CLIENT_COUNTS {
             cells.push(run_cell(cfg, placement, clients, backend, obs));
         }
     }

@@ -11,7 +11,7 @@
 
 use ocssd::{CacheConfig, DeviceConfig};
 use ox_core::{Media, OcssdMedia};
-use ox_eleos::{CpuModel, EleosConfig, EleosError, EleosFtl, LogAddr};
+use ox_eleos::{EleosConfig, EleosError, EleosFtl, LogAddr};
 use ox_sim::sync::Mutex;
 use ox_sim::trace::Obs;
 use ox_sim::{Actor, Executor, SimDuration, SimTime, Step};
@@ -44,8 +44,6 @@ pub struct Fig7Result {
 /// Experiment parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct Fig7Config {
-    /// Thread counts to sweep.
-    pub thread_counts: [usize; 4],
     /// Virtual run length.
     pub duration: SimDuration,
 }
@@ -58,7 +56,6 @@ impl Fig7Config {
     /// Full-scale run.
     pub fn full() -> Self {
         Fig7Config {
-            thread_counts: [1, 2, 4, 8],
             duration: SimDuration::from_secs(3),
         }
     }
@@ -67,7 +64,6 @@ impl Fig7Config {
     pub fn quick() -> Self {
         Fig7Config {
             duration: SimDuration::from_millis(600),
-            ..Self::full()
         }
     }
 }
@@ -129,10 +125,7 @@ fn run_point(cfg: &Fig7Config, threads: usize, copies: u32, obs: &Obs) -> Fig7Po
     let dev = crate::figure_device(dev_cfg, obs);
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let eleos_cfg = EleosConfig {
-        cpu: CpuModel {
-            copies_per_write: copies,
-            ..CpuModel::default()
-        },
+        copies_per_write: copies,
         window_bytes: 1024 * 1024 * 1024,
         journal: false, // pure data-path measurement, as in the paper
         ..EleosConfig::default()
@@ -179,7 +172,7 @@ fn run_point(cfg: &Fig7Config, threads: usize, copies: u32, obs: &Obs) -> Fig7Po
 /// Runs the figure plus the copy-count ablation, reporting into `obs`.
 pub fn run(cfg: &Fig7Config, obs: &Obs) -> Fig7Result {
     let sweep = |copies: u32| {
-        cfg.thread_counts
+        crate::CLIENT_COUNTS
             .iter()
             .map(|&n| run_point(cfg, n, copies, obs))
             .collect::<Vec<_>>()

@@ -9,8 +9,7 @@
 //! | [`ablation`] | §5 — cross-interface YCSB ablation (block / ZTL / KV) |
 //! | [`backend`] | §5 — the two media a figure's stack runs over (native / oxztl) |
 //! | [`fig3`] | Figure 3 — checkpoint interval vs. recovery time |
-//! | [`fig5`] | Figure 5 — db_bench throughput, horizontal vs. vertical |
-//! | [`fig6`] | Figure 6 — fill-sequential throughput over time |
+//! | [`fig5`] | Figures 5 and 6 — db_bench throughput, horizontal vs. vertical, and its fill timeline |
 //! | [`fig7`] | Figure 7 — controller CPU vs. host write threads |
 //! | [`gc_locality`] | §4.3 — GC interference locality (93.75 % / 87.5 %) |
 //! | [`lifetime`] | ROADMAP — wear-coupled aging, scrub vs. no scrub |
@@ -29,7 +28,6 @@ pub mod ablation;
 pub mod backend;
 pub mod fig3;
 pub mod fig5;
-pub mod fig6;
 pub mod fig7;
 pub mod gc_locality;
 pub mod lifetime;
@@ -41,6 +39,10 @@ pub use report::Report;
 
 use ocssd::{DeviceConfig, OcssdDevice, SharedDevice};
 use ox_sim::trace::Obs;
+
+/// The paper's sweep of db_bench clients (Figures 5 and 6) and host writer
+/// threads (Figure 7), in both quick and full mode.
+pub const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// A device for a figure run: `config`, reporting into `obs`. Every layer
 /// built on its media reads the sinks from it, so this is the one place a

@@ -46,13 +46,14 @@ pub struct LifetimeConfig {
     pub probe_reads: usize,
     /// Probe reads for the final end-of-life sample.
     pub eol_probe_reads: usize,
-    /// Maintenance (events + checkpoint + GC + scrub step) cadence, in
-    /// overwrite units.
-    pub maintain_every: usize,
-    /// Base seed: the reliability model and the zipfian trace derive from
-    /// it.
-    pub seed: u64,
 }
+
+/// Maintenance (events + checkpoint + GC + scrub step) cadence, in
+/// overwrite units.
+const MAINTAIN_EVERY: usize = 32;
+
+/// Base seed: the reliability model and the zipfian trace derive from it.
+const SEED: u64 = 0x11FE_71AE;
 
 impl LifetimeConfig {
     /// Full-size run (the figure).
@@ -63,8 +64,6 @@ impl LifetimeConfig {
             windows: 10,
             probe_reads: 400,
             eol_probe_reads: 2000,
-            maintain_every: 32,
-            seed: 0x11FE_71AE,
         }
     }
 
@@ -222,10 +221,10 @@ struct Leg {
 /// Builds one leg's stack: aged device, iosched with a user tenant and a
 /// GC-class tenant (GC copies *and* scrub patrol reads flow through the
 /// latter), OX-Block FTL with the leg's scrub + wear-bias policy.
-fn build_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs, now: SimTime) -> (Leg, SimTime) {
+fn build_leg(scrub_on: bool, obs: &Obs, now: SimTime) -> (Leg, SimTime) {
     let geo = lifetime_geometry();
     let mut dc = DeviceConfig::with_geometry(geo);
-    dc.reliability = ReliabilityConfig::aged(cfg.seed ^ 0xA6ED);
+    dc.reliability = ReliabilityConfig::aged(SEED ^ 0xA6ED);
     let dev = crate::figure_device(dc, obs);
     let scope = if scrub_on { "scrub-on" } else { "scrub-off" };
     let base: Arc<dyn ox_core::Media> = Arc::new(OcssdMedia::new(dev.clone()));
@@ -314,7 +313,7 @@ fn maintain(leg: &mut Leg, t: SimTime) -> Result<SimTime, BlockFtlError> {
 
 /// Runs one leg of the experiment.
 fn run_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs) -> LegResult {
-    let (mut leg, mut t) = build_leg(cfg, scrub_on, obs, SimTime::ZERO);
+    let (mut leg, mut t) = build_leg(scrub_on, obs, SimTime::ZERO);
     let geo = lifetime_geometry();
     let name = if scrub_on { "scrub-on" } else { "scrub-off" };
 
@@ -334,14 +333,14 @@ fn run_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs) -> LegResult {
             }
             Err(e) => panic!("fill write failed: {e}"),
         }
-        if (u as usize).is_multiple_of(cfg.maintain_every) {
+        if (u as usize).is_multiple_of(MAINTAIN_EVERY) {
             t = maintain(&mut leg, t).expect("fill maintenance");
         }
     }
 
     let zipf = Zipf::new(fill_units as usize, 0.99);
-    let mut wrng = Prng::seed_from_u64(cfg.seed ^ 0x217F_0001);
-    let mut prng = Prng::seed_from_u64(cfg.seed ^ 0x217F_0002);
+    let mut wrng = Prng::seed_from_u64(SEED ^ 0x217F_0001);
+    let mut prng = Prng::seed_from_u64(SEED ^ 0x217F_0002);
 
     let mut windows = Vec::with_capacity(cfg.windows);
     let mut total_ops = 0u64;
@@ -364,7 +363,7 @@ fn run_leg(cfg: &LifetimeConfig, scrub_on: bool, obs: &Obs) -> LegResult {
                     }
                     Err(e) => panic!("churn write failed: {e}"),
                 }
-                if i.is_multiple_of(cfg.maintain_every) {
+                if i.is_multiple_of(MAINTAIN_EVERY) {
                     t = maintain(&mut leg, t).expect("churn maintenance");
                 }
             }

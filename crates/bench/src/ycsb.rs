@@ -309,6 +309,9 @@ impl YcsbBackend for LsmBackend {
 /// Zipfian skew of every request distribution (the YCSB default).
 const THETA: f64 = 0.99;
 
+/// Maximum short-scan length (workload E; uniform in `1..=MAX_SCAN_LEN`).
+const MAX_SCAN_LEN: usize = 16;
+
 /// One YCSB run's parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct YcsbConfig {
@@ -322,8 +325,6 @@ pub struct YcsbConfig {
     pub operations: u64,
     /// Value payload bytes.
     pub value_bytes: usize,
-    /// Maximum short-scan length (workload E; uniform in `1..=max`).
-    pub max_scan_len: usize,
     /// Seed for every generator in the run.
     pub seed: u64,
 }
@@ -337,7 +338,6 @@ impl YcsbConfig {
             record_count: 4096,
             operations: 8192,
             value_bytes: 256,
-            max_scan_len: 16,
             seed: 0x5C5B,
         }
     }
@@ -608,7 +608,7 @@ impl<B: YcsbBackend> Actor for ClientActor<B> {
         } else if dice < rmw + insert + scan {
             // Short range scan from a zipfian start key (workload E).
             let id = self.zipf_id();
-            let len = 1 + self.rng.gen_range(self.cfg.max_scan_len.max(1) as u64) as usize;
+            let len = 1 + self.rng.gen_range(MAX_SCAN_LEN as u64) as usize;
             let out = self.backend.scan(now, &workload_key(id), len);
             let mut sink = self.sink.lock();
             if out.failed {

@@ -17,7 +17,7 @@ use lsmkv::{Db, DbConfig, LightLsmStore, SharedDb, TableStore};
 use ocssd::{matrix_seeds, DeviceConfig, FaultMix, Geometry, OcssdDevice, ReadFault, SharedDevice};
 use ox_bench::ycsb::{load, run_ycsb, LsmBackend, YcsbConfig, YcsbWorkload};
 use ox_core::faultharness::FaultCase;
-use ox_core::layout::Layout;
+use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::trace::Obs;
 use ox_sim::{Prng, SimTime};
@@ -45,7 +45,6 @@ fn test_config(wl: YcsbWorkload) -> YcsbConfig {
     cfg.record_count = 256;
     cfg.operations = 512;
     cfg.value_bytes = 64;
-    cfg.max_scan_len = 8;
     cfg
 }
 
@@ -75,7 +74,7 @@ fn arm(dev: &SharedDevice, seed: u64) {
     // Random sites are uniform over a device the store has barely touched:
     // aim extra transient read failures at sectors of the tables `load`
     // wrote, so the measured phase reliably absorbs retries.
-    let reserved = Layout::plan(&geo, LightLsmConfig::default().layout).reserved_linear(&geo);
+    let reserved = Layout::plan(&geo, LayoutConfig::default()).reserved_linear(&geo);
     let written: Vec<_> = OcssdMedia::new(dev.clone())
         .report_all()
         .into_iter()

@@ -22,7 +22,6 @@ fn test_config(wl: YcsbWorkload) -> YcsbConfig {
     cfg.record_count = 256;
     cfg.operations = 512;
     cfg.value_bytes = 64;
-    cfg.max_scan_len = 8;
     cfg
 }
 

@@ -251,10 +251,10 @@ mod tests {
 
     impl FlushLog {
         fn new(plan: FaultPlan) -> (FlushLog, Wal) {
-            let mut config = DeviceConfig::with_geometry(geo());
-            config.fault = plan;
+            let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo())));
+            dev.set_fault_plan(plan);
             let media = FlushLog {
-                inner: OcssdMedia::new(SharedDevice::new(OcssdDevice::new(config))),
+                inner: OcssdMedia::new(dev),
                 flushed: Mutex::new(Vec::new()),
                 reset_errors: Mutex::new(Vec::new()),
             };

@@ -120,9 +120,9 @@ mod tests {
     /// given number of reads.
     fn media_with_faults(faults: &[(u32, u32)]) -> (OcssdMedia, Geometry, ChunkAddr) {
         let geo = Geometry::small_slc();
-        let mut config = DeviceConfig::with_geometry(geo);
+        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
         let addr = ChunkAddr::new(0, 0, 0);
-        config.fault = FaultPlan {
+        dev.set_fault_plan(FaultPlan {
             read_fails: faults
                 .iter()
                 .map(|&(sector, attempts)| ReadFault {
@@ -131,8 +131,8 @@ mod tests {
                 })
                 .collect(),
             ..FaultPlan::default()
-        };
-        let m = OcssdMedia::new(SharedDevice::new(OcssdDevice::new(config)));
+        });
+        let m = OcssdMedia::new(dev);
         let data = vec![7u8; geo.ws_min_bytes()];
         m.write(SimTime::ZERO, addr.ppa(0), &data).unwrap();
         (m, geo, addr)

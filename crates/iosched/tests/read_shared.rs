@@ -77,8 +77,8 @@ const KINDS: [&str; 4] = ["ocssd", "sched", "routed", "foreign"];
 
 /// One stack of the given kind over a fresh device with read faults armed.
 fn stack(kind: &str, geo: Geometry) -> (Arc<dyn Media>, SharedDevice) {
-    let mut config = DeviceConfig::with_geometry(geo);
-    config.fault = FaultPlan {
+    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
+    dev.set_fault_plan(FaultPlan {
         read_fails: (0..6)
             .map(|i| ReadFault {
                 ppa: ChunkAddr::new(0, 0, i % 3).ppa(i * 2),
@@ -87,8 +87,7 @@ fn stack(kind: &str, geo: Geometry) -> (Arc<dyn Media>, SharedDevice) {
             })
             .collect(),
         ..FaultPlan::default()
-    };
-    let dev = SharedDevice::new(OcssdDevice::new(config));
+    });
     let raw: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let media: Arc<dyn Media> = match kind {
         "ocssd" => raw,

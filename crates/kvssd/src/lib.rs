@@ -59,18 +59,13 @@ const GROUP_COMMIT: usize = 64;
 /// KV-SSD configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct KvSsdConfig {
-    /// Metadata layout.
-    pub layout: LayoutConfig,
     /// Free-chunk watermark that triggers value-log garbage collection.
     pub gc_watermark: u32,
 }
 
 impl Default for KvSsdConfig {
     fn default() -> Self {
-        KvSsdConfig {
-            layout: LayoutConfig::default(),
-            gc_watermark: 16,
-        }
+        KvSsdConfig { gc_watermark: 16 }
     }
 }
 
@@ -154,7 +149,7 @@ impl KvSsd {
         now: SimTime,
     ) -> Result<(KvSsd, SimTime), KvError> {
         let geo = media.geometry();
-        let layout = Layout::plan(&geo, config.layout);
+        let layout = Layout::plan(&geo, LayoutConfig::default());
         let reserved = layout.reserved_linear(&geo);
         let window_pages = geo.total_sectors() / 2; // value-log logical window
         let (wal, done) = Wal::format(media.clone(), layout.wal_chunks.clone(), now)?;
@@ -547,7 +542,6 @@ mod tests {
             media,
             KvSsdConfig {
                 gc_watermark: 2100, // scaled device has 2144 chunks
-                ..KvSsdConfig::default()
             },
             SimTime::ZERO,
         )
@@ -581,10 +575,7 @@ mod tests {
         assert_eq!(geo.num_groups, 4);
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-        let config = KvSsdConfig {
-            gc_watermark: 60,
-            ..KvSsdConfig::default()
-        };
+        let config = KvSsdConfig { gc_watermark: 60 };
         let (mut kv, mut t) = KvSsd::format(media.clone(), config, SimTime::ZERO).unwrap();
         kv.gc.mark_group(2);
         let value = vec![3u8; 8 * SECTOR_BYTES];
@@ -612,7 +603,7 @@ mod tests {
         // Transactions that shared an id would merge in the replay, or
         // show up twice below.
         let t = kv.sync(t).unwrap();
-        let layout = Layout::plan(&geo, config.layout);
+        let layout = Layout::plan(&geo, LayoutConfig::default());
         let replay = ox_core::recovery::Journal::replay(&media, &layout, t);
         let mut txids: Vec<u64> = replay
             .txns
@@ -640,15 +631,17 @@ mod tests {
         // chunk the value log opens freezes after one unit.
         let geo = Geometry::small_slc();
         let reserved = Layout::plan(&geo, LayoutConfig::default()).reserved_linear(&geo);
-        let mut config = DeviceConfig::with_geometry(geo);
-        config.fault.program_fails = (0..geo.total_chunks())
-            .filter(|lin| !reserved.contains(lin))
-            .map(|lin| ocssd::ProgramFault {
-                chunk: ocssd::ChunkAddr::from_linear(&geo, lin),
-                wp: geo.ws_min,
-            })
-            .collect();
-        let dev = SharedDevice::new(OcssdDevice::new(config));
+        let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
+        dev.set_fault_plan(ocssd::FaultPlan {
+            program_fails: (0..geo.total_chunks())
+                .filter(|lin| !reserved.contains(lin))
+                .map(|lin| ocssd::ProgramFault {
+                    chunk: ocssd::ChunkAddr::from_linear(&geo, lin),
+                    wp: geo.ws_min,
+                })
+                .collect(),
+            ..ocssd::FaultPlan::default()
+        });
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
         let (mut kv, mut t) = KvSsd::format(media, KvSsdConfig::default(), SimTime::ZERO).unwrap();
 

@@ -58,7 +58,6 @@ fn acknowledged_values_survive_seeded_media_faults() {
         let config = KvSsdConfig {
             // Collect from the second chunk a PU opens onwards.
             gc_watermark: data_chunks - 2 * geo.total_pus(),
-            ..KvSsdConfig::default()
         };
 
         let mut fired = FaultLedger::default();

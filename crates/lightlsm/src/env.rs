@@ -28,8 +28,6 @@ const TAG_TABLE_DELETE: u8 = 2;
 pub struct LightLsmConfig {
     /// SSTable placement policy (Figure 4).
     pub placement: Placement,
-    /// Metadata region sizing.
-    pub layout: LayoutConfig,
 }
 
 /// Submission cost charged per block on the single dispatch thread.
@@ -39,7 +37,6 @@ impl Default for LightLsmConfig {
     fn default() -> Self {
         LightLsmConfig {
             placement: Placement::Horizontal,
-            layout: LayoutConfig::default(),
         }
     }
 }
@@ -173,7 +170,7 @@ impl LightLsm {
         now: SimTime,
     ) -> Result<(LightLsm, SimTime), LightLsmError> {
         let geo = media.geometry();
-        let layout = Layout::plan(&geo, config.layout);
+        let layout = Layout::plan(&geo, LayoutConfig::default());
         let reserved = layout.reserved_linear(&geo);
         let (journal, done) = Journal::format(&media, &layout, now)?;
         Ok((
@@ -214,7 +211,7 @@ impl LightLsm {
         now: SimTime,
     ) -> Result<(LightLsm, SimTime, usize), LightLsmError> {
         let geo = media.geometry();
-        let layout = Layout::plan(&geo, config.layout);
+        let layout = Layout::plan(&geo, LayoutConfig::default());
 
         // The checkpointed directory, then the committed updates after it.
         let replay = Journal::replay(&media, &layout, now);
@@ -707,15 +704,8 @@ mod tests {
     fn setup(placement: Placement) -> (LightLsm, SharedDevice, SimTime) {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-        let (ftl, t) = LightLsm::format(
-            media,
-            LightLsmConfig {
-                placement,
-                ..LightLsmConfig::default()
-            },
-            SimTime::ZERO,
-        )
-        .unwrap();
+        let (ftl, t) =
+            LightLsm::format(media, LightLsmConfig { placement }, SimTime::ZERO).unwrap();
         (ftl, dev, t)
     }
 
@@ -1063,7 +1053,6 @@ mod tests {
             media,
             LightLsmConfig {
                 placement: Placement::Vertical,
-                ..LightLsmConfig::default()
             },
             t3,
         )

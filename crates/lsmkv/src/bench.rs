@@ -3,8 +3,9 @@
 //! Workloads mirror the paper's setup: fill-sequential, read-sequential and
 //! read-random with 1/2/4/8 client threads, 16-byte keys and 1 KB values,
 //! no compression and no block cache. Each client is a virtual-time actor;
-//! one background flusher and one background compactor run alongside, so
-//! flush/compaction interference on the device shows up in client latency.
+//! background flushers and compactors (one of each per client, up to eight)
+//! run alongside, so flush/compaction interference on the device shows up in
+//! client latency.
 #![expect(
     clippy::panic,
     clippy::expect_used,
@@ -40,6 +41,20 @@ impl Workload {
     }
 }
 
+/// Value size: 1 KB, as in the paper.
+pub const VALUE_BYTES: usize = 1024;
+
+/// Seed of the clients' random streams.
+const SEED: u64 = 0xD81;
+
+/// Background flush and compaction workers for `clients` clients (RocksDB
+/// `max_background_flushes` / `max_background_compactions`): background
+/// parallelism scales with foreground load, as db_bench deployments
+/// configure `max_background_jobs`.
+fn background_workers(clients: usize) -> usize {
+    clients.clamp(1, 8)
+}
+
 /// One workload run's parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchConfig {
@@ -51,16 +66,9 @@ pub struct BenchConfig {
     pub ops_per_client: u64,
     /// Keys present in the database (read workloads).
     pub key_space: u64,
-    /// Value size (1 KB in the paper).
-    pub value_bytes: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Throughput window for the time series (Figure 6 uses 1 s).
+    /// Throughput window for the time series (1 s unless the figure sets
+    /// its own).
     pub window: SimDuration,
-    /// Background flush workers (RocksDB `max_background_flushes`).
-    pub flushers: usize,
-    /// Background compaction workers (RocksDB `max_background_compactions`).
-    pub compactors: usize,
 }
 
 impl BenchConfig {
@@ -71,13 +79,7 @@ impl BenchConfig {
             clients,
             ops_per_client,
             key_space: clients as u64 * ops_per_client,
-            value_bytes: 1024,
-            seed: 0xD81,
             window: SimDuration::from_secs(1),
-            // Background parallelism scales with foreground load, as
-            // db_bench deployments configure max_background_jobs.
-            flushers: clients.clamp(1, 8),
-            compactors: clients.clamp(1, 8),
         }
     }
 }
@@ -154,7 +156,7 @@ impl Actor for Client {
             Workload::FillSequential => {
                 let key_idx = self.idx * self.cfg.ops_per_client + self.completed;
                 let key = bench_key(key_idx);
-                let value = bench_value(&key, self.cfg.value_bytes);
+                let value = bench_value(&key, VALUE_BYTES);
                 match self.db.put(now, &key, &value) {
                     Ok(PutOutcome::Done(t)) => {
                         self.record(t);
@@ -243,7 +245,7 @@ pub fn run_workload(db: &SharedDb, cfg: BenchConfig, start: SimTime) -> (BenchRe
     });
     let mut ex = Executor::new();
     let mut client_ids = Vec::new();
-    let rng = Prng::seed_from_u64(cfg.seed);
+    let rng = Prng::seed_from_u64(SEED);
     for idx in 0..cfg.clients {
         let id = ex.spawn(
             Box::new(Client {
@@ -259,7 +261,7 @@ pub fn run_workload(db: &SharedDb, cfg: BenchConfig, start: SimTime) -> (BenchRe
         );
         client_ids.push(id);
     }
-    for _ in 0..cfg.flushers.max(1) {
+    for _ in 0..background_workers(cfg.clients) {
         ex.spawn(
             Box::new(Flusher {
                 db: db.clone(),
@@ -268,7 +270,7 @@ pub fn run_workload(db: &SharedDb, cfg: BenchConfig, start: SimTime) -> (BenchRe
             start,
         );
     }
-    for _ in 0..cfg.compactors.max(1) {
+    for _ in 0..background_workers(cfg.clients) {
         ex.spawn(
             Box::new(Compactor {
                 db: db.clone(),

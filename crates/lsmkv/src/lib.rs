@@ -16,10 +16,8 @@
 //!   SSTable flush/delete (§5, the atomicity-fallacy hint). The version set
 //!   here is volatile; durability of the directory lives in the FTL.
 //!
-//! The store runs against any [`TableStore`] backend: [`LightLsmStore`]
-//! (application-specific FTL, the paper's configuration) or
-//! [`BlockStore`] (the same tables filed onto the generic OX-Block FTL, as
-//! a baseline for the ablation benchmarks).
+//! The store runs against a [`TableStore`]: [`LightLsmStore`], the
+//! application-specific FTL of the paper's configuration.
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -49,5 +47,5 @@ pub use compaction::CompactionStats;
 pub use db::{Db, DbConfig, DbError, DbIter, DbStats, KvPair, PutOutcome, SharedDb, Snapshot};
 pub use memtable::{Memtable, RangeTombstone};
 pub use sstable::{TableBuilder, TableHandle};
-pub use store::{concat_blocks, BlockStore, LightLsmStore, StoreError, TableStore};
+pub use store::{concat_blocks, LightLsmStore, StoreError, TableStore};
 pub use version::{LevelMeta, Version};

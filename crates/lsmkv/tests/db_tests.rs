@@ -18,15 +18,7 @@ fn device() -> SharedDevice {
 
 fn store(placement: Placement) -> Arc<dyn TableStore> {
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(device()));
-    let (ftl, _) = LightLsm::format(
-        media,
-        LightLsmConfig {
-            placement,
-            ..LightLsmConfig::default()
-        },
-        SimTime::ZERO,
-    )
-    .unwrap();
+    let (ftl, _) = LightLsm::format(media, LightLsmConfig { placement }, SimTime::ZERO).unwrap();
     Arc::new(LightLsmStore::new(ftl))
 }
 

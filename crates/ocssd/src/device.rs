@@ -111,13 +111,8 @@ pub struct MediaEvent {
 pub struct DeviceConfig {
     /// Physical layout.
     pub geometry: Geometry,
-    /// NAND timing (defaults to the geometry's cell profile).
-    pub profile: NandProfile,
     /// Write-back cache sizing.
     pub cache: CacheConfig,
-    /// Deterministic fault schedule (empty by default: no injected faults,
-    /// byte-identical behaviour to a plan-less device). See [`crate::fault`].
-    pub fault: FaultPlan,
     /// Wear-coupled reliability model (disabled by default: no tracking, no
     /// draws, byte-identical behaviour to a model-less device). See
     /// [`crate::health`].
@@ -130,14 +125,12 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// Configuration for a given geometry with that cell type's default
-    /// timing, no injected faults and the reliability model off.
+    /// Configuration for a given geometry with the default cache and the
+    /// reliability model off.
     pub fn with_geometry(geometry: Geometry) -> Self {
         DeviceConfig {
             geometry,
-            profile: geometry.cell.profile(),
             cache: CacheConfig::default(),
-            fault: FaultPlan::default(),
             reliability: ReliabilityConfig::default(),
             obs: Obs::new(4096),
         }
@@ -191,12 +184,12 @@ impl OcssdDevice {
             .map_err(DeviceError::InvalidGeometry)?;
         let geo = config.geometry;
         let chunks = (0..geo.total_chunks()).map(|_| Chunk::new()).collect();
-        let fault = FaultInjector::new(config.fault.clone(), geo.total_pus());
+        let fault = FaultInjector::new(FaultPlan::default(), geo.total_pus());
         let health = ReliabilityState::new(config.reliability.clone(), geo.total_chunks());
         let cache = WriteCache::new(config.cache);
         Ok(OcssdDevice {
             geo,
-            profile: config.profile,
+            profile: geo.cell.profile(),
             obs: config.obs,
             chunks,
             media: MediaStore::default(),
@@ -1190,6 +1183,13 @@ mod tests {
         OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8))
     }
 
+    /// [`small_device`] armed with `plan`.
+    fn armed(plan: FaultPlan) -> OcssdDevice {
+        let mut dev = small_device();
+        dev.set_fault_plan(plan);
+        dev
+    }
+
     fn unit_data(geo: &Geometry, fill: u8) -> Vec<u8> {
         vec![fill; geo.ws_min_bytes()]
     }
@@ -1663,12 +1663,11 @@ mod tests {
     #[test]
     fn program_failure_reported_asynchronously() {
         use crate::fault::ProgramFault;
-        let mut cfg = DeviceConfig::paper_tlc_scaled(22, 8);
         let addr = ChunkAddr::new(0, 0, 0);
-        cfg.fault
-            .program_fails
-            .push(ProgramFault { chunk: addr, wp: 0 });
-        let mut dev = OcssdDevice::new(cfg);
+        let mut dev = armed(FaultPlan {
+            program_fails: vec![ProgramFault { chunk: addr, wp: 0 }],
+            ..FaultPlan::default()
+        });
         let geo = *dev.geometry();
         // The command fails, and whoever did not issue it learns of the
         // retired chunk from the event queue, once.
@@ -1684,15 +1683,16 @@ mod tests {
 
     #[test]
     fn injected_program_fail_freezes_write_pointer() {
-        use crate::fault::{FaultPlan, ProgramFault};
-        let mut cfg = DeviceConfig::paper_tlc_scaled(22, 8);
+        use crate::fault::ProgramFault;
         let addr = ChunkAddr::new(0, 0, 0);
-        let geo = cfg.geometry;
-        cfg.fault.program_fails.push(ProgramFault {
-            chunk: addr,
-            wp: geo.ws_min,
+        let geo = Geometry::paper_tlc_scaled(22, 8);
+        let mut dev = armed(FaultPlan {
+            program_fails: vec![ProgramFault {
+                chunk: addr,
+                wp: geo.ws_min,
+            }],
+            ..FaultPlan::default()
         });
-        let mut dev = OcssdDevice::new(cfg);
         // First unit succeeds; the second hits the scheduled fault.
         let w = dev.write(t(0), addr.ppa(0), &unit_data(&geo, 1)).unwrap();
         let err = dev
@@ -1716,18 +1716,16 @@ mod tests {
         assert_eq!(events[0].kind, MediaEventKind::ProgramFail);
         assert_eq!(dev.fault_ledger().program_fails, 1);
         assert_eq!(dev.stats().injected_program_fails, 1);
-        let _ = FaultPlan::default();
     }
 
     #[test]
     fn injected_program_fail_on_empty_chunk_goes_offline() {
         use crate::fault::ProgramFault;
-        let mut cfg = DeviceConfig::paper_tlc_scaled(22, 8);
         let addr = ChunkAddr::new(1, 0, 0);
-        cfg.fault
-            .program_fails
-            .push(ProgramFault { chunk: addr, wp: 0 });
-        let mut dev = OcssdDevice::new(cfg);
+        let mut dev = armed(FaultPlan {
+            program_fails: vec![ProgramFault { chunk: addr, wp: 0 }],
+            ..FaultPlan::default()
+        });
         let geo = *dev.geometry();
         let err = dev
             .write(t(0), addr.ppa(0), &unit_data(&geo, 1))
@@ -1743,13 +1741,14 @@ mod tests {
     #[test]
     fn injected_read_fail_is_transient_then_recovers() {
         use crate::fault::ReadFault;
-        let mut cfg = DeviceConfig::paper_tlc_scaled(22, 8);
         let addr = ChunkAddr::new(0, 0, 0);
-        cfg.fault.read_fails.push(ReadFault {
-            ppa: addr.ppa(1),
-            attempts: 2,
+        let mut dev = armed(FaultPlan {
+            read_fails: vec![ReadFault {
+                ppa: addr.ppa(1),
+                attempts: 2,
+            }],
+            ..FaultPlan::default()
         });
-        let mut dev = OcssdDevice::new(cfg);
         let geo = *dev.geometry();
         dev.write(t(0), addr.ppa(0), &unit_data(&geo, 9)).unwrap();
         let settle = t(10_000_000);
@@ -1774,13 +1773,14 @@ mod tests {
     #[test]
     fn injected_erase_fail_grows_bad_block() {
         use crate::fault::EraseFault;
-        let mut cfg = DeviceConfig::paper_tlc_scaled(22, 8);
         let addr = ChunkAddr::new(2, 1, 3);
-        cfg.fault.erase_fails.push(EraseFault {
-            chunk: addr,
-            at_wear: 0,
+        let mut dev = armed(FaultPlan {
+            erase_fails: vec![EraseFault {
+                chunk: addr,
+                at_wear: 0,
+            }],
+            ..FaultPlan::default()
         });
-        let mut dev = OcssdDevice::new(cfg);
         let geo = *dev.geometry();
         let w = dev.write(t(0), addr.ppa(0), &unit_data(&geo, 1)).unwrap();
         let err = dev.reset_chunk(w.done, addr).unwrap_err();
@@ -1802,14 +1802,15 @@ mod tests {
     fn injected_latency_spike_slows_selected_pu() {
         use crate::fault::LatencySpike;
         let extra = SimDuration::from_micros(300);
-        let mut cfg = DeviceConfig::paper_tlc_scaled(22, 8);
-        cfg.fault.latency_spikes.push(LatencySpike {
-            pu: 0,
-            start_op: 1,
-            ops: 1,
-            extra,
+        let mut dev = armed(FaultPlan {
+            latency_spikes: vec![LatencySpike {
+                pu: 0,
+                start_op: 1,
+                ops: 1,
+                extra,
+            }],
+            ..FaultPlan::default()
         });
-        let mut dev = OcssdDevice::new(cfg);
         let geo = *dev.geometry();
         let addr = ChunkAddr::new(0, 0, 0);
         dev.write(t(0), addr.ppa(0), &unit_data(&geo, 1)).unwrap();
@@ -1828,9 +1829,10 @@ mod tests {
     #[test]
     fn power_cut_fires_by_op_count_and_is_consumed() {
         use crate::fault::PowerCut;
-        let mut cfg = DeviceConfig::paper_tlc_scaled(22, 8);
-        cfg.fault.power_cuts.push(PowerCut::AfterOps(2));
-        let mut dev = OcssdDevice::new(cfg);
+        let mut dev = armed(FaultPlan {
+            power_cuts: vec![PowerCut::AfterOps(2)],
+            ..FaultPlan::default()
+        });
         let geo = *dev.geometry();
         let addr = ChunkAddr::new(0, 0, 0);
         let w = dev.write(t(0), addr.ppa(0), &unit_data(&geo, 1)).unwrap();
@@ -1875,5 +1877,64 @@ mod tests {
             m.counter("device.read.media").bytes(),
             dev.stats().media_reads.bytes()
         );
+    }
+
+    /// Reads sector 0 of `addr` on both devices at `10 + i` seconds (the
+    /// data is on the media and the PU idle by then) and returns how much
+    /// longer `dev`'s read took.
+    fn added_latency(
+        dev: &mut OcssdDevice,
+        plain: &mut OcssdDevice,
+        addr: ChunkAddr,
+        i: u64,
+    ) -> SimDuration {
+        let at = t(10_000_000 + i * 1_000_000);
+        let mut out = vec![0u8; SECTOR_BYTES];
+        let slow = dev.read(at, addr.ppa(0), 1, &mut out).unwrap().latency();
+        slow.saturating_sub(plain.read(at, addr.ppa(0), 1, &mut out).unwrap().latency())
+    }
+
+    #[test]
+    fn arming_a_plan_restarts_the_op_counts_and_the_ledger() {
+        use crate::fault::LatencySpike;
+        let (mut dev, mut plain) = (small_device(), small_device());
+        let geo = *dev.geometry();
+        let addr = ChunkAddr::new(0, 0, 0);
+        for d in [&mut dev, &mut plain] {
+            d.write(t(0), addr.ppa(0), &unit_data(&geo, 1)).unwrap();
+        }
+        let extra = SimDuration::from_millis(5);
+        // The first two ops on `addr`'s PU after arming take `extra` longer.
+        let spike = FaultPlan {
+            latency_spikes: vec![LatencySpike {
+                pu: addr.pu_linear(&geo),
+                start_op: 0,
+                ops: 2,
+                extra,
+            }],
+            ..FaultPlan::default()
+        };
+        dev.set_fault_plan(spike.clone());
+        let served: Vec<_> = (0..3)
+            .map(|i| added_latency(&mut dev, &mut plain, addr, i))
+            .collect();
+        assert_eq!(served, [extra, extra, SimDuration::ZERO]);
+        assert_eq!(dev.fault_ledger().latency_spikes, 2);
+
+        // Three ops into the PU, the same plan armed again counts from zero.
+        dev.set_fault_plan(spike);
+        assert_eq!(*dev.fault_ledger(), FaultLedger::default());
+        assert_eq!(added_latency(&mut dev, &mut plain, addr, 3), extra);
+        assert_eq!(dev.fault_ledger().latency_spikes, 1);
+
+        // An empty plan clears the ledger and stops the spike the armed
+        // plan still had left for the next op.
+        dev.set_fault_plan(FaultPlan::default());
+        assert_eq!(*dev.fault_ledger(), FaultLedger::default());
+        assert_eq!(
+            added_latency(&mut dev, &mut plain, addr, 4),
+            SimDuration::ZERO
+        );
+        assert_eq!(dev.fault_ledger().total(), 0);
     }
 }

@@ -1,10 +1,10 @@
 //! Deterministic fault injection.
 //!
-//! A [`FaultPlan`] is a *data-only* schedule of media faults hung off
-//! [`crate::DeviceConfig`]: program failures at chosen chunk/write-pointer
-//! positions, per-sector uncorrectable reads (ECC exhaustion), erase failures
-//! that grow bad blocks, latency spikes on selected PUs, and power-loss cut
-//! points in virtual time or op count. The device consumes the plan through a
+//! A [`FaultPlan`] is a *data-only* schedule of media faults armed on a
+//! device with [`crate::OcssdDevice::set_fault_plan`]: program failures at
+//! chosen chunk/write-pointer positions, per-sector uncorrectable reads (ECC
+//! exhaustion), erase failures that grow bad blocks, latency spikes on
+//! selected PUs, and power-loss cut points in virtual time or op count. The device consumes the plan through a
 //! [`FaultInjector`], which draws nothing from the device RNG and adds no
 //! timing of its own when idle — an empty plan is byte-identical to no plan.
 //!

@@ -66,9 +66,8 @@ fn failed_programs_never_advance_the_write_pointer() {
     for geo in fault_geometries() {
         for seed in matrix_seeds(20) {
             let ctx = format!("seed {seed} on {:?}", geo.cell);
-            let mut config = DeviceConfig::with_geometry(geo);
-            config.fault = plan_for(seed, &geo);
-            let mut dev = OcssdDevice::new(config);
+            let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+            dev.set_fault_plan(plan_for(seed, &geo));
             let mut rng = Prng::seed_from_u64(seed);
             let mut t = SimTime::ZERO;
 
@@ -184,9 +183,8 @@ fn ledger_reconciles_with_stats_and_media_events() {
         let mut any_read = 0u64;
         for seed in matrix_seeds(20) {
             let ctx = format!("seed {seed} on {:?}", geo.cell);
-            let mut config = DeviceConfig::with_geometry(geo);
-            config.fault = plan_for(seed, &geo);
-            let mut dev = OcssdDevice::new(config);
+            let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
+            dev.set_fault_plan(plan_for(seed, &geo));
             let mut rng = Prng::seed_from_u64(seed ^ 1);
             let mut t = SimTime::ZERO;
             let mut events = Vec::new();
@@ -258,15 +256,15 @@ fn ledger_reconciles_with_stats_and_media_events() {
     }
 }
 
+/// A device armed with an empty plan is byte-identical to one never armed.
 #[test]
 fn empty_plan_is_byte_identical_to_no_plan() {
     let geo = Geometry::small_slc();
     let run = |with_empty_plan: bool| {
-        let mut config = DeviceConfig::with_geometry(geo);
+        let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
         if with_empty_plan {
-            config.fault = FaultPlan::default();
+            dev.set_fault_plan(FaultPlan::default());
         }
-        let mut dev = OcssdDevice::new(config);
         let mut rng = Prng::seed_from_u64(42);
         let mut t = SimTime::ZERO;
         let mut read_back = Vec::new();
@@ -436,12 +434,12 @@ fn a_device_with_no_fault_source_armed_never_fails() {
         for seed in matrix_seeds(20) {
             let ctx = format!("seed {seed} on {:?}", geo.cell);
             let mut config = DeviceConfig::with_geometry(geo);
-            config.fault = FaultPlan::default();
             config.reliability = ReliabilityConfig {
                 enabled: false,
                 ..ReliabilityConfig::aged(seed)
             };
             let mut dev = OcssdDevice::new(config);
+            dev.set_fault_plan(FaultPlan::default());
             let mut rng = Prng::seed_from_u64(seed ^ 0x1DE7);
             let mut t = SimTime::ZERO;
             let mut out = vec![0u8; geo.ws_min_bytes()];

@@ -308,7 +308,7 @@ fn views_and_copies_are_the_same_read() {
             let mut config = DeviceConfig::with_geometry(geo);
             // Injected ECC failures on sectors the workload reads, and a
             // reliability model stressed enough to fail reads by itself.
-            config.fault = FaultPlan {
+            let plan = FaultPlan {
                 read_fails: (0..4)
                     .map(|i| ReadFault {
                         ppa: chunk(&geo, i).ppa(i as u32 * 3),
@@ -325,6 +325,8 @@ fn views_and_copies_are_the_same_read() {
             };
             let mut copy_dev = OcssdDevice::new(config.clone());
             let mut view_dev = OcssdDevice::new(config);
+            copy_dev.set_fault_plan(plan.clone());
+            view_dev.set_fault_plan(plan);
             let mut rng = Prng::seed_from_u64(seed ^ 0xB1E55);
             let spc = geo.sectors_per_chunk;
             let mut t = SimTime::ZERO;

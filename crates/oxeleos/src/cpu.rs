@@ -5,84 +5,56 @@
 //! keep up with the data copies within OX: from the network stack to the
 //! FTL, and from the FTL to the Open-Channel SSD" (paper §4.3, Figure 7).
 //!
-//! We model the controller as a small pool of cores, each a FIFO
+//! We model the controller as a pool of [`CORES`] cores, each a FIFO
 //! [`Timeline`]. A write of `b` bytes charges `copies_per_write` memcpy
-//! passes at the configured copy bandwidth plus a fixed per-command
-//! overhead, on the least-loaded core. Utilization over the experiment
-//! horizon is the Figure 7 y-axis.
+//! passes at [`COPY_BANDWIDTH`] plus [`PER_COMMAND`], on the least-loaded
+//! core. Utilization over the experiment horizon is the Figure 7 y-axis.
 
 use ox_sim::{SimDuration, SimTime, Timeline};
 
-/// Controller CPU parameters.
-///
-/// Defaults approximate the DFC's ARMv8: memcpy at ~1.75 GB/s per core over
-/// DDR (copy loops on ARM A57-class cores), 2 cores dedicated to the data
-/// path, two copies per write (network→FTL, FTL→device).
-#[derive(Clone, Copy, Debug)]
-pub struct CpuModel {
-    /// Data-path cores available.
-    pub cores: u32,
-    /// Sustained memcpy bandwidth per core, bytes per second.
-    pub copy_bandwidth: u64,
-    /// Fixed per-command processing overhead.
-    pub per_command: SimDuration,
-    /// Copies charged per write (2 in OX as published; 1 with zero-copy
-    /// networking; 0 with full hardware offload — the §4.4 ablation).
-    pub copies_per_write: u32,
-}
+/// Data-path cores of the DFC's ARMv8 controller.
+pub const CORES: usize = 2;
 
-impl Default for CpuModel {
-    fn default() -> Self {
-        CpuModel {
-            cores: 2,
-            copy_bandwidth: 1_750_000_000,
-            per_command: SimDuration::from_micros(20),
-            copies_per_write: 2,
-        }
-    }
-}
+/// Sustained memcpy bandwidth per core, bytes per second: ~1.75 GB/s over
+/// DDR (copy loops on ARM A57-class cores).
+pub const COPY_BANDWIDTH: u64 = 1_750_000_000;
 
-impl CpuModel {
-    /// Service time charged for one write of `bytes` (all copies + overhead).
-    pub fn write_service_time(&self, bytes: u64) -> SimDuration {
-        let copy_ns = (bytes as u128 * self.copies_per_write as u128 * 1_000_000_000
-            / self.copy_bandwidth as u128) as u64;
-        self.per_command + SimDuration::from_nanos(copy_ns)
-    }
-}
+/// Fixed per-command processing overhead.
+const PER_COMMAND: SimDuration = SimDuration::from_micros(20);
 
 /// The controller CPU: a pool of FIFO cores.
 pub struct ControllerCpu {
-    model: CpuModel,
+    copies_per_write: u32,
     cores: Vec<Timeline>,
     bytes_copied: u64,
     commands: u64,
 }
 
 impl ControllerCpu {
-    /// A fresh CPU pool.
-    pub fn new(model: CpuModel) -> Self {
-        assert!(model.cores > 0, "need at least one core");
+    /// A fresh CPU pool charging `copies_per_write` copies per write.
+    pub fn new(copies_per_write: u32) -> Self {
         ControllerCpu {
-            cores: vec![Timeline::new(); model.cores as usize],
-            model,
+            cores: vec![Timeline::new(); CORES],
+            copies_per_write,
             bytes_copied: 0,
             commands: 0,
         }
     }
 
-    /// The model in effect.
-    pub fn model(&self) -> &CpuModel {
-        &self.model
+    /// Service time charged for one write of `bytes` (all copies + overhead).
+    pub fn write_service_time(&self, bytes: u64) -> SimDuration {
+        let copy_ns = (bytes as u128 * self.copies_per_write as u128 * 1_000_000_000
+            / COPY_BANDWIDTH as u128) as u64;
+        PER_COMMAND + SimDuration::from_nanos(copy_ns)
     }
 
     /// Charges the CPU work for one write of `bytes` arriving at `now`.
     /// Returns the completion time of the copies.
     pub fn charge_write(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let service = self.model.write_service_time(bytes);
+        let service = self.write_service_time(bytes);
         #[expect(
             clippy::expect_used,
-            reason = "new() asserts model.cores > 0, so the pool is never empty"
+            reason = "the pool holds CORES > 0 cores, so it is never empty"
         )]
         let core = self
             .cores
@@ -90,16 +62,13 @@ impl ControllerCpu {
             .min_by_key(|c| c.busy_until())
             .expect("non-empty pool");
         let grant = core.acquire(now, service);
-        self.bytes_copied += bytes * self.model.copies_per_write as u64;
+        self.bytes_copied += bytes * self.copies_per_write as u64;
         self.commands += 1;
         grant.end
     }
 
     /// Mean utilization of the pool over `[0, horizon]`, in `[0, 1]`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if self.cores.is_empty() {
-            return 0.0;
-        }
         self.cores
             .iter()
             .map(|c| c.utilization(horizon))
@@ -124,18 +93,12 @@ mod tests {
 
     #[test]
     fn service_time_scales_with_copies() {
-        let base = CpuModel::default();
-        let one_copy = CpuModel {
-            copies_per_write: 1,
-            ..base
-        };
-        let zero_copy = CpuModel {
-            copies_per_write: 0,
-            ..base
-        };
+        let base = ControllerCpu::new(2);
+        let one_copy = ControllerCpu::new(1);
+        let zero_copy = ControllerCpu::new(0);
         let b = 8 * 1024 * 1024;
         assert!(base.write_service_time(b) > one_copy.write_service_time(b));
-        assert_eq!(zero_copy.write_service_time(b), base.per_command);
+        assert_eq!(zero_copy.write_service_time(b), PER_COMMAND);
         // 8 MB × 2 copies at 1.75 GB/s ≈ 9.6 ms.
         let ms = base.write_service_time(b).as_millis();
         assert!((9..=11).contains(&ms), "got {ms} ms");
@@ -143,7 +106,7 @@ mod tests {
 
     #[test]
     fn work_spreads_across_cores() {
-        let mut cpu = ControllerCpu::new(CpuModel::default());
+        let mut cpu = ControllerCpu::new(2);
         let t0 = SimTime::ZERO;
         let d1 = cpu.charge_write(t0, 8 << 20);
         let d2 = cpu.charge_write(t0, 8 << 20);
@@ -155,7 +118,7 @@ mod tests {
 
     #[test]
     fn utilization_saturates_under_overload() {
-        let mut cpu = ControllerCpu::new(CpuModel::default());
+        let mut cpu = ControllerCpu::new(2);
         let mut t = SimTime::ZERO;
         // One synchronous writer cannot saturate two cores.
         for _ in 0..50 {
@@ -165,7 +128,7 @@ mod tests {
         assert!(one_writer < 0.6, "one writer: {one_writer}");
 
         // Four concurrent writers (each waits only for its own copy) can.
-        let mut cpu = ControllerCpu::new(CpuModel::default());
+        let mut cpu = ControllerCpu::new(2);
         let mut writer_t = [SimTime::ZERO; 4];
         for _ in 0..50 {
             for wt in writer_t.iter_mut() {
@@ -179,7 +142,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut cpu = ControllerCpu::new(CpuModel::default());
+        let mut cpu = ControllerCpu::new(2);
         cpu.charge_write(SimTime::ZERO, 1000);
         cpu.charge_write(SimTime::ZERO, 1000);
         assert_eq!(cpu.commands(), 2);

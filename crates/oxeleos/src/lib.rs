@@ -15,9 +15,9 @@
 //!   byte-granularity addressing into the log (the "mapping at a granularity
 //!   smaller than the unit of read" point of §4.2), and whole-buffer trim
 //!   with copyless reclamation.
-//! * [`ControllerCpu`] / [`CpuModel`] — the storage-controller CPU model
-//!   that charges per-copy time and reports utilization (the Figure 7
-//!   metric), with a configurable copies-per-write count so the §4.4
+//! * [`ControllerCpu`] — the storage-controller CPU model that charges
+//!   per-copy time and reports utilization (the Figure 7 metric), with a
+//!   copies-per-write count ([`EleosConfig::copies_per_write`]) so the §4.4
 //!   zero-copy lesson (AF_XDP / hardware ROCE) can be measured as an
 //!   ablation.
 
@@ -36,5 +36,5 @@
 mod cpu;
 mod lss;
 
-pub use cpu::{ControllerCpu, CpuModel};
+pub use cpu::{ControllerCpu, COPY_BANDWIDTH, CORES};
 pub use lss::{EleosConfig, EleosError, EleosFtl, LogAddr};

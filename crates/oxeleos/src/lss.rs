@@ -10,7 +10,7 @@
 //! Reclamation is copyless: LLAMA-style log cleaning trims a prefix of the
 //! log, and chunks whose sectors are all invalid are simply reset.
 
-use crate::cpu::{ControllerCpu, CpuModel};
+use crate::cpu::ControllerCpu;
 use ocssd::{ChunkAddr, ChunkState, DeviceError, Geometry, SECTOR_BYTES};
 use ox_core::badblock::retire_chunks;
 use ox_core::layout::{Layout, LayoutConfig};
@@ -59,10 +59,10 @@ pub struct EleosConfig {
     pub buffer_bytes: usize,
     /// Live log window the FTL must be able to address, in bytes.
     pub window_bytes: u64,
-    /// Metadata layout.
-    pub layout: LayoutConfig,
-    /// Controller CPU model (Figure 7).
-    pub cpu: CpuModel,
+    /// Copies the controller CPU charges per write (Figure 7): 2 in OX as
+    /// published, 1 with zero-copy networking, 0 with full hardware
+    /// offload (the §4.4 ablation).
+    pub copies_per_write: u32,
     /// Journal mapping updates through the WAL (off for pure-throughput
     /// experiments).
     pub journal: bool,
@@ -75,8 +75,7 @@ impl Default for EleosConfig {
             // drive's 96 KB write unit (85 units ≈ 7.97 MB).
             buffer_bytes: 85 * 96 * 1024,
             window_bytes: 512 * 1024 * 1024,
-            layout: LayoutConfig::default(),
-            cpu: CpuModel::default(),
+            copies_per_write: 2,
             journal: true,
         }
     }
@@ -168,7 +167,7 @@ impl EleosFtl {
             "LSS buffer must be a multiple of the device write unit"
         );
         let geo = media.geometry();
-        let layout = Layout::plan(&geo, config.layout);
+        let layout = Layout::plan(&geo, LayoutConfig::default());
         let reserved = layout.reserved_linear(&geo);
         let window_pages = config.window_bytes / SECTOR_BYTES as u64;
         let (journal, done) = Journal::format(&media, &layout, now)?;
@@ -180,7 +179,7 @@ impl EleosFtl {
                     Provisioner::fresh(geo, &reserved),
                 ),
                 journal,
-                cpu: ControllerCpu::new(config.cpu),
+                cpu: ControllerCpu::new(config.copies_per_write),
                 stats: FtlStats::default(),
                 window_pages,
                 tail_lpn: 0,
@@ -206,7 +205,7 @@ impl EleosFtl {
     ) -> Result<(EleosFtl, SimTime, u64), EleosError> {
         assert!(config.journal, "recovery requires the journal");
         let geo = media.geometry();
-        let layout = Layout::plan(&geo, config.layout);
+        let layout = Layout::plan(&geo, LayoutConfig::default());
         let reserved = layout.reserved_linear(&geo);
         let window_pages = config.window_bytes / SECTOR_BYTES as u64;
 
@@ -266,7 +265,7 @@ impl EleosFtl {
             geo,
             space: LogSpace::new(map, prov),
             journal,
-            cpu: ControllerCpu::new(config.cpu),
+            cpu: ControllerCpu::new(config.copies_per_write),
             stats: FtlStats::default(),
             window_pages,
             tail_lpn,
@@ -695,7 +694,7 @@ mod tests {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
         let mut cfg = small_config();
-        cfg.cpu.copies_per_write = 0;
+        cfg.copies_per_write = 0;
         let (mut zero, t0) = EleosFtl::format(media, cfg, SimTime::ZERO).unwrap();
         let buf = buffer(1, 768 * 1024);
         let (_, zc) = zero.append_buffer(t0, &buf).unwrap();

@@ -70,12 +70,6 @@ pub struct ZnsConfig {
     pub chunks_per_zone: u32,
 }
 
-impl Default for ZnsConfig {
-    fn default() -> Self {
-        ZnsConfig { chunks_per_zone: 4 }
-    }
-}
-
 /// OX-ZNS failure modes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ZnsError {
@@ -325,20 +319,6 @@ impl ZnsFtl {
             write_pointer: z.wp,
             capacity: self.zone_sectors,
         })
-    }
-
-    /// Highest program/erase wear across the zone's chunks (from the
-    /// *report chunk*) — the zone-aware GC's wear-leveling signal.
-    pub fn zone_wear(&self, zone: u32) -> Result<u32, ZnsError> {
-        let z = self
-            .zones
-            .get(zone as usize)
-            .ok_or(ZnsError::NoSuchZone(zone))?;
-        Ok(z.chunks
-            .iter()
-            .map(|&c| self.media.chunk_info(c).wear)
-            .max()
-            .unwrap_or(0))
     }
 
     /// Barrier: all acknowledged appends *to this zone* durable.

@@ -20,9 +20,9 @@
 //!   open zone sits on its own parallel unit, and the hot stream — most of
 //!   the appends, and the records read most — alternates between two.
 //! * **Zone-aware GC** — a closed zone scores units freed × √age ÷ units to
-//!   move (`wear_bias`, the PR-9 knob, adds to the cost); a zone with nothing
-//!   live is reset at once, and otherwise the background collector runs only
-//!   while reclaimable garbage exceeds a fixed fraction of live data. An
+//!   move; a zone with nothing live is reset at once, and otherwise the
+//!   background collector runs only while reclaimable garbage exceeds a
+//!   fixed fraction of live data. An
 //!   in-RAM reverse map says what is live without reading a header; a unit
 //!   that is all live moves to a survivor stream by a zone copy inside the
 //!   device, header included, the live records of any other are repacked on
@@ -89,11 +89,12 @@ const fn max_trims_per_unit() -> usize {
     (SECTOR_BYTES - HEADER_BYTES) / 8
 }
 
+/// Chunks per zone of the OX-ZNS device the layer formats ([`ZnsConfig`]).
+pub const CHUNKS_PER_ZONE: u32 = 2;
+
 /// Translation-layer configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ZtlConfig {
-    /// Chunks per zone (forwarded to [`ZnsConfig`]).
-    pub chunks_per_zone: u32,
     /// Open zones budgeted to user writes, split over the hot, warm and
     /// cold streams: fewer than three merge the colder classes, a fourth
     /// goes to the hot stream (zone-level parallelism where the traffic is).
@@ -105,20 +106,14 @@ pub struct ZtlConfig {
     /// Free-zone count (beyond the reserve) below which the write path
     /// runs GC passes before allocating.
     pub low_watermark_zones: u32,
-    /// Added to a victim's relocation cost as `wear_bias` × zone wear: `0`
-    /// scores zones on garbage and age alone, larger values steer GC away
-    /// from worn zones (the PR-9 wear-leveling knob, on zones).
-    pub wear_bias: u32,
 }
 
 impl Default for ZtlConfig {
     fn default() -> Self {
         ZtlConfig {
-            chunks_per_zone: 2,
             open_zones: 4,
             gc_reserve_zones: 2,
             low_watermark_zones: 4,
-            wear_bias: 0,
         }
     }
 }
@@ -429,7 +424,7 @@ impl ZtlFtl {
         let (zns, t) = ZnsFtl::format(
             zns_media,
             ZnsConfig {
-                chunks_per_zone: cfg.chunks_per_zone,
+                chunks_per_zone: CHUNKS_PER_ZONE,
             },
             now,
         )?;
@@ -454,7 +449,7 @@ impl ZtlFtl {
         let (zns, t) = ZnsFtl::open(
             zns_media,
             ZnsConfig {
-                chunks_per_zone: cfg.chunks_per_zone,
+                chunks_per_zone: CHUNKS_PER_ZONE,
             },
             now,
         )?;
@@ -647,7 +642,7 @@ impl ZtlFtl {
     }
 
     fn zone_of_chunk(&self, chunk: ChunkAddr) -> u32 {
-        let row = chunk.chunk / self.cfg.chunks_per_zone;
+        let row = chunk.chunk / CHUNKS_PER_ZONE;
         let pu = chunk.group * self.geo.pus_per_group + chunk.pu;
         row * self.geo.total_pus() + pu
     }
@@ -880,14 +875,8 @@ impl ZtlFtl {
             }
             let freed = zone_units - cost;
             reclaimable += freed;
-            // The wear lookup is two device round trips per zone: only
-            // when the knob asks for it.
-            let wear_cost = match self.cfg.wear_bias {
-                0 => 0,
-                bias => bias as u64 * self.zns.zone_wear(zone).unwrap_or(0) as u64,
-            };
             let age = self.next_seq - meta.last_seq;
-            let score = placement::victim_score(freed, cost + wear_cost, age);
+            let score = placement::victim_score(freed, cost, age);
             if best.is_none_or(|(s, _)| score > s) {
                 best = Some((score, zone));
             }
@@ -1392,11 +1381,9 @@ mod tests {
 
     fn tiny_cfg() -> ZtlConfig {
         ZtlConfig {
-            chunks_per_zone: 2,
             open_zones: 2,
             gc_reserve_zones: 1,
             low_watermark_zones: 2,
-            wear_bias: 0,
         }
     }
 

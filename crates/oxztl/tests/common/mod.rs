@@ -24,10 +24,8 @@ pub fn tiny_geometry() -> Geometry {
 /// Two user streams (hot, cold) and one survivor stream.
 pub fn tiny_cfg() -> ZtlConfig {
     ZtlConfig {
-        chunks_per_zone: 2,
         open_zones: 2,
         gc_reserve_zones: 1,
         low_watermark_zones: 2,
-        ..ZtlConfig::default()
     }
 }

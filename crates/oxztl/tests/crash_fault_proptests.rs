@@ -25,7 +25,7 @@ use ox_core::faultharness::{
 };
 use ox_core::{Media, OcssdMedia};
 use ox_sim::SimTime;
-use oxztl::{Stream, ZtlConfig, ZtlError, ZtlFtl, STREAMS};
+use oxztl::{Stream, ZtlConfig, ZtlError, ZtlFtl, CHUNKS_PER_ZONE, STREAMS};
 use std::sync::Arc;
 
 const SLOTS: u64 = 16;
@@ -319,19 +319,19 @@ fn reset_zones_never_resurrect_dead_records() {
 }
 
 /// The device's own report of every zone's chunks.
-fn zones_on_media(dev: &SharedDevice, geo: &Geometry, chunks_per_zone: u32) -> Vec<Vec<ChunkInfo>> {
+fn zones_on_media(dev: &SharedDevice, geo: &Geometry) -> Vec<Vec<ChunkInfo>> {
     let mut zones = Vec::new();
     for pu in 0..geo.total_pus() {
-        for row in 0..geo.chunks_per_pu / chunks_per_zone {
+        for row in 0..geo.chunks_per_pu / CHUNKS_PER_ZONE {
             let chunk = |i| {
                 let (group, unit) = (pu / geo.pus_per_group, pu % geo.pus_per_group);
                 dev.chunk_info(ocssd::ChunkAddr::new(
                     group,
                     unit,
-                    row * chunks_per_zone + i,
+                    row * CHUNKS_PER_ZONE + i,
                 ))
             };
-            zones.push((0..chunks_per_zone).map(chunk).collect());
+            zones.push((0..CHUNKS_PER_ZONE).map(chunk).collect());
         }
     }
     zones
@@ -339,10 +339,10 @@ fn zones_on_media(dev: &SharedDevice, geo: &Geometry, chunks_per_zone: u32) -> V
 
 /// Fewest erases any zone has seen, over the zones still in service (a zone
 /// with a chunk the fault plan took offline is out of the ring for good).
-fn fewest_laps(dev: &SharedDevice, geo: &Geometry, chunks_per_zone: u32) -> u32 {
+fn fewest_laps(dev: &SharedDevice, geo: &Geometry) -> u32 {
     let in_service =
         |chunks: &Vec<ChunkInfo>| chunks.iter().all(|c| c.state != ocssd::ChunkState::Offline);
-    zones_on_media(dev, geo, chunks_per_zone)
+    zones_on_media(dev, geo)
         .iter()
         .filter(|chunks| in_service(chunks))
         .flat_map(|chunks| chunks.iter().map(|c| c.wear))
@@ -351,9 +351,9 @@ fn fewest_laps(dev: &SharedDevice, geo: &Geometry, chunks_per_zone: u32) -> u32 
 }
 
 /// Zones holding some data but not full, by the device's own report.
-fn open_zones_on_media(dev: &SharedDevice, geo: &Geometry, chunks_per_zone: u32) -> usize {
-    let full = chunks_per_zone * geo.sectors_per_chunk;
-    zones_on_media(dev, geo, chunks_per_zone)
+fn open_zones_on_media(dev: &SharedDevice, geo: &Geometry) -> usize {
+    let full = CHUNKS_PER_ZONE * geo.sectors_per_chunk;
+    zones_on_media(dev, geo)
         .iter()
         .map(|chunks| chunks.iter().map(|c| c.write_ptr).sum::<u32>())
         .filter(|&written| written > 0 && written < full)
@@ -380,7 +380,7 @@ fn zone_ring_survives_laps_under_the_fault_matrix() {
         dev.set_fault_plan(FaultPlan::random(seed, &geo, &fault_mix()));
         let mut latest = vec![None; LAP_SLOTS as usize];
         let mut rounds = 0u64;
-        while fewest_laps(&dev, &geo, cfg.chunks_per_zone) < 3 {
+        while fewest_laps(&dev, &geo) < 3 {
             assert!(rounds < 400, "seed {seed}: ring stopped turning");
             let case_seed = seed.wrapping_mul(1_000_003).wrapping_add(rounds);
             let mut case =
@@ -437,7 +437,7 @@ fn zone_ring_survives_laps_under_the_fault_matrix() {
         };
         t = host.crash_and_recover(t).unwrap();
         assert!(
-            open_zones_on_media(&dev, &geo, cfg.chunks_per_zone) as u32 > host.cfg.open_zones,
+            open_zones_on_media(&dev, &geo) as u32 > host.cfg.open_zones,
             "seed {seed}: the cut should have left several zones open"
         );
         for round in 0..6u32 {

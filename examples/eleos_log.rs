@@ -5,7 +5,7 @@
 
 use ox_workbench::ocssd::{DeviceConfig, OcssdDevice, SharedDevice};
 use ox_workbench::ox_core::{Media, OcssdMedia};
-use ox_workbench::ox_eleos::{CpuModel, EleosConfig, EleosFtl, LogAddr};
+use ox_workbench::ox_eleos::{EleosConfig, EleosFtl, LogAddr, COPY_BANDWIDTH, CORES};
 use ox_workbench::ox_sim::{SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -75,13 +75,12 @@ fn main() {
         ftl.cpu().commands(),
         ftl.cpu().bytes_copied() as f64 / (1024.0 * 1024.0),
     );
-    let m = CpuModel::default();
     println!(
         "copy model: {} cores × {:.2} GB/s; one {:.1} MB buffer costs {} of CPU — two sustained \
          writers saturate the pool (Figure 7)",
-        m.cores,
-        m.copy_bandwidth as f64 / 1e9,
+        CORES,
+        COPY_BANDWIDTH as f64 / 1e9,
         buffer_bytes as f64 / (1024.0 * 1024.0),
-        m.write_service_time(buffer_bytes as u64),
+        ftl.cpu().write_service_time(buffer_bytes as u64),
     );
 }

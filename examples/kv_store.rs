@@ -21,7 +21,6 @@ fn main() {
         media,
         LightLsmConfig {
             placement: Placement::Horizontal,
-            ..LightLsmConfig::default()
         },
         SimTime::ZERO,
     )

@@ -15,16 +15,9 @@ fn make_ftl(placement: Placement) -> LightLsm {
         Geometry::paper_tlc_scaled(22, 32),
     )));
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-    LightLsm::format(
-        media,
-        LightLsmConfig {
-            placement,
-            ..LightLsmConfig::default()
-        },
-        SimTime::ZERO,
-    )
-    .expect("format")
-    .0
+    LightLsm::format(media, LightLsmConfig { placement }, SimTime::ZERO)
+        .expect("format")
+        .0
 }
 
 fn main() {

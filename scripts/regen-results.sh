@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release -p ox-bench --bins
 rm -f results/*.txt results/*.obs.json
-for bin in fig3_recovery gc_locality fig5_throughput fig6_timeline fig7_copies \
+for bin in fig3_recovery gc_locality fig5_throughput fig7_copies \
     fig_qos_tail fig_ycsb fig_lifetime fig_ablation; do
     cargo run --release -q -p ox-bench --bin "$bin" > /dev/null
 done

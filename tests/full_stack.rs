@@ -27,15 +27,7 @@ fn db_config() -> DbConfig {
 
 fn stack(placement: Placement, dev: &SharedDevice) -> (SharedDb, Arc<LightLsmStore>) {
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-    let (ftl, _) = LightLsm::format(
-        media,
-        LightLsmConfig {
-            placement,
-            ..LightLsmConfig::default()
-        },
-        SimTime::ZERO,
-    )
-    .unwrap();
+    let (ftl, _) = LightLsm::format(media, LightLsmConfig { placement }, SimTime::ZERO).unwrap();
     let store = Arc::new(LightLsmStore::new(ftl));
     let db = SharedDb::new(Db::new(store.clone() as Arc<dyn TableStore>, db_config()));
     (db, store)
