@@ -106,10 +106,7 @@ fn one_run(
     let mut ftl_cfg = BlockFtlConfig::with_capacity(cfg.logical_bytes);
     ftl_cfg.checkpoint_interval = interval;
     // The disabled-checkpoint arm must hold the whole run's log in the ring.
-    ftl_cfg.layout = LayoutConfig {
-        wal_chunks: 1024,
-        checkpoint_chunks_per_area: 2,
-    };
+    ftl_cfg.layout = LayoutConfig { wal_chunks: 1024 };
     let (mut ftl, mut t) = BlockFtl::format(media, ftl_cfg, SimTime::ZERO)?;
 
     let pages = cfg.logical_bytes / SECTOR_BYTES as u64;
@@ -137,10 +134,7 @@ fn one_run(
     let media2: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
     let mut ftl_cfg2 = BlockFtlConfig::with_capacity(cfg.logical_bytes);
     ftl_cfg2.checkpoint_interval = interval;
-    ftl_cfg2.layout = LayoutConfig {
-        wal_chunks: 1024,
-        checkpoint_chunks_per_area: 2,
-    };
+    ftl_cfg2.layout = LayoutConfig { wal_chunks: 1024 };
     let (_, outcome) = BlockFtl::recover(media2, ftl_cfg2, t)?;
     Ok(Fig3Point {
         fail_at_secs: fail_at.as_secs_f64(),

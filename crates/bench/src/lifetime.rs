@@ -1,15 +1,15 @@
 //! Device-lifetime robustness: wear-coupled aging under sustained zipfian
 //! overwrite, with and without background scrub + wear-aware GC.
 //!
-//! The simulated drive runs the [`ocssd::ReliabilityConfig::aged`] model —
+//! The simulated drive runs the [`ocssd::health`] reliability model —
 //! retention errors grow with virtual-time data age, read disturb with
 //! per-chunk reads since erase, and the raw bit-error floor with P/E wear.
 //! Two identical workloads (same seeds, same zipfian trace) run against it:
 //!
 //! * **scrub-off** — plain greedy GC, no patrol reads, no refresh.
 //! * **scrub-on** — OX-Block's background scrubber patrol-reads through the
-//!   GC-class iosched tenant, refresh-relocates chunks past the error
-//!   threshold, and GC victim selection carries a wear bias.
+//!   GC-class iosched tenant, refresh-relocates the chunks the device
+//!   flags refresh-due, and GC victim selection carries a wear bias.
 //!
 //! Each leg fills the device to `fill_pct` (90 % in the figure; the tests
 //! also run 70 %), then runs windowed zipfian overwrite to GC steady state
@@ -22,11 +22,8 @@
 
 use crate::Report;
 use iosched::{ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SharedScheduler, TenantConfig};
-use ocssd::{
-    ChunkAddr, ChunkState, DeviceConfig, Geometry, Obs, ReliabilityConfig, SharedDevice,
-    SECTOR_BYTES,
-};
-use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError, ScrubConfig};
+use ocssd::{ChunkAddr, ChunkState, DeviceConfig, Geometry, Obs, SharedDevice, SECTOR_BYTES};
+use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError};
 use ox_core::media::OcssdMedia;
 use ox_sim::{Prng, SimDuration, SimTime};
 use std::sync::Arc;
@@ -224,7 +221,7 @@ struct Leg {
 fn build_leg(scrub_on: bool, obs: &Obs, now: SimTime) -> (Leg, SimTime) {
     let geo = lifetime_geometry();
     let mut dc = DeviceConfig::with_geometry(geo);
-    dc.reliability = ReliabilityConfig::aged(SEED ^ 0xA6ED);
+    dc.reliability = Some(SEED ^ 0xA6ED);
     let dev = crate::figure_device(dc, obs);
     let scope = if scrub_on { "scrub-on" } else { "scrub-off" };
     let base: Arc<dyn ox_core::Media> = Arc::new(OcssdMedia::new(dev.clone()));
@@ -238,12 +235,7 @@ fn build_leg(scrub_on: bool, obs: &Obs, now: SimTime) -> (Leg, SimTime) {
 
     let mut fc = BlockFtlConfig::with_capacity(LOGICAL_BYTES);
     if scrub_on {
-        fc.scrub = ScrubConfig {
-            enabled: true,
-            chunks_per_step: 24,
-            refreshes_per_step: 4,
-            error_ppm_threshold: 1_500,
-        };
+        fc.scrub = true;
         fc.gc.wear_bias = 2;
     }
     let (ftl, done) = BlockFtl::format(media, fc, now).expect("format lifetime leg");

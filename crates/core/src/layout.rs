@@ -18,21 +18,19 @@ pub struct Layout {
     pub checkpoint_b: Vec<ChunkAddr>,
 }
 
+/// Chunks per checkpoint area (two areas are allocated).
+const CHECKPOINT_CHUNKS_PER_AREA: u32 = 2;
+
 /// Layout sizing knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct LayoutConfig {
     /// WAL capacity in chunks.
     pub wal_chunks: u32,
-    /// Chunks per checkpoint area (two areas are allocated).
-    pub checkpoint_chunks_per_area: u32,
 }
 
 impl Default for LayoutConfig {
     fn default() -> Self {
-        LayoutConfig {
-            wal_chunks: 16,
-            checkpoint_chunks_per_area: 2,
-        }
+        LayoutConfig { wal_chunks: 16 }
     }
 }
 
@@ -43,7 +41,7 @@ impl Layout {
     ///
     /// Panics if the geometry cannot host the requested metadata footprint.
     pub fn plan(geo: &Geometry, config: LayoutConfig) -> Layout {
-        let total = config.wal_chunks + 2 * config.checkpoint_chunks_per_area;
+        let total = config.wal_chunks + 2 * CHECKPOINT_CHUNKS_PER_AREA;
         assert!(
             (total as u64) < geo.total_chunks() / 2,
             "metadata footprint ({total} chunks) too large for device"
@@ -54,14 +52,9 @@ impl Layout {
             })
         });
         let wal_chunks: Vec<ChunkAddr> = iter.by_ref().take(config.wal_chunks as usize).collect();
-        let checkpoint_a: Vec<ChunkAddr> = iter
-            .by_ref()
-            .take(config.checkpoint_chunks_per_area as usize)
-            .collect();
-        let checkpoint_b: Vec<ChunkAddr> = iter
-            .by_ref()
-            .take(config.checkpoint_chunks_per_area as usize)
-            .collect();
+        let area = CHECKPOINT_CHUNKS_PER_AREA as usize;
+        let checkpoint_a: Vec<ChunkAddr> = iter.by_ref().take(area).collect();
+        let checkpoint_b: Vec<ChunkAddr> = iter.by_ref().take(area).collect();
         Layout {
             wal_chunks,
             checkpoint_a,
@@ -114,13 +107,8 @@ mod tests {
     #[test]
     fn all_planned_chunks_valid() {
         let geo = Geometry::small_slc();
-        let l = Layout::plan(
-            &geo,
-            LayoutConfig {
-                wal_chunks: 4,
-                checkpoint_chunks_per_area: 1,
-            },
-        );
+        let l = Layout::plan(&geo, LayoutConfig { wal_chunks: 4 });
+        assert_eq!(l.checkpoint_a.len() + l.checkpoint_b.len(), 4);
         for c in l
             .wal_chunks
             .iter()
@@ -135,11 +123,11 @@ mod tests {
     #[should_panic]
     fn oversized_footprint_rejected() {
         let geo = Geometry::small_slc();
+        // The WAL alone asks for the whole device.
         Layout::plan(
             &geo,
             LayoutConfig {
                 wal_chunks: geo.total_chunks() as u32,
-                checkpoint_chunks_per_area: 1,
             },
         );
     }

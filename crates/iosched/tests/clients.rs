@@ -8,7 +8,7 @@ use iosched::{
     ArbiterKind, IoScheduler, SchedConfig, SchedMedia, SchedStats, SharedScheduler, TenantConfig,
 };
 use ocssd::{DeviceConfig, DeviceStats, OcssdDevice, SharedDevice, SECTOR_BYTES};
-use ox_block::{BlockFtl, BlockFtlConfig, ScrubConfig};
+use ox_block::{BlockFtl, BlockFtlConfig, SCRUB_CHUNKS_PER_STEP};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -105,31 +105,34 @@ fn block_ftl_gc_is_gc_class_after_format_and_after_recover() {
 }
 
 /// The scrubber's patrol reads issue through the GC-class tenant; a patrol
-/// step that refreshes nothing leaves the user tenant untouched.
+/// lap that refreshes nothing (the device has no reliability model, so no
+/// chunk is refresh-due) leaves the user tenant untouched.
 #[test]
 fn block_ftl_scrub_patrol_reads_are_gc_class() {
-    let (_dev, sched, media) = stack();
+    let (dev, sched, media) = stack();
     let capacity = 64 << 20;
     let mut cfg = BlockFtlConfig::with_capacity(capacity);
-    cfg.scrub = ScrubConfig {
-        enabled: true,
-        chunks_per_step: u32::MAX, // one full patrol lap
-        refreshes_per_step: 0,
-        ..ScrubConfig::default()
-    };
+    cfg.scrub = true;
     let (mut ftl, t) = BlockFtl::format(media, cfg, SimTime::ZERO).expect("format");
-    let t = churn(&mut ftl, capacity, t);
+    let mut t = churn(&mut ftl, capacity, t);
 
     let before = sched.stats();
-    let report = ftl.scrub_step(t).expect("scrub step");
+    let (mut scanned, mut refreshed) = (0, 0);
+    let lap = dev
+        .geometry()
+        .total_chunks()
+        .div_ceil(SCRUB_CHUNKS_PER_STEP);
+    for _ in 0..lap {
+        let report = ftl.scrub_step(t).expect("scrub step");
+        (scanned, refreshed) = (scanned + report.scanned, refreshed + report.refreshed);
+        t = report.done;
+    }
     let after = sched.stats();
-    assert!(
-        report.scanned > 0,
-        "the patrol should have found closed chunks"
-    );
+    assert!(scanned > 0, "the patrol should have found closed chunks");
+    assert_eq!(refreshed, 0, "nothing is due for a refresh");
     assert_eq!(
         after.gc_dispatched - before.gc_dispatched,
-        report.scanned,
+        scanned,
         "one GC-class patrol read per scanned chunk"
     );
     assert_eq!(

@@ -1068,11 +1068,7 @@ mod tests {
     fn a_refresh_flag_does_not_retire_the_chunk() {
         let geo = ocssd::Geometry::small_slc();
         let mut config = DeviceConfig::with_geometry(geo);
-        config.reliability = ocssd::ReliabilityConfig {
-            base_error_ppm: 2_000,
-            refresh_threshold_ppm: 2_500,
-            ..ocssd::ReliabilityConfig::aged(13)
-        };
+        config.reliability = Some(13);
         let dev = SharedDevice::new(OcssdDevice::new(config));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
         let (mut ftl, t0) =
@@ -1081,9 +1077,17 @@ mod tests {
         let (id, mut t) = ftl.flush_table(t0, &table_data(&ftl, 1, 5)).unwrap();
         let flagged = ftl.table(id).unwrap().chunks[0];
 
-        // Read the table's chunk until the device flags it, exactly once.
+        // Read the table's chunk until the device flags it, exactly once
+        // (retention gets it there within a virtual minute).
         let mut out = vec![0u8; ftl.block_bytes()];
+        let mut reads = 0;
         while dev.health_ledger().refresh_flags == 0 {
+            assert!(
+                reads < 100_000,
+                "{flagged:?} unflagged after {reads} reads: {:?}",
+                dev.health_ledger()
+            );
+            reads += 1;
             t += SimDuration::from_millis(100);
             let _ = dev.read(t, flagged.ppa(0), geo.ws_min, &mut out);
         }

@@ -3,7 +3,7 @@
 //! [`OcssdDevice`] ties together geometry, the chunk state machine, the NAND
 //! timing model, per-PU and per-channel resource timelines, the write-back
 //! cache, the media payload store and the two fault sources (the injected
-//! [`FaultPlan`] and the wear-coupled [`ReliabilityConfig`] model; hard
+//! [`FaultPlan`] and the wear-coupled [`crate::health`] model; hard
 //! endurance wear-out aside, nothing else fails). All commands take the
 //! submission time and return a [`Completion`] carrying the virtual
 //! completion time; contention is captured by the timelines.
@@ -42,9 +42,7 @@ use crate::chunk::{Chunk, ChunkInfo, ChunkState};
 use crate::error::{DeviceError, Result};
 use crate::fault::{FaultInjector, FaultLedger, FaultPlan};
 use crate::geometry::Geometry;
-use crate::health::{
-    ChunkHealth, HealthLedger, ReadErrorKind, ReliabilityConfig, ReliabilityState,
-};
+use crate::health::{ChunkHealth, HealthLedger, ReadErrorKind, ReliabilityState};
 use crate::media::{MediaStore, Payload};
 use crate::stats::DeviceStats;
 use crate::SECTOR_BYTES;
@@ -113,10 +111,9 @@ pub struct DeviceConfig {
     pub geometry: Geometry,
     /// Write-back cache sizing.
     pub cache: CacheConfig,
-    /// Wear-coupled reliability model (disabled by default: no tracking, no
-    /// draws, byte-identical behaviour to a model-less device). See
-    /// [`crate::health`].
-    pub reliability: ReliabilityConfig,
+    /// Seed of the wear-coupled reliability model ([`crate::health`]), or
+    /// `None` (the default) for no model: no tracking and no draws.
+    pub reliability: Option<u64>,
     /// Observability sinks the device reports into. Every layer built on
     /// this device's media reads them at construction, so handing one
     /// shared [`Obs`] in here observes the whole stack from its first
@@ -131,7 +128,7 @@ impl DeviceConfig {
         DeviceConfig {
             geometry,
             cache: CacheConfig::default(),
-            reliability: ReliabilityConfig::default(),
+            reliability: None,
             obs: Obs::new(4096),
         }
     }
@@ -185,7 +182,7 @@ impl OcssdDevice {
         let geo = config.geometry;
         let chunks = (0..geo.total_chunks()).map(|_| Chunk::new()).collect();
         let fault = FaultInjector::new(FaultPlan::default(), geo.total_pus());
-        let health = ReliabilityState::new(config.reliability.clone(), geo.total_chunks());
+        let health = ReliabilityState::new(config.reliability, geo.total_chunks());
         let cache = WriteCache::new(config.cache);
         Ok(OcssdDevice {
             geo,
@@ -283,8 +280,8 @@ impl OcssdDevice {
     }
 
     /// Health snapshot of one chunk at `now`: wear, reads since erase, data
-    /// age, estimated error rate and refresh-due flag. With the reliability
-    /// model disabled only the *report chunk* fields are meaningful.
+    /// age, estimated error rate and refresh-due flag. Without the
+    /// reliability model only the *report chunk* fields are meaningful.
     pub fn chunk_health(&self, now: SimTime, addr: ChunkAddr) -> ChunkHealth {
         let idx = self.chunk_index(addr);
         let info = self.chunks[idx].info();
@@ -300,7 +297,7 @@ impl OcssdDevice {
 
     /// Number of in-service chunks whose estimated error rate is past the
     /// refresh threshold at `now` — the scrubber's backlog. Zero when the
-    /// reliability model is disabled.
+    /// device has no reliability model.
     pub fn refresh_backlog(&self, now: SimTime) -> u64 {
         if !self.health.is_active() {
             return 0;
@@ -567,9 +564,6 @@ impl OcssdDevice {
 
         self.stats.writes.record(bytes);
         self.stats.cache_stalls = self.cache.stalls();
-        self.stats
-            .write_latency
-            .record(ack.saturating_since(now).as_nanos());
         self.obs.metrics.record("device.write", bytes);
         self.obs.metrics.observe(
             "device.write_latency_ns",
@@ -773,9 +767,6 @@ impl OcssdDevice {
             done
         };
 
-        self.stats
-            .read_latency
-            .record(done.saturating_since(now).as_nanos());
         self.obs.metrics.observe(
             "device.read_latency_ns",
             done.saturating_since(now).as_nanos(),

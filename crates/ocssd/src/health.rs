@@ -1,26 +1,32 @@
 //! Deterministic wear-coupled reliability model.
 //!
-//! A [`ReliabilityConfig`] is a *data-only* description of how the media
-//! degrades, hung off [`crate::DeviceConfig`] exactly like the fault plan:
-//! raw bit-error probability that rises with program/erase wear, retention
+//! The model is calibrated constants plus a seed, the way the NAND timings
+//! are constants of the cell type ([`crate::NandProfile`]): raw
+//! bit-error probability that rises with program/erase wear, retention
 //! errors as a function of the virtual-time age of the data in a chunk, and
 //! read-disturb errors as a function of per-chunk read counts since the last
-//! erase. The device consumes the config through a [`ReliabilityState`],
-//! which draws from its own seeded PRNG (never the device RNG) and adds no
-//! timing of its own — a disabled model is byte-identical to no model, the
-//! same contract `ocssd::fault` makes for an empty plan.
+//! erase. [`crate::DeviceConfig::reliability`] holds the seed; `None` means
+//! no model. The device runs the model through a [`ReliabilityState`], which
+//! draws from its own seeded PRNG (never the device RNG) and adds no timing
+//! of its own — without a seed it tracks nothing and draws nothing.
 //!
 //! The model surfaces three ways:
 //!
 //! * reads of stressed chunks fail with [`crate::DeviceError::UncorrectableRead`]
 //!   (retryable, like injected read faults) and are attributed to the
 //!   dominant stress term in [`HealthLedger`] / `DeviceStats`;
-//! * the first time a chunk's estimated error rate crosses the refresh
-//!   threshold in an erase cycle, the device queues a
+//! * the first time a chunk's estimated error rate crosses
+//!   [`REFRESH_THRESHOLD_PPM`] in an erase cycle, the device queues a
 //!   [`crate::MediaEventKind::RefreshDue`] media event — the scrubber's cue
 //!   to relocate the data before it becomes uncorrectable;
 //! * erases fail with sharply rising probability near end of life, growing
 //!   bad blocks the way a dying drive actually dies.
+//!
+//! The stress multiplier is `1 + wear + retention + disturb`, each term
+//! weighted so that it matters within a compressed virtual-time run: data
+//! left idle for 55.2 virtual seconds, 1 840 reads since erase, or wear at
+//! 54 % of endurance each take a chunk from the 120 ppm base rate to the
+//! refresh threshold.
 
 use crate::chunk::ChunkState;
 use ox_sim::{Prng, SimDuration, SimTime};
@@ -30,81 +36,35 @@ use ox_sim::{Prng, SimDuration, SimTime};
 /// flip, not a certainty — retries and refresh still have a chance.
 const MAX_ERROR_PPM: u64 = 500_000;
 
-/// Data-only reliability model parameters. `Default` is disabled and fully
-/// inert; [`ReliabilityConfig::aged`] is the preset the lifetime experiments
-/// use.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReliabilityConfig {
-    /// Master switch. When false the device tracks nothing and draws
-    /// nothing: byte-identical behaviour to a model-less device.
-    pub enabled: bool,
-    /// Seed for the model's own PRNG (xored with a model-specific constant,
-    /// so it never correlates with the device error-model RNG).
-    pub seed: u64,
-    /// Uncorrectable-read probability per media read command on a fresh,
-    /// cold, unread chunk, in parts per million.
-    pub base_error_ppm: u64,
-    /// Weight of the wear term: contributes `wear_weight × (wear/endurance)²`
-    /// to the stress multiplier.
-    pub wear_weight: f64,
-    /// Data age at which the retention term reaches weight 1×.
-    pub retention_age: SimDuration,
-    /// Weight of the retention term: `retention_weight × age/retention_age`.
-    pub retention_weight: f64,
-    /// Reads-since-erase count at which the disturb term reaches weight 1×.
-    pub disturb_limit: u64,
-    /// Weight of the read-disturb term: `disturb_weight × reads/disturb_limit`.
-    pub disturb_weight: f64,
-    /// Estimated error rate (ppm) above which the chunk is flagged
-    /// refresh-due (one [`crate::MediaEventKind::RefreshDue`] per erase cycle).
-    pub refresh_threshold_ppm: u64,
-    /// Scale of the end-of-life erase-failure probability:
-    /// `eol_erase_fail_ppm × (wear/endurance)⁴` per erase. Grown bad blocks
-    /// accumulate as the drive ages, before the hard endurance cliff.
-    pub eol_erase_fail_ppm: u64,
-}
+/// Uncorrectable-read probability per media read command on a fresh, cold,
+/// unread chunk, in parts per million.
+const BASE_ERROR_PPM: u64 = 120;
 
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            enabled: false,
-            seed: 0,
-            base_error_ppm: 0,
-            wear_weight: 0.0,
-            retention_age: SimDuration::from_secs(300),
-            retention_weight: 0.0,
-            disturb_limit: 10_000,
-            disturb_weight: 0.0,
-            refresh_threshold_ppm: u64::MAX,
-            eol_erase_fail_ppm: 0,
-        }
-    }
-}
+/// Weight of the wear term: `WEAR_WEIGHT × (wear/endurance)²`.
+const WEAR_WEIGHT: f64 = 40.0;
 
-impl ReliabilityConfig {
-    /// Whether the model does anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
+/// Data age at which the retention term reaches weight 1×.
+const RETENTION_AGE: SimDuration = SimDuration::from_secs(120);
 
-    /// The aging preset used by the lifetime experiments: a small but
-    /// non-zero base error rate that retention, read disturb and wear each
-    /// amplify enough to matter within a compressed virtual-time run.
-    pub fn aged(seed: u64) -> Self {
-        ReliabilityConfig {
-            enabled: true,
-            seed,
-            base_error_ppm: 120,
-            wear_weight: 40.0,
-            retention_age: SimDuration::from_secs(120),
-            retention_weight: 25.0,
-            disturb_limit: 4_000,
-            disturb_weight: 25.0,
-            refresh_threshold_ppm: 1_500,
-            eol_erase_fail_ppm: 250_000,
-        }
-    }
-}
+/// Weight of the retention term: `RETENTION_WEIGHT × age/RETENTION_AGE`.
+const RETENTION_WEIGHT: f64 = 25.0;
+
+/// Reads-since-erase count at which the disturb term reaches weight 1×.
+const DISTURB_LIMIT: u64 = 4_000;
+
+/// Weight of the read-disturb term: `DISTURB_WEIGHT × reads/DISTURB_LIMIT`.
+const DISTURB_WEIGHT: f64 = 25.0;
+
+/// Estimated error rate (ppm) at which a chunk is refresh-due: the device
+/// sets [`ChunkHealth::refresh_due`] and queues one
+/// [`crate::MediaEventKind::RefreshDue`] per erase cycle. The host's
+/// scrubber acts on that flag; it keeps no threshold of its own.
+pub const REFRESH_THRESHOLD_PPM: u64 = 1_500;
+
+/// Scale of the end-of-life erase-failure probability:
+/// `EOL_ERASE_FAIL_PPM × (wear/endurance)⁴` per erase. Grown bad blocks
+/// accumulate as the drive ages, before the hard endurance cliff.
+const EOL_ERASE_FAIL_PPM: u64 = 250_000;
 
 /// Which stress term dominated an uncorrectable read produced by the model
 /// (attribution for the health counters).
@@ -129,8 +89,8 @@ pub struct ReadCheck {
 }
 
 /// Health snapshot of one chunk, combining the *report chunk* wear counter
-/// with the reliability model's per-erase-cycle tracking. With the model
-/// disabled only `state`, `write_ptr` and `wear` are meaningful.
+/// with the reliability model's per-erase-cycle tracking. Without a model
+/// only `state`, `write_ptr` and `wear` are meaningful.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkHealth {
     /// Current chunk state.
@@ -141,7 +101,7 @@ pub struct ChunkHealth {
     pub wear: u32,
     /// Media read commands since the last erase.
     pub reads_since_erase: u64,
-    /// Age of the oldest data in the chunk (zero if empty or model off).
+    /// Age of the oldest data in the chunk (zero if empty or no model).
     pub data_age: SimDuration,
     /// Estimated uncorrectable-read probability per command, in ppm.
     pub error_ppm: u64,
@@ -176,12 +136,11 @@ impl HealthLedger {
     }
 }
 
-/// Runtime state consuming a [`ReliabilityConfig`]: per-chunk read counts
-/// and data ages, plus the model's own PRNG. One per device. Every method
-/// early-returns when the model is disabled, so a disabled model costs
-/// nothing and changes nothing.
+/// Runtime state of the model: per-chunk read counts and data ages, plus
+/// the model's own PRNG. One per device. Every method early-returns when
+/// the device has no model, so an absent model costs nothing and changes
+/// nothing.
 pub struct ReliabilityState {
-    cfg: ReliabilityConfig,
     rng: Prng,
     /// Media read commands per chunk since its last erase.
     reads: Vec<u64>,
@@ -194,13 +153,15 @@ pub struct ReliabilityState {
 }
 
 impl ReliabilityState {
-    /// Builds the runtime for a device with `total_chunks` chunks.
-    pub fn new(cfg: ReliabilityConfig, total_chunks: u64) -> Self {
-        let active = cfg.is_enabled();
+    /// Builds the runtime for a device with `total_chunks` chunks: the
+    /// model seeded with `seed`, or no model for `None`.
+    pub fn new(seed: Option<u64>, total_chunks: u64) -> Self {
+        let active = seed.is_some();
         let n = if active { total_chunks as usize } else { 0 };
-        let rng = Prng::seed_from_u64(cfg.seed ^ 0xA6ED_0C55);
+        // Xored with a model-specific constant, so the model's draws never
+        // correlate with another generator seeded alike.
+        let rng = Prng::seed_from_u64(seed.unwrap_or(0) ^ 0xA6ED_0C55);
         ReliabilityState {
-            cfg,
             rng,
             reads: vec![0; n],
             programmed_at: vec![None; n],
@@ -210,7 +171,7 @@ impl ReliabilityState {
         }
     }
 
-    /// Whether the model is enabled.
+    /// Whether the device runs the model.
     pub fn is_active(&self) -> bool {
         self.active
     }
@@ -218,11 +179,6 @@ impl ReliabilityState {
     /// Events fired so far.
     pub fn ledger(&self) -> &HealthLedger {
         &self.ledger
-    }
-
-    /// The config in effect.
-    pub fn config(&self) -> &ReliabilityConfig {
-        &self.cfg
     }
 
     /// Notes a program landing on chunk `idx` at `at` (anchors data age at
@@ -249,25 +205,24 @@ impl ReliabilityState {
     /// The three stress terms for chunk `idx` at `now`.
     fn stress_terms(&self, idx: usize, wear: u32, endurance: u32, now: SimTime) -> (f64, f64, f64) {
         let wear_f = wear as f64 / endurance.max(1) as f64;
-        let wear_term = self.cfg.wear_weight * wear_f * wear_f;
+        let wear_term = WEAR_WEIGHT * wear_f * wear_f;
         let age = self.programmed_at[idx]
             .map(|t| now.saturating_since(t))
             .unwrap_or(SimDuration::ZERO);
-        let retention_term = self.cfg.retention_weight * age.as_nanos() as f64
-            / self.cfg.retention_age.as_nanos().max(1) as f64;
-        let disturb_term =
-            self.cfg.disturb_weight * self.reads[idx] as f64 / self.cfg.disturb_limit.max(1) as f64;
+        let retention_term =
+            RETENTION_WEIGHT * age.as_nanos() as f64 / RETENTION_AGE.as_nanos() as f64;
+        let disturb_term = DISTURB_WEIGHT * self.reads[idx] as f64 / DISTURB_LIMIT as f64;
         (retention_term, disturb_term, wear_term)
     }
 
     /// Estimated uncorrectable-read probability (ppm per command) for chunk
-    /// `idx` at `now`. Zero when the model is disabled.
+    /// `idx` at `now`. Zero without a model.
     pub fn error_ppm(&self, idx: usize, wear: u32, endurance: u32, now: SimTime) -> u64 {
         if !self.active {
             return 0;
         }
         let (r, d, w) = self.stress_terms(idx, wear, endurance, now);
-        let ppm = self.cfg.base_error_ppm as f64 * (1.0 + r + d + w);
+        let ppm = BASE_ERROR_PPM as f64 * (1.0 + r + d + w);
         (ppm as u64).min(MAX_ERROR_PPM)
     }
 
@@ -300,13 +255,13 @@ impl ReliabilityState {
             reads_since_erase: reads,
             data_age: age,
             error_ppm,
-            refresh_due: self.active && error_ppm >= self.cfg.refresh_threshold_ppm,
+            refresh_due: error_ppm >= REFRESH_THRESHOLD_PPM,
         }
     }
 
     /// Runs the reliability check for one media read command on chunk `idx`:
     /// bumps the disturb counter, reports a first-time refresh-threshold
-    /// crossing, and draws the uncorrectable-read coin. Inert when disabled.
+    /// crossing, and draws the uncorrectable-read coin. Inert without a model.
     pub fn take_read_check(
         &mut self,
         idx: usize,
@@ -319,9 +274,9 @@ impl ReliabilityState {
         }
         self.reads[idx] += 1;
         let (r, d, w) = self.stress_terms(idx, wear, endurance, now);
-        let ppm = ((self.cfg.base_error_ppm as f64 * (1.0 + r + d + w)) as u64).min(MAX_ERROR_PPM);
+        let ppm = ((BASE_ERROR_PPM as f64 * (1.0 + r + d + w)) as u64).min(MAX_ERROR_PPM);
         let mut check = ReadCheck::default();
-        if ppm >= self.cfg.refresh_threshold_ppm && !self.flagged[idx] {
+        if ppm >= REFRESH_THRESHOLD_PPM && !self.flagged[idx] {
             self.flagged[idx] = true;
             self.ledger.refresh_flags += 1;
             check.refresh_flagged = true;
@@ -343,13 +298,13 @@ impl ReliabilityState {
     }
 
     /// Draws the end-of-life erase-failure coin for a reset at post-reset
-    /// wear `wear`: probability `eol_erase_fail_ppm × (wear/endurance)⁴`.
+    /// wear `wear`: probability `EOL_ERASE_FAIL_PPM × (wear/endurance)⁴`.
     pub fn take_eol_erase_fail(&mut self, wear: u32, endurance: u32) -> bool {
-        if !self.active || self.cfg.eol_erase_fail_ppm == 0 {
+        if !self.active {
             return false;
         }
         let wear_f = wear as f64 / endurance.max(1) as f64;
-        let p = self.cfg.eol_erase_fail_ppm as f64 / 1_000_000.0 * wear_f.powi(4);
+        let p = EOL_ERASE_FAIL_PPM as f64 / 1_000_000.0 * wear_f.powi(4);
         if p > 0.0 && self.rng.gen_bool(p.min(1.0)) {
             self.ledger.eol_erase_fails += 1;
             return true;
@@ -368,7 +323,7 @@ mod tests {
 
     #[test]
     fn disabled_model_is_inert() {
-        let mut m = ReliabilityState::new(ReliabilityConfig::default(), 64);
+        let mut m = ReliabilityState::new(None, 64);
         assert!(!m.is_active());
         m.note_program(0, t(1));
         m.note_erase(0);
@@ -384,8 +339,7 @@ mod tests {
 
     #[test]
     fn error_rate_rises_with_each_stress_axis() {
-        let cfg = ReliabilityConfig::aged(7);
-        let mut m = ReliabilityState::new(cfg, 8);
+        let mut m = ReliabilityState::new(Some(7), 8);
         let base = m.error_ppm(0, 0, 3000, t(0));
         // Wear.
         assert!(m.error_ppm(0, 3000, 3000, t(0)) > base);
@@ -404,26 +358,26 @@ mod tests {
 
     #[test]
     fn refresh_flag_fires_once_per_erase_cycle() {
-        let mut cfg = ReliabilityConfig::aged(3);
-        cfg.base_error_ppm = 1000;
-        cfg.refresh_threshold_ppm = 1000; // due immediately
-        let mut m = ReliabilityState::new(cfg, 4);
-        let c1 = m.take_read_check(0, 0, 3000, t(0));
+        let mut m = ReliabilityState::new(Some(3), 4);
+        // A minute of retention takes fresh data past the threshold.
+        m.note_program(0, t(0));
+        assert!(m.error_ppm(0, 0, 3000, t(60)) >= REFRESH_THRESHOLD_PPM);
+        let c1 = m.take_read_check(0, 0, 3000, t(60));
         assert!(c1.refresh_flagged);
-        let c2 = m.take_read_check(0, 0, 3000, t(0));
+        let c2 = m.take_read_check(0, 0, 3000, t(60));
         assert!(!c2.refresh_flagged, "flag is once per cycle");
         assert_eq!(m.ledger().refresh_flags, 1);
         m.note_erase(0);
-        let c3 = m.take_read_check(0, 0, 3000, t(0));
+        m.note_program(0, t(60));
+        let c3 = m.take_read_check(0, 0, 3000, t(120));
         assert!(c3.refresh_flagged, "new erase cycle re-arms the flag");
     }
 
     #[test]
     fn eol_erase_failures_concentrate_near_end_of_life() {
-        let cfg = ReliabilityConfig::aged(11);
         let mut young = 0;
         let mut old = 0;
-        let mut m = ReliabilityState::new(cfg, 4);
+        let mut m = ReliabilityState::new(Some(11), 4);
         for _ in 0..2000 {
             if m.take_eol_erase_fail(100, 3000) {
                 young += 1;
@@ -438,9 +392,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_draws() {
-        let cfg = ReliabilityConfig::aged(42);
-        let run = |cfg: ReliabilityConfig| {
-            let mut m = ReliabilityState::new(cfg, 8);
+        let run = || {
+            let mut m = ReliabilityState::new(Some(42), 8);
             let mut errors = Vec::new();
             m.note_program(0, t(0));
             for i in 0..4000u64 {
@@ -449,18 +402,17 @@ mod tests {
             }
             (errors, *m.ledger())
         };
-        let (a, la) = run(cfg.clone());
-        let (b, lb) = run(cfg);
+        let (a, la) = run();
+        let (b, lb) = run();
         assert_eq!(a, b);
         assert_eq!(la, lb);
     }
 
     #[test]
     fn error_ppm_is_capped() {
-        let mut cfg = ReliabilityConfig::aged(1);
-        cfg.base_error_ppm = 1_000_000;
-        cfg.wear_weight = 1e9;
-        let m = ReliabilityState::new(cfg, 2);
-        assert_eq!(m.error_ppm(0, 3000, 3000, t(0)), MAX_ERROR_PPM);
+        // Worn out and a virtual fortnight old: far past the cap.
+        let mut m = ReliabilityState::new(Some(1), 2);
+        m.note_program(0, t(0));
+        assert_eq!(m.error_ppm(0, 3000, 3000, t(1_209_600)), MAX_ERROR_PPM);
     }
 }

@@ -62,7 +62,9 @@ pub use fault::{
     LatencySpike, PowerCut, ProgramFault, ReadFault,
 };
 pub use geometry::Geometry;
-pub use health::{ChunkHealth, HealthLedger, ReadErrorKind, ReliabilityConfig, ReliabilityState};
+pub use health::{
+    ChunkHealth, HealthLedger, ReadErrorKind, ReliabilityState, REFRESH_THRESHOLD_PPM,
+};
 pub use media::{Payload, PayloadBuf};
 pub use ox_sim::trace::{Obs, TraceEvent, TracePhase};
 pub use stats::DeviceStats;

@@ -1,6 +1,6 @@
 //! Device-level operation statistics.
 
-use ox_sim::stats::{Counter, Histogram};
+use ox_sim::stats::Counter;
 
 /// Aggregate statistics maintained by the device.
 #[derive(Clone, Debug, Default)]
@@ -15,10 +15,6 @@ pub struct DeviceStats {
     pub resets: Counter,
     /// Device-internal copies (sectors moved without host transfer).
     pub copies: Counter,
-    /// Read latency distribution (ns).
-    pub read_latency: Histogram,
-    /// Write (acknowledge) latency distribution (ns).
-    pub write_latency: Histogram,
     /// Writes that stalled on a full write cache.
     pub cache_stalls: u64,
     /// Chunks retired by a media failure, whatever its source (fault plan,

@@ -16,7 +16,7 @@
 use ocssd::{
     fault_geometries, matrix_seeds, ChunkAddr, ChunkState, DeviceConfig, DeviceError, EraseFault,
     FaultMix, FaultPlan, Geometry, MediaEventKind, OcssdDevice, Ppa, ProgramFault, ReadFault,
-    ReliabilityConfig, SECTOR_BYTES,
+    SECTOR_BYTES,
 };
 use ox_sim::{Prng, SimDuration, SimTime};
 
@@ -425,20 +425,14 @@ fn chunk_order_holds_when_arrivals_go_backwards() {
 }
 
 /// The fault plan and the reliability model are the only things that make a
-/// young device fail: with an empty plan and the model switched off (every
-/// other knob hot), a seeded stream of legal writes, reads, resets and
-/// copies sees no error and no media event.
+/// young device fail: with an empty plan and no model, a seeded stream of
+/// legal writes, reads, resets and copies sees no error and no media event.
 #[test]
 fn a_device_with_no_fault_source_armed_never_fails() {
     for geo in fault_geometries() {
         for seed in matrix_seeds(20) {
             let ctx = format!("seed {seed} on {:?}", geo.cell);
-            let mut config = DeviceConfig::with_geometry(geo);
-            config.reliability = ReliabilityConfig {
-                enabled: false,
-                ..ReliabilityConfig::aged(seed)
-            };
-            let mut dev = OcssdDevice::new(config);
+            let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
             dev.set_fault_plan(FaultPlan::default());
             let mut rng = Prng::seed_from_u64(seed ^ 0x1DE7);
             let mut t = SimTime::ZERO;

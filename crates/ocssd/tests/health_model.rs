@@ -1,14 +1,15 @@
 //! Device-level tests for the wear-coupled reliability model.
 //!
-//! The contract mirrors `ocssd::fault`: a *disabled* model leaves the device
-//! byte-identical to a model-less one (to the nanosecond), an enabled model
-//! is deterministic under its seed, its ledger reconciles with the device
-//! stats and the `MediaEvent` stream, and the advisory `RefreshDue` events
-//! do not count as grown bad blocks.
+//! The contract mirrors `ocssd::fault`: the model is deterministic under its
+//! seed, its ledger reconciles with the device stats and the `MediaEvent`
+//! stream, and the advisory `RefreshDue` events do not count as grown bad
+//! blocks. The model's weights are constants, so each test drives it
+//! through the stress it models: idle virtual time, repeated reads, P/E
+//! cycles.
 
 use ocssd::{
-    ChunkAddr, DeviceConfig, DeviceError, Geometry, MediaEventKind, OcssdDevice, ReliabilityConfig,
-    SECTOR_BYTES,
+    ChunkAddr, DeviceConfig, DeviceError, Geometry, HealthLedger, MediaEventKind, OcssdDevice,
+    REFRESH_THRESHOLD_PPM, SECTOR_BYTES,
 };
 use ox_sim::{Prng, SimDuration, SimTime};
 
@@ -19,8 +20,12 @@ fn unit(geo: &Geometry, fill: u8) -> Vec<u8> {
 }
 
 /// Mixed write/read/reset workload; returns the final virtual time, the
-/// bytes read back, and op counts — everything that could diverge.
-fn run_workload(mut dev: OcssdDevice, geo: Geometry) -> (SimTime, Vec<u8>, u64, u64, u64) {
+/// bytes read back, op counts and the model's ledger — everything that
+/// could diverge.
+fn run_workload(
+    mut dev: OcssdDevice,
+    geo: Geometry,
+) -> (SimTime, Vec<u8>, u64, u64, u64, HealthLedger) {
     let mut rng = Prng::seed_from_u64(42);
     let mut t = SimTime::ZERO;
     let mut read_back = Vec::new();
@@ -47,8 +52,9 @@ fn run_workload(mut dev: OcssdDevice, geo: Geometry) -> (SimTime, Vec<u8>, u64, 
                 }
             }
         }
-        // Let virtual time pass so retention has something to age.
-        t += SimDuration::from_millis(50);
+        // Let a virtual minute pass per step, so retention ages the data
+        // into visible error traffic.
+        t += SimDuration::from_secs(60);
     }
     let stats = dev.stats().clone();
     (
@@ -57,28 +63,8 @@ fn run_workload(mut dev: OcssdDevice, geo: Geometry) -> (SimTime, Vec<u8>, u64, 
         stats.writes.ops(),
         stats.media_reads.ops(),
         stats.resets.ops(),
+        *dev.health_ledger(),
     )
-}
-
-#[test]
-fn disabled_model_is_byte_identical_to_no_model() {
-    let geo = Geometry::small_slc();
-    let run = |with_disabled_model: bool| {
-        let mut config = DeviceConfig::with_geometry(geo);
-        if with_disabled_model {
-            // Every knob hot except the master switch: still inert.
-            config.reliability = ReliabilityConfig {
-                enabled: false,
-                ..ReliabilityConfig::aged(99)
-            };
-        }
-        run_workload(OcssdDevice::new(config), geo)
-    };
-    let a = run(false);
-    let b = run(true);
-    assert_eq!(a.0, b.0, "virtual time must match to the nanosecond");
-    assert_eq!(a.1, b.1, "read-back bytes must be identical");
-    assert_eq!((a.2, a.3, a.4), (b.2, b.3, b.4), "op counts must match");
 }
 
 #[test]
@@ -86,13 +72,13 @@ fn enabled_model_is_deterministic_under_seed() {
     let geo = Geometry::small_slc();
     let run = || {
         let mut config = DeviceConfig::with_geometry(geo);
-        config.reliability = ReliabilityConfig::aged(7);
-        let mut cfg = config.clone();
-        cfg.reliability.base_error_ppm = 20_000; // force visible error traffic
-        let dev = OcssdDevice::new(cfg);
-        run_workload(dev, geo)
+        config.reliability = Some(7);
+        run_workload(OcssdDevice::new(config), geo)
     };
-    assert_eq!(run(), run());
+    let first = run();
+    let read_errors = first.5.retention_errors + first.5.disturb_errors + first.5.wear_errors;
+    assert!(read_errors > 0, "the model must draw errors: {:?}", first.5);
+    assert_eq!(first, run());
 }
 
 /// Hammers one chunk with reads while virtual time passes: the model must
@@ -103,11 +89,7 @@ fn enabled_model_is_deterministic_under_seed() {
 fn stressed_chunk_errors_reconcile() {
     let geo = Geometry::small_slc();
     let mut config = DeviceConfig::with_geometry(geo);
-    config.reliability = ReliabilityConfig {
-        base_error_ppm: 2_000,
-        refresh_threshold_ppm: 2_500,
-        ..ReliabilityConfig::aged(13)
-    };
+    config.reliability = Some(13);
     let mut dev = OcssdDevice::new(config);
     let c = ChunkAddr::new(0, 0, 0);
     let mut t = SimTime::ZERO;
@@ -151,7 +133,7 @@ fn stressed_chunk_errors_reconcile() {
     );
     assert!(dev.refresh_backlog(t) >= 1, "flagged chunk is in backlog");
     let h = dev.chunk_health(t, c);
-    assert!(h.refresh_due && h.error_ppm >= 2_500);
+    assert!(h.refresh_due && h.error_ppm >= REFRESH_THRESHOLD_PPM);
     assert!(h.reads_since_erase >= 4000);
 
     // An erase clears the cycle state: backlog drains, counters restart.
@@ -168,7 +150,7 @@ fn end_of_life_grows_bad_blocks() {
     let mut geo = Geometry::small_slc();
     geo.endurance = 40; // reach end of life quickly
     let mut config = DeviceConfig::with_geometry(geo);
-    config.reliability = ReliabilityConfig::aged(5);
+    config.reliability = Some(5);
     let mut dev = OcssdDevice::new(config);
     let mut t = SimTime::ZERO;
     let mut eol_fails = 0u64;

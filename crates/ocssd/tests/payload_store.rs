@@ -36,7 +36,7 @@
 
 use ocssd::{
     fault_geometries, matrix_seeds, ChunkAddr, DeviceConfig, DeviceError, FaultPlan, Geometry,
-    OcssdDevice, Payload, PayloadBuf, Ppa, ReadFault, ReliabilityConfig, SECTOR_BYTES,
+    OcssdDevice, Payload, PayloadBuf, Ppa, ReadFault, SECTOR_BYTES,
 };
 use ox_sim::{Prng, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -303,11 +303,13 @@ fn by_view(dev: &mut OcssdDevice, t: SimTime, ppa: Ppa, n: u32) -> Outcome {
 #[test]
 fn views_and_copies_are_the_same_read() {
     for geo in fault_geometries() {
+        let mut model_errors = 0;
         for seed in matrix_seeds(8) {
             let ctx = format!("seed {seed} on {:?}", geo.cell);
             let mut config = DeviceConfig::with_geometry(geo);
-            // Injected ECC failures on sectors the workload reads, and a
-            // reliability model stressed enough to fail reads by itself.
+            // Injected ECC failures on sectors the workload reads, and the
+            // reliability model, whose retention term the idle time below
+            // ages far enough to fail reads by itself.
             let plan = FaultPlan {
                 read_fails: (0..4)
                     .map(|i| ReadFault {
@@ -317,12 +319,7 @@ fn views_and_copies_are_the_same_read() {
                     .collect(),
                 ..FaultPlan::default()
             };
-            config.reliability = ReliabilityConfig {
-                enabled: true,
-                seed,
-                base_error_ppm: 150_000,
-                ..ReliabilityConfig::default()
-            };
+            config.reliability = Some(seed);
             let mut copy_dev = OcssdDevice::new(config.clone());
             let mut view_dev = OcssdDevice::new(config);
             copy_dev.set_fault_plan(plan.clone());
@@ -350,7 +347,10 @@ fn views_and_copies_are_the_same_read() {
                         let b = by_view(&mut view_dev, t, c.ppa(wp), n);
                         assert!(a == b, "{ctx} step {step}: cached read");
                     } else {
-                        t += SimDuration::from_millis(50);
+                        // Idle: the run's oldest data ages into hours, where
+                        // retention fails ~9 % (one hour) to ~18 % (two) of
+                        // its reads.
+                        t += SimDuration::from_secs(180);
                     }
                     continue;
                 }
@@ -394,11 +394,18 @@ fn views_and_copies_are_the_same_read() {
                 format!("{:?}", copy_dev.fault_ledger()),
                 format!("{:?}", view_dev.fault_ledger())
             );
+            let ledger = copy_dev.health_ledger();
             assert_eq!(
-                format!("{:?}", copy_dev.health_ledger()),
+                format!("{ledger:?}"),
                 format!("{:?}", view_dev.health_ledger())
             );
+            model_errors += ledger.retention_errors + ledger.disturb_errors + ledger.wear_errors;
         }
+        assert!(
+            model_errors > 0,
+            "{:?}: the model drew no read error",
+            geo.cell
+        );
     }
 }
 

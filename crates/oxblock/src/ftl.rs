@@ -27,8 +27,11 @@ pub struct BlockFtlConfig {
     pub checkpoint_interval: Option<SimDuration>,
     /// GC policy.
     pub gc: GcConfig,
-    /// Background scrub (patrol read + refresh relocation) policy.
-    pub scrub: ScrubConfig,
+    /// Background scrub: patrol reads plus refresh relocation (see
+    /// [`BlockFtl::scrub_step`]). Off by default: an FTL without a
+    /// scrubber issues an I/O stream byte-identical to one that never had
+    /// the code.
+    pub scrub: bool,
 }
 
 impl BlockFtlConfig {
@@ -40,41 +43,17 @@ impl BlockFtlConfig {
             layout: LayoutConfig::default(),
             checkpoint_interval: Some(SimDuration::from_secs(10)),
             gc: GcConfig::default(),
-            scrub: ScrubConfig::default(),
+            scrub: false,
         }
     }
 }
 
-/// Background-scrubber policy. The scrubber patrol-reads closed chunks in
-/// linear order through the GC-class I/O tenant (when wired), flags chunks
-/// whose device-estimated error rate crosses the threshold — or that the
-/// device itself marked refresh-due — and refresh-relocates a bounded number
-/// of flagged chunks per step. Disabled by default: a disabled scrubber
-/// leaves the I/O stream byte-identical to an FTL without one.
-#[derive(Clone, Copy, Debug)]
-pub struct ScrubConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Chunks patrol-read per [`BlockFtl::scrub_step`].
-    pub chunks_per_step: u32,
-    /// Refresh relocations allowed per step (bounds the write cost of a
-    /// step so patrol stays background work).
-    pub refreshes_per_step: u32,
-    /// Device-estimated raw bit error rate (parts per million) at which a
-    /// chunk is refreshed even before the device flags it.
-    pub error_ppm_threshold: u64,
-}
+/// Chunks the scrubber's patrol walks per [`BlockFtl::scrub_step`].
+pub const SCRUB_CHUNKS_PER_STEP: u64 = 24;
 
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        ScrubConfig {
-            enabled: false,
-            chunks_per_step: 16,
-            refreshes_per_step: 2,
-            error_ppm_threshold: 2_000,
-        }
-    }
-}
+/// Refresh relocations per scrub step: bounds the write cost of a step so
+/// the patrol stays background work.
+const SCRUB_REFRESHES_PER_STEP: u32 = 4;
 
 /// What one scrub step did.
 #[derive(Clone, Copy, Debug, Default)]
@@ -638,13 +617,14 @@ impl BlockFtl {
 
     /// Runs one background scrub step at `now`:
     ///
-    /// 1. **Patrol.** Walks `chunks_per_step` chunks onward from the patrol
-    ///    cursor, reading the head write-unit of each closed chunk through
+    /// 1. **Patrol.** Walks [`SCRUB_CHUNKS_PER_STEP`] chunks onward from the
+    ///    patrol cursor, reading the head write-unit of each closed chunk through
     ///    the GC-class tenant (so patrol traffic yields to user I/O). A
     ///    chunk is flagged for refresh when the device marked it
-    ///    refresh-due, its estimated error rate crosses the configured
-    ///    threshold, or the patrol read itself comes back uncorrectable.
-    /// 2. **Refresh.** Relocates up to `refreshes_per_step` flagged chunks:
+    ///    refresh-due (the device owns that decision: `RefreshDue` events
+    ///    and `ChunkHealth::refresh_due`) or the patrol read itself comes
+    ///    back uncorrectable.
+    /// 2. **Refresh.** Relocates up to four flagged chunks:
     ///    live data moves to fresh chunks (journaled exactly like GC moves),
     ///    the worn chunk is erased and recycled.
     ///
@@ -657,7 +637,7 @@ impl BlockFtl {
             done: now,
             ..Default::default()
         };
-        if !self.config.scrub.enabled {
+        if !self.config.scrub {
             return Ok(report);
         }
         // Patrol reads travel with GC relocation (the GC-class tenant when a
@@ -666,7 +646,7 @@ impl BlockFtl {
         let total = self.geo.total_chunks();
         let mut t = now;
         let mut buf = vec![0u8; self.geo.ws_min_bytes()];
-        for _ in 0..u64::from(self.config.scrub.chunks_per_step).min(total) {
+        for _ in 0..SCRUB_CHUNKS_PER_STEP.min(total) {
             let lin = self.scrub_cursor % total;
             self.scrub_cursor = (self.scrub_cursor + 1) % total;
             if self.space.prov.is_reserved(lin) {
@@ -679,8 +659,7 @@ impl BlockFtl {
             }
             report.scanned += 1;
             self.stats.scrub_chunks_scanned += 1;
-            let mut suspect =
-                health.refresh_due || health.error_ppm >= self.config.scrub.error_ppm_threshold;
+            let mut suspect = health.refresh_due;
             if health.write_ptr >= self.geo.ws_min {
                 match scrub_media.read(t, addr.ppa(0), self.geo.ws_min, &mut buf) {
                     Ok(c) => t = c.done,
@@ -708,7 +687,7 @@ impl BlockFtl {
         t = rt;
 
         if !self.degraded {
-            for _ in 0..self.config.scrub.refreshes_per_step {
+            for _ in 0..SCRUB_REFRESHES_PER_STEP {
                 let Some(victim) = self.refresh_queue.pop_front() else {
                     break;
                 };
@@ -744,7 +723,7 @@ impl BlockFtl {
     /// tick, alongside [`BlockFtl::maybe_checkpoint`] and
     /// [`BlockFtl::maybe_gc`]).
     pub fn maybe_scrub(&mut self, now: SimTime) -> Result<Option<ScrubReport>, BlockFtlError> {
-        if !self.config.scrub.enabled {
+        if !self.config.scrub {
             return Ok(None);
         }
         Ok(Some(self.scrub_step(now)?))
@@ -1072,31 +1051,15 @@ mod tests {
 
     #[test]
     fn scrub_refreshes_read_disturbed_chunks() {
-        // Reliability model tuned so read disturb dominates: after a few
-        // hundred reads a chunk's error estimate crosses both the device's
-        // refresh threshold and the scrubber's.
+        // Read disturb dominates: 2 000 reads a millisecond apart take the
+        // hammered chunk past the device's refresh threshold while
+        // retention adds well under a tenth of it.
         let mut dc = DeviceConfig::with_geometry(ocssd::Geometry::small_slc());
-        dc.reliability = ocssd::ReliabilityConfig {
-            enabled: true,
-            seed: 11,
-            base_error_ppm: 40,
-            wear_weight: 0.0,
-            retention_age: SimDuration::from_secs(1_000_000),
-            retention_weight: 0.0,
-            disturb_limit: 200,
-            disturb_weight: 100.0,
-            refresh_threshold_ppm: 3_000,
-            eol_erase_fail_ppm: 0,
-        };
+        dc.reliability = Some(11);
         let dev = SharedDevice::new(OcssdDevice::new(dc));
-        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
+        let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
         let mut cfg = BlockFtlConfig::with_capacity(32 * 1024 * 1024);
-        cfg.scrub = ScrubConfig {
-            enabled: true,
-            chunks_per_step: 512,
-            refreshes_per_step: 4,
-            error_ppm_threshold: 2_000,
-        };
+        cfg.scrub = true;
         let (mut ftl, mut t) = BlockFtl::format(media, cfg, SimTime::ZERO).unwrap();
 
         // Writes stripe across all 8 PUs, so eight chunk-fulls close eight
@@ -1105,11 +1068,17 @@ mod tests {
         let w = ftl.write(t, 0, &buf).unwrap();
         t = w.done;
         let mut out = page(0);
-        for _ in 0..400 {
+        for _ in 0..2_000 {
             let c = ftl.read(t, 0, &mut out).unwrap();
             t = c.done + SimDuration::from_millis(1);
         }
         assert_eq!(out[0], 0xCD);
+        let ledger = dev.health_ledger();
+        assert_eq!(ledger.refresh_flags, 1, "{ledger:?}");
+        assert!(
+            ledger.disturb_errors >= ledger.retention_errors,
+            "{ledger:?}"
+        );
 
         // The device's advisory refresh flag is queued, never retired as a
         // bad block.
@@ -1117,12 +1086,21 @@ mod tests {
         assert!(ftl.bad_blocks().is_empty());
         assert!(!ftl.refresh_queue.is_empty(), "advisory flag queued");
 
-        let rep = ftl.scrub_step(t).unwrap();
-        assert!(rep.scanned >= 1);
-        assert!(rep.refreshed >= 1, "disturbed chunk refresh-relocated");
+        // One patrol lap.
+        let (mut scanned, mut refreshed) = (0, 0);
+        for _ in 0..dev
+            .geometry()
+            .total_chunks()
+            .div_ceil(SCRUB_CHUNKS_PER_STEP)
+        {
+            let rep = ftl.scrub_step(t).unwrap();
+            (scanned, refreshed) = (scanned + rep.scanned, refreshed + rep.refreshed);
+            t = rep.done;
+        }
+        assert!(scanned >= 1);
+        assert!(refreshed >= 1, "disturbed chunk refresh-relocated");
         assert!(ftl.refresh_queue.is_empty());
         assert!(ftl.stats().scrub_refreshes >= 1);
-        t = rep.done;
 
         // Data intact on the fresh copy.
         for p in [0u64, 1, 767] {

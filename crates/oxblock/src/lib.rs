@@ -30,4 +30,6 @@
 
 mod ftl;
 
-pub use ftl::{BlockFtl, BlockFtlConfig, BlockFtlError, ScrubConfig, ScrubReport, WriteOutcome};
+pub use ftl::{
+    BlockFtl, BlockFtlConfig, BlockFtlError, ScrubReport, WriteOutcome, SCRUB_CHUNKS_PER_STEP,
+};

@@ -19,12 +19,12 @@
 
 use ocssd::{
     fault_geometries, matrix_seeds, ChunkAddr, DeviceConfig, FaultMix, FaultPlan, Geometry,
-    OcssdDevice, ProgramFault, ReadFault, ReliabilityConfig, SharedDevice, SECTOR_BYTES,
+    OcssdDevice, ProgramFault, ReadFault, SharedDevice, SECTOR_BYTES,
 };
-use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError, ScrubConfig};
+use ox_block::{BlockFtl, BlockFtlConfig, BlockFtlError};
 use ox_core::faultharness::{fingerprint, parse_fingerprint, run_case, FaultCase, FaultHost};
 use ox_core::{Media, OcssdMedia};
-use ox_sim::{Prng, SimTime};
+use ox_sim::{Prng, SimDuration, SimTime};
 use std::sync::Arc;
 
 const CAPACITY: u64 = 32 * 1024 * 1024;
@@ -226,9 +226,10 @@ fn committed_writes_survive_crash_under_seeded_fault_plans() {
 /// power cut must leave either the old copy or the new copy mapped.
 ///
 /// Chunks are shrunk (16 write units each) and the device prefilled so the
-/// patrol actually finds *closed* data chunks to refresh; the refresh
-/// threshold of 1 ppm flags every closed chunk, keeping relocations in
-/// flight around every crash point.
+/// patrol actually finds *closed* data chunks to refresh; the prefill then
+/// idles past the device's refresh threshold, so every closed chunk starts
+/// the case refresh-due, keeping relocations in flight around every crash
+/// point.
 #[test]
 fn scrub_refresh_never_loses_acked_data_across_power_cuts() {
     let geo = Geometry {
@@ -247,15 +248,10 @@ fn scrub_refresh_never_loses_acked_data_across_power_cuts() {
     for seed in matrix_seeds(16) {
         let case = FaultCase::from_seed(seed, &geo, &mix, SLOTS, 30);
         let mut dc = DeviceConfig::with_geometry(geo);
-        dc.reliability = ReliabilityConfig::aged(seed ^ 0x5C2B);
+        dc.reliability = Some(seed ^ 0x5C2B);
         let dev = SharedDevice::new(OcssdDevice::new(dc));
         let mut config = BlockFtlConfig::with_capacity(CAPACITY);
-        config.scrub = ScrubConfig {
-            enabled: true,
-            chunks_per_step: 32,
-            refreshes_per_step: 2,
-            error_ppm_threshold: 1,
-        };
+        config.scrub = true;
         let (mut host, mut t) = OxBlockHost::format_with(dev.clone(), config, Some(3));
 
         // Prefill every slot three times, fault-free: closes ~8 data chunks
@@ -267,6 +263,9 @@ fn scrub_refresh_never_loses_acked_data_across_power_cuts() {
             }
         }
         t = host.maintain(t).unwrap();
+        // A minute of idle retention takes the prefill past the device's
+        // refresh threshold (55.2 s on a fresh chunk).
+        t += SimDuration::from_secs(60);
 
         dev.set_fault_plan(case.plan.clone());
         run_case(&case, &dev, &mut host, t).unwrap_or_else(|e| panic!("scrub case failed: {e}"));

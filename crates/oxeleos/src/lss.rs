@@ -713,11 +713,7 @@ mod tests {
     fn a_refresh_flag_does_not_retire_the_chunk() {
         let geo = ocssd::Geometry::small_slc();
         let mut config = DeviceConfig::with_geometry(geo);
-        config.reliability = ocssd::ReliabilityConfig {
-            base_error_ppm: 2_000,
-            refresh_threshold_ppm: 2_500,
-            ..ocssd::ReliabilityConfig::aged(13)
-        };
+        config.reliability = Some(13);
         let dev = SharedDevice::new(OcssdDevice::new(config));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
         let (mut ftl, t0) = EleosFtl::format(media, small_config(), SimTime::ZERO).unwrap();
@@ -726,9 +722,17 @@ mod tests {
         let free = ftl.space.prov.free_chunks();
         let flagged = ftl.space.map.lookup(0).unwrap().chunk_addr();
 
-        // Read the buffer's first chunk until the device flags it, once.
+        // Read the buffer's first chunk until the device flags it, once
+        // (retention gets it there within a virtual minute).
         let mut out = vec![0u8; geo.ws_min_bytes()];
+        let mut reads = 0;
         while dev.health_ledger().refresh_flags == 0 {
+            assert!(
+                reads < 100_000,
+                "{flagged:?} unflagged after {reads} reads: {:?}",
+                dev.health_ledger()
+            );
+            reads += 1;
             t += SimDuration::from_millis(100);
             let _ = dev.read(t, flagged.ppa(0), geo.ws_min, &mut out);
         }

@@ -63,12 +63,8 @@ pub struct ZoneInfo {
     pub capacity: u64,
 }
 
-/// OX-ZNS configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct ZnsConfig {
-    /// Chunks per zone (zone capacity = this × chunk size).
-    pub chunks_per_zone: u32,
-}
+/// Chunks per zone: zone capacity is this many chunks of one parallel unit.
+pub const CHUNKS_PER_ZONE: u32 = 2;
 
 /// OX-ZNS failure modes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -157,111 +153,68 @@ pub struct ZnsFtl {
 }
 
 impl ZnsFtl {
-    /// Formats the device as zones: every chunk run of `chunks_per_zone` on
-    /// each parallel unit becomes one zone, interleaved across PUs so
-    /// consecutive zone ids land on different PUs.
-    pub fn format(
-        media: Arc<dyn Media>,
-        config: ZnsConfig,
-        now: SimTime,
-    ) -> Result<(ZnsFtl, SimTime), ZnsError> {
-        let geo = media.geometry();
-        assert!(
-            config.chunks_per_zone > 0 && config.chunks_per_zone <= geo.chunks_per_pu,
-            "chunks_per_zone out of range"
-        );
-        let zones_per_pu = geo.chunks_per_pu / config.chunks_per_zone;
-        let total_pus = geo.total_pus();
-        let mut zones = Vec::with_capacity((zones_per_pu * total_pus) as usize);
-        let mut done = now;
-        for row in 0..zones_per_pu {
-            for pu in 0..total_pus {
-                let group = pu / geo.pus_per_group;
-                let pu_local = pu % geo.pus_per_group;
-                let chunks: Vec<ChunkAddr> = (0..config.chunks_per_zone)
-                    .map(|i| ChunkAddr::new(group, pu_local, row * config.chunks_per_zone + i))
-                    .collect();
-                let mut offline = false;
-                for &c in &chunks {
-                    match media.chunk_info(c).state {
-                        ChunkState::Free => {}
-                        ChunkState::Offline => offline = true,
-                        _ => {
-                            done = done.max(media.reset(now, c)?.done);
-                        }
-                    }
-                }
+    /// The zone table of `geo`: every run of [`CHUNKS_PER_ZONE`] chunks on
+    /// each parallel unit is one zone, interleaved across PUs so
+    /// consecutive zone ids land on different PUs. Every zone starts empty.
+    fn zone_table(geo: &Geometry) -> Vec<Zone> {
+        let mut zones = Vec::new();
+        for row in 0..geo.chunks_per_pu / CHUNKS_PER_ZONE {
+            for pu in 0..geo.total_pus() {
+                let (group, pu_local) = (pu / geo.pus_per_group, pu % geo.pus_per_group);
                 zones.push(Zone {
-                    state: if offline {
-                        ZoneState::Offline
-                    } else {
-                        ZoneState::Empty
-                    },
+                    state: ZoneState::Empty,
                     wp: 0,
                     readable: 0,
-                    chunks,
+                    chunks: (0..CHUNKS_PER_ZONE)
+                        .map(|i| ChunkAddr::new(group, pu_local, row * CHUNKS_PER_ZONE + i))
+                        .collect(),
                 });
             }
         }
-        let zone_sectors = config.chunks_per_zone as u64 * geo.sectors_per_chunk as u64;
-        Ok((
-            ZnsFtl {
-                obs: media.obs(),
-                media,
-                geo,
-                zones,
-                zone_sectors,
-            },
-            done,
-        ))
+        zones
+    }
+
+    fn with_zones(media: Arc<dyn Media>, zones: Vec<Zone>) -> ZnsFtl {
+        let geo = media.geometry();
+        ZnsFtl {
+            obs: media.obs(),
+            media,
+            geo,
+            zones,
+            zone_sectors: CHUNKS_PER_ZONE as u64 * geo.sectors_per_chunk as u64,
+        }
+    }
+
+    /// Formats the device as zones (see [`CHUNKS_PER_ZONE`]): every chunk
+    /// is erased, and a zone with an offline chunk starts offline.
+    pub fn format(media: Arc<dyn Media>, now: SimTime) -> Result<(ZnsFtl, SimTime), ZnsError> {
+        let mut zones = Self::zone_table(&media.geometry());
+        let mut done = now;
+        for zone in &mut zones {
+            for &c in &zone.chunks {
+                match media.chunk_info(c).state {
+                    ChunkState::Free => {}
+                    ChunkState::Offline => zone.state = ZoneState::Offline,
+                    _ => {
+                        done = done.max(media.reset(now, c)?.done);
+                    }
+                }
+            }
+        }
+        Ok((Self::with_zones(media, zones), done))
     }
 
     /// Reopens after a crash: zone states and write pointers are rebuilt
     /// entirely from the device's *report chunk* — no log to replay.
-    pub fn open(
-        media: Arc<dyn Media>,
-        config: ZnsConfig,
-        now: SimTime,
-    ) -> Result<(ZnsFtl, SimTime), ZnsError> {
-        let geo = media.geometry();
-        let (mut ftl, t) = {
-            // Build the zone table without resetting anything.
-            let zones_per_pu = geo.chunks_per_pu / config.chunks_per_zone;
-            let total_pus = geo.total_pus();
-            let mut zones = Vec::with_capacity((zones_per_pu * total_pus) as usize);
-            for row in 0..zones_per_pu {
-                for pu in 0..total_pus {
-                    let group = pu / geo.pus_per_group;
-                    let pu_local = pu % geo.pus_per_group;
-                    let chunks: Vec<ChunkAddr> = (0..config.chunks_per_zone)
-                        .map(|i| ChunkAddr::new(group, pu_local, row * config.chunks_per_zone + i))
-                        .collect();
-                    zones.push(Zone {
-                        state: ZoneState::Empty,
-                        wp: 0,
-                        readable: 0,
-                        chunks,
-                    });
-                }
-            }
-            (
-                ZnsFtl {
-                    obs: media.obs(),
-                    media,
-                    geo,
-                    zones,
-                    zone_sectors: config.chunks_per_zone as u64 * geo.sectors_per_chunk as u64,
-                },
-                now,
-            )
-        };
+    pub fn open(media: Arc<dyn Media>, now: SimTime) -> Result<(ZnsFtl, SimTime), ZnsError> {
+        let mut zones = Self::zone_table(&media.geometry());
         // Rebuild write pointers from chunk reports.
-        for zone in &mut ftl.zones {
+        for zone in &mut zones {
             let mut wp = 0u64;
             let mut offline = false;
             let mut sealed = true;
             for &c in &zone.chunks {
-                let info = ftl.media.chunk_info(c);
+                let info = media.chunk_info(c);
                 match info.state {
                     ChunkState::Offline => offline = true,
                     _ => {
@@ -284,7 +237,7 @@ impl ZnsFtl {
                 ZoneState::Open
             };
         }
-        Ok((ftl, t))
+        Ok((Self::with_zones(media, zones), now))
     }
 
     /// The media this FTL writes through (for barriers and event drains at
@@ -639,8 +592,7 @@ mod tests {
     fn setup() -> (ZnsFtl, SharedDevice, SimTime) {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-        let (ftl, t) =
-            ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 2 }, SimTime::ZERO).unwrap();
+        let (ftl, t) = ZnsFtl::format(media, SimTime::ZERO).unwrap();
         (ftl, dev, t)
     }
 
@@ -928,7 +880,7 @@ mod tests {
         let f = dev.flush(t2);
         dev.crash(f.done);
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-        let (mut re, t3) = ZnsFtl::open(media, ZnsConfig { chunks_per_zone: 2 }, f.done).unwrap();
+        let (mut re, t3) = ZnsFtl::open(media, f.done).unwrap();
         assert_eq!(re.zone_info(0).unwrap().write_pointer, 24);
         assert_eq!(re.zone_info(0).unwrap().state, ZoneState::Open);
         assert_eq!(re.zone_info(2).unwrap().state, ZoneState::Empty);

@@ -30,7 +30,7 @@ use ocssd::{
 };
 use ox_core::{Media, OcssdMedia};
 use ox_sim::{Prng, SimTime};
-use ox_zns::{ZnsConfig, ZnsError, ZnsFtl, ZoneState};
+use ox_zns::{ZnsError, ZnsFtl, ZoneState};
 use std::sync::Arc;
 
 /// Zones exercised per case — few enough that fills, finishes and resets
@@ -96,7 +96,7 @@ impl Case {
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
         dev.set_fault_plan(plan);
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-        let (ftl, t) = ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 2 }, SimTime::ZERO)
+        let (ftl, t) = ZnsFtl::format(media, SimTime::ZERO)
             .unwrap_or_else(|e| panic!("{ctx}: format failed: {e}"));
         let append_bytes = ftl.append_bytes();
         let zone_sectors = ftl.zone_sectors();
@@ -515,8 +515,7 @@ fn boundary_rejections_leave_zone_untouched() {
         let on = format!("on {:?}", geo.cell);
         let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geo)));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-        let (mut ftl, t0) =
-            ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 1 }, SimTime::ZERO).expect(&on);
+        let (mut ftl, t0) = ZnsFtl::format(media, SimTime::ZERO).expect(&on);
         let unit = ftl.append_bytes();
         let unit_sectors = (unit / SECTOR_BYTES) as u64;
         let cap_units = ftl.zone_sectors() / unit_sectors;

@@ -64,7 +64,7 @@ use ocssd::{ChunkAddr, DeviceError, Geometry, Payload, PayloadBuf, SECTOR_BYTES}
 use ox_core::Media;
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
-use ox_zns::{ZnsConfig, ZnsError, ZnsFtl, ZoneState};
+use ox_zns::{ZnsError, ZnsFtl, ZoneState, CHUNKS_PER_ZONE};
 use placement::Placement;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -88,9 +88,6 @@ const TRIM_TAG: u64 = 1 << 63;
 const fn max_trims_per_unit() -> usize {
     (SECTOR_BYTES - HEADER_BYTES) / 8
 }
-
-/// Chunks per zone of the OX-ZNS device the layer formats ([`ZnsConfig`]).
-pub const CHUNKS_PER_ZONE: u32 = 2;
 
 /// Translation-layer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -421,13 +418,7 @@ impl ZtlFtl {
         let geo = media.geometry();
         let routed = Arc::new(RoutedMedia::new(media));
         let zns_media: Arc<dyn Media> = routed.clone();
-        let (zns, t) = ZnsFtl::format(
-            zns_media,
-            ZnsConfig {
-                chunks_per_zone: CHUNKS_PER_ZONE,
-            },
-            now,
-        )?;
+        let (zns, t) = ZnsFtl::format(zns_media, now)?;
         let mut ftl = Self::build(zns, routed, cfg, geo);
         ftl.adopt_zones()?;
         Ok((ftl, t))
@@ -446,13 +437,7 @@ impl ZtlFtl {
         let geo = media.geometry();
         let routed = Arc::new(RoutedMedia::new(media));
         let zns_media: Arc<dyn Media> = routed.clone();
-        let (zns, t) = ZnsFtl::open(
-            zns_media,
-            ZnsConfig {
-                chunks_per_zone: CHUNKS_PER_ZONE,
-            },
-            now,
-        )?;
+        let (zns, t) = ZnsFtl::open(zns_media, now)?;
         let mut ftl = Self::build(zns, routed, cfg, geo);
         let t = ftl.replay(t)?;
         ftl.adopt_zones()?;
@@ -1743,20 +1728,24 @@ mod tests {
     #[test]
     fn a_refresh_flag_recycles_the_zone_instead_of_retiring_it() {
         let mut config = DeviceConfig::with_geometry(tiny_geometry());
-        config.reliability = ocssd::ReliabilityConfig {
-            base_error_ppm: 2_000,
-            refresh_threshold_ppm: 2_500,
-            ..ocssd::ReliabilityConfig::aged(13)
-        };
+        config.reliability = Some(13);
         let dev = SharedDevice::new(OcssdDevice::new(config));
         let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
         let (mut ftl, t0) = ZtlFtl::format(media, tiny_cfg(), SimTime::ZERO).unwrap();
         let mut t = ftl.write_sectors(t0, 5, &page(0xAA)).unwrap();
         let zone = (ftl.l2p[5] / ftl.zone_sectors) as u32;
 
-        // Read the sector until the device flags its chunk, exactly once.
+        // Read the sector until the device flags its chunk, exactly once
+        // (retention gets it there within a virtual minute).
         let mut out = page(0);
+        let mut reads = 0;
         while dev.health_ledger().refresh_flags == 0 {
+            assert!(
+                reads < 100_000,
+                "zone {zone} unflagged after {reads} reads: {:?}",
+                dev.health_ledger()
+            );
+            reads += 1;
             t += ox_sim::SimDuration::from_millis(100);
             let _ = ftl.read_sectors(t, 5, 1, &mut out);
         }

@@ -25,7 +25,8 @@ use ox_core::faultharness::{
 };
 use ox_core::{Media, OcssdMedia};
 use ox_sim::SimTime;
-use oxztl::{Stream, ZtlConfig, ZtlError, ZtlFtl, CHUNKS_PER_ZONE, STREAMS};
+use ox_zns::CHUNKS_PER_ZONE;
+use oxztl::{Stream, ZtlConfig, ZtlError, ZtlFtl, STREAMS};
 use std::sync::Arc;
 
 const SLOTS: u64 = 16;

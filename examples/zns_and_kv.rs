@@ -8,15 +8,14 @@ use ox_workbench::ocssd::{DeviceConfig, OcssdDevice, SharedDevice, SECTOR_BYTES}
 use ox_workbench::ox_core::{Media, OcssdMedia};
 use ox_workbench::ox_kvssd::{KvSsd, KvSsdConfig};
 use ox_workbench::ox_sim::{SimDuration, SimTime};
-use ox_workbench::ox_zns::{ZnsConfig, ZnsFtl, ZoneState};
+use ox_workbench::ox_zns::{ZnsFtl, ZoneState};
 use std::sync::Arc;
 
 fn main() {
     // ---------------- OX-ZNS ----------------
     let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8)));
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-    let (mut zns, t0) =
-        ZnsFtl::format(media, ZnsConfig { chunks_per_zone: 2 }, SimTime::ZERO).expect("format");
+    let (mut zns, t0) = ZnsFtl::format(media, SimTime::ZERO).expect("format");
     println!(
         "OX-ZNS: {} zones of {} MB, append granularity {} KB (the device write unit)",
         zns.zone_count(),
@@ -43,7 +42,7 @@ fn main() {
     let f = dev.flush(t1);
     dev.crash(f.done);
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev));
-    let (reopened, _) = ZnsFtl::open(media, ZnsConfig { chunks_per_zone: 2 }, f.done).unwrap();
+    let (reopened, _) = ZnsFtl::open(media, f.done).unwrap();
     let info = reopened.zone_info(0).unwrap();
     println!(
         "after kill -9: zone 0 reports wp={} state={:?} — no log replay, no checkpoint\n",

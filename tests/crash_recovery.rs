@@ -29,10 +29,7 @@ fn ftl_config(checkpoint_interval: Option<SimDuration>) -> BlockFtlConfig {
     cfg.checkpoint_interval = checkpoint_interval;
     // The Figure 3 layout: a ring large enough to hold the whole run's log
     // even with checkpointing disabled.
-    cfg.layout = LayoutConfig {
-        wal_chunks: 1024,
-        checkpoint_chunks_per_area: 2,
-    };
+    cfg.layout = LayoutConfig { wal_chunks: 1024 };
     cfg
 }
 
