@@ -31,10 +31,8 @@ pub struct CompactionStats {
     pub blocks_written: u64,
     /// Entries surviving merges.
     pub entries_out: u64,
-    /// Point tombstones dropped at the bottom level.
+    /// Tombstones dropped at the bottom level.
     pub tombstones_dropped: u64,
-    /// Range tombstones dropped at the bottom level.
-    pub range_tombstones_dropped: u64,
     /// Versions pruned because no open snapshot could see them.
     pub entries_shadowed: u64,
     /// Total virtual nanoseconds spent in flushes.
@@ -55,7 +53,7 @@ pub(crate) const PREFETCH_DEPTH: usize = 4;
 /// `(key asc, seq desc)` order. Only the table being read is ever open: the
 /// next one is touched when the readahead window crosses into it.
 pub(crate) struct TableStream {
-    /// The run, in point-key order; point keys of its tables are disjoint.
+    /// The run, in key order; keys of its tables are disjoint.
     tables: Vec<Arc<TableHandle>>,
     rank: usize,
     /// Table of the run that `next_block` belongs to.
@@ -411,18 +409,15 @@ pub(crate) struct GroupPruner {
     /// The group in seq-desc order: sequence number, and whether the version
     /// is a tombstone.
     versions: Vec<(u64, bool)>,
-    /// Sequence numbers of the range tombstones covering the key.
-    covering: Vec<u64>,
     keep: Vec<usize>,
 }
 
 /// Outcome of pruning one key's version group against the open snapshots,
 /// beside the versions kept ([`GroupPruner::kept`]).
 pub(crate) struct PruneOutcome {
-    /// Versions dropped because no snapshot boundary can see them (or a
-    /// range tombstone hides them at every boundary that could).
+    /// Versions dropped because no snapshot boundary can see them.
     pub shadowed: u64,
-    /// Point tombstones dropped at the bottom level.
+    /// Tombstones dropped at the bottom level.
     pub tombstones_dropped: u64,
 }
 
@@ -430,48 +425,48 @@ impl GroupPruner {
     /// Decides which versions of one key survive a compaction.
     ///
     /// `versions` is the key's version group in seq-desc order (`true` =
-    /// tombstone). `covering` holds the sequence numbers of input range
-    /// tombstones covering the key. `boundaries` are the open snapshot
-    /// sequence numbers plus `u64::MAX` (the "latest" reader), ascending. A
-    /// version is kept iff some boundary `b` sees it — it is the newest
-    /// version with `seq <= b` and no covering range tombstone `r` satisfies
-    /// `seq < r <= b`. At the bottom level (`drop_tombstones`), trailing
-    /// point tombstones with nothing older below them are dropped.
+    /// tombstone). `boundaries` are the open snapshot sequence numbers plus
+    /// `u64::MAX` (the "latest" reader), ascending. A version is kept iff
+    /// some boundary `b` sees it: it is the newest version with `seq <= b`.
+    ///
+    /// At the bottom level (`drop_tombstones` = `Some(newest)`), trailing
+    /// tombstones with nothing older below them are dropped — except the
+    /// one at sequence number `newest`, the highest among the compaction's
+    /// inputs. Recovery restarts the write sequence above the highest
+    /// sequence number of the surviving tables, so a compaction must never
+    /// lower it: if it did, a crash would hand that number out again, and
+    /// the recovered store, which holds the dropped delete's effect, would
+    /// claim the shorter prefix that ends before it.
     pub(crate) fn prune(
         &mut self,
         versions: impl Iterator<Item = (u64, bool)>,
-        covering: impl Iterator<Item = u64>,
         boundaries: &[u64],
-        drop_tombstones: bool,
+        drop_tombstones: Option<u64>,
     ) -> PruneOutcome {
         let GroupPruner {
             versions: group,
-            covering: hiding,
             keep,
         } = self;
         group.clear();
         group.extend(versions);
-        hiding.clear();
-        hiding.extend(covering);
         keep.clear();
         // From the newest boundary down, what each sees moves from the
         // newest version towards the oldest: `keep` comes out ascending.
         for &b in boundaries.iter().rev() {
             // First index with seq <= b (versions are seq-desc).
             let i = group.partition_point(|&(seq, _)| seq > b);
-            let Some(&(seq, _)) = group.get(i) else {
-                continue;
-            };
-            let hidden = hiding.iter().any(|&r| seq < r && r <= b);
-            if !hidden && keep.last() != Some(&i) {
+            if i < group.len() && keep.last() != Some(&i) {
                 keep.push(i);
             }
         }
         let mut tombstones_dropped = 0;
-        if drop_tombstones {
+        if let Some(newest) = drop_tombstones {
             // Nothing lives below the bottom level, so a trailing tombstone
             // resolves to "absent" either way.
-            while keep.last().is_some_and(|&last| group[last].1) {
+            while keep
+                .last()
+                .is_some_and(|&last| group[last].1 && group[last].0 != newest)
+            {
                 keep.pop();
                 tombstones_dropped += 1;
             }
@@ -509,6 +504,9 @@ mod tests {
     use lightlsm::Placement;
 
     const MAX: u64 = u64::MAX;
+    /// At the bottom level, in a compaction whose newest version belongs to
+    /// another key.
+    const BOTTOM: Option<u64> = Some(1_000);
 
     /// What pruning a group keeps, drops as shadowed, and drops as trailing
     /// tombstones.
@@ -520,24 +518,13 @@ mod tests {
 
     fn prune_group(
         versions: &[(u64, bool)],
-        covering: &[u64],
         boundaries: &[u64],
-        drop_tombstones: bool,
+        drop_tombstones: Option<u64>,
     ) -> Pruned {
         // A pruner that has been used: nothing of the last group may stay.
         let mut pruner = GroupPruner::default();
-        pruner.prune(
-            [(77, true), (5, false)].into_iter(),
-            [99].into_iter(),
-            &[6, MAX],
-            false,
-        );
-        let out = pruner.prune(
-            versions.iter().copied(),
-            covering.iter().copied(),
-            boundaries,
-            drop_tombstones,
-        );
+        pruner.prune([(77, true), (5, false)].into_iter(), &[6, MAX], None);
+        let out = pruner.prune(versions.iter().copied(), boundaries, drop_tombstones);
         Pruned {
             keep: pruner.kept().to_vec(),
             shadowed: out.shadowed,
@@ -595,7 +582,7 @@ mod tests {
         stream.seek(&start);
         let (keys, fetched, _) = read_out(stream, &store);
         assert_eq!(keys.first().map(String::as_bytes), Some(&start[..]));
-        assert_eq!(keys.last().map(String::as_bytes), h.last_point_key());
+        assert_eq!(keys.last().map(String::as_bytes), Some(&h.max_key[..]));
         // The block the seek landed in, the next one on its own, and from
         // then on one more block of window per block used up, to four.
         assert_eq!(fetched[..7], [1, 2, 4, 6, 8, 10, 11]);
@@ -650,7 +637,7 @@ mod tests {
     #[test]
     fn latest_reader_keeps_newest_only() {
         let versions = [(9, false), (5, false), (2, false)];
-        let out = prune_group(&versions, &[], &[MAX], false);
+        let out = prune_group(&versions, &[MAX], None);
         assert_eq!(out.keep, vec![0]);
         assert_eq!(out.shadowed, 2);
     }
@@ -658,7 +645,7 @@ mod tests {
     #[test]
     fn snapshots_pin_older_versions() {
         let versions = [(9, false), (5, false), (2, false)];
-        let out = prune_group(&versions, &[], &[4, MAX], false);
+        let out = prune_group(&versions, &[4, MAX], None);
         assert_eq!(out.keep, vec![0, 2]);
         assert_eq!(out.shadowed, 1);
     }
@@ -668,12 +655,12 @@ mod tests {
         // tombstone over a live version: both visible to no snapshot but
         // the latest; tombstone wins, then drops at the bottom.
         let versions = [(9, true), (5, false)];
-        let out = prune_group(&versions, &[], &[MAX], true);
+        let out = prune_group(&versions, &[MAX], BOTTOM);
         assert!(out.keep.is_empty());
         assert_eq!(out.tombstones_dropped, 1);
         assert_eq!(out.shadowed, 1);
         // Not at the bottom the tombstone must survive to shadow deeper data.
-        let out = prune_group(&versions, &[], &[MAX], false);
+        let out = prune_group(&versions, &[MAX], None);
         assert_eq!(out.keep, vec![0]);
     }
 
@@ -684,27 +671,25 @@ mod tests {
         // version? no — tombstone is newest). keep = [tomb, live]; trailing
         // entry is the live version, so nothing drops.
         let versions = [(9, true), (2, false)];
-        let out = prune_group(&versions, &[], &[4, MAX], true);
+        let out = prune_group(&versions, &[4, MAX], BOTTOM);
         assert_eq!(out.keep, vec![0, 1]);
         assert_eq!(out.tombstones_dropped, 0);
     }
 
     #[test]
-    fn range_tombstone_hides_versions_from_boundaries() {
-        // rt seq 7 covers the key; latest reader sees nothing (v5 < 7),
-        // snapshot at 6 sees v5 (rt not yet visible? 7 > 6 so rt hidden).
-        let versions = [(5, false), (1, false)];
-        let out = prune_group(&versions, &[7], &[MAX], false);
-        assert!(out.keep.is_empty());
-        assert_eq!(out.shadowed, 2);
-        let out = prune_group(&versions, &[7], &[6, MAX], false);
+    fn the_newest_tombstone_of_a_compaction_survives_the_bottom() {
+        // The tombstone at 9 carries the compaction's highest sequence
+        // number: it stays, and only what it hides goes.
+        let versions = [(9, true), (5, false)];
+        let out = prune_group(&versions, &[MAX], Some(9));
         assert_eq!(out.keep, vec![0]);
-    }
-
-    #[test]
-    fn version_newer_than_rt_survives() {
-        let versions = [(9, false)];
-        let out = prune_group(&versions, &[7], &[MAX], true);
+        assert_eq!(out.tombstones_dropped, 0);
+        assert_eq!(out.shadowed, 1);
+        // An older tombstone a snapshot kept still drops below it.
+        let versions = [(9, true), (7, true), (2, false)];
+        let out = prune_group(&versions, &[8, MAX], Some(9));
         assert_eq!(out.keep, vec![0]);
+        assert_eq!(out.tombstones_dropped, 1);
+        assert_eq!(out.shadowed, 1);
     }
 }

@@ -9,8 +9,6 @@
 //! Every write carries a monotonically increasing sequence number;
 //! [`Db::snapshot`] pins a read view at the current sequence, and
 //! [`Db::scan_range`] iterates the merged key space under such a view.
-//! Range deletes land as range tombstones and flow through flushes and
-//! compactions until no older overlapping data survives below them.
 //!
 //! Rate limiting follows RocksDB: L0 buildup first *slows* writes (an added
 //! delay per put), then *stalls* them (the put must be retried later). The
@@ -20,7 +18,7 @@ use crate::block::{with_entries, EntryView, FindVisible};
 use crate::compaction::{
     CompactionJob, CompactionStats, Entry, GroupPruner, MergeIter, TableStream, PREFETCH_DEPTH,
 };
-use crate::memtable::{shared_memtable, MemCursor, RangeTombstone, SharedMemtable};
+use crate::memtable::{shared_memtable, MemCursor, SharedMemtable};
 use crate::sstable::{TableBuilder, TableHandle};
 use crate::store::{StoreError, TableStore};
 use crate::version::{LevelMeta, Version};
@@ -94,8 +92,6 @@ pub enum DbError {
     Store(StoreError),
     /// Empty key.
     EmptyKey,
-    /// Invalid range (start ≥ end).
-    BadRange,
 }
 
 impl std::fmt::Display for DbError {
@@ -103,7 +99,6 @@ impl std::fmt::Display for DbError {
         match self {
             DbError::Store(e) => write!(f, "store: {e}"),
             DbError::EmptyKey => write!(f, "empty key"),
-            DbError::BadRange => write!(f, "bad range"),
         }
     }
 }
@@ -150,8 +145,6 @@ pub struct DbStats {
     pub gets: u64,
     /// Gets that found a value.
     pub hits: u64,
-    /// Range deletes applied.
-    pub range_deletes: u64,
     /// Puts delayed by the slowdown trigger.
     pub slowdowns: u64,
     /// Puts rejected with a stall.
@@ -210,18 +203,14 @@ struct ActiveCompaction {
     from: usize,
     to: usize,
     removed: Vec<u64>,
-    drop_tombstones: bool,
+    /// At the bottom level, the inputs' highest sequence number: see
+    /// [`GroupPruner::prune`].
+    drop_tombstones: Option<u64>,
     merge: MergeIter,
     builder: TableBuilder,
     outputs: Vec<Arc<TableHandle>>,
     frontier: SimTime,
     started: SimTime,
-    /// Input range tombstones (deduplicated); carried to the final output
-    /// unless provably dead at the bottom level.
-    input_rts: Vec<RangeTombstone>,
-    /// Whether a surviving output entry still needs the tombstone at the
-    /// same index in `input_rts` to stay hidden.
-    rt_covered: Vec<bool>,
     /// Snapshot boundaries captured when the compaction started. Snapshots
     /// released later only allow *more* pruning; snapshots taken later sit
     /// above every sequence and always see the newest kept version.
@@ -232,7 +221,6 @@ struct ActiveCompaction {
     pruner: GroupPruner,
     entries_out: u64,
     tombstones_dropped: u64,
-    rts_dropped: u64,
     shadowed: u64,
     blocks_written: u64,
 }
@@ -271,10 +259,12 @@ impl Db {
     /// Reopens a database from tables surviving in the backend after a
     /// crash (see `LightLsmStore::surviving_tables`). Each table's meta
     /// region is read back from media (charging virtual time) to rebuild
-    /// its index, bloom filter and range tombstones; recovered tables enter
-    /// L0 newest-first and compaction re-forms the levels. The write
-    /// sequence restarts *above* every recovered sequence number. Returns
-    /// the database and the recovery completion time.
+    /// its index and bloom filter; recovered tables enter L0 newest-first
+    /// and compaction re-forms the levels. The write sequence restarts
+    /// *above* every recovered sequence number — compactions never lower
+    /// the highest one (see `GroupPruner::prune`), so no number a
+    /// surviving write carries is handed out again. Returns the database
+    /// and the recovery completion time.
     pub fn open_with_tables(
         store: Arc<dyn TableStore>,
         config: DbConfig,
@@ -445,44 +435,6 @@ impl Db {
         Ok(PutOutcome::Done(t))
     }
 
-    /// Deletes every key in `[start, end)` with one range tombstone.
-    pub fn delete_range(
-        &mut self,
-        now: SimTime,
-        start: &[u8],
-        end: &[u8],
-    ) -> Result<PutOutcome, DbError> {
-        if start.is_empty() || end.is_empty() {
-            return Err(DbError::EmptyKey);
-        }
-        if start >= end {
-            return Err(DbError::BadRange);
-        }
-        if let Some(stall) = self.write_pressure(now) {
-            self.stats.stalls += 1;
-            self.obs.metrics.record("lsm.stall", 0);
-            self.obs.tracer.instant(now, "lsm", "stall", 0);
-            return Ok(stall);
-        }
-        let t = now + PUT_CPU;
-        let t = self.admit(t, start.len() + end.len());
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mem_bytes = {
-            let mut mem = self.mem.lock();
-            mem.delete_range(start, end, seq);
-            mem.approximate_bytes()
-        };
-        self.stats.range_deletes += 1;
-        self.obs
-            .metrics
-            .record("lsm.range_delete", (start.len() + end.len()) as u64);
-        if mem_bytes >= self.config.memtable_bytes {
-            self.rotate();
-        }
-        Ok(PutOutcome::Done(t))
-    }
-
     /// Looks up a key at the latest sequence. Returns the value (if any)
     /// and the completion time.
     pub fn get(&mut self, now: SimTime, key: &[u8]) -> Result<(Option<Vec<u8>>, SimTime), DbError> {
@@ -511,27 +463,15 @@ impl Db {
         self.stats.gets += 1;
         let mut t = now + GET_CPU;
 
-        // `rt_max`: highest covering range-tombstone sequence ≤ snap, across
-        // every source. All tombstones live in memory (memtables and table
-        // handles), so this costs no device time.
-        //
-        // `best`, memory first: versions flow memtable → immutables →
-        // tables in per-key sequence order, so the first source holding a
-        // visible version holds the newest visible one.
-        let mut rt_max = None;
-        let mut best: Option<(u64, Option<Vec<u8>>)> = None;
-        for mem in self.memtables_newest_first() {
-            let mem = mem.lock();
-            rt_max = rt_max.max(mem.max_covering_tombstone(key, snap));
-            if best.is_none() {
-                best = mem
+        // Memory first: versions flow memtable → immutables → tables in
+        // per-key sequence order, so the first source holding a visible
+        // version holds the newest visible one.
+        let mut best: Option<(u64, Option<Vec<u8>>)> =
+            self.memtables_newest_first().find_map(|mem| {
+                mem.lock()
                     .point_visible(key, snap)
-                    .map(|(s, v)| (s, v.map(<[u8]>::to_vec)));
-            }
-        }
-        for h in self.version.tables_with_range_dels() {
-            rt_max = rt_max.max(h.covering_tombstone(key, snap));
-        }
+                    .map(|(s, v)| (s, v.map(<[u8]>::to_vec)))
+            });
 
         if best.is_none() {
             // Tables: the data block is read from the device every time (no
@@ -544,9 +484,6 @@ impl Db {
                     if *bs >= h.max_seq {
                         continue;
                     }
-                }
-                if rt_max.is_some_and(|r| r >= h.max_seq) {
-                    continue; // every version in the table is hidden
                 }
                 t += SimDuration::from_nanos(150); // bloom probe
                 if !h.bloom.maybe_contains(key) {
@@ -591,17 +528,7 @@ impl Db {
             }
         }
 
-        let visible = match (best, rt_max) {
-            (Some((s, v)), Some(r)) => {
-                if s > r {
-                    v
-                } else {
-                    None // the range tombstone hides the newest version
-                }
-            }
-            (Some((_, v)), None) => v,
-            (None, _) => None,
-        };
+        let visible = best.and_then(|(_, v)| v);
         if visible.is_some() {
             self.stats.hits += 1;
         }
@@ -639,10 +566,8 @@ impl Db {
     }
 
     /// Flushes the oldest immutable memtable into an L0 table. Versions no
-    /// open snapshot can see are pruned as they stream out (the memtable's
-    /// own range tombstones count as covering); the tombstones themselves
-    /// are persisted in the table's meta region. Returns the completion
-    /// time, or `None` when there is nothing to flush.
+    /// open snapshot can see are pruned as they stream out. Returns the
+    /// completion time, or `None` when there is nothing to flush.
     pub fn flush_once(&mut self, now: SimTime) -> Result<Option<SimTime>, DbError> {
         let (now, reaped) = self.reap_deferred(now)?;
         let Some((gen, imm)) = self.immutables.pop_front() else {
@@ -652,15 +577,13 @@ impl Db {
         let mut t = now + BUILD_CPU_PER_ENTRY * imm.len() as u64;
         let boundaries = self.boundaries();
         let mut builder = TableBuilder::new(self.store.block_bytes(), BITS_PER_KEY);
-        let rts = imm.range_dels();
         let mut pruner = GroupPruner::default();
         let mut flush_group =
             |key: &[u8], group: &[(u64, Option<&[u8]>)], builder: &mut TableBuilder| {
                 pruner.prune(
                     group.iter().map(|(s, v)| (*s, v.is_none())),
-                    rts.iter().filter(|rt| rt.covers(key)).map(|rt| rt.seq),
                     &boundaries,
-                    false,
+                    None,
                 );
                 for &i in pruner.kept() {
                     let (s, v) = group[i];
@@ -683,9 +606,6 @@ impl Db {
         }
         if let Some(pk) = pending_key {
             flush_group(pk, &pending, &mut builder);
-        }
-        for rt in rts {
-            builder.add_range_del(rt.clone());
         }
         if builder.is_empty() {
             // Unreachable for sealed memtables (they always hold data), but
@@ -793,10 +713,6 @@ impl Db {
         let key = first.key();
         let out = ac.pruner.prune(
             ac.group.iter().map(|e| (e.seq(), e.value().is_none())),
-            ac.input_rts
-                .iter()
-                .filter(|rt| rt.covers(key))
-                .map(|rt| rt.seq),
             &ac.boundaries,
             ac.drop_tombstones,
         );
@@ -822,11 +738,6 @@ impl Db {
             let e = &ac.group[i];
             ac.builder.add(key, e.seq(), e.value());
             ac.entries_out += 1;
-            for (ri, rt) in ac.input_rts.iter().enumerate() {
-                if e.seq() < rt.seq && rt.covers(key) {
-                    ac.rt_covered[ri] = true;
-                }
-            }
         }
         ac.group.clear();
         Ok(())
@@ -863,32 +774,23 @@ impl Db {
                     .enumerate()
                     .map(|(rank, h)| TableStream::new(vec![h.clone()], rank, PREFETCH_DEPTH))
                     .collect();
-                let mut input_rts: Vec<RangeTombstone> = job
-                    .inputs
-                    .iter()
-                    .flat_map(|h| h.range_dels.iter().cloned())
-                    .collect();
-                input_rts.sort();
-                input_rts.dedup();
-                let rt_covered = vec![false; input_rts.len()];
                 self.actives.push(ActiveCompaction {
                     from: job.from_level,
                     to: job.to_level,
                     removed: job.inputs.iter().map(|h| h.id).collect(),
-                    drop_tombstones: job.drop_tombstones,
+                    drop_tombstones: job
+                        .drop_tombstones
+                        .then(|| job.inputs.iter().map(|h| h.max_seq).max().unwrap_or(0)),
                     merge: MergeIter::new(streams, self.store.clone()),
                     builder: TableBuilder::new(block_bytes, BITS_PER_KEY),
                     outputs: Vec::new(),
                     frontier: now,
                     started: now,
-                    input_rts,
-                    rt_covered,
                     boundaries: self.boundaries(),
                     group: Vec::new(),
                     pruner: GroupPruner::default(),
                     entries_out: 0,
                     tombstones_dropped: 0,
-                    rts_dropped: 0,
                     shadowed: 0,
                     blocks_written: 0,
                 });
@@ -929,27 +831,6 @@ impl Db {
         }
 
         if finished {
-            // Range tombstones ride along to the final output unless this is
-            // the bottom level and nothing they could hide survives: no kept
-            // output entry under them, and no live non-input table holding
-            // older overlapping data.
-            for ri in 0..ac.input_rts.len() {
-                let rt = &ac.input_rts[ri];
-                let keep = !ac.drop_tombstones
-                    || ac.rt_covered[ri]
-                    || self.version.all_tables().any(|h| {
-                        !ac.removed.contains(&h.id)
-                            && h.entries > 0
-                            && h.min_seq < rt.seq
-                            && rt.overlaps(&h.min_key, &h.max_key)
-                    });
-                if keep {
-                    let rt = rt.clone();
-                    ac.builder.add_range_del(rt);
-                } else {
-                    ac.rts_dropped += 1;
-                }
-            }
             if !ac.builder.is_empty() {
                 let b = std::mem::replace(
                     &mut ac.builder,
@@ -983,7 +864,6 @@ impl Db {
             self.cstats.blocks_written += ac.blocks_written;
             self.cstats.entries_out += ac.entries_out;
             self.cstats.tombstones_dropped += ac.tombstones_dropped;
-            self.cstats.range_tombstones_dropped += ac.rts_dropped;
             self.cstats.entries_shadowed += ac.shadowed;
             let out_bytes = ac.blocks_written * block_bytes as u64;
             self.obs.metrics.record("lsm.compaction", out_bytes);
@@ -1027,15 +907,6 @@ impl Db {
     pub fn scan_range(&mut self, snap: Snapshot, start: &[u8], end: Option<&[u8]>) -> DbIter {
         let snap_seq = snap.seq;
         let mems: Vec<SharedMemtable> = self.memtables_newest_first().cloned().collect();
-        // Range tombstones all live in memory; collecting them up front
-        // keeps the view complete however late a table is opened.
-        let mut rts: Vec<RangeTombstone> = Vec::new();
-        for mem in &mems {
-            rts.extend(visible_range_dels(mem.lock().range_dels(), snap_seq));
-        }
-        for h in self.version.tables_with_range_dels() {
-            rts.extend(visible_range_dels(&h.range_dels, snap_seq));
-        }
         let runs = self.version.scan_runs(start, end);
         // Pins are id refcounts: a table a compaction replaces before the
         // iterator reaches it is parked in `deferred`, not deleted.
@@ -1055,7 +926,6 @@ impl Db {
         DbIter {
             merge: MergeIter::new(streams, self.store.clone()),
             mem: MemCursor::new(mems, start, snap_seq),
-            rts,
             snap: snap_seq,
             owns_snapshot: false,
             pinned,
@@ -1109,13 +979,6 @@ impl Db {
     }
 }
 
-fn visible_range_dels(
-    rts: &[RangeTombstone],
-    snap: u64,
-) -> impl Iterator<Item = RangeTombstone> + '_ {
-    rts.iter().filter(move |rt| rt.seq <= snap).cloned()
-}
-
 /// What an iterator hands back to its database when it is released.
 struct ReleasedScan {
     pinned: Vec<u64>,
@@ -1139,7 +1002,6 @@ pub type KvPair = (Vec<u8>, Vec<u8>);
 pub struct DbIter {
     merge: MergeIter,
     mem: MemCursor,
-    rts: Vec<RangeTombstone>,
     snap: u64,
     owns_snapshot: bool,
     pinned: Vec<u64>,
@@ -1219,7 +1081,7 @@ impl DbIter {
                 self.done = true;
                 return Ok(None); // unreachable: the side chosen has an entry
             };
-            let (key, seq) = (version.key(), version.seq());
+            let key = version.key();
             if self.end.as_deref().is_some_and(|e| key >= e) {
                 self.done = true;
                 return Ok(None);
@@ -1231,16 +1093,7 @@ impl DbIter {
             }
             self.last_key.clear();
             self.last_key.extend_from_slice(key);
-            let rt_max = self
-                .rts
-                .iter()
-                .filter(|rt| rt.covers(key))
-                .map(|rt| rt.seq)
-                .max();
-            if rt_max.is_some_and(|r| seq < r) {
-                continue; // range-deleted under this snapshot
-            }
-            // A point tombstone yields nothing; a live version is the first
+            // A tombstone yields nothing; a live version is the first
             // thing a table entry is copied for.
             if let Some(pair) = version.into_pair() {
                 return Ok(Some(pair));
@@ -1261,13 +1114,6 @@ impl ScanVersion {
         match self {
             ScanVersion::Mem((key, ..)) => key,
             ScanVersion::Table(e) => e.key(),
-        }
-    }
-
-    fn seq(&self) -> u64 {
-        match self {
-            ScanVersion::Mem((_, seq, _)) => *seq,
-            ScanVersion::Table(e) => e.seq(),
         }
     }
 
@@ -1327,16 +1173,6 @@ impl SharedDb {
     /// See [`Db::delete`].
     pub fn delete(&self, now: SimTime, key: &[u8]) -> Result<PutOutcome, DbError> {
         self.0.lock().delete(now, key)
-    }
-
-    /// See [`Db::delete_range`].
-    pub fn delete_range(
-        &self,
-        now: SimTime,
-        start: &[u8],
-        end: &[u8],
-    ) -> Result<PutOutcome, DbError> {
-        self.0.lock().delete_range(now, start, end)
     }
 
     /// See [`Db::snapshot`].
@@ -1474,21 +1310,9 @@ mod tests {
 
     /// The tables of a sorted level in the order a scan walks them.
     fn run_of(db: &Db, level: usize) -> Vec<Arc<TableHandle>> {
-        let mut run: Vec<_> = db
-            .version
-            .level(level)
-            .iter()
-            .filter(|h| h.entries > 0)
-            .cloned()
-            .collect();
-        run.sort_by(|a, b| a.last_point_key().cmp(&b.last_point_key()));
+        let mut run = db.version.level(level).to_vec();
+        run.sort_by(|a, b| a.max_key.cmp(&b.max_key));
         run
-    }
-
-    fn last_key(h: &TableHandle) -> Vec<u8> {
-        h.last_point_key()
-            .expect("a table with point data")
-            .to_vec()
     }
 
     fn check_scan(db: &mut Db, model: &Model, t: SimTime, start: &[u8], end: Option<&[u8]>) {
@@ -1528,54 +1352,15 @@ mod tests {
             // From the last key of each table: one entry is left in it, the
             // rest of the answer lives in the next table of the run.
             for h in &run {
-                let start = last_key(h);
+                let start = h.max_key.clone();
                 let end = model.range(start.clone()..).nth(5).map(|(k, _)| k.clone());
                 check_scan(&mut db, &model, t, &start, end.as_deref());
             }
             // From the end of one table, through the whole of the next,
             // into a third.
             for three in run.windows(3) {
-                let (start, end) = (last_key(&three[0]), last_key(&three[2]));
-                check_scan(&mut db, &model, t, &start, Some(&end));
-            }
-        }
-    }
-
-    #[test]
-    fn scans_order_a_level_by_point_keys_not_by_tombstone_widened_ranges() {
-        let (mut db, mut model, mut t) = leveled_db();
-        // A range delete at the bottom of the key space followed by writes
-        // at the top: the compaction output that inherits the tombstone
-        // holds the highest point keys of L1, and the lowest `min_key`.
-        let (del_start, del_end) = (key(100), key(160));
-        t = match db.delete_range(t, &del_start, &del_end).unwrap() {
-            PutOutcome::Done(done) => done,
-            PutOutcome::Stalled(_) => panic!("quiescent database stalled"),
-        };
-        model.retain(|k, _| !(del_start.as_slice() <= k.as_slice() && k < &del_end));
-        for round in 0..4 {
-            for i in 0..250 {
-                t = put(&mut db, &mut model, t, KEYS - 1 - (4 * i + round), 2);
-            }
-            db.seal_memtable();
-            t = drain(&mut db, t);
-        }
-        let widened = |level: usize| {
-            let by_min_key: Vec<u64> = db.version.level(level).iter().map(|h| h.id).collect();
-            let by_points: Vec<u64> = run_of(&db, level).iter().map(|h| h.id).collect();
-            by_min_key != by_points
-        };
-        assert!(
-            widened(1) || widened(2),
-            "no level is ordered differently by min_key and by point keys"
-        );
-        check_scan(&mut db, &model, t, b"", None);
-        check_scan(&mut db, &model, t, &key(90), Some(&key(200)));
-        check_scan(&mut db, &model, t, &key(130), Some(&key(170)));
-        check_scan(&mut db, &model, t, &key(KEYS - 1200), None);
-        for level in 1..3 {
-            for h in run_of(&db, level) {
-                check_scan(&mut db, &model, t, &last_key(&h), Some(&key(KEYS)));
+                let (start, end) = (&three[0].max_key, &three[2].max_key);
+                check_scan(&mut db, &model, t, start, Some(end));
             }
         }
     }

@@ -45,7 +45,7 @@ pub use block::{BlockAnchors, BlockBuilder, BlockIter, FindVisible};
 pub use bloom::BloomFilter;
 pub use compaction::CompactionStats;
 pub use db::{Db, DbConfig, DbError, DbIter, DbStats, KvPair, PutOutcome, SharedDb, Snapshot};
-pub use memtable::{Memtable, RangeTombstone};
+pub use memtable::Memtable;
 pub use sstable::{TableBuilder, TableHandle};
 pub use store::{concat_blocks, LightLsmStore, StoreError, TableStore};
 pub use version::{LevelMeta, Version};

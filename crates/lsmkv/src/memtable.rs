@@ -1,12 +1,8 @@
-//! In-memory write buffer (memtable) with multi-version entries and range
-//! tombstones.
+//! In-memory write buffer (memtable) with multi-version entries.
 //!
 //! Every write carries a database-wide sequence number; the memtable keeps
 //! *all* versions of a key (newest first) so snapshot reads pinned at an
-//! older sequence number stay stable while later writes land. Range deletes
-//! are recorded as [`RangeTombstone`]s — half-open `[start, end)` intervals
-//! stamped with the deleting write's sequence number — and flow into the
-//! SSTables at flush.
+//! older sequence number stay stable while later writes land.
 
 use crate::compaction::Entry;
 use ox_sim::sync::Mutex;
@@ -14,44 +10,18 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// A range delete: hides every version of every key in `[start, end)` whose
-/// sequence number is below `seq`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RangeTombstone {
-    /// First key covered (inclusive).
-    pub start: Vec<u8>,
-    /// First key *not* covered (exclusive).
-    pub end: Vec<u8>,
-    /// Sequence number of the range delete.
-    pub seq: u64,
-}
-
-impl RangeTombstone {
-    /// Whether `key` falls inside `[start, end)`.
-    pub fn covers(&self, key: &[u8]) -> bool {
-        self.start.as_slice() <= key && key < self.end.as_slice()
-    }
-
-    /// Whether the tombstone's span intersects the closed key range
-    /// `[min, max]`.
-    pub fn overlaps(&self, min: &[u8], max: &[u8]) -> bool {
-        self.start.as_slice() <= max && min < self.end.as_slice()
-    }
-}
-
 /// A borrowed version: key, sequence number, `Some(value)` or a tombstone.
 pub type VersionRef<'a> = (&'a [u8], u64, Option<&'a [u8]>);
 
 /// A key's version chain, newest-first: `(seq, value)` entries where `None`
-/// values are point tombstones.
+/// values are tombstones.
 type VersionChain = Vec<(u64, Option<Vec<u8>>)>;
 
 /// A sorted in-memory buffer. Per key, a list of `(seq, value)` versions is
-/// kept newest-first; `None` values are point tombstones.
+/// kept newest-first; `None` values are tombstones.
 #[derive(Default)]
 pub struct Memtable {
     map: BTreeMap<Vec<u8>, VersionChain>,
-    range_dels: Vec<RangeTombstone>,
     bytes: usize,
     versions: usize,
 }
@@ -81,20 +51,8 @@ impl Memtable {
         versions.insert(0, (seq, value));
     }
 
-    /// Records a range delete over `[start, end)`.
-    pub fn delete_range(&mut self, start: &[u8], end: &[u8], seq: u64) {
-        self.bytes += start.len() + end.len() + 48;
-        self.range_dels.push(RangeTombstone {
-            start: start.to_vec(),
-            end: end.to_vec(),
-            seq,
-        });
-    }
-
-    /// Newest point version of `key` with sequence number ≤ `snap`, if the
-    /// memtable holds one. Range tombstones are *not* applied here — the
-    /// caller combines the result with [`Memtable::max_covering_tombstone`]
-    /// across every source.
+    /// Newest version of `key` with sequence number ≤ `snap`, if the
+    /// memtable holds one.
     pub fn point_visible(&self, key: &[u8], snap: u64) -> Option<(u64, Option<&[u8]>)> {
         let versions = self.map.get(key)?;
         versions
@@ -103,34 +61,19 @@ impl Memtable {
             .map(|(seq, v)| (*seq, v.as_deref()))
     }
 
-    /// Highest range-tombstone sequence number ≤ `snap` covering `key`.
-    pub fn max_covering_tombstone(&self, key: &[u8], snap: u64) -> Option<u64> {
-        self.range_dels
-            .iter()
-            .filter(|rt| rt.seq <= snap && rt.covers(key))
-            .map(|rt| rt.seq)
-            .max()
-    }
-
     /// Approximate memory footprint in bytes.
     pub fn approximate_bytes(&self) -> usize {
         self.bytes
     }
 
-    /// Number of point versions (tombstones included).
+    /// Number of versions (tombstones included).
     pub fn len(&self) -> usize {
         self.versions
     }
 
-    /// True if the memtable holds neither point versions nor range
-    /// tombstones.
+    /// True if the memtable holds no version.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty() && self.range_dels.is_empty()
-    }
-
-    /// The range tombstones recorded so far, in insertion order.
-    pub fn range_dels(&self) -> &[RangeTombstone] {
-        &self.range_dels
+        self.map.is_empty()
     }
 
     /// Iterates all versions in `(key asc, seq desc)` order.
@@ -246,21 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn range_tombstones_cover_by_seq() {
-        let mut m = Memtable::new();
-        m.put(b"b", 1, b"v");
-        m.delete_range(b"a", b"c", 2);
-        m.put(b"b", 3, b"w");
-        assert_eq!(m.max_covering_tombstone(b"b", u64::MAX), Some(2));
-        assert_eq!(m.max_covering_tombstone(b"b", 1), None);
-        assert_eq!(m.max_covering_tombstone(b"c", u64::MAX), None); // end exclusive
-        assert_eq!(m.max_covering_tombstone(b"a", u64::MAX), Some(2));
-        // Version written after the range delete is newer than the tombstone.
-        let (seq, _) = m.point_visible(b"b", u64::MAX).unwrap();
-        assert!(seq > 2);
-    }
-
-    #[test]
     fn byte_accounting_grows_with_versions() {
         let mut m = Memtable::new();
         m.put(b"key", 1, &[0u8; 100]);
@@ -268,7 +196,7 @@ mod tests {
         m.put(b"key", 2, &[0u8; 10]);
         let b2 = m.approximate_bytes();
         assert!(b2 > b1, "versions accumulate");
-        m.delete_range(b"a", b"z", 3);
+        m.delete(b"key", 3);
         assert!(m.approximate_bytes() > b2);
     }
 
@@ -332,14 +260,5 @@ mod tests {
             .collect();
         assert_eq!(got, want);
         assert!(cur.front().is_none());
-    }
-
-    #[test]
-    fn empty_accounts_for_range_dels() {
-        let mut m = Memtable::new();
-        assert!(m.is_empty());
-        m.delete_range(b"a", b"b", 1);
-        assert!(!m.is_empty());
-        assert_eq!(m.len(), 0);
     }
 }

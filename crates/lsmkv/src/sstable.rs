@@ -1,22 +1,19 @@
-//! SSTable format: data blocks + an embedded meta region (index + bloom +
-//! range tombstones).
+//! SSTable format: data blocks + an embedded meta region (index + bloom).
 //!
 //! ```text
-//! table := data_block*  meta_block+
+//! table := data_block+  meta_block+
 //! meta  := index(count, [last_key, block_idx]*) bloom min_key max_key
-//!          range_dels(count, [start, end, seq]*) min_seq:u64 max_seq:u64
+//!          min_seq:u64 max_seq:u64
 //! trailer (last 20 bytes of the final block):
 //!         meta_first_block:u32 | meta_len:u32 | entries:u64 | crc:u32
 //! ```
 //!
 //! Data blocks hold `(key, seq, value)` versions in `(key asc, seq desc)`
 //! order; a key's version run may span adjacent blocks. Every block is one
-//! LightLSM block (96 KB on the paper drive). The index, bloom and range
-//! tombstones are kept in memory by the version set after a flush or
-//! compaction builds them; [`TableHandle::from_bytes`] re-parses them when a
-//! table is reopened after recovery. A table may hold *only* range
-//! tombstones (zero point entries) — then its key span is the tombstones'
-//! span and it has no data blocks.
+//! LightLSM block (96 KB on the paper drive). The index and bloom are kept
+//! in memory by the version set after a flush or compaction builds them;
+//! [`TableHandle::from_bytes`] re-parses them when a table is reopened after
+//! recovery.
 //!
 //! A handle also caches what only the host needs: a search index per data
 //! block (see [`crate::block`]), built the first time the block is searched.
@@ -24,7 +21,6 @@
 
 use crate::block::{BlockAnchors, BlockBuilder};
 use crate::bloom::{BloomFilter, KeyHash};
-use crate::memtable::RangeTombstone;
 use ocssd::{Payload, PayloadBuf};
 use ox_core::codec::{crc32c, Decoder, Encoder};
 use std::cell::OnceCell;
@@ -93,17 +89,15 @@ pub struct TableHandle {
     pub index: BlockIndex,
     /// Bloom filter over all keys.
     pub bloom: BloomFilter,
-    /// Point-version count (tombstones included).
+    /// Version count (tombstones included).
     pub entries: u64,
-    /// Smallest key (spans the range-tombstone start for rt-only tables).
+    /// Smallest key.
     pub min_key: Vec<u8>,
-    /// Largest key (spans the range-tombstone end for rt-only tables).
+    /// Largest key.
     pub max_key: Vec<u8>,
-    /// Range tombstones carried by this table, in `(start, end, seq)` order.
-    pub range_dels: Vec<RangeTombstone>,
-    /// Smallest point-version sequence number (`u64::MAX` when no points).
+    /// Smallest sequence number of any version.
     pub min_seq: u64,
-    /// Largest sequence number of any point version or range tombstone.
+    /// Largest sequence number of any version.
     pub max_seq: u64,
     /// Search index of each data block, empty until the block is searched.
     anchors: Vec<OnceCell<BlockAnchors>>,
@@ -126,30 +120,9 @@ impl TableHandle {
             .seek(data, key)
     }
 
-    /// Largest point key, or `None` for a table of range tombstones only.
-    /// Unlike `max_key`, range tombstones never widen it, so it orders the
-    /// tables of a sorted level by the point data they hold.
-    pub fn last_point_key(&self) -> Option<&[u8]> {
-        let last = self.index.len().checked_sub(1)?;
-        Some(self.index.last_key(last))
-    }
-
-    /// Whether `key` overlaps this table's key range (point span plus
-    /// range-tombstone span).
+    /// Whether the table's key range intersects `[min, max]`.
     pub fn overlaps(&self, min: &[u8], max: &[u8]) -> bool {
-        if self.min_key.is_empty() && self.index.is_empty() && self.range_dels.is_empty() {
-            return false;
-        }
         !(self.max_key.as_slice() < min || self.min_key.as_slice() > max)
-    }
-
-    /// Highest range-tombstone sequence number ≤ `snap` covering `key`.
-    pub fn covering_tombstone(&self, key: &[u8], snap: u64) -> Option<u64> {
-        self.range_dels
-            .iter()
-            .filter(|rt| rt.seq <= snap && rt.covers(key))
-            .map(|rt| rt.seq)
-            .max()
     }
 
     /// Rebuilds a handle from full table bytes (recovery path).
@@ -188,14 +161,6 @@ impl TableHandle {
         let bloom = BloomFilter::decode(&mut d)?;
         let min_key = d.var_bytes().ok()?.to_vec();
         let max_key = d.var_bytes().ok()?.to_vec();
-        let rt_count = d.u32().ok()? as usize;
-        let mut range_dels = Vec::with_capacity(rt_count);
-        for _ in 0..rt_count {
-            let start = d.var_bytes().ok()?.to_vec();
-            let end = d.var_bytes().ok()?.to_vec();
-            let seq = d.u64().ok()?;
-            range_dels.push(RangeTombstone { start, end, seq });
-        }
         let min_seq = d.u64().ok()?;
         let max_seq = d.u64().ok()?;
         Some(TableHandle {
@@ -207,7 +172,6 @@ impl TableHandle {
             entries,
             min_key,
             max_key,
-            range_dels,
             min_seq,
             max_seq,
             anchors: vec![OnceCell::new(); meta_first],
@@ -230,7 +194,6 @@ pub struct TableBuilder {
     last_key: Vec<u8>,
     last_seq: u64,
     entries: u64,
-    range_dels: Vec<RangeTombstone>,
     min_seq: u64,
     max_seq: u64,
 }
@@ -249,7 +212,6 @@ impl TableBuilder {
             last_key: Vec::new(),
             last_seq: 0,
             entries: 0,
-            range_dels: Vec::new(),
             min_seq: u64::MAX,
             max_seq: 0,
         }
@@ -287,12 +249,6 @@ impl TableBuilder {
         self.max_seq = self.max_seq.max(seq);
     }
 
-    /// Attaches a range tombstone to the table's meta region.
-    pub fn add_range_del(&mut self, rt: RangeTombstone) {
-        self.max_seq = self.max_seq.max(rt.seq);
-        self.range_dels.push(rt);
-    }
-
     /// Closes the block being filled, if there is one.
     fn cut_block(&mut self) {
         if let Some(finished) = self.current.take() {
@@ -301,7 +257,7 @@ impl TableBuilder {
         }
     }
 
-    /// Point versions added so far.
+    /// Versions added so far.
     pub fn entries(&self) -> u64 {
         self.entries
     }
@@ -312,8 +268,8 @@ impl TableBuilder {
     }
 
     /// Conservative estimate of the finished table size *including* the
-    /// meta region (index, bloom, range tombstones, trailer). Used to cut
-    /// output tables so they never exceed a backend's capacity.
+    /// meta region (index, bloom, trailer). Used to cut output tables so
+    /// they never exceed a backend's capacity.
     pub fn projected_total_bytes(&self) -> usize {
         let key_len = self.last_key.len().max(16);
         let meta_bytes = 4
@@ -321,21 +277,15 @@ impl TableBuilder {
             + self.key_hashes.len() * (self.bits_per_key as usize) / 8
             + 64 // bloom header + slack
             + 2 * (4 + key_len) // min/max keys
-            + 4
-            + self
-                .range_dels
-                .iter()
-                .map(|rt| 16 + rt.start.len() + rt.end.len())
-                .sum::<usize>()
             + 16 // min/max seq
             + TRAILER_BYTES;
         let meta_blocks = meta_bytes.div_ceil(self.block_bytes).max(1);
         (self.blocks.len() + 1 + meta_blocks) * self.block_bytes
     }
 
-    /// True if neither point versions nor range tombstones were added.
+    /// True if no version was added.
     pub fn is_empty(&self) -> bool {
-        self.entries == 0 && self.range_dels.is_empty()
+        self.entries == 0
     }
 
     /// Finishes the table: returns it as its blocks — the data blocks as
@@ -348,40 +298,6 @@ impl TableBuilder {
         self.cut_block();
         let data_blocks = self.blocks.len() as u32;
 
-        // Deterministic tombstone order in the meta region.
-        self.range_dels.sort();
-        self.range_dels.dedup();
-
-        // An rt-only table's key span is the span of its tombstones so
-        // overlap checks and level ordering still work.
-        let (min_key, max_key) = if self.entries > 0 {
-            let mut min_key = self.min_key;
-            let mut max_key = self.last_key.clone();
-            for rt in &self.range_dels {
-                if rt.start < min_key {
-                    min_key = rt.start.clone();
-                }
-                if rt.end > max_key {
-                    max_key = rt.end.clone();
-                }
-            }
-            (min_key, max_key)
-        } else {
-            let min_key = self
-                .range_dels
-                .iter()
-                .map(|rt| rt.start.clone())
-                .min()
-                .unwrap_or_default();
-            let max_key = self
-                .range_dels
-                .iter()
-                .map(|rt| rt.end.clone())
-                .max()
-                .unwrap_or_default();
-            (min_key, max_key)
-        };
-
         let mut bloom = BloomFilter::new(self.key_hashes.len(), self.bits_per_key);
         for &hash in &self.key_hashes {
             bloom.insert_hash(hash);
@@ -393,12 +309,8 @@ impl TableBuilder {
             meta.var_bytes(self.index.last_key(block)).u32(block as u32);
         }
         bloom.encode(&mut meta);
-        meta.var_bytes(&min_key);
-        meta.var_bytes(&max_key);
-        meta.u32(self.range_dels.len() as u32);
-        for rt in &self.range_dels {
-            meta.var_bytes(&rt.start).var_bytes(&rt.end).u64(rt.seq);
-        }
+        meta.var_bytes(&self.min_key);
+        meta.var_bytes(&self.last_key);
         meta.u64(self.min_seq).u64(self.max_seq);
         let meta = meta.finish();
         let mut trailer = Encoder::new();
@@ -432,9 +344,8 @@ impl TableBuilder {
             index: self.index,
             bloom,
             entries: self.entries,
-            min_key,
-            max_key,
-            range_dels: self.range_dels,
+            min_key: self.min_key,
+            max_key: self.last_key,
             min_seq: self.min_seq,
             max_seq: self.max_seq,
             anchors: vec![OnceCell::new(); data_blocks as usize],
@@ -572,13 +483,11 @@ mod tests {
     fn handle_round_trips_through_bytes() {
         let mut b = TableBuilder::new(BLOCK, 10);
         for i in 0..500u64 {
+            if i == 100 {
+                b.add(&key(i), 777, None);
+            }
             b.add(&key(i), i + 1, Some(&[(i % 251) as u8; 100]));
         }
-        b.add_range_del(RangeTombstone {
-            start: key(100),
-            end: key(200),
-            seq: 777,
-        });
         let (bytes, h) = finish(b);
         let back = TableHandle::from_bytes(7, BLOCK, &bytes).expect("parse");
         assert_eq!(back.id, 7);
@@ -588,35 +497,9 @@ mod tests {
         assert_eq!(back.min_key, h.min_key);
         assert_eq!(back.max_key, h.max_key);
         assert_eq!(back.bloom, h.bloom);
-        assert_eq!(back.range_dels, h.range_dels);
         assert_eq!(back.min_seq, 1);
         assert_eq!(back.max_seq, 777);
         assert_eq!(back.seq, back.max_seq, "recovered seq tracks max_seq");
-    }
-
-    #[test]
-    fn rt_only_table_round_trips() {
-        let mut b = TableBuilder::new(BLOCK, 10);
-        b.add_range_del(RangeTombstone {
-            start: key(10),
-            end: key(20),
-            seq: 5,
-        });
-        assert!(!b.is_empty());
-        let (bytes, h) = finish(b);
-        assert_eq!(h.entries, 0);
-        assert_eq!(h.data_blocks, 0);
-        assert_eq!(h.min_key, key(10));
-        assert_eq!(h.max_key, key(20));
-        assert!(h.overlaps(&key(15), &key(15)));
-        assert_eq!(h.block_for(&key(15)), None);
-        assert_eq!(h.covering_tombstone(&key(15), u64::MAX), Some(5));
-        assert_eq!(h.covering_tombstone(&key(15), 4), None);
-        assert_eq!(h.covering_tombstone(&key(20), u64::MAX), None);
-        let back = TableHandle::from_bytes(9, BLOCK, &bytes).expect("parse");
-        assert_eq!(back.range_dels, h.range_dels);
-        assert_eq!(back.min_seq, u64::MAX);
-        assert_eq!(back.max_seq, 5);
     }
 
     #[test]
@@ -668,14 +551,10 @@ mod tests {
             (512, 300, 50),
         ] {
             let mut b = TableBuilder::new(block, 10);
+            b.add(&key(0), n + 1, None);
             for i in 0..n {
                 b.add(&key(i), i + 1, Some(&vec![1u8; vlen]));
             }
-            b.add_range_del(RangeTombstone {
-                start: key(0),
-                end: key(1),
-                seq: n + 1,
-            });
             let projected = b.projected_total_bytes();
             let (bytes, _) = finish(b);
             assert!(

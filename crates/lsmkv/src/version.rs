@@ -21,14 +21,11 @@ pub struct LevelMeta {
 }
 
 /// The table layout across levels. Handles are shared, not copied: a scan
-/// or a compaction that streams a table clones the `Arc`, never the index,
-/// bloom filter and range tombstones behind it.
+/// or a compaction that streams a table clones the `Arc`, never the index
+/// and bloom filter behind it.
 pub struct Version {
     /// `levels[0]` newest-first; deeper levels sorted by `min_key`.
     levels: Vec<Vec<Arc<TableHandle>>>,
-    /// The live tables that carry range tombstones, in no particular order:
-    /// few at any time, and every get and scan asks each of them.
-    with_range_dels: Vec<Arc<TableHandle>>,
 }
 
 impl Version {
@@ -36,7 +33,6 @@ impl Version {
     pub fn new(max_levels: usize) -> Self {
         Version {
             levels: vec![Vec::new(); max_levels.max(2)],
-            with_range_dels: Vec::new(),
         }
     }
 
@@ -52,14 +48,7 @@ impl Version {
             .iter()
             .position(|t| t.seq < table.seq)
             .unwrap_or(self.levels[0].len());
-        self.note_range_dels(&table);
         self.levels[0].insert(pos, table);
-    }
-
-    fn note_range_dels(&mut self, table: &Arc<TableHandle>) {
-        if !table.range_dels.is_empty() {
-            self.with_range_dels.push(table.clone());
-        }
     }
 
     /// Tables in L0.
@@ -100,10 +89,8 @@ impl Version {
     }
 
     /// Tables that may contain `key`, in the order a `get` probes them:
-    /// L0 newest→oldest, then deeper levels. A level may yield several
-    /// candidates — range-tombstone spans widen a table's key range past
-    /// the point-data non-overlap invariant — so the caller resolves the
-    /// winner by sequence number, not probe order.
+    /// L0 newest→oldest, then deeper levels, one table each at most. The
+    /// caller resolves the winner by sequence number, not probe order.
     pub fn tables_for_get<'a>(
         &'a self,
         key: &'a [u8],
@@ -113,18 +100,14 @@ impl Version {
             .map(Arc::as_ref)
     }
 
-    /// The sorted runs a scan of `[start, end)` merges, each in point-key
-    /// order: every L0 table on its own (they overlap), then *one run per
-    /// deeper level* — its tables hold disjoint point keys, so the scan
-    /// walks them one after the other and only ever has one of them open.
-    /// A run starts at the first table whose last point key is ≥ `start`;
-    /// tables are ordered by that key rather than by `min_key`/`max_key`,
-    /// which range tombstones widen past the point data. Tables without
-    /// point data are left out.
+    /// The sorted runs a scan of `[start, end)` merges, each in key order:
+    /// every L0 table on its own (they overlap), then *one run per deeper
+    /// level* — its tables hold disjoint keys, so the scan walks them one
+    /// after the other and only ever has one of them open. A run starts at
+    /// the first table whose `max_key` is ≥ `start`.
     pub fn scan_runs(&self, start: &[u8], end: Option<&[u8]>) -> Vec<Vec<Arc<TableHandle>>> {
         let in_window = |t: &&Arc<TableHandle>| {
-            t.last_point_key().is_some_and(|last| last >= start)
-                && end.is_none_or(|e| t.min_key.as_slice() < e)
+            t.max_key.as_slice() >= start && end.is_none_or(|e| t.min_key.as_slice() < e)
         };
         let mut runs: Vec<Vec<Arc<TableHandle>>> = self.levels[0]
             .iter()
@@ -134,7 +117,7 @@ impl Version {
         for level in &self.levels[1..] {
             let mut run: Vec<Arc<TableHandle>> = level.iter().filter(in_window).cloned().collect();
             if !run.is_empty() {
-                run.sort_by(|a, b| a.last_point_key().cmp(&b.last_point_key()));
+                run.sort_by(|a, b| a.max_key.cmp(&b.max_key));
                 runs.push(run);
             }
         }
@@ -167,10 +150,6 @@ impl Version {
         for lvl in [from_level, to_level] {
             self.levels[lvl].retain(|t| !removed.contains(&t.id));
         }
-        self.with_range_dels.retain(|t| !removed.contains(&t.id));
-        for table in &outputs {
-            self.note_range_dels(table);
-        }
         self.levels[to_level].extend(outputs);
         if to_level > 0 {
             self.levels[to_level].sort_by(|a, b| a.min_key.cmp(&b.min_key));
@@ -181,39 +160,22 @@ impl Version {
     pub fn all_tables(&self) -> impl Iterator<Item = &Arc<TableHandle>> {
         self.levels.iter().flatten()
     }
-
-    /// The live tables whose `range_dels` is not empty.
-    pub fn tables_with_range_dels(&self) -> impl Iterator<Item = &Arc<TableHandle>> {
-        self.with_range_dels.iter()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memtable::RangeTombstone;
     use crate::sstable::TableBuilder;
 
     /// A one-block table of the keys `min` and `max`.
     fn handle(id: u64, min: &str, max: &str) -> Arc<TableHandle> {
-        Arc::new(build(id, min, max, None))
-    }
-
-    fn build(id: u64, min: &str, max: &str, range_del: Option<(&str, &str)>) -> TableHandle {
         let mut b = TableBuilder::new(4096, 10);
         b.add(min.as_bytes(), id, Some(b"v"));
         b.add(max.as_bytes(), id, Some(b"v"));
-        if let Some((start, end)) = range_del {
-            b.add_range_del(RangeTombstone {
-                start: start.as_bytes().to_vec(),
-                end: end.as_bytes().to_vec(),
-                seq: id,
-            });
-        }
         let (_, mut handle) = b.finish();
         handle.id = id;
         handle.seq = id;
-        handle
+        Arc::new(handle)
     }
 
     #[test]
@@ -275,29 +237,6 @@ mod tests {
         assert_eq!(v.level(1)[0].id, 3);
         assert_eq!(v.depth(), 1);
         assert!(v.level(0).is_empty());
-    }
-
-    #[test]
-    fn tables_with_range_dels_follow_the_live_set() {
-        let ids = |v: &Version| -> Vec<u64> {
-            let mut ids: Vec<u64> = v.tables_with_range_dels().map(|t| t.id).collect();
-            ids.sort_unstable();
-            ids
-        };
-        let with_rt = |id| Arc::new(build(id, "c", "k", Some(("d", "f"))));
-        let mut v = Version::new(4);
-        v.add_l0(handle(1, "a", "m"));
-        v.add_l0(with_rt(2));
-        v.add_l0(with_rt(3));
-        assert_eq!(ids(&v), vec![2, 3]);
-        // A compaction takes its inputs' tombstones along or drops them.
-        v.apply_edit(0, 1, &[1, 2], vec![handle(4, "a", "b"), with_rt(5)]);
-        assert_eq!(ids(&v), vec![3, 5]);
-        v.apply_edit(0, 1, &[3, 5], vec![handle(6, "c", "k")]);
-        assert_eq!(ids(&v), Vec::<u64>::new());
-        for t in v.all_tables() {
-            assert!(t.range_dels.is_empty());
-        }
     }
 
     #[test]

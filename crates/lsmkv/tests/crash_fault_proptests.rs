@@ -1,17 +1,18 @@
 //! Crash + fault proptests for the LSM store: power cuts land between
-//! operations (mid-flush-queue, mid-compaction-cascade) while range
-//! tombstones are live and snapshots are open; recovery must never
-//! resurrect a range-deleted key and never lose a key outside the range.
+//! operations (mid-flush-queue, mid-compaction-cascade) while tombstones are
+//! live and snapshots are open; recovery must never resurrect a deleted key
+//! and never lose a durable one.
 //!
 //! Durability model: flushes commit whole memtable generations in FIFO
-//! order and every generation's newest sequence number survives in its
-//! table meta, so the state surviving a crash is exactly the *sequence
-//! prefix* of the write log up to the recovered store's `next_seq() - 1`.
-//! Each crash is checked by replaying that prefix into a `BTreeMap` and
-//! comparing a full scan. Fault plans come from the shared
-//! [`ox_core::faultharness`] case generator ([`FaultCase::from_seed`]) —
-//! the slot-fingerprint protocol itself does not speak key-value, so only
-//! the seeded plan half of the harness is reused here.
+//! order, every generation's newest sequence number survives in its table
+//! meta, and no compaction lowers the highest surviving one. The state
+//! surviving a crash is therefore exactly the *sequence prefix* of the
+//! write log up to the recovered store's `next_seq() - 1`. Each crash is
+//! checked by replaying that prefix into a `BTreeMap` and comparing a full
+//! scan. Fault plans come from the shared [`ox_core::faultharness`] case
+//! generator ([`FaultCase::from_seed`]) — the slot-fingerprint protocol
+//! itself does not speak key-value, so only the seeded plan half of the
+//! harness is reused here.
 
 use lightlsm::{LightLsm, LightLsmConfig};
 use lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, Snapshot, TableStore};
@@ -24,7 +25,7 @@ use ox_sim::{Prng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Small key space so range deletes and crashes collide constantly.
+/// Small key space so deletes and crashes collide constantly.
 const KEYS: u64 = 256;
 
 fn geometry() -> Geometry {
@@ -47,11 +48,16 @@ fn key(k: u16) -> [u8; 16] {
     out
 }
 
-fn value(k: u16, v: u8) -> Vec<u8> {
-    let mut out = vec![0u8; 200];
+/// A value of `len` bytes naming its key and its version `v`.
+fn value_of(k: u16, v: u8, len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
     out[..16].copy_from_slice(&key(k));
     out[16] = v;
     out
+}
+
+fn value(k: u16, v: u8) -> Vec<u8> {
+    value_of(k, v, 200)
 }
 
 fn drain(db: &mut Db, mut t: SimTime) -> SimTime {
@@ -69,12 +75,26 @@ fn drain(db: &mut Db, mut t: SimTime) -> SimTime {
     t
 }
 
+/// Puts `value` under `k` (or deletes `k` for `None`), draining background
+/// work while the store stalls.
+fn write(db: &mut Db, mut t: SimTime, k: u16, value: Option<&[u8]>) -> SimTime {
+    loop {
+        let outcome = match value {
+            Some(v) => db.put(t, &key(k), v),
+            None => db.delete(t, &key(k)),
+        };
+        match outcome.unwrap() {
+            PutOutcome::Done(done) => return done,
+            PutOutcome::Stalled(r) => t = drain(db, r),
+        }
+    }
+}
+
 /// One logged mutation, keyed by the sequence number the store assigned.
 #[derive(Debug, Clone)]
 enum LogOp {
     Put(u16, u8),
     Delete(u16),
-    RangeDelete(u16, u16),
 }
 
 /// Replays the prefix of the write log with `seq <= upto` into a model.
@@ -90,12 +110,6 @@ fn replay(log: &[(u64, LogOp)], upto: u64) -> BTreeMap<u16, u8> {
             }
             LogOp::Delete(k) => {
                 model.remove(k);
-            }
-            LogOp::RangeDelete(start, end) => {
-                let doomed: Vec<u16> = model.range(*start..*end).map(|(&k, _)| k).collect();
-                for k in doomed {
-                    model.remove(&k);
-                }
             }
         }
     }
@@ -123,76 +137,49 @@ fn check_state(db: &mut Db, model: &BTreeMap<u16, u8>, t: SimTime, ctx: &str) ->
     tt
 }
 
-/// Crash the device, reopen the FTL, rebuild the store from surviving
-/// tables, and verify the recovered state equals the durable log prefix.
-/// Returns the recovered store and the recovery completion time.
-fn crash_and_verify(
-    dev: &SharedDevice,
-    log: &mut Vec<(u64, LogOp)>,
-    t: SimTime,
-    ctx: &str,
-    durable_range_deletes: &mut u64,
-) -> (Db, BTreeMap<u16, u8>, SimTime) {
+/// Crashes the device at `t`, reopens the FTL and rebuilds the store from
+/// the tables that survived. Returns it with the recovery completion time.
+fn crash_and_reopen(dev: &SharedDevice, t: SimTime, config: DbConfig) -> (Db, SimTime) {
     dev.crash(t);
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let (ftl, t_open, _) = LightLsm::open(media, LightLsmConfig::default(), t).unwrap();
     let store = Arc::new(LightLsmStore::new(ftl));
     let tables = store.surviving_tables();
     let s: Arc<dyn TableStore> = store;
-    let (mut db, mut t) = Db::open_with_tables(s, db_config(), &tables, t_open).unwrap();
+    Db::open_with_tables(s, config, &tables, t_open).unwrap()
+}
 
+/// Crash and reopen, and verify the recovered state equals the durable log
+/// prefix. Returns the recovered store, its model and the time.
+fn crash_and_verify(
+    dev: &SharedDevice,
+    log: &mut Vec<(u64, LogOp)>,
+    t: SimTime,
+    ctx: &str,
+) -> (Db, BTreeMap<u16, u8>, SimTime) {
+    let (mut db, t) = crash_and_reopen(dev, t, db_config());
     let durable_max = db.next_seq() - 1;
     let model = replay(log, durable_max);
-    t = check_state(&mut db, &model, t, ctx);
-
-    // Named invariants on top of the model equality. For every range delete
-    // in the durable prefix: a key inside [start, end) whose newest durable
-    // write is older than the tombstone must be gone (never resurrected);
-    // the first key past the end is governed only by its own writes (never
-    // collateral damage).
-    for (rd_seq, op) in log.iter() {
-        let (start, end) = match op {
-            LogOp::RangeDelete(s, e) if *rd_seq <= durable_max => (*s, *e),
-            _ => continue,
-        };
-        *durable_range_deletes += 1;
-        for probe in [start, start.wrapping_add((end - start) / 2)] {
-            let rewritten = log.iter().any(|(s, o)| {
-                *s > *rd_seq && *s <= durable_max && matches!(o, LogOp::Put(k, _) if *k == probe)
-            });
-            if !rewritten {
-                let (got, done) = db.get(t, &key(probe)).unwrap();
-                t = done;
-                assert_eq!(got, None, "{ctx}: range-deleted key {probe} resurrected");
-            }
-        }
-        if u64::from(end) < KEYS {
-            let (got, done) = db.get(t, &key(end)).unwrap();
-            t = done;
-            assert_eq!(
-                got.map(|v| v[16]),
-                model.get(&end).copied(),
-                "{ctx}: key {end} outside the range diverged"
-            );
-        }
-    }
-
+    let t = check_state(&mut db, &model, t, ctx);
     log.retain(|(seq, _)| *seq <= durable_max);
     (db, model, t)
 }
 
-fn fresh_db(dev: &SharedDevice) -> Db {
+fn fresh_store(dev: &SharedDevice) -> Arc<dyn TableStore> {
     let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
     let (ftl, _) = LightLsm::format(media, LightLsmConfig::default(), SimTime::ZERO).unwrap();
-    let store: Arc<dyn TableStore> = Arc::new(LightLsmStore::new(ftl));
-    Db::new(store, db_config())
+    Arc::new(LightLsmStore::new(ftl))
 }
 
-/// The main proptest: random workloads with live range tombstones, open
-/// snapshots and seeded fault plans; crashes at scripted points plus every
-/// injected power cut the plan lands.
+fn fresh_db(dev: &SharedDevice) -> Db {
+    Db::new(fresh_store(dev), db_config())
+}
+
+/// The main proptest: random workloads with live tombstones, open snapshots
+/// and seeded fault plans; crashes at scripted points plus every injected
+/// power cut the plan lands.
 #[test]
-fn recovery_honours_range_deletes_across_power_cuts() {
+fn recovery_equals_the_durable_prefix_across_power_cuts() {
     let geo = geometry();
     let mix = FaultMix {
         program_fails: 0, // flushes must succeed; crashes do the damage
@@ -202,8 +189,10 @@ fn recovery_honours_range_deletes_across_power_cuts() {
         latency_spikes: 1,
         power_cuts: 2,
     };
-    let mut durable_range_deletes = 0u64;
     let mut crashes = 0u64;
+    // Crashes after a compaction dropped a tombstone: what a compaction
+    // drops must not lower the sequence number recovery restarts from.
+    let mut crashes_after_drops = 0u64;
 
     for seed in matrix_seeds(12) {
         let case = FaultCase::from_seed(seed, &geo, &mix, KEYS, 64);
@@ -242,49 +231,15 @@ fn recovery_honours_range_deletes_across_power_cuts() {
                 0..=5 => {
                     let k = rng.gen_range(KEYS) as u16;
                     let v = rng.gen_range(256) as u8;
-                    loop {
-                        match db.put(t, &key(k), &value(k, v)).unwrap() {
-                            PutOutcome::Done(done) => {
-                                t = done;
-                                break;
-                            }
-                            PutOutcome::Stalled(r) => t = drain(&mut db, r),
-                        }
-                    }
+                    t = write(&mut db, t, k, Some(&value(k, v)));
                     model.insert(k, v);
                     log.push((db.next_seq() - 1, LogOp::Put(k, v)));
                 }
-                6..=7 => {
+                6..=9 => {
                     let k = rng.gen_range(KEYS) as u16;
-                    loop {
-                        match db.delete(t, &key(k)).unwrap() {
-                            PutOutcome::Done(done) => {
-                                t = done;
-                                break;
-                            }
-                            PutOutcome::Stalled(r) => t = drain(&mut db, r),
-                        }
-                    }
+                    t = write(&mut db, t, k, None);
                     model.remove(&k);
                     log.push((db.next_seq() - 1, LogOp::Delete(k)));
-                }
-                8..=9 => {
-                    let start = rng.gen_range(KEYS) as u16;
-                    let end = start.saturating_add(1 + rng.gen_range(48) as u16);
-                    loop {
-                        match db.delete_range(t, &key(start), &key(end)).unwrap() {
-                            PutOutcome::Done(done) => {
-                                t = done;
-                                break;
-                            }
-                            PutOutcome::Stalled(r) => t = drain(&mut db, r),
-                        }
-                    }
-                    let doomed: Vec<u16> = model.range(start..end).map(|(&k, _)| k).collect();
-                    for k in doomed {
-                        model.remove(&k);
-                    }
-                    log.push((db.next_seq() - 1, LogOp::RangeDelete(start, end)));
                 }
                 10..=11 => {
                     let k = rng.gen_range(KEYS) as u16;
@@ -329,11 +284,11 @@ fn recovery_honours_range_deletes_across_power_cuts() {
             if crash_now {
                 forced.retain(|&f| f != opno);
                 crashes += 1;
+                crashes_after_drops += u64::from(db.compaction_stats().tombstones_dropped > 0);
                 let ctx = format!("seed {seed} crash at op {opno}");
                 // Open snapshots die with the process: drop, don't release.
                 snaps.clear();
-                let (db2, model2, t2) =
-                    crash_and_verify(&dev, &mut log, t, &ctx, &mut durable_range_deletes);
+                let (db2, model2, t2) = crash_and_verify(&dev, &mut log, t, &ctx);
                 db = db2;
                 model = model2;
                 t = t2;
@@ -342,24 +297,24 @@ fn recovery_honours_range_deletes_across_power_cuts() {
 
         // Final crash with whatever is in flight, then a clean drain check.
         crashes += 1;
+        crashes_after_drops += u64::from(db.compaction_stats().tombstones_dropped > 0);
         snaps.clear();
         let ctx = format!("seed {seed} final crash");
-        let (mut db, model, t) =
-            crash_and_verify(&dev, &mut log, t, &ctx, &mut durable_range_deletes);
+        let (mut db, model, t) = crash_and_verify(&dev, &mut log, t, &ctx);
         let t = drain(&mut db, t);
         check_state(&mut db, &model, t, &format!("seed {seed} after drain"));
     }
 
     assert!(crashes >= 24, "every seed must crash at least twice");
     assert!(
-        durable_range_deletes > 0,
-        "some crash must land with a durable range tombstone live"
+        crashes_after_drops > 0,
+        "some crash must follow a compaction that dropped a tombstone"
     );
 }
 
 /// Deterministic regression: a crash with sealed-but-unflushed generations
-/// pending loses only the tail — a durable range tombstone keeps its keys
-/// dead even though newer (lost) writes had re-populated part of the range.
+/// pending loses only the tail — durable tombstones keep their keys dead
+/// even though newer (lost) writes had re-populated some of them.
 #[test]
 fn crash_with_pending_immutables_loses_only_the_tail() {
     let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geometry())));
@@ -367,60 +322,88 @@ fn crash_with_pending_immutables_loses_only_the_tail() {
     let mut t = SimTime::ZERO;
 
     for k in 0..100u16 {
-        loop {
-            match db.put(t, &key(k), &value(k, 1)).unwrap() {
-                PutOutcome::Done(done) => {
-                    t = done;
-                    break;
-                }
-                PutOutcome::Stalled(r) => t = drain(&mut db, r),
-            }
-        }
+        t = write(&mut db, t, k, Some(&value(k, 1)));
     }
     t = drain(&mut db, t);
 
-    // Durable range tombstone over [20, 40).
-    match db.delete_range(t, &key(20), &key(40)).unwrap() {
-        PutOutcome::Done(done) => t = done,
-        PutOutcome::Stalled(r) => t = drain(&mut db, r),
+    // Durable tombstones over 20..40.
+    for k in 20..40u16 {
+        t = write(&mut db, t, k, None);
     }
     db.seal_memtable();
     while let Some(done) = db.flush_once(t).unwrap() {
         t = done;
     }
 
-    // Re-populate part of the range, but only in volatile state: one sealed
+    // Re-populate some of them, but only in volatile state: one sealed
     // (unflushed) generation and one live memtable.
     for k in 25..30u16 {
-        match db.put(t, &key(k), &value(k, 2)).unwrap() {
-            PutOutcome::Done(done) => t = done,
-            PutOutcome::Stalled(r) => t = drain(&mut db, r),
-        }
+        t = write(&mut db, t, k, Some(&value(k, 2)));
     }
     db.seal_memtable();
     for k in 30..33u16 {
-        match db.put(t, &key(k), &value(k, 3)).unwrap() {
-            PutOutcome::Done(done) => t = done,
-            PutOutcome::Stalled(r) => t = drain(&mut db, r),
-        }
+        t = write(&mut db, t, k, Some(&value(k, 3)));
     }
 
-    dev.crash(t);
-    let media: Arc<dyn Media> = Arc::new(OcssdMedia::new(dev.clone()));
-    let (ftl, t_open, _) = LightLsm::open(media, LightLsmConfig::default(), t).unwrap();
-    let store = Arc::new(LightLsmStore::new(ftl));
-    let tables = store.surviving_tables();
-    let s: Arc<dyn TableStore> = store;
-    let (mut db, mut t) = Db::open_with_tables(s, db_config(), &tables, t_open).unwrap();
-
+    let (mut db, mut t) = crash_and_reopen(&dev, t, db_config());
     for k in 0..100u16 {
         let (got, done) = db.get(t, &key(k)).unwrap();
         t = done;
         if (20..40).contains(&k) {
-            assert_eq!(got, None, "key {k}: range-deleted key resurrected");
+            assert_eq!(got, None, "key {k}: deleted key resurrected");
         } else {
-            let got = got.unwrap_or_else(|| panic!("key {k}: lost outside the range"));
+            let got = got.unwrap_or_else(|| panic!("key {k}: lost"));
             assert_eq!(got[16], 1, "key {k}: wrong surviving version");
         }
     }
+}
+
+/// Deterministic regression: a bottom-level compaction drops a tombstone
+/// together with the versions it hides, and one that drops everything it
+/// reads writes no table at all. Recovery restarts the write sequence one
+/// above the highest sequence number of the surviving tables, so if the
+/// newest deletes vanished with their victims, a crash would hand their
+/// numbers out again — and the recovered store, whose state includes
+/// those deletes, would claim an older prefix than the one it holds.
+#[test]
+fn a_compaction_never_lets_a_crash_reissue_a_sequence_number() {
+    let dev = SharedDevice::new(OcssdDevice::new(DeviceConfig::with_geometry(geometry())));
+    let store = fresh_store(&dev);
+    let block = store.block_bytes();
+    let config = DbConfig {
+        table_bytes: 2 * block,
+        ..db_config()
+    };
+    let mut db = Db::new(store, config);
+    let mut model = BTreeMap::new();
+    let mut t = SimTime::ZERO;
+    for k in 0..40u16 {
+        t = write(&mut db, t, k, Some(&value_of(k, 1, block / 4)));
+        model.insert(k, 1);
+    }
+    t = drain(&mut db, t);
+    for k in 0..12u16 {
+        t = write(&mut db, t, k, None);
+        model.remove(&k);
+        if k % 3 == 2 {
+            db.seal_memtable();
+            while let Some(done) = db.flush_once(t).unwrap() {
+                t = done;
+            }
+        }
+    }
+    t = drain(&mut db, t);
+    assert!(
+        db.compaction_stats().entries_shadowed > 0,
+        "the deletes must purge what they hide at the bottom level"
+    );
+    let next_seq = db.next_seq();
+
+    let (mut db, t) = crash_and_reopen(&dev, t, config);
+    assert_eq!(
+        db.next_seq(),
+        next_seq,
+        "recovery must restart above every write the store holds"
+    );
+    check_state(&mut db, &model, t, "after the crash");
 }

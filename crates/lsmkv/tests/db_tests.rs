@@ -367,15 +367,12 @@ fn snapshot_scan_pinned_against_writes_and_compaction() {
     db.seal_memtable();
     t = drain(&mut db, t);
     let mut iter = db.scan_from(b"");
-    // Overwrite everything, range-delete a slab, and compact.
+    // Overwrite everything, delete a key, and compact.
     for i in 0..n {
         let k = bench_key(i);
         t = put_retry(&mut db, t, &k, b"overwritten");
     }
-    t = match db
-        .delete_range(t, &bench_key(100), &bench_key(400))
-        .unwrap()
-    {
+    t = match db.delete(t, &bench_key(100)).unwrap() {
         PutOutcome::Done(d) => d,
         _ => panic!(),
     };
@@ -393,7 +390,7 @@ fn snapshot_scan_pinned_against_writes_and_compaction() {
     db.release_iter(&mut iter);
     drop(iter);
     t = drain(&mut db, tt.max(t));
-    // A fresh scan sees the new world: overwrites and the range delete.
+    // A fresh scan sees the new world: overwrites and the delete.
     let mut iter = db.scan_from(b"");
     let mut tt = t;
     let mut keys = Vec::new();
@@ -402,58 +399,8 @@ fn snapshot_scan_pinned_against_writes_and_compaction() {
         keys.push(k);
     }
     db.release_iter(&mut iter);
-    assert_eq!(keys.len() as u64, n - 300);
-    assert!(!keys
-        .iter()
-        .any(|k| k.as_slice() >= &bench_key(100)[..] && k.as_slice() < &bench_key(400)[..]));
-}
-
-#[test]
-fn range_deletes_flow_through_flush_and_compaction() {
-    let mut db = small_db(Placement::Horizontal);
-    let mut t = SimTime::ZERO;
-    for i in 0..4000u64 {
-        let k = bench_key(i);
-        t = put_retry(&mut db, t, &k, &bench_value(&k, 512));
-    }
-    t = match db
-        .delete_range(t, &bench_key(1000), &bench_key(3000))
-        .unwrap()
-    {
-        PutOutcome::Done(d) => d,
-        PutOutcome::Stalled(r) => {
-            t = drain(&mut db, r);
-            match db
-                .delete_range(t, &bench_key(1000), &bench_key(3000))
-                .unwrap()
-            {
-                PutOutcome::Done(d) => d,
-                _ => panic!("range delete stalled twice"),
-            }
-        }
-    };
-    assert_eq!(db.stats().range_deletes, 1);
-    // More writes after the range delete push its table through an L0
-    // compaction to the (empty-below) bottom, where it can be dropped.
-    for i in 4000..8000u64 {
-        let k = bench_key(i);
-        t = put_retry(&mut db, t, &k, &bench_value(&k, 512));
-    }
-    db.seal_memtable();
-    t = drain(&mut db, t);
-    let (v, t1) = db.get(t, &bench_key(999)).unwrap();
-    assert!(v.is_some(), "key below the range survives");
-    let (v, t2) = db.get(t1, &bench_key(1000)).unwrap();
-    assert_eq!(v, None, "range start deleted");
-    let (v, t3) = db.get(t2, &bench_key(2500)).unwrap();
-    assert_eq!(v, None, "mid-range deleted");
-    let (v, _) = db.get(t3, &bench_key(3000)).unwrap();
-    assert!(v.is_some(), "range end is exclusive");
-    let cs = db.compaction_stats();
-    assert!(
-        cs.range_tombstones_dropped > 0,
-        "bottom-level compaction drops the spent range tombstone: {cs:?}"
-    );
+    assert_eq!(keys.len() as u64, n - 1);
+    assert!(!keys.iter().any(|k| k.as_slice() == bench_key(100)));
 }
 
 #[test]
@@ -464,7 +411,7 @@ fn snapshot_gets_see_pinned_state() {
     t = put_retry(&mut db, t, &k, b"v1");
     let snap = db.snapshot();
     t = put_retry(&mut db, t, &k, b"v2");
-    t = match db.delete_range(t, &bench_key(0), &bench_key(100)).unwrap() {
+    t = match db.delete(t, &k).unwrap() {
         PutOutcome::Done(d) => d,
         _ => panic!(),
     };
@@ -475,7 +422,7 @@ fn snapshot_gets_see_pinned_state() {
     let (v, t1) = db.get_at(t, &k, snap).unwrap();
     assert_eq!(v.as_deref(), Some(&b"v1"[..]), "snapshot read is stable");
     let (v, _) = db.get(t1, &k).unwrap();
-    assert_eq!(v, None, "latest read sees the range delete");
+    assert_eq!(v, None, "latest read sees the delete");
     db.release_snapshot(snap);
 }
 

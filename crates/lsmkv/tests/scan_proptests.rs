@@ -1,7 +1,6 @@
 //! Property tests for snapshot visibility: the LSM store agrees with a
-//! `BTreeMap` model under random interleavings of puts, point deletes,
-//! range deletes, flushes, compactions, bounded range scans and pinned
-//! snapshots.
+//! `BTreeMap` model under random interleavings of puts, deletes, flushes,
+//! compactions, bounded range scans and pinned snapshots.
 //!
 //! Snapshots are modelled by *cloning the model* at snapshot time: however
 //! many writes, flushes and compactions land afterwards, reads through the
@@ -16,14 +15,13 @@ use ox_sim::{Prng, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Small key space so range deletes and overwrites collide constantly.
+/// Small key space so deletes and overwrites collide constantly.
 const KEYS: u64 = 512;
 
 #[derive(Debug, Clone)]
 enum Op {
     Put(u16, u8),
     Delete(u16),
-    RangeDelete(u16, u16),
     Get(u16),
     Flush,
     Compact,
@@ -36,12 +34,7 @@ fn gen_op(rng: &mut Prng) -> Op {
     let k = |rng: &mut Prng| rng.gen_range(KEYS) as u16;
     match rng.gen_range(17) {
         0..=4 => Op::Put(k(rng), rng.gen_range(256) as u8),
-        5..=6 => Op::Delete(k(rng)),
-        7..=8 => {
-            let start = k(rng);
-            let span = 1 + rng.gen_range(64) as u16;
-            Op::RangeDelete(start, span)
-        }
+        5..=8 => Op::Delete(k(rng)),
         9..=10 => Op::Get(k(rng)),
         11 => Op::Flush,
         12 => Op::Compact,
@@ -203,25 +196,6 @@ fn scans_and_snapshots_match_btreemap_model() {
                         }
                     }
                     model.remove(&k);
-                }
-                Op::RangeDelete(start, span) => {
-                    let end = start.saturating_add(span);
-                    if end == start {
-                        continue;
-                    }
-                    loop {
-                        match db.delete_range(t, &key(start), &key(end)).unwrap() {
-                            PutOutcome::Done(done) => {
-                                t = done;
-                                break;
-                            }
-                            PutOutcome::Stalled(r) => t = drain(&mut db, r),
-                        }
-                    }
-                    let doomed: Vec<u16> = model.range(start..end).map(|(&k, _)| k).collect();
-                    for k in doomed {
-                        model.remove(&k);
-                    }
                 }
                 Op::Get(k) => {
                     let (got, done) = db.get(t, &key(k)).unwrap();
