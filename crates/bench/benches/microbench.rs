@@ -16,7 +16,9 @@
 )]
 
 use lsmkv::{BlockBuilder, BloomFilter};
-use ocssd::{ChunkAddr, DeviceConfig, Geometry, OcssdDevice, Ppa, SECTOR_BYTES};
+use ocssd::{
+    ChunkAddr, Completion, DeviceConfig, Geometry, OcssdDevice, PayloadBuf, Ppa, SECTOR_BYTES,
+};
 use ox_core::checkpoint::CheckpointStore;
 use ox_core::codec::crc32c;
 use ox_core::mapping::PageMap;
@@ -91,17 +93,30 @@ impl Harness {
 /// Writes `data` (whole write units) at one write pointer after the other,
 /// chunk after chunk, starting over on a fresh device when this one is full.
 fn bench_writes(h: &Harness, name: &str, geo: Geometry, data: &[u8]) {
+    bench_commands(h, name, geo, data.len(), |dev, t, ppa| {
+        dev.write(t, ppa, data).unwrap()
+    });
+}
+
+/// [`bench_writes`] of `len`-byte commands that `write` issues.
+fn bench_commands(
+    h: &Harness,
+    name: &str,
+    geo: Geometry,
+    len: usize,
+    mut write: impl FnMut(&mut OcssdDevice, SimTime, Ppa) -> Completion,
+) {
     if !h.selected(name) {
         return;
     }
-    let sectors = (data.len() / SECTOR_BYTES) as u32;
+    let sectors = (len / SECTOR_BYTES) as u32;
     let mut dev = OcssdDevice::new(DeviceConfig::with_geometry(geo));
     let mut t = SimTime::ZERO;
     let mut chunk_lin = 0u64;
     let mut sector = 0u32;
-    h.bench(name, data.len() as u64, || {
+    h.bench(name, len as u64, || {
         let addr = ChunkAddr::from_linear(&geo, chunk_lin);
-        let c = dev.write(t, addr.ppa(sector), data).unwrap();
+        let c = write(&mut dev, t, addr.ppa(sector));
         t = c.done;
         sector += sectors;
         if sector >= geo.sectors_per_chunk {
@@ -124,8 +139,9 @@ fn bench_device(h: &Harness) {
 
     // What the payload store's zero-tail scan (`ocssd::media::used`, once
     // per sector) sees on a 4-sector write unit: nothing but padding, a
-    // 20-byte header per sector, and no padding at all; then the unit a WAL
-    // commit hands the device — one put's 117-byte frame padded to 16 KB.
+    // 20-byte header per sector, and no padding at all; then the command a
+    // WAL commit issues — one put's 117-byte frame, built in a buffer of its
+    // own and zero-extended to 16 KB, which the device keeps.
     // A few chunks per PU keep a device full of whole sectors under 100 MB.
     let slc = Geometry {
         chunks_per_pu: 4,
@@ -141,9 +157,19 @@ fn bench_device(h: &Harness) {
     bench_writes(h, "media/zero_tail_zero_4k", slc, &sectors_of(0));
     bench_writes(h, "media/zero_tail_header20_4k", slc, &sectors_of(20));
     bench_writes(h, "media/zero_tail_full_4k", slc, &sectors_of(SECTOR_BYTES));
-    let mut frame = vec![0u8; slc.ws_min_bytes()];
-    frame[..117].fill(0xA5);
-    bench_writes(h, "device/write_16k_wal_frame", slc, &frame);
+    let frame_unit = slc.ws_min_bytes();
+    bench_commands(
+        h,
+        "device/write_16k_wal_frame",
+        slc,
+        frame_unit,
+        |dev, t, ppa| {
+            let mut frame = PayloadBuf::zeroed(117);
+            frame.bytes_mut().fill(0xA5);
+            let parts = [frame.freeze().zero_extended(frame_unit)];
+            dev.write_parts(t, ppa, &parts).unwrap()
+        },
+    );
 
     {
         let mut dev = OcssdDevice::new(DeviceConfig::paper_tlc_scaled(22, 8));

@@ -8,10 +8,10 @@
 //! snapshot's covered LSN — that truncation is what keeps recovery time flat
 //! in Figure 3.
 
-use crate::codec::{crc32c, Decoder, Encoder};
+use crate::codec::{crc32c, framed, Decoder, Encoder};
 use crate::media::Media;
 use crate::wal::WalError;
-use ocssd::{ChunkAddr, ChunkState, DeviceError, SECTOR_BYTES};
+use ocssd::{ChunkAddr, ChunkState, DeviceError, Payload, SECTOR_BYTES};
 use ox_sim::trace::Obs;
 use ox_sim::SimTime;
 use std::sync::Arc;
@@ -88,21 +88,22 @@ impl CheckpointStore {
         let geo = self.media.geometry();
         let unit_bytes = geo.ws_min_bytes();
 
-        let mut blob = Encoder::with_capacity(HEADER_BYTES + payload.len());
-        blob.u32(CKPT_MAGIC)
+        let mut header = Encoder::with_capacity(HEADER_BYTES);
+        header
+            .u32(CKPT_MAGIC)
             .u64(seq)
             .u64(durable_lsn)
             .u32(payload.len() as u32)
-            .u32(crc32c(payload))
-            .bytes(payload);
-        let mut bytes = blob.finish();
-        bytes.resize(bytes.len().next_multiple_of(unit_bytes), 0);
+            .u32(crc32c(payload));
+        let blob = framed(&header, payload);
+        let padded = blob.len().next_multiple_of(unit_bytes);
         assert!(
-            bytes.len() <= self.area_capacity(),
-            "snapshot ({} B) exceeds checkpoint area ({} B)",
-            bytes.len(),
+            padded <= self.area_capacity(),
+            "snapshot ({padded} B) exceeds checkpoint area ({} B)",
             self.area_capacity()
         );
+        // The padding to the write unit is the blob's zero tail.
+        let blob = blob.zero_extended(padded);
 
         // Bounded failover: a media failure retires the target area and the
         // write retries on the other one. Both areas dead means the store
@@ -117,21 +118,19 @@ impl CheckpointStore {
                 area_idx = 1 - area_idx;
                 continue;
             }
-            match self.write_area(now, area_idx, &bytes) {
+            match self.write_area(now, area_idx, &blob) {
                 Ok(t) => {
                     self.next_seq += 1;
                     self.next_area = 1 - area_idx;
                     self.checkpoints_taken += 1;
-                    self.obs
-                        .metrics
-                        .record("checkpoint.write", bytes.len() as u64);
+                    self.obs.metrics.record("checkpoint.write", padded as u64);
                     self.obs.metrics.observe(
                         "checkpoint.write_latency_ns",
                         t.saturating_since(now).as_nanos(),
                     );
                     self.obs
                         .tracer
-                        .span(now, t, "checkpoint", "write", bytes.len() as u64);
+                        .span(now, t, "checkpoint", "write", padded as u64);
                     return Ok((t, seq));
                 }
                 Err(e) if matches!(&e, WalError::Device(d) if d.retires_chunk()) => {
@@ -148,12 +147,14 @@ impl CheckpointStore {
     }
 
     /// Resets one area (erases in parallel across PUs), then streams the
-    /// blob chunk by chunk. Returns the durability time.
+    /// blob chunk by chunk, each piece a view of the blob: the device keeps
+    /// the blob's own buffer for the first (all of a blob that fits one
+    /// chunk) and copies the others out of it. Returns the durability time.
     fn write_area(
         &mut self,
         now: SimTime,
         area_idx: usize,
-        bytes: &[u8],
+        blob: &Payload,
     ) -> Result<SimTime, WalError> {
         let geo = self.media.geometry();
         let mut t = now;
@@ -163,9 +164,10 @@ impl CheckpointStore {
             }
         }
         let chunk_bytes = geo.chunk_bytes() as usize;
-        for (i, piece) in bytes.chunks(chunk_bytes).enumerate() {
+        for (i, from) in (0..blob.len()).step_by(chunk_bytes).enumerate() {
             let chunk = self.areas[area_idx][i];
-            let comp = self.media.write(t, chunk.ppa(0), piece)?;
+            let piece = blob.slice(from..blob.len().min(from + chunk_bytes));
+            let comp = self.media.write_parts(t, chunk.ppa(0), &[piece])?;
             let durable = self.media.flush_chunk(comp.done, chunk).done;
             t = t.max(durable);
         }

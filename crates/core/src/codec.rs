@@ -140,6 +140,18 @@ impl Encoder {
     }
 }
 
+/// `header` followed by `body`, in a buffer of its own that the device keeps
+/// when it is written through [`crate::Media::write_parts`]: the one copy of
+/// `body` a frame costs. Zero-extended to the write unit, the padding holds
+/// no bytes and is never scanned.
+pub(crate) fn framed(header: &Encoder, body: &[u8]) -> ocssd::Payload {
+    let mut frame = ocssd::PayloadBuf::zeroed(header.len() + body.len());
+    let (head, tail) = frame.bytes_mut().split_at_mut(header.len());
+    head.copy_from_slice(header.as_slice());
+    tail.copy_from_slice(body);
+    frame.freeze()
+}
+
 /// Decode error: ran out of bytes or structural mismatch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodeError(pub &'static str);

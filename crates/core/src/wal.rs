@@ -12,7 +12,7 @@
 //! A 4 KB-scale record batch still occupies a full 96 KB write unit on the
 //! paper's TLC drive — the "unit of write" tax that §4.3 highlights.
 
-use crate::codec::{crc32c, Decoder, Encoder};
+use crate::codec::{crc32c, framed, Decoder, Encoder};
 use crate::media::Media;
 use ocssd::{ChunkAddr, DeviceError, SECTOR_BYTES};
 use ox_sim::trace::Obs;
@@ -327,22 +327,22 @@ impl Wal {
             rec.encode(&mut payload);
         }
         let payload = payload.finish();
-        let mut frame = Encoder::with_capacity(FRAME_HEADER_BYTES + payload.len());
-        frame
+        let mut header = Encoder::with_capacity(FRAME_HEADER_BYTES);
+        header
             .u32(FRAME_MAGIC)
             .u64(first_lsn)
             .u32(self.pending.len() as u32)
             .u32(payload.len() as u32)
-            .u32(crc32c(&payload))
-            .bytes(&payload);
-        let mut bytes = frame.finish();
+            .u32(crc32c(&payload));
+        let frame = framed(&header, &payload);
         let unit = self.unit_bytes();
-        let padded = bytes.len().next_multiple_of(unit);
+        let padded = frame.len().next_multiple_of(unit);
         assert!(
             padded <= self.chunk_sectors as usize * SECTOR_BYTES,
             "single commit larger than a WAL chunk"
         );
-        bytes.resize(padded, 0);
+        // The padding to the write unit is the frame's zero tail.
+        let parts = [frame.zero_extended(padded)];
         let sectors = (padded / SECTOR_BYTES) as u32;
 
         // Advance to a fresh chunk if the frame does not fit.
@@ -362,7 +362,7 @@ impl Wal {
             )]
             let seg = self.segments.back().expect("active segment");
             let addr = self.chunks[seg.ring_idx];
-            match self.media.write(now, addr.ppa(self.wp), &bytes) {
+            match self.media.write_parts(now, addr.ppa(self.wp), &parts) {
                 Ok(w) => break (addr, w),
                 Err(e) if e.retires_chunk() => {
                     self.failovers += 1;

@@ -36,7 +36,7 @@
     )
 )]
 
-use ocssd::{DeviceError, Geometry, SECTOR_BYTES};
+use ocssd::{DeviceError, Geometry, PayloadBuf, SECTOR_BYTES};
 use ox_core::gc::{GarbageCollector, GcConfig};
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::logspace::LogSpace;
@@ -46,7 +46,7 @@ use ox_core::stats::FtlStats;
 use ox_core::wal::{Wal, WalError, WalRecord};
 use ox_core::{retry, Media};
 use ox_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Largest value accepted (values span whole sectors in the value log).
@@ -135,8 +135,13 @@ pub struct KvSsd {
     stats: FtlStats,
     next_lpn: u64,
     window_pages: u64,
-    /// Buffered sectors awaiting a full `ws_min` unit (write coalescing).
-    staged: Vec<(u64, Vec<u8>)>,
+    /// Log positions of the buffered sectors awaiting a full `ws_min` unit
+    /// (write coalescing), oldest first.
+    staged: Vec<u64>,
+    /// The units those sectors are staged in, each the buffer the device
+    /// will keep: `staged[i]` is sector `i % ws_min` of `units[i / ws_min]`,
+    /// and only the last unit may be partly filled.
+    units: VecDeque<PayloadBuf>,
     /// Operations since the last group commit.
     pending_ops: usize,
 }
@@ -176,6 +181,7 @@ impl KvSsd {
                 next_lpn: 0,
                 window_pages,
                 staged: Vec::new(),
+                units: VecDeque::new(),
                 pending_ops: 0,
                 media,
             },
@@ -213,7 +219,7 @@ impl KvSsd {
             for p in 0..pages {
                 let slot = self.slot(first + p);
                 let live = self.space.map.lookup(slot).is_some()
-                    || self.staged.iter().any(|(l, _)| self.slot(*l) == slot);
+                    || self.staged.iter().any(|&l| self.slot(l) == slot);
                 if live {
                     first += p + 1;
                     continue 'candidate;
@@ -224,11 +230,28 @@ impl KvSsd {
         Err(KvError::OutOfSpace)
     }
 
+    /// Copies `piece` (at most a sector; the rest of the sector stays zero)
+    /// into the open unit as the sector at log position `lpn`, opening a
+    /// fresh unit when the last one is full.
+    fn stage(&mut self, lpn: u64, piece: &[u8]) {
+        let at = self.staged.len() % self.geo.ws_min as usize;
+        if at == 0 {
+            self.units
+                .push_back(PayloadBuf::zeroed(self.geo.ws_min_bytes()));
+        }
+        if let Some(unit) = self.units.back_mut() {
+            unit.bytes_mut()[at * SECTOR_BYTES..][..piece.len()].copy_from_slice(piece);
+        }
+        self.staged.push(lpn);
+    }
+
     /// Flushes staged sectors as `ws_min` units. With `pad_tail`, a partial
     /// final unit is zero-padded out (sync path); otherwise only full units
-    /// are written (write coalescing across puts). A unit leaves the
-    /// coalescing buffer only once it is placed: when placement fails, the
-    /// staged sectors of earlier, acknowledged puts are all still there.
+    /// are written (write coalescing across puts). The device keeps the
+    /// unit's own buffer; a partial unit's padding is its zero tail. A unit
+    /// leaves the coalescing buffer only once it is placed: when placement
+    /// fails, the staged sectors of earlier, acknowledged puts are all still
+    /// there.
     fn flush_staged(
         &mut self,
         now: SimTime,
@@ -240,27 +263,36 @@ impl KvSsd {
         let window = self.window_pages;
         let mut t = now;
         while self.staged.len() >= unit_sectors || (pad_tail && !self.staged.is_empty()) {
-            let batch = &self.staged[..unit_sectors.min(self.staged.len())];
-            let mut buf = vec![0u8; unit_bytes];
-            for (i, (_, sector)) in batch.iter().enumerate() {
-                buf[i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES].copy_from_slice(sector);
-            }
+            let Some(buf) = self.units.pop_front() else {
+                break;
+            };
+            let placed = unit_sectors.min(self.staged.len());
+            let unit = buf.freeze();
+            let parts = [unit
+                .slice(0..placed * SECTOR_BYTES)
+                .zero_extended(unit_bytes)];
             let (media, stats) = (&self.media, &mut self.stats);
-            let (slot, comp) = self
-                .space
-                .place(
-                    None,
-                    |slot| media.write(t, slot.chunk.ppa(slot.sector), &buf),
-                    || stats.write_failovers += 1,
-                )
-                .map_err(|e| e.into_ftl(|| KvError::OutOfSpace))?;
+            let placement = self.space.place(
+                None,
+                |slot| media.write_parts(t, slot.chunk.ppa(slot.sector), &parts),
+                || stats.write_failovers += 1,
+            );
+            let (slot, comp) = match placement {
+                Ok(placed) => placed,
+                Err(e) => {
+                    // Still staged: back into a buffer of its own.
+                    let mut buf = PayloadBuf::zeroed(unit_bytes);
+                    unit.copy_to(buf.bytes_mut());
+                    self.units.push_front(buf);
+                    return Err(e.into_ftl(|| KvError::OutOfSpace));
+                }
+            };
             t = comp.done;
             self.space.record(
                 slot,
-                batch.iter().map(|(lpn, _)| lpn % window),
+                self.staged[..placed].iter().map(|lpn| lpn % window),
                 Some((&mut self.wal, txid)),
             );
-            let placed = batch.len();
             self.staged.drain(..placed);
             self.stats.physical_user_writes.record(unit_bytes as u64);
         }
@@ -283,12 +315,10 @@ impl KvSsd {
 
         let txid = self.wal.begin();
         for (i, piece) in value.chunks(SECTOR_BYTES).enumerate() {
-            let mut sector = vec![0u8; SECTOR_BYTES];
-            sector[..piece.len()].copy_from_slice(piece);
-            self.staged.push((first_lpn + i as u64, sector));
+            self.stage(first_lpn + i as u64, piece);
         }
         if value.is_empty() {
-            self.staged.push((first_lpn, vec![0u8; SECTOR_BYTES]));
+            self.stage(first_lpn, &[]);
         }
         // Write out full units only; the tail coalesces with later puts.
         t = self.flush_staged(t, txid, false)?;
@@ -359,9 +389,14 @@ impl KvSsd {
             let lpn = loc.lpn + p;
             let off = p as usize * SECTOR_BYTES;
             // Read-your-writes: sectors still in the coalescing buffer are
-            // served from controller memory.
-            if let Some((_, data)) = self.staged.iter().find(|(l, _)| *l == lpn) {
-                value[off..off + SECTOR_BYTES].copy_from_slice(data);
+            // served from controller memory, the open unit itself.
+            if let Some(i) = self.staged.iter().position(|&l| l == lpn) {
+                let unit_sectors = self.geo.ws_min as usize;
+                if let Some(unit) = self.units.get(i / unit_sectors) {
+                    let at = (i % unit_sectors) * SECTOR_BYTES;
+                    value[off..off + SECTOR_BYTES]
+                        .copy_from_slice(&unit.bytes()[at..at + SECTOR_BYTES]);
+                }
                 continue;
             }
             #[expect(
@@ -513,6 +548,44 @@ mod tests {
             kv.put(t, b"k", &huge),
             Err(KvError::ValueTooLarge(_))
         ));
+    }
+
+    #[test]
+    fn a_get_straddling_the_open_unit_and_a_flushed_one_reads_both() {
+        let (mut kv, mut t) = setup();
+        let unit_sectors = kv.geo.ws_min as usize;
+        // One-sector values up to the last sector of the first unit, then a
+        // value whose first sector completes that unit and whose other two
+        // open the next.
+        let fill: Vec<Vec<u8>> = (0..unit_sectors - 1)
+            .map(|i| vec![i as u8 + 1; 1000])
+            .collect();
+        for (i, value) in fill.iter().enumerate() {
+            t = kv.put(t, &[b'f', i as u8], value).unwrap();
+        }
+        let straddling: Vec<u8> = (0..2 * SECTOR_BYTES + 700)
+            .map(|i| (i % 253) as u8 + 1)
+            .collect();
+        t = kv.put(t, b"straddle", &straddling).unwrap();
+        assert_eq!(
+            (kv.staged.len(), kv.units.len()),
+            (2, 1),
+            "two sectors open"
+        );
+        assert_eq!(kv.stats().physical_user_writes.ops(), 1, "one unit flushed");
+        let (got, done) = kv.get(t, b"straddle").unwrap();
+        assert!(got.as_deref() == Some(&straddling[..]), "before the sync");
+        // The sync writes the open unit out, its padding a zero tail; the
+        // same get then reads all three sectors from the media.
+        t = kv.sync(done).unwrap();
+        assert!(kv.staged.is_empty() && kv.units.is_empty());
+        assert_eq!(kv.stats().physical_user_writes.ops(), 2);
+        let (got, done) = kv.get(t, b"straddle").unwrap();
+        assert!(got.as_deref() == Some(&straddling[..]), "after the sync");
+        for (i, value) in fill.iter().enumerate() {
+            let (got, _) = kv.get(done, &[b'f', i as u8]).unwrap();
+            assert_eq!(got.as_deref(), Some(&value[..]), "value {i}");
+        }
     }
 
     #[test]

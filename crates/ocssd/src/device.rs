@@ -14,10 +14,14 @@
 //! call that arrives sooner wait behind idle time. A chunk's programs and
 //! erases still run in the order they were issued: each starts no earlier
 //! than the chunk's latest program or erase completes (`Chunk::floor`).
-//! The group channels and the host link stay FIFO ([`Timeline`]):
-//! back-filling the channel moves the closed-loop WAL's wait from reads into
-//! writes, and back-filling the host link lets a writer overrun its
-//! neighbours' reads until reads get priority over queued programs.
+//! The group channels and the host link stay FIFO ([`Timeline`]).
+//! Back-filling the channels alone moves `blk-update`'s wait from reads into
+//! the data barrier of its puts, whose writes then queue longer on the host
+//! link; the WAL commit waits longer only once the host link is back-filled
+//! too, and then behind the program floor of the log's one active chunk
+//! (EXPERIMENTS.md, "Where a `blk-update` put waits"). Back-filling the host
+//! link alone lets a writer overrun its neighbours' reads until reads get
+//! priority over queued programs.
 //!
 //! Timing model per command:
 //!

@@ -183,6 +183,11 @@ impl PayloadBuf {
         self.data.is_empty()
     }
 
+    /// The buffer as filled in so far.
+    pub fn bytes(&self) -> &[u8] {
+        &self.data
+    }
+
     /// The buffer, to write into. (`data` never leaves this type before
     /// [`PayloadBuf::freeze`], so it is always the only reference and
     /// `make_mut` never copies.)
@@ -435,8 +440,11 @@ impl MediaStore {
     /// `start`, the destination's write pointer. Sources that are whole
     /// extents, each read front to back — a unit moved as it was written —
     /// share their buffers: the copy holds what its sources hold. Any other
-    /// copy is gathered into one buffer and stored as [`MediaStore::write`]
-    /// stores it. Returns false, storing nothing, if a source is unwritten.
+    /// copy is gathered once, into a buffer that becomes the extent when the
+    /// copy is one piece ending in data, and is stored as
+    /// [`MediaStore::write`] stores it otherwise — either way the copy holds
+    /// exactly what `write` of the gathered bytes would. Returns false,
+    /// storing nothing, if a source is unwritten.
     pub(crate) fn copy(&mut self, srcs: &[(usize, u32)], chunk: usize, start: u32) -> bool {
         if let Some(shared) = self.whole_extents(srcs, start) {
             if self.chunks.len() <= chunk {
@@ -446,13 +454,23 @@ impl MediaStore {
             self.sectors += srcs.len();
             return true;
         }
-        let mut data = vec![0u8; srcs.len() * SECTOR_BYTES];
-        for (&(src_chunk, sector), out) in srcs.iter().zip(data.chunks_exact_mut(SECTOR_BYTES)) {
+        let mut data = PayloadBuf::zeroed(srcs.len() * SECTOR_BYTES);
+        let out = data.bytes_mut().chunks_exact_mut(SECTOR_BYTES);
+        for (&(src_chunk, sector), out) in srcs.iter().zip(out) {
             if !self.read(src_chunk, sector, out) {
                 return false;
             }
         }
-        self.write(chunk, start, &data);
+        let data = data.freeze();
+        // A zero tail is trimmed out of a buffer of the store's own.
+        let keep = data.bytes().last().is_some_and(|&b| b != 0);
+        self.store(
+            chunk,
+            start,
+            data.bytes(),
+            srcs.len(),
+            keep.then_some(&data.data),
+        );
         true
     }
 

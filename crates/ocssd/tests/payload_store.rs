@@ -970,3 +970,150 @@ fn gathered_writes_are_the_write_of_their_concatenation() {
         );
     }
 }
+
+/// `n` bytes of data that end in a non-zero byte and hold no zero tail
+/// anywhere, so what the store keeps of them is all of them.
+fn dense(rng: &mut Prng, n: usize) -> Vec<u8> {
+    let mut data = vec![0u8; n];
+    rng.fill_bytes(&mut data);
+    data.iter_mut().for_each(|b| *b |= 1);
+    data
+}
+
+/// The commands the log writers hand the device, each against `write` of its
+/// padded bytes on a twin device: a journal frame, a data unit, a checkpoint
+/// blob that ends mid-unit, and a device copy of scattered sectors against
+/// `write` of what it gathers. Each must leave the same sectors stored, the
+/// same bytes resident and the same bytes read back — and the device must
+/// keep the buffer the writer built.
+#[test]
+fn every_writers_call_shape_stores_what_its_padded_bytes_store() {
+    for geo in fault_geometries() {
+        let unit = geo.ws_min_bytes();
+        let mut rng = Prng::seed_from_u64(44);
+        let frame = built(&dense(&mut rng, 117));
+        let data = built(&dense(&mut rng, 3 * SECTOR_BYTES));
+        let blob = built(&dense(&mut rng, unit + SECTOR_BYTES + 300));
+        let blob_sectors = blob.len().next_multiple_of(SECTOR_BYTES);
+        let blob_units = blob.len().next_multiple_of(unit);
+        let shapes: [(&str, &Payload, Vec<Payload>); 5] = [
+            (
+                "a frame to a sector, then zeros",
+                &frame,
+                vec![
+                    frame.clone().zero_extended(SECTOR_BYTES),
+                    Payload::zeros(unit - SECTOR_BYTES),
+                ],
+            ),
+            (
+                "a frame to the unit",
+                &frame,
+                vec![frame.clone().zero_extended(unit)],
+            ),
+            (
+                "three data sectors, then zeros",
+                &data,
+                vec![data.clone(), Payload::zeros(unit - 3 * SECTOR_BYTES)],
+            ),
+            (
+                "a blob ending mid-unit, to a sector, then zeros",
+                &blob,
+                vec![
+                    blob.clone().zero_extended(blob_sectors),
+                    Payload::zeros(blob_units - blob_sectors),
+                ],
+            ),
+            (
+                "a blob ending mid-unit, to the unit",
+                &blob,
+                vec![blob.clone().zero_extended(blob_units)],
+            ),
+        ];
+        for (what, handle, parts) in shapes {
+            let ctx = format!("{what} on {:?}", geo.cell);
+            let (mut bytes_dev, mut parts_dev) = (
+                OcssdDevice::new(DeviceConfig::with_geometry(geo)),
+                OcssdDevice::new(DeviceConfig::with_geometry(geo)),
+            );
+            let c = chunk(&geo, 0);
+            let padded = Payload::concat(&parts).into_owned();
+            let sectors = (padded.len() / SECTOR_BYTES) as u32;
+            let a = bytes_dev
+                .write(SimTime::ZERO, c.ppa(0), &padded)
+                .expect(&ctx);
+            let b = parts_dev
+                .write_parts(SimTime::ZERO, c.ppa(0), &parts)
+                .expect(&ctx);
+            assert_eq!(a, b, "{ctx}: completion");
+            assert_eq!(
+                parts_dev.stored_sectors(),
+                bytes_dev.stored_sectors(),
+                "{ctx}"
+            );
+            assert_eq!(parts_dev.stored_sectors(), sectors as usize, "{ctx}");
+            assert_eq!(
+                parts_dev.resident_bytes(c),
+                bytes_dev.resident_bytes(c),
+                "{ctx}"
+            );
+            assert_eq!(parts_dev.resident_bytes(c), handle.len(), "{ctx}");
+            let mut out = vec![0xEE; padded.len()];
+            parts_dev
+                .read(a.done, c.ppa(0), sectors, &mut out)
+                .expect(&ctx);
+            assert!(out == padded, "{ctx}: bytes read back");
+            let (view, _) = parts_dev
+                .read_shared(a.done, c.ppa(0), sectors)
+                .expect(&ctx);
+            assert!(shares_buffer(&view, handle), "{ctx}: the writer's buffer");
+            assert!(view.to_vec() == padded, "{ctx}: bytes viewed");
+        }
+
+        // A collector's copy: sectors of two units, interleaved and out of
+        // order, gathered into one unit — on one device by `copy`, on the
+        // other by `write` of the same bytes.
+        let ctx = format!("a gathered copy on {:?}", geo.cell);
+        let (mut copy_dev, mut bytes_dev) = (
+            OcssdDevice::new(DeviceConfig::with_geometry(geo)),
+            OcssdDevice::new(DeviceConfig::with_geometry(geo)),
+        );
+        let (src, dst) = (chunk(&geo, 0), chunk(&geo, 1));
+        let sources = [dense(&mut rng, unit), dense(&mut rng, unit)].concat();
+        let mut t = SimTime::ZERO;
+        for dev in [&mut copy_dev, &mut bytes_dev] {
+            for (u, piece) in sources.chunks_exact(unit).enumerate() {
+                let at = src.ppa(u as u32 * geo.ws_min);
+                t = dev.write(t, at, piece).expect(&ctx).done;
+            }
+        }
+        let picks: Vec<u32> = (0..geo.ws_min)
+            .map(|s| (s * 2 + 1) % (2 * geo.ws_min))
+            .rev()
+            .collect();
+        let srcs: Vec<Ppa> = picks.iter().map(|&s| src.ppa(s)).collect();
+        let gathered: Vec<u8> = picks
+            .iter()
+            .flat_map(|&s| &sources[s as usize * SECTOR_BYTES..][..SECTOR_BYTES])
+            .copied()
+            .collect();
+        let copied = copy_dev.copy(t, &srcs, dst).expect(&ctx);
+        let written = bytes_dev.write(t, dst.ppa(0), &gathered).expect(&ctx);
+        t = copied.done.max(written.done);
+        assert_eq!(
+            copy_dev.stored_sectors(),
+            bytes_dev.stored_sectors(),
+            "{ctx}"
+        );
+        assert_eq!(
+            copy_dev.resident_bytes(dst),
+            bytes_dev.resident_bytes(dst),
+            "{ctx}"
+        );
+        assert_eq!(copy_dev.resident_bytes(dst), unit, "{ctx}");
+        let mut out = vec![0xEE; unit];
+        copy_dev
+            .read(t, dst.ppa(0), geo.ws_min, &mut out)
+            .expect(&ctx);
+        assert!(out == gathered, "{ctx}: bytes read back");
+    }
+}

@@ -1,6 +1,8 @@
 //! The OX-Block FTL proper.
 
-use ocssd::{ChunkAddr, ChunkState, Completion, DeviceError, Geometry, MediaEvent, SECTOR_BYTES};
+use ocssd::{
+    ChunkAddr, ChunkState, Completion, DeviceError, Geometry, MediaEvent, Payload, SECTOR_BYTES,
+};
 use ox_core::gc::{GarbageCollector, GcConfig, GcPass};
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::logspace::LogSpace;
@@ -302,24 +304,25 @@ impl BlockFtl {
         let txid = self.journal.wal.begin();
 
         // Place the data, ws_min sectors at a time (zero-padding the tail
-        // unit: the "unit of write" tax of §4.3).
+        // unit: the "unit of write" tax of §4.3). Each unit is copied once,
+        // into the buffer the device keeps; its padding is a zero tail.
         let unit_sectors = self.geo.ws_min as usize;
         let unit_bytes = self.geo.ws_min_bytes();
-        let mut unit_buf = vec![0u8; unit_bytes];
         let mut sector_idx = 0usize;
         let total_sectors = pages as usize;
         let mut last_ack = t;
         while sector_idx < total_sectors {
             let in_unit = (total_sectors - sector_idx).min(unit_sectors);
             let byte_off = sector_idx * SECTOR_BYTES;
-            unit_buf[..in_unit * SECTOR_BYTES]
-                .copy_from_slice(&data[byte_off..byte_off + in_unit * SECTOR_BYTES]);
-            unit_buf[in_unit * SECTOR_BYTES..].fill(0);
+            let unit = [
+                Payload::from(&data[byte_off..byte_off + in_unit * SECTOR_BYTES])
+                    .zero_extended(unit_bytes),
+            ];
 
             let (media, stats, obs) = (&self.media, &mut self.stats, &self.obs);
             let placed = self.space.place(
                 None,
-                |slot| media.write(t, slot.chunk.ppa(slot.sector), &unit_buf),
+                |slot| media.write_parts(t, slot.chunk.ppa(slot.sector), &unit),
                 || {
                     stats.write_failovers += 1;
                     obs.metrics.record("oxblock.write_failover", 0);

@@ -11,7 +11,7 @@
 //! log, and chunks whose sectors are all invalid are simply reset.
 
 use crate::cpu::ControllerCpu;
-use ocssd::{ChunkAddr, ChunkState, DeviceError, Geometry, SECTOR_BYTES};
+use ocssd::{ChunkAddr, ChunkState, DeviceError, Geometry, Payload, SECTOR_BYTES};
 use ox_core::badblock::retire_chunks;
 use ox_core::layout::{Layout, LayoutConfig};
 use ox_core::logspace::{reset_or_retire, LogSpace};
@@ -338,6 +338,8 @@ impl EleosFtl {
         let window = self.window_pages;
         let mut ack = t;
         for (u, unit) in data.chunks(unit_bytes).enumerate() {
+            // Copied once, into the buffer the device keeps.
+            let unit = [Payload::from(unit)];
             // Already-mapped pages on a chunk a program failure froze stay
             // readable (the written prefix survives the freeze).
             let (media, stats) = (&self.media, &mut self.stats);
@@ -345,7 +347,7 @@ impl EleosFtl {
                 .space
                 .place(
                     None,
-                    |slot| media.write(t, slot.chunk.ppa(slot.sector), unit),
+                    |slot| media.write_parts(t, slot.chunk.ppa(slot.sector), &unit),
                     || stats.write_failovers += 1,
                 )
                 .map_err(|e| e.into_ftl(|| EleosError::OutOfSpace))?;
