@@ -333,7 +333,7 @@ fn bench_lsm_components(h: &Harness) {
         let find_indexed = |data: &[u8], anchors: &lsmkv::BlockAnchors, probe: u64| {
             let key = probe.to_be_bytes();
             let from = anchors.seek(data, &key);
-            black_box(lsmkv::BlockIter::at(data, from).visible(&key, u64::MAX));
+            black_box(lsmkv::BlockIter::at(data, from).lookup(&key));
         };
         let anchors = lsmkv::BlockAnchors::build(&data);
         h.bench("lsm/block_find_indexed", 0, || {

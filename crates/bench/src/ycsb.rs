@@ -284,7 +284,7 @@ impl YcsbBackend for LsmBackend {
                 }
             }
         }
-        // Dropping the iterator releases its snapshot and table pins.
+        // Dropping the iterator releases its table pins.
         drop(iter);
         YcsbScan {
             entries,

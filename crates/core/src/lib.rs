@@ -19,7 +19,7 @@
 //!   force-at-commit barrier and reset-or-retire, over one `PageMap` and one
 //!   `Provisioner`.
 //! * [`wal::Wal`] — the recovery log: CRC-framed record batches appended to
-//!   reserved chunks with group commit.
+//!   reserved chunks, one frame per commit.
 //! * [`checkpoint`] / [`recovery`] — alternating-area mapping snapshots and
 //!   the crash-recovery procedure (load snapshot, scan log tail, replay
 //!   committed transactions, rebuild write pointers from *report chunk*).

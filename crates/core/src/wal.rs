@@ -2,10 +2,12 @@
 //!
 //! Every FTL API operation is a transaction whose atomicity and durability
 //! come from this log (paper §4.3: the device's vectored writes are not
-//! atomic — only single-page programs are). Records are buffered and flushed
-//! by group commit: one CRC-framed batch per commit, written as a single
-//! `ws_min`-aligned device write to the reserved WAL chunks and made durable
-//! with a per-chunk flush barrier.
+//! atomic — only single-page programs are). Records are buffered until
+//! [`Wal::commit`], which writes them as one CRC-framed frame — a single
+//! `ws_min`-aligned device write to the reserved WAL chunks, made durable
+//! with a per-chunk flush barrier. Every call writes its own frame: batching
+//! several transactions into one commit is the caller's choice (kvssd's
+//! `GROUP_COMMIT`).
 //!
 //! The log is a ring over its chunks. Checkpoints truncate the tail: chunks
 //! whose newest record is covered by the checkpoint are reset and reused.

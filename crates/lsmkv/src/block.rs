@@ -1,8 +1,9 @@
 //! SSTable data-block format.
 //!
 //! A data block is one LightLSM block (= the device's 96 KB write unit).
-//! Entries are stored sorted by `(key asc, seq desc)`, back to back — a key
-//! may appear with several sequence numbers (versions), newest first:
+//! Entries are stored sorted by `(key asc, seq desc)`, back to back. The
+//! format allows several versions of a key, newest first; the tables
+//! [`crate::sstable::TableBuilder`] writes hold one:
 //!
 //! ```text
 //! entry := klen:u16 | vlen:u32 | seq:u64 | key | value
@@ -312,32 +313,6 @@ impl BlockBuilder {
     }
 }
 
-/// Outcome of a snapshot-aware point lookup within one data block; `V` is
-/// how the value is held (`&[u8]` into the block, or owned).
-#[derive(Debug, PartialEq, Eq)]
-pub enum FindVisible<V> {
-    /// Newest version with `seq <= snap`: its seq plus `Some(value)` for a
-    /// live entry, `None` for a point tombstone.
-    Found(u64, Option<V>),
-    /// The key has no visible version in this table's blocks from here on.
-    Absent,
-    /// Every version of the key in this block is newer than the snapshot and
-    /// the key runs to the end of the block — older versions may continue in
-    /// the next data block.
-    Continue,
-}
-
-impl FindVisible<&[u8]> {
-    /// The same outcome with the value copied out of the block.
-    pub fn into_owned(self) -> FindVisible<Vec<u8>> {
-        match self {
-            FindVisible::Found(seq, v) => FindVisible::Found(seq, v.map(<[u8]>::to_vec)),
-            FindVisible::Absent => FindVisible::Absent,
-            FindVisible::Continue => FindVisible::Continue,
-        }
-    }
-}
-
 /// Iterates a data block's entries in `(key asc, seq desc)` order.
 pub struct BlockIter<'a> {
     data: &'a [u8],
@@ -355,44 +330,23 @@ impl<'a> BlockIter<'a> {
         BlockIter { data, pos }
     }
 
-    /// Finds the newest version of `key` visible at `snap` by scanning
-    /// (blocks are small). Returns [`FindVisible::Continue`] when the key's
-    /// versions run past the end of this block without a visible one.
-    pub fn find_visible(data: &'a [u8], key: &[u8], snap: u64) -> FindVisible<&'a [u8]> {
-        BlockIter::new(data).visible(key, snap)
-    }
-
-    /// [`BlockIter::find_visible`] among the entries not yet yielded.
-    pub fn visible(&mut self, key: &[u8], snap: u64) -> FindVisible<&'a [u8]> {
-        let mut saw_key_last = false;
+    /// The newest version of `key` among the entries not yet yielded — its
+    /// sequence number, and `Some(value)` or `None` for a tombstone — found
+    /// by walking to it (blocks are small); `None` if the key is not there.
+    pub fn lookup(&mut self, key: &[u8]) -> Option<(u64, Option<&'a [u8]>)> {
         for (k, seq, v) in self {
             match k.cmp(key) {
                 std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => {
-                    if seq <= snap {
-                        return FindVisible::Found(seq, v);
-                    }
-                    saw_key_last = true;
-                }
-                std::cmp::Ordering::Greater => return FindVisible::Absent,
+                std::cmp::Ordering::Equal => return Some((seq, v)),
+                std::cmp::Ordering::Greater => return None,
             }
         }
-        if saw_key_last {
-            // The block ended while still inside this key's version run.
-            FindVisible::Continue
-        } else {
-            FindVisible::Absent
-        }
+        None
     }
 
-    /// Finds the newest version of a key regardless of snapshot. Returns
-    /// `Some(Some(value))` for a live entry, `Some(None)` for a tombstone,
-    /// `None` if absent.
-    pub fn find(data: &'a [u8], key: &[u8]) -> Option<Option<&'a [u8]>> {
-        match Self::find_visible(data, key, u64::MAX) {
-            FindVisible::Found(_, v) => Some(v),
-            _ => None,
-        }
+    /// [`BlockIter::lookup`] from the start of `data`.
+    pub fn find(data: &'a [u8], key: &[u8]) -> Option<(u64, Option<&'a [u8]>)> {
+        BlockIter::new(data).lookup(key)
     }
 }
 
@@ -438,40 +392,11 @@ mod tests {
         b.add(b"b", 1, Some(b"vb"));
         b.add(b"d", 2, None);
         let data = b.finish().to_vec();
-        assert_eq!(BlockIter::find(&data, b"b"), Some(Some(&b"vb"[..])));
-        assert_eq!(BlockIter::find(&data, b"d"), Some(None));
+        assert_eq!(BlockIter::find(&data, b"b"), Some((1, Some(&b"vb"[..]))));
+        assert_eq!(BlockIter::find(&data, b"d"), Some((2, None)));
         assert_eq!(BlockIter::find(&data, b"a"), None);
         assert_eq!(BlockIter::find(&data, b"c"), None);
         assert_eq!(BlockIter::find(&data, b"e"), None);
-    }
-
-    #[test]
-    fn versions_resolve_by_snapshot() {
-        let mut b = BlockBuilder::new(4096);
-        b.add(b"k", 9, Some(b"v9"));
-        b.add(b"k", 5, None);
-        b.add(b"k", 2, Some(b"v2"));
-        b.add(b"z", 1, Some(b"vz"));
-        let data = b.finish().to_vec();
-        assert_eq!(
-            BlockIter::find_visible(&data, b"k", u64::MAX),
-            FindVisible::Found(9, Some(&b"v9"[..]))
-        );
-        assert_eq!(
-            BlockIter::find_visible(&data, b"k", 7),
-            FindVisible::Found(5, None)
-        );
-        assert_eq!(
-            BlockIter::find_visible(&data, b"k", 3),
-            FindVisible::Found(2, Some(&b"v2"[..]))
-        );
-        // Snapshot predates every version and a later key exists: absent.
-        assert_eq!(BlockIter::find_visible(&data, b"k", 1), FindVisible::Absent);
-        // Key's versions run to the end of the block with none visible.
-        assert_eq!(
-            BlockIter::find_visible(&data, b"z", 0),
-            FindVisible::Continue
-        );
     }
 
     #[test]
@@ -532,22 +457,21 @@ mod tests {
             .collect()
     }
 
+    /// What a lookup found, copied out of the block.
+    fn owned_hit(hit: Option<(u64, Option<&[u8]>)>) -> Option<(u64, Option<Vec<u8>>)> {
+        hit.map(|(s, v)| (s, v.map(<[u8]>::to_vec)))
+    }
+
     #[test]
     fn a_slice_cut_at_or_after_the_last_entry_reads_like_the_padded_block() {
         let (padded, end) = block_ending_in_zeros(0);
         for cut in (end..end + 40).chain([padded.len()]) {
             let data = &padded[..cut];
             assert_eq!(owned(data), owned(&padded), "cut at {cut}");
-            for (key, snap) in [
-                (&b"k"[..], u64::MAX),
-                (b"k", 6),
-                (b"k", 1),
-                (b"z", 0),
-                (b"q", 9),
-            ] {
+            for key in [&b"a"[..], b"k", b"q", b"z", b"zz"] {
                 assert_eq!(
-                    BlockIter::find_visible(data, key, snap),
-                    BlockIter::find_visible(&padded, key, snap),
+                    BlockIter::find(data, key),
+                    BlockIter::find(&padded, key),
                     "cut at {cut}"
                 );
             }
@@ -588,10 +512,10 @@ mod tests {
                     .collect::<Vec<_>>()
             });
             assert_eq!(walked, owned(&padded), "{zeros} zeros");
-            for (key, snap) in [(&b"z"[..], u64::MAX), (b"k", 6), (b"z", 0), (b"zz", 9)] {
+            for key in [&b"z"[..], b"k", b"zz"] {
                 assert_eq!(
-                    with_entries(&block, 0, |entries| entries.visible(key, snap).into_owned()),
-                    BlockIter::find_visible(&padded, key, snap).into_owned(),
+                    with_entries(&block, 0, |entries| owned_hit(entries.lookup(key))),
+                    owned_hit(BlockIter::find(&padded, key)),
                     "{zeros} zeros, key {key:?}"
                 );
             }
@@ -654,27 +578,16 @@ mod tests {
         b.finish().to_vec()
     }
 
-    /// The keys of `data`, each with its neighbours in key order, and the
-    /// snapshots at which what a reader sees of each can change.
-    fn probes(data: &[u8], rng: &mut ox_sim::Prng) -> Vec<(Vec<u8>, u64)> {
+    /// The keys of `data`, each with its neighbours in key order.
+    fn probes(data: &[u8]) -> Vec<Vec<u8>> {
         let mut probes = Vec::new();
-        let mut snaps_of = |key: &[u8], seqs: &[u64]| {
-            for snap in seqs.iter().flat_map(|&s| [s - 1, s, s + 1]).chain([
-                0,
-                u64::MAX,
-                rng.gen_range(1002),
-            ]) {
-                probes.push((key.to_vec(), snap));
-            }
-        };
         let entries = owned(data);
         for run in entries.chunk_by(|a, b| a.0 == b.0) {
             let key = &run[0].0;
-            let seqs: Vec<u64> = run.iter().map(|e| e.1).collect();
-            snaps_of(key, &seqs);
-            snaps_of(&[&key[..], &[0]].concat(), &seqs);
+            probes.push(key.clone());
+            probes.push([&key[..], &[0]].concat());
             if key.len() > 1 {
-                snaps_of(&key[..key.len() - 1], &seqs);
+                probes.push(key[..key.len() - 1].to_vec());
             }
         }
         probes
@@ -705,22 +618,20 @@ mod tests {
                     assert!(a.0.len() * 10 < entries.len(), "seed {seed}: sparse");
                 }
             }
-            for (key, snap) in probes(&padded, &mut rng) {
-                let want = BlockIter::find_visible(&padded, &key, snap).into_owned();
+            for key in probes(&padded) {
+                let want = owned_hit(BlockIter::find(&padded, &key));
                 for a in &anchors {
                     let from = a.seek(&padded, &key);
                     assert_eq!(
-                        BlockIter::at(&padded, from)
-                            .visible(&key, snap)
-                            .into_owned(),
+                        owned_hit(BlockIter::at(&padded, from).lookup(&key)),
                         want,
-                        "seed {seed}: key {key:?} at {snap} from {from}"
+                        "seed {seed}: key {key:?} from {from}"
                     );
                     let from = a.seek(stored, &key);
                     assert_eq!(
-                        with_entries(&view, from, |e| e.visible(&key, snap).into_owned()),
+                        with_entries(&view, from, |e| owned_hit(e.lookup(&key))),
                         want,
-                        "seed {seed}: key {key:?} at {snap} from {from}, in place"
+                        "seed {seed}: key {key:?} from {from}, in place"
                     );
                     // What a stream positioned there yields: everything from
                     // the first key at or after `key` on.

@@ -2,8 +2,8 @@
 //!
 //! In LightLSM, "garbage collection is a side-effect of compaction" (§4.3):
 //! compaction reads input SSTables block by block (charging device time),
-//! merges them in `(key asc, seq desc)` order, prunes versions no snapshot
-//! can see, writes output tables, and deletes the inputs — which the FTL
+//! merges them in `(key asc, seq desc)` order, keeps the newest version of
+//! each key, writes output tables, and deletes the inputs — which the FTL
 //! turns into chunk erases only.
 
 use crate::block::{BlockCursor, EntryView};
@@ -33,7 +33,7 @@ pub struct CompactionStats {
     pub entries_out: u64,
     /// Tombstones dropped at the bottom level.
     pub tombstones_dropped: u64,
-    /// Versions pruned because no open snapshot could see them.
+    /// Versions dropped because a newer one of their key was kept.
     pub entries_shadowed: u64,
     /// Total virtual nanoseconds spent in flushes.
     pub flush_nanos: u64,
@@ -401,87 +401,19 @@ impl MergeIter {
     }
 }
 
-/// Prunes one key's version group after the other, in buffers it keeps from
-/// group to group: a compaction prunes a group per key, and nearly every key
-/// has one version.
-#[derive(Default)]
-pub(crate) struct GroupPruner {
-    /// The group in seq-desc order: sequence number, and whether the version
-    /// is a tombstone.
-    versions: Vec<(u64, bool)>,
-    keep: Vec<usize>,
-}
-
-/// Outcome of pruning one key's version group against the open snapshots,
-/// beside the versions kept ([`GroupPruner::kept`]).
-pub(crate) struct PruneOutcome {
-    /// Versions dropped because no snapshot boundary can see them.
-    pub shadowed: u64,
-    /// Tombstones dropped at the bottom level.
-    pub tombstones_dropped: u64,
-}
-
-impl GroupPruner {
-    /// Decides which versions of one key survive a compaction.
-    ///
-    /// `versions` is the key's version group in seq-desc order (`true` =
-    /// tombstone). `boundaries` are the open snapshot sequence numbers plus
-    /// `u64::MAX` (the "latest" reader), ascending. A version is kept iff
-    /// some boundary `b` sees it: it is the newest version with `seq <= b`.
-    ///
-    /// At the bottom level (`drop_tombstones` = `Some(newest)`), trailing
-    /// tombstones with nothing older below them are dropped — except the
-    /// one at sequence number `newest`, the highest among the compaction's
-    /// inputs. Recovery restarts the write sequence above the highest
-    /// sequence number of the surviving tables, so a compaction must never
-    /// lower it: if it did, a crash would hand that number out again, and
-    /// the recovered store, which holds the dropped delete's effect, would
-    /// claim the shorter prefix that ends before it.
-    pub(crate) fn prune(
-        &mut self,
-        versions: impl Iterator<Item = (u64, bool)>,
-        boundaries: &[u64],
-        drop_tombstones: Option<u64>,
-    ) -> PruneOutcome {
-        let GroupPruner {
-            versions: group,
-            keep,
-        } = self;
-        group.clear();
-        group.extend(versions);
-        keep.clear();
-        // From the newest boundary down, what each sees moves from the
-        // newest version towards the oldest: `keep` comes out ascending.
-        for &b in boundaries.iter().rev() {
-            // First index with seq <= b (versions are seq-desc).
-            let i = group.partition_point(|&(seq, _)| seq > b);
-            if i < group.len() && keep.last() != Some(&i) {
-                keep.push(i);
-            }
-        }
-        let mut tombstones_dropped = 0;
-        if let Some(newest) = drop_tombstones {
-            // Nothing lives below the bottom level, so a trailing tombstone
-            // resolves to "absent" either way.
-            while keep
-                .last()
-                .is_some_and(|&last| group[last].1 && group[last].0 != newest)
-            {
-                keep.pop();
-                tombstones_dropped += 1;
-            }
-        }
-        PruneOutcome {
-            shadowed: (group.len() - keep.len()) as u64 - tombstones_dropped,
-            tombstones_dropped,
-        }
-    }
-
-    /// Indices (into the seq-desc group last pruned) of the versions to
-    /// keep, ascending.
-    pub(crate) fn kept(&self) -> &[usize] {
-        &self.keep
-    }
+/// Whether a compaction keeps the newest version of a key, given its
+/// sequence number and whether it is a tombstone; every older version goes.
+///
+/// At the bottom level (`drop_tombstones` = `Some(newest)`) a tombstone
+/// hides nothing, so it goes too — except the one at sequence number
+/// `newest`, the highest among the compaction's inputs. Recovery restarts
+/// the write sequence above the highest sequence number of the surviving
+/// tables, so a compaction must never lower it: if it did, a crash would
+/// hand that number out again, and the recovered store, which holds the
+/// dropped delete's effect, would claim the shorter prefix that ends before
+/// it.
+pub(crate) fn keeps(seq: u64, tombstone: bool, drop_tombstones: Option<u64>) -> bool {
+    !tombstone || drop_tombstones.is_none_or(|newest| seq == newest)
 }
 
 /// Inputs to one compaction.
@@ -499,38 +431,14 @@ pub(crate) struct CompactionJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::{Db, DbConfig, PutOutcome};
     use crate::sstable::TableBuilder;
     use crate::store::lightlsm_test_store;
     use lightlsm::Placement;
 
-    const MAX: u64 = u64::MAX;
     /// At the bottom level, in a compaction whose newest version belongs to
     /// another key.
     const BOTTOM: Option<u64> = Some(1_000);
-
-    /// What pruning a group keeps, drops as shadowed, and drops as trailing
-    /// tombstones.
-    struct Pruned {
-        keep: Vec<usize>,
-        shadowed: u64,
-        tombstones_dropped: u64,
-    }
-
-    fn prune_group(
-        versions: &[(u64, bool)],
-        boundaries: &[u64],
-        drop_tombstones: Option<u64>,
-    ) -> Pruned {
-        // A pruner that has been used: nothing of the last group may stay.
-        let mut pruner = GroupPruner::default();
-        pruner.prune([(77, true), (5, false)].into_iter(), &[6, MAX], None);
-        let out = pruner.prune(versions.iter().copied(), boundaries, drop_tombstones);
-        Pruned {
-            keep: pruner.kept().to_vec(),
-            shadowed: out.shadowed,
-            tombstones_dropped: out.tombstones_dropped,
-        }
-    }
 
     fn store(placement: Placement) -> Arc<dyn TableStore> {
         Arc::new(lightlsm_test_store(placement))
@@ -636,60 +544,45 @@ mod tests {
 
     #[test]
     fn latest_reader_keeps_newest_only() {
-        let versions = [(9, false), (5, false), (2, false)];
-        let out = prune_group(&versions, &[MAX], None);
-        assert_eq!(out.keep, vec![0]);
-        assert_eq!(out.shadowed, 2);
-    }
-
-    #[test]
-    fn snapshots_pin_older_versions() {
-        let versions = [(9, false), (5, false), (2, false)];
-        let out = prune_group(&versions, &[4, MAX], None);
-        assert_eq!(out.keep, vec![0, 2]);
-        assert_eq!(out.shadowed, 1);
+        // Four L0 tables, each with a version of one key: the compaction
+        // they trigger writes the newest alone.
+        let mut db = Db::new(store(Placement::Horizontal), DbConfig::default());
+        let mut t = SimTime::ZERO;
+        for v in 1..=4u8 {
+            let PutOutcome::Done(done) = db.put(t, b"k", &[v]).unwrap() else {
+                panic!("an empty store never stalls");
+            };
+            db.seal_memtable();
+            t = db.flush_once(done).unwrap().unwrap();
+        }
+        while let Some(done) = db.compact_once(t).unwrap() {
+            t = done;
+        }
+        let cs = db.compaction_stats();
+        assert_eq!(
+            (cs.compactions, cs.entries_out, cs.entries_shadowed),
+            (1, 1, 3)
+        );
+        assert_eq!(db.get(t, b"k").unwrap().0, Some(vec![4]));
     }
 
     #[test]
     fn bottom_drops_trailing_tombstones() {
-        // tombstone over a live version: both visible to no snapshot but
-        // the latest; tombstone wins, then drops at the bottom.
-        let versions = [(9, true), (5, false)];
-        let out = prune_group(&versions, &[MAX], BOTTOM);
-        assert!(out.keep.is_empty());
-        assert_eq!(out.tombstones_dropped, 1);
-        assert_eq!(out.shadowed, 1);
-        // Not at the bottom the tombstone must survive to shadow deeper data.
-        let out = prune_group(&versions, &[MAX], None);
-        assert_eq!(out.keep, vec![0]);
-    }
-
-    #[test]
-    fn mid_stack_tombstone_kept_when_snapshot_needs_older() {
-        // Snapshot at 4 sees the live v2; latest sees the tombstone. At the
-        // bottom the tombstone still drops (trailing after the kept live
-        // version? no — tombstone is newest). keep = [tomb, live]; trailing
-        // entry is the live version, so nothing drops.
-        let versions = [(9, true), (2, false)];
-        let out = prune_group(&versions, &[4, MAX], BOTTOM);
-        assert_eq!(out.keep, vec![0, 1]);
-        assert_eq!(out.tombstones_dropped, 0);
+        // Nothing lives below the bottom level: a tombstone hides nothing
+        // there and goes.
+        assert!(!keeps(9, true, BOTTOM));
+        // Above the bottom it must survive to shadow deeper data.
+        assert!(keeps(9, true, None));
+        // A live version stays wherever it is.
+        assert!(keeps(9, false, BOTTOM));
+        assert!(keeps(9, false, None));
     }
 
     #[test]
     fn the_newest_tombstone_of_a_compaction_survives_the_bottom() {
         // The tombstone at 9 carries the compaction's highest sequence
-        // number: it stays, and only what it hides goes.
-        let versions = [(9, true), (5, false)];
-        let out = prune_group(&versions, &[MAX], Some(9));
-        assert_eq!(out.keep, vec![0]);
-        assert_eq!(out.tombstones_dropped, 0);
-        assert_eq!(out.shadowed, 1);
-        // An older tombstone a snapshot kept still drops below it.
-        let versions = [(9, true), (7, true), (2, false)];
-        let out = prune_group(&versions, &[8, MAX], Some(9));
-        assert_eq!(out.keep, vec![0]);
-        assert_eq!(out.tombstones_dropped, 1);
-        assert_eq!(out.shadowed, 1);
+        // number: it stays. An older one goes.
+        assert!(keeps(9, true, Some(9)));
+        assert!(!keeps(7, true, Some(9)));
     }
 }

@@ -6,17 +6,17 @@
 //! clocks, which is how flush/compaction interference shows up in client
 //! latency (Figures 5 and 6).
 //!
-//! Every write carries a monotonically increasing sequence number;
-//! [`Db::snapshot`] pins a read view at the current sequence, and
-//! [`Db::scan_range`] iterates the merged key space under such a view.
+//! Every write carries a monotonically increasing sequence number. A get
+//! reads the newest version of a key; an iterator ([`Db::scan_from`]) reads
+//! the state at its creation, and tables keep one version of each key.
 //!
 //! Rate limiting follows RocksDB: L0 buildup first *slows* writes (an added
 //! delay per put), then *stalls* them (the put must be retried later). The
 //! resulting sawtooth is the throughput oscillation of Figure 6.
 
-use crate::block::{with_entries, EntryView, FindVisible};
+use crate::block::{with_entries, EntryView};
 use crate::compaction::{
-    CompactionJob, CompactionStats, Entry, GroupPruner, MergeIter, TableStream, PREFETCH_DEPTH,
+    keeps, CompactionJob, CompactionStats, Entry, MergeIter, TableStream, PREFETCH_DEPTH,
 };
 use crate::memtable::{shared_memtable, MemCursor, SharedMemtable};
 use crate::sstable::{TableBuilder, TableHandle};
@@ -120,22 +120,6 @@ pub enum PutOutcome {
     Stalled(SimTime),
 }
 
-/// A pinned read view: every read through it sees exactly the writes with
-/// sequence numbers ≤ its own, no matter what lands afterwards. Obtained
-/// from [`Db::snapshot`]; must be handed back via [`Db::release_snapshot`]
-/// so compaction can reclaim the versions it was pinning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Snapshot {
-    seq: u64,
-}
-
-impl Snapshot {
-    /// The sequence number this view is pinned at.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
 /// Operation counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DbStats {
@@ -169,13 +153,14 @@ pub struct Db {
     next_mem_seq: u64,
     /// Next write sequence number (starts at 1; 0 = "sees nothing").
     next_seq: u64,
-    /// Open snapshot sequence numbers → refcount.
-    snapshots: BTreeMap<u64, u64>,
     /// Table id → live iterator pin count. Pinned tables removed by a
     /// compaction are parked in `deferred` instead of being deleted.
     pins: BTreeMap<u64, u32>,
-    /// Tables removed from the version but still pinned by iterators.
-    deferred: BTreeSet<u64>,
+    /// Tables removed from the version but still pinned by iterators, each
+    /// with the smallest id of the group it is deleted with: the table on
+    /// its own, or every input of a compaction that dropped a tombstone. A
+    /// group goes when none of its tables is pinned.
+    deferred: BTreeMap<u64, u64>,
     /// Completion times of flushes still in flight (virtual time): sealed
     /// memtables being written count against the write-pressure gate until
     /// their flush completes.
@@ -204,21 +189,16 @@ struct ActiveCompaction {
     to: usize,
     removed: Vec<u64>,
     /// At the bottom level, the inputs' highest sequence number: see
-    /// [`GroupPruner::prune`].
+    /// [`keeps`].
     drop_tombstones: Option<u64>,
     merge: MergeIter,
     builder: TableBuilder,
     outputs: Vec<Arc<TableHandle>>,
     frontier: SimTime,
     started: SimTime,
-    /// Snapshot boundaries captured when the compaction started. Snapshots
-    /// released later only allow *more* pruning; snapshots taken later sit
-    /// above every sequence and always see the newest kept version.
-    boundaries: Vec<u64>,
-    /// Version group of the key currently being merged (seq desc), each
-    /// version still where its input block holds it.
-    group: Vec<EntryView>,
-    pruner: GroupPruner,
+    /// Newest version of the key currently being merged, still where its
+    /// input block holds it; the older ones are dropped as they arrive.
+    newest: Option<EntryView>,
     entries_out: u64,
     tombstones_dropped: u64,
     shadowed: u64,
@@ -238,9 +218,8 @@ impl Db {
             immutables: VecDeque::new(),
             next_mem_seq: 1,
             next_seq: 1,
-            snapshots: BTreeMap::new(),
             pins: BTreeMap::new(),
-            deferred: BTreeSet::new(),
+            deferred: BTreeMap::new(),
             inflight_flushes: Vec::new(),
             throttle: ox_sim::Timeline::new(),
             drain_rate: DELAYED_WRITE_RATE,
@@ -262,7 +241,7 @@ impl Db {
     /// its index and bloom filter; recovered tables enter L0 newest-first
     /// and compaction re-forms the levels. The write sequence restarts
     /// *above* every recovered sequence number — compactions never lower
-    /// the highest one (see `GroupPruner::prune`), so no number a
+    /// the highest one (see `compaction::keeps`), so no number a
     /// surviving write carries is handed out again. Returns the database
     /// and the recovery completion time.
     pub fn open_with_tables(
@@ -325,38 +304,12 @@ impl Db {
         self.next_seq
     }
 
-    /// Pins a read view at the current sequence number. Must be paired with
-    /// [`Db::release_snapshot`] — open snapshots stop compaction from
-    /// pruning the versions they can see.
-    pub fn snapshot(&mut self) -> Snapshot {
-        let seq = self.next_seq - 1;
-        *self.snapshots.entry(seq).or_insert(0) += 1;
-        Snapshot { seq }
-    }
-
-    /// Releases a snapshot taken with [`Db::snapshot`].
-    pub fn release_snapshot(&mut self, snap: Snapshot) {
-        if let Some(c) = self.snapshots.get_mut(&snap.seq) {
-            *c -= 1;
-            if *c == 0 {
-                self.snapshots.remove(&snap.seq);
-            }
-        }
-    }
-
-    /// Open snapshot boundaries (ascending) plus the "latest" reader.
-    fn boundaries(&self) -> Vec<u64> {
-        let mut b: Vec<u64> = self.snapshots.keys().copied().collect();
-        b.push(u64::MAX);
-        b
-    }
-
     /// Whether background work is pending (immutables to flush, a
     /// compaction-worthy level, or unpinned deferred tables to reclaim).
     pub fn has_background_work(&self) -> bool {
         !self.immutables.is_empty()
             || !self.actives.is_empty()
-            || self.deferred.iter().any(|id| !self.pins.contains_key(id))
+            || !self.reapable().is_empty()
             || self.pick_compaction().is_some()
     }
 
@@ -435,28 +388,9 @@ impl Db {
         Ok(PutOutcome::Done(t))
     }
 
-    /// Looks up a key at the latest sequence. Returns the value (if any)
-    /// and the completion time.
+    /// Looks up the newest version of a key. Returns the value (if any) and
+    /// the completion time.
     pub fn get(&mut self, now: SimTime, key: &[u8]) -> Result<(Option<Vec<u8>>, SimTime), DbError> {
-        self.get_visible(now, key, u64::MAX)
-    }
-
-    /// Looks up a key under a pinned snapshot.
-    pub fn get_at(
-        &mut self,
-        now: SimTime,
-        key: &[u8],
-        snap: Snapshot,
-    ) -> Result<(Option<Vec<u8>>, SimTime), DbError> {
-        self.get_visible(now, key, snap.seq)
-    }
-
-    fn get_visible(
-        &mut self,
-        now: SimTime,
-        key: &[u8],
-        snap: u64,
-    ) -> Result<(Option<Vec<u8>>, SimTime), DbError> {
         if key.is_empty() {
             return Err(DbError::EmptyKey);
         }
@@ -464,12 +398,12 @@ impl Db {
         let mut t = now + GET_CPU;
 
         // Memory first: versions flow memtable → immutables → tables in
-        // per-key sequence order, so the first source holding a visible
-        // version holds the newest visible one.
+        // per-key sequence order, so the first source holding the key holds
+        // its newest version.
         let mut best: Option<(u64, Option<Vec<u8>>)> =
             self.memtables_newest_first().find_map(|mem| {
                 mem.lock()
-                    .point_visible(key, snap)
+                    .newest(key)
                     .map(|(s, v)| (s, v.map(<[u8]>::to_vec)))
             });
 
@@ -477,7 +411,7 @@ impl Db {
             // Tables: the data block is read from the device every time (no
             // block cache, per the paper's benchmark configuration); index
             // and bloom live in memory. Probe order is irrelevant for
-            // correctness — the winner is the highest visible sequence — but
+            // correctness — the winner is the highest sequence — but
             // `max_seq` lets stale tables be skipped without device reads.
             for h in self.version.tables_for_get(key) {
                 if let Some((bs, _)) = &best {
@@ -490,39 +424,24 @@ impl Db {
                     self.stats.bloom_skips += 1;
                     continue;
                 }
-                let Some(mut b) = h.block_for(key) else {
+                let Some(b) = h.block_for(key) else {
                     continue;
                 };
-                loop {
-                    let (block, done) = self
-                        .store
-                        .read_block_shared(t, h.id, b)
-                        .map_err(DbError::from)?;
-                    t = done;
-                    self.stats.get_blocks_read += 1;
-                    // The walk starts at the block's anchor below the key,
-                    // not at its first entry (a run spilling over from the
-                    // block before starts at offset 0 either way).
-                    let from = h.seek_in_block(b, &block, key);
-                    let found = with_entries(&block, from, |entries| {
-                        entries.visible(key, snap).into_owned()
-                    });
-                    match found {
-                        FindVisible::Found(s, v) => {
-                            if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
-                                best = Some((s, v));
-                            }
-                            break;
-                        }
-                        FindVisible::Absent => break,
-                        FindVisible::Continue => {
-                            // The key's version run spills into the next
-                            // block.
-                            b += 1;
-                            if b >= h.data_blocks {
-                                break;
-                            }
-                        }
+                let (block, done) = self
+                    .store
+                    .read_block_shared(t, h.id, b)
+                    .map_err(DbError::from)?;
+                t = done;
+                self.stats.get_blocks_read += 1;
+                // The walk starts at the block's anchor below the key, not at
+                // its first entry.
+                let from = h.seek_in_block(b, &block, key);
+                let found = with_entries(&block, from, |entries| {
+                    entries.lookup(key).map(|(s, v)| (s, v.map(<[u8]>::to_vec)))
+                });
+                if let Some((s, v)) = found {
+                    if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
+                        best = Some((s, v));
                     }
                 }
             }
@@ -548,15 +467,25 @@ impl Db {
         std::iter::once(&self.mem).chain(self.immutables.iter().rev().map(|(_, imm)| imm))
     }
 
-    /// Deletes deferred tables whose last iterator pin is gone. Returns the
-    /// advanced clock and whether anything was reclaimed.
-    fn reap_deferred(&mut self, mut t: SimTime) -> Result<(SimTime, bool), DbError> {
-        let ready: Vec<u64> = self
+    /// Deferred tables no table of whose group is pinned, in id order.
+    fn reapable(&self) -> Vec<u64> {
+        let held: BTreeSet<u64> = self
             .deferred
             .iter()
-            .copied()
-            .filter(|id| !self.pins.contains_key(id))
+            .filter(|(id, _)| self.pins.contains_key(id))
+            .map(|(_, group)| *group)
             .collect();
+        self.deferred
+            .iter()
+            .filter(|(_, group)| !held.contains(group))
+            .map(|(id, _)| *id)
+            .collect()
+    }
+
+    /// Deletes deferred tables whose group's last iterator pin is gone.
+    /// Returns the advanced clock and whether anything was reclaimed.
+    fn reap_deferred(&mut self, mut t: SimTime) -> Result<(SimTime, bool), DbError> {
+        let ready = self.reapable();
         let did = !ready.is_empty();
         for id in ready {
             self.deferred.remove(&id);
@@ -565,9 +494,9 @@ impl Db {
         Ok((t, did))
     }
 
-    /// Flushes the oldest immutable memtable into an L0 table. Versions no
-    /// open snapshot can see are pruned as they stream out. Returns the
-    /// completion time, or `None` when there is nothing to flush.
+    /// Flushes the oldest immutable memtable into an L0 table of the newest
+    /// version of each key. Returns the completion time, or `None` when
+    /// there is nothing to flush.
     pub fn flush_once(&mut self, now: SimTime) -> Result<Option<SimTime>, DbError> {
         let (now, reaped) = self.reap_deferred(now)?;
         let Some((gen, imm)) = self.immutables.pop_front() else {
@@ -575,41 +504,18 @@ impl Db {
         };
         let imm = imm.lock();
         let mut t = now + BUILD_CPU_PER_ENTRY * imm.len() as u64;
-        let boundaries = self.boundaries();
         let mut builder = TableBuilder::new(self.store.block_bytes(), BITS_PER_KEY);
-        let mut pruner = GroupPruner::default();
-        let mut flush_group =
-            |key: &[u8], group: &[(u64, Option<&[u8]>)], builder: &mut TableBuilder| {
-                pruner.prune(
-                    group.iter().map(|(s, v)| (*s, v.is_none())),
-                    &boundaries,
-                    None,
-                );
-                for &i in pruner.kept() {
-                    let (s, v) = group[i];
-                    builder.add(key, s, v);
-                }
-            };
-        let mut pending_key: Option<&[u8]> = None;
-        let mut pending: Vec<(u64, Option<&[u8]>)> = Vec::new();
+        let mut last: Option<&[u8]> = None;
         for (k, s, v) in imm.iter_versions() {
-            if pending_key == Some(k) {
-                pending.push((s, v));
-            } else {
-                if let Some(pk) = pending_key {
-                    flush_group(pk, &pending, &mut builder);
-                }
-                pending_key = Some(k);
-                pending.clear();
-                pending.push((s, v));
+            // A key's newest version comes first; the older ones follow it.
+            if last != Some(k) {
+                builder.add(k, s, v);
+                last = Some(k);
             }
-        }
-        if let Some(pk) = pending_key {
-            flush_group(pk, &pending, &mut builder);
         }
         if builder.is_empty() {
             // Unreachable for sealed memtables (they always hold data), but
-            // cheap to guard: nothing survived pruning, nothing to write.
+            // cheap to guard: nothing to write.
             return Ok(Some(t));
         }
         let (blocks, mut handle) = builder.finish();
@@ -698,30 +604,24 @@ impl Db {
         (level + 1..self.version.max_levels()).all(|l| self.version.level(l).is_empty())
     }
 
-    /// Prunes and emits the finished version group of one key into the
-    /// active compaction's builder, cutting output tables between groups.
-    fn emit_group(
+    /// Emits the newest version of the key just merged into the active
+    /// compaction's builder — unless [`keeps`] drops it — cutting the output
+    /// table first when it is full.
+    fn emit_newest(
         ac: &mut ActiveCompaction,
         store: &Arc<dyn TableStore>,
         config: &DbConfig,
         block_bytes: usize,
         t: &mut SimTime,
     ) -> Result<(), DbError> {
-        let Some(first) = ac.group.first() else {
+        let Some(e) = ac.newest.take() else {
             return Ok(());
         };
-        let key = first.key();
-        let out = ac.pruner.prune(
-            ac.group.iter().map(|e| (e.seq(), e.value().is_none())),
-            &ac.boundaries,
-            ac.drop_tombstones,
-        );
-        ac.shadowed += out.shadowed;
-        ac.tombstones_dropped += out.tombstones_dropped;
-        // Cut between groups only, so a key's version run never splits
-        // across output tables.
-        if !ac.pruner.kept().is_empty()
-            && ac.builder.projected_total_bytes() + block_bytes > config.table_bytes
+        if !keeps(e.seq(), e.value().is_none(), ac.drop_tombstones) {
+            ac.tombstones_dropped += 1;
+            return Ok(());
+        }
+        if ac.builder.projected_total_bytes() + block_bytes > config.table_bytes
             && !ac.builder.is_empty()
         {
             let b = std::mem::replace(
@@ -732,14 +632,9 @@ impl Db {
             ac.blocks_written += h.data_blocks as u64;
             ac.outputs.push(h);
         }
-        for &i in ac.pruner.kept() {
-            // The one copy a surviving version gets: input block to output
-            // block.
-            let e = &ac.group[i];
-            ac.builder.add(key, e.seq(), e.value());
-            ac.entries_out += 1;
-        }
-        ac.group.clear();
+        // The one copy a surviving version gets: input block to output block.
+        ac.builder.add(e.key(), e.seq(), e.value());
+        ac.entries_out += 1;
         Ok(())
     }
 
@@ -786,9 +681,7 @@ impl Db {
                     outputs: Vec::new(),
                     frontier: now,
                     started: now,
-                    boundaries: self.boundaries(),
-                    group: Vec::new(),
-                    pruner: GroupPruner::default(),
+                    newest: None,
                     entries_out: 0,
                     tombstones_dropped: 0,
                     shadowed: 0,
@@ -804,6 +697,12 @@ impl Db {
         let idx = self.active_cursor % self.actives.len();
         self.active_cursor = self.active_cursor.wrapping_add(1);
         let mut ac = self.actives.swap_remove(idx);
+        if !self.deferred.is_empty() {
+            // A replaced table still on the media may hold a version that a
+            // tombstone hides: were the tombstone dropped, a crash would
+            // bring the version back.
+            ac.drop_tombstones = None;
+        }
         let mut t = ac.frontier.max(now);
         let block_bytes = self.store.block_bytes();
         let budget_entries = 4 * block_bytes / 1024; // ≈ 4 blocks of 1 KB entries
@@ -817,13 +716,16 @@ impl Db {
                 Some(entry) => {
                     processed += 1;
                     t += BUILD_CPU_PER_ENTRY;
-                    if ac.group.first().is_some_and(|e| e.key() != entry.key()) {
-                        Self::emit_group(&mut ac, &self.store, &self.config, block_bytes, &mut t)?;
+                    if ac.newest.as_ref().is_some_and(|e| e.key() == entry.key()) {
+                        // An older version of the key being merged.
+                        ac.shadowed += 1;
+                        continue;
                     }
-                    ac.group.push(entry);
+                    Self::emit_newest(&mut ac, &self.store, &self.config, block_bytes, &mut t)?;
+                    ac.newest = Some(entry);
                 }
                 None => {
-                    Self::emit_group(&mut ac, &self.store, &self.config, block_bytes, &mut t)?;
+                    Self::emit_newest(&mut ac, &self.store, &self.config, block_bytes, &mut t)?;
                     finished = true;
                     break;
                 }
@@ -840,12 +742,19 @@ impl Db {
                 ac.blocks_written += h.data_blocks as u64;
                 ac.outputs.push(h);
             }
+            // A compaction that dropped a tombstone leaves all of its inputs
+            // on the media or none: a crash must not keep an older version
+            // without the tombstone that hid it.
+            let pinned = |id: &u64| self.pins.contains_key(id);
+            let group = (ac.tombstones_dropped > 0 && ac.removed.iter().any(pinned))
+                .then(|| ac.removed.iter().min().copied())
+                .flatten();
             for id in &ac.removed {
                 self.compacting.remove(id);
-                if self.pins.contains_key(id) {
-                    // A live iterator still streams from this table; delete
-                    // it when the last pin is released.
-                    self.deferred.insert(*id);
+                if group.is_some() || self.pins.contains_key(id) {
+                    // A live iterator still streams from this table (or one
+                    // of its group); delete it when the last pin is released.
+                    self.deferred.insert(*id, group.unwrap_or(*id));
                 } else {
                     t = self.store.delete_table(t, *id)?;
                 }
@@ -893,21 +802,19 @@ impl Db {
         Ok(Arc::new(handle))
     }
 
-    /// Iterates `[start, end)` (or to the end of the key space when `end`
-    /// is `None`) under a pinned snapshot. The snapshot must stay
-    /// registered for the iterator's lifetime; every table the iterator may
-    /// stream from is pinned against deletion until the iterator is
-    /// released via [`Db::release_iter`] (or automatically, for iterators
-    /// obtained through [`SharedDb`]).
+    /// Iterates the whole database from `start` as it stands now — later
+    /// writes never leak into the scan. Every table the iterator may stream
+    /// from is pinned against deletion until the iterator is released via
+    /// [`Db::release_iter`] (or automatically, for iterators obtained
+    /// through [`SharedDb`]).
     ///
     /// Creating the iterator reads nothing: it merges a cursor over the
     /// memtables, one stream per L0 table and one stream per sorted level
     /// (see [`Version::scan_runs`]), and each stream fetches its first
     /// block on the first [`DbIter::next`].
-    pub fn scan_range(&mut self, snap: Snapshot, start: &[u8], end: Option<&[u8]>) -> DbIter {
-        let snap_seq = snap.seq;
+    pub fn scan_from(&mut self, start: &[u8]) -> DbIter {
         let mems: Vec<SharedMemtable> = self.memtables_newest_first().cloned().collect();
-        let runs = self.version.scan_runs(start, end);
+        let runs = self.version.scan_runs(start);
         // Pins are id refcounts: a table a compaction replaces before the
         // iterator reaches it is parked in `deferred`, not deleted.
         let pinned: Vec<u64> = runs.iter().flatten().map(|h| h.id).collect();
@@ -925,28 +832,16 @@ impl Db {
             .collect();
         DbIter {
             merge: MergeIter::new(streams, self.store.clone()),
-            mem: MemCursor::new(mems, start, snap_seq),
-            snap: snap_seq,
-            owns_snapshot: false,
+            // The memtables stay shared with the writer: the cursor sees
+            // the versions written so far, no later one.
+            mem: MemCursor::new(mems, start, self.next_seq - 1),
             pinned,
-            end: end.map(<[u8]>::to_vec),
             last_key: Vec::new(),
             table_pending: None,
             done: false,
             lifetime: None,
             owner: None,
         }
-    }
-
-    /// Iterates the whole database from `start` under a freshly pinned
-    /// snapshot owned by the iterator — later writes never leak into the
-    /// scan. Release with [`Db::release_iter`] (automatic for iterators
-    /// obtained through [`SharedDb`]).
-    pub fn scan_from(&mut self, start: &[u8]) -> DbIter {
-        let snap = self.snapshot();
-        let mut it = self.scan_range(snap, start, None);
-        it.owns_snapshot = true;
-        it
     }
 
     fn release_scan(&mut self, scan: ReleasedScan) {
@@ -958,9 +853,6 @@ impl Db {
                 }
             }
         }
-        if let Some(s) = scan.snapshot {
-            self.release_snapshot(s);
-        }
         self.stats.scan_blocks_read += scan.blocks_read;
         if let Some((opened, last)) = scan.lifetime {
             self.obs.metrics.record("lsm.scan.blocks", scan.blocks_read);
@@ -970,8 +862,7 @@ impl Db {
         }
     }
 
-    /// Unpins an iterator's tables (and its snapshot, for
-    /// [`Db::scan_from`] iterators), letting compaction reclaim them.
+    /// Unpins an iterator's tables, letting compaction reclaim them.
     pub fn release_iter(&mut self, iter: &mut DbIter) {
         iter.owner = None;
         let scan = iter.release();
@@ -982,7 +873,6 @@ impl Db {
 /// What an iterator hands back to its database when it is released.
 struct ReleasedScan {
     pinned: Vec<u64>,
-    snapshot: Option<Snapshot>,
     blocks_read: u64,
     /// Virtual time of the first and the last `next()`, if there was one.
     lifetime: Option<(SimTime, SimTime)>,
@@ -991,21 +881,18 @@ struct ReleasedScan {
 /// A key/value pair returned by iteration.
 pub type KvPair = (Vec<u8>, Vec<u8>);
 
-/// A merged snapshot iterator (range scans and read-sequential workloads).
+/// A merged iterator (range scans and read-sequential workloads).
 ///
-/// The iterator sees exactly the database state at its snapshot: the
-/// memtables of that moment are walked lazily, every table it may read is
-/// pinned against deletion, and newer writes are filtered by sequence
-/// number. Obtained via
-/// [`Db::scan_range`] / [`Db::scan_from`] (caller releases) or through
-/// [`SharedDb`] (released automatically on drop).
+/// The iterator sees exactly the database state at its creation: the
+/// memtables of that moment are walked lazily and filtered by sequence
+/// number, and every table it may read is pinned against deletion — the
+/// tables of that moment hold nothing newer. Obtained via
+/// [`Db::scan_from`] (caller releases) or through [`SharedDb`] (released
+/// automatically on drop).
 pub struct DbIter {
     merge: MergeIter,
     mem: MemCursor,
-    snap: u64,
-    owns_snapshot: bool,
     pinned: Vec<u64>,
-    end: Option<Vec<u8>>,
     /// Key of the last version looked at; empty before the first (no key
     /// is).
     last_key: Vec<u8>,
@@ -1017,32 +904,18 @@ pub struct DbIter {
 }
 
 impl DbIter {
-    fn next_table(&mut self, t: &mut SimTime) -> Result<Option<EntryView>, DbError> {
-        if let Some(e) = self.table_pending.take() {
-            return Ok(Some(e));
-        }
-        loop {
-            match self.merge.next(t)? {
-                Some(e) if e.seq() > self.snap => continue,
-                next => return Ok(next),
-            }
-        }
-    }
-
     /// Takes what the database needs back; the iterator keeps nothing
     /// pinned afterwards, so a second release is a no-op.
     fn release(&mut self) -> ReleasedScan {
-        let owned = std::mem::take(&mut self.owns_snapshot);
         ReleasedScan {
             pinned: std::mem::take(&mut self.pinned),
-            snapshot: owned.then_some(Snapshot { seq: self.snap }),
             blocks_read: self.merge.take_blocks_read(),
             lifetime: self.lifetime.take(),
         }
     }
 
     /// Next live entry in key order; advances `t` for block reads. Returns
-    /// `None` at the end of the range.
+    /// `None` at the end of the key space.
     pub fn next(&mut self, t: &mut SimTime) -> Result<Option<KvPair>, DbError> {
         let opened = self.lifetime.map_or(*t, |(opened, _)| opened);
         let out = self.next_live(t);
@@ -1055,7 +928,10 @@ impl DbIter {
             return Ok(None);
         }
         loop {
-            let table_next = self.next_table(t)?;
+            let table_next = match self.table_pending.take() {
+                Some(e) => Some(e),
+                None => self.merge.next(t)?,
+            };
             // Merge memory and tables in (key asc, seq desc) order; equal
             // sequence numbers cannot collide across the two sides.
             let use_mem = match (self.mem.front(), &table_next) {
@@ -1082,12 +958,8 @@ impl DbIter {
                 return Ok(None); // unreachable: the side chosen has an entry
             };
             let key = version.key();
-            if self.end.as_deref().is_some_and(|e| key >= e) {
-                self.done = true;
-                return Ok(None);
-            }
-            // Only the newest visible version of a key counts; older ones
-            // arrive right after it and are skipped here.
+            // Only the newest version of a key counts; older ones arrive
+            // right after it and are skipped here.
             if self.last_key == key {
                 continue;
             }
@@ -1160,29 +1032,9 @@ impl SharedDb {
         self.0.lock().get(now, key)
     }
 
-    /// See [`Db::get_at`].
-    pub fn get_at(
-        &self,
-        now: SimTime,
-        key: &[u8],
-        snap: Snapshot,
-    ) -> Result<(Option<Vec<u8>>, SimTime), DbError> {
-        self.0.lock().get_at(now, key, snap)
-    }
-
     /// See [`Db::delete`].
     pub fn delete(&self, now: SimTime, key: &[u8]) -> Result<PutOutcome, DbError> {
         self.0.lock().delete(now, key)
-    }
-
-    /// See [`Db::snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        self.0.lock().snapshot()
-    }
-
-    /// See [`Db::release_snapshot`].
-    pub fn release_snapshot(&self, snap: Snapshot) {
-        self.0.lock().release_snapshot(snap)
     }
 
     /// See [`Db::flush_once`].
@@ -1200,19 +1052,11 @@ impl SharedDb {
         self.0.lock().seal_memtable()
     }
 
-    /// See [`Db::scan_from`]. The iterator releases its pins and snapshot
-    /// automatically when dropped — but must not be dropped while the
+    /// See [`Db::scan_from`]. The iterator releases its pins automatically
+    /// when dropped — but must not be dropped while the
     /// database lock is held (e.g. inside [`SharedDb::with`]).
     pub fn scan_from(&self, start: &[u8]) -> DbIter {
         let mut it = self.0.lock().scan_from(start);
-        it.owner = Some(self.clone());
-        it
-    }
-
-    /// See [`Db::scan_range`]. The iterator releases its table pins
-    /// automatically when dropped; the snapshot stays with the caller.
-    pub fn scan_range(&self, snap: Snapshot, start: &[u8], end: Option<&[u8]>) -> DbIter {
-        let mut it = self.0.lock().scan_range(snap, start, end);
         it.owner = Some(self.clone());
         it
     }
@@ -1316,15 +1160,16 @@ mod tests {
     }
 
     fn check_scan(db: &mut Db, model: &Model, t: SimTime, start: &[u8], end: Option<&[u8]>) {
-        let snap = db.snapshot();
-        let mut iter = db.scan_range(snap, start, end);
+        let mut iter = db.scan_from(start);
         let mut t = t;
         let mut got = Vec::new();
         while let Some(kv) = iter.next(&mut t).unwrap() {
+            if end.is_some_and(|e| kv.0.as_slice() >= e) {
+                break;
+            }
             got.push(kv);
         }
         db.release_iter(&mut iter);
-        db.release_snapshot(snap);
         let want: Vec<KvPair> = model
             .range(start.to_vec()..)
             .take_while(|(k, _)| end.is_none_or(|e| k.as_slice() < e))
@@ -1387,7 +1232,7 @@ mod tests {
         let live: BTreeSet<u64> = db.version.all_tables().map(|h| h.id).collect();
         assert!(iter.pinned.iter().all(|id| !live.contains(id)));
         assert_eq!(
-            db.deferred,
+            db.deferred.keys().copied().collect::<BTreeSet<u64>>(),
             iter.pinned.iter().copied().collect::<BTreeSet<u64>>(),
             "every pinned table is parked, none deleted"
         );

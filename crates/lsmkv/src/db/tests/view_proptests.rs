@@ -3,7 +3,7 @@
 //! entry against the scan over every stream it replaced, gets and scans
 //! through the search index against a model — on tables just built, on
 //! tables reopened from media and on tables a compaction wrote — and the
-//! bytes a compaction writes against a digest taken before views existed.
+//! bytes a compaction writes against a pinned digest.
 //!
 //! Every store is tried both ways: handing out views of the device's own
 //! buffer, and — wrapped in [`ByCopy`], which like oxperf's tracing wrappers
@@ -300,46 +300,24 @@ fn key(i: u64) -> Vec<u8> {
     format!("{i:016}").into_bytes()
 }
 
-/// `(key asc, seq desc)` versions with distinct sequence numbers out of
-/// `seqs`: runs of one to four versions per key, for the middle key and now
-/// and then another sixty — at 1 KB a version, four blocks — a sixth of them
-/// tombstones, values of 16 B (`sizes` 0), about 1 KB (1) or anything up to
-/// 1.2 KB (2) that often end in zeros.
-fn random_versions(
-    rng: &mut Prng,
-    keys: u64,
-    sizes: u64,
-    seqs: std::ops::Range<u64>,
-) -> Vec<Entry> {
-    let mut pool: Vec<u64> = seqs.collect();
-    rng.shuffle(&mut pool);
-    let mut out = Vec::new();
-    for k in 0..keys {
-        let run = if k == keys / 2 || rng.gen_bool(0.03) {
-            60
-        } else {
-            1 + rng.gen_range(4)
-        };
-        let mut run: Vec<u64> = (0..run).filter_map(|_| pool.pop()).collect();
-        run.sort_unstable_by(|a, b| b.cmp(a));
-        for seq in run {
-            let len = match sizes {
-                0 => 16,
-                1 => 900 + rng.gen_range(200) as usize,
-                _ => rng.gen_range(1200) as usize,
-            };
-            let mut value = vec![0u8; len];
-            rng.fill_bytes(&mut value);
-            let zeros = (rng.gen_range(3) * rng.gen_range(40)) as usize;
-            let keep = len.saturating_sub(zeros);
-            value[keep..].fill(0);
-            out.push((key(3 * k), seq, (!rng.gen_bool(0.16)).then_some(value)));
-        }
-    }
-    out
+/// A version of `key(3 * k)` at `seq`: a sixth of them tombstones, values
+/// of 16 B (`sizes` 0), about 1 KB (1) or anything up to 1.2 KB (2) that
+/// often end in zeros.
+fn random_version(rng: &mut Prng, k: u64, seq: u64, sizes: u64) -> Entry {
+    let len = match sizes {
+        0 => 16,
+        1 => 900 + rng.gen_range(200) as usize,
+        _ => rng.gen_range(1200) as usize,
+    };
+    let mut value = vec![0u8; len];
+    rng.fill_bytes(&mut value);
+    let zeros = (rng.gen_range(3) * rng.gen_range(40)) as usize;
+    let keep = len.saturating_sub(zeros);
+    value[keep..].fill(0);
+    (key(3 * k), seq, (!rng.gen_bool(0.16)).then_some(value))
 }
 
-/// Flushes `versions` as one table at time zero.
+/// Flushes `versions`, one per key in key order, as one table at time zero.
 fn flush(store: &Arc<dyn TableStore>, versions: &[Entry]) -> Arc<TableHandle> {
     let mut b = TableBuilder::new(store.block_bytes(), 10);
     for (k, s, v) in versions {
@@ -350,9 +328,10 @@ fn flush(store: &Arc<dyn TableStore>, versions: &[Entry]) -> Arc<TableHandle> {
     Arc::new(handle)
 }
 
-/// What a seeded case reads: tables that overlap (each version in one of
-/// them, a tenth in two — what a crash between a compaction's commit and its
-/// deletes leaves behind) and a sorted run of more.
+/// What a seeded case reads: tables that overlap (one to four versions of a
+/// key, each in a table of its own, a tenth of the keys with a version in
+/// two — what a crash between a compaction's commit and its deletes leaves
+/// behind) and a sorted run of more. A table holds one version of a key.
 struct Tables {
     overlapping: Vec<Vec<Entry>>,
     run: Vec<Vec<Entry>>,
@@ -367,27 +346,39 @@ impl Tables {
     /// `overlapping` tables of uneven sizes — the first gets the most, the
     /// last may well stay empty — and a sorted run of `run` tables.
     fn shaped(rng: &mut Prng, sizes: u64, overlapping: usize, run: usize) -> Tables {
-        let keys = if sizes == 0 { 700 } else { 60 };
+        // More tables, more keys: a deep level 0 still has tables of blocks.
+        let keys = if sizes == 0 { 2000 } else { 120 } * (overlapping as u64 / 3).max(1);
         let mut tables = Tables {
             overlapping: vec![Vec::new(); overlapping],
             run: vec![Vec::new(); run],
         };
-        if overlapping > 0 {
-            let n = overlapping as u64;
-            for version in random_versions(rng, keys, sizes, 1..5000) {
-                let home = rng.gen_range(n).min(rng.gen_range(n)) as usize;
-                if rng.gen_bool(0.1) && overlapping > 1 {
-                    tables.overlapping[(home + 1) % overlapping].push(version.clone());
-                }
-                tables.overlapping[home].push(version);
+        // Enough sequence numbers for four versions of every key, and the
+        // run's above them all.
+        let mut seqs: Vec<u64> = (1..=4 * keys).collect();
+        rng.shuffle(&mut seqs);
+        let n = overlapping as u64;
+        for k in (0..keys).take_while(|_| n > 0) {
+            // Newest first, in consecutive tables from one that is more
+            // often the first than the last.
+            let home = rng.gen_range(n).min(rng.gen_range(n));
+            let count = (1 + rng.gen_range(4)).min(n);
+            let mut newest_first: Vec<u64> = (0..count).filter_map(|_| seqs.pop()).collect();
+            newest_first.sort_unstable_by(|a, b| b.cmp(a));
+            let mut last = None;
+            for (i, seq) in newest_first.into_iter().enumerate() {
+                let version = random_version(rng, k, seq, sizes);
+                let table = ((home + i as u64) % n) as usize;
+                tables.overlapping[table].push(version.clone());
+                last = Some((table, version));
+            }
+            if let Some((table, version)) = last.filter(|_| count < n && rng.gen_bool(0.1)) {
+                tables.overlapping[(table + 1) % overlapping].push(version);
             }
         }
-        if run > 0 {
-            for version in random_versions(rng, keys, sizes, 5000..10000) {
-                // All versions of a key in one table, the tables in key order.
-                let k: u64 = String::from_utf8_lossy(&version.0).parse().unwrap();
-                tables.run[(k * run as u64 / (3 * keys)) as usize].push(version);
-            }
+        for k in (0..keys).take_while(|_| run > 0) {
+            // The tables in key order.
+            let version = random_version(rng, k, 4 * keys + 1 + k, sizes);
+            tables.run[(k * run as u64 / keys) as usize].push(version);
         }
         tables
     }
@@ -408,10 +399,12 @@ impl Tables {
         let owned = |(k, s, v): (&[u8], u64, Option<&[u8]>)| (k.to_vec(), s, v.map(<[u8]>::to_vec));
         let last = crate::block::BlockIter::new(blocks[0].bytes()).last();
         let first = crate::block::BlockIter::new(blocks[1].bytes()).next();
+        let copies: Vec<Entry> = last.into_iter().chain(first).map(owned).collect();
+        // They take the place of the versions of their keys it held.
         let into = &mut self.overlapping[1];
-        into.extend(last.into_iter().chain(first).map(owned));
-        into.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-        into.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
+        into.retain(|e| copies.iter().all(|c| c.0 != e.0));
+        into.extend(copies);
+        into.sort_by(|a, b| a.0.cmp(&b.0));
         true
     }
 
@@ -479,7 +472,12 @@ fn a_merge_over_views_is_the_merge_over_the_eager_decode() {
         let (_, view_store) = small_store(seed % 2 == 1);
         let (eager_l0, eager_run) = tables.flush_all(&eager_store);
         let (view_l0, view_run) = tables.flush_all(&view_store);
-        assert!(view_l0.iter().chain(&view_run).any(|h| h.data_blocks > 2));
+        let blocks: Vec<u32> = view_l0
+            .iter()
+            .chain(&view_run)
+            .map(|h| h.data_blocks)
+            .collect();
+        assert!(blocks.iter().any(|&b| b > 2), "seed {seed}: {blocks:?}");
         let all = tables.versions();
         let mut t0 = SimTime::from_secs(1);
         for case in 0..6 {
@@ -662,14 +660,6 @@ fn the_heap_picks_what_the_scan_over_every_stream_picked() {
     );
 }
 
-/// What a reader at `snap` sees of `key` among `versions`.
-fn visible<'a>(versions: &'a [Entry], key: &[u8], snap: u64) -> Option<&'a [u8]> {
-    versions
-        .iter()
-        .find(|(k, s, _)| k == key && *s <= snap)
-        .and_then(|(.., v)| v.as_deref())
-}
-
 #[test]
 fn reopened_tables_answer_gets_and_scans_at_any_snapshot() {
     for seed in matrix_seeds(8) {
@@ -685,40 +675,43 @@ fn reopened_tables_answer_gets_and_scans_at_any_snapshot() {
         )
         .unwrap();
         let all = tables.versions();
-        let mut spilled = 0;
+        // The newest version of every key decides.
+        let mut model: Model = BTreeMap::new();
         for run in all.chunk_by(|a, b| a.0 == b.0) {
-            let key = &run[0].0;
-            let oldest = run[run.len() - 1].1;
-            let near = |seq: u64| [seq - 1, seq, seq + 1];
-            for snap in near(run[0].1)
-                .into_iter()
-                .chain(near(oldest))
-                .chain([0, u64::MAX])
-            {
-                let before = db.stats().get_blocks_read;
-                let (got, done) = db.get_at(t, key, Snapshot { seq: snap }).unwrap();
-                assert_eq!(
-                    got.as_deref(),
-                    visible(&all, key, snap),
-                    "seed {seed}: key {} at {snap}",
-                    String::from_utf8_lossy(key)
-                );
-                t = done;
-                // One block per table holding the key, unless the run spills.
-                spilled += u64::from(db.stats().get_blocks_read - before > 6);
-            }
+            let (key, _, value) = &run[0];
+            let (got, done) = db.get(t, key).unwrap();
+            assert_eq!(
+                got.as_ref(),
+                value.as_ref(),
+                "seed {seed}: key {}",
+                String::from_utf8_lossy(key)
+            );
+            t = done;
             // A key that is not there, between this one and the next.
             let absent = [&key[..], b"+"].concat();
             assert_eq!(db.get(t, &absent).unwrap().0, None, "seed {seed}");
+            if let Some(value) = value {
+                model.insert(key.clone(), value.clone());
+            }
         }
-        if seed % 3 == 1 {
-            assert!(spilled > 0, "seed {seed}: no version run spilled over");
-        }
-        for _ in 0..12 {
-            let snap = rng.gen_range(10_001);
+        // Scans, each over the state of its own moment: a write to the key
+        // it is about to read, landing after it opened, stays out of it, and
+        // now and then a flush moves the writes so far into a table.
+        for i in 0..12 {
             let start = all[rng.gen_range(all.len() as u64) as usize].0.clone();
             let take = 1 + rng.gen_range(40) as usize;
-            let mut iter = db.scan_range(Snapshot { seq: snap }, &start, None);
+            let want: Vec<KvPair> = model
+                .range(start.clone()..)
+                .take(take)
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            let mut iter = db.scan_from(&start);
+            let later = format!("later {i}").into_bytes();
+            let PutOutcome::Done(done) = db.put(t, &start, &later).unwrap() else {
+                panic!("seed {seed}: stalled");
+            };
+            model.insert(start.clone(), later);
+            t = done;
             let mut got = Vec::new();
             while got.len() < take {
                 let Some(pair) = iter.next(&mut t).unwrap() else {
@@ -727,13 +720,11 @@ fn reopened_tables_answer_gets_and_scans_at_any_snapshot() {
                 got.push(pair);
             }
             db.release_iter(&mut iter);
-            let want: Vec<KvPair> = all
-                .chunk_by(|a, b| a.0 == b.0)
-                .filter(|run| run[0].0 >= start)
-                .filter_map(|run| Some((run[0].0.clone(), visible(run, &run[0].0, snap)?.to_vec())))
-                .take(take)
-                .collect();
-            assert!(got == want, "seed {seed}: scan from {start:?} at {snap}");
+            assert!(got == want, "seed {seed}: scan {i} from {start:?}");
+            if i % 4 == 3 {
+                db.seal_memtable();
+                t = drain(&mut db, t);
+            }
         }
     }
 }
@@ -866,9 +857,8 @@ fn searches_never_hit_a_table_a_compaction_or_a_reopen_replaced() {
     }
 }
 
-/// CRC of every table a fixed workload leaves behind — overwrites and
-/// deletes, under a snapshot that keeps old versions alive through the
-/// first compactions — in table-id order.
+/// CRC of every table a fixed workload of overwrites and deletes leaves
+/// behind, in table-id order.
 fn compacted_tables_digest(by_copy: bool) -> (u32, u64) {
     let (ftl, store) = small_store(by_copy);
     let mut db = Db::new(
@@ -885,10 +875,8 @@ fn compacted_tables_digest(by_copy: bool) -> (u32, u64) {
     let mut rng = Prng::seed_from_u64(16);
     let mut model = Model::new();
     let mut t = churn(&mut db, &mut model, &mut rng, SimTime::ZERO, 300, 500);
-    let pinned = db.snapshot();
     t = churn(&mut db, &mut model, &mut rng, t, 300, 700);
     t = churn(&mut db, &mut model, &mut rng, t, 300, 400);
-    db.release_snapshot(pinned);
     t = churn(&mut db, &mut model, &mut rng, t, 300, 400);
     let mut tables = ftl.surviving_tables();
     tables.sort_unstable();
@@ -905,10 +893,11 @@ fn compacted_tables_digest(by_copy: bool) -> (u32, u64) {
 
 #[test]
 fn a_compaction_writes_the_bytes_it_wrote_when_it_copied_twice() {
-    // Taken at the commit before streams kept views, with this very function
-    // — when a table reached its store as one buffer of bytes. Handed over
+    // Taken with this very function at the commit before snapshots went,
+    // where compactions still pruned against a snapshot registry: with none
+    // open, they kept what keeping one version of a key keeps. Handed over
     // block by block in the buffers they were built in, or put together again
     // by a store that only knows `flush_table`, it is the same table.
-    assert_eq!(compacted_tables_digest(false), (2_501_719_624, 9));
-    assert_eq!(compacted_tables_digest(true), (2_501_719_624, 9));
+    assert_eq!(compacted_tables_digest(false), (1_093_186_172, 6));
+    assert_eq!(compacted_tables_digest(true), (1_093_186_172, 6));
 }

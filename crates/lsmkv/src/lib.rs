@@ -41,10 +41,10 @@ mod sstable;
 mod store;
 mod version;
 
-pub use block::{BlockAnchors, BlockBuilder, BlockIter, FindVisible};
+pub use block::{BlockAnchors, BlockBuilder, BlockIter};
 pub use bloom::BloomFilter;
 pub use compaction::CompactionStats;
-pub use db::{Db, DbConfig, DbError, DbIter, DbStats, KvPair, PutOutcome, SharedDb, Snapshot};
+pub use db::{Db, DbConfig, DbError, DbIter, DbStats, KvPair, PutOutcome, SharedDb};
 pub use memtable::Memtable;
 pub use sstable::{TableBuilder, TableHandle};
 pub use store::{concat_blocks, LightLsmStore, StoreError, TableStore};

@@ -1,8 +1,9 @@
 //! In-memory write buffer (memtable) with multi-version entries.
 //!
 //! Every write carries a database-wide sequence number; the memtable keeps
-//! *all* versions of a key (newest first) so snapshot reads pinned at an
-//! older sequence number stay stable while later writes land.
+//! *all* versions of a key (newest first) so that an iterator, which reads
+//! the memtable it was created over up to its own sequence number, stays
+//! stable while later writes land.
 
 use crate::compaction::Entry;
 use ox_sim::sync::Mutex;
@@ -51,14 +52,10 @@ impl Memtable {
         versions.insert(0, (seq, value));
     }
 
-    /// Newest version of `key` with sequence number ≤ `snap`, if the
-    /// memtable holds one.
-    pub fn point_visible(&self, key: &[u8], snap: u64) -> Option<(u64, Option<&[u8]>)> {
-        let versions = self.map.get(key)?;
-        versions
-            .iter()
-            .find(|(seq, _)| *seq <= snap)
-            .map(|(seq, v)| (*seq, v.as_deref()))
+    /// Newest version of `key`, if the memtable holds one.
+    pub fn newest(&self, key: &[u8]) -> Option<(u64, Option<&[u8]>)> {
+        let (seq, v) = self.map.get(key)?.first()?;
+        Some((*seq, v.as_deref()))
     }
 
     /// Approximate memory footprint in bytes.
@@ -108,8 +105,8 @@ pub(crate) fn shared_memtable() -> SharedMemtable {
     Arc::new(Mutex::new(Memtable::new()))
 }
 
-/// A lazy snapshot cursor over the memtables that existed when an iterator
-/// was created: per memtable, the newest version ≤ `snap` of every key, the
+/// A lazy cursor over the memtables that existed when an iterator was
+/// created: per memtable, the newest version ≤ `snap` of every key, the
 /// memtables merged in `(key asc, seq desc)` order. Nothing is copied until
 /// it is about to be yielded. Memtables are multi-version and sequence
 /// numbers only grow, so writes landing after the cursor was created — the
@@ -169,13 +166,14 @@ mod tests {
     #[test]
     fn put_get_overwrite_keeps_versions() {
         let mut m = Memtable::new();
-        assert_eq!(m.point_visible(b"a", u64::MAX), None);
+        assert_eq!(m.newest(b"a"), None);
         m.put(b"a", 1, b"1");
-        assert_eq!(m.point_visible(b"a", u64::MAX), Some((1, Some(&b"1"[..]))));
+        assert_eq!(m.newest(b"a"), Some((1, Some(&b"1"[..]))));
         m.put(b"a", 2, b"2");
-        assert_eq!(m.point_visible(b"a", u64::MAX), Some((2, Some(&b"2"[..]))));
-        // The old version is still reachable under a pinned snapshot.
-        assert_eq!(m.point_visible(b"a", 1), Some((1, Some(&b"1"[..]))));
+        assert_eq!(m.newest(b"a"), Some((2, Some(&b"2"[..]))));
+        // The old version is still there for an iterator created before.
+        let at_one = m.first_visible(Bound::Included(&b"a"[..]), 1);
+        assert_eq!(at_one, Some((&b"a"[..], 1, Some(&b"1"[..]))));
         assert_eq!(m.len(), 2);
     }
 
@@ -184,8 +182,9 @@ mod tests {
         let mut m = Memtable::new();
         m.put(b"k", 1, b"v");
         m.delete(b"k", 2);
-        assert_eq!(m.point_visible(b"k", u64::MAX), Some((2, None)));
-        assert_eq!(m.point_visible(b"k", 1), Some((1, Some(&b"v"[..]))));
+        assert_eq!(m.newest(b"k"), Some((2, None)));
+        let at_one = m.first_visible(Bound::Included(&b"k"[..]), 1);
+        assert_eq!(at_one, Some((&b"k"[..], 1, Some(&b"v"[..]))));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!         meta_first_block:u32 | meta_len:u32 | entries:u64 | crc:u32
 //! ```
 //!
-//! Data blocks hold `(key, seq, value)` versions in `(key asc, seq desc)`
-//! order; a key's version run may span adjacent blocks. Every block is one
+//! Data blocks hold one `(key, seq, value)` version of each key, in key
+//! order. Every block is one
 //! LightLSM block (96 KB on the paper drive). The index and bloom are kept
 //! in memory by the version set after a flush or compaction builds them;
 //! [`TableHandle::from_bytes`] re-parses them when a table is reopened after
@@ -192,7 +192,6 @@ pub struct TableBuilder {
     key_hashes: Vec<KeyHash>,
     min_key: Vec<u8>,
     last_key: Vec<u8>,
-    last_seq: u64,
     entries: u64,
     min_seq: u64,
     max_seq: u64,
@@ -210,22 +209,18 @@ impl TableBuilder {
             key_hashes: Vec::new(),
             min_key: Vec::new(),
             last_key: Vec::new(),
-            last_seq: 0,
             entries: 0,
             min_seq: u64::MAX,
             max_seq: 0,
         }
     }
 
-    /// Appends a version; entries must arrive in `(key asc, seq desc)`
-    /// order.
+    /// Appends the one version of `key` the table holds; keys must arrive
+    /// in strictly ascending order.
     pub fn add(&mut self, key: &[u8], seq: u64, value: Option<&[u8]>) {
-        let new_key = self.entries == 0 || key != self.last_key.as_slice();
         debug_assert!(
-            self.entries == 0
-                || key > self.last_key.as_slice()
-                || (!new_key && seq < self.last_seq),
-            "entries must be (key asc, seq desc)"
+            self.entries == 0 || key > self.last_key.as_slice(),
+            "keys must strictly ascend"
         );
         if self.current.as_ref().is_some_and(|b| !b.fits(key, value)) {
             self.cut_block();
@@ -237,13 +232,9 @@ impl TableBuilder {
         if self.entries == 0 {
             self.min_key = key.to_vec();
         }
-        if new_key {
-            // Bloom keys are deduplicated across versions.
-            self.key_hashes.push(BloomFilter::hash(key));
-            self.last_key.clear();
-            self.last_key.extend_from_slice(key);
-        }
-        self.last_seq = seq;
+        self.key_hashes.push(BloomFilter::hash(key));
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         self.entries += 1;
         self.min_seq = self.min_seq.min(seq);
         self.max_seq = self.max_seq.max(seq);
@@ -357,7 +348,7 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{BlockIter, FindVisible};
+    use crate::block::BlockIter;
 
     const BLOCK: usize = 8192;
 
@@ -403,7 +394,7 @@ mod tests {
             let found = BlockIter::find(block, &k);
             assert_eq!(
                 found,
-                Some(Some(&vec![(i % 251) as u8; 100][..])),
+                Some((i + 1, Some(&vec![(i % 251) as u8; 100][..]))),
                 "key {i}"
             );
         }
@@ -425,11 +416,10 @@ mod tests {
         .unwrap();
         let from = h.seek_in_block(b, &block, &k);
         assert!(from > 0, "the last key of a block is past its first anchor");
-        let found = crate::block::with_entries(&block, from, |e| e.visible(&k, 500).into_owned());
-        assert_eq!(
-            found,
-            FindVisible::Found(500, Some(vec![(499 % 251) as u8; 100]))
-        );
+        let found = crate::block::with_entries(&block, from, |e| {
+            e.lookup(&k).map(|(s, v)| (s, v.map(<[u8]>::to_vec)))
+        });
+        assert_eq!(found, Some((500, Some(vec![(499 % 251) as u8; 100]))));
         let searched: Vec<bool> = (0..h.data_blocks).map(|i| i == b).collect();
         assert_eq!(cells(&h), searched);
         // A clone shares nothing but starts with what was built; a handle
@@ -440,24 +430,12 @@ mod tests {
     }
 
     #[test]
-    fn version_runs_span_blocks() {
-        // Many versions of one key force the run across multiple blocks.
-        let mut b = TableBuilder::new(512, 10);
-        let payload = vec![7u8; 100];
-        for seq in (1..=20u64).rev() {
-            b.add(b"hot-key", seq, Some(&payload));
-        }
-        b.add(b"zz", 21, Some(b"z"));
-        let (bytes, h) = finish(b);
-        assert!(h.data_blocks > 1);
-        // A snapshot older than every version in block 0 must Continue.
-        let first = h.block_for(b"hot-key").unwrap() as usize;
-        let block = &bytes[first * 512..(first + 1) * 512];
-        match BlockIter::find_visible(block, b"hot-key", 3) {
-            FindVisible::Found(seq, _) => assert!(seq <= 3),
-            FindVisible::Continue => {}
-            FindVisible::Absent => panic!("visible version lost"),
-        }
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "keys must strictly ascend")]
+    fn a_second_version_of_a_key_is_refused() {
+        let mut b = TableBuilder::new(BLOCK, 10);
+        b.add(b"k", 2, Some(b"new"));
+        b.add(b"k", 1, Some(b"old"));
     }
 
     #[test]
@@ -485,8 +463,9 @@ mod tests {
         for i in 0..500u64 {
             if i == 100 {
                 b.add(&key(i), 777, None);
+            } else {
+                b.add(&key(i), i + 1, Some(&[(i % 251) as u8; 100]));
             }
-            b.add(&key(i), i + 1, Some(&[(i % 251) as u8; 100]));
         }
         let (bytes, h) = finish(b);
         let back = TableHandle::from_bytes(7, BLOCK, &bytes).expect("parse");
@@ -533,7 +512,7 @@ mod tests {
         b.add(b"dead", 1, None);
         let (bytes, h) = finish(b);
         let block = &bytes[..BLOCK];
-        assert_eq!(BlockIter::find(block, b"dead"), Some(None));
+        assert_eq!(BlockIter::find(block, b"dead"), Some((1, None)));
         assert_eq!(h.entries, 2);
     }
 
@@ -552,7 +531,7 @@ mod tests {
         ] {
             let mut b = TableBuilder::new(block, 10);
             b.add(&key(0), n + 1, None);
-            for i in 0..n {
+            for i in 1..n {
                 b.add(&key(i), i + 1, Some(&vec![1u8; vlen]));
             }
             let projected = b.projected_total_bytes();

@@ -100,22 +100,20 @@ impl Version {
             .map(Arc::as_ref)
     }
 
-    /// The sorted runs a scan of `[start, end)` merges, each in key order:
+    /// The sorted runs a scan from `start` merges, each in key order:
     /// every L0 table on its own (they overlap), then *one run per deeper
     /// level* — its tables hold disjoint keys, so the scan walks them one
     /// after the other and only ever has one of them open. A run starts at
     /// the first table whose `max_key` is ≥ `start`.
-    pub fn scan_runs(&self, start: &[u8], end: Option<&[u8]>) -> Vec<Vec<Arc<TableHandle>>> {
-        let in_window = |t: &&Arc<TableHandle>| {
-            t.max_key.as_slice() >= start && end.is_none_or(|e| t.min_key.as_slice() < e)
-        };
+    pub fn scan_runs(&self, start: &[u8]) -> Vec<Vec<Arc<TableHandle>>> {
+        let reaches = |t: &&Arc<TableHandle>| t.max_key.as_slice() >= start;
         let mut runs: Vec<Vec<Arc<TableHandle>>> = self.levels[0]
             .iter()
-            .filter(in_window)
+            .filter(reaches)
             .map(|t| vec![t.clone()])
             .collect();
         for level in &self.levels[1..] {
-            let mut run: Vec<Arc<TableHandle>> = level.iter().filter(in_window).cloned().collect();
+            let mut run: Vec<Arc<TableHandle>> = level.iter().filter(reaches).cloned().collect();
             if !run.is_empty() {
                 run.sort_by(|a, b| a.max_key.cmp(&b.max_key));
                 runs.push(run);

@@ -1,6 +1,6 @@
 //! Crash + fault proptests for the LSM store: power cuts land between
 //! operations (mid-flush-queue, mid-compaction-cascade) while tombstones are
-//! live and snapshots are open; recovery must never resurrect a deleted key
+//! live and iterators are open; recovery must never resurrect a deleted key
 //! and never lose a durable one.
 //!
 //! Durability model: flushes commit whole memtable generations in FIFO
@@ -15,7 +15,7 @@
 //! harness is reused here.
 
 use lightlsm::{LightLsm, LightLsmConfig};
-use lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, Snapshot, TableStore};
+use lsmkv::{Db, DbConfig, DbIter, LightLsmStore, PutOutcome, TableStore};
 use ocssd::{
     matrix_seeds, ChunkAddr, DeviceConfig, FaultMix, Geometry, OcssdDevice, ReadFault, SharedDevice,
 };
@@ -118,15 +118,13 @@ fn replay(log: &[(u64, LogOp)], upto: u64) -> BTreeMap<u16, u8> {
 
 /// Full-scan the store and compare against `model`; `ctx` names the crash.
 fn check_state(db: &mut Db, model: &BTreeMap<u16, u8>, t: SimTime, ctx: &str) -> SimTime {
-    let snap = db.snapshot();
-    let mut iter = db.scan_range(snap, b"", None);
+    let mut iter = db.scan_from(b"");
     let mut tt = t;
     let mut got = Vec::new();
     while let Some((k, v)) = iter.next(&mut tt).unwrap() {
         got.push((k, v));
     }
     db.release_iter(&mut iter);
-    db.release_snapshot(snap);
     let expect: Vec<(u16, u8)> = model.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(got.len(), expect.len(), "{ctx}: state size diverged");
     for ((gk, gv), (ek, ev)) in got.iter().zip(expect.iter()) {
@@ -135,6 +133,44 @@ fn check_state(db: &mut Db, model: &BTreeMap<u16, u8>, t: SimTime, ctx: &str) ->
         assert_eq!(gv[16], *ev, "{ctx}: value for key {ek} diverged");
     }
     tt
+}
+
+/// A live iterator over the whole store and the model as it stood when the
+/// iterator opened.
+struct Reader {
+    iter: DbIter,
+    frozen: BTreeMap<u16, u8>,
+    /// Every key below this has been read.
+    next: u16,
+}
+
+impl Reader {
+    fn open(db: &mut Db, model: &BTreeMap<u16, u8>) -> Reader {
+        Reader {
+            iter: db.scan_from(b""),
+            frozen: model.clone(),
+            next: 0,
+        }
+    }
+
+    /// Reads up to `n` entries, each checked against the frozen model.
+    /// Returns whether the iterator reached its end.
+    fn step(&mut self, t: &mut SimTime, n: u16, ctx: &str) -> bool {
+        for _ in 0..n {
+            let want = self.frozen.range(self.next..).next();
+            let Some((k, v)) = self.iter.next(t).unwrap() else {
+                assert_eq!(want, None, "{ctx}: iterator ended early");
+                return true;
+            };
+            let Some((&wk, &wv)) = want else {
+                panic!("{ctx}: iterator read {k:?} past its state");
+            };
+            assert_eq!(k, key(wk), "{ctx}: iterator key");
+            assert_eq!(v[16], wv, "{ctx}: iterator value for key {wk}");
+            self.next = wk + 1;
+        }
+        false
+    }
 }
 
 /// Crashes the device at `t`, reopens the FTL and rebuilds the store from
@@ -175,7 +211,7 @@ fn fresh_db(dev: &SharedDevice) -> Db {
     Db::new(fresh_store(dev), db_config())
 }
 
-/// The main proptest: random workloads with live tombstones, open snapshots
+/// The main proptest: random workloads with live tombstones, open iterators
 /// and seeded fault plans; crashes at scripted points plus every injected
 /// power cut the plan lands.
 #[test]
@@ -216,7 +252,7 @@ fn recovery_equals_the_durable_prefix_across_power_cuts() {
         dev.set_fault_plan(plan); // armed after format: setup is fault-free
         let mut model: BTreeMap<u16, u8> = BTreeMap::new();
         let mut log: Vec<(u64, LogOp)> = Vec::new();
-        let mut snaps: Vec<(Snapshot, BTreeMap<u16, u8>)> = Vec::new();
+        let mut readers: Vec<Reader> = Vec::new();
         let mut t = SimTime::ZERO;
 
         let total_ops = rng.gen_range_in(120, 320);
@@ -263,20 +299,18 @@ fn recovery_equals_the_durable_prefix_across_power_cuts() {
                     }
                 }
                 15 => {
-                    if snaps.len() < 2 {
-                        snaps.push((db.snapshot(), model.clone()));
+                    if readers.len() < 2 {
+                        readers.push(Reader::open(&mut db, &model));
                     }
                 }
                 _ => {
-                    if let Some((snap, frozen)) = snaps.first() {
-                        let k = rng.gen_range(KEYS) as u16;
-                        let (got, done) = db.get_at(t, &key(k), *snap).unwrap();
-                        t = done;
-                        assert_eq!(
-                            got.map(|v| v[16]),
-                            frozen.get(&k).copied(),
-                            "seed {seed}: snapshot read of key {k}"
-                        );
+                    if let Some(reader) = readers.first_mut() {
+                        let n = 1 + rng.gen_range(KEYS) as u16 % 32;
+                        let ctx = format!("seed {seed}: op {opno}");
+                        if reader.step(&mut t, n, &ctx) {
+                            let mut done = readers.remove(0);
+                            db.release_iter(&mut done.iter);
+                        }
                     }
                 }
             }
@@ -286,8 +320,8 @@ fn recovery_equals_the_durable_prefix_across_power_cuts() {
                 crashes += 1;
                 crashes_after_drops += u64::from(db.compaction_stats().tombstones_dropped > 0);
                 let ctx = format!("seed {seed} crash at op {opno}");
-                // Open snapshots die with the process: drop, don't release.
-                snaps.clear();
+                // Open iterators die with the process: drop, don't release.
+                readers.clear();
                 let (db2, model2, t2) = crash_and_verify(&dev, &mut log, t, &ctx);
                 db = db2;
                 model = model2;
@@ -298,7 +332,7 @@ fn recovery_equals_the_durable_prefix_across_power_cuts() {
         // Final crash with whatever is in flight, then a clean drain check.
         crashes += 1;
         crashes_after_drops += u64::from(db.compaction_stats().tombstones_dropped > 0);
-        snaps.clear();
+        readers.clear();
         let ctx = format!("seed {seed} final crash");
         let (mut db, model, t) = crash_and_verify(&dev, &mut log, t, &ctx);
         let t = drain(&mut db, t);

@@ -404,29 +404,6 @@ fn snapshot_scan_pinned_against_writes_and_compaction() {
 }
 
 #[test]
-fn snapshot_gets_see_pinned_state() {
-    let mut db = small_db(Placement::Horizontal);
-    let mut t = SimTime::ZERO;
-    let k = bench_key(42);
-    t = put_retry(&mut db, t, &k, b"v1");
-    let snap = db.snapshot();
-    t = put_retry(&mut db, t, &k, b"v2");
-    t = match db.delete(t, &k).unwrap() {
-        PutOutcome::Done(d) => d,
-        _ => panic!(),
-    };
-    // Push both versions and the tombstone through a flush + compaction;
-    // the open snapshot pins the old version.
-    db.seal_memtable();
-    t = drain(&mut db, t);
-    let (v, t1) = db.get_at(t, &k, snap).unwrap();
-    assert_eq!(v.as_deref(), Some(&b"v1"[..]), "snapshot read is stable");
-    let (v, _) = db.get(t1, &k).unwrap();
-    assert_eq!(v, None, "latest read sees the delete");
-    db.release_snapshot(snap);
-}
-
-#[test]
 fn flush_wait_is_shorter_on_horizontal_than_vertical() {
     // Device-level corroboration of the Figure 5 single-client gap, at the
     // DB level: one memtable flush through each placement.

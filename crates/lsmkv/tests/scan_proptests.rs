@@ -1,14 +1,15 @@
-//! Property tests for snapshot visibility: the LSM store agrees with a
+//! Property tests for iterator isolation: the LSM store agrees with a
 //! `BTreeMap` model under random interleavings of puts, deletes, flushes,
-//! compactions, bounded range scans and pinned snapshots.
+//! compactions, bounded range scans and live iterators.
 //!
-//! Snapshots are modelled by *cloning the model* at snapshot time: however
-//! many writes, flushes and compactions land afterwards, reads through the
-//! snapshot must keep matching the frozen clone. Every seed is an
-//! independent case, so a failure names the seed to replay.
+//! An iterator is the snapshot a reader gets: it is paired with a *clone of
+//! the model* taken when it opened, and however many writes, flushes and
+//! compactions land while it is stepped, what it reads must keep matching
+//! the frozen clone, to its end. Every seed is an independent case, so a
+//! failure names the seed to replay.
 
 use lightlsm::{LightLsm, LightLsmConfig};
-use lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, Snapshot, TableStore};
+use lsmkv::{Db, DbConfig, DbIter, LightLsmStore, PutOutcome, TableStore};
 use ocssd::{matrix_seeds, DeviceConfig, Geometry, OcssdDevice, SharedDevice};
 use ox_core::{Media, OcssdMedia};
 use ox_sim::{Prng, SimTime};
@@ -26,8 +27,8 @@ enum Op {
     Flush,
     Compact,
     Scan(u16, Option<u16>),
-    TakeSnapshot,
-    CheckSnapshot,
+    OpenIter(u16),
+    StepIter,
 }
 
 fn gen_op(rng: &mut Prng) -> Op {
@@ -44,8 +45,8 @@ fn gen_op(rng: &mut Prng) -> Op {
             let span = 1 + rng.gen_range(128) as u16;
             Op::Scan(start, Some(span))
         }
-        15 => Op::TakeSnapshot,
-        _ => Op::CheckSnapshot,
+        15 => Op::OpenIter(k(rng)),
+        _ => Op::StepIter,
     }
 }
 
@@ -106,38 +107,28 @@ fn put_retry(db: &mut Db, mut t: SimTime, k: u16, v: &[u8]) -> SimTime {
     }
 }
 
-/// Scans `[start, start+span)` (or to the end) under `snap` and compares
-/// the result with the model.
+/// Scans `[start, start+span)` (or to the end) and compares the result
+/// with the model.
 fn check_scan(
     db: &mut Db,
-    snap: Option<Snapshot>,
     model: &BTreeMap<u16, u8>,
     start: u16,
     span: Option<u16>,
     t: SimTime,
     seed: u64,
 ) -> SimTime {
-    let start_key = key(start);
     let end = span.map(|s| start.saturating_add(s));
     let end_key = end.map(key);
-    // Latest reads pin a throwaway snapshot so bounded scans go through the
-    // same `scan_range` path as pinned ones.
-    let owned = if snap.is_none() {
-        Some(db.snapshot())
-    } else {
-        None
-    };
-    let at = snap.or(owned).expect("snapshot");
-    let mut iter = db.scan_range(at, &start_key, end_key.as_ref().map(|e| &e[..]));
+    let mut iter = db.scan_from(&key(start));
     let mut tt = t;
     let mut got = Vec::new();
     while let Some((k, v)) = iter.next(&mut tt).unwrap() {
+        if end_key.is_some_and(|e| k.as_slice() >= &e[..]) {
+            break;
+        }
         got.push((k, v));
     }
     db.release_iter(&mut iter);
-    if let Some(o) = owned {
-        db.release_snapshot(o);
-    }
     let expect: Vec<(u16, u8)> = match end {
         Some(e) => model.range(start..e).map(|(&k, &v)| (k, v)).collect(),
         None => model.range(start..).map(|(&k, &v)| (k, v)).collect(),
@@ -158,17 +149,54 @@ fn check_scan(
     tt
 }
 
+/// A live iterator and the model as it stood when the iterator opened.
+struct Reader {
+    iter: DbIter,
+    frozen: BTreeMap<u16, u8>,
+    /// Every key below this has been read.
+    next: u16,
+}
+
+impl Reader {
+    fn open(db: &mut Db, model: &BTreeMap<u16, u8>, start: u16) -> Reader {
+        Reader {
+            iter: db.scan_from(&key(start)),
+            frozen: model.clone(),
+            next: start,
+        }
+    }
+
+    /// Reads up to `n` entries, each checked against the frozen model.
+    /// Returns whether the iterator reached its end.
+    fn step(&mut self, t: &mut SimTime, n: u64, seed: u64) -> bool {
+        for _ in 0..n {
+            let want = self.frozen.range(self.next..).next();
+            let Some((k, v)) = self.iter.next(t).unwrap() else {
+                assert_eq!(want, None, "seed {seed}: iterator ended early");
+                return true;
+            };
+            let Some((&wk, &wv)) = want else {
+                panic!("seed {seed}: iterator read {k:?} past its state");
+            };
+            assert_eq!(k, key(wk), "seed {seed}: iterator key");
+            assert_eq!(v[16], wv, "seed {seed}: iterator value for key {wk}");
+            self.next = wk + 1;
+        }
+        false
+    }
+}
+
 #[test]
 fn scans_and_snapshots_match_btreemap_model() {
-    for seed in 0..32u64 {
+    for seed in matrix_seeds(32) {
         let mut rng = Prng::seed_from_u64(seed);
         let ops: Vec<Op> = (0..rng.gen_range_in(1, 250))
             .map(|_| gen_op(&mut rng))
             .collect();
         let mut db = fresh_db();
         let mut model: BTreeMap<u16, u8> = BTreeMap::new();
-        // Open snapshots, each with the model frozen at snapshot time.
-        let mut snaps: Vec<(Snapshot, BTreeMap<u16, u8>)> = Vec::new();
+        // Live iterators, each with the model frozen when it opened.
+        let mut readers: Vec<Reader> = Vec::new();
         let mut t = SimTime::ZERO;
 
         for op in ops {
@@ -220,59 +248,35 @@ fn scans_and_snapshots_match_btreemap_model() {
                     }
                 }
                 Op::Scan(start, span) => {
-                    t = check_scan(&mut db, None, &model, start, span, t, seed);
+                    t = check_scan(&mut db, &model, start, span, t, seed);
                 }
-                Op::TakeSnapshot => {
-                    if snaps.len() < 4 {
-                        snaps.push((db.snapshot(), model.clone()));
+                Op::OpenIter(start) => {
+                    if readers.len() < 4 {
+                        readers.push(Reader::open(&mut db, &model, start));
                     }
                 }
-                Op::CheckSnapshot => {
-                    if snaps.is_empty() {
+                Op::StepIter => {
+                    if readers.is_empty() {
                         continue;
                     }
-                    let i = rng.gen_range(snaps.len() as u64) as usize;
-                    let (snap, frozen) = &snaps[i];
-                    let snap = *snap;
-                    let frozen = frozen.clone();
-                    // Snapshot reads are immune to every write since the
-                    // snapshot was taken.
-                    t = check_scan(&mut db, Some(snap), &frozen, 0, None, t, seed);
-                    for probe in 0..4u16 {
-                        let k =
-                            (seed as u16).wrapping_mul(31).wrapping_add(probe * 97) % KEYS as u16;
-                        let (got, done) = db.get_at(t, &key(k), snap).unwrap();
-                        t = done;
-                        match frozen.get(&k) {
-                            Some(&v) => {
-                                let got = got.unwrap_or_else(|| {
-                                    panic!("seed {seed}: snapshot lost key {k}")
-                                });
-                                assert_eq!(got[16], v, "seed {seed}: snapshot key {k}");
-                            }
-                            None => {
-                                assert_eq!(got, None, "seed {seed}: snapshot key {k} appeared")
-                            }
-                        }
-                    }
-                    if rng.gen_bool(0.5) {
-                        db.release_snapshot(snap);
-                        snaps.remove(i);
+                    let i = rng.gen_range(readers.len() as u64) as usize;
+                    let n = rng.gen_range_in(1, 64);
+                    if readers[i].step(&mut t, n, seed) {
+                        let mut done = readers.swap_remove(i);
+                        db.release_iter(&mut done.iter);
                     }
                 }
             }
         }
 
-        // Every still-open snapshot must have stayed immune to everything.
+        // Every iterator still open reads its own state to the end.
         t = drain(&mut db, t);
-        for (snap, frozen) in &snaps {
-            t = check_scan(&mut db, Some(*snap), frozen, 0, None, t, seed);
-        }
-        for (snap, _) in snaps {
-            db.release_snapshot(snap);
+        for mut reader in readers {
+            while !reader.step(&mut t, 64, seed) {}
+            db.release_iter(&mut reader.iter);
         }
         // Final full agreement at the latest sequence.
-        t = check_scan(&mut db, None, &model, 0, None, t, seed);
+        t = check_scan(&mut db, &model, 0, None, t, seed);
         t = drain(&mut db, t);
         for (&k, &v) in &model {
             let (got, done) = db.get(t, &key(k)).unwrap();
