@@ -1,7 +1,7 @@
 //! Wall-clock microbenchmarks for the hot paths of the stack: device command
 //! processing, the payload store's zero-tail scan, FTL mapping, checkpoints,
-//! WAL framing, CRC32C, bloom filters, SSTable blocks and tables, and the
-//! merge under compactions and scans.
+//! WAL framing, CRC32C, bloom filters, the memtable, SSTable blocks and
+//! tables, and the merge under compactions and scans.
 //!
 //! These measure *host CPU cost* of the simulation/FTL code (real time),
 //! complementing the virtual-time experiment binaries. The harness is
@@ -370,7 +370,53 @@ fn bench_lsm_components(h: &Harness) {
 
 fn bench_lsm_tables(h: &Harness) {
     use lightlsm::{LightLsm, LightLsmConfig};
-    use lsmkv::{Db, DbConfig, LightLsmStore, PutOutcome, TableBuilder, TableStore};
+    use lsmkv::{Db, DbConfig, LightLsmStore, Memtable, PutOutcome, TableBuilder, TableStore};
+
+    // 16-byte keys in a scattered order, as `lsm-fill`'s generator draws
+    // them: every put a key the memtable has not seen.
+    let fill_key = |i: u64| {
+        let mut key = [0u8; 16];
+        key[..8].copy_from_slice(&i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes());
+        key[8..].copy_from_slice(&i.to_be_bytes());
+        key
+    };
+    // The default memtable budget; `Memtable::approximate_bytes` decides
+    // rotation as `Db` does.
+    let memtable_bytes = DbConfig::default().memtable_bytes;
+
+    // One put of a 1 KB value into the active memtable, the drop of each
+    // full memtable at its rotation included.
+    {
+        let value = vec![0xA5u8; 1024];
+        let mut mem = Memtable::new();
+        let mut i = 0u64;
+        h.bench("lsm/memtable_put_1k", 1024, || {
+            i += 1;
+            mem.put(&fill_key(i), i, &value);
+            if mem.approximate_bytes() >= memtable_bytes {
+                mem = Memtable::new();
+            }
+        });
+    }
+
+    // The host side of a flush: a full 4 MB memtable's newest versions into
+    // a table of 96 KB blocks, up to the blocks the device is handed.
+    {
+        let value = vec![0xA5u8; 1024];
+        let mut mem = Memtable::new();
+        let mut i = 0u64;
+        while mem.approximate_bytes() < memtable_bytes {
+            i += 1;
+            mem.put(&fill_key(i), i, &value);
+        }
+        h.bench("lsm/memtable_flush_4mb", memtable_bytes as u64, || {
+            let mut b = TableBuilder::new(96 * 1024, 10);
+            for (k, s, v) in mem.iter_newest() {
+                b.add(k, s, v);
+            }
+            black_box(b.finish().0.len());
+        });
+    }
 
     // What a compaction pays per output table, the merge aside: 6 MB of
     // 1 KB versions into 96 KB blocks, index, bloom filter and meta region.

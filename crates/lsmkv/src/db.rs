@@ -505,13 +505,8 @@ impl Db {
         let imm = imm.lock();
         let mut t = now + BUILD_CPU_PER_ENTRY * imm.len() as u64;
         let mut builder = TableBuilder::new(self.store.block_bytes(), BITS_PER_KEY);
-        let mut last: Option<&[u8]> = None;
-        for (k, s, v) in imm.iter_versions() {
-            // A key's newest version comes first; the older ones follow it.
-            if last != Some(k) {
-                builder.add(k, s, v);
-                last = Some(k);
-            }
+        for (k, s, v) in imm.iter_newest() {
+            builder.add(k, s, v);
         }
         if builder.is_empty() {
             // Unreachable for sealed memtables (they always hold data), but

@@ -4,9 +4,17 @@
 //! *all* versions of a key (newest first) so that an iterator, which reads
 //! the memtable it was created over up to its own sequence number, stays
 //! stable while later writes land.
+//!
+//! Versions live in an append-only arena: a fixed-size `Record` per
+//! version in one `Vec`, values appended into large chunks, and a map that
+//! owns each distinct key once and points at its newest record. Each record
+//! links to the next-older version of its key, so the only allocation a put
+//! keeps is the key of a key the memtable has not seen, and a flush reads
+//! every key's newest version straight off the map.
 
 use crate::compaction::Entry;
 use ox_sim::sync::Mutex;
+use std::collections::btree_map::Entry as MapEntry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -14,17 +22,43 @@ use std::sync::Arc;
 /// A borrowed version: key, sequence number, `Some(value)` or a tombstone.
 pub type VersionRef<'a> = (&'a [u8], u64, Option<&'a [u8]>);
 
-/// A key's version chain, newest-first: `(seq, value)` entries where `None`
-/// values are tombstones.
-type VersionChain = Vec<(u64, Option<Vec<u8>>)>;
+/// Capacity of a value chunk. A chunk holds about sixty of the figures'
+/// 1 KB values, so chunk allocations are rare, and the tail a chunk loses
+/// when the next value does not fit stays under 2 %. It also stays below
+/// glibc's default mmap threshold (128 KiB), so chunks come from the heap
+/// and go back to it, where the next memtable reuses them. A larger value
+/// gets a chunk of its own.
+const CHUNK_BYTES: usize = 64 * 1024;
 
-/// A sorted in-memory buffer. Per key, a list of `(seq, value)` versions is
-/// kept newest-first; `None` values are tombstones.
+/// `Record::chunk` of a tombstone.
+const TOMBSTONE: usize = usize::MAX;
+
+/// `Record::older` of a key's oldest version.
+const NO_OLDER: usize = usize::MAX;
+
+/// One version of a key.
+struct Record {
+    seq: u64,
+    /// The value is `chunks[chunk][start..start + len]`; a tombstone has
+    /// `chunk == TOMBSTONE`.
+    chunk: usize,
+    start: usize,
+    len: usize,
+    /// Index in `records` of the next-older version of the same key, or
+    /// `NO_OLDER`.
+    older: usize,
+}
+
+/// A sorted in-memory buffer of versions, each key's newest first.
 #[derive(Default)]
 pub struct Memtable {
-    map: BTreeMap<Vec<u8>, VersionChain>,
+    /// Each key, owned once, with the index of its newest record.
+    newest: BTreeMap<Box<[u8]>, usize>,
+    /// Every version, in the order written.
+    records: Vec<Record>,
+    /// Value bytes, appended; only the last chunk takes new values.
+    chunks: Vec<Vec<u8>>,
     bytes: usize,
-    versions: usize,
 }
 
 impl Memtable {
@@ -35,63 +69,103 @@ impl Memtable {
 
     /// Inserts a new version of a key.
     pub fn put(&mut self, key: &[u8], seq: u64, value: &[u8]) {
-        self.insert(key, seq, Some(value.to_vec()));
+        // Into the last chunk if the value fits there, else into a new one.
+        let fits = self
+            .chunks
+            .last()
+            .is_some_and(|c| c.capacity() - c.len() >= value.len());
+        if !fits {
+            self.chunks
+                .push(Vec::with_capacity(value.len().max(CHUNK_BYTES)));
+        }
+        let chunk = self.chunks.len() - 1;
+        let bytes = &mut self.chunks[chunk];
+        let start = bytes.len();
+        bytes.extend_from_slice(value);
+        self.insert(key, seq, chunk, start, value.len());
     }
 
     /// Records a point deletion.
     pub fn delete(&mut self, key: &[u8], seq: u64) {
-        self.insert(key, seq, None);
+        self.insert(key, seq, TOMBSTONE, 0, 0);
     }
 
-    fn insert(&mut self, key: &[u8], seq: u64, value: Option<Vec<u8>>) {
-        self.bytes += key.len() + value.as_ref().map_or(0, Vec::len) + 40;
-        self.versions += 1;
-        let versions = self.map.entry(key.to_vec()).or_default();
+    fn insert(&mut self, key: &[u8], seq: u64, chunk: usize, start: usize, len: usize) {
+        self.bytes += key.len() + len + 40;
+        let at = self.records.len();
         // Sequence numbers are assigned monotonically, so the new version
-        // belongs at the front.
-        versions.insert(0, (seq, value));
+        // becomes the key's newest. One descent of the tree: the entry needs
+        // the key owned, so a key already present costs a copy dropped at
+        // once, which is cheaper than the second descent a lookup first
+        // would cost every new key.
+        let older = match self.newest.entry(key.into()) {
+            MapEntry::Occupied(mut newest) => std::mem::replace(newest.get_mut(), at),
+            MapEntry::Vacant(slot) => {
+                slot.insert(at);
+                NO_OLDER
+            }
+        };
+        self.records.push(Record {
+            seq,
+            chunk,
+            start,
+            len,
+            older,
+        });
+    }
+
+    /// Sequence number and value (`None` = tombstone) of a record.
+    fn version(&self, at: usize) -> (u64, Option<&[u8]>) {
+        let r = &self.records[at];
+        let value = (r.chunk != TOMBSTONE).then(|| &self.chunks[r.chunk][r.start..r.start + r.len]);
+        (r.seq, value)
     }
 
     /// Newest version of `key`, if the memtable holds one.
     pub fn newest(&self, key: &[u8]) -> Option<(u64, Option<&[u8]>)> {
-        let (seq, v) = self.map.get(key)?.first()?;
-        Some((*seq, v.as_deref()))
+        self.newest.get(key).map(|&at| self.version(at))
     }
 
-    /// Approximate memory footprint in bytes.
+    /// Approximate memory footprint in bytes: key, value and 40 bytes per
+    /// version. It decides when the memtable rotates, so every flush, and
+    /// everything after it, depends on it staying this formula.
     pub fn approximate_bytes(&self) -> usize {
         self.bytes
     }
 
     /// Number of versions (tombstones included).
     pub fn len(&self) -> usize {
-        self.versions
+        self.records.len()
     }
 
     /// True if the memtable holds no version.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.records.is_empty()
     }
 
-    /// Iterates all versions in `(key asc, seq desc)` order.
-    pub fn iter_versions(&self) -> impl Iterator<Item = (&[u8], u64, Option<&[u8]>)> {
-        self.map.iter().flat_map(|(k, versions)| {
-            versions
-                .iter()
-                .map(move |(seq, v)| (k.as_slice(), *seq, v.as_deref()))
+    /// Every key's newest version, in key order.
+    pub fn iter_newest(&self) -> impl Iterator<Item = VersionRef<'_>> {
+        self.newest.iter().map(|(key, &at)| {
+            let (seq, value) = self.version(at);
+            (&key[..], seq, value)
         })
     }
 
     /// The first key in `from..` holding a version with sequence number
     /// ≤ `snap`, with the newest such version.
     pub fn first_visible(&self, from: Bound<&[u8]>, snap: u64) -> Option<VersionRef<'_>> {
-        self.map
+        self.newest
             .range::<[u8], _>((from, Bound::Unbounded))
-            .find_map(|(k, versions)| {
-                versions
-                    .iter()
-                    .find(|(seq, _)| *seq <= snap)
-                    .map(|(seq, v)| (k.as_slice(), *seq, v.as_deref()))
+            .find_map(|(key, &newest)| {
+                let mut at = newest;
+                while at != NO_OLDER {
+                    let (seq, value) = self.version(at);
+                    if seq <= snap {
+                        return Some((&key[..], seq, value));
+                    }
+                    at = self.records[at].older;
+                }
+                None
             })
     }
 }
@@ -200,22 +274,23 @@ mod tests {
     }
 
     #[test]
-    fn iteration_is_sorted_with_versions_newest_first() {
+    fn iter_newest_is_sorted_and_yields_each_keys_newest_version() {
         let mut m = Memtable::new();
         m.put(b"c", 1, b"v");
         m.put(b"a", 2, b"v");
         m.put(b"b", 3, b"v");
         m.put(b"a", 4, b"w");
-        let all: Vec<(&[u8], u64)> = m.iter_versions().map(|(k, s, _)| (k, s)).collect();
+        m.delete(b"b", 5);
+        let all: Vec<VersionRef<'_>> = m.iter_newest().collect();
         assert_eq!(
             all,
             vec![
-                (&b"a"[..], 4),
-                (&b"a"[..], 2),
-                (&b"b"[..], 3),
-                (&b"c"[..], 1)
+                (&b"a"[..], 4, Some(&b"w"[..])),
+                (&b"b"[..], 5, None),
+                (&b"c"[..], 1, Some(&b"v"[..]))
             ]
         );
+        assert_eq!(m.len(), 5);
     }
 
     #[test]

@@ -95,9 +95,16 @@ impl Version {
         &'a self,
         key: &'a [u8],
     ) -> impl Iterator<Item = &'a TableHandle> + 'a {
-        self.all_tables()
-            .filter(move |t| t.overlaps(key, key))
-            .map(Arc::as_ref)
+        let l0 = self.levels[0].iter().filter(move |t| t.overlaps(key, key));
+        // A deeper level's tables are disjoint and sorted by `min_key`: only
+        // the last one starting at or below `key` can hold it.
+        let deeper = self.levels[1..].iter().filter_map(move |level| {
+            let after = level.partition_point(|t| t.min_key.as_slice() <= key);
+            level[..after]
+                .last()
+                .filter(|t| t.max_key.as_slice() >= key)
+        });
+        l0.chain(deeper).map(Arc::as_ref)
     }
 
     /// The sorted runs a scan from `start` merges, each in key order:
@@ -169,7 +176,9 @@ mod tests {
     fn handle(id: u64, min: &str, max: &str) -> Arc<TableHandle> {
         let mut b = TableBuilder::new(4096, 10);
         b.add(min.as_bytes(), id, Some(b"v"));
-        b.add(max.as_bytes(), id, Some(b"v"));
+        if max != min {
+            b.add(max.as_bytes(), id, Some(b"v"));
+        }
         let (_, mut handle) = b.finish();
         handle.id = id;
         handle.seq = id;
@@ -204,6 +213,60 @@ mod tests {
         let mut v2 = Version::new(4);
         v2.apply_edit(1, 1, &[], vec![handle(1, "a", "c"), handle(2, "x", "z")]);
         assert_eq!(v2.tables_for_get(b"k").count(), 0);
+    }
+
+    /// Tables of random level shapes — overlapping L0 tables, disjoint
+    /// deeper levels with gaps and single-key tables, and recovery's shape
+    /// of every table in L0 — probe exactly the tables, in the order, that
+    /// a filter over every table of every level yields.
+    #[test]
+    fn lookup_probes_what_the_filter_over_every_table_probes() {
+        let key = |n: u64| format!("{n:03}");
+        for seed in ocssd::matrix_seeds(200) {
+            let mut rng = ox_sim::Prng::seed_from_u64(seed);
+            let levels = 2 + rng.gen_range(4) as usize;
+            let mut v = Version::new(levels);
+            let mut id = 0u64;
+            let mut next_id = || {
+                id += 1;
+                id
+            };
+            let all_in_l0 = seed % 4 == 0;
+            let deeper = if all_in_l0 { 0 } else { levels - 1 };
+            for level in 1..=deeper {
+                // Key ranges drawn left to right with gaps between them,
+                // some a single key; a quarter of them hold no table.
+                let mut at = rng.gen_range(20);
+                let mut tables = Vec::new();
+                while at < 1000 {
+                    let min = at;
+                    let max = min + rng.gen_range(60);
+                    if rng.gen_range(4) > 0 {
+                        tables.push(handle(next_id(), &key(min), &key(max.min(999))));
+                    }
+                    at = max + 1 + rng.gen_range(40);
+                }
+                // `apply_edit` sorts what it installs.
+                tables.reverse();
+                v.apply_edit(level, level, &[], tables);
+            }
+            let l0 = rng.gen_range(if all_in_l0 { 24 } else { 8 });
+            for _ in 0..l0 {
+                let min = rng.gen_range(1000);
+                let max = min + rng.gen_range(300);
+                v.add_l0(handle(next_id(), &key(min), &key(max.min(999))));
+            }
+            for probe in 0..1000 {
+                let k = key(probe);
+                let got: Vec<u64> = v.tables_for_get(k.as_bytes()).map(|t| t.id).collect();
+                let want: Vec<u64> = v
+                    .all_tables()
+                    .filter(|t| t.overlaps(k.as_bytes(), k.as_bytes()))
+                    .map(|t| t.id)
+                    .collect();
+                assert_eq!(got, want, "seed {seed}, key {k}");
+            }
+        }
     }
 
     #[test]
